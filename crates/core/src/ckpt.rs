@@ -62,9 +62,11 @@ const TAG_PEND: [u8; 4] = *b"PEND";
 /// is 8192 wide). Caps allocation before trusting a corrupted length field.
 const MAX_PLANE_DIM: usize = 1 << 16;
 
-/// Everything `feves resume` needs to rebuild the CLI job: the original
-/// flags (so the platform/config reconstruction replays exactly), the
-/// input identity, and the progress watermark.
+/// The description of one encode job, and what a checkpoint serialises of
+/// it: the flags that define the job (so [`crate::session::build_config`]
+/// reconstructs the same platform and configuration on every attempt), the
+/// input identity, and the progress watermark. The CLI builds one from its
+/// options and the farm from a job spec; `feves resume` reads it back.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResumeContext {
     /// Input sequence path (y4m).

@@ -838,15 +838,6 @@ impl FevesEncoder {
                 self.ft_stats.drift_vs_fault += 1;
                 self.rec().add(Metric::FtDriftVsFault, 1);
             }
-            if std::env::var_os("FEVES_FT_DEBUG").is_some() {
-                eprintln!(
-                    "ft: frame {inter_frame} attempt {attempt}: {fault:?} wasted {wasted:.4}s \
-                     tau=({:.4},{:.4},{:.4})",
-                    sched.finish_of(fg.tau1),
-                    sched.finish_of(fg.tau2),
-                    sched.finish_of(fg.tau_tot),
-                );
-            }
             frame_faulty[fault.device] = true;
             if !self.can_blacklist(fault.device, &avail) {
                 // The last live core cannot be dropped; accept the frame.
@@ -1005,13 +996,6 @@ impl FevesEncoder {
         for &d in &drift_fired {
             self.perf.reset_device(d);
             rec.add(Metric::SchedDrift, 1);
-            if std::env::var_os("FEVES_FT_DEBUG").is_some() {
-                eprintln!(
-                    "drift: frame {inter_frame}: device {d} residual {:?} outside band — \
-                     re-characterizing",
-                    residuals[d]
-                );
-            }
         }
         // A flagged device whose residual came back inside the band has been
         // successfully re-characterized: re-arm its detector.
@@ -1268,6 +1252,72 @@ impl FevesEncoder {
         report
     }
 
+    /// Run `kernel` over one MB-row band of `field_rows` per device (band
+    /// sizes from `counts`), the bands concurrently on scoped threads —
+    /// mirroring the paper's per-device host threads: the Video Coding
+    /// Manager drives every device simultaneously, each writing a disjoint
+    /// row band. A stripe that panics (the `kernel_panic` injection hook, or
+    /// a real kernel bug) is caught at join, recomputed serially on the host
+    /// so the field is always complete, and returned as a `StripePanic`
+    /// fault with the rows it cost.
+    fn run_stripes<T: Send>(
+        &self,
+        counts: &[usize],
+        field_rows: &mut [T],
+        kernel: impl Fn(RowRange, &mut [T]) + Sync,
+    ) -> Vec<(DeviceFault, usize)> {
+        let mb_cols = self.geometry.mb_cols;
+        let inter_frame = self.inter_count + 1;
+        let mut failed: Vec<(usize, RowRange)> = Vec::new();
+        {
+            let mut bands: Vec<(usize, RowRange, &mut [T])> = Vec::new();
+            let mut rest = &mut *field_rows;
+            for (device, range) in ranges_from_counts(counts).into_iter().enumerate() {
+                let (band, tail) = rest.split_at_mut(range.len() * mb_cols);
+                if !range.is_empty() {
+                    bands.push((device, range, band));
+                }
+                rest = tail;
+            }
+            let (injector, kernel) = (&self.injector, &kernel);
+            crossbeam::scope(|s| {
+                let handles: Vec<_> = bands
+                    .into_iter()
+                    .map(|(device, range, out)| {
+                        let h = s.spawn(move |_| {
+                            if injector.kernel_panic(inter_frame, device) {
+                                panic!("injected kernel panic on device {device}");
+                            }
+                            kernel(range, out);
+                        });
+                        (device, range, h)
+                    })
+                    .collect();
+                for (device, range, h) in handles {
+                    if h.join().is_err() {
+                        failed.push((device, range));
+                    }
+                }
+            })
+            .expect("all stripe panics are caught at join");
+        }
+        failed
+            .into_iter()
+            .map(|(device, range)| {
+                kernel(
+                    range,
+                    &mut field_rows[range.start * mb_cols..range.end * mb_cols],
+                );
+                let fault = DeviceFault {
+                    device,
+                    frame: inter_frame,
+                    cause: FaultCause::StripePanic,
+                };
+                (fault, range.len())
+            })
+            .collect()
+    }
+
     /// Run the real kernels, row-partitioned exactly as the distribution
     /// prescribes, and advance the reference store.
     ///
@@ -1284,8 +1334,6 @@ impl FevesEncoder {
         let cf = frame.y();
         let mb_cols = self.geometry.mb_cols;
         let n_rows = self.geometry.n_rows;
-        let inter_frame = self.inter_count + 1;
-        let mut kernel_faults: Vec<(DeviceFault, usize)> = Vec::new();
 
         // INT: interpolate the pending reconstruction per dist.interp and
         // push it as the newest reference.
@@ -1299,118 +1347,20 @@ impl FevesEncoder {
         let rfs = self.store.rf_planes();
         let sfs = self.store.sfs();
 
-        // ME per device stripe — stripes run concurrently on scoped threads,
-        // mirroring the paper's per-device host threads (the Video Coding
-        // Manager drives every device simultaneously). Each stripe writes a
-        // disjoint row band of the motion field.
+        // ME then SME, one row band per device (`run_stripes`).
         let mut me = feves_codec::me::MeField::new(mb_cols, n_rows);
-        let mut failed_me: Vec<(usize, RowRange)> = Vec::new();
-        {
-            let mut bands: Vec<(usize, RowRange, &mut [feves_codec::me::MbMotion])> = Vec::new();
-            let mut rest = me.rows_mut(RowRange::new(0, n_rows));
-            for (device, range) in ranges_from_counts(&dist.me).into_iter().enumerate() {
-                let (band, tail) = rest.split_at_mut(range.len() * mb_cols);
-                if !range.is_empty() {
-                    bands.push((device, range, band));
-                }
-                rest = tail;
-            }
-            let (cf_ref, rfs_ref, params_ref) = (&cf, &rfs, &params);
-            let injector = &self.injector;
-            crossbeam::scope(|s| {
-                let handles: Vec<_> = bands
-                    .into_iter()
-                    .map(|(device, range, out)| {
-                        let h = s.spawn(move |_| {
-                            if injector.kernel_panic(inter_frame, device) {
-                                panic!("injected kernel panic on device {device}");
-                            }
-                            feves_codec::me::motion_estimate_rows_parallel(
-                                cf_ref, rfs_ref, params_ref, range, out,
-                            );
-                        });
-                        (device, range, h)
-                    })
-                    .collect();
-                for (device, range, h) in handles {
-                    if h.join().is_err() {
-                        failed_me.push((device, range));
-                    }
-                }
-            })
-            .expect("all stripe panics are caught at join");
-        }
-        for &(device, range) in &failed_me {
-            let out = me.rows_mut(range);
+        let all = RowRange::new(0, n_rows);
+        let mut kernel_faults = self.run_stripes(&dist.me, me.rows_mut(all), |range, out| {
             feves_codec::me::motion_estimate_rows_parallel(cf, &rfs, params, range, out);
-            kernel_faults.push((
-                DeviceFault {
-                    device,
-                    frame: inter_frame,
-                    cause: FaultCause::StripePanic,
-                },
-                range.len(),
-            ));
-        }
-
-        // SME per device stripe, same device-level concurrency.
+        });
         let mut sme = feves_codec::sme::SmeField::new(mb_cols, n_rows);
-        let mut failed_sme: Vec<(usize, RowRange)> = Vec::new();
-        {
-            let mut bands: Vec<(usize, RowRange, &mut [feves_codec::sme::MbSubMotion])> =
-                Vec::new();
-            let mut rest = sme.rows_mut(RowRange::new(0, n_rows));
-            for (device, range) in ranges_from_counts(&dist.sme).into_iter().enumerate() {
-                let (band, tail) = rest.split_at_mut(range.len() * mb_cols);
-                if !range.is_empty() {
-                    bands.push((device, range, band));
-                }
-                rest = tail;
-            }
-            let me_ref = &me;
-            let (cf_ref, sfs_ref) = (&cf, &sfs);
-            let injector = &self.injector;
-            crossbeam::scope(|s| {
-                let handles: Vec<_> = bands
-                    .into_iter()
-                    .map(|(device, range, out)| {
-                        let h = s.spawn(move |_| {
-                            if injector.kernel_panic(inter_frame, device) {
-                                panic!("injected kernel panic on device {device}");
-                            }
-                            let me_rows: Vec<feves_codec::me::MbMotion> =
-                                me_ref.rows(range).to_vec();
-                            feves_codec::sme::sme_rows_parallel(
-                                cf_ref, sfs_ref, &me_rows, range, out,
-                            );
-                        });
-                        (device, range, h)
-                    })
-                    .collect();
-                for (device, range, h) in handles {
-                    if h.join().is_err() {
-                        failed_sme.push((device, range));
-                    }
-                }
-            })
-            .expect("all stripe panics are caught at join");
-        }
-        for &(device, range) in &failed_sme {
-            let me_rows: Vec<feves_codec::me::MbMotion> = me.rows(range).to_vec();
-            let out = sme.rows_mut(range);
-            feves_codec::sme::sme_rows_parallel(cf, &sfs, &me_rows, range, out);
-            kernel_faults.push((
-                DeviceFault {
-                    device,
-                    frame: inter_frame,
-                    cause: FaultCause::StripePanic,
-                },
-                range.len(),
-            ));
-        }
+        kernel_faults.extend(
+            self.run_stripes(&dist.sme, sme.rows_mut(all), |range, out| {
+                feves_codec::sme::sme_rows_parallel(cf, &sfs, me.rows(range), range, out);
+            }),
+        );
 
         // R* on the selected device (single-device semantics).
-        let all = RowRange::new(0, n_rows);
         let mut modes = feves_codec::mc::ModeField::new(mb_cols, n_rows);
         let mut pred: Plane<u8> = Plane::new(cf.width(), cf.height());
         let mut residual: Plane<i16> = Plane::new(cf.width(), cf.height());

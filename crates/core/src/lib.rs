@@ -12,7 +12,9 @@
 //! - **Data Access Management** ([`dam`]) — buffer residency, Δ data reuse
 //!   and the deferred-SF σ/σʳ machinery of Fig 5;
 //! - **Load Balancing / Performance Characterization** (from
-//!   [`feves_sched`]) — the Algorithm 2 LP fed by on-line measurements.
+//!   [`feves_sched`]) — the Algorithm 2 LP fed by on-line measurements;
+//! - **Sessions** ([`session`]) — Algorithm 1 as a durable job: the one
+//!   driver behind `feves encode`, `feves resume` and the farm worker.
 //!
 //! ```
 //! use feves_core::prelude::*;
@@ -30,6 +32,7 @@ pub mod framework;
 pub mod oracle;
 pub mod pipeline;
 pub mod report;
+pub mod session;
 pub mod trace;
 pub mod vcm;
 

@@ -28,9 +28,10 @@
 use crate::job::{self, JobSpec, JobStatus};
 use crate::partition;
 use crate::queue::JobQueue;
-use crate::session::{fleet_platform, run_session, verify_artifact, SessionFailure, SessionReport};
+use crate::session::{fleet_platform, run_attempt, verify_artifact, SessionFailure, SessionReport};
 use crate::signal;
 use crate::ServeError;
+use feves_core::session::SessionError;
 use feves_core::SessionCtl;
 use feves_ft::io::backend_for;
 use feves_ft::{HealthTracker, RetryPolicy};
@@ -141,6 +142,9 @@ struct PendingRetry {
 struct Event {
     id: String,
     result: Result<SessionReport, SessionFailure>,
+    /// The failure is the job description's own (unknown platform, empty
+    /// input, …): another attempt would fail identically, so none is made.
+    bad_job: bool,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -165,10 +169,11 @@ fn spawn_worker(
     let thread_ctl = ctl.clone();
     let handle = std::thread::spawn(move || {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_session(&thread_job, &thread_ctl, scope, attempt, trace.clone())
+            run_attempt(&thread_job, &thread_ctl, scope, attempt, trace.clone())
         }));
+        let bad_job = matches!(outcome, Ok(Err(SessionError::BadJob(_))));
         let result = match outcome {
-            Ok(r) => r,
+            Ok(r) => r.map_err(SessionFailure::from),
             Err(payload) => {
                 // A panicking session may take a device's blame with it:
                 // the chaos hook attributes its kill explicitly.
@@ -188,6 +193,7 @@ fn spawn_worker(
         let _ = tx.send(Event {
             id: thread_job.id,
             result,
+            bad_job,
         });
     });
     Worker {
@@ -581,7 +587,7 @@ pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
                             cfg.retry_budget,
                             worker.job.seed(),
                         );
-                        if policy.allows(worker.attempt) && !draining {
+                        if policy.allows(worker.attempt) && !draining && !event.bad_job {
                             retries.push(PendingRetry {
                                 job: worker.job,
                                 attempt: worker.attempt + 1,
@@ -761,6 +767,7 @@ fn scan_spool(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::run_session;
     use feves_video::geometry::Resolution;
     use feves_video::synth::{SynthConfig, SynthSequence};
     use feves_video::y4m::{Y4mHeader, Y4mWriter};
@@ -894,6 +901,49 @@ mod tests {
         assert!(done.contains("\"failed\""), "{done}");
         assert!(done.contains("panicked"), "{done}");
         assert!(done.contains("\"culprit\": 0"), "{done}");
+    }
+
+    #[test]
+    fn bad_job_descriptions_fail_once_without_retries() {
+        signal::reset();
+        let dir = scratch("badjob");
+        write_input(&dir.join("in.y4m"), 4);
+        std::fs::write(
+            dir.join("empty.y4m"),
+            "YUV4MPEG2 W176 H144 F25:1 Ip A1:1 C420jpeg\n",
+        )
+        .unwrap();
+        let spool = dir.join("spool");
+        let bad = |id: &str, edit: &dyn Fn(&mut JobSpec)| {
+            let mut job = submit(&dir, id, None);
+            edit(&mut job);
+            job::write_job(&spool, &job).unwrap();
+        };
+        bad("balancer", &|j| j.balancer = "bogus".into());
+        bad("platform", &|j| j.platform = "sysxx".into());
+        bad("fault", &|j| j.faults = vec!["not-a-spec".into()]);
+        bad("empty", &|j| {
+            j.input = dir.join("empty.y4m").to_string_lossy().into_owned()
+        });
+        // A missing input is not the job's fault (storage may come back):
+        // it keeps its retries.
+        bad("missing", &|j| {
+            j.input = dir.join("gone.y4m").to_string_lossy().into_owned()
+        });
+        let report = run(farm_cfg(&dir)).unwrap();
+        assert_eq!((report.completed, report.failed), (0, 5), "{report:?}");
+        assert_eq!(report.retried, 2, "only the missing input may retry");
+        for (id, why) in [
+            ("balancer", "unknown balancer 'bogus'"),
+            ("platform", "unknown platform 'sysxx'"),
+            ("fault", "not-a-spec"),
+            ("empty", "empty input"),
+        ] {
+            let done = done_text(&dir, id);
+            assert!(done.contains("\"failed\"") && done.contains(why), "{done}");
+            assert!(done.contains("\"attempts\": 1"), "{id}: {done}");
+        }
+        assert!(done_text(&dir, "missing").contains("\"attempts\": 3"));
     }
 
     #[test]

@@ -1,32 +1,28 @@
-//! One supervised encode session: the library-side twin of the CLI's
-//! `feves encode` / `feves resume` path.
+//! One supervised encode session: the farm worker's shell over
+//! [`feves_core::session`], the driver `feves encode` and `feves resume`
+//! also run on.
 //!
-//! Bit-exactness is the contract here: a job run under the farm must
-//! produce output byte-identical to the same job run as a single
-//! `feves encode`. That is why this module mirrors the CLI's
-//! platform/config reconstruction, checkpoint protocol and resume
-//! truncation logic step for step — the only deliberate differences are
-//! that a farm session is quiet (no per-frame printing), carries a
+//! Bit-exactness is the contract: a job run under the farm produces output
+//! byte-identical to the same job run as a single `feves encode`, because
+//! both are the same driver fed the same [`ResumeContext`]. What this shell
+//! adds is only what a supervised session needs — a
 //! [`feves_core::SessionCtl`] so the supervisor can preempt it at frame
-//! boundaries, and seeds the health-backoff jitter from the job id
-//! (scheduling timing only; never functional bytes).
+//! boundaries, lease devices and shed cadence checkpoints under disk
+//! pressure; the chaos-kill hook; wall-clock checkpoint spans for the
+//! causal trace; health-backoff jitter seeded from the job id (scheduling
+//! timing only, never functional bytes) — and one policy: a checkpoint the
+//! driver rejects is not an error here, the attempt starts over from
+//! frame 0, which is always bit-safe.
 
 use crate::job::JobSpec;
 use crate::ServeError;
-use feves_codec::types::{EncodeParams, SearchArea};
-use feves_core::{
-    load_latest, BalancerKind, CheckpointManager, EncoderConfig, ExecutionMode, FevesEncoder,
-    FrameworkState, ResumeContext, SessionCtl,
-};
-use feves_ft::ckpt::{crc32, crc32_update, fnv1a64, CRC32_INIT};
-use feves_ft::io::{backend_for, CrcFile};
-use feves_ft::{FaultSchedule, FevesError};
+use feves_core::session::{self, Commit, Session, SessionError, SessionHooks};
+use feves_core::{load_latest, ResumeContext, SessionCtl};
+use feves_ft::ckpt::crc32;
+use feves_ft::io::backend_for;
+use feves_ft::FevesError;
 use feves_hetsim::platform::Platform;
-use feves_hetsim::profiles;
-use feves_obs::{NoopRecorder, SessionScope, TraceSink};
-use feves_video::frame::Frame;
-use feves_video::y4m::{Y4mHeader, Y4mReader, Y4mWriter};
-use std::io::{BufWriter, Seek, SeekFrom};
+use feves_obs::{SessionScope, TraceSink};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -81,193 +77,153 @@ pub struct SessionFailure {
     pub culprit: Option<usize>,
 }
 
-impl SessionFailure {
-    fn new(message: impl ToString) -> Self {
-        SessionFailure {
-            message: message.to_string(),
-            culprit: None,
-        }
-    }
-
-    fn from_feves(e: FevesError) -> Self {
-        let culprit = match &e {
-            FevesError::Fault(f) => Some(f.device),
-            _ => None,
-        };
+impl From<SessionError> for SessionFailure {
+    fn from(e: SessionError) -> Self {
         SessionFailure {
             message: e.to_string(),
-            culprit,
+            culprit: match e {
+                SessionError::Feves(FevesError::Fault(f)) => Some(f.device),
+                _ => None,
+            },
         }
     }
-}
-
-/// Resolve a named platform exactly as the CLI does.
-pub(crate) fn platform_of(name: &str) -> Result<(Platform, BalancerKind), String> {
-    Ok(match name {
-        "syshk" => (Platform::sys_hk(), BalancerKind::Feves),
-        "sysnf" => (Platform::sys_nf(), BalancerKind::Feves),
-        "sysnff" => (Platform::sys_nff(), BalancerKind::Feves),
-        "cpu-n" => (
-            Platform::cpu_only(profiles::cpu_nehalem(), 4),
-            BalancerKind::CpuOnly,
-        ),
-        "cpu-h" => (
-            Platform::cpu_only(profiles::cpu_haswell(), 4),
-            BalancerKind::CpuOnly,
-        ),
-        "gpu-f" => (
-            Platform::gpu_only(profiles::gpu_fermi()),
-            BalancerKind::SingleAccelerator(0),
-        ),
-        "gpu-k" => (
-            Platform::gpu_only(profiles::gpu_kepler()),
-            BalancerKind::SingleAccelerator(0),
-        ),
-        other => {
-            return Err(format!(
-                "unknown platform '{other}' (see `feves platforms`)"
-            ))
-        }
-    })
 }
 
 /// The fleet platform the partitioner and fleet health machine size against.
 pub fn fleet_platform(name: &str) -> Result<Platform, ServeError> {
-    platform_of(name)
+    session::platform_of(name)
         .map(|(p, _)| p)
-        .map_err(ServeError::BadJob)
+        .map_err(|e| ServeError::BadJob(e.to_string()))
 }
 
-/// Build the platform + functional encoder config a job describes —
-/// the same reconstruction the CLI's `JobSpec::build` performs, so farm
-/// and single-session runs of one job are configured identically.
-fn build_job_config(
-    job: &JobSpec,
-    resolution: feves_video::geometry::Resolution,
-) -> Result<(Platform, EncoderConfig), String> {
-    // Kernel dispatch is process-global (FEVES_KERNELS); the simulated CPU
-    // profiles must match whatever family the host actually runs.
-    let kernel_kind = feves_codec::kernels::active_kind();
-    let (mut platform, default_balancer) = platform_of(&job.platform)?;
-    platform.devices = platform
-        .devices
-        .drain(..)
-        .map(|d| profiles::scaled_for_kernels(d, kernel_kind))
-        .collect();
-    let params = EncodeParams {
-        search_area: SearchArea(job.sa),
-        n_ref: job.refs,
+/// The job as the driver's job description. A farm job has no per-job
+/// kernel choice, platform file, deadline factor or telemetry exports;
+/// the driver fills in the input identity and progress fields.
+fn job_context(job: &JobSpec, every: usize) -> ResumeContext {
+    ResumeContext {
+        input: job.input.clone(),
+        output: job.output.clone(),
+        platform: job.platform.clone(),
+        platform_json: None,
+        sa: job.sa,
+        refs: job.refs,
         qp: job.qp,
-        qp_intra: job.qp.saturating_sub(1),
-    };
-    let mut cfg = EncoderConfig::full_hd(params);
-    cfg.resolution = resolution;
-    cfg.balancer = match job.balancer.as_str() {
-        "feves" => default_balancer,
-        "proportional" => BalancerKind::Proportional,
-        "equidistant" => BalancerKind::Equidistant,
-        other => return Err(format!("unknown balancer '{other}'")),
-    };
-    cfg.faults = FaultSchedule::parse(&job.faults)
-        .map_err(|e| e.to_string())?
-        .specs;
-    cfg.mode = ExecutionMode::Functional;
-    // Decorrelate concurrent sessions' re-admission probes of a shared
-    // recovered device. Timing only — functional bytes are unaffected.
-    cfg.health_jitter = Some(job.seed());
-    cfg.pipeline = job.pipeline;
-    cfg.trace = job.trace;
-    Ok((platform, cfg))
+        balancer: job.balancer.clone(),
+        kernels: None,
+        faults: job.faults.clone(),
+        deadline_factor: None,
+        flight_out: None,
+        metrics_out: None,
+        every,
+        keep: 2,
+        frames_done: 0,
+        n_frames: 0,
+        out_bytes: 0,
+        input_fingerprint: 0,
+        pipeline: job.pipeline,
+        out_crc: 0,
+    }
 }
 
-/// Read the job's input, returning its fingerprint, header and frames.
-fn read_input(input: &str) -> Result<(u64, Y4mHeader, Vec<Frame>), SessionFailure> {
-    let raw = std::fs::read(input).map_err(|e| SessionFailure::new(format!("{input}: {e}")))?;
-    let fp = fnv1a64(&raw);
-    let mut reader = Y4mReader::new(std::io::Cursor::new(raw))
-        .map_err(|e| SessionFailure::new(format!("{input}: {e}")))?;
-    let header = reader.header();
-    let frames = reader
-        .read_all()
-        .map_err(|e| SessionFailure::new(format!("{input}: {e}")))?;
-    Ok((fp, header, frames))
+/// The supervised side of the driver's frame loop.
+struct FarmHooks<'a> {
+    job: &'a JobSpec,
+    ctl: &'a SessionCtl,
+    attempt: u32,
+    trace: Option<&'a TraceSink>,
 }
 
-/// A usable checkpoint to continue from, if one exists and still matches
-/// the input and output on disk. Any mismatch or corruption falls back to
-/// a fresh encode — re-encoding from frame 0 is always bit-safe, so the
-/// farm prefers it over refusing the job.
-fn usable_checkpoint(
+impl SessionHooks for FarmHooks<'_> {
+    fn stop_requested(&self) -> bool {
+        self.ctl.stop_requested()
+    }
+
+    fn before_frame(&mut self, i: usize) {
+        if self.attempt == 0 && self.job.chaos_kill_at == Some(i) {
+            panic!(
+                "chaos: injected session kill before frame {i} of job '{}'",
+                self.job.id
+            );
+        }
+    }
+
+    fn shed_cadence_commit(&self) -> bool {
+        self.ctl.ckpt_shed()
+    }
+
+    /// One wall-clock checkpoint span under the attempt, named by the frame
+    /// boundary it committed — the anchor a retry's resume edge points at.
+    fn on_commit(&mut self, commit: &Commit) {
+        if let Some(t) = self.trace {
+            let took_us = commit.took.as_secs_f64() * 1e6;
+            t.record(
+                &format!("ckpt{}", commit.frames_done),
+                "checkpoint",
+                t.now_us() - took_us,
+                took_us,
+            );
+        }
+    }
+}
+
+/// [`run_session`] with the driver's typed error, so the supervisor can
+/// tell a bad job description (never retried) from a fault (retried).
+pub(crate) fn run_attempt(
     job: &JobSpec,
-    input_fp: u64,
-    n_frames: usize,
-) -> Option<(ResumeContext, FrameworkState, u32)> {
-    let dir = job.ckpt_dir();
-    if !dir.is_dir() {
-        return None;
+    ctl: &Arc<SessionCtl>,
+    scope: SessionScope,
+    attempt: u32,
+    trace: Option<TraceSink>,
+) -> Result<SessionReport, SessionError> {
+    let input = session::read_input(&job.input)?;
+    let every = if job.checkpoint_every > 0 {
+        job.checkpoint_every
+    } else {
+        crate::farm::DEFAULT_CHECKPOINT_EVERY
+    };
+    // Continue from the newest checkpoint generation that loads and still
+    // matches the input and output on disk; otherwise start fresh. The job
+    // spec, not the checkpoint, owns cadence and scheduling mode: resuming
+    // lockstep work pipelined (or vice versa) is bit-safe.
+    let (ctx, resume) = load_latest(&job.ckpt_dir())
+        .ok()
+        .and_then(|(_path, mut ctx, state, _warnings)| {
+            let prefix_crc_state = session::validate_checkpoint(&ctx, &input).ok()??;
+            ctx.every = every;
+            ctx.pipeline = job.pipeline;
+            Some((ctx, Some((state, prefix_crc_state))))
+        })
+        .unwrap_or_else(|| (job_context(job, every), None));
+    let mut session = Session::open(ctx, input, resume, Some(job.ckpt_dir()), |cfg| {
+        // Decorrelate concurrent sessions' re-admission probes of a shared
+        // recovered device. Timing only — functional bytes are unaffected.
+        cfg.health_jitter = Some(job.seed());
+        cfg.trace = job.trace;
+    })?;
+    let enc = session.encoder_mut();
+    enc.set_scope(scope);
+    enc.set_ctl(ctl.clone());
+    if let Some(sink) = &trace {
+        // Frame/phase/kernel spans parent under the farm's attempt span.
+        enc.set_trace(sink.clone());
     }
-    let (_path, ctx, state, _warnings) = load_latest(&dir).ok()?;
-    if ctx.input_fingerprint != input_fp || ctx.n_frames != n_frames {
-        return None;
-    }
-    // A frame-0 checkpoint (preempted before any work) carries no output —
-    // not even the Y4M header. Starting fresh is identical and simpler.
-    if ctx.frames_done == 0 {
-        return None;
-    }
-    let out = Path::new(&ctx.output);
-    let raw = backend_for(out).read(out).ok()?;
-    if (raw.len() as u64) < ctx.out_bytes {
-        return None;
-    }
-    // The committed prefix must still hash to what the checkpoint claims:
-    // bit-rot in already-durable bytes must never be extended into a
-    // "complete" artifact.
-    let crc_state = crc32_update(CRC32_INIT, &raw[..ctx.out_bytes as usize]);
-    if !crc_state != ctx.out_crc {
-        return None;
-    }
-    Some((ctx, state, crc_state))
-}
-
-/// Flush + fsync the output so the frame boundary is durable, then commit
-/// a checkpoint claiming it — the CLI's protocol, verbatim.
-fn commit_checkpoint(
-    writer: &mut Y4mWriter<BufWriter<CrcFile>>,
-    out_path: &str,
-    enc: &mut FevesEncoder,
-    mgr: &CheckpointManager,
-    ctx: &mut ResumeContext,
-    done: usize,
-    trace: Option<&TraceSink>,
-) -> Result<(), SessionFailure> {
-    let ckpt_start = trace.map(|t| t.now_us());
-    let io_fail = |e: &dyn std::fmt::Display| SessionFailure::new(format!("{out_path}: {e}"));
-    writer.flush().map_err(|e| io_fail(&e))?;
-    let file = writer.get_ref().get_ref();
-    file.sync().map_err(|e| io_fail(&e))?;
-    ctx.frames_done = done;
-    ctx.out_bytes = file.bytes();
-    // The checkpoint claims the CRC of the bytes it just made durable; a
-    // retry refuses to resume atop a prefix that no longer hashes to this.
-    ctx.out_crc = file.crc();
-    // Checkpoints only commit at quiesced frame boundaries: drain any
-    // in-flight pipeline generation before snapshotting.
-    enc.quiesce_pipeline();
-    let state = enc.snapshot();
-    mgr.write(ctx, &state, &NoopRecorder)
-        .map_err(|e| SessionFailure::new(format!("checkpoint {}: {e}", mgr.dir().display())))?;
-    // One wall-clock checkpoint span under the attempt, named by the frame
-    // boundary it committed — the anchor a retry's resume edge points at.
-    if let (Some(t), Some(start)) = (trace, ckpt_start) {
-        t.record(
-            &format!("ckpt{done}"),
-            "checkpoint",
-            start,
-            t.now_us() - start,
-        );
-    }
-    Ok(())
+    let done = session.run(&mut FarmHooks {
+        job,
+        ctl,
+        attempt,
+        trace: trace.as_ref(),
+    })?;
+    Ok(SessionReport {
+        frames_done: done.context.frames_done,
+        n_frames: done.context.n_frames,
+        out_bytes: done.context.out_bytes,
+        artifact_crc: if done.interrupted {
+            0
+        } else {
+            done.context.out_crc
+        },
+        interrupted: done.interrupted,
+    })
 }
 
 /// Run one job to completion, a preemption checkpoint, or failure.
@@ -282,152 +238,7 @@ pub fn run_session(
     attempt: u32,
     trace: Option<TraceSink>,
 ) -> Result<SessionReport, SessionFailure> {
-    let (input_fp, header, frames) = read_input(&job.input)?;
-    let n_frames = frames.len();
-    if n_frames == 0 {
-        return Err(SessionFailure::new(format!("{}: empty input", job.input)));
-    }
-    let (platform, cfg) = build_job_config(job, header.resolution).map_err(SessionFailure::new)?;
-    let every = if job.checkpoint_every > 0 {
-        job.checkpoint_every
-    } else {
-        crate::farm::DEFAULT_CHECKPOINT_EVERY
-    };
-
-    // Fresh start, or resume from the newest checkpoint that still matches
-    // the on-disk input and output.
-    let resume = usable_checkpoint(job, input_fp, n_frames);
-    let out_path = job.output.clone();
-    let (mut enc, mut writer, mut ctx) = match resume {
-        Some((mut ctx, state, prefix_crc_state)) => {
-            // Everything past the committed boundary is a torn frame from
-            // the previous attempt: truncate it away.
-            let open_fail =
-                |e: &dyn std::fmt::Display| SessionFailure::new(format!("{out_path}: {e}"));
-            let mut file = std::fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(&out_path)
-                .map_err(|e| open_fail(&e))?;
-            file.set_len(ctx.out_bytes).map_err(|e| open_fail(&e))?;
-            file.seek(SeekFrom::End(0)).map_err(|e| open_fail(&e))?;
-            let enc =
-                FevesEncoder::restore(platform, cfg, state).map_err(SessionFailure::from_feves)?;
-            // Seed the streaming CRC with the verified prefix so the final
-            // artifact checksum covers the whole file, both attempts.
-            let crc_file = CrcFile::resume(file, prefix_crc_state, ctx.out_bytes);
-            let writer = Y4mWriter::resume(BufWriter::new(crc_file), header);
-            ctx.every = every;
-            // The job spec, not the checkpoint, owns the scheduling mode:
-            // resuming lockstep work pipelined (or vice versa) is bit-safe.
-            ctx.pipeline = job.pipeline;
-            (enc, writer, ctx)
-        }
-        None => {
-            let enc = FevesEncoder::new(platform, cfg).map_err(SessionFailure::from_feves)?;
-            let file = CrcFile::create(Path::new(&out_path))
-                .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-            let writer = Y4mWriter::new(BufWriter::new(file), header);
-            let ctx = ResumeContext {
-                input: job.input.clone(),
-                output: out_path.clone(),
-                platform: job.platform.clone(),
-                platform_json: None,
-                sa: job.sa,
-                refs: job.refs,
-                qp: job.qp,
-                balancer: job.balancer.clone(),
-                kernels: None,
-                faults: job.faults.clone(),
-                deadline_factor: None,
-                flight_out: None,
-                metrics_out: None,
-                every,
-                keep: 2,
-                frames_done: 0,
-                n_frames,
-                out_bytes: 0,
-                input_fingerprint: input_fp,
-                pipeline: job.pipeline,
-                out_crc: 0,
-            };
-            (enc, writer, ctx)
-        }
-    };
-    enc.set_scope(scope);
-    enc.set_ctl(ctl.clone());
-    if let Some(sink) = &trace {
-        // Frame/phase/kernel spans parent under the farm's attempt span.
-        enc.set_trace(sink.clone());
-    }
-    let trace = trace.as_ref();
-    let mgr = CheckpointManager::new(job.ckpt_dir(), ctx.keep);
-
-    let start = ctx.frames_done;
-    for (i, f) in frames.iter().enumerate().skip(start) {
-        if ctl.stop_requested() {
-            // Preemption lands only at frame boundaries; commit a durable
-            // checkpoint here regardless of the cadence, so the drain
-            // loses zero frames of work.
-            commit_checkpoint(&mut writer, &out_path, &mut enc, &mgr, &mut ctx, i, trace)?;
-            return Ok(SessionReport {
-                frames_done: i,
-                n_frames,
-                out_bytes: ctx.out_bytes,
-                artifact_crc: 0,
-                interrupted: true,
-            });
-        }
-        if attempt == 0 && job.chaos_kill_at == Some(i) {
-            panic!(
-                "chaos: injected session kill before frame {i} of job '{}'",
-                job.id
-            );
-        }
-        enc.encode_frame(f);
-        let (y, u, v) = enc
-            .last_reconstruction_yuv()
-            .ok_or_else(|| SessionFailure::new("functional encode produced no reconstruction"))?;
-        let mut rf = f.clone();
-        rf.y_mut().copy_from(y);
-        rf.u_mut().copy_from(u);
-        rf.v_mut().copy_from(v);
-        writer
-            .write_frame(&rf)
-            .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-        let done = i + 1;
-        // Under disk pressure the supervisor sheds cadence checkpoints —
-        // progress durability trades away, bit-exactness does not.
-        // Preemption and final commits are never shed.
-        if ctx.every > 0 && done % ctx.every == 0 && done < n_frames && !ctl.ckpt_shed() {
-            commit_checkpoint(
-                &mut writer,
-                &out_path,
-                &mut enc,
-                &mgr,
-                &mut ctx,
-                done,
-                trace,
-            )?;
-        }
-    }
-    let buf = writer
-        .finish()
-        .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-    let file = buf
-        .into_inner()
-        .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-    // A job is only ever reported complete after its artifact fsyncs; the
-    // streamed CRC is what the farm verifies the on-disk bytes against.
-    file.sync()
-        .map_err(|e| SessionFailure::new(format!("{out_path}: {e}")))?;
-    Ok(SessionReport {
-        frames_done: n_frames,
-        n_frames,
-        out_bytes: file.bytes(),
-        artifact_crc: file.crc(),
-        interrupted: false,
-    })
+    Ok(run_attempt(job, ctl, scope, attempt, trace)?)
 }
 
 #[cfg(test)]
@@ -436,7 +247,8 @@ mod tests {
     use feves_obs::hub;
     use feves_video::geometry::Resolution;
     use feves_video::synth::{SynthConfig, SynthSequence};
-    use std::path::{Path, PathBuf};
+    use feves_video::y4m::{Y4mHeader, Y4mWriter};
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("feves-serve-{name}-{}", std::process::id()));

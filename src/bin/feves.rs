@@ -41,16 +41,14 @@
 //! shown).
 
 use feves::core::prelude::*;
-use feves::ft::ckpt::{crc32, crc32_update, fnv1a64, CKPT_MAGIC, CRC32_INIT};
+use feves::core::session::{self, Commit, Session, SessionError, SessionHooks};
+use feves::ft::ckpt::{crc32, fnv1a64, CKPT_MAGIC};
 use feves::ft::crash::crash_point_at;
-use feves::ft::io::CrcFile;
 use feves::obs::{
     compare_reports, compare_reports_metric, parse_flight_jsonl, render_html, write_atomic,
-    BusController, LiveConfig, LiveSnapshot, MemoryRecorder, NoopRecorder, SessionScope,
+    BusController, LiveConfig, LiveSnapshot, MemoryRecorder, NoopRecorder, Recorder, SessionScope,
 };
-use feves::video::frame::Frame;
-use feves::video::y4m::{Y4mHeader, Y4mReader, Y4mWriter};
-use std::io::{BufWriter, Seek, SeekFrom};
+use feves::video::y4m::Y4mReader;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -70,6 +68,17 @@ impl CliError {
     }
     fn runtime(e: impl ToString) -> Self {
         CliError::Runtime(e.to_string())
+    }
+}
+
+/// A job description the driver cannot use is the invocation's fault;
+/// everything else it reports went wrong after a well-formed one.
+impl From<SessionError> for CliError {
+    fn from(e: SessionError) -> Self {
+        match e {
+            SessionError::BadJob(m) => CliError::Usage(m),
+            other => CliError::Runtime(other.to_string()),
+        }
     }
 }
 
@@ -287,161 +296,57 @@ fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
     Ok((opts, positional))
 }
 
-fn platform_of(name: &str) -> Result<(Platform, BalancerKind), String> {
-    use feves::hetsim::profiles::*;
-    Ok(match name {
-        "syshk" => (Platform::sys_hk(), BalancerKind::Feves),
-        "sysnf" => (Platform::sys_nf(), BalancerKind::Feves),
-        "sysnff" => (Platform::sys_nff(), BalancerKind::Feves),
-        "cpu-n" => (Platform::cpu_only(cpu_nehalem(), 4), BalancerKind::CpuOnly),
-        "cpu-h" => (Platform::cpu_only(cpu_haswell(), 4), BalancerKind::CpuOnly),
-        "gpu-f" => (
-            Platform::gpu_only(gpu_fermi()),
-            BalancerKind::SingleAccelerator(0),
-        ),
-        "gpu-k" => (
-            Platform::gpu_only(gpu_kepler()),
-            BalancerKind::SingleAccelerator(0),
-        ),
-        other => {
-            return Err(format!(
-                "unknown platform '{other}' (see `feves platforms`)"
-            ))
-        }
-    })
-}
-
-/// Resolve a `--kernels` choice (falling back to `FEVES_KERNELS` / the
-/// default), force the runtime dispatch accordingly, and return the kind.
-fn apply_kernel_choice(kernels: Option<&str>) -> Result<feves::codec::KernelKind, String> {
-    use feves::codec::kernels;
-    let kind = match kernels {
-        Some("scalar") => kernels::KernelKind::Scalar,
-        Some("fast") => kernels::KernelKind::Fast,
-        Some(other) => return Err(format!("--kernels: unknown value '{other}' (scalar|fast)")),
-        None => kernels::active_kind(),
-    };
-    kernels::force_kind(kind);
-    Ok(kind)
-}
-
-/// The flag set that defines an encode job, independent of whether it came
-/// from the command line or from a checkpoint's [`ResumeContext`].
-struct JobSpec<'a> {
-    platform: &'a str,
-    /// Platform JSON *content* (already read), when a file was given.
-    platform_json: Option<&'a str>,
-    sa: u16,
-    refs: usize,
-    qp: u8,
-    balancer: &'a str,
-    kernels: Option<&'a str>,
-    faults: &'a [String],
-    deadline_factor: Option<f64>,
-    pipeline: bool,
-}
-
-impl<'a> JobSpec<'a> {
-    fn from_options(opts: &'a Options, platform_json: Option<&'a str>) -> Self {
-        JobSpec {
-            platform: &opts.platform,
-            platform_json,
-            sa: opts.sa,
-            refs: opts.refs,
-            qp: opts.qp,
-            balancer: &opts.balancer,
-            kernels: opts.kernels.as_deref(),
-            faults: &opts.faults,
-            deadline_factor: opts.deadline_factor,
-            pipeline: opts.pipeline,
-        }
-    }
-
-    fn from_context(ctx: &'a ResumeContext) -> Self {
-        JobSpec {
-            platform: &ctx.platform,
-            platform_json: ctx.platform_json.as_deref(),
-            sa: ctx.sa,
-            refs: ctx.refs,
-            qp: ctx.qp,
-            balancer: &ctx.balancer,
-            kernels: ctx.kernels.as_deref(),
-            faults: &ctx.faults,
-            deadline_factor: ctx.deadline_factor,
-            pipeline: ctx.pipeline,
-        }
-    }
-
-    /// Build the platform + config this spec describes. This is the single
-    /// reconstruction path for both fresh encodes and resumes, so a resumed
-    /// session replays exactly the configuration of the original one.
-    fn build(&self, resolution: Resolution) -> Result<(Platform, EncoderConfig), String> {
-        let kernel_kind = apply_kernel_choice(self.kernels)?;
-        let (mut platform, default_balancer) = match self.platform_json {
-            Some(json) => (
-                Platform::from_json(json).map_err(|e| e.to_string())?,
-                BalancerKind::Feves,
+impl Options {
+    /// The encode job these flags describe, as the session driver's (and
+    /// the checkpoint's) job description. A `--platform-file` is read here:
+    /// the context carries its content, not its path.
+    fn job_context(&self, input: &str, output: &str) -> CliResult<ResumeContext> {
+        let platform_json = match &self.platform_file {
+            Some(path) => Some(
+                std::fs::read_to_string(path)
+                    .map_err(|e| CliError::runtime(format!("{path}: {e}")))?,
             ),
-            None => platform_of(self.platform)?,
+            None => None,
         };
-        // Simulated CPU device times must reflect the kernels the host
-        // actually runs (scalar loops are slower than the SWAR baseline).
-        platform.devices = platform
-            .devices
-            .drain(..)
-            .map(|d| feves::hetsim::profiles::scaled_for_kernels(d, kernel_kind))
-            .collect();
-        let params = EncodeParams {
-            search_area: SearchArea(self.sa),
-            n_ref: self.refs,
+        Ok(ResumeContext {
+            input: input.to_string(),
+            output: output.to_string(),
+            platform: self.platform.clone(),
+            platform_json,
+            sa: self.sa,
+            refs: self.refs,
             qp: self.qp,
-            qp_intra: self.qp.saturating_sub(1),
-        };
-        let mut cfg = EncoderConfig::full_hd(params);
-        cfg.resolution = resolution;
-        cfg.balancer = match self.balancer {
-            "feves" => default_balancer,
-            "proportional" => BalancerKind::Proportional,
-            "equidistant" => BalancerKind::Equidistant,
-            other => return Err(format!("unknown balancer '{other}'")),
-        };
-        cfg.faults = feves::ft::FaultSchedule::parse(self.faults)
-            .map_err(|e| e.to_string())?
-            .specs;
-        if let Some(f) = self.deadline_factor {
-            cfg.deadline_factor = f;
-        }
-        cfg.pipeline = self.pipeline;
-        Ok((platform, cfg))
+            balancer: self.balancer.clone(),
+            kernels: self.kernels.clone(),
+            faults: self.faults.clone(),
+            deadline_factor: self.deadline_factor,
+            flight_out: self.flight_out.clone(),
+            metrics_out: self.metrics_out.clone(),
+            every: self.checkpoint_every,
+            keep: self.checkpoint_keep,
+            frames_done: 0,
+            n_frames: 0,
+            out_bytes: 0,
+            input_fingerprint: 0,
+            pipeline: self.pipeline,
+            out_crc: 0,
+        })
     }
 }
 
+/// Platform + timing-mode config for the commands that simulate rather
+/// than encode a file.
 fn config_of(opts: &Options, resolution: Resolution) -> CliResult<(Platform, EncoderConfig)> {
-    let json = match &opts.platform_file {
-        Some(path) => Some(
-            std::fs::read_to_string(path).map_err(|e| CliError::runtime(format!("{path}: {e}")))?,
-        ),
-        None => None,
-    };
-    JobSpec::from_options(opts, json.as_deref())
-        .build(resolution)
-        .map_err(CliError::usage)
+    let ctx = opts.job_context("", "")?;
+    Ok(session::build_config(&ctx, resolution)?)
 }
 
 fn cmd_platforms() {
-    use feves::hetsim::profiles::*;
     println!("built-in platforms (paper §IV) — export one as a template with");
     println!("`feves export-platform syshk > my_platform.json`, edit it, and");
     println!("pass it anywhere via `--platform-file my_platform.json`:\n");
-    for (key, p) in [
-        ("syshk", Platform::sys_hk()),
-        ("sysnf", Platform::sys_nf()),
-        ("sysnff", Platform::sys_nff()),
-        ("cpu-n", Platform::cpu_only(cpu_nehalem(), 4)),
-        ("cpu-h", Platform::cpu_only(cpu_haswell(), 4)),
-        ("gpu-f", Platform::gpu_only(gpu_fermi())),
-        ("gpu-k", Platform::gpu_only(gpu_kepler())),
-    ] {
+    for (key, build, _) in session::PLATFORMS {
+        let p = build();
         println!(
             "  {key:<7} {} — {} accelerator(s), {} CPU core(s)",
             p.name, p.n_accel, p.n_cores
@@ -735,100 +640,24 @@ fn cmd_trace_log(opts: &Options, input: &str) -> CliResult {
     Ok(())
 }
 
-/// Read a Y4M input entirely, returning its raw bytes' fingerprint plus the
-/// parsed header and frames.
-fn read_input(input: &str) -> CliResult<(u64, Y4mHeader, Vec<Frame>)> {
-    let raw = std::fs::read(input).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-    let fp = fnv1a64(&raw);
-    let mut reader = Y4mReader::new(std::io::Cursor::new(raw))
-        .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-    let header = reader.header();
-    let frames = reader
-        .read_all()
-        .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-    Ok((fp, header, frames))
+/// The CLI's side of the session driver's frame loop: signals stop it,
+/// `FEVES_CRASH_AT=frame@n` kills it, and progress is printed as it goes.
+struct CliHooks {
+    /// Checkpoint-writer metrics join the session's when it has any.
+    rec: Option<Arc<MemoryRecorder>>,
+    reports: Vec<feves::core::FrameReport>,
 }
 
-/// Flush the Y4M buffer, fsync the output so the frame boundary is
-/// durable, and commit a checkpoint claiming it.
-fn commit_checkpoint(
-    writer: &mut Y4mWriter<BufWriter<CrcFile>>,
-    out_path: &str,
-    enc: &mut FevesEncoder,
-    mgr: &CheckpointManager,
-    ctx: &mut ResumeContext,
-    rec: &Option<Arc<MemoryRecorder>>,
-    done: usize,
-) -> CliResult<PathBuf> {
-    writer
-        .flush()
-        .map_err(|e| CliError::runtime(format!("{out_path}: {e}")))?;
-    let file = writer.get_ref().get_ref();
-    file.sync()
-        .map_err(|e| CliError::runtime(format!("{out_path}: {e}")))?;
-    ctx.frames_done = done;
-    ctx.out_bytes = file.bytes();
-    // The checkpoint claims the CRC of the prefix it just made durable;
-    // `feves resume` refuses a prefix that no longer hashes to it.
-    ctx.out_crc = file.crc();
-    // Checkpoints commit only at quiesced frame boundaries: drain any
-    // in-flight pipeline generation before snapshotting.
-    enc.quiesce_pipeline();
-    let state = enc.snapshot();
-    match rec {
-        Some(r) => mgr.write(ctx, &state, r.as_ref()),
-        None => mgr.write(ctx, &state, &NoopRecorder),
+impl SessionHooks for CliHooks {
+    fn stop_requested(&self) -> bool {
+        feves::serve::signal::shutdown_requested()
     }
-    .map_err(|e| CliError::runtime(format!("checkpoint {}: {e}", mgr.dir().display())))
-}
 
-/// The encode main loop shared by `encode` and `resume`: encode
-/// `frames[start..]`, stream reconstructions to `writer`, and (when a
-/// manager is armed) durably checkpoint every `ctx.every` frames with the
-/// output flushed + fsynced first, so `ctx.out_bytes` is a committed frame
-/// boundary. `crash_point_at("frame", i)` fires before each frame for the
-/// chaos harness.
-///
-/// A `SIGTERM`/`SIGINT` is honored at the next frame boundary: with
-/// checkpointing armed, a durable checkpoint is committed right there
-/// (whatever the cadence) and the loop returns with the `interrupted` flag
-/// set so the caller can exit 0 without finishing the output; without
-/// checkpointing, the interrupt is a runtime error.
-#[allow(clippy::too_many_arguments)]
-fn encode_loop(
-    enc: &mut FevesEncoder,
-    frames: &[Frame],
-    start: usize,
-    writer: &mut Y4mWriter<BufWriter<CrcFile>>,
-    out_path: &str,
-    ckpt: Option<(&CheckpointManager, &mut ResumeContext)>,
-    rec: &Option<Arc<MemoryRecorder>>,
-) -> CliResult<(Vec<feves::core::FrameReport>, bool)> {
-    let mut reports = Vec::new();
-    let mut ckpt = ckpt;
-    for (i, f) in frames.iter().enumerate().skip(start) {
-        if feves::serve::signal::shutdown_requested() {
-            let Some((mgr, ctx)) = ckpt.as_mut() else {
-                return Err(CliError::runtime(
-                    "interrupted (no checkpointing armed; partial output left as-is)",
-                ));
-            };
-            commit_checkpoint(writer, out_path, enc, mgr, ctx, rec, i)?;
-            eprintln!("interrupted: checkpoint committed at frame {i}");
-            return Ok((reports, true));
-        }
+    fn before_frame(&mut self, i: usize) {
         crash_point_at("frame", i as u64);
-        let rep = enc.encode_frame(f);
-        let (y, u, v) = enc
-            .last_reconstruction_yuv()
-            .ok_or_else(|| CliError::runtime("functional encode produced no reconstruction"))?;
-        let mut rf = f.clone();
-        rf.y_mut().copy_from(y);
-        rf.u_mut().copy_from(u);
-        rf.v_mut().copy_from(v);
-        writer
-            .write_frame(&rf)
-            .map_err(|e| CliError::runtime(format!("{out_path}: {e}")))?;
+    }
+
+    fn on_frame(&mut self, rep: feves::core::FrameReport) {
         println!(
             "frame {:>4} ({}) {:>9} bits  PSNR-Y {:>6.2} dB  sim {:>7.2} ms",
             rep.frame,
@@ -837,127 +666,91 @@ fn encode_loop(
             rep.psnr_y.unwrap_or(f64::NAN),
             rep.tau_tot * 1e3
         );
-        reports.push(rep);
-        let done = i + 1;
-        if let Some((mgr, ctx)) = ckpt.as_mut() {
-            if ctx.every > 0 && done.is_multiple_of(ctx.every) && done < frames.len() {
-                let written = commit_checkpoint(writer, out_path, enc, mgr, ctx, rec, done)?;
-                eprintln!("checkpoint {} (frame {done})", written.display());
-            }
+        self.reports.push(rep);
+    }
+
+    fn on_commit(&mut self, c: &Commit) {
+        if c.stopping {
+            eprintln!(
+                "interrupted: checkpoint committed at frame {}",
+                c.frames_done
+            );
+        } else {
+            eprintln!("checkpoint {} (frame {})", c.path.display(), c.frames_done);
         }
     }
-    Ok((reports, false))
+
+    fn recorder(&self) -> &dyn Recorder {
+        match &self.rec {
+            Some(r) => r.as_ref(),
+            None => &NoopRecorder,
+        }
+    }
 }
 
-fn print_encode_summary(
-    opts_platform: &str,
-    out_path: &str,
-    reports: Vec<feves::core::FrameReport>,
-) {
-    let report = EncodeReport::new(opts_platform.to_string(), reports);
+/// Run an opened session to its end, or to the checkpoint a signal
+/// forces, printing progress as it goes; a completed session then gets its
+/// summary line and flight log. When interrupted, the checkpoint is the
+/// committed state and the unfinished output tail past it is `feves
+/// resume`'s to truncate.
+fn run_session(
+    session: Session,
+    rec: Option<Arc<MemoryRecorder>>,
+    resumed_at: Option<usize>,
+) -> CliResult {
+    let mut hooks = CliHooks {
+        rec,
+        reports: Vec::new(),
+    };
+    let done = session.run(&mut hooks).map_err(CliError::runtime)?;
+    if done.interrupted {
+        return Ok(());
+    }
+    let ctx = &done.context;
+    if let Some(start) = resumed_at {
+        println!(
+            "\nresumed at frame {start}; encoded {} more frame(s) into {}",
+            hooks.reports.len(),
+            ctx.output
+        );
+    }
+    let report = EncodeReport::new(ctx.platform.clone(), hooks.reports);
     println!(
-        "\nwrote {out_path} — {} bits total, mean PSNR-Y {:.2} dB",
+        "\nwrote {} — {} bits total, mean PSNR-Y {:.2} dB",
+        ctx.output,
         report.total_bits(),
         report.mean_psnr().unwrap_or(f64::NAN)
     );
+    write_flight(&done.encoder, &ctx.flight_out)
 }
 
 fn cmd_encode(opts: &Options, input: &str, output: Option<&str>) -> CliResult {
     feves::serve::signal::install_handlers();
-    let (input_fp, header, frames) = read_input(input)?;
+    let seq = session::read_input(input).map_err(CliError::runtime)?;
     println!(
         "{input}: {}x{}, {} frames",
-        header.resolution.width,
-        header.resolution.height,
-        frames.len()
+        seq.header.resolution.width,
+        seq.header.resolution.height,
+        seq.frames.len()
     );
-    let platform_json = match &opts.platform_file {
-        Some(path) => Some(
-            std::fs::read_to_string(path).map_err(|e| CliError::runtime(format!("{path}: {e}")))?,
-        ),
-        None => None,
-    };
-    let (platform, mut cfg) = JobSpec::from_options(opts, platform_json.as_deref())
-        .build(header.resolution)
-        .map_err(CliError::usage)?;
-    cfg.mode = ExecutionMode::Functional;
-    let mut enc = FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?;
-    let telemetry = attach_telemetry(&mut enc, "encode", opts);
-    let rec = telemetry.memory();
-    enable_flight(&mut enc, &opts.flight_out, frames.len());
-
     let out_path = output
         .map(str::to_string)
         .unwrap_or_else(|| format!("{input}.recon.y4m"));
-    let out = CrcFile::create(std::path::Path::new(&out_path))
-        .map_err(|e| CliError::runtime(format!("{out_path}: {e}")))?;
-    let mut writer = Y4mWriter::new(BufWriter::new(out), header);
-
-    // Arm checkpointing when asked for.
-    let mut ckpt_state = if opts.checkpoint_every > 0 {
-        let dir = opts
-            .checkpoint_dir
-            .clone()
-            .unwrap_or_else(|| format!("{out_path}.ckpt"));
-        let ctx = ResumeContext {
-            input: input.to_string(),
-            output: out_path.clone(),
-            platform: opts.platform.clone(),
-            platform_json,
-            sa: opts.sa,
-            refs: opts.refs,
-            qp: opts.qp,
-            balancer: opts.balancer.clone(),
-            kernels: opts.kernels.clone(),
-            faults: opts.faults.clone(),
-            deadline_factor: opts.deadline_factor,
-            flight_out: opts.flight_out.clone(),
-            metrics_out: opts.metrics_out.clone(),
-            every: opts.checkpoint_every,
-            keep: opts.checkpoint_keep,
-            frames_done: 0,
-            n_frames: frames.len(),
-            out_bytes: 0,
-            input_fingerprint: input_fp,
-            pipeline: opts.pipeline,
-            out_crc: 0,
-        };
-        Some((CheckpointManager::new(dir, opts.checkpoint_keep), ctx))
-    } else {
-        None
-    };
-
-    let (reports, interrupted) = encode_loop(
-        &mut enc,
-        &frames,
-        0,
-        &mut writer,
-        &out_path,
-        ckpt_state.as_mut().map(|(m, c)| (&*m, c)),
-        &rec,
-    )?;
-    if interrupted {
-        // The checkpoint is the committed state; the unfinished output
-        // tail past `out_bytes` is `feves resume`'s to truncate.
-        return telemetry.finish(&opts.metrics_out);
-    }
-    finish_output(writer, &out_path)?;
-    print_encode_summary(&opts.platform, &out_path, reports);
-    write_flight(&enc, &opts.flight_out)?;
+    let ckpt_dir = (opts.checkpoint_every > 0).then(|| {
+        PathBuf::from(
+            opts.checkpoint_dir
+                .clone()
+                .unwrap_or_else(|| format!("{out_path}.ckpt")),
+        )
+    });
+    let ctx = opts.job_context(input, &out_path)?;
+    let n_frames = seq.frames.len();
+    let mut session = Session::open(ctx, seq, None, ckpt_dir, |_| {})?;
+    let enc = session.encoder_mut();
+    let telemetry = attach_telemetry(enc, "encode", opts);
+    enable_flight(enc, &opts.flight_out, n_frames);
+    run_session(session, telemetry.memory(), None)?;
     telemetry.finish(&opts.metrics_out)
-}
-
-/// Flush, fsync and close the output: the encode only reports success once
-/// the artifact is durable.
-fn finish_output(writer: Y4mWriter<BufWriter<CrcFile>>, out_path: &str) -> CliResult {
-    let io_fail = |e: &dyn std::fmt::Display| CliError::runtime(format!("{out_path}: {e}"));
-    let file = writer
-        .finish()
-        .map_err(|e| io_fail(&e))?
-        .into_inner()
-        .map_err(|e| io_fail(&e))?;
-    file.sync().map_err(|e| io_fail(&e))?;
-    Ok(())
 }
 
 fn cmd_resume(path: &str) -> CliResult {
@@ -966,7 +759,7 @@ fn cmd_resume(path: &str) -> CliResult {
     // usable generation wins; corrupted generations are skipped with a
     // warning each).
     let p = PathBuf::from(path);
-    let (ckpt_path, mut ctx, state) = if p.is_dir() {
+    let (ckpt_path, ctx, state) = if p.is_dir() {
         let (ckpt_path, ctx, state, warnings) =
             feves::core::load_latest(&p).map_err(CliError::runtime)?;
         for w in warnings {
@@ -985,120 +778,34 @@ fn cmd_resume(path: &str) -> CliResult {
         ctx.input
     );
 
-    // The input must be byte-identical to the one the checkpoint saw.
-    let (input_fp, header, frames) = read_input(&ctx.input)?;
-    if input_fp != ctx.input_fingerprint {
-        return Err(CliError::runtime(FevesError::CheckpointStale(format!(
-            "input {} changed since the checkpoint was taken",
-            ctx.input
-        ))));
-    }
-    if frames.len() != ctx.n_frames {
-        return Err(CliError::runtime(FevesError::CheckpointStale(format!(
-            "input {} has {} frames, checkpoint expects {}",
-            ctx.input,
-            frames.len(),
-            ctx.n_frames
-        ))));
-    }
-
-    // Truncate the output to the last committed frame boundary: everything
-    // past `out_bytes` is a torn frame from the crash. The kept prefix must
-    // still hash to what the checkpoint committed — resuming atop bit-rot
-    // would launder corrupt bytes into a "complete" artifact.
-    let raw = std::fs::read(&ctx.output)
-        .map_err(|e| CliError::runtime(format!("{}: {e}", ctx.output)))?;
-    let len = raw.len() as u64;
-    if len < ctx.out_bytes {
-        return Err(CliError::runtime(FevesError::CheckpointStale(format!(
-            "output {} is {len} bytes, shorter than the {} committed by the checkpoint",
-            ctx.output, ctx.out_bytes
-        ))));
-    }
-    let prefix_crc_state = crc32_update(CRC32_INIT, &raw[..ctx.out_bytes as usize]);
-    if ctx.frames_done > 0 && !prefix_crc_state != ctx.out_crc {
-        return Err(CliError::runtime(FevesError::CheckpointCorrupt(format!(
-            "output {}: committed prefix hashes to {:08x}, checkpoint recorded {:08x} \
-             — the artifact rotted on disk; re-encode instead of resuming",
-            ctx.output, !prefix_crc_state, ctx.out_crc
-        ))));
-    }
-    drop(raw);
-    let out_file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(&ctx.output)
-        .map_err(|e| CliError::runtime(format!("{}: {e}", ctx.output)))?;
-    out_file
-        .set_len(ctx.out_bytes)
-        .map_err(|e| CliError::runtime(format!("{}: {e}", ctx.output)))?;
-    let mut out_file = out_file;
-    out_file
-        .seek(SeekFrom::End(0))
-        .map_err(|e| CliError::runtime(format!("{}: {e}", ctx.output)))?;
-    let out_file = CrcFile::resume(out_file, prefix_crc_state, ctx.out_bytes);
-
-    // Rebuild the platform/config exactly as the original invocation did,
-    // and restore the encoder without re-probing.
-    let (platform, mut cfg) = JobSpec::from_context(&ctx)
-        .build(header.resolution)
-        .map_err(CliError::runtime)?;
-    cfg.mode = ExecutionMode::Functional;
-    // A frame-0 checkpoint (interrupted before any frame) committed no
-    // output — not even the Y4M header — so a fresh start is identical
-    // and sidesteps resuming into an empty file.
-    let fresh = ctx.frames_done == 0;
-    let mut enc = if fresh {
-        FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?
-    } else {
-        FevesEncoder::restore(platform, cfg, state).map_err(CliError::runtime)?
-    };
+    // A checkpoint that no longer matches the input or the output on disk
+    // is refused, never silently re-encoded over.
+    let seq = session::read_input(&ctx.input).map_err(CliError::runtime)?;
+    let resume = session::validate_checkpoint(&ctx, &seq)
+        .map_err(CliError::runtime)?
+        .map(|prefix_crc_state| (state, prefix_crc_state));
+    let ckpt_dir = ckpt_path
+        .parent()
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("."));
+    let (start, n_frames) = (ctx.frames_done, ctx.n_frames);
+    let (flight_out, metrics_out) = (ctx.flight_out.clone(), ctx.metrics_out.clone());
+    let mut session =
+        Session::open(ctx, seq, resume, Some(ckpt_dir), |_| {}).map_err(CliError::runtime)?;
 
     // Re-arm the session-level extras the checkpoint deliberately excludes.
-    let rec = ctx.metrics_out.as_ref().map(|_| {
+    let enc = session.encoder_mut();
+    let rec = metrics_out.as_ref().map(|_| {
         let rec = Arc::new(MemoryRecorder::new());
         enc.set_recorder(rec.clone());
         rec
     });
-    enable_flight(&mut enc, &ctx.flight_out, ctx.n_frames);
+    enable_flight(enc, &flight_out, n_frames);
     if let Some(fl) = enc.flight_mut() {
-        fl.mark_resume(ctx.frames_done);
+        fl.mark_resume(start);
     }
-
-    let out_path = ctx.output.clone();
-    let mut writer = if fresh {
-        Y4mWriter::new(BufWriter::new(out_file), header)
-    } else {
-        Y4mWriter::resume(BufWriter::new(out_file), header)
-    };
-    let mgr = CheckpointManager::new(
-        ckpt_path
-            .parent()
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from(".")),
-        ctx.keep,
-    );
-    let start = ctx.frames_done;
-    let (reports, interrupted) = encode_loop(
-        &mut enc,
-        &frames,
-        start,
-        &mut writer,
-        &out_path,
-        Some((&mgr, &mut ctx)),
-        &rec,
-    )?;
-    if interrupted {
-        return write_metrics(&rec, &ctx.metrics_out);
-    }
-    finish_output(writer, &out_path)?;
-    println!(
-        "\nresumed at frame {start}; encoded {} more frame(s) into {out_path}",
-        reports.len()
-    );
-    print_encode_summary(&ctx.platform, &out_path, reports);
-    write_flight(&enc, &ctx.flight_out)?;
-    write_metrics(&rec, &ctx.metrics_out)
+    run_session(session, rec.clone(), Some(start))?;
+    write_metrics(&rec, &metrics_out)
 }
 
 /// `feves stats <live.json>`: render a live snapshot as the familiar
@@ -1518,9 +1225,9 @@ fn main() -> ExitCode {
         }
         "export-platform" => {
             let name = rest.first().map(String::as_str).unwrap_or("syshk");
-            platform_of(&name.to_lowercase())
+            session::platform_of(&name.to_lowercase())
                 .map(|(p, _)| println!("{}", p.to_json()))
-                .map_err(CliError::Usage)
+                .map_err(CliError::from)
         }
         "simulate" => parse_cli(rest).and_then(|(o, _)| cmd_simulate(&o)),
         "trace" => parse_cli(rest).and_then(|(o, pos)| match pos.first() {

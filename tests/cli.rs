@@ -336,6 +336,28 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
 }
 
 #[test]
+fn zero_frame_input_is_one_error_line_and_no_artifact() {
+    let dir = std::env::temp_dir().join("feves_cli_empty");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("empty.y4m");
+    let output = dir.join("out.y4m");
+    std::fs::write(&input, "YUV4MPEG2 W176 H144 F25:1 Ip A1:1 C420jpeg\n").unwrap();
+    let (code, stdout, stderr) = run_code(&[
+        "encode",
+        input.to_str().unwrap(),
+        output.to_str().unwrap(),
+        "--checkpoint-every",
+        "2",
+    ]);
+    assert_eq!(code, Some(1), "an empty input is a runtime failure");
+    assert_eq!(stderr, format!("error: {}: empty input\n", input.display()));
+    assert!(!stdout.contains("wrote"), "{stdout}");
+    assert!(!output.exists(), "no artifact may be left behind");
+    assert!(!dir.join("out.y4m.ckpt").exists());
+}
+
+#[test]
 fn checkpointed_encode_then_resume_completes_the_tail() {
     use feves::video::y4m::{Y4mHeader, Y4mWriter};
     use feves::video::{Resolution, SynthConfig, SynthSequence};

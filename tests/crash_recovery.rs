@@ -291,6 +291,84 @@ fn changed_input_is_rejected_as_stale() {
 }
 
 #[test]
+fn rejected_checkpoints_keep_their_exact_error_text() {
+    // Each way the world can stop matching a checkpoint: `feves resume`
+    // must refuse with exit 1 and exactly one typed `error:` line after the
+    // banner — and must not have touched the output.
+    type Mutate = fn(&Path, &Path, u64);
+    type Expect = fn(&str, &str, u64, u32, &[u8]) -> String;
+    let cases: [(&str, Mutate, Expect); 3] = [
+        (
+            "input",
+            |input, _, _| write_input(input, 0xBAD5EED),
+            |input, _, _, _, _| {
+                format!("checkpoint stale: input {input} changed since the checkpoint was taken")
+            },
+        ),
+        (
+            "short",
+            |_, out, committed| {
+                let bytes = fs::read(out).unwrap();
+                fs::write(out, &bytes[..committed as usize - 1]).unwrap();
+            },
+            |_, out, committed, _, _| {
+                format!(
+                    "checkpoint stale: output {out} is {} bytes, shorter than the {committed} \
+                     committed by the checkpoint",
+                    committed - 1
+                )
+            },
+        ),
+        (
+            "rot",
+            |_, out, committed| {
+                let mut bytes = fs::read(out).unwrap();
+                bytes[committed as usize / 2] ^= 0x10;
+                fs::write(out, bytes).unwrap();
+            },
+            |_, out, committed, recorded, now| {
+                format!(
+                    "checkpoint corrupt: output {out}: committed prefix hashes to {:08x}, \
+                     checkpoint recorded {recorded:08x} — the artifact rotted on disk; \
+                     re-encode instead of resuming",
+                    feves::ft::ckpt::crc32(&now[..committed as usize])
+                )
+            },
+        ),
+    ];
+    for (tag, mutate, expected) in cases {
+        let dir = scratch(&format!("reject-{tag}"));
+        let input = dir.join("in.y4m");
+        write_input(&input, 0x5EED);
+        let input_s = input.to_str().unwrap().to_string();
+        let out = dir.join("out.y4m");
+        let out_s = out.to_str().unwrap().to_string();
+        let ckdir = format!("{out_s}.ckpt");
+        let mut args = encode_args(&input_s, &out_s);
+        args.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-dir", &ckdir]);
+        let (ok, _, _) = run(&args, &[("FEVES_CRASH_AT", "frame@5")]);
+        assert!(!ok);
+        let (_, ctx, _, _) = feves::core::load_latest(Path::new(&ckdir)).unwrap();
+        assert_eq!(ctx.frames_done, 4);
+
+        mutate(&input, &out, ctx.out_bytes);
+        let before = fs::read(&out).unwrap();
+        let got = Command::new(feves_bin())
+            .args(["resume", &ckdir])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&got.stderr);
+        assert_eq!(got.status.code(), Some(1), "{tag}:\n{stderr}");
+        let want = expected(&input_s, &out_s, ctx.out_bytes, ctx.out_crc, &before);
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 2, "{tag}: banner + one error line:\n{stderr}");
+        assert!(lines[0].starts_with("resuming from "), "{tag}:\n{stderr}");
+        assert_eq!(lines[1], format!("error: {want}"), "{tag}");
+        assert_eq!(fs::read(&out).unwrap(), before, "{tag}: output was touched");
+    }
+}
+
+#[test]
 fn real_sigkill_mid_encode_recovers() {
     // A genuine out-of-band kill (no abort hook): watch the child's stdout
     // until a few frames are done, then SIGKILL it.

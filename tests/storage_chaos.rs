@@ -398,6 +398,81 @@ fn verify_subcommand_accepts_pristine_and_rejects_corruption() {
 }
 
 #[test]
+fn farm_session_restarts_from_frame_zero_on_a_rejected_checkpoint() {
+    // The same mismatches `feves resume` refuses are not errors under the
+    // farm: the attempt drops the checkpoint and re-encodes from frame 0,
+    // and the artifact still equals an uninterrupted `feves encode`.
+    signal::reset();
+    type Mutate = fn(&JobSpec);
+    let cases: [(&str, Mutate); 4] = [
+        ("input", |job| write_input(Path::new(&job.input), 8)),
+        ("short", |job| {
+            let bytes = std::fs::read(&job.output).unwrap();
+            std::fs::write(&job.output, &bytes[..bytes.len() / 3]).unwrap();
+        }),
+        ("rot", |job| {
+            let mut bytes = std::fs::read(&job.output).unwrap();
+            bytes[1000] ^= 0x10;
+            std::fs::write(&job.output, bytes).unwrap();
+        }),
+        // Preempted before its first frame: a checkpoint with no output.
+        ("frame0", |_| {}),
+    ];
+    let cli_encode = |input: &str| {
+        let out = format!("{input}.cli.y4m");
+        let (ok, _, stderr) = run_cli(&["encode", input, &out, "--sa", "16", "--refs", "2"]);
+        assert!(ok, "{stderr}");
+        std::fs::read(out).unwrap()
+    };
+    // Three of the four cases leave the (same, seeded) input alone.
+    let mut unchanged_input: Option<Vec<u8>> = None;
+    for (tag, mutate) in cases {
+        let dir = scratch(&format!("reject-{tag}"));
+        write_input(&dir.join("in.y4m"), 6);
+        let mut spec = job_spec(&dir, tag);
+        let ctl = Arc::new(feves::core::SessionCtl::new());
+        let session = |spec: &JobSpec, attempt| {
+            let label = format!("reject-{tag}-{attempt}");
+            run_session(spec, &ctl, feves::obs::hub().session(&label), attempt, None)
+        };
+        if tag == "frame0" {
+            ctl.request_stop();
+            let rep = session(&spec, 0).unwrap();
+            assert_eq!((rep.frames_done, rep.interrupted), (0, true));
+        } else {
+            spec.chaos_kill_at = Some(3);
+            let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = session(&spec, 0);
+            }));
+            assert!(killed.is_err(), "{tag}: attempt 0 must die at frame 3");
+        }
+        let (_, ctx, _, _) = feves::core::load_latest(&spec.ckpt_dir()).unwrap();
+        assert_eq!(ctx.frames_done, if tag == "frame0" { 0 } else { 2 });
+
+        mutate(&spec);
+        let ctl = Arc::new(feves::core::SessionCtl::new());
+        let label = format!("reject-{tag}-retry");
+        let rep = run_session(&spec, &ctl, feves::obs::hub().session(&label), 1, None)
+            .unwrap_or_else(|e| panic!("{tag}: retry must start over, got {}", e.message));
+        assert!(!rep.interrupted, "{tag}");
+        verify_artifact(&spec.output, rep.out_bytes, rep.artifact_crc).unwrap();
+
+        let want = match (&unchanged_input, tag) {
+            (Some(bytes), "short" | "rot" | "frame0") => bytes.clone(),
+            _ => cli_encode(&spec.input),
+        };
+        assert_eq!(
+            std::fs::read(&spec.output).unwrap(),
+            want,
+            "{tag}: restarted farm artifact differs from `feves encode`"
+        );
+        if tag != "input" {
+            unchanged_input = Some(want);
+        }
+    }
+}
+
+#[test]
 fn single_session_under_faults_converges_bit_exact() {
     signal::reset();
     let dir = scratch("single");
