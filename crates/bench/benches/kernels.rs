@@ -80,7 +80,7 @@ fn bench_tq(c: &mut Criterion) {
 }
 
 fn bench_dbl(c: &mut Criterion) {
-    use feves_codec::dbl::{deblock_frame, deblock_frame_wavefront};
+    use feves_codec::dbl::deblock_frame;
     use feves_codec::mc::ModeField;
     use feves_codec::recon::CoeffField;
     use feves_codec::sme::SmeBlockMv;
@@ -99,22 +99,13 @@ fn bench_dbl(c: &mut Criterion) {
         }
     }
     let base = textured_plane(mb_cols * 16, mb_rows * 16, 9);
-    let mut group = c.benchmark_group("deblock_cif_frame");
-    group.bench_function("raster", |b| {
+    c.bench_function("deblock_cif_frame", |b| {
         b.iter(|| {
             let mut p = base.clone();
             deblock_frame(&mut p, &modes, &coeffs, 32);
             std::hint::black_box(p)
         });
     });
-    group.bench_function("wavefront", |b| {
-        b.iter(|| {
-            let mut p = base.clone();
-            deblock_frame_wavefront(&mut p, &modes, &coeffs, 32);
-            std::hint::black_box(p)
-        });
-    });
-    group.finish();
 }
 
 /// Scalar vs fast (SWAR) dispatch families head-to-head: the 16×16 SAD

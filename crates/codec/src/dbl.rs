@@ -202,173 +202,6 @@ pub fn deblock_frame(recon: &mut Plane<u8>, modes: &ModeField, coeffs: &CoeffFie
     }
 }
 
-/// Wavefront-parallel deblocking.
-///
-/// A macroblock's filtering depends on its left and top neighbours being
-/// filtered first, so macroblocks on the same anti-diagonal
-/// (`mbx + mby = d`) are mutually independent and can run concurrently.
-/// This produces **bit-identical** output to [`deblock_frame`]: processing
-/// diagonals in order, and MBs within a diagonal by ascending row, visits
-/// every pair of sample-overlapping MBs in the same relative order as the
-/// raster scan (an MB's filters only read/write samples shared with its
-/// left, top, and top-right neighbours — all on earlier diagonals or
-/// earlier within the same diagonal).
-///
-/// Same-diagonal MBs are *not* fully disjoint (a vertical-edge filter
-/// overhangs three columns into the left MB), so the sample pass stays
-/// sequential per diagonal; the boundary-strength *decision* pass — the
-/// bulk of DBL's branching work — runs in parallel. This is exactly the
-/// paper's §III-B point quantified: even with wavefront parallelism, DBL
-/// keeps 2·N−1 synchronization points per frame and its ≈2–5 % share of
-/// frame time bounds any cross-device gain (Amdahl), which is why FEVES
-/// maps the whole R\* group to a single device.
-pub fn deblock_frame_wavefront(
-    recon: &mut Plane<u8>,
-    modes: &ModeField,
-    coeffs: &CoeffField,
-    qp: u8,
-) {
-    let mb_cols = modes.mb_cols();
-    let mb_rows = modes.mb_rows();
-    // SAFETY-free sharing: each diagonal's MBs touch disjoint sample
-    // regions (see doc comment), so we hand each worker a raw pointer
-    // wrapper… avoided entirely: process each diagonal by splitting the
-    // plane into row bands is not possible (edges cross MB rows), so we
-    // instead serialize *per diagonal* but compute the per-MB filter
-    // decisions (boundary strengths) in parallel ahead of the sample pass.
-    for d in 0..(mb_cols + mb_rows - 1) {
-        let mbs: Vec<(usize, usize)> = (0..=d.min(mb_rows - 1))
-            .filter_map(|mby| {
-                let mbx = d - mby;
-                (mbx < mb_cols).then_some((mbx, mby))
-            })
-            .collect();
-        // Decision pass (parallel-safe, read-only).
-        use rayon::prelude::*;
-        let decisions: Vec<(usize, usize)> = mbs
-            .par_iter()
-            .copied()
-            .filter(|&(mbx, mby)| {
-                // Cheap cull: skip MBs whose every edge has bS = 0.
-                mb_has_active_edge(modes, coeffs, mbx, mby, mb_cols)
-            })
-            .collect();
-        // Sample pass (sequential within the diagonal; regions disjoint, but
-        // `Plane` has no disjoint 2-D split — the decision pass carries the
-        // parallel share of the work).
-        for (mbx, mby) in decisions {
-            deblock_mb(recon, modes, coeffs, qp, mbx, mby);
-        }
-    }
-}
-
-fn mb_has_active_edge(
-    modes: &ModeField,
-    coeffs: &CoeffField,
-    mbx: usize,
-    mby: usize,
-    _mb_cols: usize,
-) -> bool {
-    for e in 0..4usize {
-        if e == 0 && mbx == 0 {
-            continue;
-        }
-        let bx4 = mbx * 4 + e;
-        for sy in 0..4 {
-            let q = block_info(modes, coeffs, bx4, mby * 4 + sy);
-            let p = block_info(modes, coeffs, bx4 - 1, mby * 4 + sy);
-            if boundary_strength(p, q).0 != 0 {
-                return true;
-            }
-        }
-    }
-    for e in 0..4usize {
-        if e == 0 && mby == 0 {
-            continue;
-        }
-        let by4 = mby * 4 + e;
-        for sx in 0..4 {
-            let q = block_info(modes, coeffs, mbx * 4 + sx, by4);
-            let p = block_info(modes, coeffs, mbx * 4 + sx, by4 - 1);
-            if boundary_strength(p, q).0 != 0 {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Filter the edges of one macroblock (raster-order body of
-/// [`deblock_frame`], factored for the wavefront driver).
-fn deblock_mb(
-    recon: &mut Plane<u8>,
-    modes: &ModeField,
-    coeffs: &CoeffField,
-    qp: u8,
-    mbx: usize,
-    mby: usize,
-) {
-    for e in 0..4usize {
-        if e == 0 && mbx == 0 {
-            continue;
-        }
-        let xe = mbx * MB_SIZE + e * 4;
-        for y in mby * MB_SIZE..(mby + 1) * MB_SIZE {
-            let by4 = y / 4;
-            let q = block_info(modes, coeffs, xe / 4, by4);
-            let p = block_info(modes, coeffs, xe / 4 - 1, by4);
-            let bs = boundary_strength(p, q);
-            if bs.0 == 0 {
-                continue;
-            }
-            let row = recon.row_mut(y);
-            let (np1, np0, nq0, nq1) = filter_line(
-                row[xe - 3],
-                row[xe - 2],
-                row[xe - 1],
-                row[xe],
-                row[xe + 1],
-                row[xe + 2],
-                qp,
-                bs,
-            );
-            row[xe - 2] = np1;
-            row[xe - 1] = np0;
-            row[xe] = nq0;
-            row[xe + 1] = nq1;
-        }
-    }
-    for e in 0..4usize {
-        if e == 0 && mby == 0 {
-            continue;
-        }
-        let ye = mby * MB_SIZE + e * 4;
-        for x in mbx * MB_SIZE..(mbx + 1) * MB_SIZE {
-            let bx4 = x / 4;
-            let q = block_info(modes, coeffs, bx4, ye / 4);
-            let p = block_info(modes, coeffs, bx4, ye / 4 - 1);
-            let bs = boundary_strength(p, q);
-            if bs.0 == 0 {
-                continue;
-            }
-            let (np1, np0, nq0, nq1) = filter_line(
-                recon.get(x, ye - 3),
-                recon.get(x, ye - 2),
-                recon.get(x, ye - 1),
-                recon.get(x, ye),
-                recon.get(x, ye + 1),
-                recon.get(x, ye + 2),
-                qp,
-                bs,
-            );
-            recon.set(x, ye - 2, np1);
-            recon.set(x, ye - 1, np0);
-            recon.set(x, ye, nq0);
-            recon.set(x, ye + 1, nq1);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,46 +346,5 @@ mod tests {
         deblock_frame(&mut a, &modes, &coeffs, 32);
         deblock_frame(&mut b, &modes, &coeffs, 32);
         assert_eq!(a, b);
-    }
-}
-
-#[cfg(test)]
-mod wavefront_tests {
-    use super::*;
-    use crate::sme::SmeBlockMv;
-    use crate::types::QpelMv;
-
-    #[test]
-    fn wavefront_matches_raster_exactly() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let (mb_cols, mb_rows) = (6, 5);
-        let mut modes = ModeField::new(mb_cols, mb_rows);
-        let mut coeffs = CoeffField::new(mb_cols, mb_rows);
-        for mby in 0..mb_rows {
-            for mbx in 0..mb_cols {
-                let mut mvs = [SmeBlockMv {
-                    rf: rng.gen_range(0..2),
-                    mv: QpelMv::new(rng.gen_range(-20..20), rng.gen_range(-20..20)),
-                    cost: 0,
-                }; 16];
-                for mv in mvs.iter_mut() {
-                    mv.mv = QpelMv::new(rng.gen_range(-20..20), rng.gen_range(-20..20));
-                }
-                modes.mb_mut(mbx, mby).mvs = mvs;
-                coeffs.mb_mut(mbx, mby).coded_mask = rng.gen();
-            }
-        }
-        let mut plane: Plane<u8> = Plane::new(mb_cols * 16, mb_rows * 16);
-        for y in 0..plane.height() {
-            for x in 0..plane.width() {
-                plane.set(x, y, rng.gen());
-            }
-        }
-        let mut raster = plane.clone();
-        let mut wave = plane;
-        deblock_frame(&mut raster, &modes, &coeffs, 32);
-        deblock_frame_wavefront(&mut wave, &modes, &coeffs, 32);
-        assert_eq!(raster, wave, "wavefront order must be bit-identical");
     }
 }

@@ -212,7 +212,8 @@ pub fn encode_inter_frame_yuv(
 }
 
 /// Encode one inter frame against the reference store on a single device
-/// (rayon-parallel kernels), following the module order of Fig 1.
+/// (ME and SME over the host's cores, [`crate::par`]), following the module
+/// order of Fig 1.
 pub fn encode_inter_frame(
     cf: &Plane<u8>,
     store: &ReferenceStore,

@@ -18,10 +18,10 @@
 //! into padded rows and computes the quarter-pel averages with packed SWAR
 //! byte math, bit-exact against the scalar reference.
 
+use crate::par;
 use crate::types::QpelMv;
 use feves_video::geometry::{RowRange, MB_SIZE};
-use feves_video::plane::Plane;
-use rayon::prelude::*;
+use feves_video::plane::{Plane, PlaneBandMut};
 
 /// The sub-pixel interpolated frame: 16 quarter-pel phase planes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -106,46 +106,57 @@ impl SubpelFrame {
         }
         // Split each phase plane into [0, y0), [y0, y1), [y1, h) bands and
         // hand the middle band to the row kernel.
-        let width = self.width;
-        let height = self.height;
+        let counts = [y0, y1 - y0, self.height - y1];
         let mut bands: Vec<_> = self
             .phases
             .iter_mut()
-            .map(|p| {
-                let counts = [y0, y1 - y0, height - y1];
-                let nonzero: Vec<usize> = counts.to_vec();
-                let mut b = p.split_rows_mut(&nonzero);
-                b.swap_remove(1) // keep the middle band
-            })
+            .map(|p| p.split_rows_mut(&counts).swap_remove(1))
             .collect();
-        crate::kernels::interp_band(rf, width, y0, y1, &mut bands);
+        crate::kernels::interp_band(rf, self.width, y0, y1, &mut bands);
     }
 
-    /// Interpolate the full frame with rayon parallelism over MB-row chunks.
-    pub fn interpolate_all_parallel(&mut self, rf: &Plane<u8>) {
-        assert_eq!(rf.width(), self.width);
-        assert_eq!(rf.height(), self.height);
-        let width = self.width;
-        let mb_rows = self.height / MB_SIZE;
-        // Split every phase plane into one band per MB row, regroup by row.
-        let row_counts = vec![MB_SIZE; mb_rows];
-        let mut per_phase: Vec<Vec<_>> = self
-            .phases
-            .iter_mut()
-            .map(|p| p.split_rows_mut(&row_counts))
+    /// The SF rows of each MB row of `rows` as an item of their own (all 16
+    /// phase bands), for [`crate::par`] regions.
+    pub fn mb_rows_mut(&mut self, rows: RowRange) -> Vec<SubpelRowMut<'_>> {
+        let mut out: Vec<_> = rows
+            .iter()
+            .map(|mby| SubpelRowMut {
+                mby,
+                bands: Vec::with_capacity(16),
+            })
             .collect();
-        // Transpose: per_row[r] = the 16 phase bands of MB row r.
-        let mut per_row: Vec<Vec<_>> = (0..mb_rows).map(|_| Vec::with_capacity(16)).collect();
-        for phase_bands in per_phase.drain(..) {
-            for (r, band) in phase_bands.into_iter().enumerate() {
-                per_row[r].push(band);
+        for phase in &mut self.phases {
+            for (row, band) in out.iter_mut().zip(phase.split_mb_rows_mut(rows)) {
+                row.bands.push(band);
             }
         }
-        per_row.par_iter_mut().enumerate().for_each(|(r, bands)| {
-            let y0 = r * MB_SIZE;
-            let y1 = y0 + MB_SIZE;
-            crate::kernels::interp_band(rf, width, y0, y1, bands);
-        });
+        out
+    }
+
+    /// [`Self::interpolate_rows`] with the MB rows spread over the host's
+    /// cores ([`crate::par`]).
+    pub fn interpolate_rows_parallel(&mut self, rf: &Plane<u8>, rows: RowRange) {
+        assert_eq!(rf.width(), self.width);
+        assert_eq!(rf.height(), self.height);
+        par::for_each_row(self.mb_rows_mut(rows), |_, row| row.interpolate(rf));
+    }
+}
+
+/// The 16 phase bands of one MB row of a [`SubpelFrame`]
+/// ([`SubpelFrame::mb_rows_mut`]).
+pub struct SubpelRowMut<'a> {
+    mby: usize,
+    bands: Vec<PlaneBandMut<'a, u8>>,
+}
+
+impl SubpelRowMut<'_> {
+    /// Interpolate this MB row from the reference plane `rf`.
+    pub fn interpolate(mut self, rf: &Plane<u8>) {
+        let y0 = (self.mby * MB_SIZE).min(rf.height());
+        let y1 = ((self.mby + 1) * MB_SIZE).min(rf.height());
+        if y0 < y1 {
+            crate::kernels::interp_band(rf, rf.width(), y0, y1, &mut self.bands);
+        }
     }
 }
 
@@ -249,10 +260,12 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential() {
-        let rf = plane_from_fn(48, 64, |x, y| ((x * 11) ^ (y * 17)) as u8);
+        // 72 rows: the last MB row is half height.
+        let rf = plane_from_fn(48, 72, |x, y| ((x * 11) ^ (y * 17)) as u8);
         let seq = interpolate(&rf);
-        let mut par = SubpelFrame::new(48, 64);
-        par.interpolate_all_parallel(&rf);
+        let mut par = SubpelFrame::new(48, 72);
+        par.interpolate_rows_parallel(&rf, RowRange::new(0, 2));
+        par.interpolate_rows_parallel(&rf, RowRange::new(2, 5));
         assert_eq!(seq, par);
     }
 

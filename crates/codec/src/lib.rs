@@ -15,6 +15,7 @@
 //! | [`entropy`] | Entropy coding | [`entropy::encode_frame`] |
 //! | [`intra`] | I-slice coding | [`intra::encode_intra_frame`] |
 //! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (SWAR) | [`kernels::active_kind`] |
+//! | [`par`] | Host execution: MB rows over the host's cores | [`par::for_each_row`] |
 //!
 //! The ME/INT/SME kernels are *partition-invariant*: their result for a
 //! macroblock row depends only on the frame data, so distributing MB rows
@@ -34,6 +35,7 @@ pub mod intra;
 pub mod kernels;
 pub mod mc;
 pub mod me;
+pub mod par;
 pub mod quant;
 pub mod rate;
 pub mod recon;

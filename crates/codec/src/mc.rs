@@ -7,10 +7,11 @@
 //! and emit the prediction residual for TQ.
 
 use crate::interp::SubpelFrame;
+use crate::par;
 use crate::sme::{MbSubMotion, SmeBlockMv};
 use crate::types::{PartitionMode, ALL_PARTITION_MODES};
 use feves_video::geometry::{RowRange, MB_SIZE};
-use feves_video::plane::Plane;
+use feves_video::plane::{Plane, PlaneBandMut};
 
 /// Mode decision + motion data of one coded macroblock.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,6 +73,11 @@ impl ModeField {
     pub fn mb_mut(&mut self, mbx: usize, mby: usize) -> &mut MbMode {
         &mut self.mbs[mby * self.mb_cols + mbx]
     }
+
+    /// Mutable slice covering the MB rows of `range`.
+    pub fn rows_mut(&mut self, range: RowRange) -> &mut [MbMode] {
+        &mut self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
+    }
 }
 
 /// Lagrange multiplier for mode decision: `0.85 · 2^((QP-12)/3)`.
@@ -114,15 +120,49 @@ pub fn predict_mb(
 ) {
     let mode = mb_mode.mode;
     let (w, h) = mode.dims();
-    let mut block = vec![0i16; w * h];
+    let mut buf = [0i16; 256];
+    let block = &mut buf[..w * h];
     for i in 0..mode.count() {
         let (ox, oy) = mode.offset(i);
         let blk = &mb_mode.mvs[i];
-        sfs[blk.rf as usize].predict_block(cx + ox, cy + oy, blk.mv, w, h, &mut block);
+        sfs[blk.rf as usize].predict_block(cx + ox, cy + oy, blk.mv, w, h, block);
         for row in 0..h {
             let dst = &mut pred[(oy + row) * MB_SIZE + ox..(oy + row) * MB_SIZE + ox + w];
             dst.copy_from_slice(&block[row * w..(row + 1) * w]);
         }
+    }
+}
+
+/// Mode decision + motion compensation for MB row `mby`: the row's slice of
+/// the mode field and its bands of the prediction and residual planes are
+/// the only outputs, so rows can run concurrently ([`crate::par`]).
+#[allow(clippy::too_many_arguments)] // mirrors the MC module's natural inputs
+pub fn mc_row(
+    cf: &Plane<u8>,
+    sfs: &[&SubpelFrame],
+    sme_row: &[MbSubMotion],
+    qp: u8,
+    mby: usize,
+    modes: &mut [MbMode],
+    pred: &mut PlaneBandMut<'_, u8>,
+    residual: &mut PlaneBandMut<'_, i16>,
+) {
+    let mut pbuf = [0i16; 256];
+    for (mbx, (sme, mode)) in sme_row.iter().zip(modes).enumerate() {
+        let decided = decide_mode(sme, qp);
+        let (cx, cy) = (mbx * MB_SIZE, mby * MB_SIZE);
+        predict_mb(&decided, sfs, cx, cy, &mut pbuf);
+        for row in 0..MB_SIZE {
+            let crow = &cf.row(cy + row)[cx..cx + MB_SIZE];
+            let prow = &mut pred.row_mut(cy + row)[cx..cx + MB_SIZE];
+            let rrow = &mut residual.row_mut(cy + row)[cx..cx + MB_SIZE];
+            for col in 0..MB_SIZE {
+                let p = pbuf[row * MB_SIZE + col].clamp(0, 255);
+                prow[col] = p as u8;
+                rrow[col] = crow[col] as i16 - p;
+            }
+        }
+        *mode = decided;
     }
 }
 
@@ -142,32 +182,75 @@ pub fn mc_rows(
     pred: &mut Plane<u8>,
     residual: &mut Plane<i16>,
 ) {
+    for (mby, (sme, modes, mut pred, mut residual)) in rows
+        .iter()
+        .zip(mc_row_items(cf, sme_rows, rows, modes, pred, residual))
+    {
+        mc_row(cf, sfs, sme, qp, mby, modes, &mut pred, &mut residual);
+    }
+}
+
+/// [`mc_rows`] with the MB rows spread over the host's cores
+/// ([`crate::par`]).
+#[allow(clippy::too_many_arguments)] // same inputs as `mc_rows`
+pub fn mc_rows_parallel(
+    cf: &Plane<u8>,
+    sfs: &[&SubpelFrame],
+    sme_rows: &[MbSubMotion],
+    qp: u8,
+    rows: RowRange,
+    modes: &mut ModeField,
+    pred: &mut Plane<u8>,
+    residual: &mut Plane<i16>,
+) {
+    let items = mc_row_items(cf, sme_rows, rows, modes, pred, residual);
+    par::for_each_row(items, |i, (sme, modes, mut pred, mut residual)| {
+        mc_row(
+            cf,
+            sfs,
+            sme,
+            qp,
+            rows.start + i,
+            modes,
+            &mut pred,
+            &mut residual,
+        );
+    });
+}
+
+/// One MB row's SME input and disjoint MC outputs.
+type McRowItem<'a> = (
+    &'a [MbSubMotion],
+    &'a mut [MbMode],
+    PlaneBandMut<'a, u8>,
+    PlaneBandMut<'a, i16>,
+);
+
+/// Cut the inputs and outputs of [`mc_rows`] into one item per MB row.
+fn mc_row_items<'a>(
+    cf: &Plane<u8>,
+    sme_rows: &'a [MbSubMotion],
+    rows: RowRange,
+    modes: &'a mut ModeField,
+    pred: &'a mut Plane<u8>,
+    residual: &'a mut Plane<i16>,
+) -> impl Iterator<Item = McRowItem<'a>> {
     let mb_cols = cf.width() / MB_SIZE;
     assert_eq!(
         sme_rows.len(),
         rows.len() * mb_cols,
         "SME input size mismatch"
     );
-    let mut pbuf = [0i16; 256];
-    for (i, mby) in rows.iter().enumerate() {
-        for mbx in 0..mb_cols {
-            let sme = &sme_rows[i * mb_cols + mbx];
-            let decided = decide_mode(sme, qp);
-            let (cx, cy) = (mbx * MB_SIZE, mby * MB_SIZE);
-            predict_mb(&decided, sfs, cx, cy, &mut pbuf);
-            for row in 0..MB_SIZE {
-                let crow = &cf.row(cy + row)[cx..cx + MB_SIZE];
-                let prow = &mut pred.row_mut(cy + row)[cx..cx + MB_SIZE];
-                let rrow = &mut residual.row_mut(cy + row)[cx..cx + MB_SIZE];
-                for col in 0..MB_SIZE {
-                    let p = pbuf[row * MB_SIZE + col].clamp(0, 255);
-                    prow[col] = p as u8;
-                    rrow[col] = crow[col] as i16 - p;
-                }
-            }
-            *modes.mb_mut(mbx, mby) = decided;
-        }
-    }
+    let modes = modes.rows_mut(rows).chunks_mut(mb_cols);
+    let planes = pred
+        .split_mb_rows_mut(rows)
+        .into_iter()
+        .zip(residual.split_mb_rows_mut(rows));
+    sme_rows
+        .chunks(mb_cols)
+        .zip(modes)
+        .zip(planes)
+        .map(|((sme, modes), (pred, residual))| (sme, modes, pred, residual))
 }
 
 #[cfg(test)]

@@ -18,11 +18,11 @@
 //! (`FEVES_KERNELS=scalar|fast`); both implementations are bit-exact, so the
 //! selected kernel affects throughput only, never the motion field.
 
+use crate::par;
 use crate::sad::{sad_grid_16x16, SadGrid};
 use crate::types::{EncodeParams, Mv, PartitionMode, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
-use rayon::prelude::*;
 
 /// Best match for one partition block: reference index, motion vector, SAD.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -254,8 +254,9 @@ pub fn motion_estimate_rows(
     }
 }
 
-/// Multi-threaded variant of [`motion_estimate_rows`] (rayon over MB rows) —
-/// the "OpenMP across cores" axis of the paper's CPU kernels.
+/// [`motion_estimate_rows`] with the MB rows spread over the host's cores
+/// ([`crate::par`]) — the "OpenMP across cores" axis of the paper's CPU
+/// kernels.
 pub fn motion_estimate_rows_parallel(
     cf: &Plane<u8>,
     rfs: &[&Plane<u8>],
@@ -269,13 +270,10 @@ pub fn motion_estimate_rows_parallel(
         rows.len() * mb_cols,
         "output slice size mismatch"
     );
-    out.par_chunks_mut(mb_cols)
-        .zip(rows.start..rows.end)
-        .for_each(|(row_out, mby)| {
-            for (mbx, out) in row_out.iter_mut().enumerate() {
-                *out = motion_estimate_mb(cf, rfs, params, mbx, mby);
-            }
-        });
+    par::for_each_row(out.chunks_mut(mb_cols), |i, row_out| {
+        let mby = rows.start + i;
+        motion_estimate_rows(cf, rfs, params, RowRange::new(mby, mby + 1), row_out);
+    });
 }
 
 #[cfg(test)]

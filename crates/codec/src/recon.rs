@@ -5,9 +5,10 @@
 //! transforms and adds back the prediction to produce the reconstructed
 //! reference frame the next inter-frame will search.
 
+use crate::par;
 use crate::quant::{has_coefficients, itq_block, tq_block};
 use feves_video::geometry::{RowRange, MB_SIZE};
-use feves_video::plane::Plane;
+use feves_video::plane::{Plane, PlaneBandMut};
 
 /// Quantized levels of one macroblock: sixteen 4×4 luma blocks in raster
 /// order, plus a bitmask of blocks containing non-zero coefficients.
@@ -66,6 +67,16 @@ impl CoeffField {
         &mut self.mbs[mby * self.mb_cols + mbx]
     }
 
+    /// Borrow the MB rows of `range`.
+    pub fn rows(&self, range: RowRange) -> &[MbCoeffs] {
+        &self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
+    }
+
+    /// Mutable slice covering the MB rows of `range`.
+    pub fn rows_mut(&mut self, range: RowRange) -> &mut [MbCoeffs] {
+        &mut self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
+    }
+
     /// Total number of non-zero levels (rate proxy / diagnostics).
     pub fn nonzero_levels(&self) -> usize {
         self.mbs
@@ -74,6 +85,29 @@ impl CoeffField {
             .flat_map(|b| b.iter())
             .filter(|&&v| v != 0)
             .count()
+    }
+}
+
+/// Forward TQ of MB row `mby` into `coeffs`, that row's slice of the
+/// coefficient field — its only output, so rows can run concurrently
+/// ([`crate::par`]).
+pub fn tq_row(residual: &Plane<i16>, qp: u8, intra: bool, mby: usize, coeffs: &mut [MbCoeffs]) {
+    let mut rbuf = [0i16; 16];
+    for (mbx, mb) in coeffs.iter_mut().enumerate() {
+        let mut mask = 0u16;
+        for blk in 0..16 {
+            let bx = mbx * MB_SIZE + (blk % 4) * 4;
+            let by = mby * MB_SIZE + (blk / 4) * 4;
+            for row in 0..4 {
+                rbuf[row * 4..row * 4 + 4].copy_from_slice(&residual.row(by + row)[bx..bx + 4]);
+            }
+            let levels = tq_block(&rbuf, qp, intra);
+            if has_coefficients(&levels) {
+                mask |= 1 << blk;
+            }
+            mb.blocks[blk] = levels;
+        }
+        mb.coded_mask = mask;
     }
 }
 
@@ -87,24 +121,55 @@ pub fn tq_rows(
     coeffs: &mut CoeffField,
 ) {
     let mb_cols = residual.width() / MB_SIZE;
-    let mut rbuf = [0i16; 16];
-    for mby in rows.iter() {
-        for mbx in 0..mb_cols {
-            let mb = coeffs.mb_mut(mbx, mby);
-            let mut mask = 0u16;
-            for blk in 0..16 {
-                let bx = mbx * MB_SIZE + (blk % 4) * 4;
-                let by = mby * MB_SIZE + (blk / 4) * 4;
+    for (mby, row) in rows.iter().zip(coeffs.rows_mut(rows).chunks_mut(mb_cols)) {
+        tq_row(residual, qp, intra, mby, row);
+    }
+}
+
+/// [`tq_rows`] with the MB rows spread over the host's cores
+/// ([`crate::par`]).
+pub fn tq_rows_parallel(
+    residual: &Plane<i16>,
+    qp: u8,
+    intra: bool,
+    rows: RowRange,
+    coeffs: &mut CoeffField,
+) {
+    let mb_cols = residual.width() / MB_SIZE;
+    par::for_each_row(coeffs.rows_mut(rows).chunks_mut(mb_cols), |i, row| {
+        tq_row(residual, qp, intra, rows.start + i, row);
+    });
+}
+
+/// Inverse TQ + reconstruction of MB row `mby` into `recon`, that row's
+/// band of the reconstructed plane: `recon = clip(pred + TQ⁻¹(coeffs))`.
+pub fn itq_recon_row(
+    coeffs: &[MbCoeffs],
+    pred: &Plane<u8>,
+    qp: u8,
+    mby: usize,
+    recon: &mut PlaneBandMut<'_, u8>,
+) {
+    for (mbx, mb) in coeffs.iter().enumerate() {
+        for blk in 0..16 {
+            let bx = mbx * MB_SIZE + (blk % 4) * 4;
+            let by = mby * MB_SIZE + (blk / 4) * 4;
+            if mb.coded_mask & (1 << blk) == 0 {
+                // No coefficients: reconstruction is the prediction.
                 for row in 0..4 {
-                    rbuf[row * 4..row * 4 + 4].copy_from_slice(&residual.row(by + row)[bx..bx + 4]);
+                    let p = &pred.row(by + row)[bx..bx + 4];
+                    recon.row_mut(by + row)[bx..bx + 4].copy_from_slice(p);
                 }
-                let levels = tq_block(&rbuf, qp, intra);
-                if has_coefficients(&levels) {
-                    mask |= 1 << blk;
-                }
-                mb.blocks[blk] = levels;
+                continue;
             }
-            mb.coded_mask = mask;
+            let r = itq_block(&mb.blocks[blk], qp);
+            for row in 0..4 {
+                let p = &pred.row(by + row)[bx..bx + 4];
+                let out = &mut recon.row_mut(by + row)[bx..bx + 4];
+                for col in 0..4 {
+                    out[col] = (p[col] as i16 + r[row * 4 + col]).clamp(0, 255) as u8;
+                }
+            }
         }
     }
 }
@@ -119,31 +184,32 @@ pub fn itq_recon_rows(
     recon: &mut Plane<u8>,
 ) {
     let mb_cols = pred.width() / MB_SIZE;
-    for mby in rows.iter() {
-        for mbx in 0..mb_cols {
-            let mb = coeffs.mb(mbx, mby);
-            for blk in 0..16 {
-                let bx = mbx * MB_SIZE + (blk % 4) * 4;
-                let by = mby * MB_SIZE + (blk / 4) * 4;
-                if mb.coded_mask & (1 << blk) == 0 {
-                    // No coefficients: reconstruction is the prediction.
-                    for row in 0..4 {
-                        let p = &pred.row(by + row)[bx..bx + 4];
-                        recon.row_mut(by + row)[bx..bx + 4].copy_from_slice(p);
-                    }
-                    continue;
-                }
-                let r = itq_block(&mb.blocks[blk], qp);
-                for row in 0..4 {
-                    let p = &pred.row(by + row)[bx..bx + 4];
-                    let out = &mut recon.row_mut(by + row)[bx..bx + 4];
-                    for col in 0..4 {
-                        out[col] = (p[col] as i16 + r[row * 4 + col]).clamp(0, 255) as u8;
-                    }
-                }
-            }
-        }
+    let items = coeffs
+        .rows(rows)
+        .chunks(mb_cols)
+        .zip(recon.split_mb_rows_mut(rows));
+    for (mby, (row, mut band)) in rows.iter().zip(items) {
+        itq_recon_row(row, pred, qp, mby, &mut band);
     }
+}
+
+/// [`itq_recon_rows`] with the MB rows spread over the host's cores
+/// ([`crate::par`]).
+pub fn itq_recon_rows_parallel(
+    coeffs: &CoeffField,
+    pred: &Plane<u8>,
+    qp: u8,
+    rows: RowRange,
+    recon: &mut Plane<u8>,
+) {
+    let mb_cols = pred.width() / MB_SIZE;
+    let items = coeffs
+        .rows(rows)
+        .chunks(mb_cols)
+        .zip(recon.split_mb_rows_mut(rows));
+    par::for_each_row(items, |i, (row, mut band)| {
+        itq_recon_row(row, pred, qp, rows.start + i, &mut band);
+    });
 }
 
 #[cfg(test)]

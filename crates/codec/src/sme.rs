@@ -11,10 +11,10 @@
 
 use crate::interp::SubpelFrame;
 use crate::me::{mode_base, MbMotion};
+use crate::par;
 use crate::types::{PartitionMode, QpelMv, ALL_PARTITION_MODES, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
-use rayon::prelude::*;
 
 /// Refined match for one partition block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -253,7 +253,8 @@ pub fn sme_rows(
     }
 }
 
-/// Rayon-parallel variant of [`sme_rows`].
+/// [`sme_rows`] with the MB rows spread over the host's cores
+/// ([`crate::par`]).
 pub fn sme_rows_parallel(
     cf: &Plane<u8>,
     sfs: &[&SubpelFrame],
@@ -268,14 +269,11 @@ pub fn sme_rows_parallel(
         "output slice size mismatch"
     );
     assert_eq!(me_rows.len(), out.len(), "ME input size mismatch");
-    out.par_chunks_mut(mb_cols)
-        .zip(me_rows.par_chunks(mb_cols))
-        .zip(rows.start..rows.end)
-        .for_each(|((row_out, row_me), mby)| {
-            for mbx in 0..mb_cols {
-                row_out[mbx] = sme_mb(cf, sfs, &row_me[mbx], mbx, mby);
-            }
-        });
+    let items = out.chunks_mut(mb_cols).zip(me_rows.chunks(mb_cols));
+    par::for_each_row(items, |i, (row_out, row_me)| {
+        let mby = rows.start + i;
+        sme_rows(cf, sfs, row_me, RowRange::new(mby, mby + 1), row_out);
+    });
 }
 
 #[cfg(test)]

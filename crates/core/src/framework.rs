@@ -19,6 +19,7 @@ use crate::trace::FrameTrace;
 use crate::vcm::{build_frame_graph, FrameGeometry, FrameGraph, MeasureKind};
 use feves_codec::inter_loop::ReferenceStore;
 use feves_codec::interp::SubpelFrame;
+use feves_codec::par;
 use feves_codec::rate::{RateController, RateSnapshot};
 use feves_codec::types::EncodeParams;
 use feves_ft::{
@@ -1252,14 +1253,16 @@ impl FevesEncoder {
         report
     }
 
-    /// Run `kernel` over one MB-row band of `field_rows` per device (band
-    /// sizes from `counts`), the bands concurrently on scoped threads —
-    /// mirroring the paper's per-device host threads: the Video Coding
-    /// Manager drives every device simultaneously, each writing a disjoint
-    /// row band. A stripe that panics (the `kernel_panic` injection hook, or
-    /// a real kernel bug) is caught at join, recomputed serially on the host
-    /// so the field is always complete, and returned as a `StripePanic`
-    /// fault with the rows it cost.
+    /// Run `kernel` over every MB row of `field_rows` in one [`par`] region.
+    /// The per-device bands of `counts` stay the logical partition — what
+    /// the modelled platform is charged for and what a fault is attributed
+    /// to — but the host's cores take rows from all bands alike, so they
+    /// stay balanced whatever the LP decided for the modelled devices. The
+    /// `kernel_panic` injection hook is evaluated once per non-empty band
+    /// and fires in that band's first row; a panic in any row of a band
+    /// (injected, or a real kernel bug) is caught, that band alone is
+    /// recomputed so the field is always complete, and one `StripePanic`
+    /// fault per band is returned with the rows it cost.
     fn run_stripes<T: Send>(
         &self,
         counts: &[usize],
@@ -1268,42 +1271,28 @@ impl FevesEncoder {
     ) -> Vec<(DeviceFault, usize)> {
         let mb_cols = self.geometry.mb_cols;
         let inter_frame = self.inter_count + 1;
-        let mut failed: Vec<(usize, RowRange)> = Vec::new();
-        {
-            let mut bands: Vec<(usize, RowRange, &mut [T])> = Vec::new();
-            let mut rest = &mut *field_rows;
-            for (device, range) in ranges_from_counts(counts).into_iter().enumerate() {
-                let (band, tail) = rest.split_at_mut(range.len() * mb_cols);
-                if !range.is_empty() {
-                    bands.push((device, range, band));
+        let bands = ranges_from_counts(counts);
+        let device_of_row: Vec<usize> = (0..bands.len())
+            .flat_map(|d| std::iter::repeat_n(d, bands[d].len()))
+            .collect();
+        assert_eq!(field_rows.len(), device_of_row.len() * mb_cols);
+        let injected: Vec<bool> = (0..bands.len())
+            .map(|d| !bands[d].is_empty() && self.injector.kernel_panic(inter_frame, d))
+            .collect();
+        let panics =
+            par::for_each_row_with(par::width(), field_rows.chunks_mut(mb_cols), |row, out| {
+                let device = device_of_row[row];
+                if injected[device] && row == bands[device].start {
+                    panic!("injected kernel panic on device {device}");
                 }
-                rest = tail;
-            }
-            let (injector, kernel) = (&self.injector, &kernel);
-            crossbeam::scope(|s| {
-                let handles: Vec<_> = bands
-                    .into_iter()
-                    .map(|(device, range, out)| {
-                        let h = s.spawn(move |_| {
-                            if injector.kernel_panic(inter_frame, device) {
-                                panic!("injected kernel panic on device {device}");
-                            }
-                            kernel(range, out);
-                        });
-                        (device, range, h)
-                    })
-                    .collect();
-                for (device, range, h) in handles {
-                    if h.join().is_err() {
-                        failed.push((device, range));
-                    }
-                }
-            })
-            .expect("all stripe panics are caught at join");
-        }
+                kernel(RowRange::new(row, row + 1), out);
+            });
+        let mut failed: Vec<usize> = panics.iter().map(|p| device_of_row[p.row]).collect();
+        failed.dedup(); // panics come in row order, so a band's are adjacent
         failed
             .into_iter()
-            .map(|(device, range)| {
+            .map(|device| {
+                let range = bands[device];
                 kernel(
                     range,
                     &mut field_rows[range.start * mb_cols..range.end * mb_cols],
@@ -1318,12 +1307,13 @@ impl FevesEncoder {
             .collect()
     }
 
-    /// Run the real kernels, row-partitioned exactly as the distribution
-    /// prescribes, and advance the reference store.
+    /// Run the real kernels and advance the reference store.
     ///
-    /// Stripe threads that panic (injected or real) are caught at join and
-    /// their rows recomputed serially on the host — ME/SME row results are
-    /// independent of the stripe split, so the recomputation is bit-exact.
+    /// The distribution's bands are the logical partition; the host runs
+    /// INT, ME, SME and the row-separable R\* modules (MC, TQ, TQ⁻¹) one
+    /// [`par`] region each over all MB rows. Row results do not depend on
+    /// the split, so neither the host's width nor a band recomputed after a
+    /// panic can change the output. DBL, chroma and entropy are serial.
     /// Returns the caught faults with the number of re-dispatched rows.
     fn execute_kernels(
         &mut self,
@@ -1334,29 +1324,28 @@ impl FevesEncoder {
         let cf = frame.y();
         let mb_cols = self.geometry.mb_cols;
         let n_rows = self.geometry.n_rows;
+        let all = RowRange::new(0, n_rows);
 
-        // INT: interpolate the pending reconstruction per dist.interp and
-        // push it as the newest reference.
+        // INT: interpolate the pending reconstruction (the rows dist.interp
+        // hands out — all of them) and push it as the newest reference.
         if let Some(pending) = self.recon_pending.take() {
             let mut sf = SubpelFrame::new(pending.y.width(), pending.y.height());
-            for range in ranges_from_counts(&dist.interp) {
-                sf.interpolate_rows(&pending.y, range);
-            }
+            let covered = RowRange::new(0, dist.interp.iter().sum());
+            sf.interpolate_rows_parallel(&pending.y, covered);
             self.store.push_yuv(pending.y, sf, pending.u, pending.v);
         }
         let rfs = self.store.rf_planes();
         let sfs = self.store.sfs();
 
-        // ME then SME, one row band per device (`run_stripes`).
+        // ME then SME, attributed to one row band per device (`run_stripes`).
         let mut me = feves_codec::me::MeField::new(mb_cols, n_rows);
-        let all = RowRange::new(0, n_rows);
         let mut kernel_faults = self.run_stripes(&dist.me, me.rows_mut(all), |range, out| {
-            feves_codec::me::motion_estimate_rows_parallel(cf, &rfs, params, range, out);
+            feves_codec::me::motion_estimate_rows(cf, &rfs, params, range, out);
         });
         let mut sme = feves_codec::sme::SmeField::new(mb_cols, n_rows);
         kernel_faults.extend(
             self.run_stripes(&dist.sme, sme.rows_mut(all), |range, out| {
-                feves_codec::sme::sme_rows_parallel(cf, &sfs, me.rows(range), range, out);
+                feves_codec::sme::sme_rows(cf, &sfs, me.rows(range), range, out);
             }),
         );
 
@@ -1364,7 +1353,7 @@ impl FevesEncoder {
         let mut modes = feves_codec::mc::ModeField::new(mb_cols, n_rows);
         let mut pred: Plane<u8> = Plane::new(cf.width(), cf.height());
         let mut residual: Plane<i16> = Plane::new(cf.width(), cf.height());
-        feves_codec::mc::mc_rows(
+        feves_codec::mc::mc_rows_parallel(
             cf,
             &sfs,
             sme.rows(all),
@@ -1375,9 +1364,9 @@ impl FevesEncoder {
             &mut residual,
         );
         let mut coeffs = feves_codec::recon::CoeffField::new(mb_cols, n_rows);
-        feves_codec::recon::tq_rows(&residual, params.qp, false, all, &mut coeffs);
+        feves_codec::recon::tq_rows_parallel(&residual, params.qp, false, all, &mut coeffs);
         let mut recon: Plane<u8> = Plane::new(cf.width(), cf.height());
-        feves_codec::recon::itq_recon_rows(&coeffs, &pred, params.qp, all, &mut recon);
+        feves_codec::recon::itq_recon_rows_parallel(&coeffs, &pred, params.qp, all, &mut recon);
         feves_codec::dbl::deblock_frame(&mut recon, &modes, &coeffs, params.qp);
 
         // Chroma rides with the R* group (single-device semantics), using

@@ -41,16 +41,62 @@ pub const CKPT_VERSION: u32 = 3;
 /// Initial state for the incremental CRC-32 ([`crc32_update`]).
 pub const CRC32_INIT: u32 = 0xFFFF_FFFF;
 
+/// The reflected IEEE polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// One step of the CRC-32 register: fold the low byte of `crc` bit by bit.
+const fn crc32_fold_byte(mut crc: u32) -> u32 {
+    let mut bit = 0;
+    while bit < 8 {
+        let mask = (crc & 1).wrapping_neg();
+        crc = (crc >> 1) ^ (CRC32_POLY & mask);
+        bit += 1;
+    }
+    crc
+}
+
+/// Slicing-by-8 tables: `CRC32_TABLES[k][b]` is the register after byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold with eight lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        t[0][b] = crc32_fold_byte(b as u32);
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
 /// Fold `bytes` into a running CRC-32 state. Start from [`CRC32_INIT`],
 /// finish by complementing (`!state`) — [`crc32`] does both in one shot;
 /// streaming writers (`ft::io::CrcFile`) keep the raw state across chunks.
+/// The state after a buffer is the same however the buffer is chunked.
 pub fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let t = &CRC32_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
@@ -413,6 +459,39 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The CRC's bit-at-a-time definition: the reference the table fold
+    /// must reproduce.
+    fn crc32_update_bitwise(mut crc: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        crc
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_table_fold_equals_bitwise_for_any_chunking(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            init in proptest::prelude::any::<u32>(),
+            cuts in proptest::collection::vec(0usize..300, 0..4),
+        ) {
+            let want = crc32_update_bitwise(init, &bytes);
+            proptest::prop_assert_eq!(crc32_update(init, &bytes), want);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let (mut state, mut at) = (init, 0);
+            for cut in cuts {
+                state = crc32_update(state, &bytes[at..cut]);
+                at = cut;
+            }
+            proptest::prop_assert_eq!(crc32_update(state, &bytes[at..]), want);
+        }
     }
 
     #[test]

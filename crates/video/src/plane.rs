@@ -1,5 +1,7 @@
 //! Sample planes: the storage unit all encoding kernels operate on.
 
+use crate::geometry::{RowRange, MB_SIZE};
+
 /// A rectangular plane of samples with an explicit stride.
 ///
 /// `T` is `u8` for pixel data and `i16` for residuals / transform
@@ -170,6 +172,20 @@ impl<T: Copy + Default> Plane<T> {
         }
         out
     }
+
+    /// One disjoint mutable band per macroblock row of `rows` (16 sample
+    /// rows each, clipped to the plane height) — the output regions of a
+    /// row-parallel kernel.
+    pub fn split_mb_rows_mut(&mut self, rows: RowRange) -> Vec<PlaneBandMut<'_, T>> {
+        let edge = |mb_row: usize| (mb_row * MB_SIZE).min(self.height);
+        let mut counts = vec![edge(rows.start)];
+        counts.extend(rows.iter().map(|r| edge(r + 1) - edge(r)));
+        counts.push(self.height - edge(rows.end));
+        let mut bands = self.split_rows_mut(&counts);
+        bands.pop();
+        bands.remove(0);
+        bands
+    }
 }
 
 /// A mutable horizontal band of a [`Plane`], produced by
@@ -283,6 +299,19 @@ mod tests {
         }
         assert_eq!(p.row(4), &[9, 9, 9, 9]);
         assert_eq!(p.row(3), &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn split_mb_rows_mut_covers_the_range_and_clips_the_last_row() {
+        let mut p: Plane<u8> = Plane::new(4, 40); // 2.5 macroblock rows
+        {
+            let mut bands = p.split_mb_rows_mut(RowRange::new(1, 3));
+            let shape: Vec<_> = bands.iter().map(|b| (b.start_row(), b.rows())).collect();
+            assert_eq!(shape, [(16, 16), (32, 8)]);
+            bands[1].row_mut(39).fill(7);
+        }
+        assert_eq!(p.row(39), &[7, 7, 7, 7]);
+        assert!(p.split_mb_rows_mut(RowRange::new(2, 2)).is_empty());
     }
 
     #[test]

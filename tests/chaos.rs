@@ -96,8 +96,10 @@ fn killing_any_single_accelerator_is_bit_exact() {
     }
 }
 
-/// A stripe-thread panic is caught at join, the rows recomputed on the
-/// host, and the output stays bit-exact.
+/// A kernel panic in a device's row band is caught, that band recomputed
+/// on the host, and the output stays bit-exact. The hook fires once per
+/// non-empty band, so the rows re-dispatched are exactly the panicking
+/// device's bands: its ME band alone, its SME band alone, or both.
 #[test]
 fn injected_kernel_panic_is_caught_and_bit_exact() {
     // The injected panic would otherwise spray a backtrace into the test
@@ -112,16 +114,50 @@ fn injected_kernel_panic_is_caught_and_bit_exact() {
             default_hook(info);
         }
     }));
-    let (ref_bits, ref_recon, _) = functional_signature(Vec::new());
-    let (bits, recon, ft) = functional_signature(vec![FaultSpec {
-        device: 1,
-        frame: 2,
-        kind: FaultKind::KernelPanic,
-    }]);
+    // The proportional split leaves SysNFF devices with an ME band and no
+    // SME band, and the reverse, at QCIF.
+    const PANIC_FRAME: usize = 2;
+    let run = |faults: Vec<FaultSpec>| {
+        let mut cfg = functional_config(faults);
+        cfg.balancer = BalancerKind::Proportional;
+        let mut enc = FevesEncoder::new(Platform::sys_nff(), cfg).unwrap();
+        let rep = enc.encode_sequence(&test_frames(5));
+        let bits: Vec<_> = rep.inter_frames().map(|f| f.bits).collect();
+        let dist = rep
+            .inter_frames()
+            .find(|f| f.frame == PANIC_FRAME)
+            .and_then(|f| f.distribution.clone())
+            .expect("the panic frame was encoded");
+        let recon = enc.last_reconstruction().unwrap().as_slice().to_vec();
+        (bits, recon, dist, enc.ft_stats())
+    };
+    let (ref_bits, ref_recon, ref_dist, _) = run(Vec::new());
+    let me_only = (0..ref_dist.me.len()).find(|&d| ref_dist.me[d] > 0 && ref_dist.sme[d] == 0);
+    let sme_only = (0..ref_dist.me.len()).find(|&d| ref_dist.me[d] == 0 && ref_dist.sme[d] > 0);
+    let both = (0..ref_dist.me.len()).find(|&d| ref_dist.me[d] > 0 && ref_dist.sme[d] > 0);
+    for device in [me_only, sme_only, both] {
+        let device = device.expect("the split has an ME-only, an SME-only and a full device");
+        let (bits, recon, dist, ft) = run(vec![FaultSpec {
+            device,
+            frame: PANIC_FRAME,
+            kind: FaultKind::KernelPanic,
+        }]);
+        assert_eq!(bits, ref_bits, "device {device}: bits diverge");
+        assert_eq!(recon, ref_recon, "device {device}: reconstruction diverges");
+        assert_eq!(dist, ref_dist, "device {device}: the split moved");
+        let bands = usize::from(dist.me[device] > 0) + usize::from(dist.sme[device] > 0);
+        assert_eq!(
+            ft.detected, bands as u64,
+            "device {device}: one fault per band"
+        );
+        assert_eq!(ft.recovered, bands as u64, "device {device}");
+        assert_eq!(
+            ft.redispatched_rows,
+            (dist.me[device] + dist.sme[device]) as u64,
+            "device {device}: exactly its bands are recomputed"
+        );
+    }
     let _ = std::panic::take_hook();
-    assert_eq!(bits, ref_bits, "bits diverge across an injected panic");
-    assert_eq!(recon, ref_recon, "reconstruction diverges across a panic");
-    assert!(ft.detected >= 1 && ft.recovered >= 1 && ft.redispatched_rows >= 1);
 }
 
 /// Seeded chaos: a generated recoverable schedule (1–3 transient faults on

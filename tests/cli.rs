@@ -25,6 +25,26 @@ fn run(args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// Write `frames` frames of the tiny synthetic QCIF sequence to `path`.
+fn write_qcif_input(path: &std::path::Path, frames: usize) {
+    use feves::video::y4m::{Y4mHeader, Y4mWriter};
+    use feves::video::{Resolution, SynthConfig, SynthSequence};
+    let mut synth = SynthConfig::tiny_test();
+    synth.resolution = Resolution::QCIF;
+    let mut seq = SynthSequence::new(synth);
+    let mut w = Y4mWriter::new(
+        std::io::BufWriter::new(std::fs::File::create(path).unwrap()),
+        Y4mHeader {
+            resolution: Resolution::QCIF,
+            fps: (25, 1),
+        },
+    );
+    for _ in 0..frames {
+        w.write_frame(&seq.next_frame()).unwrap();
+    }
+    w.finish().unwrap();
+}
+
 #[test]
 fn platforms_lists_the_paper_systems() {
     let (ok, stdout, _) = run(&["platforms"]);
@@ -77,26 +97,11 @@ fn bad_arguments_fail_with_usage() {
 #[test]
 fn encode_roundtrips_a_y4m_file() {
     // Generate a tiny input with the library, encode it via the CLI.
-    use feves::video::y4m::{Y4mHeader, Y4mWriter};
-    use feves::video::{Resolution, SynthConfig, SynthSequence};
     let dir = std::env::temp_dir().join("feves_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("in.y4m");
     let output = dir.join("out.y4m");
-    let mut synth = SynthConfig::tiny_test();
-    synth.resolution = Resolution::QCIF;
-    let mut seq = SynthSequence::new(synth);
-    let mut w = Y4mWriter::new(
-        std::io::BufWriter::new(std::fs::File::create(&input).unwrap()),
-        Y4mHeader {
-            resolution: Resolution::QCIF,
-            fps: (25, 1),
-        },
-    );
-    for _ in 0..3 {
-        w.write_frame(&seq.next_frame()).unwrap();
-    }
-    w.finish().unwrap();
+    write_qcif_input(&input, 3);
 
     let (ok, stdout, stderr) = run(&[
         "encode",
@@ -359,28 +364,13 @@ fn zero_frame_input_is_one_error_line_and_no_artifact() {
 
 #[test]
 fn checkpointed_encode_then_resume_completes_the_tail() {
-    use feves::video::y4m::{Y4mHeader, Y4mWriter};
-    use feves::video::{Resolution, SynthConfig, SynthSequence};
     let dir = std::env::temp_dir().join("feves_cli_ckpt");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("in.y4m");
     let output = dir.join("out.y4m");
     let ckdir = dir.join("ckpts");
-    let mut synth = SynthConfig::tiny_test();
-    synth.resolution = Resolution::QCIF;
-    let mut seq = SynthSequence::new(synth);
-    let mut w = Y4mWriter::new(
-        std::io::BufWriter::new(std::fs::File::create(&input).unwrap()),
-        Y4mHeader {
-            resolution: Resolution::QCIF,
-            fps: (25, 1),
-        },
-    );
-    for _ in 0..6 {
-        w.write_frame(&seq.next_frame()).unwrap();
-    }
-    w.finish().unwrap();
+    write_qcif_input(&input, 6);
 
     // A full (uninterrupted) checkpointed encode: generations appear, and
     // retention caps them at --checkpoint-keep.
@@ -423,6 +413,83 @@ fn checkpointed_encode_then_resume_completes_the_tail() {
         full,
         "resume of a finished session must reproduce the same bytes"
     );
+}
+
+/// The host's width must not reach anything `feves encode` writes: pinned
+/// to one core (`codec::par` width 1, the caller the only worker) and
+/// unrestricted, the artifact, every checkpoint generation (encoder state
+/// and fault counters included), the flight log and stdout are
+/// byte-identical — across an injected kernel panic too.
+#[test]
+fn one_core_and_all_cores_write_identical_files() {
+    let pinned_ok = Command::new("taskset")
+        .args(["-c", "0", "true"])
+        .status()
+        .is_ok_and(|s| s.success());
+    if !pinned_ok {
+        eprintln!("skipped: `taskset -c 0` is not available here");
+        return;
+    }
+    let dir = std::env::temp_dir().join("feves_cli_width");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("in.y4m");
+    write_qcif_input(&input, 6);
+
+    // Checkpoints record the job's paths, so both runs use the same ones.
+    let out = dir.join("out");
+    let encode = |pin: bool| {
+        let _ = std::fs::remove_dir_all(&out);
+        std::fs::create_dir_all(&out).unwrap();
+        let mut cmd = if pin {
+            let mut c = Command::new("taskset");
+            c.args(["-c", "0"]).arg(feves_bin());
+            c
+        } else {
+            Command::new(feves_bin())
+        };
+        let done = cmd
+            .args(["encode", input.to_str().unwrap()])
+            .arg(out.join("out.y4m"))
+            .args(["--platform", "sysnff", "--sa", "16", "--refs", "2"])
+            .args(["--inject-fault", "1:panic@2", "--checkpoint-every", "2"])
+            .args(["--checkpoint-keep", "8", "--checkpoint-dir"])
+            .arg(out.join("ckpts"))
+            .arg("--flight-out")
+            .arg(out.join("flight.jsonl"))
+            .output()
+            .expect("spawn feves");
+        assert!(
+            done.status.success(),
+            "{}",
+            String::from_utf8_lossy(&done.stderr)
+        );
+        let mut files = vec![out.join("out.y4m"), out.join("flight.jsonl")];
+        files.extend(
+            std::fs::read_dir(out.join("ckpts"))
+                .unwrap()
+                .map(|e| e.unwrap().path()),
+        );
+        files.sort();
+        let files: Vec<_> = files
+            .into_iter()
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect();
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert!(
+            stderr.contains("injected kernel panic on device 1"),
+            "the panic fired: {stderr}"
+        );
+        (files, done.stdout)
+    };
+    let (pinned, pinned_stdout) = encode(true);
+    let (free, free_stdout) = encode(false);
+    assert!(pinned.len() >= 4, "artifact, flight log and 2 checkpoints");
+    assert_eq!(pinned.len(), free.len());
+    for ((path, a), (_, b)) in pinned.iter().zip(&free) {
+        assert!(a == b, "{} differs between widths", path.display());
+    }
+    assert_eq!(pinned_stdout, free_stdout, "per-frame bits and PSNR");
 }
 
 #[test]

@@ -1,0 +1,195 @@
+//! The host's width must not reach the output: every row-parallel module
+//! (INT, ME, SME, MC, TQ, TQ⁻¹) run through `codec::par` at forced widths
+//! 1, 2, 3 and 8 — fewer threads than rows, more threads than rows, and a
+//! row count none of them divides — must equal the serial `*_rows` output
+//! field for field, and so must the `*_rows_parallel` entry points at
+//! whatever width this host has.
+
+use feves::codec::interp::SubpelFrame;
+use feves::codec::mc::{self, ModeField};
+use feves::codec::me::{self, MeField};
+use feves::codec::par;
+use feves::codec::recon::{self, CoeffField};
+use feves::codec::sme::{self, SmeField};
+use feves::codec::types::{EncodeParams, SearchArea};
+use feves::video::geometry::RowRange;
+use feves::video::plane::Plane;
+
+/// 4 × 7 macroblocks.
+const W: usize = 64;
+const H: usize = 112;
+const MB_COLS: usize = W / 16;
+const ROWS: RowRange = RowRange { start: 0, end: 7 };
+const QP: u8 = 28;
+
+fn plane_from_fn(f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
+    let mut p = Plane::new(W, H);
+    for y in 0..H {
+        for x in 0..W {
+            p.set(x, y, f(x, y));
+        }
+    }
+    p
+}
+
+fn params() -> EncodeParams {
+    EncodeParams {
+        search_area: SearchArea(8),
+        n_ref: 1,
+        ..Default::default()
+    }
+}
+
+/// Every intermediate field of one inter frame.
+#[derive(Debug, PartialEq)]
+struct Fields {
+    sf: SubpelFrame,
+    me: MeField,
+    sme: SmeField,
+    modes: ModeField,
+    pred: Plane<u8>,
+    residual: Plane<i16>,
+    coeffs: CoeffField,
+    recon: Plane<u8>,
+}
+
+impl Fields {
+    fn empty() -> Self {
+        Fields {
+            sf: SubpelFrame::new(W, H),
+            me: MeField::new(MB_COLS, ROWS.len()),
+            sme: SmeField::new(MB_COLS, ROWS.len()),
+            modes: ModeField::new(MB_COLS, ROWS.len()),
+            pred: Plane::new(W, H),
+            residual: Plane::new(W, H),
+            coeffs: CoeffField::new(MB_COLS, ROWS.len()),
+            recon: Plane::new(W, H),
+        }
+    }
+}
+
+fn inputs() -> (Plane<u8>, Plane<u8>) {
+    let rf = plane_from_fn(|x, y| ((x * 37) ^ (y * 11)).wrapping_mul(7) as u8);
+    let cf = plane_from_fn(|x, y| {
+        rf.get_clamped(x as isize + 2, y as isize - 1)
+            .wrapping_add((x * y % 5) as u8)
+    });
+    (cf, rf)
+}
+
+fn serial(cf: &Plane<u8>, rf: &Plane<u8>) -> Fields {
+    let mut f = Fields::empty();
+    let p = params();
+    f.sf.interpolate_rows(rf, ROWS);
+    me::motion_estimate_rows(cf, &[rf], &p, ROWS, f.me.rows_mut(ROWS));
+    sme::sme_rows(cf, &[&f.sf], f.me.rows(ROWS), ROWS, f.sme.rows_mut(ROWS));
+    mc::mc_rows(
+        cf,
+        &[&f.sf],
+        f.sme.rows(ROWS),
+        QP,
+        ROWS,
+        &mut f.modes,
+        &mut f.pred,
+        &mut f.residual,
+    );
+    recon::tq_rows(&f.residual, QP, false, ROWS, &mut f.coeffs);
+    recon::itq_recon_rows(&f.coeffs, &f.pred, QP, ROWS, &mut f.recon);
+    f
+}
+
+fn one(row: usize) -> RowRange {
+    RowRange::new(row, row + 1)
+}
+
+/// The same frame with every module's rows claimed by `width` threads.
+fn at_width(width: usize, cf: &Plane<u8>, rf: &Plane<u8>) -> Fields {
+    let mut f = Fields::empty();
+    let p = params();
+    let clean = |panics: Vec<par::RowPanic>| assert!(panics.is_empty(), "a row panicked");
+
+    clean(par::for_each_row_with(
+        width,
+        f.sf.mb_rows_mut(ROWS),
+        |_, row| row.interpolate(rf),
+    ));
+    let sfs = [&f.sf];
+    clean(par::for_each_row_with(
+        width,
+        f.me.rows_mut(ROWS).chunks_mut(MB_COLS),
+        |r, out| me::motion_estimate_rows(cf, &[rf], &p, one(r), out),
+    ));
+    clean(par::for_each_row_with(
+        width,
+        f.sme.rows_mut(ROWS).chunks_mut(MB_COLS),
+        |r, out| sme::sme_rows(cf, &sfs, f.me.rows(one(r)), one(r), out),
+    ));
+    let mc_items = f
+        .modes
+        .rows_mut(ROWS)
+        .chunks_mut(MB_COLS)
+        .zip(f.pred.split_mb_rows_mut(ROWS))
+        .zip(f.residual.split_mb_rows_mut(ROWS));
+    clean(par::for_each_row_with(
+        width,
+        mc_items,
+        |r, ((modes, mut pred), mut residual)| {
+            let sme = f.sme.rows(one(r));
+            mc::mc_row(cf, &sfs, sme, QP, r, modes, &mut pred, &mut residual);
+        },
+    ));
+    clean(par::for_each_row_with(
+        width,
+        f.coeffs.rows_mut(ROWS).chunks_mut(MB_COLS),
+        |r, out| recon::tq_row(&f.residual, QP, false, r, out),
+    ));
+    clean(par::for_each_row_with(
+        width,
+        f.recon.split_mb_rows_mut(ROWS),
+        |r, mut band| recon::itq_recon_row(f.coeffs.rows(one(r)), &f.pred, QP, r, &mut band),
+    ));
+    f
+}
+
+#[test]
+fn every_module_is_width_independent() {
+    let (cf, rf) = inputs();
+    let want = serial(&cf, &rf);
+    assert!(
+        want.coeffs.nonzero_levels() > 0,
+        "the scene must exercise TQ"
+    );
+    for width in [1, 2, 3, 8] {
+        assert_eq!(at_width(width, &cf, &rf), want, "width {width}");
+    }
+}
+
+#[test]
+fn parallel_entry_points_equal_serial() {
+    let (cf, rf) = inputs();
+    let want = serial(&cf, &rf);
+    let mut f = Fields::empty();
+    let p = params();
+    // Two calls over a split range: the entry points take any row range.
+    for rows in [RowRange::new(0, 3), RowRange::new(3, 7)] {
+        f.sf.interpolate_rows_parallel(&rf, rows);
+        me::motion_estimate_rows_parallel(&cf, &[&rf], &p, rows, f.me.rows_mut(rows));
+    }
+    for rows in [RowRange::new(0, 3), RowRange::new(3, 7)] {
+        let me_rows = f.me.rows(rows);
+        sme::sme_rows_parallel(&cf, &[&f.sf], me_rows, rows, f.sme.rows_mut(rows));
+        mc::mc_rows_parallel(
+            &cf,
+            &[&f.sf],
+            f.sme.rows(rows),
+            QP,
+            rows,
+            &mut f.modes,
+            &mut f.pred,
+            &mut f.residual,
+        );
+        recon::tq_rows_parallel(&f.residual, QP, false, rows, &mut f.coeffs);
+        recon::itq_recon_rows_parallel(&f.coeffs, &f.pred, QP, rows, &mut f.recon);
+    }
+    assert_eq!(f, want);
+}
