@@ -108,23 +108,43 @@ fn bench_dbl(c: &mut Criterion) {
     });
 }
 
-/// Scalar vs fast (SWAR) dispatch families head-to-head: the 16×16 SAD
-/// grid driving full-search ME and the sub-pixel interpolation frame pass.
-/// Calls the `kernels::scalar`/`kernels::fast` entry points directly so
-/// both variants are measured regardless of `FEVES_KERNELS`.
+/// Scalar vs fast kernel families head-to-head: one macroblock's SA 32
+/// full search (per-candidate loop vs candidate-major batches), SME's block
+/// SAD at the three partition widths, and the sub-pixel interpolation frame
+/// pass. Block SAD calls the `kernels::scalar`/`kernels::fast` entry points
+/// directly; the other two flip `force_kind`, so all variants are measured
+/// regardless of `FEVES_KERNELS`.
 fn bench_kernel_dispatch(c: &mut Criterion) {
-    use feves_codec::kernels;
+    use feves_codec::kernels::{self, KernelKind};
+    use std::hint::black_box as bb;
 
     let cur = textured_plane(128, 128, 1);
     let rf = textured_plane(128, 128, 2);
-    let mut group = c.benchmark_group("sad_grid_16x16");
-    group.throughput(Throughput::Elements(256));
-    group.bench_function("scalar", |b| {
-        b.iter(|| std::hint::black_box(kernels::scalar::sad_grid_16x16(&cur, 48, 48, &rf, 52, 44)));
-    });
-    group.bench_function("fast", |b| {
-        b.iter(|| std::hint::black_box(kernels::fast::sad_grid_16x16(&cur, 48, 48, &rf, 52, 44)));
-    });
+    let params = EncodeParams::default();
+    let mut group = c.benchmark_group("me_search");
+    group.throughput(Throughput::Elements(32 * 32));
+    for kind in [KernelKind::Scalar, KernelKind::Fast] {
+        group.bench_function(kind.name(), |b| {
+            kernels::force_kind(kind);
+            b.iter(|| bb(motion_estimate_mb(&cur, &[&rf], &params, 3, 3)));
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("sad_block");
+    let (a, b) = (
+        &cur.as_slice()[5 * 128 + 3..],
+        &rf.as_slice()[9 * 128 + 6..],
+    );
+    for n in [4usize, 8, 16] {
+        group.throughput(Throughput::Elements((n * n) as u64));
+        group.bench_function(BenchmarkId::new("scalar", n), |bch| {
+            bch.iter(|| bb(kernels::scalar::sad_block(bb(a), 128, bb(b), 128, n, n)));
+        });
+        group.bench_function(BenchmarkId::new("fast", n), |bch| {
+            bch.iter(|| bb(kernels::fast::sad_block(bb(a), 128, bb(b), 128, n, n)));
+        });
+    }
     group.finish();
 
     let src = textured_plane(352, 288, 5);

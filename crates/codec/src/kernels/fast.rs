@@ -1,28 +1,23 @@
-//! Vector-friendly fast kernels.
+//! Fast kernels.
 //!
-//! The build environment has no intrinsics crates, so these fast paths are
-//! written so the compiler's auto-vectorizer reliably lowers them to packed
-//! SIMD, plus **SWAR** (SIMD-within-a-register) where a closed-form packed
-//! identity exists. Every function here is bit-exact against its
-//! [`super::scalar`] twin — proven by the differential tests — the only
-//! difference is throughput:
+//! Every function here is bit-exact against its [`super::scalar`] twin —
+//! proven by the differential tests — the only difference is throughput.
+//! Three techniques, chosen per kernel by what measured fastest:
 //!
-//! * SAD: absolute differences over fixed 16-sample lanes accumulated into
-//!   `u16` columns (half the lane width of the scalar path's `u32`
-//!   reduction, so twice the samples per vector op; the compiler emits
-//!   `psubusb`/`paddw`-class code). Horizontal reductions happen once per
-//!   block, not once per row.
-//! * Interpolation: the border-clamped source reads are hoisted into padded
-//!   rows once per band (the scalar path calls `get_clamped` per pixel), the
-//!   6-tap filters run over contiguous slices, and the twelve quarter-pel
-//!   bilinear averages use the packed ceil-average identity
+//! * Block SAD and the ME search primitives: `std::arch` intrinsics on
+//!   x86-64 — `psadbw` ([`sad_block`], SSE2, the baseline) and
+//!   `mpsadbw` / `phminposuw` ([`Sse41`], detected at run time) — with a
+//!   portable definition of each beside it ([`Portable`], the scalar
+//!   `sad_block`) for every other host.
+//! * Interpolation, structure: the border-clamped source reads are hoisted
+//!   into padded rows once per band (the scalar path calls `get_clamped` per
+//!   pixel) and the 6-tap filters run over contiguous slices the compiler's
+//!   auto-vectorizer lowers to packed SIMD.
+//! * Interpolation, **SWAR** (SIMD-within-a-register): the twelve
+//!   quarter-pel bilinear averages use the packed ceil-average identity
 //!   `avg(a,b) = (a|b) - (((a^b)>>1) & 0x7f..7f)` — eight pixels per step.
-//! * Quantization: the per-position frequency-class lookup is flattened into
-//!   16-entry tables at compile time so the hot loop is a straight
-//!   multiply-add sweep.
 
-use super::{avg, clip8, freq_class, tap6, MF, V};
-use crate::sad::SadGrid;
+use super::{avg, clip8, tap6};
 use feves_video::plane::{Plane, PlaneBandMut};
 
 // ---------------------------------------------------------------------------
@@ -45,205 +40,183 @@ fn avg8(a: u64, b: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// SAD
+// Block SAD (SME)
 // ---------------------------------------------------------------------------
-
-/// Max 16-byte chunks accumulated per `u16` column before a flush
-/// (255 · 256 = 65280 < 65535 keeps every column overflow-free).
-const SAD_FLUSH: u32 = 256;
-
-/// Accumulate `|a[i] - b[i]|` into 16 `u16` columns — the vector core of
-/// every SAD below. Fixed-size arrays keep the trip count static so the
-/// whole body lowers to a handful of packed ops.
-#[inline]
-fn absdiff16_accum(acc: &mut [u16; 16], a: &[u8; 16], b: &[u8; 16]) {
-    for i in 0..16 {
-        acc[i] += a[i].abs_diff(b[i]) as u16;
-    }
-}
-
-/// SAD of two equal-length rows, 16 bytes per step.
-#[inline]
-pub fn row_sad(a: &[u8], b: &[u8]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut total = 0u32;
-    let mut acc = [0u16; 16];
-    let mut pending = 0u32;
-    let mut ca = a.chunks_exact(16);
-    let mut cb = b.chunks_exact(16);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        absdiff16_accum(&mut acc, xa.try_into().unwrap(), xb.try_into().unwrap());
-        pending += 1;
-        if pending == SAD_FLUSH {
-            total += acc.iter().map(|&v| v as u32).sum::<u32>();
-            acc = [0u16; 16];
-            pending = 0;
-        }
-    }
-    total += acc.iter().map(|&v| v as u32).sum::<u32>();
-    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-        total += x.abs_diff(y) as u32;
-    }
-    total
-}
 
 /// SAD between two `w × h` blocks given as (slice, stride) raster views.
 ///
-/// Codec blocks are at most 16×16 (so ≤ 16 chunks per block — no flush
-/// needed), but arbitrary `w × h` stays correct via [`row_sad`]'s own
-/// flushing.
+/// Partitions are 4, 8 or 16 samples wide, and on x86-64 each of those is
+/// `psadbw` work: one per row at 16 and 8, one per row *pair* at 4. SSE2 is
+/// part of the x86-64 baseline, so nothing is detected. Every other shape
+/// (and every shape on another architecture) is the scalar loop.
 #[inline]
 pub fn sad_block(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u32 {
-    if w == 16 {
-        // The dominant shape (full-MB SAD): one fixed-width accumulator
-        // sweep over all rows, a single horizontal reduction at the end.
-        let mut total = 0u32;
-        let mut acc = [0u16; 16];
-        let mut pending = 0u32;
-        for y in 0..h {
-            let ra = &a[y * a_stride..y * a_stride + 16];
-            let rb = &b[y * b_stride..y * b_stride + 16];
-            absdiff16_accum(&mut acc, ra.try_into().unwrap(), rb.try_into().unwrap());
-            pending += 1;
-            if pending == SAD_FLUSH {
-                total += acc.iter().map(|&v| v as u32).sum::<u32>();
-                acc = [0u16; 16];
-                pending = 0;
-            }
-        }
-        return total + acc.iter().map(|&v| v as u32).sum::<u32>();
-    }
-    let mut acc = 0u32;
-    for y in 0..h {
-        let ra = &a[y * a_stride..y * a_stride + w];
-        let rb = &b[y * b_stride..y * b_stride + w];
-        acc += row_sad(ra, rb);
-    }
-    acc
-}
-
-/// Fold 4 rows' worth of per-column sums into one [`SadGrid`] row: grid
-/// cell `gx` is the sum of columns `4gx .. 4gx+4`.
-#[inline]
-fn fold_columns(grid: &mut SadGrid, gy: usize, acc: &[u32; 16]) {
-    for gx in 0..4 {
-        grid[gy * 4 + gx] = acc[gx * 4..gx * 4 + 4].iter().sum();
-    }
-}
-
-/// Vector [`SadGrid`]: per 4-row group, accumulate all 16 per-column
-/// absolute differences in a widening lane pass and fold into the four
-/// 4-wide cells once — instead of sixteen 4-sample scalar reductions per
-/// group. Row addressing is hoisted to one base offset per plane stepped
-/// by the stride, so the inner loop is a pure load/abs-diff/accumulate
-/// sweep the compiler keeps entirely in vector registers. The border
-/// fallback materialises each clamped reference row into a stack buffer
-/// and reuses the same packed pass, so both paths share one arithmetic
-/// implementation.
-pub fn sad_grid_16x16(
-    cur: &Plane<u8>,
-    cur_x: usize,
-    cur_y: usize,
-    reference: &Plane<u8>,
-    ref_x: isize,
-    ref_y: isize,
-) -> SadGrid {
-    let mut grid = [0u32; 16];
-    let cs = cur.as_slice();
-    let cw = cur.stride();
-    let mut co = cur_y * cw + cur_x;
-    let inside = ref_x >= 0
-        && ref_y >= 0
-        && (ref_x as usize) + 16 <= reference.width()
-        && (ref_y as usize) + 16 <= reference.height();
-    if inside {
-        let rs = reference.as_slice();
-        let rw = reference.stride();
-        let mut ro = ref_y as usize * rw + ref_x as usize;
-        for gy in 0..4 {
-            let mut acc = [0u32; 16];
-            for _ in 0..4 {
-                let ca = &cs[co..co + 16];
-                let rb = &rs[ro..ro + 16];
-                for i in 0..16 {
-                    acc[i] += ca[i].abs_diff(rb[i]) as u32;
-                }
-                co += cw;
-                ro += rw;
-            }
-            fold_columns(&mut grid, gy, &acc);
-        }
-    } else {
-        let mut rb = [0u8; 16];
-        for gy in 0..4 {
-            let mut acc = [0u32; 16];
-            for r in 0..4 {
-                let row = gy * 4 + r;
-                let ca = &cs[co..co + 16];
-                for (col, out) in rb.iter_mut().enumerate() {
-                    *out = reference.get_clamped(ref_x + col as isize, ref_y + row as isize);
-                }
-                for i in 0..16 {
-                    acc[i] += ca[i].abs_diff(rb[i]) as u32;
-                }
-                co += cw;
-            }
-            fold_columns(&mut grid, gy, &acc);
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        if let Some(sad) = unsafe { x86::sad_block(a, a_stride, b, b_stride, w, h) } {
+            return sad;
         }
     }
-    grid
+    super::scalar::sad_block(a, a_stride, b, b_stride, w, h)
 }
 
 // ---------------------------------------------------------------------------
-// Quantization
+// Search primitives (ME)
 // ---------------------------------------------------------------------------
 
-/// Flatten a `[qp%6][freq_class]` table into `[qp%6][position]` so the hot
-/// loop indexes linearly instead of recomputing the class per coefficient.
-const fn flatten(t: &[[i32; 3]; 6]) -> [[i32; 16]; 6] {
-    let mut out = [[0i32; 16]; 6];
-    let mut r = 0;
-    while r < 6 {
-        let mut i = 0;
-        while i < 4 {
-            let mut j = 0;
-            while j < 4 {
-                out[r][i * 4 + j] = t[r][freq_class(i, j)];
-                j += 1;
+/// The two operations the candidate-major full search ([`crate::me`]) is
+/// built from, over eight `u16` lanes — one lane per candidate of a batch.
+///
+/// [`Portable`] is the definition; [`Sse41`] is the same pair as one
+/// instruction each. The search body is written once against this trait.
+pub trait SearchIsa: Copy {
+    /// SADs of one 4-byte group of `cur` against eight consecutive
+    /// 4-byte windows of `refs`:
+    /// `out[i] = Σ_{j<4} |refs[o + i + j] − cur[4g + j]|` for `i < 8`, with
+    /// `g = IMM & 3` and `o = IMM & 4` — the immediate of `mpsadbw`.
+    fn sad4x8<const IMM: i32>(self, refs: &[u8; 16], cur: &[u8; 16]) -> [u16; 8];
+
+    /// Minimum of the eight lanes and the lowest index that holds it.
+    fn min_pos(self, v: [u16; 8]) -> (u16, usize);
+}
+
+/// The primitives as plain loops: what runs on non-x86 hosts and on x86
+/// before SSE4.1, and the reference [`Sse41`] is tested against.
+#[derive(Clone, Copy, Debug)]
+pub struct Portable;
+
+impl SearchIsa for Portable {
+    #[inline(always)]
+    fn sad4x8<const IMM: i32>(self, refs: &[u8; 16], cur: &[u8; 16]) -> [u16; 8] {
+        let (g, o) = ((IMM & 3) as usize * 4, (IMM & 4) as usize);
+        core::array::from_fn(|i| {
+            (0..4)
+                .map(|j| refs[o + i + j].abs_diff(cur[g + j]) as u16)
+                .sum()
+        })
+    }
+
+    #[inline(always)]
+    fn min_pos(self, v: [u16; 8]) -> (u16, usize) {
+        // Strict `<` keeps the first of equal minima, as `phminposuw` does.
+        let mut best = 0;
+        for i in 1..8 {
+            if v[i] < v[best] {
+                best = i;
             }
-            i += 1;
         }
-        r += 1;
-    }
-    out
-}
-
-const MF_FLAT: [[i32; 16]; 6] = flatten(&MF);
-const V_FLAT: [[i32; 16]; 6] = flatten(&V);
-
-/// Flat-table forward quantizer: one linear multiply-add sweep, no
-/// per-coefficient frequency-class recomputation.
-pub fn quantize_4x4(w: &mut [i32; 16], qp: u8, intra: bool) {
-    let qbits = 15 + (qp / 6) as i32;
-    let f = if intra {
-        (1i64 << qbits) / 3
-    } else {
-        (1i64 << qbits) / 6
-    };
-    let mf = &MF_FLAT[(qp % 6) as usize];
-    for (v, &m) in w.iter_mut().zip(mf.iter()) {
-        let x = *v as i64;
-        let q = ((x.abs() * m as i64 + f) >> qbits) as i32;
-        *v = if x < 0 { -q } else { q };
+        (v[best], best)
     }
 }
 
-/// Flat-table dequantizer.
-pub fn dequantize_4x4(z: &mut [i32; 16], qp: u8) {
-    let shift = (qp / 6) as i32;
-    let v = &V_FLAT[(qp % 6) as usize];
-    for (x, &vv) in z.iter_mut().zip(v.iter()) {
-        *x = (*x * vv) << shift;
+#[cfg(target_arch = "x86_64")]
+pub use x86::Sse41;
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::SearchIsa;
+    use core::arch::x86_64::*;
+
+    /// Proof that this CPU has SSE4.1: the only constructor is
+    /// [`Sse41::detect`], so holding one makes the intrinsics below sound.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Sse41(());
+
+    impl Sse41 {
+        /// `Some` when the running CPU reports SSE4.1.
+        pub fn detect() -> Option<Self> {
+            is_x86_feature_detected!("sse4.1").then_some(Sse41(()))
+        }
+    }
+
+    #[inline(always)]
+    fn load16(s: &[u8; 16]) -> __m128i {
+        // SAFETY: `s` borrows exactly the 16 bytes read, `loadu` has no
+        // alignment requirement, and SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_loadu_si128(s.as_ptr().cast()) }
+    }
+
+    impl SearchIsa for Sse41 {
+        #[inline(always)]
+        fn sad4x8<const IMM: i32>(self, refs: &[u8; 16], cur: &[u8; 16]) -> [u16; 8] {
+            // SAFETY: `self` proves SSE4.1 was detected; `__m128i` and
+            // `[u16; 8]` are both 16 plain bytes.
+            unsafe {
+                let sads = _mm_mpsadbw_epu8::<IMM>(load16(refs), load16(cur));
+                core::mem::transmute::<__m128i, [u16; 8]>(sads)
+            }
+        }
+
+        #[inline(always)]
+        fn min_pos(self, v: [u16; 8]) -> (u16, usize) {
+            // SAFETY: as above. `phminposuw` puts the minimum in bits 0..16,
+            // its lowest index in bits 16..19, and zeroes the rest.
+            let r = unsafe {
+                let v = core::mem::transmute::<[u16; 8], __m128i>(v);
+                _mm_cvtsi128_si32(_mm_minpos_epu16(v))
+            };
+            (r as u16, (r >> 16) as usize)
+        }
+    }
+
+    /// The `N` bytes one load reads of the block row `s` starts at, stepping
+    /// `s` one stride on. Panics, like the scalar loop's slice index, when
+    /// the row leaves the slice; the step past the last row may.
+    #[inline(always)]
+    fn next_row<'a, const N: usize>(s: &mut &'a [u8], stride: usize) -> &'a [u8; N] {
+        let row = s.first_chunk().expect("block row inside the slice");
+        *s = s.get(stride..).unwrap_or_default();
+        row
+    }
+
+    /// [`super::sad_block`] for the partition widths; `None` for any other
+    /// shape. `psadbw` sums each 8-byte half into its own 64-bit lane.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    pub fn sad_block(
+        mut a: &[u8],
+        a_stride: usize,
+        mut b: &[u8],
+        b_stride: usize,
+        w: usize,
+        h: usize,
+    ) -> Option<u32> {
+        let mut acc = _mm_setzero_si128();
+        match w {
+            16 => {
+                for _ in 0..h {
+                    let ra = load16(next_row(&mut a, a_stride));
+                    let rb = load16(next_row(&mut b, b_stride));
+                    acc = _mm_add_epi32(acc, _mm_sad_epu8(ra, rb));
+                }
+                acc = _mm_add_epi32(acc, _mm_unpackhi_epi64(acc, acc));
+            }
+            8 => {
+                for _ in 0..h {
+                    let ra = i64::from_le_bytes(*next_row(&mut a, a_stride));
+                    let rb = i64::from_le_bytes(*next_row(&mut b, b_stride));
+                    acc = _mm_add_epi32(
+                        acc,
+                        _mm_sad_epu8(_mm_cvtsi64_si128(ra), _mm_cvtsi64_si128(rb)),
+                    );
+                }
+            }
+            4 if h.is_multiple_of(2) => {
+                // Two rows side by side in the low eight bytes.
+                let pair = |s: &mut &[u8], stride: usize| {
+                    let lo = i32::from_le_bytes(*next_row(s, stride));
+                    let hi = i32::from_le_bytes(*next_row(s, stride));
+                    _mm_set_epi32(0, 0, hi, lo)
+                };
+                for _ in 0..h / 2 {
+                    let (ra, rb) = (pair(&mut a, a_stride), pair(&mut b, b_stride));
+                    acc = _mm_add_epi32(acc, _mm_sad_epu8(ra, rb));
+                }
+            }
+            _ => return None,
+        }
+        Some(_mm_cvtsi128_si32(acc) as u32)
     }
 }
 
@@ -437,30 +410,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absdiff16_accum_covers_all_byte_pairs() {
-        // Exhaustive over one column (columns are independent); spot-check
-        // cross-column independence with a mixed vector after.
-        for a in 0..=255u8 {
-            for b in 0..=255u8 {
-                let mut acc = [0u16; 16];
-                let mut av = [0u8; 16];
-                let mut bv = [0u8; 16];
-                av[0] = a;
-                bv[0] = b;
-                absdiff16_accum(&mut acc, &av, &bv);
-                assert_eq!(acc[0], a.abs_diff(b) as u16, "a={a} b={b}");
-            }
-        }
-        let a: [u8; 16] = core::array::from_fn(|i| (i * 17) as u8);
-        let b: [u8; 16] = core::array::from_fn(|i| (255 - i * 13) as u8);
-        let mut acc = [0u16; 16];
-        absdiff16_accum(&mut acc, &a, &b);
-        for i in 0..16 {
-            assert_eq!(acc[i], a[i].abs_diff(b[i]) as u16, "col {i}");
-        }
-    }
-
-    #[test]
     fn avg8_matches_scalar_avg_exhaustively() {
         for a in 0..=255u8 {
             for b in 0..=255u8 {
@@ -475,13 +424,59 @@ mod tests {
         }
     }
 
+    // ---- portable vs std::arch search primitives (direct calls) ----
+    // The portable pair needs no switch to be exercised: these run it on
+    // every host, against the instructions where the host has them.
+
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn row_sad_flush_boundary() {
-        // > SAD_FLUSH chunks of worst-case 255-diffs exercises the
-        // accumulator flush: 258 * 16 bytes + a scalar tail, all |a-b| = 255.
-        let n = (SAD_FLUSH as usize + 2) * 16 + 5;
-        let a = vec![255u8; n];
-        let b = vec![0u8; n];
-        assert_eq!(row_sad(&a, &b), 255 * n as u32);
+    fn sad4x8_sse41_matches_portable_for_every_byte_pair() {
+        let Some(sse) = Sse41::detect() else { return };
+        fn check<const IMM: i32>(sse: Sse41, refs: &[u8; 16], cur: &[u8; 16]) {
+            assert_eq!(
+                sse.sad4x8::<IMM>(refs, cur),
+                Portable.sad4x8::<IMM>(refs, cur),
+                "imm {IMM} refs {refs:?} cur {cur:?}"
+            );
+        }
+        let mut refs: [u8; 16] = core::array::from_fn(|i| (i * 37 + 5) as u8);
+        let mut cur: [u8; 16] = core::array::from_fn(|i| (200 - i * 11) as u8);
+        // Byte 7 of `refs` is read by every immediate used (offsets 0 and
+        // 4 each cover 11 bytes) and lands in a different lane for each;
+        // the current-group byte moves with the group.
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                refs[7] = a;
+                cur.fill(b);
+                check::<0b000>(sse, &refs, &cur);
+                check::<0b101>(sse, &refs, &cur);
+                check::<0b010>(sse, &refs, &cur);
+                check::<0b111>(sse, &refs, &cur);
+            }
+        }
+        // The other four immediates, so the decoding of IMM is pinned too.
+        check::<0b001>(sse, &refs, &cur);
+        check::<0b011>(sse, &refs, &cur);
+        check::<0b100>(sse, &refs, &cur);
+        check::<0b110>(sse, &refs, &cur);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn min_pos_sse41_matches_portable_for_every_lane_value() {
+        let Some(sse) = Sse41::detect() else { return };
+        for lane in 0..8 {
+            // Neighbours at 40 000 on both sides of the swept lane: below
+            // it the lane wins, at it the tie goes to the lowest index,
+            // above it the lowest neighbour wins.
+            let mut v = [40_000u16; 8];
+            for x in 0..=u16::MAX {
+                v[lane] = x;
+                assert_eq!(sse.min_pos(v), Portable.min_pos(v), "{v:?}");
+            }
+        }
+        assert_eq!(Portable.min_pos([7; 8]), (7, 0));
+        assert_eq!(Portable.min_pos([9, 8, 3, 3, 8, 3, 9, 9]), (3, 2));
+        assert_eq!(Portable.min_pos([u16::MAX; 8]), (u16::MAX, 0));
     }
 }

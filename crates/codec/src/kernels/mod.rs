@@ -2,22 +2,26 @@
 //!
 //! The paper implements its CPU kernels with SSE/AVX intrinsics (Sec. III-A)
 //! because ME + INT + SME account for ~90 % of inter-loop encoding time.
-//! This module is the equivalent for a portable-Rust build: every hot kernel
-//! family exists twice —
+//! This module is the equivalent here. Kernels that have a faster form
+//! exist twice —
 //!
-//! * [`scalar`] — the plain reference loops (what the rest of the codec used
-//!   to call directly), relied upon only for LLVM auto-vectorization;
-//! * [`fast`] — explicit u64 **SWAR** (SIMD-within-a-register) and unrolled
-//!   widening passes: byte-parallel absolute differences for SAD, packed
-//!   bilinear averaging for the quarter-pel interpolation phases, and
-//!   flattened branch-free quantizer loops.
+//! * [`scalar`] — the plain reference loops, the semantic ground truth;
+//! * [`fast`] — `std::arch` SAD instructions where the host has them
+//!   (`psadbw` block SAD for SME, the `mpsadbw` / `phminposuw` primitives
+//!   of the ME search in [`crate::me`]), and for interpolation padded-row
+//!   6-tap passes plus u64 **SWAR** quarter-pel averaging.
 //!
-//! The active implementation is selected once at startup (first use) from
-//! the `FEVES_KERNELS` environment variable (`scalar` | `fast`, default
-//! `fast`) and can be overridden programmatically with [`force_kind`] for
-//! A/B benchmarking. Both implementations are **bit-exact**: the
+//! Kernels whose fast twin never beat the scalar loop (the quantizers, the
+//! per-candidate SAD grid, `row_sad`) have one implementation, in
+//! [`scalar`], that both families run.
+//!
+//! The active family is selected once at startup (first use) from the
+//! `FEVES_KERNELS` environment variable (`scalar` | `fast`, default `fast`)
+//! and can be overridden programmatically with [`force_kind`] for A/B
+//! benchmarking. Within `fast`, the instruction set is whatever the CPU
+//! reports — there is no switch for it. All of it is **bit-exact**: the
 //! differential tests (`tests/kernel_differential.rs`, plus the unit tests
-//! of [`crate::sad`], [`crate::quant`] and [`crate::interp`]) prove
+//! of [`crate::me`], [`crate::sad`] and [`crate::interp`]) prove
 //! `fast(x) == scalar(x)` over exhaustive small inputs and
 //! proptest-generated planes, so flipping the switch can never change an
 //! encoded bitstream — only how quickly it is produced.
@@ -34,7 +38,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum KernelKind {
     /// Plain reference loops (auto-vectorization only).
     Scalar,
-    /// u64 SWAR + unrolled widening fast paths.
+    /// `std::arch` SAD instructions + SWAR interpolation fast paths.
     Fast,
 }
 
@@ -92,9 +96,9 @@ pub fn force_kind(kind: KernelKind) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatched entry points. Each does one relaxed atomic load and branches;
-// callers at macroblock granularity (ME grids, interpolation bands, TQ
-// blocks) amortise it over hundreds of sample operations.
+// Entry points. A dispatched one does one relaxed atomic load and branches;
+// callers at block granularity (SME blocks, interpolation bands) amortise
+// it over tens to thousands of sample operations.
 // ---------------------------------------------------------------------------
 
 /// SAD of two equal-length rows.
@@ -111,10 +115,7 @@ pub fn row_sad(a: &[u8], b: &[u8]) -> u32 {
         a.len(),
         b.len()
     );
-    match active_kind() {
-        KernelKind::Scalar => scalar::row_sad(a, b),
-        KernelKind::Fast => fast::row_sad(a, b),
-    }
+    scalar::row_sad(a, b)
 }
 
 /// SAD between two `w × h` blocks given as (slice, stride) raster views.
@@ -127,7 +128,9 @@ pub fn sad_block(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize,
 }
 
 /// The sixteen 4×4 SADs of one macroblock against one reference position
-/// (border-clamped when the reference block leaves the plane).
+/// (border-clamped when the reference block leaves the plane) — the
+/// per-candidate form the `scalar` ME loop runs; the `fast` search
+/// ([`crate::me`]) computes the same grids eight candidates at a time.
 #[inline]
 pub fn sad_grid_16x16(
     cur: &Plane<u8>,
@@ -137,28 +140,19 @@ pub fn sad_grid_16x16(
     ref_x: isize,
     ref_y: isize,
 ) -> SadGrid {
-    match active_kind() {
-        KernelKind::Scalar => scalar::sad_grid_16x16(cur, cur_x, cur_y, reference, ref_x, ref_y),
-        KernelKind::Fast => fast::sad_grid_16x16(cur, cur_x, cur_y, reference, ref_x, ref_y),
-    }
+    scalar::sad_grid_16x16(cur, cur_x, cur_y, reference, ref_x, ref_y)
 }
 
 /// Quantize transformed coefficients in place (H.264 MF tables + dead-zone).
 #[inline]
 pub fn quantize_4x4(w: &mut [i32; 16], qp: u8, intra: bool) {
-    match active_kind() {
-        KernelKind::Scalar => scalar::quantize_4x4(w, qp, intra),
-        KernelKind::Fast => fast::quantize_4x4(w, qp, intra),
-    }
+    scalar::quantize_4x4(w, qp, intra)
 }
 
 /// Dequantize levels in place (result is in the inverse-transform domain).
 #[inline]
 pub fn dequantize_4x4(z: &mut [i32; 16], qp: u8) {
-    match active_kind() {
-        KernelKind::Scalar => scalar::dequantize_4x4(z, qp),
-        KernelKind::Fast => fast::dequantize_4x4(z, qp),
-    }
+    scalar::dequantize_4x4(z, qp)
 }
 
 /// Interpolate pixel rows `[y0, y1)` of all 16 quarter-pel phases into

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! H.264/AVC-style inter-loop encoding library for FEVES.
 //!
 //! Implements every module of the paper's Fig 1 inter-loop as independent,
@@ -14,7 +15,7 @@
 //! | [`dbl`] | Deblocking Filtering (R\*) | [`dbl::deblock_frame`] |
 //! | [`entropy`] | Entropy coding | [`entropy::encode_frame`] |
 //! | [`intra`] | I-slice coding | [`intra::encode_intra_frame`] |
-//! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (SWAR) | [`kernels::active_kind`] |
+//! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD, SWAR) | [`kernels::active_kind`] |
 //! | [`par`] | Host execution: MB rows over the host's cores | [`par::for_each_row`] |
 //!
 //! The ME/INT/SME kernels are *partition-invariant*: their result for a

@@ -14,15 +14,22 @@
 //! the per-block winner is the minimum-SAD candidate with a deterministic
 //! tie-break (first in `rf`-then-raster scan order).
 //!
-//! The SAD grid evaluation dispatches through [`crate::kernels`]
-//! (`FEVES_KERNELS=scalar|fast`); both implementations are bit-exact, so the
-//! selected kernel affects throughput only, never the motion field.
+//! Two loops compute that same field ([`crate::kernels`],
+//! `FEVES_KERNELS=scalar|fast`). `scalar` is the definition: one candidate
+//! at a time, grid → 41 sums → 41 compares. `fast` is **candidate-major**:
+//! eight horizontally adjacent candidates share every load, the grid cells
+//! and partition sums are eight-lane vectors (one lane per candidate), and
+//! each partition takes one minimum-and-position per batch — see DESIGN §5n
+//! for why the lanes cannot overflow and why the tie-break is unchanged.
 
+use crate::kernels::fast::{Portable, SearchIsa};
+use crate::kernels::{self, KernelKind};
 use crate::par;
-use crate::sad::{sad_grid_16x16, SadGrid};
+use crate::sad::SadGrid;
 use crate::types::{EncodeParams, Mv, PartitionMode, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
+use std::ops::{Add, Range};
 
 /// Best match for one partition block: reference index, motion vector, SAD.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,11 +164,18 @@ impl MeField {
 /// (mode-major layout matching [`mode_base`]).
 #[inline]
 pub fn aggregate_partitions(grid: &SadGrid) -> [u32; TOTAL_PARTITION_BLOCKS] {
-    let mut out = [0u32; TOTAL_PARTITION_BLOCKS];
+    aggregate(grid)
+}
+
+/// The 25 additions behind [`aggregate_partitions`], over any cell type:
+/// `u32` for one candidate, [`Lanes`] for eight at once.
+#[inline(always)]
+fn aggregate<T: Copy + Default + Add<Output = T>>(grid: &[T; 16]) -> [T; TOTAL_PARTITION_BLOCKS] {
+    let mut out = [T::default(); TOTAL_PARTITION_BLOCKS];
     // 4x4: direct copy.
     out[25..41].copy_from_slice(&grid[..]);
     // 8x4 (two horizontal 4x4s), raster of 2 cols x 4 rows.
-    let mut p8x4 = [0u32; 8];
+    let mut p8x4 = [T::default(); 8];
     for (j, v) in p8x4.iter_mut().enumerate() {
         let gx = (j % 2) * 2;
         let gy = j / 2;
@@ -169,7 +183,7 @@ pub fn aggregate_partitions(grid: &SadGrid) -> [u32; TOTAL_PARTITION_BLOCKS] {
     }
     out[9..17].copy_from_slice(&p8x4);
     // 4x8 (two vertical 4x4s), raster of 4 cols x 2 rows.
-    let mut p4x8 = [0u32; 8];
+    let mut p4x8 = [T::default(); 8];
     for (j, v) in p4x8.iter_mut().enumerate() {
         let gx = j % 4;
         let gy = (j / 4) * 2;
@@ -177,7 +191,7 @@ pub fn aggregate_partitions(grid: &SadGrid) -> [u32; TOTAL_PARTITION_BLOCKS] {
     }
     out[17..25].copy_from_slice(&p4x8);
     // 8x8 from two stacked 8x4s.
-    let mut p8x8 = [0u32; 4];
+    let mut p8x8 = [T::default(); 4];
     for (k, v) in p8x8.iter_mut().enumerate() {
         let col = k % 2;
         let row = (k / 2) * 2;
@@ -193,9 +207,23 @@ pub fn aggregate_partitions(grid: &SadGrid) -> [u32; TOTAL_PARTITION_BLOCKS] {
     out
 }
 
-/// Run FSBM for one macroblock against all reference frames, returning the
-/// per-partition best matches.
-pub fn motion_estimate_mb(
+/// One SAD per candidate of a batch of eight. A 16×16 SAD is at most
+/// 255 · 256 = 65 280, so no partition sum overflows a lane — and a debug
+/// build's checked `+` would say so if one did.
+#[derive(Clone, Copy, Default)]
+struct Lanes([u16; 8]);
+
+impl Add for Lanes {
+    type Output = Lanes;
+    #[inline(always)]
+    fn add(self, o: Lanes) -> Lanes {
+        Lanes(core::array::from_fn(|i| self.0[i] + o.0[i]))
+    }
+}
+
+/// The scalar loop for one macroblock: every candidate in `rf` → `dy` →
+/// `dx` order, one [`SadGrid`] each.
+fn search_mb_scalar(
     cf: &Plane<u8>,
     rfs: &[&Plane<u8>],
     params: &EncodeParams,
@@ -211,7 +239,7 @@ pub fn motion_estimate_mb(
             let ry = cy as isize + dy as isize;
             for dx in -range..range {
                 let rx = cx as isize + dx as isize;
-                let grid = sad_grid_16x16(cf, cx, cy, rf, rx, ry);
+                let grid = kernels::scalar::sad_grid_16x16(cf, cx, cy, rf, rx, ry);
                 let parts = aggregate_partitions(&grid);
                 let mv = Mv::new(dx, dy);
                 for (b, &cost) in best.blocks.iter_mut().zip(parts.iter()) {
@@ -231,6 +259,227 @@ pub fn motion_estimate_mb(
     best
 }
 
+/// Append `n` samples of `src` starting at column `x0` to `buf`; columns
+/// left or right of the row replicate its first or last sample.
+fn push_clamped(buf: &mut Vec<u8>, src: &[u8], x0: isize, n: usize) {
+    let w = src.len() as isize;
+    let left = (-x0).clamp(0, n as isize) as usize;
+    let right = (x0 + n as isize - w).clamp(0, n as isize) as usize;
+    let mid = (x0 + left as isize).clamp(0, w) as usize;
+    buf.extend(std::iter::repeat_n(src[0], left));
+    buf.extend_from_slice(&src[mid..mid + n - left - right]);
+    buf.extend(std::iter::repeat_n(src[src.len() - 1], right));
+}
+
+/// The candidate-major loop for one macroblock against one reference.
+///
+/// `win` is the border-extended reference window from this macroblock's
+/// first candidate `(−range, −range)` on. Candidates are
+/// visited `dy`-major, `dx` in batches of eight; within a batch the lowest
+/// lane wins a tie ([`SearchIsa::min_pos`]), across batches and references
+/// the strict `<` does — together exactly the scalar loop's first-wins
+/// order.
+#[inline(always)]
+fn search_mb_batched<I: SearchIsa>(
+    isa: I,
+    cur: &[[u8; 16]; 16],
+    win: &[u8],
+    stride: usize,
+    range: i16,
+    rf: u8,
+    best: &mut MbMotion,
+) {
+    let n = 2 * range as usize;
+    for dyi in 0..n {
+        for dxi in (0..n).step_by(8) {
+            let mut cells = [Lanes::default(); 16];
+            for (gy, cur_rows) in cur.chunks_exact(4).enumerate() {
+                // One row of four cells, summed over its four pixel rows in
+                // registers.
+                let mut c = [Lanes::default(); 4];
+                for (r, cur_row) in cur_rows.iter().enumerate() {
+                    // Eight candidates × sixteen columns touch 23 bytes; the
+                    // two 16-byte loads `mpsadbw` wants span 24.
+                    let o = (dyi + gy * 4 + r) * stride + dxi;
+                    let span: &[u8; 24] = win[o..o + 24].try_into().expect("24-byte span");
+                    let lo: &[u8; 16] = span.first_chunk().expect("24 >= 16");
+                    let hi: &[u8; 16] = span.last_chunk().expect("24 >= 16");
+                    c[0] = c[0] + Lanes(isa.sad4x8::<0b000>(lo, cur_row));
+                    c[1] = c[1] + Lanes(isa.sad4x8::<0b101>(lo, cur_row));
+                    c[2] = c[2] + Lanes(isa.sad4x8::<0b010>(hi, cur_row));
+                    c[3] = c[3] + Lanes(isa.sad4x8::<0b111>(hi, cur_row));
+                }
+                cells[gy * 4..gy * 4 + 4].copy_from_slice(&c);
+            }
+            let mut parts = aggregate(&cells);
+            let valid = n - dxi;
+            if valid < 8 {
+                // The row's last batch when 2·range is not a multiple of 8:
+                // lanes past the search area lose to every real SAD.
+                for p in &mut parts {
+                    p.0[valid..].fill(u16::MAX);
+                }
+            }
+            for (b, p) in best.blocks.iter_mut().zip(&parts) {
+                let (cost, lane) = isa.min_pos(p.0);
+                if (cost as u32) < b.cost {
+                    *b = BlockMv {
+                        rf,
+                        mv: Mv::new(
+                            ((dxi + lane) as i32 - range as i32) as i16,
+                            (dyi as i32 - range as i32) as i16,
+                        ),
+                        cost: cost as u32,
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// Candidate-major FSBM over the macroblocks `rows × cols`.
+///
+/// Per reference, the part of the plane the call can reach is copied once
+/// into a scratch window extended by `range` replicated columns and rows on
+/// every side, so no candidate of the hot loop is "outside". The window
+/// lives for this call only.
+#[inline(always)]
+fn search_batched<I: SearchIsa>(
+    isa: I,
+    cf: &Plane<u8>,
+    rfs: &[&Plane<u8>],
+    params: &EncodeParams,
+    rows: RowRange,
+    cols: Range<usize>,
+    out: &mut [MbMotion],
+) {
+    let range = params.search_area.range();
+    let n = 2 * range as usize;
+    if n == 0 || out.is_empty() {
+        return;
+    }
+    // Batches are 8 wide and each reads 24 bytes from its first candidate:
+    // the widest read ends at (cols − 1)·16 + (⌈n/8⌉·8 − 8) + 24.
+    let stride = cols.len() * MB_SIZE + n.next_multiple_of(8);
+    let height = rows.len() * MB_SIZE + n - 1;
+    let (x0, y0) = (
+        (cols.start * MB_SIZE) as isize - range as isize,
+        (rows.start * MB_SIZE) as isize - range as isize,
+    );
+    let mut win = Vec::with_capacity(stride * height);
+    for (rf_idx, rf) in rfs.iter().enumerate().take(params.n_ref) {
+        win.clear();
+        for wy in 0..height as isize {
+            let y = (y0 + wy).clamp(0, rf.height() as isize - 1) as usize;
+            push_clamped(&mut win, rf.row(y), x0, stride);
+        }
+        // Last macroblock, last candidate row, last block row, last batch.
+        debug_assert!(
+            (height - 1) * stride + (cols.len() - 1) * MB_SIZE + (n - 1) / 8 * 8 + 24 <= win.len()
+        );
+        for (i, mby) in rows.iter().enumerate() {
+            for (j, mbx) in cols.clone().enumerate() {
+                let cur: [[u8; 16]; 16] = core::array::from_fn(|r| {
+                    cf.row(mby * MB_SIZE + r)[mbx * MB_SIZE..][..MB_SIZE]
+                        .try_into()
+                        .expect("16 samples")
+                });
+                let first = &win[i * MB_SIZE * stride + j * MB_SIZE..];
+                let best = &mut out[i * cols.len() + j];
+                search_mb_batched(isa, &cur, first, stride, range, rf_idx as u8, best);
+            }
+        }
+    }
+}
+
+/// [`search_batched`] compiled with SSE4.1 enabled, so the [`Sse41`]
+/// primitives inline down to `mpsadbw` / `phminposuw`.
+///
+/// [`Sse41`]: crate::kernels::fast::Sse41
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.1")]
+fn search_sse41(
+    isa: kernels::fast::Sse41,
+    cf: &Plane<u8>,
+    rfs: &[&Plane<u8>],
+    params: &EncodeParams,
+    rows: RowRange,
+    cols: Range<usize>,
+    out: &mut [MbMotion],
+) {
+    search_batched(isa, cf, rfs, params, rows, cols, out)
+}
+
+/// Name of the primitive set the `fast` search runs on this host
+/// (`"sse4.1"` or `"portable"`), for logs.
+pub fn search_isa_name() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if kernels::fast::Sse41::detect().is_some() {
+        return "sse4.1";
+    }
+    "portable"
+}
+
+/// [`search_batched`] on the best primitive set this CPU has — detected
+/// here, once per call; there is no switch for it.
+fn search_fast(
+    cf: &Plane<u8>,
+    rfs: &[&Plane<u8>],
+    params: &EncodeParams,
+    rows: RowRange,
+    cols: Range<usize>,
+    out: &mut [MbMotion],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(isa) = kernels::fast::Sse41::detect() {
+        // SAFETY: `isa` exists, so this CPU has the SSE4.1 the callee is
+        // compiled for.
+        return unsafe { search_sse41(isa, cf, rfs, params, rows, cols, out) };
+    }
+    search_batched(Portable, cf, rfs, params, rows, cols, out)
+}
+
+/// FSBM over the macroblocks `rows × cols` under the active kernel family.
+fn search(
+    cf: &Plane<u8>,
+    rfs: &[&Plane<u8>],
+    params: &EncodeParams,
+    rows: RowRange,
+    cols: Range<usize>,
+    out: &mut [MbMotion],
+) {
+    debug_assert_eq!(out.len(), rows.len() * cols.len());
+    match kernels::active_kind() {
+        KernelKind::Scalar => {
+            for (i, mby) in rows.iter().enumerate() {
+                for (j, mbx) in cols.clone().enumerate() {
+                    out[i * cols.len() + j] = search_mb_scalar(cf, rfs, params, mbx, mby);
+                }
+            }
+        }
+        KernelKind::Fast => {
+            out.fill(MbMotion::default());
+            search_fast(cf, rfs, params, rows, cols, out);
+        }
+    }
+}
+
+/// Run FSBM for one macroblock against all reference frames, returning the
+/// per-partition best matches.
+pub fn motion_estimate_mb(
+    cf: &Plane<u8>,
+    rfs: &[&Plane<u8>],
+    params: &EncodeParams,
+    mbx: usize,
+    mby: usize,
+) -> MbMotion {
+    let mut out = [MbMotion::default()];
+    let rows = RowRange::new(mby, mby + 1);
+    search(cf, rfs, params, rows, mbx..mbx + 1, &mut out);
+    let [mb] = out;
+    mb
+}
+
 /// Run FSBM over the MB rows of `rows`, writing into `out` (one entry per MB
 /// of the range, raster order). This is the row-sliced entry point the
 /// framework assigns to each device.
@@ -247,11 +496,7 @@ pub fn motion_estimate_rows(
         rows.len() * mb_cols,
         "output slice size mismatch"
     );
-    for (i, mby) in rows.iter().enumerate() {
-        for mbx in 0..mb_cols {
-            out[i * mb_cols + mbx] = motion_estimate_mb(cf, rfs, params, mbx, mby);
-        }
-    }
+    search(cf, rfs, params, rows, 0..mb_cols, out);
 }
 
 /// [`motion_estimate_rows`] with the MB rows spread over the host's cores
@@ -281,7 +526,7 @@ mod tests {
     use super::*;
     use crate::types::{SearchArea, ALL_PARTITION_MODES};
 
-    fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
+    fn plane_from_fn(w: usize, h: usize, mut f: impl FnMut(usize, usize) -> u8) -> Plane<u8> {
         let mut p = Plane::new(w, h);
         for y in 0..h {
             for x in 0..w {
@@ -416,6 +661,155 @@ mod tests {
         motion_estimate_rows(&cf, &[&rf], &params, RowRange::new(0, 4), &mut seq);
         motion_estimate_rows_parallel(&cf, &[&rf], &params, RowRange::new(0, 4), &mut par);
         assert_eq!(seq, par);
+    }
+
+    // ---- the three search loops against each other (direct calls) ----
+
+    /// Whole-frame motion field from the per-candidate loop.
+    fn scalar_field(cf: &Plane<u8>, rfs: &[&Plane<u8>], params: &EncodeParams) -> Vec<MbMotion> {
+        let (mb_cols, mb_rows) = (cf.width() / MB_SIZE, cf.height() / MB_SIZE);
+        (0..mb_cols * mb_rows)
+            .map(|i| search_mb_scalar(cf, rfs, params, i % mb_cols, i / mb_cols))
+            .collect()
+    }
+
+    /// Assert that the portable batches and this host's `fast` path both
+    /// reproduce the per-candidate loop; returns the field.
+    fn assert_loops_agree(
+        cf: &Plane<u8>,
+        rfs: &[&Plane<u8>],
+        params: &EncodeParams,
+        what: &str,
+    ) -> Vec<MbMotion> {
+        let (mb_cols, mb_rows) = (cf.width() / MB_SIZE, cf.height() / MB_SIZE);
+        let rows = RowRange::new(0, mb_rows);
+        let want = scalar_field(cf, rfs, params);
+        let mut portable = vec![MbMotion::default(); want.len()];
+        search_batched(Portable, cf, rfs, params, rows, 0..mb_cols, &mut portable);
+        assert!(want == portable, "{what}: portable batches differ");
+        let mut host = vec![MbMotion::default(); want.len()];
+        search_fast(cf, rfs, params, rows, 0..mb_cols, &mut host);
+        assert!(want == host, "{what}: {} batches differ", search_isa_name());
+        want
+    }
+
+    fn noise_plane(w: usize, h: usize, seed: u64) -> Plane<u8> {
+        let mut s = seed | 1;
+        plane_from_fn(w, h, |_, _| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 56) as u8
+        })
+    }
+
+    fn sa_params(sa: u16, n_ref: usize) -> EncodeParams {
+        EncodeParams {
+            search_area: SearchArea(sa),
+            n_ref,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn batched_equals_scalar_on_every_edge_and_corner() {
+        // 16×16: every candidate but (0, 0) is clamped. The others put a
+        // macroblock on each edge, each corner and (48×48) the interior.
+        // SA 8 is exactly one batch per candidate row; SA 64 reaches past
+        // the far side of every plane here.
+        for (w, h) in [(16, 16), (32, 16), (16, 48), (48, 48), (64, 32)] {
+            let cf = noise_plane(w, h, 7);
+            let rf = noise_plane(w, h, 1234);
+            for sa in [8, 16, 32, 64] {
+                assert_loops_agree(&cf, &[&rf], &sa_params(sa, 1), &format!("{w}x{h} SA {sa}"));
+            }
+        }
+    }
+
+    #[test]
+    fn batched_equals_scalar_when_the_window_is_not_a_multiple_of_eight() {
+        let cf = noise_plane(48, 32, 3);
+        let rf = noise_plane(48, 32, 99);
+        // SA 12: a batch of 8 then a tail of 4. SA 2 and 6: a tail only.
+        // SA 1: no candidate at all, every block stays at its default.
+        for sa in [12, 6, 2, 1] {
+            assert_loops_agree(&cf, &[&rf], &sa_params(sa, 1), &format!("SA {sa}"));
+        }
+        // The tail must be searched, not dropped: plant the only exact
+        // match in the last column of the SA 12 window, dx = +5.
+        let cf = plane_from_fn(48, 32, |x, y| rf.get_clamped(x as isize + 5, y as isize));
+        let field = assert_loops_agree(&cf, &[&rf], &sa_params(12, 1), "planted dx = 5");
+        let b = field[1].block(PartitionMode::P16x16, 0);
+        assert_eq!((b.mv, b.cost), (Mv::new(5, 0), 0));
+    }
+
+    #[test]
+    fn all_candidates_tie_on_a_flat_plane() {
+        // 1 024 candidates × 2 references all cost 0: first in scan order
+        // wins, for every one of the 41 blocks.
+        let flat = plane_from_fn(48, 48, |_, _| 90);
+        let field = assert_loops_agree(&flat, &[&flat, &flat], &sa_params(32, 2), "flat");
+        for mb in &field {
+            for b in mb.all_blocks() {
+                assert_eq!((b.rf, b.mv, b.cost), (0, Mv::new(-16, -16), 0));
+            }
+        }
+    }
+
+    #[test]
+    fn identical_references_tie_toward_the_first() {
+        let rf = noise_plane(48, 48, 5);
+        let cf = noise_plane(48, 48, 6);
+        let field = assert_loops_agree(&cf, &[&rf, &rf], &sa_params(16, 2), "twin refs");
+        assert!(field
+            .iter()
+            .flat_map(|mb| mb.all_blocks())
+            .all(|b| b.rf == 0));
+    }
+
+    #[test]
+    fn saturated_lanes_do_not_overflow() {
+        // Black against white: every candidate of every batch is 65 280 for
+        // the 16×16 block and 4 080 per 4×4 cell — the largest a lane holds.
+        let black = plane_from_fn(32, 32, |_, _| 0);
+        let white = plane_from_fn(32, 32, |_, _| 255);
+        let field = assert_loops_agree(&black, &[&white], &sa_params(16, 1), "0 vs 255");
+        for mb in &field {
+            let b = mb.block(PartitionMode::P16x16, 0);
+            assert_eq!((b.mv, b.cost), (Mv::new(-8, -8), 255 * 256));
+            assert_eq!(mb.block(PartitionMode::P4x4, 15).cost, 255 * 16);
+        }
+        // Checkerboards alternate 0 and 65 280 from one lane to the next.
+        let a = plane_from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 0 } else { 255 });
+        let b = plane_from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 255 } else { 0 });
+        assert_loops_agree(&a, &[&b], &sa_params(16, 1), "checkerboards");
+    }
+
+    #[test]
+    fn single_mb_entry_equals_its_cell_of_the_frame() {
+        let cf = noise_plane(64, 48, 11);
+        let rf = noise_plane(64, 48, 12);
+        let params = sa_params(16, 1);
+        let mut whole = vec![MbMotion::default(); 12];
+        motion_estimate_rows(&cf, &[&rf], &params, RowRange::new(0, 3), &mut whole);
+        for (i, want) in whole.iter().enumerate() {
+            let got = motion_estimate_mb(&cf, &[&rf], &params, i % 4, i / 4);
+            assert!(*want == got, "mb {i}");
+        }
+    }
+
+    #[test]
+    fn push_clamped_replicates_the_border() {
+        let src: Vec<u8> = (10..20).collect();
+        let p = Plane::from_vec(src.clone(), 10, 1);
+        for x0 in -25..25isize {
+            for n in 0..30usize {
+                let mut got = vec![0xEE];
+                push_clamped(&mut got, &src, x0, n);
+                let want: Vec<u8> = (0..n as isize).map(|j| p.get_clamped(x0 + j, 0)).collect();
+                assert_eq!(got[1..], want[..], "x0 {x0} n {n}");
+            }
+        }
     }
 
     #[test]

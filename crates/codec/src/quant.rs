@@ -4,9 +4,8 @@
 //! tables (QP mod 6 periodicity, per-position frequency classes), combined
 //! with the 4×4 core transform of [`crate::transform`] into the `TQ` and
 //! `TQ⁻¹` block operations the inter-loop applies to prediction residuals.
-//! The per-coefficient loops dispatch through [`crate::kernels`]
-//! (`FEVES_KERNELS=scalar|fast`); the fast path uses flattened tables and
-//! branchless sign handling, bit-exact against the reference.
+//! The per-coefficient loops live in [`crate::kernels`], one implementation
+//! that both kernel families run.
 
 use crate::transform::{forward_4x4, inverse_4x4};
 
@@ -55,7 +54,6 @@ pub fn has_coefficients(levels: &[i16; 16]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels;
 
     #[test]
     fn qstep_doubles_every_six() {
@@ -142,56 +140,6 @@ mod tests {
         let zn = tq_block(&neg, 26, false);
         for i in 0..16 {
             assert_eq!(z[i], -zn[i], "quantizer must be odd-symmetric");
-        }
-    }
-
-    // ---- scalar vs fast differentials (direct calls, no global flip) ----
-
-    #[test]
-    fn differential_quantize_sweep() {
-        for qp in 0..=51u8 {
-            for intra in [false, true] {
-                for seed in 0..16i32 {
-                    let base: [i32; 16] = core::array::from_fn(|i| {
-                        let v = (seed * 977 + i as i32 * 613) % 4001 - 2000;
-                        v * (1 + seed % 3)
-                    });
-                    let mut a = base;
-                    let mut b = base;
-                    kernels::scalar::quantize_4x4(&mut a, qp, intra);
-                    kernels::fast::quantize_4x4(&mut b, qp, intra);
-                    assert_eq!(a, b, "qp {qp} intra {intra} seed {seed}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn differential_quantize_extremes() {
-        // i16 transform-range extremes and sign boundaries.
-        for qp in [0u8, 5, 23, 51] {
-            for v in [i32::from(i16::MIN) * 4, -1, 0, 1, i32::from(i16::MAX) * 4] {
-                let mut a = [v; 16];
-                let mut b = [v; 16];
-                kernels::scalar::quantize_4x4(&mut a, qp, true);
-                kernels::fast::quantize_4x4(&mut b, qp, true);
-                assert_eq!(a, b, "qp {qp} v {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn differential_dequantize_sweep() {
-        for qp in 0..=51u8 {
-            for seed in 0..8i32 {
-                let base: [i32; 16] =
-                    core::array::from_fn(|i| (seed * 389 + i as i32 * 71) % 513 - 256);
-                let mut a = base;
-                let mut b = base;
-                kernels::scalar::dequantize_4x4(&mut a, qp);
-                kernels::fast::dequantize_4x4(&mut b, qp);
-                assert_eq!(a, b, "qp {qp} seed {seed}");
-            }
         }
     }
 }

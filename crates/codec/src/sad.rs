@@ -2,9 +2,11 @@
 //!
 //! These are the innermost loops of the encoder (full-search block matching
 //! evaluates millions of them per frame). The paper's CPU kernels use
-//! SSE/AVX intrinsics; here each primitive dispatches through
-//! [`crate::kernels`] to either the scalar reference loop or the u64 SWAR
-//! fast path (`FEVES_KERNELS=scalar|fast`), both bit-exact.
+//! SSE/AVX intrinsics; here [`sad_block`] dispatches through
+//! [`crate::kernels`] to either the scalar reference loop or `psadbw`
+//! (`FEVES_KERNELS=scalar|fast`), both bit-exact. [`row_sad`] and
+//! [`sad_grid_16x16`] are the reference forms: the `fast` ME search
+//! ([`crate::me`]) computes the same grids eight candidates at a time.
 
 use feves_video::plane::Plane;
 
@@ -148,23 +150,10 @@ mod tests {
     // ---- scalar vs fast differentials (direct calls, no global flip) ----
 
     #[test]
-    fn differential_row_sad_all_lengths() {
-        for len in 0..64usize {
-            let a: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let b: Vec<u8> = (0..len).map(|i| (i * 101 + 63) as u8).collect();
-            assert_eq!(
-                kernels::scalar::row_sad(&a, &b),
-                kernels::fast::row_sad(&a, &b),
-                "len {len}"
-            );
-        }
-    }
-
-    #[test]
     fn differential_sad_block_strided() {
         let a: Vec<u8> = (0..40 * 24).map(|i| (i * 7 % 251) as u8).collect();
         let b: Vec<u8> = (0..48 * 24).map(|i| (i * 13 % 241) as u8).collect();
-        for &(w, h) in &[(4usize, 4usize), (8, 8), (16, 16), (7, 5), (13, 3)] {
+        for &(w, h) in &[(4usize, 4usize), (8, 8), (16, 16), (7, 5), (13, 3), (4, 3)] {
             assert_eq!(
                 kernels::scalar::sad_block(&a, 40, &b, 48, w, h),
                 kernels::fast::sad_block(&a, 40, &b, 48, w, h),
@@ -174,31 +163,42 @@ mod tests {
     }
 
     #[test]
-    fn differential_grid_inside_and_border() {
-        let cur = plane_from_fn(64, 64, |x, y| ((x * 29) ^ (y * 41)) as u8);
-        let rf = plane_from_fn(64, 64, |x, y| ((x * 3).wrapping_add(y * 59)) as u8);
-        // Sweep positions crossing every border and the fully-inside core.
-        for ry in (-20..=68isize).step_by(4) {
-            for rx in (-20..=68isize).step_by(4) {
-                assert_eq!(
-                    kernels::scalar::sad_grid_16x16(&cur, 16, 16, &rf, rx, ry),
-                    kernels::fast::sad_grid_16x16(&cur, 16, 16, &rf, rx, ry),
-                    "ref pos ({rx},{ry})"
-                );
+    fn differential_sad_block_partition_shapes() {
+        use crate::types::ALL_PARTITION_MODES;
+        // Every partition shape at several stride pairs, with every (a, b)
+        // byte pair in the block's last column on a textured background:
+        // each `psadbw` byte position is a column of some shape, and the
+        // background catches a sum that drops or double-counts a row.
+        for mode in ALL_PARTITION_MODES {
+            let (w, h) = mode.dims();
+            for (sa, sb) in [(w, w), (16, 24), (37, 19)] {
+                let mut a: Vec<u8> = (0..sa * h).map(|i| (i * 29 + 3) as u8).collect();
+                let mut b: Vec<u8> = (0..sb * h).map(|i| (i * 53 + 101) as u8).collect();
+                for va in 0..=255u8 {
+                    for vb in 0..=255u8 {
+                        for y in 0..h {
+                            a[y * sa + w - 1] = va;
+                            b[y * sb + w - 1] = vb.wrapping_add(y as u8);
+                        }
+                        assert_eq!(
+                            kernels::scalar::sad_block(&a, sa, &b, sb, w, h),
+                            kernels::fast::sad_block(&a, sa, &b, sb, w, h),
+                            "{mode:?} strides {sa}/{sb} a={va} b={vb}"
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn differential_extreme_values() {
-        // 0/255 checkerboards stress the SWAR bias trick at both extremes.
+    fn extreme_values_fill_the_grid() {
+        // 0/255 checkerboards: every 4×4 cell is 16 · 255 and the whole
+        // block the 65 280 that must fit a `u16` lane of the fast search.
         let cur = plane_from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 0 } else { 255 });
         let rf = plane_from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 255 } else { 0 });
-        assert_eq!(
-            kernels::scalar::sad_grid_16x16(&cur, 0, 0, &rf, 5, 3),
-            kernels::fast::sad_grid_16x16(&cur, 0, 0, &rf, 5, 3),
-        );
-        let full = kernels::fast::sad_grid_16x16(&cur, 0, 0, &rf, 0, 0);
+        let full = sad_grid_16x16(&cur, 0, 0, &rf, 0, 0);
+        assert_eq!(full, [4080u32; 16]);
         assert_eq!(grid_partition_sad(&full, 0, 0, 16, 16), 255 * 256);
     }
 }

@@ -7,7 +7,7 @@
 //! for a macroblock depends only on the CF, the SFs and that macroblock's ME
 //! output, so row-wise distribution across devices is result-invariant.
 //! Block SADs go through [`crate::kernels`], so `FEVES_KERNELS` selects the
-//! scalar or SWAR implementation here too.
+//! scalar or `psadbw` implementation here too.
 
 use crate::interp::SubpelFrame;
 use crate::me::{mode_base, MbMotion};
@@ -149,7 +149,7 @@ pub fn sad_qpel(
         && (y0 as usize) + h <= plane.height();
     if inside {
         // Dispatch once per block (not per row) through the kernel layer so
-        // the SWAR fast path sees the whole strided block.
+        // the fast path sees the whole strided block.
         let (px, py) = (x0 as usize, y0 as usize);
         acc = crate::kernels::sad_block(
             &cf.as_slice()[by * cf.stride() + bx..],

@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Options: `--platform syshk|sysnf|sysnff|cpu-n|cpu-h|gpu-f|gpu-k`,
-//! `--sa <32|64|128|256>`, `--refs <1..16>`, `--qp <0..51>`,
+//! `--sa <8|16|…|512>` (a power of two), `--refs <1..16>`, `--qp <0..51>`,
 //! `--frames <n>`, `--balancer feves|proportional|equidistant`,
 //! `--metrics-out <path>` (JSONL metrics dump),
 //! `--trace-format gantt|chrome` (Chrome JSON loads in Perfetto),
@@ -1166,7 +1166,8 @@ fn usage() {
          \u{20}                                  flight log or a live snapshot\n\
          \u{20}  compare <baseline> <new> [--threshold <f>] [--metric <filter>]  regression gate\n\n\
          options: --platform <name> | --platform-file <json>\n\
-         \u{20}        --sa <n> --refs <n> --qp <n>\n\
+         \u{20}        --sa <n> --refs <n> --qp <n>     search area (power of two, 8..512),\n\
+         \u{20}                                        reference frames (1..16), QP (0..51)\n\
          \u{20}        --frames <n> --balancer feves|proportional|equidistant\n\
          \u{20}        --metrics-out <path>            JSONL metrics dump\n\
          \u{20}        --flight-out <path>             JSONL flight-recorder dump\n\

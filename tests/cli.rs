@@ -492,6 +492,52 @@ fn one_core_and_all_cores_write_identical_files() {
     assert_eq!(pinned_stdout, free_stdout, "per-frame bits and PSNR");
 }
 
+/// `--kernels` picks between two different ME algorithms (per-candidate
+/// loop, candidate-major batches) and two block-SAD kernels; the files they
+/// write must be the same bytes. QCIF keeps the scalar run cheap in a debug
+/// build; two references and SA 16 give the batched search a second window
+/// and a second batch per candidate row.
+#[test]
+fn scalar_and_fast_kernels_write_identical_artifacts() {
+    let dir = std::env::temp_dir().join("feves_cli_kernels");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("in.y4m");
+    write_qcif_input(&input, 4);
+
+    let encode = |kernels: &str| {
+        let output = dir.join(format!("{kernels}.y4m"));
+        let (ok, stdout, stderr) = run(&[
+            "encode",
+            input.to_str().unwrap(),
+            output.to_str().unwrap(),
+            "--sa",
+            "16",
+            "--refs",
+            "2",
+            "--kernels",
+            kernels,
+        ]);
+        assert!(
+            ok,
+            "--kernels {kernels}\nstdout:\n{stdout}\nstderr:\n{stderr}"
+        );
+        // Per-frame bits and PSNR; the simulated time differs by design
+        // (the virtual clock charges scalar kernels more).
+        let coded: Vec<String> = stdout
+            .lines()
+            .filter(|l| l.starts_with("frame"))
+            .map(|l| l.split("sim").next().unwrap().to_string())
+            .collect();
+        assert_eq!(coded.len(), 4, "{stdout}");
+        (std::fs::read(&output).unwrap(), coded)
+    };
+    let (scalar, scalar_coded) = encode("scalar");
+    let (fast, fast_coded) = encode("fast");
+    assert!(scalar == fast, "artifacts differ between kernel families");
+    assert_eq!(scalar_coded, fast_coded);
+}
+
 #[test]
 fn live_out_snapshot_drives_top_stats_and_report() {
     let dir = std::env::temp_dir().join("feves_cli_live");

@@ -1,11 +1,15 @@
 //! Differential tests for the dispatched hot-kernel fast paths.
 //!
-//! The SWAR kernels in `feves_codec::kernels::fast` must be **bit-exact**
-//! drop-in replacements for the scalar references — `FEVES_KERNELS` may
-//! change throughput, never output. This suite checks that at three levels:
+//! The kernels in `feves_codec::kernels::fast` and the candidate-major ME
+//! search built on them must be **bit-exact** drop-in replacements for the
+//! scalar references — `FEVES_KERNELS` may change throughput, never output.
+//! This suite checks that at three levels:
 //!
 //! 1. property-based differentials over random planes/blocks, calling the
-//!    `scalar`/`fast` entry points directly (no global state involved);
+//!    `scalar`/`fast` entry points directly where there are two (no global
+//!    state involved) — including the portable and `std::arch` forms of the
+//!    ME search primitives, so the path a pre-SSE4.1 host takes is
+//!    exercised on every run;
 //! 2. a full encode→decode round trip under `force_kind`: both kernel
 //!    families must emit *identical bitstreams*, and the decoder must
 //!    reproduce the encoder reconstruction from either stream;
@@ -19,8 +23,13 @@
 use std::sync::Mutex;
 
 use feves::codec::inter_loop::{encode_inter_frame, ReferenceStore};
+#[cfg(target_arch = "x86_64")]
+use feves::codec::kernels::fast::Sse41;
+use feves::codec::kernels::fast::{Portable, SearchIsa};
 use feves::codec::kernels::{self, KernelKind};
+use feves::codec::me::{motion_estimate_rows, MeField};
 use feves::codec::types::{EncodeParams, SearchArea};
+use feves::video::geometry::RowRange;
 use feves::video::plane::Plane;
 use feves::video::synth::{SynthConfig, SynthSequence};
 use feves::video::{Frame, Resolution};
@@ -60,44 +69,68 @@ fn plane_from_bytes(w: usize, h: usize, bytes: &[u8]) -> Plane<u8> {
 }
 
 proptest! {
+    /// A row is a `len × 1` block: the reference `row_sad`, the scalar
+    /// block loop and the fast block kernel (whose `psadbw` paths take
+    /// `len` 8 and 16 here, and the odd-height fallback `len` 4) agree.
     #[test]
     fn prop_row_sad_matches(a in proptest::collection::vec(any::<u8>(), 0..128)) {
         let b: Vec<u8> = a.iter().rev().map(|v| v.wrapping_mul(31)).collect();
-        prop_assert_eq!(
-            kernels::scalar::row_sad(&a, &b),
-            kernels::fast::row_sad(&a, &b)
-        );
+        let want = kernels::scalar::row_sad(&a, &b);
+        prop_assert_eq!(want, kernels::scalar::sad_block(&a, a.len(), &b, b.len(), a.len(), 1));
+        prop_assert_eq!(want, kernels::fast::sad_block(&a, a.len(), &b, b.len(), a.len(), 1));
     }
 
+    /// Whole motion fields, batched search vs per-candidate loop, on planes
+    /// small enough that most candidates are border-clamped.
     #[test]
-    fn prop_sad_grid_matches(
+    fn prop_me_search_matches(
         bytes in proptest::collection::vec(any::<u8>(), 48 * 48),
-        cx in 0usize..=32, cy in 0usize..=32,
-        rx in -20isize..=52, ry in -20isize..=52,
+        mb_cols in 1usize..=3, mb_rows in 1usize..=3,
+        sa in prop_oneof![Just(8u16), Just(12), Just(16)],
+        n_ref in 1usize..=2,
     ) {
-        let cur = plane_from_bytes(48, 48, &bytes);
-        let rf = plane_from_bytes(48, 48, &bytes[..].iter().map(|v| v.wrapping_add(77)).collect::<Vec<_>>());
-        prop_assert_eq!(
-            kernels::scalar::sad_grid_16x16(&cur, cx, cy, &rf, rx, ry),
-            kernels::fast::sad_grid_16x16(&cur, cx, cy, &rf, rx, ry)
-        );
+        let _guard = KindGuard::take();
+        let (w, h) = (mb_cols * 16, mb_rows * 16);
+        let cur = plane_from_bytes(w, h, &bytes);
+        let shifted: Vec<u8> = bytes.iter().map(|v| v.wrapping_add(77)).collect();
+        let rf0 = plane_from_bytes(w, h, &shifted);
+        let reversed: Vec<u8> = bytes.iter().rev().copied().collect();
+        let rf1 = plane_from_bytes(w, h, &reversed);
+        let params = EncodeParams { search_area: SearchArea(sa), n_ref, ..Default::default() };
+        let rows = RowRange::new(0, mb_rows);
+        let mut field = [MeField::new(mb_cols, mb_rows), MeField::new(mb_cols, mb_rows)];
+        for (kind, f) in [KernelKind::Scalar, KernelKind::Fast].into_iter().zip(&mut field) {
+            kernels::force_kind(kind);
+            motion_estimate_rows(&cur, &[&rf0, &rf1], &params, rows, f.rows_mut(rows));
+        }
+        prop_assert!(field[0] == field[1]);
     }
 
+    /// The two ME search primitives, portable vs `std::arch`, all eight
+    /// lanes random (the unit tests sweep one lane exhaustively).
     #[test]
-    fn prop_quant_matches(
-        block in proptest::collection::vec(-40_000i32..40_000, 16),
-        qp in 0u8..=51,
-        intra in any::<bool>(),
+    fn prop_search_primitives_match(
+        refs in proptest::array::uniform16(any::<u8>()),
+        cur in proptest::array::uniform16(any::<u8>()),
+        words in proptest::array::uniform16(any::<u16>()),
     ) {
-        let base: [i32; 16] = block.try_into().unwrap();
-        let (mut a, mut b) = (base, base);
-        kernels::scalar::quantize_4x4(&mut a, qp, intra);
-        kernels::fast::quantize_4x4(&mut b, qp, intra);
-        prop_assert_eq!(a, b);
-        let (mut a, mut b) = (base, base);
-        kernels::scalar::dequantize_4x4(&mut a, qp);
-        kernels::fast::dequantize_4x4(&mut b, qp);
-        prop_assert_eq!(a, b);
+        let lanes: [u16; 8] = core::array::from_fn(|i| words[i]);
+        // Few distinct values: ties in most draws.
+        let tied: [u16; 8] = core::array::from_fn(|i| words[8 + i] % 3);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(sse) = Sse41::detect() {
+            prop_assert_eq!(sse.sad4x8::<0b000>(&refs, &cur), Portable.sad4x8::<0b000>(&refs, &cur));
+            prop_assert_eq!(sse.sad4x8::<0b101>(&refs, &cur), Portable.sad4x8::<0b101>(&refs, &cur));
+            prop_assert_eq!(sse.sad4x8::<0b010>(&refs, &cur), Portable.sad4x8::<0b010>(&refs, &cur));
+            prop_assert_eq!(sse.sad4x8::<0b111>(&refs, &cur), Portable.sad4x8::<0b111>(&refs, &cur));
+            prop_assert_eq!(sse.min_pos(lanes), Portable.min_pos(lanes));
+            prop_assert_eq!(sse.min_pos(tied), Portable.min_pos(tied));
+        }
+        for v in [lanes, tied] {
+            let (m, i) = Portable.min_pos(v);
+            prop_assert_eq!(Some(i), v.iter().position(|&x| x == m));
+            prop_assert_eq!(Some(m), v.iter().copied().min());
+        }
     }
 
     #[test]
@@ -125,24 +158,31 @@ fn test_frames(n: usize) -> Vec<Frame> {
     SynthSequence::new(cfg).take_frames(n)
 }
 
-fn params() -> EncodeParams {
+fn params_sa(sa: u16) -> EncodeParams {
     EncodeParams {
-        search_area: SearchArea(16),
+        search_area: SearchArea(sa),
         n_ref: 2,
         ..Default::default()
     }
 }
 
+fn params() -> EncodeParams {
+    params_sa(16)
+}
+
 /// Encode the sequence under `kind`; returns per-frame (bitstream, recon).
-fn encode_under(kind: KernelKind, frames: &[Frame]) -> Vec<(Vec<u8>, Plane<u8>)> {
+fn encode_under(
+    kind: KernelKind,
+    frames: &[Frame],
+    params: &EncodeParams,
+) -> Vec<(Vec<u8>, Plane<u8>)> {
     kernels::force_kind(kind);
-    let params = params();
     let intra = feves::codec::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
     let mut store = ReferenceStore::new(params.n_ref);
     store.push(intra.recon);
     let mut out = Vec::new();
     for f in &frames[1..] {
-        let enc = encode_inter_frame(f.y(), &store, &params);
+        let enc = encode_inter_frame(f.y(), &store, params);
         out.push((enc.bitstream.to_vec(), enc.recon.clone()));
         store.push(enc.recon);
     }
@@ -151,37 +191,42 @@ fn encode_under(kind: KernelKind, frames: &[Frame]) -> Vec<(Vec<u8>, Plane<u8>)>
 
 /// Satellite 3 (round trip): scalar and fast kernels must produce *identical
 /// bitstreams*, and decoding either stream must reproduce the encoder
-/// reconstruction bit-exactly.
+/// reconstruction bit-exactly — with two references, at one ME batch per
+/// candidate row (SA 8), two (SA 16) and four (SA 32).
 #[test]
 fn encode_decode_roundtrip_is_kernel_invariant() {
     let _guard = KindGuard::take();
     let frames = test_frames(5);
-    let scalar = encode_under(KernelKind::Scalar, &frames);
-    let fast = encode_under(KernelKind::Fast, &frames);
-    assert_eq!(scalar.len(), fast.len());
+    for sa in [8, 16, 32] {
+        let params = params_sa(sa);
+        let scalar = encode_under(KernelKind::Scalar, &frames, &params);
+        let fast = encode_under(KernelKind::Fast, &frames, &params);
+        assert_eq!(scalar.len(), fast.len());
 
-    for (i, ((bs_s, rec_s), (bs_f, rec_f))) in scalar.iter().zip(&fast).enumerate() {
-        assert_eq!(bs_s, bs_f, "frame {i}: bitstream differs between kernels");
-        assert_eq!(rec_s, rec_f, "frame {i}: reconstruction differs");
-    }
+        for (i, ((bs_s, rec_s), (bs_f, rec_f))) in scalar.iter().zip(&fast).enumerate() {
+            assert_eq!(bs_s, bs_f, "SA {sa} frame {i}: bitstream differs");
+            assert_eq!(rec_s, rec_f, "SA {sa} frame {i}: reconstruction differs");
+        }
 
-    // Decode the shared bitstreams and check the closed loop under both
-    // kernel families (the decoder's MC path runs the dispatched kernels
-    // too, so run it once per family).
-    for kind in [KernelKind::Scalar, KernelKind::Fast] {
-        kernels::force_kind(kind);
-        let params = params();
-        let intra = feves::codec::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
-        let mut store = ReferenceStore::new(params.n_ref);
-        store.push(intra.recon);
-        for (i, (bitstream, recon)) in scalar.iter().enumerate() {
-            let dec = feves::codec::decoder::decode_inter_frame(bitstream, &store)
-                .unwrap_or_else(|e| panic!("frame {i} must decode under {kind:?}: {e}"));
-            assert_eq!(
-                &dec.y, recon,
-                "frame {i}: decoder/encoder mismatch under {kind:?}"
-            );
-            store.push(recon.clone());
+        // Decode the shared bitstreams and check the closed loop under both
+        // kernel families (the decoder's MC path runs the dispatched kernels
+        // too, so run it once per family).
+        for kind in [KernelKind::Scalar, KernelKind::Fast] {
+            kernels::force_kind(kind);
+            let intra = feves::codec::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
+            let mut store = ReferenceStore::new(params.n_ref);
+            store.push(intra.recon);
+            for (i, (bitstream, recon)) in scalar.iter().enumerate() {
+                let dec = feves::codec::decoder::decode_inter_frame(bitstream, &store)
+                    .unwrap_or_else(|e| {
+                        panic!("SA {sa} frame {i} must decode under {kind:?}: {e}")
+                    });
+                assert_eq!(
+                    &dec.y, recon,
+                    "SA {sa} frame {i}: decoder/encoder mismatch under {kind:?}"
+                );
+                store.push(recon.clone());
+            }
         }
     }
 }

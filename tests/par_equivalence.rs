@@ -193,3 +193,38 @@ fn parallel_entry_points_equal_serial() {
     }
     assert_eq!(f, want);
 }
+
+/// ME's `fast` search copies a border-extended reference window per call,
+/// sized by the call's row range: one whole-frame window, one window per
+/// row on 1/2/3 threads, and an uneven two-call split must give one field —
+/// here with a range (16) that reaches past the neighbouring rows and two
+/// references, which the whole-pipeline cases above (SA 8, one reference)
+/// do not.
+#[test]
+fn me_window_per_call_is_split_independent() {
+    let (cf, rf) = inputs();
+    let rf2 = plane_from_fn(|x, y| ((x * 13) ^ (y * 29)) as u8);
+    let rfs = [&rf, &rf2];
+    let p = EncodeParams {
+        search_area: SearchArea(32),
+        n_ref: 2,
+        ..Default::default()
+    };
+    let mut want = MeField::new(MB_COLS, ROWS.len());
+    me::motion_estimate_rows(&cf, &rfs, &p, ROWS, want.rows_mut(ROWS));
+
+    for width in [1, 2, 3] {
+        let mut got = MeField::new(MB_COLS, ROWS.len());
+        let panics =
+            par::for_each_row_with(width, got.rows_mut(ROWS).chunks_mut(MB_COLS), |r, out| {
+                me::motion_estimate_rows(&cf, &rfs, &p, one(r), out)
+            });
+        assert!(panics.is_empty(), "a row panicked");
+        assert!(got == want, "width {width}");
+    }
+    let mut got = MeField::new(MB_COLS, ROWS.len());
+    for rows in [RowRange::new(0, 5), RowRange::new(5, 7)] {
+        me::motion_estimate_rows_parallel(&cf, &rfs, &p, rows, got.rows_mut(rows));
+    }
+    assert!(got == want, "two-call split");
+}
