@@ -12,10 +12,10 @@
 //!   perturbations within a frame (Fig 7).
 
 use crate::config::{BalancerKind, EncoderConfig, ExecutionMode};
-use crate::dam::{transfer_bytes, DataManager};
+use crate::dam::{transfer_bytes, DataManager, DeviceTransfers};
 use crate::pipeline::FramePipeline;
 use crate::report::{EncodeReport, FrameReport};
-use crate::trace::FrameTrace;
+use crate::trace::{FrameTrace, LaneKind};
 use crate::vcm::{build_frame_graph, FrameGeometry, FrameGraph, MeasureKind};
 use feves_codec::inter_loop::ReferenceStore;
 use feves_codec::interp::SubpelFrame;
@@ -24,7 +24,7 @@ use feves_codec::rate::{RateController, RateSnapshot};
 use feves_codec::types::EncodeParams;
 use feves_ft::{
     DeadlinePolicy, DeviceFault, DriftDetector, DriftSnapshot, FaultCause, FaultSchedule,
-    FaultSpec, FevesError, HealthSnapshot, HealthTracker,
+    FevesError, HealthSnapshot, HealthTracker,
 };
 use feves_hetsim::fault::FaultInjector;
 use feves_hetsim::noise::{MultiplicativeNoise, NoiseState};
@@ -32,12 +32,12 @@ use feves_hetsim::platform::Platform;
 use feves_hetsim::timeline::{simulate, Schedule};
 use feves_obs::trace::{DeviceSlice, TraceArg};
 use feves_obs::{
-    imbalance_index, residual_pct, DeviceRecord, EdgeKind, FlightRecord, FlightRecorder, Metric,
-    Recorder, SessionScope, TauTriple, TraceSink,
+    residual_pct, DeviceRecord, EdgeKind, FlightRecord, FlightRecorder, Metric, Recorder,
+    SessionScope, TauTriple, TraceSink,
 };
 use feves_sched::{
-    BalanceInput, Centric, CompletionTracker, Distribution, EquidistantBalancer, Ewma,
-    FevesBalancer, LoadBalancer, PerfChar, ProportionalBalancer, SingleDeviceBalancer,
+    BalanceInput, Centric, CompletionTracker, Distribution, EquidistantBalancer, FevesBalancer,
+    LoadBalancer, PerfChar, ProportionalBalancer, SingleDeviceBalancer,
 };
 use feves_video::frame::Frame;
 use feves_video::geometry::{ranges_from_counts, RowRange};
@@ -136,6 +136,92 @@ pub struct FtStats {
     /// Deadline misses on a device the drift detector had already flagged —
     /// probably drift (a quietly degraded device), not a hard fault.
     pub drift_vs_fault: u64,
+}
+
+impl std::ops::AddAssign for FtStats {
+    fn add_assign(&mut self, d: FtStats) {
+        self.injected += d.injected;
+        self.detected += d.detected;
+        self.recovered += d.recovered;
+        self.resolves += d.resolves;
+        self.redispatched_rows += d.redispatched_rows;
+        self.drift_vs_fault += d.drift_vs_fault;
+    }
+}
+
+/// What [`FevesEncoder::plan_frame`] settles for one inter frame: the
+/// devices it may use, the distribution over them and that distribution's
+/// simulated schedule, plus what fault recovery cost on the way there.
+struct Planned {
+    /// Pipeline generation the frame runs as.
+    gen: u64,
+    /// Devices healthy and leased when the distribution was solved.
+    avail: Vec<bool>,
+    /// `avail` restricted to accelerators: who gets transfers.
+    mask: Vec<bool>,
+    dist: Distribution,
+    plan: Vec<DeviceTransfers>,
+    fg: FrameGraph,
+    sched: Schedule,
+    /// Raw (τ1, τ2, τtot) of `sched`, virtual seconds.
+    tau_s: [f64; 3],
+    /// Virtual seconds lost to attempts abandoned at a detected fault.
+    recovery_s: f64,
+    /// Wall seconds spent in the balancer.
+    sched_overhead_s: f64,
+    /// Devices a fault was attributed to this frame.
+    faulty: Vec<bool>,
+    /// This frame's fault-tolerance counter increments so far.
+    ft: FtStats,
+}
+
+/// One inter frame, measured. The flight record *is* the outcome — it is
+/// built every frame — plus the few fields that are not serialised.
+struct FrameOutcome {
+    /// The decision and schedule this outcome measures.
+    planned: Planned,
+    record: FlightRecord,
+    /// Busy fraction of τtot per compute lane that ran a task.
+    lane_busy: Vec<f64>,
+    /// Seconds the pipeline shaved off this frame's critical path, and the
+    /// previous generation's stall it recovered summed over devices.
+    overlap_saved_s: f64,
+    overlap_recovered_s: f64,
+    bits: Option<u64>,
+    psnr: Option<f64>,
+}
+
+impl FrameOutcome {
+    /// Effective sync point `i`: the whole frame shifts later by the
+    /// recovery cost and earlier by the span its phase-1 prefix ran inside
+    /// the previous generation's stall.
+    fn effective_s(&self, i: usize) -> f64 {
+        self.planned.recovery_s + self.planned.tau_s[i] - self.overlap_saved_s
+    }
+}
+
+/// The balancer `kind` names. Device-pinned policies go through `remap`
+/// (identity on the full platform, full → reduced index on a subset) and
+/// degrade gracefully when their device is gone: a pinned R\* mapping
+/// falls back to Dijkstra, a pinned single accelerator to the CPU cores.
+fn make_balancer(
+    kind: BalancerKind,
+    remap: impl Fn(usize) -> Option<usize>,
+) -> Box<dyn LoadBalancer> {
+    match kind {
+        BalancerKind::Feves => Box::new(FevesBalancer::default()),
+        BalancerKind::FevesFixed(c) => Box::new(FevesBalancer {
+            fixed_centric: match c {
+                Centric::Gpu(i) => remap(i).map(Centric::Gpu),
+                Centric::Cpu => Some(Centric::Cpu),
+            },
+        }),
+        BalancerKind::Equidistant => Box::new(EquidistantBalancer),
+        BalancerKind::Proportional => Box::new(ProportionalBalancer),
+        BalancerKind::Greedy => Box::new(feves_sched::GreedyBalancer::default()),
+        BalancerKind::SingleAccelerator(i) => Box::new(SingleDeviceBalancer { device: remap(i) }),
+        BalancerKind::CpuOnly => Box::new(SingleDeviceBalancer { device: None }),
+    }
 }
 
 /// The FEVES encoder: Algorithm 1 over a simulated heterogeneous platform,
@@ -286,25 +372,12 @@ impl FevesEncoder {
             geometry.width,
             config.params.n_ref,
         )?;
-        let balancer: Box<dyn LoadBalancer> = match config.balancer {
-            BalancerKind::Feves => Box::new(FevesBalancer::default()),
-            BalancerKind::FevesFixed(c) => Box::new(FevesBalancer {
-                fixed_centric: Some(c),
-            }),
-            BalancerKind::Equidistant => Box::new(EquidistantBalancer),
-            BalancerKind::Proportional => Box::new(ProportionalBalancer),
-            BalancerKind::Greedy => Box::new(feves_sched::GreedyBalancer::default()),
-            BalancerKind::SingleAccelerator(i) => {
-                Box::new(SingleDeviceBalancer { device: Some(i) })
-            }
-            BalancerKind::CpuOnly => Box::new(SingleDeviceBalancer { device: None }),
-        };
         let n_ref = config.params.n_ref;
         Ok(FevesEncoder {
             perf: PerfChar::new(platform.len(), config.ewma),
             dam: DataManager::new(geometry.n_rows, platform.len()),
             noise: MultiplicativeNoise::new(config.noise_amp, config.noise_seed),
-            balancer,
+            balancer: make_balancer(config.balancer, Some),
             prev_dist: None,
             perturbations: Vec::new(),
             geometry,
@@ -384,31 +457,26 @@ impl FevesEncoder {
         self.ctl = Some(ctl);
     }
 
-    /// The attached supervisor control block, if any.
-    pub fn ctl(&self) -> Option<&Arc<SessionCtl>> {
-        self.ctl.as_ref()
-    }
-
-    /// Restrict `avail` to the supervisor's device lease, if one is set.
-    /// Safety guard: a lease that would leave the session without any live
-    /// host core (the balancer's invariant) is ignored wholesale rather
-    /// than partially honored — health-only availability wins.
-    fn apply_lease(&self, avail: &mut [bool]) {
+    /// The devices a frame may be scheduled on: healthy and, when the
+    /// supervisor set a lease, leased. Safety guard: a lease that would
+    /// leave the session without any live host core (the balancer's
+    /// invariant) is ignored wholesale rather than partially honored —
+    /// health-only availability wins.
+    fn usable_devices(&self) -> Vec<bool> {
+        let avail = self.health.available();
         let Some(lease) = self.ctl.as_ref().and_then(|c| c.lease()) else {
-            return;
+            return avail;
         };
         if lease.len() != avail.len() {
-            return;
+            return avail;
         }
         let masked: Vec<bool> = avail.iter().zip(&lease).map(|(&a, &l)| a && l).collect();
-        let has_core = self
-            .platform
-            .devices
-            .iter()
-            .zip(&masked)
-            .any(|(d, &v)| !d.is_accelerator() && v);
+        let has_core =
+            (self.platform.devices.iter().zip(&masked)).any(|(d, &v)| !d.is_accelerator() && v);
         if has_core {
-            avail.copy_from_slice(&masked);
+            masked
+        } else {
+            avail
         }
     }
 
@@ -422,13 +490,6 @@ impl FevesEncoder {
         assert!(p.device < self.platform.len());
         assert!(p.factor > 0.0);
         self.perturbations.push(p);
-    }
-
-    /// Add one fault to the injection schedule (test/CLI hook; equivalent
-    /// to listing it in [`EncoderConfig::faults`]).
-    pub fn inject_fault(&mut self, spec: FaultSpec) {
-        assert!(spec.device < self.platform.len(), "fault device in range");
-        self.injector.push(spec);
     }
 
     /// Fault-tolerance counters accumulated so far.
@@ -452,11 +513,6 @@ impl FevesEncoder {
     /// Mutable flight recorder (the resume path stamps a marker into it).
     pub fn flight_mut(&mut self) -> Option<&mut FlightRecorder> {
         self.flight.as_mut()
-    }
-
-    /// The prediction-drift detector (diagnostics).
-    pub fn drift(&self) -> &DriftDetector {
-        &self.drift
     }
 
     /// The MB-row geometry the encoder is operating on.
@@ -521,7 +577,9 @@ impl FevesEncoder {
             .expect("the health tracker never blacklists the last live core");
         let sub_perf = self.perf.subset(avail);
         let prev_sub = self.prev_dist.as_ref().and_then(|d| d.restrict(avail));
-        let mut balancer = self.reduced_balancer(&map);
+        let mut balancer = make_balancer(self.config.balancer, |full| {
+            map.iter().position(|&f| f == full)
+        });
         let d = balancer.distribute(&BalanceInput {
             n_rows,
             platform: &sub,
@@ -533,61 +591,23 @@ impl FevesEncoder {
         full
     }
 
-    /// A balancer equivalent to the configured one but expressed in
-    /// reduced-platform coordinates. Device-pinned policies whose device was
-    /// blacklisted degrade gracefully: a pinned R\* mapping falls back to
-    /// Dijkstra, a pinned single accelerator falls back to the CPU cores.
-    fn reduced_balancer(&self, map: &[usize]) -> Box<dyn LoadBalancer> {
-        let remap = |full: usize| map.iter().position(|&f| f == full);
-        match self.config.balancer {
-            BalancerKind::Feves => Box::new(FevesBalancer::default()),
-            BalancerKind::FevesFixed(c) => {
-                let fixed = match c {
-                    Centric::Gpu(i) => remap(i).map(Centric::Gpu),
-                    Centric::Cpu => Some(Centric::Cpu),
-                };
-                Box::new(FevesBalancer {
-                    fixed_centric: fixed,
-                })
-            }
-            BalancerKind::Equidistant => Box::new(EquidistantBalancer),
-            BalancerKind::Proportional => Box::new(ProportionalBalancer),
-            BalancerKind::Greedy => Box::new(feves_sched::GreedyBalancer::default()),
-            BalancerKind::SingleAccelerator(i) => Box::new(SingleDeviceBalancer {
-                device: remap(i), // None → spread over the CPU cores
-            }),
-            BalancerKind::CpuOnly => Box::new(SingleDeviceBalancer { device: None }),
-        }
-    }
-
-    /// Detection (tentpole part 2): injected transfer errors surface as DMA
-    /// failures; everything else is caught by the sync-point deadlines
-    /// (deadline = predicted τ × factor). Returns the fault and the virtual
-    /// time wasted before it was detected.
-    #[allow(clippy::too_many_arguments)] // one argument per sync-point input
-    fn detect_fault(
-        &self,
-        inter_frame: usize,
-        gen: u64,
-        dist: &Distribution,
-        fg: &FrameGraph,
-        sched: &Schedule,
-        avail: &[bool],
-        xfer_mask: &[bool],
-    ) -> Option<(DeviceFault, f64)> {
-        for (d, &has_xfers) in xfer_mask.iter().enumerate() {
-            if has_xfers && self.injector.transfer_fault(inter_frame, d) {
+    /// Detection: injected transfer errors surface as DMA failures;
+    /// everything else is caught by the sync-point deadlines (deadline =
+    /// predicted τ × factor). Returns the fault and the virtual time wasted
+    /// before it was detected.
+    fn detect_fault(&self, p: &Planned) -> Option<(DeviceFault, f64)> {
+        let frame = self.inter_count + 1;
+        let [tau1, tau2, tau_tot] = p.tau_s;
+        let fault = |device, cause| DeviceFault {
+            device,
+            frame,
+            cause,
+        };
+        for (device, &has_xfers) in p.mask.iter().enumerate() {
+            if has_xfers && self.injector.transfer_fault(frame, device) {
                 // The DMA engine reports the failure no later than the first
                 // sync point that waits on the transfer.
-                let wasted = sched.finish_of(fg.tau1);
-                return Some((
-                    DeviceFault {
-                        device: d,
-                        frame: inter_frame,
-                        cause: FaultCause::TransferError,
-                    },
-                    wasted,
-                ));
+                return Some((fault(device, FaultCause::TransferError), tau1));
             }
         }
         // An LP balancer running without a prediction is doing a
@@ -596,7 +616,7 @@ impl FevesEncoder {
         // structurally slower than balanced frames — so the EWMA baseline
         // of healthy *balanced* frames would misfire on them: detection
         // pauses for the probe and resumes with the next predicted frame.
-        if dist.predicted.is_none()
+        if p.dist.predicted.is_none()
             && matches!(
                 self.config.balancer,
                 BalancerKind::Feves | BalancerKind::FevesFixed(_)
@@ -608,69 +628,47 @@ impl FevesEncoder {
         // one, else from the EWMA baseline of past healthy frames. Until
         // either exists (the very first probe frame) detection is off and
         // the characterization loop is the only defence.
-        let expected = dist
-            .predicted
-            .map(|p| (p.tau1, p.tau2, p.tau_tot))
+        let expected = (p.dist.predicted)
+            .map(|lp| (lp.tau1, lp.tau2, lp.tau_tot))
             .or(self.expected_tau)?;
         // Deadlines are tagged with the pipeline generation they guard: with
         // two frames in flight, a miss must name which generation blew so
         // recovery drains the pipeline to *that* frame's boundary.
-        let deadlines = self.deadline.for_generation(gen, expected);
-        let (missed_gen, point, at) = deadlines.check(
-            sched.finish_of(fg.tau1),
-            sched.finish_of(fg.tau2),
-            sched.finish_of(fg.tau_tot),
-        )?;
-        debug_assert_eq!(missed_gen, gen);
-        let device = self.culprit(fg, sched, avail)?;
-        Some((
-            DeviceFault {
-                device,
-                frame: inter_frame,
-                cause: FaultCause::MissedDeadline(point),
-            },
-            at,
-        ))
-    }
-
-    /// Culprit attribution: the device owning the longest-*running* measured
-    /// task. Finish times won't do — a stalled device delays downstream
-    /// tasks on innocent devices, which then finish even later than the
-    /// stalled task itself; but those tasks merely *start* late and run
-    /// fast, while the faulty device's own task runs for the whole stall.
-    fn culprit(&self, fg: &FrameGraph, sched: &Schedule, avail: &[bool]) -> Option<usize> {
+        let deadlines = self.deadline.for_generation(p.gen, expected);
+        let (missed_gen, point, at) = deadlines.check(tau1, tau2, tau_tot)?;
+        debug_assert_eq!(missed_gen, p.gen);
+        // Culprit attribution: the device owning the longest-*running*
+        // measured task. Finish times won't do — a stalled device delays
+        // downstream tasks on innocent devices, which then finish even later
+        // than the stalled task itself; but those tasks merely *start* late
+        // and run fast, while the faulty device's own task runs for the
+        // whole stall.
         let mut longest: Option<(f64, usize)> = None;
-        for m in &fg.measures {
-            let device = match m.kind {
-                MeasureKind::Compute { device, .. }
-                | MeasureKind::Transfer { device, .. }
-                | MeasureKind::RstarPart { device } => device,
-            };
-            if !avail[device] {
-                continue;
-            }
-            let dur = sched.duration(m.task);
+        for m in p.fg.measures.iter().filter(|m| p.avail[m.kind.device()]) {
+            let dur = p.sched.duration(m.task);
             if longest.is_none_or(|(d, _)| dur > d) {
-                longest = Some((dur, device));
+                longest = Some((dur, m.kind.device()));
             }
         }
-        longest.map(|(_, d)| d)
+        longest.map(|(_, device)| (fault(device, FaultCause::MissedDeadline(point)), at))
     }
 
-    /// A device may be blacklisted unless it is the last live CPU core —
-    /// the host must survive (`Platform::validate` requires ≥ 1 core), so
-    /// the framework degrades to CPU-only but never below.
-    fn can_blacklist(&self, device: usize, avail: &[bool]) -> bool {
-        if !avail[device] {
+    /// Take `device` out of `avail` after a fault: blacklist it and refresh
+    /// `avail` from health and lease. Refused (→ `false`) for a CPU core
+    /// with no *other* live core beside it — the host must survive
+    /// (`Platform::validate` requires ≥ 1 core), so the framework degrades
+    /// to CPU-only but never below. Both fault sites drop through here with
+    /// the `avail` the previous drop left, so no sequence of faults in one
+    /// frame can take every core. A device already dropped this frame that
+    /// faults again (its SME band after its ME band) is charged again.
+    fn drop_device(&mut self, device: usize, avail: &mut Vec<bool>) -> bool {
+        let mut cores = self.platform.n_accel..self.platform.len();
+        if cores.contains(&device) && !cores.any(|d| d != device && avail[d]) {
             return false;
         }
-        if device < self.platform.n_accel {
-            return true;
-        }
-        (self.platform.n_accel..self.platform.len())
-            .filter(|&d| avail[d])
-            .count()
-            > 1
+        self.health.record_fault(device, self.inter_count + 1);
+        *avail = self.usable_devices();
+        true
     }
 
     /// Encode one inter-frame in timing-only mode and return its report.
@@ -745,206 +743,194 @@ impl FevesEncoder {
         EncodeReport::new(self.platform.name.clone(), reports)
     }
 
-    /// The shared inter-frame path: balance → plan → simulate → measure
-    /// (→ optionally execute kernels).
+    /// The shared inter-frame path (Algorithm 1's loop body), five phases
+    /// over one record: plan → measure → execute → emit → close.
     fn run_inter(&mut self, frame: Option<&Frame>) -> FrameReport {
         let _span = feves_obs::span!(self.rec(), "encode_inter");
-        let inter_frame = self.inter_count + 1; // 1-based like Fig 7
-        let n_rows = self.geometry.n_rows;
-        let mut eff_params = EncodeParams {
+        let mut params = EncodeParams {
             n_ref: self.refs_available.max(1),
             ..self.config.params
         };
         if let Some(rc) = &self.rate {
-            eff_params.qp = rc.qp();
+            params.qp = rc.qp();
         }
+        let planned = self.plan_frame(&params);
+        let mut outcome = self.measure(planned);
+        // Functional execution with the planned distribution — ahead of
+        // emission, so a frame's kernel faults, bits and PSNR are in the
+        // same record as its schedule.
+        if let (Some(f), ExecutionMode::Functional) = (frame, self.config.mode) {
+            self.execute_kernels(f, &params, &mut outcome);
+        }
+        self.emit(&outcome);
+        self.close_frame(outcome, params.n_ref)
+    }
 
-        // Fault-tolerance bookkeeping: re-admit devices whose blacklist
-        // backoff expired, count newly injected faults.
-        self.health.tick(inter_frame);
-        let newly_injected = self.injector.starting(inter_frame).count() as u64;
-        if newly_injected > 0 {
-            self.ft_stats.injected += newly_injected;
-            self.rec().add(Metric::FtFaultsInjected, newly_injected);
-        }
-        let accel: Vec<bool> = self
-            .platform
-            .devices
-            .iter()
-            .map(|d| d.is_accelerator())
+    /// DAM plan → VCM graph → simulated schedule of `dist` over `avail`:
+    /// one attempt at the frame, with nothing charged to it yet.
+    fn attempt(
+        &mut self,
+        gen: u64,
+        avail: Vec<bool>,
+        dist: Distribution,
+        params: &EncodeParams,
+    ) -> Planned {
+        let inter_frame = self.inter_count + 1;
+        // Blacklisted accelerators get no transfers; DAM drops their σʳ.
+        let mask: Vec<bool> = (self.platform.devices.iter().zip(&avail))
+            .map(|(d, &v)| d.is_accelerator() && v)
             .collect();
+        let plan = self.dam.plan(&dist, &mask, self.config.data_reuse);
+        let fg = build_frame_graph(
+            &dist,
+            &plan,
+            &self.platform,
+            params,
+            self.geometry,
+            self.config.overlap,
+        );
+        let mut speeds = self.speed_multipliers(inter_frame);
+        self.injector.overlay_speeds(inter_frame, &mut speeds);
+        let sched = simulate(&fg.graph, &self.platform, &speeds, &mut self.noise)
+            .expect("VCM-built graphs are deadlock-free by construction");
+        Planned {
+            tau_s: [fg.tau1, fg.tau2, fg.tau_tot].map(|t| sched.finish_of(t)),
+            gen,
+            avail,
+            mask,
+            dist,
+            plan,
+            fg,
+            sched,
+            recovery_s: 0.0,
+            sched_overhead_s: 0.0,
+            faulty: Vec::new(),
+            ft: FtStats::default(),
+        }
+    }
 
+    /// Phase 1: fault-tolerance bookkeeping (re-admit devices whose
+    /// blacklist backoff expired, count newly injected faults), pipeline
+    /// submit, load balancing, and the detection/recovery loop — simulate
+    /// the frame; if a sync-point deadline is missed or a transfer fails,
+    /// blacklist the culprit, re-dispatch its MB rows by re-solving
+    /// Algorithm 2 over the survivors, and retry. Bounded by the device
+    /// count: every retry removes a device or accepts the result.
+    fn plan_frame(&mut self, params: &EncodeParams) -> Planned {
+        let inter_frame = self.inter_count + 1; // 1-based like Fig 7
+        let n_rows = self.geometry.n_rows;
+        self.health.tick(inter_frame);
+        let mut ft = FtStats {
+            injected: self.injector.starting(inter_frame).count() as u64,
+            ..FtStats::default()
+        };
         // Pipeline submit: this frame enters as a new generation and claims
         // a DAM double-buffer slot. In pipelined mode the previous
         // generation is still draining (depth 2): its R\*/entropy tail
         // overlaps this frame's ME/INT prefix, and the LP solve below runs
         // off the critical path — it consumes the previous frame's
         // measurements either way, so its latency hides under the drain.
-        let mut gen = self.pipeline.open();
-        self.dam
-            .begin_generation(gen)
-            .expect("pipeline depth bounds DAM slot occupancy");
-
+        let gen = self.open_generation();
         // Load balancing (initialization phase falls back to equidistant
         // inside the balancers when uncharacterized).
-        let sched_start = Instant::now();
-        let mut avail = self.health.available();
-        self.apply_lease(&mut avail);
-        let mut dist = self.balance(n_rows, &avail);
-        let mut sched_overhead = sched_start.elapsed().as_secs_f64();
-
-        // Detection/recovery loop (tentpole parts 2–3): simulate the frame;
-        // if a sync-point deadline is missed or a transfer fails, blacklist
-        // the culprit, re-dispatch its MB rows by re-solving Algorithm 2
-        // over the survivors, and retry the frame. Bounded by the device
-        // count — every retry removes a device or accepts the result.
-        let mut recovery_overhead = 0.0f64; // virtual seconds lost
-        let mut frame_faulty = vec![false; self.platform.len()];
-        let mut recovered_this_frame = 0u64;
-        let max_attempts = self.platform.len() + 1;
-        let mut attempt = 0;
-        let (mask, plan, fg, sched) = loop {
-            attempt += 1;
-            // Blacklisted accelerators get no transfers; DAM drops their σʳ.
-            let mask: Vec<bool> = accel.iter().zip(&avail).map(|(&a, &v)| a && v).collect();
-            let plan = self.dam.plan(&dist, &mask, self.config.data_reuse);
-            let fg = build_frame_graph(
-                &dist,
-                &plan,
-                &self.platform,
-                &eff_params,
-                self.geometry,
-                self.config.overlap,
-            );
-            let mut speeds = self.speed_multipliers(inter_frame);
-            self.injector.overlay_speeds(inter_frame, &mut speeds);
-            let sched = simulate(&fg.graph, &self.platform, &speeds, &mut self.noise)
-                .expect("VCM-built graphs are deadlock-free by construction");
-            if attempt >= max_attempts {
-                break (mask, plan, fg, sched);
-            }
-            let Some((fault, wasted)) =
-                self.detect_fault(inter_frame, gen, &dist, &fg, &sched, &avail, &mask)
-            else {
-                break (mask, plan, fg, sched);
+        let t0 = Instant::now();
+        let avail = self.usable_devices();
+        let dist = self.balance(n_rows, &avail);
+        let mut sched_overhead_s = t0.elapsed().as_secs_f64();
+        let mut p = self.attempt(gen, avail, dist, params);
+        let mut recovery_s = 0.0f64;
+        let mut faulty = vec![false; self.platform.len()];
+        for _ in 0..self.platform.len() {
+            let Some((fault, wasted)) = self.detect_fault(&p) else {
+                break;
             };
-            self.ft_stats.detected += 1;
-            self.rec().add(Metric::FtFaultsDetected, 1);
+            ft.detected += 1;
             // Disambiguation: a deadline miss on a device the drift detector
             // already flagged is most likely the same quiet degradation, not
             // an independent hard fault.
             if matches!(fault.cause, FaultCause::MissedDeadline(_))
                 && self.drift.is_flagged(fault.device)
             {
-                self.ft_stats.drift_vs_fault += 1;
-                self.rec().add(Metric::FtDriftVsFault, 1);
+                ft.drift_vs_fault += 1;
             }
-            frame_faulty[fault.device] = true;
-            if !self.can_blacklist(fault.device, &avail) {
+            faulty[fault.device] = true;
+            if !self.drop_device(fault.device, &mut p.avail) {
                 // The last live core cannot be dropped; accept the frame.
-                break (mask, plan, fg, sched);
+                break;
             }
             // The attempt ran until the deadline fired; that virtual time
             // is lost and the frame restarts on the survivors.
-            recovery_overhead += wasted;
-            let lost_rows =
-                (dist.me[fault.device] + dist.interp[fault.device] + dist.sme[fault.device]) as u64;
-            self.health.record_fault(fault.device, inter_frame);
-            avail = self.health.available();
-            self.apply_lease(&mut avail);
+            recovery_s += wasted;
+            let d = fault.device;
+            ft.resolves += 1;
+            ft.redispatched_rows += (p.dist.me[d] + p.dist.interp[d] + p.dist.sme[d]) as u64;
             // Fault recovery drains the pipeline to a frame boundary first:
             // any in-flight overlap was measured on the old platform and is
             // forfeit before Algorithm 2 re-solves on the survivors. The
             // retried frame re-enters as a fresh generation.
-            for g in self.pipeline.quiesce() {
-                self.dam
-                    .end_generation(g)
-                    .expect("reaped generations own their slot");
-            }
-            gen = self.pipeline.open();
-            self.dam
-                .begin_generation(gen)
-                .expect("a quiesced pipeline has both slots free");
+            self.quiesce_pipeline();
+            let gen = self.open_generation();
             let t0 = Instant::now();
-            dist = self.balance(n_rows, &avail);
-            sched_overhead += t0.elapsed().as_secs_f64();
-            self.ft_stats.resolves += 1;
-            self.ft_stats.redispatched_rows += lost_rows;
-            recovered_this_frame += 1;
-            let rec = self.rec();
-            rec.add(Metric::FtResolves, 1);
-            rec.add(Metric::FtRedispatchedRows, lost_rows);
-        };
-        let trace = FrameTrace::capture(&fg, &sched, &self.platform);
+            let dist = self.balance(n_rows, &p.avail);
+            sched_overhead_s += t0.elapsed().as_secs_f64();
+            p = self.attempt(gen, p.avail, dist, params);
+        }
+        // A detection that led to a re-solve counts as recovered: the
+        // retried frame always lands.
+        ft.recovered = ft.resolves;
+        Planned {
+            recovery_s,
+            sched_overhead_s,
+            faulty,
+            ft,
+            ..p
+        }
+    }
 
-        // Flight-recorder inputs, derived before the trace is archived:
-        // per-device busy times split by engine class, the measured sync
-        // points, and the DAM byte volumes.
-        let mut compute_busy_ms = vec![0.0f64; self.platform.len()];
-        let mut transfer_busy_ms = vec![0.0f64; self.platform.len()];
+    /// Phase 2: the one walk over the accepted schedule. Feeds the
+    /// performance characterization (Algorithm 1, lines 5/10), the drift
+    /// detector and the pipeline's overlap accounting, and leaves every
+    /// number an observer may want in the [`FrameOutcome`] — built every
+    /// frame, observed or not: it is a handful of device-long vectors.
+    fn measure(&mut self, p: Planned) -> FrameOutcome {
+        let n = self.platform.len();
+        let Planned {
+            dist, fg, sched, ..
+        } = &p;
+        let trace = FrameTrace::capture(fg, sched, &self.platform);
+        let mut devices: Vec<DeviceRecord> = (0..n)
+            .map(|d| DeviceRecord {
+                device: d,
+                me_rows: dist.me[d],
+                interp_rows: dist.interp[d],
+                sme_rows: dist.sme[d],
+                predicted_busy_ms: dist.predicted_device.as_ref().map(|lp| lp[d].busy() * 1e3),
+                // Plan-time availability, not post-kernel-fault health.
+                blacklisted: !p.avail[d],
+                ..DeviceRecord::default()
+            })
+            .collect();
+        // Busy ms per device by engine class, and per compute lane (an
+        // accelerator's interpolation engine is a lane of its own).
+        let mut lanes = vec![[None::<f64>; 2]; n];
         for t in &trace.tasks {
             let busy = t.end_ms - t.start_ms;
+            let dev = &mut devices[t.lane.device];
             if t.lane.is_transfer() {
-                transfer_busy_ms[t.lane.device] += busy;
+                dev.transfer_busy_ms += busy;
             } else {
-                compute_busy_ms[t.lane.device] += busy;
+                dev.compute_busy_ms += busy;
+                let lane = &mut lanes[t.lane.device][usize::from(t.lane.kind == LaneKind::Interp)];
+                *lane = Some(lane.unwrap_or(0.0) + busy);
             }
         }
-        let measured_tau = TauTriple {
-            tau1_ms: trace.tau1_ms,
-            tau2_ms: trace.tau2_ms,
-            tau_tot_ms: trace.tau_tot_ms,
-        };
-        let rec = self.rec();
-        let audited = rec.enabled() || self.flight.is_some();
-        let transferred = transfer_bytes(&plan, self.geometry.width);
-        let reused = if self.config.data_reuse && audited {
-            // Reused = what a reuse-free plan of the same frame would have
-            // shipped, minus what this plan ships.
-            transfer_bytes(&self.dam.plan(&dist, &mask, false), self.geometry.width)
-                .saturating_sub(transferred)
-        } else {
-            0
-        };
-
-        // Observability: per-frame metrics. Everything except the wall-clock
-        // scheduling overhead is derived from the virtual clock and is
-        // deterministic for a fixed configuration. Guarded so the disabled
-        // path costs one `enabled()` call.
-        if rec.enabled() {
-            rec.observe(Metric::SchedOverheadUs, sched_overhead * 1e6);
-            rec.observe(Metric::FrameTau1Ms, trace.tau1_ms);
-            rec.observe(Metric::FrameTau2Ms, trace.tau2_ms);
-            rec.observe(Metric::FrameTauTotMs, trace.tau_tot_ms);
-            let busy: Vec<f64> = trace
-                .utilization()
-                .into_iter()
-                .filter(|(l, _)| !l.is_transfer())
-                .map(|(_, f)| f)
-                .collect();
-            let max = busy.iter().copied().fold(0.0f64, f64::max);
-            if max > 0.0 {
-                let min = busy.iter().copied().fold(f64::INFINITY, f64::min);
-                rec.observe(Metric::LbImbalancePct, (max - min) / max * 100.0);
-            }
-            if let Some(iters) = dist.lp_iterations {
-                rec.observe(Metric::LpIterations, iters as f64);
-            }
-            rec.add(Metric::VcmTasksScheduled, fg.graph.len() as u64);
-            rec.add(Metric::DamBytesTransferred, transferred);
-            if self.config.data_reuse {
-                rec.add(Metric::DamBytesReused, reused);
-            }
-            if recovery_overhead > 0.0 {
-                rec.observe(Metric::FtRecoveryMs, recovery_overhead * 1e3);
-            }
-            rec.add(Metric::FramesEncoded, 1);
-        }
+        let tau_tot_ms = trace.tau_tot_ms.max(1e-9);
         self.last_trace = Some(trace);
 
-        // Performance characterization update (Algorithm 1, lines 5/10).
-        let mut rstar_time = vec![0.0f64; self.platform.len()];
-        let mut rstar_seen = vec![false; self.platform.len()];
+        // Characterization update, and the per-device completion times of
+        // the same measured tasks for the pipeline's reap accounting.
+        let mut rstar = vec![None::<f64>; n];
+        let mut completion = CompletionTracker::new(n);
         for m in &fg.measures {
             let dur = sched.duration(m.task);
             match m.kind {
@@ -960,141 +946,126 @@ impl FevesEncoder {
                     rows,
                 } => self.perf.record_transfer(device, tag, dir, rows, dur),
                 MeasureKind::RstarPart { device } => {
-                    rstar_time[device] += dur;
-                    rstar_seen[device] = true;
+                    rstar[device] = Some(rstar[device].unwrap_or(0.0) + dur)
                 }
             }
+            let finish = sched.finish_of(m.task);
+            completion.record(m.kind.device(), finish, finish <= p.tau_s[0] + 1e-12);
         }
-        for d in 0..self.platform.len() {
-            if rstar_seen[d] {
-                self.perf.record_rstar(d, rstar_time[d]);
+        for (d, t) in rstar.into_iter().enumerate() {
+            if let Some(t) = t {
+                self.perf.record_rstar(d, t);
             }
         }
+        // Overlap against the previous generation's carried stall, computed
+        // post-hoc from the simulated schedule. Graph construction, the LP
+        // and the noise stream are identical in both modes — the bitstream
+        // never depends on the pipeline flag; only the idle attribution and
+        // effective times do.
+        completion.set_barrier(p.tau_s[2]);
+        let overlap = self.pipeline.complete(p.gen, completion);
 
-        // Prediction audit (tentpole): per-device signed residuals between
-        // the LP's predicted busy time and the measured one feed the drift
-        // detector. A firing resets that device's characterization — the
-        // rates go NaN, the balancer falls back to an equidistant probe next
-        // frame, and the re-measured rates replace the stale model: the
-        // init ↔ iterative loop of Algorithm 1, re-entered on demand.
-        // Runs *after* this frame's characterization update so the reset
+        // Prediction audit: per-device signed residuals between the LP's
+        // predicted busy time and the measured one feed the drift detector.
+        // A firing resets that device's characterization — the rates go
+        // NaN, the balancer falls back to an equidistant probe next frame,
+        // and the re-measured rates replace the stale model: the
+        // init ↔ iterative loop of Algorithm 1, re-entered on demand. Runs
+        // *after* this frame's characterization update so the reset
         // survives into the next frame.
-        let predicted_busy_ms: Vec<Option<f64>> = match &dist.predicted_device {
-            Some(p) => p.iter().map(|dp| Some(dp.busy() * 1e3)).collect(),
-            None => vec![None; self.platform.len()],
-        };
-        let residuals: Vec<Option<f64>> = (0..self.platform.len())
-            .map(|d| {
-                if !avail[d] {
-                    // Blacklisted: a fault-domain problem, not model drift.
-                    return None;
-                }
-                predicted_busy_ms[d].and_then(|p| residual_pct(p, compute_busy_ms[d]))
-            })
-            .collect();
-        let drift_fired = self.drift.update(&residuals);
-        let recharacterized = !drift_fired.is_empty();
-        for &d in &drift_fired {
+        for dev in &mut devices {
+            dev.overlap_carried_ms = overlap.recovered_s[dev.device] * 1e3;
+            // Blacklisted: a fault-domain problem, not model drift.
+            if !dev.blacklisted {
+                dev.residual_pct = dev
+                    .predicted_busy_ms
+                    .and_then(|p| residual_pct(p, dev.compute_busy_ms));
+            }
+        }
+        let residuals: Vec<Option<f64>> = devices.iter().map(|d| d.residual_pct).collect();
+        let drift_devices = self.drift.update(&residuals);
+        for &d in &drift_devices {
             self.perf.reset_device(d);
-            rec.add(Metric::SchedDrift, 1);
         }
         // A flagged device whose residual came back inside the band has been
         // successfully re-characterized: re-arm its detector.
         for (d, r) in residuals.iter().enumerate() {
-            if self.drift.is_flagged(d) && !drift_fired.contains(&d) {
-                if let Some(pct) = r {
-                    if pct.abs() <= self.config.drift.band_pct {
-                        self.drift.clear(d);
-                    }
-                }
+            if self.drift.is_flagged(d)
+                && !drift_devices.contains(&d)
+                && r.is_some_and(|pct| pct.abs() <= self.config.drift.band_pct)
+            {
+                self.drift.clear(d);
             }
-        }
-        if rec.enabled() {
-            for r in residuals.iter().flatten() {
-                rec.observe(Metric::AuditResidualAbsPct, r.abs());
-            }
-            if let Some(imb) = imbalance_index(&compute_busy_ms) {
-                rec.observe(Metric::LbImbalanceIndex, imb);
-            }
-        }
-        // Pipeline reap accounting: per-device completion times of this
-        // frame's measured tasks, computed post-hoc from the simulated
-        // schedule, feed the overlap against the previous generation's
-        // carried stall. Graph construction, the LP and the noise stream
-        // are identical in both modes — the bitstream never depends on the
-        // pipeline flag; only the idle attribution and effective times do.
-        let mut completion = CompletionTracker::new(self.platform.len());
-        let tau1_t = sched.finish_of(fg.tau1);
-        for m in &fg.measures {
-            let device = match m.kind {
-                MeasureKind::Compute { device, .. }
-                | MeasureKind::Transfer { device, .. }
-                | MeasureKind::RstarPart { device } => device,
-            };
-            let f = sched.finish_of(m.task);
-            completion.record(device, f, f <= tau1_t + 1e-12);
-        }
-        completion.set_barrier(sched.finish_of(fg.tau_tot));
-        let overlap = self.pipeline.complete(gen, completion);
-        if self.pipeline.enabled() && rec.enabled() {
-            rec.observe(Metric::PipelineOverlapUs, overlap.saved_s * 1e6);
-            rec.observe(
-                Metric::PipelineStallRecoveredUs,
-                overlap.total_recovered_s() * 1e6,
-            );
         }
 
+        let bytes_transferred = transfer_bytes(&p.plan, self.geometry.width);
+        // The one field computed only for an audience — it costs a second
+        // DAM plan: what a reuse-free plan of the same frame would have
+        // shipped, minus what this plan ships.
+        let audited = self.flight.is_some() || self.rec().enabled();
+        let bytes_reused = if self.config.data_reuse && audited {
+            transfer_bytes(&self.dam.plan(dist, &p.mask, false), self.geometry.width)
+                .saturating_sub(bytes_transferred)
+        } else {
+            0
+        };
+        let tau_ms = |[tau1, tau2, tau_tot]: [f64; 3]| TauTriple {
+            tau1_ms: tau1 * 1e3,
+            tau2_ms: tau2 * 1e3,
+            tau_tot_ms: tau_tot * 1e3,
+        };
+        let record = FlightRecord {
+            frame: self.inter_count,
+            rstar_device: dist.rstar_device,
+            predicted_tau: dist
+                .predicted
+                .map(|lp| tau_ms([lp.tau1, lp.tau2, lp.tau_tot])),
+            measured_tau: tau_ms(p.tau_s),
+            inflight_depth: overlap.depth_at_submit,
+            devices,
+            bytes_transferred,
+            bytes_reused,
+            recovery_ms: p.recovery_s * 1e3,
+            recharacterized: !drift_devices.is_empty(),
+            drift_devices,
+        };
+        FrameOutcome {
+            planned: p,
+            record,
+            lane_busy: (lanes.iter().flatten().flatten())
+                .map(|busy| busy / tau_tot_ms)
+                .collect(),
+            overlap_saved_s: overlap.saved_s,
+            overlap_recovered_s: overlap.total_recovered_s(),
+            bits: None,
+            psnr: None,
+        }
+    }
+
+    /// Phase 4: the only place on the inter path that touches the
+    /// recorder, the flight ring, the session scope or the trace sink.
+    /// Everything except the wall-clock scheduling overhead is derived from
+    /// the virtual clock and is deterministic for a fixed configuration.
+    fn emit(&mut self, out: &FrameOutcome) {
+        let (p, r) = (&out.planned, &out.record);
+        let tau = r.measured_tau;
         if let Some(flight) = &mut self.flight {
-            let devices = (0..self.platform.len())
-                .map(|d| DeviceRecord {
-                    device: d,
-                    me_rows: dist.me[d],
-                    interp_rows: dist.interp[d],
-                    sme_rows: dist.sme[d],
-                    predicted_busy_ms: predicted_busy_ms[d],
-                    compute_busy_ms: compute_busy_ms[d],
-                    transfer_busy_ms: transfer_busy_ms[d],
-                    overlap_carried_ms: overlap.recovered_s[d] * 1e3,
-                    residual_pct: residuals[d],
-                    blacklisted: !avail[d],
-                })
-                .collect();
-            flight.push(FlightRecord {
-                frame: self.inter_count,
-                rstar_device: dist.rstar_device,
-                predicted_tau: dist.predicted.map(|p| TauTriple {
-                    tau1_ms: p.tau1 * 1e3,
-                    tau2_ms: p.tau2 * 1e3,
-                    tau_tot_ms: p.tau_tot * 1e3,
-                }),
-                measured_tau,
-                inflight_depth: overlap.depth_at_submit,
-                devices,
-                bytes_transferred: transferred,
-                bytes_reused: reused,
-                recovery_ms: recovery_overhead * 1e3,
-                drift_devices: drift_fired,
-                recharacterized,
-            });
+            flight.push(r.clone());
         }
-
-        // Live telemetry: per-device dashboard rows (busy %, residual,
-        // blacklist) plus the session frame tick. Device samples ride the
-        // same bus as metrics, so a stalled exporter can only drop them —
-        // never stall this loop.
+        // Live telemetry: per-device dashboard rows plus the session frame
+        // tick. Device samples ride the same bus as metrics, so a stalled
+        // exporter can only drop them — never stall this loop.
         if let Some(scope) = &self.scope {
-            let tau_tot = measured_tau.tau_tot_ms;
-            for d in 0..self.platform.len() {
-                let busy_pct = if tau_tot > 0.0 {
-                    (compute_busy_ms[d] / tau_tot * 100.0).clamp(0.0, 100.0)
+            for d in &r.devices {
+                let busy_pct = if tau.tau_tot_ms > 0.0 {
+                    (d.compute_busy_ms / tau.tau_tot_ms * 100.0).clamp(0.0, 100.0)
                 } else {
                     0.0
                 };
-                scope.device_sample(d, busy_pct, residuals[d], !avail[d]);
+                scope.device_sample(d.device, busy_pct, d.residual_pct, d.blacklisted);
             }
             scope.frame_done();
         }
-
         // Causal tracing: one frame span on the attempt's virtual clock,
         // phase children at the measured sync points, the active kernel
         // family, per-device rate slices, and — when the inter-frame
@@ -1104,40 +1075,38 @@ impl FevesEncoder {
         // spans tile the attempt exactly; the phase children use the raw
         // sync points and may poke past the frame end when overlap saved
         // wall time — that spill *is* the pipeline win, made visible.
+        let (mut spans, mut edges) = (0u64, 0u64);
         if let Some(sink) = &self.trace_sink {
             let start = self.trace_cursor_us;
-            let dur = ((recovery_overhead + sched.finish_of(fg.tau_tot) - overlap.saved_s) * 1e6)
-                .max(0.0);
-            let devices: Vec<DeviceSlice> = (0..self.platform.len())
-                .map(|d| DeviceSlice {
-                    device: d,
-                    rows: (dist.me[d] + dist.interp[d] + dist.sme[d]) as u64,
-                    busy_ms: compute_busy_ms[d],
-                })
-                .collect();
-            let kernel_ms = compute_busy_ms.iter().copied().fold(0.0f64, f64::max);
-            let transfer_ms = transfer_busy_ms.iter().copied().fold(0.0f64, f64::max);
-            let recovered_ms = overlap.total_recovered_s() * 1e3;
+            let dur = (out.effective_s(2) * 1e6).max(0.0);
+            let busiest =
+                |busy: fn(&DeviceRecord) -> f64| r.devices.iter().map(busy).fold(0.0f64, f64::max);
+            let kernel_ms = busiest(|d| d.compute_busy_ms);
+            let recovered_ms = out.overlap_recovered_s * 1e3;
             let arg = |k: &str, v: f64| TraceArg { k: k.into(), v };
             let frame_span = sink.record_full(
-                &format!("frame{}", self.inter_count),
+                &format!("frame{}", r.frame),
                 "frame",
                 start,
                 dur,
-                devices,
+                (r.devices.iter())
+                    .map(|d| DeviceSlice {
+                        device: d.device,
+                        rows: (d.me_rows + d.interp_rows + d.sme_rows) as u64,
+                        busy_ms: d.compute_busy_ms,
+                    })
+                    .collect(),
                 vec![
-                    arg("tau1_ms", measured_tau.tau1_ms),
-                    arg("tau2_ms", measured_tau.tau2_ms),
-                    arg("tau_tot_ms", measured_tau.tau_tot_ms),
+                    arg("tau1_ms", tau.tau1_ms),
+                    arg("tau2_ms", tau.tau2_ms),
+                    arg("tau_tot_ms", tau.tau_tot_ms),
                     arg("kernel_ms", kernel_ms),
-                    arg("transfer_ms", transfer_ms),
+                    arg("transfer_ms", busiest(|d| d.transfer_busy_ms)),
                     arg("recovered_ms", recovered_ms),
                 ],
             );
             let frame_sink = sink.under(frame_span);
-            let t1 = measured_tau.tau1_ms * 1e3;
-            let t2 = measured_tau.tau2_ms * 1e3;
-            let tt = measured_tau.tau_tot_ms * 1e3;
+            let [t1, t2, tt] = [tau.tau1_ms, tau.tau2_ms, tau.tau_tot_ms].map(|ms| ms * 1e3);
             frame_sink.record("phase1", "phase", start, t1);
             frame_sink.record("phase2", "phase", start + t1, (t2 - t1).max(0.0));
             frame_sink.record("tail", "phase", start + t2.min(tt), (tt - t2).max(0.0));
@@ -1147,109 +1116,119 @@ impl FevesEncoder {
                 start,
                 kernel_ms * 1e3,
             );
-            let mut edges = 0u64;
-            if let Some(prev) = self.prev_frame_span {
-                if recovered_ms > 0.0 && overlap.depth_at_submit > 1 {
-                    sink.link(prev, frame_span, EdgeKind::PipelineOverlap);
-                    edges = 1;
-                }
+            spans = 5;
+            let overlapped = recovered_ms > 0.0 && r.inflight_depth > 1;
+            if let Some(prev) = self.prev_frame_span.filter(|_| overlapped) {
+                sink.link(prev, frame_span, EdgeKind::PipelineOverlap);
+                edges = 1;
             }
             self.prev_frame_span = Some(frame_span);
             self.trace_cursor_us = start + dur;
-            if rec.enabled() {
-                rec.add(Metric::TraceSpans, 5);
-                if edges > 0 {
-                    rec.add(Metric::TraceEdges, edges);
-                }
+        }
+        // Metrics, guarded so the disabled path costs one `enabled()` call.
+        let rec = self.rec();
+        if !rec.enabled() {
+            return;
+        }
+        rec.observe(Metric::SchedOverheadUs, p.sched_overhead_s * 1e6);
+        rec.observe(Metric::FrameTau1Ms, tau.tau1_ms);
+        rec.observe(Metric::FrameTau2Ms, tau.tau2_ms);
+        rec.observe(Metric::FrameTauTotMs, tau.tau_tot_ms);
+        // Two imbalance figures, two populations: the percentage is over
+        // compute *lanes*, the Fig-6 index over *devices*.
+        let max = out.lane_busy.iter().copied().fold(0.0f64, f64::max);
+        if max > 0.0 {
+            let min = out.lane_busy.iter().copied().fold(f64::INFINITY, f64::min);
+            rec.observe(Metric::LbImbalancePct, (max - min) / max * 100.0);
+        }
+        if let Some(imb) = r.imbalance_index() {
+            rec.observe(Metric::LbImbalanceIndex, imb);
+        }
+        for pct in r.devices.iter().filter_map(|d| d.residual_pct) {
+            rec.observe(Metric::AuditResidualAbsPct, pct.abs());
+        }
+        if let Some(iters) = p.dist.lp_iterations {
+            rec.observe(Metric::LpIterations, iters as f64);
+        }
+        if r.recovery_ms > 0.0 {
+            rec.observe(Metric::FtRecoveryMs, r.recovery_ms);
+        }
+        if self.pipeline.enabled() {
+            rec.observe(Metric::PipelineOverlapUs, out.overlap_saved_s * 1e6);
+            rec.observe(
+                Metric::PipelineStallRecoveredUs,
+                out.overlap_recovered_s * 1e6,
+            );
+        }
+        rec.add(Metric::VcmTasksScheduled, p.fg.graph.len() as u64);
+        rec.add(Metric::DamBytesTransferred, r.bytes_transferred);
+        if self.config.data_reuse {
+            rec.add(Metric::DamBytesReused, r.bytes_reused);
+        }
+        rec.add(Metric::FramesEncoded, 1);
+        for (metric, n) in [
+            (Metric::SchedDrift, r.drift_devices.len() as u64),
+            (Metric::FtFaultsInjected, p.ft.injected),
+            (Metric::FtFaultsDetected, p.ft.detected),
+            (Metric::FtFaultsRecovered, p.ft.recovered),
+            (Metric::FtResolves, p.ft.resolves),
+            (Metric::FtRedispatchedRows, p.ft.redispatched_rows),
+            (Metric::FtDriftVsFault, p.ft.drift_vs_fault),
+            (Metric::TraceSpans, spans),
+            (Metric::TraceEdges, edges),
+        ] {
+            if n > 0 {
+                rec.add(metric, n);
             }
         }
+    }
 
-        // Functional execution with the same distribution. Stripe-thread
-        // panics are caught, the rows recomputed on the host, and the
-        // culprit reported like any other device fault.
-        let (bits, psnr) = match (frame, self.config.mode) {
-            (Some(f), ExecutionMode::Functional) => {
-                let (bits, psnr, kernel_faults) = self.execute_kernels(f, &dist, &eff_params);
-                for (fault, rows) in kernel_faults {
-                    self.ft_stats.detected += 1;
-                    self.ft_stats.recovered += 1;
-                    self.ft_stats.redispatched_rows += rows as u64;
-                    let rec = self.rec();
-                    rec.add(Metric::FtFaultsDetected, 1);
-                    rec.add(Metric::FtFaultsRecovered, 1);
-                    rec.add(Metric::FtRedispatchedRows, rows as u64);
-                    frame_faulty[fault.device] = true;
-                    if self.can_blacklist(fault.device, &avail) {
-                        self.health.record_fault(fault.device, inter_frame);
-                    }
-                }
-                if let Some(rc) = &mut self.rate {
-                    rc.update(bits);
-                }
-                (Some(bits), Some(psnr))
-            }
-            _ => (None, None),
-        };
-
+    /// Phase 5: commit the frame into the encoder's state — DAM σʳ, the
+    /// fault-tolerance counters, health (clean devices work toward
+    /// probation exit), the deadline baseline, the pipeline — and report it.
+    fn close_frame(&mut self, out: FrameOutcome, refs_used: usize) -> FrameReport {
+        let p = &out.planned;
         self.dam
-            .commit(&dist, &mask, self.config.data_reuse)
+            .commit(&p.dist, &p.mask, self.config.data_reuse)
             .expect("distribution validated above");
-
-        // Close out fault-tolerance accounting: a detection that led to a
-        // re-solve counts as recovered once the frame lands, clean devices
-        // work toward probation exit, and the measured sync points feed the
-        // deadline baseline used when no LP prediction is available.
-        if recovered_this_frame > 0 {
-            self.ft_stats.recovered += recovered_this_frame;
-            self.rec()
-                .add(Metric::FtFaultsRecovered, recovered_this_frame);
-        }
+        self.ft_stats += p.ft;
         for d in 0..self.platform.len() {
-            if avail[d] && !frame_faulty[d] {
+            if p.avail[d] && !p.faulty[d] {
                 self.health.record_success(d);
             }
         }
-        if !frame_faulty.iter().any(|&f| f) {
-            let m = (
-                sched.finish_of(fg.tau1),
-                sched.finish_of(fg.tau2),
-                sched.finish_of(fg.tau_tot),
-            );
+        // The measured sync points of a clean frame feed the deadline
+        // baseline used when no LP prediction is available. Unshifted:
+        // deadlines guard the schedule, not the overlap accounting.
+        if !p.faulty.contains(&true) {
+            let [a, b, c] = p.tau_s;
             self.expected_tau = Some(match self.expected_tau {
-                Some((a, b, c)) => (0.5 * (a + m.0), 0.5 * (b + m.1), 0.5 * (c + m.2)),
-                None => m,
+                Some((x, y, z)) => (0.5 * (x + a), 0.5 * (y + b), 0.5 * (z + c)),
+                None => (a, b, c),
             });
         }
-
         // Reap to the steady-state depth: lockstep reaps its own generation
         // every frame (a boundary after each frame); pipelined leaves this
         // generation in flight to drain under the next frame's submit.
         let keep = usize::from(self.pipeline.enabled());
         while self.pipeline.in_flight_depth() > keep {
-            let g = self.pipeline.reap();
-            self.dam
-                .end_generation(g)
-                .expect("reaped generations own their slot");
+            let reaped = self.pipeline.reap();
+            self.release([reaped]);
         }
-
-        // Effective sync points: the whole frame shifts earlier by the span
-        // its phase-1 prefix ran inside the previous generation's stall.
-        // The EWMA deadline baseline above uses the *unshifted* times —
-        // deadlines guard the schedule, not the overlap accounting.
-        let saved = overlap.saved_s;
-        let report = FrameReport::inter(
-            inter_frame,
-            recovery_overhead + sched.finish_of(fg.tau1) - saved,
-            recovery_overhead + sched.finish_of(fg.tau2) - saved,
-            recovery_overhead + sched.finish_of(fg.tau_tot) - saved,
-            eff_params.n_ref,
-            sched_overhead,
-            dist.clone(),
-            bits,
-            psnr,
-        );
-        self.prev_dist = Some(dist);
         self.inter_count += 1;
+        let report = FrameReport {
+            frame: self.inter_count, // 1-based like Fig 7
+            is_intra: false,
+            tau1: out.effective_s(0),
+            tau2: out.effective_s(1),
+            tau_tot: out.effective_s(2),
+            refs_used,
+            sched_overhead: p.sched_overhead_s,
+            distribution: Some(p.dist.clone()),
+            bits: out.bits,
+            psnr_y: out.psnr,
+        };
+        self.prev_dist = Some(out.planned.dist);
         report
     }
 
@@ -1307,20 +1286,17 @@ impl FevesEncoder {
             .collect()
     }
 
-    /// Run the real kernels and advance the reference store.
+    /// Phase 3: run the real kernels and advance the reference store.
     ///
     /// The distribution's bands are the logical partition; the host runs
     /// INT, ME, SME and the row-separable R\* modules (MC, TQ, TQ⁻¹) one
     /// [`par`] region each over all MB rows. Row results do not depend on
     /// the split, so neither the host's width nor a band recomputed after a
     /// panic can change the output. DBL, chroma and entropy are serial.
-    /// Returns the caught faults with the number of re-dispatched rows.
-    fn execute_kernels(
-        &mut self,
-        frame: &Frame,
-        dist: &Distribution,
-        params: &EncodeParams,
-    ) -> (u64, f64, Vec<(DeviceFault, usize)>) {
+    /// A panicking band is reported like any other device fault: charged
+    /// to the frame's counters and its device dropped.
+    fn execute_kernels(&mut self, frame: &Frame, params: &EncodeParams, out: &mut FrameOutcome) {
+        let dist = &out.planned.dist;
         let cf = frame.y();
         let mb_cols = self.geometry.mb_cols;
         let n_rows = self.geometry.n_rows;
@@ -1396,13 +1372,24 @@ impl FevesEncoder {
             ),
         };
 
-        let psnr = feves_video::metrics::psnr(&recon, cf);
+        out.bits = Some(bits);
+        out.psnr = Some(feves_video::metrics::psnr(&recon, cf));
         self.recon_pending = Some(ReconPending {
             y: recon,
             u: chroma.recon_u,
             v: chroma.recon_v,
         });
-        (bits, psnr, kernel_faults)
+        if let Some(rc) = &mut self.rate {
+            rc.update(bits);
+        }
+        let p = &mut out.planned;
+        for (fault, rows) in kernel_faults {
+            p.ft.detected += 1;
+            p.ft.recovered += 1;
+            p.ft.redispatched_rows += rows as u64;
+            p.faulty[fault.device] = true;
+            self.drop_device(fault.device, &mut p.avail);
+        }
     }
 
     /// The simulated schedule of the most recent inter-frame (Fig 4 as
@@ -1421,11 +1408,6 @@ impl FevesEncoder {
         self.recon_pending.as_ref().map(|p| (&p.y, &p.u, &p.v))
     }
 
-    /// The inter-frame pipeline (diagnostics/tests).
-    pub fn pipeline(&self) -> &FramePipeline {
-        &self.pipeline
-    }
-
     /// Drain the submit/reap pipeline to a frame boundary: every in-flight
     /// generation is reaped (FIFO), its DAM buffer slot released, and the
     /// carried τ-sync stall dropped. Checkpoints must call this before
@@ -1436,9 +1418,24 @@ impl FevesEncoder {
     ///
     /// [`snapshot`]: FevesEncoder::snapshot
     pub fn quiesce_pipeline(&mut self) {
-        for g in self.pipeline.quiesce() {
+        let reaped = self.pipeline.quiesce();
+        self.release(reaped);
+    }
+
+    /// Submit the next frame generation and claim its DAM buffer slot.
+    fn open_generation(&mut self) -> u64 {
+        let gen = self.pipeline.open();
+        self.dam
+            .begin_generation(gen)
+            .expect("pipeline depth bounds DAM slot occupancy");
+        gen
+    }
+
+    /// Give back the DAM buffer slots of reaped generations.
+    fn release(&mut self, reaped: impl IntoIterator<Item = u64>) {
+        for gen in reaped {
             self.dam
-                .end_generation(g)
+                .end_generation(gen)
                 .expect("reaped generations own their slot");
         }
     }
@@ -1578,18 +1575,5 @@ impl FevesEncoder {
             .restore_state(state.drift)
             .map_err(FevesError::CheckpointStale)?;
         Ok(enc)
-    }
-
-    /// Force a specific EWMA (test hook).
-    pub fn set_ewma(&mut self, alpha: Ewma) {
-        self.perf = PerfChar::new(self.platform.len(), alpha);
-    }
-
-    /// The centric choice of the current balancer when pinned (diagnostic).
-    pub fn fixed_centric(&self) -> Option<Centric> {
-        match self.config.balancer {
-            BalancerKind::FevesFixed(c) => Some(c),
-            _ => None,
-        }
     }
 }

@@ -73,33 +73,6 @@ impl FrameReport {
         }
     }
 
-    /// Report for an inter-frame.
-    #[allow(clippy::too_many_arguments)]
-    pub fn inter(
-        frame: usize,
-        tau1: f64,
-        tau2: f64,
-        tau_tot: f64,
-        refs_used: usize,
-        sched_overhead: f64,
-        distribution: Distribution,
-        bits: Option<u64>,
-        psnr_y: Option<f64>,
-    ) -> Self {
-        FrameReport {
-            frame,
-            is_intra: false,
-            tau1,
-            tau2,
-            tau_tot,
-            refs_used,
-            sched_overhead,
-            distribution: Some(distribution),
-            bits,
-            psnr_y,
-        }
-    }
-
     /// Frames per second this frame achieves.
     pub fn fps(&self) -> f64 {
         if self.tau_tot > 0.0 {
@@ -220,41 +193,40 @@ mod tests {
         Distribution::equidistant(68, 2, 0)
     }
 
+    fn inter(
+        frame: usize,
+        tau_tot: f64,
+        sched_overhead: f64,
+        coded: Option<(u64, f64)>,
+    ) -> FrameReport {
+        FrameReport {
+            frame,
+            is_intra: false,
+            tau1: 0.0,
+            tau2: 0.0,
+            tau_tot,
+            refs_used: 1,
+            sched_overhead,
+            distribution: Some(dummy_dist()),
+            bits: coded.map(|c| c.0),
+            psnr_y: coded.map(|c| c.1),
+        }
+    }
+
     #[test]
     fn fps_and_realtime() {
-        let f = FrameReport::inter(1, 0.01, 0.02, 0.04, 1, 1e-4, dummy_dist(), None, None);
+        let f = inter(1, 0.04, 1e-4, None);
         assert!((f.fps() - 25.0).abs() < 1e-9);
         assert!(f.is_realtime());
-        let slow = FrameReport::inter(2, 0.01, 0.02, 0.05, 1, 1e-4, dummy_dist(), None, None);
-        assert!(!slow.is_realtime());
+        assert!(!inter(2, 0.05, 1e-4, None).is_realtime());
     }
 
     #[test]
     fn report_aggregates() {
         let frames = vec![
             FrameReport::intra(1000, 40.0),
-            FrameReport::inter(
-                1,
-                0.0,
-                0.0,
-                0.02,
-                1,
-                1e-3,
-                dummy_dist(),
-                Some(100),
-                Some(38.0),
-            ),
-            FrameReport::inter(
-                2,
-                0.0,
-                0.0,
-                0.04,
-                1,
-                2e-3,
-                dummy_dist(),
-                Some(200),
-                Some(39.0),
-            ),
+            inter(1, 0.02, 1e-3, Some((100, 38.0))),
+            inter(2, 0.04, 2e-3, Some((200, 39.0))),
         ];
         let r = EncodeReport::new("test".into(), frames);
         assert!((r.mean_frame_time() - 0.03).abs() < 1e-12);

@@ -217,22 +217,6 @@ impl FrameTrace {
         lanes
     }
 
-    /// Busy fraction of each lane over the frame (`lane → busy / τtot`),
-    /// in lane display order — the utilization view of Fig 4.
-    pub fn utilization(&self) -> Vec<(Lane, f64)> {
-        let total = self.tau_tot_ms.max(1e-9);
-        let mut lanes: Vec<(Lane, f64)> = Vec::new();
-        for t in &self.tasks {
-            let busy = t.end_ms - t.start_ms;
-            match lanes.iter_mut().find(|(l, _)| *l == t.lane) {
-                Some((_, b)) => *b += busy,
-                None => lanes.push((t.lane, busy)),
-            }
-        }
-        lanes.sort_by_key(|a| a.0);
-        lanes.into_iter().map(|(l, b)| (l, b / total)).collect()
-    }
-
     /// Render an ASCII Gantt chart, `width` characters across the frame.
     pub fn render_gantt(&self, width: usize) -> String {
         let total = self.tau_tot_ms.max(1e-9);
@@ -453,57 +437,5 @@ mod tests {
         assert!(json.contains("\"tau_tot\""));
         assert!(json.contains("\"ph\":\"X\""));
         serde_json::value_from_str(&json).expect("valid JSON");
-    }
-}
-
-#[cfg(test)]
-mod utilization_tests {
-    use super::tests_support::traced_frame_for_utilization;
-
-    #[test]
-    fn utilization_bounded_and_meaningful() {
-        let tr = traced_frame_for_utilization();
-        let u = tr.utilization();
-        assert!(!u.is_empty());
-        for (lane, frac) in &u {
-            assert!(
-                (0.0..=1.0 + 1e-9).contains(frac),
-                "{lane} utilization out of range: {frac}"
-            );
-        }
-        // The busiest compute lane of a balanced frame is > 50% occupied.
-        let max = u
-            .iter()
-            .filter(|(l, _)| !l.is_transfer())
-            .map(|(_, f)| *f)
-            .fold(0.0f64, f64::max);
-        assert!(max > 0.5, "busiest kernel lane too idle: {max}");
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use super::*;
-    use crate::dam::DataManager;
-    use crate::vcm::{build_frame_graph, FrameGeometry};
-    use feves_codec::types::EncodeParams;
-    use feves_hetsim::noise::Deterministic;
-    use feves_hetsim::timeline::simulate;
-    use feves_sched::Distribution;
-
-    pub fn traced_frame_for_utilization() -> FrameTrace {
-        let p = Platform::sys_hk();
-        let dist = Distribution::equidistant(68, p.len(), 0);
-        let dam = DataManager::new(68, p.len());
-        let mask: Vec<bool> = p.devices.iter().map(|d| d.is_accelerator()).collect();
-        let plan = dam.plan(&dist, &mask, true);
-        let geo = FrameGeometry {
-            mb_cols: 120,
-            n_rows: 68,
-            width: 1920,
-        };
-        let fg = build_frame_graph(&dist, &plan, &p, &EncodeParams::default(), geo, true);
-        let sched = simulate(&fg.graph, &p, &p.nominal_speeds(), &mut Deterministic).unwrap();
-        FrameTrace::capture(&fg, &sched, &p)
     }
 }

@@ -45,6 +45,17 @@ pub enum MeasureKind {
     },
 }
 
+impl MeasureKind {
+    /// The device the measured task ran on (or, for a transfer, served).
+    pub fn device(&self) -> usize {
+        match *self {
+            MeasureKind::Compute { device, .. }
+            | MeasureKind::Transfer { device, .. }
+            | MeasureKind::RstarPart { device } => device,
+        }
+    }
+}
+
 /// A task worth measuring.
 #[derive(Clone, Copy, Debug)]
 pub struct MeasuredTask {

@@ -39,11 +39,6 @@ impl FaultInjector {
         &self.schedule
     }
 
-    /// Append one more fault to the schedule.
-    pub fn push(&mut self, spec: FaultSpec) {
-        self.schedule.specs.push(spec);
-    }
-
     /// Faults that begin exactly at inter frame `frame` (for the
     /// faults-injected counter).
     pub fn starting(&self, frame: usize) -> impl Iterator<Item = &FaultSpec> {

@@ -58,6 +58,24 @@ fn test_frames(n: usize) -> Vec<feves::video::frame::Frame> {
     SynthSequence::new(cfg).take_frames(n)
 }
 
+/// Injected kernel panics would otherwise spray backtraces into the test
+/// output; silence exactly those and forward everything else.
+fn silence_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<String>()
+                .is_some_and(|m| m.contains("injected kernel panic"));
+            if !injected {
+                default_hook(info);
+            }
+        }));
+    });
+}
+
 fn functional_signature(faults: Vec<FaultSpec>) -> (Vec<Option<u64>>, Vec<u8>, FtStats) {
     let frames = test_frames(5);
     let mut enc = FevesEncoder::new(Platform::sys_nff(), functional_config(faults)).unwrap();
@@ -102,18 +120,7 @@ fn killing_any_single_accelerator_is_bit_exact() {
 /// device's bands: its ME band alone, its SME band alone, or both.
 #[test]
 fn injected_kernel_panic_is_caught_and_bit_exact() {
-    // The injected panic would otherwise spray a backtrace into the test
-    // output; silence exactly that one and forward everything else.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.contains("injected kernel panic"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
+    silence_injected_panics();
     // The proportional split leaves SysNFF devices with an ME band and no
     // SME band, and the reverse, at QCIF.
     const PANIC_FRAME: usize = 2;
@@ -157,7 +164,62 @@ fn injected_kernel_panic_is_caught_and_bit_exact() {
             "device {device}: exactly its bands are recomputed"
         );
     }
-    let _ = std::panic::take_hook();
+}
+
+/// Every CPU core's band panics in the same frame. Each fault must be
+/// judged against the cores the previous fault left, not the set the frame
+/// started with — otherwise every core sees "three others still live", the
+/// whole host is blacklisted and the next frame has nothing to run on.
+#[test]
+fn all_cores_panicking_in_one_frame_keeps_the_last_core() {
+    silence_injected_panics();
+    const PANIC_FRAME: usize = 2;
+    let cores = Platform::sys_nf().n_accel..Platform::sys_nf().len();
+    let run = |faults: Vec<FaultSpec>| {
+        let mut enc = FevesEncoder::new(Platform::sys_nf(), functional_config(faults)).unwrap();
+        let mut ever_blacklisted = vec![false; enc.platform().len()];
+        let mut reports = Vec::new();
+        for frame in &test_frames(6) {
+            reports.push(enc.encode_frame(frame));
+            for d in enc.health().blacklisted() {
+                ever_blacklisted[d] = true;
+            }
+        }
+        let bits: Vec<_> = reports.iter().map(|f| f.bits).collect();
+        let dist = reports
+            .iter()
+            .find(|f| f.frame == PANIC_FRAME)
+            .and_then(|f| f.distribution.clone())
+            .expect("the panic frame was encoded");
+        let recon = enc.last_reconstruction().unwrap().as_slice().to_vec();
+        (bits, recon, dist, enc.ft_stats(), ever_blacklisted)
+    };
+    let (ref_bits, ref_recon, ref_dist, _, _) = run(Vec::new());
+    let (bits, recon, dist, ft, ever_blacklisted) = run(cores
+        .clone()
+        .map(|device| FaultSpec {
+            device,
+            frame: PANIC_FRAME,
+            kind: FaultKind::KernelPanic,
+        })
+        .collect());
+    assert_eq!(bits, ref_bits, "bits diverge");
+    assert_eq!(recon, ref_recon, "reconstruction diverges");
+    assert_eq!(dist, ref_dist, "the split of the panic frame moved");
+    let bands: usize = cores
+        .clone()
+        .map(|d| usize::from(dist.me[d] > 0) + usize::from(dist.sme[d] > 0))
+        .sum();
+    assert!(
+        cores.clone().all(|d| dist.me[d] + dist.sme[d] > 0),
+        "every core holds a band of the panic frame: {dist:?}"
+    );
+    assert_eq!(ft.detected, bands as u64, "one fault per band");
+    assert_eq!(ft.recovered, bands as u64);
+    assert!(
+        cores.clone().any(|d| !ever_blacklisted[d]),
+        "one core must stay live throughout: {ever_blacklisted:?}"
+    );
 }
 
 /// Seeded chaos: a generated recoverable schedule (1–3 transient faults on

@@ -123,6 +123,32 @@ fn encode_roundtrips_a_y4m_file() {
     assert_eq!(r.read_all().unwrap().len(), 3);
 }
 
+/// Every CPU core of SysNF panics in inter frame 2: the encode keeps one
+/// core, finishes, and writes the fault-free artifact.
+#[test]
+fn all_cores_panicking_still_writes_the_fault_free_artifact() {
+    let dir = std::env::temp_dir().join("feves_cli_all_cores");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("in.y4m");
+    write_qcif_input(&input, 5);
+    let encode = |name: &str, faults: &[&str]| {
+        let output = dir.join(name);
+        let mut args = vec!["encode", input.to_str().unwrap(), output.to_str().unwrap()];
+        args.extend(["--platform", "SysNF", "--sa", "16", "--refs", "2"]);
+        args.extend(faults.iter().flat_map(|f| ["--inject-fault", f]));
+        let (code, _, stderr) = run_code(&args);
+        assert_eq!(code, Some(0), "{name}: {stderr}");
+        std::fs::read(&output).unwrap()
+    };
+    let clean = encode("clean.y4m", &[]);
+    let faulty = encode(
+        "faulty.y4m",
+        &["1:panic@2", "2:panic@2", "3:panic@2", "4:panic@2"],
+    );
+    assert!(clean == faulty, "the artifact moved under the panics");
+}
+
 #[test]
 fn inject_fault_recovers_and_reports_counters() {
     let (ok, stdout, stderr) = run(&[

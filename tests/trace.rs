@@ -5,9 +5,13 @@
 //! checkpoint→resume edges, tracing never changes output bytes, and the
 //! what-if projector predicts a genuinely perturbed re-run. A proptest
 //! fuzzes the DAG invariants and a golden pins the trace line schema.
+//! One real run — faults, drift, overlap, a lease swap — has its flight,
+//! metrics and trace exports pinned byte for byte, and is repeated with
+//! and without observers to show they never feed back.
 //!
 //! The schema golden lives at `tests/golden/trace.schema` — one key path
-//! per line (arrays generalized to `[]`), sorted. Regenerate after an
+//! per line (arrays generalized to `[]`), sorted; the real run's are
+//! `tests/golden/run.{flight,metrics,trace}.jsonl`. Regenerate after an
 //! intentional format change with:
 //!
 //! ```text
@@ -26,7 +30,8 @@ use feves::core::Perturbation;
 use feves::obs::critical::{busiest_device, frame_samples_from_flight, what_if_device};
 use feves::obs::trace::fnv1a64;
 use feves::obs::{
-    validate_dag, CriticalReport, EdgeKind, TraceCollector, TraceCtx, TraceLog, TraceSink,
+    hub, validate_dag, BusController, CriticalReport, EdgeKind, MemoryRecorder, Metric,
+    TraceCollector, TraceCtx, TraceLog, TraceSink,
 };
 use feves::video::synth::{SynthConfig, SynthSequence};
 use feves::video::y4m::{Y4mHeader, Y4mWriter};
@@ -448,16 +453,214 @@ fn trace_jsonl_matches_golden_schema() {
     }
     let mut actual: String = paths.into_iter().collect::<Vec<_>>().join("\n");
     actual.push('\n');
-    let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace.schema");
+    check_golden("trace.schema", &actual);
+}
+
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::write(&golden_path, &actual).expect("write golden");
+        fs::write(&path, actual).expect("write golden");
         return;
     }
-    let expected = fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", golden_path.display()));
+    let expected = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     assert_eq!(
         actual, expected,
-        "trace line schema drifted; run UPDATE_GOLDEN=1 cargo test --test trace \
+        "{name} drifted from its golden; run UPDATE_GOLDEN=1 cargo test --test trace \
          if the change is intentional"
+    );
+}
+
+// ---- Real-run goldens and the single emission point ----
+
+const RUN_FRAMES: usize = 16;
+
+/// The scenario behind `tests/golden/run.{flight,metrics,trace}.jsonl`: a
+/// pipelined SysNFF timing run that walks the frame loop's recovery
+/// (transfer fault; deadline miss → blacklist → re-solve → re-admission),
+/// drift re-characterization, overlap and lease arms. `attach` hooks the
+/// observers up before the first frame.
+fn golden_run(attach: impl FnOnce(&mut FevesEncoder)) -> (FevesEncoder, Vec<FrameReport>) {
+    let mut cfg = EncoderConfig::full_hd(EncodeParams {
+        search_area: SearchArea(32),
+        n_ref: 2,
+        ..Default::default()
+    });
+    cfg.pipeline = true;
+    // A sluggish EWMA cannot absorb the perturbation below frame to frame,
+    // so the residuals stay out of band long enough for drift to fire.
+    cfg.ewma = feves::sched::Ewma(0.1);
+    cfg.faults = ["0:xfer@4", "1:slow@7+3x8"]
+        .iter()
+        .map(|s| s.parse().expect("fault spec"))
+        .collect();
+    let mut enc = FevesEncoder::new(Platform::sys_nff(), cfg).unwrap();
+    enc.add_perturbation(Perturbation {
+        device: 3,
+        frames: 9..RUN_FRAMES + 1,
+        factor: 0.4,
+    });
+    let ctl = Arc::new(SessionCtl::new());
+    enc.set_ctl(ctl.clone());
+    attach(&mut enc);
+    let mut reports = Vec::new();
+    for frame in 1..=RUN_FRAMES {
+        // The supervisor swaps the lease at frame boundaries: core 5 is
+        // taken away for two frames, then handed back.
+        match frame {
+            13 => ctl.set_lease(Some(vec![true, true, true, true, true, false])),
+            15 => ctl.set_lease(None),
+            _ => {}
+        }
+        reports.push(enc.encode_inter_timing());
+    }
+    enc.quiesce_pipeline();
+    (enc, reports)
+}
+
+/// A sink parented under a fresh job root span, as the farm hands one to
+/// each session attempt.
+fn attempt_sink(collector: &Arc<TraceCollector>, job: &str) -> TraceSink {
+    let ctx = TraceCtx::for_job(job);
+    let root_sink = TraceSink::new(
+        collector.clone(),
+        TraceCtx {
+            trace_id: ctx.trace_id,
+            parent_span: 0,
+        },
+        Instant::now(),
+    );
+    let root = root_sink.record(&format!("job:{job}"), "job", 0.0, 0.0);
+    root_sink.under(root)
+}
+
+/// The three exports of one real run, pinned byte for byte. The goldens
+/// were written by the frame loop as it stood before it was split into
+/// phases; they walk the arms no fault-free lockstep golden reaches.
+#[test]
+fn real_run_matches_goldens() {
+    let rec = Arc::new(MemoryRecorder::new());
+    let collector = Arc::new(TraceCollector::new());
+    let (enc, _) = golden_run(|enc| {
+        enc.set_recorder(rec.clone());
+        enc.enable_flight(RUN_FRAMES);
+        enc.set_trace(attempt_sink(&collector, "golden-run"));
+    });
+    let flight = enc.flight().expect("flight enabled");
+    check_golden("run.flight.jsonl", &flight.to_jsonl());
+    check_golden("run.metrics.jsonl", &rec.to_jsonl(true));
+    check_golden("run.trace.jsonl", &collector.to_jsonl());
+
+    // The scenario reached the arms it exists for.
+    let records = flight.to_vec();
+    let ft = enc.ft_stats();
+    assert_eq!(
+        (ft.detected, ft.recovered, ft.resolves),
+        (2, 2, 2),
+        "{ft:?}"
+    );
+    assert!(records.iter().any(|r| r.recharacterized), "drift fired");
+    assert!(records.iter().any(|r| r.inflight_depth == 2), "overlap ran");
+    let retried: Vec<usize> = records
+        .iter()
+        .filter(|r| r.recovery_ms > 0.0)
+        .map(|r| r.frame)
+        .collect();
+    assert_eq!(retried, [3, 6], "the xfer and the slow frame were retried");
+
+    // However often a frame was retried, it is emitted exactly once: one
+    // flight record, one `frame{n}` span with four children, one tick of
+    // `frames.encoded`.
+    assert_eq!(
+        records.iter().map(|r| r.frame).collect::<Vec<_>>(),
+        (0..RUN_FRAMES).collect::<Vec<_>>()
+    );
+    assert_eq!(rec.counter(Metric::FramesEncoded), RUN_FRAMES as u64);
+    let log = collector.snapshot();
+    validate_dag(&log).expect("span DAG validates");
+    for n in 0..RUN_FRAMES {
+        let name = format!("frame{n}");
+        let spans: Vec<_> = log.spans.iter().filter(|s| s.name == name).collect();
+        assert_eq!(spans.len(), 1, "{name} spans");
+        let children = log.children_of(spans[0].trace_id, spans[0].span_id);
+        assert_eq!(children.len(), 4, "{name} children");
+    }
+}
+
+/// Observers never feed back: the golden scenario with every observer on
+/// the emission point attached (session scope over a live bus, flight
+/// ring, trace sink) and with none reports the same frames and leaves the
+/// same encoder state.
+#[test]
+fn observers_do_not_change_reports_or_state() {
+    let collector = Arc::new(TraceCollector::new());
+    let scope = hub().session("observed-run");
+    let mut bus = BusController::start(1 << 16, None);
+    assert!(scope.attach_bus(bus.bus()));
+    let (observed, observed_reports) = golden_run(|enc| {
+        enc.set_scope(scope.clone());
+        enc.enable_flight(RUN_FRAMES);
+        enc.set_trace(attempt_sink(&collector, "observed-run"));
+    });
+    bus.stop();
+    let (bare, bare_reports) = golden_run(|_| {});
+    assert_eq!(observed.flight().expect("flight enabled").len(), RUN_FRAMES);
+    assert_eq!(
+        scope.metrics().counter(Metric::FramesEncoded),
+        RUN_FRAMES as u64
+    );
+    assert_eq!(collector.span_count(), 1 + 5 * RUN_FRAMES);
+
+    // Everything in a report but the wall-clock scheduling overhead.
+    let strip = |reports: Vec<FrameReport>| -> Vec<String> {
+        reports
+            .into_iter()
+            .map(|mut r| {
+                r.sched_overhead = 0.0;
+                format!("{r:?}")
+            })
+            .collect()
+    };
+    assert_eq!(strip(observed_reports), strip(bare_reports));
+    // FrameworkState holds NaN sentinels, so compare its Debug rendering:
+    // perf, health, drift, ft_stats, prev_dist, the DAM carry, the noise
+    // position and the deadline baseline are all in it.
+    assert_eq!(
+        format!("{:?}", observed.snapshot()),
+        format!("{:?}", bare.snapshot())
+    );
+
+    // And the pixels: a functional QCIF encode codes the same bits and
+    // reconstructs the same planes, frame by frame, watched or not.
+    let functional = |watched: bool| {
+        let mut cfg = EncoderConfig::full_hd(EncodeParams {
+            search_area: SearchArea(16),
+            n_ref: 2,
+            ..Default::default()
+        });
+        cfg.resolution = Resolution::QCIF;
+        cfg.mode = ExecutionMode::Functional;
+        let mut enc = FevesEncoder::new(Platform::sys_hk(), cfg).unwrap();
+        if watched {
+            enc.set_scope(hub().session("observed-encode"));
+            enc.enable_flight(RUN_FRAMES);
+            enc.set_trace(attempt_sink(&collector, "observed-encode"));
+        }
+        let mut synth = SynthConfig::tiny_test();
+        synth.resolution = Resolution::QCIF;
+        let mut coded = Vec::new();
+        for frame in SynthSequence::new(synth).take_frames(4) {
+            let bits = enc.encode_frame(&frame).bits;
+            let (y, u, v) = enc.last_reconstruction_yuv().expect("functional run");
+            let planes = [y, u, v].map(|p| p.as_slice().to_vec());
+            coded.push((bits, planes));
+        }
+        coded
+    };
+    assert!(
+        functional(true) == functional(false),
+        "observers moved pixels"
     );
 }
