@@ -197,13 +197,51 @@ pub fn encode_chroma_inter(
     modes: &ModeField,
     luma_qp: u8,
 ) -> ChromaOutput {
+    let mut coeffs = ChromaField::new(modes.mb_cols(), modes.mb_rows());
+    let mut recon_u = Plane::new(cf_u.width(), cf_u.height());
+    let mut recon_v = Plane::new(cf_v.width(), cf_v.height());
+    let bits = encode_chroma_inter_into(
+        cf_u,
+        cf_v,
+        refs_u,
+        refs_v,
+        modes,
+        luma_qp,
+        &mut coeffs,
+        &mut recon_u,
+        &mut recon_v,
+    );
+    ChromaOutput {
+        coeffs,
+        recon_u,
+        recon_v,
+        bits,
+    }
+}
+
+/// [`encode_chroma_inter`] into a coefficient field and reconstruction
+/// planes of the frame's dimensions that already exist: every coefficient
+/// and every sample is overwritten, whatever they held. Returns the bits.
+#[allow(clippy::too_many_arguments)] // `encode_chroma_inter`'s inputs and its three outputs
+pub fn encode_chroma_inter_into(
+    cf_u: &Plane<u8>,
+    cf_v: &Plane<u8>,
+    refs_u: &[&Plane<u8>],
+    refs_v: &[&Plane<u8>],
+    modes: &ModeField,
+    luma_qp: u8,
+    coeffs: &mut ChromaField,
+    recon_u: &mut Plane<u8>,
+    recon_v: &mut Plane<u8>,
+) -> u64 {
     assert_eq!(refs_u.len(), refs_v.len());
     let qp_c = chroma_qp(luma_qp);
     let mb_cols = modes.mb_cols();
     let mb_rows = modes.mb_rows();
-    let mut coeffs = ChromaField::new(mb_cols, mb_rows);
-    let mut recon_u: Plane<u8> = Plane::new(cf_u.width(), cf_u.height());
-    let mut recon_v: Plane<u8> = Plane::new(cf_v.width(), cf_v.height());
+    assert_eq!((coeffs.mb_cols(), coeffs.mb_rows()), (mb_cols, mb_rows));
+    let same_size =
+        |a: &Plane<u8>, b: &Plane<u8>| (a.width(), a.height()) == (b.width(), b.height());
+    assert!(same_size(recon_u, cf_u) && same_size(recon_v, cf_v));
     let mut bits = 0u64;
 
     let mut pred_u = [0i16; 64];
@@ -241,8 +279,8 @@ pub fn encode_chroma_inter(
                     }
                 }
             }
-            let (cb, cb_mask, b1) = code_region(cf_u, &pred_u, cx, cy, qp_c, false, &mut recon_u);
-            let (cr, cr_mask, b2) = code_region(cf_v, &pred_v, cx, cy, qp_c, false, &mut recon_v);
+            let (cb, cb_mask, b1) = code_region(cf_u, &pred_u, cx, cy, qp_c, false, recon_u);
+            let (cr, cr_mask, b2) = code_region(cf_v, &pred_v, cx, cy, qp_c, false, recon_v);
             let mb = coeffs.mb_mut(mbx, mby);
             mb.cb = cb;
             mb.cr = cr;
@@ -250,12 +288,7 @@ pub fn encode_chroma_inter(
             bits += b1 + b2;
         }
     }
-    ChromaOutput {
-        coeffs,
-        recon_u,
-        recon_v,
-        bits,
-    }
+    bits
 }
 
 /// Intra-code the chroma planes (8×8 DC prediction per component, the

@@ -43,6 +43,8 @@ pub struct RefEntry {
 pub struct ReferenceStore {
     entries: VecDeque<RefEntry>,
     max_refs: usize,
+    /// Entries [`Self::clear`] retired: not references, only buffers.
+    retired: Vec<RefEntry>,
 }
 
 impl ReferenceStore {
@@ -52,6 +54,7 @@ impl ReferenceStore {
         ReferenceStore {
             entries: VecDeque::with_capacity(max_refs + 1),
             max_refs,
+            retired: Vec::new(),
         }
     }
 
@@ -95,6 +98,27 @@ impl ReferenceStore {
         while self.entries.len() > self.max_refs {
             self.entries.pop_back();
         }
+    }
+
+    /// Take out an entry no later frame searches, for its buffers to be
+    /// reused: one [`Self::clear`] retired, else the oldest of a full
+    /// window — the one the next push would evict. Taking it *before*
+    /// building the next entry lets that be built in its buffers, so a
+    /// window never holds more than `max_refs` SFs.
+    pub fn recycle(&mut self) -> Option<RefEntry> {
+        if let Some(retired) = self.retired.pop() {
+            return Some(retired);
+        }
+        if self.entries.len() < self.max_refs {
+            return None;
+        }
+        self.entries.pop_back()
+    }
+
+    /// Drop every reference (a closed-GOP refresh), keeping their buffers
+    /// for [`Self::recycle`].
+    pub fn clear(&mut self) {
+        self.retired.extend(self.entries.drain(..));
     }
 
     /// Chroma reference planes, most recent first; `None` if any entry was
@@ -152,7 +176,11 @@ impl ReferenceStore {
             let sf = interpolate(&plane);
             entries.push_back(RefEntry { plane, sf, chroma });
         }
-        ReferenceStore { entries, max_refs }
+        ReferenceStore {
+            entries,
+            max_refs,
+            retired: Vec::new(),
+        }
     }
 }
 

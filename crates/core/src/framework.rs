@@ -17,10 +17,15 @@ use crate::pipeline::FramePipeline;
 use crate::report::{EncodeReport, FrameReport};
 use crate::trace::{FrameTrace, LaneKind};
 use crate::vcm::{build_frame_graph, FrameGeometry, FrameGraph, MeasureKind};
+use feves_codec::chroma::ChromaField;
 use feves_codec::inter_loop::ReferenceStore;
 use feves_codec::interp::SubpelFrame;
+use feves_codec::mc::ModeField;
+use feves_codec::me::MeField;
 use feves_codec::par;
 use feves_codec::rate::{RateController, RateSnapshot};
+use feves_codec::recon::CoeffField;
+use feves_codec::sme::SmeField;
 use feves_codec::types::EncodeParams;
 use feves_ft::{
     DeadlinePolicy, DeviceFault, DriftDetector, DriftSnapshot, FaultCause, FaultSchedule,
@@ -252,6 +257,9 @@ pub struct FevesEncoder {
     // Functional-mode state.
     store: ReferenceStore,
     recon_pending: Option<ReconPending>,
+    /// The inter path's frame-sized working set, created by the first
+    /// inter frame and reused by every later one.
+    scratch: Option<FrameScratch>,
     // Fault tolerance.
     injector: FaultInjector,
     health: HealthTracker,
@@ -290,6 +298,36 @@ struct ReconPending {
     y: Plane<u8>,
     u: Plane<u8>,
     v: Plane<u8>,
+}
+
+/// What one functional inter frame computes on its way to a reconstruction
+/// and a bit count. Nothing in it outlives the frame — each module
+/// overwrites all of its output, every frame, before anything reads it — so
+/// it is working memory, not state: no snapshot carries it, and an encoder
+/// restored from a checkpoint starts with a new one.
+struct FrameScratch {
+    me: MeField,
+    sme: SmeField,
+    modes: ModeField,
+    pred: Plane<u8>,
+    residual: Plane<i16>,
+    coeffs: CoeffField,
+    chroma: ChromaField,
+}
+
+impl FrameScratch {
+    fn new(g: FrameGeometry) -> Self {
+        let (w, h) = (g.width, g.n_rows * 16);
+        FrameScratch {
+            me: MeField::new(g.mb_cols, g.n_rows),
+            sme: SmeField::new(g.mb_cols, g.n_rows),
+            modes: ModeField::new(g.mb_cols, g.n_rows),
+            pred: Plane::new(w, h),
+            residual: Plane::new(w, h),
+            coeffs: CoeffField::new(g.mb_cols, g.n_rows),
+            chroma: ChromaField::new(g.mb_cols, g.n_rows),
+        }
+    }
 }
 
 /// The complete mutable state of a [`FevesEncoder`], as captured by
@@ -391,6 +429,7 @@ impl FevesEncoder {
                 .map(|rc| RateController::new(rc.target_kbps, rc.fps, config.params.qp)),
             store: ReferenceStore::new(n_ref),
             recon_pending: None,
+            scratch: None,
             injector: FaultInjector::new(FaultSchedule::new(config.faults.clone())),
             health: {
                 let mut health = HealthTracker::new(platform.len(), 2, 3);
@@ -703,7 +742,7 @@ impl FevesEncoder {
         // Closed-GOP refresh: drop all references and start a new I-frame.
         if let Some(gop) = self.config.gop {
             if self.frames_encoded > 0 && self.frames_encoded.is_multiple_of(gop) {
-                self.store = ReferenceStore::new(self.config.params.n_ref);
+                self.store.clear();
                 self.recon_pending = None;
                 self.refs_available = 0;
             }
@@ -1286,6 +1325,38 @@ impl FevesEncoder {
             .collect()
     }
 
+    /// INT: interpolate the pending reconstruction (the rows `dist.interp`
+    /// hands out — all of them) and push it as the newest reference.
+    /// Returns the buffers this frame reconstructs into.
+    ///
+    /// Both come out of a reference the window is done with
+    /// ([`ReferenceStore::recycle`]). It is taken out *before*
+    /// interpolating, so the pending reconstruction's SF is written over its
+    /// SF and no more than `n_ref` SFs exist at any time; its planes take
+    /// the new reconstruction. Only a window still filling up for the first
+    /// time has nothing to recycle and allocates.
+    fn advance_references(&mut self, covered: RowRange) -> ReconPending {
+        let padded = self.config.resolution.padded();
+        let luma = || Plane::new(padded.width, padded.height);
+        let chroma = || Plane::new(padded.width / 2, padded.height / 2);
+        let Some(pending) = self.recon_pending.take() else {
+            // Nothing to push: the window keeps what it has.
+            return ReconPending {
+                y: luma(),
+                u: chroma(),
+                v: chroma(),
+            };
+        };
+        let (y, mut sf, uv) = match self.store.recycle() {
+            Some(done) => (done.plane, done.sf, done.chroma),
+            None => (luma(), SubpelFrame::new(padded.width, padded.height), None),
+        };
+        sf.interpolate_rows_parallel(&pending.y, covered);
+        self.store.push_yuv(pending.y, sf, pending.u, pending.v);
+        let (u, v) = uv.unwrap_or_else(|| (chroma(), chroma()));
+        ReconPending { y, u, v }
+    }
+
     /// Phase 3: run the real kernels and advance the reference store.
     ///
     /// The distribution's bands are the logical partition; the host runs
@@ -1295,55 +1366,53 @@ impl FevesEncoder {
     /// panic can change the output. DBL, chroma and entropy are serial.
     /// A panicking band is reported like any other device fault: charged
     /// to the frame's counters and its device dropped.
+    ///
+    /// Every buffer a module writes here is reused from the frame before
+    /// ([`FrameScratch`], [`Self::advance_references`]) and still holds that
+    /// frame's values. Each module covers all rows — `dist.interp` sums to
+    /// `n_rows`, the others run over `all` — and a row kernel assigns every
+    /// element of its output, so nothing stale survives to be read.
     fn execute_kernels(&mut self, frame: &Frame, params: &EncodeParams, out: &mut FrameOutcome) {
         let dist = &out.planned.dist;
         let cf = frame.y();
-        let mb_cols = self.geometry.mb_cols;
-        let n_rows = self.geometry.n_rows;
-        let all = RowRange::new(0, n_rows);
+        let all = RowRange::new(0, self.geometry.n_rows);
+        let mut s = (self.scratch.take()).unwrap_or_else(|| FrameScratch::new(self.geometry));
 
-        // INT: interpolate the pending reconstruction (the rows dist.interp
-        // hands out — all of them) and push it as the newest reference.
-        if let Some(pending) = self.recon_pending.take() {
-            let mut sf = SubpelFrame::new(pending.y.width(), pending.y.height());
-            let covered = RowRange::new(0, dist.interp.iter().sum());
-            sf.interpolate_rows_parallel(&pending.y, covered);
-            self.store.push_yuv(pending.y, sf, pending.u, pending.v);
-        }
+        let mut recon = self.advance_references(RowRange::new(0, dist.interp.iter().sum()));
         let rfs = self.store.rf_planes();
         let sfs = self.store.sfs();
 
         // ME then SME, attributed to one row band per device (`run_stripes`).
-        let mut me = feves_codec::me::MeField::new(mb_cols, n_rows);
-        let mut kernel_faults = self.run_stripes(&dist.me, me.rows_mut(all), |range, out| {
+        let mut kernel_faults = self.run_stripes(&dist.me, s.me.rows_mut(all), |range, out| {
             feves_codec::me::motion_estimate_rows(cf, &rfs, params, range, out);
         });
-        let mut sme = feves_codec::sme::SmeField::new(mb_cols, n_rows);
+        let me = &s.me;
         kernel_faults.extend(
-            self.run_stripes(&dist.sme, sme.rows_mut(all), |range, out| {
+            self.run_stripes(&dist.sme, s.sme.rows_mut(all), |range, out| {
                 feves_codec::sme::sme_rows(cf, &sfs, me.rows(range), range, out);
             }),
         );
 
         // R* on the selected device (single-device semantics).
-        let mut modes = feves_codec::mc::ModeField::new(mb_cols, n_rows);
-        let mut pred: Plane<u8> = Plane::new(cf.width(), cf.height());
-        let mut residual: Plane<i16> = Plane::new(cf.width(), cf.height());
         feves_codec::mc::mc_rows_parallel(
             cf,
             &sfs,
-            sme.rows(all),
+            s.sme.rows(all),
             params.qp,
             all,
-            &mut modes,
-            &mut pred,
-            &mut residual,
+            &mut s.modes,
+            &mut s.pred,
+            &mut s.residual,
         );
-        let mut coeffs = feves_codec::recon::CoeffField::new(mb_cols, n_rows);
-        feves_codec::recon::tq_rows_parallel(&residual, params.qp, false, all, &mut coeffs);
-        let mut recon: Plane<u8> = Plane::new(cf.width(), cf.height());
-        feves_codec::recon::itq_recon_rows_parallel(&coeffs, &pred, params.qp, all, &mut recon);
-        feves_codec::dbl::deblock_frame(&mut recon, &modes, &coeffs, params.qp);
+        feves_codec::recon::tq_rows_parallel(&s.residual, params.qp, false, all, &mut s.coeffs);
+        feves_codec::recon::itq_recon_rows_parallel(
+            &s.coeffs,
+            &s.pred,
+            params.qp,
+            all,
+            &mut recon.y,
+        );
+        feves_codec::dbl::deblock_frame(&mut recon.y, &s.modes, &s.coeffs, params.qp);
 
         // Chroma rides with the R* group (single-device semantics), using
         // the winning luma modes.
@@ -1352,33 +1421,33 @@ impl FevesEncoder {
             .chroma_planes()
             .expect("functional references are pushed with chroma");
         let n_refs = refs_u.len().min(params.n_ref);
-        let chroma = feves_codec::chroma::encode_chroma_inter(
+        feves_codec::chroma::encode_chroma_inter_into(
             frame.u(),
             frame.v(),
             &refs_u[..n_refs],
             &refs_v[..n_refs],
-            &modes,
+            &s.modes,
             params.qp,
+            &mut s.chroma,
+            &mut recon.u,
+            &mut recon.v,
         );
         let (_stream, bits) = match self.config.entropy {
             feves_codec::cabac::EntropyBackend::ExpGolomb => {
-                feves_codec::entropy::encode_frame_yuv(&modes, &coeffs, &chroma.coeffs, params.qp)
+                feves_codec::entropy::encode_frame_yuv(&s.modes, &s.coeffs, &s.chroma, params.qp)
             }
             feves_codec::cabac::EntropyBackend::Cabac => feves_codec::cabac::encode_frame_cabac(
-                &modes,
-                &coeffs,
-                Some(&chroma.coeffs),
+                &s.modes,
+                &s.coeffs,
+                Some(&s.chroma),
                 params.qp,
             ),
         };
 
         out.bits = Some(bits);
-        out.psnr = Some(feves_video::metrics::psnr(&recon, cf));
-        self.recon_pending = Some(ReconPending {
-            y: recon,
-            u: chroma.recon_u,
-            v: chroma.recon_v,
-        });
+        out.psnr = Some(feves_video::metrics::psnr(&recon.y, cf));
+        self.recon_pending = Some(recon);
+        self.scratch = Some(s);
         if let Some(rc) = &mut self.rate {
             rc.update(bits);
         }
@@ -1575,5 +1644,110 @@ impl FevesEncoder {
             .restore_state(state.drift)
             .map_err(FevesError::CheckpointStale)?;
         Ok(enc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use feves_codec::types::{Mv, QpelMv, SearchArea, ALL_PARTITION_MODES};
+    use feves_video::geometry::Resolution;
+    use feves_video::synth::{SynthConfig, SynthSequence};
+
+    /// QCIF on SysHK, one reference, and a kernel panic injected into
+    /// device 1's band of inter frame 2.
+    fn encoder() -> FevesEncoder {
+        let mut cfg = EncoderConfig::full_hd(EncodeParams {
+            search_area: SearchArea(8),
+            n_ref: 1,
+            ..EncodeParams::default()
+        });
+        cfg.resolution = Resolution::QCIF;
+        cfg.mode = ExecutionMode::Functional;
+        cfg.faults = FaultSchedule::parse(&["1:panic@2".to_string()])
+            .unwrap()
+            .specs;
+        FevesEncoder::new(Platform::sys_hk(), cfg).unwrap()
+    }
+
+    /// Overwrite every buffer the next inter frame will reuse with `0xAA`
+    /// bytes: the scratch set, and the reference the window is about to
+    /// evict — with one reference that is the only entry, which nothing
+    /// reads again, so a stand-in store of poison takes its place.
+    fn poison_reused_buffers(enc: &mut FevesEncoder) {
+        let all = RowRange::new(0, enc.geometry.n_rows);
+        let (w, h) = (enc.geometry.width, enc.geometry.n_rows * 16);
+        let filled = |w: usize, h: usize| {
+            let mut p = Plane::new(w, h);
+            p.fill(0xAAu8);
+            p
+        };
+        let mut sf = SubpelFrame::new(w, h);
+        sf.interpolate_rows(&filled(w, h), all); // a flat plane stays flat in all 16 phases
+        assert_eq!(enc.store.len(), 1);
+        enc.store = ReferenceStore::new(1);
+        enc.store
+            .push_yuv(filled(w, h), sf, filled(w / 2, h / 2), filled(w / 2, h / 2));
+
+        let s = enc.scratch.as_mut().expect("an inter frame has run");
+        for mb in s.me.rows_mut(all) {
+            for b in ALL_PARTITION_MODES
+                .iter()
+                .flat_map(|m| (0..m.count()).map(move |i| (*m, i)))
+            {
+                let b = mb.block_mut(b.0, b.1);
+                (b.rf, b.mv, b.cost) = (0xAA, Mv::new(-0x5556, -0x5556), 0xAAAA_AAAA);
+            }
+        }
+        for mb in s.sme.rows_mut(all) {
+            for b in ALL_PARTITION_MODES
+                .iter()
+                .flat_map(|m| (0..m.count()).map(move |i| (*m, i)))
+            {
+                let b = mb.block_mut(b.0, b.1);
+                (b.rf, b.mv, b.cost) = (0xAA, QpelMv::new(-0x5556, -0x5556), 0xAAAA_AAAA);
+            }
+        }
+        for mb in s.modes.rows_mut(all) {
+            mb.cost = 0xAAAA_AAAA_AAAA_AAAA;
+            for b in &mut mb.mvs {
+                (b.rf, b.mv, b.cost) = (0xAA, QpelMv::new(-0x5556, -0x5556), 0xAAAA_AAAA);
+            }
+        }
+        for mb in s.coeffs.rows_mut(all) {
+            (mb.blocks, mb.coded_mask) = ([[-0x5556; 16]; 16], 0xAAAA);
+        }
+        for mby in 0..all.end {
+            for mbx in 0..enc.geometry.mb_cols {
+                let mb = s.chroma.mb_mut(mbx, mby);
+                (mb.cb, mb.cr, mb.coded_mask) = ([[-0x5556; 16]; 4], [[-0x5556; 16]; 4], 0xAA);
+            }
+        }
+        s.pred.fill(0xAA);
+        s.residual.fill(-0x5556);
+    }
+
+    #[test]
+    fn reused_buffers_never_reach_the_output_even_through_a_panicking_band() {
+        let mut seq = SynthSequence::new(SynthConfig::tiny_test());
+        let frames = seq.take_frames(5);
+        let (mut clean, mut poisoned) = (encoder(), encoder());
+        for (i, f) in frames.iter().enumerate() {
+            if i >= 2 {
+                poison_reused_buffers(&mut poisoned);
+            }
+            let (a, b) = (clean.encode_frame(f), poisoned.encode_frame(f));
+            assert_eq!((a.bits, a.psnr_y), (b.bits, b.psnr_y), "frame {i}");
+            assert!(a.bits.is_some_and(|bits| bits > 0));
+            let (a, b) = (
+                clean.last_reconstruction_yuv(),
+                poisoned.last_reconstruction_yuv(),
+            );
+            assert!(a.is_some() && a == b, "frame {i}: reconstruction");
+        }
+        // The injected panic did fire — in inter frame 2, the first one
+        // over poisoned buffers — and its ME and SME bands were recomputed.
+        assert_eq!(clean.ft_stats().recovered, 2);
+        assert_eq!(clean.ft_stats(), poisoned.ft_stats());
     }
 }

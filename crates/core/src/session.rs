@@ -3,10 +3,11 @@
 //!
 //! A [`ResumeContext`] is the job description (it is also what checkpoints
 //! serialise). From it the driver resolves the platform and encoder
-//! configuration, reads and fingerprints the input, validates a checkpoint
+//! configuration, scans and fingerprints the input, validates a checkpoint
 //! against the files on disk, opens (or truncates and re-opens) the output
-//! behind a streaming CRC, runs the frame loop with durable checkpoint
-//! commits, and fsyncs the finished artifact. `feves encode`, `feves
+//! behind a streaming CRC, runs the frame loop — one input frame in memory
+//! at a time — with durable checkpoint commits, and fsyncs the finished
+//! artifact. `feves encode`, `feves
 //! resume` and the farm worker (`feves_serve::session`) are shells over it:
 //! they build the context, attach their telemetry to
 //! [`Session::encoder_mut`], and supply what differs between them as
@@ -18,17 +19,18 @@ use crate::framework::{FevesEncoder, FrameworkState};
 use crate::report::FrameReport;
 use feves_codec::kernels::{self, KernelKind};
 use feves_codec::types::{EncodeParams, SearchArea};
-use feves_ft::ckpt::{crc32_update, fnv1a64, CRC32_INIT};
-use feves_ft::io::{backend_for, CrcFile};
+use feves_ft::ckpt::{fnv1a64_update, FNV1A64_INIT};
+use feves_ft::io::{crc_of_prefix, CrcFile};
 use feves_ft::{FaultSchedule, FevesError};
 use feves_hetsim::platform::Platform;
 use feves_hetsim::profiles::{cpu_haswell, cpu_nehalem, gpu_fermi, gpu_kepler, scaled_for_kernels};
 use feves_obs::{NoopRecorder, Recorder};
+use feves_video::error::VideoError;
 use feves_video::frame::Frame;
 use feves_video::geometry::Resolution;
-use feves_video::y4m::{Y4mHeader, Y4mReader, Y4mWriter};
+use feves_video::y4m::{Y4mFile, Y4mWriter};
 use std::fmt;
-use std::io::{BufWriter, Seek, SeekFrom};
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -174,34 +176,38 @@ pub fn build_config(
     Ok((platform, cfg))
 }
 
-/// A whole input sequence, read and fingerprinted.
+/// Buffer in front of the artifact: a few hundred KiB keeps a 720p frame to
+/// a handful of `write(2)` calls and CRC folds where the 8 KiB default makes
+/// ~170 of each.
+const OUT_BUF: usize = 256 * 1024;
+
+const INPUT_CHANGED: &str = "input changed during the encode";
+
+/// An input sequence: scanned and fingerprinted once, none of it held.
 pub struct Input {
     /// FNV-1a 64 of the file's bytes — what checkpoints pin the input to.
     pub fingerprint: u64,
-    /// The stream header (resolution, frame rate).
-    pub header: Y4mHeader,
-    /// Every frame, in display order. Never empty.
-    pub frames: Vec<Frame>,
+    /// The open file; its scan has the header and the frame count (never 0).
+    pub file: Y4mFile,
 }
 
-/// Read a Y4M file entirely. A file that cannot be read is
+/// Open a Y4M file: one pass over it in a bounded buffer checks every frame
+/// of it, fingerprints it, and finds where frame `at` (a checkpoint's
+/// `frames_done`; 0 for a new job) starts. A file that cannot be read is
 /// [`SessionError::Io`]; one that does not parse, or holds no frames, is
 /// [`SessionError::BadJob`].
-pub fn read_input(path: &str) -> Result<Input, SessionError> {
-    let raw = std::fs::read(path).map_err(|e| io_at(path, e))?;
+pub fn open_input(path: &str, at: usize) -> Result<Input, SessionError> {
     let bad = |e: &dyn fmt::Display| SessionError::BadJob(format!("{path}: {e}"));
-    let fingerprint = fnv1a64(&raw);
-    let mut reader = Y4mReader::new(std::io::Cursor::new(raw)).map_err(|e| bad(&e))?;
-    let header = reader.header();
-    let frames = reader.read_all().map_err(|e| bad(&e))?;
-    if frames.is_empty() {
+    let mut fingerprint = FNV1A64_INIT;
+    let fold = |bytes: &[u8]| fingerprint = fnv1a64_update(fingerprint, bytes);
+    let file = Y4mFile::open(Path::new(path), at, fold).map_err(|e| match e {
+        VideoError::Io(e) => io_at(path, e),
+        e => bad(&e),
+    })?;
+    if file.scan().n_frames == 0 {
         return Err(bad(&"empty input"));
     }
-    Ok(Input {
-        fingerprint,
-        header,
-        frames,
-    })
+    Ok(Input { fingerprint, file })
 }
 
 /// Check that the checkpoint described by `ctx` still matches the input and
@@ -227,23 +233,19 @@ pub fn validate_checkpoint(
         ))
         .into());
     }
-    if input.frames.len() != ctx.n_frames {
+    let n_frames = input.file.scan().n_frames;
+    if n_frames != ctx.n_frames {
         return Err(FevesError::CheckpointStale(format!(
-            "input {} has {} frames, checkpoint expects {}",
-            ctx.input,
-            input.frames.len(),
-            ctx.n_frames
+            "input {} has {n_frames} frames, checkpoint expects {}",
+            ctx.input, ctx.n_frames
         ))
         .into());
     }
     if ctx.frames_done == 0 {
         return Ok(None);
     }
-    let out = Path::new(&ctx.output);
-    let raw = backend_for(out)
-        .read(out)
-        .map_err(|e| io_at(&ctx.output, e))?;
-    let len = raw.len() as u64;
+    let (len, state) =
+        crc_of_prefix(Path::new(&ctx.output), ctx.out_bytes).map_err(|e| io_at(&ctx.output, e))?;
     if len < ctx.out_bytes {
         return Err(FevesError::CheckpointStale(format!(
             "output {} is {len} bytes, shorter than the {} committed by the checkpoint",
@@ -251,7 +253,6 @@ pub fn validate_checkpoint(
         ))
         .into());
     }
-    let state = crc32_update(CRC32_INIT, &raw[..ctx.out_bytes as usize]);
     if !state != ctx.out_crc {
         return Err(FevesError::CheckpointCorrupt(format!(
             "output {}: committed prefix hashes to {:08x}, checkpoint recorded {:08x} \
@@ -309,14 +310,14 @@ pub struct Finished {
     pub interrupted: bool,
 }
 
-/// An open encode session: encoder, output and checkpoint state, positioned
-/// at the first frame still to encode.
+/// An open encode session: encoder, input, output and checkpoint state,
+/// positioned at the first frame still to encode.
 pub struct Session {
     enc: FevesEncoder,
+    input: Y4mFile,
     writer: Y4mWriter<BufWriter<CrcFile>>,
     ctx: ResumeContext,
     mgr: Option<CheckpointManager>,
-    frames: Vec<Frame>,
 }
 
 impl Session {
@@ -325,8 +326,10 @@ impl Session {
     /// With `resume` — a checkpoint's encoder state plus the prefix CRC
     /// state [`validate_checkpoint`] returned — the output is truncated to
     /// `ctx.out_bytes` (anything past it is a torn frame from the previous
-    /// attempt) and encoding continues at `ctx.frames_done`. Without, the
-    /// output is created and the context's progress fields are reset.
+    /// attempt) and encoding continues at `ctx.frames_done` — the frame
+    /// `input` was [opened at](open_input), where reading resumes. Without,
+    /// the output is created, the context's progress fields are reset and
+    /// reading starts at frame 0 wherever `input` was opened.
     /// `ckpt_dir` arms checkpointing into that directory. `extras` may
     /// adjust the configuration [`build_config`] produced before the
     /// encoder is built from it.
@@ -337,46 +340,53 @@ impl Session {
         ckpt_dir: Option<PathBuf>,
         extras: impl FnOnce(&mut EncoderConfig),
     ) -> Result<Session, SessionError> {
-        let (platform, mut cfg) = build_config(&ctx, input.header.resolution)?;
+        let (fingerprint, mut input) = (input.fingerprint, input.file);
+        let header = input.scan().header;
+        let (platform, mut cfg) = build_config(&ctx, header.resolution)?;
         extras(&mut cfg);
         cfg.mode = ExecutionMode::Functional;
-        let out_path = ctx.output.clone();
+        let out_path = Path::new(&ctx.output);
         let (enc, writer) = match resume {
             Some((state, prefix_crc_state)) => {
                 let enc = FevesEncoder::restore(platform, cfg, state)?;
-                let reopen = || -> std::io::Result<std::fs::File> {
-                    let mut file = std::fs::OpenOptions::new()
-                        .read(true)
-                        .write(true)
-                        .open(&out_path)?;
-                    file.set_len(ctx.out_bytes)?;
-                    file.seek(SeekFrom::End(0))?;
-                    Ok(file)
-                };
-                let file = reopen().map_err(|e| io_at(&out_path, e))?;
+                (input.seek_located()).map_err(|e| io_at(&ctx.input, e))?;
                 // Seeding the CRC with the verified prefix makes the final
                 // artifact checksum cover the whole file, every attempt.
-                let file = CrcFile::resume(file, prefix_crc_state, ctx.out_bytes);
-                (enc, Y4mWriter::resume(BufWriter::new(file), input.header))
+                let file = CrcFile::reopen(out_path, prefix_crc_state, ctx.out_bytes)
+                    .map_err(|e| io_at(&ctx.output, e))?;
+                let out = BufWriter::with_capacity(OUT_BUF, file);
+                (enc, Y4mWriter::resume(out, header))
             }
             None => {
                 let enc = FevesEncoder::new(platform, cfg)?;
-                let file =
-                    CrcFile::create(Path::new(&out_path)).map_err(|e| io_at(&out_path, e))?;
-                ctx.n_frames = input.frames.len();
-                ctx.input_fingerprint = input.fingerprint;
+                (input.seek_first()).map_err(|e| io_at(&ctx.input, e))?;
+                let file = CrcFile::create(out_path).map_err(|e| io_at(&ctx.output, e))?;
+                ctx.n_frames = input.scan().n_frames;
+                ctx.input_fingerprint = fingerprint;
                 (ctx.frames_done, ctx.out_bytes, ctx.out_crc) = (0, 0, 0);
-                (enc, Y4mWriter::new(BufWriter::new(file), input.header))
+                let out = BufWriter::with_capacity(OUT_BUF, file);
+                (enc, Y4mWriter::new(out, header))
             }
         };
         let mgr = ckpt_dir.map(|dir| CheckpointManager::new(dir, ctx.keep));
         Ok(Session {
             enc,
+            input,
             writer,
             ctx,
             mgr,
-            frames: input.frames,
         })
+    }
+
+    /// Fail if the input is no longer the file the opening scan saw
+    /// ([`Y4mFile::unchanged`]). Frames are read as they are encoded, so an
+    /// input rewritten meanwhile would become an artifact of neither
+    /// version under the old fingerprint: checked before every checkpoint
+    /// commit and before the artifact is declared complete.
+    fn input_unchanged(&self) -> Result<(), SessionError> {
+        let same = (self.input.unchanged()).map_err(|e| io_at(&self.ctx.input, e))?;
+        same.then_some(())
+            .ok_or_else(|| io_at(&self.ctx.input, INPUT_CHANGED))
     }
 
     /// The session's encoder, for attaching telemetry before [`Self::run`].
@@ -384,8 +394,22 @@ impl Session {
         &mut self.enc
     }
 
-    /// Make the frame boundary `done` durable: flush and fsync the output,
-    /// then commit a checkpoint claiming exactly those bytes and their CRC.
+    /// Make the output durable up to the frame boundary `done` — flush and
+    /// fsync it — and note that progress, its bytes and their CRC in the
+    /// context. Refused when the input is no longer the file it was.
+    fn secure(&mut self, done: usize) -> Result<(), SessionError> {
+        self.input_unchanged()?;
+        let flushed = self.writer.flush();
+        flushed.map_err(|e| io_at(&self.ctx.output, e))?;
+        let file = self.writer.get_ref().get_ref();
+        file.sync().map_err(|e| io_at(&self.ctx.output, e))?;
+        (self.ctx.frames_done, self.ctx.out_bytes, self.ctx.out_crc) =
+            (done, file.bytes(), file.crc());
+        Ok(())
+    }
+
+    /// Make the frame boundary `done` durable ([`Self::secure`]), then
+    /// commit a checkpoint claiming exactly those bytes and their CRC.
     /// Cadence commits are only requested when armed, so being asked with
     /// no checkpoint directory means a stop request that cannot be kept.
     fn commit(
@@ -394,22 +418,16 @@ impl Session {
         stopping: bool,
         hooks: &mut dyn SessionHooks,
     ) -> Result<(), SessionError> {
-        let Some(mgr) = &self.mgr else {
+        if self.mgr.is_none() {
             return Err(SessionError::Interrupted);
-        };
+        }
         let started = Instant::now();
-        self.writer
-            .flush()
-            .map_err(|e| io_at(&self.ctx.output, e))?;
-        let file = self.writer.get_ref().get_ref();
-        file.sync().map_err(|e| io_at(&self.ctx.output, e))?;
-        self.ctx.frames_done = done;
-        self.ctx.out_bytes = file.bytes();
-        self.ctx.out_crc = file.crc();
+        self.secure(done)?;
         // Checkpoints commit only at quiesced frame boundaries: drain any
         // in-flight pipeline generation before snapshotting.
         self.enc.quiesce_pipeline();
         let state = self.enc.snapshot();
+        let mgr = self.mgr.as_ref().expect("checked on entry");
         let path = mgr
             .write(&self.ctx, &state, hooks.recorder())
             .map_err(|e| SessionError::Io(format!("checkpoint {}: {e}", mgr.dir().display())))?;
@@ -431,56 +449,49 @@ impl Session {
     /// off-cadence commit, so stopping loses no encoded frame; without a
     /// checkpoint directory it is [`SessionError::Interrupted`].
     pub fn run(mut self, hooks: &mut dyn SessionHooks) -> Result<Finished, SessionError> {
-        let frames = std::mem::take(&mut self.frames);
-        for (i, f) in frames.iter().enumerate().skip(self.ctx.frames_done) {
+        let (header, n_frames) = (self.input.scan().header, self.input.scan().n_frames);
+        // The one input frame a session holds: each read overwrites it.
+        let mut frame = Frame::new(header.resolution).map_err(|e| io_at(&self.ctx.input, e))?;
+        for i in self.ctx.frames_done..n_frames {
             if hooks.stop_requested() {
                 self.commit(i, true, hooks)?;
-                return Ok(Finished {
-                    encoder: self.enc,
-                    context: self.ctx,
-                    interrupted: true,
-                });
+                return Ok(self.finished(true));
             }
             hooks.before_frame(i);
-            let report = self.enc.encode_frame(f);
+            // The scan saw `n_frames` whole frames: a clean end is one gone.
+            let read = self.input.read_frame_into(&mut frame);
+            if !read.map_err(|e| io_at(&self.ctx.input, e))? {
+                return Err(io_at(&self.ctx.input, INPUT_CHANGED));
+            }
+            let report = self.enc.encode_frame(&frame);
             let (y, u, v) = self
                 .enc
                 .last_reconstruction_yuv()
                 .expect("a functional-mode encode leaves a reconstruction");
-            let mut rf = f.clone();
-            rf.y_mut().copy_from(y);
-            rf.u_mut().copy_from(u);
-            rf.v_mut().copy_from(v);
             self.writer
-                .write_frame(&rf)
+                .write_yuv(y, u, v)
                 .map_err(|e| io_at(&self.ctx.output, e))?;
             hooks.on_frame(report);
             let done = i + 1;
             if self.mgr.is_some()
                 && self.ctx.every > 0
                 && done.is_multiple_of(self.ctx.every)
-                && done < frames.len()
+                && done < n_frames
                 && !hooks.shed_cadence_commit()
             {
                 self.commit(done, false, hooks)?;
             }
         }
-        let out_path = &self.ctx.output;
-        let file = self
-            .writer
-            .finish()
-            .map_err(|e| io_at(out_path, e))?
-            .into_inner()
-            .map_err(|e| io_at(out_path, e))?;
-        file.sync().map_err(|e| io_at(out_path, e))?;
-        self.ctx.frames_done = frames.len();
-        self.ctx.out_bytes = file.bytes();
-        self.ctx.out_crc = file.crc();
-        Ok(Finished {
+        self.secure(n_frames)?;
+        Ok(self.finished(false))
+    }
+
+    fn finished(self, interrupted: bool) -> Finished {
+        Finished {
             encoder: self.enc,
             context: self.ctx,
-            interrupted: false,
-        })
+            interrupted,
+        }
     }
 }
 
@@ -515,14 +526,18 @@ mod tests {
         }
     }
 
-    fn input(fingerprint: u64, n_frames: usize) -> Input {
+    /// An opened `n_frames`-frame input claiming to hash to `fingerprint`.
+    fn input(dir: &Path, fingerprint: u64, n_frames: usize) -> Input {
+        let mut bytes = b"YUV4MPEG2 W16 H16 F25:1\n".to_vec();
+        for _ in 0..n_frames {
+            bytes.extend_from_slice(b"FRAME\n");
+            bytes.extend_from_slice(&[128; 16 * 16 * 3 / 2]);
+        }
+        let path = dir.join(format!("in{n_frames}.y4m"));
+        std::fs::write(&path, bytes).unwrap();
         Input {
             fingerprint,
-            header: Y4mHeader {
-                resolution: Resolution::QCIF,
-                fps: (25, 1),
-            },
-            frames: vec![Frame::new(Resolution::QCIF).unwrap(); n_frames],
+            ..open_input(&path.to_string_lossy(), 0).unwrap()
         }
     }
 
@@ -537,7 +552,7 @@ mod tests {
         // Intact prefix (a torn tail past it is fine): continue, and the
         // returned state is the prefix's running CRC.
         on_disk(&[&committed[..], b"torn tail"].concat());
-        let state = validate_checkpoint(&ctx, &input(0xF00D, 3)).unwrap();
+        let state = validate_checkpoint(&ctx, &input(&dir, 0xF00D, 3)).unwrap();
         assert_eq!(state, Some(!crc32(committed)));
 
         let stale = |r: Result<Option<u32>, SessionError>, needle: &str| match r {
@@ -547,23 +562,23 @@ mod tests {
             other => panic!("expected CheckpointStale({needle}), got {other:?}"),
         };
         stale(
-            validate_checkpoint(&ctx, &input(0xBEEF, 3)),
+            validate_checkpoint(&ctx, &input(&dir, 0xBEEF, 3)),
             "changed since the checkpoint was taken",
         );
         stale(
-            validate_checkpoint(&ctx, &input(0xF00D, 4)),
+            validate_checkpoint(&ctx, &input(&dir, 0xF00D, 4)),
             "has 4 frames, checkpoint expects 3",
         );
         on_disk(&committed[..10]);
         stale(
-            validate_checkpoint(&ctx, &input(0xF00D, 3)),
+            validate_checkpoint(&ctx, &input(&dir, 0xF00D, 3)),
             "is 10 bytes, shorter than the 41 committed",
         );
 
         let mut rotted = committed.to_vec();
         rotted[7] ^= 0x01;
         on_disk(&rotted);
-        match validate_checkpoint(&ctx, &input(0xF00D, 3)) {
+        match validate_checkpoint(&ctx, &input(&dir, 0xF00D, 3)) {
             Err(SessionError::Feves(FevesError::CheckpointCorrupt(m))) => {
                 assert!(m.contains("committed prefix hashes to"), "{m}")
             }
@@ -575,18 +590,18 @@ mod tests {
         std::fs::remove_file(dir.join("out.y4m")).unwrap();
         let at_zero = context(&dir, 0, b"");
         assert_eq!(
-            validate_checkpoint(&at_zero, &input(0xF00D, 3)).unwrap(),
+            validate_checkpoint(&at_zero, &input(&dir, 0xF00D, 3)).unwrap(),
             None
         );
         // …but the input checks still apply to it.
         stale(
-            validate_checkpoint(&at_zero, &input(0xBEEF, 3)),
+            validate_checkpoint(&at_zero, &input(&dir, 0xBEEF, 3)),
             "changed since",
         );
         // An unreadable output is an I/O error, not a verdict on the
         // checkpoint.
         assert!(matches!(
-            validate_checkpoint(&ctx, &input(0xF00D, 3)),
+            validate_checkpoint(&ctx, &input(&dir, 0xF00D, 3)),
             Err(SessionError::Io(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -628,12 +643,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
         assert!(matches!(
-            read_input(&path("missing.y4m")),
+            open_input(&path("missing.y4m"), 0),
             Err(SessionError::Io(_))
         ));
         std::fs::write(path("garbage.y4m"), b"not a y4m stream\n").unwrap();
         assert!(matches!(
-            read_input(&path("garbage.y4m")),
+            open_input(&path("garbage.y4m"), 0),
             Err(SessionError::BadJob(_))
         ));
         std::fs::write(
@@ -641,7 +656,7 @@ mod tests {
             b"YUV4MPEG2 W176 H144 F25:1 Ip A1:1 C420jpeg\n",
         )
         .unwrap();
-        match read_input(&path("empty.y4m")) {
+        match open_input(&path("empty.y4m"), 0) {
             Err(SessionError::BadJob(m)) => assert!(m.ends_with("empty.y4m: empty input"), "{m}"),
             other => panic!("expected BadJob, got {:?}", other.map(|_| ())),
         }

@@ -147,6 +147,14 @@ fn gop_inserts_periodic_intra_frames() {
     // Reference windows reset at each I-frame: the first P after an I uses 1.
     let refs: Vec<usize> = rep.inter_frames().map(|f| f.refs_used).collect();
     assert_eq!(refs, vec![1, 2, 1, 2]);
+    // A closed GOP owes nothing to the one before it — not even through
+    // the reference buffers it takes over at the refresh.
+    let alone = FevesEncoder::new(Platform::sys_hk(), functional_config(BalancerKind::Feves))
+        .unwrap()
+        .encode_sequence(&frames[3..6]);
+    for (a, b) in alone.frames.iter().zip(&rep.frames[3..6]) {
+        assert_eq!((a.bits, a.psnr_y), (b.bits, b.psnr_y));
+    }
 }
 
 #[test]

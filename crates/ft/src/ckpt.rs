@@ -109,7 +109,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// 64-bit FNV-1a hash, used for job fingerprints (not integrity — that is
 /// CRC-32's job).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a64_update(FNV1A64_INIT, bytes)
+}
+
+/// Initial state for [`fnv1a64_update`].
+pub const FNV1A64_INIT: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Fold more bytes into a running [`fnv1a64`]: hashing a stream chunk by
+/// chunk from [`FNV1A64_INIT`] gives the hash of the whole.
+pub fn fnv1a64_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);

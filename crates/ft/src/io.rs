@@ -46,8 +46,8 @@ impl IoFile for File {
 pub trait IoBackend: Send + Sync {
     /// Create (truncating) a file for writing.
     fn create(&self, path: &Path) -> io::Result<Box<dyn IoFile>>;
-    /// Read a whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Open a file for streaming reads.
+    fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>>;
     /// Atomically rename `from` onto `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Remove a file.
@@ -57,6 +57,13 @@ pub trait IoBackend: Send + Sync {
     /// Free bytes available on the filesystem holding `dir`
     /// (`u64::MAX` when the platform offers no probe).
     fn free_space(&self, dir: &Path) -> io::Result<u64>;
+
+    /// Convenience: open + read a whole file.
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        let mut bytes = Vec::new();
+        self.open(path)?.read_to_end(&mut bytes)?;
+        Ok(bytes)
+    }
 
     /// Convenience: create + write + fsync in one call.
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -132,8 +139,8 @@ impl IoBackend for RealIo {
         Ok(Box::new(File::create(path)?))
     }
 
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        fs::read(path)
+    fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>> {
+        Ok(Box::new(File::open(path)?))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -498,9 +505,11 @@ impl IoBackend for FaultyIo {
         }))
     }
 
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+    /// One roll of the fault gate per open — so per whole-file
+    /// [`IoBackend::read`] too, however many chunks the reader then takes.
+    fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>> {
         self.inner.gate(path, false)?;
-        fs::read(path)
+        Ok(Box::new(File::open(path)?))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -545,8 +554,31 @@ impl IoBackend for FaultyIo {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming-CRC file
+// Streaming CRC: of a file on disk, and of a file being written
 // ---------------------------------------------------------------------------
+
+/// Running CRC-32 state ([`crc32_update`]) of the first `limit` bytes of
+/// `path`, read through its routed backend in 64 KiB chunks, and how many
+/// bytes that was — fewer than `limit` only when the file is shorter.
+/// Every re-read of an artifact (the farm's verify-before-`completed`
+/// gate, a resume's committed-prefix check) is this one fold, so none of
+/// them holds the file.
+pub fn crc_of_prefix(path: &Path, limit: u64) -> io::Result<(u64, u32)> {
+    let mut file = backend_for(path).open(path)?.take(limit);
+    let mut chunk = vec![0u8; 64 * 1024];
+    let (mut bytes, mut state) = (0u64, CRC32_INIT);
+    loop {
+        match file.read(&mut chunk) {
+            Ok(0) => return Ok((bytes, state)),
+            Ok(n) => {
+                state = crc32_update(state, &chunk[..n]);
+                bytes += n as u64;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
 
 /// A writable file that maintains a running CRC-32 of every byte *intended*
 /// for it. The CRC is computed on the write path — before any backend fault
@@ -568,6 +600,16 @@ impl CrcFile {
             state: CRC32_INIT,
             bytes: 0,
         })
+    }
+
+    /// Reopen `path` to continue it after its first `prefix_len` bytes,
+    /// whose running CRC state is `prefix_crc_state`: whatever follows them
+    /// (a torn write from the attempt that died) is cut off.
+    pub fn reopen(path: &Path, prefix_crc_state: u32, prefix_len: u64) -> io::Result<Self> {
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        file.set_len(prefix_len)?;
+        file.seek(SeekFrom::End(0))?;
+        Ok(Self::resume(file, prefix_crc_state, prefix_len))
     }
 
     /// Wrap an already-positioned file (resume): `prefix_crc`/`prefix_len`
@@ -744,6 +786,64 @@ mod tests {
         assert_eq!(faulty.free_space(&dir).unwrap(), 123);
         faulty.set_free_space(None);
         assert!(faulty.free_space(&dir).unwrap() > 123);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_crc_equals_the_crc_of_the_whole_read() {
+        let dir = scratch("crc-stream");
+        let p = dir.join("artifact");
+        let b = backend_for(&p);
+        // Around the 64 KiB chunk edge, and the two degenerate sizes.
+        for size in [0usize, 1, 65_535, 65_536, 65_537, 200_000] {
+            let payload: Vec<u8> = (0..size).map(|i| (i * 31 + i / 251) as u8).collect();
+            b.write_file(&p, &payload).unwrap();
+            let (bytes, state) = crc_of_prefix(&p, u64::MAX).unwrap();
+            assert_eq!(bytes, size as u64);
+            assert_eq!(!state, crc32(&b.read(&p).unwrap()), "size {size}");
+            // A committed prefix shorter than the file: the tail is not
+            // folded; a limit past the end reports the length it found.
+            let prefix = size / 3;
+            let (bytes, state) = crc_of_prefix(&p, prefix as u64).unwrap();
+            assert_eq!(bytes, prefix as u64);
+            assert_eq!(state, crc32_update(CRC32_INIT, &payload[..prefix]));
+            assert_eq!(crc_of_prefix(&p, size as u64 + 9).unwrap().0, size as u64);
+        }
+        assert!(crc_of_prefix(&dir.join("missing"), 1).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_streamed_read_draws_the_fault_schedule_a_whole_read_does() {
+        // The schedule is a function of (seed, op counter): a reader that
+        // switched from `read` to chunked `open` must leave every later
+        // draw where it was, or no storage-chaos seed replays.
+        let dir = scratch("crc-faulty");
+        let p = dir.join("artifact");
+        fs::write(&p, vec![7u8; 300_000]).unwrap();
+        let plan = FaultPlan {
+            permanent_eio_per_mille: 5,
+            ..FaultPlan::transient(9)
+        };
+        let (whole, streamed) = (FaultyIo::new(plan), FaultyIo::new(plan));
+        let _scope = inject(
+            &dir,
+            Arc::new(FaultyIo {
+                inner: streamed.inner.clone(),
+            }),
+        );
+        for i in 0..300 {
+            let a = whole.read(&p).map(|bytes| crc32(&bytes));
+            let b = crc_of_prefix(&p, u64::MAX).map(|(_, state)| !state);
+            assert_eq!(a.ok(), b.ok(), "call {i}");
+        }
+        let (a, b) = (whole.counts(), streamed.counts());
+        assert!(a.transient_eio > 0, "{a:?}");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(
+            whole.inner.op.load(Ordering::Relaxed),
+            streamed.inner.op.load(Ordering::Relaxed)
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,8 +18,7 @@ use crate::job::JobSpec;
 use crate::ServeError;
 use feves_core::session::{self, Commit, Session, SessionError, SessionHooks};
 use feves_core::{load_latest, ResumeContext, SessionCtl};
-use feves_ft::ckpt::crc32;
-use feves_ft::io::backend_for;
+use feves_ft::io::crc_of_prefix;
 use feves_ft::FevesError;
 use feves_hetsim::platform::Platform;
 use feves_obs::{SessionScope, TraceSink};
@@ -50,15 +49,14 @@ pub struct SessionReport {
 /// missed, surfaces here as a typed message instead of a corrupt
 /// "completed" artifact.
 pub fn verify_artifact(path: &str, bytes: u64, crc: u32) -> Result<(), String> {
-    let p = Path::new(path);
-    let raw = backend_for(p).read(p).map_err(|e| format!("{path}: {e}"))?;
-    if raw.len() as u64 != bytes {
+    let (len, state) =
+        crc_of_prefix(Path::new(path), u64::MAX).map_err(|e| format!("{path}: {e}"))?;
+    if len != bytes {
         return Err(format!(
-            "{path}: artifact is {} bytes, session wrote {bytes}",
-            raw.len()
+            "{path}: artifact is {len} bytes, session wrote {bytes}"
         ));
     }
-    let got = crc32(&raw);
+    let got = !state;
     if got != crc {
         return Err(format!(
             "{path}: artifact checksum {got:08x} != streamed {crc:08x} (corrupt artifact)"
@@ -175,7 +173,6 @@ pub(crate) fn run_attempt(
     attempt: u32,
     trace: Option<TraceSink>,
 ) -> Result<SessionReport, SessionError> {
-    let input = session::read_input(&job.input)?;
     let every = if job.checkpoint_every > 0 {
         job.checkpoint_every
     } else {
@@ -185,8 +182,10 @@ pub(crate) fn run_attempt(
     // matches the input and output on disk; otherwise start fresh. The job
     // spec, not the checkpoint, owns cadence and scheduling mode: resuming
     // lockstep work pipelined (or vice versa) is bit-safe.
-    let (ctx, resume) = load_latest(&job.ckpt_dir())
-        .ok()
+    let latest = load_latest(&job.ckpt_dir()).ok();
+    let at = latest.as_ref().map_or(0, |(_, ctx, ..)| ctx.frames_done);
+    let input = session::open_input(&job.input, at)?;
+    let (ctx, resume) = latest
         .and_then(|(_path, mut ctx, state, _warnings)| {
             let prefix_crc_state = session::validate_checkpoint(&ctx, &input).ok()??;
             ctx.every = every;

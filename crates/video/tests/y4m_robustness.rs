@@ -4,10 +4,12 @@
 //! a typed [`VideoError`].
 
 use feves_video::error::VideoError;
+use feves_video::frame::Frame;
+use feves_video::geometry::Resolution;
 use feves_video::synth::{SynthConfig, SynthSequence};
-use feves_video::y4m::{Y4mHeader, Y4mReader, Y4mWriter, MAX_Y4M_DIM};
+use feves_video::y4m::{scan, Y4mFile, Y4mHeader, Y4mReader, Y4mWriter, MAX_Y4M_DIM};
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{BufReader, Cursor};
 
 /// A small valid two-frame stream to mutate.
 fn valid_stream() -> Vec<u8> {
@@ -80,6 +82,177 @@ proptest! {
         line.extend_from_slice(b" W16 H16\n");
         let _ = drain(&line);
     }
+}
+
+/// How a generated stream ends after its last whole frame.
+#[derive(Clone, Debug)]
+enum Tail {
+    Clean,
+    /// The last frame (if any) loses this many bytes, at least one.
+    Truncated(usize),
+    /// Bytes where the next `FRAME` line is due.
+    Garbage(Vec<u8>),
+    /// A blank line — a clean end — and then anything at all.
+    BlankThen(Vec<u8>),
+}
+
+fn tails() -> impl Strategy<Value = Tail> {
+    let bytes = || proptest::collection::vec(any::<u8>(), 1..40);
+    prop_oneof![
+        Just(Tail::Clean),
+        (1usize..400).prop_map(Tail::Truncated),
+        bytes().prop_map(Tail::Garbage),
+        bytes().prop_map(Tail::BlankThen),
+    ]
+}
+
+/// The error's variant, which is all two readers of one stream can be
+/// expected to share.
+fn variant(e: &VideoError) -> std::mem::Discriminant<VideoError> {
+    std::mem::discriminant(e)
+}
+
+proptest! {
+    /// The streaming forms against the whole-file reader they replace in
+    /// the session driver: `read_frame_into` over one recycled, poisoned
+    /// `Frame` returns `read_all`'s frames one by one and fails where and
+    /// how it fails; `scan` agrees on the count and the error, passes every
+    /// byte of the file exactly once, and locates each frame where a linear
+    /// walk puts it — through parameterised `FRAME` lines, a truncated last
+    /// frame, trailing garbage and bytes past a blank line.
+    #[test]
+    fn streaming_reads_equal_read_all(
+        markers in proptest::collection::vec(proptest::option::of(0u32..1000), 0..4),
+        tail in tails(),
+        small_buffer in 1usize..64,
+    ) {
+        // 24x20 pads to 32x32: the recycled frame's padding is poisoned too.
+        let res = Resolution::new(24, 20);
+        let mut seq = SynthSequence::new(SynthConfig { resolution: res, ..SynthConfig::tiny_test() });
+        let frames = seq.take_frames(markers.len());
+        let mut bytes = format!("YUV4MPEG2 W{} H{} F30:1 Ip\n", res.width, res.height).into_bytes();
+        let mut offsets = Vec::new();
+        for (f, param) in frames.iter().zip(&markers) {
+            offsets.push(bytes.len() as u64);
+            match param {
+                Some(x) => bytes.extend_from_slice(format!("FRAME Ix{x}\n").as_bytes()),
+                None => bytes.extend_from_slice(b"FRAME\n"),
+            }
+            for (p, w, h) in [
+                (f.y(), res.width, res.height),
+                (f.u(), res.width / 2, res.height / 2),
+                (f.v(), res.width / 2, res.height / 2),
+            ] {
+                for y in 0..h {
+                    bytes.extend_from_slice(&p.row(y)[..w]);
+                }
+            }
+        }
+        offsets.push(bytes.len() as u64);
+        match &tail {
+            Tail::Clean => {}
+            Tail::Truncated(n) => {
+                let frames_start = offsets[0] as usize;
+                let cut = (*n).min(bytes.len() - frames_start);
+                bytes.truncate(bytes.len() - cut);
+            }
+            Tail::Garbage(g) => bytes.extend_from_slice(g),
+            Tail::BlankThen(g) => {
+                bytes.push(b'\n');
+                bytes.extend_from_slice(g);
+            }
+        }
+
+        let want = Y4mReader::new(Cursor::new(bytes.clone())).and_then(|mut r| r.read_all());
+
+        // Frame by frame into one buffer that starts every read poisoned.
+        let mut reader = Y4mReader::new(Cursor::new(bytes.clone())).unwrap();
+        let mut recycled = Frame::new(res).unwrap();
+        let mut got = Vec::new();
+        let streamed = loop {
+            recycled.y_mut().fill(0xAA);
+            recycled.u_mut().fill(0xAA);
+            recycled.v_mut().fill(0xAA);
+            match reader.read_frame_into(&mut recycled) {
+                Ok(true) => got.push(recycled.clone()),
+                Ok(false) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        match (&want, &streamed) {
+            (Ok(frames), Ok(())) => prop_assert_eq!(frames, &got),
+            (Err(a), Err(b)) => prop_assert_eq!(variant(a), variant(b)),
+            _ => prop_assert!(false, "read_all {:?} vs read_frame_into {:?}", want.is_ok(), streamed),
+        }
+
+        // The scan, through a buffer far smaller than a frame.
+        for locate in 0..markers.len() + 2 {
+            let mut passed = Vec::new();
+            let r = BufReader::with_capacity(small_buffer, Cursor::new(&bytes));
+            let scanned = scan(r, locate, |b| passed.extend_from_slice(b));
+            match (&want, &scanned) {
+                (Ok(frames), Ok(s)) => {
+                    prop_assert_eq!(s.n_frames, frames.len());
+                    prop_assert_eq!(s.header.resolution, res);
+                    prop_assert_eq!(s.header.fps, (30, 1));
+                    prop_assert_eq!(&passed, &bytes);
+                    prop_assert_eq!(s.first_frame, offsets[0]);
+                    let walked = (locate <= frames.len()).then(|| offsets[locate]);
+                    prop_assert_eq!(s.located, walked);
+                    // …and a reader resumed there reads the rest.
+                    if let Some(at) = s.located {
+                        let rest = Cursor::new(bytes[at as usize..].to_vec());
+                        let tail = Y4mReader::resume(rest, s.header).read_all().unwrap();
+                        prop_assert_eq!(&tail[..], &frames[locate..]);
+                    }
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(variant(a), variant(b)),
+                _ => prop_assert!(false, "read_all {:?} vs scan {:?}", want.is_ok(), scanned),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_file_is_read_from_the_located_frame_and_notices_a_change() {
+    let bytes = valid_stream();
+    let all = Y4mReader::new(Cursor::new(bytes.clone()))
+        .and_then(|mut r| r.read_all())
+        .unwrap();
+    let path = std::env::temp_dir().join(format!("feves-y4mfile-{}.y4m", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    let mut passed = 0;
+    let mut file = Y4mFile::open(&path, 1, |b| passed += b.len()).unwrap();
+    assert_eq!((file.scan().n_frames, passed), (2, bytes.len()));
+    let mut frame = Frame::new(file.scan().header.resolution).unwrap();
+    for (located, want) in [(true, &all[1..]), (false, &all[..])] {
+        if located {
+            file.seek_located().unwrap();
+        } else {
+            file.seek_first().unwrap();
+        }
+        for f in want {
+            assert!(file.read_frame_into(&mut frame).unwrap());
+            assert_eq!(&frame, f);
+        }
+        assert!(!file.read_frame_into(&mut frame).unwrap());
+    }
+    // Locating past the end is not an error until that frame is wanted.
+    let mut short = Y4mFile::open(&path, 5, |_| {}).unwrap();
+    assert_eq!(short.scan().located, None);
+    assert!(matches!(
+        short.seek_located(),
+        Err(VideoError::UnexpectedEof)
+    ));
+
+    assert!(file.unchanged().unwrap());
+    let mut grown = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    std::io::Write::write_all(&mut grown, b"FRAME\n").unwrap();
+    assert!(!file.unchanged().unwrap());
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

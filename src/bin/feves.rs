@@ -42,13 +42,13 @@
 
 use feves::core::prelude::*;
 use feves::core::session::{self, Commit, Session, SessionError, SessionHooks};
-use feves::ft::ckpt::{crc32, fnv1a64, CKPT_MAGIC};
+use feves::ft::ckpt::{crc32_update, fnv1a64, CKPT_MAGIC, CRC32_INIT};
 use feves::ft::crash::crash_point_at;
 use feves::obs::{
     compare_reports, compare_reports_metric, parse_flight_jsonl, render_html, write_atomic,
     BusController, LiveConfig, LiveSnapshot, MemoryRecorder, NoopRecorder, Recorder, SessionScope,
 };
-use feves::video::y4m::Y4mReader;
+use feves::video::y4m::{self, Y4mScan};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -645,7 +645,11 @@ fn cmd_trace_log(opts: &Options, input: &str) -> CliResult {
 struct CliHooks {
     /// Checkpoint-writer metrics join the session's when it has any.
     rec: Option<Arc<MemoryRecorder>>,
-    reports: Vec<feves::core::FrameReport>,
+    /// Running totals for the summary line, accumulated in frame order:
+    /// frames, coded bits, and the sum and count of the finite PSNRs.
+    frames: usize,
+    bits: u64,
+    psnr: (f64, usize),
 }
 
 impl SessionHooks for CliHooks {
@@ -666,7 +670,11 @@ impl SessionHooks for CliHooks {
             rep.psnr_y.unwrap_or(f64::NAN),
             rep.tau_tot * 1e3
         );
-        self.reports.push(rep);
+        self.frames += 1;
+        self.bits += rep.bits.unwrap_or(0);
+        if let Some(p) = rep.psnr_y.filter(|p| p.is_finite()) {
+            self.psnr = (self.psnr.0 + p, self.psnr.1 + 1);
+        }
     }
 
     fn on_commit(&mut self, c: &Commit) {
@@ -700,7 +708,9 @@ fn run_session(
 ) -> CliResult {
     let mut hooks = CliHooks {
         rec,
-        reports: Vec::new(),
+        frames: 0,
+        bits: 0,
+        psnr: (0.0, 0),
     };
     let done = session.run(&mut hooks).map_err(CliError::runtime)?;
     if done.interrupted {
@@ -710,28 +720,32 @@ fn run_session(
     if let Some(start) = resumed_at {
         println!(
             "\nresumed at frame {start}; encoded {} more frame(s) into {}",
-            hooks.reports.len(),
-            ctx.output
+            hooks.frames, ctx.output
         );
     }
-    let report = EncodeReport::new(ctx.platform.clone(), hooks.reports);
+    let (psnr_sum, psnr_frames) = hooks.psnr;
     println!(
         "\nwrote {} — {} bits total, mean PSNR-Y {:.2} dB",
         ctx.output,
-        report.total_bits(),
-        report.mean_psnr().unwrap_or(f64::NAN)
+        hooks.bits,
+        if psnr_frames > 0 {
+            psnr_sum / psnr_frames as f64
+        } else {
+            f64::NAN
+        }
     );
     write_flight(&done.encoder, &ctx.flight_out)
 }
 
 fn cmd_encode(opts: &Options, input: &str, output: Option<&str>) -> CliResult {
     feves::serve::signal::install_handlers();
-    let seq = session::read_input(input).map_err(CliError::runtime)?;
+    let seq = session::open_input(input, 0).map_err(CliError::runtime)?;
+    let Y4mScan {
+        header, n_frames, ..
+    } = seq.file.scan();
     println!(
-        "{input}: {}x{}, {} frames",
-        seq.header.resolution.width,
-        seq.header.resolution.height,
-        seq.frames.len()
+        "{input}: {}x{}, {n_frames} frames",
+        header.resolution.width, header.resolution.height,
     );
     let out_path = output
         .map(str::to_string)
@@ -744,7 +758,6 @@ fn cmd_encode(opts: &Options, input: &str, output: Option<&str>) -> CliResult {
         )
     });
     let ctx = opts.job_context(input, &out_path)?;
-    let n_frames = seq.frames.len();
     let mut session = Session::open(ctx, seq, None, ckpt_dir, |_| {})?;
     let enc = session.encoder_mut();
     let telemetry = attach_telemetry(enc, "encode", opts);
@@ -780,7 +793,7 @@ fn cmd_resume(path: &str) -> CliResult {
 
     // A checkpoint that no longer matches the input or the output on disk
     // is refused, never silently re-encoded over.
-    let seq = session::read_input(&ctx.input).map_err(CliError::runtime)?;
+    let seq = session::open_input(&ctx.input, ctx.frames_done).map_err(CliError::runtime)?;
     let resume = session::validate_checkpoint(&ctx, &seq)
         .map_err(CliError::runtime)?
         .map(|prefix_crc_state| (state, prefix_crc_state));
@@ -885,26 +898,36 @@ fn cmd_top(opts: &Options, input: &str) -> CliResult {
 /// framed JSON control file (checksum trailer + schema). Returns a
 /// human-readable description of what verified.
 fn verify_file(p: &std::path::Path) -> CliResult<String> {
+    use std::io::{Read, Seek};
     let name = p.display();
-    let bytes = std::fs::read(p).map_err(|e| CliError::runtime(format!("{name}: {e}")))?;
+    let io_err = |e: std::io::Error| CliError::runtime(format!("{name}: {e}"));
+    // An artifact can be any size: sniffed by its magic and then walked in
+    // a bounded buffer. Everything else is a few KB and read whole.
+    let mut magic = Vec::new();
+    let mut file = std::fs::File::open(p).map_err(io_err)?;
+    (&mut file)
+        .take(9)
+        .read_to_end(&mut magic)
+        .map_err(io_err)?;
+    if magic == b"YUV4MPEG2" {
+        let mut crc = CRC32_INIT;
+        file.rewind().map_err(io_err)?;
+        let whole = std::io::BufReader::new(file);
+        let scan = y4m::scan(whole, 0, |bytes| crc = crc32_update(crc, bytes))
+            .map_err(|e| CliError::runtime(format!("{name}: corrupt container: {e}")))?;
+        return Ok(format!(
+            "y4m artifact, {} frame(s), crc32 {:08x}",
+            scan.n_frames, !crc
+        ));
+    }
+    drop(file);
+    let bytes = std::fs::read(p).map_err(io_err)?;
     if bytes.len() >= 8 && bytes[..8] == CKPT_MAGIC {
         let (ctx, _state) = feves::core::load_checkpoint_file(p)
             .map_err(|e| CliError::runtime(format!("{name}: {e}")))?;
         return Ok(format!(
             "checkpoint, frame {}/{}, output crc32 {:08x}",
             ctx.frames_done, ctx.n_frames, ctx.out_crc
-        ));
-    }
-    if bytes.starts_with(b"YUV4MPEG2") {
-        let mut reader = Y4mReader::new(std::io::Cursor::new(&bytes[..]))
-            .map_err(|e| CliError::runtime(format!("{name}: {e}")))?;
-        let frames = reader
-            .read_all()
-            .map_err(|e| CliError::runtime(format!("{name}: corrupt container: {e}")))?;
-        return Ok(format!(
-            "y4m artifact, {} frame(s), crc32 {:08x}",
-            frames.len(),
-            crc32(&bytes)
         ));
     }
     let text = String::from_utf8(bytes)

@@ -580,3 +580,70 @@ fn sigterm_mid_encode_checkpoints_and_resumes_bit_exact() {
         "SIGTERM preempt + resume must be bit-identical"
     );
 }
+
+/// Cross-version: `tests/fixtures/ckpt_v3_pr15/ckpt-000008.ckpt` was
+/// written by the release binary of the commit before sessions streamed
+/// their input — `feves encode in.y4m out.y4m --sa 8 --refs 2 --pipeline on
+/// --checkpoint-every 4`, killed with `FEVES_CRASH_AT=frame@9`. The format
+/// is still v3 and the input is still pinned by its whole-file fingerprint,
+/// so this build must validate it (input fingerprint, frame count, CRC of
+/// the committed artifact prefix), seek to frame 8 and finish the artifact
+/// byte-identical to its own uninterrupted run.
+#[test]
+fn a_checkpoint_written_by_the_previous_build_resumes_bit_exact() {
+    let dir = scratch("cross-version");
+    // The clip the checkpoint was taken over: 12 frames of 64x64, pure
+    // arithmetic so that it can be rebuilt here byte for byte.
+    let (w, h, n) = (64usize, 64usize, 12usize);
+    let mut input = b"YUV4MPEG2 W64 H64 F25:1 Ip A1:1 C420jpeg\n".to_vec();
+    for i in 0..n {
+        input.extend_from_slice(b"FRAME\n");
+        for y in 0..h {
+            input.extend((0..w).map(|x| (((((x + 3 * i) * 5) ^ ((y + i) * 9)) >> 1) & 0xFF) as u8));
+        }
+        for _ in 0..h / 2 {
+            input.extend((0..w / 2).map(|x| (128 + ((x + i) & 31)) as u8));
+        }
+        for y in 0..h / 2 {
+            input.extend((0..w / 2).map(|_| (96 + ((y + 2 * i) & 63)) as u8));
+        }
+    }
+    fs::write(dir.join("in.y4m"), input).unwrap();
+    // The checkpoint names its files as the killed run was given them:
+    // relative, so everything runs inside `dir`.
+    let feves = |args: &[&str]| {
+        let out = Command::new(feves_bin())
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn feves binary");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "feves {args:?} failed:\n{stderr}");
+        stderr
+    };
+    let job = ["--sa", "8", "--refs", "2", "--pipeline", "on"];
+    feves(&[&["encode", "in.y4m", "ref.y4m"][..], &job[..]].concat());
+    let reference = fs::read(dir.join("ref.y4m")).unwrap();
+
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v3_pr15");
+    let (ctx, _state) =
+        feves::core::load_checkpoint_file(&fixture.join("ckpt-000008.ckpt")).unwrap();
+    assert_eq!((ctx.frames_done, ctx.n_frames, ctx.pipeline), (8, n, true));
+    fs::create_dir(dir.join("out.y4m.ckpt")).unwrap();
+    fs::copy(
+        fixture.join("ckpt-000008.ckpt"),
+        dir.join("out.y4m.ckpt/ckpt-000008.ckpt"),
+    )
+    .unwrap();
+    // What the killed run left of the artifact: the committed eight frames
+    // and the torn start of the ninth.
+    let torn = ctx.out_bytes as usize + 1000;
+    fs::write(dir.join("out.y4m"), &reference[..torn]).unwrap();
+
+    let stderr = feves(&["resume", "out.y4m.ckpt"]);
+    assert!(stderr.contains("frame 8/12 of in.y4m"), "{stderr}");
+    assert!(
+        fs::read(dir.join("out.y4m")).unwrap() == reference,
+        "resumed artifact differs from this build's uninterrupted run"
+    );
+}

@@ -3,15 +3,19 @@
 //! 1, 2, 3 and 8 — fewer threads than rows, more threads than rows, and a
 //! row count none of them divides — must equal the serial `*_rows` output
 //! field for field, and so must the `*_rows_parallel` entry points at
-//! whatever width this host has.
+//! whatever width this host has. Nor may what the output buffers held
+//! before: the encoder reuses them frame after frame, so every module must
+//! overwrite all of its output — shown by running them over buffers filled
+//! with `0xAA`.
 
+use feves::codec::chroma::{self, ChromaField};
 use feves::codec::interp::SubpelFrame;
 use feves::codec::mc::{self, ModeField};
 use feves::codec::me::{self, MeField};
 use feves::codec::par;
 use feves::codec::recon::{self, CoeffField};
 use feves::codec::sme::{self, SmeField};
-use feves::codec::types::{EncodeParams, SearchArea};
+use feves::codec::types::{EncodeParams, Mv, PartitionMode, QpelMv, SearchArea};
 use feves::video::geometry::RowRange;
 use feves::video::plane::Plane;
 
@@ -68,6 +72,55 @@ impl Fields {
     }
 }
 
+/// A plane of the frame's size with `0xAA` in every byte.
+fn poison<T: Copy + Default>(v: T) -> Plane<T> {
+    let mut p = Plane::new(W, H);
+    p.fill(v);
+    p
+}
+
+impl Fields {
+    /// Buffers a previous frame left behind, at their worst: no element
+    /// holds a value this frame's modules would put there.
+    fn poisoned() -> Self {
+        let mut f = Fields::empty();
+        // A constant plane interpolates to itself in all 16 phases.
+        f.sf.interpolate_rows(&poison(0xAA), ROWS);
+        assert_eq!(f.sf.phase(3, 1).get(W - 1, H - 1), 0xAA);
+        for mb in f.me.rows_mut(ROWS) {
+            for mode in feves::codec::types::ALL_PARTITION_MODES {
+                for i in 0..mode.count() {
+                    let b = mb.block_mut(mode, i);
+                    (b.rf, b.mv, b.cost) = (0xAA, Mv::new(-0x5556, -0x5556), 0xAAAA_AAAA);
+                }
+            }
+        }
+        for mb in f.sme.rows_mut(ROWS) {
+            for mode in feves::codec::types::ALL_PARTITION_MODES {
+                for i in 0..mode.count() {
+                    let b = mb.block_mut(mode, i);
+                    (b.rf, b.mv, b.cost) = (0xAA, QpelMv::new(-0x5556, -0x5556), 0xAAAA_AAAA);
+                }
+            }
+        }
+        for mb in f.modes.rows_mut(ROWS) {
+            mb.mode = PartitionMode::P4x4;
+            mb.cost = 0xAAAA_AAAA_AAAA_AAAA;
+            for b in &mut mb.mvs {
+                (b.rf, b.mv, b.cost) = (0xAA, QpelMv::new(-0x5556, -0x5556), 0xAAAA_AAAA);
+            }
+        }
+        for mb in f.coeffs.rows_mut(ROWS) {
+            mb.blocks = [[-0x5556; 16]; 16];
+            mb.coded_mask = 0xAAAA;
+        }
+        f.pred = poison(0xAA);
+        f.residual = poison(-0x5556);
+        f.recon = poison(0xAA);
+        f
+    }
+}
+
 fn inputs() -> (Plane<u8>, Plane<u8>) {
     let rf = plane_from_fn(|x, y| ((x * 37) ^ (y * 11)).wrapping_mul(7) as u8);
     let cf = plane_from_fn(|x, y| {
@@ -104,7 +157,11 @@ fn one(row: usize) -> RowRange {
 
 /// The same frame with every module's rows claimed by `width` threads.
 fn at_width(width: usize, cf: &Plane<u8>, rf: &Plane<u8>) -> Fields {
-    let mut f = Fields::empty();
+    over_at_width(Fields::empty(), width, cf, rf)
+}
+
+/// [`at_width`], writing over whatever `f` holds.
+fn over_at_width(mut f: Fields, width: usize, cf: &Plane<u8>, rf: &Plane<u8>) -> Fields {
     let p = params();
     let clean = |panics: Vec<par::RowPanic>| assert!(panics.is_empty(), "a row panicked");
 
@@ -162,6 +219,57 @@ fn every_module_is_width_independent() {
     for width in [1, 2, 3, 8] {
         assert_eq!(at_width(width, &cf, &rf), want, "width {width}");
     }
+}
+
+#[test]
+fn every_module_overwrites_all_of_a_reused_buffer() {
+    let (cf, rf) = inputs();
+    let want = serial(&cf, &rf);
+    assert_ne!(Fields::poisoned(), Fields::empty());
+    for width in [1, 2, 3] {
+        let got = over_at_width(Fields::poisoned(), width, &cf, &rf);
+        assert_eq!(got, want, "width {width}");
+    }
+
+    // Chroma is serial; its in-place form over a poisoned coefficient
+    // field and poisoned planes against the allocating one.
+    let chroma_plane = |seed: usize, fill: Option<u8>| {
+        let mut p = Plane::new(W / 2, H / 2);
+        for y in 0..H / 2 {
+            for x in 0..W / 2 {
+                p.set(x, y, fill.unwrap_or(((x * seed) ^ (y * 3)) as u8));
+            }
+        }
+        p
+    };
+    let (cf_u, cf_v) = (chroma_plane(5, None), chroma_plane(9, None));
+    let (rf_u, rf_v) = (chroma_plane(7, None), chroma_plane(11, None));
+    let fresh = chroma::encode_chroma_inter(&cf_u, &cf_v, &[&rf_u], &[&rf_v], &want.modes, QP);
+    assert!(
+        fresh.coeffs.nonzero_levels() > 0,
+        "the scene must code chroma"
+    );
+    let mut coeffs = ChromaField::new(MB_COLS, ROWS.len());
+    for mby in 0..ROWS.len() {
+        for mbx in 0..MB_COLS {
+            let mb = coeffs.mb_mut(mbx, mby);
+            (mb.cb, mb.cr, mb.coded_mask) = ([[-0x5556; 16]; 4], [[-0x5556; 16]; 4], 0xAA);
+        }
+    }
+    let (mut recon_u, mut recon_v) = (chroma_plane(0, Some(0xAA)), chroma_plane(0, Some(0xAA)));
+    let bits = chroma::encode_chroma_inter_into(
+        &cf_u,
+        &cf_v,
+        &[&rf_u],
+        &[&rf_v],
+        &want.modes,
+        QP,
+        &mut coeffs,
+        &mut recon_u,
+        &mut recon_v,
+    );
+    assert_eq!(bits, fresh.bits);
+    assert!(coeffs == fresh.coeffs && recon_u == fresh.recon_u && recon_v == fresh.recon_v);
 }
 
 #[test]
