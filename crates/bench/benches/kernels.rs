@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use feves_codec::interp::{interpolate, SubpelFrame};
-use feves_codec::me::{motion_estimate_mb, MbMotion};
+use feves_codec::me::{motion_estimate_mb, motion_estimate_rows, MbMotion};
 use feves_codec::quant::{itq_block, tq_block};
-use feves_codec::sme::sme_mb;
+use feves_codec::sme::{sme_mb, sme_rows, MbSubMotion};
 use feves_codec::types::{EncodeParams, SearchArea};
 use feves_video::geometry::RowRange;
 use feves_video::plane::Plane;
@@ -109,11 +109,10 @@ fn bench_dbl(c: &mut Criterion) {
 }
 
 /// Scalar vs fast kernel families head-to-head: one macroblock's SA 32
-/// full search (per-candidate loop vs candidate-major batches), SME's block
-/// SAD at the three partition widths, and the sub-pixel interpolation frame
-/// pass. Block SAD calls the `kernels::scalar`/`kernels::fast` entry points
-/// directly; the other two flip `force_kind`, so all variants are measured
-/// regardless of `FEVES_KERNELS`.
+/// full search (per-candidate loop vs candidate-major batches), SME's
+/// refinement of one CIF MB row, and the sub-pixel interpolation frame
+/// pass. Each flips `force_kind`, so all variants are measured regardless
+/// of `FEVES_KERNELS`.
 fn bench_kernel_dispatch(c: &mut Criterion) {
     use feves_codec::kernels::{self, KernelKind};
     use std::hint::black_box as bb;
@@ -131,18 +130,28 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut group = c.benchmark_group("sad_block");
-    let (a, b) = (
-        &cur.as_slice()[5 * 128 + 3..],
-        &rf.as_slice()[9 * 128 + 6..],
-    );
-    for n in [4usize, 8, 16] {
-        group.throughput(Throughput::Elements((n * n) as u64));
-        group.bench_function(BenchmarkId::new("scalar", n), |bch| {
-            bch.iter(|| bb(kernels::scalar::sad_block(bb(a), 128, bb(b), 128, n, n)));
-        });
-        group.bench_function(BenchmarkId::new("fast", n), |bch| {
-            bch.iter(|| bb(kernels::fast::sad_block(bb(a), 128, bb(b), 128, n, n)));
+    // SME as the encoder runs it: one interior CIF MB row through
+    // `sme_rows` (41 blocks × 17 candidates per macroblock).
+    let (sme_cf, sme_rf) = (textured_plane(352, 288, 3), textured_plane(352, 288, 4));
+    let sme_sf = interpolate(&sme_rf);
+    let sme_params = EncodeParams {
+        search_area: SearchArea(8),
+        n_ref: 1,
+        ..Default::default()
+    };
+    let row = RowRange::new(9, 10);
+    let mut me_row = vec![MbMotion::default(); 22];
+    motion_estimate_rows(&sme_cf, &[&sme_rf], &sme_params, row, &mut me_row);
+    let mut sme_out = vec![MbSubMotion::default(); 22];
+    let mut group = c.benchmark_group("sme_refine_cif_row");
+    group.throughput(Throughput::Elements(22 * 41 * 17));
+    for kind in [KernelKind::Scalar, KernelKind::Fast] {
+        group.bench_function(kind.name(), |b| {
+            kernels::force_kind(kind);
+            b.iter(|| {
+                sme_rows(&sme_cf, &[&sme_sf], &me_row, row, &mut sme_out);
+                bb(&sme_out);
+            });
         });
     }
     group.finish();

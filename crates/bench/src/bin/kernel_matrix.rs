@@ -18,15 +18,18 @@
 //!
 //! `--quick` cuts iteration counts ~10× and skips the speedup gate (used by
 //! the CI `bench-smoke` job, where absolute timings are noisy); the full run
-//! enforces ≥ 3× for the ME search where SSE4.1 is detected (reported as
-//! skipped elsewhere) and ≥ 1.5× for interpolation. Both modes print which
-//! primitive set the ME search ran on (`me_search: sse4.1` / `portable`).
+//! enforces ≥ 3× for the ME search where SSE4.1 is detected and ≥ 2× for
+//! the SME refinement on x86-64 (each reported as skipped elsewhere), and
+//! ≥ 1.5× for interpolation. Both modes print which primitive sets ran
+//! (`me_search: sse4.1` / `portable`, `sme_refine: sse2` / `portable`).
 
 use feves_codec::interp::interpolate;
 use feves_codec::kernels::{self, KernelKind};
-use feves_codec::me::{motion_estimate_mb, search_isa_name};
-use feves_codec::sad::sad_block;
+use feves_codec::me::{motion_estimate_mb, motion_estimate_rows, search_isa_name, MbMotion};
+use feves_codec::sme::{refine_isa_name, sme_rows, MbSubMotion};
+use feves_codec::SubpelFrame;
 use feves_core::prelude::*;
+use feves_video::geometry::RowRange;
 use feves_video::plane::Plane;
 use serde::Serialize;
 use std::time::Instant;
@@ -96,13 +99,61 @@ fn time_both(iters: u64, mut f: impl FnMut()) -> (f64, f64) {
     out.into()
 }
 
+/// One frame pair with its SF and ME field: what SME refines.
+struct SmeCase {
+    name: &'static str,
+    cf: Plane<u8>,
+    sf: SubpelFrame,
+    me: Vec<MbMotion>,
+}
+
+impl SmeCase {
+    /// The current frame is the reference displaced by a sample, with ±1
+    /// of texture on top, so ME vectors and refined phases vary.
+    fn new(name: &'static str, w: usize, h: usize, sa: u16) -> Self {
+        let rf = textured(w, h, 41);
+        let cf = plane_from_fn(w, h, |x, y| {
+            rf.get_clamped(x as isize + 1, y as isize - 1)
+                .wrapping_add(((x * 7) ^ (y * 3)) as u8 & 1)
+        });
+        let params = EncodeParams {
+            search_area: SearchArea(sa),
+            n_ref: 1,
+            ..Default::default()
+        };
+        let all = RowRange::new(0, h / 16);
+        let mut me = vec![MbMotion::default(); w / 16 * all.len()];
+        motion_estimate_rows(&cf, &[&rf], &params, all, &mut me);
+        SmeCase {
+            name,
+            cf,
+            sf: interpolate(&rf),
+            me,
+        }
+    }
+
+    fn mb_rows(&self) -> usize {
+        self.cf.height() / 16
+    }
+
+    /// `sme_rows` over MB row `mby` under the active kernel family.
+    fn refine_row(&self, mby: usize) -> Vec<MbSubMotion> {
+        let mb_cols = self.cf.width() / 16;
+        let mut out = vec![MbSubMotion::default(); mb_cols];
+        let me_row = &self.me[mby * mb_cols..][..mb_cols];
+        let rows = RowRange::new(mby, mby + 1);
+        sme_rows(&self.cf, &[&self.sf], me_row, rows, &mut out);
+        out
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Differential verification (the part CI gates on)
 // ---------------------------------------------------------------------------
 
 /// Run every fast path against the scalar reference over deterministic
 /// sweeps; returns the number of mismatches (0 = bit-exact).
-fn verify_differentials() -> usize {
+fn verify_differentials(sme_cases: &[SmeCase]) -> usize {
     let mut bad = 0usize;
     let mut check = |name: &str, ok: bool| {
         if !ok {
@@ -110,28 +161,6 @@ fn verify_differentials() -> usize {
             bad += 1;
         }
     };
-
-    // Block SAD: every partition shape plus shapes only the fallback takes.
-    let a: Vec<u8> = (0..40 * 24).map(|i| (i * 7 % 251) as u8).collect();
-    let b: Vec<u8> = (0..48 * 24).map(|i| (i * 13 % 241) as u8).collect();
-    for (w, h) in [
-        (16usize, 16usize),
-        (16, 8),
-        (8, 16),
-        (8, 8),
-        (8, 4),
-        (4, 8),
-        (4, 4),
-        (4, 3),
-        (7, 5),
-        (13, 3),
-    ] {
-        check(
-            &format!("sad_block {w}x{h}"),
-            kernels::scalar::sad_block(&a, 40, &b, 48, w, h)
-                == kernels::fast::sad_block(&a, 40, &b, 48, w, h),
-        );
-    }
 
     // ME search: candidate-major batches vs the per-candidate loop, whole
     // MbMotion equality on a plane small enough that every macroblock has
@@ -155,6 +184,18 @@ fn verify_differentials() -> usize {
         }
     }
 
+    // SME refinement: whole refined rows, including the top and bottom MB
+    // rows whose candidates leave the frame, at both bench resolutions.
+    for case in sme_cases {
+        for mby in [0, case.mb_rows() / 2, case.mb_rows() - 1] {
+            kernels::force_kind(KernelKind::Scalar);
+            let want = case.refine_row(mby);
+            kernels::force_kind(KernelKind::Fast);
+            let got = case.refine_row(mby);
+            check(&format!("sme_refine {} row {mby}", case.name), want == got);
+        }
+    }
+
     // Interpolation through the public API under force_kind (covers the
     // whole band kernel incl. border halos at several sizes).
     for &(w, h) in &[(17usize, 13usize), (48, 32), (176, 144)] {
@@ -173,7 +214,7 @@ fn verify_differentials() -> usize {
 // Benchmark matrix
 // ---------------------------------------------------------------------------
 
-fn bench_kernels(quick: bool) -> Vec<KernelRecord> {
+fn bench_kernels(quick: bool, sme_cases: &[SmeCase]) -> Vec<KernelRecord> {
     let div = if quick { 10 } else { 1 };
     let mut records = Vec::new();
     let mut push = |kernel: &str, case: &str, iters: u64, (s, f): (f64, f64)| {
@@ -208,27 +249,16 @@ fn bench_kernels(quick: bool) -> Vec<KernelRecord> {
     });
     push("me_search", "sa32", iters, t);
 
-    // SME's block SAD at the three partition widths: one iteration is the
-    // block at 64 reference positions (every alignment, like SME's
-    // quarter-pel neighbourhood), so a row is microseconds, not a handful
-    // of nanoseconds the `--quick` gate could not tell from noise.
-    for n in [4usize, 8, 16] {
-        let iters = 100_000 / div as u64;
-        let a = &cur.as_slice()[5 * 128 + 3..];
+    // SME as the encoder runs it: `sme_rows` over one interior MB row (41
+    // blocks × 17 candidates per macroblock), cache-resident at CIF and
+    // out of a 14.7 MB SF at 720p.
+    for case in sme_cases {
+        let iters = 40_000 / case.cf.width() as u64 * 16 / div as u64;
+        let mby = case.mb_rows() / 2;
         let t = time_both(iters, || {
-            for pos in 0..64 {
-                let b = &rf.as_slice()[(9 + pos / 8) * 128 + 6 + pos % 8..];
-                std::hint::black_box(sad_block(
-                    std::hint::black_box(a),
-                    128,
-                    std::hint::black_box(b),
-                    128,
-                    n,
-                    n,
-                ));
-            }
+            std::hint::black_box(std::hint::black_box(case).refine_row(mby));
         });
-        push("sad_block", &format!("{n}x{n}x64"), iters, t);
+        push("sme_refine", &format!("{}_row", case.name), iters, t);
     }
 
     // Full-frame interpolation at three resolutions.
@@ -368,7 +398,11 @@ fn main() {
         .unwrap_or_else(|| std::path::PathBuf::from("."));
 
     println!("kernel matrix: verifying fast == scalar (bit-exactness)...");
-    let mismatches = verify_differentials();
+    let sme_cases = [
+        SmeCase::new("cif", 352, 288, 8),
+        SmeCase::new("720p", 1280, 720, 32),
+    ];
+    let mismatches = verify_differentials(&sme_cases);
     if mismatches != 0 {
         eprintln!("{mismatches} differential check(s) FAILED — fast kernels are not bit-exact");
         std::process::exit(1);
@@ -376,8 +410,9 @@ fn main() {
     println!("all differential checks passed\n");
     // A runner without SSE4.1 shows up here, not as a silently slow row.
     println!("me_search: {}", search_isa_name());
+    println!("sme_refine: {}", refine_isa_name());
 
-    let records = bench_kernels(quick);
+    let records = bench_kernels(quick, &sme_cases);
     let (e2e, identical) = bench_e2e(quick);
     if !identical {
         eprintln!("e2e outputs differ (FEVES_KERNELS scalar vs fast, or --pipeline off vs on)");
@@ -398,17 +433,19 @@ fn main() {
 
     if !quick {
         // Acceptance gate: the batched ME search must be ≥ 3× the
-        // per-candidate loop where it runs on SSE4.1 (the portable
-        // primitives make no such promise), interpolation ≥ 1.5× (skipped
-        // under --quick: CI smoke runs are too noisy for absolute perf
-        // assertions).
+        // per-candidate loop where it runs on SSE4.1 and the SME refinement
+        // ≥ 2× where it runs on SSE2 (the portable primitives make no such
+        // promise), interpolation ≥ 1.5× (skipped under --quick: CI smoke
+        // runs are too noisy for absolute perf assertions).
         let sse41 = search_isa_name() == "sse4.1";
+        let sse2 = refine_isa_name() == "sse2";
         let mut gate_ok = true;
         for r in &records {
             let floor = match r.kernel.as_str() {
                 "me_search" if sse41 => 3.0,
-                "me_search" => {
-                    println!("speedup gate: me_search skipped (no SSE4.1 on this host)");
+                "sme_refine" if sse2 => 2.0,
+                "me_search" | "sme_refine" => {
+                    println!("speedup gate: {} skipped (portable on this host)", r.kernel);
                     continue;
                 }
                 "interpolate" => 1.5,
@@ -425,6 +462,9 @@ fn main() {
         if !gate_ok {
             std::process::exit(2);
         }
-        println!("\nspeedup gate passed (me_search ≥ 3x on SSE4.1, interpolation ≥ 1.5x)");
+        println!(
+            "\nspeedup gate passed (me_search ≥ 3x on SSE4.1, sme_refine ≥ 2x on SSE2, \
+             interpolation ≥ 1.5x)"
+        );
     }
 }

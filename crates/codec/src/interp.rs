@@ -66,6 +66,42 @@ impl SubpelFrame {
         self.phases[fy * 4 + fx].get_clamped(x, y)
     }
 
+    /// The `w × h` block (`w, h ≤ 16`) whose top-left sample sits at
+    /// quarter-pel `(qx, qy)`, for SME, MC and the decoder alike: a view
+    /// into the phase plane when the block is inside it, else a copy into
+    /// `tile` in which samples beyond an edge repeat that edge's row or
+    /// column — the one place that rule is written down.
+    #[inline(always)]
+    pub fn block<'a>(
+        &'a self,
+        qx: i32,
+        qy: i32,
+        w: usize,
+        h: usize,
+        tile: &'a mut Tile,
+    ) -> BlockRef<'a> {
+        let plane = &self.phases[((qy & 3) * 4 + (qx & 3)) as usize];
+        // `>>` floors, so with `& 3` this is the Euclidean split for
+        // negative positions too.
+        let (x0, y0) = ((qx >> 2) as isize, (qy >> 2) as isize);
+        let inside =
+            x0 >= 0 && y0 >= 0 && x0 as usize + w <= self.width && y0 as usize + h <= self.height;
+        if inside {
+            BlockRef {
+                data: plane.as_slice(),
+                offset: y0 as usize * plane.stride() + x0 as usize,
+                stride: plane.stride(),
+            }
+        } else {
+            copy_clamped(plane, x0, y0, w, h, tile);
+            BlockRef {
+                data: tile,
+                offset: 0,
+                stride: TILE,
+            }
+        }
+    }
+
     /// Copy a `w × h` prediction block whose top-left full-pel anchor is
     /// `(bx, by)` displaced by the quarter-pel motion vector `mv`, into
     /// `dst` (row-major, stride `w`).
@@ -78,19 +114,10 @@ impl SubpelFrame {
         h: usize,
         dst: &mut [i16],
     ) {
-        debug_assert_eq!(dst.len(), w * h);
-        let qx0 = bx as isize * 4 + mv.x as isize;
-        let qy0 = by as isize * 4 + mv.y as isize;
-        let fx = qx0.rem_euclid(4) as usize;
-        let fy = qy0.rem_euclid(4) as usize;
-        let x0 = qx0.div_euclid(4);
-        let y0 = qy0.div_euclid(4);
-        let plane = &self.phases[fy * 4 + fx];
-        for row in 0..h {
-            for col in 0..w {
-                dst[row * w + col] = plane.get_clamped(x0 + col as isize, y0 + row as isize) as i16;
-            }
-        }
+        assert_eq!(dst.len(), w * h);
+        let mut tile: Tile = [0; 256];
+        let (qx, qy) = (bx as i32 * 4 + mv.x as i32, by as i32 * 4 + mv.y as i32);
+        self.block(qx, qy, w, h, &mut tile).widen_into(w, h, dst, w);
     }
 
     /// Interpolate the pixel rows covered by the MB rows of `rows`, reading
@@ -139,6 +166,54 @@ impl SubpelFrame {
         assert_eq!(rf.width(), self.width);
         assert_eq!(rf.height(), self.height);
         par::for_each_row(self.mb_rows_mut(rows), |_, row| row.interpolate(rf));
+    }
+}
+
+/// Side of the largest block [`SubpelFrame::block`] serves (a macroblock).
+const TILE: usize = MB_SIZE;
+
+/// Scratch for a block that straddles the frame edge, row stride 16.
+pub type Tile = [u8; TILE * TILE];
+
+/// A block of samples as a raster view: row `r` is
+/// `data[offset + r * stride..][..w]`.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockRef<'a> {
+    /// The samples the block lives in (a phase plane, or a [`Tile`]).
+    pub data: &'a [u8],
+    /// Index of the block's first sample.
+    pub offset: usize,
+    /// Distance between the starts of consecutive rows.
+    pub stride: usize,
+}
+
+impl<'a> BlockRef<'a> {
+    /// The block's `h` rows of `w` samples.
+    pub fn rows(self, w: usize, h: usize) -> impl Iterator<Item = &'a [u8]> {
+        (0..h).map(move |r| &self.data[self.offset + r * self.stride..][..w])
+    }
+
+    /// Copy the `w × h` block into the rows of `dst`, `dst_stride` apart.
+    pub fn widen_into(self, w: usize, h: usize, dst: &mut [i16], dst_stride: usize) {
+        for (dst, src) in dst.chunks_mut(dst_stride).zip(self.rows(w, h)) {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = s as i16;
+            }
+        }
+    }
+}
+
+/// The border path of [`SubpelFrame::block`], out of line: row by row,
+/// clamp the row index, then the column of each sample.
+#[inline(never)]
+fn copy_clamped(plane: &Plane<u8>, x0: isize, y0: isize, w: usize, h: usize, tile: &mut Tile) {
+    assert!(w <= TILE && h <= TILE, "{w}x{h} block exceeds the tile");
+    let (last_x, last_y) = (plane.width() as isize - 1, plane.height() as isize - 1);
+    for (r, dst) in tile.chunks_exact_mut(TILE).take(h).enumerate() {
+        let src = plane.row((y0 + r as isize).clamp(0, last_y) as usize);
+        for (c, d) in dst[..w].iter_mut().enumerate() {
+            *d = src[(x0 + c as isize).clamp(0, last_x) as usize];
+        }
     }
 }
 
@@ -292,6 +367,50 @@ mod tests {
             for col in 0..4 {
                 assert_eq!(dst[row * 4 + col], rf.get(6 + col, 9 + row) as i16);
             }
+        }
+    }
+
+    #[test]
+    fn block_equals_per_sample_fetch_inside_and_across_every_edge() {
+        use crate::types::ALL_PARTITION_MODES;
+        let (pw, ph) = (32isize, 16isize);
+        let rf = plane_from_fn(32, 16, |x, y| ((x * 37) ^ (y * 101)).wrapping_mul(13) as u8);
+        let sf = interpolate(&rf);
+        // Full-pel anchors: inside, straddling each edge and corner, and
+        // fully outside on every side.
+        let xs = [-40, -17, -16, -3, 0, 9, 29, pw, pw + 3, pw + 40];
+        let ys = [-40, -17, -16, -3, 0, 5, 13, ph, ph + 3, ph + 40];
+        let mut tile = [0; 256];
+        for mode in ALL_PARTITION_MODES {
+            let (w, h) = mode.dims();
+            for (x0, y0) in xs.iter().flat_map(|&x| ys.iter().map(move |&y| (x, y))) {
+                for (fx, fy) in (0..4).flat_map(|fx| (0..4).map(move |fy| (fx, fy))) {
+                    let (qx, qy) = (x0 * 4 + fx, y0 * 4 + fy);
+                    let inside =
+                        x0 >= 0 && y0 >= 0 && x0 + w as isize <= pw && y0 + h as isize <= ph;
+                    tile.fill(0xA5);
+                    let block = sf.block(qx as i32, qy as i32, w, h, &mut tile);
+                    assert_eq!(block.stride == TILE, !inside, "{mode:?} at {qx},{qy}");
+                    for (r, row) in block.rows(w, h).enumerate() {
+                        for (c, &s) in row.iter().enumerate() {
+                            let want = sf.sample(qx + 4 * c as isize, qy + 4 * r as isize);
+                            assert_eq!(s, want, "{mode:?} at {qx},{qy} sample {c},{r}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn predict_block_across_the_corner_equals_per_sample_fetch() {
+        let rf = plane_from_fn(32, 32, |x, y| ((x * 5) ^ (y * 9)) as u8);
+        let sf = interpolate(&rf);
+        let mut dst = [0i16; 64];
+        sf.predict_block(24, 28, QpelMv::new(13, 7), 8, 8, &mut dst);
+        for (i, &d) in dst.iter().enumerate() {
+            let (qx, qy) = ((24 + i % 8) * 4 + 13, (28 + i / 8) * 4 + 7);
+            assert_eq!(d, sf.sample(qx as isize, qy as isize) as i16, "sample {i}");
         }
     }
 

@@ -4,11 +4,12 @@
 //! proven by the differential tests — the only difference is throughput.
 //! Three techniques, chosen per kernel by what measured fastest:
 //!
-//! * Block SAD and the ME search primitives: `std::arch` intrinsics on
-//!   x86-64 — `psadbw` ([`sad_block`], SSE2, the baseline) and
-//!   `mpsadbw` / `phminposuw` ([`Sse41`], detected at run time) — with a
-//!   portable definition of each beside it ([`Portable`], the scalar
-//!   `sad_block`) for every other host.
+//! * The SME refinement and ME search primitives: `std::arch` intrinsics
+//!   on x86-64 — packed-block `psadbw` ([`Sse2`], the baseline, so nothing
+//!   is detected) and `mpsadbw` / `phminposuw` ([`Sse41`], detected at run
+//!   time) — with a portable definition of each beside it ([`Portable`])
+//!   for every other host, which is also what the `scalar` family's SME
+//!   runs.
 //! * Interpolation, structure: the border-clamped source reads are hoisted
 //!   into padded rows once per band (the scalar path calls `get_clamped` per
 //!   pixel) and the 6-tap filters run over contiguous slices the compiler's
@@ -40,25 +41,89 @@ fn avg8(a: u64, b: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Block SAD (SME)
+// Refinement primitives (SME)
 // ---------------------------------------------------------------------------
 
-/// SAD between two `w × h` blocks given as (slice, stride) raster views.
+/// The two operations the sub-pel refinement ([`crate::sme`]) is built
+/// from, over **packed** blocks: a `W × H` partition is `N = W·H / 16` rows
+/// of sixteen bytes — one block row per packed row at width 16, two at
+/// width 8, four at width 4 — so every byte of every `psadbw` is a sample
+/// and a 4×4 SAD is one instruction.
 ///
-/// Partitions are 4, 8 or 16 samples wide, and on x86-64 each of those is
-/// `psadbw` work: one per row at 16 and 8, one per row *pair* at 4. SSE2 is
-/// part of the x86-64 baseline, so nothing is detected. Every other shape
-/// (and every shape on another architecture) is the scalar loop.
-#[inline]
-pub fn sad_block(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        if let Some(sad) = unsafe { x86::sad_block(a, a_stride, b, b_stride, w, h) } {
-            return sad;
-        }
+/// [`Portable`] is the definition (and what the `scalar` family runs);
+/// [`Sse2`] is the same pair on `movd`/`movq`/`movdqu` + `psadbw`. The
+/// refinement body is written once against this trait.
+pub trait RefineIsa: Copy {
+    /// Sixteen packed samples.
+    type Row: Copy;
+
+    /// Pack the `W × H` block whose first sample is `src[off]` and whose
+    /// rows are `stride` apart.
+    ///
+    /// # Panics
+    /// When the block's span `off + (H − 1)·stride + W` leaves `src`, in
+    /// every build profile — the check the raw loads of [`Sse2`] rest on.
+    fn load<const W: usize, const H: usize, const N: usize>(
+        self,
+        src: &[u8],
+        off: usize,
+        stride: usize,
+    ) -> [Self::Row; N];
+
+    /// SAD of two packed blocks.
+    fn sad<const N: usize>(self, a: &[Self::Row; N], b: &[Self::Row; N]) -> u32;
+}
+
+/// The span check of [`RefineIsa::load`]: `N` packs exactly `W × H`, and
+/// the block's last sample is inside a slice of `len` samples. Saturating,
+/// so no `off` / `stride` can wrap its way past the comparison (a slice is
+/// never longer than `isize::MAX`).
+#[inline(always)]
+fn check_span<const W: usize, const H: usize, const N: usize>(
+    len: usize,
+    off: usize,
+    stride: usize,
+) {
+    const {
+        assert!(W == 4 || W == 8 || W == 16, "partition widths only");
+        assert!(H >= 16 / W && W * H == 16 * N, "N packs exactly W × H");
     }
-    super::scalar::sad_block(a, a_stride, b, b_stride, w, h)
+    let end = (H - 1)
+        .saturating_mul(stride)
+        .saturating_add(off)
+        .saturating_add(W);
+    assert!(
+        end <= len,
+        "{W}x{H} block at {off} (stride {stride}) leaves a slice of {len}"
+    );
+}
+
+impl RefineIsa for Portable {
+    type Row = [u8; 16];
+
+    #[inline(always)]
+    fn load<const W: usize, const H: usize, const N: usize>(
+        self,
+        src: &[u8],
+        off: usize,
+        stride: usize,
+    ) -> [[u8; 16]; N] {
+        check_span::<W, H, N>(src.len(), off, stride);
+        let mut rows = [[0u8; 16]; N];
+        for r in 0..H {
+            rows[r * W / 16][r * W % 16..][..W].copy_from_slice(&src[off + r * stride..][..W]);
+        }
+        rows
+    }
+
+    #[inline(always)]
+    fn sad<const N: usize>(self, a: &[[u8; 16]; N], b: &[[u8; 16]; N]) -> u32 {
+        a.as_flattened()
+            .iter()
+            .zip(b.as_flattened())
+            .map(|(&x, &y)| x.abs_diff(y) as u32)
+            .sum()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -81,8 +146,9 @@ pub trait SearchIsa: Copy {
     fn min_pos(self, v: [u16; 8]) -> (u16, usize);
 }
 
-/// The primitives as plain loops: what runs on non-x86 hosts and on x86
-/// before SSE4.1, and the reference [`Sse41`] is tested against.
+/// The primitives as plain loops: what runs on non-x86 hosts (and, for the
+/// search, on x86 before SSE4.1), and the reference [`Sse2`] and [`Sse41`]
+/// are tested against.
 #[derive(Clone, Copy, Debug)]
 pub struct Portable;
 
@@ -111,12 +177,69 @@ impl SearchIsa for Portable {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use x86::Sse41;
+pub use x86::{Sse2, Sse41};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::SearchIsa;
+    use super::{check_span, RefineIsa, SearchIsa};
     use core::arch::x86_64::*;
+
+    /// The packed-block primitives on SSE2, which every x86-64 CPU has.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Sse2;
+
+    impl RefineIsa for Sse2 {
+        type Row = __m128i;
+
+        #[inline(always)]
+        fn load<const W: usize, const H: usize, const N: usize>(
+            self,
+            src: &[u8],
+            off: usize,
+            stride: usize,
+        ) -> [__m128i; N] {
+            check_span::<W, H, N>(src.len(), off, stride);
+            let first = src[off..].as_ptr();
+            // SAFETY: `check_span` just proved `off + (H − 1)·stride + W <=
+            // src.len()`. Every load below reads `W` bytes at `first +
+            // r·stride` for a block row `r < H` (packed row `i < N` holds
+            // block rows `i·16/W ..`), so it ends at or before that bound;
+            // none has an alignment requirement, and SSE2 is part of the
+            // x86-64 baseline.
+            unsafe {
+                let row = |r: usize| first.add(r * stride);
+                core::array::from_fn(|i| match W {
+                    16 => _mm_loadu_si128(row(i).cast()),
+                    8 => _mm_unpacklo_epi64(
+                        _mm_loadl_epi64(row(2 * i).cast()),
+                        _mm_loadl_epi64(row(2 * i + 1).cast()),
+                    ),
+                    _ => {
+                        let quad =
+                            |r: usize| _mm_cvtsi32_si128(row(r).cast::<i32>().read_unaligned());
+                        _mm_unpacklo_epi64(
+                            _mm_unpacklo_epi32(quad(4 * i), quad(4 * i + 1)),
+                            _mm_unpacklo_epi32(quad(4 * i + 2), quad(4 * i + 3)),
+                        )
+                    }
+                })
+            }
+        }
+
+        #[inline(always)]
+        fn sad<const N: usize>(self, a: &[__m128i; N], b: &[__m128i; N]) -> u32 {
+            // SAFETY: register-only SSE2 arithmetic, and SSE2 is part of
+            // the x86-64 baseline. `psadbw` sums each 8-byte half into its
+            // own 64-bit lane; a whole macroblock stays under 2^16.
+            unsafe {
+                let mut acc = _mm_setzero_si128();
+                for (&x, &y) in a.iter().zip(b) {
+                    acc = _mm_add_epi64(acc, _mm_sad_epu8(x, y));
+                }
+                _mm_cvtsi128_si32(_mm_add_epi64(acc, _mm_unpackhi_epi64(acc, acc))) as u32
+            }
+        }
+    }
 
     /// Proof that this CPU has SSE4.1: the only constructor is
     /// [`Sse41::detect`], so holding one makes the intrinsics below sound.
@@ -158,65 +281,6 @@ mod x86 {
             };
             (r as u16, (r >> 16) as usize)
         }
-    }
-
-    /// The `N` bytes one load reads of the block row `s` starts at, stepping
-    /// `s` one stride on. Panics, like the scalar loop's slice index, when
-    /// the row leaves the slice; the step past the last row may.
-    #[inline(always)]
-    fn next_row<'a, const N: usize>(s: &mut &'a [u8], stride: usize) -> &'a [u8; N] {
-        let row = s.first_chunk().expect("block row inside the slice");
-        *s = s.get(stride..).unwrap_or_default();
-        row
-    }
-
-    /// [`super::sad_block`] for the partition widths; `None` for any other
-    /// shape. `psadbw` sums each 8-byte half into its own 64-bit lane.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    pub fn sad_block(
-        mut a: &[u8],
-        a_stride: usize,
-        mut b: &[u8],
-        b_stride: usize,
-        w: usize,
-        h: usize,
-    ) -> Option<u32> {
-        let mut acc = _mm_setzero_si128();
-        match w {
-            16 => {
-                for _ in 0..h {
-                    let ra = load16(next_row(&mut a, a_stride));
-                    let rb = load16(next_row(&mut b, b_stride));
-                    acc = _mm_add_epi32(acc, _mm_sad_epu8(ra, rb));
-                }
-                acc = _mm_add_epi32(acc, _mm_unpackhi_epi64(acc, acc));
-            }
-            8 => {
-                for _ in 0..h {
-                    let ra = i64::from_le_bytes(*next_row(&mut a, a_stride));
-                    let rb = i64::from_le_bytes(*next_row(&mut b, b_stride));
-                    acc = _mm_add_epi32(
-                        acc,
-                        _mm_sad_epu8(_mm_cvtsi64_si128(ra), _mm_cvtsi64_si128(rb)),
-                    );
-                }
-            }
-            4 if h.is_multiple_of(2) => {
-                // Two rows side by side in the low eight bytes.
-                let pair = |s: &mut &[u8], stride: usize| {
-                    let lo = i32::from_le_bytes(*next_row(s, stride));
-                    let hi = i32::from_le_bytes(*next_row(s, stride));
-                    _mm_set_epi32(0, 0, hi, lo)
-                };
-                for _ in 0..h / 2 {
-                    let (ra, rb) = (pair(&mut a, a_stride), pair(&mut b, b_stride));
-                    acc = _mm_add_epi32(acc, _mm_sad_epu8(ra, rb));
-                }
-            }
-            _ => return None,
-        }
-        Some(_mm_cvtsi128_si32(acc) as u32)
     }
 }
 
@@ -422,6 +486,131 @@ mod tests {
                 assert_eq!(bytes[1], avg(a, a));
             }
         }
+    }
+
+    // ---- portable vs std::arch refinement primitives (direct calls) ----
+
+    /// `load` + `sad` of one `W × H` shape on `isa`: against the plain
+    /// definition, with every (a, b) byte pair in the block's last column
+    /// on a textured background — each `psadbw` byte position is a column
+    /// of some shape, and the background catches a dropped or
+    /// double-counted row.
+    fn check_shape<I: RefineIsa, const W: usize, const H: usize, const N: usize>(isa: I) {
+        for (sa, sb) in [(W, W), (16, 24), (37, 19)] {
+            // Offsets that end the block on the slice's last byte.
+            let (oa, ob) = (5, 11);
+            let mut a: Vec<u8> = (0..oa + sa * (H - 1) + W)
+                .map(|i| (i * 29 + 3) as u8)
+                .collect();
+            let mut b: Vec<u8> = (0..ob + sb * (H - 1) + W)
+                .map(|i| (i * 53 + 101) as u8)
+                .collect();
+            for va in 0..=255u8 {
+                for vb in 0..=255u8 {
+                    for y in 0..H {
+                        a[oa + y * sa + W - 1] = va;
+                        b[ob + y * sb + W - 1] = vb.wrapping_add(y as u8);
+                    }
+                    let want: u32 = (0..H)
+                        .flat_map(|y| (0..W).map(move |x| (x, y)))
+                        .map(|(x, y)| a[oa + y * sa + x].abs_diff(b[ob + y * sb + x]) as u32)
+                        .sum();
+                    let pa = isa.load::<W, H, N>(&a, oa, sa);
+                    let pb = isa.load::<W, H, N>(&b, ob, sb);
+                    assert_eq!(
+                        isa.sad(&pa, &pb),
+                        want,
+                        "{W}x{H} strides {sa}/{sb} a={va} b={vb}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn check_every_shape<I: RefineIsa>(isa: I) {
+        check_shape::<I, 16, 16, 16>(isa);
+        check_shape::<I, 16, 8, 8>(isa);
+        check_shape::<I, 8, 16, 8>(isa);
+        check_shape::<I, 8, 8, 4>(isa);
+        check_shape::<I, 8, 4, 2>(isa);
+        check_shape::<I, 4, 8, 2>(isa);
+        check_shape::<I, 4, 4, 1>(isa);
+    }
+
+    #[test]
+    fn portable_packed_sad_is_the_plain_sad() {
+        check_every_shape(Portable);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_packed_sad_is_the_plain_sad() {
+        check_every_shape(Sse2);
+    }
+
+    #[test]
+    fn packed_sad_of_extreme_blocks_does_not_wrap() {
+        let (a, b) = ([0u8; 256], [255u8; 256]);
+        let want = 255 * 256;
+        let p = Portable;
+        assert_eq!(
+            p.sad(
+                &p.load::<16, 16, 16>(&a, 0, 16),
+                &p.load::<16, 16, 16>(&b, 0, 16)
+            ),
+            want
+        );
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            Sse2.sad(
+                &Sse2.load::<16, 16, 16>(&a, 0, 16),
+                &Sse2.load::<16, 16, 16>(&b, 0, 16)
+            ),
+            want
+        );
+    }
+
+    // A 4×4 in the last rows and columns of a plane ends on the slice's
+    // last byte and loads; one sample further and the span check fires
+    // before any raw load (nothing here can watch the loads themselves).
+
+    #[test]
+    fn a_block_ending_on_the_last_byte_loads() {
+        fn last_block<I: RefineIsa>(isa: I) -> u32 {
+            let plane: Vec<u8> = (0..8 * 8).collect();
+            let zero = isa.load::<4, 4, 1>(&[0; 16], 0, 4);
+            isa.sad(&isa.load::<4, 4, 1>(&plane, 4 * 8 + 4, 8), &zero)
+        }
+        let want = [36..40, 44..48, 52..56, 60..64u32]
+            .into_iter()
+            .flatten()
+            .sum();
+        assert_eq!(last_block(Portable), want);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(last_block(Sse2), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves a slice of 63")]
+    fn portable_load_past_the_slice_panics() {
+        let plane = [0u8; 63];
+        let _ = Portable.load::<4, 4, 1>(&plane, 4 * 8 + 4, 8);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "leaves a slice of 63")]
+    fn sse2_load_past_the_slice_panics() {
+        let plane = [0u8; 63];
+        let _ = Sse2.load::<4, 4, 1>(&plane, 4 * 8 + 4, 8);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "leaves a slice of 64")]
+    fn sse2_load_with_a_wrapping_span_panics() {
+        let plane = [0u8; 64];
+        let _ = Sse2.load::<16, 16, 16>(&plane, 0, usize::MAX / 8);
     }
 
     // ---- portable vs std::arch search primitives (direct calls) ----

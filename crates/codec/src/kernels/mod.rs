@@ -7,9 +7,10 @@
 //!
 //! * [`scalar`] — the plain reference loops, the semantic ground truth;
 //! * [`fast`] — `std::arch` SAD instructions where the host has them
-//!   (`psadbw` block SAD for SME, the `mpsadbw` / `phminposuw` primitives
-//!   of the ME search in [`crate::me`]), and for interpolation padded-row
-//!   6-tap passes plus u64 **SWAR** quarter-pel averaging.
+//!   (packed-block `psadbw` under the SME refinement in [`crate::sme`], the
+//!   `mpsadbw` / `phminposuw` primitives of the ME search in
+//!   [`crate::me`]), and for interpolation padded-row 6-tap passes plus u64
+//!   **SWAR** quarter-pel averaging.
 //!
 //! Kernels whose fast twin never beat the scalar loop (the quantizers, the
 //! per-candidate SAD grid, `row_sad`) have one implementation, in
@@ -21,7 +22,7 @@
 //! benchmarking. Within `fast`, the instruction set is whatever the CPU
 //! reports — there is no switch for it. All of it is **bit-exact**: the
 //! differential tests (`tests/kernel_differential.rs`, plus the unit tests
-//! of [`crate::me`], [`crate::sad`] and [`crate::interp`]) prove
+//! of [`crate::me`], [`crate::sme`], [`fast`] and [`crate::interp`]) prove
 //! `fast(x) == scalar(x)` over exhaustive small inputs and
 //! proptest-generated planes, so flipping the switch can never change an
 //! encoded bitstream — only how quickly it is produced.
@@ -97,8 +98,9 @@ pub fn force_kind(kind: KernelKind) {
 
 // ---------------------------------------------------------------------------
 // Entry points. A dispatched one does one relaxed atomic load and branches;
-// callers at block granularity (SME blocks, interpolation bands) amortise
-// it over tens to thousands of sample operations.
+// its callers work at row granularity (interpolation bands here, one
+// `me` / `sme` rows call there), so that is amortised over thousands of
+// sample operations.
 // ---------------------------------------------------------------------------
 
 /// SAD of two equal-length rows.
@@ -116,15 +118,6 @@ pub fn row_sad(a: &[u8], b: &[u8]) -> u32 {
         b.len()
     );
     scalar::row_sad(a, b)
-}
-
-/// SAD between two `w × h` blocks given as (slice, stride) raster views.
-#[inline]
-pub fn sad_block(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u32 {
-    match active_kind() {
-        KernelKind::Scalar => scalar::sad_block(a, a_stride, b, b_stride, w, h),
-        KernelKind::Fast => fast::sad_block(a, a_stride, b, b_stride, w, h),
-    }
 }
 
 /// The sixteen 4×4 SADs of one macroblock against one reference position

@@ -19,20 +19,6 @@ pub fn row_sad(a: &[u8], b: &[u8]) -> u32 {
         .sum()
 }
 
-/// SAD between two `w × h` blocks given as (slice, stride) raster views.
-///
-/// `a` and `b` must each contain at least `(h-1)*stride + w` samples.
-#[inline]
-pub fn sad_block(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u32 {
-    let mut acc = 0u32;
-    for y in 0..h {
-        let ra = &a[y * a_stride..y * a_stride + w];
-        let rb = &b[y * b_stride..y * b_stride + w];
-        acc += row_sad(ra, rb);
-    }
-    acc
-}
-
 /// Compute the [`SadGrid`] for the 16×16 block at `(cur_x, cur_y)` in `cur`
 /// against the block at `(ref_x, ref_y)` in `reference`.
 pub fn sad_grid_16x16(

@@ -6,7 +6,7 @@
 //! sample the prediction from the sub-pixel frames at the refined vectors,
 //! and emit the prediction residual for TQ.
 
-use crate::interp::SubpelFrame;
+use crate::interp::{SubpelFrame, Tile};
 use crate::par;
 use crate::sme::{MbSubMotion, SmeBlockMv};
 use crate::types::{PartitionMode, ALL_PARTITION_MODES};
@@ -92,12 +92,24 @@ pub fn mode_overhead_bits(mode: PartitionMode) -> u64 {
     MODE_BITS[mode.index()] + mode.count() as u64 * 8
 }
 
+/// The rate term of every mode's Lagrangian cost at `qp`,
+/// `round(λ(qp) · overhead bits)`, indexed like [`ALL_PARTITION_MODES`] —
+/// a function of the frame's QP only, so a row computes it once.
+pub fn mode_rate_costs(qp: u8) -> [u64; 7] {
+    let lambda = lambda_mode(qp);
+    ALL_PARTITION_MODES.map(|mode| (lambda * mode_overhead_bits(mode) as f64).round() as u64)
+}
+
 /// Choose the best partition mode for one macroblock from its SME output.
 pub fn decide_mode(sme: &MbSubMotion, qp: u8) -> MbMode {
-    let lambda = lambda_mode(qp);
+    decide_mode_at(sme, &mode_rate_costs(qp))
+}
+
+/// [`decide_mode`] given the QP's [`mode_rate_costs`].
+fn decide_mode_at(sme: &MbSubMotion, rate_costs: &[u64; 7]) -> MbMode {
     let mut best = MbMode::default();
-    for mode in ALL_PARTITION_MODES {
-        let cost = sme.mode_cost(mode) + (lambda * mode_overhead_bits(mode) as f64).round() as u64;
+    for (mode, rate) in ALL_PARTITION_MODES.into_iter().zip(rate_costs) {
+        let cost = sme.mode_cost(mode) + rate;
         // Strict `<`: ties resolve to the earlier (coarser) mode.
         if cost < best.cost {
             let mut mvs = [SmeBlockMv::default(); 16];
@@ -120,16 +132,15 @@ pub fn predict_mb(
 ) {
     let mode = mb_mode.mode;
     let (w, h) = mode.dims();
-    let mut buf = [0i16; 256];
-    let block = &mut buf[..w * h];
+    let mut tile: Tile = [0; 256];
     for i in 0..mode.count() {
         let (ox, oy) = mode.offset(i);
         let blk = &mb_mode.mvs[i];
-        sfs[blk.rf as usize].predict_block(cx + ox, cy + oy, blk.mv, w, h, block);
-        for row in 0..h {
-            let dst = &mut pred[(oy + row) * MB_SIZE + ox..(oy + row) * MB_SIZE + ox + w];
-            dst.copy_from_slice(&block[row * w..(row + 1) * w]);
-        }
+        let qx = (cx + ox) as i32 * 4 + blk.mv.x as i32;
+        let qy = (cy + oy) as i32 * 4 + blk.mv.y as i32;
+        sfs[blk.rf as usize]
+            .block(qx, qy, w, h, &mut tile)
+            .widen_into(w, h, &mut pred[oy * MB_SIZE + ox..], MB_SIZE);
     }
 }
 
@@ -147,9 +158,10 @@ pub fn mc_row(
     pred: &mut PlaneBandMut<'_, u8>,
     residual: &mut PlaneBandMut<'_, i16>,
 ) {
+    let rate_costs = mode_rate_costs(qp);
     let mut pbuf = [0i16; 256];
     for (mbx, (sme, mode)) in sme_row.iter().zip(modes).enumerate() {
-        let decided = decide_mode(sme, qp);
+        let decided = decide_mode_at(sme, &rate_costs);
         let (cx, cy) = (mbx * MB_SIZE, mby * MB_SIZE);
         predict_mb(&decided, sfs, cx, cy, &mut pbuf);
         for row in 0..MB_SIZE {
@@ -275,6 +287,17 @@ mod tests {
     fn lambda_grows_with_qp() {
         assert!(lambda_mode(40) > lambda_mode(20));
         assert!((lambda_mode(12) - 0.85).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rate_cost_table_equals_the_per_macroblock_expression() {
+        for qp in 0..=51 {
+            let table = mode_rate_costs(qp);
+            for mode in ALL_PARTITION_MODES {
+                let per_mb = (lambda_mode(qp) * mode_overhead_bits(mode) as f64).round() as u64;
+                assert_eq!(table[mode.index()], per_mb, "qp {qp} {mode:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,22 +1,14 @@
 //! Sum-of-absolute-differences primitives.
 //!
 //! These are the innermost loops of the encoder (full-search block matching
-//! evaluates millions of them per frame). The paper's CPU kernels use
-//! SSE/AVX intrinsics; here [`sad_block`] dispatches through
-//! [`crate::kernels`] to either the scalar reference loop or `psadbw`
-//! (`FEVES_KERNELS=scalar|fast`), both bit-exact. [`row_sad`] and
-//! [`sad_grid_16x16`] are the reference forms: the `fast` ME search
-//! ([`crate::me`]) computes the same grids eight candidates at a time.
+//! evaluates millions of them per frame). [`row_sad`] and
+//! [`sad_grid_16x16`] are the reference forms. The paper's CPU kernels use
+//! SSE/AVX intrinsics, and so do the two loops that spend the time
+//! (`FEVES_KERNELS=scalar|fast`, both bit-exact): the `fast` ME search
+//! ([`crate::me`]) computes the same grids eight candidates at a time, and
+//! the SME refinement ([`crate::sme`]) runs packed-block `psadbw`.
 
 use feves_video::plane::Plane;
-
-/// SAD between two `w × h` blocks given as (slice, stride) raster views.
-///
-/// `a` and `b` must each contain at least `(h-1)*stride + w` samples.
-#[inline]
-pub fn sad_block(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u32 {
-    crate::kernels::sad_block(a, a_stride, b, b_stride, w, h)
-}
 
 /// SAD of two equal-length rows.
 ///
@@ -70,7 +62,6 @@ pub fn grid_partition_sad(grid: &SadGrid, ox: usize, oy: usize, w: usize, h: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels;
 
     fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
         let mut p = Plane::new(w, h);
@@ -87,13 +78,6 @@ mod tests {
         let p = plane_from_fn(32, 32, |x, y| (x * 7 + y * 13) as u8);
         let g = sad_grid_16x16(&p, 8, 8, &p, 8, 8);
         assert_eq!(g, [0u32; 16]);
-    }
-
-    #[test]
-    fn sad_block_matches_manual() {
-        let a = [10u8, 20, 30, 40];
-        let b = [12u8, 18, 33, 40];
-        assert_eq!(sad_block(&a, 2, &b, 2, 2, 2), (2 + 2 + 3));
     }
 
     #[test]
@@ -145,50 +129,6 @@ mod tests {
             }
         }
         assert_eq!(inside, clamped);
-    }
-
-    // ---- scalar vs fast differentials (direct calls, no global flip) ----
-
-    #[test]
-    fn differential_sad_block_strided() {
-        let a: Vec<u8> = (0..40 * 24).map(|i| (i * 7 % 251) as u8).collect();
-        let b: Vec<u8> = (0..48 * 24).map(|i| (i * 13 % 241) as u8).collect();
-        for &(w, h) in &[(4usize, 4usize), (8, 8), (16, 16), (7, 5), (13, 3), (4, 3)] {
-            assert_eq!(
-                kernels::scalar::sad_block(&a, 40, &b, 48, w, h),
-                kernels::fast::sad_block(&a, 40, &b, 48, w, h),
-                "{w}x{h}"
-            );
-        }
-    }
-
-    #[test]
-    fn differential_sad_block_partition_shapes() {
-        use crate::types::ALL_PARTITION_MODES;
-        // Every partition shape at several stride pairs, with every (a, b)
-        // byte pair in the block's last column on a textured background:
-        // each `psadbw` byte position is a column of some shape, and the
-        // background catches a sum that drops or double-counts a row.
-        for mode in ALL_PARTITION_MODES {
-            let (w, h) = mode.dims();
-            for (sa, sb) in [(w, w), (16, 24), (37, 19)] {
-                let mut a: Vec<u8> = (0..sa * h).map(|i| (i * 29 + 3) as u8).collect();
-                let mut b: Vec<u8> = (0..sb * h).map(|i| (i * 53 + 101) as u8).collect();
-                for va in 0..=255u8 {
-                    for vb in 0..=255u8 {
-                        for y in 0..h {
-                            a[y * sa + w - 1] = va;
-                            b[y * sb + w - 1] = vb.wrapping_add(y as u8);
-                        }
-                        assert_eq!(
-                            kernels::scalar::sad_block(&a, sa, &b, sb, w, h),
-                            kernels::fast::sad_block(&a, sa, &b, sb, w, h),
-                            "{mode:?} strides {sa}/{sb} a={va} b={vb}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

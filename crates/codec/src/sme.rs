@@ -6,15 +6,28 @@
 //! the standard two-stage refinement of the JM encoder. Like ME, the result
 //! for a macroblock depends only on the CF, the SFs and that macroblock's ME
 //! output, so row-wise distribution across devices is result-invariant.
-//! Block SADs go through [`crate::kernels`], so `FEVES_KERNELS` selects the
-//! scalar or `psadbw` implementation here too.
+//!
+//! There is one refinement body, monomorphised over the seven partition
+//! shapes and over the two primitives of [`RefineIsa`]: the current block
+//! is packed into 16-byte rows once, each of the 17 candidates is fetched
+//! by [`SubpelFrame::block`] — a view into its phase plane, or a clamped
+//! copy when it leaves the frame — packed the same way and compared.
+//! `FEVES_KERNELS` picks the primitives ([`Portable`] for `scalar`,
+//! `psadbw` for `fast`) once per rows call.
 
-use crate::interp::SubpelFrame;
-use crate::me::{mode_base, MbMotion};
+use crate::interp::{SubpelFrame, Tile};
+#[cfg(not(target_arch = "x86_64"))]
+use crate::kernels::fast::Portable as FastIsa;
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::fast::Sse2 as FastIsa;
+use crate::kernels::fast::{Portable, RefineIsa};
+use crate::kernels::{self, KernelKind};
+use crate::me::{mode_base, BlockMv, MbMotion};
 use crate::par;
-use crate::types::{PartitionMode, QpelMv, ALL_PARTITION_MODES, TOTAL_PARTITION_BLOCKS};
+use crate::types::{PartitionMode, QpelMv, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
+use std::ops::Range;
 
 /// Refined match for one partition block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,82 +137,161 @@ impl SmeField {
     }
 }
 
-/// SAD between the `w × h` current block at `(bx, by)` and the SF sampled at
-/// quarter-pel displacement `qmv`.
-pub fn sad_qpel(
-    cf: &Plane<u8>,
-    bx: usize,
-    by: usize,
-    w: usize,
-    h: usize,
-    sf: &SubpelFrame,
-    qmv: QpelMv,
-) -> u32 {
-    let qx0 = bx as isize * 4 + qmv.x as isize;
-    let qy0 = by as isize * 4 + qmv.y as isize;
-    let fx = qx0.rem_euclid(4) as u8;
-    let fy = qy0.rem_euclid(4) as u8;
-    let x0 = qx0.div_euclid(4);
-    let y0 = qy0.div_euclid(4);
-    let plane = sf.phase(fx, fy);
-    let mut acc = 0u32;
-    let inside = x0 >= 0
-        && y0 >= 0
-        && (x0 as usize) + w <= plane.width()
-        && (y0 as usize) + h <= plane.height();
-    if inside {
-        // Dispatch once per block (not per row) through the kernel layer so
-        // the fast path sees the whole strided block.
-        let (px, py) = (x0 as usize, y0 as usize);
-        acc = crate::kernels::sad_block(
-            &cf.as_slice()[by * cf.stride() + bx..],
-            cf.stride(),
-            &plane.as_slice()[py * plane.stride() + px..],
-            plane.stride(),
-            w,
-            h,
-        );
-    } else {
-        for row in 0..h {
-            for col in 0..w {
-                let c = cf.get(bx + col, by + row);
-                let p = plane.get_clamped(x0 + col as isize, y0 + row as isize);
-                acc += (c as i16 - p as i16).unsigned_abs() as u32;
-            }
-        }
-    }
-    acc
+/// What one rows call refines with and against: the primitives, the
+/// current frame and the references' SFs.
+struct Refiner<'a, I> {
+    isa: I,
+    cf: &'a Plane<u8>,
+    sfs: &'a [&'a SubpelFrame],
 }
 
-/// Two-stage (half- then quarter-pel) refinement of one block.
-fn refine_block(
-    cf: &Plane<u8>,
-    sf: &SubpelFrame,
-    bx: usize,
-    by: usize,
-    w: usize,
-    h: usize,
-    start: QpelMv,
-) -> (QpelMv, u32) {
-    let mut best_mv = start;
-    let mut best_cost = sad_qpel(cf, bx, by, w, h, sf, start);
-    for step in [2i16, 1] {
-        let center = best_mv;
-        for dy in [-step, 0, step] {
-            for dx in [-step, 0, step] {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let cand = QpelMv::new(center.x + dx, center.y + dy);
-                let cost = sad_qpel(cf, bx, by, w, h, sf, cand);
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_mv = cand;
+impl<I: RefineIsa> Refiner<'_, I> {
+    /// SAD between the packed current block `cur` and the `W × H` block of
+    /// `sf` at quarter-pel position `(qx, qy)`.
+    #[inline(always)]
+    fn cost<const W: usize, const H: usize, const N: usize>(
+        &self,
+        cur: &[I::Row; N],
+        sf: &SubpelFrame,
+        (qx, qy): (i32, i32),
+        tile: &mut Tile,
+    ) -> u32 {
+        let cand = sf.block(qx, qy, W, H, tile);
+        let cand = self
+            .isa
+            .load::<W, H, N>(cand.data, cand.offset, cand.stride);
+        self.isa.sad(cur, &cand)
+    }
+
+    /// Two-stage (half- then quarter-pel) refinement of the `W × H` block
+    /// at `(bx, by)` around its ME match: the start position, then the
+    /// eight neighbours at ±½ of it, then the eight at ±¼ of the half-pel
+    /// winner, each ring in `dy → dx` order; strict `<` keeps the earliest
+    /// of equal costs.
+    fn refine<const W: usize, const H: usize, const N: usize>(
+        &self,
+        (bx, by): (usize, usize),
+        me: &BlockMv,
+        tile: &mut Tile,
+    ) -> SmeBlockMv {
+        let cf = self.cf;
+        let cur = self
+            .isa
+            .load::<W, H, N>(cf.as_slice(), by * cf.stride() + bx, cf.stride());
+        let sf = self.sfs[me.rf as usize];
+        let anchor = (bx as i32 * 4, by as i32 * 4);
+        let start = me.mv.to_qpel();
+        let mut best = (anchor.0 + start.x as i32, anchor.1 + start.y as i32);
+        let mut best_cost = self.cost::<W, H, N>(&cur, sf, best, tile);
+        for step in [2, 1] {
+            let center = best;
+            for dy in [-step, 0, step] {
+                for dx in [-step, 0, step] {
+                    if dx == 0 && dy == 0 {
+                        continue;
+                    }
+                    let cand = (center.0 + dx, center.1 + dy);
+                    let cost = self.cost::<W, H, N>(&cur, sf, cand, tile);
+                    if cost < best_cost {
+                        best_cost = cost;
+                        best = cand;
+                    }
                 }
             }
         }
+        SmeBlockMv {
+            rf: me.rf,
+            mv: QpelMv::new((best.0 - anchor.0) as i16, (best.1 - anchor.1) as i16),
+            cost: best_cost,
+        }
     }
-    (best_mv, best_cost)
+
+    /// Refine the blocks of `mode`, whose shape is `W × H`.
+    #[inline(always)]
+    fn refine_mode<const W: usize, const H: usize, const N: usize>(
+        &self,
+        mode: PartitionMode,
+        (cx, cy): (usize, usize),
+        me_mb: &MbMotion,
+        tile: &mut Tile,
+        out: &mut MbSubMotion,
+    ) {
+        debug_assert_eq!(mode.dims(), (W, H));
+        for i in 0..mode.count() {
+            let (ox, oy) = mode.offset(i);
+            *out.block_mut(mode, i) =
+                self.refine::<W, H, N>((cx + ox, cy + oy), me_mb.block(mode, i), tile);
+        }
+    }
+
+    /// Refine all 41 partition blocks of macroblock `(mbx, mby)`.
+    fn refine_mb(&self, me_mb: &MbMotion, mbx: usize, mby: usize, tile: &mut Tile) -> MbSubMotion {
+        use PartitionMode::*;
+        let mut out = MbSubMotion::default();
+        let at = (mbx * MB_SIZE, mby * MB_SIZE);
+        self.refine_mode::<16, 16, 16>(P16x16, at, me_mb, tile, &mut out);
+        self.refine_mode::<16, 8, 8>(P16x8, at, me_mb, tile, &mut out);
+        self.refine_mode::<8, 16, 8>(P8x16, at, me_mb, tile, &mut out);
+        self.refine_mode::<8, 8, 4>(P8x8, at, me_mb, tile, &mut out);
+        self.refine_mode::<8, 4, 2>(P8x4, at, me_mb, tile, &mut out);
+        self.refine_mode::<4, 8, 2>(P4x8, at, me_mb, tile, &mut out);
+        self.refine_mode::<4, 4, 1>(P4x4, at, me_mb, tile, &mut out);
+        out
+    }
+
+    /// Refine the macroblocks `rows × cols`; `me` and `out` hold one entry
+    /// per macroblock, in raster order.
+    fn run(&self, me: &[MbMotion], rows: RowRange, cols: Range<usize>, out: &mut [MbSubMotion]) {
+        let mut tile: Tile = [0; 256];
+        let cells = rows
+            .iter()
+            .flat_map(|mby| cols.clone().map(move |mbx| (mbx, mby)));
+        for ((me_mb, out), (mbx, mby)) in me.iter().zip(out).zip(cells) {
+            *out = self.refine_mb(me_mb, mbx, mby, &mut tile);
+        }
+    }
+}
+
+/// Name of the primitive set the `fast` refinement runs on this host
+/// (`"sse2"` or `"portable"`), for logs.
+pub fn refine_isa_name() -> &'static str {
+    if cfg!(target_arch = "x86_64") {
+        "sse2"
+    } else {
+        "portable"
+    }
+}
+
+/// SME over the macroblocks `rows × cols` on the active kernel family's
+/// primitives — chosen here, once per call.
+fn refine_cells(
+    cf: &Plane<u8>,
+    sfs: &[&SubpelFrame],
+    me: &[MbMotion],
+    rows: RowRange,
+    cols: Range<usize>,
+    out: &mut [MbSubMotion],
+) {
+    assert_eq!(
+        out.len(),
+        rows.len() * cols.len(),
+        "output slice size mismatch"
+    );
+    assert_eq!(me.len(), out.len(), "ME input size mismatch");
+    match kernels::active_kind() {
+        KernelKind::Scalar => Refiner {
+            isa: Portable,
+            cf,
+            sfs,
+        }
+        .run(me, rows, cols, out),
+        KernelKind::Fast => Refiner {
+            isa: FastIsa,
+            cf,
+            sfs,
+        }
+        .run(me, rows, cols, out),
+    }
 }
 
 /// Refine all 41 partition blocks of one macroblock.
@@ -210,24 +302,18 @@ pub fn sme_mb(
     mbx: usize,
     mby: usize,
 ) -> MbSubMotion {
-    let mut out = MbSubMotion::default();
-    let cx = mbx * MB_SIZE;
-    let cy = mby * MB_SIZE;
-    for mode in ALL_PARTITION_MODES {
-        let (w, h) = mode.dims();
-        for i in 0..mode.count() {
-            let (ox, oy) = mode.offset(i);
-            let me_blk = me_mb.block(mode, i);
-            let sf = sfs[me_blk.rf as usize];
-            let (mv, cost) = refine_block(cf, sf, cx + ox, cy + oy, w, h, me_blk.mv.to_qpel());
-            *out.block_mut(mode, i) = SmeBlockMv {
-                rf: me_blk.rf,
-                mv,
-                cost,
-            };
-        }
-    }
-    out
+    let mut out = [MbSubMotion::default()];
+    let rows = RowRange::new(mby, mby + 1);
+    refine_cells(
+        cf,
+        sfs,
+        std::slice::from_ref(me_mb),
+        rows,
+        mbx..mbx + 1,
+        &mut out,
+    );
+    let [mb] = out;
+    mb
 }
 
 /// Refine the MB rows of `rows`; `me_rows` holds the ME output for exactly
@@ -239,18 +325,7 @@ pub fn sme_rows(
     rows: RowRange,
     out: &mut [MbSubMotion],
 ) {
-    let mb_cols = cf.width() / MB_SIZE;
-    assert_eq!(
-        out.len(),
-        rows.len() * mb_cols,
-        "output slice size mismatch"
-    );
-    assert_eq!(me_rows.len(), out.len(), "ME input size mismatch");
-    for (i, mby) in rows.iter().enumerate() {
-        for mbx in 0..mb_cols {
-            out[i * mb_cols + mbx] = sme_mb(cf, sfs, &me_rows[i * mb_cols + mbx], mbx, mby);
-        }
-    }
+    refine_cells(cf, sfs, me_rows, rows, 0..cf.width() / MB_SIZE, out);
 }
 
 /// [`sme_rows`] with the MB rows spread over the host's cores
@@ -281,7 +356,7 @@ mod tests {
     use super::*;
     use crate::interp::interpolate;
     use crate::me::motion_estimate_mb;
-    use crate::types::{EncodeParams, SearchArea};
+    use crate::types::{EncodeParams, SearchArea, ALL_PARTITION_MODES};
 
     fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
         let mut p = Plane::new(w, h);
@@ -344,16 +419,113 @@ mod tests {
         assert_eq!(blk.mv.phase().0, 2);
     }
 
+    /// One macroblock refined on each family's primitives (direct calls,
+    /// no global flip).
+    fn both_families(
+        cf: &Plane<u8>,
+        sfs: &[&SubpelFrame],
+        me: &MbMotion,
+        mbx: usize,
+        mby: usize,
+    ) -> (MbSubMotion, MbSubMotion) {
+        let tile = &mut [0; 256];
+        let scalar = Refiner {
+            isa: Portable,
+            cf,
+            sfs,
+        };
+        let fast = Refiner {
+            isa: FastIsa,
+            cf,
+            sfs,
+        };
+        (
+            scalar.refine_mb(me, mbx, mby, tile),
+            fast.refine_mb(me, mbx, mby, tile),
+        )
+    }
+
     #[test]
-    fn sad_qpel_integer_positions_match_plain_sad() {
+    fn cost_at_integer_positions_matches_plain_sad() {
         let rf = plane_from_fn(64, 64, |x, y| ((x * 3) ^ (y * 7)) as u8);
         let cf = plane_from_fn(64, 64, |x, y| ((x * 5) ^ (y * 2)) as u8);
         let sf = interpolate(&rf);
         let direct: u32 = (0..16)
             .map(|row| crate::sad::row_sad(&cf.row(16 + row)[16..32], &rf.row(18 + row)[20..36]))
             .sum();
-        let via_sf = sad_qpel(&cf, 16, 16, 16, 16, &sf, QpelMv::new(16, 8));
+        let refiner = Refiner {
+            isa: Portable,
+            cf: &cf,
+            sfs: &[&sf],
+        };
+        let cur = Portable.load::<16, 16, 16>(cf.as_slice(), 16 * cf.stride() + 16, cf.stride());
+        let at = (16 * 4 + 16, 16 * 4 + 8);
+        let via_sf = refiner.cost::<16, 16, 16>(&cur, &sf, at, &mut [0; 256]);
         assert_eq!(direct, via_sf);
+    }
+
+    #[test]
+    fn flat_plane_keeps_every_block_at_its_me_vector() {
+        // All 17 candidates of every block cost 0, edge-straddling ones
+        // included (a one-MB-row frame): strict `<` in scan order must
+        // leave each block where ME put it, under both families.
+        let rf = plane_from_fn(48, 16, |_, _| 90);
+        let sf = interpolate(&rf);
+        let mut me = MbMotion::default();
+        for (i, mode) in ALL_PARTITION_MODES.into_iter().enumerate() {
+            for b in 0..mode.count() {
+                *me.block_mut(mode, b) = BlockMv {
+                    rf: 0,
+                    mv: crate::types::Mv::new(i as i16 - 3, b as i16 - 4),
+                    cost: 0,
+                };
+            }
+        }
+        for mbx in 0..3 {
+            let (scalar, fast) = both_families(&rf, &[&sf], &me, mbx, 0);
+            assert_eq!(scalar, fast);
+            for mode in ALL_PARTITION_MODES {
+                for b in 0..mode.count() {
+                    let want = SmeBlockMv {
+                        rf: 0,
+                        mv: me.block(mode, b).mv.to_qpel(),
+                        cost: 0,
+                    };
+                    assert_eq!(*fast.block(mode, b), want, "mb {mbx} {mode:?}/{b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn families_agree_where_every_candidate_straddles_an_edge() {
+        // One macroblock is the whole frame, ME vectors reach 8 outside.
+        let rf = plane_from_fn(16, 16, |x, y| ((x * 37) ^ (y * 11)) as u8);
+        let cf = plane_from_fn(16, 16, |x, y| ((x * 29 + 5) ^ (y * 13)) as u8);
+        let params = EncodeParams {
+            search_area: SearchArea(16),
+            n_ref: 1,
+            ..Default::default()
+        };
+        let sf = interpolate(&rf);
+        let me = motion_estimate_mb(&cf, &[&rf], &params, 0, 0);
+        let (scalar, fast) = both_families(&cf, &[&sf], &me, 0, 0);
+        assert_eq!(scalar, fast);
+        // And both equal the definition: per-sample SADs of the winner.
+        for mode in ALL_PARTITION_MODES {
+            let (w, h) = mode.dims();
+            for b in 0..mode.count() {
+                let (ox, oy) = mode.offset(b);
+                let blk = fast.block(mode, b);
+                let mut sad = 0;
+                for (y, x) in (0..h).flat_map(|y| (0..w).map(move |x| (y, x))) {
+                    let qx = (ox + x) as isize * 4 + blk.mv.x as isize;
+                    let qy = (oy + y) as isize * 4 + blk.mv.y as isize;
+                    sad += cf.get(ox + x, oy + y).abs_diff(sf.sample(qx, qy)) as u32;
+                }
+                assert_eq!(blk.cost, sad, "{mode:?}/{b}");
+            }
+        }
     }
 
     #[test]

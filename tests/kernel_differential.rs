@@ -1,15 +1,15 @@
 //! Differential tests for the dispatched hot-kernel fast paths.
 //!
 //! The kernels in `feves_codec::kernels::fast` and the candidate-major ME
-//! search built on them must be **bit-exact** drop-in replacements for the
-//! scalar references — `FEVES_KERNELS` may change throughput, never output.
+//! search and SME refinement built on them must be **bit-exact** drop-in
+//! replacements for the scalar references — `FEVES_KERNELS` may change throughput, never output.
 //! This suite checks that at three levels:
 //!
 //! 1. property-based differentials over random planes/blocks, calling the
 //!    `scalar`/`fast` entry points directly where there are two (no global
 //!    state involved) — including the portable and `std::arch` forms of the
-//!    ME search primitives, so the path a pre-SSE4.1 host takes is
-//!    exercised on every run;
+//!    ME search and SME refinement primitives, so the path a pre-SSE4.1 (or
+//!    non-x86) host takes is exercised on every run;
 //! 2. a full encode→decode round trip under `force_kind`: both kernel
 //!    families must emit *identical bitstreams*, and the decoder must
 //!    reproduce the encoder reconstruction from either stream;
@@ -23,11 +23,12 @@
 use std::sync::Mutex;
 
 use feves::codec::inter_loop::{encode_inter_frame, ReferenceStore};
+use feves::codec::kernels::fast::{Portable, RefineIsa, SearchIsa};
 #[cfg(target_arch = "x86_64")]
-use feves::codec::kernels::fast::Sse41;
-use feves::codec::kernels::fast::{Portable, SearchIsa};
+use feves::codec::kernels::fast::{Sse2, Sse41};
 use feves::codec::kernels::{self, KernelKind};
 use feves::codec::me::{motion_estimate_rows, MeField};
+use feves::codec::sme::{sme_rows, SmeField};
 use feves::codec::types::{EncodeParams, SearchArea};
 use feves::video::geometry::RowRange;
 use feves::video::plane::Plane;
@@ -69,15 +70,67 @@ fn plane_from_bytes(w: usize, h: usize, bytes: &[u8]) -> Plane<u8> {
 }
 
 proptest! {
-    /// A row is a `len × 1` block: the reference `row_sad`, the scalar
-    /// block loop and the fast block kernel (whose `psadbw` paths take
-    /// `len` 8 and 16 here, and the odd-height fallback `len` 4) agree.
+    /// The reference `row_sad` is the plain definition, and a row's whole
+    /// 16-sample chunks are `16 × 1` blocks on which the packed SAD of
+    /// either refinement primitive set agrees with it.
     #[test]
     fn prop_row_sad_matches(a in proptest::collection::vec(any::<u8>(), 0..128)) {
+        fn packed<I: RefineIsa>(isa: I, a: &[u8], b: &[u8]) -> u32 {
+            (0..a.len() / 16)
+                .map(|i| isa.sad(&isa.load::<16, 1, 1>(a, i * 16, 16), &isa.load::<16, 1, 1>(b, i * 16, 16)))
+                .sum()
+        }
         let b: Vec<u8> = a.iter().rev().map(|v| v.wrapping_mul(31)).collect();
-        let want = kernels::scalar::row_sad(&a, &b);
-        prop_assert_eq!(want, kernels::scalar::sad_block(&a, a.len(), &b, b.len(), a.len(), 1));
-        prop_assert_eq!(want, kernels::fast::sad_block(&a, a.len(), &b, b.len(), a.len(), 1));
+        let plain: u32 = a.iter().zip(&b).map(|(&x, &y)| x.abs_diff(y) as u32).sum();
+        prop_assert_eq!(plain, kernels::scalar::row_sad(&a, &b));
+        let whole = a.len() / 16 * 16;
+        let want = kernels::scalar::row_sad(&a[..whole], &b[..whole]);
+        prop_assert_eq!(want, packed(Portable, &a, &b));
+        #[cfg(target_arch = "x86_64")]
+        prop_assert_eq!(want, packed(Sse2, &a, &b));
+    }
+
+    /// Whole refined fields, `scalar` vs `fast`, on planes so small that
+    /// the candidates straddle an edge (on a one-macroblock frame every
+    /// non-zero one does), from ME vectors that point up to 8 samples
+    /// outside, with the second reference the better match so ME picks it.
+    #[test]
+    fn prop_sme_refine_matches(
+        bytes in proptest::collection::vec(any::<u8>(), 48 * 48),
+        mb_cols in 1usize..=3, mb_rows in 1usize..=3,
+        sa in prop_oneof![Just(8u16), Just(12), Just(16)],
+        n_ref in 1usize..=2,
+        (dx, dy) in (-3isize..=3, -3isize..=3),
+    ) {
+        let _guard = KindGuard::take();
+        let (w, h) = (mb_cols * 16, mb_rows * 16);
+        let cur = plane_from_bytes(w, h, &bytes);
+        let far: Vec<u8> = bytes.iter().map(|v| v.wrapping_add(77)).collect();
+        let rf0 = plane_from_bytes(w, h, &far);
+        // The current frame displaced, ±1 of noise on top.
+        let mut rf1 = Plane::new(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let v = cur.get_clamped(x as isize + dx, y as isize + dy);
+                rf1.set(x, y, v.saturating_add(bytes[y * w + x] & 1));
+            }
+        }
+        let params = EncodeParams { search_area: SearchArea(sa), n_ref, ..Default::default() };
+        let rows = RowRange::new(0, mb_rows);
+        let mut me = MeField::new(mb_cols, mb_rows);
+        motion_estimate_rows(&cur, &[&rf0, &rf1], &params, rows, me.rows_mut(rows));
+        if n_ref == 2 {
+            prop_assert!(me.rows(rows).iter().any(|mb| mb.all_blocks().iter().any(|b| b.rf == 1)));
+        }
+        let sf0 = feves::codec::interp::interpolate(&rf0);
+        let sf1 = feves::codec::interp::interpolate(&rf1);
+        let sfs = [&sf0, &sf1];
+        let mut field = [SmeField::new(mb_cols, mb_rows), SmeField::new(mb_cols, mb_rows)];
+        for (kind, f) in [KernelKind::Scalar, KernelKind::Fast].into_iter().zip(&mut field) {
+            kernels::force_kind(kind);
+            sme_rows(&cur, &sfs[..n_ref], me.rows(rows), rows, f.rows_mut(rows));
+        }
+        prop_assert!(field[0] == field[1]);
     }
 
     /// Whole motion fields, batched search vs per-candidate loop, on planes
