@@ -16,7 +16,6 @@ use crate::mc::{MbMode, ModeField};
 use crate::recon::{CoeffField, MbCoeffs};
 use crate::sme::SmeBlockMv;
 use crate::types::{QpelMv, ALL_PARTITION_MODES};
-use bytes::Bytes;
 
 const PROB_BITS: u32 = 12;
 const PROB_ONE: u16 = 1 << PROB_BITS;
@@ -342,7 +341,7 @@ pub fn encode_frame_cabac(
     coeffs: &CoeffField,
     chroma: Option<&ChromaField>,
     qp: u8,
-) -> (Bytes, u64) {
+) -> (Vec<u8>, u64) {
     let mut e = ArithEncoder::new();
     let mut m = Models::new();
     // Plain header bits (dimensions + qp) via bypass.
@@ -387,7 +386,7 @@ pub fn encode_frame_cabac(
     }
     let bytes = e.finish();
     let bits = bytes.len() as u64 * 8;
-    (Bytes::from(bytes), bits)
+    (bytes, bits)
 }
 
 /// Decode a stream produced by [`encode_frame_cabac`].

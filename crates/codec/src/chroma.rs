@@ -15,7 +15,8 @@
 
 use crate::mc::ModeField;
 use crate::quant::{has_coefficients, itq_block, tq_block};
-use crate::types::QpelMv;
+use crate::types::{MbField, QpelMv};
+use feves_video::geometry::RowRange;
 use feves_video::plane::Plane;
 
 /// Chroma QP as a function of luma QP (H.264 Table 8-15).
@@ -81,46 +82,12 @@ pub struct MbChromaCoeffs {
 }
 
 /// Chroma coefficients for a frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChromaField {
-    mbs: Vec<MbChromaCoeffs>,
-    mb_cols: usize,
-    mb_rows: usize,
-}
+pub type ChromaField = MbField<MbChromaCoeffs>;
 
-impl ChromaField {
-    /// All-zero field.
-    pub fn new(mb_cols: usize, mb_rows: usize) -> Self {
-        ChromaField {
-            mbs: vec![MbChromaCoeffs::default(); mb_cols * mb_rows],
-            mb_cols,
-            mb_rows,
-        }
-    }
-
-    /// Macroblocks per row.
-    pub fn mb_cols(&self) -> usize {
-        self.mb_cols
-    }
-
-    /// Macroblock rows.
-    pub fn mb_rows(&self) -> usize {
-        self.mb_rows
-    }
-
-    /// Coefficients of macroblock `(mbx, mby)`.
-    pub fn mb(&self, mbx: usize, mby: usize) -> &MbChromaCoeffs {
-        &self.mbs[mby * self.mb_cols + mbx]
-    }
-
-    /// Mutable coefficients.
-    pub fn mb_mut(&mut self, mbx: usize, mby: usize) -> &mut MbChromaCoeffs {
-        &mut self.mbs[mby * self.mb_cols + mbx]
-    }
-
+impl MbField<MbChromaCoeffs> {
     /// Total non-zero chroma levels.
     pub fn nonzero_levels(&self) -> usize {
-        self.mbs
+        self.rows(RowRange::new(0, self.mb_rows()))
             .iter()
             .flat_map(|m| m.cb.iter().chain(m.cr.iter()))
             .flat_map(|b| b.iter())
@@ -359,16 +326,6 @@ mod tests {
     use crate::types::PartitionMode;
     use feves_video::metrics::psnr;
 
-    fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
-        let mut p = Plane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, f(x, y));
-            }
-        }
-        p
-    }
-
     #[test]
     fn chroma_qp_mapping_matches_standard() {
         assert_eq!(chroma_qp(0), 0);
@@ -384,7 +341,7 @@ mod tests {
 
     #[test]
     fn integer_mv_prediction_copies_reference() {
-        let rf = plane_from_fn(32, 32, |x, y| ((x * 7) ^ (y * 3)) as u8);
+        let rf = Plane::from_fn(32, 32, |x, y| ((x * 7) ^ (y * 3)) as u8);
         let mut dst = [0i16; 16];
         // mv = (16, -8) eighth-pels = (2, -1) full chroma pels.
         predict_chroma_block(&rf, 8, 8, QpelMv::new(16, -8), 4, 4, &mut dst);
@@ -397,7 +354,7 @@ mod tests {
 
     #[test]
     fn half_pel_chroma_is_average_on_ramp() {
-        let rf = plane_from_fn(32, 8, |x, _| (x * 8) as u8);
+        let rf = Plane::from_fn(32, 8, |x, _| (x * 8) as u8);
         let mut dst = [0i16; 4];
         // fx = 4/8: halfway between columns.
         predict_chroma_block(&rf, 4, 2, QpelMv::new(4, 0), 2, 2, &mut dst);
@@ -427,8 +384,8 @@ mod tests {
 
     #[test]
     fn identical_chroma_codes_to_zero() {
-        let u = plane_from_fn(32, 32, |x, y| ((x * 5 + y) % 256) as u8);
-        let v = plane_from_fn(32, 32, |x, y| ((x + y * 3) % 256) as u8);
+        let u = Plane::from_fn(32, 32, |x, y| ((x * 5 + y) % 256) as u8);
+        let v = Plane::from_fn(32, 32, |x, y| ((x + y * 3) % 256) as u8);
         let modes = zero_mode_field(4, 4);
         let out = encode_chroma_inter(&u, &v, &[&u], &[&v], &modes, 28);
         assert_eq!(out.coeffs.nonzero_levels(), 0);
@@ -438,11 +395,11 @@ mod tests {
 
     #[test]
     fn inter_chroma_quality_reasonable() {
-        let ref_u = plane_from_fn(32, 32, |x, y| (((x * 13) ^ (y * 7)) % 200 + 20) as u8);
-        let ref_v = plane_from_fn(32, 32, |x, y| ((x * 3 + y * 9) % 220 + 10) as u8);
+        let ref_u = Plane::from_fn(32, 32, |x, y| (((x * 13) ^ (y * 7)) % 200 + 20) as u8);
+        let ref_v = Plane::from_fn(32, 32, |x, y| ((x * 3 + y * 9) % 220 + 10) as u8);
         // Current = reference + small change.
-        let cf_u = plane_from_fn(32, 32, |x, y| ref_u.get(x, y).saturating_add(6));
-        let cf_v = plane_from_fn(32, 32, |x, y| ref_v.get(x, y).saturating_sub(4));
+        let cf_u = Plane::from_fn(32, 32, |x, y| ref_u.get(x, y).saturating_add(6));
+        let cf_v = Plane::from_fn(32, 32, |x, y| ref_v.get(x, y).saturating_sub(4));
         let modes = zero_mode_field(4, 4);
         let out = encode_chroma_inter(&cf_u, &cf_v, &[&ref_u], &[&ref_v], &modes, 28);
         assert!(psnr(&out.recon_u, &cf_u) > 34.0);
@@ -480,8 +437,8 @@ mod tests {
     fn subdivided_modes_predict_per_partition() {
         // 8x8 partitions with different MVs per quadrant must produce a
         // stitched prediction, not a single-vector one.
-        let rf_u = plane_from_fn(64, 64, |x, y| ((x * 11) ^ (y * 5)) as u8);
-        let rf_v = plane_from_fn(64, 64, |x, y| ((x * 2 + y * 7) % 256) as u8);
+        let rf_u = Plane::from_fn(64, 64, |x, y| ((x * 11) ^ (y * 5)) as u8);
+        let rf_v = Plane::from_fn(64, 64, |x, y| ((x * 2 + y * 7) % 256) as u8);
         let mut modes = ModeField::new(2, 2);
         for mby in 0..2 {
             for mbx in 0..2 {
@@ -503,7 +460,7 @@ mod tests {
         // Build the current frame so each quadrant matches its displaced
         // reference — the encoder must then code (nearly) zero residual.
         let make_cf = |rf: &Plane<u8>| {
-            plane_from_fn(32, 32, |x, y| {
+            Plane::from_fn(32, 32, |x, y| {
                 let (mbx, mby) = (x / 8, y / 8);
                 let (sx, sy) = (x % 8, y % 8);
                 let quad = (sy / 4) * 2 + sx / 4;

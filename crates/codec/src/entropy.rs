@@ -12,14 +12,13 @@ use crate::mc::{MbMode, ModeField};
 use crate::recon::{CoeffField, MbCoeffs};
 use crate::sme::SmeBlockMv;
 use crate::types::{PartitionMode, QpelMv, ALL_PARTITION_MODES};
-use bytes::{BufMut, Bytes, BytesMut};
 
 /// Zigzag scan order of a 4×4 block (H.264 Table 8-13, frame scan).
 pub const ZIGZAG_4X4: [usize; 16] = [0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 15];
 
 /// MSB-first bit writer.
 pub struct BitWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     cur: u64,
     nbits: u32,
 }
@@ -34,7 +33,7 @@ impl BitWriter {
     /// Create an empty writer.
     pub fn new() -> Self {
         BitWriter {
-            buf: BytesMut::new(),
+            buf: Vec::new(),
             cur: 0,
             nbits: 0,
         }
@@ -48,7 +47,7 @@ impl BitWriter {
         self.nbits += n;
         while self.nbits >= 8 {
             self.nbits -= 8;
-            self.buf.put_u8(((self.cur >> self.nbits) & 0xFF) as u8);
+            self.buf.push(((self.cur >> self.nbits) & 0xFF) as u8);
         }
     }
 
@@ -87,12 +86,12 @@ impl BitWriter {
     }
 
     /// Byte-align with zero bits and return the stream.
-    pub fn finish(mut self) -> Bytes {
+    pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
             let pad = 8 - self.nbits;
             self.put_bits(0, pad);
         }
-        self.buf.freeze()
+        self.buf
     }
 }
 
@@ -441,7 +440,7 @@ pub fn encode_frame_yuv(
     coeffs: &CoeffField,
     chroma: &crate::chroma::ChromaField,
     qp: u8,
-) -> (Bytes, u64) {
+) -> (Vec<u8>, u64) {
     let mut w = BitWriter::new();
     w.ue(modes.mb_cols() as u32);
     w.ue(modes.mb_rows() as u32);
@@ -493,7 +492,7 @@ pub fn decode_frame_yuv(
 
 /// Encode a whole inter frame (dimension header + raster MBs); returns the
 /// bitstream and its exact bit length.
-pub fn encode_frame(modes: &ModeField, coeffs: &CoeffField, qp: u8) -> (Bytes, u64) {
+pub fn encode_frame(modes: &ModeField, coeffs: &CoeffField, qp: u8) -> (Vec<u8>, u64) {
     let mut w = BitWriter::new();
     w.ue(modes.mb_cols() as u32);
     w.ue(modes.mb_rows() as u32);

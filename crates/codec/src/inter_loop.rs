@@ -17,7 +17,6 @@ use crate::me::{motion_estimate_rows_parallel, MbMotion, MeField};
 use crate::recon::{itq_recon_rows, tq_rows, CoeffField};
 use crate::sme::{sme_rows_parallel, MbSubMotion, SmeField};
 use crate::types::EncodeParams;
-use bytes::Bytes;
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
 use std::collections::VecDeque;
@@ -198,7 +197,7 @@ pub struct InterFrameOutput {
     /// Deblocked reconstruction (the next reference frame).
     pub recon: Plane<u8>,
     /// Entropy-coded bitstream.
-    pub bitstream: Bytes,
+    pub bitstream: Vec<u8>,
     /// Exact coded bits.
     pub bits: u64,
     /// Number of references actually searched (≤ `params.n_ref`).

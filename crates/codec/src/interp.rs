@@ -247,19 +247,9 @@ pub fn interpolate(rf: &Plane<u8>) -> SubpelFrame {
 mod tests {
     use super::*;
 
-    fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
-        let mut p = Plane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, f(x, y));
-            }
-        }
-        p
-    }
-
     #[test]
     fn integer_phase_reproduces_source() {
-        let rf = plane_from_fn(32, 32, |x, y| ((x * 7) ^ (y * 3)) as u8);
+        let rf = Plane::from_fn(32, 32, |x, y| ((x * 7) ^ (y * 3)) as u8);
         let sf = interpolate(&rf);
         for y in 0..32 {
             for x in 0..32 {
@@ -292,7 +282,7 @@ mod tests {
     fn horizontal_ramp_half_pel_is_midpoint() {
         // On a linear horizontal ramp, the 6-tap half-pel interpolates the
         // midpoint exactly: taps sum to 32 and are symmetric.
-        let rf = plane_from_fn(64, 16, |x, _| (x * 2) as u8);
+        let rf = Plane::from_fn(64, 16, |x, _| (x * 2) as u8);
         let sf = interpolate(&rf);
         for y in 2..14 {
             for x in 8..48 {
@@ -304,8 +294,8 @@ mod tests {
 
     #[test]
     fn vertical_matches_transposed_horizontal() {
-        let rf = plane_from_fn(40, 40, |x, y| ((x * 13 + y * 7) % 256) as u8);
-        let rf_t = plane_from_fn(40, 40, |x, y| rf.get(y, x));
+        let rf = Plane::from_fn(40, 40, |x, y| ((x * 13 + y * 7) % 256) as u8);
+        let rf_t = Plane::from_fn(40, 40, |x, y| rf.get(y, x));
         let sf = interpolate(&rf);
         let sf_t = interpolate(&rf_t);
         // h of original == b of transpose (away from borders where the
@@ -323,7 +313,7 @@ mod tests {
 
     #[test]
     fn row_partitioned_equals_full() {
-        let rf = plane_from_fn(48, 64, |x, y| ((x * 31) ^ (y * 5)) as u8);
+        let rf = Plane::from_fn(48, 64, |x, y| ((x * 31) ^ (y * 5)) as u8);
         let full = interpolate(&rf);
 
         let mut split = SubpelFrame::new(48, 64);
@@ -336,7 +326,7 @@ mod tests {
     #[test]
     fn parallel_equals_sequential() {
         // 72 rows: the last MB row is half height.
-        let rf = plane_from_fn(48, 72, |x, y| ((x * 11) ^ (y * 17)) as u8);
+        let rf = Plane::from_fn(48, 72, |x, y| ((x * 11) ^ (y * 17)) as u8);
         let seq = interpolate(&rf);
         let mut par = SubpelFrame::new(48, 72);
         par.interpolate_rows_parallel(&rf, RowRange::new(0, 2));
@@ -346,7 +336,7 @@ mod tests {
 
     #[test]
     fn predict_block_at_zero_mv_copies_source() {
-        let rf = plane_from_fn(32, 32, |x, y| (x + y * 2) as u8);
+        let rf = Plane::from_fn(32, 32, |x, y| (x + y * 2) as u8);
         let sf = interpolate(&rf);
         let mut dst = [0i16; 16];
         sf.predict_block(8, 8, QpelMv::ZERO, 4, 4, &mut dst);
@@ -359,7 +349,7 @@ mod tests {
 
     #[test]
     fn predict_block_full_pel_mv() {
-        let rf = plane_from_fn(32, 32, |x, y| ((x * 5) ^ y) as u8);
+        let rf = Plane::from_fn(32, 32, |x, y| ((x * 5) ^ y) as u8);
         let sf = interpolate(&rf);
         let mut dst = [0i16; 16];
         sf.predict_block(8, 8, QpelMv::new(-8, 4), 4, 4, &mut dst);
@@ -374,7 +364,7 @@ mod tests {
     fn block_equals_per_sample_fetch_inside_and_across_every_edge() {
         use crate::types::ALL_PARTITION_MODES;
         let (pw, ph) = (32isize, 16isize);
-        let rf = plane_from_fn(32, 16, |x, y| ((x * 37) ^ (y * 101)).wrapping_mul(13) as u8);
+        let rf = Plane::from_fn(32, 16, |x, y| ((x * 37) ^ (y * 101)).wrapping_mul(13) as u8);
         let sf = interpolate(&rf);
         // Full-pel anchors: inside, straddling each edge and corner, and
         // fully outside on every side.
@@ -404,7 +394,7 @@ mod tests {
 
     #[test]
     fn predict_block_across_the_corner_equals_per_sample_fetch() {
-        let rf = plane_from_fn(32, 32, |x, y| ((x * 5) ^ (y * 9)) as u8);
+        let rf = Plane::from_fn(32, 32, |x, y| ((x * 5) ^ (y * 9)) as u8);
         let sf = interpolate(&rf);
         let mut dst = [0i16; 64];
         sf.predict_block(24, 28, QpelMv::new(13, 7), 8, 8, &mut dst);
@@ -416,7 +406,7 @@ mod tests {
 
     #[test]
     fn sample_clamps_outside_frame() {
-        let rf = plane_from_fn(16, 16, |x, y| (x + y) as u8);
+        let rf = Plane::from_fn(16, 16, |x, y| (x + y) as u8);
         let sf = interpolate(&rf);
         assert_eq!(sf.sample(-40, -40), rf.get(0, 0));
         assert_eq!(sf.sample(100 * 4, 100 * 4), rf.get(15, 15));
@@ -459,7 +449,7 @@ mod tests {
             (23, 11),
             (48, 32),
         ] {
-            let rf = plane_from_fn(w, h, |x, y| ((x * 37) ^ (y * 101)).wrapping_mul(13) as u8);
+            let rf = Plane::from_fn(w, h, |x, y| ((x * 37) ^ (y * 101)).wrapping_mul(13) as u8);
             let a = interpolate_with(&rf, crate::kernels::scalar::interp_band);
             let b = interpolate_with(&rf, crate::kernels::fast::interp_band);
             assert_eq!(a, b, "SF mismatch at {w}x{h}");

@@ -433,16 +433,6 @@ mod tests {
     use super::*;
     use feves_video::metrics::psnr;
 
-    fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
-        let mut p = Plane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, f(x, y));
-            }
-        }
-        p
-    }
-
     #[test]
     fn flat_frame_reconstructs_exactly() {
         let mut cf = Plane::new(48, 48);
@@ -461,7 +451,7 @@ mod tests {
 
     #[test]
     fn reconstruction_quality_tracks_qp() {
-        let cf = plane_from_fn(64, 64, |x, y| (((x * 13) ^ (y * 29)) % 256) as u8);
+        let cf = Plane::from_fn(64, 64, |x, y| (((x * 13) ^ (y * 29)) % 256) as u8);
         let lo = encode_intra_frame(&cf, 12);
         let hi = encode_intra_frame(&cf, 44);
         let psnr_lo = psnr(&lo.recon, &cf);
@@ -480,7 +470,7 @@ mod tests {
     fn vertical_content_picks_vertical_mode() {
         // Columns of constant value: after the first MB row, vertical
         // prediction is exact.
-        let cf = plane_from_fn(64, 64, |x, _| ((x * 9) % 256) as u8);
+        let cf = Plane::from_fn(64, 64, |x, _| ((x * 9) % 256) as u8);
         let r = encode_intra_frame(&cf, 20);
         let mb_cols = 4;
         let mut vertical_wins = 0;
@@ -499,7 +489,7 @@ mod tests {
 
     #[test]
     fn horizontal_content_picks_horizontal_mode() {
-        let cf = plane_from_fn(64, 64, |_, y| ((y * 9) % 256) as u8);
+        let cf = Plane::from_fn(64, 64, |_, y| ((y * 9) % 256) as u8);
         let r = encode_intra_frame(&cf, 20);
         let mut wins = 0;
         for mby in 0..4 {
@@ -522,7 +512,7 @@ mod tests {
             p.fill(90);
             p
         };
-        let busy = plane_from_fn(64, 64, |x, y| (((x * 37) ^ (y * 53)) % 256) as u8);
+        let busy = Plane::from_fn(64, 64, |x, y| (((x * 37) ^ (y * 53)) % 256) as u8);
         let bf = encode_intra_frame(&flat, 28).bits;
         let bb = encode_intra_frame(&busy, 28).bits;
         assert!(bb > bf * 2, "busy {bb} vs flat {bf}");
@@ -534,21 +524,11 @@ mod i4_tests {
     use super::*;
     use feves_video::metrics::psnr;
 
-    fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
-        let mut p = Plane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, f(x, y));
-            }
-        }
-        p
-    }
-
     #[test]
     fn fine_detail_selects_i4_macroblocks() {
         // 4-pixel-period vertical stripes alternating per 4x4 block row:
         // no 16x16 mode fits, but 4x4 V/H modes predict well.
-        let cf = plane_from_fn(64, 64, |x, y| {
+        let cf = Plane::from_fn(64, 64, |x, y| {
             if (y / 4) % 2 == 0 {
                 if x % 4 < 2 {
                     40
@@ -578,7 +558,7 @@ mod i4_tests {
     fn i4_improves_quality_on_structured_content() {
         // Diagonal edges: I4's directional modes track them better than any
         // whole-MB predictor; quality should be solid at moderate QP.
-        let cf = plane_from_fn(64, 64, |x, y| if (x + y) % 11 < 5 { 60 } else { 190 });
+        let cf = Plane::from_fn(64, 64, |x, y| if (x + y) % 11 < 5 { 60 } else { 190 });
         let r = encode_intra_frame(&cf, 28);
         let q = psnr(&r.recon, &cf);
         assert!(q > 30.0, "structured content PSNR too low: {q:.1}");
@@ -587,7 +567,7 @@ mod i4_tests {
     #[test]
     fn predict4_modes_are_exact_on_their_patterns() {
         // Vertical stripes → V mode residual 0 away from the first row.
-        let cf = plane_from_fn(16, 16, |x, _| (x * 16) as u8);
+        let cf = Plane::from_fn(16, 16, |x, _| (x * 16) as u8);
         let mut pred = [0i16; 16];
         predict4(&cf, 4, 4, Intra4Mode::Vertical, true, true, true, &mut pred);
         for y in 0..4 {
@@ -596,7 +576,7 @@ mod i4_tests {
             }
         }
         // Horizontal bands → H mode copies the left column.
-        let cfh = plane_from_fn(16, 16, |_, y| (y * 16) as u8);
+        let cfh = Plane::from_fn(16, 16, |_, y| (y * 16) as u8);
         predict4(
             &cfh,
             4,

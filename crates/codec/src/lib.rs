@@ -51,4 +51,4 @@ pub use interp::SubpelFrame;
 pub use kernels::KernelKind;
 pub use me::{MbMotion, MeField};
 pub use sme::{MbSubMotion, SmeField};
-pub use types::{EncodeParams, Module, Mv, PartitionMode, QpelMv, SearchArea};
+pub use types::{EncodeParams, MbField, Module, Mv, PartitionMode, QpelMv, SearchArea};

@@ -9,7 +9,7 @@
 use crate::interp::{SubpelFrame, Tile};
 use crate::par;
 use crate::sme::{MbSubMotion, SmeBlockMv};
-use crate::types::{PartitionMode, ALL_PARTITION_MODES};
+use crate::types::{MbField, PartitionMode, ALL_PARTITION_MODES};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::{Plane, PlaneBandMut};
 
@@ -35,50 +35,7 @@ impl Default for MbMode {
 }
 
 /// Mode-decision output for a frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ModeField {
-    mbs: Vec<MbMode>,
-    mb_cols: usize,
-    mb_rows: usize,
-}
-
-impl ModeField {
-    /// Create an empty field.
-    pub fn new(mb_cols: usize, mb_rows: usize) -> Self {
-        ModeField {
-            mbs: vec![MbMode::default(); mb_cols * mb_rows],
-            mb_cols,
-            mb_rows,
-        }
-    }
-
-    /// Macroblocks per row.
-    pub fn mb_cols(&self) -> usize {
-        self.mb_cols
-    }
-
-    /// Macroblock rows.
-    pub fn mb_rows(&self) -> usize {
-        self.mb_rows
-    }
-
-    /// Mode data of macroblock `(mbx, mby)`.
-    #[inline]
-    pub fn mb(&self, mbx: usize, mby: usize) -> &MbMode {
-        &self.mbs[mby * self.mb_cols + mbx]
-    }
-
-    /// Mutable mode data.
-    #[inline]
-    pub fn mb_mut(&mut self, mbx: usize, mby: usize) -> &mut MbMode {
-        &mut self.mbs[mby * self.mb_cols + mbx]
-    }
-
-    /// Mutable slice covering the MB rows of `range`.
-    pub fn rows_mut(&mut self, range: RowRange) -> &mut [MbMode] {
-        &mut self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
-    }
-}
+pub type ModeField = MbField<MbMode>;
 
 /// Lagrange multiplier for mode decision: `0.85 · 2^((QP-12)/3)`.
 pub fn lambda_mode(qp: u8) -> f64 {
@@ -273,16 +230,6 @@ mod tests {
     use crate::sme::sme_rows as run_sme_rows;
     use crate::types::{EncodeParams, SearchArea};
 
-    fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
-        let mut p = Plane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, f(x, y));
-            }
-        }
-        p
-    }
-
     #[test]
     fn lambda_grows_with_qp() {
         assert!(lambda_mode(40) > lambda_mode(20));
@@ -302,8 +249,8 @@ mod tests {
 
     #[test]
     fn perfect_translation_gives_zero_residual() {
-        let rf = plane_from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
-        let cf = plane_from_fn(64, 64, |x, y| {
+        let rf = Plane::from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
+        let cf = Plane::from_fn(64, 64, |x, y| {
             rf.get_clamped(x as isize + 3, y as isize - 2)
         });
         let params = EncodeParams {
@@ -351,8 +298,8 @@ mod tests {
 
     #[test]
     fn residual_plus_pred_equals_source() {
-        let rf = plane_from_fn(48, 48, |x, y| ((x * 5 + y * 3) % 256) as u8);
-        let cf = plane_from_fn(48, 48, |x, y| ((x * 7) ^ (y * 2)) as u8);
+        let rf = Plane::from_fn(48, 48, |x, y| ((x * 5 + y * 3) % 256) as u8);
+        let cf = Plane::from_fn(48, 48, |x, y| ((x * 7) ^ (y * 2)) as u8);
         let params = EncodeParams {
             search_area: SearchArea(8),
             n_ref: 1,

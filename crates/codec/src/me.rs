@@ -26,7 +26,7 @@ use crate::kernels::fast::{Portable, SearchIsa};
 use crate::kernels::{self, KernelKind};
 use crate::par;
 use crate::sad::SadGrid;
-use crate::types::{EncodeParams, Mv, PartitionMode, TOTAL_PARTITION_BLOCKS};
+use crate::types::{EncodeParams, MbField, Mv, PartitionMode, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
 use std::ops::{Add, Range};
@@ -109,56 +109,7 @@ impl MbMotion {
 }
 
 /// The motion field of a frame: one [`MbMotion`] per macroblock.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MeField {
-    mbs: Vec<MbMotion>,
-    mb_cols: usize,
-    mb_rows: usize,
-}
-
-impl MeField {
-    /// Create an empty (all-default) motion field.
-    pub fn new(mb_cols: usize, mb_rows: usize) -> Self {
-        MeField {
-            mbs: vec![MbMotion::default(); mb_cols * mb_rows],
-            mb_cols,
-            mb_rows,
-        }
-    }
-
-    /// Macroblocks per row.
-    pub fn mb_cols(&self) -> usize {
-        self.mb_cols
-    }
-
-    /// Macroblock rows.
-    pub fn mb_rows(&self) -> usize {
-        self.mb_rows
-    }
-
-    /// Motion data of macroblock `(mbx, mby)`.
-    #[inline]
-    pub fn mb(&self, mbx: usize, mby: usize) -> &MbMotion {
-        &self.mbs[mby * self.mb_cols + mbx]
-    }
-
-    /// Mutable motion data of macroblock `(mbx, mby)`.
-    #[inline]
-    pub fn mb_mut(&mut self, mbx: usize, mby: usize) -> &mut MbMotion {
-        &mut self.mbs[mby * self.mb_cols + mbx]
-    }
-
-    /// Mutable slice covering the MB rows of `range` (for row-partitioned
-    /// fills by different devices).
-    pub fn rows_mut(&mut self, range: RowRange) -> &mut [MbMotion] {
-        &mut self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
-    }
-
-    /// Borrow the rows of `range`.
-    pub fn rows(&self, range: RowRange) -> &[MbMotion] {
-        &self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
-    }
-}
+pub type MeField = MbField<MbMotion>;
 
 /// Hierarchically aggregate a 4×4 [`SadGrid`] into the 41 partition SADs
 /// (mode-major layout matching [`mode_base`]).
@@ -526,16 +477,6 @@ mod tests {
     use super::*;
     use crate::types::{SearchArea, ALL_PARTITION_MODES};
 
-    fn plane_from_fn(w: usize, h: usize, mut f: impl FnMut(usize, usize) -> u8) -> Plane<u8> {
-        let mut p = Plane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, f(x, y));
-            }
-        }
-        p
-    }
-
     fn small_params() -> EncodeParams {
         EncodeParams {
             search_area: SearchArea(16),
@@ -565,8 +506,8 @@ mod tests {
     #[test]
     fn finds_exact_translation() {
         // Reference = textured plane; current = reference shifted by (3, -2).
-        let rf = plane_from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
-        let cf = plane_from_fn(64, 64, |x, y| {
+        let rf = Plane::from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
+        let cf = Plane::from_fn(64, 64, |x, y| {
             rf.get_clamped(x as isize + 3, y as isize - 2)
         });
         let m = motion_estimate_mb(&cf, &[&rf], &small_params(), 1, 1);
@@ -584,7 +525,7 @@ mod tests {
 
     #[test]
     fn zero_motion_on_identical_frames_with_tiebreak() {
-        let rf = plane_from_fn(48, 48, |x, y| ((x + 2 * y) % 256) as u8);
+        let rf = Plane::from_fn(48, 48, |x, y| ((x + 2 * y) % 256) as u8);
         let m = motion_estimate_mb(&rf, &[&rf], &small_params(), 1, 1);
         // Identical frames: zero-cost match exists at (0,0); scan order must
         // pick the *first* zero-cost candidate deterministically. A diagonal
@@ -597,8 +538,8 @@ mod tests {
 
     #[test]
     fn second_reference_wins_when_better() {
-        let rf_far = plane_from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
-        let rf_near = plane_from_fn(64, 64, |_, _| 0); // useless reference
+        let rf_far = Plane::from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
+        let rf_near = Plane::from_fn(64, 64, |_, _| 0); // useless reference
         let cf = rf_far.clone();
         let params = EncodeParams {
             search_area: SearchArea(16),
@@ -614,8 +555,8 @@ mod tests {
 
     #[test]
     fn n_ref_limits_search() {
-        let rf0 = plane_from_fn(64, 64, |_, _| 0);
-        let rf1 = plane_from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
+        let rf0 = Plane::from_fn(64, 64, |_, _| 0);
+        let rf1 = Plane::from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
         let cf = rf1.clone();
         let params = EncodeParams {
             search_area: SearchArea(16),
@@ -629,8 +570,8 @@ mod tests {
 
     #[test]
     fn row_sliced_equals_whole_frame() {
-        let rf = plane_from_fn(64, 80, |x, y| ((x * 3 + y * 7) % 251) as u8);
-        let cf = plane_from_fn(64, 80, |x, y| {
+        let rf = Plane::from_fn(64, 80, |x, y| ((x * 3 + y * 7) % 251) as u8);
+        let cf = Plane::from_fn(64, 80, |x, y| {
             rf.get_clamped(x as isize - 1, y as isize + 1)
                 .wrapping_add(1)
         });
@@ -653,8 +594,8 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential() {
-        let rf = plane_from_fn(64, 64, |x, y| ((x * 5) ^ (y * 3)) as u8);
-        let cf = plane_from_fn(64, 64, |x, y| rf.get_clamped(x as isize + 2, y as isize));
+        let rf = Plane::from_fn(64, 64, |x, y| ((x * 5) ^ (y * 3)) as u8);
+        let cf = Plane::from_fn(64, 64, |x, y| rf.get_clamped(x as isize + 2, y as isize));
         let params = small_params();
         let mut seq = vec![MbMotion::default(); 16];
         let mut par = vec![MbMotion::default(); 16];
@@ -695,7 +636,7 @@ mod tests {
 
     fn noise_plane(w: usize, h: usize, seed: u64) -> Plane<u8> {
         let mut s = seed | 1;
-        plane_from_fn(w, h, |_, _| {
+        Plane::from_fn(w, h, |_, _| {
             s = s
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -737,7 +678,7 @@ mod tests {
         }
         // The tail must be searched, not dropped: plant the only exact
         // match in the last column of the SA 12 window, dx = +5.
-        let cf = plane_from_fn(48, 32, |x, y| rf.get_clamped(x as isize + 5, y as isize));
+        let cf = Plane::from_fn(48, 32, |x, y| rf.get_clamped(x as isize + 5, y as isize));
         let field = assert_loops_agree(&cf, &[&rf], &sa_params(12, 1), "planted dx = 5");
         let b = field[1].block(PartitionMode::P16x16, 0);
         assert_eq!((b.mv, b.cost), (Mv::new(5, 0), 0));
@@ -747,7 +688,7 @@ mod tests {
     fn all_candidates_tie_on_a_flat_plane() {
         // 1 024 candidates × 2 references all cost 0: first in scan order
         // wins, for every one of the 41 blocks.
-        let flat = plane_from_fn(48, 48, |_, _| 90);
+        let flat = Plane::from_fn(48, 48, |_, _| 90);
         let field = assert_loops_agree(&flat, &[&flat, &flat], &sa_params(32, 2), "flat");
         for mb in &field {
             for b in mb.all_blocks() {
@@ -771,8 +712,8 @@ mod tests {
     fn saturated_lanes_do_not_overflow() {
         // Black against white: every candidate of every batch is 65 280 for
         // the 16×16 block and 4 080 per 4×4 cell — the largest a lane holds.
-        let black = plane_from_fn(32, 32, |_, _| 0);
-        let white = plane_from_fn(32, 32, |_, _| 255);
+        let black = Plane::from_fn(32, 32, |_, _| 0);
+        let white = Plane::from_fn(32, 32, |_, _| 255);
         let field = assert_loops_agree(&black, &[&white], &sa_params(16, 1), "0 vs 255");
         for mb in &field {
             let b = mb.block(PartitionMode::P16x16, 0);
@@ -780,8 +721,8 @@ mod tests {
             assert_eq!(mb.block(PartitionMode::P4x4, 15).cost, 255 * 16);
         }
         // Checkerboards alternate 0 and 65 280 from one lane to the next.
-        let a = plane_from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 0 } else { 255 });
-        let b = plane_from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 255 } else { 0 });
+        let a = Plane::from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 0 } else { 255 });
+        let b = Plane::from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 255 } else { 0 });
         assert_loops_agree(&a, &[&b], &sa_params(16, 1), "checkerboards");
     }
 

@@ -7,6 +7,7 @@
 
 use crate::par;
 use crate::quant::{has_coefficients, itq_block, tq_block};
+use crate::types::MbField;
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::{Plane, PlaneBandMut};
 
@@ -28,58 +29,12 @@ impl MbCoeffs {
 }
 
 /// Quantized coefficients of a frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CoeffField {
-    mbs: Vec<MbCoeffs>,
-    mb_cols: usize,
-    mb_rows: usize,
-}
+pub type CoeffField = MbField<MbCoeffs>;
 
-impl CoeffField {
-    /// Create an all-zero field.
-    pub fn new(mb_cols: usize, mb_rows: usize) -> Self {
-        CoeffField {
-            mbs: vec![MbCoeffs::default(); mb_cols * mb_rows],
-            mb_cols,
-            mb_rows,
-        }
-    }
-
-    /// Macroblocks per row.
-    pub fn mb_cols(&self) -> usize {
-        self.mb_cols
-    }
-
-    /// Macroblock rows.
-    pub fn mb_rows(&self) -> usize {
-        self.mb_rows
-    }
-
-    /// Coefficients of macroblock `(mbx, mby)`.
-    #[inline]
-    pub fn mb(&self, mbx: usize, mby: usize) -> &MbCoeffs {
-        &self.mbs[mby * self.mb_cols + mbx]
-    }
-
-    /// Mutable coefficients of macroblock `(mbx, mby)`.
-    #[inline]
-    pub fn mb_mut(&mut self, mbx: usize, mby: usize) -> &mut MbCoeffs {
-        &mut self.mbs[mby * self.mb_cols + mbx]
-    }
-
-    /// Borrow the MB rows of `range`.
-    pub fn rows(&self, range: RowRange) -> &[MbCoeffs] {
-        &self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
-    }
-
-    /// Mutable slice covering the MB rows of `range`.
-    pub fn rows_mut(&mut self, range: RowRange) -> &mut [MbCoeffs] {
-        &mut self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
-    }
-
+impl MbField<MbCoeffs> {
     /// Total number of non-zero levels (rate proxy / diagnostics).
     pub fn nonzero_levels(&self) -> usize {
-        self.mbs
+        self.rows(RowRange::new(0, self.mb_rows()))
             .iter()
             .flat_map(|mb| mb.blocks.iter())
             .flat_map(|b| b.iter())

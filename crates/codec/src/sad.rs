@@ -63,27 +63,17 @@ pub fn grid_partition_sad(grid: &SadGrid, ox: usize, oy: usize, w: usize, h: usi
 mod tests {
     use super::*;
 
-    fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
-        let mut p = Plane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, f(x, y));
-            }
-        }
-        p
-    }
-
     #[test]
     fn identical_blocks_zero_sad() {
-        let p = plane_from_fn(32, 32, |x, y| (x * 7 + y * 13) as u8);
+        let p = Plane::from_fn(32, 32, |x, y| (x * 7 + y * 13) as u8);
         let g = sad_grid_16x16(&p, 8, 8, &p, 8, 8);
         assert_eq!(g, [0u32; 16]);
     }
 
     #[test]
     fn grid_aggregation_equals_direct_sad() {
-        let cur = plane_from_fn(48, 48, |x, y| ((x * 31) ^ (y * 17)) as u8);
-        let rf = plane_from_fn(48, 48, |x, y| ((x * 13) ^ (y * 29)) as u8);
+        let cur = Plane::from_fn(48, 48, |x, y| ((x * 31) ^ (y * 17)) as u8);
+        let rf = Plane::from_fn(48, 48, |x, y| ((x * 13) ^ (y * 29)) as u8);
         let grid = sad_grid_16x16(&cur, 16, 16, &rf, 20, 12);
 
         // Full 16x16 from the grid equals a direct block SAD.
@@ -106,8 +96,8 @@ mod tests {
 
     #[test]
     fn out_of_bounds_reference_uses_clamping() {
-        let cur = plane_from_fn(32, 32, |_, _| 100);
-        let rf = plane_from_fn(32, 32, |_, _| 100);
+        let cur = Plane::from_fn(32, 32, |_, _| 100);
+        let rf = Plane::from_fn(32, 32, |_, _| 100);
         // Fully off the top-left corner still evaluates (clamped == 100).
         let g = sad_grid_16x16(&cur, 0, 0, &rf, -20, -20);
         assert_eq!(g, [0u32; 16]);
@@ -115,8 +105,8 @@ mod tests {
 
     #[test]
     fn clamped_and_inside_paths_agree_on_border() {
-        let cur = plane_from_fn(32, 32, |x, y| (x + y) as u8);
-        let rf = plane_from_fn(32, 32, |x, y| (x * 2 + y) as u8);
+        let cur = Plane::from_fn(32, 32, |x, y| (x + y) as u8);
+        let rf = Plane::from_fn(32, 32, |x, y| (x * 2 + y) as u8);
         // Position exactly at the edge: inside path.
         let inside = sad_grid_16x16(&cur, 8, 8, &rf, 16, 16);
         // Same position forced through clamped path must agree.
@@ -135,8 +125,8 @@ mod tests {
     fn extreme_values_fill_the_grid() {
         // 0/255 checkerboards: every 4×4 cell is 16 · 255 and the whole
         // block the 65 280 that must fit a `u16` lane of the fast search.
-        let cur = plane_from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 0 } else { 255 });
-        let rf = plane_from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 255 } else { 0 });
+        let cur = Plane::from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 0 } else { 255 });
+        let rf = Plane::from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 255 } else { 0 });
         let full = sad_grid_16x16(&cur, 0, 0, &rf, 0, 0);
         assert_eq!(full, [4080u32; 16]);
         assert_eq!(grid_partition_sad(&full, 0, 0, 16, 16), 255 * 256);

@@ -24,7 +24,7 @@ use crate::kernels::fast::{Portable, RefineIsa};
 use crate::kernels::{self, KernelKind};
 use crate::me::{mode_base, BlockMv, MbMotion};
 use crate::par;
-use crate::types::{PartitionMode, QpelMv, TOTAL_PARTITION_BLOCKS};
+use crate::types::{MbField, PartitionMode, QpelMv, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
 use std::ops::Range;
@@ -87,55 +87,7 @@ impl MbSubMotion {
 }
 
 /// The refined motion field of a frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SmeField {
-    mbs: Vec<MbSubMotion>,
-    mb_cols: usize,
-    mb_rows: usize,
-}
-
-impl SmeField {
-    /// Create an empty field.
-    pub fn new(mb_cols: usize, mb_rows: usize) -> Self {
-        SmeField {
-            mbs: vec![MbSubMotion::default(); mb_cols * mb_rows],
-            mb_cols,
-            mb_rows,
-        }
-    }
-
-    /// Macroblocks per row.
-    pub fn mb_cols(&self) -> usize {
-        self.mb_cols
-    }
-
-    /// Macroblock rows.
-    pub fn mb_rows(&self) -> usize {
-        self.mb_rows
-    }
-
-    /// Refined motion of macroblock `(mbx, mby)`.
-    #[inline]
-    pub fn mb(&self, mbx: usize, mby: usize) -> &MbSubMotion {
-        &self.mbs[mby * self.mb_cols + mbx]
-    }
-
-    /// Mutable refined motion of macroblock `(mbx, mby)`.
-    #[inline]
-    pub fn mb_mut(&mut self, mbx: usize, mby: usize) -> &mut MbSubMotion {
-        &mut self.mbs[mby * self.mb_cols + mbx]
-    }
-
-    /// Mutable slice covering `range` MB rows.
-    pub fn rows_mut(&mut self, range: RowRange) -> &mut [MbSubMotion] {
-        &mut self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
-    }
-
-    /// Borrow the rows of `range`.
-    pub fn rows(&self, range: RowRange) -> &[MbSubMotion] {
-        &self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
-    }
-}
+pub type SmeField = MbField<MbSubMotion>;
 
 /// What one rows call refines with and against: the primitives, the
 /// current frame and the references' SFs.
@@ -358,20 +310,10 @@ mod tests {
     use crate::me::motion_estimate_mb;
     use crate::types::{EncodeParams, SearchArea, ALL_PARTITION_MODES};
 
-    fn plane_from_fn(w: usize, h: usize, f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
-        let mut p = Plane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, f(x, y));
-            }
-        }
-        p
-    }
-
     #[test]
     fn refinement_never_worsens_cost() {
-        let rf = plane_from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
-        let cf = plane_from_fn(64, 64, |x, y| {
+        let rf = Plane::from_fn(64, 64, |x, y| ((x * 37) ^ (y * 11)) as u8);
+        let cf = Plane::from_fn(64, 64, |x, y| {
             rf.get_clamped(x as isize + 1, y as isize).wrapping_add(3)
         });
         let params = EncodeParams {
@@ -401,10 +343,10 @@ mod tests {
         // midpoint, and ME deterministically anchors at the left integer
         // (scan order breaks the 0-vs-+1 tie toward 0), so the refinement
         // can reach the exact (½, 0) phase.
-        let rf = plane_from_fn(96, 48, |x, _| (x * 2) as u8);
+        let rf = Plane::from_fn(96, 48, |x, _| (x * 2) as u8);
         let sf = interpolate(&rf);
         // Build CF from the SF's own half-pel phase so an exact match exists.
-        let cf = plane_from_fn(96, 48, |x, y| sf.phase(2, 0).get(x, y));
+        let cf = Plane::from_fn(96, 48, |x, y| sf.phase(2, 0).get(x, y));
         let params = EncodeParams {
             search_area: SearchArea(16),
             n_ref: 1,
@@ -447,8 +389,8 @@ mod tests {
 
     #[test]
     fn cost_at_integer_positions_matches_plain_sad() {
-        let rf = plane_from_fn(64, 64, |x, y| ((x * 3) ^ (y * 7)) as u8);
-        let cf = plane_from_fn(64, 64, |x, y| ((x * 5) ^ (y * 2)) as u8);
+        let rf = Plane::from_fn(64, 64, |x, y| ((x * 3) ^ (y * 7)) as u8);
+        let cf = Plane::from_fn(64, 64, |x, y| ((x * 5) ^ (y * 2)) as u8);
         let sf = interpolate(&rf);
         let direct: u32 = (0..16)
             .map(|row| crate::sad::row_sad(&cf.row(16 + row)[16..32], &rf.row(18 + row)[20..36]))
@@ -469,7 +411,7 @@ mod tests {
         // All 17 candidates of every block cost 0, edge-straddling ones
         // included (a one-MB-row frame): strict `<` in scan order must
         // leave each block where ME put it, under both families.
-        let rf = plane_from_fn(48, 16, |_, _| 90);
+        let rf = Plane::from_fn(48, 16, |_, _| 90);
         let sf = interpolate(&rf);
         let mut me = MbMotion::default();
         for (i, mode) in ALL_PARTITION_MODES.into_iter().enumerate() {
@@ -500,8 +442,8 @@ mod tests {
     #[test]
     fn families_agree_where_every_candidate_straddles_an_edge() {
         // One macroblock is the whole frame, ME vectors reach 8 outside.
-        let rf = plane_from_fn(16, 16, |x, y| ((x * 37) ^ (y * 11)) as u8);
-        let cf = plane_from_fn(16, 16, |x, y| ((x * 29 + 5) ^ (y * 13)) as u8);
+        let rf = Plane::from_fn(16, 16, |x, y| ((x * 37) ^ (y * 11)) as u8);
+        let cf = Plane::from_fn(16, 16, |x, y| ((x * 29 + 5) ^ (y * 13)) as u8);
         let params = EncodeParams {
             search_area: SearchArea(16),
             n_ref: 1,
@@ -530,8 +472,8 @@ mod tests {
 
     #[test]
     fn row_sliced_equals_whole() {
-        let rf = plane_from_fn(64, 80, |x, y| ((x * 31 + y * 17) % 253) as u8);
-        let cf = plane_from_fn(64, 80, |x, y| {
+        let rf = Plane::from_fn(64, 80, |x, y| ((x * 31 + y * 17) % 253) as u8);
+        let cf = Plane::from_fn(64, 80, |x, y| {
             rf.get_clamped(x as isize - 2, y as isize + 1)
         });
         let params = EncodeParams {
@@ -569,8 +511,8 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential() {
-        let rf = plane_from_fn(64, 64, |x, y| ((x * 9) ^ (y * 4)) as u8);
-        let cf = plane_from_fn(64, 64, |x, y| {
+        let rf = Plane::from_fn(64, 64, |x, y| ((x * 9) ^ (y * 4)) as u8);
+        let cf = Plane::from_fn(64, 64, |x, y| {
             rf.get_clamped(x as isize + 1, y as isize - 1)
         });
         let params = EncodeParams {

@@ -1,6 +1,6 @@
 //! Common codec types: motion vectors, partitions, encode parameters.
 
-use feves_video::geometry::MB_SIZE;
+use feves_video::geometry::{RowRange, MB_SIZE};
 
 /// A full-pel motion vector (displacement into a reference frame).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -206,6 +206,68 @@ impl EncodeParams {
     }
 }
 
+/// A frame's worth of per-macroblock values, addressable by MB coordinate
+/// or sliceable by an MB-row range — the unit the Data Access Management
+/// moves and the unit [`crate::par`] hands to a row kernel. The one grid
+/// behind [`crate::me::MeField`], [`crate::sme::SmeField`],
+/// [`crate::mc::ModeField`], [`crate::recon::CoeffField`] and
+/// [`crate::chroma::ChromaField`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MbField<T> {
+    mbs: Vec<T>,
+    mb_cols: usize,
+    mb_rows: usize,
+}
+
+impl<T: Clone + Default> MbField<T> {
+    /// A field of `mb_cols × mb_rows` default values.
+    #[inline]
+    pub fn new(mb_cols: usize, mb_rows: usize) -> Self {
+        MbField {
+            mbs: vec![T::default(); mb_cols * mb_rows],
+            mb_cols,
+            mb_rows,
+        }
+    }
+
+    /// Macroblocks per row.
+    #[inline]
+    pub fn mb_cols(&self) -> usize {
+        self.mb_cols
+    }
+
+    /// Macroblock rows.
+    #[inline]
+    pub fn mb_rows(&self) -> usize {
+        self.mb_rows
+    }
+
+    /// The value of macroblock `(mbx, mby)`.
+    #[inline]
+    pub fn mb(&self, mbx: usize, mby: usize) -> &T {
+        &self.mbs[mby * self.mb_cols + mbx]
+    }
+
+    /// The mutable value of macroblock `(mbx, mby)`.
+    #[inline]
+    pub fn mb_mut(&mut self, mbx: usize, mby: usize) -> &mut T {
+        &mut self.mbs[mby * self.mb_cols + mbx]
+    }
+
+    /// Borrow the MB rows of `range`, row-major.
+    #[inline]
+    pub fn rows(&self, range: RowRange) -> &[T] {
+        &self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
+    }
+
+    /// Mutable slice covering the MB rows of `range` (for row-partitioned
+    /// fills by different devices or threads).
+    #[inline]
+    pub fn rows_mut(&mut self, range: RowRange) -> &mut [T] {
+        &mut self.mbs[range.start * self.mb_cols..range.end * self.mb_cols]
+    }
+}
+
 /// The inter-loop modules of Fig 1, in the grouping the paper uses: the
 /// compute-heavy trio (ME, INT, SME) is load-balanced across devices, the
 /// light `R*` group (MC, TQ, TQ⁻¹, DBL) runs on one best device.
@@ -311,6 +373,46 @@ mod tests {
             ..Default::default()
         };
         assert!(bad_sa.validate().is_err());
+    }
+
+    #[test]
+    fn mb_field_row_slices_equal_the_per_mb_walk() {
+        let (cols, rows) = (5, 7);
+        let mut f: MbField<u32> = MbField::new(cols, rows);
+        assert_eq!((f.mb_cols(), f.mb_rows()), (cols, rows));
+        for mby in 0..rows {
+            for mbx in 0..cols {
+                *f.mb_mut(mbx, mby) = (mby * 100 + mbx) as u32;
+            }
+        }
+        for start in 0..=rows {
+            for end in start..=rows {
+                let r = RowRange::new(start, end);
+                let walk: Vec<u32> = (start..end)
+                    .flat_map(|mby| (0..cols).map(move |mbx| (mbx, mby)))
+                    .map(|(mbx, mby)| *f.mb(mbx, mby))
+                    .collect();
+                assert_eq!(f.rows(r), walk, "rows({start}..{end})");
+                assert_eq!(f.rows_mut(r), walk, "rows_mut({start}..{end})");
+            }
+        }
+        // A write through a row slice lands on the macroblock it names.
+        f.rows_mut(RowRange::new(3, 4))[2] = 9;
+        assert_eq!(*f.mb(2, 3), 9);
+    }
+
+    #[test]
+    #[should_panic]
+    fn mb_field_row_past_the_end_panics() {
+        let f: MbField<u32> = MbField::new(5, 7);
+        let _ = f.rows(RowRange::new(6, 8));
+    }
+
+    #[test]
+    #[should_panic]
+    fn mb_field_mb_past_the_last_row_panics() {
+        let f: MbField<u32> = MbField::new(5, 7);
+        let _ = f.mb(0, 7);
     }
 
     #[test]

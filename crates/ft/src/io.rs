@@ -351,9 +351,10 @@ impl FaultyInner {
         per_mille > 0 && self.roll() < u64::from(per_mille)
     }
 
-    fn eio(msg: &str) -> io::Error {
-        let e = io::Error::from_raw_os_error(5);
-        io::Error::new(e.kind(), format!("{msg}: {e}"))
+    /// EIO as the kernel reports it: the raw os error is what [`classify`]
+    /// reads as transient, and wrapping it in a message would drop it.
+    fn eio() -> io::Error {
+        io::Error::from_raw_os_error(5)
     }
 
     fn enospc(msg: &str) -> io::Error {
@@ -370,7 +371,7 @@ impl FaultyInner {
             .unwrap_or_else(|e| e.into_inner())
             .contains(path)
         {
-            return Err(Self::eio("injected permanent fault"));
+            return Err(Self::eio());
         }
         if self.hit(self.plan.permanent_eio_per_mille) {
             self.poisoned
@@ -381,7 +382,7 @@ impl FaultyInner {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .permanent_eio += 1;
-            return Err(Self::eio("injected permanent fault"));
+            return Err(Self::eio());
         }
         if writes && self.hit(self.plan.enospc_per_mille) {
             self.counts.lock().unwrap_or_else(|e| e.into_inner()).enospc += 1;
@@ -392,7 +393,7 @@ impl FaultyInner {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .transient_eio += 1;
-            return Err(Self::eio("injected transient fault"));
+            return Err(Self::eio());
         }
         Ok(())
     }
@@ -452,7 +453,7 @@ impl Write for FaultyFile {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .short_writes += 1;
-            return Err(FaultyInner::eio("injected short write"));
+            return Err(FaultyInner::eio());
         }
         self.file.write(buf)
     }
@@ -525,7 +526,7 @@ impl IoBackend for FaultyIo {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .torn_renames += 1;
-            return Err(FaultyInner::eio("injected torn rename"));
+            return Err(FaultyInner::eio());
         }
         fs::rename(from, to)
     }
@@ -775,6 +776,32 @@ mod tests {
         for _ in 0..8 {
             assert!(faulty.write_file(&p, b"x").is_err(), "poison must persist");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn injected_eio_is_transient_and_retry_io_rides_it_out() {
+        let dir = scratch("eio-class");
+        let faulty = FaultyIo::new(FaultPlan {
+            seed: 2,
+            transient_eio_per_mille: 1000,
+            ..FaultPlan::default()
+        });
+        let err = faulty.write_file(&dir.join("x"), b"x").unwrap_err();
+        assert_eq!(classify(&err), IoErrorClass::Transient, "{err}");
+        // Fail twice, then succeed: two retries spent, and reported.
+        let mut calls = 0;
+        let policy = RetryPolicy::new(Duration::from_millis(1), 3, 7);
+        let (result, retries) = retry_io(&policy, || {
+            calls += 1;
+            if calls <= 2 {
+                faulty.write_file(&dir.join("x"), b"x")
+            } else {
+                Ok(())
+            }
+        });
+        assert!(result.is_ok());
+        assert_eq!((calls, retries), (3, 2));
         fs::remove_dir_all(&dir).unwrap();
     }
 

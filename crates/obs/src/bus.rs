@@ -1,13 +1,17 @@
-//! The bounded telemetry bus: lock-free event transport between recording
+//! The bounded telemetry bus: non-blocking event transport between recording
 //! hot paths and a dedicated drain/export thread.
 //!
-//! Recorders publish fixed-size [`TelemetryEvent`]s into a vendored
-//! crossbeam [`ArrayQueue`]; a drain thread owned by [`BusController`] pops
-//! them in batches and applies them to each event's session registry (via
-//! [`crate::scope::hub`]). The policy at a full queue is **drop-and-count**:
-//! [`TelemetryBus::publish`] returns `false` immediately and the session
-//! folds the loss into its `obs.dropped_events` counter — the encode loop is
-//! never blocked by telemetry, no matter how slow the drain side is.
+//! Recorders publish fixed-size [`TelemetryEvent`]s into a bounded
+//! [`std::sync::mpsc::sync_channel`] with `try_send`; a drain thread owned
+//! by [`BusController`] pops them in batches and applies them to each
+//! event's session registry (via [`crate::scope::hub`]). The policy at a
+//! full queue is **drop-and-count**: [`TelemetryBus::publish`] returns
+//! `false` immediately and the session folds the loss into its
+//! `obs.dropped_events` counter — the encode loop is never blocked by
+//! telemetry, no matter how slow the drain side is. The drain side polls
+//! (`try_recv`, then a short sleep when idle) rather than parking in
+//! `recv`: a parked receiver would turn the first publish of every frame
+//! into a wake-up syscall on the encoder thread.
 //!
 //! The bus also meters itself: every 64th publish is wall-clock timed
 //! (`obs.bus_enqueue_ns`), and each drain batch records its pop+apply cost
@@ -20,10 +24,10 @@ use crate::live;
 use crate::recorder::Recorder;
 use crate::scope::{hub, SessionScope};
 use crate::Metric;
-use crossbeam::queue::ArrayQueue;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,8 +43,8 @@ pub enum DeviceField {
     Blacklisted,
 }
 
-/// One fixed-size telemetry event. `Copy`, no heap payload — the queue slot
-/// is the entire allocation, and publishing is a couple of atomic ops.
+/// One fixed-size telemetry event. `Copy`, no heap payload — the channel
+/// slot is the entire allocation, and publishing is a couple of atomic ops.
 #[derive(Clone, Copy, Debug)]
 pub enum TelemetryEvent {
     /// Counter increment.
@@ -146,7 +150,7 @@ pub struct BusStats {
     pub published: u64,
     /// Events rejected at a full queue since start.
     pub dropped: u64,
-    /// Events popped and applied by the drain thread.
+    /// Events popped by the drain side (applied, once its batch ends).
     pub drained: u64,
     /// Sampled enqueue cost (ns; every 64th publish is timed).
     pub enqueue_ns: SelfCost,
@@ -160,11 +164,15 @@ pub const DRAIN_BATCH: usize = 1024;
 /// Publish-sampling interval for enqueue self-timing (power of two).
 const ENQUEUE_SAMPLE: u64 = 64;
 
-/// The transport half of the pipeline: a bounded MPMC queue plus drop/drain
-/// accounting. Shared between producers (session scopes) and the
-/// [`BusController`] drain thread.
+/// The transport half of the pipeline: a bounded channel — many producers
+/// (session scopes), one consumer (the [`BusController`] drain thread) —
+/// plus drop/drain accounting.
 pub struct TelemetryBus {
-    queue: ArrayQueue<TelemetryEvent>,
+    tx: SyncSender<TelemetryEvent>,
+    /// The single consumer's end; the lock is uncontended and only makes
+    /// `pop(&self)` shareable.
+    rx: Mutex<Receiver<TelemetryEvent>>,
+    capacity: usize,
     publishes: AtomicU64,
     published: AtomicU64,
     dropped: AtomicU64,
@@ -182,10 +190,16 @@ impl std::fmt::Debug for TelemetryBus {
 }
 
 impl TelemetryBus {
-    /// A bus holding at most `capacity` in-flight events.
+    /// A bus holding at most `capacity` in-flight events (at least one: a
+    /// zero-capacity `sync_channel` is a rendezvous, which `try_send` can
+    /// never enter without a parked receiver).
     pub fn new(capacity: usize) -> TelemetryBus {
+        let capacity = capacity.max(1);
+        let (tx, rx) = sync_channel(capacity);
         TelemetryBus {
-            queue: ArrayQueue::new(capacity),
+            tx,
+            rx: Mutex::new(rx),
+            capacity,
             publishes: AtomicU64::new(0),
             published: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -223,7 +237,7 @@ impl TelemetryBus {
     }
 
     fn push_counted(&self, ev: TelemetryEvent) -> bool {
-        match self.queue.push(ev) {
+        match self.tx.try_send(ev) {
             Ok(()) => {
                 self.published.fetch_add(1, Ordering::Relaxed);
                 true
@@ -237,19 +251,29 @@ impl TelemetryBus {
 
     /// Pop one event (drain side).
     pub fn pop(&self) -> Option<TelemetryEvent> {
-        self.queue.pop()
+        let rx = self
+            .rx
+            .lock()
+            .expect("a telemetry consumer panicked inside pop");
+        let ev = rx.try_recv().ok()?;
+        self.drained.fetch_add(1, Ordering::Relaxed);
+        Some(ev)
     }
 
-    /// Events currently queued (approximate under concurrency).
+    /// Events currently queued: accepted − popped (approximate under
+    /// concurrency).
     pub fn depth(&self) -> usize {
-        self.queue.len()
+        // Two relaxed counters, so a pop may be counted before the publish
+        // it took: saturate instead of wrapping.
+        let published = self.published.load(Ordering::Relaxed);
+        published.saturating_sub(self.drained.load(Ordering::Relaxed)) as usize
     }
 
     /// Current accounting snapshot.
     pub fn stats(&self) -> BusStats {
         BusStats {
-            capacity: self.queue.capacity(),
-            depth: self.queue.len(),
+            capacity: self.capacity,
+            depth: self.depth(),
             published: self.published.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
             drained: self.drained.load(Ordering::Relaxed),
@@ -365,7 +389,6 @@ fn drain_loop(bus: &TelemetryBus, stop: &AtomicBool, live: Option<LiveConfig>) {
             }
         }
         if n > 0 {
-            bus.drained.fetch_add(n, Ordering::Relaxed);
             let us = t0.elapsed().as_nanos() as f64 / 1_000.0;
             bus.drain_batch_us.observe(us);
             // Attribute the batch cost to every session it served.

@@ -2,7 +2,8 @@
 //!
 //! Accepts any two files of the *same* format among:
 //!
-//! - `BENCH_e2e.json` — one object with `scalar_ms` / `fast_ms` fields;
+//! - `BENCH_e2e.json` — one object with `idle_pct_*` (and, in older
+//!   summaries, `scalar_ms` / `fast_ms`) fields;
 //! - `BENCH_kernels.json` — an array of per-kernel-case objects with
 //!   `*_ns_per_iter` fields;
 //! - a flight log (JSONL of [`FlightRecord`]s) — summarized through the
@@ -229,7 +230,7 @@ fn extract_metrics(text: &str) -> Result<Vec<(String, f64)>, String> {
         return Ok(out);
     }
     if v.as_object().is_some() {
-        // BENCH_e2e.json: {scalar_ms, fast_ms, speedup, idle_pct_*, ...}.
+        // BENCH_e2e.json: {idle_pct_*, ...}, older ones {scalar_ms, fast_ms} too.
         // The idle_pct fields are virtual-clock idle attribution (lower is
         // better, like everything here) under the two pipeline modes.
         let mut out = Vec::new();

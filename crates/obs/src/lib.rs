@@ -61,7 +61,7 @@ pub use flight::{
 };
 pub use histogram::Histogram;
 pub use live::{build_snapshot, LiveSnapshot};
-pub use persist::{sweep_orphans, write_atomic};
+pub use persist::{sweep_orphans, write_atomic, write_atomic_recorded};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder, Span, SpanStat};
 pub use report::render_html;
 pub use scope::{hub, DeviceLive, RetiredSession, SessionScope, TelemetryHub};

@@ -17,7 +17,8 @@
 //! seam, so storage chaos tests can inject ENOSPC / EIO / torn renames here
 //! without touching this code. Transient faults are retried under a small
 //! bounded [`RetryPolicy`]; retries and disk-full events are accounted on
-//! the global recorder (`io.retries`, `io.enospc_events`).
+//! the recorder the caller hands to [`write_atomic_recorded`] (`io.retries`,
+//! `io.enospc_events`) — the farm passes its `farm` registry.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -26,6 +27,7 @@ use std::time::Duration;
 use feves_ft::io::{backend_for, classify, retry_io, IoErrorClass};
 use feves_ft::RetryPolicy;
 
+use crate::recorder::{NoopRecorder, Recorder};
 use crate::Metric;
 
 /// Temp-file path for an atomic write to `dest`: same directory,
@@ -54,6 +56,16 @@ fn io_policy(dest: &Path) -> RetryPolicy {
 /// write-then-rename sequence re-runs, so a torn temp or torn rename
 /// destination is simply overwritten); ENOSPC is surfaced immediately.
 pub fn write_atomic(dest: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> io::Result<()> {
+    write_atomic_recorded(dest, bytes, &NoopRecorder)
+}
+
+/// [`write_atomic`], booking what the write cost on `rec`: `io.retries` per
+/// transient fault retried, `io.enospc_events` when the disk was full.
+pub fn write_atomic_recorded(
+    dest: impl AsRef<Path>,
+    bytes: impl AsRef<[u8]>,
+    rec: &dyn Recorder,
+) -> io::Result<()> {
     let dest = dest.as_ref();
     let bytes = bytes.as_ref();
     let backend = backend_for(dest);
@@ -62,7 +74,6 @@ pub fn write_atomic(dest: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> io::Resu
         backend.write_file(&tmp, bytes)?;
         backend.rename(&tmp, dest)
     });
-    let rec = crate::global();
     if retries > 0 {
         rec.add(Metric::IoRetries, u64::from(retries));
     }
@@ -116,6 +127,7 @@ pub(crate) fn sync_parent_dir(path: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::MemoryRecorder;
     use feves_ft::io::{inject, FaultPlan, FaultyIo};
     use std::fs;
     use std::sync::Arc;
@@ -176,10 +188,11 @@ mod tests {
             ..FaultPlan::default()
         }));
         let _scope = inject(&dir, faulty.clone());
+        let rec = MemoryRecorder::new();
         let mut failures = 0;
         for i in 0..40 {
             let payload = format!("payload {i}");
-            match write_atomic(&dest, payload.as_bytes()) {
+            match write_atomic_recorded(&dest, payload.as_bytes(), &rec) {
                 // A successful return always means the complete payload
                 // landed — retries must re-run the whole sequence.
                 Ok(()) => assert_eq!(fs::read(&dest).unwrap(), payload.as_bytes()),
@@ -193,6 +206,12 @@ mod tests {
         let c = faulty.counts();
         assert!(c.transient_eio + c.torn_renames > 0, "no faults fired");
         assert!(failures < 40, "every write failed — retries not working");
+        // Every fault drawn was either retried (and booked) or ended a
+        // write: the directory fsync's are ignored, budget exhaustion is
+        // one failure per write.
+        let retries = rec.counter(Metric::IoRetries);
+        assert!(retries > 0, "faults fired but none was retried");
+        assert!(retries <= c.transient_eio + c.torn_renames);
         drop(_scope);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -207,8 +226,11 @@ mod tests {
             ..FaultPlan::default()
         }));
         let _scope = inject(&dir, faulty);
-        let err = write_atomic(&dest, b"x").unwrap_err();
+        let rec = MemoryRecorder::new();
+        let err = write_atomic_recorded(&dest, b"x", &rec).unwrap_err();
         assert_eq!(classify(&err), IoErrorClass::Enospc);
+        assert_eq!(rec.counter(Metric::IoEnospcEvents), 1);
+        assert_eq!(rec.counter(Metric::IoRetries), 0);
         assert!(!dest.exists());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -36,8 +36,8 @@ use feves_core::SessionCtl;
 use feves_ft::io::backend_for;
 use feves_ft::{HealthTracker, RetryPolicy};
 use feves_obs::{
-    hub, sweep_orphans, write_atomic, BusController, EdgeKind, LiveConfig, Metric, Recorder,
-    TraceCollector, TraceCtx, TraceSink,
+    hub, sweep_orphans, write_atomic_recorded, BusController, EdgeKind, LiveConfig, Metric,
+    Recorder, TraceCollector, TraceCtx, TraceSink,
 };
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -376,7 +376,7 @@ impl FarmTracer {
         for id in open {
             self.closed(&id);
         }
-        write_atomic(&self.out, self.collector.to_jsonl())?;
+        write_atomic_recorded(&self.out, self.collector.to_jsonl(), farm)?;
         farm.add(Metric::TraceSpans, self.spans);
         farm.add(Metric::TraceEdges, self.edges);
         Ok(())
@@ -552,6 +552,7 @@ pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
                                 frames_done: rep.frames_done,
                             },
                             worker.attempt + 1,
+                            farm.as_ref(),
                         )?;
                         report.checkpointed += 1;
                         if let Some(t) = tracer.as_mut() {
@@ -568,6 +569,7 @@ pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
                                 crc32: rep.artifact_crc,
                             },
                             worker.attempt + 1,
+                            farm.as_ref(),
                         )?;
                         finish_spool_file(&mut spool_file, &worker.job.id);
                         report.completed += 1;
@@ -602,6 +604,7 @@ pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
                                     culprit: failure.culprit,
                                 },
                                 worker.attempt + 1,
+                                farm.as_ref(),
                             )?;
                             finish_spool_file(&mut spool_file, &worker.job.id);
                             report.failed += 1;
@@ -629,6 +632,7 @@ pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
                         frames_done: checkpointed_frames(&r.job),
                     },
                     r.attempt,
+                    farm.as_ref(),
                 )?;
                 report.checkpointed += 1;
                 if let Some(t) = tracer.as_mut() {
@@ -723,6 +727,7 @@ fn scan_spool(
                         culprit: None,
                     },
                     0,
+                    farm,
                 )?;
                 if corrupt {
                     farm.add(Metric::IoCorruptRejected, 1);
@@ -751,6 +756,7 @@ fn scan_spool(
                                 reason: e.to_string(),
                             },
                             0,
+                            farm,
                         )?;
                         spool_file.remove(&id);
                         let _ = std::fs::remove_file(&path);

@@ -20,7 +20,7 @@
 use crate::ServeError;
 use feves_ft::ckpt::{crc32, fnv1a64};
 use feves_ft::io::backend_for;
-use feves_obs::write_atomic;
+use feves_obs::{write_atomic, write_atomic_recorded, Recorder};
 use serde::Value;
 use std::path::{Path, PathBuf};
 
@@ -386,19 +386,22 @@ pub fn quarantine(spool: &Path, path: &Path) -> Result<PathBuf, ServeError> {
     Ok(dest)
 }
 
-/// Atomically write a job's terminal state to `done/<id>.json`.
+/// Atomically write a job's terminal state to `done/<id>.json`, booking
+/// retried transient faults and disk-full events on `rec` (the farm's
+/// registry).
 pub fn write_done(
     spool: &Path,
     id: &str,
     status: &JobStatus,
     attempts: u32,
+    rec: &dyn Recorder,
 ) -> Result<PathBuf, ServeError> {
     let dir = done_dir(spool);
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{id}.json"));
     let text = serde_json::to_string_pretty(&done_record(id, status, attempts))
         .map_err(|e| ServeError::Io(e.to_string()))?;
-    write_atomic(&path, frame_control(&text))?;
+    write_atomic_recorded(&path, frame_control(&text), rec)?;
     Ok(path)
 }
 
@@ -447,6 +450,8 @@ pub fn write_job(spool: &Path, job: &JobSpec) -> Result<PathBuf, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use feves_ft::io::{inject, FaultCounts, FaultPlan, FaultyIo};
+    use feves_obs::{MemoryRecorder, Metric};
 
     #[test]
     fn spec_round_trips_through_json() {
@@ -566,6 +571,93 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_spec(&path), Err(ServeError::Corrupt(_))));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `write_done` under a [`FaultyIo`] over a fresh spool: the outcome,
+    /// the registry it was told to book on, the injector, the done dir.
+    fn write_done_under(
+        tag: &str,
+        plan: FaultPlan,
+    ) -> (
+        Result<PathBuf, ServeError>,
+        MemoryRecorder,
+        FaultCounts,
+        PathBuf,
+    ) {
+        let spool = std::env::temp_dir().join(format!(
+            "feves-done-{tag}-{}-{}",
+            plan.seed,
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&spool);
+        let faulty = std::sync::Arc::new(FaultyIo::new(plan));
+        let _scope = inject(&spool, faulty.clone());
+        let farm = MemoryRecorder::new();
+        let status = JobStatus::Completed {
+            frames: 4,
+            bytes: 152_064,
+            crc32: 0xfeed_f00d,
+        };
+        let result = write_done(&spool, "j", &status, 1, &farm);
+        (result, farm, faulty.counts(), done_dir(&spool))
+    }
+
+    fn temp_droppings(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "tmp"))
+            .collect()
+    }
+
+    #[test]
+    fn a_retried_done_record_is_committed_and_booked_on_the_farm_registry() {
+        let mut retried_and_committed = 0;
+        for seed in 1..=12 {
+            let plan = FaultPlan {
+                seed,
+                transient_eio_per_mille: 250,
+                ..Default::default()
+            };
+            let (result, farm, injected, done) = write_done_under("eio", plan);
+            // An exhausted retry budget is a typed error, not this test's
+            // subject; a commit must have booked every fault it rode out.
+            if let Ok(path) = result {
+                assert_eq!(
+                    verify_control(&std::fs::read_to_string(&path).unwrap()).unwrap(),
+                    "done record"
+                );
+                // One retry per fault drawn — bar the directory fsync after
+                // the rename, whose failure is ignored, not retried.
+                let retries = farm.counter(Metric::IoRetries);
+                let ignored = injected.transient_eio - retries;
+                assert!(ignored <= 1, "seed {seed}: {retries} of {injected:?}");
+                assert_eq!(temp_droppings(&done), Vec::<PathBuf>::new(), "seed {seed}");
+                retried_and_committed += u32::from(retries >= 1);
+            }
+            let _ = std::fs::remove_dir_all(done.parent().unwrap());
+        }
+        assert!(
+            retried_and_committed >= 1,
+            "no seed injected a fault that a retry rode out"
+        );
+    }
+
+    #[test]
+    fn a_full_disk_under_a_done_record_is_booked_once_and_leaves_no_temp() {
+        let plan = FaultPlan {
+            seed: 3,
+            enospc_per_mille: 1000,
+            ..Default::default()
+        };
+        let (result, farm, injected, done) = write_done_under("enospc", plan);
+        assert!(matches!(result, Err(ServeError::Io(_))), "{result:?}");
+        assert_eq!(injected.enospc, 1, "ENOSPC is not retried");
+        assert_eq!(farm.counter(Metric::IoEnospcEvents), 1);
+        assert_eq!(farm.counter(Metric::IoRetries), 0);
+        assert!(!done.join("j.json").exists());
+        assert_eq!(temp_droppings(&done), Vec::<PathBuf>::new());
+        let _ = std::fs::remove_dir_all(done.parent().unwrap());
     }
 
     #[test]

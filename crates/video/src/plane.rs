@@ -54,6 +54,22 @@ impl<T: Copy + Default> Plane<T> {
         }
     }
 
+    /// Build a plane with `stride == width` whose sample at `(x, y)` is
+    /// `f(x, y)`, called in raster order.
+    ///
+    /// ```
+    /// use feves_video::Plane;
+    /// let p = Plane::from_fn(4, 2, |x, y| (10 * y + x) as u8);
+    /// assert_eq!(p.row(1), [10, 11, 12, 13]);
+    /// ```
+    pub fn from_fn(width: usize, height: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
+        let data = (0..height)
+            .flat_map(|y| (0..width).map(move |x| (x, y)))
+            .map(|(x, y)| f(x, y))
+            .collect();
+        Self::from_vec(data, width, height)
+    }
+
     /// Plane width in samples.
     #[inline]
     pub fn width(&self) -> usize {

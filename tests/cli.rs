@@ -1,48 +1,14 @@
 //! Integration tests of the `feves` CLI binary (spawned as a subprocess,
 //! the way a user drives it).
 
-use std::path::PathBuf;
+mod common;
+
+use common::{feves_bin, run};
 use std::process::Command;
-
-fn feves_bin() -> PathBuf {
-    // target/<profile>/feves next to the test executable's directory.
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // <profile>/
-    p.push(format!("feves{}", std::env::consts::EXE_SUFFIX));
-    p
-}
-
-fn run(args: &[&str]) -> (bool, String, String) {
-    let out = Command::new(feves_bin())
-        .args(args)
-        .output()
-        .expect("spawn feves binary (build it with the workspace)");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
-}
 
 /// Write `frames` frames of the tiny synthetic QCIF sequence to `path`.
 fn write_qcif_input(path: &std::path::Path, frames: usize) {
-    use feves::video::y4m::{Y4mHeader, Y4mWriter};
-    use feves::video::{Resolution, SynthConfig, SynthSequence};
-    let mut synth = SynthConfig::tiny_test();
-    synth.resolution = Resolution::QCIF;
-    let mut seq = SynthSequence::new(synth);
-    let mut w = Y4mWriter::new(
-        std::io::BufWriter::new(std::fs::File::create(path).unwrap()),
-        Y4mHeader {
-            resolution: Resolution::QCIF,
-            fps: (25, 1),
-        },
-    );
-    for _ in 0..frames {
-        w.write_frame(&seq.next_frame()).unwrap();
-    }
-    w.finish().unwrap();
+    common::write_y4m(path, feves::video::SynthConfig::tiny_test(), frames);
 }
 
 #[test]

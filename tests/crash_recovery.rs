@@ -5,68 +5,16 @@
 //! and stale checkpoints must be rejected with a typed one-line error (or
 //! fall back to the previous generation when one survives).
 
+mod common;
+
+use common::{feves_bin, run_env as run, scratch, write_input};
 use std::fs;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use feves::video::synth::{SynthConfig, SynthSequence};
-use feves::video::y4m::{Y4mHeader, Y4mWriter};
-use feves::Resolution;
-
 const N_FRAMES: usize = 8;
 const EVERY: usize = 2;
-
-fn feves_bin() -> PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // <profile>/
-    p.push(format!("feves{}", std::env::consts::EXE_SUFFIX));
-    p
-}
-
-/// Fresh scratch directory for one test case.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("feves-crash-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Write a small deterministic QCIF Y4M input.
-fn write_input(path: &Path, seed: u64) {
-    let mut seq = SynthSequence::new(SynthConfig {
-        resolution: Resolution::QCIF,
-        seed,
-        objects: 4,
-        pan: (1.0, 0.5),
-        noise: 2,
-    });
-    let frames = seq.take_frames(N_FRAMES);
-    let header = Y4mHeader {
-        resolution: frames[0].resolution(),
-        fps: (25, 1),
-    };
-    let mut w = Y4mWriter::new(Vec::new(), header);
-    for f in &frames {
-        w.write_frame(f).unwrap();
-    }
-    fs::write(path, w.finish().unwrap()).unwrap();
-}
-
-fn run(args: &[&str], envs: &[(&str, &str)]) -> (bool, String, String) {
-    let mut cmd = Command::new(feves_bin());
-    cmd.args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("spawn feves binary");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
-}
 
 fn encode_args<'a>(input: &'a str, output: &'a str) -> Vec<&'a str> {
     vec![
@@ -123,7 +71,7 @@ fn crash_then_resume(dir: &Path, input: &str, crash_at: &str, extra: &[&str]) ->
 fn kill_before_every_frame_resume_is_bit_identical() {
     let dir = scratch("frames");
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED);
+    write_input(&input, 0x5EED, N_FRAMES);
     let input = input.to_str().unwrap();
     let want = baseline(&dir, input);
     // The first checkpoint lands after frame 1 (EVERY = 2), so a kill
@@ -143,7 +91,7 @@ fn kill_before_first_checkpoint_is_a_typed_error() {
     // that must be a one-line typed error, not a panic or a usage banner.
     let dir = scratch("first");
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED);
+    write_input(&input, 0x5EED, N_FRAMES);
     let input = input.to_str().unwrap();
     let out = dir.join("out.y4m");
     let out = out.to_str().unwrap().to_string();
@@ -166,7 +114,7 @@ fn kill_inside_the_checkpoint_writer_itself() {
     // two, the just-renamed one for the third) bit-identically.
     let dir = scratch("ckptwin");
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED);
+    write_input(&input, 0x5EED, N_FRAMES);
     let input = input.to_str().unwrap();
     let want = baseline(&dir, input);
     for point in ["ckpt-mid-write@2", "ckpt-temp@2", "ckpt-rename@2"] {
@@ -193,7 +141,7 @@ fn kill_inside_the_checkpoint_writer_itself() {
 fn corrupted_newest_generation_falls_back_to_previous() {
     let dir = scratch("fallback");
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED);
+    write_input(&input, 0x5EED, N_FRAMES);
     let input = input.to_str().unwrap();
     let want = baseline(&dir, input);
 
@@ -238,7 +186,7 @@ fn corrupted_newest_generation_falls_back_to_previous() {
 fn all_generations_corrupted_is_a_typed_rejection() {
     let dir = scratch("allcorrupt");
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED);
+    write_input(&input, 0x5EED, N_FRAMES);
     let input = input.to_str().unwrap();
     let out = dir.join("out.y4m");
     let out = out.to_str().unwrap().to_string();
@@ -270,7 +218,7 @@ fn all_generations_corrupted_is_a_typed_rejection() {
 fn changed_input_is_rejected_as_stale() {
     let dir = scratch("stale");
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED);
+    write_input(&input, 0x5EED, N_FRAMES);
     let input_s = input.to_str().unwrap().to_string();
     let out = dir.join("out.y4m");
     let out = out.to_str().unwrap().to_string();
@@ -281,7 +229,7 @@ fn changed_input_is_rejected_as_stale() {
     assert!(!ok);
 
     // Replace the input with a different (same-shape) sequence.
-    write_input(&input, 0xBAD5EED);
+    write_input(&input, 0xBAD5EED, N_FRAMES);
     let (ok, _, stderr) = run(&["resume", &ckdir], &[]);
     assert!(!ok, "resume over a changed input must fail");
     assert!(
@@ -300,7 +248,7 @@ fn rejected_checkpoints_keep_their_exact_error_text() {
     let cases: [(&str, Mutate, Expect); 3] = [
         (
             "input",
-            |input, _, _| write_input(input, 0xBAD5EED),
+            |input, _, _| write_input(input, 0xBAD5EED, N_FRAMES),
             |input, _, _, _, _| {
                 format!("checkpoint stale: input {input} changed since the checkpoint was taken")
             },
@@ -339,7 +287,7 @@ fn rejected_checkpoints_keep_their_exact_error_text() {
     for (tag, mutate, expected) in cases {
         let dir = scratch(&format!("reject-{tag}"));
         let input = dir.join("in.y4m");
-        write_input(&input, 0x5EED);
+        write_input(&input, 0x5EED, N_FRAMES);
         let input_s = input.to_str().unwrap().to_string();
         let out = dir.join("out.y4m");
         let out_s = out.to_str().unwrap().to_string();
@@ -374,7 +322,7 @@ fn real_sigkill_mid_encode_recovers() {
     // until a few frames are done, then SIGKILL it.
     let dir = scratch("sigkill");
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED);
+    write_input(&input, 0x5EED, N_FRAMES);
     let input = input.to_str().unwrap();
     let want = baseline(&dir, input);
 
@@ -442,7 +390,7 @@ fn chaos_seed_randomizes_the_kill_point() {
 
     let dir = scratch(&format!("seed{seed}"));
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED ^ seed);
+    write_input(&input, 0x5EED ^ seed, N_FRAMES);
     let input = input.to_str().unwrap();
     let want = baseline(&dir, input);
     let flight = dir.join("flight.jsonl");
@@ -475,7 +423,7 @@ fn pipelined_kill_before_every_frame_resume_is_bit_identical() {
     // `--pipeline on` must recover bit-identical to a lockstep baseline.
     let dir = scratch("pipeframes");
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED);
+    write_input(&input, 0x5EED, N_FRAMES);
     let input = input.to_str().unwrap();
     let want = baseline(&dir, input);
     for k in 2..N_FRAMES {
@@ -494,7 +442,7 @@ fn pipelined_resume_is_bit_identical_to_lockstep_resume() {
     let input_bytes = {
         let dir = scratch("piperesume-in");
         let input = dir.join("in.y4m");
-        write_input(&input, 0x5EED);
+        write_input(&input, 0x5EED, N_FRAMES);
         fs::read(&input).unwrap()
     };
     let mut recovered = Vec::new();
@@ -526,7 +474,7 @@ fn sigterm_mid_encode_checkpoints_and_resumes_bit_exact() {
     // bit-identically to an uninterrupted run.
     let dir = scratch("sigterm");
     let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED);
+    write_input(&input, 0x5EED, N_FRAMES);
     let input = input.to_str().unwrap();
     let want = baseline(&dir, input);
 

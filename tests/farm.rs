@@ -6,64 +6,14 @@
 //! attribution in its done record. Admission must reject above the high
 //! watermark, and a `SIGTERM` drain must exit zero with zero lost jobs.
 
+mod common;
+
+use common::{feves_bin, run, scratch, write_input};
 use std::fs;
 use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Duration;
-
-use feves::video::synth::{SynthConfig, SynthSequence};
-use feves::video::y4m::{Y4mHeader, Y4mWriter};
-use feves::Resolution;
-
-fn feves_bin() -> PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // <profile>/
-    p.push(format!("feves{}", std::env::consts::EXE_SUFFIX));
-    p
-}
-
-/// Fresh scratch directory for one test case.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("feves-farm-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Write a small deterministic QCIF Y4M input.
-fn write_input(path: &Path, seed: u64, frames: usize) {
-    let mut seq = SynthSequence::new(SynthConfig {
-        resolution: Resolution::QCIF,
-        seed,
-        objects: 4,
-        pan: (1.0, 0.5),
-        noise: 2,
-    });
-    let frames = seq.take_frames(frames);
-    let header = Y4mHeader {
-        resolution: frames[0].resolution(),
-        fps: (25, 1),
-    };
-    let mut w = Y4mWriter::new(Vec::new(), header);
-    for f in &frames {
-        w.write_frame(f).unwrap();
-    }
-    fs::write(path, w.finish().unwrap()).unwrap();
-}
-
-fn run(args: &[&str]) -> (bool, String, String) {
-    let out = Command::new(feves_bin())
-        .args(args)
-        .output()
-        .expect("spawn feves binary");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
-}
 
 /// The encode flags every job in this suite shares — both the single-session
 /// baseline and the submitted job spec must use exactly these.

@@ -60,13 +60,7 @@ impl Drop for KindGuard<'_> {
 }
 
 fn plane_from_bytes(w: usize, h: usize, bytes: &[u8]) -> Plane<u8> {
-    let mut p = Plane::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            p.set(x, y, bytes[y * w + x]);
-        }
-    }
-    p
+    Plane::from_fn(w, h, |x, y| bytes[y * w + x])
 }
 
 proptest! {
@@ -236,7 +230,7 @@ fn encode_under(
     let mut out = Vec::new();
     for f in &frames[1..] {
         let enc = encode_inter_frame(f.y(), &store, params);
-        out.push((enc.bitstream.to_vec(), enc.recon.clone()));
+        out.push((enc.bitstream, enc.recon.clone()));
         store.push(enc.recon);
     }
     out
@@ -282,6 +276,75 @@ fn encode_decode_roundtrip_is_kernel_invariant() {
             }
         }
     }
+}
+
+/// The YUV stream is one owned `Vec<u8>` from `BitWriter` to the decoder:
+/// both kernel families must write the same bytes, the syntax must decode
+/// to the fields it was written from, and re-encoding those fields must
+/// give the stream back byte for byte (which is how the modes and vectors
+/// are compared: the syntax does not carry their costs).
+#[test]
+fn yuv_stream_roundtrip_is_kernel_invariant() {
+    use feves::codec::entropy::{decode_frame_yuv, encode_frame_yuv};
+    use feves::codec::inter_loop::encode_inter_frame_yuv;
+
+    let _guard = KindGuard::take();
+    let frames = test_frames(3);
+    let params = params();
+    let mut streams: Vec<Vec<Vec<u8>>> = Vec::new();
+    for kind in [KernelKind::Scalar, KernelKind::Fast] {
+        kernels::force_kind(kind);
+        let f0 = &frames[0];
+        let intra = feves::codec::intra::encode_intra_frame(f0.y(), params.qp_intra);
+        let c0 = feves::codec::chroma::encode_chroma_intra(
+            f0.u(),
+            f0.v(),
+            f0.mb_cols(),
+            f0.mb_rows(),
+            params.qp_intra,
+        );
+        let mut store = ReferenceStore::new(params.n_ref);
+        let sf = feves::codec::interp::interpolate(&intra.recon);
+        store.push_yuv(intra.recon, sf, c0.recon_u, c0.recon_v);
+        let mut of_kind = Vec::new();
+        for (i, f) in frames[1..].iter().enumerate() {
+            let out = encode_inter_frame_yuv(f, &store, &params);
+            let (stream, bits): (Vec<u8>, u64) = encode_frame_yuv(
+                &out.luma.modes,
+                &out.luma.coeffs,
+                &out.chroma.coeffs,
+                params.qp,
+            );
+            assert_eq!(stream.len() as u64, bits.div_ceil(8), "frame {i}");
+            let (modes, coeffs, chroma, qp) =
+                decode_frame_yuv(&stream).unwrap_or_else(|e| panic!("frame {i}: {e}"));
+            assert_eq!(qp, params.qp);
+            assert_eq!(
+                coeffs, out.luma.coeffs,
+                "frame {i}: luma levels under {kind:?}"
+            );
+            assert_eq!(
+                chroma, out.chroma.coeffs,
+                "frame {i}: chroma levels under {kind:?}"
+            );
+            let (again, _) = encode_frame_yuv(&modes, &coeffs, &chroma, qp);
+            assert_eq!(again, stream, "frame {i}: re-encoded stream under {kind:?}");
+            let dec = feves::codec::decoder::decode_inter_frame_yuv(&stream, &store)
+                .unwrap_or_else(|e| panic!("frame {i}: {e}"));
+            assert_eq!(
+                dec.y, out.luma.recon,
+                "frame {i}: decoder luma under {kind:?}"
+            );
+            of_kind.push(stream);
+            let sf = feves::codec::interp::interpolate(&out.luma.recon);
+            store.push_yuv(out.luma.recon, sf, out.chroma.recon_u, out.chroma.recon_v);
+        }
+        streams.push(of_kind);
+    }
+    assert_eq!(
+        streams[0], streams[1],
+        "scalar and fast kernels wrote different streams"
+    );
 }
 
 /// Satellite 3 (robustness): corrupted CABAC streams must never panic —

@@ -26,16 +26,6 @@ const MB_COLS: usize = W / 16;
 const ROWS: RowRange = RowRange { start: 0, end: 7 };
 const QP: u8 = 28;
 
-fn plane_from_fn(f: impl Fn(usize, usize) -> u8) -> Plane<u8> {
-    let mut p = Plane::new(W, H);
-    for y in 0..H {
-        for x in 0..W {
-            p.set(x, y, f(x, y));
-        }
-    }
-    p
-}
-
 fn params() -> EncodeParams {
     EncodeParams {
         search_area: SearchArea(8),
@@ -122,8 +112,8 @@ impl Fields {
 }
 
 fn inputs() -> (Plane<u8>, Plane<u8>) {
-    let rf = plane_from_fn(|x, y| ((x * 37) ^ (y * 11)).wrapping_mul(7) as u8);
-    let cf = plane_from_fn(|x, y| {
+    let rf = Plane::from_fn(W, H, |x, y| ((x * 37) ^ (y * 11)).wrapping_mul(7) as u8);
+    let cf = Plane::from_fn(W, H, |x, y| {
         rf.get_clamped(x as isize + 2, y as isize - 1)
             .wrapping_add((x * y % 5) as u8)
     });
@@ -311,7 +301,7 @@ fn parallel_entry_points_equal_serial() {
 #[test]
 fn me_window_per_call_is_split_independent() {
     let (cf, rf) = inputs();
-    let rf2 = plane_from_fn(|x, y| ((x * 13) ^ (y * 29)) as u8);
+    let rf2 = Plane::from_fn(W, H, |x, y| ((x * 13) ^ (y * 29)) as u8);
     let rfs = [&rf, &rf2];
     let p = EncodeParams {
         search_area: SearchArea(32),

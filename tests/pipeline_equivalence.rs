@@ -8,14 +8,16 @@
 //! reconstructions under both modes, and the timing path must differ only
 //! by the recovered stall time.
 
+mod common;
+
+use common::{scratch, write_input};
 use feves::core::framework::Perturbation;
 use feves::core::prelude::*;
 use feves::ft::{FaultKind, FaultSpec};
 use feves::obs::Metric;
 use feves::serve::session::run_session;
 use feves::serve::JobSpec;
-use feves::video::y4m::{Y4mHeader, Y4mWriter};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 fn functional_config(pipeline: bool) -> EncoderConfig {
@@ -224,37 +226,10 @@ fn pipeline_metrics_fire_only_when_enabled() {
 
 // ---- farm differential ---------------------------------------------------
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("feves-pipeeq-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_input(path: &Path, n_frames: usize) {
-    let mut seq = SynthSequence::new(SynthConfig {
-        resolution: Resolution::QCIF,
-        seed: 7,
-        objects: 4,
-        pan: (1.0, 0.5),
-        noise: 2,
-    });
-    let frames = seq.take_frames(n_frames);
-    let header = Y4mHeader {
-        resolution: frames[0].resolution(),
-        fps: (25, 1),
-    };
-    let mut w = Y4mWriter::new(Vec::new(), header);
-    for f in &frames {
-        w.write_frame(f).unwrap();
-    }
-    std::fs::write(path, w.finish().unwrap()).unwrap();
-}
-
 #[test]
 fn farm_session_output_is_mode_invariant() {
     let dir = scratch("farm");
-    write_input(&dir.join("in.y4m"), 6);
+    write_input(&dir.join("in.y4m"), 7, 6);
     let mut outputs = Vec::new();
     for (tag, pipeline) in [("off", false), ("on", true)] {
         let job = JobSpec {
@@ -284,7 +259,7 @@ fn farm_session_output_is_mode_invariant() {
 #[test]
 fn chaos_killed_pipelined_farm_job_recovers_mode_invariant() {
     let dir = scratch("farmchaos");
-    write_input(&dir.join("in.y4m"), 6);
+    write_input(&dir.join("in.y4m"), 7, 6);
     let mut outputs = Vec::new();
     for (tag, pipeline) in [("off", false), ("on", true)] {
         let job = JobSpec {

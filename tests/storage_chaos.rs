@@ -14,14 +14,14 @@
 //! schedules; on failure, set `FEVES_STORAGE_ARTIFACT` to a directory and
 //! each test dumps its fault counts + done records there for upload.
 
+mod common;
+
+use common::{run as run_cli, scratch, write_input};
 use feves::ft::io::{inject, FaultPlan, FaultyIo};
 use feves::serve::farm::{self, FarmConfig};
 use feves::serve::job::{self, JobSpec};
 use feves::serve::session::{run_session, verify_artifact};
 use feves::serve::signal;
-use feves::video::geometry::Resolution;
-use feves::video::synth::{SynthConfig, SynthSequence};
-use feves::video::y4m::{Y4mHeader, Y4mWriter};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -30,37 +30,6 @@ fn io_seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1)
-}
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "feves-chaos-{name}-s{}-{}",
-        io_seed(),
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_input(path: &Path, n_frames: usize) {
-    let mut seq = SynthSequence::new(SynthConfig {
-        resolution: Resolution::QCIF,
-        seed: 11,
-        objects: 4,
-        pan: (1.0, 0.5),
-        noise: 2,
-    });
-    let frames = seq.take_frames(n_frames);
-    let header = Y4mHeader {
-        resolution: frames[0].resolution(),
-        fps: (25, 1),
-    };
-    let mut w = Y4mWriter::new(Vec::new(), header);
-    for f in &frames {
-        w.write_frame(f).unwrap();
-    }
-    std::fs::write(path, w.finish().unwrap()).unwrap();
 }
 
 fn job_spec(dir: &Path, id: &str) -> JobSpec {
@@ -160,7 +129,7 @@ fn assert_completed_verify(dir: &Path, ids: &[&str], baseline: &[u8]) {
 fn farm_under_transient_fault_schedule_loses_no_jobs() {
     signal::reset();
     let dir = scratch("farm-transient");
-    write_input(&dir.join("in.y4m"), 6);
+    write_input(&dir.join("in.y4m"), 11, 6);
     let baseline = clean_baseline(&dir);
 
     let ids = ["t0", "t1", "t2"];
@@ -209,7 +178,7 @@ fn farm_under_transient_fault_schedule_loses_no_jobs() {
 fn rotted_artifact_is_never_reported_completed() {
     signal::reset();
     let dir = scratch("rot");
-    write_input(&dir.join("in.y4m"), 6);
+    write_input(&dir.join("in.y4m"), 11, 6);
     let baseline = clean_baseline(&dir);
 
     let spec = job_spec(&dir, "rotme");
@@ -258,7 +227,7 @@ fn rotted_artifact_is_never_reported_completed() {
 fn disk_pressure_pauses_admission_and_recovers() {
     signal::reset();
     let dir = scratch("pressure");
-    write_input(&dir.join("in.y4m"), 6);
+    write_input(&dir.join("in.y4m"), 11, 6);
     let baseline = clean_baseline(&dir);
 
     let spec = job_spec(&dir, "squeezed");
@@ -297,32 +266,11 @@ fn disk_pressure_pauses_admission_and_recovers() {
     assert_eq!(std::fs::read(&spec.output).unwrap(), baseline);
 }
 
-fn feves_bin() -> PathBuf {
-    // target/<profile>/feves next to the test executable's directory.
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // <profile>/
-    p.push(format!("feves{}", std::env::consts::EXE_SUFFIX));
-    p
-}
-
-fn run_cli(args: &[&str]) -> (bool, String, String) {
-    let out = std::process::Command::new(feves_bin())
-        .args(args)
-        .output()
-        .expect("spawn feves binary (build it with the workspace)");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
-}
-
 #[test]
 fn verify_subcommand_accepts_pristine_and_rejects_corruption() {
     signal::reset();
     let dir = scratch("verify");
-    write_input(&dir.join("in.y4m"), 6);
+    write_input(&dir.join("in.y4m"), 11, 6);
 
     // Produce a pristine artifact + checkpoint dir + framed spool/done
     // control files through the real farm.
@@ -405,7 +353,7 @@ fn farm_session_restarts_from_frame_zero_on_a_rejected_checkpoint() {
     signal::reset();
     type Mutate = fn(&JobSpec);
     let cases: [(&str, Mutate); 4] = [
-        ("input", |job| write_input(Path::new(&job.input), 8)),
+        ("input", |job| write_input(Path::new(&job.input), 11, 8)),
         ("short", |job| {
             let bytes = std::fs::read(&job.output).unwrap();
             std::fs::write(&job.output, &bytes[..bytes.len() / 3]).unwrap();
@@ -428,7 +376,7 @@ fn farm_session_restarts_from_frame_zero_on_a_rejected_checkpoint() {
     let mut unchanged_input: Option<Vec<u8>> = None;
     for (tag, mutate) in cases {
         let dir = scratch(&format!("reject-{tag}"));
-        write_input(&dir.join("in.y4m"), 6);
+        write_input(&dir.join("in.y4m"), 11, 6);
         let mut spec = job_spec(&dir, tag);
         let ctl = Arc::new(feves::core::SessionCtl::new());
         let session = |spec: &JobSpec, attempt| {
@@ -476,7 +424,7 @@ fn farm_session_restarts_from_frame_zero_on_a_rejected_checkpoint() {
 fn single_session_under_faults_converges_bit_exact() {
     signal::reset();
     let dir = scratch("single");
-    write_input(&dir.join("in.y4m"), 6);
+    write_input(&dir.join("in.y4m"), 11, 6);
     let baseline = clean_baseline(&dir);
 
     let chaos = dir.join("chaos");

@@ -9,16 +9,17 @@
 //! The allocator's counters are process-wide, so the tests of this file
 //! take turns ([`serial`]).
 
+mod common;
+
+use common::{scratch, write_input};
 use feves::core::session::{self, Session, SessionError, SessionHooks};
 use feves::core::{FrameReport, ResumeContext};
 use feves::ft::io::{inject, IoBackend, IoFile, RealIo};
 use feves::serve::farm::{self, FarmConfig};
 use feves::serve::job::{self, JobSpec};
-use feves::video::synth::{SynthConfig, SynthSequence};
-use feves::video::y4m::{Y4mHeader, Y4mWriter};
 use feves::Resolution;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::{BufWriter, Read};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -79,34 +80,6 @@ const RES: Resolution = Resolution::QCIF;
 /// One input frame on disk: 4:2:0 samples (the `FRAME` line not counted).
 const FRAME_BYTES: usize = 176 * 144 * 3 / 2;
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("feves-streaming-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Write an `n`-frame QCIF clip, a frame at a time.
-fn write_input(path: &Path, n: usize) {
-    let mut seq = SynthSequence::new(SynthConfig {
-        resolution: RES,
-        seed: 5,
-        objects: 4,
-        pan: (1.0, 0.5),
-        noise: 2,
-    });
-    let header = Y4mHeader {
-        resolution: RES,
-        fps: (25, 1),
-    };
-    let file = BufWriter::new(std::fs::File::create(path).unwrap());
-    let mut w = Y4mWriter::new(file, header);
-    for _ in 0..n {
-        w.write_frame(&seq.next_frame()).unwrap();
-    }
-    w.finish().unwrap();
-}
-
 fn context(dir: &Path) -> ResumeContext {
     let at = |name: &str| dir.join(name).to_string_lossy().into_owned();
     ResumeContext {
@@ -163,7 +136,7 @@ impl SessionHooks for WatchFramePath {
 /// allocations seen on the frame path from frame `from` on.
 fn measure(n: usize, from: usize) -> (usize, usize) {
     let dir = scratch(&format!("flat-{n}"));
-    write_input(&dir.join("in.y4m"), n);
+    write_input(&dir.join("in.y4m"), 5, n);
     let ctx = context(&dir);
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
@@ -236,7 +209,7 @@ fn an_input_that_grows_under_the_encode_fails_the_session() {
     // end — when the artifact would be declared complete.
     for at in [1, 5] {
         let dir = scratch(&format!("grow-{at}"));
-        write_input(&dir.join("in.y4m"), 6);
+        write_input(&dir.join("in.y4m"), 5, 6);
         let ctx = context(&dir);
         let input = session::open_input(&ctx.input, 0).unwrap();
         let session =
@@ -292,7 +265,7 @@ fn the_farm_never_completes_a_job_whose_input_changed_under_it() {
     let _turn = serial();
     feves::serve::signal::reset();
     let dir = scratch("grow-farm");
-    write_input(&dir.join("in.y4m"), 6);
+    write_input(&dir.join("in.y4m"), 5, 6);
     let spec = JobSpec {
         id: "grown".into(),
         input: dir.join("in.y4m").to_string_lossy().into_owned(),

@@ -174,6 +174,66 @@ fn concurrent_sessions_do_not_cross_contaminate() {
     assert_eq!(db[0].residual_pct, None);
 }
 
+/// Eight producer threads against the one drain thread, through a bus small
+/// enough to overflow: every attempt is either dropped-and-counted on its
+/// own session or applied to its own session's registry — none lost, none
+/// applied twice, none in a neighbour's registry.
+#[test]
+fn eight_producers_one_drain_account_for_every_event() {
+    const PRODUCERS: u64 = 8;
+    const N: u64 = 20_000;
+    let scopes: Vec<_> = (0..PRODUCERS)
+        .map(|i| hub().session(&format!("mp-{i}")))
+        .collect();
+    let mut ctl = BusController::start(64, None);
+    for s in &scopes {
+        assert!(s.attach_bus(ctl.bus()));
+    }
+    let start = std::sync::Barrier::new(PRODUCERS as usize);
+    std::thread::scope(|t| {
+        for (i, s) in scopes.iter().enumerate() {
+            let start = &start;
+            t.spawn(move || {
+                let rec = s.recorder();
+                start.wait();
+                for _ in 0..N {
+                    // The delta names the producer, so an event applied to
+                    // the wrong registry breaks that registry's sum.
+                    rec.add(Metric::FramesEncoded, i as u64 + 1);
+                }
+            });
+        }
+    });
+    let bus = ctl.bus();
+    ctl.stop();
+    let stats = bus.stats();
+    assert_eq!(stats.depth, 0);
+    assert_eq!(stats.drained, stats.published);
+    let (mut applied, mut dropped, mut self_metered, mut bus_events) = (0, 0, 0, 0);
+    for (i, s) in scopes.iter().enumerate() {
+        let m = s.metrics();
+        let sum = m.counter(Metric::FramesEncoded);
+        assert_eq!(
+            sum % (i as u64 + 1),
+            0,
+            "session {i} holds a neighbour's event"
+        );
+        let landed = sum / (i as u64 + 1);
+        assert_eq!(landed + s.dropped_events(), N, "session {i}");
+        applied += landed;
+        dropped += s.dropped_events();
+        self_metered += m.histogram(Metric::ObsBusEnqueueNs).count();
+        bus_events += m.counter(Metric::ObsBusEvents);
+    }
+    assert_eq!(applied + dropped, PRODUCERS * N);
+    // The bus's own books agree: what it accepted is what the sessions
+    // received (their events plus the sampled self-metering ones), and it
+    // rejected at least what the sessions were told.
+    assert_eq!(stats.published, applied + self_metered);
+    assert_eq!(stats.published, bus_events);
+    assert!(stats.dropped >= dropped);
+}
+
 // ---- Golden snapshot schema ----
 
 /// Collect every leaf key path of `v`, arrays generalized to `[]`.

@@ -18,10 +18,12 @@
 //! UPDATE_GOLDEN=1 cargo test --test trace
 //! ```
 
+mod common;
+
+use common::{run, scratch, write_input};
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,56 +36,8 @@ use feves::obs::{
     TraceCollector, TraceCtx, TraceLog, TraceSink,
 };
 use feves::video::synth::{SynthConfig, SynthSequence};
-use feves::video::y4m::{Y4mHeader, Y4mWriter};
 use proptest::prelude::*;
 use serde::Value;
-
-fn feves_bin() -> PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // <profile>/
-    p.push(format!("feves{}", std::env::consts::EXE_SUFFIX));
-    p
-}
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("feves-trace-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn write_input(path: &Path, seed: u64, frames: usize) {
-    let mut seq = SynthSequence::new(SynthConfig {
-        resolution: Resolution::QCIF,
-        seed,
-        objects: 4,
-        pan: (1.0, 0.5),
-        noise: 2,
-    });
-    let frames = seq.take_frames(frames);
-    let header = Y4mHeader {
-        resolution: frames[0].resolution(),
-        fps: (25, 1),
-    };
-    let mut w = Y4mWriter::new(Vec::new(), header);
-    for f in &frames {
-        w.write_frame(f).unwrap();
-    }
-    fs::write(path, w.finish().unwrap()).unwrap();
-}
-
-fn run(args: &[&str]) -> (bool, String, String) {
-    let out = Command::new(feves_bin())
-        .args(args)
-        .output()
-        .expect("spawn feves binary");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
-}
 
 const COMMON: &[&str] = &["--platform", "syshk", "--sa", "16", "--refs", "2"];
 
