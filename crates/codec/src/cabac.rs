@@ -1,7 +1,8 @@
 //! CABAC-style adaptive binary arithmetic coding — the H.264 Main-profile
 //! entropy backend, here built from first principles: a carry-less binary
-//! range coder plus adaptive per-context probability models, with the same
-//! frame syntax as the Exp-Golomb coder of [`crate::entropy`].
+//! range coder plus adaptive per-context probability models. It binarises
+//! the same frame syntax as the Exp-Golomb coder of [`crate::entropy`]: both
+//! are symbol coders under the one frame walk of `crate::syntax`.
 //!
 //! The paper's Baseline-profile evaluation uses CAVLC-class coding (our
 //! [`crate::entropy`] module); this module is the natural Main-profile
@@ -11,11 +12,12 @@
 //! tests assert.
 
 use crate::chroma::{ChromaField, MbChromaCoeffs};
-use crate::entropy::{DecodeError, MvPredictor, ZIGZAG_4X4};
-use crate::mc::{MbMode, ModeField};
+use crate::entropy::{DecodeError, ZIGZAG_4X4};
+use crate::mc::ModeField;
+use crate::quant::has_coefficients;
 use crate::recon::{CoeffField, MbCoeffs};
-use crate::sme::SmeBlockMv;
-use crate::types::{QpelMv, ALL_PARTITION_MODES};
+pub use crate::syntax::EntropyBackend;
+use crate::syntax::{self, read_frame, write_frame, FrameHeader, SymbolReader, SymbolWriter};
 
 const PROB_BITS: u32 = 12;
 const PROB_ONE: u16 = 1 << PROB_BITS;
@@ -24,7 +26,7 @@ const TOP: u32 = 1 << 24;
 
 /// An adaptive binary probability model (probability that the bit is 0).
 #[derive(Clone, Copy, Debug)]
-pub struct Context(u16);
+struct Context(u16);
 
 impl Default for Context {
     fn default() -> Self {
@@ -45,7 +47,7 @@ impl Context {
 }
 
 /// Carry-less binary range encoder (LZMA-style renormalization).
-pub struct ArithEncoder {
+struct ArithEncoder {
     low: u64,
     range: u32,
     cache: u8,
@@ -53,15 +55,9 @@ pub struct ArithEncoder {
     out: Vec<u8>,
 }
 
-impl Default for ArithEncoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ArithEncoder {
     /// Fresh encoder.
-    pub fn new() -> Self {
+    fn new() -> Self {
         ArithEncoder {
             low: 0,
             range: u32::MAX,
@@ -91,39 +87,33 @@ impl ArithEncoder {
         self.low = (self.low << 8) & 0xFFFF_FFFF;
     }
 
-    /// Encode one bit under the adaptive `ctx`.
-    pub fn encode(&mut self, ctx: &mut Context, bit: bool) {
-        let bound = (self.range >> PROB_BITS) * ctx.0 as u32;
+    /// Narrow the interval to the side of `bound` that `bit` names.
+    fn split(&mut self, bound: u32, bit: bool) {
         if !bit {
             self.range = bound;
         } else {
             self.low += bound as u64;
             self.range -= bound;
         }
-        ctx.update(bit);
         while self.range < TOP {
             self.range <<= 8;
             self.shift_low();
         }
+    }
+
+    /// Encode one bit under the adaptive `ctx`.
+    fn encode(&mut self, ctx: &mut Context, bit: bool) {
+        self.split((self.range >> PROB_BITS) * ctx.0 as u32, bit);
+        ctx.update(bit);
     }
 
     /// Encode one equiprobable ("bypass") bit.
-    pub fn encode_bypass(&mut self, bit: bool) {
-        let bound = self.range >> 1;
-        if !bit {
-            self.range = bound;
-        } else {
-            self.low += bound as u64;
-            self.range -= bound;
-        }
-        while self.range < TOP {
-            self.range <<= 8;
-            self.shift_low();
-        }
+    fn encode_bypass(&mut self, bit: bool) {
+        self.split(self.range >> 1, bit);
     }
 
     /// Flush and return the byte stream.
-    pub fn finish(mut self) -> Vec<u8> {
+    fn finish(mut self) -> Vec<u8> {
         for _ in 0..5 {
             self.shift_low();
         }
@@ -132,7 +122,7 @@ impl ArithEncoder {
 }
 
 /// The matching range decoder.
-pub struct ArithDecoder<'a> {
+struct ArithDecoder<'a> {
     code: u32,
     range: u32,
     data: &'a [u8],
@@ -141,7 +131,7 @@ pub struct ArithDecoder<'a> {
 
 impl<'a> ArithDecoder<'a> {
     /// Wrap a byte stream produced by [`ArithEncoder::finish`].
-    pub fn new(data: &'a [u8]) -> Result<Self, DecodeError> {
+    fn new(data: &'a [u8]) -> Result<Self, DecodeError> {
         if data.is_empty() {
             return Err(DecodeError("empty arithmetic stream".into()));
         }
@@ -163,18 +153,15 @@ impl<'a> ArithDecoder<'a> {
         b as u32
     }
 
-    /// Decode one bit under the adaptive `ctx`.
-    pub fn decode(&mut self, ctx: &mut Context) -> bool {
-        let bound = (self.range >> PROB_BITS) * ctx.0 as u32;
-        let bit = if self.code < bound {
+    /// Which side of `bound` the code value lies on; narrows to it.
+    fn split(&mut self, bound: u32) -> bool {
+        let bit = self.code >= bound;
+        if !bit {
             self.range = bound;
-            false
         } else {
             self.code -= bound;
             self.range -= bound;
-            true
-        };
-        ctx.update(bit);
+        }
         while self.range < TOP {
             self.range <<= 8;
             self.code = (self.code << 8) | self.next_byte();
@@ -182,22 +169,16 @@ impl<'a> ArithDecoder<'a> {
         bit
     }
 
-    /// Decode one bypass bit.
-    pub fn decode_bypass(&mut self) -> bool {
-        let bound = self.range >> 1;
-        let bit = if self.code < bound {
-            self.range = bound;
-            false
-        } else {
-            self.code -= bound;
-            self.range -= bound;
-            true
-        };
-        while self.range < TOP {
-            self.range <<= 8;
-            self.code = (self.code << 8) | self.next_byte();
-        }
+    /// Decode one bit under the adaptive `ctx`.
+    fn decode(&mut self, ctx: &mut Context) -> bool {
+        let bit = self.split((self.range >> PROB_BITS) * ctx.0 as u32);
+        ctx.update(bit);
         bit
+    }
+
+    /// Decode one bypass bit.
+    fn decode_bypass(&mut self) -> bool {
+        self.split(self.range >> 1)
     }
 }
 
@@ -243,7 +224,8 @@ fn decode_uval(d: &mut ArithDecoder<'_>, ctxs: &mut [Context]) -> Result<u32, De
     let mut n = 0u32;
     while d.decode_bypass() {
         n += 1;
-        if n > 40 {
+        // A longer prefix names a value no u32 holds.
+        if n > 31 {
             return Err(DecodeError("arithmetic EG prefix too long".into()));
         }
     }
@@ -251,7 +233,9 @@ fn decode_uval(d: &mut ArithDecoder<'_>, ctxs: &mut [Context]) -> Result<u32, De
     for _ in 0..n {
         v = (v << 1) | d.decode_bypass() as u32;
     }
-    Ok(k + v - 1)
+    (k - 1)
+        .checked_add(v)
+        .ok_or_else(|| DecodeError("arithmetic EG value leaves u32".into()))
 }
 
 fn encode_sval(e: &mut ArithEncoder, ctxs: &mut [Context], v: i32) {
@@ -262,131 +246,177 @@ fn encode_sval(e: &mut ArithEncoder, ctxs: &mut [Context], v: i32) {
 }
 
 fn decode_sval(d: &mut ArithDecoder<'_>, ctxs: &mut [Context]) -> Result<i32, DecodeError> {
-    let mag = decode_uval(d, ctxs)? as i32;
-    if mag == 0 {
-        return Ok(0);
-    }
-    Ok(if d.decode_bypass() { -mag } else { mag })
+    let mag = i64::from(decode_uval(d, ctxs)?);
+    let v = if mag != 0 && d.decode_bypass() {
+        -mag
+    } else {
+        mag
+    };
+    i32::try_from(v).map_err(|_| DecodeError(format!("signed value {v} leaves i32")))
 }
 
-// ---- Frame syntax ------------------------------------------------------
+// ---- Symbol coders -----------------------------------------------------
 
 /// The adaptive context set for one frame.
+#[derive(Default)]
 struct Models {
-    mode: Vec<Context>,
-    rf: Vec<Context>,
-    mvd_x: Vec<Context>,
-    mvd_y: Vec<Context>,
-    coded_block: Vec<Context>, // [luma, chroma]
-    sig: Vec<Context>,         // per zigzag position
-    level: Vec<Context>,
+    mode: [Context; 6],
+    rf: [Context; 4],
+    mvd_x: [Context; 9],
+    mvd_y: [Context; 9],
+    coded_block: [Context; 2], // [luma, chroma]
+    sig: [Context; 16],        // per zigzag position
+    level: [Context; 8],
 }
 
-impl Models {
-    fn new() -> Self {
-        Models {
-            mode: vec![Context::default(); 6],
-            rf: vec![Context::default(); 4],
-            mvd_x: vec![Context::default(); 9],
-            mvd_y: vec![Context::default(); 9],
-            coded_block: vec![Context::default(); 2],
-            sig: vec![Context::default(); 16],
-            level: vec![Context::default(); 8],
+/// Width of each header field — dimensions, QP, `has_chroma` — in bypass bits.
+const HEADER_FIELD_BITS: u32 = 16;
+
+/// The arithmetic-coded binarisation of the frame syntax: a bypass header,
+/// truncated-unary + Exp-Golomb values under per-class contexts, and per 4×4
+/// block a coded flag, a significance flag per zigzag position, and the
+/// level magnitudes.
+struct CabacWriter {
+    e: ArithEncoder,
+    m: Models,
+}
+
+impl CabacWriter {
+    fn block(&mut self, levels: &[i16; 16], chroma: bool) {
+        let (e, m) = (&mut self.e, &mut self.m);
+        let any = has_coefficients(levels);
+        e.encode(&mut m.coded_block[usize::from(chroma)], any);
+        if !any {
+            return;
+        }
+        for (pos, v) in ZIGZAG_4X4.map(|i| levels[i]).into_iter().enumerate() {
+            e.encode(&mut m.sig[pos], v != 0);
+            if v != 0 {
+                encode_uval(e, &mut m.level, (v.unsigned_abs() - 1) as u32);
+                e.encode_bypass(v < 0);
+            }
         }
     }
 }
 
-fn code_block(e: &mut ArithEncoder, m: &mut Models, levels: &[i16; 16], chroma: bool) {
-    let scanned: Vec<i16> = ZIGZAG_4X4.iter().map(|&i| levels[i]).collect();
-    let any = scanned.iter().any(|&v| v != 0);
-    let cbf = usize::from(chroma);
-    e.encode(&mut m.coded_block[cbf], any);
-    if !any {
-        return;
-    }
-    for (pos, &v) in scanned.iter().enumerate() {
-        e.encode(&mut m.sig[pos], v != 0);
-        if v != 0 {
-            encode_uval(e, &mut m.level, (v.unsigned_abs() - 1) as u32);
-            e.encode_bypass(v < 0);
+impl SymbolWriter for CabacWriter {
+    fn header(&mut self, h: &FrameHeader) {
+        for v in [h.mb_cols, h.mb_rows, h.qp, h.has_chroma as u32] {
+            for i in (0..HEADER_FIELD_BITS).rev() {
+                self.e.encode_bypass((v >> i) & 1 == 1);
+            }
         }
+    }
+
+    fn mode(&mut self, index: u32) {
+        encode_uval(&mut self.e, &mut self.m.mode, index);
+    }
+
+    fn motion(&mut self, rf: u8, dx: i32, dy: i32) {
+        encode_uval(&mut self.e, &mut self.m.rf, rf as u32);
+        encode_sval(&mut self.e, &mut self.m.mvd_x, dx);
+        encode_sval(&mut self.e, &mut self.m.mvd_y, dy);
+    }
+
+    fn luma(&mut self, c: &MbCoeffs) {
+        for blk in &c.blocks {
+            self.block(blk, false);
+        }
+    }
+
+    fn chroma(&mut self, c: &MbChromaCoeffs) {
+        for blk in c.cb.iter().chain(&c.cr) {
+            self.block(blk, true);
+        }
+    }
+
+    fn finish(self) -> (Vec<u8>, u64) {
+        let bytes = self.e.finish();
+        let bits = bytes.len() as u64 * 8;
+        (bytes, bits)
     }
 }
 
-fn decode_block(
-    d: &mut ArithDecoder<'_>,
-    m: &mut Models,
-    chroma: bool,
-) -> Result<[i16; 16], DecodeError> {
-    let cbf = usize::from(chroma);
-    let mut out = [0i16; 16];
-    if !d.decode(&mut m.coded_block[cbf]) {
-        return Ok(out);
-    }
-    for pos in 0..16 {
-        if d.decode(&mut m.sig[pos]) {
-            let mag1 = decode_uval(d, &mut m.level)? as i32;
-            let neg = d.decode_bypass();
-            let mag = mag1 + 1;
-            out[ZIGZAG_4X4[pos]] = if neg { -mag as i16 } else { mag as i16 };
-        }
-    }
-    Ok(out)
+/// Reads what [`CabacWriter`] wrote.
+struct CabacReader<'a> {
+    d: ArithDecoder<'a>,
+    m: Models,
 }
 
-/// Encode a full YUV frame with adaptive arithmetic coding; returns the
-/// stream and its exact bit count.
+impl CabacReader<'_> {
+    fn block(&mut self, chroma: bool) -> Result<[i16; 16], DecodeError> {
+        let (d, m) = (&mut self.d, &mut self.m);
+        let mut out = [0i16; 16];
+        if !d.decode(&mut m.coded_block[usize::from(chroma)]) {
+            return Ok(out);
+        }
+        for pos in 0..16 {
+            if d.decode(&mut m.sig[pos]) {
+                let mag = i64::from(decode_uval(d, &mut m.level)?) + 1;
+                let level = if d.decode_bypass() { -mag } else { mag };
+                out[ZIGZAG_4X4[pos]] = syntax::level(level)?;
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl SymbolReader for CabacReader<'_> {
+    fn header(&mut self) -> Result<FrameHeader, DecodeError> {
+        let mut field =
+            || (0..HEADER_FIELD_BITS).fold(0, |v, _| v << 1 | self.d.decode_bypass() as u32);
+        Ok(FrameHeader {
+            mb_cols: field(),
+            mb_rows: field(),
+            qp: field(),
+            has_chroma: field() != 0,
+        })
+    }
+
+    fn mode(&mut self) -> Result<u32, DecodeError> {
+        decode_uval(&mut self.d, &mut self.m.mode)
+    }
+
+    fn motion(&mut self) -> Result<(u32, i32, i32), DecodeError> {
+        Ok((
+            decode_uval(&mut self.d, &mut self.m.rf)?,
+            decode_sval(&mut self.d, &mut self.m.mvd_x)?,
+            decode_sval(&mut self.d, &mut self.m.mvd_y)?,
+        ))
+    }
+
+    fn luma(&mut self) -> Result<MbCoeffs, DecodeError> {
+        let mut c = MbCoeffs::default();
+        for (b, blk) in c.blocks.iter_mut().enumerate() {
+            *blk = self.block(false)?;
+            c.coded_mask |= u16::from(has_coefficients(blk)) << b;
+        }
+        Ok(c)
+    }
+
+    fn chroma(&mut self) -> Result<MbChromaCoeffs, DecodeError> {
+        let mut c = MbChromaCoeffs::default();
+        for (b, blk) in c.cb.iter_mut().chain(&mut c.cr).enumerate() {
+            *blk = self.block(true)?;
+            c.coded_mask |= u8::from(has_coefficients(blk)) << b;
+        }
+        Ok(c)
+    }
+}
+
+/// Encode a frame with adaptive arithmetic coding — a YUV stream when
+/// `chroma` is given; returns the stream and its exact bit count.
 pub fn encode_frame_cabac(
     modes: &ModeField,
     coeffs: &CoeffField,
     chroma: Option<&ChromaField>,
     qp: u8,
 ) -> (Vec<u8>, u64) {
-    let mut e = ArithEncoder::new();
-    let mut m = Models::new();
-    // Plain header bits (dimensions + qp) via bypass.
-    for v in [
-        modes.mb_cols() as u32,
-        modes.mb_rows() as u32,
-        qp as u32,
-        chroma.is_some() as u32,
-    ] {
-        for i in (0..16).rev() {
-            e.encode_bypass((v >> i) & 1 == 1);
-        }
-    }
-    let mut pred = MvPredictor::new(modes.mb_cols(), modes.mb_rows());
-    for mby in 0..modes.mb_rows() {
-        for mbx in 0..modes.mb_cols() {
-            let mb = modes.mb(mbx, mby);
-            encode_uval(&mut e, &mut m.mode, mb.mode.index() as u32);
-            let (pw, ph) = mb.mode.dims();
-            let (w4, h4) = (pw / 4, ph / 4);
-            for i in 0..mb.mode.count() {
-                let blk = &mb.mvs[i];
-                let (ox, oy) = mb.mode.offset(i);
-                let (x4, y4) = (mbx * 4 + ox / 4, mby * 4 + oy / 4);
-                let p = pred.predict(x4, y4, w4);
-                encode_uval(&mut e, &mut m.rf, blk.rf as u32);
-                encode_sval(&mut e, &mut m.mvd_x, (blk.mv.x - p.x) as i32);
-                encode_sval(&mut e, &mut m.mvd_y, (blk.mv.y - p.y) as i32);
-                pred.record(x4, y4, w4, h4, blk.mv);
-            }
-            let c = coeffs.mb(mbx, mby);
-            for blk in &c.blocks {
-                code_block(&mut e, &mut m, blk, false);
-            }
-            if let Some(ch) = chroma {
-                let cm = ch.mb(mbx, mby);
-                for blk in cm.cb.iter().chain(cm.cr.iter()) {
-                    code_block(&mut e, &mut m, blk, true);
-                }
-            }
-        }
-    }
-    let bytes = e.finish();
-    let bits = bytes.len() as u64 * 8;
-    (bytes, bits)
+    let w = CabacWriter {
+        e: ArithEncoder::new(),
+        m: Models::default(),
+    };
+    write_frame(w, modes, coeffs, chroma, qp)
 }
 
 /// Decode a stream produced by [`encode_frame_cabac`].
@@ -394,91 +424,18 @@ pub fn encode_frame_cabac(
 pub fn decode_frame_cabac(
     data: &[u8],
 ) -> Result<(ModeField, CoeffField, Option<ChromaField>, u8), DecodeError> {
-    let mut d = ArithDecoder::new(data)?;
-    let mut m = Models::new();
-    let mut hdr = [0u32; 4];
-    for h in hdr.iter_mut() {
-        let mut v = 0u32;
-        for _ in 0..16 {
-            v = (v << 1) | d.decode_bypass() as u32;
-        }
-        *h = v;
-    }
-    let (mb_cols, mb_rows, qp, has_chroma) =
-        (hdr[0] as usize, hdr[1] as usize, hdr[2] as u8, hdr[3] != 0);
-    if mb_cols == 0 || mb_rows == 0 || mb_cols > 1024 || mb_rows > 1024 {
-        return Err(DecodeError(format!("bad dimensions {mb_cols}x{mb_rows}")));
-    }
-    let mut modes = ModeField::new(mb_cols, mb_rows);
-    let mut coeffs = CoeffField::new(mb_cols, mb_rows);
-    let mut chroma = if has_chroma {
-        Some(ChromaField::new(mb_cols, mb_rows))
-    } else {
-        None
-    };
-    let mut pred = MvPredictor::new(mb_cols, mb_rows);
-    for mby in 0..mb_rows {
-        for mbx in 0..mb_cols {
-            let mode_idx = decode_uval(&mut d, &mut m.mode)? as usize;
-            let mode = *ALL_PARTITION_MODES
-                .get(mode_idx)
-                .ok_or_else(|| DecodeError(format!("bad mode {mode_idx}")))?;
-            let (pw, ph) = mode.dims();
-            let (w4, h4) = (pw / 4, ph / 4);
-            let mut mvs = [SmeBlockMv::default(); 16];
-            for (i, slot) in mvs.iter_mut().enumerate().take(mode.count()) {
-                let (ox, oy) = mode.offset(i);
-                let (x4, y4) = (mbx * 4 + ox / 4, mby * 4 + oy / 4);
-                let p = pred.predict(x4, y4, w4);
-                let rf = decode_uval(&mut d, &mut m.rf)? as u8;
-                let dx = decode_sval(&mut d, &mut m.mvd_x)? as i16;
-                let dy = decode_sval(&mut d, &mut m.mvd_y)? as i16;
-                let mv = QpelMv::new(p.x + dx, p.y + dy);
-                *slot = SmeBlockMv { rf, mv, cost: 0 };
-                pred.record(x4, y4, w4, h4, mv);
-            }
-            *modes.mb_mut(mbx, mby) = MbMode { mode, mvs, cost: 0 };
-            let mut mc = MbCoeffs::default();
-            for (b, blk) in mc.blocks.iter_mut().enumerate() {
-                *blk = decode_block(&mut d, &mut m, false)?;
-                if blk.iter().any(|&v| v != 0) {
-                    mc.coded_mask |= 1 << b;
-                }
-            }
-            *coeffs.mb_mut(mbx, mby) = mc;
-            if let Some(ch) = chroma.as_mut() {
-                let mut cm = MbChromaCoeffs::default();
-                for b in 0..4 {
-                    cm.cb[b] = decode_block(&mut d, &mut m, true)?;
-                    if cm.cb[b].iter().any(|&v| v != 0) {
-                        cm.coded_mask |= 1 << b;
-                    }
-                }
-                for b in 0..4 {
-                    cm.cr[b] = decode_block(&mut d, &mut m, true)?;
-                    if cm.cr[b].iter().any(|&v| v != 0) {
-                        cm.coded_mask |= 1 << (b + 4);
-                    }
-                }
-                *ch.mb_mut(mbx, mby) = cm;
-            }
-        }
-    }
-    Ok((modes, coeffs, chroma, qp))
-}
-
-/// Which entropy backend a stream uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EntropyBackend {
-    /// Static Exp-Golomb / run-level (Baseline-profile class).
-    ExpGolomb,
-    /// Adaptive binary arithmetic coding (Main-profile class).
-    Cabac,
+    read_frame(CabacReader {
+        d: ArithDecoder::new(data)?,
+        m: Models::default(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mc::MbMode;
+    use crate::sme::SmeBlockMv;
+    use crate::types::{QpelMv, ALL_PARTITION_MODES};
 
     #[test]
     fn raw_coder_roundtrips_random_bits() {
@@ -543,6 +500,30 @@ mod tests {
         for &v in &signed {
             assert_eq!(decode_sval(&mut d, &mut cs).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn escape_value_no_u32_holds_is_an_error() {
+        // Four saturated contexts, then a bypass Exp-Golomb escape of
+        // `prefix` one-bits and a suffix of `ones` one-bits, zero-padded.
+        let escape = |prefix: usize, ones: usize| {
+            let mut e = ArithEncoder::new();
+            for c in [Context::default(); 4].iter_mut() {
+                e.encode(c, true);
+            }
+            let suffix = (0..prefix).map(|i| i < ones);
+            for bit in (0..prefix).map(|_| true).chain([false]).chain(suffix) {
+                e.encode_bypass(bit);
+            }
+            let bytes = e.finish();
+            let mut d = ArithDecoder::new(&bytes).unwrap();
+            decode_uval(&mut d, &mut [Context::default(); 4])
+        };
+        // 4 + 0xFFFF_FFFC − 1 is the largest value; each case past it was an
+        // overflow panic in debug builds before the checks.
+        assert_eq!(escape(31, 29), Ok(u32::MAX));
+        assert!(escape(31, 30).is_err());
+        assert!(escape(35, 35).is_err());
     }
 
     fn synthetic_fields(mb_cols: usize, mb_rows: usize) -> (ModeField, CoeffField, ChromaField) {
@@ -627,14 +608,5 @@ mod tests {
             (cb_bits as f64) < eg_bits as f64 * 0.95,
             "CABAC {cb_bits} should beat Exp-Golomb {eg_bits} by >5%"
         );
-    }
-
-    #[test]
-    fn truncated_stream_fails_cleanly() {
-        let (modes, coeffs, _) = synthetic_fields(3, 3);
-        let (bytes, _) = encode_frame_cabac(&modes, &coeffs, None, 30);
-        // Heavy truncation: must error or decode garbage, never panic.
-        let _ = decode_frame_cabac(&bytes[..2.min(bytes.len())]);
-        let _ = decode_frame_cabac(&[0u8; 1]);
     }
 }

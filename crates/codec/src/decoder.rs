@@ -11,12 +11,13 @@
 
 use crate::chroma::{chroma_qp, predict_chroma_block, ChromaField};
 use crate::dbl::deblock_frame;
-use crate::entropy::{decode_frame, decode_frame_yuv, DecodeError};
+use crate::entropy::{self, DecodeError};
 use crate::inter_loop::ReferenceStore;
 use crate::mc::{predict_mb, ModeField};
 use crate::quant::itq_block;
 use crate::recon::CoeffField;
-use feves_video::geometry::MB_SIZE;
+use crate::syntax::FrameSyntax;
+use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
 
 /// A decoded inter frame.
@@ -145,18 +146,47 @@ fn reconstruct_chroma(
     Some((out_u, out_v))
 }
 
+/// Rebuild the pixels of decoded syntax — after checking what only the
+/// reference store can decide about it: that the frame has the references'
+/// geometry and that every partition names a reference the store holds.
+fn reconstruct(
+    (modes, coeffs, chroma, qp): FrameSyntax,
+    store: &ReferenceStore,
+) -> Result<DecodedFrame, DecodeError> {
+    if store.is_empty() {
+        return Err(DecodeError("no reference frame to decode against".into()));
+    }
+    let sf = &store.entry(0).sf;
+    let (cols, rows) = (modes.mb_cols(), modes.mb_rows());
+    if (cols * MB_SIZE, rows * MB_SIZE) != (sf.width(), sf.height()) {
+        return Err(DecodeError(format!(
+            "stream is {cols}x{rows} macroblocks, the references are {}x{} pixels",
+            sf.width(),
+            sf.height()
+        )));
+    }
+    let coded = modes.rows(RowRange::new(0, rows)).iter();
+    if let Some(blk) = coded
+        .flat_map(|m| &m.mvs[..m.mode.count()])
+        .find(|blk| blk.rf as usize >= store.len())
+    {
+        return Err(DecodeError(format!(
+            "reference index {} with {} references held",
+            blk.rf,
+            store.len()
+        )));
+    }
+    let y = reconstruct_luma(&modes, &coeffs, store, qp);
+    let chroma = chroma.and_then(|c| reconstruct_chroma(&modes, &c, store, qp));
+    Ok(DecodedFrame { y, chroma, qp })
+}
+
 /// Decode a luma-only stream written by [`crate::entropy::encode_frame`].
 pub fn decode_inter_frame(
     bitstream: &[u8],
     store: &ReferenceStore,
 ) -> Result<DecodedFrame, DecodeError> {
-    let (modes, coeffs, qp) = decode_frame(bitstream)?;
-    let y = reconstruct_luma(&modes, &coeffs, store, qp);
-    Ok(DecodedFrame {
-        y,
-        chroma: None,
-        qp,
-    })
+    reconstruct(entropy::read(bitstream, false)?, store)
 }
 
 /// Decode a YUV stream written by [`crate::entropy::encode_frame_yuv`].
@@ -164,15 +194,13 @@ pub fn decode_inter_frame_yuv(
     bitstream: &[u8],
     store: &ReferenceStore,
 ) -> Result<DecodedFrame, DecodeError> {
-    let (modes, coeffs, chroma, qp) = decode_frame_yuv(bitstream)?;
-    let y = reconstruct_luma(&modes, &coeffs, store, qp);
-    let chroma = reconstruct_chroma(&modes, &chroma, store, qp);
-    Ok(DecodedFrame { y, chroma, qp })
+    reconstruct(entropy::read(bitstream, true)?, store)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entropy::{decode_frame, encode_frame, encode_frame_yuv};
     use crate::inter_loop::{encode_inter_frame, encode_inter_frame_yuv};
     use crate::interp::interpolate;
     use crate::types::{EncodeParams, SearchArea};
@@ -227,7 +255,7 @@ mod tests {
         store.push_yuv(intra.recon, sf, chroma0.recon_u, chroma0.recon_v);
         for f in &frames[1..] {
             let out = encode_inter_frame_yuv(f, &store, &params);
-            let (stream, _) = crate::entropy::encode_frame_yuv(
+            let (stream, _) = encode_frame_yuv(
                 &out.luma.modes,
                 &out.luma.coeffs,
                 &out.chroma.coeffs,
@@ -243,8 +271,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupted_stream_does_not_panic() {
+    /// QCIF intra reference plus the first P-frame coded against it.
+    fn coded_qcif_frame() -> (crate::inter_loop::InterFrameOutput, ReferenceStore) {
         let mut cfg = SynthConfig::tiny_test();
         cfg.resolution = feves_video::geometry::Resolution::QCIF;
         let frames = SynthSequence::new(cfg).take_frames(2);
@@ -252,12 +280,69 @@ mod tests {
         let intra = crate::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
         let mut store = ReferenceStore::new(params.n_ref);
         store.push(intra.recon);
-        let out = encode_inter_frame(frames[1].y(), &store, &params);
-        let mut corrupted = out.bitstream.to_vec();
-        for i in (0..corrupted.len()).step_by(7) {
-            corrupted[i] ^= 0xA5;
+        (encode_inter_frame(frames[1].y(), &store, &params), store)
+    }
+
+    fn rejection(stream: &[u8], store: &ReferenceStore) -> String {
+        decode_inter_frame(stream, store)
+            .expect_err("stream must be rejected")
+            .0
+    }
+
+    // The four tests below each run the repo's own writer on a field the
+    // decoder cannot reconstruct from; each panicked before the checks.
+
+    #[test]
+    fn reference_index_beyond_the_store_is_rejected() {
+        let (mut out, store) = coded_qcif_frame();
+        // Held by no store of one reference, but within the codec's bound.
+        out.modes.mb_mut(3, 2).mvs[0].rf = 1;
+        let (stream, _) = encode_frame(&out.modes, &out.coeffs, 28);
+        assert!(rejection(&stream, &store).contains("reference index 1 with 1 references"));
+        // Beyond the bound: the reader itself refuses.
+        out.modes.mb_mut(3, 2).mvs[0].rf = 16;
+        let (stream, _) = encode_frame(&out.modes, &out.coeffs, 28);
+        assert!(decode_frame(&stream).is_err());
+    }
+
+    #[test]
+    fn stream_geometry_other_than_the_references_is_rejected() {
+        let (_, store) = coded_qcif_frame();
+        for (cols, rows) in [(2, 2), (11, 10), (12, 9)] {
+            let (modes, coeffs) = (ModeField::new(cols, rows), CoeffField::new(cols, rows));
+            let (stream, _) = encode_frame(&modes, &coeffs, 28);
+            assert!(rejection(&stream, &store).contains("macroblocks"));
+            let (stream, _) = encode_frame_yuv(&modes, &coeffs, &ChromaField::new(cols, rows), 28);
+            assert!(decode_inter_frame_yuv(&stream, &store).is_err());
         }
-        let _ = decode_inter_frame(&corrupted, &store); // Err or garbage, no panic
-        let _ = decode_inter_frame(&corrupted[..3.min(corrupted.len())], &store);
+    }
+
+    #[test]
+    fn qp_beyond_51_is_rejected() {
+        let (out, store) = coded_qcif_frame();
+        for qp in [52, 200] {
+            let (stream, _) = encode_frame(&out.modes, &out.coeffs, qp);
+            assert!(rejection(&stream, &store).contains("qp"));
+        }
+    }
+
+    #[test]
+    fn vector_difference_leaving_i16_is_rejected() {
+        use crate::entropy::BitWriter;
+        // Two 16×16 macroblocks side by side: the second is predicted from
+        // the first, and 30 000 + 30 000 is not an i16.
+        let mut w = BitWriter::new();
+        for v in [2, 1, 28] {
+            w.ue(v);
+        }
+        for _ in 0..2 {
+            w.ue(0); // mode
+            w.ue(0); // rf
+            w.se(30_000);
+            w.se(0);
+            w.put_bits(0, 16); // nothing coded
+        }
+        let err = decode_frame(&w.finish()).expect_err("overflowing vector");
+        assert!(err.0.contains("leaves i16"), "{err}");
     }
 }

@@ -13,7 +13,8 @@
 //! | [`mc`] | Motion Compensation + mode decision (R\*) | [`mc::mc_rows`] |
 //! | [`transform`] / [`quant`] / [`recon`] | TQ and TQ⁻¹ (R\*) | [`recon::tq_rows`], [`recon::itq_recon_rows`] |
 //! | [`dbl`] | Deblocking Filtering (R\*) | [`dbl::deblock_frame`] |
-//! | [`entropy`] | Entropy coding | [`entropy::encode_frame`] |
+//! | [`entropy`] / [`cabac`] | Entropy coding: the Exp-Golomb and the arithmetic symbol coders | [`entropy::encode_frame`], [`cabac::encode_frame_cabac`] |
+//! | `syntax` (private) | The frame syntax both coders binarise: the one writer walk, the one reader walk and its range checks | [`cabac::EntropyBackend::encode_frame_yuv`] |
 //! | [`intra`] | I-slice coding | [`intra::encode_intra_frame`] |
 //! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD, SWAR) | [`kernels::active_kind`] |
 //! | [`par`] | Host execution: MB rows over the host's cores | [`par::for_each_row`] |
@@ -42,6 +43,7 @@ pub mod rate;
 pub mod recon;
 pub mod sad;
 pub mod sme;
+mod syntax;
 pub mod transform;
 pub mod types;
 pub mod workload;

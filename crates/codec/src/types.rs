@@ -162,6 +162,13 @@ impl SearchArea {
     }
 }
 
+/// Largest reference window the codec supports; a coded reference index
+/// is below it.
+pub const MAX_REFS: usize = 16;
+
+/// Largest quantization parameter (H.264's range is 0 … 51).
+pub const MAX_QP: u8 = 51;
+
 /// Encoding parameters relevant to the inter-loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EncodeParams {
@@ -196,11 +203,11 @@ impl EncodeParams {
         if !self.search_area.0.is_power_of_two() {
             return Err("search area must be a power of two".into());
         }
-        if self.n_ref == 0 || self.n_ref > 16 {
-            return Err(format!("n_ref {} out of [1,16]", self.n_ref));
+        if self.n_ref == 0 || self.n_ref > MAX_REFS {
+            return Err(format!("n_ref {} out of [1,{MAX_REFS}]", self.n_ref));
         }
-        if self.qp > 51 || self.qp_intra > 51 {
-            return Err("QP must be <= 51".into());
+        if self.qp > MAX_QP || self.qp_intra > MAX_QP {
+            return Err(format!("QP must be <= {MAX_QP}"));
         }
         Ok(())
     }

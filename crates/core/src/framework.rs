@@ -1149,12 +1149,7 @@ impl FevesEncoder {
             frame_sink.record("phase1", "phase", start, t1);
             frame_sink.record("phase2", "phase", start + t1, (t2 - t1).max(0.0));
             frame_sink.record("tail", "phase", start + t2.min(tt), (tt - t2).max(0.0));
-            frame_sink.record(
-                &format!("kernels:{}", feves_codec::kernels::active_kind().name()),
-                "kernel",
-                start,
-                kernel_ms * 1e3,
-            );
+            frame_sink.record("kernels", "kernel", start, kernel_ms * 1e3);
             spans = 5;
             let overlapped = recovered_ms > 0.0 && r.inflight_depth > 1;
             if let Some(prev) = self.prev_frame_span.filter(|_| overlapped) {
@@ -1432,17 +1427,10 @@ impl FevesEncoder {
             &mut recon.u,
             &mut recon.v,
         );
-        let (_stream, bits) = match self.config.entropy {
-            feves_codec::cabac::EntropyBackend::ExpGolomb => {
-                feves_codec::entropy::encode_frame_yuv(&s.modes, &s.coeffs, &s.chroma, params.qp)
-            }
-            feves_codec::cabac::EntropyBackend::Cabac => feves_codec::cabac::encode_frame_cabac(
-                &s.modes,
-                &s.coeffs,
-                Some(&s.chroma),
-                params.qp,
-            ),
-        };
+        let (_stream, bits) = self
+            .config
+            .entropy
+            .encode_frame_yuv(&s.modes, &s.coeffs, &s.chroma, params.qp);
 
         out.bits = Some(bits);
         out.psnr = Some(feves_video::metrics::psnr(&recon.y, cf));

@@ -13,8 +13,9 @@
 //! 2. a full encode→decode round trip under `force_kind`: both kernel
 //!    families must emit *identical bitstreams*, and the decoder must
 //!    reproduce the encoder reconstruction from either stream;
-//! 3. robustness: truncated and bit-flipped CABAC streams must surface
-//!    `DecodeError` (or decode to garbage syntax), never panic.
+//! 3. the compressed streams themselves: length, bit count and CRC-32 of
+//!    each stream kind are pinned, and every truncated or bit-flipped
+//!    stream of each kind decodes or surfaces `DecodeError`, never panics.
 //!
 //! Also holds the release-mode regression test for the `row_sad` length
 //! contract (CI runs this file under `--release` where `debug_assert!`
@@ -22,7 +23,11 @@
 
 use std::sync::Mutex;
 
-use feves::codec::inter_loop::{encode_inter_frame, ReferenceStore};
+use feves::codec::cabac::{decode_frame_cabac, encode_frame_cabac};
+use feves::codec::entropy::{decode_frame_yuv, encode_frame, encode_frame_yuv};
+use feves::codec::inter_loop::{
+    encode_inter_frame, encode_inter_frame_yuv, InterFrameOutputYuv, ReferenceStore,
+};
 use feves::codec::kernels::fast::{Portable, RefineIsa, SearchIsa};
 #[cfg(target_arch = "x86_64")]
 use feves::codec::kernels::fast::{Sse2, Sse41};
@@ -278,66 +283,124 @@ fn encode_decode_roundtrip_is_kernel_invariant() {
     }
 }
 
+/// P-frames `1..frames.len()` through the reference YUV loop under the
+/// active kernel family: each frame's coded fields and the store it was
+/// coded against — which is what decoding its stream needs.
+fn coded_yuv_frames(
+    frames: &[Frame],
+    params: &EncodeParams,
+) -> Vec<(InterFrameOutputYuv, ReferenceStore)> {
+    let f0 = &frames[0];
+    let intra = feves::codec::intra::encode_intra_frame(f0.y(), params.qp_intra);
+    let c0 = feves::codec::chroma::encode_chroma_intra(
+        f0.u(),
+        f0.v(),
+        f0.mb_cols(),
+        f0.mb_rows(),
+        params.qp_intra,
+    );
+    let mut store = ReferenceStore::new(params.n_ref);
+    let sf = feves::codec::interp::interpolate(&intra.recon);
+    store.push_yuv(intra.recon, sf, c0.recon_u, c0.recon_v);
+    let mut coded = Vec::new();
+    for f in &frames[1..] {
+        let out = encode_inter_frame_yuv(f, &store, params);
+        coded.push((out.clone(), store.clone()));
+        let sf = feves::codec::interp::interpolate(&out.luma.recon);
+        store.push_yuv(out.luma.recon, sf, out.chroma.recon_u, out.chroma.recon_v);
+    }
+    coded
+}
+
+/// The three stream kinds of one coded frame, in [`STREAM_KINDS`] order.
+fn streams_of(out: &InterFrameOutputYuv, qp: u8) -> [(Vec<u8>, u64); 3] {
+    let (modes, coeffs, chroma) = (&out.luma.modes, &out.luma.coeffs, &out.chroma.coeffs);
+    [
+        encode_frame_yuv(modes, coeffs, chroma, qp),
+        encode_frame(modes, coeffs, qp),
+        encode_frame_cabac(modes, coeffs, Some(chroma), qp),
+    ]
+}
+
+const STREAM_KINDS: [&str; 3] = ["Exp-Golomb YUV", "Exp-Golomb luma", "CABAC YUV"];
+
+/// (byte length, bit count, CRC-32) of each stream kind for P-frames 1 and 2
+/// of the QCIF clip at SA 16, `n_ref` 2, QP 28 — recorded on the commit
+/// before the frame walk was written once (`codec::syntax`). Round trips are
+/// self-consistent, so only a pin like this notices a changed format.
+const STREAM_PINS: [[(usize, u64, u32); 2]; 3] = [
+    [(816, 6525, 186089260), (886, 7082, 4075364050)],
+    [(610, 4876, 618521966), (640, 5115, 1302591258)],
+    [(495, 3960, 3327176647), (572, 4576, 3294640068)],
+];
+
+#[test]
+fn stream_bytes_are_pinned() {
+    let _guard = KindGuard::take();
+    let frames = test_frames(3);
+    let params = params();
+    for kind in [KernelKind::Scalar, KernelKind::Fast] {
+        kernels::force_kind(kind);
+        for (i, (out, _)) in coded_yuv_frames(&frames, &params).iter().enumerate() {
+            for (k, (bytes, bits)) in streams_of(out, params.qp).iter().enumerate() {
+                assert_eq!(
+                    (bytes.len(), *bits, feves::ft::ckpt::crc32(bytes)),
+                    STREAM_PINS[k][i],
+                    "{} stream of P-frame {} under {kind:?}",
+                    STREAM_KINDS[k],
+                    i + 1
+                );
+            }
+        }
+    }
+}
+
 /// The YUV stream is one owned `Vec<u8>` from `BitWriter` to the decoder:
 /// both kernel families must write the same bytes, the syntax must decode
 /// to the fields it was written from, and re-encoding those fields must
 /// give the stream back byte for byte (which is how the modes and vectors
-/// are compared: the syntax does not carry their costs).
+/// are compared: the syntax does not carry their costs) — through either
+/// entropy backend.
 #[test]
 fn yuv_stream_roundtrip_is_kernel_invariant() {
-    use feves::codec::entropy::{decode_frame_yuv, encode_frame_yuv};
-    use feves::codec::inter_loop::encode_inter_frame_yuv;
-
     let _guard = KindGuard::take();
     let frames = test_frames(3);
     let params = params();
     let mut streams: Vec<Vec<Vec<u8>>> = Vec::new();
     for kind in [KernelKind::Scalar, KernelKind::Fast] {
         kernels::force_kind(kind);
-        let f0 = &frames[0];
-        let intra = feves::codec::intra::encode_intra_frame(f0.y(), params.qp_intra);
-        let c0 = feves::codec::chroma::encode_chroma_intra(
-            f0.u(),
-            f0.v(),
-            f0.mb_cols(),
-            f0.mb_rows(),
-            params.qp_intra,
-        );
-        let mut store = ReferenceStore::new(params.n_ref);
-        let sf = feves::codec::interp::interpolate(&intra.recon);
-        store.push_yuv(intra.recon, sf, c0.recon_u, c0.recon_v);
         let mut of_kind = Vec::new();
-        for (i, f) in frames[1..].iter().enumerate() {
-            let out = encode_inter_frame_yuv(f, &store, &params);
-            let (stream, bits): (Vec<u8>, u64) = encode_frame_yuv(
-                &out.luma.modes,
-                &out.luma.coeffs,
-                &out.chroma.coeffs,
-                params.qp,
-            );
+        for (i, (out, store)) in coded_yuv_frames(&frames, &params).iter().enumerate() {
+            let fields = (&out.luma.coeffs, &out.chroma.coeffs, params.qp);
+            let [(stream, bits), _, (cabac, _)] = streams_of(out, params.qp);
             assert_eq!(stream.len() as u64, bits.div_ceil(8), "frame {i}");
             let (modes, coeffs, chroma, qp) =
                 decode_frame_yuv(&stream).unwrap_or_else(|e| panic!("frame {i}: {e}"));
-            assert_eq!(qp, params.qp);
             assert_eq!(
-                coeffs, out.luma.coeffs,
-                "frame {i}: luma levels under {kind:?}"
-            );
-            assert_eq!(
-                chroma, out.chroma.coeffs,
-                "frame {i}: chroma levels under {kind:?}"
+                (&coeffs, &chroma, qp),
+                fields,
+                "frame {i}: levels under {kind:?}"
             );
             let (again, _) = encode_frame_yuv(&modes, &coeffs, &chroma, qp);
             assert_eq!(again, stream, "frame {i}: re-encoded stream under {kind:?}");
-            let dec = feves::codec::decoder::decode_inter_frame_yuv(&stream, &store)
+            let dec = feves::codec::decoder::decode_inter_frame_yuv(&stream, store)
                 .unwrap_or_else(|e| panic!("frame {i}: {e}"));
             assert_eq!(
                 dec.y, out.luma.recon,
                 "frame {i}: decoder luma under {kind:?}"
             );
+
+            let (modes, coeffs, chroma, qp) =
+                decode_frame_cabac(&cabac).unwrap_or_else(|e| panic!("frame {i}: CABAC: {e}"));
+            let chroma = chroma.expect("the header says chroma follows");
+            assert_eq!(
+                (&coeffs, &chroma, qp),
+                fields,
+                "frame {i}: CABAC levels under {kind:?}"
+            );
+            let (again, _) = encode_frame_cabac(&modes, &coeffs, Some(&chroma), qp);
+            assert_eq!(again, cabac, "frame {i}: re-encoded CABAC stream");
             of_kind.push(stream);
-            let sf = feves::codec::interp::interpolate(&out.luma.recon);
-            store.push_yuv(out.luma.recon, sf, out.chroma.recon_u, out.chroma.recon_v);
         }
         streams.push(of_kind);
     }
@@ -347,54 +410,65 @@ fn yuv_stream_roundtrip_is_kernel_invariant() {
     );
 }
 
-/// Satellite 3 (robustness): corrupted CABAC streams must never panic —
-/// truncations and bit flips either surface [`DecodeError`] or decode to
-/// in-bounds garbage syntax.
+/// The stream-fuzz table: every truncation and single-bit flip (every bit of
+/// the first 64 bytes, one bit of every third byte beyond) and two dense
+/// manglings of a real QCIF P-frame stream, for each stream kind, through
+/// the one syntax reader and — where a pixel decoder exists — on through
+/// reconstruction. The outcome is `Ok` (in-bounds garbage) or a
+/// `DecodeError`, never a panic, in debug and (CI's release run of this
+/// file) with overflow checks off.
 #[test]
-fn cabac_corruption_never_panics() {
-    use feves::codec::cabac::{decode_frame_cabac, encode_frame_cabac};
+fn mangled_streams_decode_or_err_never_panic() {
+    use feves::codec::decoder::{decode_inter_frame, decode_inter_frame_yuv};
+    type Decode = fn(&[u8], &ReferenceStore) -> Result<(), feves::codec::entropy::DecodeError>;
+    const DECODERS: [Decode; 3] = [
+        |s, store| decode_inter_frame_yuv(s, store).map(drop),
+        |s, store| decode_inter_frame(s, store).map(drop),
+        |s, _| decode_frame_cabac(s).map(drop),
+    ];
 
     let _guard = KindGuard::take();
-    let frames = test_frames(2);
     let params = params();
-    let intra = feves::codec::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
-    let mut store = ReferenceStore::new(params.n_ref);
-    store.push(intra.recon);
-    let enc = encode_inter_frame(frames[1].y(), &store, &params);
-    let (stream, _) = encode_frame_cabac(&enc.modes, &enc.coeffs, None, params.qp);
-    let stream = stream.to_vec();
+    let (out, store) = &coded_yuv_frames(&test_frames(2), &params)[0];
+    for ((kind, decode), (stream, _)) in STREAM_KINDS
+        .iter()
+        .zip(DECODERS)
+        .zip(streams_of(out, params.qp))
+    {
+        decode(&stream, store).unwrap_or_else(|e| panic!("{kind}: pristine stream: {e}"));
 
-    // The pristine stream round-trips.
-    let (modes, coeffs, chroma, qp) = decode_frame_cabac(&stream).expect("pristine stream");
-    assert_eq!(qp, params.qp);
-    assert!(chroma.is_none());
-    assert_eq!(modes.mb_cols(), enc.modes.mb_cols());
-    assert_eq!(coeffs.mb_rows(), enc.coeffs.mb_rows());
-
-    // Empty and header-truncated streams are hard errors.
-    assert!(decode_frame_cabac(&[]).is_err(), "empty stream must error");
-
-    // Truncations at every prefix length: Err or garbage, never a panic.
-    let mut errs = 0usize;
-    for len in 1..stream.len() {
-        if decode_frame_cabac(&stream[..len]).is_err() {
-            errs += 1;
-        }
-    }
-    assert!(errs > 0, "no truncation surfaced a DecodeError");
-
-    // Single-bit flips across the stream.
-    for i in (0..stream.len()).step_by(3) {
-        for bit in [0u8, 3, 7] {
+        // Beyond byte 64: bit `g % 8` of the first byte of each 3-byte group `g`.
+        let flips = (0..stream.len() * 8).filter(|bit| bit / 8 < 64 || bit % 24 == bit / 24 % 8);
+        let dense = [7, 1].map(|step| {
             let mut bad = stream.clone();
-            bad[i] ^= 1 << bit;
-            let _ = decode_frame_cabac(&bad); // must not panic
-        }
-    }
+            bad.iter_mut().step_by(step).for_each(|b| *b ^= 0xA5);
+            (format!("every byte in {step} ^ 0xA5"), bad)
+        });
+        let cases = (0..stream.len())
+            .map(|len| (format!("cut to {len} bytes"), stream[..len].to_vec()))
+            .chain(flips.map(|bit| {
+                let mut bad = stream.clone();
+                bad[bit / 8] ^= 0x80 >> (bit % 8);
+                (format!("bit {bit} flipped"), bad)
+            }))
+            .chain(dense);
 
-    // Dense corruption (every byte mangled).
-    let mangled: Vec<u8> = stream.iter().map(|b| b ^ 0xA5).collect();
-    let _ = decode_frame_cabac(&mangled);
+        let mut errs = 0usize;
+        for (what, bad) in cases {
+            let outcome = std::panic::catch_unwind(|| decode(&bad, store));
+            match outcome {
+                Ok(res) => {
+                    assert!(
+                        res.is_err() || !bad.is_empty(),
+                        "{kind}: an empty stream decoded"
+                    );
+                    errs += usize::from(res.is_err());
+                }
+                Err(_) => panic!("{kind}: {what}: the decoder panicked"),
+            }
+        }
+        assert!(errs > 0, "{kind}: no mangled stream surfaced a DecodeError");
+    }
 }
 
 /// Satellite 1: mismatched `row_sad` slice lengths are a hard error in
