@@ -124,6 +124,28 @@ pub struct ResumeContext {
 }
 
 impl ResumeContext {
+    /// The paths and flags that define which job this is, in the order both
+    /// [`Self::fingerprint`] and the serialized form lead with. (The other
+    /// two identity fields, `n_frames` and `input_fingerprint`, sit among
+    /// the progress fields of the v3 layout, so each caller writes them.)
+    fn put_identity(&self, w: &mut ByteWriter) {
+        w.put_str(&self.input);
+        w.put_str(&self.output);
+        w.put_str(&self.platform);
+        put_opt_str(w, &self.platform_json);
+        w.put_u32(self.sa as u32);
+        w.put_usize(self.refs);
+        w.put_u8(self.qp);
+        w.put_str(&self.balancer);
+        put_opt_str(w, &self.kernels);
+        w.put_usize(self.faults.len());
+        for f in &self.faults {
+            w.put_str(f);
+        }
+        w.put_bool(self.deadline_factor.is_some());
+        w.put_f64(self.deadline_factor.unwrap_or(0.0));
+    }
+
     /// Job fingerprint: hash of everything that defines *which encode this
     /// is* — input identity, output path, platform, codec flags. Progress
     /// fields (`frames_done`, `out_bytes`) and artifact/cadence knobs are
@@ -131,21 +153,7 @@ impl ResumeContext {
     /// fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut w = ByteWriter::new();
-        w.put_str(&self.input);
-        w.put_str(&self.output);
-        w.put_str(&self.platform);
-        put_opt_str(&mut w, &self.platform_json);
-        w.put_u32(self.sa as u32);
-        w.put_usize(self.refs);
-        w.put_u8(self.qp);
-        w.put_str(&self.balancer);
-        put_opt_str(&mut w, &self.kernels);
-        w.put_usize(self.faults.len());
-        for f in &self.faults {
-            w.put_str(f);
-        }
-        w.put_bool(self.deadline_factor.is_some());
-        w.put_f64(self.deadline_factor.unwrap_or(0.0));
+        self.put_identity(&mut w);
         w.put_usize(self.n_frames);
         w.put_u64(self.input_fingerprint);
         fnv1a64(&w.into_bytes())
@@ -153,21 +161,7 @@ impl ResumeContext {
 
     fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_str(&self.input);
-        w.put_str(&self.output);
-        w.put_str(&self.platform);
-        put_opt_str(&mut w, &self.platform_json);
-        w.put_u32(self.sa as u32);
-        w.put_usize(self.refs);
-        w.put_u8(self.qp);
-        w.put_str(&self.balancer);
-        put_opt_str(&mut w, &self.kernels);
-        w.put_usize(self.faults.len());
-        for f in &self.faults {
-            w.put_str(f);
-        }
-        w.put_bool(self.deadline_factor.is_some());
-        w.put_f64(self.deadline_factor.unwrap_or(0.0));
+        self.put_identity(&mut w);
         put_opt_str(&mut w, &self.flight_out);
         put_opt_str(&mut w, &self.metrics_out);
         w.put_usize(self.every);

@@ -7,13 +7,16 @@
 //! into the next frame. CPU cores address host memory directly and never
 //! appear in a transfer plan.
 
+use crate::vcm::STREAMS;
 use feves_codec::workload::bytes_per_row;
 use feves_ft::FevesError;
 use feves_hetsim::platform::Platform;
+use feves_hetsim::timeline::Dir;
 use feves_sched::Distribution;
 
 /// Per-device transfer volumes for one frame, in MB rows, keyed by the
-/// Fig 4 stream names.
+/// Fig 4 stream names; `vcm`'s stream table gives each field its direction
+/// and buffer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeviceTransfers {
     /// `RF` — previously reconstructed reference uploaded before ME/INT
@@ -48,40 +51,32 @@ pub struct DeviceTransfers {
 }
 
 impl DeviceTransfers {
+    fn rows_moved(&self, dir: Dir) -> usize {
+        STREAMS
+            .iter()
+            .filter(|s| s.dir == dir)
+            .map(|s| (s.rows)(self))
+            .sum()
+    }
+
     /// Total uploaded rows (diagnostics).
     pub fn total_up(&self) -> usize {
-        self.rf_up
-            + self.sigma_prev_up
-            + self.cf_me_up
-            + self.cf_sme_up
-            + self.sf_dl_up
-            + self.mv_dm_up
-            + self.sigma_up
-            + self.cf_mc_up
-            + self.sf_mc_up
-            + self.mv_mc_up
+        self.rows_moved(Dir::H2d)
     }
 
     /// Total downloaded rows (diagnostics).
     pub fn total_down(&self) -> usize {
-        self.sf_down + self.mv_me_down + self.mv_sme_down + self.rf_down
+        self.rows_moved(Dir::D2h)
     }
 
     /// Total bytes this plan moves over PCIe for a frame of `width` luma
     /// pixels, weighting each stream's rows by its per-row footprint
     /// (observability: feeds the `dam.bytes_*` metrics).
     pub fn bytes(&self, width: usize) -> u64 {
-        let rf = bytes_per_row::rf(width) as u64;
-        let sf = bytes_per_row::sf(width) as u64;
-        let cf = bytes_per_row::cf(width) as u64;
-        let mv = bytes_per_row::mv(width) as u64;
-        let rf_rows = (self.rf_up + self.rf_down) as u64;
-        let sf_rows =
-            (self.sigma_prev_up + self.sf_down + self.sf_dl_up + self.sigma_up + self.sf_mc_up)
-                as u64;
-        let cf_rows = (self.cf_me_up + self.cf_sme_up + self.cf_mc_up) as u64;
-        let mv_rows = (self.mv_me_down + self.mv_dm_up + self.mv_sme_down + self.mv_mc_up) as u64;
-        rf_rows * rf + sf_rows * sf + cf_rows * cf + mv_rows * mv
+        STREAMS
+            .iter()
+            .map(|s| (s.rows)(self) as u64 * s.bytes_per_row(width) as u64)
+            .sum()
     }
 }
 

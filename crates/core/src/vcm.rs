@@ -92,12 +92,185 @@ pub struct FrameGeometry {
     pub width: usize,
 }
 
-/// Build the task graph for one inter-frame.
+/// One DMA stream of Fig 4: which way it moves which buffer, the stem of its
+/// task label (the device index is appended) and the [`DeviceTransfers`]
+/// field that carries its MB rows.
+#[derive(Clone, Copy)]
+pub(crate) struct Stream {
+    pub(crate) dir: Dir,
+    pub(crate) tag: TransferTag,
+    stem: &'static str,
+    pub(crate) rows: fn(&DeviceTransfers) -> usize,
+}
+
+impl Stream {
+    /// Bytes one MB row of this stream's buffer takes at `width` luma pixels.
+    pub(crate) fn bytes_per_row(&self, width: usize) -> usize {
+        match self.tag {
+            TransferTag::Cf => bytes_per_row::cf(width),
+            TransferTag::Rf => bytes_per_row::rf(width),
+            TransferTag::Sf => bytes_per_row::sf(width),
+            TransferTag::Mv => bytes_per_row::mv(width),
+        }
+    }
+}
+
+macro_rules! fig4_streams {
+    ($($name:ident = $dir:ident $tag:ident $stem:literal $field:ident;)*) => {
+        $(const $name: Stream = Stream {
+            dir: Dir::$dir,
+            tag: TransferTag::$tag,
+            stem: $stem,
+            rows: |t| t.$field,
+        };)*
+        /// Every stream: what `dam` folds its row and byte totals over.
+        pub(crate) const STREAMS: &[Stream] = &[$($name),*];
+    };
+}
+
+// The Fig 4 stream table, in submission order (DESIGN.md's VCM section adds
+// the phase, the dependency and the receiving devices of each).
+fig4_streams! {
+    RF_UP         = H2d Rf "RF→dev"           rf_up;
+    CF_ME_UP      = H2d Cf "CF→ME dev"        cf_me_up;
+    SF_DOWN       = D2h Sf "SF(RF)→host dev"  sf_down;
+    CF_SME_UP     = H2d Cf "CF→SME dev"       cf_sme_up;
+    SIGMA_PREV_UP = H2d Sf "SF(RF-1)→SME dev" sigma_prev_up;
+    MV_ME_DOWN    = D2h Mv "MV→SME host dev"  mv_me_down;
+    SF_DL_UP      = H2d Sf "SF Δl→dev"        sf_dl_up;
+    MV_DM_UP      = H2d Mv "MV Δm→dev"        mv_dm_up;
+    MV_SME_DOWN   = D2h Mv "MV(SME)→host dev" mv_sme_down;
+    CF_MC_UP      = H2d Cf "CF→MC dev"        cf_mc_up;
+    SF_MC_UP      = H2d Sf "SF→MC dev"        sf_mc_up;
+    MV_MC_UP      = H2d Mv "MV→MC dev"        mv_mc_up;
+    RF_DOWN       = D2h Rf "RF+1→host dev"    rf_down;
+    SIGMA_UP      = H2d Sf "SF σ→dev"         sigma_up;
+}
+
+/// A device's two input pairs: what ME/INT wait for and what SME prefetches.
+const ME_INPUTS: [Stream; 2] = [RF_UP, CF_ME_UP];
+const SME_INPUTS: [Stream; 2] = [CF_SME_UP, SIGMA_PREV_UP];
+
+/// The graph under construction and its measurement index. Each entry point
+/// sizes, labels and records its task, and skips it at zero rows.
+struct Builder<'a> {
+    graph: TaskGraph,
+    measures: Vec<MeasuredTask>,
+    transfers: &'a [DeviceTransfers],
+    platform: &'a Platform,
+    params: &'a EncodeParams,
+    geo: FrameGeometry,
+}
+
+impl Builder<'_> {
+    fn measured(&mut self, task: TaskId, kind: MeasureKind) -> TaskId {
+        self.measures.push(MeasuredTask { task, kind });
+        task
+    }
+
+    fn is_accel(&self, device: usize) -> bool {
+        self.platform.devices[device].is_accelerator()
+    }
+
+    fn units(&self, module: Module, rows: usize) -> f64 {
+        units_per_mb_row(module, self.params, self.geo.mb_cols) * rows as f64
+    }
+
+    /// `stream` of `device`'s transfer plan, behind the `deps` that exist.
+    fn xfer(&mut self, device: usize, stream: Stream, deps: &[Option<TaskId>]) -> Option<TaskId> {
+        let rows = (stream.rows)(&self.transfers[device]);
+        if rows == 0 {
+            return None;
+        }
+        let Stream { dir, tag, stem, .. } = stream;
+        let id = self.graph.transfer(
+            DeviceId(device),
+            dir,
+            stream.bytes_per_row(self.geo.width) * rows,
+            tag,
+            ids(deps).collect(),
+            format!("{stem}{device}"),
+        );
+        let kind = MeasureKind::Transfer {
+            device,
+            tag,
+            dir,
+            rows,
+        };
+        Some(self.measured(id, kind))
+    }
+
+    fn inputs(&mut self, device: usize, pair: [Stream; 2]) -> [Option<TaskId>; 2] {
+        pair.map(|stream| self.xfer(device, stream, &[]))
+    }
+
+    /// A balanced-module kernel over `rows` MB rows.
+    fn kernel(
+        &mut self,
+        device: usize,
+        module: Module,
+        rows: usize,
+        deps: &[Option<TaskId>],
+    ) -> Option<TaskId> {
+        if rows == 0 {
+            return None;
+        }
+        let stem = match module {
+            Module::Interp => "INT",
+            Module::Me => "ME",
+            _ => "SME",
+        };
+        let label = if self.is_accel(device) {
+            format!("{stem} dev{device} ({rows} rows)")
+        } else {
+            format!("{stem} core{device}")
+        };
+        let units = self.units(module, rows);
+        let id = self
+            .graph
+            .compute(DeviceId(device), module, units, ids(deps).collect(), label);
+        let kind = MeasureKind::Compute {
+            device,
+            module,
+            rows,
+        };
+        Some(self.measured(id, kind))
+    }
+
+    /// The R\* chain over `rows` MB rows, each kernel behind the one before;
+    /// returns the last.
+    fn rstar(&mut self, device: usize, rows: usize, after: &[Option<TaskId>]) -> Option<TaskId> {
+        if rows == 0 {
+            return None;
+        }
+        let kind = if self.is_accel(device) { "dev" } else { "core" };
+        let mut prev: Vec<TaskId> = ids(after).collect();
+        for module in Module::RSTAR {
+            let label = format!("{module:?} {kind}{device}");
+            let units = self.units(module, rows);
+            let id = self
+                .graph
+                .compute(DeviceId(device), module, units, prev, label);
+            prev = vec![self.measured(id, MeasureKind::RstarPart { device })];
+        }
+        prev.pop()
+    }
+}
+
+/// The tasks of `deps` that were created (a zero-row task is `None`).
+fn ids(deps: &[Option<TaskId>]) -> impl Iterator<Item = TaskId> + '_ {
+    deps.iter().flatten().copied()
+}
+
+/// Build the task graph for one inter-frame: Fig 4 read top to bottom.
 ///
 /// `params` must already carry the *effective* reference count (ramp-up at
-/// sequence start). `overlap = false` serializes module phases behind
-/// barriers — the synchronous per-module execution of the \[9\] baseline.
-#[allow(clippy::needless_range_loop)] // device-indexed parallel arrays
+/// sequence start). `transfers` is a DAM plan — all zero for a CPU core,
+/// which is what makes a core's pass the accelerator's without its streams.
+/// `overlap = false` is the synchronous per-module execution of the \[9\]
+/// baseline: every accelerator's input pairs are submitted up front, and
+/// one barrier over them gates all τ1 kernels; with `overlap` each device
+/// submits them where Fig 4 does, so its copy engine works under its kernels.
 pub fn build_frame_graph(
     dist: &Distribution,
     transfers: &[DeviceTransfers],
@@ -110,460 +283,94 @@ pub fn build_frame_graph(
     let nd = platform.len();
     assert_eq!(dist.n_devices(), nd);
     assert_eq!(transfers.len(), nd);
-    let mut g = TaskGraph::new();
-    let mut measures = Vec::new();
-
-    let units =
-        |module: Module, rows: usize| units_per_mb_row(module, params, geo.mb_cols) * rows as f64;
-    let bytes = |tag: TransferTag, rows: usize| match tag {
-        TransferTag::Cf => bytes_per_row::cf(geo.width) * rows,
-        TransferTag::Rf => bytes_per_row::rf(geo.width) * rows,
-        TransferTag::Sf => bytes_per_row::sf(geo.width) * rows,
-        TransferTag::Mv => bytes_per_row::mv(geo.width) * rows,
+    let mut b = Builder {
+        graph: TaskGraph::new(),
+        measures: Vec::new(),
+        transfers,
+        platform,
+        params,
+        geo,
     };
 
-    // τ1 phase. With overlap enabled, each device's transfers and kernels
-    // interleave in the Fig 4 submission order; with overlap disabled (the
-    // synchronous [9]-style baseline) all input transfers complete behind a
-    // barrier before any kernel starts.
-    let mut tau1_deps: Vec<TaskId> = Vec::new();
-
-    struct P1<'a> {
-        g: &'a mut TaskGraph,
-        measures: &'a mut Vec<MeasuredTask>,
-    }
-    impl P1<'_> {
-        #[allow(clippy::too_many_arguments)] // one field per Fig 4 stream attribute
-        fn xfer(
-            &mut self,
-            device: usize,
-            dir: Dir,
-            tag: TransferTag,
-            rows: usize,
-            nbytes: usize,
-            deps: Vec<TaskId>,
-            label: String,
-        ) -> Option<TaskId> {
-            if rows == 0 {
-                return None;
-            }
-            let id = self
-                .g
-                .transfer(DeviceId(device), dir, nbytes, tag, deps, label);
-            self.measures.push(MeasuredTask {
-                task: id,
-                kind: MeasureKind::Transfer {
-                    device,
-                    tag,
-                    dir,
-                    rows,
-                },
-            });
-            Some(id)
+    let mut early = vec![[[None; 2]; 2]; nd];
+    let gate = (!overlap).then(|| {
+        for (d, pairs) in early.iter_mut().enumerate() {
+            *pairs = [b.inputs(d, ME_INPUTS), b.inputs(d, SME_INPUTS)];
         }
-        fn kernel(
-            &mut self,
-            device: usize,
-            module: Module,
-            rows: usize,
-            u: f64,
-            deps: Vec<TaskId>,
-            label: String,
-        ) -> Option<TaskId> {
-            if rows == 0 {
-                return None;
-            }
-            let id = self.g.compute(DeviceId(device), module, u, deps, label);
-            self.measures.push(MeasuredTask {
-                task: id,
-                kind: MeasureKind::Compute {
-                    device,
-                    module,
-                    rows,
-                },
-            });
-            Some(id)
-        }
-    }
+        let all = ids(early.as_flattened().as_flattened()).collect();
+        b.graph.barrier(all, "inputs")
+    });
 
-    let mut b = P1 {
-        g: &mut g,
-        measures: &mut measures,
-    };
-
-    // Pass A: input transfers for every accelerator, recorded per device.
-    #[derive(Default, Clone)]
-    struct InXfers {
-        rf_up: Option<TaskId>,
-        cf_me: Option<TaskId>,
-        cf_sme: Option<TaskId>,
-        sig_prev: Option<TaskId>,
-    }
-    let mut inputs: Vec<InXfers> = vec![InXfers::default(); nd];
-    let input_gate: Option<TaskId> = if overlap {
-        // Interleaved mode: inputs are created inside the per-device pass
-        // below so the copy-engine queue follows the exact Fig 4 order.
-        None
-    } else {
-        for d in 0..nd {
-            if !platform.devices[d].is_accelerator() {
-                continue;
-            }
-            let t = &transfers[d];
-            inputs[d].rf_up = b.xfer(
-                d,
-                Dir::H2d,
-                TransferTag::Rf,
-                t.rf_up,
-                bytes(TransferTag::Rf, t.rf_up),
-                vec![],
-                format!("RF→dev{d}"),
-            );
-            inputs[d].cf_me = b.xfer(
-                d,
-                Dir::H2d,
-                TransferTag::Cf,
-                t.cf_me_up,
-                bytes(TransferTag::Cf, t.cf_me_up),
-                vec![],
-                format!("CF→ME dev{d}"),
-            );
-            inputs[d].cf_sme = b.xfer(
-                d,
-                Dir::H2d,
-                TransferTag::Cf,
-                t.cf_sme_up,
-                bytes(TransferTag::Cf, t.cf_sme_up),
-                vec![],
-                format!("CF→SME dev{d}"),
-            );
-            inputs[d].sig_prev = b.xfer(
-                d,
-                Dir::H2d,
-                TransferTag::Sf,
-                t.sigma_prev_up,
-                bytes(TransferTag::Sf, t.sigma_prev_up),
-                vec![],
-                format!("SF(RF-1)→SME dev{d}"),
-            );
-        }
-        let all: Vec<TaskId> = inputs
-            .iter()
-            .flat_map(|i| [i.rf_up, i.cf_me, i.cf_sme, i.sig_prev])
-            .flatten()
-            .collect();
-        Some(b.g.barrier(all, "inputs"))
-    };
-
-    // Pass B: kernels and remaining τ1 transfers per device.
-    for d in 0..nd {
-        let t = &transfers[d];
-        let is_accel = platform.devices[d].is_accelerator();
-        if is_accel {
-            let (rf_up, cf_me) = if overlap {
-                // Fig 4 submission order: RF, CF→ME first on the engine.
-                let rf_up = b.xfer(
-                    d,
-                    Dir::H2d,
-                    TransferTag::Rf,
-                    t.rf_up,
-                    bytes(TransferTag::Rf, t.rf_up),
-                    vec![],
-                    format!("RF→dev{d}"),
-                );
-                let cf_me = b.xfer(
-                    d,
-                    Dir::H2d,
-                    TransferTag::Cf,
-                    t.cf_me_up,
-                    bytes(TransferTag::Cf, t.cf_me_up),
-                    vec![],
-                    format!("CF→ME dev{d}"),
-                );
-                (rf_up, cf_me)
-            } else {
-                (inputs[d].rf_up, inputs[d].cf_me)
-            };
-            let mut int_deps: Vec<TaskId> = rf_up.into_iter().collect();
-            int_deps.extend(input_gate);
-            let k_int = b.kernel(
-                d,
-                Module::Interp,
-                dist.interp[d],
-                units(Module::Interp, dist.interp[d]),
-                int_deps,
-                format!("INT dev{d} ({} rows)", dist.interp[d]),
-            );
-            let mut me_deps: Vec<TaskId> = rf_up.into_iter().chain(cf_me).collect();
-            me_deps.extend(input_gate);
-            let k_me = b.kernel(
-                d,
-                Module::Me,
-                dist.me[d],
-                units(Module::Me, dist.me[d]),
-                me_deps,
-                format!("ME dev{d} ({} rows)", dist.me[d]),
-            );
-            let sf_down = b.xfer(
-                d,
-                Dir::D2h,
-                TransferTag::Sf,
-                t.sf_down,
-                bytes(TransferTag::Sf, t.sf_down),
-                k_int.into_iter().collect(),
-                format!("SF(RF)→host dev{d}"),
-            );
-            let (cf_sme, sig_prev) = if overlap {
-                let cf_sme = b.xfer(
-                    d,
-                    Dir::H2d,
-                    TransferTag::Cf,
-                    t.cf_sme_up,
-                    bytes(TransferTag::Cf, t.cf_sme_up),
-                    vec![],
-                    format!("CF→SME dev{d}"),
-                );
-                let sig_prev = b.xfer(
-                    d,
-                    Dir::H2d,
-                    TransferTag::Sf,
-                    t.sigma_prev_up,
-                    bytes(TransferTag::Sf, t.sigma_prev_up),
-                    vec![],
-                    format!("SF(RF-1)→SME dev{d}"),
-                );
-                (cf_sme, sig_prev)
-            } else {
-                (inputs[d].cf_sme, inputs[d].sig_prev)
-            };
-            let mv_down = b.xfer(
-                d,
-                Dir::D2h,
-                TransferTag::Mv,
-                t.mv_me_down,
-                bytes(TransferTag::Mv, t.mv_me_down),
-                k_me.into_iter().collect(),
-                format!("MV→SME host dev{d}"),
-            );
-            for id in [
-                k_int, k_me, sf_down, cf_sme, sig_prev, mv_down, rf_up, cf_me,
-            ]
-            .into_iter()
-            .flatten()
-            {
-                tau1_deps.push(id);
-            }
+    // τ1: RF, CF→ME ▸ INT ∥ ME ▸ SF(RF)→host ▸ CF→SME, σ(RF−1) ▸ MV→host.
+    // The FIFO of a CPU core serializes INT→ME.
+    let mut tau1_deps = Vec::new();
+    for (d, &[me_early, sme_early]) in early.iter().enumerate() {
+        let [rf_up, cf_me] = if overlap {
+            b.inputs(d, ME_INPUTS)
         } else {
-            // CPU core: kernels only, FIFO on the core serializes INT→ME.
-            let gate: Vec<TaskId> = input_gate.into_iter().collect();
-            let k_int = b.kernel(
-                d,
-                Module::Interp,
-                dist.interp[d],
-                units(Module::Interp, dist.interp[d]),
-                gate.clone(),
-                format!("INT core{d}"),
-            );
-            let k_me = b.kernel(
-                d,
-                Module::Me,
-                dist.me[d],
-                units(Module::Me, dist.me[d]),
-                gate,
-                format!("ME core{d}"),
-            );
-            for id in [k_int, k_me].into_iter().flatten() {
-                tau1_deps.push(id);
-            }
-        }
-    }
-
-    let tau1 = b.g.barrier(tau1_deps, "tau1");
-
-    // τ2 phase.
-    let mut tau2_deps: Vec<TaskId> = Vec::new();
-    let mut sme_done: Vec<Option<TaskId>> = vec![None; nd];
-    for d in 0..nd {
-        let t = &transfers[d];
-        let is_accel = platform.devices[d].is_accelerator();
-        if is_accel {
-            let sf_dl = b.xfer(
-                d,
-                Dir::H2d,
-                TransferTag::Sf,
-                t.sf_dl_up,
-                bytes(TransferTag::Sf, t.sf_dl_up),
-                vec![tau1],
-                format!("SF Δl→dev{d}"),
-            );
-            let mv_dm = b.xfer(
-                d,
-                Dir::H2d,
-                TransferTag::Mv,
-                t.mv_dm_up,
-                bytes(TransferTag::Mv, t.mv_dm_up),
-                vec![tau1],
-                format!("MV Δm→dev{d}"),
-            );
-            let mut deps = vec![tau1];
-            deps.extend(sf_dl);
-            deps.extend(mv_dm);
-            let k_sme = b.kernel(
-                d,
-                Module::Sme,
-                dist.sme[d],
-                units(Module::Sme, dist.sme[d]),
-                deps,
-                format!("SME dev{d} ({} rows)", dist.sme[d]),
-            );
-            let mv_sme = b.xfer(
-                d,
-                Dir::D2h,
-                TransferTag::Mv,
-                t.mv_sme_down,
-                bytes(TransferTag::Mv, t.mv_sme_down),
-                k_sme.into_iter().collect(),
-                format!("MV(SME)→host dev{d}"),
-            );
-            // R* device prefetches its remaining CF/SF during τ2 (Fig 5b).
-            if dist.rstar_device == d {
-                let cf_mc = b.xfer(
-                    d,
-                    Dir::H2d,
-                    TransferTag::Cf,
-                    t.cf_mc_up,
-                    bytes(TransferTag::Cf, t.cf_mc_up),
-                    vec![tau1],
-                    format!("CF→MC dev{d}"),
-                );
-                let sf_mc = b.xfer(
-                    d,
-                    Dir::H2d,
-                    TransferTag::Sf,
-                    t.sf_mc_up,
-                    bytes(TransferTag::Sf, t.sf_mc_up),
-                    vec![tau1],
-                    format!("SF→MC dev{d}"),
-                );
-                tau2_deps.extend(cf_mc);
-                tau2_deps.extend(sf_mc);
-            }
-            sme_done[d] = mv_sme.or(k_sme);
-            tau2_deps.extend(k_sme);
-            tau2_deps.extend(mv_sme);
+            me_early
+        };
+        let k_int = b.kernel(d, Module::Interp, dist.interp[d], &[rf_up, gate]);
+        let k_me = b.kernel(d, Module::Me, dist.me[d], &[rf_up, cf_me, gate]);
+        let sf_down = b.xfer(d, SF_DOWN, &[k_int]);
+        let [cf_sme, sig_prev] = if overlap {
+            b.inputs(d, SME_INPUTS)
         } else {
-            let k_sme = b.kernel(
-                d,
-                Module::Sme,
-                dist.sme[d],
-                units(Module::Sme, dist.sme[d]),
-                vec![tau1],
-                format!("SME core{d}"),
-            );
-            sme_done[d] = k_sme;
-            tau2_deps.extend(k_sme);
-        }
+            sme_early
+        };
+        let mv_down = b.xfer(d, MV_ME_DOWN, &[k_me]);
+        tau1_deps.extend(ids(&[
+            k_int, k_me, sf_down, cf_sme, sig_prev, mv_down, rf_up, cf_me,
+        ]));
     }
-    let tau2 = b.g.barrier(tau2_deps, "tau2");
+    let tau1 = b.graph.barrier(tau1_deps, "tau1");
 
-    // τtot phase: R* + trailing σ transfers.
-    let mut tot_deps: Vec<TaskId> = Vec::new();
+    // τ2: SF Δl, MV Δm ▸ SME ▸ MV(SME)→host, while the R* device prefetches
+    // its remaining CF/SF (Fig 5b).
     let rstar = dist.rstar_device;
-    let rstar_rows = geo.n_rows;
-    if platform.devices[rstar].is_accelerator() {
-        let t = &transfers[rstar];
-        let mv_mc = b.xfer(
-            rstar,
-            Dir::H2d,
-            TransferTag::Mv,
-            t.mv_mc_up,
-            bytes(TransferTag::Mv, t.mv_mc_up),
-            vec![tau2],
-            format!("MV→MC dev{rstar}"),
-        );
-        let mut prev: Vec<TaskId> = vec![tau2];
-        prev.extend(mv_mc);
-        for module in Module::RSTAR {
-            let id = b.g.compute(
-                DeviceId(rstar),
-                module,
-                units(module, rstar_rows),
-                prev.clone(),
-                format!("{module:?} dev{rstar}"),
-            );
-            b.measures.push(MeasuredTask {
-                task: id,
-                kind: MeasureKind::RstarPart { device: rstar },
-            });
-            prev = vec![id];
-        }
-        let rf_down = b.xfer(
-            rstar,
-            Dir::D2h,
-            TransferTag::Rf,
-            t.rf_down,
-            bytes(TransferTag::Rf, t.rf_down),
-            prev.clone(),
-            format!("RF+1→host dev{rstar}"),
-        );
-        tot_deps.extend(prev);
-        tot_deps.extend(rf_down);
-    } else {
-        // CPU-centric: split the R* rows over all cores; DBL's macroblock
-        // wavefront parallelizes across cores in shared memory.
-        let core_rows = feves_video::geometry::equidistant(rstar_rows, platform.n_cores.max(1));
-        for (c, &rows) in core_rows.iter().enumerate() {
-            let d = platform.n_accel + c;
-            let mut prev: Vec<TaskId> = vec![tau2];
-            for module in Module::RSTAR {
-                if rows == 0 {
-                    continue;
-                }
-                let id = b.g.compute(
-                    DeviceId(d),
-                    module,
-                    units(module, rows),
-                    prev.clone(),
-                    format!("{module:?} core{d}"),
-                );
-                b.measures.push(MeasuredTask {
-                    task: id,
-                    kind: MeasureKind::RstarPart { device: d },
-                });
-                prev = vec![id];
-            }
-            tot_deps.extend(prev.into_iter().filter(|t| *t != tau2));
-        }
-        if tot_deps.is_empty() {
-            tot_deps.push(tau2);
-        }
-    }
-    // σ transfers on the other accelerators.
+    let mut tau2_deps = Vec::new();
     for d in 0..nd {
-        if d == rstar || !platform.devices[d].is_accelerator() {
-            continue;
+        let sf_dl = b.xfer(d, SF_DL_UP, &[Some(tau1)]);
+        let mv_dm = b.xfer(d, MV_DM_UP, &[Some(tau1)]);
+        let k_sme = b.kernel(d, Module::Sme, dist.sme[d], &[Some(tau1), sf_dl, mv_dm]);
+        let mv_sme = b.xfer(d, MV_SME_DOWN, &[k_sme]);
+        if d == rstar {
+            let cf_mc = b.xfer(d, CF_MC_UP, &[Some(tau1)]);
+            let sf_mc = b.xfer(d, SF_MC_UP, &[Some(tau1)]);
+            tau2_deps.extend(ids(&[cf_mc, sf_mc]));
         }
-        let t = &transfers[d];
-        let sig = b.xfer(
-            d,
-            Dir::H2d,
-            TransferTag::Sf,
-            t.sigma_up,
-            bytes(TransferTag::Sf, t.sigma_up),
-            vec![tau2],
-            format!("SF σ→dev{d}"),
-        );
-        tot_deps.extend(sig);
+        tau2_deps.extend(ids(&[k_sme, mv_sme]));
+    }
+    let tau2 = b.graph.barrier(tau2_deps, "tau2");
+
+    // τtot: MV→MC ▸ R* ▸ RF+1→host on the R* accelerator, or (CPU-centric)
+    // R* split over all cores — DBL's macroblock wavefront parallelizes
+    // across cores in shared memory — and σ to every other accelerator.
+    let shares: Vec<(usize, usize)> = if platform.devices[rstar].is_accelerator() {
+        vec![(rstar, geo.n_rows)]
+    } else {
+        let rows = feves_video::geometry::equidistant(geo.n_rows, platform.n_cores);
+        (platform.n_accel..).zip(rows).collect()
+    };
+    let mut tot_deps = Vec::new();
+    for (d, rows) in shares {
+        let mv_mc = b.xfer(d, MV_MC_UP, &[Some(tau2)]);
+        let last = b.rstar(d, rows, &[Some(tau2), mv_mc]);
+        let rf_down = b.xfer(d, RF_DOWN, &[last]);
+        tot_deps.extend(ids(&[last, rf_down]));
+    }
+    for d in (0..nd).filter(|&d| d != rstar) {
+        tot_deps.extend(b.xfer(d, SIGMA_UP, &[Some(tau2)]));
     }
     tot_deps.push(tau2);
-    let tau_tot = b.g.barrier(tot_deps, "tau_tot");
+    let tau_tot = b.graph.barrier(tot_deps, "tau_tot");
 
     FrameGraph {
-        graph: g,
+        graph: b.graph,
         tau1,
         tau2,
         tau_tot,
-        measures,
+        measures: b.measures,
     }
 }
 
@@ -573,7 +380,8 @@ mod tests {
     use crate::dam::DataManager;
     use feves_codec::types::SearchArea;
     use feves_hetsim::noise::Deterministic;
-    use feves_hetsim::timeline::simulate;
+    use feves_hetsim::profiles::{cpu_nehalem, gpu_fermi};
+    use feves_hetsim::timeline::{simulate, TaskKind};
 
     fn geo() -> FrameGeometry {
         FrameGeometry {
@@ -699,6 +507,117 @@ mod tests {
         assert!(on_cores >= p.n_cores * Module::RSTAR.len() - 4);
         let sched = simulate(&fg.graph, &p, &p.nominal_speeds(), &mut Deterministic).unwrap();
         assert!(sched.makespan > 0.0);
+    }
+
+    /// Equidistant with R\* on every accelerator and on the cores, every
+    /// single-device distribution, and one uneven split (Δ top-ups) whose σ
+    /// budget leaves a remainder for the next frame.
+    fn digest_distributions(n_rows: usize, p: &Platform) -> Vec<Distribution> {
+        let nd = p.len();
+        let skewed = |shift: usize| {
+            let w: Vec<f64> = (0..nd).map(|d| ((d + shift) % nd + 1) as f64).collect();
+            let sum: f64 = w.iter().sum();
+            let fractions: Vec<f64> = w.iter().map(|x| x / sum).collect();
+            feves_sched::distribution::round_preserving_sum(&fractions, n_rows)
+        };
+        let uneven =
+            Distribution::from_rows(skewed(0), skewed(2), skewed(3), 0, &vec![3; nd], None);
+        (0..=p.n_accel)
+            .map(|r| Distribution::equidistant(n_rows, nd, r))
+            .chain((0..nd).map(|d| Distribution::single_device(n_rows, nd, d)))
+            .chain([uneven])
+            .collect()
+    }
+
+    /// One digest case: the `Debug` form of its graph, measurement index and
+    /// barrier ids appended to `seen`, and the bytes of its transfer tasks
+    /// checked against DAM's accounting of the same plan.
+    fn observe(
+        seen: &mut String,
+        p: &Platform,
+        geo: FrameGeometry,
+        n_ref: usize,
+        dist: &Distribution,
+        (masked, reuse, overlap): (bool, bool, bool),
+    ) {
+        use std::fmt::Write;
+        let mask: Vec<bool> = (p.devices.iter().enumerate())
+            .map(|(d, dev)| dev.is_accelerator() && !(masked && d % 2 == 0))
+            .collect();
+        let mut dam = DataManager::new(geo.n_rows, p.len());
+        dam.commit(dist, &mask, reuse).unwrap();
+        let plan = dam.plan(dist, &mask, reuse);
+        let params = EncodeParams { n_ref, ..params() };
+        let fg = build_frame_graph(dist, &plan, p, &params, geo, overlap);
+        let taus = (fg.tau1, fg.tau2, fg.tau_tot);
+        write!(seen, "{:?}{:?}{taus:?}", fg.graph, fg.measures).unwrap();
+        let moved: u64 = (fg.graph.iter())
+            .map(|(_, t)| match t.kind {
+                TaskKind::Transfer { bytes, .. } => bytes as u64,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(
+            moved,
+            crate::dam::transfer_bytes(&plan, geo.width),
+            "{} devices, {} rows: graph and DAM disagree on bytes",
+            p.len(),
+            geo.n_rows
+        );
+    }
+
+    /// The graphs the goldens never see: `overlap = false`, CPU-centric
+    /// R\*, a masked accelerator, Δ top-ups and a carried σʳ. Task creation
+    /// order is what the copy-engine FIFOs, flight-log task ids and the
+    /// goldens' float sums hang on, so each (platform shape, overlap) pair
+    /// pins a CRC-32 over every case it [`observe`]s. The constants were
+    /// recorded on the hand-unrolled builder the stream table replaced; a
+    /// changed constant is a changed schedule.
+    #[test]
+    fn graph_digests_are_pinned() {
+        // (accelerators, cores, overlap, digest): the shapes of SysHK/SysNF
+        // and SysNFF, a three-accelerator host and a CPU-only one — device
+        // speeds do not reach the graph.
+        const PINNED: [(usize, usize, bool, u32); 8] = [
+            (1, 4, true, 0xb1a8_1572),
+            (1, 4, false, 0x9c6f_8719),
+            (2, 4, true, 0x99cb_8448),
+            (2, 4, false, 0xaa3d_0b6b),
+            (3, 2, true, 0xbc1b_1e55),
+            (3, 2, false, 0xa651_29a7),
+            (0, 4, true, 0x61fd_1d8c),
+            (0, 4, false, 0xe480_545f),
+        ];
+        // (alternate accelerators masked, data reuse)
+        const PLANS: [(bool, bool); 4] =
+            [(false, true), (false, false), (true, true), (true, false)];
+        let mut cases = 0;
+        for (n_accel, n_cores, overlap, pinned) in PINNED {
+            let p = Platform::build(vec![gpu_fermi(); n_accel], &cpu_nehalem(), n_cores);
+            let mut seen = String::new();
+            for (n_rows, width) in [(9, 176), (45, 1280), (68, 1920)] {
+                let geo = FrameGeometry {
+                    mb_cols: width / 16,
+                    n_rows,
+                    width,
+                };
+                let dists = digest_distributions(n_rows, &p);
+                for n_ref in [1, 2] {
+                    for dist in &dists {
+                        for (masked, reuse) in PLANS {
+                            observe(&mut seen, &p, geo, n_ref, dist, (masked, reuse, overlap));
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+            let crc = feves_ft::ckpt::crc32(seen.as_bytes());
+            assert_eq!(
+                crc, pinned,
+                "{n_accel} accelerators + {n_cores} cores, overlap={overlap}: digest {crc:#010x}"
+            );
+        }
+        assert_eq!(cases, 1632);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use feves_codec::inter_loop::{encode_inter_frame_yuv, ReferenceStore};
 use feves_core::prelude::*;
 use feves_video::frame::Frame;
+use feves_video::plane::Plane;
 
 fn test_frames(n: usize) -> Vec<Frame> {
     let mut cfg = SynthConfig::tiny_test();
@@ -25,8 +26,16 @@ fn functional_config(balancer: BalancerKind) -> EncoderConfig {
     cfg
 }
 
+/// One frame's outcome: P-frame bits (`None` for the I-frame) and the
+/// reconstructed Y, Cb and Cr samples.
+type Coded = (Option<u64>, [Vec<u8>; 3]);
+
+fn samples(y: &Plane<u8>, u: &Plane<u8>, v: &Plane<u8>) -> [Vec<u8>; 3] {
+    [y, u, v].map(|p| p.as_slice().to_vec())
+}
+
 /// Golden reference: intra + single-device YUV inter loop.
-fn golden(frames: &[Frame]) -> Vec<(u64, Vec<u8>)> {
+fn golden(frames: &[Frame]) -> Vec<Coded> {
     let params = EncodeParams {
         search_area: SearchArea(16),
         n_ref: 2,
@@ -40,10 +49,13 @@ fn golden(frames: &[Frame]) -> Vec<(u64, Vec<u8>)> {
         frames[0].mb_rows(),
         params.qp_intra,
     );
+    let mut out = vec![(
+        None,
+        samples(&intra.recon, &chroma0.recon_u, &chroma0.recon_v),
+    )];
     let mut store = ReferenceStore::new(params.n_ref);
     let sf = feves_codec::interp::interpolate(&intra.recon);
     store.push_yuv(intra.recon, sf, chroma0.recon_u, chroma0.recon_v);
-    let mut out = Vec::new();
     for f in &frames[1..] {
         let r = encode_inter_frame_yuv(f, &store, &params);
         let (_stream, bits) = feves_codec::entropy::encode_frame_yuv(
@@ -52,54 +64,59 @@ fn golden(frames: &[Frame]) -> Vec<(u64, Vec<u8>)> {
             &r.chroma.coeffs,
             params.qp,
         );
-        out.push((bits, r.luma.recon.as_slice().to_vec()));
+        out.push((
+            Some(bits),
+            samples(&r.luma.recon, &r.chroma.recon_u, &r.chroma.recon_v),
+        ));
         let sf = feves_codec::interp::interpolate(&r.luma.recon);
         store.push_yuv(r.luma.recon, sf, r.chroma.recon_u, r.chroma.recon_v);
     }
     out
 }
 
+/// The framework's outcome, frame by frame.
+fn framework(frames: &[Frame], balancer: BalancerKind) -> Vec<Coded> {
+    let mut enc = FevesEncoder::new(Platform::sys_hk(), functional_config(balancer)).unwrap();
+    let coded = frames.iter().map(|f| {
+        let rep = enc.encode_frame(f);
+        let (y, u, v) = enc.last_reconstruction_yuv().unwrap();
+        (rep.bits.filter(|_| !rep.is_intra), samples(y, u, v))
+    });
+    coded.collect()
+}
+
+fn assert_same(got: &[Coded], expected: &[Coded], who: &str) {
+    assert_eq!(got.len(), expected.len());
+    for (i, (g, e)) in got.iter().zip(expected).enumerate() {
+        assert_eq!(g.0, e.0, "{who}: frame {i} bits differ");
+        for (plane, name) in ["Y", "Cb", "Cr"].iter().enumerate() {
+            assert!(
+                g.1[plane] == e.1[plane],
+                "{who}: frame {i} {name} reconstruction differs"
+            );
+        }
+    }
+}
+
 #[test]
 fn framework_matches_golden_encoder() {
     let frames = test_frames(4);
-    let expected = golden(&frames);
-
-    let mut enc =
-        FevesEncoder::new(Platform::sys_hk(), functional_config(BalancerKind::Feves)).unwrap();
-    let rep = enc.encode_sequence(&frames);
-    let got: Vec<&FrameReport> = rep.inter_frames().collect();
-    assert_eq!(got.len(), expected.len());
-    for (i, (f, (bits, recon))) in got.iter().zip(&expected).enumerate() {
-        assert_eq!(f.bits, Some(*bits), "frame {} bits differ", i + 1);
-        let _ = recon;
-    }
-    // Final reconstruction identical to the golden one.
-    let last = enc.last_reconstruction().unwrap();
-    assert_eq!(last.as_slice(), &expected.last().unwrap().1[..]);
+    let got = framework(&frames, BalancerKind::Feves);
+    assert_same(&got, &golden(&frames), "framework vs golden");
 }
 
 #[test]
 fn all_balancers_produce_identical_output() {
     let frames = test_frames(3);
-    let mut reference: Option<(Vec<Option<u64>>, Vec<u8>)> = None;
+    let reference = framework(&frames, BalancerKind::Feves);
     for balancer in [
-        BalancerKind::Feves,
         BalancerKind::Equidistant,
         BalancerKind::Proportional,
         BalancerKind::SingleAccelerator(0),
         BalancerKind::CpuOnly,
     ] {
-        let mut enc = FevesEncoder::new(Platform::sys_hk(), functional_config(balancer)).unwrap();
-        let rep = enc.encode_sequence(&frames);
-        let bits: Vec<Option<u64>> = rep.inter_frames().map(|f| f.bits).collect();
-        let recon = enc.last_reconstruction().unwrap().as_slice().to_vec();
-        match &reference {
-            None => reference = Some((bits, recon)),
-            Some((rb, rr)) => {
-                assert_eq!(&bits, rb, "{balancer:?}: bitstream sizes diverge");
-                assert_eq!(&recon, rr, "{balancer:?}: reconstruction diverges");
-            }
-        }
+        let got = framework(&frames, balancer);
+        assert_same(&got, &reference, &format!("{balancer:?} vs Feves"));
     }
 }
 
