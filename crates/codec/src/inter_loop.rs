@@ -149,11 +149,6 @@ impl ReferenceStore {
         &self.entries[idx]
     }
 
-    /// Configured window depth.
-    pub fn max_refs(&self) -> usize {
-        self.max_refs
-    }
-
     /// Entries most recent first (checkpoint serialization walks these).
     pub fn entries(&self) -> impl Iterator<Item = &RefEntry> {
         self.entries.iter()

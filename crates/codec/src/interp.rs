@@ -19,7 +19,6 @@
 //! byte math, bit-exact against the scalar reference.
 
 use crate::par;
-use crate::types::QpelMv;
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::{Plane, PlaneBandMut};
 
@@ -100,24 +99,6 @@ impl SubpelFrame {
                 stride: TILE,
             }
         }
-    }
-
-    /// Copy a `w × h` prediction block whose top-left full-pel anchor is
-    /// `(bx, by)` displaced by the quarter-pel motion vector `mv`, into
-    /// `dst` (row-major, stride `w`).
-    pub fn predict_block(
-        &self,
-        bx: usize,
-        by: usize,
-        mv: QpelMv,
-        w: usize,
-        h: usize,
-        dst: &mut [i16],
-    ) {
-        assert_eq!(dst.len(), w * h);
-        let mut tile: Tile = [0; 256];
-        let (qx, qy) = (bx as i32 * 4 + mv.x as i32, by as i32 * 4 + mv.y as i32);
-        self.block(qx, qy, w, h, &mut tile).widen_into(w, h, dst, w);
     }
 
     /// Interpolate the pixel rows covered by the MB rows of `rows`, reading
@@ -335,32 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_block_at_zero_mv_copies_source() {
-        let rf = Plane::from_fn(32, 32, |x, y| (x + y * 2) as u8);
-        let sf = interpolate(&rf);
-        let mut dst = [0i16; 16];
-        sf.predict_block(8, 8, QpelMv::ZERO, 4, 4, &mut dst);
-        for row in 0..4 {
-            for col in 0..4 {
-                assert_eq!(dst[row * 4 + col], rf.get(8 + col, 8 + row) as i16);
-            }
-        }
-    }
-
-    #[test]
-    fn predict_block_full_pel_mv() {
-        let rf = Plane::from_fn(32, 32, |x, y| ((x * 5) ^ y) as u8);
-        let sf = interpolate(&rf);
-        let mut dst = [0i16; 16];
-        sf.predict_block(8, 8, QpelMv::new(-8, 4), 4, 4, &mut dst);
-        for row in 0..4 {
-            for col in 0..4 {
-                assert_eq!(dst[row * 4 + col], rf.get(6 + col, 9 + row) as i16);
-            }
-        }
-    }
-
-    #[test]
     fn block_equals_per_sample_fetch_inside_and_across_every_edge() {
         use crate::types::ALL_PARTITION_MODES;
         let (pw, ph) = (32isize, 16isize);
@@ -389,18 +344,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn predict_block_across_the_corner_equals_per_sample_fetch() {
-        let rf = Plane::from_fn(32, 32, |x, y| ((x * 5) ^ (y * 9)) as u8);
-        let sf = interpolate(&rf);
-        let mut dst = [0i16; 64];
-        sf.predict_block(24, 28, QpelMv::new(13, 7), 8, 8, &mut dst);
-        for (i, &d) in dst.iter().enumerate() {
-            let (qx, qy) = ((24 + i % 8) * 4 + 13, (28 + i / 8) * 4 + 7);
-            assert_eq!(d, sf.sample(qx as isize, qy as isize) as i16, "sample {i}");
         }
     }
 

@@ -57,12 +57,8 @@ pub fn mode_rate_costs(qp: u8) -> [u64; 7] {
     ALL_PARTITION_MODES.map(|mode| (lambda * mode_overhead_bits(mode) as f64).round() as u64)
 }
 
-/// Choose the best partition mode for one macroblock from its SME output.
-pub fn decide_mode(sme: &MbSubMotion, qp: u8) -> MbMode {
-    decide_mode_at(sme, &mode_rate_costs(qp))
-}
-
-/// [`decide_mode`] given the QP's [`mode_rate_costs`].
+/// Choose the best partition mode for one macroblock from its SME output,
+/// given the QP's [`mode_rate_costs`].
 fn decide_mode_at(sme: &MbSubMotion, rate_costs: &[u64; 7]) -> MbMode {
     let mut best = MbMode::default();
     for (mode, rate) in ALL_PARTITION_MODES.into_iter().zip(rate_costs) {
@@ -350,7 +346,7 @@ mod tests {
                 };
             }
         }
-        let d = decide_mode(&sme, 51);
+        let d = decide_mode_at(&sme, &mode_rate_costs(51));
         assert_eq!(d.mode, PartitionMode::P16x16);
     }
 
@@ -366,7 +362,7 @@ mod tests {
             }
         }
         // QP 0 → tiny lambda; 4x4 with zero distortion must win.
-        let d = decide_mode(&sme, 0);
+        let d = decide_mode_at(&sme, &mode_rate_costs(0));
         assert_eq!(d.mode, PartitionMode::P4x4);
     }
 }

@@ -21,13 +21,6 @@ pub struct MbCoeffs {
     pub coded_mask: u16,
 }
 
-impl MbCoeffs {
-    /// True when any 4×4 block carries coefficients.
-    pub fn is_coded(&self) -> bool {
-        self.coded_mask != 0
-    }
-}
-
 /// Quantized coefficients of a frame.
 pub type CoeffField = MbField<MbCoeffs>;
 

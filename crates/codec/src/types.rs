@@ -47,14 +47,6 @@ impl QpelMv {
     /// Zero displacement.
     pub const ZERO: QpelMv = QpelMv { x: 0, y: 0 };
 
-    /// Full-pel part (floor division by 4).
-    pub fn full_pel(self) -> Mv {
-        Mv {
-            x: self.x.div_euclid(4),
-            y: self.y.div_euclid(4),
-        }
-    }
-
     /// Sub-pel phase in quarter units, each in `0..4`.
     pub fn phase(self) -> (u8, u8) {
         (self.x.rem_euclid(4) as u8, self.y.rem_euclid(4) as u8)
@@ -142,14 +134,8 @@ pub const TOTAL_PARTITION_BLOCKS: usize = 41;
 pub struct SearchArea(pub u16);
 
 impl SearchArea {
-    /// The paper's evaluated sizes.
+    /// The paper's headline size.
     pub const SA32: SearchArea = SearchArea(32);
-    /// 64×64 window.
-    pub const SA64: SearchArea = SearchArea(64);
-    /// 128×128 window.
-    pub const SA128: SearchArea = SearchArea(128);
-    /// 256×256 window.
-    pub const SA256: SearchArea = SearchArea(256);
 
     /// Displacement range: candidates span `[-range, range)` per axis.
     pub fn range(self) -> i16 {
@@ -313,11 +299,6 @@ impl Module {
 
     /// The single-device `R*` group.
     pub const RSTAR: [Module; 4] = [Module::Mc, Module::Tq, Module::Itq, Module::Dbl];
-
-    /// True for ME/INT/SME.
-    pub fn is_balanced(self) -> bool {
-        matches!(self, Module::Me | Module::Interp | Module::Sme)
-    }
 }
 
 #[cfg(test)]
@@ -327,10 +308,8 @@ mod tests {
     #[test]
     fn qpel_roundtrip() {
         let q = QpelMv::new(-7, 9);
-        assert_eq!(q.full_pel(), Mv::new(-2, 2));
         assert_eq!(q.phase(), (1, 1));
         let q2 = QpelMv::new(8, -8);
-        assert_eq!(q2.full_pel(), Mv::new(2, -2));
         assert_eq!(q2.phase(), (0, 0));
         assert_eq!(Mv::new(3, -1).to_qpel(), QpelMv::new(12, -4));
     }
@@ -364,7 +343,7 @@ mod tests {
     fn search_area_geometry() {
         assert_eq!(SearchArea::SA32.range(), 16);
         assert_eq!(SearchArea::SA32.candidates(), 1024);
-        assert_eq!(SearchArea::SA64.candidates(), 4 * 1024);
+        assert_eq!(SearchArea(64).candidates(), 4 * 1024);
     }
 
     #[test]
@@ -424,8 +403,6 @@ mod tests {
 
     #[test]
     fn module_grouping() {
-        assert!(Module::Me.is_balanced());
-        assert!(!Module::Dbl.is_balanced());
         assert_eq!(
             Module::BALANCED.len() + Module::RSTAR.len(),
             Module::ALL.len()

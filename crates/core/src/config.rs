@@ -94,11 +94,6 @@ pub struct EncoderConfig {
     /// LP re-solve off the critical path). Affects scheduling timing and
     /// idle attribution only — never the functional bitstream bytes.
     pub pipeline: bool,
-    /// Emit causal-trace spans (per-frame phases, kernel dispatch, pipeline
-    /// overlap edges) into the session's `TraceSink` when one is attached.
-    /// Purely observational: no effect on scheduling or bitstream bytes,
-    /// and zero-cost when no sink is attached.
-    pub trace: bool,
 }
 
 /// Rate-control parameters (see [`feves_codec::rate::RateController`]).
@@ -131,7 +126,6 @@ impl EncoderConfig {
             drift: DriftConfig::default(),
             health_jitter: None,
             pipeline: false,
-            trace: false,
         }
     }
 

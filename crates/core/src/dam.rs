@@ -11,7 +11,6 @@ use crate::vcm::STREAMS;
 use feves_codec::workload::bytes_per_row;
 use feves_ft::FevesError;
 use feves_hetsim::platform::Platform;
-use feves_hetsim::timeline::Dir;
 use feves_sched::Distribution;
 
 /// Per-device transfer volumes for one frame, in MB rows, keyed by the
@@ -51,24 +50,6 @@ pub struct DeviceTransfers {
 }
 
 impl DeviceTransfers {
-    fn rows_moved(&self, dir: Dir) -> usize {
-        STREAMS
-            .iter()
-            .filter(|s| s.dir == dir)
-            .map(|s| (s.rows)(self))
-            .sum()
-    }
-
-    /// Total uploaded rows (diagnostics).
-    pub fn total_up(&self) -> usize {
-        self.rows_moved(Dir::H2d)
-    }
-
-    /// Total downloaded rows (diagnostics).
-    pub fn total_down(&self) -> usize {
-        self.rows_moved(Dir::D2h)
-    }
-
     /// Total bytes this plan moves over PCIe for a frame of `width` luma
     /// pixels, weighting each stream's rows by its per-row footprint
     /// (observability: feeds the `dam.bytes_*` metrics).
@@ -153,16 +134,6 @@ impl DataManager {
         let mut v: Vec<u64> = self.slot_owner.iter().flatten().copied().collect();
         v.sort_unstable();
         v
-    }
-
-    /// σʳ of the previous frame (the Algorithm 2 `σ^{r−1}` input).
-    pub fn sigma_rem_prev(&self) -> &[usize] {
-        &self.sigma_rem
-    }
-
-    /// Frames committed so far.
-    pub fn frames_committed(&self) -> usize {
-        self.frames_committed
     }
 
     /// Mutable buffer-residency state for checkpointing: `(σʳ per device,
@@ -258,7 +229,6 @@ impl DataManager {
         is_accelerator: &[bool],
         data_reuse: bool,
     ) -> Vec<DeviceTransfers> {
-        let _span = feves_obs::span!(feves_obs::global(), "dam.plan");
         assert_eq!(is_accelerator.len(), self.n_devices);
         assert_eq!(dist.n_devices(), self.n_devices);
         let n = self.n_rows;
@@ -372,7 +342,7 @@ mod tests {
                 "core {d} must be silent"
             );
         }
-        assert!(plan[0].total_up() > 0);
+        assert!(plan[0].bytes(1920) > 0);
     }
 
     #[test]
@@ -413,7 +383,7 @@ mod tests {
             feves_sched::Distribution::from_rows(me.clone(), me.clone(), me, 0, &budget, None);
         assert!(dist.sigma_rem[1] > 0, "test needs a real remainder");
         dam.commit(&dist, &accel_mask(6, 2), true).unwrap();
-        assert_eq!(dam.sigma_rem_prev()[1], dist.sigma_rem[1]);
+        assert_eq!(dam.snapshot().0[1], dist.sigma_rem[1]);
         // Next frame's plan ships the deferred rows first.
         let plan = dam.plan(&dist, &accel_mask(6, 2), true);
         assert_eq!(plan[1].sigma_prev_up, dist.sigma_rem[1]);
@@ -425,7 +395,7 @@ mod tests {
         let dist = Distribution::equidistant(68, 5, 0);
         let reuse = dam.plan(&dist, &accel_mask(5, 1), true);
         let no_reuse = dam.plan(&dist, &accel_mask(5, 1), false);
-        assert!(no_reuse[0].total_up() >= reuse[0].total_up());
+        assert!(no_reuse[0].bytes(1920) >= reuse[0].bytes(1920));
         // Equidistant ⇒ Δ = 0, so reuse mode uploads nothing extra for SME.
         assert_eq!(reuse[0].cf_sme_up, 0);
         assert_eq!(no_reuse[0].cf_sme_up, dist.sme[0]);

@@ -37,8 +37,8 @@ use feves_hetsim::platform::Platform;
 use feves_hetsim::timeline::{simulate, Schedule};
 use feves_obs::trace::{DeviceSlice, TraceArg};
 use feves_obs::{
-    residual_pct, DeviceRecord, EdgeKind, FlightRecord, FlightRecorder, Metric, Recorder,
-    SessionScope, TauTriple, TraceSink,
+    residual_pct, DeviceRecord, EdgeKind, FlightRecord, FlightRecorder, Metric, NoopRecorder,
+    Recorder, SessionScope, TauTriple, TraceSink,
 };
 use feves_sched::{
     BalanceInput, Centric, CompletionTracker, Distribution, EquidistantBalancer, FevesBalancer,
@@ -249,9 +249,9 @@ pub struct FevesEncoder {
     refs_available: usize,
     /// Schedule trace of the most recent inter-frame.
     last_trace: Option<FrameTrace>,
-    /// Metrics/span sink for this encoder; falls back to the process-global
-    /// recorder ([`feves_obs::global`]) when unset.
-    recorder: Option<Arc<dyn Recorder>>,
+    /// Metrics/span sink for this encoder: a [`NoopRecorder`] until
+    /// [`Self::set_recorder`] or [`Self::set_scope`].
+    recorder: Arc<dyn Recorder>,
     /// Closed-loop QP controller (functional mode, when configured).
     rate: Option<RateController>,
     // Functional-mode state.
@@ -423,7 +423,7 @@ impl FevesEncoder {
             frames_encoded: 0,
             refs_available: 0,
             last_trace: None,
-            recorder: None,
+            recorder: Arc::new(NoopRecorder),
             rate: config
                 .rate_control
                 .map(|rc| RateController::new(rc.target_kbps, rc.fps, config.params.qp)),
@@ -453,11 +453,11 @@ impl FevesEncoder {
     }
 
     /// Attach a metrics/span recorder to this encoder. Per-frame metrics
-    /// (τ sync points, imbalance, LP iterations, DAM byte volumes) are
-    /// recorded here; without one, the encoder uses the process-global
-    /// recorder installed via [`feves_obs::install`] (a no-op by default).
+    /// (τ sync points, imbalance, LP iterations, DAM byte volumes) and the
+    /// wall-clock spans around the encoder's own calls (`balance`,
+    /// `dam.plan`, `vcm.build`) are recorded here; without one, nothing is.
     pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
-        self.recorder = Some(rec);
+        self.recorder = rec;
     }
 
     /// Bind this encoder to a telemetry session: all metrics flow into the
@@ -474,7 +474,7 @@ impl FevesEncoder {
                 .map(|d| d.name.clone())
                 .collect::<Vec<_>>(),
         );
-        self.recorder = Some(scope.recorder());
+        self.recorder = scope.recorder();
         self.scope = Some(scope);
     }
 
@@ -519,9 +519,9 @@ impl FevesEncoder {
         }
     }
 
-    /// The active recorder: this encoder's own, else the process global.
+    /// This encoder's recorder.
     fn rec(&self) -> Arc<dyn Recorder> {
-        self.recorder.clone().unwrap_or_else(feves_obs::global)
+        self.recorder.clone()
     }
 
     /// Register a perturbation (timing-only or functional).
@@ -600,6 +600,7 @@ impl FevesEncoder {
     /// result is scattered back to full-platform coordinates with zero rows
     /// on the excluded devices.
     fn balance(&mut self, n_rows: usize, avail: &[bool]) -> Distribution {
+        let _span = feves_obs::span!(self.rec(), "balance");
         if avail.iter().all(|&a| a) {
             let d = self.balancer.distribute(&BalanceInput {
                 n_rows,
@@ -819,15 +820,21 @@ impl FevesEncoder {
         let mask: Vec<bool> = (self.platform.devices.iter().zip(&avail))
             .map(|(d, &v)| d.is_accelerator() && v)
             .collect();
-        let plan = self.dam.plan(&dist, &mask, self.config.data_reuse);
-        let fg = build_frame_graph(
-            &dist,
-            &plan,
-            &self.platform,
-            params,
-            self.geometry,
-            self.config.overlap,
-        );
+        let plan = {
+            let _span = feves_obs::span!(self.rec(), "dam.plan");
+            self.dam.plan(&dist, &mask, self.config.data_reuse)
+        };
+        let fg = {
+            let _span = feves_obs::span!(self.rec(), "vcm.build");
+            build_frame_graph(
+                &dist,
+                &plan,
+                &self.platform,
+                params,
+                self.geometry,
+                self.config.overlap,
+            )
+        };
         let mut speeds = self.speed_multipliers(inter_frame);
         self.injector.overlay_speeds(inter_frame, &mut speeds);
         let sched = simulate(&fg.graph, &self.platform, &speeds, &mut self.noise)
@@ -1081,8 +1088,9 @@ impl FevesEncoder {
         }
     }
 
-    /// Phase 4: the only place on the inter path that touches the
-    /// recorder, the flight ring, the session scope or the trace sink.
+    /// Phase 4: the only place on the inter path that touches the flight
+    /// ring, the session scope or the trace sink, and — the wall-clock spans
+    /// `plan_frame` opens around its own calls aside — the recorder.
     /// Everything except the wall-clock scheduling overhead is derived from
     /// the virtual clock and is deterministic for a fixed configuration.
     fn emit(&mut self, out: &FrameOutcome) {

@@ -81,11 +81,6 @@ impl FrameReport {
             f64::INFINITY
         }
     }
-
-    /// Real-time per the paper's threshold (≥ 25 fps).
-    pub fn is_realtime(&self) -> bool {
-        self.fps() >= 25.0
-    }
 }
 
 /// A whole encoded sequence.
@@ -214,11 +209,9 @@ mod tests {
     }
 
     #[test]
-    fn fps_and_realtime() {
+    fn fps_is_the_reciprocal_of_tau_tot() {
         let f = inter(1, 0.04, 1e-4, None);
         assert!((f.fps() - 25.0).abs() < 1e-9);
-        assert!(f.is_realtime());
-        assert!(!inter(2, 0.05, 1e-4, None).is_realtime());
     }
 
     #[test]

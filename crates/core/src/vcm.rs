@@ -279,7 +279,6 @@ pub fn build_frame_graph(
     geo: FrameGeometry,
     overlap: bool,
 ) -> FrameGraph {
-    let _span = feves_obs::span!(feves_obs::global(), "vcm.build");
     let nd = platform.len();
     assert_eq!(dist.n_devices(), nd);
     assert_eq!(transfers.len(), nd);

@@ -369,11 +369,6 @@ impl CheckpointBlob {
         })
     }
 
-    /// Section tags in file order (diagnostics).
-    pub fn tags(&self) -> Vec<[u8; 4]> {
-        self.sections.iter().map(|(t, _)| *t).collect()
-    }
-
     /// Serialize to the on-disk layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();

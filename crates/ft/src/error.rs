@@ -88,14 +88,6 @@ pub enum FevesError {
     CheckpointStale(String),
 }
 
-impl FevesError {
-    /// True when the framework can absorb the error by re-dispatching work
-    /// away from the faulty device.
-    pub fn is_recoverable(&self) -> bool {
-        matches!(self, FevesError::Fault(_))
-    }
-}
-
 impl fmt::Display for FevesError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -126,18 +118,6 @@ impl From<DeviceFault> for FevesError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn recoverability_split() {
-        let fault = FevesError::Fault(DeviceFault {
-            device: 1,
-            frame: 4,
-            cause: FaultCause::TransferError,
-        });
-        assert!(fault.is_recoverable());
-        assert!(!FevesError::Config("bad".into()).is_recoverable());
-        assert!(!FevesError::Unrecoverable("gone".into()).is_recoverable());
-    }
 
     #[test]
     fn display_is_informative() {

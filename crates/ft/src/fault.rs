@@ -37,17 +37,6 @@ pub enum FaultKind {
     KernelPanic,
 }
 
-impl FaultKind {
-    /// True when the fault affects simulated compute speed (as opposed to
-    /// transfers or functional kernel execution).
-    pub fn is_speed_fault(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::Death | FaultKind::Stall { .. } | FaultKind::Slowdown { .. }
-        )
-    }
-}
-
 /// One injected fault: `kind` hits `device` starting at inter frame `frame`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultSpec {

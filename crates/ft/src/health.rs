@@ -87,11 +87,6 @@ impl HealthTracker {
         self.jitter_seed = seed;
     }
 
-    /// The configured jitter seed, if any.
-    pub fn jitter_seed(&self) -> Option<u64> {
-        self.jitter_seed
-    }
-
     pub fn len(&self) -> usize {
         self.state.len()
     }

@@ -628,11 +628,6 @@ impl CrcFile {
         !self.state
     }
 
-    /// Raw running state (pass back into [`CrcFile::resume`]).
-    pub fn crc_state(&self) -> u32 {
-        self.state
-    }
-
     /// Bytes written (plus any seeded prefix length).
     pub fn bytes(&self) -> u64 {
         self.bytes

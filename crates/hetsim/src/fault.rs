@@ -34,11 +34,6 @@ impl FaultInjector {
         self.schedule.is_empty()
     }
 
-    /// The underlying schedule.
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
-    }
-
     /// Faults that begin exactly at inter frame `frame` (for the
     /// faults-injected counter).
     pub fn starting(&self, frame: usize) -> impl Iterator<Item = &FaultSpec> {

@@ -127,21 +127,6 @@ impl Problem {
         VarId(self.obj.len() - 1)
     }
 
-    /// Number of variables so far.
-    pub fn num_vars(&self) -> usize {
-        self.obj.len()
-    }
-
-    /// Number of constraints so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Variable name (for diagnostics).
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.names[v.0]
-    }
-
     /// Add `Σ terms ⋈ rhs`. Duplicate variables in `terms` are summed.
     pub fn add_constraint(&mut self, terms: &[(VarId, f64)], rel: Relation, rhs: f64) {
         let mut combined: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
@@ -166,7 +151,6 @@ impl Problem {
     /// iteration cap or fails post-solve verification, an authoritative
     /// Bland-rule attempt (anti-cycling) decides.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        let _span = feves_obs::span!(feves_obs::global(), "lp.solve");
         match self.solve_attempt(PivotRule::Dantzig) {
             Ok(s) => Ok(s),
             Err(LpError::Unbounded) => Err(LpError::Unbounded),

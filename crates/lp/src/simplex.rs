@@ -104,11 +104,6 @@ impl Tableau {
         x
     }
 
-    /// Basis accessor.
-    pub fn basis(&self) -> &[usize] {
-        &self.basis
-    }
-
     /// Total simplex iterations run on this tableau so far.
     pub fn iterations(&self) -> usize {
         self.iters

@@ -135,11 +135,6 @@ impl ChromeTraceBuilder {
     pub fn to_json(self) -> String {
         serde_json::to_string(&self.finish()).expect("value is a tree")
     }
-
-    /// Serialize to pretty-printed JSON.
-    pub fn to_json_pretty(self) -> String {
-        serde_json::to_string_pretty(&self.finish()).expect("value is a tree")
-    }
 }
 
 #[cfg(test)]

@@ -343,11 +343,6 @@ impl CriticalReport {
         Ok(CriticalReport { jobs })
     }
 
-    /// Total critical-path time across jobs, µs.
-    pub fn total_wall_us(&self) -> f64 {
-        self.jobs.iter().map(|j| j.wall_us).sum()
-    }
-
     /// Render the farm-wide text report, including per-job what-if
     /// projections for the busiest device at +20% speed.
     pub fn render_text(&self, log: &TraceLog) -> String {

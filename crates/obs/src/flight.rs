@@ -138,11 +138,6 @@ impl FlightRecorder {
         self.markers.push(frame);
     }
 
-    /// Resume markers recorded so far (frame indices, resume order).
-    pub fn resume_markers(&self) -> &[usize] {
-        &self.markers
-    }
-
     /// Append a record, evicting the oldest when full.
     pub fn push(&mut self, rec: FlightRecord) {
         if self.records.len() == self.capacity {

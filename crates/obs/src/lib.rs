@@ -9,9 +9,8 @@
 //! - [`Recorder`] — the sink trait. [`NoopRecorder`] (the default) compiles
 //!   recording down to a single `enabled()` check; [`MemoryRecorder`]
 //!   aggregates counters, gauges and fixed-bucket [`Histogram`]s in atomics.
-//! - [`span!`] — RAII wall-clock span guards around the interesting code
-//!   paths (Algorithm 2, the LP solve, the VCM graph build, the DAM
-//!   transfer planner, `encode_frame`).
+//! - [`span!`] — RAII wall-clock span guards the encoder opens around its
+//!   own calls (`balance`, `dam.plan`, `vcm.build`, `encode_frame`).
 //! - Exporters — JSONL event lines ([`MemoryRecorder::to_jsonl`]), a human
 //!   `feves stats` summary table ([`MemoryRecorder::render_stats`]), and a
 //!   Chrome-trace-event builder ([`ChromeTraceBuilder`]) whose output loads
@@ -67,8 +66,6 @@ pub use report::render_html;
 pub use scope::{hub, DeviceLive, RetiredSession, SessionScope, TelemetryHub};
 pub use trace::{EdgeKind, TraceCollector, TraceCtx, TraceEdge, TraceLog, TraceSink, TraceSpan};
 
-use std::sync::Arc;
-
 /// How a metric aggregates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
@@ -94,437 +91,163 @@ pub struct MetricDef {
     pub wall_clock: bool,
 }
 
-/// The framework's metric registry. Indexes into [`REGISTRY`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Metric {
+/// The metric table: one row per metric — doc comment, variant, dotted
+/// name, unit, kind, and the clock it is read off (`virt`: the simulated
+/// schedule, deterministic for a fixed configuration; `wall`: host time or
+/// host scheduling, excluded from deterministic exports). Generates
+/// [`Metric`], [`REGISTRY`] and [`Metric::ALL`], in row order.
+macro_rules! metrics {
+    (@wall virt) => { false };
+    (@wall wall) => { true };
+    ($($(#[$doc:meta])* $variant:ident = $name:literal, $unit:literal, $kind:ident, $clock:ident;)*) => {
+        /// The framework's metric registry. Indexes into [`REGISTRY`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Metric {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// Definitions for every [`Metric`], in `Metric` discriminant order.
+        pub static REGISTRY: [MetricDef; Metric::ALL.len()] = [$(MetricDef {
+            name: $name,
+            unit: $unit,
+            kind: MetricKind::$kind,
+            wall_clock: metrics!(@wall $clock),
+        },)*];
+
+        impl Metric {
+            /// All metrics, in registry order.
+            pub const ALL: [Metric; [$($name),*].len()] = [$(Metric::$variant,)*];
+        }
+    };
+}
+
+metrics! {
     /// Wall-clock load-balancer runtime per inter-frame (µs) — the paper's
     /// "< 2 ms scheduling overhead" claim.
-    SchedOverheadUs,
+    SchedOverheadUs = "sched.overhead_us", "us", Histogram, wall;
     /// Simulated τ1 sync point per inter-frame (ms).
-    FrameTau1Ms,
+    FrameTau1Ms = "frame.tau1_ms", "ms", Histogram, virt;
     /// Simulated τ2 sync point per inter-frame (ms).
-    FrameTau2Ms,
+    FrameTau2Ms = "frame.tau2_ms", "ms", Histogram, virt;
     /// Simulated τtot (frame encoding time) per inter-frame (ms).
-    FrameTauTotMs,
+    FrameTauTotMs = "frame.tau_tot_ms", "ms", Histogram, virt;
     /// Per-frame compute-lane busy-time imbalance, `(max−min)/max·100`.
-    LbImbalancePct,
+    LbImbalancePct = "lb.imbalance_pct", "%", Histogram, virt;
     /// Simplex iterations per Algorithm 2 LP solve.
-    LpIterations,
+    LpIterations = "lp.iterations", "iters", Histogram, virt;
     /// Bytes *not* transferred thanks to the Δ/σ data-reuse machinery.
-    DamBytesReused,
+    DamBytesReused = "dam.bytes_reused", "bytes", Counter, virt;
     /// Bytes moved over PCIe per the DAM transfer plans.
-    DamBytesTransferred,
+    DamBytesTransferred = "dam.bytes_transferred", "bytes", Counter, virt;
     /// Tasks (kernels + transfers + barriers) scheduled by the VCM.
-    VcmTasksScheduled,
+    VcmTasksScheduled = "vcm.tasks_scheduled", "tasks", Counter, virt;
     /// Frames encoded (intra + inter).
-    FramesEncoded,
+    FramesEncoded = "frames.encoded", "frames", Counter, virt;
     /// Device faults injected by the fault schedule.
-    FtFaultsInjected,
+    FtFaultsInjected = "ft.faults_injected", "faults", Counter, virt;
     /// Device faults detected (missed deadlines, transfer errors, stripe
     /// panics).
-    FtFaultsDetected,
+    FtFaultsDetected = "ft.faults_detected", "faults", Counter, virt;
     /// Detected faults the framework recovered from (re-dispatch completed).
-    FtFaultsRecovered,
+    FtFaultsRecovered = "ft.faults_recovered", "faults", Counter, virt;
     /// Algorithm-2 re-solves on a reduced platform after a fault.
-    FtResolves,
+    FtResolves = "ft.resolves", "solves", Counter, virt;
     /// MB rows re-dispatched from faulty devices to survivors.
-    FtRedispatchedRows,
+    FtRedispatchedRows = "ft.redispatched_rows", "rows", Counter, virt;
     /// Virtual time lost to fault detection + re-dispatch per affected
     /// frame (ms).
-    FtRecoveryMs,
+    FtRecoveryMs = "ft.recovery_ms", "ms", Histogram, virt;
     /// Active hot-kernel implementation (0 = scalar, 1 = fast SWAR), per
     /// `FEVES_KERNELS` / `feves_codec::kernels::active_kind`.
-    KernelDispatch,
+    KernelDispatch = "kernel.dispatch", "impl", Gauge, virt;
     /// Drift-detector firings: a device's prediction residual stayed outside
     /// the configured band for K consecutive frames (triggers
     /// re-characterization).
-    SchedDrift,
+    SchedDrift = "sched.drift", "events", Counter, virt;
     /// Deadline misses attributed to a device the drift detector had
     /// *already* flagged — likely model drift, not a hard fault.
-    FtDriftVsFault,
+    FtDriftVsFault = "ft.drift_vs_fault", "faults", Counter, virt;
     /// Absolute LP-prediction residual per device per frame,
     /// `|measured − predicted| / predicted · 100`.
-    AuditResidualAbsPct,
+    AuditResidualAbsPct = "audit.residual_abs_pct", "%", Histogram, virt;
     /// Per-frame load-imbalance index, `max/mean` compute-lane busy time
     /// (the Fig 6 quantity; 1.0 = perfectly balanced).
-    LbImbalanceIndex,
+    LbImbalanceIndex = "lb.imbalance_index", "ratio", Histogram, virt;
     /// Checkpoints durably committed (temp + fsync + rename completed).
-    CkptWrites,
+    CkptWrites = "ckpt.writes", "ckpts", Counter, virt;
     /// Total checkpoint bytes written across all generations.
-    CkptBytes,
+    CkptBytes = "ckpt.bytes_written", "bytes", Counter, virt;
     /// Wall-clock time spent snapshotting + writing one checkpoint (ms).
-    CkptWriteMs,
-    /// Telemetry-bus events drained and applied to this session's registry.
-    ObsBusEvents,
-    /// Telemetry events dropped at a full bus (the drop-and-count policy:
-    /// the encode loop is never blocked; losses are made visible here).
-    ObsDroppedEvents,
-    /// Sampled cost of one bus enqueue (every 64th publish is timed) —
-    /// the bus metering its own hot-path overhead.
-    ObsBusEnqueueNs,
-    /// Wall-clock cost of one drain batch (pop + apply, up to 1024 events).
-    ObsBusDrainUs,
-    /// Jobs waiting in the farm admission queue (sampled at every farm
-    /// state change).
-    FarmQueueDepth,
-    /// Jobs rejected at admission because the queue crossed its
-    /// high-watermark (`QueueFull`).
-    FarmAdmissionRejects,
-    /// Session retries launched by the farm supervisor (after a panic or
-    /// device fault, resuming from the last durable checkpoint).
-    FarmRetries,
-    /// Jobs that completed successfully (bitstream fully written).
-    FarmJobsCompleted,
-    /// Jobs that exhausted their retry budget or failed fatally.
-    FarmJobsFailed,
-    /// Wall-clock time from drain request to farm exit (ms).
-    FarmDrainMs,
-    /// Per-frame critical-path time shaved by inter-frame pipelining (µs):
-    /// the span of frame N+1's phase-1 prefix that ran inside frame N's
-    /// per-device τ-sync stalls.
-    PipelineOverlapUs,
-    /// Per-frame total device stall recovered by the pipeline (µs), summed
-    /// across devices (each device's recovered span ≤ its carried stall).
-    PipelineStallRecoveredUs,
-    /// Causal-trace spans recorded (job/queue/attempt/frame/kernel spans
-    /// flowing into the farm's `TraceCollector`).
-    TraceSpans,
-    /// Causal-trace edges recorded (queue→admit, checkpoint→resume,
-    /// pipeline-overlap links).
-    TraceEdges,
-    /// Transient-I/O retries spent by durable writers (checkpoints,
-    /// `write_atomic`, spool/done control files).
-    IoRetries,
-    /// Writes that failed with ENOSPC (disk full) — the farm's
-    /// disk-pressure trigger.
-    IoEnospcEvents,
-    /// Corrupt control files / artifacts rejected by CRC or structural
-    /// validation (quarantined, never trusted).
-    IoCorruptRejected,
-    /// Farm disk-pressure state (1 = admission paused at the free-space low
-    /// watermark, 0 = healthy).
-    FarmDiskPressure,
-}
-
-/// Definitions for every [`Metric`], in `Metric` discriminant order.
-pub static REGISTRY: [MetricDef; 42] = [
-    MetricDef {
-        name: "sched.overhead_us",
-        unit: "us",
-        kind: MetricKind::Histogram,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "frame.tau1_ms",
-        unit: "ms",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "frame.tau2_ms",
-        unit: "ms",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "frame.tau_tot_ms",
-        unit: "ms",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "lb.imbalance_pct",
-        unit: "%",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "lp.iterations",
-        unit: "iters",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "dam.bytes_reused",
-        unit: "bytes",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "dam.bytes_transferred",
-        unit: "bytes",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "vcm.tasks_scheduled",
-        unit: "tasks",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "frames.encoded",
-        unit: "frames",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ft.faults_injected",
-        unit: "faults",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ft.faults_detected",
-        unit: "faults",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ft.faults_recovered",
-        unit: "faults",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ft.resolves",
-        unit: "solves",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ft.redispatched_rows",
-        unit: "rows",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ft.recovery_ms",
-        unit: "ms",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "kernel.dispatch",
-        unit: "impl",
-        kind: MetricKind::Gauge,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "sched.drift",
-        unit: "events",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ft.drift_vs_fault",
-        unit: "faults",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "audit.residual_abs_pct",
-        unit: "%",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "lb.imbalance_index",
-        unit: "ratio",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ckpt.writes",
-        unit: "ckpts",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ckpt.bytes_written",
-        unit: "bytes",
-        kind: MetricKind::Counter,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "ckpt.write_ms",
-        unit: "ms",
-        kind: MetricKind::Histogram,
-        wall_clock: true,
-    },
+    CkptWriteMs = "ckpt.write_ms", "ms", Histogram, wall;
     // The obs.* bus metrics are all flagged wall_clock: how many events a
     // drain batch catches — and whether any are dropped — depends on host
     // scheduling, so none of them belong in a deterministic export.
-    MetricDef {
-        name: "obs.bus_events",
-        unit: "events",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "obs.dropped_events",
-        unit: "events",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "obs.bus_enqueue_ns",
-        unit: "ns",
-        kind: MetricKind::Histogram,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "obs.bus_drain_us",
-        unit: "us",
-        kind: MetricKind::Histogram,
-        wall_clock: true,
-    },
+    /// Telemetry-bus events drained and applied to this session's registry.
+    ObsBusEvents = "obs.bus_events", "events", Counter, wall;
+    /// Telemetry events dropped at a full bus (the drop-and-count policy:
+    /// the encode loop is never blocked; losses are made visible here).
+    ObsDroppedEvents = "obs.dropped_events", "events", Counter, wall;
+    /// Sampled cost of one bus enqueue (every 64th publish is timed) —
+    /// the bus metering its own hot-path overhead.
+    ObsBusEnqueueNs = "obs.bus_enqueue_ns", "ns", Histogram, wall;
+    /// Wall-clock cost of one drain batch (pop + apply, up to 1024 events).
+    ObsBusDrainUs = "obs.bus_drain_us", "us", Histogram, wall;
     // The farm.* metrics describe the `feves serve` supervisor. All are
     // wall_clock: queue depth and retry counts depend on job arrival order
     // and host scheduling, never on the virtual encode clock.
-    MetricDef {
-        name: "farm.queue_depth",
-        unit: "jobs",
-        kind: MetricKind::Gauge,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "farm.admission_rejects",
-        unit: "jobs",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "farm.retries",
-        unit: "retries",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "farm.jobs_completed",
-        unit: "jobs",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "farm.jobs_failed",
-        unit: "jobs",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "farm.drain_ms",
-        unit: "ms",
-        kind: MetricKind::Histogram,
-        wall_clock: true,
-    },
+    /// Jobs waiting in the farm admission queue (sampled at every farm
+    /// state change).
+    FarmQueueDepth = "farm.queue_depth", "jobs", Gauge, wall;
+    /// Jobs rejected at admission because the queue crossed its
+    /// high-watermark (`QueueFull`).
+    FarmAdmissionRejects = "farm.admission_rejects", "jobs", Counter, wall;
+    /// Session retries launched by the farm supervisor (after a panic or
+    /// device fault, resuming from the last durable checkpoint).
+    FarmRetries = "farm.retries", "retries", Counter, wall;
+    /// Jobs that completed successfully (bitstream fully written).
+    FarmJobsCompleted = "farm.jobs_completed", "jobs", Counter, wall;
+    /// Jobs that exhausted their retry budget or failed fatally.
+    FarmJobsFailed = "farm.jobs_failed", "jobs", Counter, wall;
+    /// Wall-clock time from drain request to farm exit (ms).
+    FarmDrainMs = "farm.drain_ms", "ms", Histogram, wall;
     // The pipeline.* metrics are virtual-clock quantities (derived from the
     // simulated schedule), so they stay in deterministic exports.
-    MetricDef {
-        name: "pipeline.overlap_us",
-        unit: "us",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
-    MetricDef {
-        name: "pipeline.stall_recovered_us",
-        unit: "us",
-        kind: MetricKind::Histogram,
-        wall_clock: false,
-    },
+    /// Per-frame critical-path time shaved by inter-frame pipelining (µs):
+    /// the span of frame N+1's phase-1 prefix that ran inside frame N's
+    /// per-device τ-sync stalls.
+    PipelineOverlapUs = "pipeline.overlap_us", "us", Histogram, virt;
+    /// Per-frame total device stall recovered by the pipeline (µs), summed
+    /// across devices (each device's recovered span ≤ its carried stall).
+    PipelineStallRecoveredUs = "pipeline.stall_recovered_us", "us", Histogram, virt;
     // The trace.* counters are wall_clock: farm-level span counts depend on
     // retry/drain timing (how many checkpoints and attempts a run needed),
     // so they surface in live snapshots but stay out of deterministic
     // exports — trace *logs* are schema-golden-tested instead.
-    MetricDef {
-        name: "trace.spans",
-        unit: "spans",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "trace.edges",
-        unit: "edges",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
+    /// Causal-trace spans recorded (job/queue/attempt/frame/kernel spans
+    /// flowing into the farm's `TraceCollector`).
+    TraceSpans = "trace.spans", "spans", Counter, wall;
+    /// Causal-trace edges recorded (queue→admit, checkpoint→resume,
+    /// pipeline-overlap links).
+    TraceEdges = "trace.edges", "edges", Counter, wall;
     // The io.* counters and the disk-pressure gauge are wall_clock: fault
     // schedules and free-space probes depend on host state, so they surface
     // in live snapshots but stay out of deterministic exports.
-    MetricDef {
-        name: "io.retries",
-        unit: "retries",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "io.enospc_events",
-        unit: "events",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "io.corrupt_rejected",
-        unit: "files",
-        kind: MetricKind::Counter,
-        wall_clock: true,
-    },
-    MetricDef {
-        name: "farm.disk_pressure",
-        unit: "state",
-        kind: MetricKind::Gauge,
-        wall_clock: true,
-    },
-];
+    /// Transient-I/O retries spent by durable writers (checkpoints,
+    /// `write_atomic`, spool/done control files).
+    IoRetries = "io.retries", "retries", Counter, wall;
+    /// Writes that failed with ENOSPC (disk full) — the farm's
+    /// disk-pressure trigger.
+    IoEnospcEvents = "io.enospc_events", "events", Counter, wall;
+    /// Corrupt control files / artifacts rejected by CRC or structural
+    /// validation (quarantined, never trusted).
+    IoCorruptRejected = "io.corrupt_rejected", "files", Counter, wall;
+    /// Farm disk-pressure state (1 = admission paused at the free-space low
+    /// watermark, 0 = healthy).
+    FarmDiskPressure = "farm.disk_pressure", "state", Gauge, wall;
+}
 
 impl Metric {
-    /// All metrics, in registry order.
-    pub const ALL: [Metric; 42] = [
-        Metric::SchedOverheadUs,
-        Metric::FrameTau1Ms,
-        Metric::FrameTau2Ms,
-        Metric::FrameTauTotMs,
-        Metric::LbImbalancePct,
-        Metric::LpIterations,
-        Metric::DamBytesReused,
-        Metric::DamBytesTransferred,
-        Metric::VcmTasksScheduled,
-        Metric::FramesEncoded,
-        Metric::FtFaultsInjected,
-        Metric::FtFaultsDetected,
-        Metric::FtFaultsRecovered,
-        Metric::FtResolves,
-        Metric::FtRedispatchedRows,
-        Metric::FtRecoveryMs,
-        Metric::KernelDispatch,
-        Metric::SchedDrift,
-        Metric::FtDriftVsFault,
-        Metric::AuditResidualAbsPct,
-        Metric::LbImbalanceIndex,
-        Metric::CkptWrites,
-        Metric::CkptBytes,
-        Metric::CkptWriteMs,
-        Metric::ObsBusEvents,
-        Metric::ObsDroppedEvents,
-        Metric::ObsBusEnqueueNs,
-        Metric::ObsBusDrainUs,
-        Metric::FarmQueueDepth,
-        Metric::FarmAdmissionRejects,
-        Metric::FarmRetries,
-        Metric::FarmJobsCompleted,
-        Metric::FarmJobsFailed,
-        Metric::FarmDrainMs,
-        Metric::PipelineOverlapUs,
-        Metric::PipelineStallRecoveredUs,
-        Metric::TraceSpans,
-        Metric::TraceEdges,
-        Metric::IoRetries,
-        Metric::IoEnospcEvents,
-        Metric::IoCorruptRejected,
-        Metric::FarmDiskPressure,
-    ];
-
     /// Registry index.
     #[inline]
     pub fn index(self) -> usize {
@@ -542,24 +265,6 @@ impl Metric {
     pub fn name(self) -> &'static str {
         self.def().name
     }
-}
-
-/// Install `rec` as the *default-scope* recorder used by free functions
-/// (Algorithm 2, the LP solve, the DAM planner) and by encoders that were
-/// not given an explicit recorder or [`SessionScope`].
-///
-/// This is a thin shim over [`scope::TelemetryHub::default_scope`]: the
-/// process keeps exactly one anonymous default session, and `install` swaps
-/// its sink. Multi-session callers should create named scopes via
-/// [`hub()`]`.session(..)` instead — per-session metrics never flow through
-/// the default scope.
-pub fn install(rec: Arc<dyn Recorder>) {
-    scope::hub().default_scope().set_recorder(rec);
-}
-
-/// The default-scope recorder (a [`NoopRecorder`] until [`install`]).
-pub fn global() -> Arc<dyn Recorder> {
-    scope::hub().default_scope().recorder()
 }
 
 /// Exact percentile by the nearest-rank method over `values` (reordered in
@@ -590,26 +295,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_names_match_enum_order() {
-        for m in Metric::ALL {
-            assert_eq!(REGISTRY[m.index()].name, m.name());
-        }
+    fn registry_names_are_unique_and_clocked() {
+        let mut names: Vec<_> = REGISTRY.iter().map(|d| d.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Metric::ALL.len(), "names are unique");
         assert_eq!(Metric::SchedOverheadUs.name(), "sched.overhead_us");
         assert_eq!(Metric::LpIterations.name(), "lp.iterations");
         assert!(Metric::SchedOverheadUs.def().wall_clock);
         assert!(!Metric::FrameTauTotMs.def().wall_clock);
-    }
-
-    #[test]
-    fn global_defaults_to_noop_and_swaps() {
-        // Runs in-process with other tests: only check the install path by
-        // swapping a memory recorder in and back out.
-        let mem = Arc::new(MemoryRecorder::new());
-        install(mem.clone());
-        global().add(Metric::FramesEncoded, 2);
-        assert_eq!(mem.counter(Metric::FramesEncoded), 2);
-        install(Arc::new(NoopRecorder));
-        assert!(!global().enabled());
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl Recorder for NoopRecorder {
 /// Aggregate statistics of one named span point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanStat {
-    /// Span name (e.g. `"algorithm2"`).
+    /// Span name (e.g. `"balance"`).
     pub name: &'static str,
     /// Completed spans.
     pub count: u64,
@@ -322,8 +322,8 @@ impl Drop for Span {
     }
 }
 
-/// Open an RAII span on a recorder: `let _g = span!(rec, "algorithm2");`.
-/// `rec` is any `Arc<impl Recorder>` expression (e.g. [`crate::global()`]).
+/// Open an RAII span on a recorder: `let _g = span!(rec, "balance");`.
+/// `rec` is any `Arc<impl Recorder>` expression.
 #[macro_export]
 macro_rules! span {
     ($rec:expr, $name:expr) => {

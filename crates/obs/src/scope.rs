@@ -1,10 +1,8 @@
 //! Session-scoped telemetry: per-session metric registries and live device
 //! state, multiplexed through a process-wide [`TelemetryHub`].
 //!
-//! The original `obs` design had exactly one process-global recorder —
-//! fine for one encode per process, structurally wrong for an encode farm
-//! where many sessions share a platform. A [`SessionScope`] is the
-//! per-session replacement: it owns
+//! An encode farm runs many sessions over one platform, so nothing here is
+//! process-global but the hub that lists them. A [`SessionScope`] owns
 //!
 //! - an aggregated [`MemoryRecorder`] (this session's metric registry),
 //! - live per-device state ([`DeviceLive`]: busy %, prediction residual,
@@ -18,13 +16,9 @@
 //! instead publishes fixed-size [`TelemetryEvent`]s and the bus's drain
 //! thread applies them — the hot path never takes a lock and never blocks,
 //! even when the drain side stalls (events are dropped and counted).
-//!
-//! The free functions [`crate::install`] / [`crate::global`] are a shim
-//! over the hub's *default scope* (session id 0), so pre-scope call sites
-//! keep working unchanged.
 
 use crate::bus::{DeviceField, TelemetryBus, TelemetryEvent};
-use crate::recorder::{MemoryRecorder, NoopRecorder, Recorder};
+use crate::recorder::{MemoryRecorder, Recorder};
 use crate::Metric;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,10 +94,6 @@ pub(crate) struct SessionInner {
     metrics: Arc<MemoryRecorder>,
     /// Bus sink, set at most once; absent = direct mode.
     bus: OnceLock<Arc<TelemetryBus>>,
-    /// Explicit recorder override — the [`crate::install`] shim slot on the
-    /// default scope. When set, [`SessionScope::recorder`] returns it
-    /// instead of the scope facade.
-    override_rec: RwLock<Option<Arc<dyn Recorder>>>,
     /// Cached facade so `recorder()` is allocation-free after first use.
     facade: OnceLock<Arc<dyn Recorder>>,
     devices: Mutex<Vec<DeviceLive>>,
@@ -178,9 +168,6 @@ impl Drop for SessionInner {
         // possibly inside this thread's own `sessions` read lock (a
         // transient upgrade in `lookup` can be the last strong reference) —
         // so it must only ever take the separate `retired` mutex.
-        if self.id == 0 {
-            return; // the default scope never retires
-        }
         let total = self.dropped.load(Ordering::Relaxed);
         let flushed = self.dropped_flushed.load(Ordering::Relaxed);
         if total > flushed {
@@ -277,7 +264,7 @@ impl std::fmt::Debug for SessionScope {
 }
 
 impl SessionScope {
-    /// Session id (unique per process; 0 is the default scope).
+    /// Session id (unique per process).
     pub fn id(&self) -> u64 {
         self.inner.id
     }
@@ -287,13 +274,9 @@ impl SessionScope {
         &self.inner.label
     }
 
-    /// The recorder to hand to instrumented code. Returns the explicit
-    /// override when one was installed (the [`crate::install`] shim), else
-    /// this scope's event-routing facade.
+    /// The recorder to hand to instrumented code: this scope's
+    /// event-routing facade.
     pub fn recorder(&self) -> Arc<dyn Recorder> {
-        if let Some(r) = read_lock!(self.inner.override_rec).as_ref() {
-            return r.clone();
-        }
         self.inner
             .facade
             .get_or_init(|| {
@@ -303,12 +286,6 @@ impl SessionScope {
                 })
             })
             .clone()
-    }
-
-    /// Install an explicit recorder override (the [`crate::install`] shim
-    /// slot). Passing a [`NoopRecorder`] disables the default scope again.
-    pub fn set_recorder(&self, rec: Arc<dyn Recorder>) {
-        *write_lock!(self.inner.override_rec) = Some(rec);
     }
 
     /// Attach a telemetry bus: from now on every record of this scope is
@@ -431,7 +408,6 @@ impl SessionScope {
 pub struct TelemetryHub {
     sessions: RwLock<Vec<Weak<SessionInner>>>,
     next_id: AtomicU64,
-    default: OnceLock<SessionScope>,
     /// Bounded ring of recently ended sessions (see [`RetiredSession`]).
     retired: Mutex<VecDeque<RetiredSession>>,
 }
@@ -442,7 +418,6 @@ pub fn hub() -> &'static TelemetryHub {
     HUB.get_or_init(|| TelemetryHub {
         sessions: RwLock::new(Vec::new()),
         next_id: AtomicU64::new(1),
-        default: OnceLock::new(),
         retired: Mutex::new(VecDeque::new()),
     })
 }
@@ -451,21 +426,11 @@ impl TelemetryHub {
     /// Create and register a new session.
     pub fn session(&self, label: &str) -> SessionScope {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.register(id, label, None)
-    }
-
-    fn register(
-        &self,
-        id: u64,
-        label: &str,
-        override_rec: Option<Arc<dyn Recorder>>,
-    ) -> SessionScope {
         let inner = Arc::new(SessionInner {
             id,
             label: label.to_string(),
             metrics: Arc::new(MemoryRecorder::new()),
             bus: OnceLock::new(),
-            override_rec: RwLock::new(override_rec),
             facade: OnceLock::new(),
             devices: Mutex::new(Vec::new()),
             frames: AtomicU64::new(0),
@@ -477,25 +442,13 @@ impl TelemetryHub {
         SessionScope { inner }
     }
 
-    /// The default scope backing [`crate::install`] / [`crate::global`].
-    /// Its recorder override starts as a [`NoopRecorder`], preserving the
-    /// historical "disabled until installed" behaviour.
-    pub fn default_scope(&self) -> SessionScope {
-        self.default
-            .get_or_init(|| self.register(0, "default", Some(Arc::new(NoopRecorder))))
-            .clone()
-    }
-
-    /// All live sessions (pruning dead registrations), creation order,
-    /// default scope excluded.
+    /// All live sessions (pruning dead registrations), creation order.
     pub fn scopes(&self) -> Vec<SessionScope> {
         let mut out = Vec::new();
         let mut sessions = write_lock!(self.sessions);
         sessions.retain(|w| match w.upgrade() {
             Some(inner) => {
-                if inner.id != 0 {
-                    out.push(SessionScope { inner });
-                }
+                out.push(SessionScope { inner });
                 true
             }
             None => false,

@@ -246,11 +246,6 @@ impl TraceCollector {
         self.lock().spans.len()
     }
 
-    /// Edges recorded so far.
-    pub fn edge_count(&self) -> usize {
-        self.lock().edges.len()
-    }
-
     /// The most recent span of `trace_id` with category `cat` (by start
     /// time) — how the farm finds the checkpoint a retry resumes from.
     pub fn last_span_of(&self, trace_id: u64, cat: &str) -> Option<u64> {
@@ -310,11 +305,6 @@ impl TraceSink {
     /// Microseconds of wall clock since the farm epoch.
     pub fn now_us(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64() * 1e6
-    }
-
-    /// The epoch this sink timestamps against.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// A sink whose spans parent under `span` instead.

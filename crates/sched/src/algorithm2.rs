@@ -88,7 +88,6 @@ pub fn solve(
     centric: Centric,
     sigma_rem_prev: &[usize],
 ) -> Result<Distribution, LbError> {
-    let _span = feves_obs::span!(feves_obs::global(), "algorithm2");
     let nd = platform.len();
     assert_eq!(sigma_rem_prev.len(), nd);
     if !perf.is_complete() {

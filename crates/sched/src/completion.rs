@@ -94,27 +94,9 @@ impl CompletionTracker {
             .collect()
     }
 
-    /// Devices in completion order (earliest finisher first, index breaks
-    /// ties) — the order the pipeline offers them frame-N+1 work in.
-    pub fn completion_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.finish.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.finish[a]
-                .partial_cmp(&self.finish[b])
-                .expect("finite completion times")
-                .then(a.cmp(&b))
-        });
-        order
-    }
-
     /// The per-device phase-1 spans, as a slice.
     pub fn phase1(&self) -> &[f64] {
         &self.phase1
-    }
-
-    /// The per-device finish times, as a slice.
-    pub fn finishes(&self) -> &[f64] {
-        &self.finish
     }
 }
 
@@ -152,7 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn barrier_never_shrinks_and_orders_devices() {
+    fn barrier_never_shrinks() {
         let mut t = CompletionTracker::new(3);
         t.record(2, 1.0, false);
         t.record(0, 6.0, false);
@@ -161,7 +143,5 @@ mod tests {
         assert_eq!(t.tau_tot(), 6.0);
         t.set_barrier(8.0);
         assert_eq!(t.tau_tot(), 8.0);
-        // Ties resolve by device index.
-        assert_eq!(t.completion_order(), vec![2, 0, 1]);
     }
 }

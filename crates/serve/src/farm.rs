@@ -705,14 +705,18 @@ fn scan_spool(
             Some(n) => n.to_string(),
             None => continue,
         };
-        if !seen.insert(name.clone()) {
+        if seen.contains(&name) {
             continue;
         }
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => continue, // vanished between listing and read
+        let spec = match job::read_spec(&path) {
+            // Vanished between listing and read, or a read the disk may
+            // yet serve: the name stays unseen and the next scan looks
+            // again — the spec is still queued, in the spool.
+            Err(ServeError::Io(_)) => continue,
+            other => other,
         };
-        match job::unframe_control(&text).and_then(JobSpec::from_json) {
+        seen.insert(name.clone());
+        match spec {
             Err(e) => {
                 // Reject, never crash: a corrupt spec (checksum mismatch)
                 // is quarantined for inspection; a merely invalid one is
@@ -950,6 +954,35 @@ mod tests {
             assert!(done.contains("\"attempts\": 1"), "{id}: {done}");
         }
         assert!(done_text(&dir, "missing").contains("\"attempts\": 3"));
+    }
+
+    #[test]
+    fn damaged_specs_are_quarantined_with_a_failed_done_record() {
+        signal::reset();
+        let dir = scratch("damaged");
+        let spool = dir.join("spool");
+        // A flipped ASCII bit fails the checksum; a flipped high bit is not
+        // even UTF-8. Neither may be skipped silently.
+        let damaged = [
+            ("ascii", 0x20, "checksum mismatch"),
+            ("highbit", 0x80, "not UTF-8"),
+        ];
+        for (id, flip, _) in damaged {
+            submit(&dir, id, None);
+            let path = spool.join(format!("{id}.json"));
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[10] ^= flip;
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let report = run(farm_cfg(&dir)).unwrap();
+        assert_eq!((report.completed, report.failed), (0, 2), "{report:?}");
+        for (id, _, why) in damaged {
+            let done = done_text(&dir, id);
+            assert!(done.contains("\"failed\"") && done.contains(why), "{done}");
+            let name = format!("{id}.json");
+            assert!(job::quarantine_dir(&spool).join(&name).exists(), "{id}");
+            assert!(!spool.join(&name).exists(), "{id}: still in the spool");
+        }
     }
 
     #[test]

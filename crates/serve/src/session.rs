@@ -197,7 +197,6 @@ pub(crate) fn run_attempt(
         // Decorrelate concurrent sessions' re-admission probes of a shared
         // recovered device. Timing only — functional bytes are unaffected.
         cfg.health_jitter = Some(job.seed());
-        cfg.trace = job.trace;
     })?;
     let enc = session.encoder_mut();
     enc.set_scope(scope);

@@ -42,32 +42,6 @@ impl Frame {
         Ok(Frame { y, u, v, display })
     }
 
-    /// Build a frame from raw planar 4:2:0 data at display size; the luma
-    /// plane is padded to whole MBs by border replication.
-    pub fn from_planes_420(
-        display: Resolution,
-        y_data: &[u8],
-        u_data: &[u8],
-        v_data: &[u8],
-    ) -> Result<Self, VideoError> {
-        let mut f = Frame::new(display)?;
-        let (w, h) = (display.width, display.height);
-        if y_data.len() != w * h || u_data.len() != w * h / 4 || v_data.len() != w * h / 4 {
-            return Err(VideoError::BadDimensions(
-                "plane byte counts do not match 4:2:0 layout".into(),
-            ));
-        }
-        for yy in 0..h {
-            f.y.row_mut(yy)[..w].copy_from_slice(&y_data[yy * w..(yy + 1) * w]);
-        }
-        for yy in 0..h / 2 {
-            f.u.row_mut(yy)[..w / 2].copy_from_slice(&u_data[yy * (w / 2)..(yy + 1) * (w / 2)]);
-            f.v.row_mut(yy)[..w / 2].copy_from_slice(&v_data[yy * (w / 2)..(yy + 1) * (w / 2)]);
-        }
-        f.pad_borders();
-        Ok(f)
-    }
-
     /// Replicate the last display row/column into the MB padding region.
     pub fn pad_borders(&mut self) {
         let (w, h) = (self.display.width, self.display.height);
@@ -79,11 +53,6 @@ impl Frame {
     /// Display resolution (unpadded).
     pub fn resolution(&self) -> Resolution {
         self.display
-    }
-
-    /// Padded (whole-macroblock) resolution of the luma plane.
-    pub fn padded_resolution(&self) -> Resolution {
-        Resolution::new(self.y.width(), self.y.height())
     }
 
     /// Luma plane (padded).
@@ -152,7 +121,7 @@ mod tests {
     #[test]
     fn full_hd_is_padded_to_1088() {
         let f = Frame::new(Resolution::FULL_HD).unwrap();
-        assert_eq!(f.padded_resolution(), Resolution::new(1920, 1088));
+        assert_eq!((f.y().width(), f.y().height()), (1920, 1088));
         assert_eq!(f.mb_rows(), 68);
         assert_eq!(f.mb_cols(), 120);
         assert_eq!(f.resolution(), Resolution::FULL_HD);
@@ -165,24 +134,18 @@ mod tests {
     }
 
     #[test]
-    fn from_planes_roundtrip_and_padding() {
-        let res = Resolution::new(16, 10); // pads to 16x16
-        let y: Vec<u8> = (0..160).map(|i| (i % 251) as u8).collect();
-        let u = vec![64u8; 40];
-        let v = vec![192u8; 40];
-        let f = Frame::from_planes_420(res, &y, &u, &v).unwrap();
-        assert_eq!(f.y().get(5, 3), y[3 * 16 + 5]);
-        // Padded rows replicate row 9.
-        for yy in 10..16 {
-            assert_eq!(f.y().row(yy), f.y().row(9));
+    fn pad_borders_replicates_the_last_row_and_column() {
+        let mut f = Frame::new(Resolution::new(12, 10)).unwrap(); // pads to 16x16
+        for y in 0..10 {
+            for x in 0..12 {
+                f.y_mut().set(x, y, (y * 12 + x) as u8);
+            }
         }
-        assert_eq!(f.u().get(0, 0), 64);
-        assert_eq!(f.v().get(0, 0), 192);
-    }
-
-    #[test]
-    fn from_planes_bad_len_rejected() {
-        let res = Resolution::new(16, 16);
-        assert!(Frame::from_planes_420(res, &[0; 10], &[0; 64], &[0; 64]).is_err());
+        f.pad_borders();
+        for y in 0..16 {
+            let src = y.min(9);
+            assert_eq!(&f.y().row(y)[..12], &f.y().row(src)[..12], "row {y}");
+            assert!(f.y().row(y)[12..].iter().all(|&s| s == f.y().get(11, src)));
+        }
     }
 }

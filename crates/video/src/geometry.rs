@@ -113,17 +113,6 @@ impl RowRange {
         self.start..self.end
     }
 
-    /// Intersection with another range (possibly empty).
-    pub fn intersect(&self, other: &RowRange) -> RowRange {
-        let s = self.start.max(other.start);
-        let e = self.end.min(other.end);
-        if s >= e {
-            RowRange::EMPTY
-        } else {
-            RowRange { start: s, end: e }
-        }
-    }
-
     /// Rows of `self` *not* covered by `other`, as (above, below) leftovers.
     ///
     /// This is the geometric core of the paper's `MS_BOUNDS`/`LS_BOUNDS`
@@ -141,11 +130,6 @@ impl RowRange {
             RowRange::EMPTY
         };
         (above, below)
-    }
-
-    /// Pixel rows covered (MB rows × 16), clamped to `height`.
-    pub fn pixel_rows(&self, height: usize) -> std::ops::Range<usize> {
-        (self.start * MB_SIZE).min(height)..(self.end * MB_SIZE).min(height)
     }
 }
 
@@ -192,18 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn intersect_and_difference() {
+    fn difference_leaves_the_uncovered_rows() {
         let a = RowRange::new(2, 10);
         let b = RowRange::new(5, 8);
-        assert_eq!(a.intersect(&b), RowRange::new(5, 8));
         let (above, below) = a.difference(&b);
         assert_eq!(above, RowRange::new(2, 5));
         assert_eq!(below, RowRange::new(8, 10));
-
-        // Disjoint ranges intersect to empty.
-        assert!(RowRange::new(0, 2)
-            .intersect(&RowRange::new(5, 9))
-            .is_empty());
 
         // Contained range has no difference.
         let (ab, bl) = b.difference(&a);
@@ -224,11 +202,5 @@ mod tests {
         assert_eq!(d.iter().sum::<usize>(), 68);
         assert_eq!(d.iter().max().unwrap() - d.iter().min().unwrap(), 1);
         assert_eq!(equidistant(4, 8), vec![1, 1, 1, 1, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn pixel_rows_clamped_to_height() {
-        let r = RowRange::new(66, 68);
-        assert_eq!(r.pixel_rows(1080), 1056..1080);
     }
 }

@@ -1,6 +1,5 @@
-//! Objective quality metrics: MSE, PSNR and plane-level SAD.
+//! Objective quality metrics: MSE and PSNR.
 
-use crate::frame::Frame;
 use crate::plane::Plane;
 
 /// Mean squared error between the valid regions of two equally-sized planes.
@@ -27,25 +26,6 @@ pub fn psnr(a: &Plane<u8>, b: &Plane<u8>) -> f64 {
     }
 }
 
-/// Luma PSNR between two frames (display region via padded planes; the
-/// padding replicates borders identically on both sides so it cancels).
-pub fn psnr_y(a: &Frame, b: &Frame) -> f64 {
-    psnr(a.y(), b.y())
-}
-
-/// Sum of absolute differences over whole planes (diagnostic).
-pub fn plane_sad(a: &Plane<u8>, b: &Plane<u8>) -> u64 {
-    assert_eq!(a.width(), b.width());
-    assert_eq!(a.height(), b.height());
-    let mut acc = 0u64;
-    for (ra, rb) in a.rows().zip(b.rows()) {
-        for (&pa, &pb) in ra.iter().zip(rb) {
-            acc += (pa as i64 - pb as i64).unsigned_abs();
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,7 +35,6 @@ mod tests {
         let p: Plane<u8> = Plane::new(8, 8);
         assert_eq!(mse(&p, &p), 0.0);
         assert!(psnr(&p, &p).is_infinite());
-        assert_eq!(plane_sad(&p, &p), 0);
     }
 
     #[test]
@@ -64,7 +43,6 @@ mod tests {
         let mut b: Plane<u8> = Plane::new(2, 2);
         b.fill(2); // every sample differs by 2 → MSE 4
         assert_eq!(mse(&a, &b), 4.0);
-        assert_eq!(plane_sad(&a, &b), 8);
         let p = psnr(&a, &b);
         assert!((p - 10.0 * (65025.0f64 / 4.0).log10()).abs() < 1e-9);
     }
@@ -75,137 +53,5 @@ mod tests {
         let a: Plane<u8> = Plane::new(2, 2);
         let b: Plane<u8> = Plane::new(3, 2);
         let _ = mse(&a, &b);
-    }
-}
-
-/// Structural similarity (SSIM) between two planes: uniform 8×8 windows
-/// with stride 4, the standard C1/C2 stabilizers, averaged over windows.
-/// 1.0 = identical; typical "good" codecs land above 0.9.
-pub fn ssim(a: &Plane<u8>, b: &Plane<u8>) -> f64 {
-    assert_eq!(a.width(), b.width(), "plane widths differ");
-    assert_eq!(a.height(), b.height(), "plane heights differ");
-    const C1: f64 = (0.01 * 255.0) * (0.01 * 255.0);
-    const C2: f64 = (0.03 * 255.0) * (0.03 * 255.0);
-    const WIN: usize = 8;
-    const STEP: usize = 4;
-    if a.width() < WIN || a.height() < WIN {
-        // Degenerate: fall back to a single global window.
-        return ssim_window(a, b, 0, 0, a.width(), a.height(), C1, C2);
-    }
-    let mut acc = 0.0;
-    let mut n = 0usize;
-    let mut y = 0;
-    while y + WIN <= a.height() {
-        let mut x = 0;
-        while x + WIN <= a.width() {
-            acc += ssim_window(a, b, x, y, WIN, WIN, C1, C2);
-            n += 1;
-            x += STEP;
-        }
-        y += STEP;
-    }
-    acc / n as f64
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ssim_window(
-    a: &Plane<u8>,
-    b: &Plane<u8>,
-    x0: usize,
-    y0: usize,
-    w: usize,
-    h: usize,
-    c1: f64,
-    c2: f64,
-) -> f64 {
-    let n = (w * h) as f64;
-    let (mut sa, mut sb, mut saa, mut sbb, mut sab) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for y in y0..y0 + h {
-        let ra = &a.row(y)[x0..x0 + w];
-        let rb = &b.row(y)[x0..x0 + w];
-        for (&pa, &pb) in ra.iter().zip(rb) {
-            let (fa, fb) = (pa as f64, pb as f64);
-            sa += fa;
-            sb += fb;
-            saa += fa * fa;
-            sbb += fb * fb;
-            sab += fa * fb;
-        }
-    }
-    let (mu_a, mu_b) = (sa / n, sb / n);
-    let var_a = (saa / n - mu_a * mu_a).max(0.0);
-    let var_b = (sbb / n - mu_b * mu_b).max(0.0);
-    let cov = sab / n - mu_a * mu_b;
-    ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2))
-        / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
-}
-
-#[cfg(test)]
-mod ssim_tests {
-    use super::*;
-    use rand::{Rng, SeedableRng};
-
-    fn noisy(p: &Plane<u8>, amp: i16, seed: u64) -> Plane<u8> {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut out = p.clone();
-        for y in 0..p.height() {
-            for x in 0..p.width() {
-                let v = p.get(x, y) as i16 + rng.gen_range(-amp..=amp);
-                out.set(x, y, v.clamp(0, 255) as u8);
-            }
-        }
-        out
-    }
-
-    fn textured(w: usize, h: usize) -> Plane<u8> {
-        let mut p = Plane::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                p.set(x, y, (((x * 13) ^ (y * 7)) % 256) as u8);
-            }
-        }
-        p
-    }
-
-    #[test]
-    fn identical_planes_score_one() {
-        let p = textured(64, 64);
-        assert!((ssim(&p, &p) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ssim_decreases_with_noise() {
-        let p = textured(64, 64);
-        let light = ssim(&p, &noisy(&p, 4, 1));
-        let heavy = ssim(&p, &noisy(&p, 40, 2));
-        assert!(light < 1.0);
-        assert!(
-            heavy < light,
-            "more noise must score lower: {heavy} vs {light}"
-        );
-        assert!(light > 0.9, "light noise should stay high: {light}");
-    }
-
-    #[test]
-    fn structural_change_hurts_more_than_brightness() {
-        // A constant brightness offset preserves structure (SSIM stays
-        // high); shuffling rows destroys it.
-        let p = textured(64, 64);
-        let mut brighter = p.clone();
-        for y in 0..64 {
-            for x in 0..64 {
-                brighter.set(x, y, p.get(x, y).saturating_add(10));
-            }
-        }
-        let mut shuffled = p.clone();
-        for y in 0..64 {
-            for x in 0..64 {
-                shuffled.set(x, y, p.get(x, (y * 17 + 3) % 64));
-            }
-        }
-        let sb = ssim(&p, &brighter);
-        let ss = ssim(&p, &shuffled);
-        assert!(sb > 0.85, "brightness shift keeps structure: {sb}");
-        assert!(ss < sb * 0.7, "shuffle must hurt: {ss} vs {sb}");
     }
 }

@@ -20,7 +20,6 @@ fn main() {
     cfg.noise_amp = 0.0;
     let mut enc = FevesEncoder::new(Platform::sys_hk(), cfg).unwrap();
     let rec = Arc::new(MemoryRecorder::new());
-    feves::obs::install(rec.clone()); // catch the library-internal spans too
     enc.set_recorder(rec.clone());
 
     println!("== frame 1: the equidistant probe (initialization phase) ==\n");

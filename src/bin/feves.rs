@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! feves platforms                          list the built-in platforms
+//! feves export-platform [name]             dump a platform as JSON
 //! feves simulate [options]                 timing-only 1080p run (virtual clock)
 //! feves encode <in.y4m> [out.y4m] [opts]   functional encode of a Y4M file
 //! feves resume <ckpt|dir> [options]        continue a crashed encode session
@@ -17,24 +18,8 @@
 //! feves compare <baseline> <new>           regression gate over two summaries
 //! ```
 //!
-//! Options: `--platform syshk|sysnf|sysnff|cpu-n|cpu-h|gpu-f|gpu-k`,
-//! `--sa <8|16|…|512>` (a power of two), `--refs <1..16>`, `--qp <0..51>`,
-//! `--frames <n>`, `--balancer feves|proportional|equidistant`,
-//! `--metrics-out <path>` (JSONL metrics dump),
-//! `--trace-format gantt|chrome` (Chrome JSON loads in Perfetto),
-//! `--inject-fault <spec>` (repeatable — e.g. `0:death@5`, `1:stall@3+4`,
-//! `1:slow@3+4x10`, `0:xfer@7`, `0:panic@2`), `--deadline-factor <f>`,
-//! `--kernels scalar|fast` (hot-kernel family; overrides `FEVES_KERNELS`;
-//! CPU device profiles are re-scaled so simulated times match the choice),
-//! `--checkpoint-every <k>` (encode: durable checkpoint every k frames),
-//! `--checkpoint-dir <dir>`, `--checkpoint-keep <n>`,
-//! `--live-out <path>` (periodic atomic live snapshots for `feves top`),
-//! `--live-every <ms>` (snapshot period, default 250),
-//! `--interval <ms>` / `--once` (`top` refresh control),
-//! `--strict` (`top --once`: non-zero exit when telemetry events were
-//! dropped), `--trace-out <path>` (`serve`: farm-wide causal-trace JSONL),
-//! `--no-trace` (`submit`: opt this job out of farm tracing),
-//! `--perfetto <out.json>` (`trace <log>`: convert to Perfetto JSON).
+//! Options: `feves --help` lists every flag (a unit test keeps that list
+//! and [`parse_options`] in step).
 //!
 //! Exit codes: 0 success, 1 runtime failure (one-line `error:` on stderr,
 //! no usage banner) or a failed `compare` gate, 2 usage error (banner
@@ -93,7 +78,6 @@ struct Options {
     frames: usize,
     balancer: String,
     metrics_out: Option<String>,
-    trace_format: String,
     faults: Vec<String>,
     deadline_factor: Option<f64>,
     kernels: Option<String>,
@@ -138,7 +122,6 @@ impl Default for Options {
             frames: 30,
             balancer: "feves".into(),
             metrics_out: None,
-            trace_format: "gantt".into(),
             faults: Vec::new(),
             deadline_factor: None,
             kernels: None,
@@ -190,7 +173,6 @@ fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
             "--frames" => opts.frames = grab()?.parse().map_err(|e| format!("--frames: {e}"))?,
             "--balancer" => opts.balancer = grab()?.to_lowercase(),
             "--metrics-out" => opts.metrics_out = Some(grab()?.clone()),
-            "--trace-format" => opts.trace_format = grab()?.to_lowercase(),
             "--inject-fault" => opts.faults.push(grab()?.clone()),
             "--deadline-factor" => {
                 opts.deadline_factor = Some(
@@ -297,6 +279,14 @@ fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
 }
 
 impl Options {
+    /// `--live-out` / `--live-every` as the snapshot writer's config.
+    fn live(&self) -> Option<LiveConfig> {
+        self.live_out.as_ref().map(|path| LiveConfig {
+            path: PathBuf::from(path),
+            period: std::time::Duration::from_millis(self.live_every_ms),
+        })
+    }
+
     /// The encode job these flags describe, as the session driver's (and
     /// the checkpoint's) job description. A `--platform-file` is read here:
     /// the context carries its content, not its path.
@@ -361,42 +351,43 @@ fn cmd_platforms() {
     }
 }
 
-/// Live telemetry for one CLI run. Created when `--metrics-out` or
-/// `--live-out` asked for instrumentation: the encoder gets a named
-/// [`SessionScope`]; with `--live-out` a bounded telemetry bus + drain
-/// thread sits between the encode loop and the registry, and the drain
-/// thread writes an atomic live snapshot every `--live-every` ms.
+/// Telemetry for one CLI run: the encoder's named [`SessionScope`] and,
+/// with `--live-out`, the bounded bus + drain thread between the encode
+/// loop and the scope's registry (the drain thread writes an atomic live
+/// snapshot every `--live-every` ms).
 struct Telemetry {
     scope: Option<SessionScope>,
-    ctl: Option<BusController>,
-    live_out: Option<String>,
+    /// The bus and the snapshot path it writes.
+    live: Option<(BusController, PathBuf)>,
 }
 
-fn attach_telemetry(enc: &mut FevesEncoder, label: &str, opts: &Options) -> Telemetry {
-    if opts.metrics_out.is_none() && opts.live_out.is_none() {
+/// The one place an encoder gets telemetry. With `registry` the encoder
+/// records into a new hub session (what `--metrics-out` and `feves stats`
+/// read back); `live` adds the bus and its snapshot writer, and implies a
+/// registry. With neither the encoder keeps its `NoopRecorder`.
+fn attach_telemetry(
+    enc: &mut FevesEncoder,
+    label: &str,
+    registry: bool,
+    live: Option<LiveConfig>,
+) -> Telemetry {
+    if !registry && live.is_none() {
         return Telemetry {
             scope: None,
-            ctl: None,
-            live_out: None,
+            live: None,
         };
     }
     let scope = feves::obs::hub().session(label);
-    let ctl = opts.live_out.as_ref().map(|path| {
-        let ctl = BusController::start(
-            1 << 16,
-            Some(LiveConfig {
-                path: PathBuf::from(path),
-                period: std::time::Duration::from_millis(opts.live_every_ms),
-            }),
-        );
+    let live = live.map(|live| {
+        let path = live.path.clone();
+        let ctl = BusController::start(1 << 16, Some(live));
         scope.attach_bus(ctl.bus());
-        ctl
+        (ctl, path)
     });
     enc.set_scope(scope.clone());
     Telemetry {
         scope: Some(scope),
-        ctl,
-        live_out: opts.live_out.clone(),
+        live,
     }
 }
 
@@ -410,41 +401,26 @@ impl Telemetry {
     /// Stop the bus (draining every accepted event and writing the final
     /// snapshot), then write `--metrics-out` from the settled registry.
     fn finish(mut self, metrics_out: &Option<String>) -> CliResult {
-        if let Some(mut ctl) = self.ctl.take() {
+        if let Some((mut ctl, path)) = self.live.take() {
             ctl.stop();
             let stats = ctl.bus().stats();
-            if let Some(path) = &self.live_out {
-                eprintln!(
-                    "live snapshot written to {path} ({} event(s) published, {} dropped)",
-                    stats.published, stats.dropped
-                );
-            }
+            eprintln!(
+                "live snapshot written to {} ({} event(s) published, {} dropped)",
+                path.display(),
+                stats.published,
+                stats.dropped
+            );
         }
         if let Some(scope) = &self.scope {
             scope.sync_dropped();
         }
-        write_metrics(&self.memory(), metrics_out)
+        if let (Some(rec), Some(path)) = (self.memory(), metrics_out) {
+            write_atomic(path, rec.to_jsonl(false))
+                .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+            eprintln!("metrics written to {path}");
+        }
+        Ok(())
     }
-}
-
-/// Attach an in-memory recorder to `enc` when `--metrics-out` asked for one.
-fn attach_recorder(enc: &mut FevesEncoder, opts: &Options) -> Option<Arc<MemoryRecorder>> {
-    opts.metrics_out.as_ref().map(|_| {
-        let rec = Arc::new(MemoryRecorder::new());
-        enc.set_recorder(rec.clone());
-        rec
-    })
-}
-
-/// Write the recorder's JSONL dump to the `--metrics-out` path (atomic:
-/// a crash mid-write can never leave a torn metrics file).
-fn write_metrics(rec: &Option<Arc<MemoryRecorder>>, metrics_out: &Option<String>) -> CliResult {
-    if let (Some(rec), Some(path)) = (rec, metrics_out) {
-        write_atomic(path, rec.to_jsonl(false))
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-        eprintln!("metrics written to {path}");
-    }
-    Ok(())
 }
 
 /// Turn on the flight recorder when `--flight-out` asked for one.
@@ -499,7 +475,12 @@ fn print_rollups(report: &EncodeReport) {
 fn cmd_simulate(opts: &Options) -> CliResult {
     let (platform, cfg) = config_of(opts, Resolution::FULL_HD)?;
     let mut enc = FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?;
-    let telemetry = attach_telemetry(&mut enc, "simulate", opts);
+    let telemetry = attach_telemetry(
+        &mut enc,
+        "simulate",
+        opts.metrics_out.is_some(),
+        opts.live(),
+    );
     enable_flight(&mut enc, &opts.flight_out, opts.frames);
     let report = enc.run_timing(opts.frames);
     println!(
@@ -545,11 +526,8 @@ fn cmd_simulate(opts: &Options) -> CliResult {
 fn cmd_stats(opts: &Options) -> CliResult {
     let (platform, cfg) = config_of(opts, Resolution::FULL_HD)?;
     let mut enc = FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?;
-    let rec = Arc::new(MemoryRecorder::new());
-    // Install globally too, so spans from the free functions (Algorithm 2,
-    // the LP solve, the VCM build, the DAM planner) are captured.
-    feves::obs::install(rec.clone());
-    enc.set_recorder(rec.clone());
+    let telemetry = attach_telemetry(&mut enc, "stats", true, None);
+    let rec = telemetry.memory().expect("asked for a registry");
     enable_flight(&mut enc, &opts.flight_out, opts.frames);
     let report = enc.run_timing(opts.frames);
     println!(
@@ -567,19 +545,14 @@ fn cmd_stats(opts: &Options) -> CliResult {
     print_ft(&enc);
     print_rollups(&report);
     write_flight(&enc, &opts.flight_out)?;
-    if let Some(path) = &opts.metrics_out {
-        write_atomic(path, rec.to_jsonl(false))
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-        eprintln!("metrics written to {path}");
-    }
-    Ok(())
+    telemetry.finish(&opts.metrics_out)
 }
 
 fn cmd_trace(opts: &Options) -> CliResult {
     let (platform, mut cfg) = config_of(opts, Resolution::FULL_HD)?;
     cfg.noise_amp = 0.0;
     let mut enc = FevesEncoder::new(platform, cfg).map_err(CliError::runtime)?;
-    let rec = attach_recorder(&mut enc, opts);
+    let telemetry = attach_telemetry(&mut enc, "trace", opts.metrics_out.is_some(), None);
     for _ in 0..opts.refs + 4 {
         enc.encode_inter_timing();
     }
@@ -587,8 +560,14 @@ fn cmd_trace(opts: &Options) -> CliResult {
     let trace = enc
         .last_trace()
         .ok_or_else(|| CliError::runtime("no trace recorded for the steady-state frame"))?;
-    match opts.trace_format.as_str() {
-        "gantt" => {
+    match &opts.perfetto {
+        // Perfetto/chrome://tracing-loadable trace-event JSON.
+        Some(path) => {
+            write_atomic(path, trace.to_chrome_trace().to_json())
+                .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+            eprintln!("perfetto trace written to {path}");
+        }
+        None => {
             println!("{}", trace.render_gantt(100));
             println!(
                 "steady frame: {:.2} ms ({:.1} fps)",
@@ -596,17 +575,8 @@ fn cmd_trace(opts: &Options) -> CliResult {
                 report.fps()
             );
         }
-        "chrome" => {
-            // Perfetto/chrome://tracing-loadable trace-event JSON.
-            println!("{}", trace.to_chrome_trace().to_json());
-        }
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown trace format '{other}' (gantt|chrome)"
-            )))
-        }
     }
-    write_metrics(&rec, &opts.metrics_out)
+    telemetry.finish(&opts.metrics_out)
 }
 
 /// `feves trace <trace.jsonl>`: analyze a farm's causal-trace log (written
@@ -760,7 +730,7 @@ fn cmd_encode(opts: &Options, input: &str, output: Option<&str>) -> CliResult {
     let ctx = opts.job_context(input, &out_path)?;
     let mut session = Session::open(ctx, seq, None, ckpt_dir, |_| {})?;
     let enc = session.encoder_mut();
-    let telemetry = attach_telemetry(enc, "encode", opts);
+    let telemetry = attach_telemetry(enc, "encode", opts.metrics_out.is_some(), opts.live());
     enable_flight(enc, &opts.flight_out, n_frames);
     run_session(session, telemetry.memory(), None)?;
     telemetry.finish(&opts.metrics_out)
@@ -808,17 +778,13 @@ fn cmd_resume(path: &str) -> CliResult {
 
     // Re-arm the session-level extras the checkpoint deliberately excludes.
     let enc = session.encoder_mut();
-    let rec = metrics_out.as_ref().map(|_| {
-        let rec = Arc::new(MemoryRecorder::new());
-        enc.set_recorder(rec.clone());
-        rec
-    });
+    let telemetry = attach_telemetry(enc, "resume", metrics_out.is_some(), None);
     enable_flight(enc, &flight_out, n_frames);
     if let Some(fl) = enc.flight_mut() {
         fl.mark_resume(start);
     }
-    run_session(session, rec.clone(), Some(start))?;
-    write_metrics(&rec, &metrics_out)
+    run_session(session, telemetry.memory(), Some(start))?;
+    telemetry.finish(&metrics_out)
 }
 
 /// `feves stats <live.json>`: render a live snapshot as the familiar
@@ -1166,9 +1132,7 @@ fn cmd_compare(opts: &Options, baseline: &str, candidate: &str) -> CliResult<boo
     Ok(outcome.passed())
 }
 
-fn usage() {
-    eprintln!(
-        "usage: feves <command> [options]\n\n\
+const USAGE: &str = "usage: feves <command> [options]\n\n\
          commands:\n\
          \u{20}  platforms                       list built-in platforms\n\
          \u{20}  export-platform [name]          dump a platform as JSON\n\
@@ -1177,7 +1141,7 @@ fn usage() {
          \u{20}  resume <ckpt|dir>               continue a crashed encode session\n\
          \u{20}  verify <artifact|ckpt|spool>    validate checksums + container structure\n\
          \u{20}  trace [options|trace.jsonl]     steady-state frame Gantt, or\n\
-         \u{20}    [--perfetto <out.json>]       critical-path analysis of a farm\n\
+         \u{20}                                  critical-path analysis of a farm\n\
          \u{20}                                  causal-trace log (serve --trace-out)\n\
          \u{20}  stats [options|live.json]       run + print the metrics summary,\n\
          \u{20}                                  or tabulate a live snapshot\n\
@@ -1194,10 +1158,11 @@ fn usage() {
          \u{20}        --frames <n> --balancer feves|proportional|equidistant\n\
          \u{20}        --metrics-out <path>            JSONL metrics dump\n\
          \u{20}        --flight-out <path>             JSONL flight-recorder dump\n\
-         \u{20}        --trace-format gantt|chrome     Perfetto-loadable JSON\n\
          \u{20}        --inject-fault <dev>:<kind>@<frame>  inject a device fault\n\
          \u{20}            kinds: death@f | stall@f+k | slow@f+kxF | xfer@f | panic@f\n\
          \u{20}        --deadline-factor <f>           fault-detection slack (>1, default 3)\n\
+         \u{20}        --kernels scalar|fast           hot-kernel family (overrides FEVES_KERNELS)\n\
+         \u{20}        --perfetto <out.json>           trace: write Perfetto-loadable JSON instead\n\
          \u{20}        --checkpoint-every <k>          encode: durable checkpoint every k frames\n\
          \u{20}        --checkpoint-dir <dir>          checkpoint directory (default <out>.ckpt)\n\
          \u{20}        --checkpoint-keep <n>           generations to retain (default 2)\n\
@@ -1227,8 +1192,10 @@ fn usage() {
          \u{20}                                        (scheduling only; output bytes identical)\n\
          \u{20}        --metric <filter>               compare: gate only metrics matching the\n\
          \u{20}                                        comma-separated filter list, e.g.\n\
-         \u{20}                                        idle_pct,critical_path_us"
-    );
+         \u{20}                                        idle_pct,critical_path_us";
+
+fn usage() {
+    eprintln!("{USAGE}");
 }
 
 fn parse_cli(args: &[String]) -> Result<(Options, Vec<String>), CliError> {
@@ -1349,6 +1316,44 @@ fn main() -> ExitCode {
         Err(CliError::Runtime(e)) => {
             eprintln!("error: {e}");
             ExitCode::from(1)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Every `--flag` token in `text`.
+    fn flags(text: &str) -> BTreeSet<String> {
+        text.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|t| t.len() > 2 && t.starts_with("--"))
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_parse_options_takes() {
+        // The arms of `parse_options`, read off this file: lines that open
+        // with a quoted flag and go straight to `=>`.
+        let arms: BTreeSet<String> = include_str!("feves.rs")
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix('"')?.split_once("\" =>"))
+            .filter(|(flag, _)| !flag.contains('"'))
+            .flat_map(|(flag, _)| flags(flag))
+            .collect();
+        assert!(arms.len() > 30, "the scan found the parser: {arms:?}");
+        let listed = flags(USAGE);
+        let unlisted: Vec<_> = arms.difference(&listed).collect();
+        assert!(
+            unlisted.is_empty(),
+            "parsed but not in --help: {unlisted:?}"
+        );
+        for flag in &listed {
+            if let Err(e) = parse_options(&[flag.clone(), "1".into()]) {
+                assert!(!e.starts_with("unknown option"), "in --help only: {e}");
+            }
         }
     }
 }

@@ -9,10 +9,8 @@
 //! UPDATE_GOLDEN=1 cargo test --test observability
 //! ```
 //!
-//! These tests use an encoder-local `MemoryRecorder` (never the global
-//! slot): the root integration tests run as parallel threads in one
-//! process, so a globally installed recorder would pick up metrics from
-//! unrelated tests.
+//! Every encoder here records into its own `MemoryRecorder`; nothing is
+//! process-global, so the parallel test threads cannot see each other.
 
 use feves::core::prelude::*;
 use feves::obs::MemoryRecorder;
@@ -102,4 +100,10 @@ fn recorder_counts_match_report() {
     assert!(t1.max() <= tt.max());
     // A HD frame must move data to the GPU.
     assert!(rec.counter(Metric::DamBytesTransferred) > 0);
+    // The encoder times its own scheduling calls, once per fault-free
+    // inter frame, on the recorder it was handed.
+    for name in ["balance", "dam.plan", "vcm.build"] {
+        let span = rec.spans().into_iter().find(|s| s.name == name);
+        assert_eq!(span.map(|s| s.count), Some(5), "{name}");
+    }
 }

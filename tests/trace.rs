@@ -566,6 +566,13 @@ fn observers_do_not_change_reports_or_state() {
         RUN_FRAMES as u64
     );
     assert_eq!(collector.span_count(), 1 + 5 * RUN_FRAMES);
+    // The scheduling spans reach the session's registry, over the bus:
+    // one per frame, and one more per fault-recovery re-solve.
+    let attempts = RUN_FRAMES as u64 + observed.ft_stats().resolves;
+    for name in ["balance", "dam.plan", "vcm.build"] {
+        let span = scope.metrics().spans().into_iter().find(|s| s.name == name);
+        assert_eq!(span.map(|s| s.count), Some(attempts), "{name}");
+    }
 
     // Everything in a report but the wall-clock scheduling overhead.
     let strip = |reports: Vec<FrameReport>| -> Vec<String> {
