@@ -20,14 +20,20 @@
 //!
 //! `--quick` cuts iteration counts ~10× and skips the speedup gate (used by
 //! the CI `bench-smoke` job, where absolute timings are noisy); the full run
-//! enforces ≥ 3× for the ME search where SSE4.1 is detected and ≥ 2× for
-//! the SME refinement on x86-64 (each reported as skipped elsewhere), and
-//! ≥ 1.5× for interpolation. Both modes print which primitive sets ran
-//! (`me_search: sse4.1` / `portable`, `sme_refine: sse2` / `portable`).
+//! enforces ≥ 3× for the ME search where SSE4.1 is detected, ≥ 2× for the
+//! SME refinement and ≥ 1.3× for DBL's line filter on x86-64 (each reported
+//! as skipped elsewhere), and ≥ 1.5× for interpolation. Both modes print
+//! which primitive sets ran (`me_search: sse4.1` / `portable`,
+//! `sme_refine: sse2` / `portable`; DBL's are SME's). `chroma_inter` has
+//! one form: its two columns time the same code and document its cost.
 
+use feves_codec::chroma::{encode_chroma_inter_into, ChromaField};
+use feves_codec::dbl::deblock_frame;
 use feves_codec::interp::interpolate;
 use feves_codec::kernels::{self, KernelKind};
+use feves_codec::mc::{mc_rows, ModeField};
 use feves_codec::me::{motion_estimate_mb, motion_estimate_rows, search_isa_name, MbMotion};
+use feves_codec::recon::{itq_recon_rows, tq_rows, CoeffField};
 use feves_codec::sme::{refine_isa_name, sme_rows, MbSubMotion};
 use feves_codec::SubpelFrame;
 use feves_core::prelude::*;
@@ -62,6 +68,17 @@ struct E2eRecord {
 
 fn textured(w: usize, h: usize, seed: usize) -> Plane<u8> {
     Plane::from_fn(w, h, |x, y| ((x * 31) ^ (y * 17) ^ seed) as u8)
+}
+
+/// Slow ramps under ±2 of grain — what a camera gives DBL: most sample
+/// lines across a block edge are within α and β of each other, where on
+/// [`textured`]'s full-range pattern nearly none is and the line filter
+/// never runs.
+fn smooth(w: usize, h: usize, seed: usize) -> Plane<u8> {
+    let ramp = |t: usize, period: usize| (t % period).min(period - t % period) * 192 / period;
+    Plane::from_fn(w, h, |x, y| {
+        (40 + ramp(x + seed, 97) + ramp(y + x / 3, 61) + ((x * 31) ^ (y * 17) ^ seed) % 5) as u8
+    })
 }
 
 /// Time `f` under both kernel families and return (scalar_ns, fast_ns).
@@ -130,13 +147,161 @@ impl SmeCase {
     }
 }
 
+/// What the serial tail of a frame works on: the unfiltered luma
+/// reconstruction with the modes and coefficients a real ME → SME →
+/// `mc_rows` → `tq_rows` → `itq_recon_rows` pass left, and chroma planes
+/// to code under those modes.
+struct TailCase {
+    name: &'static str,
+    qp: u8,
+    modes: ModeField,
+    coeffs: CoeffField,
+    recon: Plane<u8>,
+    cf_uv: [Plane<u8>; 2],
+    rf_uv: [Plane<u8>; 2],
+}
+
+impl TailCase {
+    /// The current frame is the reference displaced per 64 × 64 tile (so
+    /// neighbouring vectors do and do not differ by a sample), with ±8 of
+    /// texture on a third of the macroblocks (so coded and uncoded 4 × 4
+    /// blocks meet) — every `bS` occurs, as do both chroma block kinds.
+    fn new(name: &'static str, w: usize, h: usize, sa: u16, qp: u8) -> Self {
+        let shift = |x: usize, y: usize| {
+            let tile = x / 64 * 3 + y / 64;
+            ((tile % 5) as isize - 2, (tile % 3) as isize - 1)
+        };
+        let rough = |x: usize, y: usize, unit: usize| (x / unit + 2 * (y / unit)).is_multiple_of(3);
+        // `unit` is the macroblock's side in the plane: 16 for luma, 8 for
+        // chroma, whose displacement is half of luma's (a half-sample
+        // phase where that is odd).
+        let displaced = |rf: &Plane<u8>, unit: usize| {
+            Plane::from_fn(rf.width(), rf.height(), |x, y| {
+                let (dx, dy) = shift(x * 16 / unit, y * 16 / unit);
+                let at = |d: isize, odd: isize| (d * unit as isize + odd * 8).div_euclid(16);
+                let fetch = |ox, oy| {
+                    rf.get_clamped(x as isize + at(dx, ox), y as isize + at(dy, oy)) as u16
+                };
+                let v = ((fetch(0, 0) + fetch(1, 0) + fetch(0, 1) + fetch(1, 1) + 2) / 4) as u8;
+                if rough(x, y, unit) {
+                    v.wrapping_add((((x * 7) ^ (y * 13)) % 17) as u8)
+                        .wrapping_sub(8)
+                } else {
+                    v
+                }
+            })
+        };
+        let rf = smooth(w, h, 41);
+        let cf = displaced(&rf, 16);
+        let params = EncodeParams {
+            search_area: SearchArea(sa),
+            n_ref: 1,
+            qp,
+            ..Default::default()
+        };
+        let (mb_cols, mb_rows) = (w / 16, h / 16);
+        let all = RowRange::new(0, mb_rows);
+        let mut me = vec![MbMotion::default(); mb_cols * mb_rows];
+        motion_estimate_rows(&cf, &[&rf], &params, all, &mut me);
+        let sf = interpolate(&rf);
+        let mut sme = vec![MbSubMotion::default(); mb_cols * mb_rows];
+        sme_rows(&cf, &[&sf], &me, all, &mut sme);
+        let mut modes = ModeField::new(mb_cols, mb_rows);
+        let mut pred = Plane::new(w, h);
+        let mut residual = Plane::new(w, h);
+        mc_rows(
+            &cf,
+            &[&sf],
+            &sme,
+            qp,
+            all,
+            &mut modes,
+            &mut pred,
+            &mut residual,
+        );
+        let mut coeffs = CoeffField::new(mb_cols, mb_rows);
+        tq_rows(&residual, qp, false, all, &mut coeffs);
+        let mut recon = Plane::new(w, h);
+        itq_recon_rows(&coeffs, &pred, qp, all, &mut recon);
+        let rf_uv = [smooth(w / 2, h / 2, 77), smooth(w / 2, h / 2, 133)];
+        let cf_uv = [displaced(&rf_uv[0], 8), displaced(&rf_uv[1], 8)];
+        TailCase {
+            name,
+            qp,
+            modes,
+            coeffs,
+            recon,
+            cf_uv,
+            rf_uv,
+        }
+    }
+
+    /// `deblock_frame` over a fresh copy of the reconstruction in `out`.
+    fn deblock(&self, out: &mut Plane<u8>) {
+        out.copy_from(&self.recon);
+        deblock_frame(out, &self.modes, &self.coeffs, self.qp);
+    }
+
+    /// `encode_chroma_inter_into` over outputs that already exist.
+    fn chroma(&self, coeffs: &mut ChromaField, u: &mut Plane<u8>, v: &mut Plane<u8>) -> u64 {
+        let [cf_u, cf_v] = &self.cf_uv;
+        let [rf_u, rf_v] = &self.rf_uv;
+        encode_chroma_inter_into(
+            cf_u,
+            cf_v,
+            &[rf_u],
+            &[rf_v],
+            &self.modes,
+            self.qp,
+            coeffs,
+            u,
+            v,
+        )
+    }
+
+    /// How mixed the case is: the share of coded luma and chroma blocks
+    /// and of macroblocks that are split or moved.
+    fn print_mix(&self) {
+        let all = RowRange::new(0, self.modes.mb_rows());
+        let mbs = self.modes.rows(all);
+        let luma: u32 = (self.coeffs.rows(all).iter())
+            .map(|c| c.coded_mask.count_ones())
+            .sum();
+        let (mut chroma, mut u, mut v) = self.chroma_outputs();
+        self.chroma(&mut chroma, &mut u, &mut v);
+        let chroma: u32 = (chroma.rows(all).iter())
+            .map(|c| c.coded_mask.count_ones())
+            .sum();
+        let moved = (mbs.iter())
+            .filter(|m| m.mode.count() > 1 || m.mvs[0].mv != feves_codec::QpelMv::ZERO)
+            .count();
+        println!(
+            "tail {}: {:.0} % of luma and {:.0} % of chroma 4x4 blocks coded, {:.0} % of MBs split or moved",
+            self.name,
+            100.0 * luma as f64 / (16 * mbs.len()) as f64,
+            100.0 * chroma as f64 / (8 * mbs.len()) as f64,
+            100.0 * moved as f64 / mbs.len() as f64,
+        );
+    }
+
+    /// Fresh outputs for [`Self::chroma`].
+    fn chroma_outputs(&self) -> (ChromaField, Plane<u8>, Plane<u8>) {
+        let [u, v] = &self.cf_uv;
+        (
+            ChromaField::new(self.modes.mb_cols(), self.modes.mb_rows()),
+            Plane::new(u.width(), u.height()),
+            Plane::new(v.width(), v.height()),
+        )
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Differential verification (the part CI gates on)
 // ---------------------------------------------------------------------------
 
 /// Run every fast path against the scalar reference over deterministic
 /// sweeps; returns the number of mismatches (0 = bit-exact).
-fn verify_differentials(sme_cases: &[SmeCase]) -> usize {
+fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize {
     let mut bad = 0usize;
     let mut check = |name: &str, ok: bool| {
         if !ok {
@@ -179,6 +344,21 @@ fn verify_differentials(sme_cases: &[SmeCase]) -> usize {
         }
     }
 
+    // DBL: whole filtered frames, every edge of every strength the tail
+    // cases hold.
+    for case in tail_cases {
+        let (mut want, mut got) = (case.recon.clone(), case.recon.clone());
+        kernels::force_kind(KernelKind::Scalar);
+        case.deblock(&mut want);
+        kernels::force_kind(KernelKind::Fast);
+        case.deblock(&mut got);
+        check(&format!("deblock {}", case.name), want == got);
+        check(
+            &format!("deblock {} filters", case.name),
+            want != case.recon,
+        );
+    }
+
     // Interpolation through the public API under force_kind (covers the
     // whole band kernel incl. border halos at several sizes).
     for &(w, h) in &[(17usize, 13usize), (48, 32), (176, 144)] {
@@ -197,7 +377,7 @@ fn verify_differentials(sme_cases: &[SmeCase]) -> usize {
 // Benchmark matrix
 // ---------------------------------------------------------------------------
 
-fn bench_kernels(quick: bool, sme_cases: &[SmeCase]) -> Vec<KernelRecord> {
+fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> Vec<KernelRecord> {
     let div = if quick { 10 } else { 1 };
     let mut records = Vec::new();
     let mut push = |kernel: &str, case: &str, iters: u64, (s, f): (f64, f64)| {
@@ -242,6 +422,24 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase]) -> Vec<KernelRecord> {
             std::hint::black_box(std::hint::black_box(case).refine_row(mby));
         });
         push("sme_refine", &format!("{}_row", case.name), iters, t);
+    }
+
+    // The serial tail as the encoder runs it: a whole frame of DBL (with
+    // the copy that resets its in-place input, ~1 % of it) and of chroma
+    // inter coding into outputs that already exist.
+    for case in tail_cases {
+        let iters = 400 * (352 * 288) / case.recon.as_slice().len() as u64 / div as u64;
+        let mut out = case.recon.clone();
+        let t = time_both(iters, || {
+            std::hint::black_box(case).deblock(&mut out);
+            std::hint::black_box(&out);
+        });
+        push("deblock", &format!("{}_frame", case.name), iters, t);
+        let (mut coeffs, mut u, mut v) = case.chroma_outputs();
+        let t = time_both(iters, || {
+            std::hint::black_box(std::hint::black_box(case).chroma(&mut coeffs, &mut u, &mut v));
+        });
+        push("chroma_inter", &format!("{}_frame", case.name), iters, t);
     }
 
     // Full-frame interpolation at three resolutions.
@@ -333,7 +531,14 @@ fn main() {
         SmeCase::new("cif", 352, 288, 8),
         SmeCase::new("720p", 1280, 720, 32),
     ];
-    let mismatches = verify_differentials(&sme_cases);
+    let tail_cases = [
+        TailCase::new("cif", 352, 288, 8, 22),
+        TailCase::new("720p", 1280, 720, 32, 28),
+    ];
+    for case in &tail_cases {
+        case.print_mix();
+    }
+    let mismatches = verify_differentials(&sme_cases, &tail_cases);
     if mismatches != 0 {
         eprintln!("{mismatches} differential check(s) FAILED — fast kernels are not bit-exact");
         std::process::exit(1);
@@ -343,7 +548,7 @@ fn main() {
     println!("me_search: {}", search_isa_name());
     println!("sme_refine: {}", refine_isa_name());
 
-    let records = bench_kernels(quick, &sme_cases);
+    let records = bench_kernels(quick, &sme_cases, &tail_cases);
     let e2e = bench_e2e();
     // The overlap win is deterministic (virtual clock, noise off), so it
     // gates even under --quick: pipelined idle must be strictly lower.
@@ -360,10 +565,11 @@ fn main() {
 
     if !quick {
         // Acceptance gate: the batched ME search must be ≥ 3× the
-        // per-candidate loop where it runs on SSE4.1 and the SME refinement
-        // ≥ 2× where it runs on SSE2 (the portable primitives make no such
-        // promise), interpolation ≥ 1.5× (skipped under --quick: CI smoke
-        // runs are too noisy for absolute perf assertions).
+        // per-candidate loop where it runs on SSE4.1, the SME refinement
+        // ≥ 2× and DBL's sixteen-lane line filter ≥ 1.3× its per-line
+        // definition where they run on SSE2 (the portable primitives make
+        // no such promise), interpolation ≥ 1.5× (skipped under --quick: CI
+        // smoke runs are too noisy for absolute perf assertions).
         let sse41 = search_isa_name() == "sse4.1";
         let sse2 = refine_isa_name() == "sse2";
         let mut gate_ok = true;
@@ -371,7 +577,8 @@ fn main() {
             let floor = match r.kernel.as_str() {
                 "me_search" if sse41 => 3.0,
                 "sme_refine" if sse2 => 2.0,
-                "me_search" | "sme_refine" => {
+                "deblock" if sse2 => 1.3,
+                "me_search" | "sme_refine" | "deblock" => {
                     println!("speedup gate: {} skipped (portable on this host)", r.kernel);
                     continue;
                 }
@@ -390,8 +597,8 @@ fn main() {
             std::process::exit(2);
         }
         println!(
-            "\nspeedup gate passed (me_search ≥ 3x on SSE4.1, sme_refine ≥ 2x on SSE2, \
-             interpolation ≥ 1.5x)"
+            "\nspeedup gate passed (me_search ≥ 3x on SSE4.1, sme_refine ≥ 2x and deblock ≥ 1.3x \
+             on SSE2, interpolation ≥ 1.5x)"
         );
     }
 }

@@ -8,10 +8,26 @@
 //! four 4×4 transform blocks with the shared TQ/TQ⁻¹ path.
 //!
 //! Chroma is part of the `R*` work (it rides with MC/TQ/recon on the single
-//! selected device), so — unlike the luma ME/INT/SME kernels — it needs no
-//! row distribution machinery. The in-loop deblocking of chroma is omitted
-//! (a documented simplification; chroma blocking at the paper's QP 27/28 is
-//! visually negligible and DBL is time-modelled as a whole).
+//! selected device) and runs on one thread after DBL: 10 % of a replayed
+//! CIF frame and 6 % of a 720p one (0.46 and 4.17 ms) when every predicted
+//! sample cost four clamped fetches and every block a TQ⁻¹, 7 % and 4 %
+//! (0.29 and 2.36 ms; EXPERIMENTS.md "Serial tail") since. Three things
+//! hold by construction and are pinned by proptests against the texts they
+//! replaced (`tests::reference`):
+//!
+//! * a block whose `(w + 1) × (h + 1)` footprint lies in the reference is
+//!   predicted from two row slices per output row; any other block takes
+//!   the clamped per-sample fetch — the same samples, since inside the
+//!   plane clamping is the identity;
+//! * a 4×4 block with no coefficients reconstructs as its prediction
+//!   (TQ⁻¹ of zero levels is a zero residual), as luma's `itq_recon_row`
+//!   does — and still writes all sixteen samples;
+//! * `encode_chroma_inter_into` overwrites every level, mask and sample of
+//!   its outputs, whatever they held.
+//!
+//! The in-loop deblocking of chroma is omitted (a documented
+//! simplification; chroma blocking at the paper's QP 27/28 is visually
+//! negligible and DBL is time-modelled as a whole).
 
 use crate::mc::ModeField;
 use crate::quant::{has_coefficients, itq_block, tq_block};
@@ -31,19 +47,6 @@ pub fn chroma_qp(luma_qp: u8) -> u8 {
     }
 }
 
-/// Bilinear eighth-pel chroma sample at chroma-plane position
-/// `(8·x + fx, 8·y + fy)` (H.264 §8.4.2.2.2 chroma interpolation).
-#[inline]
-fn sample_eighth_pel(p: &Plane<u8>, x: isize, y: isize, fx: i32, fy: i32) -> u8 {
-    debug_assert!((0..8).contains(&fx) && (0..8).contains(&fy));
-    let a = p.get_clamped(x, y) as i32;
-    let b = p.get_clamped(x + 1, y) as i32;
-    let c = p.get_clamped(x, y + 1) as i32;
-    let d = p.get_clamped(x + 1, y + 1) as i32;
-    let v = (8 - fx) * (8 - fy) * a + fx * (8 - fy) * b + (8 - fx) * fy * c + fx * fy * d;
-    ((v + 32) >> 6) as u8
-}
-
 /// Predict a `w × h` chroma block anchored at chroma position `(bx, by)`
 /// displaced by the *luma* quarter-pel vector `mv` (which is exactly the
 /// chroma eighth-pel vector).
@@ -57,14 +60,63 @@ pub fn predict_chroma_block(
     dst: &mut [i16],
 ) {
     debug_assert_eq!(dst.len(), w * h);
+    predict_into(reference, bx, by, mv, w, h, dst, w);
+}
+
+/// [`predict_chroma_block`] into rows `dst_stride` apart: sample `(col,
+/// row)` of the block is the bilinear eighth-pel sample (H.264 §8.4.2.2.2)
+/// at chroma-plane position `(8·(bx + col) + mv.x, 8·(by + row) + mv.y)`,
+/// coordinates outside the plane clamped to its border.
+#[allow(clippy::too_many_arguments)] // `predict_chroma_block`'s, and the stride
+fn predict_into(
+    reference: &Plane<u8>,
+    bx: usize,
+    by: usize,
+    mv: QpelMv,
+    w: usize,
+    h: usize,
+    dst: &mut [i16],
+    dst_stride: usize,
+) {
+    assert!(
+        h == 0 || dst.len() >= (h - 1) * dst_stride + w,
+        "a {w}x{h} block (stride {dst_stride}) does not fit {} samples",
+        dst.len()
+    );
     let fx = (mv.x as i32).rem_euclid(8);
     let fy = (mv.y as i32).rem_euclid(8);
     let x0 = bx as isize + (mv.x as isize).div_euclid(8);
     let y0 = by as isize + (mv.y as isize).div_euclid(8);
-    for row in 0..h {
-        for col in 0..w {
-            dst[row * w + col] =
-                sample_eighth_pel(reference, x0 + col as isize, y0 + row as isize, fx, fy) as i16;
+    // The weights of the four samples around the position.
+    let (wa, wb) = ((8 - fx) * (8 - fy), fx * (8 - fy));
+    let (wc, wd) = ((8 - fx) * fy, fx * fy);
+    let blend = |a: u8, b: u8, c: u8, d: u8| {
+        (wa * a as i32 + wb * b as i32 + wc * c as i32 + wd * d as i32 + 32) >> 6
+    };
+
+    let inside = x0 >= 0
+        && y0 >= 0
+        && x0 as usize + w < reference.width()
+        && y0 as usize + h < reference.height();
+    if inside {
+        // The `(w + 1) × (h + 1)` footprint is in the plane: no sample is
+        // clamped, so each output row reads two row slices.
+        let (x0, y0) = (x0 as usize, y0 as usize);
+        for (row, out) in dst.chunks_mut(dst_stride).take(h).enumerate() {
+            let upper = &reference.row(y0 + row)[x0..=x0 + w];
+            let lower = &reference.row(y0 + row + 1)[x0..=x0 + w];
+            for (col, out) in out[..w].iter_mut().enumerate() {
+                *out = blend(upper[col], upper[col + 1], lower[col], lower[col + 1]) as i16;
+            }
+        }
+    } else {
+        for (row, out) in dst.chunks_mut(dst_stride).take(h).enumerate() {
+            let y = y0 + row as isize;
+            for (col, out) in out[..w].iter_mut().enumerate() {
+                let x = x0 + col as isize;
+                let at = |dx, dy| reference.get_clamped(x + dx, y + dy);
+                *out = blend(at(0, 0), at(1, 0), at(0, 1), at(1, 1)) as i16;
+            }
         }
     }
 }
@@ -109,47 +161,54 @@ pub struct ChromaOutput {
     pub bits: u64,
 }
 
-/// Code one 8×8 chroma region: predict → TQ → TQ⁻¹ → reconstruct.
-/// Returns the four quantized blocks and updates `recon`.
+/// Code one 8×8 chroma region whose prediction is `pred8`: TQ of the
+/// residual into `blocks`, then `recon = clip(pred + TQ⁻¹(blocks))` — the
+/// prediction itself for a block with no coefficients, as
+/// [`crate::recon::itq_recon_row`] does for luma. Every level and every
+/// sample of the region is written. Returns the coded-block mask and the
+/// approximate bits.
 fn code_region(
     cf: &Plane<u8>,
     pred8: &[i16; 64],
-    cx: usize,
-    cy: usize,
+    (cx, cy): (usize, usize),
     qp_c: u8,
     intra: bool,
     recon: &mut Plane<u8>,
-) -> ([[i16; 16]; 4], u8, u64) {
-    let mut blocks = [[0i16; 16]; 4];
+    blocks: &mut [[i16; 16]; 4],
+) -> (u8, u64) {
     let mut mask = 0u8;
     let mut bits = 0u64;
-    #[allow(clippy::needless_range_loop)] // blk indexes geometry AND blocks
-    for blk in 0..4 {
+    for (blk, levels) in blocks.iter_mut().enumerate() {
         let bx = (blk % 2) * 4;
         let by = (blk / 2) * 4;
+        let pred_row = |row: usize| &pred8[(by + row) * 8 + bx..][..4];
         let mut rbuf = [0i16; 16];
-        for row in 0..4 {
-            for col in 0..4 {
-                let p = pred8[(by + row) * 8 + bx + col];
-                rbuf[row * 4 + col] = cf.get(cx + bx + col, cy + by + row) as i16 - p;
+        for (row, r) in rbuf.chunks_exact_mut(4).enumerate() {
+            let src = &cf.row(cy + by + row)[cx + bx..][..4];
+            for ((r, &s), &p) in r.iter_mut().zip(src).zip(pred_row(row)) {
+                *r = s as i16 - p;
             }
         }
-        let levels = tq_block(&rbuf, qp_c, intra);
-        if has_coefficients(&levels) {
+        *levels = tq_block(&rbuf, qp_c, intra);
+        let coded = has_coefficients(levels);
+        if coded {
             mask |= 1 << blk;
             bits += 6 * levels.iter().filter(|&&v| v != 0).count() as u64;
         }
-        let r = itq_block(&levels, qp_c);
-        for row in 0..4 {
-            for col in 0..4 {
-                let p = pred8[(by + row) * 8 + bx + col];
-                let v = (p + r[row * 4 + col]).clamp(0, 255) as u8;
-                recon.set(cx + bx + col, cy + by + row, v);
+        // TQ⁻¹ of no coefficients is a zero residual.
+        let r = if coded {
+            itq_block(levels, qp_c)
+        } else {
+            [0; 16]
+        };
+        for (row, r) in r.chunks_exact(4).enumerate() {
+            let out = &mut recon.row_mut(cy + by + row)[cx + bx..][..4];
+            for ((out, &p), &r) in out.iter_mut().zip(pred_row(row)).zip(r) {
+                *out = (p + r).clamp(0, 255) as u8;
             }
         }
-        blocks[blk] = levels;
     }
-    (blocks, mask, bits)
+    (mask, bits)
 }
 
 /// Inter-code the chroma planes of a frame using the luma mode decisions.
@@ -213,7 +272,6 @@ pub fn encode_chroma_inter_into(
 
     let mut pred_u = [0i16; 64];
     let mut pred_v = [0i16; 64];
-    let mut block = vec![0i16; 64];
     for mby in 0..mb_rows {
         for mbx in 0..mb_cols {
             let m = modes.mb(mbx, mby);
@@ -223,34 +281,20 @@ pub fn encode_chroma_inter_into(
             let mode = m.mode;
             let (lw, lh) = mode.dims();
             let (w, h) = (lw / 2, lh / 2);
-            for i in 0..mode.count() {
+            for (i, blk) in m.mvs.iter().enumerate().take(mode.count()) {
                 let (ox, oy) = mode.offset(i);
                 let (ox, oy) = (ox / 2, oy / 2);
-                let blk = &m.mvs[i];
                 for (pred, refs) in [(&mut pred_u, refs_u), (&mut pred_v, refs_v)] {
-                    block.truncate(0);
-                    block.resize(w * h, 0);
-                    predict_chroma_block(
-                        refs[blk.rf as usize],
-                        cx + ox,
-                        cy + oy,
-                        blk.mv,
-                        w,
-                        h,
-                        &mut block,
-                    );
-                    for row in 0..h {
-                        for col in 0..w {
-                            pred[(oy + row) * 8 + ox + col] = block[row * w + col];
-                        }
-                    }
+                    let reference = refs[blk.rf as usize];
+                    let dst = &mut pred[oy * 8 + ox..];
+                    predict_into(reference, cx + ox, cy + oy, blk.mv, w, h, dst, 8);
                 }
             }
-            let (cb, cb_mask, b1) = code_region(cf_u, &pred_u, cx, cy, qp_c, false, recon_u);
-            let (cr, cr_mask, b2) = code_region(cf_v, &pred_v, cx, cy, qp_c, false, recon_v);
             let mb = coeffs.mb_mut(mbx, mby);
-            mb.cb = cb;
-            mb.cr = cr;
+            let (cb_mask, b1) =
+                code_region(cf_u, &pred_u, (cx, cy), qp_c, false, recon_u, &mut mb.cb);
+            let (cr_mask, b2) =
+                code_region(cf_v, &pred_v, (cx, cy), qp_c, false, recon_v, &mut mb.cr);
             mb.coded_mask = cb_mask | (cr_mask << 4);
             bits += b1 + b2;
         }
@@ -276,12 +320,13 @@ pub fn encode_chroma_intra(
     for mby in 0..mb_rows {
         for mbx in 0..mb_cols {
             let (cx, cy) = (mbx * 8, mby * 8);
-            let mut masks = [0u8; 2];
-            let mut blocks = [[[0i16; 16]; 4]; 2];
-            for (ci, (cf, recon)) in [(cf_u, &mut recon_u), (cf_v, &mut recon_v)]
-                .into_iter()
-                .enumerate()
-            {
+            let mb = coeffs.mb_mut(mbx, mby);
+            mb.coded_mask = 0;
+            let planes = [
+                (cf_u, &mut recon_u, &mut mb.cb),
+                (cf_v, &mut recon_v, &mut mb.cr),
+            ];
+            for (ci, (cf, recon, blocks)) in planes.into_iter().enumerate() {
                 // DC from reconstructed neighbours.
                 let mut sum = 0u32;
                 let mut n = 0u32;
@@ -299,15 +344,10 @@ pub fn encode_chroma_intra(
                 }
                 let dc = (sum + n / 2).checked_div(n).map_or(128, |v| v as i16);
                 let pred8 = [dc; 64];
-                let (blks, mask, b) = code_region(cf, &pred8, cx, cy, qp_c, true, recon);
-                blocks[ci] = blks;
-                masks[ci] = mask;
+                let (mask, b) = code_region(cf, &pred8, (cx, cy), qp_c, true, recon, blocks);
+                mb.coded_mask |= mask << (4 * ci);
                 bits += b + 1; // + mode bit
             }
-            let mb = coeffs.mb_mut(mbx, mby);
-            mb.cb = blocks[0];
-            mb.cr = blocks[1];
-            mb.coded_mask = masks[0] | (masks[1] << 4);
         }
     }
     ChromaOutput {
@@ -324,7 +364,324 @@ mod tests {
     use crate::mc::MbMode;
     use crate::sme::SmeBlockMv;
     use crate::types::PartitionMode;
+    use crate::types::ALL_PARTITION_MODES;
     use feves_video::metrics::psnr;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-sample texts this module held until the row-slice rewrite,
+    /// kept verbatim as the oracles: four `get_clamped` per predicted
+    /// sample, a `Vec` per partition copied into the 8×8 prediction,
+    /// `get`/`set` around TQ, and TQ⁻¹ on every block.
+    mod reference {
+        use super::super::{chroma_qp, ChromaField};
+        use crate::mc::ModeField;
+        use crate::quant::{has_coefficients, itq_block, tq_block};
+        use crate::types::QpelMv;
+        use feves_video::plane::Plane;
+
+        /// Bilinear eighth-pel chroma sample at chroma-plane position
+        /// `(8·x + fx, 8·y + fy)` (H.264 §8.4.2.2.2 chroma interpolation).
+        #[inline]
+        fn sample_eighth_pel(p: &Plane<u8>, x: isize, y: isize, fx: i32, fy: i32) -> u8 {
+            debug_assert!((0..8).contains(&fx) && (0..8).contains(&fy));
+            let a = p.get_clamped(x, y) as i32;
+            let b = p.get_clamped(x + 1, y) as i32;
+            let c = p.get_clamped(x, y + 1) as i32;
+            let d = p.get_clamped(x + 1, y + 1) as i32;
+            let v = (8 - fx) * (8 - fy) * a + fx * (8 - fy) * b + (8 - fx) * fy * c + fx * fy * d;
+            ((v + 32) >> 6) as u8
+        }
+
+        /// Predict a `w × h` chroma block anchored at chroma position `(bx, by)`
+        /// displaced by the *luma* quarter-pel vector `mv` (which is exactly the
+        /// chroma eighth-pel vector).
+        pub fn predict_chroma_block(
+            reference: &Plane<u8>,
+            bx: usize,
+            by: usize,
+            mv: QpelMv,
+            w: usize,
+            h: usize,
+            dst: &mut [i16],
+        ) {
+            debug_assert_eq!(dst.len(), w * h);
+            let fx = (mv.x as i32).rem_euclid(8);
+            let fy = (mv.y as i32).rem_euclid(8);
+            let x0 = bx as isize + (mv.x as isize).div_euclid(8);
+            let y0 = by as isize + (mv.y as isize).div_euclid(8);
+            for row in 0..h {
+                for col in 0..w {
+                    dst[row * w + col] =
+                        sample_eighth_pel(reference, x0 + col as isize, y0 + row as isize, fx, fy)
+                            as i16;
+                }
+            }
+        }
+
+        /// Code one 8×8 chroma region: predict → TQ → TQ⁻¹ → reconstruct.
+        /// Returns the four quantized blocks and updates `recon`.
+        pub fn code_region(
+            cf: &Plane<u8>,
+            pred8: &[i16; 64],
+            cx: usize,
+            cy: usize,
+            qp_c: u8,
+            intra: bool,
+            recon: &mut Plane<u8>,
+        ) -> ([[i16; 16]; 4], u8, u64) {
+            let mut blocks = [[0i16; 16]; 4];
+            let mut mask = 0u8;
+            let mut bits = 0u64;
+            #[allow(clippy::needless_range_loop)] // blk indexes geometry AND blocks
+            for blk in 0..4 {
+                let bx = (blk % 2) * 4;
+                let by = (blk / 2) * 4;
+                let mut rbuf = [0i16; 16];
+                for row in 0..4 {
+                    for col in 0..4 {
+                        let p = pred8[(by + row) * 8 + bx + col];
+                        rbuf[row * 4 + col] = cf.get(cx + bx + col, cy + by + row) as i16 - p;
+                    }
+                }
+                let levels = tq_block(&rbuf, qp_c, intra);
+                if has_coefficients(&levels) {
+                    mask |= 1 << blk;
+                    bits += 6 * levels.iter().filter(|&&v| v != 0).count() as u64;
+                }
+                let r = itq_block(&levels, qp_c);
+                for row in 0..4 {
+                    for col in 0..4 {
+                        let p = pred8[(by + row) * 8 + bx + col];
+                        let v = (p + r[row * 4 + col]).clamp(0, 255) as u8;
+                        recon.set(cx + bx + col, cy + by + row, v);
+                    }
+                }
+                blocks[blk] = levels;
+            }
+            (blocks, mask, bits)
+        }
+
+        /// `encode_chroma_inter` into a coefficient field and reconstruction
+        /// planes of the frame's dimensions that already exist: every coefficient
+        /// and every sample is overwritten, whatever they held. Returns the bits.
+        #[allow(clippy::too_many_arguments)] // `encode_chroma_inter`'s inputs and its three outputs
+        pub fn encode_chroma_inter_into(
+            cf_u: &Plane<u8>,
+            cf_v: &Plane<u8>,
+            refs_u: &[&Plane<u8>],
+            refs_v: &[&Plane<u8>],
+            modes: &ModeField,
+            luma_qp: u8,
+            coeffs: &mut ChromaField,
+            recon_u: &mut Plane<u8>,
+            recon_v: &mut Plane<u8>,
+        ) -> u64 {
+            assert_eq!(refs_u.len(), refs_v.len());
+            let qp_c = chroma_qp(luma_qp);
+            let mb_cols = modes.mb_cols();
+            let mb_rows = modes.mb_rows();
+            assert_eq!((coeffs.mb_cols(), coeffs.mb_rows()), (mb_cols, mb_rows));
+            let same_size =
+                |a: &Plane<u8>, b: &Plane<u8>| (a.width(), a.height()) == (b.width(), b.height());
+            assert!(same_size(recon_u, cf_u) && same_size(recon_v, cf_v));
+            let mut bits = 0u64;
+
+            let mut pred_u = [0i16; 64];
+            let mut pred_v = [0i16; 64];
+            let mut block = vec![0i16; 64];
+            for mby in 0..mb_rows {
+                for mbx in 0..mb_cols {
+                    let m = modes.mb(mbx, mby);
+                    let (cx, cy) = (mbx * 8, mby * 8); // chroma MB anchor
+                    let mode = m.mode;
+                    let (lw, lh) = mode.dims();
+                    let (w, h) = (lw / 2, lh / 2);
+                    for i in 0..mode.count() {
+                        let (ox, oy) = mode.offset(i);
+                        let (ox, oy) = (ox / 2, oy / 2);
+                        let blk = &m.mvs[i];
+                        for (pred, refs) in [(&mut pred_u, refs_u), (&mut pred_v, refs_v)] {
+                            block.truncate(0);
+                            block.resize(w * h, 0);
+                            predict_chroma_block(
+                                refs[blk.rf as usize],
+                                cx + ox,
+                                cy + oy,
+                                blk.mv,
+                                w,
+                                h,
+                                &mut block,
+                            );
+                            for row in 0..h {
+                                for col in 0..w {
+                                    pred[(oy + row) * 8 + ox + col] = block[row * w + col];
+                                }
+                            }
+                        }
+                    }
+                    let (cb, cb_mask, b1) =
+                        code_region(cf_u, &pred_u, cx, cy, qp_c, false, recon_u);
+                    let (cr, cr_mask, b2) =
+                        code_region(cf_v, &pred_v, cx, cy, qp_c, false, recon_v);
+                    let mb = coeffs.mb_mut(mbx, mby);
+                    mb.cb = cb;
+                    mb.cr = cr;
+                    mb.coded_mask = cb_mask | (cr_mask << 4);
+                    bits += b1 + b2;
+                }
+            }
+            bits
+        }
+    }
+
+    fn random_plane(rng: &mut StdRng, w: usize, h: usize) -> Plane<u8> {
+        Plane::from_fn(w, h, |_, _| rng.gen())
+    }
+
+    /// Every eighth-pel phase × every chroma block size × anchors whose
+    /// `(w + 1) × (h + 1)` footprint is inside the plane, touches each
+    /// border from inside, and leaves it by 1 and by a whole block — the
+    /// four corners included: the two-row-slice path and the clamped one
+    /// are the same samples.
+    #[test]
+    fn prediction_equals_the_per_sample_text_it_replaced() {
+        let (pw, ph) = (24usize, 20usize);
+        let rf = random_plane(&mut StdRng::seed_from_u64(7), pw, ph);
+        // First footprint sample along an axis of `len` for a block of `n`.
+        let starts = |n: isize, len: isize| [-n, -1, 0, len / 2 - n, len - 1 - n, len - n, len - 1];
+        for (w, h) in [(8, 8), (8, 4), (4, 8), (4, 4), (4, 2), (2, 4), (2, 2)] {
+            for x0 in starts(w as isize, pw as isize) {
+                for y0 in starts(h as isize, ph as isize) {
+                    // Any in-plane anchor; the vector carries the rest.
+                    let bx = x0.clamp(0, (pw - w) as isize);
+                    let by = y0.clamp(0, (ph - h) as isize);
+                    for phase in 0..64 {
+                        let mv = QpelMv::new(
+                            ((x0 - bx) * 8 + phase % 8) as i16,
+                            ((y0 - by) * 8 + phase / 8) as i16,
+                        );
+                        let (mut got, mut want) = (vec![-1i16; w * h], vec![-2i16; w * h]);
+                        predict_chroma_block(&rf, bx as usize, by as usize, mv, w, h, &mut got);
+                        reference::predict_chroma_block(
+                            &rf,
+                            bx as usize,
+                            by as usize,
+                            mv,
+                            w,
+                            h,
+                            &mut want,
+                        );
+                        assert_eq!(got, want, "{w}x{h} at ({x0}, {y0}) phase {phase}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Modes of any partition shape whose vectors reach up to two blocks
+    /// past every border, over two references.
+    fn random_modes(rng: &mut StdRng, mb_cols: usize, mb_rows: usize) -> ModeField {
+        let mut modes = ModeField::new(mb_cols, mb_rows);
+        for mby in 0..mb_rows {
+            for mbx in 0..mb_cols {
+                let m = modes.mb_mut(mbx, mby);
+                m.mode = ALL_PARTITION_MODES[rng.gen_range(0..7usize)];
+                for blk in &mut m.mvs {
+                    blk.rf = rng.gen_range(0..2);
+                    blk.mv = QpelMv::new(rng.gen_range(-130..=130), rng.gen_range(-130..=130));
+                }
+            }
+        }
+        modes
+    }
+
+    fn poisoned_outputs(mb_cols: usize, mb_rows: usize) -> (ChromaField, Plane<u8>, Plane<u8>) {
+        let mut coeffs = ChromaField::new(mb_cols, mb_rows);
+        for mb in coeffs.rows_mut(RowRange::new(0, mb_rows)) {
+            (mb.cb, mb.cr, mb.coded_mask) = ([[-0x5556; 16]; 4], [[-0x5556; 16]; 4], 0xAA);
+        }
+        let mut plane = Plane::new(mb_cols * 8, mb_rows * 8);
+        plane.fill(0xAA);
+        (coeffs, plane.clone(), plane)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Coefficients, masks, both reconstructions and the bit estimate
+        /// of a frame, over outputs that held poison: the no-coefficient
+        /// shortcut still writes every sample.
+        #[test]
+        fn inter_coding_equals_the_text_it_replaced(
+            seed in any::<u64>(),
+            (mb_cols, mb_rows) in prop_oneof![Just((1usize, 1usize)), Just((3, 2)), Just((2, 4))],
+            qp in prop_oneof![Just(4u8), Just(22), Just(28), Just(40), Just(51)],
+            // How far the current planes are from the first reference:
+            // 0 codes nothing where the vector is zero, 255 codes all.
+            spread in prop_oneof![Just(0u8), Just(3), Just(24), Just(255)],
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (w, h) = (mb_cols * 8, mb_rows * 8);
+            let refs_u = [random_plane(&mut rng, w, h), random_plane(&mut rng, w, h)];
+            let refs_v = [random_plane(&mut rng, w, h), random_plane(&mut rng, w, h)];
+            let mut near = |rf: &Plane<u8>| {
+                Plane::from_fn(w, h, |x, y| rf.get(x, y).wrapping_add(rng.gen_range(0..=spread)))
+            };
+            let (cf_u, cf_v) = (near(&refs_u[0]), near(&refs_v[0]));
+            let mut modes = random_modes(&mut rng, mb_cols, mb_rows);
+            if spread < 255 {
+                // A still macroblock, so that some block has no residual.
+                *modes.mb_mut(0, 0) = zero_mode_field(1, 1).mb(0, 0).clone();
+            }
+            let refs_u: Vec<&Plane<u8>> = refs_u.iter().collect();
+            let refs_v: Vec<&Plane<u8>> = refs_v.iter().collect();
+
+            let (mut want, mut want_u, mut want_v) = poisoned_outputs(mb_cols, mb_rows);
+            let want_bits = reference::encode_chroma_inter_into(
+                &cf_u, &cf_v, &refs_u, &refs_v, &modes, qp, &mut want, &mut want_u, &mut want_v,
+            );
+            let (mut got, mut got_u, mut got_v) = poisoned_outputs(mb_cols, mb_rows);
+            let got_bits = encode_chroma_inter_into(
+                &cf_u, &cf_v, &refs_u, &refs_v, &modes, qp, &mut got, &mut got_u, &mut got_v,
+            );
+            prop_assert_eq!(got_bits, want_bits);
+            prop_assert!(got == want, "coefficients or masks differ");
+            prop_assert!(got_u == want_u && got_v == want_v, "reconstructions differ");
+            if spread == 0 {
+                prop_assert_eq!(got.mb(0, 0).coded_mask, 0, "a still block codes nothing");
+            }
+        }
+
+        /// One region, inter and intra dead zones: levels, mask, bits and
+        /// reconstruction over poisoned outputs.
+        #[test]
+        fn region_coding_equals_the_text_it_replaced(
+            seed in any::<u64>(),
+            qp_c in 0u8..=39,
+            intra in proptest::bool::ANY,
+            spread in prop_oneof![Just(0i16), Just(2), Just(20), Just(255)],
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cf = random_plane(&mut rng, 24, 16);
+            let (cx, cy) = (8 * rng.gen_range(0..3usize), 8 * rng.gen_range(0..2usize));
+            let pred8: [i16; 64] = core::array::from_fn(|i| {
+                let s = cf.get(cx + i % 8, cy + i / 8) as i16;
+                (s + rng.gen_range(-spread..=spread)).clamp(0, 255)
+            });
+            let mut want_recon = Plane::new(24, 16);
+            want_recon.fill(0xAA);
+            let mut got_recon = want_recon.clone();
+            let (want, want_mask, want_bits) =
+                reference::code_region(&cf, &pred8, cx, cy, qp_c, intra, &mut want_recon);
+            let mut got = [[-0x5556i16; 16]; 4];
+            let (got_mask, got_bits) =
+                code_region(&cf, &pred8, (cx, cy), qp_c, intra, &mut got_recon, &mut got);
+            prop_assert_eq!((got, got_mask, got_bits), (want, want_mask, want_bits));
+            prop_assert!(got_recon == want_recon);
+        }
+    }
 
     #[test]
     fn chroma_qp_mapping_matches_standard() {

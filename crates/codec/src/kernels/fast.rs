@@ -2,7 +2,7 @@
 //!
 //! Every function here is bit-exact against its [`super::scalar`] twin —
 //! proven by the differential tests — the only difference is throughput.
-//! Three techniques, chosen per kernel by what measured fastest:
+//! Four techniques, chosen per kernel by what measured fastest:
 //!
 //! * The SME refinement and ME search primitives: `std::arch` intrinsics
 //!   on x86-64 — packed-block `psadbw` ([`Sse2`], the baseline, so nothing
@@ -10,6 +10,9 @@
 //!   time) — with a portable definition of each beside it ([`Portable`])
 //!   for every other host, which is also what the `scalar` family's SME
 //!   runs.
+//! * The deblocking line filter: the sixteen sample lines that cross one
+//!   macroblock edge at once in SSE2 `i16` lanes ([`Sse2`]), against one
+//!   line at a time ([`Portable`], the definition and the `scalar` family).
 //! * Interpolation, structure: the border-clamped source reads are hoisted
 //!   into padded rows once per band (the scalar path calls `get_clamped` per
 //!   pixel) and the 6-tap filters run over contiguous slices the compiler's
@@ -176,12 +179,100 @@ impl SearchIsa for Portable {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Deblocking primitives (DBL)
+// ---------------------------------------------------------------------------
+
+/// How the sixteen sample lines that cross one macroblock edge are
+/// filtered: the frame QP's activity thresholds and, for each of the edge's
+/// four 4-line segments, its `tc0` — `None` where bS = 0 and the segment
+/// is left alone.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EdgeFilter {
+    pub alpha: i16,
+    pub beta: i16,
+    pub tc0: [Option<i16>; 4],
+}
+
+/// The deblocking line filter ([`crate::dbl`]) over one macroblock edge at
+/// a time, in the two directions an edge runs.
+///
+/// [`Portable`] is the definition, one [`filter_line`] per sample line (and
+/// what the `scalar` family runs); [`Sse2`] filters the sixteen lines at
+/// once in `i16` lanes, the segments' `tc0` and bS ≠ 0 as lane vectors, and
+/// transposes around the filter where the lines are rows. The frame walk is
+/// written once against this trait.
+pub(crate) trait DeblockIsa: Copy {
+    /// Filter the sixteen columns that cross a horizontal edge: `rows` are
+    /// the six sample rows p2, p1, p0 | q0, q1, q2 around it.
+    fn filter_rows(self, rows: [&mut [u8; 16]; 6], edge: &EdgeFilter);
+
+    /// Filter the sixteen rows that cross a vertical edge: row `r` is the
+    /// eight samples `samples[r · stride ..][..8]`, p3 … p0 | q0 … q3.
+    ///
+    /// # Panics
+    /// When `samples` is shorter than `15 · stride + 8`, in every build
+    /// profile — the check the raw loads and stores of [`Sse2`] rest on.
+    fn filter_columns(self, samples: &mut [u8], stride: usize, edge: &EdgeFilter);
+}
+
+/// Filter one line of samples across an edge: `l` is p2, p1, p0 | q0, q1,
+/// q2 and `t0` the segment's `tc0`; returns the filtered p1, p0, q0, q1.
+#[inline(always)]
+fn filter_line(l: [u8; 6], edge: &EdgeFilter, t0: i16) -> [u8; 4] {
+    let (alpha, beta) = (edge.alpha, edge.beta);
+    let [p2, p1, p0, q0, q1, q2] = l.map(i16::from);
+    // Activity gating: only real blocking artifacts are smoothed; genuine
+    // image edges (large |p0-q0|) pass through.
+    if (p0 - q0).abs() >= alpha || (p1 - p0).abs() >= beta || (q1 - q0).abs() >= beta {
+        return [l[1], l[2], l[3], l[4]];
+    }
+    let ap = (p2 - p0).abs() < beta;
+    let aq = (q2 - q0).abs() < beta;
+    let tc = t0 + i16::from(ap) + i16::from(aq);
+    let delta = (((q0 - p0) * 4 + (p1 - q1) + 4) >> 3).clamp(-tc, tc);
+    let side = |x2: i16, x1: i16, active: bool| {
+        if active {
+            x1 + ((x2 + ((p0 + q0 + 1) >> 1) - 2 * x1) >> 1).clamp(-t0, t0)
+        } else {
+            x1
+        }
+    };
+    [side(p2, p1, ap), p0 + delta, q0 - delta, side(q2, q1, aq)].map(|v| v.clamp(0, 255) as u8)
+}
+
+impl DeblockIsa for Portable {
+    #[inline(always)]
+    fn filter_rows(self, rows: [&mut [u8; 16]; 6], edge: &EdgeFilter) {
+        let [p2, p1, p0, q0, q1, q2] = rows;
+        for (s, t0) in edge.tc0.into_iter().enumerate() {
+            let Some(t0) = t0 else { continue };
+            for x in s * 4..s * 4 + 4 {
+                [p1[x], p0[x], q0[x], q1[x]] =
+                    filter_line([p2[x], p1[x], p0[x], q0[x], q1[x], q2[x]], edge, t0);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn filter_columns(self, samples: &mut [u8], stride: usize, edge: &EdgeFilter) {
+        assert!(samples.len() >= 15 * stride + 8, "sixteen rows of eight");
+        for (s, t0) in edge.tc0.into_iter().enumerate() {
+            let Some(t0) = t0 else { continue };
+            for r in s * 4..s * 4 + 4 {
+                let l: &mut [u8; 6] = (&mut samples[r * stride + 1..][..6]).try_into().unwrap();
+                [l[1], l[2], l[3], l[4]] = filter_line(*l, edge, t0);
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 pub use x86::{Sse2, Sse41};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{check_span, RefineIsa, SearchIsa};
+    use super::{check_span, DeblockIsa, EdgeFilter, RefineIsa, SearchIsa};
     use core::arch::x86_64::*;
 
     /// The packed-block primitives on SSE2, which every x86-64 CPU has.
@@ -237,6 +328,173 @@ mod x86 {
                     acc = _mm_add_epi64(acc, _mm_sad_epu8(x, y));
                 }
                 _mm_cvtsi128_si32(_mm_add_epi64(acc, _mm_unpackhi_epi64(acc, acc))) as u32
+            }
+        }
+    }
+
+    /// Sixteen lines across an edge, eight at a time: `px` is p2, p1, p0,
+    /// q0, q1, q2 widened to `i16` lanes, `t0` each line's `tc0` and `on`
+    /// all-ones in the lines of a bS ≠ 0 segment. Returns p1, p0, q0, q1
+    /// unclipped ([`filter_line`]'s last step is the caller's `packus`).
+    ///
+    /// # Safety
+    /// Register-only SSE2 arithmetic; SSE2 is part of the x86-64 baseline.
+    #[inline(always)]
+    unsafe fn filter_lanes(
+        px: [__m128i; 6],
+        alpha: __m128i,
+        beta: __m128i,
+        t0: __m128i,
+        on: __m128i,
+    ) -> [__m128i; 4] {
+        let [p2, p1, p0, q0, q1, q2] = px;
+        let neg = |a| _mm_sub_epi16(_mm_setzero_si128(), a);
+        let abs_diff = |a, b| {
+            let d = _mm_sub_epi16(a, b);
+            _mm_max_epi16(d, neg(d))
+        };
+        let below = |a, b, limit| _mm_cmplt_epi16(abs_diff(a, b), limit);
+        let clamp = |v, t| _mm_min_epi16(_mm_max_epi16(v, neg(t)), t);
+        let filtered = _mm_and_si128(
+            _mm_and_si128(below(p0, q0, alpha), below(p1, p0, beta)),
+            _mm_and_si128(below(q1, q0, beta), on),
+        );
+        // All-ones is −1: subtracting the masks adds the two flags.
+        let ap = below(p2, p0, beta);
+        let aq = below(q2, q0, beta);
+        let tc = _mm_sub_epi16(_mm_sub_epi16(t0, ap), aq);
+        let delta = _mm_add_epi16(
+            _mm_add_epi16(
+                _mm_slli_epi16::<2>(_mm_sub_epi16(q0, p0)),
+                _mm_sub_epi16(p1, q1),
+            ),
+            _mm_set1_epi16(4),
+        );
+        let delta = _mm_and_si128(clamp(_mm_srai_epi16::<3>(delta), tc), filtered);
+        let mid = _mm_srli_epi16::<1>(_mm_add_epi16(_mm_add_epi16(p0, q0), _mm_set1_epi16(1)));
+        let side = |x2, x1, active| {
+            let d = _mm_sub_epi16(_mm_add_epi16(x2, mid), _mm_slli_epi16::<1>(x1));
+            let d = clamp(_mm_srai_epi16::<1>(d), t0);
+            _mm_add_epi16(x1, _mm_and_si128(d, _mm_and_si128(active, filtered)))
+        };
+        [
+            side(p2, p1, ap),
+            _mm_add_epi16(p0, delta),
+            _mm_sub_epi16(q0, delta),
+            side(q2, q1, aq),
+        ]
+    }
+
+    /// [`filter_lanes`] over sixteen lines held as six vectors of sixteen
+    /// samples; returns the filtered p1, p0, q0, q1 vectors.
+    ///
+    /// # Safety
+    /// As [`filter_lanes`].
+    #[inline(always)]
+    unsafe fn filter_sixteen(px: [__m128i; 6], edge: &EdgeFilter) -> [__m128i; 4] {
+        let zero = _mm_setzero_si128();
+        let (alpha, beta) = (_mm_set1_epi16(edge.alpha), _mm_set1_epi16(edge.beta));
+        // One segment is four lanes: two segments per half.
+        let t0 = edge.tc0.map(|t| t.unwrap_or(0));
+        let on = edge.tc0.map(|t| -i16::from(t.is_some()));
+        let lanes = |v: [i16; 4], s: usize| {
+            _mm_setr_epi16(
+                v[s],
+                v[s],
+                v[s],
+                v[s],
+                v[s + 1],
+                v[s + 1],
+                v[s + 1],
+                v[s + 1],
+            )
+        };
+        let lo = filter_lanes(
+            px.map(|v| _mm_unpacklo_epi8(v, zero)),
+            alpha,
+            beta,
+            lanes(t0, 0),
+            lanes(on, 0),
+        );
+        let hi = filter_lanes(
+            px.map(|v| _mm_unpackhi_epi8(v, zero)),
+            alpha,
+            beta,
+            lanes(t0, 2),
+            lanes(on, 2),
+        );
+        core::array::from_fn(|i| _mm_packus_epi16(lo[i], hi[i]))
+    }
+
+    impl DeblockIsa for Sse2 {
+        #[inline(always)]
+        fn filter_rows(self, rows: [&mut [u8; 16]; 6], edge: &EdgeFilter) {
+            // SAFETY: every load and store is of the sixteen bytes one of
+            // `rows` borrows, none has an alignment requirement, and SSE2
+            // is part of the x86-64 baseline.
+            unsafe {
+                let px = core::array::from_fn(|i| _mm_loadu_si128(rows[i].as_ptr().cast()));
+                let out = filter_sixteen(px, edge);
+                for (row, v) in rows.into_iter().skip(1).zip(out) {
+                    _mm_storeu_si128(row.as_mut_ptr().cast(), v);
+                }
+            }
+        }
+
+        #[inline(always)]
+        fn filter_columns(self, samples: &mut [u8], stride: usize, edge: &EdgeFilter) {
+            let end = 15usize.saturating_mul(stride).saturating_add(8);
+            assert!(samples.len() >= end, "sixteen rows of eight");
+            let first = samples.as_mut_ptr();
+            // SAFETY: the assert just proved `15·stride + 8 <= samples.len()`.
+            // Row `r < 16` is loaded as the eight bytes at `first + r·stride`
+            // and its middle four are stored back at `+ 2`, all before that
+            // bound; nothing has an alignment requirement, and SSE2 is part
+            // of the x86-64 baseline.
+            unsafe {
+                // 16 rows × 8 columns → 8 columns × 16 rows, by interleaving
+                // bytes, words, doublewords and quadwords in turn.
+                let rows: [__m128i; 16] =
+                    core::array::from_fn(|r| _mm_loadl_epi64(first.add(r * stride).cast()));
+                let b: [__m128i; 8] =
+                    core::array::from_fn(|i| _mm_unpacklo_epi8(rows[2 * i], rows[2 * i + 1]));
+                // w[k]: columns 0..4 and 4..8 of rows 4k..4k + 4.
+                let w: [[__m128i; 2]; 4] = core::array::from_fn(|k| {
+                    let (x, y) = (b[2 * k], b[2 * k + 1]);
+                    [_mm_unpacklo_epi16(x, y), _mm_unpackhi_epi16(x, y)]
+                });
+                // d[h][j]: columns 2j and 2j + 1 of rows 8h..8h + 8.
+                let d: [[__m128i; 4]; 2] = core::array::from_fn(|h| {
+                    let ([x0, x1], [y0, y1]) = (w[2 * h], w[2 * h + 1]);
+                    [
+                        _mm_unpacklo_epi32(x0, y0),
+                        _mm_unpackhi_epi32(x0, y0),
+                        _mm_unpacklo_epi32(x1, y1),
+                        _mm_unpackhi_epi32(x1, y1),
+                    ]
+                });
+                let even = |j: usize| _mm_unpacklo_epi64(d[0][j], d[1][j]);
+                let odd = |j: usize| _mm_unpackhi_epi64(d[0][j], d[1][j]);
+                // Columns 1..7 are p2 … q2; p3 and q3 came along for the load.
+                let px = [odd(0), even(1), odd(1), even(2), odd(2), even(3)];
+                let [p1, p0, q0, q1] = filter_sixteen(px, edge);
+                // And back: (p1 p0) and (q0 q1) byte pairs, then the four
+                // samples of each row as one doubleword.
+                let (pl, ph) = (_mm_unpacklo_epi8(p1, p0), _mm_unpackhi_epi8(p1, p0));
+                let (ql, qh) = (_mm_unpacklo_epi8(q0, q1), _mm_unpackhi_epi8(q0, q1));
+                let quads = [
+                    _mm_unpacklo_epi16(pl, ql),
+                    _mm_unpackhi_epi16(pl, ql),
+                    _mm_unpacklo_epi16(ph, qh),
+                    _mm_unpackhi_epi16(ph, qh),
+                ];
+                for (j, v) in quads.into_iter().enumerate() {
+                    let v = core::mem::transmute::<__m128i, [i32; 4]>(v);
+                    for (k, quad) in v.into_iter().enumerate() {
+                        let at = first.add((4 * j + k) * stride + 2);
+                        at.cast::<i32>().write_unaligned(quad);
+                    }
+                }
             }
         }
     }
@@ -472,6 +730,8 @@ pub fn interp_band(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn avg8_matches_scalar_avg_exhaustively() {
@@ -611,6 +871,128 @@ mod tests {
     fn sse2_load_with_a_wrapping_span_panics() {
         let plane = [0u8; 64];
         let _ = Sse2.load::<16, 16, 16>(&plane, 0, usize::MAX / 8);
+    }
+
+    // ---- portable vs std::arch deblocking line filter (direct calls) ----
+
+    /// Sixteen lines whose samples sit on and around every threshold of
+    /// `edge`: p0 anywhere (both clipping ends included), the other five a
+    /// threshold-sized step from the sample they are compared with.
+    fn lines_around(edge: &EdgeFilter, rng: &mut StdRng) -> [[u8; 6]; 16] {
+        let (a, b) = (edge.alpha as i32, edge.beta as i32);
+        let mut step = |t: i32| {
+            let d = [0, 1, t - 1, t, t + 1, 2 * t][rng.gen_range(0..6usize)];
+            if rng.gen() {
+                d
+            } else {
+                -d
+            }
+        };
+        core::array::from_fn(|_| {
+            let p0 = [0, 2, 128, 253, 255][step(3).unsigned_abs() as usize % 5] + step(2);
+            let q0 = p0 + step(a);
+            let (p1, q1) = (p0 + step(b), q0 + step(b));
+            let (p2, q2) = (p0 + step(b), q0 + step(b));
+            [p2, p1, p0, q0, q1, q2].map(|v| v.clamp(0, 255) as u8)
+        })
+    }
+
+    /// Both directions of `isa` against one [`filter_line`] per line, over
+    /// every (α, β) a QP can select, segments that are off, `tc0 = 0` and
+    /// larger, and lines in every regime of the filter — with the samples
+    /// around the sixteen-by-six untouched.
+    fn check_deblock<I: DeblockIsa>(isa: I) {
+        let mut rng = StdRng::seed_from_u64(0xDB1);
+        // unfiltered; filtered with (ap, aq) = (0,0), (1,0), (0,1), (1,1).
+        let mut regimes = [0usize; 5];
+        for (alpha, beta) in [(4, 2), (9, 3), (20, 7), (50, 11), (127, 15), (255, 18)] {
+            for round in 0..400 {
+                let tc0 = core::array::from_fn(|_| {
+                    [None, Some(0), Some(1), Some(beta / 4), Some(beta / 2)]
+                        [rng.gen_range(0..5usize)]
+                });
+                let edge = EdgeFilter { alpha, beta, tc0 };
+                let lines = lines_around(&edge, &mut rng);
+                let want: [[u8; 6]; 16] = core::array::from_fn(|i| {
+                    let l = lines[i];
+                    let Some(t0) = tc0[i / 4] else { return l };
+                    let [p1, p0, q0, q1] = filter_line(l, &edge, t0);
+                    let near = |x: u8, y: u8| (x as i16 - y as i16).abs() < beta;
+                    let gated = l[2].abs_diff(l[3]) as i16 >= alpha
+                        || !near(l[1], l[2])
+                        || !near(l[4], l[3]);
+                    let regime =
+                        1 + usize::from(near(l[0], l[2])) + 2 * usize::from(near(l[5], l[3]));
+                    regimes[if gated { 0 } else { regime }] += 1;
+                    [l[0], p1, p0, q0, q1, l[5]]
+                });
+
+                // Lines as columns: six rows of sixteen.
+                let mut rows: [[u8; 16]; 6] = core::array::from_fn(|i| lines.map(|l| l[i]));
+                isa.filter_rows(rows.each_mut(), &edge);
+                let got: [[u8; 6]; 16] = core::array::from_fn(|x| rows.map(|r| r[x]));
+                assert_eq!(got, want, "rows, α {alpha} β {beta} {tc0:?} round {round}");
+
+                // Lines as rows, in a buffer that ends with the last one.
+                let stride = 8 + round % 13;
+                let mut samples: Vec<u8> = (0..15 * stride + 8).map(|_| rng.gen()).collect();
+                let before = samples.clone();
+                for (r, l) in lines.iter().enumerate() {
+                    samples[r * stride + 1..][..6].copy_from_slice(l);
+                }
+                isa.filter_columns(&mut samples, stride, &edge);
+                for (i, (&got, &was)) in samples.iter().zip(&before).enumerate() {
+                    let (r, c) = (i / stride, i % stride);
+                    let want = if (1..7).contains(&c) {
+                        want[r][c - 1]
+                    } else {
+                        was
+                    };
+                    assert_eq!(
+                        got, want,
+                        "columns, row {r} byte {c}, α {alpha} β {beta} {tc0:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            regimes.iter().all(|&n| n > 100),
+            "regimes seen: {regimes:?}"
+        );
+    }
+
+    #[test]
+    fn portable_edge_filter_is_the_line_filter() {
+        check_deblock(Portable);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_edge_filter_is_the_line_filter() {
+        check_deblock(Sse2);
+    }
+
+    #[test]
+    #[should_panic(expected = "sixteen rows of eight")]
+    fn portable_filter_columns_past_the_slice_panics() {
+        let edge = EdgeFilter {
+            alpha: 20,
+            beta: 7,
+            tc0: [Some(1); 4],
+        };
+        Portable.filter_columns(&mut [0u8; 15 * 9 + 7], 9, &edge);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "sixteen rows of eight")]
+    fn sse2_filter_columns_past_the_slice_panics() {
+        let edge = EdgeFilter {
+            alpha: 20,
+            beta: 7,
+            tc0: [Some(1); 4],
+        };
+        Sse2.filter_columns(&mut [0u8; 15 * 9 + 7], 9, &edge);
     }
 
     // ---- portable vs std::arch search primitives (direct calls) ----

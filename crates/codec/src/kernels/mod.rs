@@ -9,12 +9,14 @@
 //! * [`fast`] — `std::arch` SAD instructions where the host has them
 //!   (packed-block `psadbw` under the SME refinement in [`crate::sme`], the
 //!   `mpsadbw` / `phminposuw` primitives of the ME search in
-//!   [`crate::me`]), and for interpolation padded-row 6-tap passes plus u64
-//!   **SWAR** quarter-pel averaging.
+//!   [`crate::me`]), the deblocking line filter of [`crate::dbl`] sixteen
+//!   lines at a time in SSE2 `i16` lanes, and for interpolation padded-row
+//!   6-tap passes plus u64 **SWAR** quarter-pel averaging.
 //!
 //! Kernels whose fast twin never beat the scalar loop (the quantizers, the
 //! per-candidate SAD grid, `row_sad`) have one implementation, in
-//! [`scalar`], that both families run.
+//! [`scalar`], that both families run; chroma coding ([`crate::chroma`])
+//! never had a twin.
 //!
 //! The active family is selected once at startup (first use) from the
 //! `FEVES_KERNELS` environment variable (`scalar` | `fast`, default `fast`)
@@ -39,7 +41,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum KernelKind {
     /// Plain reference loops (auto-vectorization only).
     Scalar,
-    /// `std::arch` SAD instructions + SWAR interpolation fast paths.
+    /// `std::arch` SAD and line-filter instructions + SWAR interpolation
+    /// fast paths.
     Fast,
 }
 
@@ -99,8 +102,8 @@ pub fn force_kind(kind: KernelKind) {
 // ---------------------------------------------------------------------------
 // Entry points. A dispatched one does one relaxed atomic load and branches;
 // its callers work at row granularity (interpolation bands here, one
-// `me` / `sme` rows call there), so that is amortised over thousands of
-// sample operations.
+// `me` / `sme` rows or `dbl` frame call there), so that is amortised over
+// thousands of sample operations.
 // ---------------------------------------------------------------------------
 
 /// SAD of two equal-length rows.

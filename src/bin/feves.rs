@@ -34,6 +34,7 @@ use feves::obs::{
     BusController, LiveConfig, LiveSnapshot, MemoryRecorder, NoopRecorder, Recorder, SessionScope,
 };
 use feves::video::y4m::{self, Y4mScan};
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -610,9 +611,42 @@ fn cmd_trace_log(opts: &Options, input: &str) -> CliResult {
     Ok(())
 }
 
+/// The stdout of `feves encode` / `resume`. Its lines are advisory and the
+/// artifact is the product: after the first `BrokenPipe` (the reader left,
+/// `… | head -1`) nothing more is printed and the encode carries on to
+/// exit 0; any other error also ends the printing and is the command's
+/// runtime error once the artifact is complete.
+#[derive(Default)]
+struct Progress {
+    closed: bool,
+    error: Option<std::io::Error>,
+}
+
+impl Progress {
+    fn line(&mut self, line: std::fmt::Arguments<'_>) {
+        if self.closed {
+            return;
+        }
+        if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+            self.closed = true;
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    fn finish(self) -> CliResult {
+        match self.error {
+            Some(e) => Err(CliError::runtime(format!("stdout: {e}"))),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The CLI's side of the session driver's frame loop: signals stop it,
 /// `FEVES_CRASH_AT=frame@n` kills it, and progress is printed as it goes.
 struct CliHooks {
+    out: Progress,
     /// Checkpoint-writer metrics join the session's when it has any.
     rec: Option<Arc<MemoryRecorder>>,
     /// Running totals for the summary line, accumulated in frame order:
@@ -632,14 +666,14 @@ impl SessionHooks for CliHooks {
     }
 
     fn on_frame(&mut self, rep: feves::core::FrameReport) {
-        println!(
+        self.out.line(format_args!(
             "frame {:>4} ({}) {:>9} bits  PSNR-Y {:>6.2} dB  sim {:>7.2} ms",
             rep.frame,
             if rep.is_intra { "I" } else { "P" },
             rep.bits.unwrap_or(0),
             rep.psnr_y.unwrap_or(f64::NAN),
             rep.tau_tot * 1e3
-        );
+        ));
         self.frames += 1;
         self.bits += rep.bits.unwrap_or(0);
         if let Some(p) = rep.psnr_y.filter(|p| p.is_finite()) {
@@ -673,10 +707,12 @@ impl SessionHooks for CliHooks {
 /// resume`'s to truncate.
 fn run_session(
     session: Session,
+    out: Progress,
     rec: Option<Arc<MemoryRecorder>>,
     resumed_at: Option<usize>,
 ) -> CliResult {
     let mut hooks = CliHooks {
+        out,
         rec,
         frames: 0,
         bits: 0,
@@ -684,17 +720,17 @@ fn run_session(
     };
     let done = session.run(&mut hooks).map_err(CliError::runtime)?;
     if done.interrupted {
-        return Ok(());
+        return hooks.out.finish();
     }
     let ctx = &done.context;
     if let Some(start) = resumed_at {
-        println!(
+        hooks.out.line(format_args!(
             "\nresumed at frame {start}; encoded {} more frame(s) into {}",
             hooks.frames, ctx.output
-        );
+        ));
     }
     let (psnr_sum, psnr_frames) = hooks.psnr;
-    println!(
+    hooks.out.line(format_args!(
         "\nwrote {} — {} bits total, mean PSNR-Y {:.2} dB",
         ctx.output,
         hooks.bits,
@@ -703,8 +739,9 @@ fn run_session(
         } else {
             f64::NAN
         }
-    );
-    write_flight(&done.encoder, &ctx.flight_out)
+    ));
+    write_flight(&done.encoder, &ctx.flight_out)?;
+    hooks.out.finish()
 }
 
 fn cmd_encode(opts: &Options, input: &str, output: Option<&str>) -> CliResult {
@@ -713,10 +750,11 @@ fn cmd_encode(opts: &Options, input: &str, output: Option<&str>) -> CliResult {
     let Y4mScan {
         header, n_frames, ..
     } = seq.file.scan();
-    println!(
+    let mut out = Progress::default();
+    out.line(format_args!(
         "{input}: {}x{}, {n_frames} frames",
         header.resolution.width, header.resolution.height,
-    );
+    ));
     let out_path = output
         .map(str::to_string)
         .unwrap_or_else(|| format!("{input}.recon.y4m"));
@@ -732,7 +770,7 @@ fn cmd_encode(opts: &Options, input: &str, output: Option<&str>) -> CliResult {
     let enc = session.encoder_mut();
     let telemetry = attach_telemetry(enc, "encode", opts.metrics_out.is_some(), opts.live());
     enable_flight(enc, &opts.flight_out, n_frames);
-    run_session(session, telemetry.memory(), None)?;
+    run_session(session, out, telemetry.memory(), None)?;
     telemetry.finish(&opts.metrics_out)
 }
 
@@ -783,7 +821,12 @@ fn cmd_resume(path: &str) -> CliResult {
     if let Some(fl) = enc.flight_mut() {
         fl.mark_resume(start);
     }
-    run_session(session, telemetry.memory(), Some(start))?;
+    run_session(
+        session,
+        Progress::default(),
+        telemetry.memory(),
+        Some(start),
+    )?;
     telemetry.finish(&metrics_out)
 }
 

@@ -89,6 +89,57 @@ fn encode_roundtrips_a_y4m_file() {
     assert_eq!(r.read_all().unwrap().len(), 3);
 }
 
+/// `feves encode … | head -1`: the reader of stdout is gone before the first
+/// line is printed. The progress lines are advisory — the encode finishes,
+/// exits 0, and leaves the artifact it leaves with stdout open (it used to
+/// panic in `println!`, exit 101, and leave a short file that verified).
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_does_not_stop_the_encode() {
+    use std::process::Stdio;
+    let dir = common::scratch("closed_stdout");
+    let input = dir.join("in.y4m");
+    write_qcif_input(&input, 3);
+    let encode = |name: &str, stdout: Stdio| {
+        let output = dir.join(name);
+        let out = Command::new(feves_bin())
+            .args(["encode", input.to_str().unwrap(), output.to_str().unwrap()])
+            .args(["--sa", "16", "--refs", "1"])
+            .stdout(stdout)
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (
+            out.status.code(),
+            stderr,
+            std::fs::read(&output).unwrap_or_default(),
+        )
+    };
+    // The write end of a pipe whose only reader has exited: a child that
+    // never reads its stdin, waited for.
+    let mut reader = Command::new(feves_bin())
+        .arg("platforms")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .unwrap();
+    let write_end = reader.stdin.take().unwrap();
+    assert!(reader.wait().unwrap().success());
+
+    let (code, stderr, closed) = encode("closed.y4m", write_end.into());
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let (code, stderr, open) = encode("open.y4m", Stdio::null());
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(closed == open, "the artifact depends on who reads stdout");
+    let frames = feves::video::y4m::Y4mReader::new(&closed[..])
+        .unwrap()
+        .read_all()
+        .unwrap();
+    assert_eq!(frames.len(), 3);
+}
+
 /// Every CPU core of SysNF panics in inter frame 2: the encode keeps one
 /// core, finishes, and writes the fault-free artifact.
 #[test]

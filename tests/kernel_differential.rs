@@ -9,7 +9,9 @@
 //!    `scalar`/`fast` entry points directly where there are two (no global
 //!    state involved) — including the portable and `std::arch` forms of the
 //!    ME search and SME refinement primitives, so the path a pre-SSE4.1 (or
-//!    non-x86) host takes is exercised on every run;
+//!    non-x86) host takes is exercised on every run — and `deblock_frame`
+//!    under both families (its two line filters are compared lane by lane
+//!    in `kernels::fast`'s own tests);
 //! 2. a full encode→decode round trip under `force_kind`: both kernel
 //!    families must emit *identical bitstreams*, and the decoder must
 //!    reproduce the encoder reconstruction from either stream;
@@ -200,6 +202,52 @@ proptest! {
         let a = feves::codec::interp::interpolate(&p);
         kernels::force_kind(KernelKind::Fast);
         let b = feves::codec::interp::interpolate(&p);
+        prop_assert_eq!(a, b);
+    }
+
+    /// DBL under both families: the `scalar` line filter is the definition
+    /// and `fast`'s sixteen-lane form must write the same plane — over
+    /// every QP that filters, edges of every strength (coded blocks, a
+    /// vector step of exactly one sample, a reference change, none) and
+    /// sample steps on both sides of α and β.
+    #[test]
+    fn prop_deblock_matches(seed in any::<u64>(), qp in 16u8..=51, mb_cols in 1usize..4, mb_rows in 1usize..4) {
+        use feves::codec::mc::ModeField;
+        use feves::codec::recon::CoeffField;
+        use feves::codec::types::{QpelMv, ALL_PARTITION_MODES};
+        let _guard = KindGuard::take();
+        let mut s = seed | 1;
+        let mut draw = |n: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % n
+        };
+        let mut modes = ModeField::new(mb_cols, mb_rows);
+        let mut coeffs = CoeffField::new(mb_cols, mb_rows);
+        for mby in 0..mb_rows {
+            for mbx in 0..mb_cols {
+                let m = modes.mb_mut(mbx, mby);
+                m.mode = ALL_PARTITION_MODES[draw(7) as usize];
+                for blk in &mut m.mvs {
+                    blk.rf = (draw(4) == 0) as u8;
+                    blk.mv = QpelMv::new(draw(3) as i16 * 4, draw(2) as i16 * 4);
+                }
+                coeffs.mb_mut(mbx, mby).coded_mask = (draw(1 << 16) & draw(1 << 16)) as u16;
+            }
+        }
+        // A staircase of small steps: neighbours 0 … `spread` apart.
+        let spread = 2 + draw(40);
+        let base = draw(200);
+        let mut p = Plane::new(mb_cols * 16, mb_rows * 16);
+        for y in 0..mb_rows * 16 {
+            for x in 0..mb_cols * 16 {
+                p.set(x, y, (base + draw(spread)) as u8);
+            }
+        }
+        let (mut a, mut b) = (p.clone(), p.clone());
+        kernels::force_kind(KernelKind::Scalar);
+        feves::codec::dbl::deblock_frame(&mut a, &modes, &coeffs, qp);
+        kernels::force_kind(KernelKind::Fast);
+        feves::codec::dbl::deblock_frame(&mut b, &modes, &coeffs, qp);
         prop_assert_eq!(a, b);
     }
 }

@@ -223,11 +223,18 @@ fn every_module_overwrites_all_of_a_reused_buffer() {
 
     // Chroma is serial; its in-place form over a poisoned coefficient
     // field and poisoned planes against the allocating one.
+    // Textured below a flat top third (whatever the vectors, predicted
+    // exactly: blocks with no coefficients), or one value throughout.
     let chroma_plane = |seed: usize, fill: Option<u8>| {
         let mut p = Plane::new(W / 2, H / 2);
         for y in 0..H / 2 {
             for x in 0..W / 2 {
-                p.set(x, y, fill.unwrap_or(((x * seed) ^ (y * 3)) as u8));
+                let textured = if y < H / 6 {
+                    77
+                } else {
+                    ((x * seed) ^ (y * 3)) as u8
+                };
+                p.set(x, y, fill.unwrap_or(textured));
             }
         }
         p
@@ -239,6 +246,11 @@ fn every_module_overwrites_all_of_a_reused_buffer() {
         fresh.coeffs.nonzero_levels() > 0,
         "the scene must code chroma"
     );
+    // … and must leave blocks uncoded: those take the `recon = pred`
+    // shortcut, which has to write its sixteen samples all the same.
+    let masks = fresh.coeffs.rows(ROWS).iter().map(|mb| mb.coded_mask);
+    let uncoded: u32 = masks.map(|m| m.count_zeros()).sum();
+    assert!(uncoded > 0, "the scene must leave chroma blocks uncoded");
     let mut coeffs = ChromaField::new(MB_COLS, ROWS.len());
     for mby in 0..ROWS.len() {
         for mbx in 0..MB_COLS {
