@@ -6,10 +6,10 @@
 //!
 //! * The SME refinement and ME search primitives: `std::arch` intrinsics
 //!   on x86-64 — packed-block `psadbw` ([`Sse2`], the baseline, so nothing
-//!   is detected) and `mpsadbw` / `phminposuw` ([`Sse41`], detected at run
-//!   time) — with a portable definition of each beside it ([`Portable`])
-//!   for every other host, which is also what the `scalar` family's SME
-//!   runs.
+//!   is detected) and sixteen-lane `vmpsadbw` with running per-lane minima
+//!   ([`Avx2`], detected at run time) — with a portable definition of each
+//!   beside it ([`Portable`]) for every other host, which is also what the
+//!   `scalar` family's SME runs.
 //! * The deblocking line filter: the sixteen sample lines that cross one
 //!   macroblock edge at once in SSE2 `i16` lanes ([`Sse2`]), against one
 //!   line at a time ([`Portable`], the definition and the `scalar` family).
@@ -133,49 +133,144 @@ impl RefineIsa for Portable {
 // Search primitives (ME)
 // ---------------------------------------------------------------------------
 
-/// The two operations the candidate-major full search ([`crate::me`]) is
-/// built from, over eight `u16` lanes — one lane per candidate of a batch.
+/// What the candidate-major full search ([`crate::me`]) is built from:
+/// vectors of sixteen `u16` lanes, one per candidate. Lanes 0..8 are the
+/// eight horizontally adjacent candidates of one *half-batch*, lanes 8..16
+/// those of another, and each lane keeps a running minimum.
 ///
-/// [`Portable`] is the definition; [`Sse41`] is the same pair as one
-/// instruction each. The search body is written once against this trait.
+/// [`Portable`] is the definition; [`Avx2`] is the same set on `vmpsadbw`,
+/// `vpminuw`, `vpcmpeqw`, `vpblendvb` and, once per block, `vpminud`. The
+/// search body is written once against this trait.
 pub trait SearchIsa: Copy {
-    /// SADs of one 4-byte group of `cur` against eight consecutive
-    /// 4-byte windows of `refs`:
-    /// `out[i] = Σ_{j<4} |refs[o + i + j] − cur[4g + j]|` for `i < 8`, with
-    /// `g = IMM & 3` and `o = IMM & 4` — the immediate of `mpsadbw`.
-    fn sad4x8<const IMM: i32>(self, refs: &[u8; 16], cur: &[u8; 16]) -> [u16; 8];
+    /// Sixteen `u16` lanes.
+    type Lanes: Copy;
 
-    /// Minimum of the eight lanes and the lowest index that holds it.
-    fn min_pos(self, v: [u16; 8]) -> (u16, usize);
+    /// The lanes holding `v`.
+    fn lanes(self, v: [u16; 16]) -> Self::Lanes;
+
+    /// The values `v` holds.
+    fn array(self, v: Self::Lanes) -> [u16; 16];
+
+    /// Lane-wise `a + b`. Callers keep every sum below 2¹⁶.
+    fn add(self, a: Self::Lanes, b: Self::Lanes) -> Self::Lanes;
+
+    /// One row of four 4×4 cells for sixteen candidates: `cur` is the
+    /// row's four pixel rows, and cell `gx`, lane `8h + i` is
+    /// `Σ |win[at[h] + y·stride + i + x] − cur[y][x]|` over `y < 4`,
+    /// `4gx ≤ x < 4gx + 4` — half-batch `h`'s first candidate has its
+    /// top-left sample at `win[at[h]]`, and candidate `i` of it is `i`
+    /// samples to the right.
+    ///
+    /// # Panics
+    /// When either half-batch's rows, `at[h] + 3·stride + 24` bytes (eight
+    /// candidates × sixteen columns touch 23; the loads span 24), leave
+    /// `win`, in every build profile — the check the raw loads of [`Avx2`]
+    /// rest on.
+    fn cell_row(
+        self,
+        win: &[u8],
+        at: [usize; 2],
+        stride: usize,
+        cur: &[[u8; 16]; 4],
+    ) -> [Self::Lanes; 4];
+
+    /// Fold one vector of costs into a running minimum: every lane where
+    /// `cost < best` takes `cost` and the position `at`; an equal cost keeps
+    /// the earlier position.
+    fn keep(
+        self,
+        best: &mut Self::Lanes,
+        pos: &mut Self::Lanes,
+        cost: Self::Lanes,
+        at: Self::Lanes,
+    );
+
+    /// Where a running minimum ends: the least `(best, pos, lane % 8)` over
+    /// the sixteen lanes — cost, then position, then the candidate's column
+    /// in its half-batch. Every `pos` lane must be below 2¹³.
+    fn reduce(self, best: Self::Lanes, pos: Self::Lanes) -> (u16, u16, usize);
+}
+
+/// The span check of [`SearchIsa::cell_row`]: both half-batches' four
+/// rows of 24 bytes lie inside a slice of `len`. Saturating, so no offset
+/// or stride can wrap its way past the comparison.
+#[inline(always)]
+fn check_cell_row_span(len: usize, at: [usize; 2], stride: usize) {
+    let rows = 3usize.saturating_mul(stride).saturating_add(24);
+    assert!(
+        at[0].saturating_add(rows) <= len && at[1].saturating_add(rows) <= len,
+        "cell row at {at:?} (stride {stride}) leaves a window of {len}"
+    );
 }
 
 /// The primitives as plain loops: what runs on non-x86 hosts (and, for the
-/// search, on x86 before SSE4.1), and the reference [`Sse2`] and [`Sse41`]
+/// search, on x86 without AVX2), and the reference [`Sse2`] and [`Avx2`]
 /// are tested against.
 #[derive(Clone, Copy, Debug)]
 pub struct Portable;
 
 impl SearchIsa for Portable {
+    type Lanes = [u16; 16];
+
     #[inline(always)]
-    fn sad4x8<const IMM: i32>(self, refs: &[u8; 16], cur: &[u8; 16]) -> [u16; 8] {
-        let (g, o) = ((IMM & 3) as usize * 4, (IMM & 4) as usize);
-        core::array::from_fn(|i| {
-            (0..4)
-                .map(|j| refs[o + i + j].abs_diff(cur[g + j]) as u16)
-                .sum()
-        })
+    fn lanes(self, v: [u16; 16]) -> [u16; 16] {
+        v
     }
 
     #[inline(always)]
-    fn min_pos(self, v: [u16; 8]) -> (u16, usize) {
-        // Strict `<` keeps the first of equal minima, as `phminposuw` does.
-        let mut best = 0;
-        for i in 1..8 {
-            if v[i] < v[best] {
-                best = i;
+    fn array(self, v: [u16; 16]) -> [u16; 16] {
+        v
+    }
+
+    #[inline(always)]
+    fn add(self, a: [u16; 16], b: [u16; 16]) -> [u16; 16] {
+        // Plain `+`: a debug build panics where a sum would wrap.
+        core::array::from_fn(|l| a[l] + b[l])
+    }
+
+    #[inline(always)]
+    fn cell_row(
+        self,
+        win: &[u8],
+        at: [usize; 2],
+        stride: usize,
+        cur: &[[u8; 16]; 4],
+    ) -> [[u16; 16]; 4] {
+        check_cell_row_span(win.len(), at, stride);
+        let mut cells = [[0u16; 16]; 4];
+        for (y, row) in cur.iter().enumerate() {
+            for (h, &start) in at.iter().enumerate() {
+                let span: &[u8; 24] = win[start + y * stride..][..24]
+                    .try_into()
+                    .expect("24 bytes");
+                for (gx, cell) in cells.iter_mut().enumerate() {
+                    for (i, lane) in cell[8 * h..8 * h + 8].iter_mut().enumerate() {
+                        for x in 4 * gx..4 * gx + 4 {
+                            *lane += span[i + x].abs_diff(row[x]) as u16;
+                        }
+                    }
+                }
             }
         }
-        (v[best], best)
+        cells
+    }
+
+    #[inline(always)]
+    fn keep(self, best: &mut [u16; 16], pos: &mut [u16; 16], cost: [u16; 16], at: [u16; 16]) {
+        for l in 0..16 {
+            if cost[l] < best[l] {
+                best[l] = cost[l];
+                pos[l] = at[l];
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn reduce(self, best: [u16; 16], pos: [u16; 16]) -> (u16, u16, usize) {
+        (0..16)
+            .map(|l| (best[l], pos[l], l % 8))
+            .min()
+            .expect("sixteen lanes")
     }
 }
 
@@ -268,11 +363,11 @@ impl DeblockIsa for Portable {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use x86::{Sse2, Sse41};
+pub use x86::{Avx2, Sse2};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{check_span, DeblockIsa, EdgeFilter, RefineIsa, SearchIsa};
+    use super::{check_cell_row_span, check_span, DeblockIsa, EdgeFilter, RefineIsa, SearchIsa};
     use core::arch::x86_64::*;
 
     /// The packed-block primitives on SSE2, which every x86-64 CPU has.
@@ -499,45 +594,123 @@ mod x86 {
         }
     }
 
-    /// Proof that this CPU has SSE4.1: the only constructor is
-    /// [`Sse41::detect`], so holding one makes the intrinsics below sound.
+    /// Proof that this CPU has AVX2 (and so SSE4.1): the only constructor
+    /// is [`Avx2::detect`], so holding one makes the intrinsics below sound.
     #[derive(Clone, Copy, Debug)]
-    pub struct Sse41(());
+    pub struct Avx2(());
 
-    impl Sse41 {
-        /// `Some` when the running CPU reports SSE4.1.
+    impl Avx2 {
+        /// `Some` when the running CPU reports AVX2.
         pub fn detect() -> Option<Self> {
-            is_x86_feature_detected!("sse4.1").then_some(Sse41(()))
+            is_x86_feature_detected!("avx2").then_some(Avx2(()))
         }
     }
 
-    #[inline(always)]
-    fn load16(s: &[u8; 16]) -> __m128i {
-        // SAFETY: `s` borrows exactly the 16 bytes read, `loadu` has no
-        // alignment requirement, and SSE2 is part of the x86-64 baseline.
-        unsafe { _mm_loadu_si128(s.as_ptr().cast()) }
-    }
+    impl SearchIsa for Avx2 {
+        type Lanes = __m256i;
 
-    impl SearchIsa for Sse41 {
         #[inline(always)]
-        fn sad4x8<const IMM: i32>(self, refs: &[u8; 16], cur: &[u8; 16]) -> [u16; 8] {
-            // SAFETY: `self` proves SSE4.1 was detected; `__m128i` and
-            // `[u16; 8]` are both 16 plain bytes.
+        fn lanes(self, v: [u16; 16]) -> __m256i {
+            // SAFETY: both are 32 plain bytes.
+            unsafe { core::mem::transmute::<[u16; 16], __m256i>(v) }
+        }
+
+        #[inline(always)]
+        fn array(self, v: __m256i) -> [u16; 16] {
+            // SAFETY: both are 32 plain bytes.
+            unsafe { core::mem::transmute::<__m256i, [u16; 16]>(v) }
+        }
+
+        #[inline(always)]
+        fn add(self, a: __m256i, b: __m256i) -> __m256i {
+            // SAFETY: `self` proves AVX2 was detected; register-only.
+            unsafe { _mm256_add_epi16(a, b) }
+        }
+
+        #[inline(always)]
+        fn cell_row(
+            self,
+            win: &[u8],
+            at: [usize; 2],
+            stride: usize,
+            cur: &[[u8; 16]; 4],
+        ) -> [__m256i; 4] {
+            check_cell_row_span(win.len(), at, stride);
+            let (lo, hi) = (
+                win.as_ptr().wrapping_add(at[0]),
+                win.as_ptr().wrapping_add(at[1]),
+            );
+            // SAFETY: `self` proves AVX2 was detected. `check_cell_row_span`
+            // just proved `at[h] + 3·stride + 24 <= win.len()`; every window
+            // load below reads 16 bytes at `at[h] + y·stride + 8·s` for a
+            // row `y < 4` and `s < 2`, so it ends at or before that bound.
+            // `cur[y]` is the 16 bytes read from it. No load has an
+            // alignment requirement.
             unsafe {
-                let sads = _mm_mpsadbw_epu8::<IMM>(load16(refs), load16(cur));
-                core::mem::transmute::<__m128i, [u16; 8]>(sads)
+                let load = |p: *const u8| _mm_loadu_si128(p.cast());
+                let mut cells = [_mm256_setzero_si256(); 4];
+                for (y, cur_row) in cur.iter().enumerate() {
+                    let (a, b) = (lo.add(y * stride), hi.add(y * stride));
+                    // `vmpsadbw` is two `mpsadbw`s, one per 128-bit half,
+                    // each with its own three immediate bits: a half holds
+                    // one half-batch. Cells 0 and 1 read each span's first
+                    // sixteen bytes at offsets 0 and 4, cells 2 and 3 its
+                    // last sixteen.
+                    let first =
+                        _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(load(a)), load(b));
+                    let last = _mm256_inserti128_si256::<1>(
+                        _mm256_castsi128_si256(load(a.add(8))),
+                        load(b.add(8)),
+                    );
+                    let c = _mm256_broadcastsi128_si256(load(cur_row.as_ptr()));
+                    let sads = [
+                        _mm256_mpsadbw_epu8::<0b000_000>(first, c),
+                        _mm256_mpsadbw_epu8::<0b101_101>(first, c),
+                        _mm256_mpsadbw_epu8::<0b010_010>(last, c),
+                        _mm256_mpsadbw_epu8::<0b111_111>(last, c),
+                    ];
+                    for (cell, sad) in cells.iter_mut().zip(sads) {
+                        *cell = _mm256_add_epi16(*cell, sad);
+                    }
+                }
+                cells
             }
         }
 
         #[inline(always)]
-        fn min_pos(self, v: [u16; 8]) -> (u16, usize) {
-            // SAFETY: as above. `phminposuw` puts the minimum in bits 0..16,
-            // its lowest index in bits 16..19, and zeroes the rest.
-            let r = unsafe {
-                let v = core::mem::transmute::<[u16; 8], __m128i>(v);
-                _mm_cvtsi128_si32(_mm_minpos_epu16(v))
-            };
-            (r as u16, (r >> 16) as usize)
+        fn keep(self, best: &mut __m256i, pos: &mut __m256i, cost: __m256i, at: __m256i) {
+            // SAFETY: `self` proves AVX2 was detected; register-only.
+            // Unsigned `cost < best` is `min(best, cost) != best`.
+            unsafe {
+                let min = _mm256_min_epu16(*best, cost);
+                let kept = _mm256_cmpeq_epi16(min, *best);
+                *pos = _mm256_blendv_epi8(at, *pos, kept);
+                *best = min;
+            }
+        }
+
+        #[inline(always)]
+        fn reduce(self, best: __m256i, pos: __m256i) -> (u16, u16, usize) {
+            // SAFETY: `self` proves AVX2, and with it the SSE4.1 of
+            // `pminud`, was detected; register-only.
+            unsafe {
+                // One `u32` key per lane, `best << 16 | pos << 3 | column`
+                // (`pos < 2¹³`), so the least key is the least triple.
+                let columns = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7);
+                let low = _mm256_or_si256(_mm256_slli_epi16::<3>(pos), columns);
+                let keys = _mm256_min_epu32(
+                    _mm256_unpacklo_epi16(low, best),
+                    _mm256_unpackhi_epi16(low, best),
+                );
+                let k = _mm_min_epu32(
+                    _mm256_castsi256_si128(keys),
+                    _mm256_extracti128_si256::<1>(keys),
+                );
+                let k = _mm_min_epu32(k, _mm_shuffle_epi32::<0b01_00_11_10>(k));
+                let k = _mm_min_epu32(k, _mm_shuffle_epi32::<0b10_11_00_01>(k));
+                let key = _mm_cvtsi128_si32(k) as u32;
+                ((key >> 16) as u16, (key as u16) >> 3, (key & 7) as usize)
+            }
         }
     }
 }
@@ -999,55 +1172,145 @@ mod tests {
     // The portable pair needs no switch to be exercised: these run it on
     // every host, against the instructions where the host has them.
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn sad4x8_sse41_matches_portable_for_every_byte_pair() {
-        let Some(sse) = Sse41::detect() else { return };
-        fn check<const IMM: i32>(sse: Sse41, refs: &[u8; 16], cur: &[u8; 16]) {
-            assert_eq!(
-                sse.sad4x8::<IMM>(refs, cur),
-                Portable.sad4x8::<IMM>(refs, cur),
-                "imm {IMM} refs {refs:?} cur {cur:?}"
-            );
-        }
-        let mut refs: [u8; 16] = core::array::from_fn(|i| (i * 37 + 5) as u8);
-        let mut cur: [u8; 16] = core::array::from_fn(|i| (200 - i * 11) as u8);
-        // Byte 7 of `refs` is read by every immediate used (offsets 0 and
-        // 4 each cover 11 bytes) and lands in a different lane for each;
-        // the current-group byte moves with the group.
-        for a in 0..=255u8 {
-            for b in 0..=255u8 {
-                refs[7] = a;
-                cur.fill(b);
-                check::<0b000>(sse, &refs, &cur);
-                check::<0b101>(sse, &refs, &cur);
-                check::<0b010>(sse, &refs, &cur);
-                check::<0b111>(sse, &refs, &cur);
+    fn portable_cell_row_is_the_scalar_grid() {
+        // Every cell of every lane is the matching cell of the per-candidate
+        // `SadGrid`, with the window being the reference plane itself.
+        let rf = Plane::from_fn(48, 24, |x, y| ((x * 37) ^ (y * 91) ^ 5) as u8);
+        let cf = Plane::from_fn(16, 16, |x, y| ((x * 11 + y * 200) % 253) as u8);
+        let cur: [[u8; 16]; 16] = core::array::from_fn(|y| cf.row(y).try_into().unwrap());
+        let (rows, _) = cur.as_chunks::<4>();
+        for (gy, rows) in rows.iter().enumerate().take(2) {
+            for at in [[0, 8], [3, 17], [24, 1]] {
+                let off = gy * 4 * 48;
+                let got = Portable.cell_row(rf.as_slice(), at.map(|a| a + off), 48, rows);
+                for l in 0..16 {
+                    let x = (at[l / 8] + l % 8) as isize;
+                    let grid = super::super::scalar::sad_grid_16x16(&cf, 0, 0, &rf, x, 0);
+                    for (gx, cell) in got.iter().enumerate() {
+                        assert_eq!(
+                            cell[l] as u32,
+                            grid[gy * 4 + gx],
+                            "at {at:?} row {gy} lane {l}"
+                        );
+                    }
+                }
             }
         }
-        // The other four immediates, so the decoding of IMM is pinned too.
-        check::<0b001>(sse, &refs, &cur);
-        check::<0b011>(sse, &refs, &cur);
-        check::<0b100>(sse, &refs, &cur);
-        check::<0b110>(sse, &refs, &cur);
+    }
+
+    #[test]
+    fn portable_reduce_breaks_ties_in_scan_order() {
+        let r = |best: [u16; 16], pos: [u16; 16]| Portable.reduce(best, pos);
+        assert_eq!(r([7; 16], [3; 16]), (7, 3, 0));
+        // Least cost, then least position, then lowest column.
+        let mut best = [9u16; 16];
+        let mut pos = [5u16; 16];
+        best[3] = 2;
+        best[6] = 2;
+        best[12] = 2;
+        pos[3] = 4;
+        pos[6] = 1;
+        pos[12] = 1;
+        assert_eq!(r(best, pos), (2, 1, 4), "column 4, from the high half");
+        pos[12] = 2;
+        assert_eq!(r(best, pos), (2, 1, 6));
+        // Both halves at one position and column: one answer either way.
+        best[14] = 2;
+        pos[14] = 1;
+        assert_eq!(r(best, pos), (2, 1, 6));
+        // A lane never folded into (`u16::MAX`) loses to the largest SAD.
+        let mut unset = [u16::MAX; 16];
+        unset[9] = 255 * 256;
+        assert_eq!(r(unset, [0; 16]), (255 * 256, 0, 1));
+    }
+
+    // The `std::arch` primitives need no switch to be exercised: these run
+    // them against the portable definitions wherever the host has AVX2.
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn cell_row_avx2_matches_portable_for_every_byte_pair() {
+        let Some(avx) = Avx2::detect() else { return };
+        const STRIDE: usize = 40;
+        let mut win: Vec<u8> = (0..3 * STRIDE + 24 + 13)
+            .map(|i| (i * 37 + 5) as u8)
+            .collect();
+        let mut cur: [[u8; 16]; 4] =
+            core::array::from_fn(|y| core::array::from_fn(|x| (200 - x * 11 - y * 3) as u8));
+        // Row 2 of each half-batch: bytes 3, 11 and 19 of the low span and
+        // 7 and 15 of the high one each land in some lane of every cell, at
+        // a different column; the current row is swept with them. The high
+        // half starts 8 on (one candidate row) and 13 on (two rows), and
+        // the last cell row ends on the window's last byte.
+        for at in [[0, 8], [0, 13]] {
+            for a in 0..=255u8 {
+                for b in 0..=255u8 {
+                    for j in [3, 11, 19] {
+                        win[at[0] + 2 * STRIDE + j] = a;
+                    }
+                    for j in [7, 15] {
+                        win[at[1] + 2 * STRIDE + j] = a.wrapping_add(b);
+                    }
+                    cur[2].fill(b);
+                    let got = avx.cell_row(&win, at, STRIDE, &cur).map(|v| avx.array(v));
+                    let want = Portable.cell_row(&win, at, STRIDE, &cur);
+                    assert_eq!(got, want, "at {at:?} a {a} b {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves a window of 143")]
+    fn portable_cell_row_past_the_window_panics() {
+        let _ = Portable.cell_row(&[0; 143], [0, 0], 40, &[[0; 16]; 4]);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn min_pos_sse41_matches_portable_for_every_lane_value() {
-        let Some(sse) = Sse41::detect() else { return };
-        for lane in 0..8 {
+    #[should_panic(expected = "leaves a window of 144")]
+    fn avx2_cell_row_past_the_window_panics() {
+        let Some(avx) = Avx2::detect() else {
+            panic!("no AVX2: leaves a window of 144")
+        };
+        // The low half fits exactly; the high one is a byte too far.
+        let _ = avx.cell_row(&[0; 144], [0, 1], 40, &[[0; 16]; 4]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "leaves a window of 144")]
+    fn avx2_cell_row_with_a_wrapping_span_panics() {
+        let Some(avx) = Avx2::detect() else {
+            panic!("no AVX2: leaves a window of 144")
+        };
+        let _ = avx.cell_row(&[0; 144], [0, 0], usize::MAX / 2, &[[0; 16]; 4]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn keep_and_reduce_avx2_match_portable_for_every_lane_value() {
+        let Some(avx) = Avx2::detect() else { return };
+        for lane in [0, 5, 8, 15] {
             // Neighbours at 40 000 on both sides of the swept lane: below
-            // it the lane wins, at it the tie goes to the lowest index,
-            // above it the lowest neighbour wins.
-            let mut v = [40_000u16; 8];
+            // it the lane takes the new position, at it keeps the old one,
+            // above it the neighbours' positions stand.
+            let best = [40_000u16; 16];
+            let pos: [u16; 16] = core::array::from_fn(|l| (l as u16 % 8) * 3);
+            let at = [100u16; 16];
             for x in 0..=u16::MAX {
-                v[lane] = x;
-                assert_eq!(sse.min_pos(v), Portable.min_pos(v), "{v:?}");
+                let mut cost = [50_000u16; 16];
+                cost[lane] = x;
+                let (mut b, mut p) = (avx.lanes(best), avx.lanes(pos));
+                avx.keep(&mut b, &mut p, avx.lanes(cost), avx.lanes(at));
+                let (mut want_b, mut want_p) = (best, pos);
+                Portable.keep(&mut want_b, &mut want_p, cost, at);
+                assert_eq!((avx.array(b), avx.array(p)), (want_b, want_p), "x {x}");
+                // The reduce of the result: the swept lane's position and
+                // column compete with the lanes still at 40 000.
+                assert_eq!(avx.reduce(b, p), Portable.reduce(want_b, want_p), "x {x}");
             }
         }
-        assert_eq!(Portable.min_pos([7; 8]), (7, 0));
-        assert_eq!(Portable.min_pos([9, 8, 3, 3, 8, 3, 9, 9]), (3, 2));
-        assert_eq!(Portable.min_pos([u16::MAX; 8]), (u16::MAX, 0));
     }
 }

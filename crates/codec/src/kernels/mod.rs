@@ -8,7 +8,7 @@
 //! * [`scalar`] — the plain reference loops, the semantic ground truth;
 //! * [`fast`] — `std::arch` SAD instructions where the host has them
 //!   (packed-block `psadbw` under the SME refinement in [`crate::sme`], the
-//!   `mpsadbw` / `phminposuw` primitives of the ME search in
+//!   AVX2 `vmpsadbw` cells and running-minimum vectors of the ME search in
 //!   [`crate::me`]), the deblocking line filter of [`crate::dbl`] sixteen
 //!   lines at a time in SSE2 `i16` lanes, and for interpolation padded-row
 //!   6-tap passes plus u64 **SWAR** quarter-pel averaging.
@@ -126,7 +126,7 @@ pub fn row_sad(a: &[u8], b: &[u8]) -> u32 {
 /// The sixteen 4×4 SADs of one macroblock against one reference position
 /// (border-clamped when the reference block leaves the plane) — the
 /// per-candidate form the `scalar` ME loop runs; the `fast` search
-/// ([`crate::me`]) computes the same grids eight candidates at a time.
+/// ([`crate::me`]) computes the same grids sixteen candidates at a time.
 #[inline]
 pub fn sad_grid_16x16(
     cur: &Plane<u8>,

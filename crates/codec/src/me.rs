@@ -17,10 +17,12 @@
 //! Two loops compute that same field ([`crate::kernels`],
 //! `FEVES_KERNELS=scalar|fast`). `scalar` is the definition: one candidate
 //! at a time, grid → 41 sums → 41 compares. `fast` is **candidate-major**:
-//! eight horizontally adjacent candidates share every load, the grid cells
-//! and partition sums are eight-lane vectors (one lane per candidate), and
-//! each partition takes one minimum-and-position per batch — see DESIGN §5n
-//! for why the lanes cannot overflow and why the tie-break is unchanged.
+//! sixteen candidates — two half-batches of eight horizontally adjacent
+//! ones — share every load, the grid cells and partition sums are
+//! sixteen-lane vectors (one lane per candidate, one `vmpsadbw` per cell
+//! row on AVX2), and each partition keeps a running minimum per lane that
+//! is reduced once per macroblock and reference — see DESIGN §5n for why
+//! the lanes cannot overflow and why the tie-break is unchanged.
 
 use crate::kernels::fast::{Portable, SearchIsa};
 use crate::kernels::{self, KernelKind};
@@ -29,7 +31,7 @@ use crate::sad::SadGrid;
 use crate::types::{EncodeParams, MbField, Mv, PartitionMode, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
-use std::ops::{Add, Range};
+use std::ops::Range;
 
 /// Best match for one partition block: reference index, motion vector, SAD.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,61 +117,78 @@ pub type MeField = MbField<MbMotion>;
 /// (mode-major layout matching [`mode_base`]).
 #[inline]
 pub fn aggregate_partitions(grid: &SadGrid) -> [u32; TOTAL_PARTITION_BLOCKS] {
-    aggregate(grid)
+    let mut sums = Sums([0; TOTAL_PARTITION_BLOCKS]);
+    aggregate(grid, &mut sums);
+    sums.0
 }
 
-/// The 25 additions behind [`aggregate_partitions`], over any cell type:
-/// `u32` for one candidate, [`Lanes`] for eight at once.
+/// How [`aggregate`] adds two cells and where each block's SAD goes. A
+/// trait rather than closures: its `#[inline(always)]` methods always
+/// inline, where a closure left out of line would be compiled without the
+/// search's `target_feature` and turn every intrinsic in it into a call.
+trait Blocks<T> {
+    fn add(&self, a: T, b: T) -> T;
+    /// The SAD of block `k` (mode-major).
+    fn emit(&mut self, k: usize, sad: T);
+}
+
+/// The 41 sums of one candidate.
+struct Sums([u32; TOTAL_PARTITION_BLOCKS]);
+
+impl Blocks<u32> for Sums {
+    #[inline(always)]
+    fn add(&self, a: u32, b: u32) -> u32 {
+        a + b
+    }
+
+    #[inline(always)]
+    fn emit(&mut self, k: usize, sad: u32) {
+        self.0[k] = sad;
+    }
+}
+
+/// The 25 additions behind [`aggregate_partitions`], over any cell type —
+/// `u32` for one candidate, [`SearchIsa::Lanes`] for sixteen at once —
+/// handing each block's SAD to `out` as it is formed.
 #[inline(always)]
-fn aggregate<T: Copy + Default + Add<Output = T>>(grid: &[T; 16]) -> [T; TOTAL_PARTITION_BLOCKS] {
-    let mut out = [T::default(); TOTAL_PARTITION_BLOCKS];
-    // 4x4: direct copy.
-    out[25..41].copy_from_slice(&grid[..]);
+fn aggregate<T: Copy>(grid: &[T; 16], out: &mut impl Blocks<T>) {
+    // 4x4: the cells themselves.
+    for (k, &cell) in grid.iter().enumerate() {
+        out.emit(25 + k, cell);
+    }
     // 8x4 (two horizontal 4x4s), raster of 2 cols x 4 rows.
-    let mut p8x4 = [T::default(); 8];
+    let mut p8x4 = [grid[0]; 8];
     for (j, v) in p8x4.iter_mut().enumerate() {
         let gx = (j % 2) * 2;
         let gy = j / 2;
-        *v = grid[gy * 4 + gx] + grid[gy * 4 + gx + 1];
+        *v = out.add(grid[gy * 4 + gx], grid[gy * 4 + gx + 1]);
+        out.emit(9 + j, *v);
     }
-    out[9..17].copy_from_slice(&p8x4);
     // 4x8 (two vertical 4x4s), raster of 4 cols x 2 rows.
-    let mut p4x8 = [T::default(); 8];
-    for (j, v) in p4x8.iter_mut().enumerate() {
+    for j in 0..8 {
         let gx = j % 4;
         let gy = (j / 4) * 2;
-        *v = grid[gy * 4 + gx] + grid[(gy + 1) * 4 + gx];
+        let sad = out.add(grid[gy * 4 + gx], grid[(gy + 1) * 4 + gx]);
+        out.emit(17 + j, sad);
     }
-    out[17..25].copy_from_slice(&p4x8);
     // 8x8 from two stacked 8x4s.
-    let mut p8x8 = [T::default(); 4];
+    let mut p8x8 = [grid[0]; 4];
     for (k, v) in p8x8.iter_mut().enumerate() {
         let col = k % 2;
         let row = (k / 2) * 2;
-        *v = p8x4[row * 2 + col] + p8x4[(row + 1) * 2 + col];
+        *v = out.add(p8x4[row * 2 + col], p8x4[(row + 1) * 2 + col]);
+        out.emit(5 + k, *v);
     }
-    out[5..9].copy_from_slice(&p8x8);
     // 16x8 / 8x16 / 16x16 from 8x8 quadrants.
-    out[1] = p8x8[0] + p8x8[1];
-    out[2] = p8x8[2] + p8x8[3];
-    out[3] = p8x8[0] + p8x8[2];
-    out[4] = p8x8[1] + p8x8[3];
-    out[0] = out[1] + out[2];
-    out
-}
-
-/// One SAD per candidate of a batch of eight. A 16×16 SAD is at most
-/// 255 · 256 = 65 280, so no partition sum overflows a lane — and a debug
-/// build's checked `+` would say so if one did.
-#[derive(Clone, Copy, Default)]
-struct Lanes([u16; 8]);
-
-impl Add for Lanes {
-    type Output = Lanes;
-    #[inline(always)]
-    fn add(self, o: Lanes) -> Lanes {
-        Lanes(core::array::from_fn(|i| self.0[i] + o.0[i]))
-    }
+    let top = out.add(p8x8[0], p8x8[1]);
+    let bottom = out.add(p8x8[2], p8x8[3]);
+    out.emit(1, top);
+    out.emit(2, bottom);
+    let (left, right) = (out.add(p8x8[0], p8x8[2]), out.add(p8x8[1], p8x8[3]));
+    out.emit(3, left);
+    out.emit(4, right);
+    let whole = out.add(top, bottom);
+    out.emit(0, whole);
 }
 
 /// The scalar loop for one macroblock: every candidate in `rf` → `dy` →
@@ -222,15 +241,101 @@ fn push_clamped(buf: &mut Vec<u8>, src: &[u8], x0: isize, n: usize) {
     buf.extend(std::iter::repeat_n(src[src.len() - 1], right));
 }
 
+/// Running minima of the 41 blocks: per lane, the least cost seen and the
+/// position of the half-batch that first reached it.
+type Minima<L> = [(L, L); TOTAL_PARTITION_BLOCKS];
+
+/// Sixteen candidates' block SADs into the running minima, each lane at its
+/// half-batch's position in `pos`. With `valid` set, the lanes from
+/// `valid[h]` on in half `h` lie past the search area.
+struct Keep<'a, I: SearchIsa> {
+    isa: I,
+    minima: &'a mut Minima<I::Lanes>,
+    pos: I::Lanes,
+    valid: Option<[usize; 2]>,
+}
+
+impl<I: SearchIsa> Blocks<I::Lanes> for Keep<'_, I> {
+    #[inline(always)]
+    fn add(&self, a: I::Lanes, b: I::Lanes) -> I::Lanes {
+        self.isa.add(a, b)
+    }
+
+    #[inline(always)]
+    fn emit(&mut self, k: usize, sad: I::Lanes) {
+        let sad = match self.valid {
+            Some(valid) => past_the_area(self.isa, sad, valid),
+            None => sad,
+        };
+        let (best, at) = &mut self.minima[k];
+        self.isa.keep(best, at, sad, self.pos);
+    }
+}
+
+/// Fold sixteen candidates into `minima`: lanes 0..8 are the half-batch
+/// whose first candidate's block starts at `win[at[0]]`, at position
+/// `pos[0]`, lanes 8..16 the one at `win[at[1]]`, `pos[1]`. Each block's
+/// SAD goes straight from its sum into its minimum.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn keep_vector<I: SearchIsa>(
+    isa: I,
+    minima: &mut Minima<I::Lanes>,
+    cur: &[[u8; 16]; 16],
+    win: &[u8],
+    stride: usize,
+    at: [usize; 2],
+    pos: [u16; 2],
+    valid: [usize; 2],
+) {
+    let mut cells = [isa.lanes([0; 16]); 16];
+    for (gy, rows) in cur.as_chunks::<4>().0.iter().enumerate() {
+        let o = gy * 4 * stride;
+        let row = isa.cell_row(win, [at[0] + o, at[1] + o], stride, rows);
+        cells[gy * 4..gy * 4 + 4].copy_from_slice(&row);
+    }
+    let mut v = [pos[0]; 16];
+    v[8..].fill(pos[1]);
+    let pos = isa.lanes(v);
+    let valid = (valid != [8, 8]).then_some(valid);
+    aggregate(
+        &cells,
+        &mut Keep {
+            isa,
+            minima,
+            pos,
+            valid,
+        },
+    );
+}
+
+/// `cost` with the lanes past the search area at `u16::MAX`, where they
+/// lose to every real SAD: a row's last half-batch when 2·range is not a
+/// multiple of 8 (`validate` admits only powers of two from 8).
+#[cold]
+#[inline(never)]
+fn past_the_area<I: SearchIsa>(isa: I, cost: I::Lanes, valid: [usize; 2]) -> I::Lanes {
+    let mut v = isa.array(cost);
+    v[..8][valid[0]..].fill(u16::MAX);
+    v[8..][valid[1]..].fill(u16::MAX);
+    isa.lanes(v)
+}
+
 /// The candidate-major loop for one macroblock against one reference.
 ///
 /// `win` is the border-extended reference window from this macroblock's
-/// first candidate `(−range, −range)` on. Candidates are
-/// visited `dy`-major, `dx` in batches of eight; within a batch the lowest
-/// lane wins a tie ([`SearchIsa::min_pos`]), across batches and references
-/// the strict `<` does — together exactly the scalar loop's first-wins
-/// order.
+/// first candidate `(−range, −range)` on. Candidates are visited `dy`-major
+/// in *half-batches* of eight adjacent `dx`, two half-batches per vector of
+/// sixteen lanes: side by side on one row when `16 | 2·range`, else each
+/// with the next in scan order (at SA 8, two rows). Each of the 41 blocks
+/// keeps, per lane, its least cost and the position of the half-batch that
+/// first reached it ([`SearchIsa::keep`]: no branch, no horizontal
+/// minimum); one [`SearchIsa::reduce`] per block then takes the least
+/// cost, the earliest position, the lowest column — the scalar loop's
+/// first-wins order — and the strict `<` against `best` carries that across
+/// references.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn search_mb_batched<I: SearchIsa>(
     isa: I,
     cur: &[[u8; 16]; 16],
@@ -238,51 +343,63 @@ fn search_mb_batched<I: SearchIsa>(
     stride: usize,
     range: i16,
     rf: u8,
+    minima: &mut Minima<I::Lanes>,
     best: &mut MbMotion,
 ) {
     let n = 2 * range as usize;
-    for dyi in 0..n {
-        for dxi in (0..n).step_by(8) {
-            let mut cells = [Lanes::default(); 16];
-            for (gy, cur_rows) in cur.chunks_exact(4).enumerate() {
-                // One row of four cells, summed over its four pixel rows in
-                // registers.
-                let mut c = [Lanes::default(); 4];
-                for (r, cur_row) in cur_rows.iter().enumerate() {
-                    // Eight candidates × sixteen columns touch 23 bytes; the
-                    // two 16-byte loads `mpsadbw` wants span 24.
-                    let o = (dyi + gy * 4 + r) * stride + dxi;
-                    let span: &[u8; 24] = win[o..o + 24].try_into().expect("24-byte span");
-                    let lo: &[u8; 16] = span.first_chunk().expect("24 >= 16");
-                    let hi: &[u8; 16] = span.last_chunk().expect("24 >= 16");
-                    c[0] = c[0] + Lanes(isa.sad4x8::<0b000>(lo, cur_row));
-                    c[1] = c[1] + Lanes(isa.sad4x8::<0b101>(lo, cur_row));
-                    c[2] = c[2] + Lanes(isa.sad4x8::<0b010>(hi, cur_row));
-                    c[3] = c[3] + Lanes(isa.sad4x8::<0b111>(hi, cur_row));
-                }
-                cells[gy * 4..gy * 4 + 4].copy_from_slice(&c);
-            }
-            let mut parts = aggregate(&cells);
-            let valid = n - dxi;
-            if valid < 8 {
-                // The row's last batch when 2·range is not a multiple of 8:
-                // lanes past the search area lose to every real SAD.
-                for p in &mut parts {
-                    p.0[valid..].fill(u16::MAX);
+    let halves = n.div_ceil(8);
+    // A position is `row << shift | half`, rows counted from the first of
+    // a pass; `pass` rows keep it below 2¹³, as `reduce` needs (one pass up
+    // to SA 256, four at SA 512). `n` and `pass` are even, so every pass
+    // has an even number of half-batches and the pairing below never runs
+    // out.
+    let shift = halves.next_power_of_two().trailing_zeros();
+    let pass = (1usize << 13) >> shift;
+    for y0 in (0..n).step_by(pass) {
+        let y1 = n.min(y0 + pass);
+        let pos = |(y, half): (usize, usize)| ((y - y0) << shift | half) as u16;
+        minima.fill((isa.lanes([u16::MAX; 16]), isa.lanes([0; 16])));
+        let off = |(y, half): (usize, usize)| y * stride + half * 8;
+        if n.is_multiple_of(16) {
+            for y in y0..y1 {
+                for half in (0..halves).step_by(2) {
+                    let a = off((y, half));
+                    let at = [pos((y, half)), pos((y, half + 1))];
+                    keep_vector(isa, minima, cur, win, stride, [a, a + 8], at, [8, 8]);
                 }
             }
-            for (b, p) in best.blocks.iter_mut().zip(&parts) {
-                let (cost, lane) = isa.min_pos(p.0);
-                if (cost as u32) < b.cost {
-                    *b = BlockMv {
-                        rf,
-                        mv: Mv::new(
-                            ((dxi + lane) as i32 - range as i32) as i16,
-                            (dyi as i32 - range as i32) as i16,
-                        ),
-                        cost: cost as u32,
-                    };
+        } else {
+            let next = |(y, half)| {
+                if half + 1 < halves {
+                    (y, half + 1)
+                } else {
+                    (y + 1, 0)
                 }
+            };
+            let mut a = (y0, 0);
+            while a.0 < y1 {
+                let b = next(a);
+                let valid = [a, b].map(|(_, half)| (n - half * 8).min(8));
+                let (at, ps) = ([off(a), off(b)], [pos(a), pos(b)]);
+                keep_vector(isa, minima, cur, win, stride, at, ps, valid);
+                a = next(b);
+            }
+        }
+        for (b, &(cost, at)) in best.blocks.iter_mut().zip(minima.iter()) {
+            let (cost, at, column) = isa.reduce(cost, at);
+            if u32::from(cost) < b.cost {
+                let (y, half) = (
+                    y0 + (at >> shift) as usize,
+                    at as usize & ((1 << shift) - 1),
+                );
+                *b = BlockMv {
+                    rf,
+                    mv: Mv::new(
+                        ((half * 8 + column) as i32 - range as i32) as i16,
+                        (y as i32 - range as i32) as i16,
+                    ),
+                    cost: u32::from(cost),
+                };
             }
         }
     }
@@ -293,7 +410,9 @@ fn search_mb_batched<I: SearchIsa>(
 /// Per reference, the part of the plane the call can reach is copied once
 /// into a scratch window extended by `range` replicated columns and rows on
 /// every side, so no candidate of the hot loop is "outside". The window
-/// lives for this call only.
+/// and the running minima live for this call only; the minima sit on the
+/// heap so the compiler keeps them as 82 vectors of memory rather than
+/// splitting them into values it then spills and copies every vector.
 #[inline(always)]
 fn search_batched<I: SearchIsa>(
     isa: I,
@@ -318,13 +437,17 @@ fn search_batched<I: SearchIsa>(
         (rows.start * MB_SIZE) as isize - range as isize,
     );
     let mut win = Vec::with_capacity(stride * height);
+    // Reset by every pass of `search_mb_batched`.
+    let zero = isa.lanes([0; 16]);
+    let mut minima = Box::new([(zero, zero); TOTAL_PARTITION_BLOCKS]);
     for (rf_idx, rf) in rfs.iter().enumerate().take(params.n_ref) {
         win.clear();
         for wy in 0..height as isize {
             let y = (y0 + wy).clamp(0, rf.height() as isize - 1) as usize;
             push_clamped(&mut win, rf.row(y), x0, stride);
         }
-        // Last macroblock, last candidate row, last block row, last batch.
+        // Last macroblock, last candidate row, last block row, last
+        // half-batch.
         debug_assert!(
             (height - 1) * stride + (cols.len() - 1) * MB_SIZE + (n - 1) / 8 * 8 + 24 <= win.len()
         );
@@ -337,20 +460,21 @@ fn search_batched<I: SearchIsa>(
                 });
                 let first = &win[i * MB_SIZE * stride + j * MB_SIZE..];
                 let best = &mut out[i * cols.len() + j];
-                search_mb_batched(isa, &cur, first, stride, range, rf_idx as u8, best);
+                let rf = rf_idx as u8;
+                search_mb_batched(isa, &cur, first, stride, range, rf, &mut minima, best);
             }
         }
     }
 }
 
-/// [`search_batched`] compiled with SSE4.1 enabled, so the [`Sse41`]
-/// primitives inline down to `mpsadbw` / `phminposuw`.
+/// [`search_batched`] compiled with AVX2 enabled, so the [`Avx2`]
+/// primitives inline down to `vmpsadbw` and the running-minimum vectors.
 ///
-/// [`Sse41`]: crate::kernels::fast::Sse41
+/// [`Avx2`]: crate::kernels::fast::Avx2
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.1")]
-fn search_sse41(
-    isa: kernels::fast::Sse41,
+#[target_feature(enable = "avx2")]
+fn search_avx2(
+    isa: kernels::fast::Avx2,
     cf: &Plane<u8>,
     rfs: &[&Plane<u8>],
     params: &EncodeParams,
@@ -362,11 +486,11 @@ fn search_sse41(
 }
 
 /// Name of the primitive set the `fast` search runs on this host
-/// (`"sse4.1"` or `"portable"`), for logs.
+/// (`"avx2"` or `"portable"`), for logs.
 pub fn search_isa_name() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if kernels::fast::Sse41::detect().is_some() {
-        return "sse4.1";
+    if kernels::fast::Avx2::detect().is_some() {
+        return "avx2";
     }
     "portable"
 }
@@ -382,10 +506,10 @@ fn search_fast(
     out: &mut [MbMotion],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(isa) = kernels::fast::Sse41::detect() {
-        // SAFETY: `isa` exists, so this CPU has the SSE4.1 the callee is
+    if let Some(isa) = kernels::fast::Avx2::detect() {
+        // SAFETY: `isa` exists, so this CPU has the AVX2 the callee is
         // compiled for.
-        return unsafe { search_sse41(isa, cf, rfs, params, rows, cols, out) };
+        return unsafe { search_avx2(isa, cf, rfs, params, rows, cols, out) };
     }
     search_batched(Portable, cf, rfs, params, rows, cols, out)
 }
@@ -656,8 +780,8 @@ mod tests {
     fn batched_equals_scalar_on_every_edge_and_corner() {
         // 16×16: every candidate but (0, 0) is clamped. The others put a
         // macroblock on each edge, each corner and (48×48) the interior.
-        // SA 8 is exactly one batch per candidate row; SA 64 reaches past
-        // the far side of every plane here.
+        // SA 8 pairs two candidate rows per vector, 16 fills one row and 32
+        // and 64 several; SA 64 reaches past the far side of every plane.
         for (w, h) in [(16, 16), (32, 16), (16, 48), (48, 48), (64, 32)] {
             let cf = noise_plane(w, h, 7);
             let rf = noise_plane(w, h, 1234);
@@ -671,7 +795,8 @@ mod tests {
     fn batched_equals_scalar_when_the_window_is_not_a_multiple_of_eight() {
         let cf = noise_plane(48, 32, 3);
         let rf = noise_plane(48, 32, 99);
-        // SA 12: a batch of 8 then a tail of 4. SA 2 and 6: a tail only.
+        // SA 12: a half-batch of 8 then one of 4 valid lanes. SA 2 and 6:
+        // one partial half-batch per row, two rows per vector.
         // SA 1: no candidate at all, every block stays at its default.
         for sa in [12, 6, 2, 1] {
             assert_loops_agree(&cf, &[&rf], &sa_params(sa, 1), &format!("SA {sa}"));
@@ -724,6 +849,28 @@ mod tests {
         let a = Plane::from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 0 } else { 255 });
         let b = Plane::from_fn(32, 32, |x, y| if (x + y) % 2 == 0 { 255 } else { 0 });
         assert_loops_agree(&a, &[&b], &sa_params(16, 1), "checkerboards");
+    }
+
+    #[test]
+    fn a_winner_past_scan_position_65_535_is_found() {
+        // SA 512 — the largest `validate` admits — from the top macroblock
+        // of a 16 × 320 plane: 262 144 candidates, and the only exact match,
+        // dy = +150, is number (150 + 256) · 512 + 256 = 208 128 in scan
+        // order, past what a `u16` scan index holds. Checked directly (the
+        // per-candidate loop would take a debug build minutes).
+        let rf = noise_plane(16, 320, 77);
+        let cf = Plane::from_fn(16, 320, |x, y| rf.get_clamped(x as isize, y as isize + 150));
+        let params = sa_params(512, 1);
+        let rows = RowRange::new(0, 1);
+        let mut portable = [MbMotion::default()];
+        search_batched(Portable, &cf, &[&rf], &params, rows, 0..1, &mut portable);
+        let mut host = [MbMotion::default()];
+        search_fast(&cf, &[&rf], &params, rows, 0..1, &mut host);
+        for (field, isa) in [(&portable, "portable"), (&host, search_isa_name())] {
+            for b in field[0].all_blocks() {
+                assert_eq!((b.rf, b.mv, b.cost), (0, Mv::new(0, 150), 0), "{isa}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`sad_grid_16x16`] are the reference forms. The paper's CPU kernels use
 //! SSE/AVX intrinsics, and so do the two loops that spend the time
 //! (`FEVES_KERNELS=scalar|fast`, both bit-exact): the `fast` ME search
-//! ([`crate::me`]) computes the same grids eight candidates at a time, and
+//! ([`crate::me`]) computes the same grids sixteen candidates at a time, and
 //! the SME refinement ([`crate::sme`]) runs packed-block `psadbw`.
 
 use feves_video::plane::Plane;

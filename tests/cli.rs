@@ -539,7 +539,7 @@ fn one_core_and_all_cores_write_identical_files() {
 /// loop, candidate-major batches) and two block-SAD kernels; the files they
 /// write must be the same bytes. QCIF keeps the scalar run cheap in a debug
 /// build; two references and SA 16 give the batched search a second window
-/// and a second batch per candidate row.
+/// and a second half-batch per candidate row.
 #[test]
 fn scalar_and_fast_kernels_write_identical_artifacts() {
     let dir = std::env::temp_dir().join("feves_cli_kernels");
@@ -579,6 +579,109 @@ fn scalar_and_fast_kernels_write_identical_artifacts() {
     let (fast, fast_coded) = encode("fast");
     assert!(scalar == fast, "artifacts differ between kernel families");
     assert_eq!(scalar_coded, fast_coded);
+}
+
+/// `--balancer` picks the Algorithm-2 LP or one of its two baselines: a
+/// scheduling decision, so the artifact and every frame's bits and PSNR are
+/// the same under all three and only the virtual `sim` column moves. It is
+/// also the CLI's one path to the balancer a checkpoint
+/// (`ResumeContext::balancer`) and a spool spec (`JobSpec::balancer`)
+/// record: a killed equidistant session resumes as equidistant, and
+/// `submit` writes it into the spec.
+#[test]
+fn balancer_moves_only_the_simulated_time_and_survives_resume() {
+    let dir = common::scratch("balancer");
+    let input = dir.join("in.y4m");
+    write_qcif_input(&input, 6);
+    let input = input.to_str().unwrap();
+    let frame_lines = |stdout: &str| -> Vec<String> {
+        (stdout.lines())
+            .filter(|l| l.starts_with("frame"))
+            .map(str::to_string)
+            .collect()
+    };
+    let encode = |balancer: &str, out: &str, extra: &[&str], envs: &[(&str, &str)]| {
+        let mut args = vec!["encode", input, out, "--sa", "16", "--balancer", balancer];
+        args.extend(extra);
+        let (ok, stdout, stderr) = common::run_env(&args, envs);
+        (ok, frame_lines(&stdout), stderr)
+    };
+
+    let mut runs = Vec::new();
+    for balancer in ["feves", "proportional", "equidistant"] {
+        let out = dir.join(format!("{balancer}.y4m"));
+        let (ok, lines, stderr) = encode(balancer, out.to_str().unwrap(), &[], &[]);
+        assert!(ok, "--balancer {balancer}: {stderr}");
+        assert_eq!(lines.len(), 6, "--balancer {balancer}");
+        runs.push((balancer, std::fs::read(&out).unwrap(), lines));
+    }
+    let coded = |lines: &[String]| -> Vec<String> {
+        (lines.iter())
+            .map(|l| l.split("sim").next().unwrap().to_string())
+            .collect()
+    };
+    let (_, artifact, feves) = &runs[0];
+    for (balancer, bytes, lines) in &runs[1..] {
+        assert!(
+            bytes == artifact,
+            "--balancer {balancer} moved the artifact"
+        );
+        assert_eq!(coded(lines), coded(feves), "--balancer {balancer}");
+    }
+    let equidistant = &runs[2].2;
+    assert_ne!(equidistant, feves, "the balancer never reached the timing");
+
+    // Killed at frame 4, just after its checkpoint, and resumed: the lines
+    // of an uninterrupted equidistant run, `sim` included.
+    let out = dir.join("killed.y4m");
+    let out = out.to_str().unwrap();
+    let (ok, mut lines, stderr) = encode(
+        "equidistant",
+        out,
+        &["--checkpoint-every", "2"],
+        &[("FEVES_CRASH_AT", "frame@4")],
+    );
+    assert!(
+        !ok && stderr.contains("aborting at crash point"),
+        "{stderr}"
+    );
+    let (ok, stdout, stderr) = run(&["resume", &format!("{out}.ckpt")]);
+    assert!(ok, "{stderr}");
+    lines.extend(frame_lines(&stdout));
+    assert_eq!(&lines, equidistant, "the resumed session lost its balancer");
+    assert!(std::fs::read(out).unwrap() == *artifact);
+
+    let spool = dir.join("spool");
+    std::fs::create_dir_all(&spool).unwrap();
+    let job_out = dir.join("job.y4m");
+    let (ok, _, stderr) = run(&[
+        "submit",
+        spool.to_str().unwrap(),
+        input,
+        job_out.to_str().unwrap(),
+        "--id",
+        "j0",
+        "--balancer",
+        "equidistant",
+    ]);
+    assert!(ok, "{stderr}");
+    let spec = std::fs::read_to_string(spool.join("j0.json")).unwrap();
+    assert!(spec.contains(r#""balancer": "equidistant""#), "{spec}");
+
+    let bogus = dir.join("bogus.y4m");
+    let (code, _, stderr) = run_code(&[
+        "encode",
+        input,
+        bogus.to_str().unwrap(),
+        "--balancer",
+        "bogus",
+    ]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: unknown balancer 'bogus'\n"),
+        "{stderr}"
+    );
+    assert!(!bogus.exists(), "no artifact may be left behind");
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! 1. property-based differentials over random planes/blocks, calling the
 //!    `scalar`/`fast` entry points directly where there are two (no global
 //!    state involved) — including the portable and `std::arch` forms of the
-//!    ME search and SME refinement primitives, so the path a pre-SSE4.1 (or
-//!    non-x86) host takes is exercised on every run — and `deblock_frame`
+//!    ME search and SME refinement primitives, so the path a host without
+//!    AVX2 (or a non-x86 one) takes is exercised on every run — and `deblock_frame`
 //!    under both families (its two line filters are compared lane by lane
 //!    in `kernels::fast`'s own tests);
 //! 2. a full encode→decode round trip under `force_kind`: both kernel
@@ -30,9 +30,9 @@ use feves::codec::entropy::{decode_frame_yuv, encode_frame, encode_frame_yuv};
 use feves::codec::inter_loop::{
     encode_inter_frame, encode_inter_frame_yuv, InterFrameOutputYuv, ReferenceStore,
 };
-use feves::codec::kernels::fast::{Portable, RefineIsa, SearchIsa};
 #[cfg(target_arch = "x86_64")]
-use feves::codec::kernels::fast::{Sse2, Sse41};
+use feves::codec::kernels::fast::{Avx2, Sse2};
+use feves::codec::kernels::fast::{Portable, RefineIsa, SearchIsa};
 use feves::codec::kernels::{self, KernelKind};
 use feves::codec::me::{motion_estimate_rows, MeField};
 use feves::codec::sme::{sme_rows, SmeField};
@@ -135,12 +135,15 @@ proptest! {
     }
 
     /// Whole motion fields, batched search vs per-candidate loop, on planes
-    /// small enough that most candidates are border-clamped.
+    /// small enough that most candidates are border-clamped, at every shape
+    /// the sixteen lanes take: SA 8 pairs two candidate rows, 12 and 24
+    /// leave a row's last half-batch partly outside the search area (24 also
+    /// pairs across rows), 16 is one vector per row and 32 two.
     #[test]
     fn prop_me_search_matches(
         bytes in proptest::collection::vec(any::<u8>(), 48 * 48),
         mb_cols in 1usize..=3, mb_rows in 1usize..=3,
-        sa in prop_oneof![Just(8u16), Just(12), Just(16)],
+        sa in prop_oneof![Just(8u16), Just(12), Just(16), Just(24), Just(32)],
         n_ref in 1usize..=2,
     ) {
         let _guard = KindGuard::take();
@@ -160,30 +163,65 @@ proptest! {
         prop_assert!(field[0] == field[1]);
     }
 
-    /// The two ME search primitives, portable vs `std::arch`, all eight
-    /// lanes random (the unit tests sweep one lane exhaustively).
+    /// The ME search primitives, portable vs `std::arch`, every lane random
+    /// (the unit tests sweep one lane exhaustively): a row of cells over a
+    /// random window, stride and pair of half-batch starts, and a run of
+    /// `keep`s then the `reduce` over random lanes and over lanes of three
+    /// values, where most draws tie — within a half and, at one position
+    /// for both halves, between them.
     #[test]
     fn prop_search_primitives_match(
-        refs in proptest::array::uniform16(any::<u8>()),
-        cur in proptest::array::uniform16(any::<u8>()),
-        words in proptest::array::uniform16(any::<u16>()),
+        win in proptest::collection::vec(any::<u8>(), 200),
+        stride in 24usize..=40,
+        starts in (0usize..=40, 0usize..=40),
+        cur in proptest::collection::vec(any::<u8>(), 64),
+        words in proptest::collection::vec(any::<u16>(), 4 * 16),
     ) {
-        let lanes: [u16; 8] = core::array::from_fn(|i| words[i]);
-        // Few distinct values: ties in most draws.
-        let tied: [u16; 8] = core::array::from_fn(|i| words[8 + i] % 3);
-        #[cfg(target_arch = "x86_64")]
-        if let Some(sse) = Sse41::detect() {
-            prop_assert_eq!(sse.sad4x8::<0b000>(&refs, &cur), Portable.sad4x8::<0b000>(&refs, &cur));
-            prop_assert_eq!(sse.sad4x8::<0b101>(&refs, &cur), Portable.sad4x8::<0b101>(&refs, &cur));
-            prop_assert_eq!(sse.sad4x8::<0b010>(&refs, &cur), Portable.sad4x8::<0b010>(&refs, &cur));
-            prop_assert_eq!(sse.sad4x8::<0b111>(&refs, &cur), Portable.sad4x8::<0b111>(&refs, &cur));
-            prop_assert_eq!(sse.min_pos(lanes), Portable.min_pos(lanes));
-            prop_assert_eq!(sse.min_pos(tied), Portable.min_pos(tied));
+        let starts = [starts.0, starts.1];
+        let cur: [[u8; 16]; 4] = core::array::from_fn(|y| cur[y * 16..][..16].try_into().unwrap());
+        let cells = Portable.cell_row(&win, starts, stride, &cur);
+        // Every lane a plain SAD of its candidate's cell.
+        for (gx, cell) in cells.iter().enumerate() {
+            for (l, &v) in cell.iter().enumerate() {
+                let o = starts[l / 8] + l % 8 + 4 * gx;
+                let sad: u32 = (0..4)
+                    .flat_map(|y| (0..4).map(move |x| (y, x)))
+                    .map(|(y, x)| win[o + y * stride + x].abs_diff(cur[y][4 * gx + x]) as u32)
+                    .sum();
+                prop_assert_eq!(u32::from(v), sad);
+            }
         }
-        for v in [lanes, tied] {
-            let (m, i) = Portable.min_pos(v);
-            prop_assert_eq!(Some(i), v.iter().position(|&x| x == m));
-            prop_assert_eq!(Some(m), v.iter().copied().min());
+        let vectors: Vec<[u16; 16]> = words.chunks_exact(16).map(|c| c.try_into().unwrap()).collect();
+        // Positions below 2¹³, as `reduce` requires; the tied variant gives
+        // both halves one position per fold.
+        let at = |i: usize, tied: bool| -> [u16; 16] {
+            core::array::from_fn(|l| if tied { i as u16 } else { vectors[i][l] % (1 << 13) })
+        };
+        for tied in [false, true] {
+            let cost = |i: usize| -> [u16; 16] {
+                core::array::from_fn(|l| if tied { vectors[i][l] % 3 } else { vectors[i][l] })
+            };
+            let (mut best, mut pos) = ([u16::MAX; 16], [0u16; 16]);
+            for i in 0..vectors.len() {
+                Portable.keep(&mut best, &mut pos, cost(i), at(i, tied));
+            }
+            let (c, p, column) = Portable.reduce(best, pos);
+            prop_assert!((0..16).any(|l| (best[l], pos[l], l % 8) == (c, p, column)));
+            prop_assert_eq!(Some(c), best.iter().copied().min());
+            #[cfg(target_arch = "x86_64")]
+            if let Some(avx) = Avx2::detect() {
+                let (mut b, mut q) = (avx.lanes([u16::MAX; 16]), avx.lanes([0; 16]));
+                for i in 0..vectors.len() {
+                    avx.keep(&mut b, &mut q, avx.lanes(cost(i)), avx.lanes(at(i, tied)));
+                }
+                prop_assert_eq!((avx.array(b), avx.array(q)), (best, pos));
+                prop_assert_eq!(avx.reduce(b, q), (c, p, column));
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx) = Avx2::detect() {
+            let got = avx.cell_row(&win, starts, stride, &cur);
+            prop_assert_eq!(got.map(|v| avx.array(v)), cells);
         }
     }
 
@@ -291,8 +329,8 @@ fn encode_under(
 
 /// Satellite 3 (round trip): scalar and fast kernels must produce *identical
 /// bitstreams*, and decoding either stream must reproduce the encoder
-/// reconstruction bit-exactly — with two references, at one ME batch per
-/// candidate row (SA 8), two (SA 16) and four (SA 32).
+/// reconstruction bit-exactly — with two references, at two candidate rows
+/// per ME vector (SA 8), one vector per row (SA 16) and two (SA 32).
 #[test]
 fn encode_decode_roundtrip_is_kernel_invariant() {
     let _guard = KindGuard::take();
