@@ -45,22 +45,13 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Section tags. Order in the file is fixed but readers look up by tag.
-const TAG_META: [u8; 4] = *b"META";
-const TAG_PERF: [u8; 4] = *b"PERF";
-const TAG_HLTH: [u8; 4] = *b"HLTH";
-const TAG_DRFT: [u8; 4] = *b"DRFT";
-const TAG_NOIS: [u8; 4] = *b"NOIS";
-const TAG_DAMS: [u8; 4] = *b"DAMS";
-const TAG_CURS: [u8; 4] = *b"CURS";
-const TAG_RATE: [u8; 4] = *b"RATE";
-const TAG_DIST: [u8; 4] = *b"DIST";
-const TAG_REFS: [u8; 4] = *b"REFS";
-const TAG_PEND: [u8; 4] = *b"PEND";
-
 /// Largest plane edge a checkpoint may declare (16-bit dimensions — DCI 8K
-/// is 8192 wide). Caps allocation before trusting a corrupted length field.
+/// is 8192 wide).
 const MAX_PLANE_DIM: usize = 1 << 16;
+/// Most `--fault` specs a job may carry.
+const MAX_FAULT_SPECS: usize = 4096;
+/// Most reference frames a checkpoint may hold.
+const MAX_REFS: usize = 64;
 
 /// The description of one encode job, and what a checkpoint serialises of
 /// it: the flags that define the job (so [`crate::session::build_config`]
@@ -124,410 +115,378 @@ pub struct ResumeContext {
 }
 
 impl ResumeContext {
-    /// The paths and flags that define which job this is, in the order both
-    /// [`Self::fingerprint`] and the serialized form lead with. (The other
-    /// two identity fields, `n_frames` and `input_fingerprint`, sit among
-    /// the progress fields of the v3 layout, so each caller writes them.)
-    fn put_identity(&self, w: &mut ByteWriter) {
-        w.put_str(&self.input);
-        w.put_str(&self.output);
-        w.put_str(&self.platform);
-        put_opt_str(w, &self.platform_json);
-        w.put_u32(self.sa as u32);
-        w.put_usize(self.refs);
-        w.put_u8(self.qp);
-        w.put_str(&self.balancer);
-        put_opt_str(w, &self.kernels);
-        w.put_usize(self.faults.len());
-        for f in &self.faults {
-            w.put_str(f);
-        }
-        w.put_bool(self.deadline_factor.is_some());
-        w.put_f64(self.deadline_factor.unwrap_or(0.0));
-    }
-
     /// Job fingerprint: hash of everything that defines *which encode this
-    /// is* — input identity, output path, platform, codec flags. Progress
-    /// fields (`frames_done`, `out_bytes`) and artifact/cadence knobs are
-    /// excluded so every generation of one job carries the same
-    /// fingerprint.
+    /// is* — the fields the `wire!` table marks `id`: input identity, output
+    /// path, platform, codec flags. Progress fields (`frames_done`,
+    /// `out_bytes`) and artifact/cadence knobs are excluded so every
+    /// generation of one job carries the same fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut w = ByteWriter::new();
-        self.put_identity(&mut w);
-        w.put_usize(self.n_frames);
-        w.put_u64(self.input_fingerprint);
+        self.put_id(&mut w);
         fnv1a64(&w.into_bytes())
     }
+}
 
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.put_identity(&mut w);
-        put_opt_str(&mut w, &self.flight_out);
-        put_opt_str(&mut w, &self.metrics_out);
-        w.put_usize(self.every);
-        w.put_usize(self.keep);
-        w.put_usize(self.frames_done);
-        w.put_usize(self.n_frames);
-        w.put_u64(self.out_bytes);
-        w.put_u64(self.input_fingerprint);
-        w.put_bool(self.pipeline);
-        w.put_u32(self.out_crc);
-        w.into_bytes()
-    }
+/// A value with one v3 wire layout. Both directions are stated side by
+/// side, or generated together by `wire!`, so they cannot drift apart.
+trait Wire: Sized {
+    fn put(&self, w: &mut ByteWriter);
+    fn take(r: &mut ByteReader) -> Result<Self, FevesError>;
+    /// The fields a `wire!` table marks `id`; only [`ResumeContext`] has any.
+    fn put_id(&self, _w: &mut ByteWriter) {}
+}
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, FevesError> {
-        let mut r = ByteReader::new(bytes);
-        let input = r.take_str()?;
-        let output = r.take_str()?;
-        let platform = r.take_str()?;
-        let platform_json = take_opt_str(&mut r)?;
-        let sa_raw = r.take_u32()?;
-        let sa = u16::try_from(sa_raw).map_err(|_| {
-            FevesError::CheckpointCorrupt(format!("search area {sa_raw} out of range"))
-        })?;
-        let refs = r.take_usize()?;
-        let qp = r.take_u8()?;
-        let balancer = r.take_str()?;
-        let kernels = take_opt_str(&mut r)?;
-        let n_faults = r.take_usize()?;
-        if n_faults > 4096 {
-            return Err(FevesError::CheckpointCorrupt(format!(
-                "implausible fault-spec count {n_faults}"
-            )));
+/// Fail with [`FevesError::CheckpointCorrupt`] unless `$ok` holds.
+macro_rules! ensure {
+    ($ok:expr, $($why:tt)+) => {
+        if !$ok {
+            return Err(FevesError::CheckpointCorrupt(format!($($why)+)));
         }
-        let faults = (0..n_faults)
-            .map(|_| r.take_str())
-            .collect::<Result<Vec<_>, _>>()?;
-        let has_df = r.take_bool()?;
-        let df = r.take_f64()?;
-        let ctx = ResumeContext {
-            input,
-            output,
-            platform,
-            platform_json,
-            sa,
-            refs,
-            qp,
-            balancer,
-            kernels,
-            faults,
-            deadline_factor: has_df.then_some(df),
-            flight_out: take_opt_str(&mut r)?,
-            metrics_out: take_opt_str(&mut r)?,
-            every: r.take_usize()?,
-            keep: r.take_usize()?,
-            frames_done: r.take_usize()?,
-            n_frames: r.take_usize()?,
-            out_bytes: r.take_u64()?,
-            input_fingerprint: r.take_u64()?,
-            pipeline: r.take_bool()?,
-            out_crc: r.take_u32()?,
-        };
-        r.expect_end("META section")?;
-        Ok(ctx)
-    }
-}
-
-fn put_opt_str(w: &mut ByteWriter, s: &Option<String>) {
-    w.put_bool(s.is_some());
-    w.put_str(s.as_deref().unwrap_or(""));
-}
-
-fn take_opt_str(r: &mut ByteReader) -> Result<Option<String>, FevesError> {
-    let present = r.take_bool()?;
-    let s = r.take_str()?;
-    Ok(present.then_some(s))
-}
-
-fn put_plane(w: &mut ByteWriter, p: &Plane<u8>) {
-    w.put_u64(p.width() as u64);
-    w.put_u64(p.height() as u64);
-    // Row-by-row drops any stride padding: the payload is exactly w×h.
-    let mut data = Vec::with_capacity(p.width() * p.height());
-    for y in 0..p.height() {
-        data.extend_from_slice(p.row(y));
-    }
-    w.put_bytes(&data);
-}
-
-fn take_plane(r: &mut ByteReader) -> Result<Plane<u8>, FevesError> {
-    let w = r.take_usize()?;
-    let h = r.take_usize()?;
-    if w == 0 || h == 0 || w > MAX_PLANE_DIM || h > MAX_PLANE_DIM {
-        return Err(FevesError::CheckpointCorrupt(format!(
-            "implausible plane dimensions {w}x{h}"
-        )));
-    }
-    let expect = w
-        .checked_mul(h)
-        .ok_or_else(|| FevesError::CheckpointCorrupt("plane size overflow".into()))?;
-    let data = r.take_bytes()?;
-    if data.len() != expect {
-        return Err(FevesError::CheckpointCorrupt(format!(
-            "plane payload {} bytes, dimensions say {expect}",
-            data.len()
-        )));
-    }
-    Ok(Plane::from_vec(data, w, h))
-}
-
-fn put_u64_vec(w: &mut ByteWriter, xs: &[u64]) {
-    w.put_usize(xs.len());
-    for &x in xs {
-        w.put_u64(x);
-    }
-}
-
-fn take_u64_vec(r: &mut ByteReader) -> Result<Vec<u64>, FevesError> {
-    let n = r.take_usize()?;
-    if r.remaining() < n.saturating_mul(8) {
-        return Err(FevesError::CheckpointCorrupt(
-            "truncated payload while reading u64 vector".into(),
-        ));
-    }
-    (0..n).map(|_| r.take_u64()).collect()
-}
-
-fn health_to_bytes(h: &HealthSnapshot) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_usize(h.state.len());
-    for s in &h.state {
-        w.put_u8(match s {
-            DeviceHealth::Healthy => 0,
-            DeviceHealth::Probation => 1,
-            DeviceHealth::Blacklisted => 2,
-        });
-    }
-    w.put_usize_slice(&h.readmit_at);
-    w.put_usize_slice(&h.backoff);
-    w.put_usize_slice(&h.probation_left);
-    put_u64_vec(&mut w, &h.faults);
-    w.put_usize(h.base_backoff);
-    w.put_usize(h.probation_frames);
-    w.into_bytes()
-}
-
-fn health_from_bytes(bytes: &[u8]) -> Result<HealthSnapshot, FevesError> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.take_usize()?;
-    if r.remaining() < n {
-        return Err(FevesError::CheckpointCorrupt(
-            "truncated health state vector".into(),
-        ));
-    }
-    let state = (0..n)
-        .map(|_| match r.take_u8()? {
-            0 => Ok(DeviceHealth::Healthy),
-            1 => Ok(DeviceHealth::Probation),
-            2 => Ok(DeviceHealth::Blacklisted),
-            b => Err(FevesError::CheckpointCorrupt(format!(
-                "invalid device-health byte {b:#x}"
-            ))),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let snap = HealthSnapshot {
-        state,
-        readmit_at: r.take_usize_vec()?,
-        backoff: r.take_usize_vec()?,
-        probation_left: r.take_usize_vec()?,
-        faults: take_u64_vec(&mut r)?,
-        base_backoff: r.take_usize()?,
-        probation_frames: r.take_usize()?,
     };
-    r.expect_end("HLTH section")?;
-    Ok(snap)
 }
 
-fn dist_to_bytes(d: &Distribution) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_usize_slice(&d.me);
-    w.put_usize_slice(&d.interp);
-    w.put_usize_slice(&d.sme);
-    w.put_usize_slice(&d.delta_m);
-    w.put_usize_slice(&d.delta_l);
-    w.put_usize_slice(&d.sigma);
-    w.put_usize_slice(&d.sigma_rem);
-    w.put_usize(d.rstar_device);
-    w.put_bool(d.predicted.is_some());
-    if let Some(p) = &d.predicted {
-        w.put_f64(p.tau1);
-        w.put_f64(p.tau2);
-        w.put_f64(p.tau_tot);
+macro_rules! wire_scalars {
+    ($($t:ty: $put:ident $take:ident),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut ByteWriter) {
+                w.$put(*self)
+            }
+            fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+                r.$take()
+            }
+        }
+    )*};
+}
+
+wire_scalars!(u8: put_u8 take_u8, u32: put_u32 take_u32, u64: put_u64 take_u64,
+    usize: put_usize take_usize, f64: put_f64 take_f64, bool: put_bool take_bool);
+
+impl Wire for String {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_str(self)
     }
-    w.put_bool(d.predicted_device.is_some());
-    if let Some(pd) = &d.predicted_device {
-        w.put_usize(pd.len());
-        for p in pd {
-            w.put_f64(p.phase1);
-            w.put_f64(p.phase2);
-            w.put_f64(p.rstar);
+    fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+        r.take_str()
+    }
+}
+
+/// v3 quirk: the one `u16` (`sa`) is stored as a `u32`.
+impl Wire for u16 {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u32(u32::from(*self))
+    }
+    fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+        let v = r.take_u32()?;
+        u16::try_from(v)
+            .map_err(|_| FevesError::CheckpointCorrupt(format!("search area {v} out of range")))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        self.len().put(w);
+        self.iter().for_each(|x| x.put(w));
+    }
+    fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+        let n = usize::take(r)?;
+        // Every value is at least one byte, so a count above the bytes left
+        // is corrupt — and is caught before anything is allocated.
+        let left = r.remaining();
+        ensure!(n <= left, "{n} elements declared, {left} bytes left");
+        (0..n).map(|_| T::take(r)).collect()
+    }
+}
+
+impl<T: Wire + Default + Copy, const N: usize> Wire for [T; N] {
+    fn put(&self, w: &mut ByteWriter) {
+        self.iter().for_each(|x| x.put(w));
+    }
+    fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+        let mut a = [T::default(); N];
+        for x in &mut a {
+            *x = T::take(r)?;
+        }
+        Ok(a)
+    }
+}
+
+macro_rules! wire_tuples {
+    ($(($($T:ident $i:tt),+))*) => {$(
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            fn put(&self, w: &mut ByteWriter) {
+                $(self.$i.put(w);)+
+            }
+            fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+                Ok(($($T::take(r)?,)+))
+            }
+        }
+    )*};
+}
+
+wire_tuples!((A 0, B 1) (A 0, B 1, C 2));
+
+/// The "present-only" option: a flag, then the value only when `Some`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
         }
     }
-    w.put_bool(d.lp_iterations.is_some());
-    w.put_usize(d.lp_iterations.unwrap_or(0));
-    w.into_bytes()
+    fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+        Ok(if bool::take(r)? {
+            Some(T::take(r)?)
+        } else {
+            None
+        })
+    }
 }
 
-fn dist_from_bytes(bytes: &[u8]) -> Result<Distribution, FevesError> {
-    let mut r = ByteReader::new(bytes);
-    let me = r.take_usize_vec()?;
-    let interp = r.take_usize_vec()?;
-    let sme = r.take_usize_vec()?;
-    let delta_m = r.take_usize_vec()?;
-    let delta_l = r.take_usize_vec()?;
-    let sigma = r.take_usize_vec()?;
-    let sigma_rem = r.take_usize_vec()?;
-    let n = me.len();
+/// v3 quirk, the "filled" option (a `wire!` field marked `filled`): a flag,
+/// then the value — its default when `None` — either way.
+fn put_filled<T: Wire + Default>(v: &Option<T>, w: &mut ByteWriter) {
+    v.is_some().put(w);
+    match v {
+        Some(v) => v.put(w),
+        None => T::default().put(w),
+    }
+}
+
+fn take_filled<T: Wire>(r: &mut ByteReader) -> Result<Option<T>, FevesError> {
+    let some = bool::take(r)?;
+    let v = T::take(r)?;
+    Ok(some.then_some(v))
+}
+
+/// A plane is its width, its height and a length-prefixed payload of
+/// exactly w×h samples (stride padding is not written).
+impl Wire for Plane<u8> {
+    fn put(&self, w: &mut ByteWriter) {
+        let (pw, ph) = (self.width(), self.height());
+        pw.put(w);
+        ph.put(w);
+        if self.stride() == pw {
+            w.put_bytes(self.as_slice());
+        } else {
+            (pw * ph).put(w);
+            self.rows().flatten().for_each(|&b| w.put_u8(b));
+        }
+    }
+    fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+        let (pw, ph) = (usize::take(r)?, usize::take(r)?);
+        let side = 1..=MAX_PLANE_DIM;
+        ensure!(
+            side.contains(&pw) && side.contains(&ph),
+            "implausible plane {pw}x{ph}"
+        );
+        let data = r.take_bytes()?;
+        let (len, area) = (data.len(), pw * ph);
+        ensure!(
+            len == area,
+            "plane payload {len} bytes, dimensions say {area}"
+        );
+        Ok(Plane::from_vec(data, pw, ph))
+    }
+}
+
+/// A device's health on the wire is its index here.
+const HEALTH_BYTE: [DeviceHealth; 3] = [
+    DeviceHealth::Healthy,
+    DeviceHealth::Probation,
+    DeviceHealth::Blacklisted,
+];
+
+impl Wire for DeviceHealth {
+    fn put(&self, w: &mut ByteWriter) {
+        let b = HEALTH_BYTE.iter().position(|h| h == self);
+        w.put_u8(b.expect("every health state has a byte") as u8);
+    }
+    fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+        let b = r.take_u8()?;
+        HEALTH_BYTE.get(usize::from(b)).copied().ok_or_else(|| {
+            FevesError::CheckpointCorrupt(format!("invalid device-health byte {b:#x}"))
+        })
+    }
+}
+
+/// One statement of a struct's v3 layout: its fields in file order, each
+/// optionally marked `id` (hashed by [`ResumeContext::fingerprint`], in
+/// table order) and `filled` (see [`put_filled`]), and an optional `[check]`
+/// that vets the decoded value. Generates [`Wire`] for the struct.
+macro_rules! wire {
+    (@put $w:ident $v:expr; id $($m:ident)*) => { wire!(@put $w $v; $($m)*) };
+    (@put $w:ident $v:expr; filled) => { put_filled($v, $w) };
+    (@put $w:ident $v:expr;) => { Wire::put($v, $w) };
+    (@id $w:ident $v:expr; id $($m:ident)*) => { wire!(@put $w $v; $($m)*) };
+    (@id $w:ident $v:expr; $($m:ident)*) => {};
+    (@take $r:ident; id $($m:ident)*) => { wire!(@take $r; $($m)*) };
+    (@take $r:ident; filled) => { take_filled($r)? };
+    (@take $r:ident;) => { Wire::take($r)? };
+    ($($ty:ident $([$check:ident])? { $($field:ident $(: $($m:ident)+)?),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                $(wire!(@put w &self.$field; $($($m)+)?);)*
+            }
+            fn put_id(&self, _w: &mut ByteWriter) {
+                $(wire!(@id _w &self.$field; $($($m)+)?);)*
+            }
+            fn take(r: &mut ByteReader) -> Result<Self, FevesError> {
+                let v = Self { $($field: wire!(@take r; $($($m)+)?),)* };
+                $($check(&v)?;)?
+                Ok(v)
+            }
+        }
+    )*};
+}
+
+// v3 quirk: `fingerprint` hashes the `id` fields in this order, so
+// `n_frames` and `input_fingerprint` sit among the progress fields.
+wire! {
+    ResumeContext [check_job] {
+        input: id, output: id, platform: id, platform_json: id filled, sa: id, refs: id,
+        qp: id, balancer: id, kernels: id filled, faults: id, deadline_factor: id filled,
+        flight_out: filled, metrics_out: filled, every, keep, frames_done, n_frames: id,
+        out_bytes, input_fingerprint: id, pipeline, out_crc,
+    }
+    HealthSnapshot {
+        state, readmit_at, backoff, probation_left, faults, base_backoff, probation_frames,
+    }
+    DriftSnapshot { streak, flagged }
+    NoiseState [check_noise] { amp, key, counter, idx }
+    RateSnapshot { target_bits_per_frame, buffer, qp, min_qp, max_qp }
+    PredictedTimes { tau1, tau2, tau_tot }
+    DevicePrediction { phase1, phase2, rstar }
+    Distribution [check_distribution] {
+        me, interp, sme, delta_m, delta_l, sigma, sigma_rem, rstar_device,
+        predicted, predicted_device, lp_iterations: filled,
+    }
+    FtStats { injected, detected, recovered, resolves, redispatched_rows, drift_vs_fault }
+}
+
+fn check_job(c: &ResumeContext) -> Result<(), FevesError> {
+    let n = c.faults.len();
+    ensure!(n <= MAX_FAULT_SPECS, "implausible fault-spec count {n}");
+    Ok(())
+}
+
+fn check_noise(s: &NoiseState) -> Result<(), FevesError> {
+    let amp = s.amp;
+    ensure!(
+        (0.0..1.0).contains(&amp),
+        "noise amplitude {amp} outside [0,1)"
+    );
+    Ok(())
+}
+
+fn check_distribution(d: &Distribution) -> Result<(), FevesError> {
+    let n = d.me.len();
     for (name, v) in [
-        ("interp", interp.len()),
-        ("sme", sme.len()),
-        ("delta_m", delta_m.len()),
-        ("delta_l", delta_l.len()),
-        ("sigma", sigma.len()),
-        ("sigma_rem", sigma_rem.len()),
+        ("interp", &d.interp),
+        ("sme", &d.sme),
+        ("delta_m", &d.delta_m),
+        ("delta_l", &d.delta_l),
+        ("sigma", &d.sigma),
+        ("sigma_rem", &d.sigma_rem),
     ] {
-        if v != n {
-            return Err(FevesError::CheckpointCorrupt(format!(
-                "distribution vector `{name}` has {v} devices, `me` has {n}"
-            )));
-        }
+        let k = v.len();
+        ensure!(
+            k == n,
+            "distribution vector `{name}` has {k} devices, `me` has {n}"
+        );
     }
-    let rstar_device = r.take_usize()?;
-    if rstar_device >= n.max(1) {
-        return Err(FevesError::CheckpointCorrupt(format!(
-            "R* device {rstar_device} out of range for {n} devices"
-        )));
-    }
-    let predicted = if r.take_bool()? {
-        Some(PredictedTimes {
-            tau1: r.take_f64()?,
-            tau2: r.take_f64()?,
-            tau_tot: r.take_f64()?,
-        })
-    } else {
-        None
-    };
-    let predicted_device = if r.take_bool()? {
-        let k = r.take_usize()?;
-        if k != n {
-            return Err(FevesError::CheckpointCorrupt(format!(
-                "per-device predictions for {k} devices, distribution has {n}"
-            )));
+    let rstar = d.rstar_device;
+    ensure!(
+        rstar < n.max(1),
+        "R* device {rstar} out of range for {n} devices"
+    );
+    let k = d.predicted_device.as_ref().map_or(n, Vec::len);
+    ensure!(
+        k == n,
+        "per-device predictions for {k} devices, distribution has {n}"
+    );
+    Ok(())
+}
+
+/// A section tag from its four-letter name.
+const fn tag(name: &str) -> [u8; 4] {
+    let b = name.as_bytes();
+    [b[0], b[1], b[2], b[3]]
+}
+
+fn to_payload(v: &impl Wire) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    v.put(&mut w);
+    w.into_bytes()
+}
+
+fn from_payload<T: Wire>(bytes: &[u8], what: &str) -> Result<T, FevesError> {
+    let mut r = ByteReader::new(bytes);
+    let v = T::take(&mut r)?;
+    r.expect_end(what)?;
+    Ok(v)
+}
+
+/// The v3 sections after META and PERF, in file order: a tag, `optional`
+/// when the section is written only for a `Some` field, and the
+/// [`FrameworkState`] fields its payload holds (marked as in `wire!`).
+/// Generates `put_sections` and `take_sections`.
+macro_rules! sections {
+    (@put $blob:ident $s:ident $tag:ident [] $($field:ident [$($m:ident)*])*) => {{
+        let mut bytes = ByteWriter::new();
+        let w = &mut bytes;
+        $(wire!(@put w &$s.$field; $($m)*);)*
+        $blob.push_section(tag(stringify!($tag)), bytes.into_bytes());
+    }};
+    (@put $blob:ident $s:ident $tag:ident [optional] $field:ident []) => {
+        if let Some(v) = &$s.$field {
+            $blob.push_section(tag(stringify!($tag)), to_payload(v));
         }
-        Some(
-            (0..k)
-                .map(|_| {
-                    Ok(DevicePrediction {
-                        phase1: r.take_f64()?,
-                        phase2: r.take_f64()?,
-                        rstar: r.take_f64()?,
-                    })
-                })
-                .collect::<Result<Vec<_>, FevesError>>()?,
-        )
-    } else {
-        None
     };
-    let has_lp = r.take_bool()?;
-    let lp = r.take_usize()?;
-    r.expect_end("DIST section")?;
-    Ok(Distribution {
-        me,
-        interp,
-        sme,
-        delta_m,
-        delta_l,
-        sigma,
-        sigma_rem,
-        rstar_device,
-        predicted,
-        predicted_device,
-        lp_iterations: has_lp.then_some(lp),
-    })
+    (@take $blob:ident $tag:ident [] $($field:ident [$($m:ident)*])*) => {
+        let r = &mut ByteReader::new($blob.require_section(tag(stringify!($tag)))?);
+        $(let $field = wire!(@take r; $($m)*);)*
+        r.expect_end(concat!(stringify!($tag), " section"))?;
+    };
+    (@take $blob:ident $tag:ident [optional] $field:ident []) => {
+        let $field = match $blob.section(tag(stringify!($tag))) {
+            Some(b) => Some(from_payload(b, concat!(stringify!($tag), " section"))?),
+            None => None,
+        };
+    };
+    ($($tag:ident $($opt:ident)? { $($field:ident $(: $($m:ident)+)?),* })*) => {
+        fn put_sections(s: &FrameworkState, blob: &mut CheckpointBlob) {
+            $(sections!(@put blob s $tag [$($opt)?] $($field [$($($m)+)?])*);)*
+        }
+
+        fn take_sections(
+            blob: &CheckpointBlob,
+            perf: PerfChar,
+        ) -> Result<FrameworkState, FevesError> {
+            $(sections!(@take blob $tag [$($opt)?] $($field [$($($m)+)?])*);)*
+            Ok(FrameworkState { perf, $($($field,)*)* })
+        }
+    };
+}
+
+sections! {
+    HLTH { health }
+    DRFT { drift }
+    NOIS { noise }
+    DAMS { dam_sigma_rem, dam_frames_committed }
+    CURS { inter_count, frames_encoded, refs_available, expected_tau: filled, ft_stats }
+    RATE optional { rate }
+    DIST optional { prev_dist }
+    REFS { refs }
+    PEND optional { recon_pending }
 }
 
 /// Serialize `ctx` + `state` into a [`CheckpointBlob`] ready for
 /// [`CheckpointBlob::to_bytes`].
 pub fn encode_checkpoint(ctx: &ResumeContext, state: &FrameworkState) -> CheckpointBlob {
     let mut blob = CheckpointBlob::new(ctx.fingerprint());
-    blob.push_section(TAG_META, ctx.to_bytes());
-    blob.push_section(TAG_PERF, state.perf.to_ckpt_bytes());
-    blob.push_section(TAG_HLTH, health_to_bytes(&state.health));
-    {
-        let mut w = ByteWriter::new();
-        w.put_usize_slice(&state.drift.streak);
-        w.put_usize(state.drift.flagged.len());
-        for &f in &state.drift.flagged {
-            w.put_bool(f);
-        }
-        blob.push_section(TAG_DRFT, w.into_bytes());
-    }
-    {
-        let mut w = ByteWriter::new();
-        w.put_f64(state.noise.amp);
-        for k in state.noise.key {
-            w.put_u32(k);
-        }
-        w.put_u64(state.noise.counter);
-        w.put_u64(state.noise.idx);
-        blob.push_section(TAG_NOIS, w.into_bytes());
-    }
-    {
-        let mut w = ByteWriter::new();
-        w.put_usize_slice(&state.dam_sigma_rem);
-        w.put_usize(state.dam_frames_committed);
-        blob.push_section(TAG_DAMS, w.into_bytes());
-    }
-    {
-        let mut w = ByteWriter::new();
-        w.put_usize(state.inter_count);
-        w.put_usize(state.frames_encoded);
-        w.put_usize(state.refs_available);
-        w.put_bool(state.expected_tau.is_some());
-        let (t1, t2, tt) = state.expected_tau.unwrap_or((0.0, 0.0, 0.0));
-        w.put_f64(t1);
-        w.put_f64(t2);
-        w.put_f64(tt);
-        w.put_u64(state.ft_stats.injected);
-        w.put_u64(state.ft_stats.detected);
-        w.put_u64(state.ft_stats.recovered);
-        w.put_u64(state.ft_stats.resolves);
-        w.put_u64(state.ft_stats.redispatched_rows);
-        w.put_u64(state.ft_stats.drift_vs_fault);
-        blob.push_section(TAG_CURS, w.into_bytes());
-    }
-    if let Some(rate) = &state.rate {
-        let mut w = ByteWriter::new();
-        w.put_f64(rate.target_bits_per_frame);
-        w.put_f64(rate.buffer);
-        w.put_u8(rate.qp);
-        w.put_u8(rate.min_qp);
-        w.put_u8(rate.max_qp);
-        blob.push_section(TAG_RATE, w.into_bytes());
-    }
-    if let Some(dist) = &state.prev_dist {
-        blob.push_section(TAG_DIST, dist_to_bytes(dist));
-    }
-    {
-        let mut w = ByteWriter::new();
-        w.put_usize(state.refs.len());
-        for (luma, chroma) in &state.refs {
-            put_plane(&mut w, luma);
-            w.put_bool(chroma.is_some());
-            if let Some((cb, cr)) = chroma {
-                put_plane(&mut w, cb);
-                put_plane(&mut w, cr);
-            }
-        }
-        blob.push_section(TAG_REFS, w.into_bytes());
-    }
-    if let Some((y, u, v)) = &state.recon_pending {
-        let mut w = ByteWriter::new();
-        put_plane(&mut w, y);
-        put_plane(&mut w, u);
-        put_plane(&mut w, v);
-        blob.push_section(TAG_PEND, w.into_bytes());
-    }
+    blob.push_section(tag("META"), to_payload(ctx));
+    blob.push_section(tag("PERF"), state.perf.to_ckpt_bytes());
+    put_sections(state, &mut blob);
     blob
 }
 
@@ -538,7 +497,7 @@ pub fn encode_checkpoint(ctx: &ResumeContext, state: &FrameworkState) -> Checkpo
 pub fn decode_checkpoint(
     blob: &CheckpointBlob,
 ) -> Result<(ResumeContext, FrameworkState), FevesError> {
-    let ctx = ResumeContext::from_bytes(blob.require_section(TAG_META)?)?;
+    let ctx: ResumeContext = from_payload(blob.require_section(tag("META"))?, "META section")?;
     if blob.fingerprint != ctx.fingerprint() {
         return Err(FevesError::CheckpointStale(format!(
             "header fingerprint {:#018x} does not match the job described in META ({:#018x})",
@@ -546,143 +505,11 @@ pub fn decode_checkpoint(
             ctx.fingerprint()
         )));
     }
-    let perf = PerfChar::from_ckpt_bytes(blob.require_section(TAG_PERF)?)?;
-    let health = health_from_bytes(blob.require_section(TAG_HLTH)?)?;
-    let drift = {
-        let mut r = ByteReader::new(blob.require_section(TAG_DRFT)?);
-        let streak = r.take_usize_vec()?;
-        let n = r.take_usize()?;
-        if r.remaining() < n {
-            return Err(FevesError::CheckpointCorrupt(
-                "truncated drift flag vector".into(),
-            ));
-        }
-        let flagged = (0..n)
-            .map(|_| r.take_bool())
-            .collect::<Result<Vec<_>, _>>()?;
-        r.expect_end("DRFT section")?;
-        DriftSnapshot { streak, flagged }
-    };
-    let noise = {
-        let mut r = ByteReader::new(blob.require_section(TAG_NOIS)?);
-        let amp = r.take_f64()?;
-        let mut key = [0u32; 8];
-        for k in &mut key {
-            *k = r.take_u32()?;
-        }
-        let counter = r.take_u64()?;
-        let idx = r.take_u64()?;
-        r.expect_end("NOIS section")?;
-        if !(0.0..1.0).contains(&amp) {
-            return Err(FevesError::CheckpointCorrupt(format!(
-                "noise amplitude {amp} outside [0,1)"
-            )));
-        }
-        NoiseState {
-            amp,
-            key,
-            counter,
-            idx,
-        }
-    };
-    let (dam_sigma_rem, dam_frames_committed) = {
-        let mut r = ByteReader::new(blob.require_section(TAG_DAMS)?);
-        let sr = r.take_usize_vec()?;
-        let fc = r.take_usize()?;
-        r.expect_end("DAMS section")?;
-        (sr, fc)
-    };
-    let (inter_count, frames_encoded, refs_available, expected_tau, ft_stats) = {
-        let mut r = ByteReader::new(blob.require_section(TAG_CURS)?);
-        let ic = r.take_usize()?;
-        let fe = r.take_usize()?;
-        let ra = r.take_usize()?;
-        let has_tau = r.take_bool()?;
-        let tau = (r.take_f64()?, r.take_f64()?, r.take_f64()?);
-        let stats = FtStats {
-            injected: r.take_u64()?,
-            detected: r.take_u64()?,
-            recovered: r.take_u64()?,
-            resolves: r.take_u64()?,
-            redispatched_rows: r.take_u64()?,
-            drift_vs_fault: r.take_u64()?,
-        };
-        r.expect_end("CURS section")?;
-        (ic, fe, ra, has_tau.then_some(tau), stats)
-    };
-    let rate = match blob.section(TAG_RATE) {
-        Some(bytes) => {
-            let mut r = ByteReader::new(bytes);
-            let snap = RateSnapshot {
-                target_bits_per_frame: r.take_f64()?,
-                buffer: r.take_f64()?,
-                qp: r.take_u8()?,
-                min_qp: r.take_u8()?,
-                max_qp: r.take_u8()?,
-            };
-            r.expect_end("RATE section")?;
-            Some(snap)
-        }
-        None => None,
-    };
-    let prev_dist = match blob.section(TAG_DIST) {
-        Some(bytes) => Some(dist_from_bytes(bytes)?),
-        None => None,
-    };
-    let refs = {
-        let mut r = ByteReader::new(blob.require_section(TAG_REFS)?);
-        let n = r.take_usize()?;
-        if n > 64 {
-            return Err(FevesError::CheckpointCorrupt(format!(
-                "implausible reference count {n}"
-            )));
-        }
-        let mut refs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let luma = take_plane(&mut r)?;
-            let chroma = if r.take_bool()? {
-                Some((take_plane(&mut r)?, take_plane(&mut r)?))
-            } else {
-                None
-            };
-            refs.push((luma, chroma));
-        }
-        r.expect_end("REFS section")?;
-        refs
-    };
-    let recon_pending = match blob.section(TAG_PEND) {
-        Some(bytes) => {
-            let mut r = ByteReader::new(bytes);
-            let p = (
-                take_plane(&mut r)?,
-                take_plane(&mut r)?,
-                take_plane(&mut r)?,
-            );
-            r.expect_end("PEND section")?;
-            Some(p)
-        }
-        None => None,
-    };
-    Ok((
-        ctx,
-        FrameworkState {
-            perf,
-            dam_sigma_rem,
-            dam_frames_committed,
-            noise,
-            prev_dist,
-            inter_count,
-            frames_encoded,
-            refs_available,
-            rate,
-            refs,
-            recon_pending,
-            health,
-            expected_tau,
-            ft_stats,
-            drift,
-        },
-    ))
+    let perf = PerfChar::from_ckpt_bytes(blob.require_section(tag("PERF"))?)?;
+    let state = take_sections(blob, perf)?;
+    let n = state.refs.len();
+    ensure!(n <= MAX_REFS, "implausible reference count {n}");
+    Ok((ctx, state))
 }
 
 /// File name of generation `frames_done` (zero-padded so lexicographic
@@ -1024,15 +851,20 @@ mod tests {
         states_equal(&state, &state2);
     }
 
-    #[test]
-    fn optional_sections_really_are_optional() {
-        let ctx = sample_ctx();
+    /// `sample_state(2)` with every optional section and field absent.
+    fn lean_state() -> FrameworkState {
         let mut state = sample_state(2);
         state.rate = None;
         state.prev_dist = None;
         state.recon_pending = None;
         state.expected_tau = None;
-        let bytes = encode_checkpoint(&ctx, &state).to_bytes();
+        state
+    }
+
+    #[test]
+    fn optional_sections_really_are_optional() {
+        let ctx = sample_ctx();
+        let bytes = encode_checkpoint(&ctx, &lean_state()).to_bytes();
         let (_, state2) = decode_checkpoint(&CheckpointBlob::from_bytes(&bytes).unwrap()).unwrap();
         assert!(state2.rate.is_none());
         assert!(state2.prev_dist.is_none());
@@ -1178,5 +1010,90 @@ mod tests {
         let back = CheckpointBlob::from_bytes(&blob.to_bytes()).unwrap();
         let err = decode_checkpoint(&back).unwrap_err();
         assert!(matches!(err, FevesError::CheckpointStale(_)), "{err}");
+    }
+
+    /// The writer's v3 bytes, pinned as (length, CRC-32) of the whole image:
+    /// a changed constant is a changed checkpoint format.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let digest = |state: &FrameworkState| {
+            let bytes = encode_checkpoint(&sample_ctx(), state).to_bytes();
+            (bytes.len(), feves_ft::ckpt::crc32(&bytes))
+        };
+        assert_eq!(digest(&sample_state(2)), (9_716, 0x9c23_5ced));
+        assert_eq!(digest(&lean_state()), (6_238, 0xf2f4_7492));
+    }
+
+    /// Section order of every v3 checkpoint.
+    const TAGS: [&str; 11] = [
+        "META", "PERF", "HLTH", "DRFT", "NOIS", "DAMS", "CURS", "RATE", "DIST", "REFS", "PEND",
+    ];
+
+    /// Decode `blob` with section `name`'s payload replaced by a fresh
+    /// section (CRC recomputed, so the mangled bytes reach the section
+    /// parser): `Ok` or a typed checkpoint error, never a panic.
+    fn decode_mangled(
+        blob: &CheckpointBlob,
+        name: &str,
+        payload: &[u8],
+        what: impl Fn() -> String,
+    ) {
+        let mut mangled = CheckpointBlob::new(blob.fingerprint);
+        for t in TAGS {
+            if let Some(p) = blob.section(tag(t)) {
+                mangled.push_section(tag(t), if t == name { payload } else { p }.to_vec());
+            }
+        }
+        match decode_checkpoint(&mangled) {
+            Ok(_) | Err(FevesError::CheckpointCorrupt(_) | FevesError::CheckpointStale(_)) => {}
+            Err(e) => panic!("{}: untyped error {e}", what()),
+        }
+    }
+
+    /// Beneath the CRC: every truncation and 256 seeded bit flips of every
+    /// section payload, of the previous build's checkpoint and of the
+    /// RATE-bearing sample, decode to `Ok` or a typed error — never a panic.
+    #[test]
+    fn mangled_sections_decode_or_err_never_panic() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/ckpt_v3_pr15/ckpt-000008.ckpt");
+        let blobs = [
+            CheckpointBlob::from_bytes(&fs::read(fixture).unwrap()).unwrap(),
+            encode_checkpoint(&sample_ctx(), &sample_state(2)),
+        ];
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for blob in &blobs {
+            for name in TAGS {
+                let Some(payload) = blob.section(tag(name)) else {
+                    continue;
+                };
+                for cut in 0..payload.len() {
+                    decode_mangled(blob, name, &payload[..cut], || {
+                        format!("{name} cut to {cut}")
+                    });
+                }
+                for _ in 0..256 {
+                    // xorshift64: a fixed, seeded sequence of bit positions.
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    let bit = (seed % (payload.len() as u64 * 8)) as usize;
+                    let mut bytes = payload.to_vec();
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                    decode_mangled(blob, name, &bytes, || format!("{name} bit {bit} flipped"));
+                }
+            }
+        }
+    }
+
+    /// Stride padding is not part of the layout: a padded plane writes the
+    /// same bytes as its compact copy.
+    #[test]
+    fn a_padded_plane_is_written_without_its_padding() {
+        let compact = Plane::from_fn(64, 32, |x, y| (x * 3 + y) as u8);
+        let mut padded = Plane::with_stride(64, 32, 80);
+        padded.fill(0xEE);
+        padded.copy_from(&compact);
+        assert_eq!(to_payload(&padded), to_payload(&compact));
     }
 }

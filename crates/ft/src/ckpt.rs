@@ -418,26 +418,29 @@ impl CheckpointBlob {
         let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
         let nsect = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
 
-        let mut sections = Vec::with_capacity(nsect);
         let mut r = ByteReader::new(&bytes[28..]);
+        // The header CRC is over bytes anyone can write, so it proves nothing
+        // about `nsect`: capacity is bounded by the bytes left, at 16 (an
+        // empty section's frame) per section.
+        let mut sections = Vec::with_capacity(nsect.min(r.remaining() / 16));
         for i in 0..nsect {
-            let frame_start = 28 + (bytes.len() - 28 - r.remaining());
+            let frame_start = bytes.len() - r.remaining();
             let tag_bytes = r.take(4, "section tag")?;
             let tag: [u8; 4] = tag_bytes.try_into().unwrap();
             let name = String::from_utf8_lossy(&tag).into_owned();
             let len = r.take_usize()?;
-            if r.remaining() < len + 4 {
+            if len.checked_add(4).is_none_or(|need| r.remaining() < need) {
                 return Err(FevesError::CheckpointCorrupt(format!(
-                    "section {name} ({i}) truncated: need {} bytes, have {}",
-                    len + 4,
+                    "section {name} ({i}) truncated: need {len} + 4 bytes, have {}",
                     r.remaining()
                 )));
             }
             let payload = r.take(len, "section payload")?.to_vec();
+            let frame_end = bytes.len() - r.remaining();
             let stored = r.take_u32()?;
             // The CRC covers the whole frame (tag ‖ len ‖ body) so flips in
             // the framing itself are also caught.
-            if crc32(&bytes[frame_start..frame_start + 12 + len]) != stored {
+            if crc32(&bytes[frame_start..frame_end]) != stored {
                 return Err(FevesError::CheckpointCorrupt(format!(
                     "section {name} CRC mismatch"
                 )));

@@ -3,7 +3,7 @@
 //! panic, never a silent success. This extends the per-section CRC unit
 //! tests to proptest-generated mutations.
 
-use feves_ft::ckpt::{crc32, ByteReader, CheckpointBlob};
+use feves_ft::ckpt::{crc32, ByteReader, CheckpointBlob, CKPT_MAGIC, CKPT_VERSION};
 use feves_ft::error::FevesError;
 use proptest::prelude::*;
 
@@ -16,6 +16,42 @@ fn valid_blob(sections: &[(u8, Vec<u8>)], fingerprint: u64) -> Vec<u8> {
         blob.push_section(tag, payload.clone());
     }
     blob.to_bytes()
+}
+
+/// A 28-byte header with a valid CRC and the given section count.
+fn header(nsect: u32) -> Vec<u8> {
+    let mut h = CKPT_MAGIC.to_vec();
+    h.extend(CKPT_VERSION.to_le_bytes());
+    h.extend(0x1234_5678_9ABC_DEF0u64.to_le_bytes());
+    h.extend(nsect.to_le_bytes());
+    let crc = crc32(&h);
+    h.extend(crc.to_le_bytes());
+    h
+}
+
+/// The header CRC is over bytes anyone can write, so it proves nothing
+/// about the section count or a section length: an absurd one behind a
+/// valid header is a typed error, not an allocation abort or an
+/// arithmetic-overflow panic.
+#[test]
+fn absurd_counts_and_lengths_behind_a_valid_header_are_corrupt() {
+    let corrupt = |image: &[u8], what: &str| match CheckpointBlob::from_bytes(image) {
+        Err(FevesError::CheckpointCorrupt(_)) => {}
+        other => panic!("{what}: {other:?}"),
+    };
+    corrupt(&header(u32::MAX), "nsect 2^32-1, no sections");
+    let lens = [u64::from(u32::MAX)]
+        .into_iter()
+        .chain((0..16).map(|k| u64::MAX - k));
+    for len in lens {
+        for nsect in [1, u32::MAX] {
+            let mut image = header(nsect);
+            image.extend(b"META");
+            image.extend(len.to_le_bytes());
+            image.extend([0u8; 16]);
+            corrupt(&image, &format!("nsect {nsect}, section length {len}"));
+        }
+    }
 }
 
 proptest! {

@@ -529,6 +529,26 @@ fn sigterm_mid_encode_checkpoints_and_resumes_bit_exact() {
     );
 }
 
+/// The writer, pinned by the same fixture: decoding the previous build's
+/// checkpoint and encoding it again gives its bytes back (it holds DIST and
+/// PEND but no RATE; `core::ckpt`'s digest pins cover RATE).
+#[test]
+fn a_checkpoint_written_by_the_previous_build_re_encodes_to_its_own_bytes() {
+    use feves::core::ckpt::{decode_checkpoint, encode_checkpoint};
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v3_pr15/ckpt-000008.ckpt");
+    let bytes = fs::read(path).unwrap();
+    let (ctx, state) =
+        decode_checkpoint(&feves::ft::CheckpointBlob::from_bytes(&bytes).unwrap()).unwrap();
+    assert!(state.prev_dist.is_some() && state.recon_pending.is_some() && state.rate.is_none());
+    let again = encode_checkpoint(&ctx, &state).to_bytes();
+    assert_eq!(again.len(), 20_458);
+    assert!(
+        again == bytes,
+        "re-encoded checkpoint differs from the fixture"
+    );
+}
+
 /// Cross-version: `tests/fixtures/ckpt_v3_pr15/ckpt-000008.ckpt` was
 /// written by the release binary of the commit before sessions streamed
 /// their input — `feves encode in.y4m out.y4m --sa 8 --refs 2 --pipeline on
