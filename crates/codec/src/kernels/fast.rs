@@ -151,7 +151,7 @@ pub trait SearchIsa: Copy {
     /// The values `v` holds.
     fn array(self, v: Self::Lanes) -> [u16; 16];
 
-    /// Lane-wise `a + b`. Callers keep every sum below 2¹⁶.
+    /// Per-lane `a + b`. Callers keep every sum below 2¹⁶.
     fn add(self, a: Self::Lanes, b: Self::Lanes) -> Self::Lanes;
 
     /// One row of four 4×4 cells for sixteen candidates: `cur` is the

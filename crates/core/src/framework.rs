@@ -15,7 +15,7 @@ use crate::config::{BalancerKind, EncoderConfig, ExecutionMode};
 use crate::dam::{transfer_bytes, DataManager, DeviceTransfers};
 use crate::pipeline::FramePipeline;
 use crate::report::{EncodeReport, FrameReport};
-use crate::trace::{FrameTrace, LaneKind};
+use crate::trace::{record_frame, timeline};
 use crate::vcm::{build_frame_graph, FrameGeometry, FrameGraph, MeasureKind};
 use feves_codec::chroma::ChromaField;
 use feves_codec::inter_loop::ReferenceStore;
@@ -35,7 +35,7 @@ use feves_hetsim::fault::FaultInjector;
 use feves_hetsim::noise::{MultiplicativeNoise, NoiseState};
 use feves_hetsim::platform::Platform;
 use feves_hetsim::timeline::{simulate, Schedule};
-use feves_obs::trace::{DeviceSlice, TraceArg};
+use feves_obs::trace::DeviceSlice;
 use feves_obs::{
     residual_pct, DeviceRecord, EdgeKind, FlightRecord, FlightRecorder, Metric, NoopRecorder,
     Recorder, SessionScope, TauTriple, TraceSink,
@@ -247,8 +247,9 @@ pub struct FevesEncoder {
     frames_encoded: usize,
     /// References available (ramps to `params.n_ref`).
     refs_available: usize,
-    /// Schedule trace of the most recent inter-frame.
-    last_trace: Option<FrameTrace>,
+    /// The accepted attempt's graph and schedule of the most recent inter
+    /// frame, moved out of its `Planned` when the frame closes.
+    last_schedule: Option<(FrameGraph, Schedule)>,
     /// Metrics/span sink for this encoder: a [`NoopRecorder`] until
     /// [`Self::set_recorder`] or [`Self::set_scope`].
     recorder: Arc<dyn Recorder>,
@@ -422,7 +423,7 @@ impl FevesEncoder {
             inter_count: 0,
             frames_encoded: 0,
             refs_available: 0,
-            last_trace: None,
+            last_schedule: None,
             recorder: Arc::new(NoopRecorder),
             rate: config
                 .rate_control
@@ -943,7 +944,6 @@ impl FevesEncoder {
         let Planned {
             dist, fg, sched, ..
         } = &p;
-        let trace = FrameTrace::capture(fg, sched, &self.platform);
         let mut devices: Vec<DeviceRecord> = (0..n)
             .map(|d| DeviceRecord {
                 device: d,
@@ -957,21 +957,21 @@ impl FevesEncoder {
             })
             .collect();
         // Busy ms per device by engine class, and per compute lane (an
-        // accelerator's interpolation engine is a lane of its own).
+        // accelerator's interpolation engine is a lane of its own), summed
+        // in start order: these sums are pinned bit for bit by the goldens.
         let mut lanes = vec![[None::<f64>; 2]; n];
-        for t in &trace.tasks {
-            let busy = t.end_ms - t.start_ms;
-            let dev = &mut devices[t.lane.device];
-            if t.lane.is_transfer() {
+        for (id, (device, engine)) in timeline(fg, sched, &self.platform) {
+            let busy = sched.finish[id.0] * 1e3 - sched.start[id.0] * 1e3;
+            let dev = &mut devices[device];
+            if engine >= 2 {
                 dev.transfer_busy_ms += busy;
             } else {
                 dev.compute_busy_ms += busy;
-                let lane = &mut lanes[t.lane.device][usize::from(t.lane.kind == LaneKind::Interp)];
+                let lane = &mut lanes[device][engine];
                 *lane = Some(lane.unwrap_or(0.0) + busy);
             }
         }
-        let tau_tot_ms = trace.tau_tot_ms.max(1e-9);
-        self.last_trace = Some(trace);
+        let tau_tot_ms = (p.tau_s[2] * 1e3).max(1e-9);
 
         // Characterization update, and the per-device completion times of
         // the same measured tasks for the pipeline's reap accounting.
@@ -1130,12 +1130,12 @@ impl FevesEncoder {
                 |busy: fn(&DeviceRecord) -> f64| r.devices.iter().map(busy).fold(0.0f64, f64::max);
             let kernel_ms = busiest(|d| d.compute_busy_ms);
             let recovered_ms = out.overlap_recovered_s * 1e3;
-            let arg = |k: &str, v: f64| TraceArg { k: k.into(), v };
-            let frame_span = sink.record_full(
+            let frame_sink = record_frame(
+                sink,
                 &format!("frame{}", r.frame),
-                "frame",
                 start,
                 dur,
+                tau,
                 (r.devices.iter())
                     .map(|d| DeviceSlice {
                         device: d.device,
@@ -1143,20 +1143,13 @@ impl FevesEncoder {
                         busy_ms: d.compute_busy_ms,
                     })
                     .collect(),
-                vec![
-                    arg("tau1_ms", tau.tau1_ms),
-                    arg("tau2_ms", tau.tau2_ms),
-                    arg("tau_tot_ms", tau.tau_tot_ms),
-                    arg("kernel_ms", kernel_ms),
-                    arg("transfer_ms", busiest(|d| d.transfer_busy_ms)),
-                    arg("recovered_ms", recovered_ms),
+                &[
+                    ("kernel_ms", kernel_ms),
+                    ("transfer_ms", busiest(|d| d.transfer_busy_ms)),
+                    ("recovered_ms", recovered_ms),
                 ],
             );
-            let frame_sink = sink.under(frame_span);
-            let [t1, t2, tt] = [tau.tau1_ms, tau.tau2_ms, tau.tau_tot_ms].map(|ms| ms * 1e3);
-            frame_sink.record("phase1", "phase", start, t1);
-            frame_sink.record("phase2", "phase", start + t1, (t2 - t1).max(0.0));
-            frame_sink.record("tail", "phase", start + t2.min(tt), (tt - t2).max(0.0));
+            let frame_span = frame_sink.ctx.parent_span;
             frame_sink.record("kernels", "kernel", start, kernel_ms * 1e3);
             spans = 5;
             let overlapped = recovered_ms > 0.0 && r.inflight_depth > 1;
@@ -1271,6 +1264,7 @@ impl FevesEncoder {
             psnr_y: out.psnr,
         };
         self.prev_dist = Some(out.planned.dist);
+        self.last_schedule = Some((out.planned.fg, out.planned.sched));
         report
     }
 
@@ -1457,10 +1451,12 @@ impl FevesEncoder {
         }
     }
 
-    /// The simulated schedule of the most recent inter-frame (Fig 4 as
-    /// data; see [`FrameTrace::render_gantt`]).
-    pub fn last_trace(&self) -> Option<&FrameTrace> {
-        self.last_trace.as_ref()
+    /// The accepted attempt's graph and simulated schedule of the most
+    /// recent inter-frame — Fig 4 as data, for
+    /// [`trace::frame_log`](crate::trace::frame_log) and
+    /// [`trace::render_gantt`](crate::trace::render_gantt).
+    pub fn last_schedule(&self) -> Option<(&FrameGraph, &Schedule)> {
+        self.last_schedule.as_ref().map(|(fg, sched)| (fg, sched))
     }
 
     /// The last luma reconstruction (functional mode).

@@ -45,7 +45,6 @@ pub use framework::{FevesEncoder, FrameworkState, FtStats, Perturbation, Session
 pub use oracle::OracleBalancer;
 pub use pipeline::{FramePipeline, PipelineOverlap, MAX_IN_FLIGHT};
 pub use report::{EncodeReport, FrameReport, Rollup};
-pub use trace::{FrameTrace, Lane, LaneKind, TraceTask};
 
 /// Convenient glob import for applications.
 pub mod prelude {
@@ -54,7 +53,6 @@ pub mod prelude {
     pub use crate::framework::{FevesEncoder, FrameworkState, FtStats, Perturbation, SessionCtl};
     pub use crate::pipeline::{FramePipeline, PipelineOverlap};
     pub use crate::report::{EncodeReport, FrameReport, Rollup};
-    pub use crate::trace::{FrameTrace, Lane, LaneKind};
     pub use feves_codec::types::{EncodeParams, SearchArea};
     pub use feves_ft::{
         DeviceHealth, DriftConfig, DriftDetector, FaultSchedule, FaultSpec, FevesError,

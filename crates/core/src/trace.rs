@@ -1,323 +1,174 @@
-//! Per-frame schedule traces: the simulated Fig 4 timeline as inspectable
-//! data — JSON for tooling, ASCII Gantt for the terminal, Chrome
-//! trace-event JSON for Perfetto.
+//! The simulated Fig 4 frame as inspectable data, read straight off the
+//! accepted attempt's `(FrameGraph, Schedule)`: a one-trace span log for
+//! tooling and Perfetto ([`frame_log`]), and an ASCII Gantt chart for the
+//! terminal ([`render_gantt`]).
 
 use crate::vcm::FrameGraph;
+use feves_codec::types::Module;
 use feves_hetsim::platform::Platform;
-use feves_hetsim::timeline::{Dir, Schedule, TaskKind};
-use feves_obs::ChromeTraceBuilder;
-use serde::{Deserialize, Serialize, Value};
-use std::fmt;
-use std::str::FromStr;
+use feves_hetsim::timeline::{Dir, Schedule, TaskId, TaskKind, TransferTag};
+use feves_obs::trace::{engine_track, fnv1a64, DeviceSlice, TraceArg, ENGINES};
+use feves_obs::{TauTriple, TraceCollector, TraceCtx, TraceLog, TraceSink};
+use std::sync::Arc;
+use std::time::Instant;
 
-/// Which engine of a device a lane represents.
-///
-/// Ordering (after device index) fixes the lane display order: compute,
-/// interpolation engine, then the two copy engines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LaneKind {
-    /// Main compute queue (kernels).
-    Compute,
-    /// Accelerator interpolation engine (INT overlaps ME on GPUs).
-    Interp,
-    /// Host-to-device copy engine.
-    H2d,
-    /// Device-to-host copy engine.
-    D2h,
-}
-
-impl LaneKind {
-    /// Short suffix used in lane names ("" for compute).
-    pub fn suffix(self) -> &'static str {
-        match self {
-            LaneKind::Compute => "",
-            LaneKind::Interp => " int",
-            LaneKind::H2d => " h2d",
-            LaneKind::D2h => " d2h",
+/// The row a task runs on: its device and its engine, an index into
+/// [`ENGINES`]. An accelerator's INT has an engine of its own (it overlaps
+/// ME); a CPU core runs every kernel on its one queue. `None` for a barrier.
+fn lane_of(kind: &TaskKind, platform: &Platform) -> Option<(usize, usize)> {
+    match kind {
+        TaskKind::Compute { device, module, .. } => {
+            let interp = *module == Module::Interp && platform.devices[device.0].is_accelerator();
+            Some((device.0, usize::from(interp)))
         }
-    }
-
-    /// Category string for Chrome trace events.
-    pub fn category(self) -> &'static str {
-        match self {
-            LaneKind::Compute => "compute",
-            LaneKind::Interp => "interp",
-            LaneKind::H2d => "transfer",
-            LaneKind::D2h => "transfer",
-        }
+        TaskKind::Transfer { device, dir, .. } => Some((device.0, 2 + (*dir == Dir::D2h) as usize)),
+        TaskKind::Barrier => None,
     }
 }
 
-/// An execution lane of the timeline: one engine of one device.
-///
-/// Lanes order numerically by device index then [`LaneKind`], so `dev10`
-/// sorts after `dev2` (the old string lanes sorted lexically and would
-/// interleave them).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Lane {
-    /// Device index in the platform.
-    pub device: usize,
-    /// Engine within the device.
-    pub kind: LaneKind,
+/// Every non-barrier task with its row, in start order with ties in graph
+/// order (a stable sort on the millisecond start) — the order busy time is
+/// summed in and the Gantt chart is drawn in.
+pub(crate) fn timeline(
+    fg: &FrameGraph,
+    sched: &Schedule,
+    platform: &Platform,
+) -> Vec<(TaskId, (usize, usize))> {
+    let mut tasks: Vec<_> = (fg.graph.iter())
+        .filter_map(|(id, t)| Some((id, lane_of(&t.kind, platform)?)))
+        .collect();
+    let start_ms = |id: TaskId| sched.start[id.0] * 1e3;
+    tasks.sort_by(|a, b| start_ms(a.0).partial_cmp(&start_ms(b.0)).unwrap());
+    tasks
 }
 
-impl Lane {
-    /// Compute lane of `device`.
-    pub fn compute(device: usize) -> Self {
-        Lane {
-            device,
-            kind: LaneKind::Compute,
-        }
-    }
+/// Record frame span `name` under `sink`, `start` to `start + dur` µs —
+/// its arguments the sync points `tau` (ms from `start`) and then `extra` —
+/// with its `phase1`, `phase2` and `tail` children at those sync points.
+/// Returns the sink the frame's further children go under.
+pub(crate) fn record_frame(
+    sink: &TraceSink,
+    name: &str,
+    start: f64,
+    dur: f64,
+    tau: TauTriple,
+    devices: Vec<DeviceSlice>,
+    extra: &[(&str, f64)],
+) -> TraceSink {
+    let taus = [
+        ("tau1_ms", tau.tau1_ms),
+        ("tau2_ms", tau.tau2_ms),
+        ("tau_tot_ms", tau.tau_tot_ms),
+    ];
+    let args = (taus.iter().chain(extra))
+        .map(|&(k, v)| TraceArg { k: k.into(), v })
+        .collect();
+    let frame = sink.under(sink.record_full(name, "frame", start, dur, devices, args));
+    let [t1, t2, tt] = [tau.tau1_ms, tau.tau2_ms, tau.tau_tot_ms].map(|ms| ms * 1e3);
+    frame.record("phase1", "phase", start, t1);
+    frame.record("phase2", "phase", start + t1, (t2 - t1).max(0.0));
+    frame.record("tail", "phase", start + t2.min(tt), (tt - t2).max(0.0));
+    frame
+}
 
-    /// Interpolation-engine lane of `device`.
-    pub fn interp(device: usize) -> Self {
-        Lane {
-            device,
-            kind: LaneKind::Interp,
-        }
-    }
-
-    /// Copy-engine lane of `device` in direction `dir`.
-    pub fn transfer(device: usize, dir: Dir) -> Self {
-        Lane {
-            device,
-            kind: match dir {
-                Dir::H2d => LaneKind::H2d,
-                Dir::D2h => LaneKind::D2h,
-            },
-        }
-    }
-
-    /// True for the copy-engine lanes.
-    pub fn is_transfer(self) -> bool {
-        matches!(self.kind, LaneKind::H2d | LaneKind::D2h)
+/// The sync points of `sched`, milliseconds.
+fn taus(fg: &FrameGraph, sched: &Schedule) -> TauTriple {
+    let [tau1_ms, tau2_ms, tau_tot_ms] =
+        [fg.tau1, fg.tau2, fg.tau_tot].map(|t| sched.finish_of(t) * 1e3);
+    TauTriple {
+        tau1_ms,
+        tau2_ms,
+        tau_tot_ms,
     }
 }
 
-impl fmt::Display for Lane {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "dev{}{}", self.device, self.kind.suffix())
-    }
-}
-
-impl FromStr for Lane {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let rest = s
-            .strip_prefix("dev")
-            .ok_or_else(|| format!("lane must start with 'dev': {s:?}"))?;
-        let (digits, suffix) = match rest.find(' ') {
-            Some(i) => rest.split_at(i),
-            None => (rest, ""),
+/// The schedule as a one-trace log on the virtual clock (µs from the
+/// frame start): a root `frame` span carrying τ1/τ2/τtot, its phase
+/// children, and one span per kernel or transfer — named by its task
+/// label, its category its engine, its one [`DeviceSlice`] its device and
+/// busy ms (rows are not tracked per task, so 0). The trace id hashes the
+/// platform name.
+pub fn frame_log(fg: &FrameGraph, sched: &Schedule, platform: &Platform) -> TraceLog {
+    let collector = Arc::new(TraceCollector::new());
+    let ctx = TraceCtx {
+        trace_id: fnv1a64(platform.name.as_bytes()),
+        parent_span: 0,
+    };
+    let tau = taus(fg, sched);
+    let root = TraceSink::new(collector.clone(), ctx, Instant::now());
+    let frame = record_frame(&root, "frame", 0.0, tau.tau_tot_ms * 1e3, tau, vec![], &[]);
+    for (id, t) in fg.graph.iter() {
+        let Some((device, engine)) = lane_of(&t.kind, platform) else {
+            continue;
         };
-        let device: usize = digits
-            .parse()
-            .map_err(|_| format!("bad device index in lane {s:?}"))?;
-        let kind = match suffix {
-            "" => LaneKind::Compute,
-            " int" => LaneKind::Interp,
-            " h2d" => LaneKind::H2d,
-            " d2h" => LaneKind::D2h,
-            other => return Err(format!("unknown lane suffix {other:?}")),
+        let (start_ms, end_ms) = (sched.start[id.0] * 1e3, sched.finish[id.0] * 1e3);
+        let busy_ms = end_ms - start_ms;
+        let slice = DeviceSlice {
+            device,
+            rows: 0,
+            busy_ms,
         };
-        Ok(Lane { device, kind })
+        let (start, dur) = (start_ms * 1e3, busy_ms * 1e3);
+        frame.record_full(&t.label, ENGINES[engine], start, dur, vec![slice], vec![]);
+    }
+    collector.snapshot()
+}
+
+/// The Gantt glyph of a task: ME→`M`, INT→`I`, SME→`S`, the R\* modules
+/// →`R`, and each transfer by its buffer: CF/RF/SF/MV → `c`/`r`/`s`/`v`.
+fn glyph(kind: &TaskKind) -> u8 {
+    match kind {
+        TaskKind::Compute { module, .. } => match module {
+            Module::Me => b'M',
+            Module::Interp => b'I',
+            Module::Sme => b'S',
+            Module::Mc | Module::Tq | Module::Itq | Module::Dbl => b'R',
+        },
+        TaskKind::Transfer { tag, .. } => match tag {
+            TransferTag::Cf => b'c',
+            TransferTag::Rf => b'r',
+            TransferTag::Sf => b's',
+            TransferTag::Mv => b'v',
+        },
+        TaskKind::Barrier => unreachable!("a barrier runs on no row"),
     }
 }
 
-// Lanes serialize as their display string ("dev0 h2d"), keeping trace JSON
-// identical to the earlier string-lane format.
-impl Serialize for Lane {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for Lane {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| serde::Error::msg("lane must be a string"))?;
-        s.parse().map_err(serde::Error::msg)
-    }
-}
-
-/// One executed task in a frame's schedule.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TraceTask {
-    /// Human-readable label (module/stream + device).
-    pub label: String,
-    /// Executing lane (serialized as `"dev0"`, `"dev0 int"`, `"dev0 h2d"`,
-    /// `"dev0 d2h"`).
-    pub lane: Lane,
-    /// Start time in milliseconds on the virtual clock.
-    pub start_ms: f64,
-    /// End time in milliseconds.
-    pub end_ms: f64,
-}
-
-/// A frame's complete simulated timeline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FrameTrace {
-    /// Every non-barrier task, ordered by start time.
-    pub tasks: Vec<TraceTask>,
-    /// τ1 in ms.
-    pub tau1_ms: f64,
-    /// τ2 in ms.
-    pub tau2_ms: f64,
-    /// τtot in ms.
-    pub tau_tot_ms: f64,
-}
-
-impl FrameTrace {
-    /// Extract a trace from a simulated frame graph.
-    pub fn capture(fg: &FrameGraph, sched: &Schedule, platform: &Platform) -> Self {
-        let mut tasks = Vec::new();
-        for (id, t) in fg.graph.iter() {
-            let lane = match &t.kind {
-                TaskKind::Compute { device, module, .. } => {
-                    let dev = &platform.devices[device.0];
-                    if dev.is_accelerator() && matches!(module, feves_codec::types::Module::Interp)
-                    {
-                        Lane::interp(device.0)
-                    } else {
-                        Lane::compute(device.0)
-                    }
-                }
-                TaskKind::Transfer { device, dir, .. } => Lane::transfer(device.0, *dir),
-                TaskKind::Barrier => continue,
-            };
-            tasks.push(TraceTask {
-                label: t.label.clone(),
-                lane,
-                start_ms: sched.start[id.0] * 1e3,
-                end_ms: sched.finish[id.0] * 1e3,
-            });
+/// Render the ASCII Gantt chart of the schedule, `width` characters across
+/// the frame: one row per (device, engine) that ran a task, in device then
+/// engine order, named like its Perfetto track.
+pub fn render_gantt(
+    fg: &FrameGraph,
+    sched: &Schedule,
+    platform: &Platform,
+    width: usize,
+) -> String {
+    let tau = taus(fg, sched);
+    let scale = width as f64 / tau.tau_tot_ms.max(1e-9);
+    let tasks = timeline(fg, sched, platform);
+    let mut rows: Vec<(usize, usize)> = tasks.iter().map(|t| t.1).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let mut out = format!(
+        "frame timeline: tau1 {:.2} ms | tau2 {:.2} ms | tau_tot {:.2} ms\n",
+        tau.tau1_ms, tau.tau2_ms, tau.tau_tot_ms
+    );
+    let bars = [tau.tau1_ms, tau.tau2_ms].map(|ms| (ms * scale).round() as usize);
+    for lane in rows {
+        let mut row = vec![b'.'; width];
+        for &(id, _) in tasks.iter().filter(|t| t.1 == lane) {
+            let s = ((sched.start[id.0] * 1e3 * scale) as usize).min(width.saturating_sub(1));
+            let e = ((sched.finish[id.0] * 1e3 * scale).ceil() as usize).clamp(s + 1, width);
+            row[s..e].fill(glyph(&fg.graph.task(id).kind));
         }
-        tasks.sort_by(|a, b| a.start_ms.partial_cmp(&b.start_ms).unwrap());
-        FrameTrace {
-            tasks,
-            tau1_ms: sched.finish_of(fg.tau1) * 1e3,
-            tau2_ms: sched.finish_of(fg.tau2) * 1e3,
-            tau_tot_ms: sched.finish_of(fg.tau_tot) * 1e3,
+        for bar in bars.into_iter().filter(|&b| b < width) {
+            row[bar] = b'|';
         }
+        let name = engine_track(lane.0, lane.1);
+        out.push_str(&format!("{name:>9} {}\n", String::from_utf8_lossy(&row)));
     }
-
-    /// The distinct lanes of this trace, in display order (device index,
-    /// then engine).
-    pub fn lanes(&self) -> Vec<Lane> {
-        let mut lanes: Vec<Lane> = Vec::new();
-        for t in &self.tasks {
-            if !lanes.contains(&t.lane) {
-                lanes.push(t.lane);
-            }
-        }
-        lanes.sort();
-        lanes
-    }
-
-    /// Render an ASCII Gantt chart, `width` characters across the frame.
-    pub fn render_gantt(&self, width: usize) -> String {
-        let total = self.tau_tot_ms.max(1e-9);
-        let scale = width as f64 / total;
-        let mut lanes: Vec<(Lane, Vec<&TraceTask>)> = Vec::new();
-        for t in &self.tasks {
-            match lanes.iter_mut().find(|(l, _)| *l == t.lane) {
-                Some((_, v)) => v.push(t),
-                None => lanes.push((t.lane, vec![t])),
-            }
-        }
-        lanes.sort_by_key(|a| a.0);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "frame timeline: tau1 {:.2} ms | tau2 {:.2} ms | tau_tot {:.2} ms\n",
-            self.tau1_ms, self.tau2_ms, self.tau_tot_ms
-        ));
-        let t1 = (self.tau1_ms * scale).round() as usize;
-        let t2 = (self.tau2_ms * scale).round() as usize;
-        for (lane, tasks) in &lanes {
-            let mut row = vec![b'.'; width];
-            for t in tasks {
-                let s = ((t.start_ms * scale) as usize).min(width.saturating_sub(1));
-                let e = ((t.end_ms * scale).ceil() as usize).clamp(s + 1, width);
-                let ch = glyph(&t.label);
-                for c in row.iter_mut().take(e).skip(s) {
-                    *c = ch;
-                }
-            }
-            if t1 < width {
-                row[t1] = b'|';
-            }
-            if t2 < width {
-                row[t2] = b'|';
-            }
-            // Pad the rendered name, not the Display impl (write!-based
-            // Display does not honor width specifiers).
-            let name = lane.to_string();
-            out.push_str(&format!("{name:>9} {}\n", String::from_utf8_lossy(&row)));
-        }
-        out.push_str("legend: M=ME I=INT S=SME R=R* c=CF r=RF s=SF v=MV  |=tau\n");
-        out
-    }
-
-    /// Build a Chrome trace-event (Perfetto-compatible) view of the frame:
-    /// one named thread per lane, one `"X"` complete event per task, and
-    /// instant markers at the τ1/τ2/τtot synchronisation points. `ts`/`dur`
-    /// are in microseconds of the *virtual* clock, so the export is
-    /// deterministic for a fixed configuration.
-    pub fn to_chrome_trace(&self) -> ChromeTraceBuilder {
-        const PID: u64 = 0;
-        let mut b = ChromeTraceBuilder::new();
-        b.process_name(PID, "feves simulated timeline");
-        let lanes = self.lanes();
-        for (i, lane) in lanes.iter().enumerate() {
-            b.thread_name(PID, i as u64 + 1, &lane.to_string());
-        }
-        let sync_tid = lanes.len() as u64 + 1;
-        b.thread_name(PID, sync_tid, "sync points");
-        for t in &self.tasks {
-            let tid = lanes.iter().position(|l| *l == t.lane).expect("known lane") as u64 + 1;
-            b.complete(
-                PID,
-                tid,
-                &t.label,
-                t.lane.kind.category(),
-                t.start_ms * 1e3,
-                (t.end_ms - t.start_ms) * 1e3,
-            );
-        }
-        b.instant(PID, sync_tid, "tau1", self.tau1_ms * 1e3);
-        b.instant(PID, sync_tid, "tau2", self.tau2_ms * 1e3);
-        b.instant(PID, sync_tid, "tau_tot", self.tau_tot_ms * 1e3);
-        b
-    }
-}
-
-fn glyph(label: &str) -> u8 {
-    if label.starts_with("ME") {
-        b'M'
-    } else if label.starts_with("INT") {
-        b'I'
-    } else if label.starts_with("SME") {
-        b'S'
-    } else if label.starts_with("Mc")
-        || label.starts_with("Tq")
-        || label.starts_with("Itq")
-        || label.starts_with("Dbl")
-    {
-        b'R'
-    } else if label.starts_with("CF") {
-        b'c'
-    } else if label.starts_with("RF") {
-        b'r'
-    } else if label.starts_with("SF") {
-        b's'
-    } else if label.starts_with("MV") {
-        b'v'
-    } else {
-        b'#'
-    }
+    out.push_str("legend: M=ME I=INT S=SME R=R* c=CF r=RF s=SF v=MV  |=tau\n");
+    out
 }
 
 #[cfg(test)]
@@ -330,8 +181,7 @@ mod tests {
     use feves_hetsim::timeline::simulate;
     use feves_sched::Distribution;
 
-    fn traced_frame() -> FrameTrace {
-        let p = Platform::sys_hk();
+    fn simulated(p: &Platform) -> (FrameGraph, Schedule) {
         let dist = Distribution::equidistant(68, p.len(), 0);
         let dam = DataManager::new(68, p.len());
         let mask: Vec<bool> = p.devices.iter().map(|d| d.is_accelerator()).collect();
@@ -341,101 +191,55 @@ mod tests {
             n_rows: 68,
             width: 1920,
         };
-        let fg = build_frame_graph(&dist, &plan, &p, &EncodeParams::default(), geo, true);
-        let sched = simulate(&fg.graph, &p, &p.nominal_speeds(), &mut Deterministic).unwrap();
-        FrameTrace::capture(&fg, &sched, &p)
+        let fg = build_frame_graph(&dist, &plan, p, &EncodeParams::default(), geo, true);
+        let sched = simulate(&fg.graph, p, &p.nominal_speeds(), &mut Deterministic).unwrap();
+        (fg, sched)
     }
 
     #[test]
-    fn trace_is_ordered_and_consistent() {
-        let tr = traced_frame();
-        assert!(!tr.tasks.is_empty());
-        assert!(tr.tau1_ms <= tr.tau2_ms && tr.tau2_ms <= tr.tau_tot_ms);
-        for w in tr.tasks.windows(2) {
-            assert!(w[0].start_ms <= w[1].start_ms, "must be sorted by start");
+    fn timeline_is_ordered_and_skips_barriers() {
+        let p = Platform::sys_hk();
+        let (fg, sched) = simulated(&p);
+        let tasks = timeline(&fg, &sched, &p);
+        let barriers = (fg.graph.iter())
+            .filter(|(_, t)| t.kind == TaskKind::Barrier)
+            .count();
+        assert_eq!(tasks.len() + barriers, fg.graph.len());
+        for w in tasks.windows(2) {
+            assert!(sched.start[w[0].0 .0] <= sched.start[w[1].0 .0]);
+            if sched.start[w[0].0 .0] == sched.start[w[1].0 .0] {
+                assert!(w[0].0 .0 < w[1].0 .0, "ties keep graph order");
+            }
         }
-        for t in &tr.tasks {
-            assert!(t.end_ms >= t.start_ms);
-            assert!(t.end_ms <= tr.tau_tot_ms + 1e-9);
-        }
+        let tau_tot = sched.finish_of(fg.tau_tot);
+        assert!(tasks.iter().all(|(id, _)| sched.finish[id.0] <= tau_tot));
     }
 
     #[test]
-    fn gantt_renders_all_lanes() {
-        let tr = traced_frame();
-        let g = tr.render_gantt(60);
-        assert!(g.contains("dev0"), "GPU lane missing:\n{g}");
-        assert!(g.contains("dev0 h2d"), "H2D lane missing:\n{g}");
-        assert!(g.contains("dev1"), "CPU core lane missing:\n{g}");
+    fn gantt_renders_all_rows() {
+        let p = Platform::sys_hk();
+        let (fg, sched) = simulated(&p);
+        let g = render_gantt(&fg, &sched, &p, 60);
+        assert!(g.contains("dev0"), "GPU row missing:\n{g}");
+        assert!(g.contains("dev0 h2d"), "H2D row missing:\n{g}");
+        assert!(g.contains("dev1"), "CPU core row missing:\n{g}");
         assert!(g.contains('M') && g.contains('S'), "kernels missing:\n{g}");
         assert!(g.contains("tau_tot"));
     }
 
     #[test]
-    fn trace_serializes() {
-        let tr = traced_frame();
-        let json = serde_json::to_string(&tr).unwrap();
-        assert!(
-            json.contains("\"dev0 h2d\""),
-            "lane must serialize as string"
-        );
-        let back: FrameTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.tasks.len(), tr.tasks.len());
-        assert_eq!(back.tasks[0].lane, tr.tasks[0].lane);
-    }
-
-    #[test]
-    fn lane_display_parse_roundtrip() {
-        for lane in [
-            Lane::compute(0),
-            Lane::interp(3),
-            Lane::transfer(12, Dir::H2d),
-            Lane::transfer(12, Dir::D2h),
-        ] {
-            let s = lane.to_string();
-            assert_eq!(s.parse::<Lane>().unwrap(), lane, "roundtrip of {s:?}");
+    fn frame_log_is_one_valid_trace_with_a_span_per_task() {
+        for p in [Platform::sys_hk(), Platform::sys_nff()] {
+            let (fg, sched) = simulated(&p);
+            let log = frame_log(&fg, &sched, &p);
+            feves_obs::validate_dag(&log).expect("one root, unique span ids");
+            let tasks = timeline(&fg, &sched, &p).len();
+            let engine = |s: &&feves_obs::TraceSpan| ENGINES.contains(&s.cat.as_str());
+            assert_eq!(log.spans.iter().filter(engine).count(), tasks);
+            let frame = log.root_of(log.trace_ids()[0]).unwrap();
+            assert_eq!(frame.arg("tau_tot_ms"), Some(taus(&fg, &sched).tau_tot_ms));
+            let text = log.to_jsonl();
+            assert_eq!(TraceLog::parse_jsonl(&text).unwrap(), log);
         }
-        assert_eq!(Lane::compute(7).to_string(), "dev7");
-        assert_eq!(Lane::interp(7).to_string(), "dev7 int");
-        assert_eq!(Lane::transfer(7, Dir::H2d).to_string(), "dev7 h2d");
-        assert!("gpu0".parse::<Lane>().is_err());
-        assert!("devx".parse::<Lane>().is_err());
-        assert!("dev0 foo".parse::<Lane>().is_err());
-    }
-
-    #[test]
-    fn lanes_order_numerically_not_lexically() {
-        // The old string lanes sorted "dev10" before "dev2"; the structured
-        // Lane must order by device index.
-        let mut lanes = vec![
-            Lane::compute(10),
-            Lane::compute(2),
-            Lane::transfer(2, Dir::H2d),
-            Lane::interp(2),
-        ];
-        lanes.sort();
-        assert_eq!(
-            lanes,
-            vec![
-                Lane::compute(2),
-                Lane::interp(2),
-                Lane::transfer(2, Dir::H2d),
-                Lane::compute(10),
-            ]
-        );
-    }
-
-    #[test]
-    fn chrome_trace_covers_all_tasks_and_lanes() {
-        let tr = traced_frame();
-        let n_lanes = tr.lanes().len();
-        let b = tr.to_chrome_trace();
-        // process_name + (lanes + sync) thread_names + tasks + 3 instants.
-        assert_eq!(b.len(), 1 + n_lanes + 1 + tr.tasks.len() + 3);
-        let json = b.to_json();
-        assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("\"tau_tot\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        serde_json::value_from_str(&json).expect("valid JSON");
     }
 }

@@ -1,9 +1,11 @@
-//! Chrome trace-event (Perfetto-compatible) JSON builder.
+//! Chrome trace-event (Perfetto-compatible) JSON builder behind the one
+//! exporter, [`TraceLog::to_perfetto`](crate::trace::TraceLog::to_perfetto).
 //!
 //! Emits the JSON object format of the Trace Event spec: a top-level
 //! `{"traceEvents": [...], "displayTimeUnit": "ms"}` object containing
-//! `"M"` (metadata) events naming lanes and `"X"` (complete) events for
-//! tasks, with `ts`/`dur` in microseconds. The output loads directly in
+//! `"M"` (metadata) events naming tracks, `"X"` (complete) events for
+//! spans and `"s"`/`"f"` flow events for causal edges, with `ts`/`dur` in
+//! microseconds. The output loads directly in
 //! [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`.
 //!
 //! All values flow through the ordered [`serde::Value`] tree, so output is
@@ -13,7 +15,7 @@ use serde::Value;
 
 /// Builder for a Chrome trace-event JSON document.
 #[derive(Clone, Debug, Default)]
-pub struct ChromeTraceBuilder {
+pub(crate) struct ChromeTraceBuilder {
     events: Vec<Value>,
 }
 
@@ -69,19 +71,6 @@ impl ChromeTraceBuilder {
         ]));
     }
 
-    /// Emit an `"i"` instant event (thread scope) — used for the τ1/τ2/τtot
-    /// synchronisation-point markers.
-    pub fn instant(&mut self, pid: u64, tid: u64, name: &str, ts_us: f64) {
-        self.events.push(obj(vec![
-            ("name", Value::Str(name.to_string())),
-            ("ph", Value::Str("i".to_string())),
-            ("s", Value::Str("t".to_string())),
-            ("pid", Value::UInt(pid)),
-            ("tid", Value::UInt(tid)),
-            ("ts", Value::Float(ts_us)),
-        ]));
-    }
-
     /// Emit an `"s"` flow-start event: the tail of a causal arrow leaving
     /// lane (`pid`, `tid`) at `ts_us`. `id` pairs it with its flow end.
     pub fn flow_start(&mut self, pid: u64, tid: u64, name: &str, cat: &str, id: u64, ts_us: f64) {
@@ -113,27 +102,13 @@ impl ChromeTraceBuilder {
         ]));
     }
 
-    /// Number of events queued so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events were emitted.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Consume the builder into the trace-document value tree.
-    pub fn finish(self) -> Value {
-        obj(vec![
+    /// Consume the builder into the compact JSON trace document.
+    pub fn into_json(self) -> String {
+        let doc = obj(vec![
             ("traceEvents", Value::Array(self.events)),
             ("displayTimeUnit", Value::Str("ms".to_string())),
-        ])
-    }
-
-    /// Serialize to compact JSON.
-    pub fn to_json(self) -> String {
-        serde_json::to_string(&self.finish()).expect("value is a tree")
+        ]);
+        serde_json::to_string(&doc).expect("value is a tree")
     }
 }
 
@@ -147,8 +122,7 @@ mod tests {
         b.thread_name(0, 1, "dev0");
         b.thread_name(0, 2, "dev1 h2d");
         b.complete(0, 1, "ME f3", "compute", 0.0, 1500.5);
-        b.complete(0, 2, "h2d f3", "transfer", 100.0, 400.0);
-        b.instant(0, 1, "tau1", 1500.5);
+        b.complete(0, 2, "h2d f3", "h2d", 100.0, 400.0);
         b
     }
 
@@ -157,7 +131,7 @@ mod tests {
         let mut b = ChromeTraceBuilder::new();
         b.flow_start(1, 1, "queue_admit", "causal", 42, 10.0);
         b.flow_end(1, 2, "queue_admit", "causal", 42, 25.0);
-        let doc = b.finish();
+        let doc = serde_json::value_from_str(&b.into_json()).unwrap();
         let events = doc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
         assert_eq!(events[0].get("ph").and_then(|v| v.as_str()), Some("s"));
         assert_eq!(events[0].get("id").and_then(|v| v.as_u64()), Some(42));
@@ -169,14 +143,12 @@ mod tests {
 
     #[test]
     fn builds_well_formed_trace_document() {
-        let b = sample();
-        assert_eq!(b.len(), 6);
-        let doc = b.finish();
+        let doc = serde_json::value_from_str(&sample().into_json()).unwrap();
         let events = doc
             .get("traceEvents")
             .and_then(|e| e.as_array())
             .expect("traceEvents array");
-        assert_eq!(events.len(), 6);
+        assert_eq!(events.len(), 5);
         assert_eq!(
             doc.get("displayTimeUnit").and_then(|v| v.as_str()),
             Some("ms")
@@ -185,13 +157,12 @@ mod tests {
         assert_eq!(events[0].get("ph").and_then(|v| v.as_str()), Some("M"));
         assert_eq!(events[3].get("ph").and_then(|v| v.as_str()), Some("X"));
         assert_eq!(events[3].get("dur").and_then(|v| v.as_f64()), Some(1500.5));
-        assert_eq!(events[5].get("ph").and_then(|v| v.as_str()), Some("i"));
     }
 
     #[test]
     fn json_is_byte_stable_and_parseable() {
-        let a = sample().to_json();
-        let b = sample().to_json();
+        let a = sample().into_json();
+        let b = sample().into_json();
         assert_eq!(a, b);
         assert!(a.starts_with("{\"traceEvents\":["));
         let parsed = serde_json::value_from_str(&a).expect("valid JSON");
@@ -200,9 +171,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_still_valid() {
-        let b = ChromeTraceBuilder::new();
-        assert!(b.is_empty());
-        let json = b.to_json();
+        let json = ChromeTraceBuilder::new().into_json();
         assert!(serde_json::value_from_str(&json).is_ok());
     }
 }

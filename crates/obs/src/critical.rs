@@ -20,7 +20,7 @@
 //! `busy' = Σrows / Σ(1/k'_d)` per frame, with each frame's non-kernel
 //! overhead (transfers, R*, barriers) carried over unchanged.
 
-use crate::flight::FlightRecord;
+use crate::flight::{DeviceRecord, FlightRecord};
 use crate::trace::{DeviceSlice, EdgeKind, TraceLog, TraceSpan};
 use std::collections::{HashMap, HashSet};
 
@@ -223,27 +223,49 @@ pub fn validate_dag(log: &TraceLog) -> Result<(), String> {
     Ok(())
 }
 
-/// Virtual-clock decomposition of one frame span, µs.
-struct FrameSplit {
-    kernel: f64,
-    transfer: f64,
-    barrier: f64,
-    recovered: f64,
+/// The buckets one frame's virtual time splits into, in [`split_frame`]'s
+/// output order.
+const FRAME_BUCKETS: [Bucket; 4] = [
+    Bucket::Kernel,
+    Bucket::Transfer,
+    Bucket::Barrier,
+    Bucket::PipelineRecovered,
+];
+
+/// Split a frame of `dur` µs into [`FRAME_BUCKETS`]: kernel busy first,
+/// then the copy-engine residue, then the τ-sync stall left over, of which
+/// `recovered` µs the pipeline filled. Each takes at most what the ones
+/// before it left, so the four sum to `dur`.
+fn split_frame(dur: f64, kernel: f64, transfer: f64, recovered: f64) -> [f64; 4] {
+    let dur = dur.max(0.0);
+    let kernel = kernel.clamp(0.0, dur);
+    let transfer = transfer.clamp(0.0, dur - kernel);
+    let barrier = (dur - kernel - transfer).max(0.0);
+    let recovered = recovered.clamp(0.0, barrier);
+    [kernel, transfer, barrier - recovered, recovered]
 }
 
-fn split_frame(f: &TraceSpan) -> FrameSplit {
-    let dur = f.dur_us.max(0.0);
-    let kernel = (f.arg("kernel_ms").unwrap_or(0.0) * 1e3).clamp(0.0, dur);
-    let transfer = (f.arg("transfer_ms").unwrap_or(0.0) * 1e3).clamp(0.0, dur - kernel);
-    let mut barrier = (dur - kernel - transfer).max(0.0);
-    let recovered = (f.arg("recovered_ms").unwrap_or(0.0) * 1e3).clamp(0.0, barrier);
-    barrier -= recovered;
-    FrameSplit {
-        kernel,
-        transfer,
-        barrier,
-        recovered,
-    }
+/// [`split_frame`] of a frame span, from the arguments the encoder records.
+fn span_split(f: &TraceSpan) -> [f64; 4] {
+    let [kernel, transfer, recovered] =
+        ["kernel_ms", "transfer_ms", "recovered_ms"].map(|k| f.arg(k).unwrap_or(0.0) * 1e3);
+    split_frame(f.dur_us, kernel, transfer, recovered)
+}
+
+/// [`split_frame`] of a flight record: its busiest device's compute and
+/// copy-engine time, and the stall recovered over all devices.
+fn record_split(r: &FlightRecord) -> [f64; 4] {
+    let busiest = |busy: fn(&DeviceRecord) -> f64| {
+        (r.devices.iter())
+            .map(|d| busy(d) * 1e3)
+            .fold(0.0f64, f64::max)
+    };
+    split_frame(
+        r.measured_tau.tau_tot_ms * 1e3,
+        busiest(|d| d.compute_busy_ms),
+        busiest(|d| d.transfer_busy_ms),
+        r.devices.iter().map(|d| d.overlap_carried_ms * 1e3).sum(),
+    )
 }
 
 impl CriticalReport {
@@ -276,26 +298,18 @@ impl CriticalReport {
                             .sum();
                         buckets[Bucket::Checkpoint.index()] += ckpt_us.min(child.dur_us);
                         let exec = (child.dur_us - ckpt_us).max(0.0);
-                        let frame_spans: Vec<&&TraceSpan> =
-                            kids.iter().filter(|s| s.cat == "frame").collect();
-                        frames += frame_spans.len();
-                        let mut vk = 0.0;
-                        let mut vt = 0.0;
-                        let mut vb = 0.0;
-                        let mut vr = 0.0;
-                        for f in &frame_spans {
-                            let s = split_frame(f);
-                            vk += s.kernel;
-                            vt += s.transfer;
-                            vb += s.barrier;
-                            vr += s.recovered;
+                        let mut split = [0.0f64; 4];
+                        for f in kids.iter().filter(|s| s.cat == "frame") {
+                            frames += 1;
+                            for (v, us) in split.iter_mut().zip(span_split(f)) {
+                                *v += us;
+                            }
                         }
-                        let vtot = vk + vt + vb + vr;
+                        let vtot: f64 = split.iter().sum();
                         if vtot > 0.0 {
-                            buckets[Bucket::Kernel.index()] += exec * vk / vtot;
-                            buckets[Bucket::Transfer.index()] += exec * vt / vtot;
-                            buckets[Bucket::Barrier.index()] += exec * vb / vtot;
-                            buckets[Bucket::PipelineRecovered.index()] += exec * vr / vtot;
+                            for (b, v) in FRAME_BUCKETS.iter().zip(split) {
+                                buckets[b.index()] += exec * v / vtot;
+                            }
                         } else {
                             // No frame telemetry — attribute execution to
                             // kernel busy rather than inventing a split.
@@ -525,31 +539,9 @@ pub fn what_if_device(samples: &[FrameSample], device: usize, speedup: f64) -> O
 pub fn flight_buckets(records: &[FlightRecord]) -> [f64; 9] {
     let mut buckets = [0.0f64; 9];
     for r in records {
-        let dur = r.measured_tau.tau_tot_ms * 1e3;
-        let kernel = r
-            .devices
-            .iter()
-            .map(|d| d.compute_busy_ms * 1e3)
-            .fold(0.0f64, f64::max)
-            .clamp(0.0, dur);
-        let transfer = r
-            .devices
-            .iter()
-            .map(|d| d.transfer_busy_ms * 1e3)
-            .fold(0.0f64, f64::max)
-            .clamp(0.0, dur - kernel);
-        let mut barrier = (dur - kernel - transfer).max(0.0);
-        let recovered = r
-            .devices
-            .iter()
-            .map(|d| d.overlap_carried_ms * 1e3)
-            .sum::<f64>()
-            .clamp(0.0, barrier);
-        barrier -= recovered;
-        buckets[Bucket::Kernel.index()] += kernel;
-        buckets[Bucket::Transfer.index()] += transfer;
-        buckets[Bucket::Barrier.index()] += barrier;
-        buckets[Bucket::PipelineRecovered.index()] += recovered;
+        for (b, us) in FRAME_BUCKETS.iter().zip(record_split(r)) {
+            buckets[b.index()] += us;
+        }
     }
     buckets
 }

@@ -12,9 +12,9 @@
 //! - [`span!`] — RAII wall-clock span guards the encoder opens around its
 //!   own calls (`balance`, `dam.plan`, `vcm.build`, `encode_frame`).
 //! - Exporters — JSONL event lines ([`MemoryRecorder::to_jsonl`]), a human
-//!   `feves stats` summary table ([`MemoryRecorder::render_stats`]), and a
-//!   Chrome-trace-event builder ([`ChromeTraceBuilder`]) whose output loads
-//!   directly in Perfetto / `chrome://tracing`.
+//!   `feves stats` summary table ([`MemoryRecorder::render_stats`]), and
+//!   Chrome trace-event JSON of a span log ([`TraceLog::to_perfetto`]) that
+//!   loads directly in Perfetto / `chrome://tracing`.
 //!
 //! Metrics derived from the *virtual* clock (τ times, byte volumes, LP
 //! iterations) are deterministic for a fixed configuration; wall-clock
@@ -51,7 +51,6 @@ pub mod trace;
 
 pub use audit::{imbalance_index, residual_pct, AuditSummary, DeviceAudit};
 pub use bus::{BusController, BusStats, DeviceField, LiveConfig, TelemetryBus, TelemetryEvent};
-pub use chrome::ChromeTraceBuilder;
 pub use compare::{compare_reports, compare_reports_metric, CompareOutcome, MetricDelta};
 pub use critical::{validate_dag, Bucket, CriticalReport, JobCritical, WhatIf};
 pub use flight::{

@@ -17,10 +17,15 @@
 //! why trace logs are golden-tested on their key-path schema, not their
 //! values; frame/phase spans run on the deterministic virtual clock.
 //!
+//! The simulated Fig 4 frame is a log of the same shape: `core::trace`'s
+//! `frame_log` records a root `frame` span, its phase children and one span
+//! per kernel or transfer whose category is its engine ([`ENGINES`]).
+//!
 //! Persistence is JSONL: a `{"schema":"feves-trace/1"}` header line, then
 //! one `{"span":{..}}` or `{"edge":{..}}` object per line. The merged
-//! Perfetto view ([`TraceLog::to_perfetto`]) renders one track group per
-//! trace id with flow arrows on the causal edges.
+//! Perfetto view ([`TraceLog::to_perfetto`], the one Chrome-trace exporter)
+//! renders one track group per trace id with flow arrows on the causal
+//! edges, and engine spans on one track per (device, engine).
 
 use crate::chrome::ChromeTraceBuilder;
 use serde::{Deserialize, Serialize, Value};
@@ -130,14 +135,16 @@ pub struct TraceSpan {
     /// Span name, unique among siblings (`attempt0`, `frame12`, …).
     pub name: String,
     /// Category: `job`, `queue`, `admission`, `attempt`, `checkpoint`,
-    /// `retry`, `drain`, `frame`, `phase`, or `kernel`.
+    /// `retry`, `drain`, `frame`, `phase`, `kernel`, or one of the
+    /// simulated frame's [`ENGINES`].
     pub cat: String,
     /// Start, microseconds (wall for lifecycle spans, virtual for
     /// frame-level spans).
     pub start_us: f64,
     /// Duration, microseconds.
     pub dur_us: f64,
-    /// Per-device rate samples (frame spans only; empty elsewhere).
+    /// Per-device rate samples (frame spans), or the one device an engine
+    /// span ran on; empty elsewhere.
     pub devices: Vec<DeviceSlice>,
     /// Named numeric attributes (frame spans carry the τ decomposition).
     pub args: Vec<TraceArg>,
@@ -377,11 +384,6 @@ impl TraceLog {
     /// interleaving beyond the wall timestamps themselves.
     pub fn canonicalize(&mut self) {
         self.spans.sort_by(|a, b| {
-            (a.trace_id, a.span_id)
-                .cmp(&(b.trace_id, b.span_id))
-                .then(a.start_us.partial_cmp(&b.start_us).expect("finite"))
-        });
-        self.spans.sort_by(|a, b| {
             a.trace_id.cmp(&b.trace_id).then(
                 a.start_us
                     .partial_cmp(&b.start_us)
@@ -448,7 +450,8 @@ impl TraceLog {
     }
 
     /// Parse a trace JSONL log. The schema header is required; malformed
-    /// lines error with their line number.
+    /// lines, and spans with a non-finite time, busy time or argument,
+    /// error with their line number.
     pub fn parse_jsonl(text: &str) -> Result<TraceLog, String> {
         let mut log = TraceLog::default();
         let mut saw_schema = false;
@@ -466,9 +469,17 @@ impl TraceLog {
                 continue;
             }
             if let Some(sv) = v.get("span") {
-                log.spans.push(
-                    TraceSpan::from_value(sv).map_err(|e| format!("trace line {}: {e}", i + 1))?,
-                );
+                let span =
+                    TraceSpan::from_value(sv).map_err(|e| format!("trace line {}: {e}", i + 1))?;
+                let busy = span.devices.iter().map(|d| d.busy_ms);
+                let numbers = [span.start_us, span.dur_us].into_iter().chain(busy);
+                if !numbers
+                    .chain(span.args.iter().map(|a| a.v))
+                    .all(f64::is_finite)
+                {
+                    return Err(format!("trace line {}: non-finite number", i + 1));
+                }
+                log.spans.push(span);
             } else if let Some(ev) = v.get("edge") {
                 log.edges.push(
                     TraceEdge::from_value(ev).map_err(|e| format!("trace line {}: {e}", i + 1))?,
@@ -483,12 +494,24 @@ impl TraceLog {
         Ok(log)
     }
 
-    /// Build the farm-wide merged Perfetto view: one process (track group)
-    /// per trace id, category-grouped tracks within it, and flow arrows on
-    /// the causal edges. Events are emitted per track in ascending `ts`.
-    pub fn to_perfetto(&self) -> ChromeTraceBuilder {
+    /// Build the farm-wide merged Perfetto view as Chrome trace-event JSON:
+    /// one process (track group) per trace id, category-grouped tracks
+    /// within it, one more track per (device, engine) its engine spans ran
+    /// on — named like the Gantt rows, after the five fixed ones — and flow
+    /// arrows on the causal edges. Events are emitted per track in
+    /// ascending `ts`.
+    pub fn to_perfetto(&self) -> String {
         let mut b = ChromeTraceBuilder::new();
         let ids = self.trace_ids();
+        let engine_tracks: Vec<Vec<(usize, usize)>> = (ids.iter())
+            .map(|&tid| {
+                let spans = self.spans.iter().filter(|s| s.trace_id == tid);
+                let mut tracks: Vec<_> = spans.filter_map(engine_of).collect();
+                tracks.sort_unstable();
+                tracks.dedup();
+                tracks
+            })
+            .collect();
         // Metadata first: process per trace, named tracks.
         for (i, &tid) in ids.iter().enumerate() {
             let pid = i as u64 + 1;
@@ -500,16 +523,26 @@ impl TraceLog {
             for (track, name) in TRACKS {
                 b.thread_name(pid, *track, name);
             }
+            for (j, &(device, engine)) in engine_tracks[i].iter().enumerate() {
+                let track = FIRST_ENGINE_TRACK + j as u64;
+                b.thread_name(pid, track, &engine_track(device, engine));
+            }
         }
         let mut flow_seq = 0u64;
         for (i, &tid) in ids.iter().enumerate() {
             let pid = i as u64 + 1;
+            let track_of = |s: &TraceSpan| match engine_of(s) {
+                Some(key) => {
+                    FIRST_ENGINE_TRACK + engine_tracks[i].binary_search(&key).unwrap() as u64
+                }
+                None => fixed_track(&s.cat),
+            };
             // Per track, in start order (the builder keeps emission order).
-            for (track, _) in TRACKS {
+            for track in 1..FIRST_ENGINE_TRACK + engine_tracks[i].len() as u64 {
                 let mut spans: Vec<&TraceSpan> = self
                     .spans
                     .iter()
-                    .filter(|s| s.trace_id == tid && track_of(&s.cat) == *track)
+                    .filter(|s| s.trace_id == tid && track_of(s) == track)
                     .collect();
                 spans.sort_by(|a, b| {
                     a.start_us
@@ -518,7 +551,7 @@ impl TraceLog {
                         .then(a.span_id.cmp(&b.span_id))
                 });
                 for s in spans {
-                    b.complete(pid, *track, &s.name, &s.cat, s.start_us, s.dur_us);
+                    b.complete(pid, track, &s.name, &s.cat, s.start_us, s.dur_us);
                 }
             }
             for e in self.edges.iter().filter(|e| e.trace_id == tid) {
@@ -530,7 +563,7 @@ impl TraceLog {
                 flow_seq += 1;
                 b.flow_start(
                     pid,
-                    track_of(&from.cat),
+                    track_of(from),
                     e.kind.name(),
                     "causal",
                     flow_seq,
@@ -538,7 +571,7 @@ impl TraceLog {
                 );
                 b.flow_end(
                     pid,
-                    track_of(&to.cat),
+                    track_of(to),
                     e.kind.name(),
                     "causal",
                     flow_seq,
@@ -546,7 +579,7 @@ impl TraceLog {
                 );
             }
         }
-        b
+        b.into_json()
     }
 
     fn span_of(&self, trace_id: u64, span_id: u64) -> Option<&TraceSpan> {
@@ -565,8 +598,29 @@ const TRACKS: &[(u64, &str)] = &[
     (5, "kernels (virtual clock)"),
 ];
 
-/// The track a span category renders on.
-fn track_of(cat: &str) -> u64 {
+/// The first track after [`TRACKS`]: engine spans' tracks follow in
+/// (device, engine) order.
+const FIRST_ENGINE_TRACK: u64 = TRACKS.len() as u64 + 1;
+
+/// The engine categories of the simulated frame's task spans, in Gantt row
+/// order within a device: the compute queue, an accelerator's
+/// interpolation engine, then the two copy engines.
+pub const ENGINES: [&str; 4] = ["compute", "interp", "h2d", "d2h"];
+
+/// The Gantt row and Perfetto track name of `device`'s engine
+/// `ENGINES[engine]`: `dev0`, `dev0 int`, `dev0 h2d`, `dev0 d2h`.
+pub fn engine_track(device: usize, engine: usize) -> String {
+    format!("dev{device}{}", ["", " int", " h2d", " d2h"][engine])
+}
+
+/// `(device, engine)` of an engine span: the device of its one slice.
+fn engine_of(s: &TraceSpan) -> Option<(usize, usize)> {
+    let engine = ENGINES.iter().position(|&e| e == s.cat)?;
+    Some((s.devices.first().map_or(0, |d| d.device), engine))
+}
+
+/// The fixed track a non-engine span category renders on.
+fn fixed_track(cat: &str) -> u64 {
     match cat {
         "job" | "queue" | "admission" | "retry" | "drain" => 1,
         "attempt" | "checkpoint" => 2,
@@ -686,39 +740,81 @@ mod tests {
     }
 
     #[test]
-    fn perfetto_view_has_tracks_and_flows() {
-        let log = sample_log();
-        let json = log.to_perfetto().to_json();
+    fn non_finite_numbers_are_rejected_with_their_line() {
+        let span = r#"{"span":{"trace_id":1,"span_id":2,"parent":null,"name":"job:a","cat":"job","start_us":0,"dur_us":1,"devices":[],"args":[]}}"#;
+        let head = "{\"schema\":\"feves-trace/1\"}\n";
+        assert!(TraceLog::parse_jsonl(&format!("{head}{span}\n")).is_ok());
+        for (field, bad) in [
+            ("\"dur_us\":1", "\"dur_us\":1e999"),
+            ("\"start_us\":0", "\"start_us\":-1e999"),
+            (
+                "\"devices\":[]",
+                r#""devices":[{"device":0,"rows":1,"busy_ms":1e999}]"#,
+            ),
+            ("\"args\":[]", r#""args":[{"k":"tau1_ms","v":1e999}]"#),
+        ] {
+            let text = format!("{head}{}\n", span.replace(field, bad));
+            let err = TraceLog::parse_jsonl(&text).unwrap_err();
+            assert!(
+                err.contains("line 2") && err.contains("non-finite"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn engine_spans_get_one_track_per_device_engine() {
+        let farm = sample_log().to_perfetto();
+        assert!(!farm.contains("dev0"), "a farm log keeps its five tracks");
+        let collector = Arc::new(TraceCollector::new());
+        let ctx = TraceCtx {
+            trace_id: 7,
+            parent_span: 0,
+        };
+        let root = TraceSink::new(collector.clone(), ctx, Instant::now());
+        let frame = root.under(root.record("frame", "frame", 0.0, 10.0));
+        let on = |device| {
+            vec![DeviceSlice {
+                device,
+                rows: 0,
+                busy_ms: 0.001,
+            }]
+        };
+        frame.record_full("SF→dev1", "d2h", 4.0, 1.0, on(1), Vec::new());
+        frame.record_full("ME dev1", "compute", 0.0, 3.0, on(1), Vec::new());
+        frame.record_full("INT dev0", "interp", 0.0, 1.0, on(0), Vec::new());
+        frame.record_full("ME dev0", "compute", 1.0, 3.0, on(0), Vec::new());
+        let json = collector.snapshot().to_perfetto();
         let doc = serde_json::value_from_str(&json).unwrap();
         let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
-        let phases: Vec<&str> = events
-            .iter()
-            .filter_map(|e| e.get("ph").and_then(Value::as_str))
-            .collect();
-        assert!(phases.contains(&"M"));
-        assert!(phases.contains(&"X"));
-        assert!(phases.contains(&"s"), "flow starts present");
-        assert!(phases.contains(&"f"), "flow ends present");
-        // Flow ends must carry the Perfetto binding point.
-        for e in events {
-            if e.get("ph").and_then(Value::as_str) == Some("f") {
-                assert_eq!(e.get("bp").and_then(Value::as_str), Some("e"));
-            }
-        }
-        // Per (pid, tid) track, X-event timestamps are monotonic.
-        let mut last: std::collections::HashMap<(u64, u64), f64> = Default::default();
-        for e in events {
-            if e.get("ph").and_then(Value::as_str) != Some("X") {
-                continue;
-            }
-            let key = (
-                e.get("pid").and_then(Value::as_u64).unwrap(),
-                e.get("tid").and_then(Value::as_u64).unwrap(),
-            );
-            let ts = e.get("ts").and_then(Value::as_f64).unwrap();
-            if let Some(prev) = last.insert(key, ts) {
-                assert!(ts >= prev, "track {key:?} ts not monotonic");
-            }
-        }
+        let track = |name: &str| {
+            let named = |e: &&Value| {
+                e.get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Value::as_str)
+                    == Some(name)
+            };
+            let e = events
+                .iter()
+                .find(named)
+                .unwrap_or_else(|| panic!("{name}"));
+            e.get("tid").and_then(Value::as_u64).unwrap()
+        };
+        let order = ["dev0", "dev0 int", "dev1", "dev1 d2h"].map(track);
+        assert_eq!(
+            order,
+            [6, 7, 8, 9],
+            "after the five fixed tracks, in row order"
+        );
+        let on_track = |name: &str| {
+            let x = events
+                .iter()
+                .find(|e| e.get("name").and_then(Value::as_str) == Some(name));
+            x.and_then(|e| e.get("tid"))
+                .and_then(Value::as_u64)
+                .unwrap()
+        };
+        assert_eq!(on_track("ME dev0"), 6);
+        assert_eq!(on_track("SF→dev1"), 9);
     }
 }

@@ -1,12 +1,14 @@
 //! Visualize the Fig 4 execution timeline: encode a few 1080p frames on
 //! SysHK and print the ASCII Gantt chart of a steady-state frame — kernels
-//! and transfers per device lane with the τ1/τ2 synchronization points.
+//! and transfers per device engine with the τ1/τ2 synchronization points —
+//! then write the frame as a `feves-trace/1` span log and its Perfetto view.
 //!
 //! ```sh
 //! cargo run --release --example schedule_trace
 //! ```
 
 use feves::core::prelude::*;
+use feves::core::trace::{frame_log, render_gantt};
 use feves::obs::MemoryRecorder;
 use std::sync::Arc;
 
@@ -24,7 +26,11 @@ fn main() {
 
     println!("== frame 1: the equidistant probe (initialization phase) ==\n");
     let mut frames = vec![enc.encode_inter_timing()];
-    println!("{}", enc.last_trace().unwrap().render_gantt(100));
+    let gantt = |enc: &FevesEncoder| {
+        let (fg, sched) = enc.last_schedule().unwrap();
+        render_gantt(fg, sched, enc.platform(), 100)
+    };
+    println!("{}", gantt(&enc));
 
     for _ in 0..4 {
         frames.push(enc.encode_inter_timing());
@@ -32,8 +38,7 @@ fn main() {
     println!("== frame 6: LP-balanced steady state ==\n");
     let report = enc.encode_inter_timing();
     frames.push(report.clone());
-    let trace = enc.last_trace().unwrap();
-    println!("{}", trace.render_gantt(100));
+    println!("{}", gantt(&enc));
     println!(
         "steady frame time {:.2} ms ({:.1} fps); device lanes: dev0 = GPU_K\n\
          (with its INT stream and two copy engines), dev1..dev4 = CPU_H cores.\n\
@@ -61,16 +66,17 @@ fn main() {
     // The same run through the metrics recorder.
     println!("\n== recorded metrics ==\n\n{}", rec.render_stats());
 
-    // Machine-readable versions for tooling.
+    // Machine-readable versions for tooling: the span log (`feves trace
+    // <log> --perfetto` converts it) and its Perfetto view.
     std::fs::create_dir_all("target").ok();
-    let json = serde_json::to_string_pretty(trace).unwrap();
-    std::fs::write("target/schedule_trace.json", &json).unwrap();
+    let (fg, sched) = enc.last_schedule().unwrap();
+    let log = frame_log(fg, sched, enc.platform());
+    std::fs::write("target/schedule_trace.jsonl", log.to_jsonl()).unwrap();
     println!(
-        "\n(wrote target/schedule_trace.json — {} tasks)",
-        trace.tasks.len()
+        "\n(wrote target/schedule_trace.jsonl — {} spans)",
+        log.spans.len()
     );
-    let chrome = trace.to_chrome_trace().to_json();
-    std::fs::write("target/schedule_trace.chrome.json", &chrome).unwrap();
+    std::fs::write("target/schedule_trace.chrome.json", log.to_perfetto()).unwrap();
     println!(
         "(wrote target/schedule_trace.chrome.json — open at ui.perfetto.dev or chrome://tracing)"
     );

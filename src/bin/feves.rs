@@ -558,18 +558,20 @@ fn cmd_trace(opts: &Options) -> CliResult {
         enc.encode_inter_timing();
     }
     let report = enc.encode_inter_timing();
-    let trace = enc
-        .last_trace()
-        .ok_or_else(|| CliError::runtime("no trace recorded for the steady-state frame"))?;
+    let (fg, sched) = enc
+        .last_schedule()
+        .ok_or_else(|| CliError::runtime("no schedule recorded for the steady-state frame"))?;
     match &opts.perfetto {
-        // Perfetto/chrome://tracing-loadable trace-event JSON.
+        // The frame as a one-trace span log, through the one exporter.
         Some(path) => {
-            write_atomic(path, trace.to_chrome_trace().to_json())
+            let log = feves::core::trace::frame_log(fg, sched, enc.platform());
+            write_atomic(path, log.to_perfetto())
                 .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
             eprintln!("perfetto trace written to {path}");
         }
         None => {
-            println!("{}", trace.render_gantt(100));
+            let gantt = feves::core::trace::render_gantt(fg, sched, enc.platform(), 100);
+            println!("{gantt}");
             println!(
                 "steady frame: {:.2} ms ({:.1} fps)",
                 report.tau_tot * 1e3,
@@ -597,7 +599,7 @@ fn cmd_trace_log(opts: &Options, input: &str) -> CliResult {
         .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
     feves::obs::validate_dag(&log).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
     if let Some(path) = &opts.perfetto {
-        write_atomic(path, log.to_perfetto().to_json())
+        write_atomic(path, log.to_perfetto())
             .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
         eprintln!(
             "perfetto trace written to {path} ({} span(s), {} edge(s))",

@@ -4,6 +4,7 @@
 mod common;
 
 use common::{feves_bin, run};
+use serde::Value;
 use std::process::Command;
 
 /// Write `frames` frames of the tiny synthetic QCIF sequence to `path`.
@@ -48,6 +49,135 @@ fn trace_prints_gantt() {
     assert!(ok, "{stdout}");
     assert!(stdout.contains("tau_tot"));
     assert!(stdout.contains("legend:"));
+}
+
+/// The Gantt chart, byte for byte. `--kernels fast` pins the CPU profiles,
+/// which are rescaled per kernel family.
+#[test]
+fn trace_gantt_matches_golden() {
+    let mut actual = String::new();
+    for platform in [&["syshk"][..], &["sysnff", "--refs", "4"], &["gpu-f"]] {
+        let mut args = vec!["trace", "--kernels", "fast", "--platform"];
+        args.extend(platform);
+        let (ok, stdout, stderr) = run(&args);
+        assert!(ok, "{stderr}");
+        actual.push_str(&stdout);
+    }
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace.gantt.txt");
+    assert_eq!(actual, std::fs::read_to_string(golden).unwrap());
+}
+
+/// `feves trace --perfetto` without a log exports the simulated frame: one
+/// named track per Gantt row, one `X` event per task, named by its label
+/// and on its device's track, and the phases meeting at τ1, τ2 and τtot.
+#[test]
+fn trace_perfetto_exports_the_simulated_frame() {
+    let dir = common::scratch("trace_perfetto");
+    let out = dir.join("frame.json");
+    let args = ["trace", "--kernels", "fast", "--platform", "sysnff"];
+    let (ok, gantt, _) = run(&args);
+    assert!(ok);
+    let (ok, _, stderr) = run(&[&args[..], &["--perfetto", out.to_str().unwrap()]].concat());
+    assert!(ok, "{stderr}");
+    let events = common::perfetto_events(&std::fs::read_to_string(&out).unwrap());
+    let text = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).unwrap_or("").to_string();
+    let num = |e: &Value, k: &str| e.get(k).and_then(Value::as_f64).unwrap();
+    let tid = |e: &Value| e.get("tid").and_then(Value::as_u64).unwrap();
+
+    // Tracks: the Gantt rows, in order, after the five fixed ones.
+    let rows: Vec<String> = (gantt.lines().skip(1))
+        .take_while(|l| !l.starts_with("legend"))
+        .map(|l| l[..9].trim_start().to_string())
+        .collect();
+    let mut tracks = std::collections::BTreeMap::new();
+    for e in events.iter().filter(|e| text(e, "name") == "thread_name") {
+        tracks.insert(tid(e), e.get("args").map(|a| text(a, "name")).unwrap());
+    }
+    assert_eq!(tracks.values().skip(5).cloned().collect::<Vec<_>>(), rows);
+
+    // Tasks: one event per label, on a track of the device the label names.
+    let x: Vec<&Value> = events.iter().filter(|e| text(e, "ph") == "X").collect();
+    let engines = ["compute", "interp", "h2d", "d2h"];
+    let tasks: Vec<&&Value> = (x.iter())
+        .filter(|e| engines.contains(&text(e, "cat").as_str()))
+        .collect();
+    let mut labels: Vec<String> = tasks.iter().map(|e| text(e, "name")).collect();
+    labels.sort();
+    labels.dedup();
+    assert_eq!(labels.len(), tasks.len(), "one event per task");
+    for e in &tasks {
+        let (label, track) = (text(e, "name"), &tracks[&tid(e)]);
+        let device = track.split(' ').next().unwrap().trim_start_matches("dev");
+        let on = |stem: &str| label.contains(&format!("{stem}{device}"));
+        assert!(on("dev") || on("core"), "{label} on {track}");
+    }
+    for stem in [
+        "ME dev0",
+        "INT dev1",
+        "SME core2",
+        "CF→ME dev0",
+        "SF(RF)→host dev1",
+    ] {
+        assert!(
+            labels.iter().any(|l| l.starts_with(stem)),
+            "{stem}: {labels:?}"
+        );
+    }
+
+    // Sync points: phase1 ends at τ1 where phase2 starts, phase2 at τ2
+    // where the tail starts, and the tail and the frame at τtot.
+    let span = |name: &str| {
+        let e = x.iter().find(|e| text(e, "name") == name).unwrap();
+        (num(e, "ts"), num(e, "ts") + num(e, "dur"))
+    };
+    let (frame, p1, p2, tail) = (span("frame"), span("phase1"), span("phase2"), span("tail"));
+    assert_eq!([p1.0, p2.0, tail.0, tail.1], [frame.0, p1.1, p2.1, frame.1]);
+    let ms = |us: f64| format!("{:.2} ms", us / 1e3);
+    let taus = format!(
+        "tau1 {} | tau2 {} | tau_tot {}",
+        ms(p1.1),
+        ms(p2.1),
+        ms(frame.1)
+    );
+    assert!(
+        gantt.lines().next().unwrap().ends_with(&taus),
+        "{taus}\n{gantt}"
+    );
+}
+
+/// A trace log with a non-finite number is refused with one `error:` line,
+/// not a panic (`--perfetto`) or a report of `inf` and `NaN`.
+#[test]
+fn trace_log_with_a_non_finite_number_is_an_error() {
+    let dir = common::scratch("trace_inf");
+    let log = dir.join("inf.jsonl");
+    std::fs::write(
+        &log,
+        concat!(
+            "{\"schema\":\"feves-trace/1\"}\n",
+            r#"{"span":{"trace_id":1,"span_id":2,"parent":null,"name":"job:a","cat":"job","#,
+            r#""start_us":0,"dur_us":1e999,"devices":[],"args":[]}}"#,
+            "\n"
+        ),
+    )
+    .unwrap();
+    let out = dir.join("out.json");
+    for extra in [&[][..], &["--perfetto", out.to_str().unwrap()]] {
+        let args = [&["trace", log.to_str().unwrap()][..], extra].concat();
+        let o = Command::new(feves_bin()).args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.lines().count() == 1,
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains("line 2") && stderr.contains("non-finite"),
+            "{stderr}"
+        );
+    }
+    assert!(!out.exists());
 }
 
 #[test]

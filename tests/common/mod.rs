@@ -1,10 +1,12 @@
 //! What the binary-driving and farm suites share: where the `feves` binary
-//! is, a fresh scratch directory, a spawn-and-capture, and the seeded QCIF
+//! is, a fresh scratch directory, a spawn-and-capture, the seeded QCIF
 //! Y4M inputs (several goldens and the `ckpt_v3_pr15` fixture depend on
-//! those bytes — change [`write_input`]'s scene and they all move).
+//! those bytes — change [`write_input`]'s scene and they all move), and the
+//! structural check of a Perfetto export.
 
 #![allow(dead_code)] // every suite uses its own subset
 
+use std::collections::HashMap;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -12,6 +14,7 @@ use std::process::Command;
 use feves::video::synth::{SynthConfig, SynthSequence};
 use feves::video::y4m::{Y4mHeader, Y4mWriter};
 use feves::Resolution;
+use serde::Value;
 
 /// `target/<profile>/feves`, next to the test executable's `deps/`.
 pub fn feves_bin() -> PathBuf {
@@ -80,4 +83,29 @@ pub fn write_input(path: &Path, seed: u64, frames: usize) {
         noise: 2,
     };
     write_y4m(path, cfg, frames);
+}
+
+/// The events of a `TraceLog::to_perfetto` export, after checking its
+/// structure: it parses, flow ends carry the binding point `"bp":"e"`, and
+/// on each (pid, tid) track the `X` events' `ts` never decreases.
+pub fn perfetto_events(json: &str) -> Vec<Value> {
+    let doc = serde_json::value_from_str(json).expect("perfetto JSON parses");
+    let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+    let field = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).map(str::to_string);
+    let mut last: HashMap<(u64, u64), f64> = HashMap::new();
+    for e in events {
+        match field(e, "ph").as_deref() {
+            Some("f") => assert_eq!(field(e, "bp").as_deref(), Some("e"), "{e:?}"),
+            Some("X") => {
+                let id = |k: &str| e.get(k).and_then(Value::as_u64).unwrap();
+                let key = (id("pid"), id("tid"));
+                let ts = e.get("ts").and_then(Value::as_f64).unwrap();
+                if let Some(prev) = last.insert(key, ts) {
+                    assert!(ts >= prev, "track {key:?} ts not monotonic");
+                }
+            }
+            _ => {}
+        }
+    }
+    events.to_vec()
 }

@@ -1,6 +1,6 @@
 //! Golden-file tests for the observability exporters: the deterministic
-//! JSONL metrics dump and the Chrome trace-event JSON must stay byte-stable
-//! for a noise-free SysHK timing run.
+//! JSONL metrics dump and the Perfetto view of the last frame's span log
+//! must stay byte-stable for a noise-free SysHK timing run.
 //!
 //! The goldens live in `tests/golden/`. To regenerate after an intentional
 //! format change:
@@ -13,6 +13,7 @@
 //! process-global, so the parallel test threads cannot see each other.
 
 use feves::core::prelude::*;
+use feves::core::trace::frame_log;
 use feves::obs::MemoryRecorder;
 use std::sync::Arc;
 
@@ -28,13 +29,15 @@ fn quiet_cfg() -> EncoderConfig {
     cfg
 }
 
-fn run(frames: usize) -> (Arc<MemoryRecorder>, FrameTrace) {
+/// The recorder of a `frames`-frame run, and the Perfetto JSON of its last
+/// frame.
+fn run(frames: usize) -> (Arc<MemoryRecorder>, String) {
     let rec = Arc::new(MemoryRecorder::new());
     let mut enc = FevesEncoder::new(Platform::sys_hk(), quiet_cfg()).unwrap();
     enc.set_recorder(rec.clone());
     enc.run_timing(frames);
-    let trace = enc.last_trace().expect("timing run leaves a trace").clone();
-    (rec, trace)
+    let (fg, sched) = enc.last_schedule().expect("timing run leaves a schedule");
+    (rec, frame_log(fg, sched, enc.platform()).to_perfetto())
 }
 
 fn check_golden(name: &str, actual: &str) {
@@ -63,19 +66,16 @@ fn jsonl_metrics_match_golden() {
 
 #[test]
 fn chrome_trace_matches_golden() {
-    let (_, trace) = run(6);
-    check_golden("trace.chrome.json", &trace.to_chrome_trace().to_json());
+    let (_, perfetto) = run(6);
+    check_golden("trace.chrome.json", &perfetto);
 }
 
 #[test]
 fn exporters_are_deterministic_across_runs() {
-    let (rec_a, trace_a) = run(4);
-    let (rec_b, trace_b) = run(4);
+    let (rec_a, perfetto_a) = run(4);
+    let (rec_b, perfetto_b) = run(4);
     assert_eq!(rec_a.to_jsonl(true), rec_b.to_jsonl(true));
-    assert_eq!(
-        trace_a.to_chrome_trace().to_json(),
-        trace_b.to_chrome_trace().to_json()
-    );
+    assert_eq!(perfetto_a, perfetto_b);
 }
 
 #[test]

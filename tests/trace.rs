@@ -20,7 +20,7 @@
 
 mod common;
 
-use common::{run, scratch, write_input};
+use common::{perfetto_events, run, scratch, write_input};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
@@ -153,12 +153,7 @@ fn traced_farm_run_yields_valid_critical_path_attribution() {
         perfetto.to_str().unwrap(),
     ]);
     assert!(ok, "{stderr}");
-    let json = fs::read_to_string(&perfetto).unwrap();
-    let v = serde_json::value_from_str(&json).expect("perfetto JSON parses");
-    let events = v
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .expect("traceEvents array");
+    let events = perfetto_events(&fs::read_to_string(&perfetto).unwrap());
     assert!(!events.is_empty());
 }
 
@@ -408,6 +403,18 @@ fn trace_jsonl_matches_golden_schema() {
     let mut actual: String = paths.into_iter().collect::<Vec<_>>().join("\n");
     actual.push('\n');
     check_golden("trace.schema", &actual);
+}
+
+/// The merged Perfetto view of a farm-shaped log: metadata, complete
+/// events and both ends of every causal flow.
+#[test]
+fn perfetto_view_has_tracks_and_flows() {
+    let log = TraceLog::parse_jsonl(&synthetic_trace_jsonl()).unwrap();
+    let events = perfetto_events(&log.to_perfetto());
+    let phases: BTreeSet<&str> = (events.iter())
+        .filter_map(|e| e.get("ph").and_then(Value::as_str))
+        .collect();
+    assert_eq!(phases, BTreeSet::from(["M", "X", "f", "s"]));
 }
 
 fn check_golden(name: &str, actual: &str) {
