@@ -700,8 +700,7 @@ impl FevesEncoder {
     /// (`Platform::validate` requires ≥ 1 core), so the framework degrades
     /// to CPU-only but never below. Both fault sites drop through here with
     /// the `avail` the previous drop left, so no sequence of faults in one
-    /// frame can take every core. A device already dropped this frame that
-    /// faults again (its SME band after its ME band) is charged again.
+    /// frame can take every core.
     fn drop_device(&mut self, device: usize, avail: &mut Vec<bool>) -> bool {
         let mut cores = self.platform.n_accel..self.platform.len();
         if cores.contains(&device) && !cores.any(|d| d != device && avail[d]) {
@@ -1446,8 +1445,11 @@ impl FevesEncoder {
             p.ft.detected += 1;
             p.ft.recovered += 1;
             p.ft.redispatched_rows += rows as u64;
-            p.faulty[fault.device] = true;
-            self.drop_device(fault.device, &mut p.avail);
+            // A device is charged once per frame, however many of its
+            // bands panicked: its SME band after its ME band is one fault.
+            if !std::mem::replace(&mut p.faulty[fault.device], true) {
+                self.drop_device(fault.device, &mut p.avail);
+            }
         }
     }
 

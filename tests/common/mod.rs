@@ -1,8 +1,8 @@
-//! What the binary-driving and farm suites share: where the `feves` binary
-//! is, a fresh scratch directory, a spawn-and-capture, the seeded QCIF
-//! Y4M inputs (several goldens and the `ckpt_v3_pr15` fixture depend on
-//! those bytes — change [`write_input`]'s scene and they all move), and the
-//! structural check of a Perfetto export.
+//! What the suites share: the `feves` binary, scratch directories, a
+//! spawn-and-capture, the seeded QCIF Y4M inputs (several goldens and the
+//! `ckpt_v3_pr15` fixture depend on those bytes — change [`write_input`]'s
+//! scene and they all move), the functional QCIF config and frames, a farm
+//! job spec, the fault switches and a Perfetto export's structural check.
 
 #![allow(dead_code)] // every suite uses its own subset
 
@@ -11,6 +11,9 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use feves::core::prelude::{EncodeParams, EncoderConfig, ExecutionMode, SearchArea};
+use feves::serve::JobSpec;
+use feves::video::frame::Frame;
 use feves::video::synth::{SynthConfig, SynthSequence};
 use feves::video::y4m::{Y4mHeader, Y4mWriter};
 use feves::Resolution;
@@ -83,6 +86,67 @@ pub fn write_input(path: &Path, seed: u64, frames: usize) {
         noise: 2,
     };
     write_y4m(path, cfg, frames);
+}
+
+/// The functional QCIF configuration: SA 16, two references.
+pub fn qcif_config() -> EncoderConfig {
+    let mut cfg = EncoderConfig::full_hd(EncodeParams {
+        search_area: SearchArea(16),
+        n_ref: 2,
+        ..Default::default()
+    });
+    cfg.resolution = Resolution::QCIF;
+    cfg.mode = ExecutionMode::Functional;
+    cfg
+}
+
+/// The first `n` frames of the small synthetic scene, at QCIF.
+pub fn qcif_frames(n: usize) -> Vec<Frame> {
+    let mut cfg = SynthConfig::tiny_test();
+    cfg.resolution = Resolution::QCIF;
+    SynthSequence::new(cfg).take_frames(n)
+}
+
+/// Injected kernel panics would otherwise spray backtraces into the test
+/// output; silence exactly those and forward everything else.
+pub fn silence_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let message = info.payload().downcast_ref::<String>();
+            if !message.is_some_and(|m| m.contains("injected kernel panic")) {
+                default_hook(info);
+            }
+        }));
+    });
+}
+
+/// A farm job over `dir/in.y4m` that writes `dir/<id>.y4m`: SA 16, two
+/// references, a checkpoint every two frames.
+pub fn job_spec(dir: &Path, id: &str) -> JobSpec {
+    JobSpec {
+        id: id.into(),
+        input: dir.join("in.y4m").to_string_lossy().into_owned(),
+        output: dir.join(format!("{id}.y4m")).to_string_lossy().into_owned(),
+        sa: 16,
+        refs: 2,
+        checkpoint_every: 2,
+        ..JobSpec::default()
+    }
+}
+
+/// `FEVES_FAULT_SEED` (default 1): the seed of every seeded fault schedule.
+pub fn fault_seed() -> u64 {
+    std::env::var("FEVES_FAULT_SEED").map_or(1, |s| s.parse().expect("a u64 seed"))
+}
+
+/// `FEVES_FAULT_ARTIFACT`: a directory (created here) where the fault
+/// suites leave what a failing seed needs, for CI to upload.
+pub fn fault_artifact() -> Option<PathBuf> {
+    let dir = PathBuf::from(std::env::var_os("FEVES_FAULT_ARTIFACT")?);
+    std::fs::create_dir_all(&dir).expect("create FEVES_FAULT_ARTIFACT");
+    Some(dir)
 }
 
 /// The events of a `TraceLog::to_perfetto` export, after checking its

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{feves_bin, run_env as run, scratch, write_input};
+use common::{fault_artifact, fault_seed, feves_bin, run_env as run, scratch, write_input};
 use std::fs;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -67,40 +67,78 @@ fn crash_then_resume(dir: &Path, input: &str, crash_at: &str, extra: &[&str]) ->
     fs::read(&out).unwrap()
 }
 
-#[test]
-fn kill_before_every_frame_resume_is_bit_identical() {
-    let dir = scratch("frames");
-    let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED, N_FRAMES);
-    let input = input.to_str().unwrap();
-    let want = baseline(&dir, input);
-    // The first checkpoint lands after frame 1 (EVERY = 2), so a kill
-    // before any frame from 2 on must be recoverable.
+/// A checkpointed encode over the seeded input in a fresh `scratch(name)`:
+/// the paths the CLI is given.
+struct Job {
+    dir: PathBuf,
+    input: String,
+    out: String,
+    ckdir: String,
+}
+
+impl Job {
+    fn new(name: &str) -> Job {
+        let dir = scratch(name);
+        write_input(&dir.join("in.y4m"), 0x5EED, N_FRAMES);
+        let path = |file: &str| dir.join(file).to_str().unwrap().to_string();
+        let (input, out, ckdir) = (path("in.y4m"), path("out.y4m"), path("out.y4m.ckpt"));
+        Job {
+            dir,
+            input,
+            out,
+            ckdir,
+        }
+    }
+
+    /// `encode` of the job, with a checkpoint every two frames.
+    fn args(&self) -> Vec<&str> {
+        let mut args = encode_args(&self.input, &self.out);
+        args.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-dir", &self.ckdir]);
+        args
+    }
+
+    /// Run the encode, aborted at `crash_at` (`FEVES_CRASH_AT`).
+    fn killed_at(&self, crash_at: &str) {
+        let (ok, _, _) = run(&self.args(), &[("FEVES_CRASH_AT", crash_at)]);
+        assert!(!ok, "encode with FEVES_CRASH_AT={crash_at} must die");
+    }
+}
+
+/// Kill the encode before each frame from 2 on and resume it; every
+/// recovery must equal the uninterrupted lockstep run. The first checkpoint
+/// lands after frame 1 (EVERY = 2), so any later kill is recoverable.
+fn every_frame_kill_recovers(name: &str, extra: &[&str]) {
+    let Job { dir, input, .. } = &Job::new(name);
+    let want = baseline(dir, input);
     for k in 2..N_FRAMES {
-        let got = crash_then_resume(&dir, input, &format!("frame@{k}"), &[]);
+        let got = crash_then_resume(dir, input, &format!("frame@{k}"), extra);
         assert_eq!(
             got, want,
-            "recovered output differs from uninterrupted run (killed before frame {k})"
+            "{name} recovery differs from the uninterrupted lockstep run (killed before frame {k})"
         );
     }
+}
+
+#[test]
+fn kill_before_every_frame_resume_is_bit_identical() {
+    every_frame_kill_recovers("frames", &[]);
+}
+
+#[test]
+fn pipelined_kill_before_every_frame_resume_is_bit_identical() {
+    // The pipeline overlaps frame generations, but checkpoints commit only
+    // at quiesced boundaries: a pipelined kill recovers to the same
+    // lockstep bytes.
+    every_frame_kill_recovers("pipeframes", &["--pipeline", "on"]);
 }
 
 #[test]
 fn kill_before_first_checkpoint_is_a_typed_error() {
     // Dying before any checkpoint was committed leaves nothing to resume —
     // that must be a one-line typed error, not a panic or a usage banner.
-    let dir = scratch("first");
-    let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED, N_FRAMES);
-    let input = input.to_str().unwrap();
-    let out = dir.join("out.y4m");
-    let out = out.to_str().unwrap().to_string();
-    let ckdir = format!("{out}.ckpt");
-    let mut args = encode_args(input, &out);
-    args.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-dir", &ckdir]);
-    let (ok, _, _) = run(&args, &[("FEVES_CRASH_AT", "frame@1")]);
-    assert!(!ok);
-    let (ok, _, stderr) = run(&["resume", &ckdir], &[]);
+    let job = Job::new("first");
+    job.killed_at("frame@1");
+    let (ok, _, stderr) = run(&["resume", &job.ckdir], &[]);
     assert!(!ok, "resume with no committed checkpoint must fail");
     assert!(stderr.contains("error:"), "typed error line:\n{stderr}");
     assert!(!stderr.contains("usage:"), "not a usage error:\n{stderr}");
@@ -112,13 +150,10 @@ fn kill_inside_the_checkpoint_writer_itself() {
     // temp fsync before the rename, and after the rename before the dir
     // fsync. Each must recover (from the previous generation for the first
     // two, the just-renamed one for the third) bit-identically.
-    let dir = scratch("ckptwin");
-    let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED, N_FRAMES);
-    let input = input.to_str().unwrap();
-    let want = baseline(&dir, input);
+    let Job { dir, input, .. } = &Job::new("ckptwin");
+    let want = baseline(dir, input);
     for point in ["ckpt-mid-write@2", "ckpt-temp@2", "ckpt-rename@2"] {
-        let got = crash_then_resume(&dir, input, point, &[]);
+        let got = crash_then_resume(dir, input, point, &[]);
         assert_eq!(got, want, "recovered output differs after {point}");
         // Recovery + subsequent checkpoints must also have swept any torn
         // temp file the crash left behind.
@@ -139,24 +174,14 @@ fn kill_inside_the_checkpoint_writer_itself() {
 
 #[test]
 fn corrupted_newest_generation_falls_back_to_previous() {
-    let dir = scratch("fallback");
-    let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED, N_FRAMES);
-    let input = input.to_str().unwrap();
-    let want = baseline(&dir, input);
-
-    let out = dir.join("out.y4m");
-    let out = out.to_str().unwrap().to_string();
-    let ckdir = format!("{out}.ckpt");
-    let mut args = encode_args(input, &out);
-    args.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-dir", &ckdir]);
+    let job = Job::new("fallback");
+    let want = baseline(&job.dir, &job.input);
     // Die before frame 6: generations ckpt-000004 and ckpt-000006 survive
     // (retention keeps two).
-    let (ok, _, _) = run(&args, &[("FEVES_CRASH_AT", "frame@6")]);
-    assert!(!ok);
+    job.killed_at("frame@6");
 
     // Bit-rot the newest generation.
-    let mut gens: Vec<_> = fs::read_dir(&ckdir)
+    let mut gens: Vec<_> = fs::read_dir(&job.ckdir)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -173,30 +198,25 @@ fn corrupted_newest_generation_falls_back_to_previous() {
     bytes[mid] ^= 0xFF;
     fs::write(&newest, bytes).unwrap();
 
-    let (ok, _, stderr) = run(&["resume", &ckdir], &[]);
+    let (ok, _, stderr) = run(&["resume", &job.ckdir], &[]);
     assert!(ok, "fallback resume failed:\n{stderr}");
     assert!(
         stderr.contains("warning:"),
         "skipped generation must be reported:\n{stderr}"
     );
-    assert_eq!(fs::read(&out).unwrap(), want, "fallback recovery diverged");
+    assert_eq!(
+        fs::read(&job.out).unwrap(),
+        want,
+        "fallback recovery diverged"
+    );
 }
 
 #[test]
 fn all_generations_corrupted_is_a_typed_rejection() {
-    let dir = scratch("allcorrupt");
-    let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED, N_FRAMES);
-    let input = input.to_str().unwrap();
-    let out = dir.join("out.y4m");
-    let out = out.to_str().unwrap().to_string();
-    let ckdir = format!("{out}.ckpt");
-    let mut args = encode_args(input, &out);
-    args.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-dir", &ckdir]);
-    let (ok, _, _) = run(&args, &[("FEVES_CRASH_AT", "frame@6")]);
-    assert!(!ok);
+    let job = Job::new("allcorrupt");
+    job.killed_at("frame@6");
 
-    for e in fs::read_dir(&ckdir).unwrap() {
+    for e in fs::read_dir(&job.ckdir).unwrap() {
         let p = e.unwrap().path();
         if p.extension().is_some_and(|x| x == "ckpt") {
             let mut b = fs::read(&p).unwrap();
@@ -205,7 +225,7 @@ fn all_generations_corrupted_is_a_typed_rejection() {
             fs::write(&p, b).unwrap();
         }
     }
-    let (ok, _, stderr) = run(&["resume", &ckdir], &[]);
+    let (ok, _, stderr) = run(&["resume", &job.ckdir], &[]);
     assert!(!ok, "resume over all-corrupt generations must fail");
     assert!(
         stderr.contains("error:") && stderr.contains("checkpoint"),
@@ -216,21 +236,12 @@ fn all_generations_corrupted_is_a_typed_rejection() {
 
 #[test]
 fn changed_input_is_rejected_as_stale() {
-    let dir = scratch("stale");
-    let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED, N_FRAMES);
-    let input_s = input.to_str().unwrap().to_string();
-    let out = dir.join("out.y4m");
-    let out = out.to_str().unwrap().to_string();
-    let ckdir = format!("{out}.ckpt");
-    let mut args = encode_args(&input_s, &out);
-    args.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-dir", &ckdir]);
-    let (ok, _, _) = run(&args, &[("FEVES_CRASH_AT", "frame@5")]);
-    assert!(!ok);
+    let job = Job::new("stale");
+    job.killed_at("frame@5");
 
     // Replace the input with a different (same-shape) sequence.
-    write_input(&input, 0xBAD5EED, N_FRAMES);
-    let (ok, _, stderr) = run(&["resume", &ckdir], &[]);
+    write_input(Path::new(&job.input), 0xBAD5EED, N_FRAMES);
+    let (ok, _, stderr) = run(&["resume", &job.ckdir], &[]);
     assert!(!ok, "resume over a changed input must fail");
     assert!(
         stderr.contains("error:") && stderr.contains("changed"),
@@ -285,34 +296,27 @@ fn rejected_checkpoints_keep_their_exact_error_text() {
         ),
     ];
     for (tag, mutate, expected) in cases {
-        let dir = scratch(&format!("reject-{tag}"));
-        let input = dir.join("in.y4m");
-        write_input(&input, 0x5EED, N_FRAMES);
-        let input_s = input.to_str().unwrap().to_string();
-        let out = dir.join("out.y4m");
-        let out_s = out.to_str().unwrap().to_string();
-        let ckdir = format!("{out_s}.ckpt");
-        let mut args = encode_args(&input_s, &out_s);
-        args.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-dir", &ckdir]);
-        let (ok, _, _) = run(&args, &[("FEVES_CRASH_AT", "frame@5")]);
-        assert!(!ok);
-        let (_, ctx, _, _) = feves::core::load_latest(Path::new(&ckdir)).unwrap();
+        let job = Job::new(&format!("reject-{tag}"));
+        job.killed_at("frame@5");
+        let (input_s, out_s, ckdir) = (&job.input, &job.out, &job.ckdir);
+        let (input, out) = (Path::new(input_s), Path::new(out_s));
+        let (_, ctx, _, _) = feves::core::load_latest(Path::new(ckdir)).unwrap();
         assert_eq!(ctx.frames_done, 4);
 
-        mutate(&input, &out, ctx.out_bytes);
-        let before = fs::read(&out).unwrap();
+        mutate(input, out, ctx.out_bytes);
+        let before = fs::read(out).unwrap();
         let got = Command::new(feves_bin())
-            .args(["resume", &ckdir])
+            .args(["resume", ckdir])
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&got.stderr);
         assert_eq!(got.status.code(), Some(1), "{tag}:\n{stderr}");
-        let want = expected(&input_s, &out_s, ctx.out_bytes, ctx.out_crc, &before);
+        let want = expected(input_s, out_s, ctx.out_bytes, ctx.out_crc, &before);
         let lines: Vec<&str> = stderr.lines().collect();
         assert_eq!(lines.len(), 2, "{tag}: banner + one error line:\n{stderr}");
         assert!(lines[0].starts_with("resuming from "), "{tag}:\n{stderr}");
         assert_eq!(lines[1], format!("error: {want}"), "{tag}");
-        assert_eq!(fs::read(&out).unwrap(), before, "{tag}: output was touched");
+        assert_eq!(fs::read(out).unwrap(), before, "{tag}: output was touched");
     }
 }
 
@@ -320,19 +324,11 @@ fn rejected_checkpoints_keep_their_exact_error_text() {
 fn real_sigkill_mid_encode_recovers() {
     // A genuine out-of-band kill (no abort hook): watch the child's stdout
     // until a few frames are done, then SIGKILL it.
-    let dir = scratch("sigkill");
-    let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED, N_FRAMES);
-    let input = input.to_str().unwrap();
-    let want = baseline(&dir, input);
-
-    let out = dir.join("out.y4m");
-    let out = out.to_str().unwrap().to_string();
-    let ckdir = format!("{out}.ckpt");
-    let mut args = encode_args(input, &out);
-    args.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-dir", &ckdir]);
+    let job = Job::new("sigkill");
+    let want = baseline(&job.dir, &job.input);
+    let (out, ckdir) = (&job.out, &job.ckdir);
     let mut child = Command::new(feves_bin())
-        .args(&args)
+        .args(job.args())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -354,10 +350,10 @@ fn real_sigkill_mid_encode_recovers() {
     let status = child.wait().unwrap();
     assert!(!status.success());
 
-    let (ok, _, stderr) = run(&["resume", &ckdir], &[]);
+    let (ok, _, stderr) = run(&["resume", ckdir], &[]);
     assert!(ok, "resume after SIGKILL failed:\n{stderr}");
     assert_eq!(
-        fs::read(&out).unwrap(),
+        fs::read(out).unwrap(),
         want,
         "SIGKILL recovery must be bit-identical"
     );
@@ -365,14 +361,11 @@ fn real_sigkill_mid_encode_recovers() {
 
 #[test]
 fn chaos_seed_randomizes_the_kill_point() {
-    // CI drives this with FEVES_CHAOS_SEED=1..3; the seed picks the kill
+    // CI drives this with FEVES_FAULT_SEED=1..3; the seed picks the kill
     // frame and whether to also tear the checkpoint writer. Any seed must
     // recover bit-identically — and leave a flight log whose resume marker
     // records the restart.
-    let seed: u64 = std::env::var("FEVES_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let seed = fault_seed();
     // xorshift64 — deterministic per seed, no external RNG needed here.
     let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
     let mut next = move || {
@@ -411,58 +404,10 @@ fn chaos_seed_randomizes_the_kill_point() {
     assert!(!stdout.is_empty());
 
     // CI uploads the recovered flight log as a build artifact.
-    if let Ok(dest) = std::env::var("FEVES_CHAOS_ARTIFACT") {
-        fs::copy(&flight, dest).expect("export recovered flight log");
+    if let Some(dest) = fault_artifact() {
+        let name = format!("recovered-flight-seed{seed}.jsonl");
+        fs::copy(&flight, dest.join(name)).expect("export recovered flight log");
     }
-}
-
-#[test]
-fn pipelined_kill_before_every_frame_resume_is_bit_identical() {
-    // The pipeline overlaps frame generations, but checkpoints commit only
-    // at quiesced boundaries — so a kill before ANY frame under
-    // `--pipeline on` must recover bit-identical to a lockstep baseline.
-    let dir = scratch("pipeframes");
-    let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED, N_FRAMES);
-    let input = input.to_str().unwrap();
-    let want = baseline(&dir, input);
-    for k in 2..N_FRAMES {
-        let got = crash_then_resume(&dir, input, &format!("frame@{k}"), &["--pipeline", "on"]);
-        assert_eq!(
-            got, want,
-            "pipelined recovery differs from lockstep baseline (killed before frame {k})"
-        );
-    }
-}
-
-#[test]
-fn pipelined_resume_is_bit_identical_to_lockstep_resume() {
-    // Same input, same kill point, two scheduling modes: the recovered
-    // bitstreams must agree with each other (and with the clean run).
-    let input_bytes = {
-        let dir = scratch("piperesume-in");
-        let input = dir.join("in.y4m");
-        write_input(&input, 0x5EED, N_FRAMES);
-        fs::read(&input).unwrap()
-    };
-    let mut recovered = Vec::new();
-    for (tag, extra) in [
-        ("lockstep", &[][..]),
-        ("pipelined", &["--pipeline", "on"][..]),
-    ] {
-        let dir = scratch(&format!("piperesume-{tag}"));
-        let input = dir.join("in.y4m");
-        fs::write(&input, &input_bytes).unwrap();
-        let input = input.to_str().unwrap();
-        let want = baseline(&dir, input);
-        let got = crash_then_resume(&dir, input, "frame@5", extra);
-        assert_eq!(got, want, "{tag} recovery diverged from its clean run");
-        recovered.push(got);
-    }
-    assert_eq!(
-        recovered[0], recovered[1],
-        "pipelined resume must be bit-identical to lockstep resume"
-    );
 }
 
 #[test]
@@ -472,19 +417,11 @@ fn sigterm_mid_encode_checkpoints_and_resumes_bit_exact() {
     // off-cadence checkpoint at the frame boundary, flush it atomically,
     // and exit 0 — and `feves resume` must then complete the session
     // bit-identically to an uninterrupted run.
-    let dir = scratch("sigterm");
-    let input = dir.join("in.y4m");
-    write_input(&input, 0x5EED, N_FRAMES);
-    let input = input.to_str().unwrap();
-    let want = baseline(&dir, input);
-
-    let out = dir.join("out.y4m");
-    let out = out.to_str().unwrap().to_string();
-    let ckdir = format!("{out}.ckpt");
-    let mut args = encode_args(input, &out);
-    args.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-dir", &ckdir]);
+    let job = Job::new("sigterm");
+    let want = baseline(&job.dir, &job.input);
+    let (out, ckdir) = (&job.out, &job.ckdir);
     let mut child = Command::new(feves_bin())
-        .args(&args)
+        .args(job.args())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -520,10 +457,10 @@ fn sigterm_mid_encode_checkpoints_and_resumes_bit_exact() {
         "preemption banner missing:\n{stderr}"
     );
 
-    let (ok, _, stderr) = run(&["resume", &ckdir], &[]);
+    let (ok, _, stderr) = run(&["resume", ckdir], &[]);
     assert!(ok, "resume after SIGTERM failed:\n{stderr}");
     assert_eq!(
-        fs::read(&out).unwrap(),
+        fs::read(out).unwrap(),
         want,
         "SIGTERM preempt + resume must be bit-identical"
     );

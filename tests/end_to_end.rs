@@ -2,33 +2,19 @@
 //! encoding → entropy bitstream → decode → reconstruction checks, driving
 //! every workspace crate through the umbrella `feves` API.
 
+mod common;
+
+use common::{qcif_config, qcif_frames};
 use feves::codec::entropy::decode_frame;
 use feves::core::prelude::*;
 use feves::video::metrics::psnr;
 use feves::video::y4m::{Y4mHeader, Y4mReader, Y4mWriter};
 use std::io::Cursor;
 
-fn frames(n: usize) -> Vec<feves::video::Frame> {
-    let mut cfg = SynthConfig::tiny_test();
-    cfg.resolution = Resolution::QCIF;
-    SynthSequence::new(cfg).take_frames(n)
-}
-
-fn functional_cfg() -> EncoderConfig {
-    let mut cfg = EncoderConfig::full_hd(EncodeParams {
-        search_area: SearchArea(16),
-        n_ref: 2,
-        ..Default::default()
-    });
-    cfg.resolution = Resolution::QCIF;
-    cfg.mode = ExecutionMode::Functional;
-    cfg
-}
-
 #[test]
 fn synth_to_bitstream_to_decode() {
-    let frames = frames(4);
-    let mut enc = FevesEncoder::new(Platform::sys_nff(), functional_cfg()).unwrap();
+    let frames = qcif_frames(4);
+    let mut enc = FevesEncoder::new(Platform::sys_nff(), qcif_config()).unwrap();
     let report = enc.encode_sequence(&frames);
 
     // Every inter frame carried bits and decodable structures were produced
@@ -59,7 +45,7 @@ fn synth_to_bitstream_to_decode() {
 fn y4m_in_encode_y4m_out() {
     // Write synthetic frames to Y4M, read them back, encode, write the
     // reconstruction, read it again — the full I/O + codec round trip.
-    let src = frames(3);
+    let src = qcif_frames(3);
     let header = Y4mHeader {
         resolution: Resolution::QCIF,
         fps: (25, 1),
@@ -74,7 +60,7 @@ fn y4m_in_encode_y4m_out() {
     let loaded = r.read_all().unwrap();
     assert_eq!(loaded, src);
 
-    let mut enc = FevesEncoder::new(Platform::sys_hk(), functional_cfg()).unwrap();
+    let mut enc = FevesEncoder::new(Platform::sys_hk(), qcif_config()).unwrap();
     let mut out = Y4mWriter::new(Vec::new(), header);
     for f in &loaded {
         let _ = enc.encode_frame(f);
@@ -96,11 +82,11 @@ fn y4m_in_encode_y4m_out() {
 fn timing_and_functional_share_schedule_shape() {
     // The same seed must produce the same simulated schedule whether or not
     // the kernels actually run.
-    let frames = frames(4);
-    let mut timing_cfg = functional_cfg();
+    let frames = qcif_frames(4);
+    let mut timing_cfg = qcif_config();
     timing_cfg.mode = ExecutionMode::TimingOnly;
     let mut enc_t = FevesEncoder::new(Platform::sys_hk(), timing_cfg).unwrap();
-    let mut enc_f = FevesEncoder::new(Platform::sys_hk(), functional_cfg()).unwrap();
+    let mut enc_f = FevesEncoder::new(Platform::sys_hk(), qcif_config()).unwrap();
     let rep_f = enc_f.encode_sequence(&frames);
     // Drive the timing encoder with the same frames for identical ramps.
     let rep_t = enc_t.encode_sequence(&frames);

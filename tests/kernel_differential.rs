@@ -23,8 +23,11 @@
 //! contract (CI runs this file under `--release` where `debug_assert!`
 //! alone would be compiled out).
 
+mod common;
+
 use std::sync::Mutex;
 
+use common::qcif_frames;
 use feves::codec::cabac::{decode_frame_cabac, encode_frame_cabac};
 use feves::codec::entropy::{decode_frame_yuv, encode_frame, encode_frame_yuv};
 use feves::codec::inter_loop::{
@@ -39,8 +42,7 @@ use feves::codec::sme::{sme_rows, SmeField};
 use feves::codec::types::{EncodeParams, SearchArea};
 use feves::video::geometry::RowRange;
 use feves::video::plane::Plane;
-use feves::video::synth::{SynthConfig, SynthSequence};
-use feves::video::{Frame, Resolution};
+use feves::video::Frame;
 use proptest::prelude::*;
 
 /// Serializes tests that flip the process-global kernel dispatch; the guard
@@ -290,12 +292,6 @@ proptest! {
     }
 }
 
-fn test_frames(n: usize) -> Vec<Frame> {
-    let mut cfg = SynthConfig::tiny_test();
-    cfg.resolution = Resolution::QCIF;
-    SynthSequence::new(cfg).take_frames(n)
-}
-
 fn params_sa(sa: u16) -> EncodeParams {
     EncodeParams {
         search_area: SearchArea(sa),
@@ -334,7 +330,7 @@ fn encode_under(
 #[test]
 fn encode_decode_roundtrip_is_kernel_invariant() {
     let _guard = KindGuard::take();
-    let frames = test_frames(5);
+    let frames = qcif_frames(5);
     for sa in [8, 16, 32] {
         let params = params_sa(sa);
         let scalar = encode_under(KernelKind::Scalar, &frames, &params);
@@ -423,7 +419,7 @@ const STREAM_PINS: [[(usize, u64, u32); 2]; 3] = [
 #[test]
 fn stream_bytes_are_pinned() {
     let _guard = KindGuard::take();
-    let frames = test_frames(3);
+    let frames = qcif_frames(3);
     let params = params();
     for kind in [KernelKind::Scalar, KernelKind::Fast] {
         kernels::force_kind(kind);
@@ -450,7 +446,7 @@ fn stream_bytes_are_pinned() {
 #[test]
 fn yuv_stream_roundtrip_is_kernel_invariant() {
     let _guard = KindGuard::take();
-    let frames = test_frames(3);
+    let frames = qcif_frames(3);
     let params = params();
     let mut streams: Vec<Vec<Vec<u8>>> = Vec::new();
     for kind in [KernelKind::Scalar, KernelKind::Fast] {
@@ -515,7 +511,7 @@ fn mangled_streams_decode_or_err_never_panic() {
 
     let _guard = KindGuard::take();
     let params = params();
-    let (out, store) = &coded_yuv_frames(&test_frames(2), &params)[0];
+    let (out, store) = &coded_yuv_frames(&qcif_frames(2), &params)[0];
     for ((kind, decode), (stream, _)) in STREAM_KINDS
         .iter()
         .zip(DECODERS)

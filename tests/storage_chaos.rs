@@ -1,6 +1,6 @@
-//! Storage-fault chaos harness: seeded I/O fault schedules over
-//! single-session and farm encodes, proving the two invariants the
-//! storage-robustness design promises:
+//! Storage faults under the farm: seeded I/O fault schedules over farm
+//! encodes, proving the two invariants the storage-robustness design
+//! promises:
 //!
 //! 1. **Zero lost jobs** — whatever ENOSPC / EIO / short-write / torn-rename
 //!    / bit-rot schedule fires, every submitted job either reaches a typed
@@ -10,13 +10,14 @@
 //!    checkpoints and control files are rejected with typed errors, never
 //!    crashed on and never blessed.
 //!
-//! The fault seed comes from `FEVES_IO_SEED` (default 1) so CI can sweep
-//! schedules; on failure, set `FEVES_STORAGE_ARTIFACT` to a directory and
-//! each test dumps its fault counts + done records there for upload.
+//! A single session under storage faults is a plane of `fault_planes`. The
+//! fault seed comes from `FEVES_FAULT_SEED` (default 1) so CI can sweep
+//! schedules; with `FEVES_FAULT_ARTIFACT=dir` each test dumps its fault
+//! counts and done records there for upload.
 
 mod common;
 
-use common::{run as run_cli, scratch, write_input};
+use common::{fault_artifact, fault_seed, job_spec, run as run_cli, scratch, write_input};
 use feves::ft::io::{inject, FaultPlan, FaultyIo};
 use feves::serve::farm::{self, FarmConfig};
 use feves::serve::job::{self, JobSpec};
@@ -24,25 +25,6 @@ use feves::serve::session::{run_session, verify_artifact};
 use feves::serve::signal;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-fn io_seed() -> u64 {
-    std::env::var("FEVES_IO_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
-
-fn job_spec(dir: &Path, id: &str) -> JobSpec {
-    JobSpec {
-        id: id.into(),
-        input: dir.join("in.y4m").to_string_lossy().into_owned(),
-        output: dir.join(format!("{id}.y4m")).to_string_lossy().into_owned(),
-        sa: 16,
-        refs: 2,
-        checkpoint_every: 2,
-        ..JobSpec::default()
-    }
-}
 
 fn farm_cfg(dir: &Path) -> FarmConfig {
     FarmConfig {
@@ -75,15 +57,13 @@ fn clean_baseline(dir: &Path) -> Vec<u8> {
     std::fs::read(&base.output).unwrap()
 }
 
-/// On request (`FEVES_STORAGE_ARTIFACT=dir`), dump the fault schedule
+/// On request (`FEVES_FAULT_ARTIFACT=dir`), dump the fault schedule
 /// counters and every done record — CI uploads these when a seed fails.
 fn dump_artifacts(tag: &str, faulty: &FaultyIo, dir: &Path) {
-    let Ok(out) = std::env::var("FEVES_STORAGE_ARTIFACT") else {
+    let Some(out) = fault_artifact() else {
         return;
     };
-    let out = PathBuf::from(out);
-    let _ = std::fs::create_dir_all(&out);
-    let mut body = format!("seed {}\ncounts {:?}\n", io_seed(), faulty.counts());
+    let mut body = format!("seed {}\ncounts {:?}\n", fault_seed(), faulty.counts());
     if let Ok(entries) = std::fs::read_dir(job::done_dir(&dir.join("spool"))) {
         for e in entries.filter_map(|e| e.ok()) {
             if let Ok(text) = std::fs::read_to_string(e.path()) {
@@ -91,7 +71,7 @@ fn dump_artifacts(tag: &str, faulty: &FaultyIo, dir: &Path) {
             }
         }
     }
-    let _ = std::fs::write(out.join(format!("{tag}-seed{}.txt", io_seed())), body);
+    let _ = std::fs::write(out.join(format!("{tag}-seed{}.txt", fault_seed())), body);
 }
 
 /// Invariant 1, checked from outside the farm: a submitted job is *lost*
@@ -141,7 +121,7 @@ fn farm_under_transient_fault_schedule_loses_no_jobs() {
     // artifacts — runs on a seeded transient-fault backend. The farm may
     // finish, or abort on an exhausted retry budget; either way nothing
     // may be lost and nothing corrupt may be blessed.
-    let faulty = Arc::new(FaultyIo::new(FaultPlan::transient(io_seed())));
+    let faulty = Arc::new(FaultyIo::new(FaultPlan::transient(fault_seed())));
     let scope = inject(&dir, faulty.clone());
     let phase1 = farm::run(farm_cfg(&dir));
     dump_artifacts("farm-transient", &faulty, &dir);
@@ -189,7 +169,7 @@ fn rotted_artifact_is_never_reported_completed() {
     // is guaranteed corrupt. The farm must burn its retries and record a
     // typed failure; "completed" would be a lie about corrupt bytes.
     let faulty = Arc::new(FaultyIo::new(FaultPlan {
-        seed: io_seed(),
+        seed: fault_seed(),
         bitrot_per_mille: 1000,
         ..FaultPlan::default()
     }));
@@ -418,67 +398,4 @@ fn farm_session_restarts_from_frame_zero_on_a_rejected_checkpoint() {
             unchanged_input = Some(want);
         }
     }
-}
-
-#[test]
-fn single_session_under_faults_converges_bit_exact() {
-    signal::reset();
-    let dir = scratch("single");
-    write_input(&dir.join("in.y4m"), 11, 6);
-    let baseline = clean_baseline(&dir);
-
-    let chaos = dir.join("chaos");
-    std::fs::create_dir_all(&chaos).unwrap();
-    std::fs::copy(dir.join("in.y4m"), chaos.join("in.y4m")).unwrap();
-    let spec = job_spec(&chaos, "solo");
-    let faulty = Arc::new(FaultyIo::new(FaultPlan::transient(io_seed() ^ 0x51)));
-    let scope = inject(&chaos, faulty.clone());
-
-    // Retry the session under fire, resuming from whatever checkpoint each
-    // dead attempt left. Typed failures only — never a panic, never an
-    // unverifiable "success".
-    let ctl = Arc::new(feves::core::SessionCtl::new());
-    let mut verified = false;
-    for attempt in 0..20u32 {
-        let scope_label = format!("solo-{attempt}");
-        match run_session(
-            &spec,
-            &ctl,
-            feves::obs::hub().session(&scope_label),
-            attempt,
-            None,
-        ) {
-            Ok(rep) => {
-                if verify_artifact(&spec.output, rep.out_bytes, rep.artifact_crc).is_ok() {
-                    verified = true;
-                    break;
-                }
-            }
-            Err(failure) => {
-                assert!(
-                    !failure.message.is_empty(),
-                    "session failures must carry a typed message"
-                );
-            }
-        }
-    }
-    drop(scope);
-    if !verified {
-        // The schedule outlasted 20 attempts; a clean final pass must
-        // still converge from the surviving checkpoints.
-        let rep = run_session(
-            &spec,
-            &ctl,
-            feves::obs::hub().session("solo-clean"),
-            99,
-            None,
-        )
-        .expect("clean session after faults");
-        verify_artifact(&spec.output, rep.out_bytes, rep.artifact_crc).unwrap();
-    }
-    assert_eq!(
-        std::fs::read(&spec.output).unwrap(),
-        baseline,
-        "converged artifact must be bit-identical to the fault-free encode"
-    );
 }

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{scratch, write_input};
+use common::{job_spec, scratch, write_input};
 use feves::core::session::{self, Session, SessionError, SessionHooks};
 use feves::core::{FrameReport, ResumeContext};
 use feves::ft::io::{inject, IoBackend, IoFile, RealIo};
@@ -267,13 +267,9 @@ fn the_farm_never_completes_a_job_whose_input_changed_under_it() {
     let dir = scratch("grow-farm");
     write_input(&dir.join("in.y4m"), 5, 6);
     let spec = JobSpec {
-        id: "grown".into(),
-        input: dir.join("in.y4m").to_string_lossy().into_owned(),
-        output: dir.join("grown.y4m").to_string_lossy().into_owned(),
         sa: 8,
         refs: 1,
-        checkpoint_every: 2,
-        ..JobSpec::default()
+        ..job_spec(&dir, "grown")
     };
     job::write_job(&dir.join("spool"), &spec).unwrap();
     let _scope = inject(

@@ -20,7 +20,7 @@
 
 mod common;
 
-use common::{perfetto_events, run, scratch, write_input};
+use common::{perfetto_events, qcif_config, qcif_frames, run, scratch, write_input};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
@@ -35,7 +35,6 @@ use feves::obs::{
     hub, validate_dag, BusController, CriticalReport, EdgeKind, MemoryRecorder, Metric,
     TraceCollector, TraceCtx, TraceLog, TraceSink,
 };
-use feves::video::synth::{SynthConfig, SynthSequence};
 use proptest::prelude::*;
 use serde::Value;
 
@@ -603,23 +602,14 @@ fn observers_do_not_change_reports_or_state() {
     // And the pixels: a functional QCIF encode codes the same bits and
     // reconstructs the same planes, frame by frame, watched or not.
     let functional = |watched: bool| {
-        let mut cfg = EncoderConfig::full_hd(EncodeParams {
-            search_area: SearchArea(16),
-            n_ref: 2,
-            ..Default::default()
-        });
-        cfg.resolution = Resolution::QCIF;
-        cfg.mode = ExecutionMode::Functional;
-        let mut enc = FevesEncoder::new(Platform::sys_hk(), cfg).unwrap();
+        let mut enc = FevesEncoder::new(Platform::sys_hk(), qcif_config()).unwrap();
         if watched {
             enc.set_scope(hub().session("observed-encode"));
             enc.enable_flight(RUN_FRAMES);
             enc.set_trace(attempt_sink(&collector, "observed-encode"));
         }
-        let mut synth = SynthConfig::tiny_test();
-        synth.resolution = Resolution::QCIF;
         let mut coded = Vec::new();
-        for frame in SynthSequence::new(synth).take_frames(4) {
+        for frame in qcif_frames(4) {
             let bits = enc.encode_frame(&frame).bits;
             let (y, u, v) = enc.last_reconstruction_yuv().expect("functional run");
             let planes = [y, u, v].map(|p| p.as_slice().to_vec());
