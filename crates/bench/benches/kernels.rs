@@ -108,30 +108,42 @@ fn bench_dbl(c: &mut Criterion) {
     });
 }
 
-/// Scalar vs fast kernel families head-to-head: one macroblock's SA 32
-/// full search (per-candidate loop vs candidate-major batches), SME's
-/// refinement of one CIF MB row, and the sub-pixel interpolation frame
-/// pass. Each flips `force_kind`, so all variants are measured regardless
-/// of `FEVES_KERNELS`.
+/// References vs product kernels head-to-head, each called by name: one
+/// MB row's SA 32 full search (per-candidate loop vs candidate-major
+/// batches), SME's refinement of one CIF MB row, and the sub-pixel
+/// interpolation frame pass.
 fn bench_kernel_dispatch(c: &mut Criterion) {
-    use feves_codec::kernels::{self, KernelKind};
+    use feves_codec::kernels::{interp_band, scalar};
+    use feves_codec::me::motion_estimate_rows_reference;
+    use feves_codec::sme::sme_rows_reference;
+    use feves_video::plane::PlaneBandMut;
     use std::hint::black_box as bb;
+    type Search = fn(&Plane<u8>, &[&Plane<u8>], &EncodeParams, RowRange, &mut [MbMotion]);
+    type Refine = fn(&Plane<u8>, &[&SubpelFrame], &[MbMotion], RowRange, &mut [MbSubMotion]);
+    type BandKernel = fn(&Plane<u8>, usize, usize, usize, &mut [PlaneBandMut<'_, u8>]);
 
     let cur = textured_plane(128, 128, 1);
     let rf = textured_plane(128, 128, 2);
     let params = EncodeParams::default();
+    let row = RowRange::new(3, 4);
+    let mut me_out = vec![MbMotion::default(); 8];
     let mut group = c.benchmark_group("me_search");
-    group.throughput(Throughput::Elements(32 * 32));
-    for kind in [KernelKind::Scalar, KernelKind::Fast] {
-        group.bench_function(kind.name(), |b| {
-            kernels::force_kind(kind);
-            b.iter(|| bb(motion_estimate_mb(&cur, &[&rf], &params, 3, 3)));
+    group.throughput(Throughput::Elements(8 * 32 * 32));
+    for (name, search) in [
+        ("scalar", motion_estimate_rows_reference as Search),
+        ("fast", motion_estimate_rows),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                search(&cur, &[&rf], &params, row, &mut me_out);
+                bb(&me_out);
+            });
         });
     }
     group.finish();
 
-    // SME as the encoder runs it: one interior CIF MB row through
-    // `sme_rows` (41 blocks × 17 candidates per macroblock).
+    // SME as the encoder runs it: one interior CIF MB row (41 blocks × 17
+    // candidates per macroblock).
     let (sme_cf, sme_rf) = (textured_plane(352, 288, 3), textured_plane(352, 288, 4));
     let sme_sf = interpolate(&sme_rf);
     let sme_params = EncodeParams {
@@ -145,11 +157,10 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     let mut sme_out = vec![MbSubMotion::default(); 22];
     let mut group = c.benchmark_group("sme_refine_cif_row");
     group.throughput(Throughput::Elements(22 * 41 * 17));
-    for kind in [KernelKind::Scalar, KernelKind::Fast] {
-        group.bench_function(kind.name(), |b| {
-            kernels::force_kind(kind);
+    for (name, refine) in [("scalar", sme_rows_reference as Refine), ("fast", sme_rows)] {
+        group.bench_function(name, |b| {
             b.iter(|| {
-                sme_rows(&sme_cf, &[&sme_sf], &me_row, row, &mut sme_out);
+                refine(&sme_cf, &[&sme_sf], &me_row, row, &mut sme_out);
                 bb(&sme_out);
             });
         });
@@ -157,22 +168,23 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     group.finish();
 
     let src = textured_plane(352, 288, 5);
-    let mut sf = SubpelFrame::new(352, 288);
+    let mut phases = vec![Plane::new(352, 288); 16];
     let mut group = c.benchmark_group("interp_cif_dispatch");
-    group.bench_function("scalar", |b| {
-        kernels::force_kind(kernels::KernelKind::Scalar);
-        b.iter(|| {
-            sf.interpolate_rows(&src, RowRange::new(0, 18));
-            std::hint::black_box(&sf);
+    for (name, kernel) in [
+        ("scalar", scalar::interp_band as BandKernel),
+        ("fast", interp_band),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut bands: Vec<_> = phases
+                    .iter_mut()
+                    .map(|p| p.split_rows_mut(&[288]).remove(0))
+                    .collect();
+                kernel(&src, 352, 0, 288, &mut bands);
+                bb(&bands);
+            });
         });
-    });
-    group.bench_function("fast", |b| {
-        kernels::force_kind(kernels::KernelKind::Fast);
-        b.iter(|| {
-            sf.interpolate_rows(&src, RowRange::new(0, 18));
-            std::hint::black_box(&sf);
-        });
-    });
+    }
     group.finish();
 }
 

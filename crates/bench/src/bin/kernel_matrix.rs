@@ -1,18 +1,20 @@
-//! Scalar-vs-fast kernel benchmark matrix with built-in bit-exactness
+//! Reference-vs-product kernel benchmark matrix with built-in bit-exactness
 //! verification.
 //!
-//! Runs every dispatched hot-kernel family (`FEVES_KERNELS=scalar|fast`)
-//! across block sizes and resolutions, first *verifying* that both
-//! implementations produce identical outputs (any mismatch exits non-zero —
-//! this is the differential gate CI runs), then timing them and emitting
+//! Runs every product hot kernel next to its scalar reference, each called
+//! by name (`me::motion_estimate_rows_reference`, `sme::sme_rows_reference`,
+//! `dbl::deblock_frame_reference`, `kernels::scalar::interp_band`), across
+//! block sizes and resolutions: first *verifying* that both produce
+//! identical outputs (any mismatch exits non-zero — this is the
+//! differential gate CI runs), then timing them and emitting
 //! machine-readable baselines:
 //!
-//! * `BENCH_kernels.json` — per-kernel per-case ns/iter for both families
-//!   plus the speedup ratio;
+//! * `BENCH_kernels.json` — per-kernel per-case ns/iter for the reference
+//!   (`scalar_*`) and the product (`fast_*`) plus the speedup ratio;
 //! * `BENCH_e2e.json` — the virtual-clock idle attribution under
 //!   `--pipeline off|on` (deterministic; wall-clock end-to-end figures are
-//!   `wallbench/`'s, and scalar ≡ fast / lockstep ≡ pipelined output identity
-//!   is tier-1: `tests/cli.rs`, `tests/pipeline_equivalence.rs`).
+//!   `wallbench/`'s, and lockstep ≡ pipelined output identity is tier-1:
+//!   `tests/fault_planes.rs`).
 //!
 //! ```sh
 //! cargo run -p feves-bench --release --bin kernel_matrix -- [--quick] [--out-dir DIR]
@@ -29,17 +31,19 @@
 //! code and document its cost.
 
 use feves_codec::chroma::{encode_chroma_inter_into, ChromaField};
-use feves_codec::dbl::deblock_frame;
+use feves_codec::dbl::{deblock_frame, deblock_frame_reference};
 use feves_codec::interp::interpolate;
-use feves_codec::kernels::{self, KernelKind};
+use feves_codec::kernels::{interp_band, scalar};
 use feves_codec::mc::{mc_rows, ModeField};
-use feves_codec::me::{motion_estimate_mb, motion_estimate_rows, search_isa_name, MbMotion};
+use feves_codec::me::{
+    motion_estimate_rows, motion_estimate_rows_reference, search_isa_name, MbMotion,
+};
 use feves_codec::recon::{itq_recon_rows, tq_rows, CoeffField};
-use feves_codec::sme::{refine_isa_name, sme_rows, MbSubMotion};
+use feves_codec::sme::{refine_isa_name, sme_rows, sme_rows_reference, MbSubMotion};
 use feves_codec::SubpelFrame;
 use feves_core::prelude::*;
 use feves_video::geometry::RowRange;
-use feves_video::plane::Plane;
+use feves_video::plane::{Plane, PlaneBandMut};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -82,22 +86,41 @@ fn smooth(w: usize, h: usize, seed: usize) -> Plane<u8> {
     })
 }
 
-/// Time `f` under both kernel families and return (scalar_ns, fast_ns).
-fn time_both(iters: u64, mut f: impl FnMut()) -> (f64, f64) {
-    let mut out = [0f64; 2];
-    for (slot, kind) in [(0usize, KernelKind::Scalar), (1, KernelKind::Fast)] {
-        kernels::force_kind(kind);
-        // Warmup: a few iterations to touch caches and settle dispatch.
-        for _ in 0..iters.div_ceil(10).max(1) {
-            f();
-        }
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        out[slot] = t0.elapsed().as_nanos() as f64 / iters as f64;
+/// Time `iters` calls of `f` after a short warmup; returns ns per call.
+/// A row times the reference, then the product, on the same buffers.
+fn time(iters: u64, mut f: impl FnMut()) -> f64 {
+    // Warmup: a few iterations to touch caches.
+    for _ in 0..iters.div_ceil(10).max(1) {
+        f();
     }
-    out.into()
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    t0.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// A rows entry point of ME: the product's or its reference.
+type Search = fn(&Plane<u8>, &[&Plane<u8>], &EncodeParams, RowRange, &mut [MbMotion]);
+/// A rows entry point of SME: the product's or its reference.
+type Refine = fn(&Plane<u8>, &[&SubpelFrame], &[MbMotion], RowRange, &mut [MbSubMotion]);
+/// A whole-frame DBL: the product's or its reference.
+type Deblock = fn(&mut Plane<u8>, &ModeField, &CoeffField, u8);
+/// An interpolation row kernel: the product's or its reference.
+type BandKernel = fn(&Plane<u8>, usize, usize, usize, &mut [PlaneBandMut<'_, u8>]);
+
+/// The sixteen quarter-pel phase planes of `src` (index `fy * 4 + fx`),
+/// written by `kernel` in one band into fresh planes, as `interpolate`
+/// allocates its SF.
+fn phases_by(kernel: BandKernel, src: &Plane<u8>) -> Vec<Plane<u8>> {
+    let (w, h) = (src.width(), src.height());
+    let mut phases = vec![Plane::new(w, h); 16];
+    let mut bands: Vec<_> = (phases.iter_mut())
+        .map(|p| p.split_rows_mut(&[h]).remove(0))
+        .collect();
+    kernel(src, w, 0, h, &mut bands);
+    drop(bands);
+    phases
 }
 
 /// One frame pair with its SF and ME field: what SME refines.
@@ -137,13 +160,13 @@ impl SmeCase {
         self.cf.height() / 16
     }
 
-    /// `sme_rows` over MB row `mby` under the active kernel family.
-    fn refine_row(&self, mby: usize) -> Vec<MbSubMotion> {
+    /// `refine` over MB row `mby`.
+    fn refine_row(&self, refine: Refine, mby: usize) -> Vec<MbSubMotion> {
         let mb_cols = self.cf.width() / 16;
         let mut out = vec![MbSubMotion::default(); mb_cols];
         let me_row = &self.me[mby * mb_cols..][..mb_cols];
         let rows = RowRange::new(mby, mby + 1);
-        sme_rows(&self.cf, &[&self.sf], me_row, rows, &mut out);
+        refine(&self.cf, &[&self.sf], me_row, rows, &mut out);
         out
     }
 }
@@ -237,10 +260,10 @@ impl TailCase {
         }
     }
 
-    /// `deblock_frame` over a fresh copy of the reconstruction in `out`.
-    fn deblock(&self, out: &mut Plane<u8>) {
+    /// `deblock` over a fresh copy of the reconstruction in `out`.
+    fn deblock(&self, deblock: Deblock, out: &mut Plane<u8>) {
         out.copy_from(&self.recon);
-        deblock_frame(out, &self.modes, &self.coeffs, self.qp);
+        deblock(out, &self.modes, &self.coeffs, self.qp);
     }
 
     /// `encode_chroma_inter_into` over outputs that already exist.
@@ -300,7 +323,7 @@ impl TailCase {
 // Differential verification (the part CI gates on)
 // ---------------------------------------------------------------------------
 
-/// Run every fast path against the scalar reference over deterministic
+/// Run every product kernel against its reference over deterministic
 /// sweeps; returns the number of mismatches (0 = bit-exact).
 fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize {
     let mut bad = 0usize;
@@ -312,7 +335,7 @@ fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize
     };
 
     // ME search: candidate-major vectors vs the per-candidate loop, whole
-    // MbMotion equality on a plane small enough that every macroblock has
+    // motion fields on a plane small enough that every macroblock has
     // clamped candidates, at two candidate rows per vector (SA 8), one
     // (SA 16) and two vectors per row (SA 32), and with a row's last
     // half-batch masked (SA 12) or paired across rows (SA 24).
@@ -325,23 +348,24 @@ fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize
             n_ref: 2,
             ..Default::default()
         };
-        for (mbx, mby) in [(0, 0), (1, 1), (2, 2), (2, 0)] {
-            kernels::force_kind(KernelKind::Scalar);
-            let want = motion_estimate_mb(&cur, &[&rf, &rf2], &params, mbx, mby);
-            kernels::force_kind(KernelKind::Fast);
-            let got = motion_estimate_mb(&cur, &[&rf, &rf2], &params, mbx, mby);
-            check(&format!("me_search sa {sa} mb ({mbx},{mby})"), want == got);
-        }
+        let field = |search: Search| {
+            let mut out = vec![MbMotion::default(); 9];
+            search(&cur, &[&rf, &rf2], &params, RowRange::new(0, 3), &mut out);
+            out
+        };
+        let want = field(motion_estimate_rows_reference);
+        check(
+            &format!("me_search sa {sa}"),
+            want == field(motion_estimate_rows),
+        );
     }
 
     // SME refinement: whole refined rows, including the top and bottom MB
     // rows whose candidates leave the frame, at both bench resolutions.
     for case in sme_cases {
         for mby in [0, case.mb_rows() / 2, case.mb_rows() - 1] {
-            kernels::force_kind(KernelKind::Scalar);
-            let want = case.refine_row(mby);
-            kernels::force_kind(KernelKind::Fast);
-            let got = case.refine_row(mby);
+            let want = case.refine_row(sme_rows_reference, mby);
+            let got = case.refine_row(sme_rows, mby);
             check(&format!("sme_refine {} row {mby}", case.name), want == got);
         }
     }
@@ -350,10 +374,8 @@ fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize
     // cases hold.
     for case in tail_cases {
         let (mut want, mut got) = (case.recon.clone(), case.recon.clone());
-        kernels::force_kind(KernelKind::Scalar);
-        case.deblock(&mut want);
-        kernels::force_kind(KernelKind::Fast);
-        case.deblock(&mut got);
+        case.deblock(deblock_frame_reference, &mut want);
+        case.deblock(deblock_frame, &mut got);
         check(&format!("deblock {}", case.name), want == got);
         check(
             &format!("deblock {} filters", case.name),
@@ -361,15 +383,15 @@ fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize
         );
     }
 
-    // Interpolation through the public API under force_kind (covers the
-    // whole band kernel incl. border halos at several sizes).
+    // Interpolation: the whole band kernel incl. border halos at several
+    // sizes, and the product SF built through `interpolate`'s bands.
     for &(w, h) in &[(17usize, 13usize), (48, 32), (176, 144)] {
         let src = textured(w, h, 23);
-        kernels::force_kind(KernelKind::Scalar);
-        let a = interpolate(&src);
-        kernels::force_kind(KernelKind::Fast);
-        let b = interpolate(&src);
-        check(&format!("interpolate {w}x{h}"), a == b);
+        let want = phases_by(scalar::interp_band, &src);
+        let got = phases_by(interp_band, &src);
+        let sf = interpolate(&src);
+        let built = (0..16).all(|k| want[k] == *sf.phase(k as u8 % 4, k as u8 / 4));
+        check(&format!("interpolate {w}x{h}"), want == got && built);
     }
 
     bad
@@ -397,28 +419,31 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
         });
     };
 
-    // The ME workhorse: one macroblock's exhaustive search, all 41
-    // partitions — per-candidate loop vs candidate-major vectors — at the
-    // wallbench workloads' areas: SA 8 (`cif_sme`, `qcif_long_ckpt`), 16
-    // (`farm_qcif`) and 32 (`hd720_me`).
-    let cur = textured(128, 128, 3);
-    let rf = textured(128, 128, 57);
+    // The ME workhorse: exhaustive search, all 41 partitions — the
+    // per-candidate loop vs candidate-major vectors — over one interior MB
+    // row of a 720p-wide frame (80 macroblocks, so the two border ones
+    // weigh little), reported per macroblock, at the wallbench workloads'
+    // areas: SA 8 (`cif_sme`, `qcif_long_ckpt`), 16 (`farm_qcif`) and 32
+    // (`hd720_me`).
+    const MBS: u64 = 80;
+    let cur = textured(16 * MBS as usize, 128, 3);
+    let rf = textured(16 * MBS as usize, 128, 57);
+    let row = RowRange::new(3, 4);
     for sa in [8u16, 16, 32] {
         let params = EncodeParams {
             search_area: SearchArea(sa),
             ..Default::default()
         };
-        let iters = 2_000 * 32 * 32 / (sa as u64 * sa as u64) / div as u64;
-        let t = time_both(iters, || {
-            std::hint::black_box(motion_estimate_mb(
-                std::hint::black_box(&cur),
-                &[std::hint::black_box(&rf)],
-                &params,
-                3,
-                3,
-            ));
-        });
-        push("me_search", &format!("sa{sa}"), iters, t);
+        let calls = (2_000 * 32 * 32 / (sa as u64 * sa as u64) / div as u64 / MBS).max(1);
+        let mut out = vec![MbMotion::default(); MBS as usize];
+        let mut search = |search: Search| {
+            let cur = std::hint::black_box(&cur);
+            search(cur, &[std::hint::black_box(&rf)], &params, row, &mut out);
+            std::hint::black_box(&out);
+        };
+        let s = time(calls, || search(motion_estimate_rows_reference)) / MBS as f64;
+        let f = time(calls, || search(motion_estimate_rows)) / MBS as f64;
+        push("me_search", &format!("sa{sa}"), calls * MBS, (s, f));
     }
 
     // SME as the encoder runs it: `sme_rows` over one interior MB row (41
@@ -427,9 +452,13 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
     for case in sme_cases {
         let iters = 40_000 / case.cf.width() as u64 * 16 / div as u64;
         let mby = case.mb_rows() / 2;
-        let t = time_both(iters, || {
-            std::hint::black_box(std::hint::black_box(case).refine_row(mby));
-        });
+        let refine = |refine: Refine| {
+            std::hint::black_box(std::hint::black_box(case).refine_row(refine, mby));
+        };
+        let t = (
+            time(iters, || refine(sme_rows_reference)),
+            time(iters, || refine(sme_rows)),
+        );
         push("sme_refine", &format!("{}_row", case.name), iters, t);
     }
 
@@ -439,19 +468,25 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
     for case in tail_cases {
         let iters = 400 * (352 * 288) / case.recon.as_slice().len() as u64 / div as u64;
         let mut out = case.recon.clone();
-        let t = time_both(iters, || {
-            std::hint::black_box(case).deblock(&mut out);
+        let mut deblock = |deblock: Deblock| {
+            std::hint::black_box(case).deblock(deblock, &mut out);
             std::hint::black_box(&out);
-        });
+        };
+        let t = (
+            time(iters, || deblock(deblock_frame_reference)),
+            time(iters, || deblock(deblock_frame)),
+        );
         push("deblock", &format!("{}_frame", case.name), iters, t);
+        // One form: both columns time the same code.
         let (mut coeffs, mut u, mut v) = case.chroma_outputs();
-        let t = time_both(iters, || {
+        let mut chroma = || {
             std::hint::black_box(std::hint::black_box(case).chroma(&mut coeffs, &mut u, &mut v));
-        });
+        };
+        let t = (time(iters, &mut chroma), time(iters, &mut chroma));
         push("chroma_inter", &format!("{}_frame", case.name), iters, t);
     }
 
-    // Full-frame interpolation at three resolutions.
+    // Full-frame interpolation at three resolutions, all sixteen phases.
     for &(name, w, h) in &[
         ("qcif", 176usize, 144usize),
         ("cif", 352, 288),
@@ -459,9 +494,13 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
     ] {
         let src = textured(w, h, 11);
         let iters = (40u64 * (1280 * 720) as u64 / (w * h) as u64 / div as u64).max(1);
-        let t = time_both(iters, || {
-            std::hint::black_box(interpolate(std::hint::black_box(&src)));
-        });
+        let interp = |kernel: BandKernel| {
+            std::hint::black_box(phases_by(kernel, std::hint::black_box(&src)));
+        };
+        let t = (
+            time(iters, || interp(scalar::interp_band)),
+            time(iters, || interp(interp_band)),
+        );
         push("interpolate", name, iters, t);
     }
 
@@ -535,7 +574,7 @@ fn main() {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("."));
 
-    println!("kernel matrix: verifying fast == scalar (bit-exactness)...");
+    println!("kernel matrix: verifying product == reference (bit-exactness)...");
     let sme_cases = [
         SmeCase::new("cif", 352, 288, 8),
         SmeCase::new("720p", 1280, 720, 32),
@@ -549,7 +588,7 @@ fn main() {
     }
     let mismatches = verify_differentials(&sme_cases, &tail_cases);
     if mismatches != 0 {
-        eprintln!("{mismatches} differential check(s) FAILED — fast kernels are not bit-exact");
+        eprintln!("{mismatches} differential check(s) FAILED — product kernels are not bit-exact");
         std::process::exit(1);
     }
     println!("all differential checks passed\n");

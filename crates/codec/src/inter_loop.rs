@@ -5,9 +5,8 @@
 //! kernels across devices, and its output must be bit-identical to this
 //! driver for any workload distribution (the partition-invariance tests in
 //! the workspace root assert that). The hot inner loops (SAD, interpolation,
-//! quantization) additionally dispatch through [`crate::kernels`]; because
-//! scalar and fast kernels are bit-exact, `FEVES_KERNELS` never changes the
-//! bitstream either.
+//! quantization) run the fast paths of [`crate::kernels`], bit-exact against
+//! their scalar references.
 
 use crate::dbl::deblock_frame;
 use crate::entropy::encode_frame;
@@ -156,7 +155,7 @@ impl ReferenceStore {
 
     /// Rebuild a store from reconstructed planes (most recent first),
     /// re-deriving each sub-pixel frame with [`interpolate`]. SFs are pure
-    /// functions of their RF — and bit-exact across kernel families and
+    /// functions of their RF — and bit-exact against their references and
     /// work partitions (the partition-invariance tests prove it) — so a
     /// checkpoint only needs the ~5× smaller reconstructed planes.
     #[allow(clippy::type_complexity)] // (luma, optional (Cb, Cr)) per entry

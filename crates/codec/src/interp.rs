@@ -13,10 +13,10 @@
 //! execution produces bit-identical SFs (the partition-invariance the
 //! framework relies on).
 //!
-//! The row kernel itself lives in [`crate::kernels`]
-//! (`FEVES_KERNELS=scalar|fast`): the fast path hoists the border clamping
-//! into padded rows and computes the quarter-pel averages with packed SWAR
-//! byte math, bit-exact against the scalar reference.
+//! The row kernel itself lives in [`crate::kernels`]: the product's fast
+//! path hoists the border clamping into padded rows and computes the
+//! quarter-pel averages with packed SWAR byte math, bit-exact against the
+//! reference `kernels::scalar::interp_band`.
 
 use crate::par;
 use feves_video::geometry::{RowRange, MB_SIZE};

@@ -9,10 +9,11 @@
 //!   is detected) and sixteen-lane `vmpsadbw` with running per-lane minima
 //!   ([`Avx2`], detected at run time) — with a portable definition of each
 //!   beside it ([`Portable`]) for every other host, which is also what the
-//!   `scalar` family's SME runs.
+//!   reference `sme::sme_rows_reference` runs.
 //! * The deblocking line filter: the sixteen sample lines that cross one
 //!   macroblock edge at once in SSE2 `i16` lanes ([`Sse2`]), against one
-//!   line at a time ([`Portable`], the definition and the `scalar` family).
+//!   line at a time ([`Portable`], the definition and
+//!   `dbl::deblock_frame_reference`).
 //! * Interpolation, structure: the border-clamped source reads are hoisted
 //!   into padded rows once per band (the scalar path calls `get_clamped` per
 //!   pixel) and the 6-tap filters run over contiguous slices the compiler's
@@ -53,7 +54,7 @@ fn avg8(a: u64, b: u64) -> u64 {
 /// width 8, four at width 4 — so every byte of every `psadbw` is a sample
 /// and a 4×4 SAD is one instruction.
 ///
-/// [`Portable`] is the definition (and what the `scalar` family runs);
+/// [`Portable`] is the definition (and what `sme::sme_rows_reference` runs);
 /// [`Sse2`] is the same pair on `movd`/`movq`/`movdqu` + `psadbw`. The
 /// refinement body is written once against this trait.
 pub trait RefineIsa: Copy {
@@ -293,7 +294,7 @@ pub(crate) struct EdgeFilter {
 /// a time, in the two directions an edge runs.
 ///
 /// [`Portable`] is the definition, one [`filter_line`] per sample line (and
-/// what the `scalar` family runs); [`Sse2`] filters the sixteen lines at
+/// what `dbl::deblock_frame_reference` runs); [`Sse2`] filters the sixteen lines at
 /// once in `i16` lanes, the segments' `tc0` and bS ≠ 0 as lane vectors, and
 /// transposes around the filter where the lines are rows. The frame walk is
 /// written once against this trait.

@@ -1,4 +1,4 @@
-//! Runtime-dispatched hot-kernel implementations.
+//! Hot-kernel implementations: the product's fast paths and their references.
 //!
 //! The paper implements its CPU kernels with SSE/AVX intrinsics (Sec. III-A)
 //! because ME + INT + SME account for ~90 % of inter-loop encoding time.
@@ -15,95 +15,41 @@
 //!
 //! Kernels whose fast twin never beat the scalar loop (the quantizers, the
 //! per-candidate SAD grid, `row_sad`) have one implementation, in
-//! [`scalar`], that both families run; chroma coding ([`crate::chroma`])
+//! [`scalar`], that the product runs too; chroma coding ([`crate::chroma`])
 //! never had a twin.
 //!
-//! The active family is selected once at startup (first use) from the
-//! `FEVES_KERNELS` environment variable (`scalar` | `fast`, default `fast`)
-//! and can be overridden programmatically with [`force_kind`] for A/B
-//! benchmarking. Within `fast`, the instruction set is whatever the CPU
-//! reports — there is no switch for it. All of it is **bit-exact**: the
+//! The product always runs [`fast`]; within it the instruction set is
+//! whatever the CPU reports — there is no switch for it. [`scalar`] stays
+//! as the reference that tests and benches call **by name**, next to the
+//! product entry points' `*_reference` twins in [`crate::me`],
+//! [`crate::sme`] and [`crate::dbl`]. All of it is **bit-exact**: the
 //! differential tests (`tests/kernel_differential.rs`, plus the unit tests
 //! of [`crate::me`], [`crate::sme`], [`fast`] and [`crate::interp`]) prove
 //! `fast(x) == scalar(x)` over exhaustive small inputs and
-//! proptest-generated planes, so flipping the switch can never change an
-//! encoded bitstream — only how quickly it is produced.
+//! proptest-generated planes.
 
 pub mod fast;
 pub mod scalar;
 
 use crate::sad::SadGrid;
 use feves_video::plane::{Plane, PlaneBandMut};
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which kernel implementation family is active.
+/// The one kernel family left. A no-op shim kept only because the
+/// wall-clock benchmark still names it; item B of the roadmap deletes it
+/// together with [`force_kind`].
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Plain reference loops (auto-vectorization only).
-    Scalar,
-    /// `std::arch` SAD and line-filter instructions + SWAR interpolation
-    /// fast paths.
+    /// `std::arch` SAD and line-filter instructions + SWAR interpolation.
     Fast,
 }
 
-impl KernelKind {
-    /// Stable lowercase name (matches the `FEVES_KERNELS` values).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Fast => "fast",
-        }
-    }
-
-    /// Numeric id for metrics (`0` scalar, `1` fast).
-    pub fn index(self) -> u8 {
-        match self {
-            KernelKind::Scalar => 0,
-            KernelKind::Fast => 1,
-        }
-    }
-}
-
-/// 0 = uninitialised, 1 = scalar, 2 = fast.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-#[cold]
-fn init_from_env() -> KernelKind {
-    let kind = match std::env::var("FEVES_KERNELS").as_deref() {
-        Ok("scalar") => KernelKind::Scalar,
-        Ok("fast") | Err(_) => KernelKind::Fast,
-        Ok(other) => {
-            eprintln!("FEVES_KERNELS: unknown value '{other}' (want scalar|fast), using fast");
-            KernelKind::Fast
-        }
-    };
-    ACTIVE.store(kind.index() + 1, Ordering::Relaxed);
-    kind
-}
-
-/// The active kernel family (initialised from `FEVES_KERNELS` on first use).
-#[inline]
-pub fn active_kind() -> KernelKind {
-    match ACTIVE.load(Ordering::Relaxed) {
-        1 => KernelKind::Scalar,
-        2 => KernelKind::Fast,
-        _ => init_from_env(),
-    }
-}
-
-/// Override the active kernel family (A/B benchmarking, differential tests).
-///
-/// Because both families are bit-exact, flipping this mid-encode is safe —
-/// it can change throughput, never output.
-pub fn force_kind(kind: KernelKind) {
-    ACTIVE.store(kind.index() + 1, Ordering::Relaxed);
-}
+/// Does nothing: the product always runs [`fast`]. See [`KernelKind`].
+#[doc(hidden)]
+pub fn force_kind(_: KernelKind) {}
 
 // ---------------------------------------------------------------------------
-// Entry points. A dispatched one does one relaxed atomic load and branches;
-// its callers work at row granularity (interpolation bands here, one
-// `me` / `sme` rows or `dbl` frame call there), so that is amortised over
-// thousands of sample operations.
+// Entry points.
 // ---------------------------------------------------------------------------
 
 /// SAD of two equal-length rows.
@@ -125,8 +71,9 @@ pub fn row_sad(a: &[u8], b: &[u8]) -> u32 {
 
 /// The sixteen 4×4 SADs of one macroblock against one reference position
 /// (border-clamped when the reference block leaves the plane) — the
-/// per-candidate form the `scalar` ME loop runs; the `fast` search
-/// ([`crate::me`]) computes the same grids sixteen candidates at a time.
+/// per-candidate form [`crate::me::motion_estimate_rows_reference`] runs;
+/// the product search ([`crate::me`]) computes the same grids sixteen
+/// candidates at a time.
 #[inline]
 pub fn sad_grid_16x16(
     cur: &Plane<u8>,
@@ -161,10 +108,7 @@ pub fn interp_band(
     y1: usize,
     bands: &mut [PlaneBandMut<'_, u8>],
 ) {
-    match active_kind() {
-        KernelKind::Scalar => scalar::interp_band(rf, width, y0, y1, bands),
-        KernelKind::Fast => fast::interp_band(rf, width, y0, y1, bands),
-    }
+    fast::interp_band(rf, width, y0, y1, bands)
 }
 
 // ---------------------------------------------------------------------------
@@ -224,24 +168,6 @@ pub(crate) fn avg(a: u8, b: u8) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_names_and_indices_are_stable() {
-        assert_eq!(KernelKind::Scalar.name(), "scalar");
-        assert_eq!(KernelKind::Fast.name(), "fast");
-        assert_eq!(KernelKind::Scalar.index(), 0);
-        assert_eq!(KernelKind::Fast.index(), 1);
-    }
-
-    #[test]
-    fn force_kind_round_trips() {
-        let before = active_kind();
-        force_kind(KernelKind::Scalar);
-        assert_eq!(active_kind(), KernelKind::Scalar);
-        force_kind(KernelKind::Fast);
-        assert_eq!(active_kind(), KernelKind::Fast);
-        force_kind(before);
-    }
 
     #[test]
     #[should_panic(expected = "row_sad length mismatch")]

@@ -1,9 +1,10 @@
 //! Reference scalar kernels.
 //!
-//! These are the plain loops the codec shipped with before the dispatch
-//! layer existed, moved here verbatim. They are the semantic ground truth:
-//! every [`super::fast`] kernel is differential-tested against these, and
-//! they remain selectable at runtime via `FEVES_KERNELS=scalar`.
+//! These are the plain loops the codec shipped with before the fast paths
+//! existed, moved here verbatim. They are the semantic ground truth: every
+//! [`super::fast`] kernel is differential-tested against these, which tests
+//! and benches call by name. The product runs the ones without a fast twin
+//! (the quantizers, the SAD grid, `row_sad`).
 
 use super::{avg, clip8, freq_class, tap6, MF, V};
 use crate::sad::SadGrid;

@@ -16,7 +16,7 @@
 //! | [`entropy`] / [`cabac`] | Entropy coding: the Exp-Golomb and the arithmetic symbol coders | [`entropy::encode_frame`], [`cabac::encode_frame_cabac`] |
 //! | `syntax` (private) | The frame syntax both coders binarise: the one writer walk, the one reader walk and its range checks | [`cabac::EntropyBackend::encode_frame_yuv`] |
 //! | [`intra`] | I-slice coding | [`intra::encode_intra_frame`] |
-//! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD, SWAR) | [`kernels::active_kind`] |
+//! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD, SWAR) and their scalar references | [`kernels::interp_band`] |
 //! | [`par`] | Host execution: MB rows over the host's cores | [`par::for_each_row`] |
 //!
 //! The ME/INT/SME kernels are *partition-invariant*: their result for a
@@ -50,7 +50,6 @@ pub mod workload;
 
 pub use inter_loop::{encode_inter_frame, InterFrameOutput, ReferenceStore};
 pub use interp::SubpelFrame;
-pub use kernels::KernelKind;
 pub use me::{MbMotion, MeField};
 pub use sme::{MbSubMotion, SmeField};
 pub use types::{EncodeParams, MbField, Module, Mv, PartitionMode, QpelMv, SearchArea};

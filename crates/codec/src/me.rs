@@ -14,9 +14,10 @@
 //! the per-block winner is the minimum-SAD candidate with a deterministic
 //! tie-break (first in `rf`-then-raster scan order).
 //!
-//! Two loops compute that same field ([`crate::kernels`],
-//! `FEVES_KERNELS=scalar|fast`). `scalar` is the definition: one candidate
-//! at a time, grid → 41 sums → 41 compares. `fast` is **candidate-major**:
+//! Two loops compute that same field. The reference,
+//! [`motion_estimate_rows_reference`], is the definition: one candidate at
+//! a time, grid → 41 sums → 41 compares. The product search, which every
+//! other entry point runs, is **candidate-major**:
 //! sixteen candidates — two half-batches of eight horizontally adjacent
 //! ones — share every load, the grid cells and partition sums are
 //! sixteen-lane vectors (one lane per candidate, one `vmpsadbw` per cell
@@ -24,8 +25,8 @@
 //! is reduced once per macroblock and reference — see DESIGN §5n for why
 //! the lanes cannot overflow and why the tie-break is unchanged.
 
+use crate::kernels;
 use crate::kernels::fast::{Portable, SearchIsa};
-use crate::kernels::{self, KernelKind};
 use crate::par;
 use crate::sad::SadGrid;
 use crate::types::{EncodeParams, MbField, Mv, PartitionMode, TOTAL_PARTITION_BLOCKS};
@@ -191,44 +192,6 @@ fn aggregate<T: Copy>(grid: &[T; 16], out: &mut impl Blocks<T>) {
     out.emit(0, whole);
 }
 
-/// The scalar loop for one macroblock: every candidate in `rf` → `dy` →
-/// `dx` order, one [`SadGrid`] each.
-fn search_mb_scalar(
-    cf: &Plane<u8>,
-    rfs: &[&Plane<u8>],
-    params: &EncodeParams,
-    mbx: usize,
-    mby: usize,
-) -> MbMotion {
-    let mut best = MbMotion::default();
-    let range = params.search_area.range();
-    let cx = mbx * MB_SIZE;
-    let cy = mby * MB_SIZE;
-    for (rf_idx, rf) in rfs.iter().enumerate().take(params.n_ref) {
-        for dy in -range..range {
-            let ry = cy as isize + dy as isize;
-            for dx in -range..range {
-                let rx = cx as isize + dx as isize;
-                let grid = kernels::scalar::sad_grid_16x16(cf, cx, cy, rf, rx, ry);
-                let parts = aggregate_partitions(&grid);
-                let mv = Mv::new(dx, dy);
-                for (b, &cost) in best.blocks.iter_mut().zip(parts.iter()) {
-                    // Strict `<` keeps the first candidate in scan order on
-                    // ties → deterministic regardless of parallel split.
-                    if cost < b.cost {
-                        *b = BlockMv {
-                            rf: rf_idx as u8,
-                            mv,
-                            cost,
-                        };
-                    }
-                }
-            }
-        }
-    }
-    best
-}
-
 /// Append `n` samples of `src` starting at column `x0` to `buf`; columns
 /// left or right of the row replicate its first or last sample.
 fn push_clamped(buf: &mut Vec<u8>, src: &[u8], x0: isize, n: usize) {
@@ -331,7 +294,7 @@ fn past_the_area<I: SearchIsa>(isa: I, cost: I::Lanes, valid: [usize; 2]) -> I::
 /// keeps, per lane, its least cost and the position of the half-batch that
 /// first reached it ([`SearchIsa::keep`]: no branch, no horizontal
 /// minimum); one [`SearchIsa::reduce`] per block then takes the least
-/// cost, the earliest position, the lowest column — the scalar loop's
+/// cost, the earliest position, the lowest column — the reference loop's
 /// first-wins order — and the strict `<` against `best` carries that across
 /// references.
 #[inline(always)]
@@ -485,8 +448,8 @@ fn search_avx2(
     search_batched(isa, cf, rfs, params, rows, cols, out)
 }
 
-/// Name of the primitive set the `fast` search runs on this host
-/// (`"avx2"` or `"portable"`), for logs.
+/// Name of the primitive set the search runs on this host (`"avx2"` or
+/// `"portable"`), for logs.
 pub fn search_isa_name() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if kernels::fast::Avx2::detect().is_some() {
@@ -495,26 +458,9 @@ pub fn search_isa_name() -> &'static str {
     "portable"
 }
 
-/// [`search_batched`] on the best primitive set this CPU has — detected
-/// here, once per call; there is no switch for it.
-fn search_fast(
-    cf: &Plane<u8>,
-    rfs: &[&Plane<u8>],
-    params: &EncodeParams,
-    rows: RowRange,
-    cols: Range<usize>,
-    out: &mut [MbMotion],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(isa) = kernels::fast::Avx2::detect() {
-        // SAFETY: `isa` exists, so this CPU has the AVX2 the callee is
-        // compiled for.
-        return unsafe { search_avx2(isa, cf, rfs, params, rows, cols, out) };
-    }
-    search_batched(Portable, cf, rfs, params, rows, cols, out)
-}
-
-/// FSBM over the macroblocks `rows × cols` under the active kernel family.
+/// FSBM over the macroblocks `rows × cols`: [`search_batched`] on the best
+/// primitive set this CPU has — detected here, once per call; there is no
+/// switch for it.
 fn search(
     cf: &Plane<u8>,
     rfs: &[&Plane<u8>],
@@ -524,19 +470,14 @@ fn search(
     out: &mut [MbMotion],
 ) {
     debug_assert_eq!(out.len(), rows.len() * cols.len());
-    match kernels::active_kind() {
-        KernelKind::Scalar => {
-            for (i, mby) in rows.iter().enumerate() {
-                for (j, mbx) in cols.clone().enumerate() {
-                    out[i * cols.len() + j] = search_mb_scalar(cf, rfs, params, mbx, mby);
-                }
-            }
-        }
-        KernelKind::Fast => {
-            out.fill(MbMotion::default());
-            search_fast(cf, rfs, params, rows, cols, out);
-        }
+    out.fill(MbMotion::default());
+    #[cfg(target_arch = "x86_64")]
+    if let Some(isa) = kernels::fast::Avx2::detect() {
+        // SAFETY: `isa` exists, so this CPU has the AVX2 the callee is
+        // compiled for.
+        return unsafe { search_avx2(isa, cf, rfs, params, rows, cols, out) };
     }
+    search_batched(Portable, cf, rfs, params, rows, cols, out)
 }
 
 /// Run FSBM for one macroblock against all reference frames, returning the
@@ -572,6 +513,53 @@ pub fn motion_estimate_rows(
         "output slice size mismatch"
     );
     search(cf, rfs, params, rows, 0..mb_cols, out);
+}
+
+/// [`motion_estimate_rows`] by the reference loop: every candidate in `rf`
+/// → `dy` → `dx` order, one [`SadGrid`] each. The definition the product
+/// search is tested against; the encoder never runs it.
+pub fn motion_estimate_rows_reference(
+    cf: &Plane<u8>,
+    rfs: &[&Plane<u8>],
+    params: &EncodeParams,
+    rows: RowRange,
+    out: &mut [MbMotion],
+) {
+    let mb_cols = cf.width() / MB_SIZE;
+    assert_eq!(
+        out.len(),
+        rows.len() * mb_cols,
+        "output slice size mismatch"
+    );
+    let range = params.search_area.range();
+    for (i, slot) in out.iter_mut().enumerate() {
+        let mut best = MbMotion::default();
+        let (cx, cy) = (i % mb_cols * MB_SIZE, (rows.start + i / mb_cols) * MB_SIZE);
+        for (rf_idx, rf) in rfs.iter().enumerate().take(params.n_ref) {
+            for dy in -range..range {
+                let ry = cy as isize + dy as isize;
+                for dx in -range..range {
+                    let rx = cx as isize + dx as isize;
+                    let grid = kernels::scalar::sad_grid_16x16(cf, cx, cy, rf, rx, ry);
+                    let parts = aggregate_partitions(&grid);
+                    let mv = Mv::new(dx, dy);
+                    for (b, &cost) in best.blocks.iter_mut().zip(parts.iter()) {
+                        // Strict `<` keeps the first candidate in scan order
+                        // on ties → deterministic regardless of parallel
+                        // split.
+                        if cost < b.cost {
+                            *b = BlockMv {
+                                rf: rf_idx as u8,
+                                mv,
+                                cost,
+                            };
+                        }
+                    }
+                }
+            }
+        }
+        *slot = best;
+    }
 }
 
 /// [`motion_estimate_rows`] with the MB rows spread over the host's cores
@@ -733,12 +721,12 @@ mod tests {
     /// Whole-frame motion field from the per-candidate loop.
     fn scalar_field(cf: &Plane<u8>, rfs: &[&Plane<u8>], params: &EncodeParams) -> Vec<MbMotion> {
         let (mb_cols, mb_rows) = (cf.width() / MB_SIZE, cf.height() / MB_SIZE);
-        (0..mb_cols * mb_rows)
-            .map(|i| search_mb_scalar(cf, rfs, params, i % mb_cols, i / mb_cols))
-            .collect()
+        let mut field = vec![MbMotion::default(); mb_cols * mb_rows];
+        motion_estimate_rows_reference(cf, rfs, params, RowRange::new(0, mb_rows), &mut field);
+        field
     }
 
-    /// Assert that the portable batches and this host's `fast` path both
+    /// Assert that the portable batches and this host's product search both
     /// reproduce the per-candidate loop; returns the field.
     fn assert_loops_agree(
         cf: &Plane<u8>,
@@ -753,7 +741,7 @@ mod tests {
         search_batched(Portable, cf, rfs, params, rows, 0..mb_cols, &mut portable);
         assert!(want == portable, "{what}: portable batches differ");
         let mut host = vec![MbMotion::default(); want.len()];
-        search_fast(cf, rfs, params, rows, 0..mb_cols, &mut host);
+        search(cf, rfs, params, rows, 0..mb_cols, &mut host);
         assert!(want == host, "{what}: {} batches differ", search_isa_name());
         want
     }
@@ -865,7 +853,7 @@ mod tests {
         let mut portable = [MbMotion::default()];
         search_batched(Portable, &cf, &[&rf], &params, rows, 0..1, &mut portable);
         let mut host = [MbMotion::default()];
-        search_fast(&cf, &[&rf], &params, rows, 0..1, &mut host);
+        search(&cf, &[&rf], &params, rows, 0..1, &mut host);
         for (field, isa) in [(&portable, "portable"), (&host, search_isa_name())] {
             for b in field[0].all_blocks() {
                 assert_eq!((b.rf, b.mv, b.cost), (0, Mv::new(0, 150), 0), "{isa}");

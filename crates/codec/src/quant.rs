@@ -5,7 +5,7 @@
 //! with the 4×4 core transform of [`crate::transform`] into the `TQ` and
 //! `TQ⁻¹` block operations the inter-loop applies to prediction residuals.
 //! The per-coefficient loops live in [`crate::kernels`], one implementation
-//! that both kernel families run.
+//! with no fast twin.
 
 use crate::transform::{forward_4x4, inverse_4x4};
 

@@ -3,10 +3,10 @@
 //! These are the innermost loops of the encoder (full-search block matching
 //! evaluates millions of them per frame). [`row_sad`] and
 //! [`sad_grid_16x16`] are the reference forms. The paper's CPU kernels use
-//! SSE/AVX intrinsics, and so do the two loops that spend the time
-//! (`FEVES_KERNELS=scalar|fast`, both bit-exact): the `fast` ME search
-//! ([`crate::me`]) computes the same grids sixteen candidates at a time, and
-//! the SME refinement ([`crate::sme`]) runs packed-block `psadbw`.
+//! SSE/AVX intrinsics, and so do the two loops that spend the time (both
+//! bit-exact against these): the ME search ([`crate::me`]) computes the same
+//! grids sixteen candidates at a time, and the SME refinement
+//! ([`crate::sme`]) runs packed-block `psadbw`.
 
 use feves_video::plane::Plane;
 

@@ -12,8 +12,8 @@
 //! is packed into 16-byte rows once, each of the 17 candidates is fetched
 //! by [`SubpelFrame::block`] — a view into its phase plane, or a clamped
 //! copy when it leaves the frame — packed the same way and compared.
-//! `FEVES_KERNELS` picks the primitives ([`Portable`] for `scalar`,
-//! `psadbw` for `fast`) once per rows call.
+//! The product runs it on `psadbw`; [`sme_rows_reference`] runs it on
+//! [`Portable`], the definition the product is tested against.
 
 use crate::interp::{SubpelFrame, Tile};
 #[cfg(not(target_arch = "x86_64"))]
@@ -21,7 +21,6 @@ use crate::kernels::fast::Portable as FastIsa;
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::fast::Sse2 as FastIsa;
 use crate::kernels::fast::{Portable, RefineIsa};
-use crate::kernels::{self, KernelKind};
 use crate::me::{mode_base, BlockMv, MbMotion};
 use crate::par;
 use crate::types::{MbField, PartitionMode, QpelMv, TOTAL_PARTITION_BLOCKS};
@@ -204,8 +203,8 @@ impl<I: RefineIsa> Refiner<'_, I> {
     }
 }
 
-/// Name of the primitive set the `fast` refinement runs on this host
-/// (`"sse2"` or `"portable"`), for logs.
+/// Name of the primitive set the refinement runs on this host (`"sse2"` or
+/// `"portable"`), for logs.
 pub fn refine_isa_name() -> &'static str {
     if cfg!(target_arch = "x86_64") {
         "sse2"
@@ -214,9 +213,9 @@ pub fn refine_isa_name() -> &'static str {
     }
 }
 
-/// SME over the macroblocks `rows × cols` on the active kernel family's
-/// primitives — chosen here, once per call.
-fn refine_cells(
+/// SME over the macroblocks `rows × cols` on the primitives of `isa`.
+fn refine_cells<I: RefineIsa>(
+    isa: I,
     cf: &Plane<u8>,
     sfs: &[&SubpelFrame],
     me: &[MbMotion],
@@ -230,20 +229,7 @@ fn refine_cells(
         "output slice size mismatch"
     );
     assert_eq!(me.len(), out.len(), "ME input size mismatch");
-    match kernels::active_kind() {
-        KernelKind::Scalar => Refiner {
-            isa: Portable,
-            cf,
-            sfs,
-        }
-        .run(me, rows, cols, out),
-        KernelKind::Fast => Refiner {
-            isa: FastIsa,
-            cf,
-            sfs,
-        }
-        .run(me, rows, cols, out),
-    }
+    Refiner { isa, cf, sfs }.run(me, rows, cols, out)
 }
 
 /// Refine all 41 partition blocks of one macroblock.
@@ -257,6 +243,7 @@ pub fn sme_mb(
     let mut out = [MbSubMotion::default()];
     let rows = RowRange::new(mby, mby + 1);
     refine_cells(
+        FastIsa,
         cf,
         sfs,
         std::slice::from_ref(me_mb),
@@ -277,7 +264,21 @@ pub fn sme_rows(
     rows: RowRange,
     out: &mut [MbSubMotion],
 ) {
-    refine_cells(cf, sfs, me_rows, rows, 0..cf.width() / MB_SIZE, out);
+    let cols = 0..cf.width() / MB_SIZE;
+    refine_cells(FastIsa, cf, sfs, me_rows, rows, cols, out);
+}
+
+/// [`sme_rows`] on the [`Portable`] primitives: the definition the product
+/// refinement is tested against; the encoder never runs it.
+pub fn sme_rows_reference(
+    cf: &Plane<u8>,
+    sfs: &[&SubpelFrame],
+    me_rows: &[MbMotion],
+    rows: RowRange,
+    out: &mut [MbSubMotion],
+) {
+    let cols = 0..cf.width() / MB_SIZE;
+    refine_cells(Portable, cf, sfs, me_rows, rows, cols, out);
 }
 
 /// [`sme_rows`] with the MB rows spread over the host's cores
@@ -361,8 +362,8 @@ mod tests {
         assert_eq!(blk.mv.phase().0, 2);
     }
 
-    /// One macroblock refined on each family's primitives (direct calls,
-    /// no global flip).
+    /// One macroblock refined on the reference's primitives and on the
+    /// product's.
     fn both_families(
         cf: &Plane<u8>,
         sfs: &[&SubpelFrame],
@@ -410,7 +411,7 @@ mod tests {
     fn flat_plane_keeps_every_block_at_its_me_vector() {
         // All 17 candidates of every block cost 0, edge-straddling ones
         // included (a one-MB-row frame): strict `<` in scan order must
-        // leave each block where ME put it, under both families.
+        // leave each block where ME put it, on both primitive sets.
         let rf = Plane::from_fn(48, 16, |_, _| 90);
         let sf = interpolate(&rf);
         let mut me = MbMotion::default();

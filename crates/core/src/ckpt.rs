@@ -78,7 +78,8 @@ pub struct ResumeContext {
     pub qp: u8,
     /// `--balancer` name.
     pub balancer: String,
-    /// `--kernels` override, verbatim.
+    /// The kernel family a checkpoint recorded, written back verbatim. Read
+    /// and ignored: one family runs, and the platform does not depend on it.
     pub kernels: Option<String>,
     /// `--fault` specs, verbatim.
     pub faults: Vec<String>,

@@ -733,13 +733,6 @@ impl FevesEncoder {
             self.config.resolution,
             "frame resolution mismatch"
         );
-        // Which hot-kernel family the functional encode runs on (0 = scalar,
-        // 1 = fast). Recorded only here — the timing-only path never touches
-        // pixels, so its metrics stay independent of FEVES_KERNELS.
-        self.rec().gauge(
-            Metric::KernelDispatch,
-            feves_codec::kernels::active_kind().index() as f64,
-        );
         // Closed-GOP refresh: drop all references and start a new I-frame.
         if let Some(gop) = self.config.gop {
             if self.frames_encoded > 0 && self.frames_encoded.is_multiple_of(gop) {

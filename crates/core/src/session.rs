@@ -17,13 +17,12 @@ use crate::ckpt::{CheckpointManager, ResumeContext};
 use crate::config::{BalancerKind, EncoderConfig, ExecutionMode};
 use crate::framework::{FevesEncoder, FrameworkState};
 use crate::report::FrameReport;
-use feves_codec::kernels::{self, KernelKind};
 use feves_codec::types::{EncodeParams, SearchArea};
 use feves_ft::ckpt::{fnv1a64_update, FNV1A64_INIT};
 use feves_ft::io::{crc_of_prefix, CrcFile};
 use feves_ft::{FaultSchedule, FevesError};
 use feves_hetsim::platform::Platform;
-use feves_hetsim::profiles::{cpu_haswell, cpu_nehalem, gpu_fermi, gpu_kepler, scaled_for_kernels};
+use feves_hetsim::profiles::{cpu_haswell, cpu_nehalem, gpu_fermi, gpu_kepler};
 use feves_obs::{NoopRecorder, Recorder};
 use feves_video::error::VideoError;
 use feves_video::frame::Frame;
@@ -37,8 +36,8 @@ use std::time::{Duration, Instant};
 /// Why a session could not start, continue or finish.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SessionError {
-    /// The job description itself is unusable: unknown platform, balancer
-    /// or kernel family, unparsable platform JSON or fault spec, an empty
+    /// The job description itself is unusable: unknown platform or
+    /// balancer, unparsable platform JSON or fault spec, an empty
     /// or unparsable input. Deterministic — running the job again cannot
     /// help.
     BadJob(String),
@@ -124,37 +123,18 @@ pub fn platform_of(name: &str) -> Result<(Platform, BalancerKind), SessionError>
 /// encodes, resumes and farm attempts all come through here, so a resumed
 /// session replays exactly the configuration of the original one.
 ///
-/// A `--kernels` choice in the context is forced onto the process-global
-/// kernel dispatch; without one the family already active is used. Either
-/// way the simulated CPU profiles are re-scaled to the family the host
-/// actually runs. Every failure is a [`SessionError::BadJob`].
+/// The context's `kernels` field is not read: a checkpoint still carries
+/// it, but the host runs one kernel family and the modelled platform does
+/// not depend on it. Every failure is a [`SessionError::BadJob`].
 pub fn build_config(
     ctx: &ResumeContext,
     resolution: Resolution,
 ) -> Result<(Platform, EncoderConfig), SessionError> {
     let bad = |e: FevesError| SessionError::BadJob(e.to_string());
-    let kernel_kind = match ctx.kernels.as_deref() {
-        Some("scalar") => KernelKind::Scalar,
-        Some("fast") => KernelKind::Fast,
-        Some(other) => {
-            return Err(SessionError::BadJob(format!(
-                "--kernels: unknown value '{other}' (scalar|fast)"
-            )))
-        }
-        None => kernels::active_kind(),
-    };
-    if ctx.kernels.is_some() {
-        kernels::force_kind(kernel_kind);
-    }
-    let (mut platform, default_balancer) = match &ctx.platform_json {
+    let (platform, default_balancer) = match &ctx.platform_json {
         Some(json) => (Platform::from_json(json).map_err(bad)?, BalancerKind::Feves),
         None => platform_of(&ctx.platform)?,
     };
-    platform.devices = platform
-        .devices
-        .drain(..)
-        .map(|d| scaled_for_kernels(d, kernel_kind))
-        .collect();
     let mut cfg = EncoderConfig::full_hd(EncodeParams {
         search_area: SearchArea(ctx.sa),
         n_ref: ctx.refs,
@@ -618,10 +598,6 @@ mod tests {
                 "unknown platform 'sysxx'",
             ),
             (|c| c.balancer = "bogus".into(), "unknown balancer 'bogus'"),
-            (
-                |c| c.kernels = Some("simd".into()),
-                "--kernels: unknown value",
-            ),
             (|c| c.faults = vec!["nope".into()], "nope"),
             (|c| c.platform_json = Some("{".into()), "parse error"),
         ] {
@@ -635,6 +611,19 @@ mod tests {
         for (name, ..) in PLATFORMS {
             assert!(platform_of(name).is_ok(), "{name}");
         }
+    }
+
+    #[test]
+    fn the_kernels_field_does_not_move_the_platform() {
+        // A checkpoint written before the kernel family left still carries
+        // `"scalar"`; it builds what a context without the field builds.
+        let none = context(&std::env::temp_dir(), 0, b"");
+        let scalar = ResumeContext {
+            kernels: Some("scalar".into()),
+            ..none.clone()
+        };
+        let built = |c: &ResumeContext| format!("{:?}", build_config(c, Resolution::QCIF).unwrap());
+        assert_eq!(built(&scalar), built(&none));
     }
 
     #[test]

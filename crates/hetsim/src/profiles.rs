@@ -18,6 +18,10 @@
 //! sizes without further tuning. Links use PCIe-2/3-era asymmetric
 //! bandwidths; Fermi boards have a single copy engine, the Kepler board a
 //! dual one (§III-A discusses exactly this distinction).
+//!
+//! CPU_N and CPU_H model the paper's SSE/AVX kernels whatever loop this
+//! host ran to compute the pixels: the modelled platform never reads the
+//! host.
 
 use crate::device::{CopyEngines, DeviceKind, DeviceProfile, LinkProfile, ModuleTable};
 use feves_codec::types::Module;
@@ -145,45 +149,6 @@ pub fn gpu_kepler() -> DeviceProfile {
     ) // GTX 780 Ti: 3 GB
 }
 
-/// Per-module slowdown a CPU device suffers when the scalar kernels are
-/// forced (`FEVES_KERNELS=scalar`).
-///
-/// The calibrated profiles model the paper's vectorized SSE/AVX kernels —
-/// which correspond to our `fast` SWAR paths — so running the plain scalar
-/// loops costs extra time on exactly the modules with fast paths. The
-/// factors are round numbers in the range the `kernel_matrix` benchmark
-/// measures for the SWAR kernels on CI-class hardware.
-pub fn scalar_kernel_penalty(m: Module) -> f64 {
-    match m {
-        Module::Me => 1.7,
-        Module::Interp => 1.6,
-        Module::Sme => 1.5,
-        Module::Tq | Module::Itq => 1.3,
-        Module::Mc | Module::Dbl => 1.0,
-    }
-}
-
-/// Adjust a device profile for the selected hot-kernel family.
-///
-/// CPU profiles are slowed by [`scalar_kernel_penalty`] when the scalar
-/// kernels are active, so a simulated `PerfChar` reflects what the host
-/// would actually measure; with the fast kernels (the calibrated baseline)
-/// and for accelerators (whose simulated kernels are not host code) the
-/// profile is returned unchanged.
-pub fn scaled_for_kernels(
-    p: DeviceProfile,
-    kind: feves_codec::kernels::KernelKind,
-) -> DeviceProfile {
-    if kind == feves_codec::kernels::KernelKind::Fast || p.is_accelerator() {
-        return p;
-    }
-    let table = ModuleTable::from_fn(|m| p.seconds_per_unit.get(m) * scalar_kernel_penalty(m));
-    DeviceProfile {
-        seconds_per_unit: table,
-        ..p
-    }
-}
-
 /// One core of a multi-core CPU profile: a core is `cores`× slower than the
 /// whole chip, so `cores` of them running in parallel reproduce the chip's
 /// calibrated throughput (the chip profiles already embed the OpenMP
@@ -287,31 +252,5 @@ mod tests {
         let core = cpu_core_of(&chip, 4, 0);
         let ratio = core.seconds_per_unit.get(Module::Me) / chip.seconds_per_unit.get(Module::Me);
         assert!((ratio - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scalar_kernels_slow_cpu_profiles_only() {
-        use feves_codec::kernels::KernelKind;
-        let chip = cpu_nehalem();
-        let fast = scaled_for_kernels(chip.clone(), KernelKind::Fast);
-        let slow = scaled_for_kernels(chip.clone(), KernelKind::Scalar);
-        for &m in Module::ALL.iter() {
-            assert_eq!(
-                fast.seconds_per_unit.get(m),
-                chip.seconds_per_unit.get(m),
-                "fast must be the calibrated baseline"
-            );
-            let want = chip.seconds_per_unit.get(m) * scalar_kernel_penalty(m);
-            let got = slow.seconds_per_unit.get(m);
-            assert!((got - want).abs() < 1e-18, "{m:?}: {got} vs {want}");
-        }
-        assert!(slow.seconds_per_unit.get(Module::Me) > chip.seconds_per_unit.get(Module::Me));
-        // Accelerators are untouched in both modes.
-        let gpu = gpu_kepler();
-        let gpu_s = scaled_for_kernels(gpu.clone(), KernelKind::Scalar);
-        assert_eq!(
-            gpu.seconds_per_unit.get(Module::Me),
-            gpu_s.seconds_per_unit.get(Module::Me)
-        );
     }
 }

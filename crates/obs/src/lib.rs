@@ -157,9 +157,6 @@ metrics! {
     /// Virtual time lost to fault detection + re-dispatch per affected
     /// frame (ms).
     FtRecoveryMs = "ft.recovery_ms", "ms", Histogram, virt;
-    /// Active hot-kernel implementation (0 = scalar, 1 = fast SWAR), per
-    /// `FEVES_KERNELS` / `feves_codec::kernels::active_kind`.
-    KernelDispatch = "kernel.dispatch", "impl", Gauge, virt;
     /// Drift-detector firings: a device's prediction residual stayed outside
     /// the configured band for K consecutive frames (triggers
     /// re-characterization).

@@ -13,7 +13,7 @@
 //!  "sessions":[{"id":1,"label":"sim","frames":120,"fps":29.8,
 //!               "dropped_events":0,"ended":false,
 //!               "counters":{"frames.encoded":120,"...":0},
-//!               "gauges":{"kernel.dispatch":1.0},
+//!               "gauges":{"farm.queue_depth":2.0,"...":null},
 //!               "histograms":{"frame.tau_tot_ms":{"count":120,"mean":33.1,
 //!                             "p50":33.0,"p95":35.2,"p99":36.0,"max":36.4}},
 //!               "devices":[{"device":0,"name":"GPU0","busy_pct":87.3,

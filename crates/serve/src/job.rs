@@ -68,8 +68,8 @@ pub fn unframe_control(text: &str) -> Result<&str, ServeError> {
 ///
 /// The fields mirror the `feves encode` flag set so a farm job and a
 /// single-session CLI encode of the same input are the *same* job — the
-/// chaos suite compares their outputs byte for byte. Kernels are
-/// process-global (`FEVES_KERNELS`), so there is no per-job kernel choice.
+/// chaos suite compares their outputs byte for byte. There is one kernel
+/// family, so there is no kernel choice to carry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
     /// Unique job id; names the spool file and the done record.

@@ -81,7 +81,6 @@ struct Options {
     metrics_out: Option<String>,
     faults: Vec<String>,
     deadline_factor: Option<f64>,
-    kernels: Option<String>,
     flight_out: Option<String>,
     html: bool,
     out: Option<String>,
@@ -125,7 +124,6 @@ impl Default for Options {
             metrics_out: None,
             faults: Vec::new(),
             deadline_factor: None,
-            kernels: None,
             flight_out: None,
             html: false,
             out: None,
@@ -182,7 +180,12 @@ fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
                         .map_err(|e| format!("--deadline-factor: {e}"))?,
                 )
             }
-            "--kernels" => opts.kernels = Some(grab()?.to_lowercase()),
+            // One kernel family runs; the flag stays so scripts that name it
+            // keep working.
+            "--kernels" => match grab()?.as_str() {
+                "fast" => {}
+                other => return Err(format!("--kernels: unknown value '{other}' (only fast)")),
+            },
             "--flight-out" => opts.flight_out = Some(grab()?.clone()),
             "--html" => opts.html = true,
             "--out" => opts.out = Some(grab()?.clone()),
@@ -308,7 +311,7 @@ impl Options {
             refs: self.refs,
             qp: self.qp,
             balancer: self.balancer.clone(),
-            kernels: self.kernels.clone(),
+            kernels: None,
             faults: self.faults.clone(),
             deadline_factor: self.deadline_factor,
             flight_out: self.flight_out.clone(),
@@ -485,13 +488,8 @@ fn cmd_simulate(opts: &Options) -> CliResult {
     enable_flight(&mut enc, &opts.flight_out, opts.frames);
     let report = enc.run_timing(opts.frames);
     println!(
-        "{} | 1080p | SA {}x{} | {} RF | balancer {} | kernels {}",
-        report.platform,
-        opts.sa,
-        opts.sa,
-        opts.refs,
-        opts.balancer,
-        feves::codec::kernels::active_kind().name()
+        "{} | 1080p | SA {}x{} | {} RF | balancer {}",
+        report.platform, opts.sa, opts.sa, opts.refs, opts.balancer
     );
     println!(
         "{:>6} {:>10} {:>8} {:>10} {:>12}",
@@ -532,14 +530,8 @@ fn cmd_stats(opts: &Options) -> CliResult {
     enable_flight(&mut enc, &opts.flight_out, opts.frames);
     let report = enc.run_timing(opts.frames);
     println!(
-        "{} | 1080p | SA {}x{} | {} RF | balancer {} | kernels {} | {} inter-frames\n",
-        report.platform,
-        opts.sa,
-        opts.sa,
-        opts.refs,
-        opts.balancer,
-        feves::codec::kernels::active_kind().name(),
-        opts.frames
+        "{} | 1080p | SA {}x{} | {} RF | balancer {} | {} inter-frames\n",
+        report.platform, opts.sa, opts.sa, opts.refs, opts.balancer, opts.frames
     );
     print!("{}", rec.render_stats());
     println!();
@@ -1206,7 +1198,7 @@ const USAGE: &str = "usage: feves <command> [options]\n\n\
          \u{20}        --inject-fault <dev>:<kind>@<frame>  inject a device fault\n\
          \u{20}            kinds: death@f | stall@f+k | slow@f+kxF | xfer@f | panic@f\n\
          \u{20}        --deadline-factor <f>           fault-detection slack (>1, default 3)\n\
-         \u{20}        --kernels scalar|fast           hot-kernel family (overrides FEVES_KERNELS)\n\
+         \u{20}        --kernels fast                  accepted and ignored: one kernel family\n\
          \u{20}        --perfetto <out.json>           trace: write Perfetto-loadable JSON instead\n\
          \u{20}        --checkpoint-every <k>          encode: durable checkpoint every k frames\n\
          \u{20}        --checkpoint-dir <dir>          checkpoint directory (default <out>.ckpt)\n\

@@ -51,13 +51,12 @@ fn trace_prints_gantt() {
     assert!(stdout.contains("legend:"));
 }
 
-/// The Gantt chart, byte for byte. `--kernels fast` pins the CPU profiles,
-/// which are rescaled per kernel family.
+/// The Gantt chart, byte for byte, on the calibrated platforms.
 #[test]
 fn trace_gantt_matches_golden() {
     let mut actual = String::new();
     for platform in [&["syshk"][..], &["sysnff", "--refs", "4"], &["gpu-f"]] {
-        let mut args = vec!["trace", "--kernels", "fast", "--platform"];
+        let mut args = vec!["trace", "--platform"];
         args.extend(platform);
         let (ok, stdout, stderr) = run(&args);
         assert!(ok, "{stderr}");
@@ -75,7 +74,7 @@ fn trace_gantt_matches_golden() {
 fn trace_perfetto_exports_the_simulated_frame() {
     let dir = common::scratch("trace_perfetto");
     let out = dir.join("frame.json");
-    let args = ["trace", "--kernels", "fast", "--platform", "sysnff"];
+    let args = ["trace", "--platform", "sysnff"];
     let (ok, gantt, _) = run(&args);
     assert!(ok);
     let (ok, _, stderr) = run(&[&args[..], &["--perfetto", out.to_str().unwrap()]].concat());
@@ -665,22 +664,25 @@ fn one_core_and_all_cores_write_identical_files() {
     assert_eq!(pinned_stdout, free_stdout, "per-frame bits and PSNR");
 }
 
-/// `--kernels` picks between two different ME algorithms (per-candidate
-/// loop, candidate-major batches) and two block-SAD kernels; the files they
-/// write must be the same bytes. QCIF keeps the scalar run cheap in a debug
-/// build; two references and SA 16 give the batched search a second window
-/// and a second half-batch per candidate row.
+/// One kernel family runs, and the host environment cannot move the run:
+/// no flag, `--kernels fast` (accepted and ignored) and a leftover
+/// `FEVES_KERNELS=scalar` write the same artifact, checkpoints and flight
+/// log byte for byte, and print the same stdout, `sim` column included.
+/// `--kernels scalar` is a usage error. Two references and SA 16 give the
+/// search a second window and a second half-batch per candidate row.
 #[test]
 fn scalar_and_fast_kernels_write_identical_artifacts() {
-    let dir = std::env::temp_dir().join("feves_cli_kernels");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::scratch("kernels");
     let input = dir.join("in.y4m");
-    write_qcif_input(&input, 4);
+    write_qcif_input(&input, 6);
 
-    let encode = |kernels: &str| {
-        let output = dir.join(format!("{kernels}.y4m"));
-        let (ok, stdout, stderr) = run(&[
+    // Checkpoints record the job's paths, so every run uses the same ones.
+    let out = dir.join("out");
+    let encode = |extra: &[&str], envs: &[(&str, &str)]| {
+        let _ = std::fs::remove_dir_all(&out);
+        std::fs::create_dir_all(&out).unwrap();
+        let (output, ckpts, flight) = (out.join("out.y4m"), out.join("ckpts"), out.join("f.jsonl"));
+        let mut args = vec![
             "encode",
             input.to_str().unwrap(),
             output.to_str().unwrap(),
@@ -688,27 +690,70 @@ fn scalar_and_fast_kernels_write_identical_artifacts() {
             "16",
             "--refs",
             "2",
-            "--kernels",
-            kernels,
-        ]);
+            "--checkpoint-every",
+            "2",
+            "--checkpoint-keep",
+            "8",
+            "--checkpoint-dir",
+            ckpts.to_str().unwrap(),
+            "--flight-out",
+            flight.to_str().unwrap(),
+        ];
+        args.extend(extra);
+        let (ok, stdout, stderr) = common::run_env(&args, envs);
         assert!(
             ok,
-            "--kernels {kernels}\nstdout:\n{stdout}\nstderr:\n{stderr}"
+            "{extra:?} {envs:?}\nstdout:\n{stdout}\nstderr:\n{stderr}"
         );
-        // Per-frame bits and PSNR; the simulated time differs by design
-        // (the virtual clock charges scalar kernels more).
-        let coded: Vec<String> = stdout
-            .lines()
-            .filter(|l| l.starts_with("frame"))
-            .map(|l| l.split("sim").next().unwrap().to_string())
+        let mut files = vec![output, flight];
+        files.extend(
+            std::fs::read_dir(&ckpts)
+                .unwrap()
+                .map(|e| e.unwrap().path()),
+        );
+        files.sort();
+        let files: Vec<_> = (files.into_iter())
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
             .collect();
-        assert_eq!(coded.len(), 4, "{stdout}");
-        (std::fs::read(&output).unwrap(), coded)
+        (files, stdout)
     };
-    let (scalar, scalar_coded) = encode("scalar");
-    let (fast, fast_coded) = encode("fast");
-    assert!(scalar == fast, "artifacts differ between kernel families");
-    assert_eq!(scalar_coded, fast_coded);
+    let (files, stdout) = encode(&[], &[]);
+    assert!(files.len() >= 4, "artifact, flight log and 2 checkpoints");
+    assert_eq!(
+        stdout.lines().filter(|l| l.starts_with("frame")).count(),
+        6,
+        "{stdout}"
+    );
+    for (extra, envs) in [
+        (&["--kernels", "fast"][..], &[][..]),
+        (&[], &[("FEVES_KERNELS", "scalar")]),
+    ] {
+        let (other, other_stdout) = encode(extra, envs);
+        assert_eq!(other.len(), files.len(), "{extra:?} {envs:?}");
+        for ((path, a), (_, b)) in files.iter().zip(&other) {
+            assert!(
+                a == b,
+                "{} differs under {extra:?} {envs:?}",
+                path.display()
+            );
+        }
+        assert_eq!(other_stdout, stdout, "{extra:?} {envs:?}");
+    }
+
+    let output = dir.join("scalar.y4m");
+    let args = ["encode", input.to_str().unwrap(), output.to_str().unwrap()];
+    let done = Command::new(feves_bin())
+        .args(args)
+        .args(["--kernels", "scalar"])
+        .output()
+        .expect("spawn feves");
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert_eq!(done.status.code(), Some(2), "a usage error: {stderr}");
+    assert!(
+        stderr.contains("--kernels: unknown value 'scalar'"),
+        "{stderr}"
+    );
+    assert!(!output.exists(), "no artifact");
 }
 
 /// `--balancer` picks the Algorithm-2 LP or one of its two baselines: a

@@ -41,13 +41,10 @@ const MAX_ATTEMPTS: usize = 20;
 /// Frames a device sits out after its first fault.
 const BASE_BACKOFF: usize = 2;
 
-/// `--platform` and `--balancer`: the part of a row no plane varies. Of
-/// listed balancers the first whose split has the device a panic wants is
-/// used: the kernel family rescales the profiles, and so the split.
+/// `--platform` and `--balancer`: the part of a row no plane varies.
 type Scenario = (&'static str, &'static str);
 const NFF: Scenario = ("sysnff", "feves");
 const NFF_PROPORTIONAL: Scenario = ("sysnff", "proportional");
-const NFF_ONE_BAND: Scenario = ("sysnff", "proportional feves");
 const NF: Scenario = ("sysnf", "feves");
 
 /// The device-fault plane. `Chaos` is the `FEVES_FAULT_SEED` schedule. A
@@ -143,8 +140,8 @@ table! {
     // What the grid's device values leave out.
     death_of_gpu_1_pipelined:      NFF              Death(1),   [0, 0, 1], Plain;
     panic_in_both_bands:           NFF_PROPORTIONAL Panic,      [0, 0, 0], Plain;
-    panic_in_an_me_band_only:      NFF_ONE_BAND     PanicMe,    [0, 0, 0], Plain;
-    panic_in_an_sme_band_only:     NFF_ONE_BAND     PanicSme,   [0, 0, 0], Plain;
+    panic_in_an_me_band_only:      NFF_PROPORTIONAL PanicMe,    [0, 0, 0], Plain;
+    panic_in_an_sme_band_only:     NFF_PROPORTIONAL PanicSme,   [0, 0, 0], Plain;
     panic_on_every_core:           NF               PanicCores, [0, 0, 0], Plain;
 }
 
@@ -352,16 +349,13 @@ fn twin(scenario: Scenario, device: Device, extra: Extra) -> Arc<Outcome> {
 
 /// Run `row` and judge it.
 fn check(name: &str, row: Row) {
-    let (platform, balancers) = row.scenario;
-    let choice = |b| Row::new((platform, b), row.device, row.planes, row.extra);
-    let fits = |r: &Row| {
-        let split = &twin(r.scenario, NoFault, r.extra).split;
-        r.panicking(split).is_some()
-    };
-    let resolved = balancers.split(' ').map(choice).find(fits);
-    let row = resolved.expect("a split with the device the panic wants");
-    let twin_ = twin(row.scenario, row.device, row.extra);
     let fault_free = twin(row.scenario, NoFault, row.extra);
+    let fits = row.panicking(&fault_free.split).is_some();
+    assert!(
+        fits,
+        "{name}: the fault-free split has no device the panic wants"
+    );
+    let twin_ = twin(row.scenario, row.device, row.extra);
     let storage = row.planes[1] != 0;
     let out = if row.planes != [0; 3] {
         let plan = FaultPlan::transient(fault_seed() ^ fnv1a64(name.as_bytes()));

@@ -1,20 +1,21 @@
-//! Differential tests for the dispatched hot-kernel fast paths.
+//! Differential tests: the product's hot kernels against their references.
 //!
-//! The kernels in `feves_codec::kernels::fast` and the candidate-major ME
-//! search and SME refinement built on them must be **bit-exact** drop-in
-//! replacements for the scalar references — `FEVES_KERNELS` may change throughput, never output.
-//! This suite checks that at three levels:
+//! The product runs one kernel family: `feves_codec::kernels::fast` and the
+//! candidate-major ME search and SME refinement built on it. Each must be a
+//! **bit-exact** replacement for its reference, which this suite calls by
+//! name — `me::motion_estimate_rows_reference`,
+//! `sme::sme_rows_reference`, `dbl::deblock_frame_reference` and
+//! `kernels::scalar::interp_band`. It checks that at three levels:
 //!
-//! 1. property-based differentials over random planes/blocks, calling the
-//!    `scalar`/`fast` entry points directly where there are two (no global
-//!    state involved) — including the portable and `std::arch` forms of the
-//!    ME search and SME refinement primitives, so the path a host without
-//!    AVX2 (or a non-x86 one) takes is exercised on every run — and `deblock_frame`
-//!    under both families (its two line filters are compared lane by lane
-//!    in `kernels::fast`'s own tests);
-//! 2. a full encode→decode round trip under `force_kind`: both kernel
-//!    families must emit *identical bitstreams*, and the decoder must
-//!    reproduce the encoder reconstruction from either stream;
+//! 1. property-based differentials over random planes/blocks, each
+//!    reference against the product entry point on the same inputs —
+//!    including the portable and `std::arch` forms of the ME search and
+//!    SME refinement primitives, so the path a host without AVX2 (or a
+//!    non-x86 one) takes is exercised on every run (DBL's two line filters
+//!    are compared lane by lane in `kernels::fast`'s own tests);
+//! 2. a real QCIF encode: on every frame each reference, run on the inputs
+//!    the encoder used, writes what the product wrote, and the decoder
+//!    reproduces the encoder's reconstruction;
 //! 3. the compressed streams themselves: length, bit count and CRC-32 of
 //!    each stream kind are pinned, and every truncated or bit-flipped
 //!    stream of each kind decodes or surfaces `DecodeError`, never panics.
@@ -25,47 +26,41 @@
 
 mod common;
 
-use std::sync::Mutex;
-
 use common::qcif_frames;
 use feves::codec::cabac::{decode_frame_cabac, encode_frame_cabac};
 use feves::codec::entropy::{decode_frame_yuv, encode_frame, encode_frame_yuv};
 use feves::codec::inter_loop::{
-    encode_inter_frame, encode_inter_frame_yuv, InterFrameOutputYuv, ReferenceStore,
+    encode_inter_frame, encode_inter_frame_yuv, InterFrameOutput, InterFrameOutputYuv,
+    ReferenceStore,
 };
+use feves::codec::kernels;
 #[cfg(target_arch = "x86_64")]
 use feves::codec::kernels::fast::{Avx2, Sse2};
 use feves::codec::kernels::fast::{Portable, RefineIsa, SearchIsa};
-use feves::codec::kernels::{self, KernelKind};
-use feves::codec::me::{motion_estimate_rows, MeField};
-use feves::codec::sme::{sme_rows, SmeField};
+use feves::codec::me::{motion_estimate_rows, motion_estimate_rows_reference, MeField};
+use feves::codec::sme::{sme_rows, sme_rows_reference, SmeField};
 use feves::codec::types::{EncodeParams, SearchArea};
 use feves::video::geometry::RowRange;
-use feves::video::plane::Plane;
+use feves::video::plane::{Plane, PlaneBandMut};
 use feves::video::Frame;
 use proptest::prelude::*;
 
-/// Serializes tests that flip the process-global kernel dispatch; the guard
-/// restores the default (Fast) on drop so direct-call tests running on
-/// other threads are unaffected no matter how a holder exits.
-static KERNEL_LOCK: Mutex<()> = Mutex::new(());
+/// A row kernel of the interpolation: `kernels::interp_band` or its
+/// reference `kernels::scalar::interp_band`.
+type BandKernel = fn(&Plane<u8>, usize, usize, usize, &mut [PlaneBandMut<'_, u8>]);
 
-struct KindGuard<'a> {
-    _lock: std::sync::MutexGuard<'a, ()>,
-}
-
-impl<'a> KindGuard<'a> {
-    fn take() -> Self {
-        KindGuard {
-            _lock: KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-}
-
-impl Drop for KindGuard<'_> {
-    fn drop(&mut self) {
-        kernels::force_kind(KernelKind::Fast);
-    }
+/// The sixteen quarter-pel phase planes of `rf` (index `fy * 4 + fx`), as
+/// `kernel` writes them in one band.
+fn phases_by(rf: &Plane<u8>, kernel: BandKernel) -> Vec<Plane<u8>> {
+    let (w, h) = (rf.width(), rf.height());
+    let mut phases = vec![Plane::new(w, h); 16];
+    let mut bands: Vec<_> = phases
+        .iter_mut()
+        .map(|p| p.split_rows_mut(&[h]).remove(0))
+        .collect();
+    kernel(rf, w, 0, h, &mut bands);
+    drop(bands);
+    phases
 }
 
 fn plane_from_bytes(w: usize, h: usize, bytes: &[u8]) -> Plane<u8> {
@@ -93,7 +88,7 @@ proptest! {
         prop_assert_eq!(want, packed(Sse2, &a, &b));
     }
 
-    /// Whole refined fields, `scalar` vs `fast`, on planes so small that
+    /// Whole refined fields, reference vs product, on planes so small that
     /// the candidates straddle an edge (on a one-macroblock frame every
     /// non-zero one does), from ME vectors that point up to 8 samples
     /// outside, with the second reference the better match so ME picks it.
@@ -105,7 +100,6 @@ proptest! {
         n_ref in 1usize..=2,
         (dx, dy) in (-3isize..=3, -3isize..=3),
     ) {
-        let _guard = KindGuard::take();
         let (w, h) = (mb_cols * 16, mb_rows * 16);
         let cur = plane_from_bytes(w, h, &bytes);
         let far: Vec<u8> = bytes.iter().map(|v| v.wrapping_add(77)).collect();
@@ -128,12 +122,10 @@ proptest! {
         let sf0 = feves::codec::interp::interpolate(&rf0);
         let sf1 = feves::codec::interp::interpolate(&rf1);
         let sfs = [&sf0, &sf1];
-        let mut field = [SmeField::new(mb_cols, mb_rows), SmeField::new(mb_cols, mb_rows)];
-        for (kind, f) in [KernelKind::Scalar, KernelKind::Fast].into_iter().zip(&mut field) {
-            kernels::force_kind(kind);
-            sme_rows(&cur, &sfs[..n_ref], me.rows(rows), rows, f.rows_mut(rows));
-        }
-        prop_assert!(field[0] == field[1]);
+        let (mut want, mut got) = (SmeField::new(mb_cols, mb_rows), SmeField::new(mb_cols, mb_rows));
+        sme_rows_reference(&cur, &sfs[..n_ref], me.rows(rows), rows, want.rows_mut(rows));
+        sme_rows(&cur, &sfs[..n_ref], me.rows(rows), rows, got.rows_mut(rows));
+        prop_assert!(want == got);
     }
 
     /// Whole motion fields, batched search vs per-candidate loop, on planes
@@ -148,7 +140,6 @@ proptest! {
         sa in prop_oneof![Just(8u16), Just(12), Just(16), Just(24), Just(32)],
         n_ref in 1usize..=2,
     ) {
-        let _guard = KindGuard::take();
         let (w, h) = (mb_cols * 16, mb_rows * 16);
         let cur = plane_from_bytes(w, h, &bytes);
         let shifted: Vec<u8> = bytes.iter().map(|v| v.wrapping_add(77)).collect();
@@ -157,12 +148,10 @@ proptest! {
         let rf1 = plane_from_bytes(w, h, &reversed);
         let params = EncodeParams { search_area: SearchArea(sa), n_ref, ..Default::default() };
         let rows = RowRange::new(0, mb_rows);
-        let mut field = [MeField::new(mb_cols, mb_rows), MeField::new(mb_cols, mb_rows)];
-        for (kind, f) in [KernelKind::Scalar, KernelKind::Fast].into_iter().zip(&mut field) {
-            kernels::force_kind(kind);
-            motion_estimate_rows(&cur, &[&rf0, &rf1], &params, rows, f.rows_mut(rows));
-        }
-        prop_assert!(field[0] == field[1]);
+        let (mut want, mut got) = (MeField::new(mb_cols, mb_rows), MeField::new(mb_cols, mb_rows));
+        motion_estimate_rows_reference(&cur, &[&rf0, &rf1], &params, rows, want.rows_mut(rows));
+        motion_estimate_rows(&cur, &[&rf0, &rf1], &params, rows, got.rows_mut(rows));
+        prop_assert!(want == got);
     }
 
     /// The ME search primitives, portable vs `std::arch`, every lane random
@@ -227,9 +216,10 @@ proptest! {
         }
     }
 
+    /// The interpolation row kernel, reference vs product, and the product
+    /// SF built through `interpolate`'s macroblock-row bands.
     #[test]
     fn prop_interpolate_matches(seed in any::<u64>(), w in 1usize..40, h in 1usize..40) {
-        let _guard = KindGuard::take();
         let mut p = Plane::new(w, h);
         let mut s = seed | 1;
         for y in 0..h {
@@ -238,15 +228,16 @@ proptest! {
                 p.set(x, y, (s >> 56) as u8);
             }
         }
-        kernels::force_kind(KernelKind::Scalar);
-        let a = feves::codec::interp::interpolate(&p);
-        kernels::force_kind(KernelKind::Fast);
-        let b = feves::codec::interp::interpolate(&p);
-        prop_assert_eq!(a, b);
+        let want = phases_by(&p, kernels::scalar::interp_band);
+        prop_assert!(want == phases_by(&p, kernels::interp_band));
+        let sf = feves::codec::interp::interpolate(&p);
+        for (k, phase) in want.iter().enumerate() {
+            prop_assert!(phase == sf.phase(k as u8 % 4, k as u8 / 4), "phase {}", k);
+        }
     }
 
-    /// DBL under both families: the `scalar` line filter is the definition
-    /// and `fast`'s sixteen-lane form must write the same plane — over
+    /// DBL: the reference's line-at-a-time filter is the definition and the
+    /// product's sixteen-lane form must write the same plane — over
     /// every QP that filters, edges of every strength (coded blocks, a
     /// vector step of exactly one sample, a reference change, none) and
     /// sample steps on both sides of α and β.
@@ -255,7 +246,6 @@ proptest! {
         use feves::codec::mc::ModeField;
         use feves::codec::recon::CoeffField;
         use feves::codec::types::{QpelMv, ALL_PARTITION_MODES};
-        let _guard = KindGuard::take();
         let mut s = seed | 1;
         let mut draw = |n: u64| {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -283,12 +273,10 @@ proptest! {
                 p.set(x, y, (base + draw(spread)) as u8);
             }
         }
-        let (mut a, mut b) = (p.clone(), p.clone());
-        kernels::force_kind(KernelKind::Scalar);
-        feves::codec::dbl::deblock_frame(&mut a, &modes, &coeffs, qp);
-        kernels::force_kind(KernelKind::Fast);
-        feves::codec::dbl::deblock_frame(&mut b, &modes, &coeffs, qp);
-        prop_assert_eq!(a, b);
+        let (mut want, mut got) = (p.clone(), p);
+        feves::codec::dbl::deblock_frame_reference(&mut want, &modes, &coeffs, qp);
+        feves::codec::dbl::deblock_frame(&mut got, &modes, &coeffs, qp);
+        prop_assert_eq!(want, got);
     }
 }
 
@@ -304,69 +292,92 @@ fn params() -> EncodeParams {
     params_sa(16)
 }
 
-/// Encode the sequence under `kind`; returns per-frame (bitstream, recon).
-fn encode_under(
-    kind: KernelKind,
-    frames: &[Frame],
+/// Each reference, run on the inputs `encode_inter_frame` used for `out`,
+/// writes what the product wrote: ME, INT (the store's SFs), SME and DBL.
+/// DBL's input, the reconstruction before the filter, is rebuilt from the
+/// encoder's own fields by MC and TQ⁻¹.
+fn references_agree(
+    cf: &Plane<u8>,
+    store: &ReferenceStore,
     params: &EncodeParams,
-) -> Vec<(Vec<u8>, Plane<u8>)> {
-    kernels::force_kind(kind);
-    let intra = feves::codec::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
-    let mut store = ReferenceStore::new(params.n_ref);
-    store.push(intra.recon);
-    let mut out = Vec::new();
-    for f in &frames[1..] {
-        let enc = encode_inter_frame(f.y(), &store, params);
-        out.push((enc.bitstream, enc.recon.clone()));
-        store.push(enc.recon);
+    out: &InterFrameOutput,
+    what: &str,
+) {
+    use feves::codec::dbl::{deblock_frame, deblock_frame_reference};
+    use feves::codec::mc::{mc_rows, ModeField};
+    use feves::codec::recon::itq_recon_rows;
+    let (w, h) = (cf.width(), cf.height());
+    let (mb_cols, mb_rows) = (w / 16, h / 16);
+    let rows = RowRange::new(0, mb_rows);
+    let params = EncodeParams {
+        n_ref: out.refs_used,
+        ..*params
+    };
+    let (rfs, sfs) = (store.rf_planes(), store.sfs());
+
+    let mut me = MeField::new(mb_cols, mb_rows);
+    motion_estimate_rows_reference(cf, &rfs, &params, rows, me.rows_mut(rows));
+    assert!(me == out.me, "{what}: ME");
+    for (r, (rf, sf)) in rfs.iter().zip(&sfs).enumerate() {
+        let want = phases_by(rf, kernels::scalar::interp_band);
+        for (k, phase) in want.iter().enumerate() {
+            let got = sf.phase(k as u8 % 4, k as u8 / 4);
+            assert!(phase == got, "{what}: INT of reference {r}, phase {k}");
+        }
     }
-    out
+    let mut sme = SmeField::new(mb_cols, mb_rows);
+    sme_rows_reference(cf, &sfs, out.me.rows(rows), rows, sme.rows_mut(rows));
+    assert!(sme == out.sme, "{what}: SME");
+
+    let mut modes = ModeField::new(mb_cols, mb_rows);
+    let (mut pred, mut residual) = (Plane::new(w, h), Plane::new(w, h));
+    let sme_rows = out.sme.rows(rows);
+    mc_rows(
+        cf,
+        &sfs,
+        sme_rows,
+        params.qp,
+        rows,
+        &mut modes,
+        &mut pred,
+        &mut residual,
+    );
+    assert!(modes == out.modes, "{what}: MC");
+    let mut unfiltered = Plane::new(w, h);
+    itq_recon_rows(&out.coeffs, &pred, params.qp, rows, &mut unfiltered);
+    let mut product = unfiltered.clone();
+    deblock_frame(&mut product, &out.modes, &out.coeffs, params.qp);
+    assert!(product == out.recon, "{what}: DBL's input is the encoder's");
+    deblock_frame_reference(&mut unfiltered, &out.modes, &out.coeffs, params.qp);
+    assert!(unfiltered == out.recon, "{what}: DBL");
 }
 
-/// Satellite 3 (round trip): scalar and fast kernels must produce *identical
-/// bitstreams*, and decoding either stream must reproduce the encoder
-/// reconstruction bit-exactly — with two references, at two candidate rows
-/// per ME vector (SA 8), one vector per row (SA 16) and two (SA 32).
+/// A real clip through the product encoder, with two references, at two
+/// candidate rows per ME vector (SA 8), one vector per row (SA 16) and two
+/// (SA 32): on every frame each reference kernel agrees with the product
+/// on the encoder's own inputs, and decoding the stream reproduces the
+/// encoder's reconstruction bit-exactly.
 #[test]
 fn encode_decode_roundtrip_is_kernel_invariant() {
-    let _guard = KindGuard::take();
     let frames = qcif_frames(5);
     for sa in [8, 16, 32] {
         let params = params_sa(sa);
-        let scalar = encode_under(KernelKind::Scalar, &frames, &params);
-        let fast = encode_under(KernelKind::Fast, &frames, &params);
-        assert_eq!(scalar.len(), fast.len());
-
-        for (i, ((bs_s, rec_s), (bs_f, rec_f))) in scalar.iter().zip(&fast).enumerate() {
-            assert_eq!(bs_s, bs_f, "SA {sa} frame {i}: bitstream differs");
-            assert_eq!(rec_s, rec_f, "SA {sa} frame {i}: reconstruction differs");
-        }
-
-        // Decode the shared bitstreams and check the closed loop under both
-        // kernel families (the decoder's MC path runs the dispatched kernels
-        // too, so run it once per family).
-        for kind in [KernelKind::Scalar, KernelKind::Fast] {
-            kernels::force_kind(kind);
-            let intra = feves::codec::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
-            let mut store = ReferenceStore::new(params.n_ref);
-            store.push(intra.recon);
-            for (i, (bitstream, recon)) in scalar.iter().enumerate() {
-                let dec = feves::codec::decoder::decode_inter_frame(bitstream, &store)
-                    .unwrap_or_else(|e| {
-                        panic!("SA {sa} frame {i} must decode under {kind:?}: {e}")
-                    });
-                assert_eq!(
-                    &dec.y, recon,
-                    "SA {sa} frame {i}: decoder/encoder mismatch under {kind:?}"
-                );
-                store.push(recon.clone());
-            }
+        let intra = feves::codec::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
+        let mut store = ReferenceStore::new(params.n_ref);
+        store.push(intra.recon);
+        for (i, f) in frames.iter().enumerate().skip(1) {
+            let what = format!("SA {sa} frame {i}");
+            let out = encode_inter_frame(f.y(), &store, &params);
+            references_agree(f.y(), &store, &params, &out, &what);
+            let dec = feves::codec::decoder::decode_inter_frame(&out.bitstream, &store)
+                .unwrap_or_else(|e| panic!("{what} must decode: {e}"));
+            assert_eq!(dec.y, out.recon, "{what}: decoder/encoder mismatch");
+            store.push(out.recon);
         }
     }
 }
 
-/// P-frames `1..frames.len()` through the reference YUV loop under the
-/// active kernel family: each frame's coded fields and the store it was
+/// P-frames `1..frames.len()` through the reference YUV loop: each frame's coded fields and the store it was
 /// coded against — which is what decoding its stream needs.
 fn coded_yuv_frames(
     frames: &[Frame],
@@ -418,78 +429,50 @@ const STREAM_PINS: [[(usize, u64, u32); 2]; 3] = [
 
 #[test]
 fn stream_bytes_are_pinned() {
-    let _guard = KindGuard::take();
     let frames = qcif_frames(3);
     let params = params();
-    for kind in [KernelKind::Scalar, KernelKind::Fast] {
-        kernels::force_kind(kind);
-        for (i, (out, _)) in coded_yuv_frames(&frames, &params).iter().enumerate() {
-            for (k, (bytes, bits)) in streams_of(out, params.qp).iter().enumerate() {
-                assert_eq!(
-                    (bytes.len(), *bits, feves::ft::ckpt::crc32(bytes)),
-                    STREAM_PINS[k][i],
-                    "{} stream of P-frame {} under {kind:?}",
-                    STREAM_KINDS[k],
-                    i + 1
-                );
-            }
+    for (i, (out, _)) in coded_yuv_frames(&frames, &params).iter().enumerate() {
+        for (k, (bytes, bits)) in streams_of(out, params.qp).iter().enumerate() {
+            assert_eq!(
+                (bytes.len(), *bits, feves::ft::ckpt::crc32(bytes)),
+                STREAM_PINS[k][i],
+                "{} stream of P-frame {}",
+                STREAM_KINDS[k],
+                i + 1
+            );
         }
     }
 }
 
 /// The YUV stream is one owned `Vec<u8>` from `BitWriter` to the decoder:
-/// both kernel families must write the same bytes, the syntax must decode
-/// to the fields it was written from, and re-encoding those fields must
-/// give the stream back byte for byte (which is how the modes and vectors
-/// are compared: the syntax does not carry their costs) — through either
-/// entropy backend.
+/// the syntax must decode to the fields it was written from, and
+/// re-encoding those fields must give the stream back byte for byte (which
+/// is how the modes and vectors are compared: the syntax does not carry
+/// their costs) — through either entropy backend.
 #[test]
 fn yuv_stream_roundtrip_is_kernel_invariant() {
-    let _guard = KindGuard::take();
     let frames = qcif_frames(3);
     let params = params();
-    let mut streams: Vec<Vec<Vec<u8>>> = Vec::new();
-    for kind in [KernelKind::Scalar, KernelKind::Fast] {
-        kernels::force_kind(kind);
-        let mut of_kind = Vec::new();
-        for (i, (out, store)) in coded_yuv_frames(&frames, &params).iter().enumerate() {
-            let fields = (&out.luma.coeffs, &out.chroma.coeffs, params.qp);
-            let [(stream, bits), _, (cabac, _)] = streams_of(out, params.qp);
-            assert_eq!(stream.len() as u64, bits.div_ceil(8), "frame {i}");
-            let (modes, coeffs, chroma, qp) =
-                decode_frame_yuv(&stream).unwrap_or_else(|e| panic!("frame {i}: {e}"));
-            assert_eq!(
-                (&coeffs, &chroma, qp),
-                fields,
-                "frame {i}: levels under {kind:?}"
-            );
-            let (again, _) = encode_frame_yuv(&modes, &coeffs, &chroma, qp);
-            assert_eq!(again, stream, "frame {i}: re-encoded stream under {kind:?}");
-            let dec = feves::codec::decoder::decode_inter_frame_yuv(&stream, store)
-                .unwrap_or_else(|e| panic!("frame {i}: {e}"));
-            assert_eq!(
-                dec.y, out.luma.recon,
-                "frame {i}: decoder luma under {kind:?}"
-            );
+    for (i, (out, store)) in coded_yuv_frames(&frames, &params).iter().enumerate() {
+        let fields = (&out.luma.coeffs, &out.chroma.coeffs, params.qp);
+        let [(stream, bits), _, (cabac, _)] = streams_of(out, params.qp);
+        assert_eq!(stream.len() as u64, bits.div_ceil(8), "frame {i}");
+        let (modes, coeffs, chroma, qp) =
+            decode_frame_yuv(&stream).unwrap_or_else(|e| panic!("frame {i}: {e}"));
+        assert_eq!((&coeffs, &chroma, qp), fields, "frame {i}: levels");
+        let (again, _) = encode_frame_yuv(&modes, &coeffs, &chroma, qp);
+        assert_eq!(again, stream, "frame {i}: re-encoded stream");
+        let dec = feves::codec::decoder::decode_inter_frame_yuv(&stream, store)
+            .unwrap_or_else(|e| panic!("frame {i}: {e}"));
+        assert_eq!(dec.y, out.luma.recon, "frame {i}: decoder luma");
 
-            let (modes, coeffs, chroma, qp) =
-                decode_frame_cabac(&cabac).unwrap_or_else(|e| panic!("frame {i}: CABAC: {e}"));
-            let chroma = chroma.expect("the header says chroma follows");
-            assert_eq!(
-                (&coeffs, &chroma, qp),
-                fields,
-                "frame {i}: CABAC levels under {kind:?}"
-            );
-            let (again, _) = encode_frame_cabac(&modes, &coeffs, Some(&chroma), qp);
-            assert_eq!(again, cabac, "frame {i}: re-encoded CABAC stream");
-            of_kind.push(stream);
-        }
-        streams.push(of_kind);
+        let (modes, coeffs, chroma, qp) =
+            decode_frame_cabac(&cabac).unwrap_or_else(|e| panic!("frame {i}: CABAC: {e}"));
+        let chroma = chroma.expect("the header says chroma follows");
+        assert_eq!((&coeffs, &chroma, qp), fields, "frame {i}: CABAC levels");
+        let (again, _) = encode_frame_cabac(&modes, &coeffs, Some(&chroma), qp);
+        assert_eq!(again, cabac, "frame {i}: re-encoded CABAC stream");
     }
-    assert_eq!(
-        streams[0], streams[1],
-        "scalar and fast kernels wrote different streams"
-    );
 }
 
 /// The stream-fuzz table: every truncation and single-bit flip (every bit of
@@ -509,7 +492,6 @@ fn mangled_streams_decode_or_err_never_panic() {
         |s, _| decode_frame_cabac(s).map(drop),
     ];
 
-    let _guard = KindGuard::take();
     let params = params();
     let (out, store) = &coded_yuv_frames(&qcif_frames(2), &params)[0];
     for ((kind, decode), (stream, _)) in STREAM_KINDS
@@ -553,8 +535,8 @@ fn mangled_streams_decode_or_err_never_panic() {
     }
 }
 
-/// Satellite 1: mismatched `row_sad` slice lengths are a hard error in
-/// *release* builds too (the dispatch wrapper carries a real `assert!`,
+/// Mismatched `row_sad` slice lengths are a hard error in
+/// *release* builds too (the entry point carries a real `assert!`,
 /// not just a `debug_assert!`). CI runs this test with `--release`.
 #[test]
 #[should_panic(expected = "row_sad length mismatch")]

@@ -341,8 +341,8 @@ fn snapshot_roundtrip_preserves_session_values() {
         .and_then(|s| s.get("gauges"))
         .cloned()
         .expect("session gauges present");
-    assert_eq!(early_gauges.get("kernel.dispatch"), Some(&Value::Null));
-    rec.gauge(Metric::KernelDispatch, 1.0);
+    assert_eq!(early_gauges.get("farm.queue_depth"), Some(&Value::Null));
+    rec.gauge(Metric::FarmQueueDepth, 1.0);
     let value = build_snapshot(
         9,
         Duration::from_secs(2),
@@ -369,7 +369,7 @@ fn snapshot_roundtrip_preserves_session_values() {
     );
     let gauges = ours.get("gauges").unwrap();
     assert_eq!(
-        gauges.get("kernel.dispatch").and_then(Value::as_f64),
+        gauges.get("farm.queue_depth").and_then(Value::as_f64),
         Some(1.0)
     );
 }
