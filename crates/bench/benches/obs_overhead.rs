@@ -4,15 +4,15 @@
 //! Two measurements:
 //!
 //! 1. A criterion group timing the recorder hot path (counter + histogram +
-//!    span) against the `NoopRecorder` baseline — the per-event cost.
+//!    span) against the `NoopRecorder` baseline — the per-event cost —
+//!    bare and through a session scope's recorder.
 //! 2. An end-to-end acceptance check: a full SysHK timing run with a
 //!    `MemoryRecorder` attached still reports per-frame scheduling overhead
 //!    below 2 ms (both the wall-clock report and the recorded
 //!    `sched.overhead_us` histogram). The bench exits non-zero on failure.
 //! 3. The same acceptance run with the full live path enabled — session
-//!    scope, telemetry bus, drain thread and periodic snapshot writes — to
-//!    prove live monitoring stays inside the same budget. The bus's own
-//!    enqueue/drain self-metering is printed alongside.
+//!    scope and the snapshot writer's periodic writes — to prove live
+//!    monitoring stays inside the same budget.
 //! 4. The same run again with a causal-trace sink attached, so the span
 //!    emission in the per-frame hot loop is held to the identical budget.
 
@@ -20,16 +20,18 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use feves_bench::hd_config;
 use feves_core::prelude::*;
 use feves_obs::{
-    hub, BusController, LiveConfig, LiveSnapshot, MemoryRecorder, Metric, NoopRecorder, Recorder,
+    hub, LiveConfig, LiveSnapshot, LiveWriter, MemoryRecorder, Metric, NoopRecorder, Recorder,
 };
 use std::sync::Arc;
 use std::time::Duration;
 
 fn bench_recorder_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_event");
-    let recorders: [(&str, Arc<dyn Recorder>); 2] = [
+    let scope = hub().session("bench-event");
+    let recorders: [(&str, Arc<dyn Recorder>); 3] = [
         ("noop", Arc::new(NoopRecorder)),
         ("memory", Arc::new(MemoryRecorder::new())),
+        ("scope", scope.recorder()),
     ];
     for (name, rec) in recorders {
         group.bench_with_input(BenchmarkId::from_parameter(name), &rec, |b, r| {
@@ -78,63 +80,48 @@ fn acceptance_check() {
     );
 }
 
-/// The tentpole gate: the *live* path — session scope, bounded bus, drain
-/// thread and periodic atomic snapshot writes — must keep per-frame
-/// scheduling overhead inside the same 2 ms budget as plain recording.
+/// The live gate: the *live* path — session scope and periodic atomic
+/// snapshot writes — must keep per-frame scheduling overhead inside the
+/// same 2 ms budget as plain recording.
 fn live_acceptance_check() {
     let dir = std::env::temp_dir().join(format!("feves-obs-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench temp dir");
     let live_path = dir.join("live.json");
 
     let scope = hub().session("bench-live");
-    let mut ctl = BusController::start(
-        1 << 16,
-        Some(LiveConfig {
-            path: live_path.clone(),
-            period: Duration::from_millis(25),
-        }),
-    );
-    assert!(scope.attach_bus(ctl.bus()));
-    let bus = ctl.bus();
+    let mut writer = LiveWriter::start(LiveConfig {
+        path: live_path.clone(),
+        period: Duration::from_millis(25),
+    });
 
     let mut enc = FevesEncoder::new(Platform::sys_hk(), hd_config(32, 2, BalancerKind::Feves))
         .expect("valid bench config");
     enc.set_scope(scope.clone());
     let report = enc.run_timing(16);
-    ctl.stop();
+    // Read before any flush: records land in the registry as they are made.
+    let metrics = scope.metrics();
+    let encoded = metrics.counter(Metric::FramesEncoded);
+    writer.stop();
 
     let wall_max_us = report.max_sched_overhead() * 1e6;
-    let metrics = scope.metrics();
     let hist = metrics.histogram(Metric::SchedOverheadUs);
-    let stats = bus.stats();
     println!(
-        "live acceptance: sched overhead with live bus — wall max {:.1} us, \
+        "live acceptance: sched overhead with live snapshots — wall max {:.1} us, \
          recorded max {:.1} us over {} frames (budget {} us)",
         wall_max_us,
         hist.max(),
         hist.count(),
         BUDGET_US
     );
-    println!(
-        "live acceptance: bus published {} · dropped {} · enqueue p99 {:.0} ns \
-         (n={}) · drain batch mean {:.1} us · max {:.1} us",
-        stats.published,
-        stats.dropped,
-        stats.enqueue_ns.p99,
-        stats.enqueue_ns.count,
-        stats.drain_batch_us.mean,
-        stats.drain_batch_us.max,
-    );
     assert!(
         hist.count() > 0,
         "live path saw no sched.overhead_us samples"
     );
     assert_eq!(
-        scope.dropped_events(),
-        0,
-        "a 64Ki bus must not drop at 16-frame volume"
+        encoded, 16,
+        "every frame is in the registry right after the run"
     );
-    // The final snapshot the drain thread wrote at stop must parse.
+    // The final snapshot the writer wrote at stop must parse.
     let text = std::fs::read_to_string(&live_path).expect("final live snapshot exists");
     let snap = LiveSnapshot::parse(&text).expect("final live snapshot parses");
     assert!(snap.seq() > 0);
@@ -144,7 +131,7 @@ fn live_acceptance_check() {
     println!("live acceptance: {}", if pass { "PASS" } else { "FAIL" });
     assert!(
         pass,
-        "scheduling overhead exceeded the 2 ms budget with the live bus enabled"
+        "scheduling overhead exceeded the 2 ms budget with live snapshots enabled"
     );
 }
 

@@ -274,9 +274,9 @@ pub struct FevesEncoder {
     drift: DriftDetector,
     /// Optional schedule flight recorder ([`Self::enable_flight`]).
     flight: Option<FlightRecorder>,
-    /// Optional telemetry session: routes metrics through the session's
-    /// registry (possibly over the bus) and feeds the live per-device view
-    /// (`feves top`).
+    /// Optional telemetry session: metrics land in the session's registry,
+    /// and it feeds the live per-device view (`feves top`). Kept beside
+    /// `recorder` (the same registry) for as long as the encoder records.
     scope: Option<SessionScope>,
     /// Optional supervisor control block (stop flag + device lease).
     ctl: Option<Arc<SessionCtl>>,
@@ -462,7 +462,7 @@ impl FevesEncoder {
     }
 
     /// Bind this encoder to a telemetry session: all metrics flow into the
-    /// scope's registry (through the bounded bus when one is attached), the
+    /// scope's registry, the
     /// scope's live device rows are labeled from the platform, and every
     /// completed frame ticks the session's frames/s figure. Supersedes any
     /// recorder set via [`Self::set_recorder`].

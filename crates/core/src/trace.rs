@@ -5,9 +5,10 @@
 
 use crate::vcm::FrameGraph;
 use feves_codec::types::Module;
+use feves_ft::ckpt::fnv1a64;
 use feves_hetsim::platform::Platform;
 use feves_hetsim::timeline::{Dir, Schedule, TaskId, TaskKind, TransferTag};
-use feves_obs::trace::{engine_track, fnv1a64, DeviceSlice, TraceArg, ENGINES};
+use feves_obs::trace::{engine_track, DeviceSlice, TraceArg, ENGINES};
 use feves_obs::{TauTriple, TraceCollector, TraceCtx, TraceLog, TraceSink};
 use std::sync::Arc;
 use std::time::Instant;

@@ -19,6 +19,7 @@
 //! `0:panic@6`.
 
 use crate::error::FevesError;
+use crate::{splitmix64, GOLDEN_GAMMA};
 use std::fmt;
 use std::str::FromStr;
 
@@ -240,16 +241,14 @@ struct SplitMix64 {
 impl SplitMix64 {
     fn new(seed: u64) -> Self {
         SplitMix64 {
-            state: seed.wrapping_add(0x9e3779b97f4a7c15),
+            state: seed.wrapping_add(GOLDEN_GAMMA),
         }
     }
 
     fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        z
     }
 }
 

@@ -16,6 +16,8 @@
 //! a doubled backoff, so a permanently dead device converges to near-zero
 //! probe overhead while a transiently stalled one rejoins quickly.
 
+use crate::splitmix64;
+
 /// Health state of one device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeviceHealth {
@@ -51,16 +53,6 @@ pub struct HealthTracker {
 
 /// Backoff is capped so a flapping device still gets probed occasionally.
 const MAX_BACKOFF_FRAMES: usize = 64;
-
-/// SplitMix64 finalizer: a strong, dependency-free 64-bit mix. Used to hash
-/// `(seed, device, fault_count)` into a jitter offset — pure, so a restored
-/// tracker reproduces the exact same re-admission timeline.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 impl HealthTracker {
     /// `base_backoff`: frames a device sits out after its first fault.

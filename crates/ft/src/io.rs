@@ -25,6 +25,7 @@ use std::time::Duration;
 
 use crate::ckpt::{crc32_update, CRC32_INIT};
 use crate::retry::RetryPolicy;
+use crate::splitmix64;
 
 /// A writable file handle produced by an [`IoBackend`].
 ///
@@ -323,13 +324,6 @@ pub struct FaultCounts {
     pub short_writes: u64,
     pub torn_renames: u64,
     pub bitrot: u64,
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 struct FaultyInner {

@@ -54,3 +54,17 @@ pub use io::{
     IoErrorClass, IoFile, RealIo,
 };
 pub use retry::RetryPolicy;
+
+/// SplitMix64's increment, the golden-ratio odd constant.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The SplitMix64 mix of `z + GOLDEN_GAMMA`: a strong, dependency-free
+/// 64-bit hash. The health tracker's and the retry policy's jitter, the
+/// storage-fault schedule and the chaos fault schedule all draw from it,
+/// each a pure function of its seed, so every run replays exactly.
+pub fn splitmix64(z: u64) -> u64 {
+    let z = z.wrapping_add(GOLDEN_GAMMA);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

@@ -10,14 +10,7 @@
 
 use std::time::Duration;
 
-/// SplitMix64 finalizer (same mix as the health tracker's jitter — strong
-/// and dependency-free).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::splitmix64;
 
 /// Exponential backoff + deterministic jitter + budget.
 #[derive(Clone, Copy, Debug)]

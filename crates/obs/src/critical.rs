@@ -21,7 +21,7 @@
 //! overhead (transfers, R*, barriers) carried over unchanged.
 
 use crate::flight::{DeviceRecord, FlightRecord};
-use crate::trace::{DeviceSlice, EdgeKind, TraceLog, TraceSpan};
+use crate::trace::{DeviceSlice, EdgeKind, TraceLog, TraceSpan, ENGINES};
 use std::collections::{HashMap, HashSet};
 
 /// An exclusive wall-time bucket of a job's critical path.
@@ -268,8 +268,53 @@ fn record_split(r: &FlightRecord) -> [f64; 4] {
     )
 }
 
+/// A simulated frame — the root `frame` span of `core::trace::frame_log` —
+/// as one job: its duration split by [`split_frame`], kernel being the
+/// busiest device's compute + INT busy time and transfer that device's
+/// copy-engine busy time, both summed off the engine spans' slices.
+fn simulated_frame(log: &TraceLog, frame: &TraceSpan) -> JobCritical {
+    let children = log.children_of(frame.trace_id, frame.span_id);
+    // Per device: [kernel, transfer] busy µs. `ENGINES` lists the two
+    // compute engines before the two copy engines.
+    let mut busy: Vec<[f64; 2]> = Vec::new();
+    for span in &children {
+        let Some(engine) = ENGINES.iter().position(|e| *e == span.cat) else {
+            continue;
+        };
+        for d in &span.devices {
+            if busy.len() <= d.device {
+                busy.resize(d.device + 1, [0.0; 2]);
+            }
+            busy[d.device][engine / 2] += d.busy_ms * 1e3;
+        }
+    }
+    let [kernel, transfer] = busy
+        .into_iter()
+        .fold([0.0; 2], |a, b| if b[0] > a[0] { b } else { a });
+    let mut buckets = [0.0f64; 9];
+    for (b, us) in FRAME_BUCKETS
+        .iter()
+        .zip(split_frame(frame.dur_us, kernel, transfer, 0.0))
+    {
+        buckets[b.index()] = us;
+    }
+    JobCritical {
+        trace_id: frame.trace_id,
+        name: frame.name.clone(),
+        wall_us: frame.dur_us,
+        buckets,
+        path: (children.iter())
+            .filter(|s| s.cat == "phase")
+            .map(|s| s.name.clone())
+            .collect(),
+        resume_edges: 0,
+        frames: 1,
+    }
+}
+
 impl CriticalReport {
-    /// Analyze a merged trace log. Fails if the span DAG is malformed.
+    /// Analyze a merged trace log: a farm's, or one simulated frame's.
+    /// Fails if the span DAG is malformed.
     pub fn from_log(log: &TraceLog) -> Result<CriticalReport, String> {
         validate_dag(log)?;
         let mut jobs = Vec::new();
@@ -277,6 +322,10 @@ impl CriticalReport {
             let root = log
                 .root_of(trace_id)
                 .expect("validate_dag guarantees a root");
+            if root.cat == "frame" {
+                jobs.push(simulated_frame(log, root));
+                continue;
+            }
             let mut buckets = [0.0f64; 9];
             let mut path = Vec::new();
             let mut frames = 0usize;

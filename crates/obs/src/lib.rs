@@ -15,6 +15,10 @@
 //!   `feves stats` summary table ([`MemoryRecorder::render_stats`]), and
 //!   Chrome trace-event JSON of a span log ([`TraceLog::to_perfetto`]) that
 //!   loads directly in Perfetto / `chrome://tracing`.
+//! - [`SessionScope`] — one session's registry and live device rows,
+//!   recorded into directly; [`LiveWriter`] is the one thread that writes
+//!   every session's state to a `feves-live/2` snapshot each period
+//!   (`--live-out`, read by `feves top`).
 //!
 //! Metrics derived from the *virtual* clock (τ times, byte volumes, LP
 //! iterations) are deterministic for a fixed configuration; wall-clock
@@ -36,7 +40,6 @@
 //! ```
 
 pub mod audit;
-pub mod bus;
 mod chrome;
 pub mod compare;
 pub mod critical;
@@ -47,10 +50,10 @@ pub mod persist;
 mod recorder;
 pub mod report;
 pub mod scope;
+mod shim;
 pub mod trace;
 
 pub use audit::{imbalance_index, residual_pct, AuditSummary, DeviceAudit};
-pub use bus::{BusController, BusStats, DeviceField, LiveConfig, TelemetryBus, TelemetryEvent};
 pub use compare::{compare_reports, compare_reports_metric, CompareOutcome, MetricDelta};
 pub use critical::{validate_dag, Bucket, CriticalReport, JobCritical, WhatIf};
 pub use flight::{
@@ -58,11 +61,13 @@ pub use flight::{
     DeviceRecord, FlightRecord, FlightRecorder, TauTriple,
 };
 pub use histogram::Histogram;
-pub use live::{build_snapshot, LiveSnapshot};
+pub use live::{build_snapshot, LiveConfig, LiveSnapshot, LiveWriter};
 pub use persist::{sweep_orphans, write_atomic, write_atomic_recorded};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder, Span, SpanStat};
 pub use report::render_html;
 pub use scope::{hub, DeviceLive, RetiredSession, SessionScope, TelemetryHub};
+#[doc(hidden)]
+pub use shim::BusController;
 pub use trace::{EdgeKind, TraceCollector, TraceCtx, TraceEdge, TraceLog, TraceSink, TraceSpan};
 
 /// How a metric aggregates.
@@ -176,19 +181,6 @@ metrics! {
     CkptBytes = "ckpt.bytes_written", "bytes", Counter, virt;
     /// Wall-clock time spent snapshotting + writing one checkpoint (ms).
     CkptWriteMs = "ckpt.write_ms", "ms", Histogram, wall;
-    // The obs.* bus metrics are all flagged wall_clock: how many events a
-    // drain batch catches — and whether any are dropped — depends on host
-    // scheduling, so none of them belong in a deterministic export.
-    /// Telemetry-bus events drained and applied to this session's registry.
-    ObsBusEvents = "obs.bus_events", "events", Counter, wall;
-    /// Telemetry events dropped at a full bus (the drop-and-count policy:
-    /// the encode loop is never blocked; losses are made visible here).
-    ObsDroppedEvents = "obs.dropped_events", "events", Counter, wall;
-    /// Sampled cost of one bus enqueue (every 64th publish is timed) —
-    /// the bus metering its own hot-path overhead.
-    ObsBusEnqueueNs = "obs.bus_enqueue_ns", "ns", Histogram, wall;
-    /// Wall-clock cost of one drain batch (pop + apply, up to 1024 events).
-    ObsBusDrainUs = "obs.bus_drain_us", "us", Histogram, wall;
     // The farm.* metrics describe the `feves serve` supervisor. All are
     // wall_clock: queue depth and retry counts depend on job arrival order
     // and host scheduling, never on the virtual encode clock.

@@ -2,16 +2,17 @@
 //! telemetry session, written atomically so `feves top` (or any poller)
 //! never observes a torn file.
 //!
-//! Schema `feves-live/1`:
+//! One [`LiveWriter`] thread writes them: it sleeps a period on its stop
+//! channel, snapshots every hub session's registry, writes the file, and at
+//! [`LiveWriter::stop`] writes one final snapshot. Recording never waits on
+//! it — sessions record straight into their registries (see
+//! [`crate::scope`]), and the writer only reads them.
+//!
+//! Schema `feves-live/2`:
 //!
 //! ```json
-//! {"schema":"feves-live/1","seq":7,"uptime_ms":1834.2,
-//!  "bus":{"capacity":65536,"depth":3,"published":41872,"drained":41869,
-//!         "dropped":0,
-//!         "enqueue_ns":{"count":654,"mean":91.0,"p99":181.0,"max":912.0},
-//!         "drain_batch_us":{"count":88,"mean":14.2,"p99":60.1,"max":88.0}},
-//!  "sessions":[{"id":1,"label":"sim","frames":120,"fps":29.8,
-//!               "dropped_events":0,"ended":false,
+//! {"schema":"feves-live/2","seq":7,"uptime_ms":1834.2,
+//!  "sessions":[{"id":1,"label":"sim","frames":120,"fps":29.8,"ended":false,
 //!               "counters":{"frames.encoded":120,"...":0},
 //!               "gauges":{"farm.queue_depth":2.0,"...":null},
 //!               "histograms":{"frame.tau_tot_ms":{"count":120,"mean":33.1,
@@ -25,29 +26,20 @@
 //! that is the golden-schema contract tested in `tests/telemetry.rs`.
 //! Sessions whose last handle dropped between ticks are appended from the
 //! hub's retirement history with `"ended": true` and the same key paths.
-//! Non-finite floats (e.g. the mean of an empty histogram is well-defined
-//! but a cleared residual is not) serialize as `null`.
+//! Non-finite floats (an unwritten gauge, a cleared residual) serialize as
+//! `null`.
 
-use crate::bus::{BusStats, SelfCost};
-use crate::recorder::MemoryRecorder;
+use crate::recorder::{fnum, stats_header, stats_row, MemoryRecorder};
 use crate::scope::{hub, DeviceLive, RetiredSession, SessionScope};
-use crate::{persist, Metric, MetricKind};
+use crate::{persist, Metric};
 use serde::Value;
-use std::path::Path;
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Schema tag of the live snapshot format.
-pub const SCHEMA: &str = "feves-live/1";
-
-/// A finite float serializes as a number, anything else as `null` (the
-/// vendored serde_json rejects NaN/inf by design).
-fn fnum(v: f64) -> Value {
-    if v.is_finite() {
-        Value::Float(v)
-    } else {
-        Value::Null
-    }
-}
+pub const SCHEMA: &str = "feves-live/2";
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -58,14 +50,9 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn self_cost(c: &SelfCost) -> Value {
-    obj(vec![
-        ("count", Value::UInt(c.count)),
-        ("mean", fnum(c.mean)),
-        ("p99", fnum(c.p99)),
-        ("max", fnum(c.max)),
-    ])
-}
+/// The snapshot object each [`crate::MetricKind`] is filed under, in kind
+/// order.
+const GROUPS: [&str; 3] = ["counters", "gauges", "histograms"];
 
 /// One session as the snapshot writer sees it — live and retired sessions
 /// serialize through the same builder so the key-path set (the
@@ -75,54 +62,18 @@ struct SessionView<'a> {
     label: &'a str,
     frames: u64,
     fps: f64,
-    dropped: u64,
     ended: bool,
     metrics: &'a MemoryRecorder,
     devices: &'a [DeviceLive],
 }
 
 fn session_fields(view: SessionView<'_>) -> Value {
-    let SessionView {
-        id,
-        label,
-        frames,
-        fps,
-        dropped,
-        ended,
-        metrics: m,
-        devices: live_devices,
-    } = view;
-    let mut counters = Vec::new();
-    let mut gauges = Vec::new();
-    let mut histograms = Vec::new();
+    let mut groups: [Vec<(String, Value)>; 3] = Default::default();
     for metric in Metric::ALL {
         let def = metric.def();
-        match def.kind {
-            MetricKind::Counter => {
-                counters.push((def.name.to_string(), Value::UInt(m.counter(metric))));
-            }
-            MetricKind::Gauge => {
-                let v = m.gauge_value(metric).map(fnum).unwrap_or(Value::Null);
-                gauges.push((def.name.to_string(), v));
-            }
-            MetricKind::Histogram => {
-                let h = m.histogram(metric);
-                histograms.push((
-                    def.name.to_string(),
-                    obj(vec![
-                        ("count", Value::UInt(h.count())),
-                        ("mean", fnum(h.mean())),
-                        ("p50", fnum(h.percentile(50.0))),
-                        ("p95", fnum(h.percentile(95.0))),
-                        ("p99", fnum(h.percentile(99.0))),
-                        ("max", fnum(h.max())),
-                    ]),
-                ));
-            }
-        }
+        groups[def.kind as usize].push((def.name.to_string(), view.metrics.value_of(metric)));
     }
-    let devices = live_devices
-        .iter()
+    let devices = (view.devices.iter())
         .map(|d| {
             obj(vec![
                 ("device", Value::UInt(d.device as u64)),
@@ -136,22 +87,19 @@ fn session_fields(view: SessionView<'_>) -> Value {
             ])
         })
         .collect();
-    obj(vec![
-        ("id", Value::UInt(id)),
-        ("label", Value::Str(label.to_string())),
-        ("frames", Value::UInt(frames)),
-        ("fps", fnum(fps)),
-        ("dropped_events", Value::UInt(dropped)),
-        ("ended", Value::Bool(ended)),
-        ("counters", Value::Object(counters)),
-        ("gauges", Value::Object(gauges)),
-        ("histograms", Value::Object(histograms)),
-        ("devices", Value::Array(devices)),
-    ])
+    let mut fields = vec![
+        ("id", Value::UInt(view.id)),
+        ("label", Value::Str(view.label.to_string())),
+        ("frames", Value::UInt(view.frames)),
+        ("fps", fnum(view.fps)),
+        ("ended", Value::Bool(view.ended)),
+    ];
+    fields.extend(GROUPS.into_iter().zip(groups.map(Value::Object)));
+    fields.push(("devices", Value::Array(devices)));
+    obj(fields)
 }
 
 fn session_value(scope: &SessionScope) -> Value {
-    scope.sync_dropped();
     let metrics = scope.metrics();
     let devices = scope.devices();
     session_fields(SessionView {
@@ -159,7 +107,6 @@ fn session_value(scope: &SessionScope) -> Value {
         label: scope.label(),
         frames: scope.frames(),
         fps: scope.fps(),
-        dropped: scope.dropped_events(),
         ended: false,
         metrics: &metrics,
         devices: &devices,
@@ -172,7 +119,6 @@ fn retired_value(r: &RetiredSession) -> Value {
         label: &r.label,
         frames: r.frames,
         fps: r.fps,
-        dropped: r.dropped,
         ended: true,
         metrics: &r.metrics,
         devices: &r.devices,
@@ -184,28 +130,13 @@ fn retired_value(r: &RetiredSession) -> Value {
 pub fn build_snapshot(
     seq: u64,
     uptime: Duration,
-    bus: Option<&BusStats>,
     scopes: &[SessionScope],
     retired: &[RetiredSession],
 ) -> Value {
-    let bus_value = bus
-        .map(|b| {
-            obj(vec![
-                ("capacity", Value::UInt(b.capacity as u64)),
-                ("depth", Value::UInt(b.depth as u64)),
-                ("published", Value::UInt(b.published)),
-                ("drained", Value::UInt(b.drained)),
-                ("dropped", Value::UInt(b.dropped)),
-                ("enqueue_ns", self_cost(&b.enqueue_ns)),
-                ("drain_batch_us", self_cost(&b.drain_batch_us)),
-            ])
-        })
-        .unwrap_or(Value::Null);
     obj(vec![
         ("schema", Value::Str(SCHEMA.to_string())),
         ("seq", Value::UInt(seq)),
         ("uptime_ms", fnum(uptime.as_secs_f64() * 1_000.0)),
-        ("bus", bus_value),
         (
             "sessions",
             Value::Array(
@@ -219,23 +150,80 @@ pub fn build_snapshot(
     ])
 }
 
-/// Snapshot every live (non-default) session of this process — plus the
-/// hub's retired-session history, so sessions that ended between snapshot
-/// ticks still appear once with `"ended": true` — and write the result
+/// Snapshot every live session of this process — plus the hub's
+/// retired-session history, so sessions that ended between snapshot ticks
+/// still appear once with `"ended": true` — and write the result
 /// atomically to `path`.
-pub fn write_live(
-    path: &Path,
-    seq: u64,
-    uptime: Duration,
-    bus: Option<&BusStats>,
-) -> std::io::Result<()> {
-    let scopes = hub().scopes();
-    let retired = hub().retired();
-    let value = build_snapshot(seq, uptime, bus, &scopes, &retired);
+fn write_live(path: &Path, seq: u64, uptime: Duration) -> std::io::Result<()> {
+    let value = build_snapshot(seq, uptime, &hub().scopes(), &hub().retired());
     let mut text =
         serde_json::to_string(&value).map_err(|e| std::io::Error::other(format!("{e:?}")))?;
     text.push('\n');
     persist::write_atomic(path, text.as_bytes())
+}
+
+/// Where a [`LiveWriter`] writes, and how often.
+#[derive(Clone, Debug)]
+pub struct LiveConfig {
+    /// Snapshot destination (written atomically: temp + fsync + rename).
+    pub path: PathBuf,
+    /// Interval between snapshot writes.
+    pub period: Duration,
+}
+
+/// The live-snapshot writer: one thread that writes a snapshot every
+/// `period` and a final one at [`LiveWriter::stop`]. Between snapshots it
+/// blocks on its stop channel, so it costs no CPU there.
+pub struct LiveWriter {
+    /// Dropping the sender is the stop signal.
+    running: Option<(Sender<()>, JoinHandle<()>)>,
+}
+
+impl LiveWriter {
+    /// Start the writer thread.
+    pub fn start(cfg: LiveConfig) -> LiveWriter {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = std::thread::Builder::new()
+            .name("feves-live".into())
+            .spawn(move || {
+                let started = Instant::now();
+                for seq in 1.. {
+                    // A timeout is the next tick; a disconnect is `stop`.
+                    let last = !matches!(
+                        stopped.recv_timeout(cfg.period),
+                        Err(RecvTimeoutError::Timeout)
+                    );
+                    // A failed write is retried by the next tick: telemetry
+                    // never takes the encoder down.
+                    let _ = write_live(&cfg.path, seq, started.elapsed());
+                    if last {
+                        return;
+                    }
+                }
+            })
+            .expect("spawn live snapshot writer");
+        LiveWriter {
+            running: Some((stop, thread)),
+        }
+    }
+
+    /// Write the final snapshot and join the thread. After `stop` returns
+    /// the file holds every record made before the call. Idempotent; also
+    /// runs on drop.
+    pub fn stop(&mut self) {
+        if let Some((stop, thread)) = self.running.take() {
+            drop(stop);
+            // A writer that panicked must not take the encoder down with it
+            // at shutdown.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for LiveWriter {
+    fn drop(&mut self) {
+        self.stop();
+    }
 }
 
 /// A parsed live snapshot (schema-checked), with the render surfaces used
@@ -296,25 +284,8 @@ impl LiveSnapshot {
             .unwrap_or(&[])
     }
 
-    /// Total telemetry events dropped across the bus and every session
-    /// (`obs.dropped_events`) — nonzero means the dashboard's counters
-    /// undercount. `feves top` warns on it; `--strict` exits nonzero.
-    pub fn dropped_events(&self) -> u64 {
-        let bus = self
-            .root
-            .get("bus")
-            .and_then(|b| get_u64(b, "dropped"))
-            .unwrap_or(0);
-        let sessions: u64 = self
-            .sessions()
-            .iter()
-            .map(|s| get_u64(s, "dropped_events").unwrap_or(0))
-            .sum();
-        bus + sessions
-    }
-
     /// The refreshing-dashboard view (`feves top`): per-session device rows
-    /// with busy bars, residuals and health, plus bus accounting.
+    /// with busy bars, residuals and health.
     pub fn render_top(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -322,43 +293,15 @@ impl LiveSnapshot {
             self.seq(),
             self.uptime_ms() / 1_000.0
         ));
-        let dropped = self.dropped_events();
-        if dropped > 0 {
-            // Yellow so a lossy bus is impossible to miss: every counter
-            // below undercounts by an unknown amount.
-            out.push_str(&format!(
-                "\x1b[33mwarning: {dropped} telemetry event(s) dropped at a full bus — counters undercount\x1b[0m\n"
-            ));
-        }
-        if let Some(bus) = self.root.get("bus").filter(|b| !matches!(b, Value::Null)) {
-            out.push_str(&format!(
-                "bus   depth {}/{}   published {}   drained {}   dropped {}\n",
-                get_u64(bus, "depth").unwrap_or(0),
-                get_u64(bus, "capacity").unwrap_or(0),
-                get_u64(bus, "published").unwrap_or(0),
-                get_u64(bus, "drained").unwrap_or(0),
-                get_u64(bus, "dropped").unwrap_or(0),
-            ));
-            if let (Some(enq), Some(drn)) = (bus.get("enqueue_ns"), bus.get("drain_batch_us")) {
-                out.push_str(&format!(
-                    "      enqueue p99 {:.0} ns (n={})   drain batch mean {:.1} µs · max {:.1} µs\n",
-                    get_f64(enq, "p99").unwrap_or(0.0),
-                    get_u64(enq, "count").unwrap_or(0),
-                    get_f64(drn, "mean").unwrap_or(0.0),
-                    get_f64(drn, "max").unwrap_or(0.0),
-                ));
-            }
-        }
         for s in self.sessions() {
             out.push('\n');
             let ended = matches!(s.get("ended"), Some(Value::Bool(true)));
             out.push_str(&format!(
-                "session {} · {:<16} frames {:>6}   {:>6.1} fps   dropped {}{}\n",
+                "session {} · {:<16} frames {:>6}   {:>6.1} fps{}\n",
                 get_u64(s, "id").unwrap_or(0),
                 s.get("label").and_then(Value::as_str).unwrap_or("?"),
                 get_u64(s, "frames").unwrap_or(0),
                 get_f64(s, "fps").unwrap_or(0.0),
-                get_u64(s, "dropped_events").unwrap_or(0),
                 if ended { "   [ended]" } else { "" },
             ));
             let devices = s.get("devices").and_then(Value::as_array).unwrap_or(&[]);
@@ -414,68 +357,25 @@ impl LiveSnapshot {
     }
 
     /// The tabular view (`feves stats <live.json>`): every metric of every
-    /// session, in the same column layout as the final-metrics table.
+    /// session, in the same rows and columns as the final-metrics table.
     pub fn render_stats(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "live snapshot · seq {} · uptime {:.1} s\n",
             self.seq(),
             self.uptime_ms() / 1_000.0
-        ));
+        );
         for s in self.sessions() {
             out.push_str(&format!(
-                "\nsession {} · {} · frames {} · dropped {}\n",
+                "\nsession {} · {} · frames {}\n",
                 get_u64(s, "id").unwrap_or(0),
                 s.get("label").and_then(Value::as_str).unwrap_or("?"),
                 get_u64(s, "frames").unwrap_or(0),
-                get_u64(s, "dropped_events").unwrap_or(0),
             ));
-            out.push_str(&format!(
-                "{:<24} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}\n",
-                "metric", "count", "mean", "p50", "p95", "p99", "max/value"
-            ));
-            let empty = Value::Object(Vec::new());
-            for (name, v) in s
-                .get("counters")
-                .unwrap_or(&empty)
-                .as_object()
-                .unwrap_or(&[])
-            {
-                out.push_str(&format!(
-                    "{name:<24} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}\n",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    v.as_u64().unwrap_or(0)
-                ));
-            }
-            for (name, v) in s.get("gauges").unwrap_or(&empty).as_object().unwrap_or(&[]) {
-                let shown = v
-                    .as_f64()
-                    .map(|f| format!("{f:.2}"))
-                    .unwrap_or_else(|| "-".into());
-                out.push_str(&format!(
-                    "{name:<24} {:>10} {:>10} {:>10} {:>10} {:>10} {shown:>12}\n",
-                    "-", "-", "-", "-", "-",
-                ));
-            }
-            for (name, h) in s
-                .get("histograms")
-                .unwrap_or(&empty)
-                .as_object()
-                .unwrap_or(&[])
-            {
-                out.push_str(&format!(
-                    "{name:<24} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>12.2}\n",
-                    get_u64(h, "count").unwrap_or(0),
-                    get_f64(h, "mean").unwrap_or(0.0),
-                    get_f64(h, "p50").unwrap_or(0.0),
-                    get_f64(h, "p95").unwrap_or(0.0),
-                    get_f64(h, "p99").unwrap_or(0.0),
-                    get_f64(h, "max").unwrap_or(0.0),
-                ));
+            out.push_str(&stats_header());
+            for m in Metric::ALL {
+                let def = m.def();
+                let value = (s.get(GROUPS[def.kind as usize])).and_then(|g| g.get(def.name));
+                out.push_str(&stats_row(m, value.unwrap_or(&Value::Null)));
             }
         }
         out
@@ -489,21 +389,6 @@ impl LiveSnapshot {
             self.seq(),
             self.uptime_ms() / 1_000.0
         ));
-        if let Some(bus) = self.root.get("bus").filter(|b| !matches!(b, Value::Null)) {
-            let published = get_u64(bus, "published").unwrap_or(0);
-            let dropped = get_u64(bus, "dropped").unwrap_or(0);
-            out.push_str(&format!(
-                "telemetry bus: {published} events published, {dropped} dropped ({})\n",
-                if dropped == 0 {
-                    "no loss".to_string()
-                } else {
-                    format!(
-                        "{:.2}% loss",
-                        dropped as f64 / (published + dropped).max(1) as f64 * 100.0
-                    )
-                }
-            ));
-        }
         for s in self.sessions() {
             let frames = get_u64(s, "frames").unwrap_or(0);
             let fps = get_f64(s, "fps").unwrap_or(0.0);
@@ -526,7 +411,6 @@ impl LiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::TelemetryBus;
 
     fn sample_scope() -> SessionScope {
         let scope = hub().session("live-test");
@@ -545,14 +429,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_and_renders() {
         let scope = sample_scope();
-        let bus = TelemetryBus::new(1 << 10);
-        let value = build_snapshot(
-            7,
-            Duration::from_millis(1500),
-            Some(&bus.stats()),
-            &[scope],
-            &[],
-        );
+        let value = build_snapshot(7, Duration::from_millis(1500), &[scope], &[]);
         let text = serde_json::to_string(&value).expect("serializes despite empty histograms");
         let snap = LiveSnapshot::parse(&text).expect("round-trips");
         assert_eq!(snap.seq(), 7);
@@ -560,12 +437,22 @@ mod tests {
         let top = snap.render_top();
         assert!(top.contains("GPU0"), "{top}");
         assert!(top.contains("BLACKLISTED"), "{top}");
-        assert!(top.contains("dropped 0"), "{top}");
         let stats = snap.render_stats();
         assert!(stats.contains("frames.encoded"), "{stats}");
         assert!(stats.contains("frame.tau_tot_ms"), "{stats}");
         let summary = snap.render_summary();
         assert!(summary.contains("2 devices (1 blacklisted)"), "{summary}");
+    }
+
+    #[test]
+    fn live_and_final_tables_share_their_rows() {
+        let scope = sample_scope();
+        let value = build_snapshot(1, Duration::ZERO, std::slice::from_ref(&scope), &[]);
+        let snap = LiveSnapshot::parse(&serde_json::to_string(&value).unwrap()).unwrap();
+        let live = snap.render_stats();
+        let table = scope.metrics().render_stats();
+        let rows = table.split("\nspans").next().unwrap();
+        assert!(live.contains(rows), "live:\n{live}\nfinal:\n{rows}");
     }
 
     #[test]
@@ -577,7 +464,7 @@ mod tests {
             scope.frame_done();
         } // last handle gone before any snapshot tick
         let retired = hub().retired();
-        let value = build_snapshot(1, Duration::from_millis(50), None, &[], &retired);
+        let value = build_snapshot(1, Duration::from_millis(50), &[], &retired);
         let text = serde_json::to_string(&value).unwrap();
         let snap = LiveSnapshot::parse(&text).unwrap();
         let s = snap
@@ -598,45 +485,92 @@ mod tests {
     }
 
     #[test]
-    fn dropped_events_sum_bus_and_sessions_and_warn() {
-        let clean = "{\"schema\":\"feves-live/1\",\"seq\":1,\"sessions\":[]}";
-        let snap = LiveSnapshot::parse(clean).unwrap();
-        assert_eq!(snap.dropped_events(), 0);
-        assert!(!snap.render_top().contains("warning:"));
-        let lossy = "{\"schema\":\"feves-live/1\",\"seq\":1,\
-                     \"bus\":{\"dropped\":3},\
-                     \"sessions\":[{\"id\":1,\"dropped_events\":2},\
-                                   {\"id\":2,\"dropped_events\":0}]}";
-        let snap = LiveSnapshot::parse(lossy).unwrap();
-        assert_eq!(snap.dropped_events(), 5);
-        let top = snap.render_top();
-        assert!(
-            top.contains("warning: 5 telemetry event(s) dropped"),
-            "{top}"
-        );
-        assert!(top.contains("\x1b[33m"), "warning renders yellow: {top}");
-    }
-
-    #[test]
     fn parse_rejects_wrong_schema() {
         assert!(LiveSnapshot::parse("{}").is_err());
-        assert!(LiveSnapshot::parse("{\"schema\":\"feves-live/0\"}").is_err());
+        assert!(
+            LiveSnapshot::parse("{\"schema\":\"feves-live/1\",\"seq\":1,\"sessions\":[]}").is_err()
+        );
         assert!(LiveSnapshot::parse("not json").is_err());
-        let minimal = "{\"schema\":\"feves-live/1\",\"seq\":1,\"sessions\":[]}";
+        let minimal = "{\"schema\":\"feves-live/2\",\"seq\":1,\"sessions\":[]}";
         assert!(LiveSnapshot::parse(minimal).is_ok());
     }
 
-    #[test]
-    fn write_live_is_atomic_and_parseable() {
-        let _scope = sample_scope();
-        let dir = std::env::temp_dir().join(format!("feves-live-{}", std::process::id()));
+    fn temp_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("feves-live-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("live.json");
-        write_live(&path, 3, Duration::from_millis(10), None).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let snap = LiveSnapshot::parse(&text).unwrap();
-        assert!(snap.seq() >= 3);
-        assert!(!snap.sessions().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
+        dir.join("live.json")
+    }
+
+    fn read_snapshot(path: &Path) -> LiveSnapshot {
+        LiveSnapshot::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn the_writer_writes_a_final_snapshot_at_stop() {
+        let scope = sample_scope();
+        let path = temp_path("final");
+        // A period no test outlives: the only snapshot is the final one.
+        let mut writer = LiveWriter::start(LiveConfig {
+            path: path.clone(),
+            period: Duration::from_secs(3600),
+        });
+        scope.recorder().add(Metric::FramesEncoded, 1);
+        writer.stop();
+        let snap = read_snapshot(&path);
+        assert_eq!(snap.seq(), 1);
+        let ours = (snap.sessions().iter())
+            .find(|s| s.get("id").and_then(Value::as_u64) == Some(scope.id()))
+            .expect("the live session is in the final snapshot");
+        let encoded = ours
+            .get("counters")
+            .and_then(|c| get_u64(c, "frames.encoded"));
+        assert_eq!(encoded, Some(121), "a record made before stop is in it");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn the_writer_ticks_with_increasing_seq() {
+        let _scope = sample_scope();
+        let path = temp_path("ticks");
+        let mut writer = LiveWriter::start(LiveConfig {
+            path: path.clone(),
+            period: Duration::from_millis(2),
+        });
+        let mut seen = Vec::new();
+        while seen.len() < 3 {
+            if let Ok(text) = std::fs::read_to_string(&path) {
+                let seq = LiveSnapshot::parse(&text).unwrap().seq();
+                if seen.last() != Some(&seq) {
+                    seen.push(seq);
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        writer.stop();
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+        assert!(
+            read_snapshot(&path).seq() > seen[2],
+            "the final one comes last"
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn stop_is_idempotent_and_drop_safe() {
+        let path = temp_path("stop");
+        let mut writer = LiveWriter::start(LiveConfig {
+            path: path.clone(),
+            period: Duration::from_secs(3600),
+        });
+        writer.stop();
+        writer.stop();
+        assert_eq!(read_snapshot(&path).seq(), 1, "one final snapshot, not two");
+        drop(writer);
+        drop(LiveWriter::start(LiveConfig {
+            path: path.clone(),
+            period: Duration::from_secs(3600),
+        }));
+        assert_eq!(read_snapshot(&path).seq(), 1, "drop stops and writes too");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -124,40 +124,44 @@ impl MemoryRecorder {
         v
     }
 
+    /// Metric `m` as every export writes it: a counter's count, a gauge's
+    /// last value (`null` until written), or a histogram's six-field
+    /// summary (count/mean/p50/p95/p99/max). Non-finite numbers are `null`.
+    pub(crate) fn value_of(&self, m: Metric) -> Value {
+        match m.def().kind {
+            MetricKind::Counter => Value::UInt(self.counter(m)),
+            MetricKind::Gauge => self.gauge_value(m).map(fnum).unwrap_or(Value::Null),
+            MetricKind::Histogram => {
+                let h = self.histogram(m);
+                let p = |q| fnum(h.percentile(q));
+                let fields = [
+                    ("count", Value::UInt(h.count())),
+                    ("mean", fnum(h.mean())),
+                    ("p50", p(50.0)),
+                    ("p95", p(95.0)),
+                    ("p99", p(99.0)),
+                    ("max", fnum(h.max())),
+                ];
+                Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
+            }
+        }
+    }
+
     fn metric_line(&self, m: Metric) -> Value {
         let def = m.def();
+        let kind = match def.kind {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        };
         let mut fields = vec![
-            (
-                "type".to_string(),
-                Value::Str(
-                    match def.kind {
-                        MetricKind::Counter => "counter",
-                        MetricKind::Gauge => "gauge",
-                        MetricKind::Histogram => "histogram",
-                    }
-                    .to_string(),
-                ),
-            ),
+            ("type".to_string(), Value::Str(kind.to_string())),
             ("metric".to_string(), Value::Str(def.name.to_string())),
             ("unit".to_string(), Value::Str(def.unit.to_string())),
         ];
-        match def.kind {
-            MetricKind::Counter => {
-                fields.push(("value".to_string(), Value::UInt(self.counter(m))));
-            }
-            MetricKind::Gauge => {
-                let v = self.gauge_value(m).map(Value::Float).unwrap_or(Value::Null);
-                fields.push(("value".to_string(), v));
-            }
-            MetricKind::Histogram => {
-                let h = self.histogram(m);
-                fields.push(("count".to_string(), Value::UInt(h.count())));
-                fields.push(("mean".to_string(), Value::Float(h.mean())));
-                fields.push(("p50".to_string(), Value::Float(h.percentile(50.0))));
-                fields.push(("p95".to_string(), Value::Float(h.percentile(95.0))));
-                fields.push(("p99".to_string(), Value::Float(h.percentile(99.0))));
-                fields.push(("max".to_string(), Value::Float(h.max())));
-            }
+        match self.value_of(m) {
+            Value::Object(summary) => fields.extend(summary),
+            value => fields.push(("value".to_string(), value)),
         }
         Value::Object(fields)
     }
@@ -193,52 +197,9 @@ impl MemoryRecorder {
 
     /// Human-readable summary table (the `feves stats` view).
     pub fn render_stats(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<24} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}  unit\n",
-            "metric", "count", "mean", "p50", "p95", "p99", "max/value"
-        ));
+        let mut out = stats_header();
         for m in Metric::ALL {
-            let def = m.def();
-            match def.kind {
-                MetricKind::Counter => {
-                    out.push_str(&format!(
-                        "{:<24} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}  {}\n",
-                        def.name,
-                        "-",
-                        "-",
-                        "-",
-                        "-",
-                        "-",
-                        self.counter(m),
-                        def.unit
-                    ));
-                }
-                MetricKind::Gauge => {
-                    let v = self
-                        .gauge_value(m)
-                        .map(|v| format!("{v:.2}"))
-                        .unwrap_or_else(|| "-".into());
-                    out.push_str(&format!(
-                        "{:<24} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}  {}\n",
-                        def.name, "-", "-", "-", "-", "-", v, def.unit
-                    ));
-                }
-                MetricKind::Histogram => {
-                    let h = self.histogram(m);
-                    out.push_str(&format!(
-                        "{:<24} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>12.2}  {}\n",
-                        def.name,
-                        h.count(),
-                        h.mean(),
-                        h.percentile(50.0),
-                        h.percentile(95.0),
-                        h.percentile(99.0),
-                        h.max(),
-                        def.unit
-                    ));
-                }
-            }
+            out.push_str(&stats_row(m, &self.value_of(m)));
         }
         let spans = self.spans();
         if !spans.is_empty() {
@@ -253,6 +214,50 @@ impl MemoryRecorder {
         }
         out
     }
+}
+
+/// A finite float as a JSON number, anything else as `null` (the vendored
+/// serde_json rejects NaN and infinities by design).
+pub(crate) fn fnum(v: f64) -> Value {
+    if v.is_finite() {
+        Value::Float(v)
+    } else {
+        Value::Null
+    }
+}
+
+/// The column header of the metrics table.
+pub(crate) fn stats_header() -> String {
+    format!(
+        "{:<24} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}  unit\n",
+        "metric", "count", "mean", "p50", "p95", "p99", "max/value"
+    )
+}
+
+/// One row of the metrics table — the same for a finished run and for a
+/// live snapshot: metric `m` holding `value` as
+/// [`MemoryRecorder::value_of`] writes it.
+pub(crate) fn stats_row(m: Metric, value: &Value) -> String {
+    let def = m.def();
+    let num = |k| value.get(k).and_then(Value::as_f64).unwrap_or(0.0);
+    let dashes = |shown: String| {
+        let d = "-";
+        format!("{d:>10} {d:>10} {d:>10} {d:>10} {d:>10} {shown:>12}")
+    };
+    let cells = match def.kind {
+        MetricKind::Counter => dashes(value.as_u64().unwrap_or(0).to_string()),
+        MetricKind::Gauge => dashes(value.as_f64().map_or("-".into(), |v| format!("{v:.2}"))),
+        MetricKind::Histogram => format!(
+            "{:>10} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>12.2}",
+            value.get("count").and_then(Value::as_u64).unwrap_or(0),
+            num("mean"),
+            num("p50"),
+            num("p95"),
+            num("p99"),
+            num("max"),
+        ),
+    };
+    format!("{:<24} {cells}  {}\n", def.name, def.unit)
 }
 
 impl Recorder for MemoryRecorder {

@@ -28,23 +28,13 @@
 //! edges, and engine spans on one track per (device, engine).
 
 use crate::chrome::ChromeTraceBuilder;
+use feves_ft::ckpt::fnv1a64;
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// Trace-log schema tag (first JSONL line).
 pub const TRACE_SCHEMA: &str = "feves-trace/1";
-
-/// FNV-1a 64-bit hash — the deterministic id seed shared with
-/// `JobSpec::seed` so a job's trace id equals its scheduling seed.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Deterministic span id: content-derived from `(trace_id, parent, name)`.
 /// Sibling names must be unique (the emitters index theirs: `attempt0`,
@@ -64,7 +54,8 @@ pub fn span_id(trace_id: u64, parent: u64, name: &str) -> u64 {
 /// checkpoints carry no trace state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceCtx {
-    /// Trace id — `fnv1a64(job id)`.
+    /// Trace id — `fnv1a64(job id)`, the hash `JobSpec::seed` takes too,
+    /// so a job's trace id equals its scheduling seed.
     pub trace_id: u64,
     /// Span id new spans parent under.
     pub parent_span: u64,

@@ -36,8 +36,8 @@ use feves_core::SessionCtl;
 use feves_ft::io::backend_for;
 use feves_ft::{HealthTracker, RetryPolicy};
 use feves_obs::{
-    hub, sweep_orphans, write_atomic_recorded, BusController, EdgeKind, LiveConfig, Metric,
-    Recorder, TraceCollector, TraceCtx, TraceSink,
+    hub, sweep_orphans, write_atomic_recorded, EdgeKind, LiveConfig, LiveWriter, Metric, Recorder,
+    TraceCollector, TraceCtx, TraceSink,
 };
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -412,16 +412,11 @@ pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
 
     let farm_scope = hub().session("farm");
     let farm = farm_scope.metrics();
-    let mut bus = cfg.live_out.clone().map(|path| {
-        let ctl = BusController::start(
-            1 << 12,
-            Some(LiveConfig {
-                path,
-                period: Duration::from_millis(cfg.live_every_ms.max(1)),
-            }),
-        );
-        farm_scope.attach_bus(ctl.bus());
-        ctl
+    let mut live = cfg.live_out.clone().map(|path| {
+        LiveWriter::start(LiveConfig {
+            path,
+            period: Duration::from_millis(cfg.live_every_ms.max(1)),
+        })
     });
 
     let mut tracer = cfg.trace_out.clone().map(FarmTracer::new);
@@ -674,10 +669,10 @@ pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
         t.finish(farm.as_ref())?;
     }
     farm.gauge(Metric::FarmQueueDepth, queue.len() as f64);
-    if let Some(ctl) = bus.as_mut() {
-        // Stops the drain thread, flushing the final live snapshot with the
-        // farm counters and every retired session.
-        ctl.stop();
+    if let Some(writer) = live.as_mut() {
+        // The final live snapshot, with the farm counters and every retired
+        // session.
+        writer.stop();
     }
     Ok(report)
 }
@@ -1027,7 +1022,7 @@ mod tests {
         feves_obs::validate_dag(&log).unwrap();
         assert_eq!(log.trace_ids().len(), 2, "one trace per job");
         // The chaos-killed job's retry must route through a resume edge.
-        let killed = feves_obs::trace::fnv1a64(b"killed");
+        let killed = feves_ft::ckpt::fnv1a64(b"killed");
         assert!(
             log.edges
                 .iter()

@@ -31,7 +31,7 @@ use feves::ft::ckpt::{crc32_update, fnv1a64, CKPT_MAGIC, CRC32_INIT};
 use feves::ft::crash::crash_point_at;
 use feves::obs::{
     compare_reports, compare_reports_metric, parse_flight_jsonl, render_html, write_atomic,
-    BusController, LiveConfig, LiveSnapshot, MemoryRecorder, NoopRecorder, Recorder, SessionScope,
+    LiveConfig, LiveSnapshot, LiveWriter, MemoryRecorder, NoopRecorder, Recorder, SessionScope,
 };
 use feves::video::y4m::{self, Y4mScan};
 use std::io::Write as _;
@@ -106,7 +106,6 @@ struct Options {
     metric: Option<String>,
     trace_out: Option<String>,
     no_trace: bool,
-    strict: bool,
     perfetto: Option<String>,
     disk_low_mb: u64,
 }
@@ -149,7 +148,6 @@ impl Default for Options {
             metric: None,
             trace_out: None,
             no_trace: false,
-            strict: false,
             perfetto: None,
             disk_low_mb: 0,
         }
@@ -270,7 +268,6 @@ fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
             "--metric" => opts.metric = Some(grab()?.clone()),
             "--trace-out" => opts.trace_out = Some(grab()?.clone()),
             "--no-trace" => opts.no_trace = true,
-            "--strict" => opts.strict = true,
             "--perfetto" => opts.perfetto = Some(grab()?.clone()),
             "--disk-low-mb" => {
                 opts.disk_low_mb = grab()?.parse().map_err(|e| format!("--disk-low-mb: {e}"))?
@@ -356,19 +353,18 @@ fn cmd_platforms() {
 }
 
 /// Telemetry for one CLI run: the encoder's named [`SessionScope`] and,
-/// with `--live-out`, the bounded bus + drain thread between the encode
-/// loop and the scope's registry (the drain thread writes an atomic live
-/// snapshot every `--live-every` ms).
+/// with `--live-out`, the writer that snapshots the scope's registry to an
+/// atomic live file every `--live-every` ms.
 struct Telemetry {
     scope: Option<SessionScope>,
-    /// The bus and the snapshot path it writes.
-    live: Option<(BusController, PathBuf)>,
+    /// The writer and the snapshot path it writes.
+    live: Option<(LiveWriter, PathBuf)>,
 }
 
 /// The one place an encoder gets telemetry. With `registry` the encoder
 /// records into a new hub session (what `--metrics-out` and `feves stats`
-/// read back); `live` adds the bus and its snapshot writer, and implies a
-/// registry. With neither the encoder keeps its `NoopRecorder`.
+/// read back); `live` adds the snapshot writer, and implies a registry.
+/// With neither the encoder keeps its `NoopRecorder`.
 fn attach_telemetry(
     enc: &mut FevesEncoder,
     label: &str,
@@ -384,9 +380,7 @@ fn attach_telemetry(
     let scope = feves::obs::hub().session(label);
     let live = live.map(|live| {
         let path = live.path.clone();
-        let ctl = BusController::start(1 << 16, Some(live));
-        scope.attach_bus(ctl.bus());
-        (ctl, path)
+        (LiveWriter::start(live), path)
     });
     enc.set_scope(scope.clone());
     Telemetry {
@@ -396,27 +390,17 @@ fn attach_telemetry(
 }
 
 impl Telemetry {
-    /// The session's aggregated registry (checkpoint metrics are recorded
-    /// straight into it, bypassing the bus — they are not hot-path).
+    /// The session's aggregated registry.
     fn memory(&self) -> Option<Arc<MemoryRecorder>> {
         self.scope.as_ref().map(|s| s.metrics())
     }
 
-    /// Stop the bus (draining every accepted event and writing the final
-    /// snapshot), then write `--metrics-out` from the settled registry.
+    /// Stop the writer (it writes the final snapshot), then write
+    /// `--metrics-out` from the registry.
     fn finish(mut self, metrics_out: &Option<String>) -> CliResult {
-        if let Some((mut ctl, path)) = self.live.take() {
-            ctl.stop();
-            let stats = ctl.bus().stats();
-            eprintln!(
-                "live snapshot written to {} ({} event(s) published, {} dropped)",
-                path.display(),
-                stats.published,
-                stats.dropped
-            );
-        }
-        if let Some(scope) = &self.scope {
-            scope.sync_dropped();
+        if let Some((mut writer, path)) = self.live.take() {
+            writer.stop();
+            eprintln!("live snapshot written to {}", path.display());
         }
         if let (Some(rec), Some(path)) = (self.memory(), metrics_out) {
             write_atomic(path, rec.to_jsonl(false))
@@ -877,14 +861,6 @@ fn cmd_top(opts: &Options, input: &str) -> CliResult {
                 }
             }
             print!("{}", snap.render_top());
-            // Lossy telemetry means every rate and rollup below is a floor,
-            // not a measurement; `--strict` lets CI refuse to trust it.
-            if opts.strict && snap.dropped_events() > 0 {
-                return Err(CliError::runtime(format!(
-                    "{input}: {} telemetry event(s) dropped — snapshot rejected by --strict",
-                    snap.dropped_events()
-                )));
-            }
             return Ok(());
         }
         // Clear + home, then one dashboard frame. The snapshot file is
@@ -1185,7 +1161,7 @@ const USAGE: &str = "usage: feves <command> [options]\n\n\
          \u{20}  serve <spool> [options]         supervised encode-farm daemon\n\
          \u{20}  submit <spool> <in.y4m> [out]   drop an encode job into a spool\n\
          \u{20}  drain <spool>                   ask the daemon to drain and exit\n\
-         \u{20}  top <live.json> [--once] [--strict] [--interval <ms>]  live dashboard\n\
+         \u{20}  top <live.json> [--once] [--interval <ms>]  live dashboard\n\
          \u{20}  report <flight.jsonl|live.json> [--html] [--out <path>]  audit a\n\
          \u{20}                                  flight log or a live snapshot\n\
          \u{20}  compare <baseline> <new> [--threshold <f>] [--metric <filter>]  regression gate\n\n\
@@ -1208,8 +1184,6 @@ const USAGE: &str = "usage: feves <command> [options]\n\n\
          \u{20}        --interval <ms>                 top: refresh period (default 1000)\n\
          \u{20}        --once                          top: render one frame and exit\n\
          \u{20}        --allow-stale                   top --once: render even a stale snapshot\n\
-         \u{20}        --strict                        top --once: exit non-zero when the\n\
-         \u{20}                                        snapshot dropped telemetry events\n\
          \u{20}        --queue-cap <n>                 serve: admission queue bound (default 64)\n\
          \u{20}        --high-watermark <n>            serve: reject line (default queue cap)\n\
          \u{20}        --max-inflight <n>              serve: concurrent sessions (default 2)\n\

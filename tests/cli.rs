@@ -147,6 +147,49 @@ fn trace_perfetto_exports_the_simulated_frame() {
 
 /// A trace log with a non-finite number is refused with one `error:` line,
 /// not a panic (`--perfetto`) or a report of `inf` and `NaN`.
+/// `feves trace <log>` also reads a simulated frame's log — what
+/// `examples/schedule_trace.rs` writes — as one job whose buckets split
+/// the frame's τtot.
+#[test]
+fn trace_log_of_a_simulated_frame_splits_tau_tot() {
+    use feves::core::prelude::*;
+    let mut cfg = EncoderConfig::full_hd(EncodeParams {
+        search_area: SearchArea(32),
+        n_ref: 2,
+        ..Default::default()
+    });
+    cfg.noise_amp = 0.0;
+    let mut enc = FevesEncoder::new(Platform::sys_hk(), cfg).unwrap();
+    enc.run_timing(8);
+    let (fg, sched) = enc.last_schedule().expect("a steady-state schedule");
+    let log = feves::core::trace::frame_log(fg, sched, enc.platform());
+    let frame = log.spans.iter().find(|s| s.cat == "frame").unwrap();
+    let tau_tot_ms = frame.arg("tau_tot_ms").unwrap();
+    let dir = common::scratch("trace_simulated");
+    let path = dir.join("frame.jsonl");
+    std::fs::write(&path, log.to_jsonl()).unwrap();
+
+    let (code, stdout, stderr) = run_code(&["trace", path.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.contains(&format!("wall {tau_tot_ms:.2} ms · 1 frame(s)")),
+        "{stdout}"
+    );
+    // Bucket rows read `  <bucket>  <ms> ms  <pct>%`.
+    let buckets: Vec<f64> = (stdout.lines())
+        .filter_map(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+            [_, ms, "ms", pct] if pct.ends_with('%') => ms.parse().ok(),
+            _ => None,
+        })
+        .collect();
+    assert!(!buckets.is_empty(), "{stdout}");
+    let sum: f64 = buckets.iter().sum();
+    assert!(
+        (sum - tau_tot_ms).abs() <= 0.005 * buckets.len() as f64,
+        "buckets sum to {sum} ms, tau_tot is {tau_tot_ms} ms:\n{stdout}"
+    );
+}
+
 #[test]
 fn trace_log_with_a_non_finite_number_is_an_error() {
     let dir = common::scratch("trace_inf");
@@ -892,11 +935,11 @@ fn live_out_snapshot_drives_top_stats_and_report() {
     let (ok, stdout, _) = run(&["stats", live_s]);
     assert!(ok);
     assert!(stdout.contains("frames.encoded"), "{stdout}");
-    assert!(stdout.contains("obs.bus_events"), "{stdout}");
+    assert!(stdout.contains("sched.overhead_us"), "{stdout}");
 
     let (ok, stdout, _) = run(&["report", live_s]);
     assert!(ok);
-    assert!(stdout.contains("telemetry bus"), "{stdout}");
+    assert!(stdout.contains("frames at"), "{stdout}");
     assert!(stdout.contains("devices"), "{stdout}");
 
     // A live snapshot cannot drive the HTML flight report.

@@ -15,6 +15,7 @@ use common::{job_spec, scratch, write_input};
 use feves::core::session::{self, Session, SessionError, SessionHooks};
 use feves::core::{FrameReport, ResumeContext};
 use feves::ft::io::{inject, IoBackend, IoFile, RealIo};
+use feves::obs::{hub, LiveConfig, LiveSnapshot, LiveWriter};
 use feves::serve::farm::{self, FarmConfig};
 use feves::serve::job::{self, JobSpec};
 use feves::Resolution;
@@ -23,6 +24,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// The system allocator, counting: bytes live now, the most that ever
 /// were, and how many allocations reached [`WATCH`] bytes while it was set.
@@ -131,10 +133,12 @@ impl SessionHooks for WatchFramePath {
     }
 }
 
-/// Run one whole checkpointed session over an `n`-frame clip; returns the
-/// peak of live heap bytes above where it started, and the frame-sized
-/// allocations seen on the frame path from frame `from` on.
-fn measure(n: usize, from: usize) -> (usize, usize) {
+/// Run one whole checkpointed session over an `n`-frame clip — with
+/// `live`, watched by a session scope and a snapshot writer of that period,
+/// as `feves encode --live-out` runs it; returns the peak of live heap
+/// bytes above where it started, and the frame-sized allocations seen on
+/// the frame path from frame `from` on.
+fn measure(n: usize, from: usize, live: Option<Duration>) -> (usize, usize) {
     let dir = scratch(&format!("flat-{n}"));
     write_input(&dir.join("in.y4m"), 5, n);
     let ctx = context(&dir);
@@ -143,11 +147,25 @@ fn measure(n: usize, from: usize) -> (usize, usize) {
     WATCHED.store(0, Ordering::Relaxed);
     let input = session::open_input(&ctx.input, 0).unwrap();
     assert_eq!(input.file.scan().n_frames, n);
-    let session = Session::open(ctx, input, None, Some(dir.join("ckpt")), |_| {}).unwrap();
+    let mut session = Session::open(ctx, input, None, Some(dir.join("ckpt")), |_| {}).unwrap();
+    let snapshot = dir.join("live.json");
+    let writer = live.map(|period| {
+        session.encoder_mut().set_scope(hub().session("streaming"));
+        LiveWriter::start(LiveConfig {
+            path: snapshot.clone(),
+            period,
+        })
+    });
     let done = session.run(&mut WatchFramePath { from }).unwrap();
     assert_eq!((done.context.frames_done, done.interrupted), (n, false));
+    drop(writer);
     drop(done);
     let peak = PEAK.load(Ordering::Relaxed) - before;
+    if live.is_some() {
+        let text = std::fs::read_to_string(&snapshot).unwrap();
+        let seq = LiveSnapshot::parse(&text).unwrap().seq();
+        assert!(seq >= 3, "the writer ticked during the session: seq {seq}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
     (peak, WATCHED.load(Ordering::Relaxed))
 }
@@ -159,9 +177,12 @@ fn a_session_s_memory_does_not_grow_with_the_sequence() {
     // allocated by whichever session comes first and then stays. Watched
     // from frame 0 this run also shows the watch works: the first frames
     // do allocate their planes.
-    assert!(measure(4, 0).1 > 0, "the watch saw no allocation at all");
-    let (short, short_big) = measure(8, 3);
-    let (long, long_big) = measure(256, 3);
+    assert!(
+        measure(4, 0, None).1 > 0,
+        "the watch saw no allocation at all"
+    );
+    let (short, short_big) = measure(8, 3, None);
+    let (long, long_big) = measure(256, 3, None);
     // Holding the input — once, let alone twice as the whole-file reader
     // did — would put 248 frames (9.4 MB) between the two.
     assert!(
@@ -174,6 +195,25 @@ fn a_session_s_memory_does_not_grow_with_the_sequence() {
         (short_big, long_big),
         (0, 0),
         "allocations of a luma plane's size or more, from the fourth frame on"
+    );
+}
+
+/// Live telemetry is the session's own registry plus one writer thread:
+/// no queue stands between them, so watching a session — several
+/// snapshots written while it runs — adds well under half a megabyte to
+/// its peak heap.
+#[test]
+fn live_telemetry_adds_no_queue_to_a_session_s_heap() {
+    let _turn = serial();
+    let tick = Some(Duration::from_millis(2));
+    // Once-per-process set-up, the hub and the snapshot path included.
+    measure(4, 0, tick);
+    let (bare, _) = measure(8, 3, None);
+    let (live, _) = measure(8, 3, tick);
+    eprintln!("peak live heap over 8 frames: {bare} B bare, {live} B watched");
+    assert!(
+        live.saturating_sub(bare) < 512 * 1024,
+        "peak live heap over 8 frames: {bare} B bare, {live} B watched"
     );
 }
 

@@ -1,6 +1,6 @@
-//! Integration tests of the live telemetry pipeline: bounded-bus drop
-//! policy (flood proptest), session isolation under concurrency, and the
-//! live snapshot's golden key-path schema.
+//! Integration tests of the live telemetry path: session isolation under
+//! concurrency, exact accounting with many producers, and the live
+//! snapshot's golden key-path schema.
 //!
 //! The schema golden lives at `tests/golden/live_snapshot.schema` — one
 //! key path per line (arrays generalized to `[]`), sorted. Regenerate after
@@ -14,112 +14,21 @@
 //! `feves simulate --live-out` run; the schema test then validates that
 //! file against the same golden instead of a synthetic snapshot.
 
-use feves::obs::{
-    build_snapshot, hub, BusController, LiveSnapshot, Metric, TelemetryBus, TelemetryEvent,
-};
-use proptest::prelude::*;
+use feves::obs::{build_snapshot, hub, LiveSnapshot, Metric};
 use serde::Value;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
-
-// ---- Drop policy ----
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Flooding a bounded bus with no consumer: every publish returns
-    /// immediately (accepted or not), rejected events are counted, and the
-    /// events that do survive come back out in publish order — the
-    /// "dropped-and-counted, never blocked, never reordered within a
-    /// session" contract.
-    #[test]
-    fn flooding_the_bus_drops_and_counts(
-        cap in 1usize..256,
-        total in 1u64..2048,
-    ) {
-        let bus = TelemetryBus::new(cap);
-        let mut accepted = 0u64;
-        let mut rejected = 0u64;
-        for i in 0..total {
-            // The payload carries the publish sequence, so ordering is
-            // checkable on the consumer side.
-            let ok = bus.publish(TelemetryEvent::Add {
-                session: 424_242,
-                metric: Metric::FramesEncoded,
-                delta: i,
-            });
-            if ok { accepted += 1 } else { rejected += 1 };
-        }
-        prop_assert_eq!(accepted + rejected, total);
-        prop_assert!(bus.depth() <= cap, "depth {} over capacity {cap}", bus.depth());
-        let stats = bus.stats();
-        // Bus-level drops also include rejected self-metering events, so
-        // they can only exceed the session-visible count.
-        prop_assert!(stats.dropped >= rejected);
-        // Drain it all: session events must be exactly the accepted ones,
-        // in strictly increasing publish order.
-        let mut seen = 0u64;
-        let mut last: Option<u64> = None;
-        while let Some(ev) = bus.pop() {
-            match ev {
-                TelemetryEvent::Add { session, delta, .. } => {
-                    prop_assert_eq!(session, 424_242);
-                    if let Some(prev) = last {
-                        prop_assert!(delta > prev, "reordered: {delta} after {prev}");
-                    }
-                    last = Some(delta);
-                    seen += 1;
-                }
-                // Sampled self-metering observations ride the same queue.
-                TelemetryEvent::Observe { metric, .. } => {
-                    prop_assert_eq!(metric, Metric::ObsBusEnqueueNs);
-                }
-                other => prop_assert!(false, "unexpected event {other:?}"),
-            }
-        }
-        prop_assert_eq!(seen, accepted);
-    }
-
-    /// The same contract through a recording scope: a session publishing
-    /// into a full bus loses events but never blocks, and `sync_dropped`
-    /// folds the exact loss into `obs.dropped_events`.
-    #[test]
-    fn scope_floods_are_counted_per_session(extra in 1u64..512) {
-        let cap = 16usize;
-        let scope = hub().session("flood");
-        let bus = Arc::new(TelemetryBus::new(cap));
-        assert!(scope.attach_bus(bus.clone()));
-        let rec = scope.recorder();
-        let total = cap as u64 + extra;
-        for _ in 0..total {
-            rec.add(Metric::FramesEncoded, 1);
-        }
-        // At most `cap` slots exist and nothing drains: everything else
-        // must be in the per-session drop counter.
-        let dropped = scope.dropped_events();
-        prop_assert!(dropped >= extra.saturating_sub(1), "dropped {dropped}, extra {extra}");
-        prop_assert!(dropped < total);
-        scope.sync_dropped();
-        prop_assert_eq!(scope.metrics().counter(Metric::ObsDroppedEvents), dropped);
-        // The registry saw nothing — no drain thread ran.
-        prop_assert_eq!(scope.metrics().counter(Metric::FramesEncoded), 0);
-    }
-}
 
 // ---- Session isolation (acceptance criterion) ----
 
-/// Two sessions recording concurrently through one shared bus must land
-/// every event in their own registry — no cross-contamination of counters,
-/// histograms, device rows, or frame counts.
+/// Two sessions recording concurrently must land every record in their
+/// own registry — no cross-contamination of counters, histograms, device
+/// rows, or frame counts.
 #[test]
 fn concurrent_sessions_do_not_cross_contaminate() {
     let a = hub().session("iso-a");
     let b = hub().session("iso-b");
-    let mut ctl = BusController::start(1 << 16, None);
-    assert!(a.attach_bus(ctl.bus()));
-    assert!(b.attach_bus(ctl.bus()));
     a.set_device_labels(&["A-GPU"]);
     b.set_device_labels(&["B-CPU"]);
     const N: u64 = 10_000;
@@ -149,11 +58,6 @@ fn concurrent_sessions_do_not_cross_contaminate() {
             }
         });
     });
-    ctl.stop();
-    // Capacity (65536) exceeds the total event volume, so nothing may drop
-    // and the counts must be exact.
-    assert_eq!(a.dropped_events(), 0);
-    assert_eq!(b.dropped_events(), 0);
     let (ma, mb) = (a.metrics(), b.metrics());
     assert_eq!(ma.counter(Metric::FramesEncoded), N);
     assert_eq!(ma.counter(Metric::DamBytesTransferred), 0);
@@ -174,9 +78,8 @@ fn concurrent_sessions_do_not_cross_contaminate() {
     assert_eq!(db[0].residual_pct, None);
 }
 
-/// Eight producer threads against the one drain thread, through a bus small
-/// enough to overflow: every attempt is either dropped-and-counted on its
-/// own session or applied to its own session's registry — none lost, none
+/// Eight producer threads recording into eight sessions at once: each
+/// registry holds exactly what its own producer recorded — none lost, none
 /// applied twice, none in a neighbour's registry.
 #[test]
 fn eight_producers_one_drain_account_for_every_event() {
@@ -185,10 +88,6 @@ fn eight_producers_one_drain_account_for_every_event() {
     let scopes: Vec<_> = (0..PRODUCERS)
         .map(|i| hub().session(&format!("mp-{i}")))
         .collect();
-    let mut ctl = BusController::start(64, None);
-    for s in &scopes {
-        assert!(s.attach_bus(ctl.bus()));
-    }
     let start = std::sync::Barrier::new(PRODUCERS as usize);
     std::thread::scope(|t| {
         for (i, s) in scopes.iter().enumerate() {
@@ -197,41 +96,23 @@ fn eight_producers_one_drain_account_for_every_event() {
                 let rec = s.recorder();
                 start.wait();
                 for _ in 0..N {
-                    // The delta names the producer, so an event applied to
+                    // The delta names the producer, so a record applied to
                     // the wrong registry breaks that registry's sum.
                     rec.add(Metric::FramesEncoded, i as u64 + 1);
+                    rec.observe(Metric::FrameTau1Ms, i as f64 + 1.0);
                 }
+                s.frame_done();
             });
         }
     });
-    let bus = ctl.bus();
-    ctl.stop();
-    let stats = bus.stats();
-    assert_eq!(stats.depth, 0);
-    assert_eq!(stats.drained, stats.published);
-    let (mut applied, mut dropped, mut self_metered, mut bus_events) = (0, 0, 0, 0);
     for (i, s) in scopes.iter().enumerate() {
         let m = s.metrics();
-        let sum = m.counter(Metric::FramesEncoded);
-        assert_eq!(
-            sum % (i as u64 + 1),
-            0,
-            "session {i} holds a neighbour's event"
-        );
-        let landed = sum / (i as u64 + 1);
-        assert_eq!(landed + s.dropped_events(), N, "session {i}");
-        applied += landed;
-        dropped += s.dropped_events();
-        self_metered += m.histogram(Metric::ObsBusEnqueueNs).count();
-        bus_events += m.counter(Metric::ObsBusEvents);
+        let tag = i as u64 + 1;
+        assert_eq!(m.counter(Metric::FramesEncoded), N * tag, "session {i}");
+        let h = m.histogram(Metric::FrameTau1Ms);
+        assert_eq!((h.count(), h.max()), (N, tag as f64), "session {i}");
+        assert_eq!(s.frames(), 1, "session {i}");
     }
-    assert_eq!(applied + dropped, PRODUCERS * N);
-    // The bus's own books agree: what it accepted is what the sessions
-    // received (their events plus the sampled self-metering ones), and it
-    // rejected at least what the sessions were told.
-    assert_eq!(stats.published, applied + self_metered);
-    assert_eq!(stats.published, bus_events);
-    assert!(stats.dropped >= dropped);
 }
 
 // ---- Golden snapshot schema ----
@@ -263,8 +144,8 @@ fn schema_of(v: &Value) -> String {
     out
 }
 
-/// A synthetic snapshot with every structural feature present: bus stats,
-/// one session with devices (one residual set, one cleared+blacklisted).
+/// A synthetic snapshot with every structural feature present: one session
+/// with devices (one residual set, one cleared+blacklisted).
 fn synthetic_snapshot() -> Value {
     let scope = hub().session("schema");
     scope.set_device_labels(&["GPU0", "CPU0"]);
@@ -274,17 +155,7 @@ fn synthetic_snapshot() -> Value {
     rec.add(Metric::FramesEncoded, 3);
     rec.observe(Metric::FrameTauTotMs, 33.0);
     scope.frame_done();
-    let bus = TelemetryBus::new(64);
-    bus.publish(TelemetryEvent::FrameDone {
-        session: scope.id(),
-    });
-    build_snapshot(
-        1,
-        Duration::from_millis(100),
-        Some(&bus.stats()),
-        &[scope],
-        &[],
-    )
+    build_snapshot(1, Duration::from_millis(100), &[scope], &[])
 }
 
 #[test]
@@ -324,13 +195,7 @@ fn snapshot_roundtrip_preserves_session_values() {
     let rec = scope.recorder();
     rec.add(Metric::VcmTasksScheduled, 77);
     // An untouched gauge serializes as null, not as a fake zero.
-    let early = build_snapshot(
-        8,
-        Duration::from_secs(1),
-        None,
-        std::slice::from_ref(&scope),
-        &[],
-    );
+    let early = build_snapshot(8, Duration::from_secs(1), std::slice::from_ref(&scope), &[]);
     let early_gauges = early
         .get("sessions")
         .and_then(Value::as_array)
@@ -343,13 +208,7 @@ fn snapshot_roundtrip_preserves_session_values() {
         .expect("session gauges present");
     assert_eq!(early_gauges.get("farm.queue_depth"), Some(&Value::Null));
     rec.gauge(Metric::FarmQueueDepth, 1.0);
-    let value = build_snapshot(
-        9,
-        Duration::from_secs(2),
-        None,
-        std::slice::from_ref(&scope),
-        &[],
-    );
+    let value = build_snapshot(9, Duration::from_secs(2), std::slice::from_ref(&scope), &[]);
     let text = serde_json::to_string(&value).expect("non-finite floats are nulled");
     let snap = LiveSnapshot::parse(&text).expect("parses");
     assert_eq!(snap.seq(), 9);

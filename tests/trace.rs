@@ -29,10 +29,10 @@ use std::time::Instant;
 
 use feves::core::prelude::*;
 use feves::core::Perturbation;
+use feves::ft::ckpt::fnv1a64;
 use feves::obs::critical::{busiest_device, frame_samples_from_flight, what_if_device};
-use feves::obs::trace::fnv1a64;
 use feves::obs::{
-    hub, validate_dag, BusController, CriticalReport, EdgeKind, MemoryRecorder, Metric,
+    hub, validate_dag, CriticalReport, EdgeKind, LiveConfig, LiveWriter, MemoryRecorder, Metric,
     TraceCollector, TraceCtx, TraceLog, TraceSink,
 };
 use proptest::prelude::*;
@@ -550,21 +550,26 @@ fn real_run_matches_goldens() {
 }
 
 /// Observers never feed back: the golden scenario with every observer on
-/// the emission point attached (session scope over a live bus, flight
-/// ring, trace sink) and with none reports the same frames and leaves the
-/// same encoder state.
+/// the emission point attached (session scope under a live snapshot
+/// writer, flight ring, trace sink) and with none reports the same frames
+/// and leaves the same encoder state.
 #[test]
 fn observers_do_not_change_reports_or_state() {
     let collector = Arc::new(TraceCollector::new());
     let scope = hub().session("observed-run");
-    let mut bus = BusController::start(1 << 16, None);
-    assert!(scope.attach_bus(bus.bus()));
+    let dir = std::env::temp_dir().join(format!("feves-observed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut writer = LiveWriter::start(LiveConfig {
+        path: dir.join("live.json"),
+        period: std::time::Duration::from_millis(1),
+    });
     let (observed, observed_reports) = golden_run(|enc| {
         enc.set_scope(scope.clone());
         enc.enable_flight(RUN_FRAMES);
         enc.set_trace(attempt_sink(&collector, "observed-run"));
     });
-    bus.stop();
+    writer.stop();
+    std::fs::remove_dir_all(&dir).ok();
     let (bare, bare_reports) = golden_run(|_| {});
     assert_eq!(observed.flight().expect("flight enabled").len(), RUN_FRAMES);
     assert_eq!(
@@ -572,7 +577,7 @@ fn observers_do_not_change_reports_or_state() {
         RUN_FRAMES as u64
     );
     assert_eq!(collector.span_count(), 1 + 5 * RUN_FRAMES);
-    // The scheduling spans reach the session's registry, over the bus:
+    // The scheduling spans reach the session's registry:
     // one per frame, and one more per fault-recovery re-solve.
     let attempts = RUN_FRAMES as u64 + observed.ft_stats().resolves;
     for name in ["balance", "dam.plan", "vcm.build"] {
