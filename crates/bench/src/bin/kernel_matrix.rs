@@ -109,12 +109,13 @@ type Deblock = fn(&mut Plane<u8>, &ModeField, &CoeffField, u8);
 /// An interpolation row kernel: the product's or its reference.
 type BandKernel = fn(&Plane<u8>, usize, usize, usize, &mut [PlaneBandMut<'_, u8>]);
 
-/// The sixteen quarter-pel phase planes of `src` (index `fy * 4 + fx`),
-/// written by `kernel` in one band into fresh planes, as `interpolate`
-/// allocates its SF.
-fn phases_by(kernel: BandKernel, src: &Plane<u8>) -> Vec<Plane<u8>> {
+/// The `n` phase planes `kernel` writes for `src` in one band, into fresh
+/// planes, as `interpolate` allocates its SF: all sixteen quarter-pel
+/// phases (index `fy * 4 + fx`) for the reference, the four stored ones
+/// (G, b, h, j) for the product.
+fn phases_by(kernel: BandKernel, n: usize, src: &Plane<u8>) -> Vec<Plane<u8>> {
     let (w, h) = (src.width(), src.height());
-    let mut phases = vec![Plane::new(w, h); 16];
+    let mut phases = vec![Plane::new(w, h); n];
     let mut bands: Vec<_> = (phases.iter_mut())
         .map(|p| p.split_rows_mut(&[h]).remove(0))
         .collect();
@@ -384,14 +385,25 @@ fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize
     }
 
     // Interpolation: the whole band kernel incl. border halos at several
-    // sizes, and the product SF built through `interpolate`'s bands.
+    // sizes — the product's four bands are the reference's stored phases —
+    // and all sixteen phases of the product SF built through
+    // `interpolate`'s bands, read through `sample`.
     for &(w, h) in &[(17usize, 13usize), (48, 32), (176, 144)] {
         let src = textured(w, h, 23);
-        let want = phases_by(scalar::interp_band, &src);
-        let got = phases_by(interp_band, &src);
+        let want = phases_by(scalar::interp_band, 16, &src);
+        let got = phases_by(interp_band, 4, &src);
+        let stored = [0, 2, 8, 10].iter().zip(&got).all(|(&k, g)| want[k] == *g);
+        check(&format!("interpolate {w}x{h} stored phases"), stored);
         let sf = interpolate(&src);
-        let built = (0..16).all(|k| want[k] == *sf.phase(k as u8 % 4, k as u8 / 4));
-        check(&format!("interpolate {w}x{h}"), want == got && built);
+        let every = (0..16).all(|k| {
+            (0..h).all(|y| {
+                (0..w).all(|x| {
+                    let (qx, qy) = (4 * x + k % 4, 4 * y + k / 4);
+                    sf.sample(qx as isize, qy as isize) == want[k].get(x, y)
+                })
+            })
+        });
+        check(&format!("interpolate {w}x{h} all phases"), every);
     }
 
     bad
@@ -448,7 +460,7 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
 
     // SME as the encoder runs it: `sme_rows` over one interior MB row (41
     // blocks × 17 candidates per macroblock), cache-resident at CIF and
-    // out of a 14.7 MB SF at 720p.
+    // out of a 3.7 MB SF (its four stored planes) at 720p.
     for case in sme_cases {
         let iters = 40_000 / case.cf.width() as u64 * 16 / div as u64;
         let mby = case.mb_rows() / 2;
@@ -486,7 +498,12 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
         push("chroma_inter", &format!("{}_frame", case.name), iters, t);
     }
 
-    // Full-frame interpolation at three resolutions, all sixteen phases.
+    // Full-frame interpolation at three resolutions, as each form stores
+    // the SF.
+    println!(
+        "{:>16}: reference (16 planes) vs product (4 planes)",
+        "interpolate"
+    );
     for &(name, w, h) in &[
         ("qcif", 176usize, 144usize),
         ("cif", 352, 288),
@@ -494,12 +511,12 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
     ] {
         let src = textured(w, h, 11);
         let iters = (40u64 * (1280 * 720) as u64 / (w * h) as u64 / div as u64).max(1);
-        let interp = |kernel: BandKernel| {
-            std::hint::black_box(phases_by(kernel, std::hint::black_box(&src)));
+        let interp = |kernel: BandKernel, n: usize| {
+            std::hint::black_box(phases_by(kernel, n, std::hint::black_box(&src)));
         };
         let t = (
-            time(iters, || interp(scalar::interp_band)),
-            time(iters, || interp(interp_band)),
+            time(iters, || interp(scalar::interp_band, 16)),
+            time(iters, || interp(interp_band, 4)),
         );
         push("interpolate", name, iters, t);
     }

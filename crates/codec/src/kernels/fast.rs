@@ -2,61 +2,40 @@
 //!
 //! Every function here is bit-exact against its [`super::scalar`] twin —
 //! proven by the differential tests — the only difference is throughput.
-//! Four techniques, chosen per kernel by what measured fastest:
+//! Three techniques, chosen per kernel by what measured fastest:
 //!
 //! * The SME refinement and ME search primitives: `std::arch` intrinsics
-//!   on x86-64 — packed-block `psadbw` ([`Sse2`], the baseline, so nothing
-//!   is detected) and sixteen-lane `vmpsadbw` with running per-lane minima
-//!   ([`Avx2`], detected at run time) — with a portable definition of each
-//!   beside it ([`Portable`]) for every other host, which is also what the
-//!   reference `sme::sme_rows_reference` runs.
+//!   on x86-64 — packed-block `psadbw` and `pavgb` ([`Sse2`], the
+//!   baseline, so nothing is detected) and sixteen-lane `vmpsadbw` with
+//!   running per-lane minima ([`Avx2`], detected at run time) — with a
+//!   portable definition of each beside it ([`Portable`]) for every other
+//!   host, which is also what the reference `sme::sme_rows_reference` runs.
 //! * The deblocking line filter: the sixteen sample lines that cross one
 //!   macroblock edge at once in SSE2 `i16` lanes ([`Sse2`]), against one
 //!   line at a time ([`Portable`], the definition and
 //!   `dbl::deblock_frame_reference`).
-//! * Interpolation, structure: the border-clamped source reads are hoisted
-//!   into padded rows once per band (the scalar path calls `get_clamped` per
-//!   pixel) and the 6-tap filters run over contiguous slices the compiler's
-//!   auto-vectorizer lowers to packed SIMD.
-//! * Interpolation, **SWAR** (SIMD-within-a-register): the twelve
-//!   quarter-pel bilinear averages use the packed ceil-average identity
-//!   `avg(a,b) = (a|b) - (((a^b)>>1) & 0x7f..7f)` — eight pixels per step.
+//! * Interpolation: the border-clamped source reads are hoisted into padded
+//!   rows once per band (the scalar path calls `get_clamped` per pixel),
+//!   the 6-tap filters run over contiguous slices the compiler's
+//!   auto-vectorizer lowers to packed SIMD, and only the four stored phases
+//!   are written.
 
 use super::{avg, clip8, tap6};
 use feves_video::plane::{Plane, PlaneBandMut};
 
 // ---------------------------------------------------------------------------
-// Packed building blocks
-// ---------------------------------------------------------------------------
-
-const LO7: u64 = 0x7F7F_7F7F_7F7F_7F7F; // low 7 bits of each byte
-
-#[inline]
-fn load8(s: &[u8]) -> u64 {
-    u64::from_le_bytes(s[..8].try_into().unwrap())
-}
-
-/// Packed rounding-up byte average: `(a + b + 1) >> 1` per byte, via
-/// `(a | b) - (((a ^ b) >> 1) & 0x7f..7f)` (never borrows across bytes
-/// because `a | b >= (a ^ b) >> 1` holds per byte).
-#[inline]
-fn avg8(a: u64, b: u64) -> u64 {
-    (a | b) - (((a ^ b) >> 1) & LO7)
-}
-
-// ---------------------------------------------------------------------------
 // Refinement primitives (SME)
 // ---------------------------------------------------------------------------
 
-/// The two operations the sub-pel refinement ([`crate::sme`]) is built
+/// The three operations the sub-pel refinement ([`crate::sme`]) is built
 /// from, over **packed** blocks: a `W × H` partition is `N = W·H / 16` rows
 /// of sixteen bytes — one block row per packed row at width 16, two at
 /// width 8, four at width 4 — so every byte of every `psadbw` is a sample
 /// and a 4×4 SAD is one instruction.
 ///
 /// [`Portable`] is the definition (and what `sme::sme_rows_reference` runs);
-/// [`Sse2`] is the same pair on `movd`/`movq`/`movdqu` + `psadbw`. The
-/// refinement body is written once against this trait.
+/// [`Sse2`] is the same three on `movd`/`movq`/`movdqu`, `psadbw` and
+/// `pavgb`. The refinement body is written once against this trait.
 pub trait RefineIsa: Copy {
     /// Sixteen packed samples.
     type Row: Copy;
@@ -76,6 +55,10 @@ pub trait RefineIsa: Copy {
 
     /// SAD of two packed blocks.
     fn sad<const N: usize>(self, a: &[Self::Row; N], b: &[Self::Row; N]) -> u32;
+
+    /// The rounded average `(a + b + 1) >> 1` of two packed blocks, sample
+    /// by sample: the H.264 quarter-pel combiner.
+    fn avg<const N: usize>(self, a: &[Self::Row; N], b: &[Self::Row; N]) -> [Self::Row; N];
 }
 
 /// The span check of [`RefineIsa::load`]: `N` packs exactly `W × H`, and
@@ -127,6 +110,11 @@ impl RefineIsa for Portable {
             .zip(b.as_flattened())
             .map(|(&x, &y)| x.abs_diff(y) as u32)
             .sum()
+    }
+
+    #[inline(always)]
+    fn avg<const N: usize>(self, a: &[[u8; 16]; N], b: &[[u8; 16]; N]) -> [[u8; 16]; N] {
+        core::array::from_fn(|i| core::array::from_fn(|j| avg(a[i][j], b[i][j])))
     }
 }
 
@@ -426,6 +414,13 @@ mod x86 {
                 _mm_cvtsi128_si32(_mm_add_epi64(acc, _mm_unpackhi_epi64(acc, acc))) as u32
             }
         }
+
+        #[inline(always)]
+        fn avg<const N: usize>(self, a: &[__m128i; N], b: &[__m128i; N]) -> [__m128i; N] {
+            // SAFETY: register-only SSE2 arithmetic, and SSE2 is part of
+            // the x86-64 baseline. `pavgb` is `(a + b + 1) >> 1` per byte.
+            core::array::from_fn(|i| unsafe { _mm_avg_epu8(a[i], b[i]) })
+        }
     }
 
     /// Sixteen lines across an edge, eight at a time: `px` is p2, p1, p0,
@@ -720,53 +715,15 @@ mod x86 {
 // Sub-pixel interpolation
 // ---------------------------------------------------------------------------
 
-/// `dst[x] = avg(a[x], b[x])`, eight pixels per step.
-fn avg_rows(dst: &mut [u8], a: &[u8], b: &[u8]) {
-    let n = dst.len();
-    debug_assert!(a.len() >= n && b.len() >= n);
-    let mut x = 0;
-    while x + 8 <= n {
-        let v = avg8(load8(&a[x..]), load8(&b[x..]));
-        dst[x..x + 8].copy_from_slice(&v.to_le_bytes());
-        x += 8;
-    }
-    while x < n {
-        dst[x] = avg(a[x], b[x]);
-        x += 1;
-    }
-}
-
-/// `dst[x] = avg(a[x], b[min(x+1, n-1)])` — the "right neighbour" quarter-pel
-/// combine with border clamp on the shifted operand.
-fn avg_rows_shift(dst: &mut [u8], a: &[u8], b: &[u8]) {
-    let n = dst.len();
-    debug_assert!(a.len() >= n && b.len() >= n);
-    let mut x = 0;
-    // The packed loop reads b[x+1 .. x+9]; stop while that stays in bounds.
-    while x + 9 <= n {
-        let v = avg8(load8(&a[x..]), load8(&b[x + 1..]));
-        dst[x..x + 8].copy_from_slice(&v.to_le_bytes());
-        x += 8;
-    }
-    while x < n {
-        dst[x] = avg(a[x], b[(x + 1).min(n - 1)]);
-        x += 1;
-    }
-}
-
-/// Fast [`super::interp_band`]: identical filter maths to the scalar band,
-/// restructured around contiguous rows.
+/// Fast [`super::interp_band`]: the scalar band's filter maths on the four
+/// stored phases, restructured around contiguous rows.
 ///
 /// * Source rows are copied once into a `width + 5` padded buffer whose 2
 ///   left / 3 right columns replicate the border, so every later 6-tap is a
 ///   branch-free sliding window (the scalar path re-clamps per sample).
-/// * Half-pel `b`/`h`/`j` rows are produced by slice loops over those
-///   buffers.
-/// * The twelve quarter-pel phases are packed byte averages of whole rows
-///   ([`avg_rows`] / [`avg_rows_shift`]); averaging is commutative, so the
-///   three phases that combine with a right-shifted operand
-///   (`c = avg(b, g→)`, `k = avg(j, h→)`, `g = avg(b, h→)`, `r = avg(h→,
-///   b↓)`) all route the shifted row through the second argument.
+/// * The half-pel `b`/`h`/`j` rows are slice loops over those buffers,
+///   written straight into their bands; the twelve quarter-pel phases are
+///   not stored (`SubpelFrame::block` averages them on demand).
 pub fn interp_band(
     rf: &Plane<u8>,
     width: usize,
@@ -774,11 +731,13 @@ pub fn interp_band(
     y1: usize,
     bands: &mut [PlaneBandMut<'_, u8>],
 ) {
-    debug_assert_eq!(bands.len(), 16);
+    let [g_band, b_band, h_band, j_band] = bands else {
+        panic!("the product stores four phases, not {}", bands.len());
+    };
     let h = y1 - y0;
     let height = rf.height();
     let pw = width + 5; // 2 left + 3 right replicated border columns
-    let ext_rows = h + 6; // source rows y0-2 .. y1+3 inclusive
+    let ext_rows = h + 5; // source rows y0-2 .. y1+2 inclusive
 
     // Padded clamped source rows.
     let mut g = vec![0u8; ext_rows * pw];
@@ -812,22 +771,20 @@ pub fn interp_band(
         }
     }
 
-    // Half-pel rows 0..h+1 (local coordinates; +1 because quarter-pel rows
-    // average the next row down).
-    let mut bp = vec![0u8; (h + 1) * width];
-    let mut hp = vec![0u8; (h + 1) * width];
-    let mut jp = vec![0u8; (h + 1) * width];
-    for ly in 0..h + 1 {
+    for ly in 0..h {
+        let y = y0 + ly;
         let ri = ly + 2; // extended-row index of local row ly
-        {
-            let b1c = &b1[ri * width..(ri + 1) * width];
-            let dst = &mut bp[ly * width..(ly + 1) * width];
-            for (o, &v) in dst.iter_mut().zip(b1c.iter()) {
-                *o = clip8((v + 16) >> 5);
-            }
+                         // G (0,0): a straight copy.
+        g_band
+            .row_mut(y)
+            .copy_from_slice(&g[ri * pw + 2..ri * pw + 2 + width]);
+        // b (2,0): the horizontal intermediates, normalised.
+        let b1c = &b1[ri * width..(ri + 1) * width];
+        for (o, &v) in b_band.row_mut(y).iter_mut().zip(b1c) {
+            *o = clip8((v + 16) >> 5);
         }
         {
-            // Vertical 6-tap over source rows (use the unpadded columns).
+            // h (0,2): vertical 6-tap over source rows (the unpadded columns).
             let gr = |r: usize| &g[r * pw + 2..r * pw + 2 + width];
             let (r0, r1, r2, r3, r4, r5) = (
                 gr(ri - 2),
@@ -837,7 +794,7 @@ pub fn interp_band(
                 gr(ri + 2),
                 gr(ri + 3),
             );
-            let dst = &mut hp[ly * width..(ly + 1) * width];
+            let dst = h_band.row_mut(y);
             for x in 0..width {
                 let h1 = tap6(
                     r0[x] as i32,
@@ -851,7 +808,8 @@ pub fn interp_band(
             }
         }
         {
-            // Vertical 6-tap over the horizontal intermediates (20-bit path).
+            // j (2,2): vertical 6-tap over the horizontal intermediates
+            // (20-bit path).
             let br = |r: usize| &b1[r * width..(r + 1) * width];
             let (r0, r1, r2, r3, r4, r5) = (
                 br(ri - 2),
@@ -861,43 +819,12 @@ pub fn interp_band(
                 br(ri + 2),
                 br(ri + 3),
             );
-            let dst = &mut jp[ly * width..(ly + 1) * width];
+            let dst = j_band.row_mut(y);
             for x in 0..width {
                 let j1 = tap6(r0[x], r1[x], r2[x], r3[x], r4[x], r5[x]);
                 dst[x] = clip8((j1 + 512) >> 10);
             }
         }
-    }
-
-    // Assemble all 16 phase rows from whole-row copies and packed averages.
-    for ly in 0..h {
-        let y = y0 + ly;
-        let g0 = &g[(ly + 2) * pw + 2..(ly + 2) * pw + 2 + width];
-        let g1 = &g[(ly + 3) * pw + 2..(ly + 3) * pw + 2 + width];
-        let b0 = &bp[ly * width..(ly + 1) * width];
-        let bd = &bp[(ly + 1) * width..(ly + 2) * width];
-        let h0 = &hp[ly * width..(ly + 1) * width];
-        let j0 = &jp[ly * width..(ly + 1) * width];
-
-        // Integer and half-pel phases: straight copies.
-        bands[0].row_mut(y).copy_from_slice(g0); // G (0,0)
-        bands[2].row_mut(y).copy_from_slice(b0); // b (2,0)
-        bands[8].row_mut(y).copy_from_slice(h0); // h (0,2)
-        bands[10].row_mut(y).copy_from_slice(j0); // j (2,2)
-
-        // Quarter-pel phases (H.264 §8.4.2.2.2 averaging pattern).
-        avg_rows(bands[1].row_mut(y), g0, b0); // a (1,0) = avg(G, b)
-        avg_rows_shift(bands[3].row_mut(y), b0, g0); // c (3,0) = avg(b, G→)
-        avg_rows(bands[4].row_mut(y), g0, h0); // d (0,1) = avg(G, h)
-        avg_rows(bands[12].row_mut(y), h0, g1); // n (0,3) = avg(h, G↓)
-        avg_rows(bands[6].row_mut(y), b0, j0); // f (2,1) = avg(b, j)
-        avg_rows(bands[14].row_mut(y), j0, bd); // q (2,3) = avg(j, b↓)
-        avg_rows(bands[9].row_mut(y), h0, j0); // i (1,2) = avg(h, j)
-        avg_rows_shift(bands[11].row_mut(y), j0, h0); // k (3,2) = avg(j, h→)
-        avg_rows(bands[5].row_mut(y), b0, h0); // e (1,1) = avg(b, h)
-        avg_rows_shift(bands[7].row_mut(y), b0, h0); // g (3,1) = avg(b, h→)
-        avg_rows(bands[13].row_mut(y), h0, bd); // p (1,3) = avg(h, b↓)
-        avg_rows_shift(bands[15].row_mut(y), bd, h0); // r (3,3) = avg(h→, b↓)
     }
 }
 
@@ -907,19 +834,32 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn avg8_matches_scalar_avg_exhaustively() {
+    /// `avg` on `isa` against the scalar combiner, every (a, b) byte pair
+    /// in every byte position of a packed row.
+    fn check_avg<I: RefineIsa>(isa: I) {
         for a in 0..=255u8 {
+            let row_a: [u8; 16] = core::array::from_fn(|i| a.wrapping_add(i as u8));
+            let pa = isa.load::<16, 1, 1>(&row_a, 0, 16);
             for b in 0..=255u8 {
-                let packed = avg8(
-                    u64::from_le_bytes([a; 8]),
-                    u64::from_le_bytes([b, a, b, a, b, a, b, a]),
-                );
-                let bytes = packed.to_le_bytes();
-                assert_eq!(bytes[0], avg(a, b), "a={a} b={b}");
-                assert_eq!(bytes[1], avg(a, a));
+                let row_b = [b; 16];
+                let mean = isa.avg(&pa, &isa.load::<16, 1, 1>(&row_b, 0, 16));
+                // SAD against the expected row is zero only if every byte matches.
+                let want: [u8; 16] = core::array::from_fn(|i| avg(row_a[i], b));
+                let want = isa.load::<16, 1, 1>(&want, 0, 16);
+                assert_eq!(isa.sad(&mean, &want), 0, "a={a} b={b}");
             }
         }
+    }
+
+    #[test]
+    fn portable_packed_avg_is_the_rounded_average() {
+        check_avg(Portable);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_packed_avg_is_the_rounded_average() {
+        check_avg(Sse2);
     }
 
     // ---- portable vs std::arch refinement primitives (direct calls) ----

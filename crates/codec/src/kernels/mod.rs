@@ -11,7 +11,7 @@
 //!   AVX2 `vmpsadbw` cells and running-minimum vectors of the ME search in
 //!   [`crate::me`]), the deblocking line filter of [`crate::dbl`] sixteen
 //!   lines at a time in SSE2 `i16` lanes, and for interpolation padded-row
-//!   6-tap passes plus u64 **SWAR** quarter-pel averaging.
+//!   6-tap passes that write only the four stored phases (G, b, h, j).
 //!
 //! Kernels whose fast twin never beat the scalar loop (the quantizers, the
 //! per-candidate SAD grid, `row_sad`) have one implementation, in
@@ -98,8 +98,10 @@ pub fn dequantize_4x4(z: &mut [i32; 16], qp: u8) {
     scalar::dequantize_4x4(z, qp)
 }
 
-/// Interpolate pixel rows `[y0, y1)` of all 16 quarter-pel phases into
-/// `bands` (index = `fy*4+fx`), reading `rf` with clamped halos.
+/// Interpolate pixel rows `[y0, y1)` of the four stored phases — G (0,0),
+/// b (2,0), h (0,2) and j (2,2) — into `bands`, in that order, reading `rf`
+/// with clamped halos. The reference [`scalar::interp_band`] writes all
+/// sixteen phases; its bands 0, 2, 8 and 10 are these four.
 #[inline]
 pub fn interp_band(
     rf: &Plane<u8>,

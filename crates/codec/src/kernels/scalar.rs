@@ -94,7 +94,9 @@ pub fn dequantize_4x4(z: &mut [i32; 16], qp: u8) {
 }
 
 /// Interpolate pixel rows `[y0, y1)` of all 16 phases into `bands`
-/// (index = fy*4+fx), reading `rf` with clamped halos.
+/// (index = fy*4+fx), reading `rf` with clamped halos: the definition of
+/// every sample `SubpelFrame` stores (phases 0, 2, 8, 10) or derives (the
+/// other twelve).
 pub fn interp_band(
     rf: &Plane<u8>,
     width: usize,

@@ -16,7 +16,7 @@
 //! | [`entropy`] / [`cabac`] | Entropy coding: the Exp-Golomb and the arithmetic symbol coders | [`entropy::encode_frame`], [`cabac::encode_frame_cabac`] |
 //! | `syntax` (private) | The frame syntax both coders binarise: the one writer walk, the one reader walk and its range checks | [`cabac::EntropyBackend::encode_frame_yuv`] |
 //! | [`intra`] | I-slice coding | [`intra::encode_intra_frame`] |
-//! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD, SWAR) and their scalar references | [`kernels::interp_band`] |
+//! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD and averaging, padded-row 6-tap) and their scalar references | [`kernels::interp_band`] |
 //! | [`par`] | Host execution: MB rows over the host's cores | [`par::for_each_row`] |
 //!
 //! The ME/INT/SME kernels are *partition-invariant*: their result for a

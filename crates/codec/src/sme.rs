@@ -7,13 +7,19 @@
 //! for a macroblock depends only on the CF, the SFs and that macroblock's ME
 //! output, so row-wise distribution across devices is result-invariant.
 //!
-//! There is one refinement body, monomorphised over the seven partition
-//! shapes and over the two primitives of [`RefineIsa`]: the current block
-//! is packed into 16-byte rows once, each of the 17 candidates is fetched
-//! by [`SubpelFrame::block`] — a view into its phase plane, or a clamped
-//! copy when it leaves the frame — packed the same way and compared.
-//! The product runs it on `psadbw`; [`sme_rows_reference`] runs it on
-//! [`Portable`], the definition the product is tested against.
+//! There is one refinement walk, monomorphised over the seven partition
+//! shapes and over the three primitives of [`RefineIsa`]: the current block
+//! is packed into 16-byte rows once, each candidate is packed the same way
+//! and compared. The start and its half-pel ring are stored phases (G, b,
+//! h, j), fetched by [`SubpelFrame::block`]. The product keeps those nine
+//! packed blocks and builds each quarter-pel candidate as the `avg` of two
+//! of them, loading at most three more around the half-pel winner —
+//! except where the start is in the frame's first column or row, where a
+//! candidate left of or above the frame clamps before it averages and
+//! every candidate goes through `block` instead. The product runs on
+//! `psadbw` / `pavgb`; [`sme_rows_reference`] fetches every candidate
+//! through `block` on [`Portable`]: the definition the product is tested
+//! against.
 
 use crate::interp::{SubpelFrame, Tile};
 #[cfg(not(target_arch = "x86_64"))]
@@ -94,7 +100,79 @@ struct Refiner<'a, I> {
     isa: I,
     cf: &'a Plane<u8>,
     sfs: &'a [&'a SubpelFrame],
+    /// Fetch every candidate through [`SubpelFrame::block`] (the
+    /// definition) rather than averaging kept half-pel blocks.
+    per_candidate: bool,
 }
+
+/// The eight neighbours of a refinement ring, in `dy → dx` order, one
+/// step apart.
+const RING: [(i32, i32); 8] = [
+    (-1, -1),
+    (0, -1),
+    (1, -1),
+    (-1, 0),
+    (1, 0),
+    (-1, 1),
+    (0, 1),
+    (1, 1),
+];
+
+/// The quarter-pel ring around one half-pel winner, for
+/// [`Refiner::walk_kept`]: per candidate (in [`RING`] order) the two kept
+/// blocks it averages — `0..9` the start's 3 × 3 window, `9..12` the blocks
+/// beyond it — and where those beyond blocks sit, in half-pel steps from
+/// the start.
+#[derive(Clone, Copy)]
+struct QuarterRing {
+    sources: [(u8, u8); 8],
+    beyond: [Option<(i32, i32)>; 3],
+}
+
+/// [`QuarterRing`] for each half-pel winner `4 + x + 3y` of the start's
+/// window, derived from [`SubpelFrame`]'s source table at compile time.
+/// The start is full-pel, so the phases are the offsets' own.
+const QUARTER_RING: [QuarterRing; 9] = {
+    let empty = QuarterRing {
+        sources: [(0, 0); 8],
+        beyond: [None; 3],
+    };
+    let mut rings = [empty; 9];
+    let mut k = 0;
+    while k < 9 {
+        let (wx, wy) = (k as i32 % 3 - 1, k as i32 / 3 - 1);
+        let mut c = 0;
+        while c < 8 {
+            let (dx, dy) = RING[c];
+            let pair = SubpelFrame::sources(2 * wx + dx, 2 * wy + dy);
+            let mut kept = [0u8; 2];
+            let mut s = 0;
+            while s < 2 {
+                // Every source is stored, so its position is even.
+                let at = (pair[s].0 / 2, pair[s].1 / 2);
+                kept[s] = if at.0.abs() <= 1 && at.1.abs() <= 1 {
+                    (4 + at.0 + 3 * at.1) as u8
+                } else {
+                    let beyond = &mut rings[k].beyond;
+                    let mut i = 0;
+                    while !matches!(beyond[i], Some(b) if b.0 == at.0 && b.1 == at.1) {
+                        if beyond[i].is_none() {
+                            beyond[i] = Some(at);
+                            break;
+                        }
+                        i += 1;
+                    }
+                    9 + i as u8
+                };
+                s += 1;
+            }
+            rings[k].sources[c] = (kept[0], kept[1]);
+            c += 1;
+        }
+        k += 1;
+    }
+    rings
+};
 
 impl<I: RefineIsa> Refiner<'_, I> {
     /// SAD between the packed current block `cur` and the `W × H` block of
@@ -107,18 +185,122 @@ impl<I: RefineIsa> Refiner<'_, I> {
         (qx, qy): (i32, i32),
         tile: &mut Tile,
     ) -> u32 {
-        let cand = sf.block(qx, qy, W, H, tile);
-        let cand = self
-            .isa
-            .load::<W, H, N>(cand.data, cand.offset, cand.stride);
+        let cand = self.load_block::<W, H, N>(sf, (qx, qy), tile);
         self.isa.sad(cur, &cand)
+    }
+
+    /// The `W × H` block of `sf` at quarter-pel `(qx, qy)`, packed.
+    #[inline(always)]
+    fn load_block<const W: usize, const H: usize, const N: usize>(
+        &self,
+        sf: &SubpelFrame,
+        (qx, qy): (i32, i32),
+        tile: &mut Tile,
+    ) -> [I::Row; N] {
+        let blk = sf.block(qx, qy, W, H, tile);
+        self.isa.load::<W, H, N>(blk.data, blk.offset, blk.stride)
+    }
+
+    /// The two-stage walk (see [`Self::refine`]) with every candidate
+    /// fetched whole by [`SubpelFrame::block`]: the definition.
+    #[inline(always)]
+    fn walk_each<const W: usize, const H: usize, const N: usize>(
+        &self,
+        cur: &[I::Row; N],
+        sf: &SubpelFrame,
+        start: (i32, i32),
+        tile: &mut Tile,
+    ) -> ((i32, i32), u32) {
+        let mut best = start;
+        let mut best_cost = self.cost::<W, H, N>(cur, sf, best, tile);
+        for step in [2, 1] {
+            let center = best;
+            for (dx, dy) in RING {
+                let cand = (center.0 + dx * step, center.1 + dy * step);
+                let cost = self.cost::<W, H, N>(cur, sf, cand, tile);
+                if cost < best_cost {
+                    best_cost = cost;
+                    best = cand;
+                }
+            }
+        }
+        (best, best_cost)
+    }
+
+    /// The same walk from blocks it keeps. The start and its half-pel ring
+    /// are stored phases (G, b, h, j): they are loaded and packed once, as
+    /// a 3 × 3 window. Each quarter-pel candidate is the `avg` of two
+    /// stored blocks within one half-pel step of the half-pel winner
+    /// ([`QUARTER_RING`]). Those not in the start's window, at most three,
+    /// are loaded then (a slot none of its candidates needs reloads the
+    /// winner, which keeps the loads free of branches): a partition loads
+    /// 12 blocks, not 17. Exact only when the full-pel start `(X, Y)` has
+    /// `X ≥ 1` and `Y ≥ 1`: then no candidate's full-pel position is left
+    /// of or above the frame, where a quarter-pel sample clamps before it
+    /// averages.
+    #[inline(always)]
+    fn walk_kept<const W: usize, const H: usize, const N: usize>(
+        &self,
+        cur: &[I::Row; N],
+        sf: &SubpelFrame,
+        start: (i32, i32),
+        tile: &mut Tile,
+    ) -> ((i32, i32), u32) {
+        debug_assert!(
+            start.0 & 3 == 0 && start.1 & 3 == 0,
+            "ME starts are full-pel"
+        );
+        let mut load = |(x, y): (i32, i32)| {
+            self.load_block::<W, H, N>(sf, (start.0 + 2 * x, start.1 + 2 * y), tile)
+        };
+        let near = [
+            load((-1, -1)),
+            load((0, -1)),
+            load((1, -1)),
+            load((-1, 0)),
+            load((0, 0)),
+            load((1, 0)),
+            load((-1, 1)),
+            load((0, 1)),
+            load((1, 1)),
+        ];
+        let mut best = 4;
+        let mut best_cost = self.isa.sad(cur, &near[best]);
+        for (dx, dy) in RING {
+            let k = (4 + dx + 3 * dy) as usize;
+            let cost = self.isa.sad(cur, &near[k]);
+            if cost < best_cost {
+                best_cost = cost;
+                best = k;
+            }
+        }
+        let ring = &QUARTER_RING[best];
+        let winner_at = (best as i32 % 3 - 1, best as i32 / 3 - 1);
+        let at = |i: usize| ring.beyond[i].unwrap_or(winner_at);
+        let far = [load(at(0)), load(at(1)), load(at(2))];
+        let kept = [
+            &near[0], &near[1], &near[2], &near[3], &near[4], &near[5], &near[6], &near[7],
+            &near[8], &far[0], &far[1], &far[2],
+        ];
+        let center = (start.0 + 2 * winner_at.0, start.1 + 2 * winner_at.1);
+        let mut winner = center;
+        for ((dx, dy), (a, b)) in RING.into_iter().zip(ring.sources) {
+            let cand = self.isa.avg(kept[a as usize], kept[b as usize]);
+            let cost = self.isa.sad(cur, &cand);
+            if cost < best_cost {
+                best_cost = cost;
+                winner = (center.0 + dx, center.1 + dy);
+            }
+        }
+        (winner, best_cost)
     }
 
     /// Two-stage (half- then quarter-pel) refinement of the `W × H` block
     /// at `(bx, by)` around its ME match: the start position, then the
     /// eight neighbours at ±½ of it, then the eight at ±¼ of the half-pel
     /// winner, each ring in `dy → dx` order; strict `<` keeps the earliest
-    /// of equal costs.
+    /// of equal costs. The product walks from kept blocks
+    /// ([`Self::walk_kept`]) wherever that is exact.
     fn refine<const W: usize, const H: usize, const N: usize>(
         &self,
         (bx, by): (usize, usize),
@@ -131,29 +313,17 @@ impl<I: RefineIsa> Refiner<'_, I> {
             .load::<W, H, N>(cf.as_slice(), by * cf.stride() + bx, cf.stride());
         let sf = self.sfs[me.rf as usize];
         let anchor = (bx as i32 * 4, by as i32 * 4);
-        let start = me.mv.to_qpel();
-        let mut best = (anchor.0 + start.x as i32, anchor.1 + start.y as i32);
-        let mut best_cost = self.cost::<W, H, N>(&cur, sf, best, tile);
-        for step in [2, 1] {
-            let center = best;
-            for dy in [-step, 0, step] {
-                for dx in [-step, 0, step] {
-                    if dx == 0 && dy == 0 {
-                        continue;
-                    }
-                    let cand = (center.0 + dx, center.1 + dy);
-                    let cost = self.cost::<W, H, N>(&cur, sf, cand, tile);
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best = cand;
-                    }
-                }
-            }
-        }
+        let mv = me.mv.to_qpel();
+        let start = (anchor.0 + mv.x as i32, anchor.1 + mv.y as i32);
+        let (best, cost) = if self.per_candidate || start.0 < 4 || start.1 < 4 {
+            self.walk_each::<W, H, N>(&cur, sf, start, tile)
+        } else {
+            self.walk_kept::<W, H, N>(&cur, sf, start, tile)
+        };
         SmeBlockMv {
             rf: me.rf,
             mv: QpelMv::new((best.0 - anchor.0) as i16, (best.1 - anchor.1) as i16),
-            cost: best_cost,
+            cost,
         }
     }
 
@@ -193,6 +363,12 @@ impl<I: RefineIsa> Refiner<'_, I> {
     /// Refine the macroblocks `rows × cols`; `me` and `out` hold one entry
     /// per macroblock, in raster order.
     fn run(&self, me: &[MbMotion], rows: RowRange, cols: Range<usize>, out: &mut [MbSubMotion]) {
+        assert_eq!(
+            out.len(),
+            rows.len() * cols.len(),
+            "output slice size mismatch"
+        );
+        assert_eq!(me.len(), out.len(), "ME input size mismatch");
         let mut tile: Tile = [0; 256];
         let cells = rows
             .iter()
@@ -213,25 +389,6 @@ pub fn refine_isa_name() -> &'static str {
     }
 }
 
-/// SME over the macroblocks `rows × cols` on the primitives of `isa`.
-fn refine_cells<I: RefineIsa>(
-    isa: I,
-    cf: &Plane<u8>,
-    sfs: &[&SubpelFrame],
-    me: &[MbMotion],
-    rows: RowRange,
-    cols: Range<usize>,
-    out: &mut [MbSubMotion],
-) {
-    assert_eq!(
-        out.len(),
-        rows.len() * cols.len(),
-        "output slice size mismatch"
-    );
-    assert_eq!(me.len(), out.len(), "ME input size mismatch");
-    Refiner { isa, cf, sfs }.run(me, rows, cols, out)
-}
-
 /// Refine all 41 partition blocks of one macroblock.
 pub fn sme_mb(
     cf: &Plane<u8>,
@@ -242,15 +399,13 @@ pub fn sme_mb(
 ) -> MbSubMotion {
     let mut out = [MbSubMotion::default()];
     let rows = RowRange::new(mby, mby + 1);
-    refine_cells(
-        FastIsa,
+    let refiner = Refiner {
+        isa: FastIsa,
         cf,
         sfs,
-        std::slice::from_ref(me_mb),
-        rows,
-        mbx..mbx + 1,
-        &mut out,
-    );
+        per_candidate: false,
+    };
+    refiner.run(std::slice::from_ref(me_mb), rows, mbx..mbx + 1, &mut out);
     let [mb] = out;
     mb
 }
@@ -265,11 +420,18 @@ pub fn sme_rows(
     out: &mut [MbSubMotion],
 ) {
     let cols = 0..cf.width() / MB_SIZE;
-    refine_cells(FastIsa, cf, sfs, me_rows, rows, cols, out);
+    let refiner = Refiner {
+        isa: FastIsa,
+        cf,
+        sfs,
+        per_candidate: false,
+    };
+    refiner.run(me_rows, rows, cols, out);
 }
 
-/// [`sme_rows`] on the [`Portable`] primitives: the definition the product
-/// refinement is tested against; the encoder never runs it.
+/// [`sme_rows`] with every candidate fetched through
+/// [`SubpelFrame::block`], on the [`Portable`] primitives: the definition
+/// the product refinement is tested against; the encoder never runs it.
 pub fn sme_rows_reference(
     cf: &Plane<u8>,
     sfs: &[&SubpelFrame],
@@ -278,7 +440,13 @@ pub fn sme_rows_reference(
     out: &mut [MbSubMotion],
 ) {
     let cols = 0..cf.width() / MB_SIZE;
-    refine_cells(Portable, cf, sfs, me_rows, rows, cols, out);
+    let refiner = Refiner {
+        isa: Portable,
+        cf,
+        sfs,
+        per_candidate: true,
+    };
+    refiner.run(me_rows, rows, cols, out);
 }
 
 /// [`sme_rows`] with the MB rows spread over the host's cores
@@ -362,8 +530,9 @@ mod tests {
         assert_eq!(blk.mv.phase().0, 2);
     }
 
-    /// One macroblock refined on the reference's primitives and on the
-    /// product's.
+    /// One macroblock refined by the reference (every candidate through
+    /// `block`, on `Portable`) and by the product; the product's kept-block
+    /// form on `Portable` must agree too.
     fn both_families(
         cf: &Plane<u8>,
         sfs: &[&SubpelFrame],
@@ -372,20 +541,31 @@ mod tests {
         mby: usize,
     ) -> (MbSubMotion, MbSubMotion) {
         let tile = &mut [0; 256];
-        let scalar = Refiner {
+        let refiner = |per_candidate| Refiner {
             isa: Portable,
             cf,
             sfs,
+            per_candidate,
         };
         let fast = Refiner {
             isa: FastIsa,
             cf,
             sfs,
+            per_candidate: false,
         };
-        (
-            scalar.refine_mb(me, mbx, mby, tile),
-            fast.refine_mb(me, mbx, mby, tile),
-        )
+        let reference = refiner(true).refine_mb(me, mbx, mby, tile);
+        let kept = refiner(false).refine_mb(me, mbx, mby, tile);
+        assert_eq!(reference, kept, "kept blocks on Portable");
+        (reference, fast.refine_mb(me, mbx, mby, tile))
+    }
+
+    #[test]
+    fn a_quarter_ring_loads_at_most_three_blocks_beyond_the_start_s_window() {
+        let beyond = |k: usize| QUARTER_RING[k].beyond.iter().flatten().count();
+        // A full-pel winner, then `b` / `h` winners, then `j` winners.
+        assert_eq!(beyond(4), 0);
+        assert_eq!([1, 3, 5, 7].map(beyond), [3; 4]);
+        assert_eq!([0, 2, 6, 8].map(beyond), [2; 4]);
     }
 
     #[test]
@@ -400,6 +580,7 @@ mod tests {
             isa: Portable,
             cf: &cf,
             sfs: &[&sf],
+            per_candidate: true,
         };
         let cur = Portable.load::<16, 16, 16>(cf.as_slice(), 16 * cf.stride() + 16, cf.stride());
         let at = (16 * 4 + 16, 16 * 4 + 8);

@@ -60,8 +60,10 @@ pub mod bytes_per_row {
         MB_SIZE * width
     }
 
-    /// Sub-pixel frame stripe: 16 phase planes ⇒ 16× an RF stripe
-    /// ("which size is as large as 16 RFs", §II).
+    /// Sub-pixel frame stripe as the paper's platform moves it: 16 phase
+    /// planes ⇒ 16× an RF stripe ("which size is as large as 16 RFs",
+    /// §II). The host's `SubpelFrame` stores four of them; the model does
+    /// not follow it.
     pub fn sf(width: usize) -> usize {
         16 * MB_SIZE * width
     }

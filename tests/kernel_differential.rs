@@ -33,6 +33,7 @@ use feves::codec::inter_loop::{
     encode_inter_frame, encode_inter_frame_yuv, InterFrameOutput, InterFrameOutputYuv,
     ReferenceStore,
 };
+use feves::codec::interp::SubpelFrame;
 use feves::codec::kernels;
 #[cfg(target_arch = "x86_64")]
 use feves::codec::kernels::fast::{Avx2, Sse2};
@@ -45,15 +46,14 @@ use feves::video::plane::{Plane, PlaneBandMut};
 use feves::video::Frame;
 use proptest::prelude::*;
 
-/// A row kernel of the interpolation: `kernels::interp_band` or its
-/// reference `kernels::scalar::interp_band`.
+/// A row kernel of the interpolation: `kernels::interp_band` (four stored
+/// phases) or its reference `kernels::scalar::interp_band` (all sixteen).
 type BandKernel = fn(&Plane<u8>, usize, usize, usize, &mut [PlaneBandMut<'_, u8>]);
 
-/// The sixteen quarter-pel phase planes of `rf` (index `fy * 4 + fx`), as
-/// `kernel` writes them in one band.
-fn phases_by(rf: &Plane<u8>, kernel: BandKernel) -> Vec<Plane<u8>> {
+/// The `n` phase planes `kernel` writes for `rf` in one band.
+fn phases_by(rf: &Plane<u8>, kernel: BandKernel, n: usize) -> Vec<Plane<u8>> {
     let (w, h) = (rf.width(), rf.height());
-    let mut phases = vec![Plane::new(w, h); 16];
+    let mut phases = vec![Plane::new(w, h); n];
     let mut bands: Vec<_> = phases
         .iter_mut()
         .map(|p| p.split_rows_mut(&[h]).remove(0))
@@ -61,6 +61,27 @@ fn phases_by(rf: &Plane<u8>, kernel: BandKernel) -> Vec<Plane<u8>> {
     kernel(rf, w, 0, h, &mut bands);
     drop(bands);
     phases
+}
+
+/// The sixteen quarter-pel phase planes of `rf` (index `fy * 4 + fx`) as
+/// the reference writes them.
+fn reference_phases(rf: &Plane<u8>) -> Vec<Plane<u8>> {
+    phases_by(rf, kernels::scalar::interp_band, 16)
+}
+
+/// The first `(phase, x, y)` at which `sf` reads differently from the
+/// sixteen reference planes `want`: every phase through
+/// `SubpelFrame::sample`, over the frame and two samples beyond each edge,
+/// where the reference is read clamped.
+fn first_mismatch(sf: &SubpelFrame, want: &[Plane<u8>]) -> Option<(usize, isize, isize)> {
+    let (w, h) = (sf.width() as isize, sf.height() as isize);
+    let at = |x: isize, y: isize| (0..16).map(move |k| (k, x, y));
+    (-2..h + 2)
+        .flat_map(|y| (-2..w + 2).flat_map(move |x| at(x, y)))
+        .find(|&(k, x, y)| {
+            let (qx, qy) = (x * 4 + k as isize % 4, y * 4 + k as isize / 4);
+            sf.sample(qx, qy) != want[k].get_clamped(x, y)
+        })
 }
 
 fn plane_from_bytes(w: usize, h: usize, bytes: &[u8]) -> Plane<u8> {
@@ -125,6 +146,49 @@ proptest! {
         let (mut want, mut got) = (SmeField::new(mb_cols, mb_rows), SmeField::new(mb_cols, mb_rows));
         sme_rows_reference(&cur, &sfs[..n_ref], me.rows(rows), rows, want.rows_mut(rows));
         sme_rows(&cur, &sfs[..n_ref], me.rows(rows), rows, got.rows_mut(rows));
+        prop_assert!(want == got);
+    }
+
+    /// Refined fields, reference vs product, from ME starts whose full-pel
+    /// x or y is 0 or 1 on a plane one macroblock wide: the product keeps
+    /// and averages half-pel blocks from `(1, 1)` on and fetches each
+    /// candidate through `block` left of or above that, so both of its
+    /// fetch forms and the switch between them run, against the left and
+    /// top edges and (one macroblock wide) the right one.
+    #[test]
+    fn prop_sme_refine_matches_from_starts_at_the_first_column_and_row(
+        bytes in proptest::collection::vec(any::<u8>(), 16 * 48),
+        starts in proptest::collection::vec((0i16..2, -3i16..=20, any::<bool>(), 0u8..2), 41 * 3),
+        mb_rows in 1usize..=3,
+    ) {
+        use feves::codec::me::BlockMv;
+        use feves::codec::types::{Mv, ALL_PARTITION_MODES};
+        let (w, h) = (16, 16 * mb_rows);
+        let cur = plane_from_bytes(w, h, &bytes[..w * h]);
+        let rfs: Vec<Plane<u8>> = [3u8, 151]
+            .map(|k| Plane::from_fn(w, h, |x, y| bytes[y * w + x].wrapping_mul(k).wrapping_add(y as u8)))
+            .into();
+        let rows = RowRange::new(0, mb_rows);
+        let mut me = MeField::new(1, mb_rows);
+        let mut starts = starts.iter().cycle();
+        for (mby, mb) in me.rows_mut(rows).iter_mut().enumerate() {
+            for mode in ALL_PARTITION_MODES {
+                for i in 0..mode.count() {
+                    let (ox, oy) = mode.offset(i);
+                    let (bx, by) = (ox as i16, (mby * 16 + oy) as i16);
+                    // One coordinate at 0 or 1, the other anywhere from
+                    // three samples left of (above) the frame to past it.
+                    let &(edge, other, x_at_edge, rf) = starts.next().unwrap();
+                    let (x, y) = if x_at_edge { (edge, other) } else { (other, edge) };
+                    *mb.block_mut(mode, i) = BlockMv { rf, mv: Mv::new(x - bx, y - by), cost: 0 };
+                }
+            }
+        }
+        let sfs: Vec<_> = rfs.iter().map(feves::codec::interp::interpolate).collect();
+        let sfs: Vec<&SubpelFrame> = sfs.iter().collect();
+        let (mut want, mut got) = (SmeField::new(1, mb_rows), SmeField::new(1, mb_rows));
+        sme_rows_reference(&cur, &sfs, me.rows(rows), rows, want.rows_mut(rows));
+        sme_rows(&cur, &sfs, me.rows(rows), rows, got.rows_mut(rows));
         prop_assert!(want == got);
     }
 
@@ -216,8 +280,10 @@ proptest! {
         }
     }
 
-    /// The interpolation row kernel, reference vs product, and the product
-    /// SF built through `interpolate`'s macroblock-row bands.
+    /// The interpolation row kernel, reference vs product (the product's
+    /// four bands are the reference's stored phases), and all sixteen
+    /// phases of the product SF built through `interpolate`'s
+    /// macroblock-row bands.
     #[test]
     fn prop_interpolate_matches(seed in any::<u64>(), w in 1usize..40, h in 1usize..40) {
         let mut p = Plane::new(w, h);
@@ -228,12 +294,11 @@ proptest! {
                 p.set(x, y, (s >> 56) as u8);
             }
         }
-        let want = phases_by(&p, kernels::scalar::interp_band);
-        prop_assert!(want == phases_by(&p, kernels::interp_band));
+        let want = reference_phases(&p);
+        let stored = [0, 2, 8, 10].map(|k| want[k].clone());
+        prop_assert!(stored[..] == phases_by(&p, kernels::interp_band, 4)[..]);
         let sf = feves::codec::interp::interpolate(&p);
-        for (k, phase) in want.iter().enumerate() {
-            prop_assert!(phase == sf.phase(k as u8 % 4, k as u8 / 4), "phase {}", k);
-        }
+        prop_assert_eq!(first_mismatch(&sf, &want), None);
     }
 
     /// DBL: the reference's line-at-a-time filter is the definition and the
@@ -319,11 +384,8 @@ fn references_agree(
     motion_estimate_rows_reference(cf, &rfs, &params, rows, me.rows_mut(rows));
     assert!(me == out.me, "{what}: ME");
     for (r, (rf, sf)) in rfs.iter().zip(&sfs).enumerate() {
-        let want = phases_by(rf, kernels::scalar::interp_band);
-        for (k, phase) in want.iter().enumerate() {
-            let got = sf.phase(k as u8 % 4, k as u8 / 4);
-            assert!(phase == got, "{what}: INT of reference {r}, phase {k}");
-        }
+        let bad = first_mismatch(sf, &reference_phases(rf));
+        assert!(bad.is_none(), "{what}: INT of reference {r}: {bad:?}");
     }
     let mut sme = SmeField::new(mb_cols, mb_rows);
     sme_rows_reference(cf, &sfs, out.me.rows(rows), rows, sme.rows_mut(rows));

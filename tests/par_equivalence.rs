@@ -74,9 +74,22 @@ impl Fields {
     /// holds a value this frame's modules would put there.
     fn poisoned() -> Self {
         let mut f = Fields::empty();
-        // A constant plane interpolates to itself in all 16 phases.
-        f.sf.interpolate_rows(&poison(0xAA), ROWS);
-        assert_eq!(f.sf.phase(3, 1).get(W - 1, H - 1), 0xAA);
+        // A constant plane interpolates to itself in all 16 phases, as the
+        // reference writes them.
+        let flat = poison(0xAA);
+        f.sf.interpolate_rows(&flat, ROWS);
+        let mut phases = vec![Plane::new(W, H); 16];
+        let mut bands: Vec<_> = (phases.iter_mut())
+            .map(|p| p.split_rows_mut(&[H]).remove(0))
+            .collect();
+        feves::codec::kernels::scalar::interp_band(&flat, W, 0, H, &mut bands);
+        drop(bands);
+        let (x, y) = (W as isize - 1, H as isize - 1);
+        for (k, phase) in phases.iter().enumerate() {
+            let (qx, qy) = (x * 4 + k as isize % 4, y * 4 + k as isize / 4);
+            assert_eq!(f.sf.sample(qx, qy), phase.get(W - 1, H - 1), "phase {k}");
+            assert_eq!(phase.get(W - 1, H - 1), 0xAA, "phase {k}");
+        }
         for mb in f.me.rows_mut(ROWS) {
             for mode in feves::codec::types::ALL_PARTITION_MODES {
                 for i in 0..mode.count() {

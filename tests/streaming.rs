@@ -12,12 +12,15 @@
 mod common;
 
 use common::{job_spec, scratch, write_input};
+use feves::codec::SubpelFrame;
 use feves::core::session::{self, Session, SessionError, SessionHooks};
 use feves::core::{FrameReport, ResumeContext};
 use feves::ft::io::{inject, IoBackend, IoFile, RealIo};
 use feves::obs::{hub, LiveConfig, LiveSnapshot, LiveWriter};
 use feves::serve::farm::{self, FarmConfig};
 use feves::serve::job::{self, JobSpec};
+use feves::video::geometry::RowRange;
+use feves::video::plane::Plane;
 use feves::Resolution;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Read;
@@ -196,6 +199,31 @@ fn a_session_s_memory_does_not_grow_with_the_sequence() {
         (0, 0),
         "allocations of a luma plane's size or more, from the fourth frame on"
     );
+}
+
+/// A reference's sub-pel frame is its four stored phases (G, b, h and j),
+/// 4 × RF, not the paper's sixteen planes: a new SF holds those and a few
+/// headers, and interpolating into it keeps nothing once it returns.
+#[test]
+fn a_reference_holds_four_subpel_planes() {
+    let _turn = serial();
+    let (w, h) = (1280, 720);
+    let rf = Plane::from_fn(w, h, |x, y| ((x * 37) ^ (y * 11)) as u8);
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut sf = SubpelFrame::new(w, h);
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    assert!(
+        (4 * w * h..=4 * w * h + 1024).contains(&held),
+        "a {w}x{h} SF holds {held} B"
+    );
+    let before = LIVE.load(Ordering::Relaxed);
+    sf.interpolate_rows(&rf, RowRange::new(0, h / 16));
+    assert_eq!(
+        LIVE.load(Ordering::Relaxed),
+        before,
+        "bytes interpolate_rows left live"
+    );
+    assert_eq!(sf.sample(4 * 5 + 2, 4 * 7), sf.phase(2, 0).get(5, 7));
 }
 
 /// Live telemetry is the session's own registry plus one writer thread:
