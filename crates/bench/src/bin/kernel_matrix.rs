@@ -3,7 +3,8 @@
 //!
 //! Runs every product hot kernel next to its scalar reference, each called
 //! by name (`me::motion_estimate_rows_reference`, `sme::sme_rows_reference`,
-//! `dbl::deblock_frame_reference`, `kernels::scalar::interp_band`), across
+//! `dbl::deblock_frame_reference`, `recon::tq_rows_reference` — one
+//! `quant::tq_block` per 4×4 block — and `kernels::scalar::interp_band`), across
 //! block sizes and resolutions: first *verifying* that both produce
 //! identical outputs (any mismatch exits non-zero — this is the
 //! differential gate CI runs), then timing them and emitting
@@ -23,12 +24,13 @@
 //! `--quick` cuts iteration counts ~10× and skips the speedup gate (used by
 //! the CI `bench-smoke` job, where absolute timings are noisy); the full run
 //! enforces ≥ 9× for the ME search at SA 32 where AVX2 is detected (SA 8
-//! and 16 are recorded only), ≥ 2× for the SME refinement and ≥ 1.3× for
-//! DBL's line filter on x86-64 (each reported as skipped elsewhere), and
-//! ≥ 1.5× for interpolation. Both modes print which primitive sets ran
-//! (`me_search: avx2` / `portable`, `sme_refine: sse2` / `portable`; DBL's
-//! are SME's). `chroma_inter` has one form: its two columns time the same
-//! code and document its cost.
+//! and 16 are recorded only), ≥ 2× for the SME refinement, ≥ 1.3× for
+//! DBL's line filter and ≥ 3× for the forward TQ on x86-64 (each reported
+//! as skipped elsewhere), and ≥ 1.5× for interpolation. Both modes print
+//! which primitive sets ran (`me_search: avx2` / `portable`, `sme_refine:
+//! sse2` / `portable`; DBL's are SME's, and the `tq:` line repeats them for
+//! the forward TQ). `chroma_inter` has one form: its two columns time the
+//! same code and document its cost.
 
 use feves_codec::chroma::{encode_chroma_inter_into, ChromaField};
 use feves_codec::dbl::{deblock_frame, deblock_frame_reference};
@@ -38,7 +40,7 @@ use feves_codec::mc::{mc_rows, ModeField};
 use feves_codec::me::{
     motion_estimate_rows, motion_estimate_rows_reference, search_isa_name, MbMotion,
 };
-use feves_codec::recon::{itq_recon_rows, tq_rows, CoeffField};
+use feves_codec::recon::{itq_recon_rows, tq_rows, tq_rows_reference, CoeffField};
 use feves_codec::sme::{refine_isa_name, sme_rows, sme_rows_reference, MbSubMotion};
 use feves_codec::SubpelFrame;
 use feves_core::prelude::*;
@@ -106,6 +108,8 @@ type Search = fn(&Plane<u8>, &[&Plane<u8>], &EncodeParams, RowRange, &mut [MbMot
 type Refine = fn(&Plane<u8>, &[&SubpelFrame], &[MbMotion], RowRange, &mut [MbSubMotion]);
 /// A whole-frame DBL: the product's or its reference.
 type Deblock = fn(&mut Plane<u8>, &ModeField, &CoeffField, u8);
+/// A rows entry point of the forward TQ: the product's or its reference.
+type Tq = fn(&Plane<i16>, u8, bool, RowRange, &mut CoeffField);
 /// An interpolation row kernel: the product's or its reference.
 type BandKernel = fn(&Plane<u8>, usize, usize, usize, &mut [PlaneBandMut<'_, u8>]);
 
@@ -175,11 +179,12 @@ impl SmeCase {
 /// What the serial tail of a frame works on: the unfiltered luma
 /// reconstruction with the modes and coefficients a real ME → SME →
 /// `mc_rows` → `tq_rows` → `itq_recon_rows` pass left, and chroma planes
-/// to code under those modes.
+/// to code under those modes — and the residual that pass quantised.
 struct TailCase {
     name: &'static str,
     qp: u8,
     modes: ModeField,
+    residual: Plane<i16>,
     coeffs: CoeffField,
     recon: Plane<u8>,
     cf_uv: [Plane<u8>; 2],
@@ -254,6 +259,7 @@ impl TailCase {
             name,
             qp,
             modes,
+            residual,
             coeffs,
             recon,
             cf_uv,
@@ -265,6 +271,14 @@ impl TailCase {
     fn deblock(&self, deblock: Deblock, out: &mut Plane<u8>) {
         out.copy_from(&self.recon);
         deblock(out, &self.modes, &self.coeffs, self.qp);
+    }
+
+    /// `tq` of the whole residual, inter or intra, into fresh coefficients.
+    fn tq(&self, tq: Tq, intra: bool) -> CoeffField {
+        let mut coeffs = CoeffField::new(self.modes.mb_cols(), self.modes.mb_rows());
+        let all = RowRange::new(0, self.modes.mb_rows());
+        tq(&self.residual, self.qp, intra, all, &mut coeffs);
+        coeffs
     }
 
     /// `encode_chroma_inter_into` over outputs that already exist.
@@ -384,6 +398,22 @@ fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize
         );
     }
 
+    // Forward TQ: the whole frame's residual, inter and intra, block by
+    // block through `tq_block` against the two-block batches.
+    for case in tail_cases {
+        for intra in [false, true] {
+            let want = case.tq(tq_rows_reference, intra);
+            check(
+                &format!("tq {} intra {intra}", case.name),
+                want == case.tq(tq_rows, intra),
+            );
+            check(
+                &format!("tq {} intra {intra} codes", case.name),
+                want.nonzero_levels() > 0,
+            );
+        }
+    }
+
     // Interpolation: the whole band kernel incl. border halos at several
     // sizes — the product's four bands are the reference's stored phases —
     // and all sixteen phases of the product SF built through
@@ -496,6 +526,20 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
         };
         let t = (time(iters, &mut chroma), time(iters, &mut chroma));
         push("chroma_inter", &format!("{}_frame", case.name), iters, t);
+        // The whole frame's forward TQ as the encoder's rows run it, into
+        // coefficients that already exist.
+        let all = RowRange::new(0, case.modes.mb_rows());
+        let mut coeffs = CoeffField::new(case.modes.mb_cols(), case.modes.mb_rows());
+        let mut tq = |tq: Tq| {
+            let case = std::hint::black_box(case);
+            tq(&case.residual, case.qp, false, all, &mut coeffs);
+            std::hint::black_box(&coeffs);
+        };
+        let t = (
+            time(iters, || tq(tq_rows_reference)),
+            time(iters, || tq(tq_rows)),
+        );
+        push("tq", &format!("{}_frame", case.name), iters, t);
     }
 
     // Full-frame interpolation at three resolutions, as each form stores
@@ -612,6 +656,8 @@ fn main() {
     // A runner without AVX2 shows up here, not as a silently slow row.
     println!("me_search: {}", search_isa_name());
     println!("sme_refine: {}", refine_isa_name());
+    // TQ's pair primitive is picked as SME's (and DBL's) are.
+    println!("tq: {}", refine_isa_name());
 
     let records = bench_kernels(quick, &sme_cases, &tail_cases);
     let e2e = bench_e2e();
@@ -631,11 +677,12 @@ fn main() {
     if !quick {
         // Acceptance gate: the candidate-major ME search at SA 32 must be
         // ≥ 9× the per-candidate loop where it runs on AVX2 (its SA 8 and
-        // 16 rows are recorded, not gated), the SME refinement ≥ 2× and
-        // DBL's sixteen-lane line filter ≥ 1.3× its per-line definition
-        // where they run on SSE2 (the portable primitives make no such
-        // promise), interpolation ≥ 1.5× (skipped under --quick: CI smoke
-        // runs are too noisy for absolute perf assertions).
+        // 16 rows are recorded, not gated), the SME refinement ≥ 2×, DBL's
+        // sixteen-lane line filter ≥ 1.3× its per-line definition and the
+        // two-block TQ ≥ 3× `tq_block` where they run on SSE2 (the portable
+        // primitives make no such promise), interpolation ≥ 1.5× (skipped
+        // under --quick: CI smoke runs are too noisy for absolute perf
+        // assertions).
         let avx2 = search_isa_name() == "avx2";
         let sse2 = refine_isa_name() == "sse2";
         let mut gate_ok = true;
@@ -644,7 +691,8 @@ fn main() {
                 ("me_search", "sa32") if avx2 => 9.0,
                 ("sme_refine", _) if sse2 => 2.0,
                 ("deblock", _) if sse2 => 1.3,
-                ("me_search", "sa32") | ("sme_refine" | "deblock", _) => {
+                ("tq", _) if sse2 => 3.0,
+                ("me_search", "sa32") | ("sme_refine" | "deblock" | "tq", _) => {
                     println!("speedup gate: {} skipped (portable on this host)", r.kernel);
                     continue;
                 }
@@ -663,8 +711,8 @@ fn main() {
             std::process::exit(2);
         }
         println!(
-            "\nspeedup gate passed (me_search sa32 ≥ 9x on AVX2, sme_refine ≥ 2x and deblock ≥ 1.3x \
-             on SSE2, interpolation ≥ 1.5x)"
+            "\nspeedup gate passed (me_search sa32 ≥ 9x on AVX2, sme_refine ≥ 2x, deblock ≥ 1.3x \
+             and tq ≥ 3x on SSE2, interpolation ≥ 1.5x)"
         );
     }
 }

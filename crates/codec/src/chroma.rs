@@ -29,8 +29,9 @@
 //! simplification; chroma blocking at the paper's QP 27/28 is visually
 //! negligible and DBL is time-modelled as a whole).
 
+use crate::kernels;
 use crate::mc::ModeField;
-use crate::quant::{has_coefficients, itq_block, tq_block};
+use crate::quant::itq_block;
 use crate::types::{MbField, QpelMv};
 use feves_video::geometry::RowRange;
 use feves_video::plane::Plane;
@@ -162,11 +163,11 @@ pub struct ChromaOutput {
 }
 
 /// Code one 8×8 chroma region whose prediction is `pred8`: TQ of the
-/// residual into `blocks`, then `recon = clip(pred + TQ⁻¹(blocks))` — the
-/// prediction itself for a block with no coefficients, as
-/// [`crate::recon::itq_recon_row`] does for luma. Every level and every
-/// sample of the region is written. Returns the coded-block mask and the
-/// approximate bits.
+/// residual into `blocks` (one [`kernels::tq_blocks`] batch), then `recon =
+/// clip(pred + TQ⁻¹(blocks))` — the prediction itself for a block with no
+/// coefficients, as [`crate::recon::itq_recon_row`] does for luma. Every
+/// level and every sample of the region is written. Returns the
+/// coded-block mask and the approximate bits.
 fn code_region(
     cf: &Plane<u8>,
     pred8: &[i16; 64],
@@ -176,27 +177,27 @@ fn code_region(
     recon: &mut Plane<u8>,
     blocks: &mut [[i16; 16]; 4],
 ) -> (u8, u64) {
-    let mut mask = 0u8;
+    let mut residual = [0i16; 64];
+    for (row, (r, p)) in residual
+        .chunks_exact_mut(8)
+        .zip(pred8.chunks_exact(8))
+        .enumerate()
+    {
+        let src = &cf.row(cy + row)[cx..][..8];
+        for ((r, &s), &p) in r.iter_mut().zip(src).zip(p) {
+            *r = s as i16 - p;
+        }
+    }
+    let mask = kernels::tq_blocks(&residual, 8, 2, qp_c, intra, blocks) as u8;
     let mut bits = 0u64;
-    for (blk, levels) in blocks.iter_mut().enumerate() {
+    for (blk, levels) in blocks.iter().enumerate() {
         let bx = (blk % 2) * 4;
         let by = (blk / 2) * 4;
         let pred_row = |row: usize| &pred8[(by + row) * 8 + bx..][..4];
-        let mut rbuf = [0i16; 16];
-        for (row, r) in rbuf.chunks_exact_mut(4).enumerate() {
-            let src = &cf.row(cy + by + row)[cx + bx..][..4];
-            for ((r, &s), &p) in r.iter_mut().zip(src).zip(pred_row(row)) {
-                *r = s as i16 - p;
-            }
-        }
-        *levels = tq_block(&rbuf, qp_c, intra);
-        let coded = has_coefficients(levels);
-        if coded {
-            mask |= 1 << blk;
-            bits += 6 * levels.iter().filter(|&&v| v != 0).count() as u64;
-        }
+        let coded = mask & (1 << blk) != 0;
         // TQ⁻¹ of no coefficients is a zero residual.
         let r = if coded {
+            bits += 6 * levels.iter().filter(|&&v| v != 0).count() as u64;
             itq_block(levels, qp_c)
         } else {
             [0; 16]

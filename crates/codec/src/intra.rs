@@ -6,7 +6,8 @@
 //! macroblock (prediction uses already-reconstructed neighbours), which is
 //! fine — it happens once per sequence and is not part of the balanced load.
 
-use crate::quant::{has_coefficients, itq_block, tq_block};
+use crate::kernels;
+use crate::quant::itq_block;
 use crate::recon::{CoeffField, MbCoeffs};
 use feves_video::geometry::MB_SIZE;
 use feves_video::plane::Plane;
@@ -298,15 +299,20 @@ fn code_mb_i4(
         }
         total_cost += best_cost;
         bits += 3; // 4x4 mode symbol
-                   // Residual → TQ → recon.
-        let mut rbuf = [0i16; 16];
+
+        // Residual → TQ → recon, one block per TQ call: the next block
+        // predicts from this one's reconstruction. It rides in the left
+        // half of a pair beside a zero block.
+        let mut residual = [0i16; 32];
         for y in 0..4 {
             for x in 0..4 {
-                rbuf[y * 4 + x] = cf.get(bx + x, by + y) as i16 - best_pred[y * 4 + x];
+                residual[y * 8 + x] = cf.get(bx + x, by + y) as i16 - best_pred[y * 4 + x];
             }
         }
-        let levels = tq_block(&rbuf, qp, true);
-        if has_coefficients(&levels) {
+        let mut pair = [[0i16; 16]; 2];
+        let coded = kernels::tq_blocks(&residual, 8, 2, qp, true, &mut pair) & 1 != 0;
+        let levels = pair[0];
+        if coded {
             mb.coded_mask |= 1 << blk;
             bits += 6 * levels.iter().filter(|&&v| v != 0).count() as u64;
         }
@@ -386,29 +392,24 @@ pub fn encode_intra_frame(cf: &Plane<u8>, qp: u8) -> IntraFrameResult {
             modes.push(MbIntraChoice::I16(best_mode));
             bits += 3; // mode symbol
 
-            // Residual → TQ → TQ⁻¹ → reconstruction, block by block.
-            let mb = MbCoeffs::default();
-            let mut mb = mb;
-            let mut rbuf = [0i16; 16];
-            for blk in 0..16 {
+            // Residual → TQ (the sixteen blocks in one batch) → TQ⁻¹ →
+            // reconstruction, block by block.
+            let mut mb = MbCoeffs::default();
+            let mut residual = [0i16; 256];
+            for (i, r) in residual.iter_mut().enumerate() {
+                let (x, y) = (i % MB_SIZE, i / MB_SIZE);
+                *r = cf.get(cx + x, cy + y) as i16 - best_pred[i];
+            }
+            mb.coded_mask = kernels::tq_blocks(&residual, MB_SIZE, 4, qp, true, &mut mb.blocks);
+            for (blk, levels) in mb.blocks.iter().enumerate() {
                 let bx = (blk % 4) * 4;
                 let by = (blk / 4) * 4;
-                for row in 0..4 {
-                    for col in 0..4 {
-                        let idx = (by + row) * MB_SIZE + bx + col;
-                        rbuf[row * 4 + col] =
-                            cf.get(cx + bx + col, cy + by + row) as i16 - best_pred[idx];
-                    }
-                }
-                let levels = tq_block(&rbuf, qp, true);
-                if has_coefficients(&levels) {
-                    mb.coded_mask |= 1 << blk;
+                if mb.coded_mask & (1 << blk) != 0 {
                     // ~6 bits per non-zero level is a serviceable estimate;
                     // exact numbers come from the entropy coder.
                     bits += 6 * levels.iter().filter(|&&v| v != 0).count() as u64;
                 }
-                mb.blocks[blk] = levels;
-                let r = itq_block(&levels, qp);
+                let r = itq_block(levels, qp);
                 for row in 0..4 {
                     for col in 0..4 {
                         let idx = (by + row) * MB_SIZE + bx + col;

@@ -351,12 +351,120 @@ impl DeblockIsa for Portable {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Forward transform + quantisation (TQ)
+// ---------------------------------------------------------------------------
+
+/// The quantiser of one QP and mode, laid out for a row of two blocks:
+/// [`super::scalar::quantize_4x4`]'s MF per lane, its dead-zone offset
+/// `f` and its shift `qbits`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Quantizer {
+    /// MF of the eight lanes of a block row pair: `[0]` for rows 0 and 2,
+    /// `[1]` for rows 1 and 3 (lanes 0..4 and 4..8 are the same columns).
+    mf: [[i16; 8]; 2],
+    /// `2^qbits / 3` (intra) or `/ 6` (inter).
+    f: i32,
+    qbits: i32,
+}
+
+impl Quantizer {
+    pub(crate) fn new(qp: u8, intra: bool) -> Self {
+        let qbits = 15 + i32::from(qp / 6);
+        let f = (1 << qbits) / if intra { 3 } else { 6 };
+        let mf = &super::MF[usize::from(qp % 6)];
+        let row = |i: usize| core::array::from_fn(|l| mf[super::freq_class(i, l % 4)] as i16);
+        Quantizer {
+            mf: [row(0), row(1)],
+            f,
+            qbits,
+        }
+    }
+
+    /// One lane: `w` quantised with multiplier `mf`, the scalar rule for
+    /// every `i16` — `|w|` is exact as a `u16`, and no level exceeds
+    /// 13 107, so the SSE2 lanes' `packssdw` never saturates either.
+    #[inline(always)]
+    fn lane(&self, w: i16, mf: i16) -> i16 {
+        let product = i32::from(w.unsigned_abs()) * i32::from(mf);
+        let q = ((product + self.f) >> self.qbits) as i16;
+        if w < 0 {
+            -q
+        } else {
+            q
+        }
+    }
+}
+
+/// The forward TQ ([`crate::quant::tq_block`]'s transform and
+/// quantisation) of two side-by-side 4 × 4 blocks at a time: what luma
+/// ([`crate::recon::tq_row`]), chroma and intra code their residual with.
+///
+/// [`Portable`] is the definition, as lane loops; [`Sse2`] holds the pair
+/// in four `i16` vectors — the column pass across them, `punpck` 4 × 4
+/// transposes of both blocks at once, the row pass, the `|w|·MF` product
+/// in `i32` lanes from `pmullw` / `pmulhuw`, and `pcmpeqw` + `pmovmskb`
+/// for the non-zero bits. The butterflies run in `i16`: for residuals in
+/// ±255 no coefficient exceeds 9 180, and both equal
+/// [`crate::quant::tq_block`] per block there.
+pub(crate) trait TqIsa: Copy {
+    /// Forward TQ of the two blocks in `rows`: block 0 is lanes 0..4 of
+    /// the four rows, block 1 lanes 4..8. Returns both blocks' levels in
+    /// raster order and their non-zero bits (bit `b` set ⇔ block `b` has
+    /// a non-zero level).
+    fn tq_pair(self, rows: [&[i16; 8]; 4], q: &Quantizer) -> ([[i16; 16]; 2], u8);
+}
+
+/// One pass of the core transform over four values (`Cf · x`), wrapping
+/// as `i16` lanes do.
+#[inline(always)]
+fn butterfly([x0, x1, x2, x3]: [i16; 4]) -> [i16; 4] {
+    let (s0, s1) = (x0.wrapping_add(x3), x1.wrapping_add(x2));
+    let (d0, d1) = (x0.wrapping_sub(x3), x1.wrapping_sub(x2));
+    [
+        s0.wrapping_add(s1),
+        d0.wrapping_add(d0).wrapping_add(d1),
+        s0.wrapping_sub(s1),
+        d0.wrapping_sub(d1).wrapping_sub(d1),
+    ]
+}
+
+impl TqIsa for Portable {
+    #[inline(always)]
+    fn tq_pair(self, rows: [&[i16; 8]; 4], q: &Quantizer) -> ([[i16; 16]; 2], u8) {
+        // Column pass: each lane is one column of one block.
+        let mut t = [[0i16; 8]; 4];
+        for l in 0..8 {
+            let column = butterfly(rows.map(|r| r[l]));
+            for (t, c) in t.iter_mut().zip(column) {
+                t[l] = c;
+            }
+        }
+        // Row pass, then the quantiser, block by block.
+        let mut levels = [[0i16; 16]; 2];
+        let mut nonzero = 0u8;
+        for (b, out) in levels.iter_mut().enumerate() {
+            for (i, t) in t.iter().enumerate() {
+                let w = butterfly(t.as_chunks().0[b]);
+                for (j, w) in w.into_iter().enumerate() {
+                    out[4 * i + j] = q.lane(w, q.mf[i % 2][j]);
+                }
+            }
+            nonzero |= u8::from(out.iter().any(|&z| z != 0)) << b;
+        }
+        (levels, nonzero)
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 pub use x86::{Avx2, Sse2};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{check_cell_row_span, check_span, DeblockIsa, EdgeFilter, RefineIsa, SearchIsa};
+    use super::{
+        check_cell_row_span, check_span, DeblockIsa, EdgeFilter, Quantizer, RefineIsa, SearchIsa,
+        TqIsa,
+    };
     use core::arch::x86_64::*;
 
     /// The packed-block primitives on SSE2, which every x86-64 CPU has.
@@ -586,6 +694,100 @@ mod x86 {
                         at.cast::<i32>().write_unaligned(quad);
                     }
                 }
+            }
+        }
+    }
+
+    /// [`super::butterfly`] across four vectors: lane by lane, one pass of
+    /// the core transform.
+    ///
+    /// # Safety
+    /// Register-only SSE2 arithmetic; SSE2 is part of the x86-64 baseline.
+    #[inline(always)]
+    unsafe fn butterfly([x0, x1, x2, x3]: [__m128i; 4]) -> [__m128i; 4] {
+        let (s0, s1) = (_mm_add_epi16(x0, x3), _mm_add_epi16(x1, x2));
+        let (d0, d1) = (_mm_sub_epi16(x0, x3), _mm_sub_epi16(x1, x2));
+        [
+            _mm_add_epi16(s0, s1),
+            _mm_add_epi16(_mm_add_epi16(d0, d0), d1),
+            _mm_sub_epi16(s0, s1),
+            _mm_sub_epi16(_mm_sub_epi16(d0, d1), d1),
+        ]
+    }
+
+    /// Interleave four vectors that hold line `i` of two 4 × 4 blocks in
+    /// lanes 0..4 and 4..8: returns block 0's lines as columns in two
+    /// vectors (columns 0–1, then 2–3), then block 1's. Of a pair of
+    /// coefficient columns that is each block's raster order.
+    ///
+    /// # Safety
+    /// As [`butterfly`].
+    #[inline(always)]
+    unsafe fn interleave([x0, x1, x2, x3]: [__m128i; 4]) -> [__m128i; 4] {
+        let (a01, b01) = (_mm_unpacklo_epi16(x0, x1), _mm_unpackhi_epi16(x0, x1));
+        let (a23, b23) = (_mm_unpacklo_epi16(x2, x3), _mm_unpackhi_epi16(x2, x3));
+        [
+            _mm_unpacklo_epi32(a01, a23),
+            _mm_unpackhi_epi32(a01, a23),
+            _mm_unpacklo_epi32(b01, b23),
+            _mm_unpackhi_epi32(b01, b23),
+        ]
+    }
+
+    /// Quantise eight coefficients with their lanes' MF: [`Quantizer`]'s
+    /// lane rule — `|w|·MF` as an `i32` from its low (`pmullw`) and high
+    /// (`pmulhuw`) halves, `+ f`, `>> qbits`, `packssdw`, the sign put
+    /// back.
+    ///
+    /// # Safety
+    /// As [`butterfly`].
+    #[inline(always)]
+    pub(super) unsafe fn quantize(w: __m128i, mf: __m128i, f: __m128i, qbits: __m128i) -> __m128i {
+        let sign = _mm_srai_epi16::<15>(w);
+        let abs = _mm_sub_epi16(_mm_xor_si128(w, sign), sign);
+        let (lo, hi) = (_mm_mullo_epi16(abs, mf), _mm_mulhi_epu16(abs, mf));
+        let scaled = |p| _mm_sra_epi32(_mm_add_epi32(p, f), qbits);
+        let q = _mm_packs_epi32(
+            scaled(_mm_unpacklo_epi16(lo, hi)),
+            scaled(_mm_unpackhi_epi16(lo, hi)),
+        );
+        _mm_sub_epi16(_mm_xor_si128(q, sign), sign)
+    }
+
+    impl TqIsa for Sse2 {
+        #[inline(always)]
+        fn tq_pair(self, rows: [&[i16; 8]; 4], q: &Quantizer) -> ([[i16; 16]; 2], u8) {
+            // SAFETY: every load is of the eight `i16` one of `rows`
+            // borrows and every store of eight of the returned arrays, none
+            // has an alignment requirement, and SSE2 is part of the x86-64
+            // baseline.
+            unsafe {
+                let x = rows.map(|r| _mm_loadu_si128(r.as_ptr().cast()));
+                // Column pass, then both blocks transposed: `c[j]` is
+                // column j of each.
+                let [a01, a23, b01, b23] = interleave(butterfly(x));
+                let c = [
+                    _mm_unpacklo_epi64(a01, b01),
+                    _mm_unpackhi_epi64(a01, b01),
+                    _mm_unpacklo_epi64(a23, b23),
+                    _mm_unpackhi_epi64(a23, b23),
+                ];
+                // Row pass: `w[j]` is coefficient column j of each block,
+                // whose lanes take row j's MF (the frequency classes are
+                // symmetric).
+                let w = butterfly(c);
+                let mf = q.mf.map(|m| _mm_loadu_si128(m.as_ptr().cast()));
+                let (f, qbits) = (_mm_set1_epi32(q.f), _mm_cvtsi32_si128(q.qbits));
+                let z: [__m128i; 4] = core::array::from_fn(|j| quantize(w[j], mf[j % 2], f, qbits));
+                // Two mask bits per lane: block 0's are the low byte.
+                let any = _mm_or_si128(_mm_or_si128(z[0], z[1]), _mm_or_si128(z[2], z[3]));
+                let zero = _mm_movemask_epi8(_mm_cmpeq_epi16(any, _mm_setzero_si128()));
+                let nonzero = u8::from(zero & 0xFF != 0xFF) | u8::from(zero >> 8 != 0xFF) << 1;
+                let mut levels = [[0i16; 16]; 2];
+                for (i, v) in interleave(z).into_iter().enumerate() {
+                    _mm_storeu_si128(levels[i / 2][i % 2 * 8..].as_mut_ptr().cast(), v);
+                }
+                (levels, nonzero)
             }
         }
     }
@@ -1107,6 +1309,135 @@ mod tests {
             tc0: [Some(1); 4],
         };
         Sse2.filter_columns(&mut [0u8; 15 * 9 + 7], 9, &edge);
+    }
+
+    // ---- the forward TQ primitive ----
+
+    /// `lanes` (one row of two blocks quantised with row `parity`'s MF)
+    /// against `scalar::quantize_4x4` for every coefficient a ±255 residual
+    /// can reach, both signs, in every column of both row parities — so at
+    /// every frequency class — at every QP, intra and inter.
+    fn check_quantizer(lanes: impl Fn([i16; 8], usize, &Quantizer) -> [i16; 8]) {
+        const MAX: i32 = 9180;
+        for qp in 0..=51u8 {
+            for intra in [false, true] {
+                let q = Quantizer::new(qp, intra);
+                // want[w + MAX][p]: the rule for `w` at block position `p`.
+                let want: Vec<[i32; 16]> = (-MAX..=MAX)
+                    .map(|w| {
+                        let mut block = [w; 16];
+                        super::super::scalar::quantize_4x4(&mut block, qp, intra);
+                        block
+                    })
+                    .collect();
+                for start in (-MAX..=MAX).step_by(8) {
+                    for shift in 0..4 {
+                        let w: [i32; 8] =
+                            core::array::from_fn(|l| (start + ((l + shift) % 8) as i32).min(MAX));
+                        for parity in 0..2 {
+                            let got = lanes(w.map(|w| w as i16), parity, &q);
+                            for l in 0..8 {
+                                assert_eq!(
+                                    i32::from(got[l]),
+                                    want[(w[l] + MAX) as usize][4 * parity + l % 4],
+                                    "w {} at ({parity}, {}), QP {qp}, intra {intra}",
+                                    w[l],
+                                    l % 4
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_quantizer_lanes_are_the_scalar_rule() {
+        check_quantizer(|w, parity, q| core::array::from_fn(|l| q.lane(w[l], q.mf[parity][l])));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_quantizer_lanes_are_the_scalar_rule() {
+        use core::arch::x86_64::*;
+        check_quantizer(|w, parity, q| {
+            // SAFETY: loads of two eight-`i16` arrays, register-only SSE2
+            // arithmetic, and SSE2 is part of the x86-64 baseline.
+            unsafe {
+                let z = x86::quantize(
+                    _mm_loadu_si128(w.as_ptr().cast()),
+                    _mm_loadu_si128(q.mf[parity].as_ptr().cast()),
+                    _mm_set1_epi32(q.f),
+                    _mm_cvtsi32_si128(q.qbits),
+                );
+                core::mem::transmute::<__m128i, [i16; 8]>(z)
+            }
+        });
+    }
+
+    /// Residual rows of two blocks in one of the regimes a TQ meets:
+    /// anywhere in ±255, ±255 only, near zero (most levels quantise to
+    /// 0), or ±255 signed as one basis function of the transform, which
+    /// drives that coefficient to its bound of 9 180.
+    fn residual_pair(rng: &mut StdRng, regime: usize) -> [[i16; 8]; 4] {
+        const CF: [[i16; 4]; 4] = [[1, 1, 1, 1], [2, 1, -1, -2], [1, -1, -1, 1], [1, -2, 2, -1]];
+        let (a, b): (usize, usize) = (rng.gen_range(0..4), rng.gen_range(0..4));
+        let sign = if rng.gen() { 255 } else { -255 };
+        core::array::from_fn(|i| {
+            core::array::from_fn(|l| match regime {
+                0 => rng.gen_range(-255..=255),
+                1 => [-255, 255][rng.gen_range(0..2usize)],
+                2 => rng.gen_range(-3..=3),
+                _ => sign * (CF[a][i] * CF[b][l % 4]).signum(),
+            })
+        })
+    }
+
+    /// `isa`'s pair against one `quant::tq_block` per block, levels and
+    /// non-zero bits, in every regime of [`residual_pair`] at every QP,
+    /// intra and inter.
+    fn check_tq_pair<I: TqIsa>(isa: I) {
+        let mut rng = StdRng::seed_from_u64(0x7E0);
+        for round in 0..40_000usize {
+            let (qp, intra) = ((round / 2 % 52) as u8, round % 2 == 1);
+            let rows = residual_pair(&mut rng, round / 104 % 4);
+            let want: [[i16; 16]; 2] = core::array::from_fn(|b| {
+                let block = core::array::from_fn(|i| rows[i / 4][4 * b + i % 4]);
+                crate::quant::tq_block(&block, qp, intra)
+            });
+            let nonzero = (0..2).map(|b| u8::from(want[b] != [0; 16]) << b).sum();
+            let got = isa.tq_pair(rows.each_ref(), &Quantizer::new(qp, intra));
+            assert_eq!(got, (want, nonzero), "{rows:?} QP {qp} intra {intra}");
+        }
+    }
+
+    #[test]
+    fn portable_tq_pair_is_tq_block() {
+        check_tq_pair(Portable);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_tq_pair_is_tq_block() {
+        check_tq_pair(Sse2);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_tq_pair_is_portable_for_any_i16() {
+        // Outside ±255 the `i16` butterflies wrap; both wrap alike.
+        let mut rng = StdRng::seed_from_u64(0x7E1);
+        for round in 0..40_000usize {
+            let q = Quantizer::new((round % 52) as u8, round % 3 == 0);
+            let rows: [[i16; 8]; 4] = core::array::from_fn(|_| core::array::from_fn(|_| rng.gen()));
+            let rows = rows.each_ref();
+            assert_eq!(
+                Sse2.tq_pair(rows, &q),
+                Portable.tq_pair(rows, &q),
+                "{rows:?}"
+            );
+        }
     }
 
     // ---- portable vs std::arch search primitives (direct calls) ----

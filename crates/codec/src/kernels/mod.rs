@@ -10,13 +10,15 @@
 //!   (packed-block `psadbw` under the SME refinement in [`crate::sme`], the
 //!   AVX2 `vmpsadbw` cells and running-minimum vectors of the ME search in
 //!   [`crate::me`]), the deblocking line filter of [`crate::dbl`] sixteen
-//!   lines at a time in SSE2 `i16` lanes, and for interpolation padded-row
+//!   lines at a time in SSE2 `i16` lanes, the forward TQ ([`tq_blocks`])
+//!   two 4×4 blocks per SSE2 register, and for interpolation padded-row
 //!   6-tap passes that write only the four stored phases (G, b, h, j).
 //!
-//! Kernels whose fast twin never beat the scalar loop (the quantizers, the
+//! Kernels whose fast twin never beat the scalar loop (the dequantizer, the
 //! per-candidate SAD grid, `row_sad`) have one implementation, in
-//! [`scalar`], that the product runs too; chroma coding ([`crate::chroma`])
-//! never had a twin.
+//! [`scalar`], that the product runs too. The scalar quantizer
+//! ([`quantize_4x4`]) and [`crate::quant::tq_block`] stay as the forward
+//! TQ's reference, which the product no longer runs.
 //!
 //! The product always runs [`fast`]; within it the instruction set is
 //! whatever the CPU reports — there is no switch for it. [`scalar`] stays
@@ -30,6 +32,12 @@
 
 pub mod fast;
 pub mod scalar;
+
+#[cfg(not(target_arch = "x86_64"))]
+use fast::Portable as TqFast;
+#[cfg(target_arch = "x86_64")]
+use fast::Sse2 as TqFast;
+use fast::{Quantizer, TqIsa};
 
 use crate::sad::SadGrid;
 use feves_video::plane::{Plane, PlaneBandMut};
@@ -86,10 +94,52 @@ pub fn sad_grid_16x16(
     scalar::sad_grid_16x16(cur, cur_x, cur_y, reference, ref_x, ref_y)
 }
 
-/// Quantize transformed coefficients in place (H.264 MF tables + dead-zone).
+/// Quantize transformed coefficients in place (H.264 MF tables + dead-zone):
+/// the reference of [`tq_blocks`]' quantizer lanes.
 #[inline]
 pub fn quantize_4x4(w: &mut [i32; 16], qp: u8, intra: bool) {
     scalar::quantize_4x4(w, qp, intra)
+}
+
+/// Forward TQ (core transform + quantization) of the 4×4 blocks of a
+/// region `4 · cols` samples wide, its rows `stride` apart in `src`: block
+/// `k` (raster order, `cols` to a row) is the block at `(4 · (k % cols),
+/// 4 · (k / cols))` and its levels go to `blocks[k]`. Returns the blocks
+/// with a non-zero level as bits (bit `k` ⇔ `blocks[k]`).
+///
+/// Runs two side-by-side blocks per call of the SSE2 primitive
+/// (`Portable` off x86-64). For residuals in ±255 each block equals
+/// [`crate::quant::tq_block`] — the reference tests and benches name.
+///
+/// # Panics
+/// When `cols` is odd, `blocks` is more than sixteen or not whole rows of
+/// `cols`, or `src` ends before the region does.
+#[inline]
+pub fn tq_blocks(
+    src: &[i16],
+    stride: usize,
+    cols: usize,
+    qp: u8,
+    intra: bool,
+    blocks: &mut [[i16; 16]],
+) -> u16 {
+    assert!(
+        cols.is_multiple_of(2) && blocks.len().is_multiple_of(cols) && blocks.len() <= 16,
+        "{} blocks in rows of {cols}",
+        blocks.len()
+    );
+    let q = Quantizer::new(qp, intra);
+    let mut mask = 0u16;
+    for (k, pair) in blocks.as_chunks_mut::<2>().0.iter_mut().enumerate() {
+        let at = k / (cols / 2) * 4 * stride + k % (cols / 2) * 8;
+        let rows = core::array::from_fn(|r| {
+            (src[at + r * stride..].first_chunk()).expect("the region's rows lie in `src`")
+        });
+        let nonzero;
+        (*pair, nonzero) = TqFast.tq_pair(rows, &q);
+        mask |= u16::from(nonzero) << (2 * k);
+    }
+    mask
 }
 
 /// Dequantize levels in place (result is in the inverse-transform domain).

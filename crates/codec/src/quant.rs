@@ -4,8 +4,11 @@
 //! tables (QP mod 6 periodicity, per-position frequency classes), combined
 //! with the 4×4 core transform of [`crate::transform`] into the `TQ` and
 //! `TQ⁻¹` block operations the inter-loop applies to prediction residuals.
-//! The per-coefficient loops live in [`crate::kernels`], one implementation
-//! with no fast twin.
+//!
+//! The forward TQ the encoder runs is [`crate::kernels::tq_blocks`], two
+//! blocks per SSE2 register; [`tq_block`] is its scalar reference, which
+//! tests and benches call by name. TQ⁻¹ ([`itq_block`]) has one
+//! implementation, the per-coefficient loops of [`crate::kernels`].
 
 use crate::transform::{forward_4x4, inverse_4x4};
 
@@ -29,7 +32,8 @@ pub fn dequantize_4x4(z: &mut [i32; 16], qp: u8) {
     crate::kernels::dequantize_4x4(z, qp)
 }
 
-/// Forward transform + quantize a 4×4 residual block.
+/// Forward transform + quantize a 4×4 residual block: the reference of
+/// [`crate::kernels::tq_blocks`].
 pub fn tq_block(residual: &[i16; 16], qp: u8, intra: bool) -> [i16; 16] {
     let mut w: [i32; 16] = core::array::from_fn(|i| residual[i] as i32);
     forward_4x4(&mut w);

@@ -5,9 +5,9 @@
 //! transforms and adds back the prediction to produce the reconstructed
 //! reference frame the next inter-frame will search.
 
-use crate::par;
 use crate::quant::{has_coefficients, itq_block, tq_block};
 use crate::types::MbField;
+use crate::{kernels, par};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::{Plane, PlaneBandMut};
 
@@ -38,24 +38,41 @@ impl MbField<MbCoeffs> {
 
 /// Forward TQ of MB row `mby` into `coeffs`, that row's slice of the
 /// coefficient field — its only output, so rows can run concurrently
-/// ([`crate::par`]).
+/// ([`crate::par`]). Each macroblock is one [`kernels::tq_blocks`] batch
+/// over the residual plane's rows.
 pub fn tq_row(residual: &Plane<i16>, qp: u8, intra: bool, mby: usize, coeffs: &mut [MbCoeffs]) {
-    let mut rbuf = [0i16; 16];
+    let stride = residual.stride();
+    let row = &residual.as_slice()[mby * MB_SIZE * stride..];
     for (mbx, mb) in coeffs.iter_mut().enumerate() {
-        let mut mask = 0u16;
-        for blk in 0..16 {
-            let bx = mbx * MB_SIZE + (blk % 4) * 4;
-            let by = mby * MB_SIZE + (blk / 4) * 4;
-            for row in 0..4 {
-                rbuf[row * 4..row * 4 + 4].copy_from_slice(&residual.row(by + row)[bx..bx + 4]);
+        let src = &row[mbx * MB_SIZE..];
+        mb.coded_mask = kernels::tq_blocks(src, stride, 4, qp, intra, &mut mb.blocks);
+    }
+}
+
+/// [`tq_rows`] one [`tq_block`] per 4×4 block: the reference the batch is
+/// held to by name.
+pub fn tq_rows_reference(
+    residual: &Plane<i16>,
+    qp: u8,
+    intra: bool,
+    rows: RowRange,
+    coeffs: &mut CoeffField,
+) {
+    let mb_cols = residual.width() / MB_SIZE;
+    for (mby, row) in rows.iter().zip(coeffs.rows_mut(rows).chunks_mut(mb_cols)) {
+        for (mbx, mb) in row.iter_mut().enumerate() {
+            let mut mask = 0u16;
+            for (blk, levels) in mb.blocks.iter_mut().enumerate() {
+                let bx = mbx * MB_SIZE + (blk % 4) * 4;
+                let by = mby * MB_SIZE + (blk / 4) * 4;
+                let rbuf = core::array::from_fn(|i| residual.get(bx + i % 4, by + i / 4));
+                *levels = tq_block(&rbuf, qp, intra);
+                if has_coefficients(levels) {
+                    mask |= 1 << blk;
+                }
             }
-            let levels = tq_block(&rbuf, qp, intra);
-            if has_coefficients(&levels) {
-                mask |= 1 << blk;
-            }
-            mb.blocks[blk] = levels;
+            mb.coded_mask = mask;
         }
-        mb.coded_mask = mask;
     }
 }
 

@@ -4,7 +4,10 @@
 //! [1,-1,-1,1],[1,-2,2,-1]]`, computed with exact integer butterflies.
 //! Inverse uses the standard half-pel weighted butterfly with the final
 //! `(x + 32) >> 6` rounding, matching the reference decoder bit-exactly so
-//! encoder and (hypothetical) decoder reconstruct identically.
+//! the encoder and [`crate::decoder`] reconstruct identically.
+//!
+//! [`forward_4x4`] is the reference of the forward pass the encoder runs in
+//! `i16` lanes ([`crate::kernels::tq_blocks`]).
 
 /// Forward 4×4 core transform, in place (row-major 16 coefficients).
 pub fn forward_4x4(b: &mut [i32; 16]) {

@@ -4,15 +4,19 @@
 //! candidate-major ME search and SME refinement built on it. Each must be a
 //! **bit-exact** replacement for its reference, which this suite calls by
 //! name — `me::motion_estimate_rows_reference`,
-//! `sme::sme_rows_reference`, `dbl::deblock_frame_reference` and
-//! `kernels::scalar::interp_band`. It checks that at three levels:
+//! `sme::sme_rows_reference`, `dbl::deblock_frame_reference`,
+//! `quant::tq_block` (and `recon::tq_rows_reference`, one `tq_block` per
+//! block) and `kernels::scalar::interp_band`. It checks that at three
+//! levels:
 //!
 //! 1. property-based differentials over random planes/blocks, each
 //!    reference against the product entry point on the same inputs —
 //!    including the portable and `std::arch` forms of the ME search and
 //!    SME refinement primitives, so the path a host without AVX2 (or a
 //!    non-x86 one) takes is exercised on every run (DBL's two line filters
-//!    are compared lane by lane in `kernels::fast`'s own tests);
+//!    and TQ's two pair primitives, crate-private, are compared lane by
+//!    lane in `kernels::fast`'s own tests — there also every coefficient
+//!    a ±255 residual reaches goes through the quantizer lanes at every QP);
 //! 2. a real QCIF encode: on every frame each reference, run on the inputs
 //!    the encoder used, writes what the product wrote, and the decoder
 //!    reproduces the encoder's reconstruction;
@@ -345,6 +349,96 @@ proptest! {
     }
 }
 
+/// A residual sample in `regime`: anywhere in ±255, ±255 only, or near
+/// zero, where most levels quantize to 0 — or, at `(x, y)`, 255 signed as
+/// the basis function `(a, b)` of the 4×4 transform, which drives that
+/// coefficient of every block to the butterflies' bound of 9 180.
+fn residual_sample(
+    regime: u64,
+    draw: &mut impl FnMut(u64) -> u64,
+    (x, y): (usize, usize),
+    (a, b): (usize, usize),
+) -> i16 {
+    const CF: [[i16; 4]; 4] = [[1, 1, 1, 1], [2, 1, -1, -2], [1, -1, -1, 1], [1, -2, 2, -1]];
+    match regime {
+        0 => draw(511) as i16 - 255,
+        1 => [-255, 255][draw(2) as usize],
+        2 => draw(7) as i16 - 3,
+        _ => 255 * (CF[a][y % 4] * CF[b][x % 4]).signum(),
+    }
+}
+
+/// One `tq_block` per block of a region `cols` blocks wide: the levels and
+/// the non-zero bits the batches must return.
+fn tq_by_block(
+    src: &[i16],
+    stride: usize,
+    cols: usize,
+    n: usize,
+    qp: u8,
+    intra: bool,
+) -> (Vec<[i16; 16]>, u16) {
+    let levels: Vec<[i16; 16]> = (0..n)
+        .map(|k| {
+            let (bx, by) = (k % cols * 4, k / cols * 4);
+            let block = core::array::from_fn(|i| src[(by + i / 4) * stride + bx + i % 4]);
+            feves::codec::quant::tq_block(&block, qp, intra)
+        })
+        .collect();
+    let mask = (levels.iter().enumerate())
+        .map(|(k, l)| u16::from(feves::codec::quant::has_coefficients(l)) << k)
+        .sum();
+    (levels, mask)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The forward TQ batches the encoder runs — luma's per macroblock
+    /// (`recon::tq_row` over the residual plane), chroma's per 8×8
+    /// component and I16's per 16×16 macroblock (`kernels::tq_blocks` on
+    /// the buffers those callers fill) — against one `quant::tq_block` per
+    /// block, levels and coded masks, at every QP, intra and inter, over
+    /// random residuals and the saturating ±255 patterns.
+    #[test]
+    fn prop_tq_batches_match_tq_block(seed in any::<u64>(), qp in 0u8..=51, intra in any::<bool>(), mb_cols in 1usize..4) {
+        use feves::codec::recon::{tq_row, MbCoeffs};
+        let mut s = seed | 1;
+        let mut draw = |n: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % n
+        };
+        let regime = draw(4);
+        let basis = (draw(4) as usize, draw(4) as usize);
+        let (w, h) = (mb_cols * 16, 32);
+        let residual = Plane::from_fn(w, h, |x, y| residual_sample(regime, &mut draw, (x, y), basis));
+        for mby in 0..2 {
+            let mut row = vec![MbCoeffs::default(); mb_cols];
+            tq_row(&residual, qp, intra, mby, &mut row);
+            for (mbx, mb) in row.iter().enumerate() {
+                let src = &residual.as_slice()[mby * 16 * w + mbx * 16..];
+                let (levels, mask) = tq_by_block(src, w, 4, 16, qp, intra);
+                prop_assert_eq!(&mb.blocks[..], &levels[..]);
+                prop_assert_eq!(mb.coded_mask, mask);
+            }
+        }
+
+        let chroma: [i16; 64] = core::array::from_fn(|i| residual_sample(regime, &mut draw, (i % 8, i / 8), basis));
+        let mut blocks = [[0i16; 16]; 4];
+        let mask = feves::codec::kernels::tq_blocks(&chroma, 8, 2, qp, intra, &mut blocks);
+        let (levels, want) = tq_by_block(&chroma, 8, 2, 4, qp, intra);
+        prop_assert_eq!(&blocks[..], &levels[..]);
+        prop_assert_eq!(mask, want);
+
+        let mb: [i16; 256] = core::array::from_fn(|i| residual_sample(regime, &mut draw, (i % 16, i / 16), basis));
+        let mut blocks = [[0i16; 16]; 16];
+        let mask = feves::codec::kernels::tq_blocks(&mb, 16, 4, qp, intra, &mut blocks);
+        let (levels, want) = tq_by_block(&mb, 16, 4, 16, qp, intra);
+        prop_assert_eq!(&blocks[..], &levels[..]);
+        prop_assert_eq!(mask, want);
+    }
+}
+
 fn params_sa(sa: u16) -> EncodeParams {
     EncodeParams {
         search_area: SearchArea(sa),
@@ -358,9 +452,9 @@ fn params() -> EncodeParams {
 }
 
 /// Each reference, run on the inputs `encode_inter_frame` used for `out`,
-/// writes what the product wrote: ME, INT (the store's SFs), SME and DBL.
-/// DBL's input, the reconstruction before the filter, is rebuilt from the
-/// encoder's own fields by MC and TQ⁻¹.
+/// writes what the product wrote: ME, INT (the store's SFs), SME, TQ and
+/// DBL. DBL's input, the reconstruction before the filter, is rebuilt from
+/// the encoder's own fields by MC and TQ⁻¹.
 fn references_agree(
     cf: &Plane<u8>,
     store: &ReferenceStore,
@@ -370,7 +464,7 @@ fn references_agree(
 ) {
     use feves::codec::dbl::{deblock_frame, deblock_frame_reference};
     use feves::codec::mc::{mc_rows, ModeField};
-    use feves::codec::recon::itq_recon_rows;
+    use feves::codec::recon::{itq_recon_rows, tq_rows_reference, CoeffField};
     let (w, h) = (cf.width(), cf.height());
     let (mb_cols, mb_rows) = (w / 16, h / 16);
     let rows = RowRange::new(0, mb_rows);
@@ -405,6 +499,9 @@ fn references_agree(
         &mut residual,
     );
     assert!(modes == out.modes, "{what}: MC");
+    let mut coeffs = CoeffField::new(mb_cols, mb_rows);
+    tq_rows_reference(&residual, params.qp, false, rows, &mut coeffs);
+    assert!(coeffs == out.coeffs, "{what}: TQ");
     let mut unfiltered = Plane::new(w, h);
     itq_recon_rows(&out.coeffs, &pred, params.qp, rows, &mut unfiltered);
     let mut product = unfiltered.clone();
