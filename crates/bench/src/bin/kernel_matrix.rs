@@ -7,7 +7,8 @@
 //! `quant::tq_block` per 4×4 block — and `kernels::scalar::interp_band`), across
 //! block sizes and resolutions: first *verifying* that both produce
 //! identical outputs (any mismatch exits non-zero — this is the
-//! differential gate CI runs), then timing them and emitting
+//! differential gate CI runs), then timing them — the two columns of a row
+//! in alternated rounds, each reported as its median round — and emitting
 //! machine-readable baselines:
 //!
 //! * `BENCH_kernels.json` — per-kernel per-case ns/iter for the reference
@@ -88,18 +89,50 @@ fn smooth(w: usize, h: usize, seed: usize) -> Plane<u8> {
     })
 }
 
-/// Time `iters` calls of `f` after a short warmup; returns ns per call.
-/// A row times the reference, then the product, on the same buffers.
-fn time(iters: u64, mut f: impl FnMut()) -> f64 {
-    // Warmup: a few iterations to touch caches.
-    for _ in 0..iters.div_ceil(10).max(1) {
-        f();
+/// Rounds each row's two columns are timed in.
+const ROUNDS: u64 = 7;
+
+/// One row's timing: calls per column and the median ns per call of the
+/// reference and of the product.
+struct Timing {
+    iters: u64,
+    scalar: f64,
+    fast: f64,
+}
+
+/// Time `f(false)` (the reference) against `f(true)` (the product) on the
+/// same buffers, after a short warmup of each: `ROUNDS` rounds of about
+/// `iters / ROUNDS` calls per column, the reference first in even rounds
+/// and the product first in odd ones. Each column reports its median
+/// round: the host's drift falls on both columns alike, and a round in
+/// which the host stalled drops out.
+fn time_pair(iters: u64, mut f: impl FnMut(bool)) -> Timing {
+    let per_round = iters.div_ceil(ROUNDS);
+    for product in [false, true] {
+        for _ in 0..per_round.div_ceil(10) {
+            f(product);
+        }
     }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
+    let mut ns = [Vec::new(), Vec::new()];
+    for round in 0..ROUNDS {
+        let first = (round % 2) as usize;
+        for column in [first, 1 - first] {
+            let t0 = Instant::now();
+            for _ in 0..per_round {
+                f(column == 1);
+            }
+            ns[column].push(t0.elapsed().as_nanos() as f64 / per_round as f64);
+        }
     }
-    t0.elapsed().as_nanos() as f64 / iters as f64
+    let [scalar, fast] = ns.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    });
+    Timing {
+        iters: per_round * ROUNDS,
+        scalar,
+        fast,
+    }
 }
 
 /// A rows entry point of ME: the product's or its reference.
@@ -446,7 +479,10 @@ fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize
 fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> Vec<KernelRecord> {
     let div = if quick { 10 } else { 1 };
     let mut records = Vec::new();
-    let mut push = |kernel: &str, case: &str, iters: u64, (s, f): (f64, f64)| {
+    // `units` is what one call covers (macroblocks for the ME search),
+    // and the row reports per unit.
+    let mut push = |kernel: &str, case: &str, units: u64, t: Timing| {
+        let (s, f) = (t.scalar / units as f64, t.fast / units as f64);
         println!(
             "{kernel:>16} {case:>12}: scalar {s:>10.1} ns  fast {f:>10.1} ns  speedup {:>5.2}x",
             s / f
@@ -454,7 +490,7 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
         records.push(KernelRecord {
             kernel: kernel.into(),
             case: case.into(),
-            iters,
+            iters: t.iters * units,
             scalar_ns_per_iter: s,
             fast_ns_per_iter: f,
             speedup: s / f,
@@ -478,14 +514,17 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
         };
         let calls = (2_000 * 32 * 32 / (sa as u64 * sa as u64) / div as u64 / MBS).max(1);
         let mut out = vec![MbMotion::default(); MBS as usize];
-        let mut search = |search: Search| {
+        let t = time_pair(calls, |product| {
+            let search: Search = if product {
+                motion_estimate_rows
+            } else {
+                motion_estimate_rows_reference
+            };
             let cur = std::hint::black_box(&cur);
             search(cur, &[std::hint::black_box(&rf)], &params, row, &mut out);
             std::hint::black_box(&out);
-        };
-        let s = time(calls, || search(motion_estimate_rows_reference)) / MBS as f64;
-        let f = time(calls, || search(motion_estimate_rows)) / MBS as f64;
-        push("me_search", &format!("sa{sa}"), calls * MBS, (s, f));
+        });
+        push("me_search", &format!("sa{sa}"), MBS, t);
     }
 
     // SME as the encoder runs it: `sme_rows` over one interior MB row (41
@@ -494,14 +533,15 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
     for case in sme_cases {
         let iters = 40_000 / case.cf.width() as u64 * 16 / div as u64;
         let mby = case.mb_rows() / 2;
-        let refine = |refine: Refine| {
+        let t = time_pair(iters, |product| {
+            let refine: Refine = if product {
+                sme_rows
+            } else {
+                sme_rows_reference
+            };
             std::hint::black_box(std::hint::black_box(case).refine_row(refine, mby));
-        };
-        let t = (
-            time(iters, || refine(sme_rows_reference)),
-            time(iters, || refine(sme_rows)),
-        );
-        push("sme_refine", &format!("{}_row", case.name), iters, t);
+        });
+        push("sme_refine", &format!("{}_row", case.name), 1, t);
     }
 
     // The serial tail as the encoder runs it: a whole frame of DBL (with
@@ -510,36 +550,33 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
     for case in tail_cases {
         let iters = 400 * (352 * 288) / case.recon.as_slice().len() as u64 / div as u64;
         let mut out = case.recon.clone();
-        let mut deblock = |deblock: Deblock| {
+        let t = time_pair(iters, |product| {
+            let deblock: Deblock = if product {
+                deblock_frame
+            } else {
+                deblock_frame_reference
+            };
             std::hint::black_box(case).deblock(deblock, &mut out);
             std::hint::black_box(&out);
-        };
-        let t = (
-            time(iters, || deblock(deblock_frame_reference)),
-            time(iters, || deblock(deblock_frame)),
-        );
-        push("deblock", &format!("{}_frame", case.name), iters, t);
+        });
+        push("deblock", &format!("{}_frame", case.name), 1, t);
         // One form: both columns time the same code.
         let (mut coeffs, mut u, mut v) = case.chroma_outputs();
-        let mut chroma = || {
+        let t = time_pair(iters, |_| {
             std::hint::black_box(std::hint::black_box(case).chroma(&mut coeffs, &mut u, &mut v));
-        };
-        let t = (time(iters, &mut chroma), time(iters, &mut chroma));
-        push("chroma_inter", &format!("{}_frame", case.name), iters, t);
+        });
+        push("chroma_inter", &format!("{}_frame", case.name), 1, t);
         // The whole frame's forward TQ as the encoder's rows run it, into
         // coefficients that already exist.
         let all = RowRange::new(0, case.modes.mb_rows());
         let mut coeffs = CoeffField::new(case.modes.mb_cols(), case.modes.mb_rows());
-        let mut tq = |tq: Tq| {
+        let t = time_pair(iters, |product| {
+            let tq: Tq = if product { tq_rows } else { tq_rows_reference };
             let case = std::hint::black_box(case);
             tq(&case.residual, case.qp, false, all, &mut coeffs);
             std::hint::black_box(&coeffs);
-        };
-        let t = (
-            time(iters, || tq(tq_rows_reference)),
-            time(iters, || tq(tq_rows)),
-        );
-        push("tq", &format!("{}_frame", case.name), iters, t);
+        });
+        push("tq", &format!("{}_frame", case.name), 1, t);
     }
 
     // Full-frame interpolation at three resolutions, as each form stores
@@ -555,14 +592,15 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
     ] {
         let src = textured(w, h, 11);
         let iters = (40u64 * (1280 * 720) as u64 / (w * h) as u64 / div as u64).max(1);
-        let interp = |kernel: BandKernel, n: usize| {
+        let t = time_pair(iters, |product| {
+            let (kernel, n): (BandKernel, usize) = if product {
+                (interp_band, 4)
+            } else {
+                (scalar::interp_band, 16)
+            };
             std::hint::black_box(phases_by(kernel, n, std::hint::black_box(&src)));
-        };
-        let t = (
-            time(iters, || interp(scalar::interp_band, 16)),
-            time(iters, || interp(interp_band, 4)),
-        );
-        push("interpolate", name, iters, t);
+        });
+        push("interpolate", name, 1, t);
     }
 
     records

@@ -22,6 +22,13 @@
 //! The row kernel itself lives in [`crate::kernels`]: the product's fast
 //! path hoists the border clamping into padded rows, bit-exact against the
 //! reference `kernels::scalar::interp_band` on the four stored phases.
+//!
+//! A fetch across the frame's edge repeats the edge sample. Row by row it
+//! is span copies: a constant run left of the frame, one contiguous copy
+//! and a constant run right of it — of the stored plane for a stored
+//! phase, of each of the two stored sources for an averaged one, whose
+//! runs follow [`SubpelFrame::sample`]'s clamp-first rule. The per-sample
+//! loops they replace are kept as the test definitions.
 
 use crate::kernels::avg;
 use crate::par;
@@ -128,13 +135,14 @@ impl SubpelFrame {
     }
 
     /// The `w × h` block (`w, h ≤ 16`) whose top-left sample sits at
-    /// quarter-pel `(qx, qy)`, for SME, MC and the decoder alike. A stored
-    /// phase is a view into its plane when the block is inside it, else a
-    /// copy into `tile` in which samples beyond an edge repeat that edge's
-    /// row or column. Any other phase is written into `tile`: the average
-    /// of its two stored blocks when both are inside the frame, else by
-    /// [`Self::sample`]'s clamp-first rule — the one place these rules are
-    /// written down.
+    /// quarter-pel `(qx, qy)`, for MC, the decoder and the SME reference
+    /// alike. A stored phase is a view into its plane when the block is
+    /// inside it, else a copy into `tile` in which samples beyond an edge
+    /// repeat that edge's row or column. Any other phase is written into
+    /// `tile`: the average of its two stored blocks when both are inside
+    /// the frame, else by [`Self::sample`]'s clamp-first rule — the one
+    /// place these rules are written down, with [`Self::window`] for the
+    /// windows SME streams.
     #[inline(always)]
     pub fn block<'a>(
         &'a self,
@@ -149,6 +157,49 @@ impl SubpelFrame {
         } else {
             self.averaged_block(qx, qy, w, h, tile)
         }
+    }
+
+    /// The `w × h` full-pel samples from `(x0, y0)` (`w, h ≤ 18`) of each
+    /// stored plane — G, b, h, j — as a slice that starts at the first of
+    /// them, with the stride of their rows: views into the planes when the
+    /// window is inside the frame, else copies into `tile` in which samples
+    /// beyond the right or bottom edge repeat that edge ([`clamped_span`]
+    /// per row). SME reads every candidate of a partition from one window;
+    /// there is no left or top form, because an averaged phase left of or
+    /// above the frame clamps before it averages ([`Self::sample`]) and so
+    /// is no average of repeated stored samples.
+    pub(crate) fn window<'a>(
+        &'a self,
+        (x0, y0): (usize, usize),
+        w: usize,
+        h: usize,
+        tile: &'a mut WindowTile,
+    ) -> ([&'a [u8]; 4], usize) {
+        // The four planes share their geometry, so their stride.
+        let stride = self.planes[0].stride();
+        if x0 + w <= self.width && y0 + h <= self.height {
+            let first = y0 * stride + x0;
+            return (
+                self.planes.each_ref().map(|p| &p.as_slice()[first..]),
+                stride,
+            );
+        }
+        assert!(
+            w <= WINDOW && h <= WINDOW,
+            "{w}x{h} window exceeds the tile"
+        );
+        let last_y = self.height - 1;
+        for (plane, tile) in self.planes.iter().zip(tile.iter_mut()) {
+            for (r, dst) in tile.chunks_exact_mut(WINDOW).take(h).enumerate() {
+                clamped_span(
+                    plane.row((y0 + r).min(last_y)),
+                    x0 as isize,
+                    0,
+                    &mut dst[..w],
+                );
+            }
+        }
+        (tile.each_ref().map(|t| &t[..]), WINDOW)
     }
 
     /// [`Self::block`] of a position that is not stored; out of line.
@@ -193,10 +244,38 @@ impl SubpelFrame {
     }
 
     /// The border path of an averaged [`Self::block`]: [`Self::sample`]'s
-    /// rule row by row — clamp the full-pel row and column first, then take
-    /// each stored source beside them, clamped again only towards the
-    /// right and bottom edges.
+    /// rule row by row — clamp the full-pel row first, then take each
+    /// stored source's row beside it, clamped again only at the bottom. In
+    /// a row, each source is three runs ([`clamped_span`]): the constant
+    /// its clamp-first column takes left of the frame (`G[1]` for `c` at
+    /// `x = −1`), one contiguous span and the constant of the last column;
+    /// the two are then averaged whole.
     fn averaged_clamped(&self, qx: i32, qy: i32, w: usize, h: usize, tile: &mut Tile) {
+        let (fx, fy) = (qx & 3, qy & 3);
+        // Every source of a phase is at a full-pel offset of 0 or 1.
+        let [a, b] = SOURCES[(fy * 4 + fx) as usize].map(|(ox, oy)| {
+            let (sx, sy) = (fx + ox, fy + oy);
+            (self.stored(sx, sy), (sx >> 2) as usize, (sy >> 2) as usize)
+        });
+        let last_y = self.height - 1;
+        let (x0, y0) = ((qx >> 2) as isize, (qy >> 2) as isize);
+        let (mut ra, mut rb) = ([0; TILE], [0; TILE]);
+        for (r, dst) in tile.chunks_exact_mut(TILE).take(h).enumerate() {
+            let y = (y0 + r as isize).clamp(0, last_y as isize) as usize;
+            clamped_span(a.0.row((y + a.2).min(last_y)), x0, a.1, &mut ra[..w]);
+            clamped_span(b.0.row((y + b.2).min(last_y)), x0, b.1, &mut rb[..w]);
+            for ((d, &s), &t) in dst[..w].iter_mut().zip(&ra).zip(&rb) {
+                *d = avg(s, t);
+            }
+        }
+    }
+
+    /// The definition of [`Self::averaged_clamped`], sample by sample:
+    /// clamp the full-pel row and column first, then take each stored
+    /// source beside them, clamped again only towards the right and bottom
+    /// edges.
+    #[cfg(test)]
+    fn averaged_clamped_per_sample(&self, qx: i32, qy: i32, w: usize, h: usize, tile: &mut Tile) {
         let (fx, fy) = (qx & 3, qy & 3);
         let [a, b] = SOURCES[(fy * 4 + fx) as usize].map(|(ox, oy)| {
             let (sx, sy) = (fx + ox, fy + oy);
@@ -300,6 +379,14 @@ const TILE: usize = MB_SIZE;
 /// Scratch for a block that straddles the frame edge, row stride 16.
 pub type Tile = [u8; TILE * TILE];
 
+/// Side of the largest window [`SubpelFrame::window`] serves: a macroblock
+/// and one sample on each side.
+pub(crate) const WINDOW: usize = TILE + 2;
+
+/// Room for a window that crosses the frame's right or bottom edge: one
+/// `WINDOW × WINDOW` block per stored plane, row stride `WINDOW`.
+pub type WindowTile = [[u8; WINDOW * WINDOW]; 4];
+
 /// A block of samples as a raster view: row `r` is
 /// `data[offset + r * stride..][..w]`.
 #[derive(Clone, Copy, Debug)]
@@ -329,10 +416,29 @@ impl<'a> BlockRef<'a> {
 }
 
 /// The border path of [`SubpelFrame::block`] for a stored phase, out of
-/// line: row by row, clamp the row index, then the column of each sample.
+/// line: row by row, clamp the row index, then copy the row's three runs
+/// ([`clamped_span`]).
 #[inline(never)]
 fn copy_clamped(plane: &Plane<u8>, x0: isize, y0: isize, w: usize, h: usize, tile: &mut Tile) {
     assert!(w <= TILE && h <= TILE, "{w}x{h} block exceeds the tile");
+    let last_y = plane.height() as isize - 1;
+    for (r, dst) in tile.chunks_exact_mut(TILE).take(h).enumerate() {
+        let src = plane.row((y0 + r as isize).clamp(0, last_y) as usize);
+        clamped_span(src, x0, 0, &mut dst[..w]);
+    }
+}
+
+/// The definition of [`copy_clamped`], sample by sample: clamp the row
+/// index, then the column of each sample.
+#[cfg(test)]
+fn copy_clamped_per_sample(
+    plane: &Plane<u8>,
+    x0: isize,
+    y0: isize,
+    w: usize,
+    h: usize,
+    tile: &mut Tile,
+) {
     let (last_x, last_y) = (plane.width() as isize - 1, plane.height() as isize - 1);
     for (r, dst) in tile.chunks_exact_mut(TILE).take(h).enumerate() {
         let src = plane.row((y0 + r as isize).clamp(0, last_y) as usize);
@@ -340,6 +446,27 @@ fn copy_clamped(plane: &Plane<u8>, x0: isize, y0: isize, w: usize, h: usize, til
             *d = src[(x0 + c as isize).clamp(0, last_x) as usize];
         }
     }
+}
+
+/// `dst[c] = src[min(clamp(x0 + c) + ox, last)]` for every `c`, where
+/// `clamp` keeps a column inside `src` and `last` is its last: a stored
+/// source `ox ∈ {0, 1}` columns right of a clamped full-pel column, as
+/// three runs — `src[min(ox, last)]` left of the row, one contiguous copy,
+/// then `src[last]`.
+#[inline]
+fn clamped_span(src: &[u8], x0: isize, ox: usize, dst: &mut [u8]) {
+    let (w, last) = (dst.len() as isize, src.len() - 1);
+    // Columns `c < lo` are left of the row; `lo <= c < hi` read
+    // `x0 + c + ox` itself, which is at most `last`.
+    let lo = (-x0).clamp(0, w);
+    let hi = ((src.len() - ox) as isize - x0).clamp(lo, w);
+    let (lo, hi) = (lo as usize, hi as usize);
+    dst[..lo].fill(src[ox.min(last)]);
+    if lo < hi {
+        let from = (x0 + lo as isize) as usize + ox;
+        dst[lo..hi].copy_from_slice(&src[from..from + (hi - lo)]);
+    }
+    dst[hi..].fill(src[last]);
 }
 
 /// The four stored bands of one MB row of a [`SubpelFrame`]
@@ -543,6 +670,60 @@ mod tests {
             assert_eq!(sf.sample(qx as isize, qy as isize), exact, "{name}: sample");
             let block = sf.block(qx, qy, 4, 4, &mut tile);
             assert_eq!(block.data[block.offset], exact, "{name}: block");
+        }
+    }
+
+    proptest::proptest! {
+        /// The span forms of the border paths against their per-sample
+        /// definitions: `copy_clamped` on each stored plane, and
+        /// `averaged_clamped` on each of the twelve averaged phases, for
+        /// every partition shape at random positions up to SA/2 + 16
+        /// samples outside every edge (ME's vectors reach SA/2 beyond the
+        /// macroblock); and `window` against the clamped planes there too,
+        /// right of and below the frame.
+        #[test]
+        fn span_copies_equal_the_per_sample_fetch(
+            seed in proptest::prelude::any::<u64>(),
+            (pw, ph) in (1usize..=40, 1usize..=40),
+            sa in proptest::prop_oneof![
+                proptest::prelude::Just(8usize),
+                proptest::prelude::Just(16),
+                proptest::prelude::Just(32),
+                proptest::prelude::Just(64),
+            ],
+            (u, v) in (proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>()),
+        ) {
+            let rf = Plane::from_fn(pw, ph, |x, y| {
+                ((x as u64 * 37 + seed) ^ (y as u64 * 101 + (seed >> 13))).wrapping_mul(13) as u8
+            });
+            let sf = interpolate(&rf);
+            let m = sa / 2 + 16;
+            let at = |r: u32, len: usize| -(m as isize) + (r as usize % (len + 2 * m)) as isize;
+            let (x0, y0) = (at(u, pw), at(v, ph));
+            let (mut want, mut got) = ([0xA5; 256], [0x5A; 256]);
+            for mode in ALL_PARTITION_MODES {
+                let (w, h) = mode.dims();
+                for plane in &sf.planes {
+                    copy_clamped_per_sample(plane, x0, y0, w, h, &mut want);
+                    copy_clamped(plane, x0, y0, w, h, &mut got);
+                    proptest::prop_assert_eq!(want, got, "{:?} stored at {},{}", mode, x0, y0);
+                }
+                for phase in (0..16).filter(|k| k & 5 != 0) {
+                    let (qx, qy) = (4 * x0 as i32 + phase % 4, 4 * y0 as i32 + phase / 4);
+                    sf.averaged_clamped_per_sample(qx, qy, w, h, &mut want);
+                    sf.averaged_clamped(qx, qy, w, h, &mut got);
+                    proptest::prop_assert_eq!(want, got, "{:?} phase {} at {},{}", mode, phase, x0, y0);
+                }
+                let first = (x0.max(0) as usize, y0.max(0) as usize);
+                let mut tile = [[0; WINDOW * WINDOW]; 4];
+                let (planes, stride) = sf.window(first, w + 2, h + 2, &mut tile);
+                for (plane, window) in sf.planes.iter().zip(planes) {
+                    for (r, c) in (0..h + 2).flat_map(|r| (0..w + 2).map(move |c| (r, c))) {
+                        let (x, y) = ((first.0 + c) as isize, (first.1 + r) as isize);
+                        proptest::prop_assert_eq!(window[r * stride + c], plane.get_clamped(x, y));
+                    }
+                }
+            }
         }
     }
 

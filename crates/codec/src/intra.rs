@@ -317,7 +317,12 @@ fn code_mb_i4(
             bits += 6 * levels.iter().filter(|&&v| v != 0).count() as u64;
         }
         mb.blocks[blk] = levels;
-        let r = itq_block(&levels, qp);
+        // An uncoded block reconstructs to its clipped prediction.
+        let r = if coded {
+            itq_block(&levels, qp)
+        } else {
+            [0; 16]
+        };
         for y in 0..4 {
             for x in 0..4 {
                 let v = (best_pred[y * 4 + x] + r[y * 4 + x]).clamp(0, 255) as u8;
@@ -374,9 +379,10 @@ pub fn encode_intra_frame(cf: &Plane<u8>, qp: u8) -> IntraFrameResult {
             // Trial-code the macroblock in I4×4 (mutates recon); if the
             // 16×16 mode wins the Lagrangian comparison (its header is ~45
             // bits lighter), restore and code I16 instead.
-            let backup: Vec<Vec<u8>> = (0..MB_SIZE)
-                .map(|row| recon.row(cy + row)[cx..cx + MB_SIZE].to_vec())
-                .collect();
+            let mut backup = [[0u8; MB_SIZE]; MB_SIZE];
+            for (row, data) in backup.iter_mut().enumerate() {
+                data.copy_from_slice(&recon.row(cy + row)[cx..cx + MB_SIZE]);
+            }
             let (mb4, cost4, bits4) = code_mb_i4(cf, &mut recon, cx, cy, qp);
             let header_penalty = (crate::mc::lambda_mode(qp) * 45.0).round() as u32;
             if cost4.saturating_add(header_penalty) < best_cost {
@@ -404,12 +410,15 @@ pub fn encode_intra_frame(cf: &Plane<u8>, qp: u8) -> IntraFrameResult {
             for (blk, levels) in mb.blocks.iter().enumerate() {
                 let bx = (blk % 4) * 4;
                 let by = (blk / 4) * 4;
-                if mb.coded_mask & (1 << blk) != 0 {
+                // An uncoded block reconstructs to its clipped prediction.
+                let r = if mb.coded_mask & (1 << blk) != 0 {
                     // ~6 bits per non-zero level is a serviceable estimate;
                     // exact numbers come from the entropy coder.
                     bits += 6 * levels.iter().filter(|&&v| v != 0).count() as u64;
-                }
-                let r = itq_block(levels, qp);
+                    itq_block(levels, qp)
+                } else {
+                    [0; 16]
+                };
                 for row in 0..4 {
                     for col in 0..4 {
                         let idx = (by + row) * MB_SIZE + bx + col;
@@ -448,6 +457,14 @@ mod tests {
             "only the first MB may carry levels, got {}",
             r.coeffs.nonzero_levels()
         );
+    }
+
+    #[test]
+    fn an_uncoded_block_adds_nothing_to_its_prediction() {
+        // Why I16 and I4 skip TQ⁻¹ on a block without levels.
+        for qp in 0..=51 {
+            assert_eq!(itq_block(&[0; 16], qp), [0; 16], "QP {qp}");
+        }
     }
 
     #[test]

@@ -27,38 +27,83 @@ use feves_video::plane::{Plane, PlaneBandMut};
 // Refinement primitives (SME)
 // ---------------------------------------------------------------------------
 
-/// The three operations the sub-pel refinement ([`crate::sme`]) is built
-/// from, over **packed** blocks: a `W × H` partition is `N = W·H / 16` rows
-/// of sixteen bytes — one block row per packed row at width 16, two at
-/// width 8, four at width 4 — so every byte of every `psadbw` is a sample
-/// and a 4×4 SAD is one instruction.
+/// What the sub-pel refinement ([`crate::sme`]) is built from, over
+/// **packed** rows: a `W × H` partition is `N = W·H / 16` rows of sixteen
+/// bytes — one block row per packed row at width 16, two at width 8, four
+/// at width 4 — so every byte of every `psadbw` is a sample and a 4×4 SAD
+/// is one instruction.
+///
+/// The primitives work one packed row at a time, so a caller can stream a
+/// block's rows through registers and keep one running SAD per candidate
+/// ([`Self::row`], [`Self::sad_row`], [`Self::avg`]); [`Self::load`] and
+/// [`Self::sad`] are their whole-block forms.
 ///
 /// [`Portable`] is the definition (and what `sme::sme_rows_reference` runs);
-/// [`Sse2`] is the same three on `movd`/`movq`/`movdqu`, `psadbw` and
-/// `pavgb`. The refinement body is written once against this trait.
+/// [`Sse2`] is the same on `movd`/`movq`/`movdqu`, `psadbw` and `pavgb`.
+/// The refinement body is written once against this trait.
 pub trait RefineIsa: Copy {
     /// Sixteen packed samples.
     type Row: Copy;
 
+    /// A running SAD.
+    type Sum: Copy;
+
+    /// Packed row `i` of the `W`-wide block whose first sample is
+    /// `src[off]` and whose rows are `stride` apart: its block rows
+    /// `i·16/W ..= (i + 1)·16/W − 1`.
+    ///
+    /// # Safety
+    /// The last of those block rows must be inside `src`:
+    /// `off + ((i + 1)·16/W − 1)·stride + W <= src.len()`. [`Self::load`]
+    /// checks that once per block, the SME walk once per partition
+    /// window; [`Sse2`] reads without a further check.
+    unsafe fn row<const W: usize>(
+        self,
+        src: &[u8],
+        off: usize,
+        stride: usize,
+        i: usize,
+    ) -> Self::Row;
+
+    /// The SAD of nothing.
+    fn zero(self) -> Self::Sum;
+
+    /// `sum` plus the SAD of two packed rows.
+    fn sad_row(self, sum: Self::Sum, a: Self::Row, b: Self::Row) -> Self::Sum;
+
+    /// The SAD `sum` holds.
+    fn total(self, sum: Self::Sum) -> u32;
+
+    /// The rounded average `(a + b + 1) >> 1` of two packed rows, sample
+    /// by sample: the H.264 quarter-pel combiner.
+    fn avg(self, a: Self::Row, b: Self::Row) -> Self::Row;
+
     /// Pack the `W × H` block whose first sample is `src[off]` and whose
-    /// rows are `stride` apart.
+    /// rows are `stride` apart: [`Self::row`] for every packed row.
     ///
     /// # Panics
     /// When the block's span `off + (H − 1)·stride + W` leaves `src`, in
     /// every build profile — the check the raw loads of [`Sse2`] rest on.
+    #[inline(always)]
     fn load<const W: usize, const H: usize, const N: usize>(
         self,
         src: &[u8],
         off: usize,
         stride: usize,
-    ) -> [Self::Row; N];
+    ) -> [Self::Row; N] {
+        check_span::<W, H, N>(src.len(), off, stride);
+        // SAFETY: `check_span` just proved `off + (H − 1)·stride + W <=
+        // src.len()`, and packed row `i < N` ends at block row
+        // `(i + 1)·16/W − 1 <= H − 1`.
+        core::array::from_fn(|i| unsafe { self.row::<W>(src, off, stride, i) })
+    }
 
     /// SAD of two packed blocks.
-    fn sad<const N: usize>(self, a: &[Self::Row; N], b: &[Self::Row; N]) -> u32;
-
-    /// The rounded average `(a + b + 1) >> 1` of two packed blocks, sample
-    /// by sample: the H.264 quarter-pel combiner.
-    fn avg<const N: usize>(self, a: &[Self::Row; N], b: &[Self::Row; N]) -> [Self::Row; N];
+    #[inline(always)]
+    fn sad<const N: usize>(self, a: &[Self::Row; N], b: &[Self::Row; N]) -> u32 {
+        let sum = (a.iter().zip(b)).fold(self.zero(), |sum, (&x, &y)| self.sad_row(sum, x, y));
+        self.total(sum)
+    }
 }
 
 /// The span check of [`RefineIsa::load`]: `N` packs exactly `W × H`, and
@@ -87,34 +132,46 @@ fn check_span<const W: usize, const H: usize, const N: usize>(
 
 impl RefineIsa for Portable {
     type Row = [u8; 16];
+    type Sum = u32;
 
     #[inline(always)]
-    fn load<const W: usize, const H: usize, const N: usize>(
+    unsafe fn row<const W: usize>(
         self,
         src: &[u8],
         off: usize,
         stride: usize,
-    ) -> [[u8; 16]; N] {
-        check_span::<W, H, N>(src.len(), off, stride);
-        let mut rows = [[0u8; 16]; N];
-        for r in 0..H {
-            rows[r * W / 16][r * W % 16..][..W].copy_from_slice(&src[off + r * stride..][..W]);
+        i: usize,
+    ) -> [u8; 16] {
+        const { assert!(W == 4 || W == 8 || W == 16, "partition widths only") };
+        let mut row = [0u8; 16];
+        for (r, dst) in row.chunks_exact_mut(W).enumerate() {
+            dst.copy_from_slice(&src[off + (i * 16 / W + r) * stride..][..W]);
         }
-        rows
+        row
     }
 
     #[inline(always)]
-    fn sad<const N: usize>(self, a: &[[u8; 16]; N], b: &[[u8; 16]; N]) -> u32 {
-        a.as_flattened()
+    fn zero(self) -> u32 {
+        0
+    }
+
+    #[inline(always)]
+    fn sad_row(self, sum: u32, a: [u8; 16], b: [u8; 16]) -> u32 {
+        sum + a
             .iter()
-            .zip(b.as_flattened())
+            .zip(&b)
             .map(|(&x, &y)| x.abs_diff(y) as u32)
-            .sum()
+            .sum::<u32>()
     }
 
     #[inline(always)]
-    fn avg<const N: usize>(self, a: &[[u8; 16]; N], b: &[[u8; 16]; N]) -> [[u8; 16]; N] {
-        core::array::from_fn(|i| core::array::from_fn(|j| avg(a[i][j], b[i][j])))
+    fn total(self, sum: u32) -> u32 {
+        sum
+    }
+
+    #[inline(always)]
+    fn avg(self, a: [u8; 16], b: [u8; 16]) -> [u8; 16] {
+        core::array::from_fn(|j| avg(a[j], b[j]))
     }
 }
 
@@ -462,8 +519,7 @@ pub use x86::{Avx2, Sse2};
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        check_cell_row_span, check_span, DeblockIsa, EdgeFilter, Quantizer, RefineIsa, SearchIsa,
-        TqIsa,
+        check_cell_row_span, DeblockIsa, EdgeFilter, Quantizer, RefineIsa, SearchIsa, TqIsa,
     };
     use core::arch::x86_64::*;
 
@@ -473,61 +529,67 @@ mod x86 {
 
     impl RefineIsa for Sse2 {
         type Row = __m128i;
+        type Sum = __m128i;
 
         #[inline(always)]
-        fn load<const W: usize, const H: usize, const N: usize>(
+        unsafe fn row<const W: usize>(
             self,
             src: &[u8],
             off: usize,
             stride: usize,
-        ) -> [__m128i; N] {
-            check_span::<W, H, N>(src.len(), off, stride);
-            let first = src[off..].as_ptr();
-            // SAFETY: `check_span` just proved `off + (H − 1)·stride + W <=
-            // src.len()`. Every load below reads `W` bytes at `first +
-            // r·stride` for a block row `r < H` (packed row `i < N` holds
-            // block rows `i·16/W ..`), so it ends at or before that bound;
-            // none has an alignment requirement, and SSE2 is part of the
-            // x86-64 baseline.
+            i: usize,
+        ) -> __m128i {
+            const { assert!(W == 4 || W == 8 || W == 16, "partition widths only") };
+            // SAFETY: the caller guarantees that block rows `i·16/W ..=
+            // (i + 1)·16/W − 1` end inside `src`; each load below reads
+            // `W` bytes at the start of one of them. None has an alignment
+            // requirement, and SSE2 is part of the x86-64 baseline.
             unsafe {
+                let first = src.as_ptr().add(off + i * (16 / W) * stride);
                 let row = |r: usize| first.add(r * stride);
-                core::array::from_fn(|i| match W {
-                    16 => _mm_loadu_si128(row(i).cast()),
+                match W {
+                    16 => _mm_loadu_si128(row(0).cast()),
                     8 => _mm_unpacklo_epi64(
-                        _mm_loadl_epi64(row(2 * i).cast()),
-                        _mm_loadl_epi64(row(2 * i + 1).cast()),
+                        _mm_loadl_epi64(row(0).cast()),
+                        _mm_loadl_epi64(row(1).cast()),
                     ),
                     _ => {
                         let quad =
                             |r: usize| _mm_cvtsi32_si128(row(r).cast::<i32>().read_unaligned());
                         _mm_unpacklo_epi64(
-                            _mm_unpacklo_epi32(quad(4 * i), quad(4 * i + 1)),
-                            _mm_unpacklo_epi32(quad(4 * i + 2), quad(4 * i + 3)),
+                            _mm_unpacklo_epi32(quad(0), quad(1)),
+                            _mm_unpacklo_epi32(quad(2), quad(3)),
                         )
                     }
-                })
+                }
             }
         }
 
         #[inline(always)]
-        fn sad<const N: usize>(self, a: &[__m128i; N], b: &[__m128i; N]) -> u32 {
+        fn zero(self) -> __m128i {
+            // SAFETY: SSE2 is part of the x86-64 baseline.
+            unsafe { _mm_setzero_si128() }
+        }
+
+        #[inline(always)]
+        fn sad_row(self, sum: __m128i, a: __m128i, b: __m128i) -> __m128i {
             // SAFETY: register-only SSE2 arithmetic, and SSE2 is part of
             // the x86-64 baseline. `psadbw` sums each 8-byte half into its
             // own 64-bit lane; a whole macroblock stays under 2^16.
-            unsafe {
-                let mut acc = _mm_setzero_si128();
-                for (&x, &y) in a.iter().zip(b) {
-                    acc = _mm_add_epi64(acc, _mm_sad_epu8(x, y));
-                }
-                _mm_cvtsi128_si32(_mm_add_epi64(acc, _mm_unpackhi_epi64(acc, acc))) as u32
-            }
+            unsafe { _mm_add_epi64(sum, _mm_sad_epu8(a, b)) }
         }
 
         #[inline(always)]
-        fn avg<const N: usize>(self, a: &[__m128i; N], b: &[__m128i; N]) -> [__m128i; N] {
+        fn total(self, sum: __m128i) -> u32 {
+            // SAFETY: as `sad_row`.
+            unsafe { _mm_cvtsi128_si32(_mm_add_epi64(sum, _mm_unpackhi_epi64(sum, sum))) as u32 }
+        }
+
+        #[inline(always)]
+        fn avg(self, a: __m128i, b: __m128i) -> __m128i {
             // SAFETY: register-only SSE2 arithmetic, and SSE2 is part of
             // the x86-64 baseline. `pavgb` is `(a + b + 1) >> 1` per byte.
-            core::array::from_fn(|i| unsafe { _mm_avg_epu8(a[i], b[i]) })
+            unsafe { _mm_avg_epu8(a, b) }
         }
     }
 
@@ -1041,14 +1103,18 @@ mod tests {
     fn check_avg<I: RefineIsa>(isa: I) {
         for a in 0..=255u8 {
             let row_a: [u8; 16] = core::array::from_fn(|i| a.wrapping_add(i as u8));
-            let pa = isa.load::<16, 1, 1>(&row_a, 0, 16);
+            let [pa] = isa.load::<16, 1, 1>(&row_a, 0, 16);
             for b in 0..=255u8 {
-                let row_b = [b; 16];
-                let mean = isa.avg(&pa, &isa.load::<16, 1, 1>(&row_b, 0, 16));
+                let [pb] = isa.load::<16, 1, 1>(&[b; 16], 0, 16);
+                let mean = isa.avg(pa, pb);
                 // SAD against the expected row is zero only if every byte matches.
                 let want: [u8; 16] = core::array::from_fn(|i| avg(row_a[i], b));
-                let want = isa.load::<16, 1, 1>(&want, 0, 16);
-                assert_eq!(isa.sad(&mean, &want), 0, "a={a} b={b}");
+                let [want] = isa.load::<16, 1, 1>(&want, 0, 16);
+                assert_eq!(
+                    isa.total(isa.sad_row(isa.zero(), mean, want)),
+                    0,
+                    "a={a} b={b}"
+                );
             }
         }
     }

@@ -8,20 +8,25 @@
 //! output, so row-wise distribution across devices is result-invariant.
 //!
 //! There is one refinement walk, monomorphised over the seven partition
-//! shapes and over the three primitives of [`RefineIsa`]: the current block
-//! is packed into 16-byte rows once, each candidate is packed the same way
-//! and compared. The start and its half-pel ring are stored phases (G, b,
-//! h, j), fetched by [`SubpelFrame::block`]. The product keeps those nine
-//! packed blocks and builds each quarter-pel candidate as the `avg` of two
-//! of them, loading at most three more around the half-pel winner —
-//! except where the start is in the frame's first column or row, where a
-//! candidate left of or above the frame clamps before it averages and
-//! every candidate goes through `block` instead. The product runs on
-//! `psadbw` / `pavgb`; [`sme_rows_reference`] fetches every candidate
-//! through `block` on [`Portable`]: the definition the product is tested
-//! against.
+//! shapes and over the primitives of [`RefineIsa`]: the current block is
+//! packed into 16-byte rows once, each candidate is packed the same way
+//! and compared. Every candidate of a partition whose full-pel start is
+//! `(X, Y)` reads the four stored phases (G, b, h, j) at full-pel columns
+//! `X − 1 ..= X + W` and rows `Y − 1 ..= Y + H`: the start and its
+//! half-pel ring are stored phases, and each quarter-pel candidate is the
+//! `avg` of two of them. The product checks that window once, as a view
+//! into the planes or — across the right or bottom edge — a copy that
+//! repeats the edge (`SubpelFrame::window`), and streams it: one pass
+//! over the packed rows with nine running SADs for the half-pel ring, one
+//! with eight for the quarter-pel ring around its winner. No candidate
+//! block is held whole. A start in the frame's first column or row is the
+//! exception: a candidate left of or above the frame clamps before it
+//! averages, so there every candidate goes through [`SubpelFrame::block`]
+//! instead. The product runs on `psadbw` / `pavgb`;
+//! [`sme_rows_reference`] fetches every candidate through `block` on
+//! [`Portable`]: the definition the product is tested against.
 
-use crate::interp::{SubpelFrame, Tile};
+use crate::interp::{SubpelFrame, Tile, WindowTile, WINDOW};
 #[cfg(not(target_arch = "x86_64"))]
 use crate::kernels::fast::Portable as FastIsa;
 #[cfg(target_arch = "x86_64")]
@@ -101,8 +106,16 @@ struct Refiner<'a, I> {
     cf: &'a Plane<u8>,
     sfs: &'a [&'a SubpelFrame],
     /// Fetch every candidate through [`SubpelFrame::block`] (the
-    /// definition) rather than averaging kept half-pel blocks.
+    /// definition) rather than streaming them from a window.
     per_candidate: bool,
+}
+
+/// What a rows call fetches into: a candidate block across an edge
+/// ([`Refiner::walk_each`]) and a window across the right or bottom edge
+/// ([`Refiner::walk_streamed`]).
+struct Tiles {
+    tile: Tile,
+    window: WindowTile,
 }
 
 /// The eight neighbours of a refinement ring, in `dy → dx` order, one
@@ -118,61 +131,112 @@ const RING: [(i32, i32); 8] = [
     (1, 1),
 ];
 
-/// The quarter-pel ring around one half-pel winner, for
-/// [`Refiner::walk_kept`]: per candidate (in [`RING`] order) the two kept
-/// blocks it averages — `0..9` the start's 3 × 3 window, `9..12` the blocks
-/// beyond it — and where those beyond blocks sit, in half-pel steps from
-/// the start.
-#[derive(Clone, Copy)]
-struct QuarterRing {
-    sources: [(u8, u8); 8],
-    beyond: [Option<(i32, i32)>; 3],
+/// The start and its half-pel ring in walk order, in half-pel steps.
+const HALF_STEPS: [(i32, i32); 9] = {
+    let mut steps = [(0, 0); 9];
+    let mut k = 0;
+    while k < 8 {
+        steps[k + 1] = RING[k];
+        k += 1;
+    }
+    steps
+};
+
+/// Where a stored sample the walk reads sits in a partition's [`Window`]:
+/// its plane (G, b, h, j) and its full-pel column and row there, each
+/// `0..=2`. The position `s` half-pel steps from the full-pel start,
+/// `s ∈ [−2, 2]²`, is the full-pel sample `(s + 2) >> 1` of phase
+/// `2·(s & 1)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Source {
+    plane: usize,
+    at: (usize, usize),
 }
 
-/// [`QuarterRing`] for each half-pel winner `4 + x + 3y` of the start's
-/// window, derived from [`SubpelFrame`]'s source table at compile time.
-/// The start is full-pel, so the phases are the offsets' own.
-const QUARTER_RING: [QuarterRing; 9] = {
-    let empty = QuarterRing {
-        sources: [(0, 0); 8],
-        beyond: [None; 3],
-    };
-    let mut rings = [empty; 9];
+impl Source {
+    const fn new((sx, sy): (i32, i32)) -> Self {
+        Source {
+            plane: (((sy & 1) << 1) | (sx & 1)) as usize,
+            at: (((sx + 2) >> 1) as usize, ((sy + 2) >> 1) as usize),
+        }
+    }
+}
+
+/// The stored block of each half-pel candidate, in walk order.
+const HALF_RING: [Source; 9] = {
+    let mut ring = [Source::new((0, 0)); 9];
     let mut k = 0;
     while k < 9 {
-        let (wx, wy) = (k as i32 % 3 - 1, k as i32 / 3 - 1);
+        ring[k] = Source::new(HALF_STEPS[k]);
+        k += 1;
+    }
+    ring
+};
+
+/// For each half-pel winner (walk order), the two stored blocks each
+/// quarter-pel candidate around it averages, in [`RING`] order — derived
+/// from [`SubpelFrame`]'s source table at compile time. The start is
+/// full-pel, so the phases are the offsets' own, and every source is
+/// within two half-pel steps of it.
+const QUARTER_RING: [[[Source; 2]; 8]; 9] = {
+    let mut rings = [[[Source::new((0, 0)); 2]; 8]; 9];
+    let mut k = 0;
+    while k < 9 {
+        let (wx, wy) = HALF_STEPS[k];
         let mut c = 0;
         while c < 8 {
             let (dx, dy) = RING[c];
             let pair = SubpelFrame::sources(2 * wx + dx, 2 * wy + dy);
-            let mut kept = [0u8; 2];
-            let mut s = 0;
-            while s < 2 {
-                // Every source is stored, so its position is even.
-                let at = (pair[s].0 / 2, pair[s].1 / 2);
-                kept[s] = if at.0.abs() <= 1 && at.1.abs() <= 1 {
-                    (4 + at.0 + 3 * at.1) as u8
-                } else {
-                    let beyond = &mut rings[k].beyond;
-                    let mut i = 0;
-                    while !matches!(beyond[i], Some(b) if b.0 == at.0 && b.1 == at.1) {
-                        if beyond[i].is_none() {
-                            beyond[i] = Some(at);
-                            break;
-                        }
-                        i += 1;
-                    }
-                    9 + i as u8
-                };
-                s += 1;
-            }
-            rings[k].sources[c] = (kept[0], kept[1]);
+            // Every source is stored, so its position is even.
+            rings[k][c] = [
+                Source::new((pair[0].0 / 2, pair[0].1 / 2)),
+                Source::new((pair[1].0 / 2, pair[1].1 / 2)),
+            ];
             c += 1;
         }
         k += 1;
     }
     rings
 };
+
+/// The stored samples one partition's walk reads: the full-pel columns
+/// `X − 1 ..= X + W` and rows `Y − 1 ..= Y + H` of G, b, h and j around
+/// its full-pel start `(X, Y)`, each plane's slice starting at
+/// `(X − 1, Y − 1)`. [`Self::new`] checks once that the slices hold them
+/// all; every candidate row is then read without a further check.
+struct Window<'a, const W: usize, const H: usize> {
+    planes: [&'a [u8]; 4],
+    stride: usize,
+}
+
+impl<'a, const W: usize, const H: usize> Window<'a, W, H> {
+    /// # Panics
+    /// When a slice is shorter than `(H + 1)·stride + W + 2`, in every
+    /// build profile — the check the unchecked row reads rest on.
+    #[inline(always)]
+    fn new((planes, stride): ([&'a [u8]; 4], usize)) -> Self {
+        let end = (H + 1).saturating_mul(stride).saturating_add(W + 2);
+        for plane in planes {
+            assert!(
+                end <= plane.len(),
+                "{W}x{H} window (stride {stride}) leaves a slice of {}",
+                plane.len()
+            );
+        }
+        Window { planes, stride }
+    }
+
+    /// Packed row `i` of the `W × H` block whose first sample is `s`.
+    #[inline(always)]
+    fn row<I: RefineIsa>(&self, isa: I, s: Source, i: usize) -> I::Row {
+        assert!(i < W * H / 16 && s.at.0 <= 2 && s.at.1 <= 2);
+        let off = s.at.1 * self.stride + s.at.0;
+        // SAFETY: packed row `i < W·H/16` ends at block row `r <= H − 1`,
+        // so its last sample is at `off + r·stride + W − 1 <= (H + 1)·stride
+        // + W + 1`, inside the slice by `Self::new`'s check.
+        unsafe { isa.row::<W>(self.planes[s.plane], off, self.stride, i) }
+    }
+}
 
 impl<I: RefineIsa> Refiner<'_, I> {
     /// SAD between the packed current block `cur` and the `W × H` block of
@@ -185,20 +249,9 @@ impl<I: RefineIsa> Refiner<'_, I> {
         (qx, qy): (i32, i32),
         tile: &mut Tile,
     ) -> u32 {
-        let cand = self.load_block::<W, H, N>(sf, (qx, qy), tile);
-        self.isa.sad(cur, &cand)
-    }
-
-    /// The `W × H` block of `sf` at quarter-pel `(qx, qy)`, packed.
-    #[inline(always)]
-    fn load_block<const W: usize, const H: usize, const N: usize>(
-        &self,
-        sf: &SubpelFrame,
-        (qx, qy): (i32, i32),
-        tile: &mut Tile,
-    ) -> [I::Row; N] {
         let blk = sf.block(qx, qy, W, H, tile);
-        self.isa.load::<W, H, N>(blk.data, blk.offset, blk.stride)
+        let cand = self.isa.load::<W, H, N>(blk.data, blk.offset, blk.stride);
+        self.isa.sad(cur, &cand)
     }
 
     /// The two-stage walk (see [`Self::refine`]) with every candidate
@@ -227,66 +280,88 @@ impl<I: RefineIsa> Refiner<'_, I> {
         (best, best_cost)
     }
 
-    /// The same walk from blocks it keeps. The start and its half-pel ring
-    /// are stored phases (G, b, h, j): they are loaded and packed once, as
-    /// a 3 × 3 window. Each quarter-pel candidate is the `avg` of two
-    /// stored blocks within one half-pel step of the half-pel winner
-    /// ([`QUARTER_RING`]). Those not in the start's window, at most three,
-    /// are loaded then (a slot none of its candidates needs reloads the
-    /// winner, which keeps the loads free of branches): a partition loads
-    /// 12 blocks, not 17. Exact only when the full-pel start `(X, Y)` has
+    /// The SADs of `M` candidates against `cur`, streamed: packed row `i`
+    /// of candidate `k` is `cand(k, i)`, and each candidate keeps a running
+    /// sum, so no candidate block is ever held whole.
+    #[inline(always)]
+    fn sads<const N: usize, const M: usize>(
+        &self,
+        cur: &[I::Row; N],
+        cand: impl Fn(usize, usize) -> I::Row,
+    ) -> [u32; M] {
+        let isa = self.isa;
+        let mut sums = [isa.zero(); M];
+        for (i, &row) in cur.iter().enumerate() {
+            for (k, sum) in sums.iter_mut().enumerate() {
+                *sum = isa.sad_row(*sum, row, cand(k, i));
+            }
+        }
+        let mut costs = [0; M];
+        for (cost, sum) in costs.iter_mut().zip(sums) {
+            *cost = isa.total(sum);
+        }
+        costs
+    }
+
+    /// The quarter-pel ring around half-pel winner `K` (walk order): each
+    /// candidate the `avg` of its two [`QUARTER_RING`] sources.
+    #[inline(always)]
+    fn quarter<const W: usize, const H: usize, const N: usize, const K: usize>(
+        &self,
+        cur: &[I::Row; N],
+        win: &Window<'_, W, H>,
+    ) -> [u32; 8] {
+        let ring = const { QUARTER_RING[K] };
+        let isa = self.isa;
+        self.sads(cur, |c, i| {
+            let [a, b] = ring[c];
+            isa.avg(win.row(isa, a, i), win.row(isa, b, i))
+        })
+    }
+
+    /// The same walk from one [`Window`] around the full-pel start: the
+    /// start and its half-pel ring are stored phases (G, b, h, j), so their
+    /// nine SADs are one pass over the window's rows; each quarter-pel
+    /// candidate is the `avg` of two stored blocks within two half-pel
+    /// steps of the start ([`QUARTER_RING`]), so their eight SADs are a
+    /// second pass. Exact only when the full-pel start `(X, Y)` has
     /// `X ≥ 1` and `Y ≥ 1`: then no candidate's full-pel position is left
     /// of or above the frame, where a quarter-pel sample clamps before it
     /// averages.
     #[inline(always)]
-    fn walk_kept<const W: usize, const H: usize, const N: usize>(
+    fn walk_streamed<const W: usize, const H: usize, const N: usize>(
         &self,
         cur: &[I::Row; N],
-        sf: &SubpelFrame,
+        win: &Window<'_, W, H>,
         start: (i32, i32),
-        tile: &mut Tile,
     ) -> ((i32, i32), u32) {
         debug_assert!(
             start.0 & 3 == 0 && start.1 & 3 == 0,
             "ME starts are full-pel"
         );
-        let mut load = |(x, y): (i32, i32)| {
-            self.load_block::<W, H, N>(sf, (start.0 + 2 * x, start.1 + 2 * y), tile)
-        };
-        let near = [
-            load((-1, -1)),
-            load((0, -1)),
-            load((1, -1)),
-            load((-1, 0)),
-            load((0, 0)),
-            load((1, 0)),
-            load((-1, 1)),
-            load((0, 1)),
-            load((1, 1)),
-        ];
-        let mut best = 4;
-        let mut best_cost = self.isa.sad(cur, &near[best]);
-        for (dx, dy) in RING {
-            let k = (4 + dx + 3 * dy) as usize;
-            let cost = self.isa.sad(cur, &near[k]);
-            if cost < best_cost {
-                best_cost = cost;
+        let isa = self.isa;
+        let half: [u32; 9] = self.sads(cur, |k, i| win.row(isa, HALF_RING[k], i));
+        let mut best = 0;
+        for (k, &cost) in half.iter().enumerate().skip(1) {
+            if cost < half[best] {
                 best = k;
             }
         }
-        let ring = &QUARTER_RING[best];
-        let winner_at = (best as i32 % 3 - 1, best as i32 / 3 - 1);
-        let at = |i: usize| ring.beyond[i].unwrap_or(winner_at);
-        let far = [load(at(0)), load(at(1)), load(at(2))];
-        let kept = [
-            &near[0], &near[1], &near[2], &near[3], &near[4], &near[5], &near[6], &near[7],
-            &near[8], &far[0], &far[1], &far[2],
-        ];
-        let center = (start.0 + 2 * winner_at.0, start.1 + 2 * winner_at.1);
-        let mut winner = center;
-        for ((dx, dy), (a, b)) in RING.into_iter().zip(ring.sources) {
-            let cand = self.isa.avg(kept[a as usize], kept[b as usize]);
-            let cost = self.isa.sad(cur, &cand);
+        let quarter = match best {
+            0 => self.quarter::<W, H, N, 0>(cur, win),
+            1 => self.quarter::<W, H, N, 1>(cur, win),
+            2 => self.quarter::<W, H, N, 2>(cur, win),
+            3 => self.quarter::<W, H, N, 3>(cur, win),
+            4 => self.quarter::<W, H, N, 4>(cur, win),
+            5 => self.quarter::<W, H, N, 5>(cur, win),
+            6 => self.quarter::<W, H, N, 6>(cur, win),
+            7 => self.quarter::<W, H, N, 7>(cur, win),
+            _ => self.quarter::<W, H, N, 8>(cur, win),
+        };
+        let (wx, wy) = HALF_STEPS[best];
+        let center = (start.0 + 2 * wx, start.1 + 2 * wy);
+        let (mut winner, mut best_cost) = (center, half[best]);
+        for ((dx, dy), cost) in RING.into_iter().zip(quarter) {
             if cost < best_cost {
                 best_cost = cost;
                 winner = (center.0 + dx, center.1 + dy);
@@ -299,13 +374,13 @@ impl<I: RefineIsa> Refiner<'_, I> {
     /// at `(bx, by)` around its ME match: the start position, then the
     /// eight neighbours at ±½ of it, then the eight at ±¼ of the half-pel
     /// winner, each ring in `dy → dx` order; strict `<` keeps the earliest
-    /// of equal costs. The product walks from kept blocks
-    /// ([`Self::walk_kept`]) wherever that is exact.
+    /// of equal costs. The product streams the candidates from one window
+    /// ([`Self::walk_streamed`]) wherever that is exact.
     fn refine<const W: usize, const H: usize, const N: usize>(
         &self,
         (bx, by): (usize, usize),
         me: &BlockMv,
-        tile: &mut Tile,
+        tiles: &mut Tiles,
     ) -> SmeBlockMv {
         let cf = self.cf;
         let cur = self
@@ -316,9 +391,12 @@ impl<I: RefineIsa> Refiner<'_, I> {
         let mv = me.mv.to_qpel();
         let start = (anchor.0 + mv.x as i32, anchor.1 + mv.y as i32);
         let (best, cost) = if self.per_candidate || start.0 < 4 || start.1 < 4 {
-            self.walk_each::<W, H, N>(&cur, sf, start, tile)
+            self.walk_each::<W, H, N>(&cur, sf, start, &mut tiles.tile)
         } else {
-            self.walk_kept::<W, H, N>(&cur, sf, start, tile)
+            // The window's first sample is `(X − 1, Y − 1)`, both ≥ 0.
+            let first = ((start.0 >> 2) as usize - 1, (start.1 >> 2) as usize - 1);
+            let win = Window::new(sf.window(first, W + 2, H + 2, &mut tiles.window));
+            self.walk_streamed::<W, H, N>(&cur, &win, start)
         };
         SmeBlockMv {
             rf: me.rf,
@@ -334,29 +412,35 @@ impl<I: RefineIsa> Refiner<'_, I> {
         mode: PartitionMode,
         (cx, cy): (usize, usize),
         me_mb: &MbMotion,
-        tile: &mut Tile,
+        tiles: &mut Tiles,
         out: &mut MbSubMotion,
     ) {
         debug_assert_eq!(mode.dims(), (W, H));
         for i in 0..mode.count() {
             let (ox, oy) = mode.offset(i);
             *out.block_mut(mode, i) =
-                self.refine::<W, H, N>((cx + ox, cy + oy), me_mb.block(mode, i), tile);
+                self.refine::<W, H, N>((cx + ox, cy + oy), me_mb.block(mode, i), tiles);
         }
     }
 
     /// Refine all 41 partition blocks of macroblock `(mbx, mby)`.
-    fn refine_mb(&self, me_mb: &MbMotion, mbx: usize, mby: usize, tile: &mut Tile) -> MbSubMotion {
+    fn refine_mb(
+        &self,
+        me_mb: &MbMotion,
+        mbx: usize,
+        mby: usize,
+        tiles: &mut Tiles,
+    ) -> MbSubMotion {
         use PartitionMode::*;
         let mut out = MbSubMotion::default();
         let at = (mbx * MB_SIZE, mby * MB_SIZE);
-        self.refine_mode::<16, 16, 16>(P16x16, at, me_mb, tile, &mut out);
-        self.refine_mode::<16, 8, 8>(P16x8, at, me_mb, tile, &mut out);
-        self.refine_mode::<8, 16, 8>(P8x16, at, me_mb, tile, &mut out);
-        self.refine_mode::<8, 8, 4>(P8x8, at, me_mb, tile, &mut out);
-        self.refine_mode::<8, 4, 2>(P8x4, at, me_mb, tile, &mut out);
-        self.refine_mode::<4, 8, 2>(P4x8, at, me_mb, tile, &mut out);
-        self.refine_mode::<4, 4, 1>(P4x4, at, me_mb, tile, &mut out);
+        self.refine_mode::<16, 16, 16>(P16x16, at, me_mb, tiles, &mut out);
+        self.refine_mode::<16, 8, 8>(P16x8, at, me_mb, tiles, &mut out);
+        self.refine_mode::<8, 16, 8>(P8x16, at, me_mb, tiles, &mut out);
+        self.refine_mode::<8, 8, 4>(P8x8, at, me_mb, tiles, &mut out);
+        self.refine_mode::<8, 4, 2>(P8x4, at, me_mb, tiles, &mut out);
+        self.refine_mode::<4, 8, 2>(P4x8, at, me_mb, tiles, &mut out);
+        self.refine_mode::<4, 4, 1>(P4x4, at, me_mb, tiles, &mut out);
         out
     }
 
@@ -369,12 +453,15 @@ impl<I: RefineIsa> Refiner<'_, I> {
             "output slice size mismatch"
         );
         assert_eq!(me.len(), out.len(), "ME input size mismatch");
-        let mut tile: Tile = [0; 256];
+        let mut tiles = Tiles {
+            tile: [0; 256],
+            window: [[0; WINDOW * WINDOW]; 4],
+        };
         let cells = rows
             .iter()
             .flat_map(|mby| cols.clone().map(move |mbx| (mbx, mby)));
         for ((me_mb, out), (mbx, mby)) in me.iter().zip(out).zip(cells) {
-            *out = self.refine_mb(me_mb, mbx, mby, &mut tile);
+            *out = self.refine_mb(me_mb, mbx, mby, &mut tiles);
         }
     }
 }
@@ -531,7 +618,7 @@ mod tests {
     }
 
     /// One macroblock refined by the reference (every candidate through
-    /// `block`, on `Portable`) and by the product; the product's kept-block
+    /// `block`, on `Portable`) and by the product; the product's streamed
     /// form on `Portable` must agree too.
     fn both_families(
         cf: &Plane<u8>,
@@ -540,7 +627,10 @@ mod tests {
         mbx: usize,
         mby: usize,
     ) -> (MbSubMotion, MbSubMotion) {
-        let tile = &mut [0; 256];
+        let tiles = &mut Tiles {
+            tile: [0; 256],
+            window: [[0; WINDOW * WINDOW]; 4],
+        };
         let refiner = |per_candidate| Refiner {
             isa: Portable,
             cf,
@@ -553,19 +643,44 @@ mod tests {
             sfs,
             per_candidate: false,
         };
-        let reference = refiner(true).refine_mb(me, mbx, mby, tile);
-        let kept = refiner(false).refine_mb(me, mbx, mby, tile);
-        assert_eq!(reference, kept, "kept blocks on Portable");
-        (reference, fast.refine_mb(me, mbx, mby, tile))
+        let reference = refiner(true).refine_mb(me, mbx, mby, tiles);
+        let streamed = refiner(false).refine_mb(me, mbx, mby, tiles);
+        assert_eq!(reference, streamed, "streamed on Portable");
+        (reference, fast.refine_mb(me, mbx, mby, tiles))
     }
 
     #[test]
-    fn a_quarter_ring_loads_at_most_three_blocks_beyond_the_start_s_window() {
-        let beyond = |k: usize| QUARTER_RING[k].beyond.iter().flatten().count();
-        // A full-pel winner, then `b` / `h` winners, then `j` winners.
-        assert_eq!(beyond(4), 0);
-        assert_eq!([1, 3, 5, 7].map(beyond), [3; 4]);
-        assert_eq!([0, 2, 6, 8].map(beyond), [2; 4]);
+    fn a_quarter_ring_reads_at_most_three_blocks_beyond_the_half_pel_ring() {
+        let beyond = |k: usize| {
+            let mut seen: Vec<Source> = Vec::new();
+            for s in QUARTER_RING[k].as_flattened() {
+                if !HALF_RING.contains(s) && !seen.contains(s) {
+                    seen.push(*s);
+                }
+            }
+            seen.len()
+        };
+        // Walk order: the full-pel start, then the ring; `b` / `h` winners
+        // are its edges, `j` winners its corners.
+        assert_eq!(beyond(0), 0);
+        assert_eq!([2, 4, 5, 7].map(beyond), [3; 4]);
+        assert_eq!([1, 3, 6, 8].map(beyond), [2; 4]);
+    }
+
+    #[test]
+    fn every_source_is_the_stored_sample_at_its_window_position() {
+        // A source names plane `2·(sy & 1) + (sx & 1)` at full-pel
+        // `(s + 2) >> 1` from the window's corner: the stored phase
+        // `(2·(sx & 1), 2·(sy & 1))` of `(X − 1, Y − 1) + at`, which is
+        // quarter-pel `4X + 2·sx` (the same for y).
+        for sy in -2..=2 {
+            for sx in -2..=2 {
+                let s = Source::new((sx, sy));
+                let (qx, qy) = (4 * (s.at.0 as i32 - 1), 4 * (s.at.1 as i32 - 1));
+                let phase = (2 * (s.plane as i32 & 1), s.plane as i32 & 2);
+                assert_eq!((qx + phase.0, qy + phase.1), (2 * sx, 2 * sy), "{s:?}");
+            }
+        }
     }
 
     #[test]

@@ -196,6 +196,63 @@ proptest! {
         prop_assert!(want == got);
     }
 
+    /// Refined fields, reference vs product, on planes 4–6 macroblocks wide
+    /// with one or two references, from ME starts in the interior and
+    /// within two samples of the right and bottom edges. The product
+    /// streams every candidate of such a start from one window — a view of
+    /// the stored planes inside the frame, a copy that repeats the edge
+    /// past it — so both window forms run, under every half-pel winner.
+    #[test]
+    fn prop_sme_refine_matches_streamed_from_interior_and_right_and_bottom_starts(
+        bytes in proptest::collection::vec(any::<u8>(), 96 * 64),
+        mb_cols in 4usize..=6, mb_rows in 2usize..=4,
+        n_ref in 1usize..=2,
+        starts in proptest::collection::vec(
+            ((any::<bool>(), any::<u16>(), -2i16..=2), (any::<bool>(), any::<u16>(), -2i16..=2), 0u8..2),
+            41 * 6,
+        ),
+    ) {
+        use feves::codec::me::BlockMv;
+        use feves::codec::types::{Mv, ALL_PARTITION_MODES};
+        let (w, h) = (16 * mb_cols, 16 * mb_rows);
+        let cur = plane_from_bytes(w, h, &bytes[..w * h]);
+        let rfs: Vec<Plane<u8>> = [5u8, 77]
+            .map(|k| Plane::from_fn(w, h, |x, y| bytes[(y * w + x + 13) % bytes.len()].wrapping_add(k)))
+            .into();
+        // A full-pel start whose window `X − 1 ..= X + len` is inside the
+        // frame, or whose block ends within two samples of the far edge.
+        let start = |(at_edge, r, d): (bool, u16, i16), len: usize, frame: usize| {
+            if at_edge {
+                (frame - len) as i16 + d
+            } else {
+                1 + (r as usize % (frame - len - 1)) as i16
+            }
+        };
+        let rows = RowRange::new(0, mb_rows);
+        let mut me = MeField::new(mb_cols, mb_rows);
+        let mut starts = starts.iter().cycle();
+        for (k, mb) in me.rows_mut(rows).iter_mut().enumerate() {
+            let (mbx, mby) = (k % mb_cols, k / mb_cols);
+            for mode in ALL_PARTITION_MODES {
+                let (bw, bh) = mode.dims();
+                for i in 0..mode.count() {
+                    let (ox, oy) = mode.offset(i);
+                    let (bx, by) = ((mbx * 16 + ox) as i16, (mby * 16 + oy) as i16);
+                    let &(sx, sy, rf) = starts.next().unwrap();
+                    let (x, y) = (start(sx, bw, w), start(sy, bh, h));
+                    let rf = rf % n_ref as u8;
+                    *mb.block_mut(mode, i) = BlockMv { rf, mv: Mv::new(x - bx, y - by), cost: 0 };
+                }
+            }
+        }
+        let sfs: Vec<_> = rfs[..n_ref].iter().map(feves::codec::interp::interpolate).collect();
+        let sfs: Vec<&SubpelFrame> = sfs.iter().collect();
+        let (mut want, mut got) = (SmeField::new(mb_cols, mb_rows), SmeField::new(mb_cols, mb_rows));
+        sme_rows_reference(&cur, &sfs, me.rows(rows), rows, want.rows_mut(rows));
+        sme_rows(&cur, &sfs, me.rows(rows), rows, got.rows_mut(rows));
+        prop_assert!(want == got);
+    }
+
     /// Whole motion fields, batched search vs per-candidate loop, on planes
     /// small enough that most candidates are border-clamped, at every shape
     /// the sixteen lanes take: SA 8 pairs two candidate rows, 12 and 24
