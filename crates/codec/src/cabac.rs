@@ -272,6 +272,10 @@ struct Models {
 /// Width of each header field — dimensions, QP, `has_chroma` — in bypass bits.
 const HEADER_FIELD_BITS: u32 = 16;
 
+/// The header's `has_chroma` field: every frame carries chroma, so it is
+/// always written as 1, and a stream saying otherwise is not one of ours.
+const HAS_CHROMA: u32 = 1;
+
 /// The arithmetic-coded binarisation of the frame syntax: a bypass header,
 /// truncated-unary + Exp-Golomb values under per-class contexts, and per 4×4
 /// block a coded flag, a significance flag per zigzag position, and the
@@ -301,7 +305,7 @@ impl CabacWriter {
 
 impl SymbolWriter for CabacWriter {
     fn header(&mut self, h: &FrameHeader) {
-        for v in [h.mb_cols, h.mb_rows, h.qp, h.has_chroma as u32] {
+        for v in [h.mb_cols, h.mb_rows, h.qp, HAS_CHROMA] {
             for i in (0..HEADER_FIELD_BITS).rev() {
                 self.e.encode_bypass((v >> i) & 1 == 1);
             }
@@ -365,12 +369,15 @@ impl SymbolReader for CabacReader<'_> {
     fn header(&mut self) -> Result<FrameHeader, DecodeError> {
         let mut field =
             || (0..HEADER_FIELD_BITS).fold(0, |v, _| v << 1 | self.d.decode_bypass() as u32);
-        Ok(FrameHeader {
+        let h = FrameHeader {
             mb_cols: field(),
             mb_rows: field(),
             qp: field(),
-            has_chroma: field() != 0,
-        })
+        };
+        match field() {
+            HAS_CHROMA => Ok(h),
+            flag => Err(DecodeError(format!("has_chroma {flag}, not {HAS_CHROMA}"))),
+        }
     }
 
     fn mode(&mut self) -> Result<u32, DecodeError> {
@@ -404,12 +411,12 @@ impl SymbolReader for CabacReader<'_> {
     }
 }
 
-/// Encode a frame with adaptive arithmetic coding — a YUV stream when
-/// `chroma` is given; returns the stream and its exact bit count.
+/// Encode a YUV frame with adaptive arithmetic coding; returns the stream
+/// and its exact bit count.
 pub fn encode_frame_cabac(
     modes: &ModeField,
     coeffs: &CoeffField,
-    chroma: Option<&ChromaField>,
+    chroma: &ChromaField,
     qp: u8,
 ) -> (Vec<u8>, u64) {
     let w = CabacWriter {
@@ -420,10 +427,9 @@ pub fn encode_frame_cabac(
 }
 
 /// Decode a stream produced by [`encode_frame_cabac`].
-#[allow(clippy::type_complexity)]
 pub fn decode_frame_cabac(
     data: &[u8],
-) -> Result<(ModeField, CoeffField, Option<ChromaField>, u8), DecodeError> {
+) -> Result<(ModeField, CoeffField, ChromaField, u8), DecodeError> {
     read_frame(CabacReader {
         d: ArithDecoder::new(data)?,
         m: Models::default(),
@@ -557,11 +563,10 @@ mod tests {
     #[test]
     fn frame_roundtrip_with_chroma() {
         let (modes, coeffs, chroma) = synthetic_fields(5, 4);
-        let (bytes, bits) = encode_frame_cabac(&modes, &coeffs, Some(&chroma), 28);
+        let (bytes, bits) = encode_frame_cabac(&modes, &coeffs, &chroma, 28);
         assert!(bits > 0);
         let (dm, dc, dch, qp) = decode_frame_cabac(&bytes).unwrap();
         assert_eq!(qp, 28);
-        let dch = dch.expect("chroma flag set");
         for mby in 0..4 {
             for mbx in 0..5 {
                 assert_eq!(dm.mb(mbx, mby).mode, modes.mb(mbx, mby).mode);
@@ -576,13 +581,18 @@ mod tests {
     }
 
     #[test]
-    fn frame_roundtrip_without_chroma() {
-        let (modes, coeffs, _) = synthetic_fields(3, 3);
-        let (bytes, _) = encode_frame_cabac(&modes, &coeffs, None, 30);
-        let (_, dc, dch, qp) = decode_frame_cabac(&bytes).unwrap();
-        assert_eq!(qp, 30);
-        assert!(dch.is_none());
-        assert_eq!(dc.mb(1, 1), coeffs.mb(1, 1));
+    fn a_header_without_chroma_is_an_error() {
+        // A 3 × 3 frame at QP 30 whose `has_chroma` field is 0 or 2.
+        for flag in [0, 2] {
+            let mut e = ArithEncoder::new();
+            for v in [3, 3, 30, flag] {
+                for i in (0..HEADER_FIELD_BITS).rev() {
+                    e.encode_bypass((v >> i) & 1 == 1);
+                }
+            }
+            let err = decode_frame_cabac(&e.finish()).expect_err("not a YUV stream");
+            assert!(err.0.contains("has_chroma"), "{err}");
+        }
     }
 
     #[test]
@@ -598,12 +608,10 @@ mod tests {
             n_ref: 1,
             ..Default::default()
         };
-        let intra = crate::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
-        let mut store = crate::inter_loop::ReferenceStore::new(1);
-        store.push(intra.recon);
-        let out = crate::inter_loop::encode_inter_frame(frames[1].y(), &store, &params);
-        let (_, eg_bits) = crate::entropy::encode_frame(&out.modes, &out.coeffs, params.qp);
-        let (_, cb_bits) = encode_frame_cabac(&out.modes, &out.coeffs, None, params.qp);
+        let out = &crate::inter_loop::tests::coded_frames(&frames, &params)[0].0;
+        let (modes, coeffs, chroma) = (&out.luma.modes, &out.luma.coeffs, &out.chroma.coeffs);
+        let (_, eg_bits) = crate::entropy::encode_frame_yuv(modes, coeffs, chroma, params.qp);
+        let (_, cb_bits) = encode_frame_cabac(modes, coeffs, chroma, params.qp);
         assert!(
             (cb_bits as f64) < eg_bits as f64 * 0.95,
             "CABAC {cb_bits} should beat Exp-Golomb {eg_bits} by >5%"

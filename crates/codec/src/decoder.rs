@@ -1,22 +1,24 @@
 //! Inter-frame **decoder**: reconstruct pixels from the bitstream alone.
 //!
-//! The encoder's reconstruction loop (MC → TQ⁻¹ → DBL) is re-run here from
-//! *decoded* syntax — modes, motion vectors and quantized levels — against
-//! the same reference store. Decoding must reproduce the encoder's
-//! reconstruction **bit-exactly** (the closed-loop property every hybrid
-//! codec rests on); the round-trip tests assert it. This is the strongest
-//! possible evidence that the bitstream is complete and self-contained:
-//! nothing the encoder knows beyond the references is needed to rebuild
-//! the frame.
+//! The encoder's reconstruction loop (MC → TQ⁻¹ → DBL, and chroma) is
+//! re-run here from *decoded* syntax — modes, motion vectors and quantized
+//! levels — against the same reference store, through the encoder's own
+//! kernels: [`mc::predict_frame`], [`itq_recon_rows`], [`deblock_frame`]
+//! and [`chroma::reconstruct_inter_into`]. This module computes no sample
+//! itself; it reads, checks and calls. Decoding must reproduce the
+//! encoder's reconstruction **bit-exactly** (the closed-loop property
+//! every hybrid codec rests on); the round-trip tests assert it. This is
+//! the strongest possible evidence that the bitstream is complete and
+//! self-contained: nothing the encoder knows beyond the references is
+//! needed to rebuild the frame.
 
-use crate::chroma::{chroma_qp, predict_chroma_block, ChromaField};
+use crate::chroma;
 use crate::dbl::deblock_frame;
-use crate::entropy::{self, DecodeError};
+use crate::entropy::DecodeError;
 use crate::inter_loop::ReferenceStore;
-use crate::mc::{predict_mb, ModeField};
-use crate::quant::itq_block;
-use crate::recon::CoeffField;
-use crate::syntax::FrameSyntax;
+use crate::mc;
+use crate::recon::itq_recon_rows;
+use crate::syntax::{EntropyBackend, FrameSyntax};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
 
@@ -25,125 +27,11 @@ use feves_video::plane::Plane;
 pub struct DecodedFrame {
     /// Reconstructed luma (deblocked — identical to the encoder's RF).
     pub y: Plane<u8>,
-    /// Reconstructed chroma planes when the stream carries them.
+    /// Reconstructed chroma planes; `None` when the store holds no chroma
+    /// references to predict them from.
     pub chroma: Option<(Plane<u8>, Plane<u8>)>,
     /// QP signalled in the stream.
     pub qp: u8,
-}
-
-/// Rebuild the luma reconstruction from decoded syntax.
-fn reconstruct_luma(
-    modes: &ModeField,
-    coeffs: &CoeffField,
-    store: &ReferenceStore,
-    qp: u8,
-) -> Plane<u8> {
-    let sfs = store.sfs();
-    let width = sfs[0].width();
-    let height = sfs[0].height();
-    let mut recon: Plane<u8> = Plane::new(width, height);
-    let mut pbuf = [0i16; 256];
-    for mby in 0..modes.mb_rows() {
-        for mbx in 0..modes.mb_cols() {
-            let m = modes.mb(mbx, mby);
-            let (cx, cy) = (mbx * MB_SIZE, mby * MB_SIZE);
-            predict_mb(m, &sfs, cx, cy, &mut pbuf);
-            let c = coeffs.mb(mbx, mby);
-            for blk in 0..16 {
-                let bx = (blk % 4) * 4;
-                let by = (blk / 4) * 4;
-                let residual = if c.coded_mask & (1 << blk) != 0 {
-                    itq_block(&c.blocks[blk], qp)
-                } else {
-                    [0i16; 16]
-                };
-                for row in 0..4 {
-                    for col in 0..4 {
-                        let idx = (by + row) * MB_SIZE + bx + col;
-                        let v =
-                            (pbuf[idx].clamp(0, 255) + residual[row * 4 + col]).clamp(0, 255) as u8;
-                        recon.set(cx + bx + col, cy + by + row, v);
-                    }
-                }
-            }
-        }
-    }
-    deblock_frame(&mut recon, modes, coeffs, qp);
-    recon
-}
-
-/// Rebuild the chroma reconstructions from decoded syntax.
-fn reconstruct_chroma(
-    modes: &ModeField,
-    chroma: &ChromaField,
-    store: &ReferenceStore,
-    luma_qp: u8,
-) -> Option<(Plane<u8>, Plane<u8>)> {
-    let (refs_u, refs_v) = store.chroma_planes()?;
-    let qp_c = chroma_qp(luma_qp);
-    let (cw, ch) = (refs_u[0].width(), refs_u[0].height());
-    let mut out_u: Plane<u8> = Plane::new(cw, ch);
-    let mut out_v: Plane<u8> = Plane::new(cw, ch);
-    let mut block = vec![0i16; 64];
-    for mby in 0..modes.mb_rows() {
-        for mbx in 0..modes.mb_cols() {
-            let m = modes.mb(mbx, mby);
-            let cm = chroma.mb(mbx, mby);
-            let (cx, cy) = (mbx * 8, mby * 8);
-            let mode = m.mode;
-            let (lw, lh) = mode.dims();
-            let (w, h) = (lw / 2, lh / 2);
-            for (ci, (refs, out, blocks, mask_shift)) in [
-                (&refs_u, &mut out_u, &cm.cb, 0u8),
-                (&refs_v, &mut out_v, &cm.cr, 4u8),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let _ = ci;
-                let mut pred8 = [0i16; 64];
-                for i in 0..mode.count() {
-                    let (ox, oy) = mode.offset(i);
-                    let (ox, oy) = (ox / 2, oy / 2);
-                    let blk = &m.mvs[i];
-                    block.truncate(0);
-                    block.resize(w * h, 0);
-                    predict_chroma_block(
-                        refs[blk.rf as usize],
-                        cx + ox,
-                        cy + oy,
-                        blk.mv,
-                        w,
-                        h,
-                        &mut block,
-                    );
-                    for row in 0..h {
-                        for col in 0..w {
-                            pred8[(oy + row) * 8 + ox + col] = block[row * w + col];
-                        }
-                    }
-                }
-                #[allow(clippy::needless_range_loop)] // b indexes geometry AND blocks
-                for b in 0..4 {
-                    let bx = (b % 2) * 4;
-                    let by = (b / 2) * 4;
-                    let residual = if cm.coded_mask & (1 << (b as u8 + mask_shift)) != 0 {
-                        itq_block(&blocks[b], qp_c)
-                    } else {
-                        [0i16; 16]
-                    };
-                    for row in 0..4 {
-                        for col in 0..4 {
-                            let p = pred8[(by + row) * 8 + bx + col];
-                            let v = (p + residual[row * 4 + col]).clamp(0, 255) as u8;
-                            out.set(cx + bx + col, cy + by + row, v);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Some((out_u, out_v))
 }
 
 /// Rebuild the pixels of decoded syntax — after checking what only the
@@ -157,16 +45,15 @@ fn reconstruct(
         return Err(DecodeError("no reference frame to decode against".into()));
     }
     let sf = &store.entry(0).sf;
+    let (w, h) = (sf.width(), sf.height());
     let (cols, rows) = (modes.mb_cols(), modes.mb_rows());
-    if (cols * MB_SIZE, rows * MB_SIZE) != (sf.width(), sf.height()) {
+    if (cols * MB_SIZE, rows * MB_SIZE) != (w, h) {
         return Err(DecodeError(format!(
-            "stream is {cols}x{rows} macroblocks, the references are {}x{} pixels",
-            sf.width(),
-            sf.height()
+            "stream is {cols}x{rows} macroblocks, the references are {w}x{h} pixels"
         )));
     }
-    let coded = modes.rows(RowRange::new(0, rows)).iter();
-    if let Some(blk) = coded
+    let all = RowRange::new(0, rows);
+    if let Some(blk) = (modes.rows(all).iter())
         .flat_map(|m| &m.mvs[..m.mode.count()])
         .find(|blk| blk.rf as usize >= store.len())
     {
@@ -176,17 +63,28 @@ fn reconstruct(
             store.len()
         )));
     }
-    let y = reconstruct_luma(&modes, &coeffs, store, qp);
-    let chroma = chroma.and_then(|c| reconstruct_chroma(&modes, &c, store, qp));
+    let mut pred = Plane::new(w, h);
+    mc::predict_frame(&modes, &store.sfs(), &mut pred);
+    let mut y = Plane::new(w, h);
+    itq_recon_rows(&coeffs, &pred, qp, all, &mut y);
+    deblock_frame(&mut y, &modes, &coeffs, qp);
+    let chroma = store.chroma_planes().map(|(refs_u, refs_v)| {
+        let (cw, ch) = (refs_u[0].width(), refs_u[0].height());
+        let (mut u, mut v) = (Plane::new(cw, ch), Plane::new(cw, ch));
+        chroma::reconstruct_inter_into(&refs_u, &refs_v, &modes, &chroma, qp, &mut u, &mut v);
+        (u, v)
+    });
     Ok(DecodedFrame { y, chroma, qp })
 }
 
-/// Decode a luma-only stream written by [`crate::entropy::encode_frame`].
-pub fn decode_inter_frame(
+/// Decode a YUV stream written by `backend`'s
+/// [`EntropyBackend::encode_frame_yuv`].
+pub fn decode_yuv(
+    backend: EntropyBackend,
     bitstream: &[u8],
     store: &ReferenceStore,
 ) -> Result<DecodedFrame, DecodeError> {
-    reconstruct(entropy::read(bitstream, false)?, store)
+    reconstruct(backend.decode_frame_yuv(bitstream)?, store)
 }
 
 /// Decode a YUV stream written by [`crate::entropy::encode_frame_yuv`].
@@ -194,15 +92,18 @@ pub fn decode_inter_frame_yuv(
     bitstream: &[u8],
     store: &ReferenceStore,
 ) -> Result<DecodedFrame, DecodeError> {
-    reconstruct(entropy::read(bitstream, true)?, store)
+    decode_yuv(EntropyBackend::ExpGolomb, bitstream, store)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entropy::{decode_frame, encode_frame, encode_frame_yuv};
-    use crate::inter_loop::{encode_inter_frame, encode_inter_frame_yuv};
-    use crate::interp::interpolate;
+    use crate::chroma::ChromaField;
+    use crate::entropy::{decode_frame_yuv, encode_frame_yuv};
+    use crate::inter_loop::tests::coded_frames;
+    use crate::inter_loop::InterFrameOutputYuv;
+    use crate::mc::ModeField;
+    use crate::recon::CoeffField;
     use crate::types::{EncodeParams, SearchArea};
     use feves_video::synth::{SynthConfig, SynthSequence};
 
@@ -214,77 +115,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decoder_reproduces_encoder_reconstruction() {
+    /// The first `n - 1` P-frames of the QCIF clip, each with its store.
+    fn coded_qcif(n: usize) -> Vec<(InterFrameOutputYuv, ReferenceStore)> {
         let mut cfg = SynthConfig::tiny_test();
         cfg.resolution = feves_video::geometry::Resolution::QCIF;
-        let frames = SynthSequence::new(cfg).take_frames(4);
-        let params = params();
-        let intra = crate::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
-        let mut store = ReferenceStore::new(params.n_ref);
-        store.push(intra.recon);
-        for f in &frames[1..] {
-            let out = encode_inter_frame(f.y(), &store, &params);
-            let decoded =
-                decode_inter_frame(&out.bitstream, &store).expect("own stream must decode");
-            assert_eq!(decoded.qp, params.qp);
-            assert_eq!(
-                decoded.y, out.recon,
-                "decoder must match encoder reconstruction bit-exactly"
-            );
-            store.push(out.recon);
-        }
+        coded_frames(&SynthSequence::new(cfg).take_frames(n), &params())
     }
 
     #[test]
-    fn yuv_decoder_matches_encoder_chroma() {
-        let mut cfg = SynthConfig::tiny_test();
-        cfg.resolution = feves_video::geometry::Resolution::QCIF;
-        let frames = SynthSequence::new(cfg).take_frames(3);
-        let params = params();
-        let intra = crate::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
-        let chroma0 = crate::chroma::encode_chroma_intra(
-            frames[0].u(),
-            frames[0].v(),
-            frames[0].mb_cols(),
-            frames[0].mb_rows(),
-            params.qp_intra,
-        );
-        let mut store = ReferenceStore::new(params.n_ref);
-        let sf = interpolate(&intra.recon);
-        store.push_yuv(intra.recon, sf, chroma0.recon_u, chroma0.recon_v);
-        for f in &frames[1..] {
-            let out = encode_inter_frame_yuv(f, &store, &params);
-            let (stream, _) = encode_frame_yuv(
-                &out.luma.modes,
-                &out.luma.coeffs,
-                &out.chroma.coeffs,
-                params.qp,
-            );
-            let decoded = decode_inter_frame_yuv(&stream, &store).unwrap();
-            assert_eq!(decoded.y, out.luma.recon, "luma mismatch");
-            let (du, dv) = decoded.chroma.expect("stream carries chroma");
-            assert_eq!(du, out.chroma.recon_u, "Cb mismatch");
-            assert_eq!(dv, out.chroma.recon_v, "Cr mismatch");
-            let sf = interpolate(&out.luma.recon);
-            store.push_yuv(out.luma.recon, sf, out.chroma.recon_u, out.chroma.recon_v);
+    fn decoder_matches_encoder_through_both_backends() {
+        for (out, store) in coded_qcif(4) {
+            let (modes, coeffs, chroma) = (&out.luma.modes, &out.luma.coeffs, &out.chroma.coeffs);
+            for backend in [EntropyBackend::ExpGolomb, EntropyBackend::Cabac] {
+                let (stream, _) = backend.encode_frame_yuv(modes, coeffs, chroma, params().qp);
+                let decoded = decode_yuv(backend, &stream, &store).expect("own stream decodes");
+                assert_eq!(decoded.qp, params().qp);
+                assert_eq!(decoded.y, out.luma.recon, "{backend:?}: luma mismatch");
+                let (du, dv) = decoded.chroma.expect("the store holds chroma");
+                assert_eq!(du, out.chroma.recon_u, "{backend:?}: Cb mismatch");
+                assert_eq!(dv, out.chroma.recon_v, "{backend:?}: Cr mismatch");
+            }
         }
     }
 
-    /// QCIF intra reference plus the first P-frame coded against it.
-    fn coded_qcif_frame() -> (crate::inter_loop::InterFrameOutput, ReferenceStore) {
-        let mut cfg = SynthConfig::tiny_test();
-        cfg.resolution = feves_video::geometry::Resolution::QCIF;
-        let frames = SynthSequence::new(cfg).take_frames(2);
-        let params = params();
-        let intra = crate::intra::encode_intra_frame(frames[0].y(), params.qp_intra);
-        let mut store = ReferenceStore::new(params.n_ref);
-        store.push(intra.recon);
-        (encode_inter_frame(frames[1].y(), &store, &params), store)
+    /// The QCIF intra reference plus the first P-frame coded against it.
+    fn coded_qcif_frame() -> (InterFrameOutputYuv, ReferenceStore) {
+        coded_qcif(2).remove(0)
+    }
+
+    /// The Exp-Golomb stream of `out`'s fields at `qp`.
+    fn stream(out: &InterFrameOutputYuv, qp: u8) -> Vec<u8> {
+        let (modes, coeffs, chroma) = (&out.luma.modes, &out.luma.coeffs, &out.chroma.coeffs);
+        encode_frame_yuv(modes, coeffs, chroma, qp).0
     }
 
     fn rejection(stream: &[u8], store: &ReferenceStore) -> String {
-        decode_inter_frame(stream, store)
+        decode_inter_frame_yuv(stream, store)
             .expect_err("stream must be rejected")
             .0
     }
@@ -296,13 +162,13 @@ mod tests {
     fn reference_index_beyond_the_store_is_rejected() {
         let (mut out, store) = coded_qcif_frame();
         // Held by no store of one reference, but within the codec's bound.
-        out.modes.mb_mut(3, 2).mvs[0].rf = 1;
-        let (stream, _) = encode_frame(&out.modes, &out.coeffs, 28);
-        assert!(rejection(&stream, &store).contains("reference index 1 with 1 references"));
+        out.luma.modes.mb_mut(3, 2).mvs[0].rf = 1;
+        assert!(
+            rejection(&stream(&out, 28), &store).contains("reference index 1 with 1 references")
+        );
         // Beyond the bound: the reader itself refuses.
-        out.modes.mb_mut(3, 2).mvs[0].rf = 16;
-        let (stream, _) = encode_frame(&out.modes, &out.coeffs, 28);
-        assert!(decode_frame(&stream).is_err());
+        out.luma.modes.mb_mut(3, 2).mvs[0].rf = 16;
+        assert!(decode_frame_yuv(&stream(&out, 28)).is_err());
     }
 
     #[test]
@@ -310,10 +176,8 @@ mod tests {
         let (_, store) = coded_qcif_frame();
         for (cols, rows) in [(2, 2), (11, 10), (12, 9)] {
             let (modes, coeffs) = (ModeField::new(cols, rows), CoeffField::new(cols, rows));
-            let (stream, _) = encode_frame(&modes, &coeffs, 28);
-            assert!(rejection(&stream, &store).contains("macroblocks"));
             let (stream, _) = encode_frame_yuv(&modes, &coeffs, &ChromaField::new(cols, rows), 28);
-            assert!(decode_inter_frame_yuv(&stream, &store).is_err());
+            assert!(rejection(&stream, &store).contains("macroblocks"));
         }
     }
 
@@ -321,8 +185,7 @@ mod tests {
     fn qp_beyond_51_is_rejected() {
         let (out, store) = coded_qcif_frame();
         for qp in [52, 200] {
-            let (stream, _) = encode_frame(&out.modes, &out.coeffs, qp);
-            assert!(rejection(&stream, &store).contains("qp"));
+            assert!(rejection(&stream(&out, qp), &store).contains("qp"));
         }
     }
 
@@ -340,9 +203,10 @@ mod tests {
             w.ue(0); // rf
             w.se(30_000);
             w.se(0);
-            w.put_bits(0, 16); // nothing coded
+            w.put_bits(0, 16); // no luma coded
+            w.put_bits(0, 8); // no chroma coded
         }
-        let err = decode_frame(&w.finish()).expect_err("overflowing vector");
+        let err = decode_frame_yuv(&w.finish()).expect_err("overflowing vector");
         assert!(err.0.contains("leaves i16"), "{err}");
     }
 }

@@ -1,5 +1,5 @@
 //! Single-device reference implementation of the complete inter-loop
-//! (Fig 1): ME → (INT) → SME → MC → TQ → TQ⁻¹ → DBL → entropy.
+//! (Fig 1): ME → (INT) → SME → MC → TQ → TQ⁻¹ → DBL → chroma → entropy.
 //!
 //! This is the golden path: the FEVES framework distributes exactly these
 //! kernels across devices, and its output must be bit-identical to this
@@ -8,14 +8,16 @@
 //! quantization) run the fast paths of [`crate::kernels`], bit-exact against
 //! their scalar references.
 
+use crate::chroma::{encode_chroma_inter, ChromaOutput};
 use crate::dbl::deblock_frame;
-use crate::entropy::encode_frame;
 use crate::interp::{interpolate, SubpelFrame};
 use crate::mc::{mc_rows, ModeField};
 use crate::me::{motion_estimate_rows_parallel, MbMotion, MeField};
 use crate::recon::{itq_recon_rows, tq_rows, CoeffField};
 use crate::sme::{sme_rows_parallel, MbSubMotion, SmeField};
+use crate::syntax::EntropyBackend;
 use crate::types::EncodeParams;
+use feves_video::frame::Frame;
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
 use std::collections::VecDeque;
@@ -67,26 +69,9 @@ impl ReferenceStore {
         self.entries.is_empty()
     }
 
-    /// Push a newly reconstructed frame; it becomes reference index 0.
-    pub fn push(&mut self, recon: Plane<u8>) {
-        let sf = interpolate(&recon);
-        self.push_with_sf(recon, sf);
-    }
-
-    /// Push a reconstruction with an externally computed SF (the framework
-    /// computes the SF collaboratively and supplies it here).
-    pub fn push_with_sf(&mut self, recon: Plane<u8>, sf: SubpelFrame) {
-        self.entries.push_front(RefEntry {
-            plane: recon,
-            sf,
-            chroma: None,
-        });
-        while self.entries.len() > self.max_refs {
-            self.entries.pop_back();
-        }
-    }
-
-    /// Push a full YUV reconstruction (luma + SF + chroma planes).
+    /// Push a full YUV reconstruction (luma, its SF — which the framework
+    /// computes collaboratively — and the chroma planes); it becomes
+    /// reference index 0.
     pub fn push_yuv(&mut self, recon: Plane<u8>, sf: SubpelFrame, u: Plane<u8>, v: Plane<u8>) {
         self.entries.push_front(RefEntry {
             plane: recon,
@@ -177,7 +162,7 @@ impl ReferenceStore {
     }
 }
 
-/// Everything produced by encoding one inter frame.
+/// The luma side of one encoded inter frame.
 #[derive(Clone, Debug)]
 pub struct InterFrameOutput {
     /// Full-pel motion field (ME output).
@@ -190,60 +175,39 @@ pub struct InterFrameOutput {
     pub coeffs: CoeffField,
     /// Deblocked reconstruction (the next reference frame).
     pub recon: Plane<u8>,
-    /// Entropy-coded bitstream.
-    pub bitstream: Vec<u8>,
-    /// Exact coded bits.
-    pub bits: u64,
     /// Number of references actually searched (≤ `params.n_ref`).
     pub refs_used: usize,
 }
 
-/// Everything produced by encoding one inter frame with chroma.
+/// Everything produced by encoding one inter frame.
 #[derive(Clone, Debug)]
 pub struct InterFrameOutputYuv {
     /// The luma-side output.
     pub luma: InterFrameOutput,
-    /// Chroma coefficients + reconstructions + bits.
-    pub chroma: crate::chroma::ChromaOutput,
+    /// Chroma coefficients + reconstructions.
+    pub chroma: ChromaOutput,
+    /// The Exp-Golomb YUV stream.
+    pub bitstream: Vec<u8>,
+    /// Its exact bit count.
+    pub bits: u64,
 }
 
-/// Encode one full YUV inter frame: the luma inter-loop of
-/// [`encode_inter_frame`] plus chroma prediction/coding derived from the
-/// winning luma modes (the standard H.264 coupling).
+/// Encode one full YUV inter frame against the reference store on a single
+/// device (ME and SME over the host's cores, [`crate::par`]), following the
+/// module order of Fig 1, with chroma prediction and coding derived from
+/// the winning luma modes (the standard H.264 coupling).
 ///
-/// The store's entries must have been pushed with [`ReferenceStore::push_yuv`].
+/// The store's entries must hold chroma ([`ReferenceStore::push_yuv`]).
 pub fn encode_inter_frame_yuv(
-    cf: &feves_video::frame::Frame,
+    frame: &Frame,
     store: &ReferenceStore,
     params: &EncodeParams,
 ) -> InterFrameOutputYuv {
-    let luma = encode_inter_frame(cf.y(), store, params);
-    let (refs_u, refs_v) = store
-        .chroma_planes()
-        .expect("YUV encoding requires chroma references (push_yuv)");
-    let chroma = crate::chroma::encode_chroma_inter(
-        cf.u(),
-        cf.v(),
-        &refs_u[..luma.refs_used],
-        &refs_v[..luma.refs_used],
-        &luma.modes,
-        params.qp,
-    );
-    InterFrameOutputYuv { luma, chroma }
-}
-
-/// Encode one inter frame against the reference store on a single device
-/// (ME and SME over the host's cores, [`crate::par`]), following the module
-/// order of Fig 1.
-pub fn encode_inter_frame(
-    cf: &Plane<u8>,
-    store: &ReferenceStore,
-    params: &EncodeParams,
-) -> InterFrameOutput {
     assert!(
         !store.is_empty(),
         "inter frame needs at least one reference"
     );
+    let cf = frame.y();
     let mb_cols = cf.width() / MB_SIZE;
     let mb_rows = cf.height() / MB_SIZE;
     let all_rows = RowRange::new(0, mb_rows);
@@ -294,23 +258,40 @@ pub fn encode_inter_frame(
     // DBL (sequential, single device — see crate::dbl docs).
     deblock_frame(&mut recon, &modes, &coeffs, eff_params.qp);
 
-    // Entropy coding.
-    let (bitstream, bits) = encode_frame(&modes, &coeffs, eff_params.qp);
+    // Chroma, from the winning luma modes.
+    let (refs_u, refs_v) = store
+        .chroma_planes()
+        .expect("YUV encoding requires chroma references (push_yuv)");
+    let chroma = encode_chroma_inter(
+        frame.u(),
+        frame.v(),
+        &refs_u[..refs_used],
+        &refs_v[..refs_used],
+        &modes,
+        eff_params.qp,
+    );
 
-    InterFrameOutput {
-        me,
-        sme,
-        modes,
-        coeffs,
-        recon,
+    // Entropy coding.
+    let (bitstream, bits) =
+        EntropyBackend::ExpGolomb.encode_frame_yuv(&modes, &coeffs, &chroma.coeffs, eff_params.qp);
+
+    InterFrameOutputYuv {
+        luma: InterFrameOutput {
+            me,
+            sme,
+            modes,
+            coeffs,
+            recon,
+            refs_used,
+        },
+        chroma,
         bitstream,
         bits,
-        refs_used,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::types::SearchArea;
     use feves_video::metrics::psnr;
@@ -324,12 +305,37 @@ mod tests {
         }
     }
 
-    fn small_sequence(n: usize) -> Vec<Plane<u8>> {
-        let mut seq = SynthSequence::new(SynthConfig::tiny_test());
-        seq.take_frames(n)
-            .into_iter()
-            .map(|f| f.y().clone())
-            .collect()
+    fn small_sequence(n: usize) -> Vec<Frame> {
+        SynthSequence::new(SynthConfig::tiny_test()).take_frames(n)
+    }
+
+    /// A store of at most `max_refs` references holding `frame` intra-coded
+    /// at `qp`, luma and chroma.
+    pub(crate) fn intra_store(frame: &Frame, qp: u8, max_refs: usize) -> ReferenceStore {
+        let intra = crate::intra::encode_intra_frame(frame.y(), qp);
+        let (cols, rows) = (frame.mb_cols(), frame.mb_rows());
+        let c = crate::chroma::encode_chroma_intra(frame.u(), frame.v(), cols, rows, qp);
+        let mut store = ReferenceStore::new(max_refs);
+        let sf = interpolate(&intra.recon);
+        store.push_yuv(intra.recon, sf, c.recon_u, c.recon_v);
+        store
+    }
+
+    /// Frame 0 intra, then P-frames `1..frames.len()` through the reference
+    /// loop: each P-frame's output and the store it was coded against.
+    pub(crate) fn coded_frames(
+        frames: &[Frame],
+        params: &EncodeParams,
+    ) -> Vec<(InterFrameOutputYuv, ReferenceStore)> {
+        let mut store = intra_store(&frames[0], params.qp_intra, params.n_ref);
+        let mut coded = Vec::new();
+        for f in &frames[1..] {
+            let out = encode_inter_frame_yuv(f, &store, params);
+            coded.push((out.clone(), store.clone()));
+            let sf = interpolate(&out.luma.recon);
+            store.push_yuv(out.luma.recon, sf, out.chroma.recon_u, out.chroma.recon_v);
+        }
+        coded
     }
 
     #[test]
@@ -339,7 +345,8 @@ mod tests {
         for i in 0..5usize {
             let mut p = Plane::new(16, 16);
             p.fill(i as u8);
-            store.push(p);
+            let sf = interpolate(&p);
+            store.push_yuv(p, sf, Plane::new(8, 8), Plane::new(8, 8));
             assert_eq!(store.len(), (i + 1).min(3));
         }
         // Most recent first: values 4, 3, 2.
@@ -351,46 +358,44 @@ mod tests {
     fn encode_decode_consistency_and_quality() {
         let frames = small_sequence(3);
         let params = test_params();
-        let intra = crate::intra::encode_intra_frame(&frames[0], params.qp_intra);
-        let mut store = ReferenceStore::new(params.n_ref);
-        store.push(intra.recon);
-
-        let out1 = encode_inter_frame(&frames[1], &store, &params);
-        assert_eq!(out1.refs_used, 1, "only one reference available yet");
-        let q = psnr(&out1.recon, &frames[1]);
+        let coded = coded_frames(&frames, &params);
+        let (out1, out2) = (&coded[0].0, &coded[1].0);
+        assert_eq!(out1.luma.refs_used, 1, "only one reference available yet");
+        let q = psnr(&out1.luma.recon, frames[1].y());
         assert!(q > 28.0, "inter reconstruction too poor: {q:.1} dB");
         assert!(out1.bits > 0);
-
-        store.push(out1.recon.clone());
-        let out2 = encode_inter_frame(&frames[2], &store, &params);
-        assert_eq!(out2.refs_used, 2);
+        assert_eq!(out2.luma.refs_used, 2);
 
         // The bitstream round-trips to the same modes/coefficients.
-        let (dm, dc, qp) = crate::entropy::decode_frame(&out2.bitstream).unwrap();
+        let (dm, dc, _, qp) = crate::entropy::decode_frame_yuv(&out2.bitstream).unwrap();
         assert_eq!(qp, params.qp);
-        assert_eq!(dc.mb(1, 1), out2.coeffs.mb(1, 1));
-        assert_eq!(dm.mb(1, 1).mode, out2.modes.mb(1, 1).mode);
+        assert_eq!(dc.mb(1, 1), out2.luma.coeffs.mb(1, 1));
+        assert_eq!(dm.mb(1, 1).mode, out2.luma.modes.mb(1, 1).mode);
     }
 
     #[test]
     fn still_content_codes_cheaply() {
-        // Two identical frames: inter coding must produce (nearly) no
-        // coefficients and a tiny bitstream.
+        // A frame identical to its reference: inter coding must produce
+        // (nearly) no coefficients and a tiny bitstream.
         let frames = small_sequence(1);
         let params = test_params();
-        let intra = crate::intra::encode_intra_frame(&frames[0], 20);
-        let mut store = ReferenceStore::new(1);
-        store.push(intra.recon.clone());
-        let out = encode_inter_frame(&intra.recon, &store, &params);
+        let store = intra_store(&frames[0], 20, 1);
+        let reference = store.entry(0);
+        let (u, v) = reference.chroma.as_ref().expect("pushed with chroma");
+        let mut still = frames[0].clone();
+        still.y_mut().copy_from(&reference.plane);
+        still.u_mut().copy_from(u);
+        still.v_mut().copy_from(v);
+        let out = encode_inter_frame_yuv(&still, &store, &params);
         assert_eq!(
-            out.coeffs.nonzero_levels(),
+            out.luma.coeffs.nonzero_levels(),
             0,
             "identical frame must need no residual coding"
         );
         // Reconstruction before DBL is exact; the deblocking filter may
         // nudge a handful of samples at bS=1 edges (motion discontinuities
         // between equally-good zero-cost matches), so require near-lossless.
-        let q = psnr(&out.recon, &intra.recon);
+        let q = psnr(&out.luma.recon, still.y());
         assert!(q > 55.0, "reconstruction must be near-exact, got {q:.1}");
     }
 
@@ -398,12 +403,10 @@ mod tests {
     fn deterministic_encoding() {
         let frames = small_sequence(2);
         let params = test_params();
-        let intra = crate::intra::encode_intra_frame(&frames[0], params.qp_intra);
-        let mut store = ReferenceStore::new(params.n_ref);
-        store.push(intra.recon);
-        let a = encode_inter_frame(&frames[1], &store, &params);
-        let b = encode_inter_frame(&frames[1], &store, &params);
+        let store = intra_store(&frames[0], params.qp_intra, params.n_ref);
+        let a = encode_inter_frame_yuv(&frames[1], &store, &params);
+        let b = encode_inter_frame_yuv(&frames[1], &store, &params);
         assert_eq!(a.bitstream, b.bitstream);
-        assert_eq!(a.recon, b.recon);
+        assert_eq!(a.luma.recon, b.luma.recon);
     }
 }

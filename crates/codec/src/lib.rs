@@ -10,11 +10,12 @@
 //! | [`me`] | Motion Estimation (FSBM, 7 partitions, multi-RF) | [`me::motion_estimate_rows`] |
 //! | [`interp`] | Interpolation → SF (6-tap + bilinear) | [`interp::SubpelFrame`] |
 //! | [`sme`] | Sub-pixel Motion Estimation | [`sme::sme_rows`] |
-//! | [`mc`] | Motion Compensation + mode decision (R\*) | [`mc::mc_rows`] |
+//! | [`mc`] | Motion Compensation + mode decision (R\*); the one prediction writer | [`mc::mc_rows`], [`mc::write_prediction`] |
 //! | [`transform`] / [`quant`] / [`recon`] | TQ and TQ⁻¹ (R\*) | [`recon::tq_rows`], [`recon::itq_recon_rows`] |
 //! | [`dbl`] | Deblocking Filtering (R\*) | [`dbl::deblock_frame`] |
-//! | [`entropy`] / [`cabac`] | Entropy coding: the Exp-Golomb and the arithmetic symbol coders | [`entropy::encode_frame`], [`cabac::encode_frame_cabac`] |
+//! | [`entropy`] / [`cabac`] | Entropy coding: the Exp-Golomb and the arithmetic symbol coders of the one (YUV) frame kind | [`entropy::encode_frame_yuv`], [`cabac::encode_frame_cabac`] |
 //! | `syntax` (private) | The frame syntax both coders binarise: the one writer walk, the one reader walk and its range checks | [`cabac::EntropyBackend::encode_frame_yuv`] |
+//! | [`decoder`] | P-frame decoding: the range checks, the syntax reader, then the encoder's MC / TQ⁻¹ / DBL / chroma kernels | [`decoder::decode_yuv`] |
 //! | [`intra`] | I-slice coding | [`intra::encode_intra_frame`] |
 //! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD and averaging, padded-row 6-tap) and their scalar references | [`kernels::interp_band`] |
 //! | [`par`] | Host execution: MB rows over the host's cores | [`par::for_each_row`] |
@@ -22,7 +23,7 @@
 //! The ME/INT/SME kernels are *partition-invariant*: their result for a
 //! macroblock row depends only on the frame data, so distributing MB rows
 //! across heterogeneous devices (the whole point of FEVES) cannot change the
-//! encoded output. [`inter_loop::encode_inter_frame`] is the single-device
+//! encoded output. [`inter_loop::encode_inter_frame_yuv`] is the single-device
 //! golden reference the framework is tested against, and [`workload`] is the
 //! analytic cost model the platform simulator charges time with.
 
@@ -48,7 +49,7 @@ pub mod transform;
 pub mod types;
 pub mod workload;
 
-pub use inter_loop::{encode_inter_frame, InterFrameOutput, ReferenceStore};
+pub use inter_loop::{encode_inter_frame_yuv, InterFrameOutputYuv, ReferenceStore};
 pub use interp::SubpelFrame;
 pub use me::{MbMotion, MeField};
 pub use sme::{MbSubMotion, SmeField};

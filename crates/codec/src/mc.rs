@@ -76,13 +76,7 @@ fn decide_mode_at(sme: &MbSubMotion, rate_costs: &[u64; 7]) -> MbMode {
 }
 
 /// Build the prediction for one macroblock into `pred` (16×16 row-major).
-pub fn predict_mb(
-    mb_mode: &MbMode,
-    sfs: &[&SubpelFrame],
-    cx: usize,
-    cy: usize,
-    pred: &mut [i16; 256],
-) {
+fn predict_mb(mb_mode: &MbMode, sfs: &[&SubpelFrame], cx: usize, cy: usize, pred: &mut [i16; 256]) {
     let mode = mb_mode.mode;
     let (w, h) = mode.dims();
     let mut tile: Tile = [0; 256];
@@ -94,6 +88,42 @@ pub fn predict_mb(
         sfs[blk.rf as usize]
             .block(qx, qy, w, h, &mut tile)
             .widen_into(w, h, &mut pred[oy * MB_SIZE + ox..], MB_SIZE);
+    }
+}
+
+/// Write the clamped prediction of macroblock `(mbx, mby)` under `mb_mode`
+/// into its sixteen rows of `pred`, handing each written row to
+/// `each_row(y, row)` while it is hot (MC computes its residual there).
+/// The one definition of a macroblock's prediction: the encoder's MC and
+/// the decoder ([`predict_frame`]) both write through it.
+pub fn write_prediction(
+    mb_mode: &MbMode,
+    sfs: &[&SubpelFrame],
+    (mbx, mby): (usize, usize),
+    pred: &mut PlaneBandMut<'_, u8>,
+    mut each_row: impl FnMut(usize, &[u8]),
+) {
+    let (cx, cy) = (mbx * MB_SIZE, mby * MB_SIZE);
+    let mut pbuf = [0i16; 256];
+    predict_mb(mb_mode, sfs, cx, cy, &mut pbuf);
+    for (row, p) in pbuf.chunks_exact(MB_SIZE).enumerate() {
+        let prow = &mut pred.row_mut(cy + row)[cx..cx + MB_SIZE];
+        for (out, &p) in prow.iter_mut().zip(p) {
+            *out = p.clamp(0, 255) as u8;
+        }
+        each_row(cy + row, prow);
+    }
+}
+
+/// The prediction of every macroblock of `modes`, decided elsewhere (the
+/// decoder's), into `pred`.
+pub fn predict_frame(modes: &ModeField, sfs: &[&SubpelFrame], pred: &mut Plane<u8>) {
+    let rows = RowRange::new(0, modes.mb_rows());
+    let items = modes.rows(rows).chunks(modes.mb_cols());
+    for (mby, (row, mut band)) in items.zip(pred.split_mb_rows_mut(rows)).enumerate() {
+        for (mbx, mb_mode) in row.iter().enumerate() {
+            write_prediction(mb_mode, sfs, (mbx, mby), &mut band, |_, _| {});
+        }
     }
 }
 
@@ -112,22 +142,16 @@ pub fn mc_row(
     residual: &mut PlaneBandMut<'_, i16>,
 ) {
     let rate_costs = mode_rate_costs(qp);
-    let mut pbuf = [0i16; 256];
     for (mbx, (sme, mode)) in sme_row.iter().zip(modes).enumerate() {
-        let decided = decide_mode_at(sme, &rate_costs);
-        let (cx, cy) = (mbx * MB_SIZE, mby * MB_SIZE);
-        predict_mb(&decided, sfs, cx, cy, &mut pbuf);
-        for row in 0..MB_SIZE {
-            let crow = &cf.row(cy + row)[cx..cx + MB_SIZE];
-            let prow = &mut pred.row_mut(cy + row)[cx..cx + MB_SIZE];
-            let rrow = &mut residual.row_mut(cy + row)[cx..cx + MB_SIZE];
-            for col in 0..MB_SIZE {
-                let p = pbuf[row * MB_SIZE + col].clamp(0, 255);
-                prow[col] = p as u8;
-                rrow[col] = crow[col] as i16 - p;
+        *mode = decide_mode_at(sme, &rate_costs);
+        let cx = mbx * MB_SIZE;
+        write_prediction(mode, sfs, (mbx, mby), pred, |y, prow| {
+            let crow = &cf.row(y)[cx..cx + MB_SIZE];
+            let rrow = &mut residual.row_mut(y)[cx..cx + MB_SIZE];
+            for ((r, &c), &p) in rrow.iter_mut().zip(crow).zip(prow) {
+                *r = c as i16 - p as i16;
             }
-        }
-        *mode = decided;
+        });
     }
 }
 

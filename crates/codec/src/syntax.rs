@@ -4,7 +4,7 @@
 //! of a coded frame — header, macroblocks in raster order, per macroblock
 //! the partition mode, one `(rf, mvd)` per partition in partition order with
 //! the vector coded against its median prediction, the luma coefficients,
-//! then (in a YUV stream) the chroma coefficients — and the only code that
+//! then the chroma coefficients — and the only code that
 //! advances an [`MvPredictor`]. MV prediction is normative: a writer and a
 //! reader that drift apart corrupt every vector after the first difference,
 //! silently, so neither walk exists a second time.
@@ -37,10 +37,6 @@ pub(crate) struct FrameHeader {
     pub mb_cols: u32,
     pub mb_rows: u32,
     pub qp: u32,
-    /// Whether each macroblock is followed by its chroma coefficients. The
-    /// arithmetic-coded header signals it; an Exp-Golomb stream does not,
-    /// its reader is told.
-    pub has_chroma: bool,
 }
 
 /// Binarises the symbols of a frame, in the order [`write_frame`] emits them.
@@ -67,16 +63,16 @@ pub(crate) trait SymbolReader {
     fn chroma(&mut self) -> Result<MbChromaCoeffs, DecodeError>;
 }
 
-/// A decoded frame's syntax elements: modes and vectors, luma levels, chroma
-/// levels when the stream carries them, and the QP.
-pub(crate) type FrameSyntax = (ModeField, CoeffField, Option<ChromaField>, u8);
+/// A decoded frame's syntax elements: modes and vectors, luma levels,
+/// chroma levels and the QP.
+pub(crate) type FrameSyntax = (ModeField, CoeffField, ChromaField, u8);
 
-/// Write one inter frame; `chroma` makes it a YUV stream.
+/// Write one inter frame.
 pub(crate) fn write_frame<W: SymbolWriter>(
     mut w: W,
     modes: &ModeField,
     coeffs: &CoeffField,
-    chroma: Option<&ChromaField>,
+    chroma: &ChromaField,
     qp: u8,
 ) -> (Vec<u8>, u64) {
     let (mb_cols, mb_rows) = (modes.mb_cols(), modes.mb_rows());
@@ -84,7 +80,6 @@ pub(crate) fn write_frame<W: SymbolWriter>(
         mb_cols: mb_cols as u32,
         mb_rows: mb_rows as u32,
         qp: qp as u32,
-        has_chroma: chroma.is_some(),
     });
     let mut pred = MvPredictor::new(mb_cols, mb_rows);
     for mby in 0..mb_rows {
@@ -102,9 +97,7 @@ pub(crate) fn write_frame<W: SymbolWriter>(
                 pred.record(cells, blk.mv);
             }
             w.luma(coeffs.mb(mbx, mby));
-            if let Some(chroma) = chroma {
-                w.chroma(chroma.mb(mbx, mby));
-            }
+            w.chroma(chroma.mb(mbx, mby));
         }
     }
     w.finish()
@@ -124,7 +117,7 @@ pub(crate) fn read_frame<R: SymbolReader>(mut r: R) -> Result<FrameSyntax, Decod
     let (mb_cols, mb_rows, qp) = (h.mb_cols as usize, h.mb_rows as usize, h.qp as u8);
     let mut modes = ModeField::new(mb_cols, mb_rows);
     let mut coeffs = CoeffField::new(mb_cols, mb_rows);
-    let mut chroma = h.has_chroma.then(|| ChromaField::new(mb_cols, mb_rows));
+    let mut chroma = ChromaField::new(mb_cols, mb_rows);
     let mut pred = MvPredictor::new(mb_cols, mb_rows);
     for mby in 0..mb_rows {
         for mbx in 0..mb_cols {
@@ -152,9 +145,7 @@ pub(crate) fn read_frame<R: SymbolReader>(mut r: R) -> Result<FrameSyntax, Decod
             }
             *modes.mb_mut(mbx, mby) = MbMode { mode, mvs, cost: 0 };
             *coeffs.mb_mut(mbx, mby) = r.luma()?;
-            if let Some(chroma) = chroma.as_mut() {
-                *chroma.mb_mut(mbx, mby) = r.chroma()?;
-            }
+            *chroma.mb_mut(mbx, mby) = r.chroma()?;
         }
     }
     Ok((modes, coeffs, chroma, qp))
@@ -195,9 +186,18 @@ impl EntropyBackend {
             EntropyBackend::ExpGolomb => {
                 crate::entropy::encode_frame_yuv(modes, coeffs, chroma, qp)
             }
-            EntropyBackend::Cabac => {
-                crate::cabac::encode_frame_cabac(modes, coeffs, Some(chroma), qp)
-            }
+            EntropyBackend::Cabac => crate::cabac::encode_frame_cabac(modes, coeffs, chroma, qp),
+        }
+    }
+
+    /// Read the syntax of a frame [`Self::encode_frame_yuv`] wrote.
+    pub fn decode_frame_yuv(
+        self,
+        data: &[u8],
+    ) -> Result<(ModeField, CoeffField, ChromaField, u8), DecodeError> {
+        match self {
+            EntropyBackend::ExpGolomb => crate::entropy::decode_frame_yuv(data),
+            EntropyBackend::Cabac => crate::cabac::decode_frame_cabac(data),
         }
     }
 }

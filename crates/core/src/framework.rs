@@ -1454,11 +1454,6 @@ impl FevesEncoder {
         self.last_schedule.as_ref().map(|(fg, sched)| (fg, sched))
     }
 
-    /// The last luma reconstruction (functional mode).
-    pub fn last_reconstruction(&self) -> Option<&Plane<u8>> {
-        self.recon_pending.as_ref().map(|p| &p.y)
-    }
-
     /// The last full YUV reconstruction `(Y, Cb, Cr)` (functional mode).
     pub fn last_reconstruction_yuv(&self) -> Option<(&Plane<u8>, &Plane<u8>, &Plane<u8>)> {
         self.recon_pending.as_ref().map(|p| (&p.y, &p.u, &p.v))

@@ -5,7 +5,7 @@
 mod common;
 
 use common::{qcif_config, qcif_frames};
-use feves::codec::entropy::decode_frame;
+use feves::codec::entropy::decode_frame_yuv;
 use feves::core::prelude::*;
 use feves::video::metrics::psnr;
 use feves::video::y4m::{Y4mHeader, Y4mReader, Y4mWriter};
@@ -25,20 +25,32 @@ fn synth_to_bitstream_to_decode() {
     assert!(report.total_bits() > 0);
     assert!(report.mean_psnr().unwrap() > 30.0);
 
-    // Re-run the codec manually and decode its stream.
-    let intra = feves::codec::intra::encode_intra_frame(frames[0].y(), 27);
+    // Re-run the codec manually and decode its stream, to syntax and on
+    // to pixels.
+    let f0 = &frames[0];
+    let intra = feves::codec::intra::encode_intra_frame(f0.y(), 27);
+    let (cols, rows) = (f0.mb_cols(), f0.mb_rows());
+    let c0 = feves::codec::chroma::encode_chroma_intra(f0.u(), f0.v(), cols, rows, 27);
     let mut store = feves::codec::ReferenceStore::new(2);
-    store.push(intra.recon);
+    let sf = feves::codec::interp::interpolate(&intra.recon);
+    store.push_yuv(intra.recon, sf, c0.recon_u, c0.recon_v);
     let params = EncodeParams {
         search_area: SearchArea(16),
         n_ref: 2,
         ..Default::default()
     };
-    let out = feves::codec::encode_inter_frame(frames[1].y(), &store, &params);
-    let (modes, coeffs, qp) = decode_frame(&out.bitstream).expect("stream must decode");
+    let out = feves::codec::encode_inter_frame_yuv(&frames[1], &store, &params);
+    let (modes, coeffs, _, qp) = decode_frame_yuv(&out.bitstream).expect("stream must decode");
     assert_eq!(qp, params.qp);
     assert_eq!(modes.mb_cols(), frames[0].y().width() / 16);
-    assert_eq!(coeffs.mb(0, 0), out.coeffs.mb(0, 0));
+    assert_eq!(coeffs.mb(0, 0), out.luma.coeffs.mb(0, 0));
+    let decoded = feves::codec::decoder::decode_inter_frame_yuv(&out.bitstream, &store)
+        .expect("stream must decode to pixels");
+    assert_eq!(decoded.y, out.luma.recon);
+    assert_eq!(
+        decoded.chroma,
+        Some((out.chroma.recon_u, out.chroma.recon_v))
+    );
 }
 
 #[test]
@@ -64,17 +76,21 @@ fn y4m_in_encode_y4m_out() {
     let mut out = Y4mWriter::new(Vec::new(), header);
     for f in &loaded {
         let _ = enc.encode_frame(f);
+        let (y, u, v) = enc.last_reconstruction_yuv().unwrap();
         let mut rf = f.clone();
-        rf.y_mut().copy_from(enc.last_reconstruction().unwrap());
+        rf.y_mut().copy_from(y);
+        rf.u_mut().copy_from(u);
+        rf.v_mut().copy_from(v);
         out.write_frame(&rf).unwrap();
     }
     let recon_bytes = out.finish().unwrap();
     let mut rr = Y4mReader::new(Cursor::new(recon_bytes)).unwrap();
     let recon = rr.read_all().unwrap();
     assert_eq!(recon.len(), 3);
-    // Reconstructions resemble their sources.
+    // Reconstructions resemble their sources, in every plane.
     for (a, b) in recon.iter().zip(&loaded) {
         assert!(psnr(a.y(), b.y()) > 30.0);
+        assert!(psnr(a.u(), b.u()) > 30.0 && psnr(a.v(), b.v()) > 30.0);
     }
 }
 

@@ -272,7 +272,7 @@ fn every_module_overwrites_all_of_a_reused_buffer() {
         }
     }
     let (mut recon_u, mut recon_v) = (chroma_plane(0, Some(0xAA)), chroma_plane(0, Some(0xAA)));
-    let bits = chroma::encode_chroma_inter_into(
+    chroma::encode_chroma_inter_into(
         &cf_u,
         &cf_v,
         &[&rf_u],
@@ -283,7 +283,6 @@ fn every_module_overwrites_all_of_a_reused_buffer() {
         &mut recon_u,
         &mut recon_v,
     );
-    assert_eq!(bits, fresh.bits);
     assert!(coeffs == fresh.coeffs && recon_u == fresh.recon_u && recon_v == fresh.recon_v);
 }
 
