@@ -78,3 +78,63 @@ fn pipeline_metrics_fire_only_when_enabled() {
         "SysHK is heterogeneous: some stall time must be recovered"
     );
 }
+
+/// A quiesce (what a checkpoint commit does) ends the carried stall: the
+/// next frame is submitted alone, recovers nothing and reports exactly the
+/// lockstep time, and the frame after it overlaps again.
+#[test]
+fn a_quiesce_makes_the_next_frame_lockstep() {
+    const QUIESCE_AFTER: [usize; 2] = [3, 8];
+    fn run(pipeline: bool) -> (Vec<feves::obs::FlightRecord>, Vec<f64>) {
+        let mut cfg = EncoderConfig::full_hd(EncodeParams::default());
+        cfg.noise_amp = 0.0;
+        cfg.pipeline = pipeline;
+        let mut enc = FevesEncoder::new(Platform::sys_hk(), cfg).unwrap();
+        enc.enable_flight(16);
+        let mut tau_tot = Vec::new();
+        for frame in 1..=12 {
+            tau_tot.push(enc.encode_inter_timing().tau_tot);
+            if QUIESCE_AFTER.contains(&frame) {
+                enc.quiesce_pipeline();
+            }
+        }
+        (enc.flight().unwrap().to_vec(), tau_tot)
+    }
+    let (on, tau_on) = run(true);
+    let (_, tau_off) = run(false);
+    let depth: Vec<usize> = on.iter().map(|r| r.inflight_depth).collect();
+    assert_eq!(depth, [1, 2, 2, 1, 2, 2, 2, 2, 1, 2, 2, 2]);
+    for frame in [1, 4, 9] {
+        let r = &on[frame - 1];
+        assert!(
+            r.devices.iter().all(|d| d.overlap_carried_ms == 0.0),
+            "frame {frame} starts cold but carried {:?}",
+            r.devices
+                .iter()
+                .map(|d| d.overlap_carried_ms)
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(tau_on[frame - 1], tau_off[frame - 1], "frame {frame}");
+    }
+}
+
+/// A checkpoint captures one frame boundary: a pipelined encoder refuses to
+/// snapshot while the last frame's stall is still carried.
+#[test]
+#[should_panic(expected = "quiesced pipeline")]
+fn a_pipelined_snapshot_without_a_quiesce_panics() {
+    let mut cfg = EncoderConfig::full_hd(EncodeParams::default());
+    cfg.pipeline = true;
+    let mut enc = FevesEncoder::new(Platform::sys_hk(), cfg).unwrap();
+    enc.encode_inter_timing();
+    let _ = enc.snapshot();
+}
+
+/// Lockstep reaches a frame boundary after every frame: no quiesce needed.
+#[test]
+fn a_lockstep_snapshot_needs_no_quiesce() {
+    let cfg = EncoderConfig::full_hd(EncodeParams::default());
+    let mut enc = FevesEncoder::new(Platform::sys_hk(), cfg).unwrap();
+    enc.encode_inter_timing();
+    assert_eq!(enc.snapshot().inter_count, 1);
+}
