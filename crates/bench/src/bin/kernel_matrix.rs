@@ -66,7 +66,7 @@ struct E2eRecord {
     /// at τ-sync barriers) under `--pipeline off`. Deterministic: the timing
     /// model runs with noise disabled, so this is machine-independent.
     idle_pct_lockstep: f64,
-    /// Same attribution under `--pipeline on` — the submit/reap overlap
+    /// Same attribution under `--pipeline on` — the carried-stall overlap
     /// must pull this strictly below the lockstep figure.
     idle_pct_pipelined: f64,
     /// Total τ-sync stall time the pipeline recovered across the run (ms,

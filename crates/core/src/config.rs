@@ -88,11 +88,11 @@ pub struct EncoderConfig {
     /// a recovered shared device in lockstep. Affects scheduling timing
     /// only — never the functional bitstream bytes.
     pub health_jitter: Option<u64>,
-    /// Inter-frame submit/reap pipelining: frame N+1's ME/INT phase starts
-    /// on devices that finished their frame-N stripes while frame N's R\*
-    /// merge and entropy coding drain (double-buffered DAM generations,
-    /// LP re-solve off the critical path). Affects scheduling timing and
-    /// idle attribution only — never the functional bitstream bytes.
+    /// Inter-frame overlap: frame N+1's ME/INT phase starts on devices that
+    /// finished their frame-N stripes while frame N's R\* merge and entropy
+    /// coding drain, accounted against frame N's carried per-device stall.
+    /// Affects scheduling timing and idle attribution only — never the
+    /// functional bitstream bytes.
     pub pipeline: bool,
 }
 

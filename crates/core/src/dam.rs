@@ -67,10 +67,6 @@ pub fn transfer_bytes(plan: &[DeviceTransfers], width: usize) -> u64 {
     plan.iter().map(|t| t.bytes(width)).sum()
 }
 
-/// Number of RF/SF buffer generations the DAM double-buffers for the
-/// inter-frame pipeline (mirrors [`crate::pipeline::MAX_IN_FLIGHT`]).
-pub const DAM_SLOTS: usize = 2;
-
 /// The Data Access Management block.
 #[derive(Clone, Debug)]
 pub struct DataManager {
@@ -79,9 +75,6 @@ pub struct DataManager {
     /// σʳ carried from the previous frame, per device.
     sigma_rem: Vec<usize>,
     frames_committed: usize,
-    /// Pipeline generation currently owning each double-buffer slot
-    /// (`gen % DAM_SLOTS`). Both `None` at a quiesced frame boundary.
-    slot_owner: [Option<u64>; DAM_SLOTS],
 }
 
 impl DataManager {
@@ -92,48 +85,7 @@ impl DataManager {
             n_devices,
             sigma_rem: vec![0; n_devices],
             frames_committed: 0,
-            slot_owner: [None; DAM_SLOTS],
         }
-    }
-
-    /// Claim the RF/SF buffer slot for pipeline generation `gen`. Errors if
-    /// the slot is still owned by a live generation — two in-flight frames
-    /// must never alias buffers, and a third frame cannot start until the
-    /// oldest is reaped.
-    pub fn begin_generation(&mut self, gen: u64) -> Result<(), FevesError> {
-        let slot = (gen % DAM_SLOTS as u64) as usize;
-        if let Some(owner) = self.slot_owner[slot] {
-            return Err(FevesError::Accounting(format!(
-                "DAM slot {slot} still owned by generation {owner}; \
-                 cannot admit generation {gen}"
-            )));
-        }
-        if self.slot_owner.iter().flatten().any(|&o| o == gen) {
-            return Err(FevesError::Accounting(format!(
-                "generation {gen} already owns a DAM slot"
-            )));
-        }
-        self.slot_owner[slot] = Some(gen);
-        Ok(())
-    }
-
-    /// Release generation `gen`'s buffer slot (at reap or quiesce).
-    pub fn end_generation(&mut self, gen: u64) -> Result<(), FevesError> {
-        let slot = (gen % DAM_SLOTS as u64) as usize;
-        if self.slot_owner[slot] != Some(gen) {
-            return Err(FevesError::Accounting(format!(
-                "generation {gen} does not own DAM slot {slot}"
-            )));
-        }
-        self.slot_owner[slot] = None;
-        Ok(())
-    }
-
-    /// Generations currently owning buffer slots (diagnostics/tests).
-    pub fn active_generations(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.slot_owner.iter().flatten().copied().collect();
-        v.sort_unstable();
-        v
     }
 
     /// Mutable buffer-residency state for checkpointing: `(σʳ per device,
@@ -416,25 +368,6 @@ mod tests {
         );
         // CPU cores contribute nothing.
         assert_eq!(reuse[1].bytes(1920), 0);
-    }
-
-    #[test]
-    fn generation_slots_are_exclusive_and_fifo_friendly() {
-        let mut dam = DataManager::new(68, 5);
-        assert!(dam.active_generations().is_empty());
-        dam.begin_generation(0).unwrap();
-        dam.begin_generation(1).unwrap();
-        assert_eq!(dam.active_generations(), vec![0, 1]);
-        // Generation 2 maps to slot 0, still owned by generation 0.
-        assert!(dam.begin_generation(2).is_err());
-        dam.end_generation(0).unwrap();
-        dam.begin_generation(2).unwrap();
-        assert_eq!(dam.active_generations(), vec![1, 2]);
-        // Releasing a generation that owns nothing is an error.
-        assert!(dam.end_generation(0).is_err());
-        dam.end_generation(1).unwrap();
-        dam.end_generation(2).unwrap();
-        assert!(dam.active_generations().is_empty());
     }
 
     #[test]

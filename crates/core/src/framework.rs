@@ -13,7 +13,7 @@
 
 use crate::config::{BalancerKind, EncoderConfig, ExecutionMode};
 use crate::dam::{transfer_bytes, DataManager, DeviceTransfers};
-use crate::pipeline::FramePipeline;
+use crate::pipeline;
 use crate::report::{EncodeReport, FrameReport};
 use crate::trace::{record_frame, timeline};
 use crate::vcm::{build_frame_graph, FrameGeometry, FrameGraph, MeasureKind};
@@ -158,8 +158,6 @@ impl std::ops::AddAssign for FtStats {
 /// devices it may use, the distribution over them and that distribution's
 /// simulated schedule, plus what fault recovery cost on the way there.
 struct Planned {
-    /// Pipeline generation the frame runs as.
-    gen: u64,
     /// Devices healthy and leased when the distribution was solved.
     avail: Vec<bool>,
     /// `avail` restricted to accelerators: who gets transfers.
@@ -189,7 +187,7 @@ struct FrameOutcome {
     /// Busy fraction of τtot per compute lane that ran a task.
     lane_busy: Vec<f64>,
     /// Seconds the pipeline shaved off this frame's critical path, and the
-    /// previous generation's stall it recovered summed over devices.
+    /// previous frame's stall it recovered summed over devices.
     overlap_saved_s: f64,
     overlap_recovered_s: f64,
     bits: Option<u64>,
@@ -199,7 +197,7 @@ struct FrameOutcome {
 impl FrameOutcome {
     /// Effective sync point `i`: the whole frame shifts later by the
     /// recovery cost and earlier by the span its phase-1 prefix ran inside
-    /// the previous generation's stall.
+    /// the previous frame's stall.
     fn effective_s(&self, i: usize) -> f64 {
         self.planned.recovery_s + self.planned.tau_s[i] - self.overlap_saved_s
     }
@@ -280,9 +278,10 @@ pub struct FevesEncoder {
     scope: Option<SessionScope>,
     /// Optional supervisor control block (stop flag + device lease).
     ctl: Option<Arc<SessionCtl>>,
-    /// Inter-frame submit/reap pipeline (lockstep when disabled): frame
-    /// generations, DAM slot ownership and the carried τ-sync stall.
-    pipeline: FramePipeline,
+    /// The last frame's per-device τ-sync stall, which the next frame's
+    /// phase-1 prefix may fill: kept only under `config.pipeline`, dropped
+    /// at every frame boundary ([`Self::quiesce_pipeline`]).
+    carry: Option<Vec<f64>>,
     /// Optional causal-trace sink ([`Self::set_trace`]): frame/phase/kernel
     /// spans on the virtual clock, parented under the caller's attempt span.
     trace_sink: Option<TraceSink>,
@@ -444,7 +443,7 @@ impl FevesEncoder {
             flight: None,
             scope: None,
             ctl: None,
-            pipeline: FramePipeline::new(config.pipeline),
+            carry: None,
             trace_sink: None,
             prev_frame_span: None,
             trace_cursor_us: 0.0,
@@ -672,12 +671,10 @@ impl FevesEncoder {
         let expected = (p.dist.predicted)
             .map(|lp| (lp.tau1, lp.tau2, lp.tau_tot))
             .or(self.expected_tau)?;
-        // Deadlines are tagged with the pipeline generation they guard: with
-        // two frames in flight, a miss must name which generation blew so
-        // recovery drains the pipeline to *that* frame's boundary.
-        let deadlines = self.deadline.for_generation(p.gen, expected);
-        let (missed_gen, point, at) = deadlines.check(tau1, tau2, tau_tot)?;
-        debug_assert_eq!(missed_gen, p.gen);
+        let (point, at) = self
+            .deadline
+            .deadlines(expected)
+            .check(tau1, tau2, tau_tot)?;
         // Culprit attribution: the device owning the longest-*running*
         // measured task. Finish times won't do — a stalled device delays
         // downstream tasks on innocent devices, which then finish even later
@@ -801,13 +798,7 @@ impl FevesEncoder {
 
     /// DAM plan → VCM graph → simulated schedule of `dist` over `avail`:
     /// one attempt at the frame, with nothing charged to it yet.
-    fn attempt(
-        &mut self,
-        gen: u64,
-        avail: Vec<bool>,
-        dist: Distribution,
-        params: &EncodeParams,
-    ) -> Planned {
+    fn attempt(&mut self, avail: Vec<bool>, dist: Distribution, params: &EncodeParams) -> Planned {
         let inter_frame = self.inter_count + 1;
         // Blacklisted accelerators get no transfers; DAM drops their σʳ.
         let mask: Vec<bool> = (self.platform.devices.iter().zip(&avail))
@@ -834,7 +825,6 @@ impl FevesEncoder {
             .expect("VCM-built graphs are deadlock-free by construction");
         Planned {
             tau_s: [fg.tau1, fg.tau2, fg.tau_tot].map(|t| sched.finish_of(t)),
-            gen,
             avail,
             mask,
             dist,
@@ -849,12 +839,12 @@ impl FevesEncoder {
     }
 
     /// Phase 1: fault-tolerance bookkeeping (re-admit devices whose
-    /// blacklist backoff expired, count newly injected faults), pipeline
-    /// submit, load balancing, and the detection/recovery loop — simulate
-    /// the frame; if a sync-point deadline is missed or a transfer fails,
-    /// blacklist the culprit, re-dispatch its MB rows by re-solving
-    /// Algorithm 2 over the survivors, and retry. Bounded by the device
-    /// count: every retry removes a device or accepts the result.
+    /// blacklist backoff expired, count newly injected faults), load
+    /// balancing, and the detection/recovery loop — simulate the frame; if
+    /// a sync-point deadline is missed or a transfer fails, blacklist the
+    /// culprit, re-dispatch its MB rows by re-solving Algorithm 2 over the
+    /// survivors, and retry. Bounded by the device count: every retry
+    /// removes a device or accepts the result.
     fn plan_frame(&mut self, params: &EncodeParams) -> Planned {
         let inter_frame = self.inter_count + 1; // 1-based like Fig 7
         let n_rows = self.geometry.n_rows;
@@ -863,20 +853,13 @@ impl FevesEncoder {
             injected: self.injector.starting(inter_frame).count() as u64,
             ..FtStats::default()
         };
-        // Pipeline submit: this frame enters as a new generation and claims
-        // a DAM double-buffer slot. In pipelined mode the previous
-        // generation is still draining (depth 2): its R\*/entropy tail
-        // overlaps this frame's ME/INT prefix, and the LP solve below runs
-        // off the critical path — it consumes the previous frame's
-        // measurements either way, so its latency hides under the drain.
-        let gen = self.open_generation();
         // Load balancing (initialization phase falls back to equidistant
         // inside the balancers when uncharacterized).
         let t0 = Instant::now();
         let avail = self.usable_devices();
         let dist = self.balance(n_rows, &avail);
         let mut sched_overhead_s = t0.elapsed().as_secs_f64();
-        let mut p = self.attempt(gen, avail, dist, params);
+        let mut p = self.attempt(avail, dist, params);
         let mut recovery_s = 0.0f64;
         let mut faulty = vec![false; self.platform.len()];
         for _ in 0..self.platform.len() {
@@ -904,15 +887,13 @@ impl FevesEncoder {
             ft.resolves += 1;
             ft.redispatched_rows += (p.dist.me[d] + p.dist.interp[d] + p.dist.sme[d]) as u64;
             // Fault recovery drains the pipeline to a frame boundary first:
-            // any in-flight overlap was measured on the old platform and is
-            // forfeit before Algorithm 2 re-solves on the survivors. The
-            // retried frame re-enters as a fresh generation.
+            // any carried stall was measured on the old platform and is
+            // forfeit before Algorithm 2 re-solves on the survivors.
             self.quiesce_pipeline();
-            let gen = self.open_generation();
             let t0 = Instant::now();
             let dist = self.balance(n_rows, &p.avail);
             sched_overhead_s += t0.elapsed().as_secs_f64();
-            p = self.attempt(gen, p.avail, dist, params);
+            p = self.attempt(p.avail, dist, params);
         }
         // A detection that led to a re-solve counts as recovered: the
         // retried frame always lands.
@@ -966,7 +947,7 @@ impl FevesEncoder {
         let tau_tot_ms = (p.tau_s[2] * 1e3).max(1e-9);
 
         // Characterization update, and the per-device completion times of
-        // the same measured tasks for the pipeline's reap accounting.
+        // the same measured tasks for the overlap accounting.
         let mut rstar = vec![None::<f64>; n];
         let mut completion = CompletionTracker::new(n);
         for m in &fg.measures {
@@ -995,13 +976,14 @@ impl FevesEncoder {
                 self.perf.record_rstar(d, t);
             }
         }
-        // Overlap against the previous generation's carried stall, computed
+        // Overlap against the previous frame's carried stall, computed
         // post-hoc from the simulated schedule. Graph construction, the LP
         // and the noise stream are identical in both modes — the bitstream
         // never depends on the pipeline flag; only the idle attribution and
-        // effective times do.
+        // effective times do. This frame's idle tails become the carry.
         completion.set_barrier(p.tau_s[2]);
-        let overlap = self.pipeline.complete(p.gen, completion);
+        let overlap = pipeline::overlap(self.carry.as_deref(), &completion);
+        self.carry = self.config.pipeline.then(|| completion.stalls());
 
         // Prediction audit: per-device signed residuals between the LP's
         // predicted busy time and the measured one feed the drift detector.
@@ -1092,8 +1074,7 @@ impl FevesEncoder {
             flight.push(r.clone());
         }
         // Live telemetry: per-device dashboard rows plus the session frame
-        // tick. Device samples ride the same bus as metrics, so a stalled
-        // exporter can only drop them — never stall this loop.
+        // tick, straight into the session's registry.
         if let Some(scope) = &self.scope {
             for d in &r.devices {
                 let busy_pct = if tau.tau_tot_ms > 0.0 {
@@ -1144,8 +1125,8 @@ impl FevesEncoder {
             let frame_span = frame_sink.ctx.parent_span;
             frame_sink.record("kernels", "kernel", start, kernel_ms * 1e3);
             spans = 5;
-            let overlapped = recovered_ms > 0.0 && r.inflight_depth > 1;
-            if let Some(prev) = self.prev_frame_span.filter(|_| overlapped) {
+            // Recovery is non-zero only with a carry, i.e. at depth 2.
+            if let Some(prev) = self.prev_frame_span.filter(|_| recovered_ms > 0.0) {
                 sink.link(prev, frame_span, EdgeKind::PipelineOverlap);
                 edges = 1;
             }
@@ -1180,7 +1161,7 @@ impl FevesEncoder {
         if r.recovery_ms > 0.0 {
             rec.observe(Metric::FtRecoveryMs, r.recovery_ms);
         }
-        if self.pipeline.enabled() {
+        if self.config.pipeline {
             rec.observe(Metric::PipelineOverlapUs, out.overlap_saved_s * 1e6);
             rec.observe(
                 Metric::PipelineStallRecoveredUs,
@@ -1212,7 +1193,7 @@ impl FevesEncoder {
 
     /// Phase 5: commit the frame into the encoder's state — DAM σʳ, the
     /// fault-tolerance counters, health (clean devices work toward
-    /// probation exit), the deadline baseline, the pipeline — and report it.
+    /// probation exit), the deadline baseline — and report it.
     fn close_frame(&mut self, out: FrameOutcome, refs_used: usize) -> FrameReport {
         let p = &out.planned;
         self.dam
@@ -1233,14 +1214,6 @@ impl FevesEncoder {
                 Some((x, y, z)) => (0.5 * (x + a), 0.5 * (y + b), 0.5 * (z + c)),
                 None => (a, b, c),
             });
-        }
-        // Reap to the steady-state depth: lockstep reaps its own generation
-        // every frame (a boundary after each frame); pipelined leaves this
-        // generation in flight to drain under the next frame's submit.
-        let keep = usize::from(self.pipeline.enabled());
-        while self.pipeline.in_flight_depth() > keep {
-            let reaped = self.pipeline.reap();
-            self.release([reaped]);
         }
         self.inter_count += 1;
         let report = FrameReport {
@@ -1459,36 +1432,15 @@ impl FevesEncoder {
         self.recon_pending.as_ref().map(|p| (&p.y, &p.u, &p.v))
     }
 
-    /// Drain the submit/reap pipeline to a frame boundary: every in-flight
-    /// generation is reaped (FIFO), its DAM buffer slot released, and the
-    /// carried τ-sync stall dropped. Checkpoints must call this before
-    /// [`snapshot`] — a snapshot taken mid-drain would capture state that
-    /// straddles two generations. The frame after a quiesce starts cold
-    /// (no overlap), which is the documented cost of a checkpoint under
-    /// `--pipeline on`.
+    /// Bring the pipeline to a frame boundary: drop the carried τ-sync
+    /// stall. Checkpoints must call this before [`snapshot`] — a snapshot
+    /// taken with a carry would capture state that straddles two frames.
+    /// The frame after a quiesce starts cold (no overlap), which is the
+    /// documented cost of a checkpoint under `--pipeline on`.
     ///
     /// [`snapshot`]: FevesEncoder::snapshot
     pub fn quiesce_pipeline(&mut self) {
-        let reaped = self.pipeline.quiesce();
-        self.release(reaped);
-    }
-
-    /// Submit the next frame generation and claim its DAM buffer slot.
-    fn open_generation(&mut self) -> u64 {
-        let gen = self.pipeline.open();
-        self.dam
-            .begin_generation(gen)
-            .expect("pipeline depth bounds DAM slot occupancy");
-        gen
-    }
-
-    /// Give back the DAM buffer slots of reaped generations.
-    fn release(&mut self, reaped: impl IntoIterator<Item = u64>) {
-        for gen in reaped {
-            self.dam
-                .end_generation(gen)
-                .expect("reaped generations own their slot");
-        }
+        self.carry = None;
     }
 
     /// Capture the complete mutable encoder state for a checkpoint. Cheap
@@ -1497,13 +1449,13 @@ impl FevesEncoder {
     /// re-derived on [`restore`]).
     ///
     /// The pipeline must be quiesced first ([`Self::quiesce_pipeline`]);
-    /// [`FrameworkState`] deliberately carries no in-flight generation or
-    /// stall state, so a snapshot is only consistent at a frame boundary.
+    /// [`FrameworkState`] deliberately carries no stall, so a snapshot is
+    /// only consistent at a frame boundary.
     ///
     /// [`restore`]: FevesEncoder::restore
     pub fn snapshot(&self) -> FrameworkState {
         assert!(
-            self.pipeline.is_quiesced(),
+            self.carry.is_none(),
             "snapshot requires a quiesced pipeline (call quiesce_pipeline first)"
         );
         let (dam_sigma_rem, dam_frames_committed) = self.dam.snapshot();

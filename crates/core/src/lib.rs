@@ -43,7 +43,7 @@ pub use ckpt::{
 pub use config::{BalancerKind, EncoderConfig, ExecutionMode, RateControlConfig};
 pub use framework::{FevesEncoder, FrameworkState, FtStats, Perturbation, SessionCtl};
 pub use oracle::OracleBalancer;
-pub use pipeline::{FramePipeline, PipelineOverlap, MAX_IN_FLIGHT};
+pub use pipeline::PipelineOverlap;
 pub use report::{EncodeReport, FrameReport, Rollup};
 
 /// Convenient glob import for applications.
@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::ckpt::{load_checkpoint_file, load_latest, CheckpointManager, ResumeContext};
     pub use crate::config::{BalancerKind, EncoderConfig, ExecutionMode, RateControlConfig};
     pub use crate::framework::{FevesEncoder, FrameworkState, FtStats, Perturbation, SessionCtl};
-    pub use crate::pipeline::{FramePipeline, PipelineOverlap};
+    pub use crate::pipeline::PipelineOverlap;
     pub use crate::report::{EncodeReport, FrameReport, Rollup};
     pub use feves_codec::types::{EncodeParams, SearchArea};
     pub use feves_ft::{

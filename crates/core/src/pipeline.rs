@@ -1,32 +1,20 @@
-//! Inter-frame submit/reap pipeline (ROADMAP item 2).
+//! Inter-frame overlap.
 //!
-//! The lockstep control loop reaps each frame at its τtot barrier before
-//! submitting the next: every device that finished its stripes early idles
+//! The lockstep control loop finishes each frame at its τtot barrier before
+//! starting the next: every device that finished its stripes early idles
 //! until the slowest one crosses the barrier, then idles again through the
-//! LP re-solve. The flight recorder's idle attribution (PR 4) shows this
+//! LP re-solve. The flight recorder's idle attribution shows this
 //! τ-sync stall directly. This module extends the paper's Fig-4 overlap
 //! from intra-frame to inter-frame: frame N+1's ME/INT phase is pulled
 //! forward onto devices that have finished their frame-N stripes while
 //! frame N's R\* merge and entropy coding drain.
 //!
-//! # State machine
-//!
-//! A frame *generation* moves through three states:
-//!
-//! ```text
-//!   open(gen)          complete(gen, tracker)        reap()
-//! ─────────────► Open ────────────────────────► Drainable ─────► reaped
-//!                  │                                 │
-//!                  └──────────── quiesce() ──────────┘ (reaps everything,
-//!                                                       FIFO, → boundary)
-//! ```
-//!
-//! At most **two** generations are in flight (`MAX_IN_FLIGHT`); each owns
-//! the DAM buffer slot `gen % 2`, so consecutive generations never alias
-//! RF/SF state (see [`crate::dam::DataManager::begin_generation`]). Reap
-//! order always equals submit order — the reap main line never reorders.
-//! `quiesce()` drains every open generation and returns the pipeline to a
-//! frame boundary; checkpoints may only commit there.
+//! The whole overlap is one formula over the previous frame's per-device
+//! stall, the *carry* ([`CompletionTracker::stalls`]). The encoder keeps it
+//! between frames when `--pipeline on`, and drops it at every frame
+//! boundary a checkpoint or a fault re-solve needs
+//! ([`crate::FevesEncoder::quiesce_pipeline`]): the frame after a boundary
+//! starts cold, alone in flight.
 //!
 //! # Equivalence by construction
 //!
@@ -34,41 +22,23 @@
 //! construction, LP solve and simulation are identical in both modes, so
 //! the bitstream and the perf-characterization stream are byte-for-byte
 //! the same under `--pipeline off|on`. What changes is the effective
-//! wall-clock attributed to each frame: generation N+1's data-independent
+//! wall-clock attributed to each frame: frame N+1's data-independent
 //! phase-1 prefix (CF upload + ME against already-resident references)
-//! runs inside generation N's per-device stall, and the time recovered is
-//! subtracted from N+1's reported sync points. The LP re-solve likewise
-//! moves off the critical path — it uses the previous frame's
-//! measurements, which the lockstep loop already did, so pipelining it
-//! costs nothing and hides its latency.
+//! runs inside frame N's per-device stall, and the time recovered is
+//! subtracted from N+1's reported sync points.
 
 use feves_sched::CompletionTracker;
 
-/// Maximum frame generations in flight (double-buffered DAM state).
-pub const MAX_IN_FLIGHT: usize = 2;
-
-/// One in-flight frame generation.
-#[derive(Clone, Debug)]
-struct Generation {
-    gen: u64,
-    /// Filled by `complete()`; a generation with measurements is drainable.
-    tracker: Option<CompletionTracker>,
-    /// Pipeline depth observed when this generation was submitted.
-    depth_at_submit: usize,
-}
-
-/// Overlap accounting for one completed generation.
+/// Overlap accounting for one measured frame.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PipelineOverlap {
-    /// The generation these numbers describe.
-    pub gen: u64,
     /// Wall-clock seconds shaved off this frame's critical path by running
-    /// its phase-1 prefix inside the previous generation's idle tails.
+    /// its phase-1 prefix inside the previous frame's idle tails.
     pub saved_s: f64,
-    /// Per-device seconds of previous-generation τ-sync stall recovered.
+    /// Per-device seconds of the previous frame's τ-sync stall recovered.
     pub recovered_s: Vec<f64>,
-    /// In-flight depth at the time this generation was submitted (1 for
-    /// the first frame after a boundary, 2 in steady state).
+    /// Frames in flight when this one was submitted: 1 for the first frame
+    /// after a boundary (and every lockstep frame), 2 in steady state.
     pub depth_at_submit: usize,
 }
 
@@ -79,177 +49,38 @@ impl PipelineOverlap {
     }
 }
 
-/// The submit/reap pipeline over frame generations.
-///
-/// When `enabled` is false the pipeline still tracks generations (so the
-/// state machine, flight records and checkpoint quiesce behave uniformly)
-/// but carries no stall between frames: every overlap is zero and depth
-/// returns to 0 after each frame — exactly the lockstep loop.
-#[derive(Clone, Debug)]
-pub struct FramePipeline {
-    enabled: bool,
-    next_gen: u64,
-    in_flight: Vec<Generation>,
-    /// Per-device stall of the most recently completed generation — the
-    /// idle tail the *next* generation's phase-1 prefix may fill.
-    carry: Option<Vec<f64>>,
-    submit_log: Vec<u64>,
-    reap_log: Vec<u64>,
-}
-
-impl FramePipeline {
-    /// New pipeline; `enabled` selects overlap accounting vs lockstep.
-    pub fn new(enabled: bool) -> Self {
-        FramePipeline {
-            enabled,
-            next_gen: 0,
-            in_flight: Vec::new(),
-            carry: None,
-            submit_log: Vec::new(),
-            reap_log: Vec::new(),
-        }
-    }
-
-    /// Whether inter-frame overlap accounting is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Generations currently in flight (0 = quiesced frame boundary).
-    pub fn in_flight_depth(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// True at a frame boundary: no generation open, safe to checkpoint.
-    pub fn is_quiesced(&self) -> bool {
-        self.in_flight.is_empty()
-    }
-
-    /// DAM buffer slot owned by `gen`.
-    pub fn slot_of(gen: u64) -> usize {
-        (gen % MAX_IN_FLIGHT as u64) as usize
-    }
-
-    /// Submits the next frame generation. Panics if the pipeline is full —
-    /// the caller must reap (or quiesce) before submitting a third
-    /// generation; there are only two DAM buffer slots.
-    pub fn open(&mut self) -> u64 {
-        assert!(
-            self.in_flight.len() < MAX_IN_FLIGHT,
-            "pipeline full: reap before submitting a third generation"
-        );
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        self.in_flight.push(Generation {
-            gen,
-            tracker: None,
-            depth_at_submit: self.in_flight.len() + 1,
-        });
-        self.submit_log.push(gen);
-        gen
-    }
-
-    /// Records `gen`'s measured per-device completion times and returns its
-    /// overlap against the previous generation's carried stall. `gen` must
-    /// be the newest open generation (measurements arrive in submit order).
-    pub fn complete(&mut self, gen: u64, tracker: CompletionTracker) -> PipelineOverlap {
-        let slot = self
-            .in_flight
-            .last_mut()
-            .expect("complete() on an empty pipeline");
-        assert_eq!(slot.gen, gen, "measurements must arrive in submit order");
-        assert!(slot.tracker.is_none(), "generation completed twice");
-        let depth = slot.depth_at_submit;
-
-        let n = tracker.n_devices();
-        let overlap = match (self.enabled, self.carry.as_ref()) {
-            (true, Some(stall)) => {
-                // Phase-1 prefix of this generation, per device, that fits
-                // inside the previous generation's idle tail.
-                let recovered: Vec<f64> = (0..n)
-                    .map(|d| {
-                        let carried = stall.get(d).copied().unwrap_or(0.0);
-                        tracker.phase1_of(d).min(carried)
-                    })
-                    .collect();
-                // τ1 is set by the slowest phase-1 device; shifting each
-                // device's phase-1 earlier by its recovered span moves the
-                // barrier by the smallest such shift.
-                let tau1 = tracker.phase1().iter().cloned().fold(0.0_f64, f64::max);
-                let shifted = (0..n)
-                    .map(|d| tracker.phase1_of(d) - recovered[d])
-                    .fold(0.0_f64, f64::max);
-                let saved = (tau1 - shifted).clamp(0.0, tau1);
-                PipelineOverlap {
-                    gen,
-                    saved_s: saved,
-                    recovered_s: recovered,
-                    depth_at_submit: depth,
-                }
-            }
-            _ => PipelineOverlap {
-                gen,
-                saved_s: 0.0,
-                recovered_s: vec![0.0; n],
-                depth_at_submit: depth,
-            },
+/// Overlap of the frame measured by `tracker` against `carry`, the previous
+/// frame's per-device stall (`None`: the frame starts cold and saves
+/// nothing).
+pub fn overlap(carry: Option<&[f64]>, tracker: &CompletionTracker) -> PipelineOverlap {
+    let n = tracker.n_devices();
+    let depth_at_submit = 1 + usize::from(carry.is_some());
+    let Some(stall) = carry else {
+        return PipelineOverlap {
+            saved_s: 0.0,
+            recovered_s: vec![0.0; n],
+            depth_at_submit,
         };
-
-        // This generation's idle tails become the carry for the next one.
-        self.carry = if self.enabled {
-            Some(tracker.stalls())
-        } else {
-            None
-        };
-        slot.tracker = Some(tracker);
-        overlap
-    }
-
-    /// Reaps the oldest generation (FIFO — reap order equals submit
-    /// order). Panics if it has not been completed yet.
-    pub fn reap(&mut self) -> u64 {
-        assert!(!self.in_flight.is_empty(), "reap() on an empty pipeline");
-        assert!(
-            self.in_flight[0].tracker.is_some(),
-            "reap() before complete(): the oldest generation is still open"
-        );
-        let g = self.in_flight.remove(0);
-        self.reap_log.push(g.gen);
-        g.gen
-    }
-
-    /// Drains every in-flight generation (FIFO) and drops the carried
-    /// stall, returning the pipeline to a frame boundary. Used before
-    /// checkpoints (a snapshot must capture a single consistent frame
-    /// state) and by fault recovery (the reduced-platform re-solve must
-    /// not inherit stalls measured on the old platform). Generations that
-    /// never got measurements are reaped as-is — their work is forfeit.
-    ///
-    /// Returns the generations reaped, in reap order.
-    pub fn quiesce(&mut self) -> Vec<u64> {
-        let mut reaped = Vec::with_capacity(self.in_flight.len());
-        while !self.in_flight.is_empty() {
-            let g = self.in_flight.remove(0);
-            self.reap_log.push(g.gen);
-            reaped.push(g.gen);
-        }
-        self.carry = None;
-        reaped
-    }
-
-    /// Generations submitted so far, in order.
-    pub fn submit_log(&self) -> &[u64] {
-        &self.submit_log
-    }
-
-    /// Generations reaped so far, in order.
-    pub fn reap_log(&self) -> &[u64] {
-        &self.reap_log
-    }
-
-    /// The carried per-device stall awaiting the next generation, if any.
-    pub fn carry(&self) -> Option<&[f64]> {
-        self.carry.as_deref()
+    };
+    // Phase-1 prefix of this frame, per device, that fits inside the
+    // previous frame's idle tail.
+    let recovered: Vec<f64> = (0..n)
+        .map(|d| {
+            let carried = stall.get(d).copied().unwrap_or(0.0);
+            tracker.phase1_of(d).min(carried)
+        })
+        .collect();
+    // τ1 is set by the slowest phase-1 device; shifting each device's
+    // phase-1 earlier by its recovered span moves the barrier by the
+    // smallest such shift.
+    let tau1 = tracker.phase1().iter().cloned().fold(0.0_f64, f64::max);
+    let shifted = (0..n)
+        .map(|d| tracker.phase1_of(d) - recovered[d])
+        .fold(0.0_f64, f64::max);
+    PipelineOverlap {
+        saved_s: (tau1 - shifted).clamp(0.0, tau1),
+        recovered_s: recovered,
+        depth_at_submit,
     }
 }
 
@@ -268,106 +99,35 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_mode_never_carries_or_saves() {
-        let mut p = FramePipeline::new(false);
-        for _ in 0..3 {
-            let g = p.open();
-            let o = p.complete(g, tracker(&[(1.0, 4.0), (2.0, 10.0)]));
-            assert_eq!(o.saved_s, 0.0);
-            assert_eq!(o.total_recovered_s(), 0.0);
-            assert_eq!(o.depth_at_submit, 1);
-            p.reap();
-            assert!(p.is_quiesced());
-            assert!(p.carry().is_none());
-        }
+    fn a_cold_frame_saves_nothing() {
+        let o = overlap(None, &tracker(&[(1.0, 4.0), (2.0, 10.0)]));
+        assert_eq!(o.saved_s, 0.0);
+        assert_eq!(o.recovered_s, vec![0.0, 0.0]);
+        assert_eq!(o.depth_at_submit, 1);
     }
 
     #[test]
     fn steady_state_recovers_stall_into_phase1() {
-        let mut p = FramePipeline::new(true);
         // Frame 0: device 0 stalls 6 s, device 1 sets the barrier.
-        let g0 = p.open();
-        let o0 = p.complete(g0, tracker(&[(3.0, 4.0), (5.0, 10.0)]));
-        assert_eq!(o0.saved_s, 0.0); // nothing to overlap into yet
-        assert_eq!(p.carry().unwrap(), &[6.0, 0.0]);
+        let t0 = tracker(&[(3.0, 4.0), (5.0, 10.0)]);
+        assert_eq!(t0.stalls(), vec![6.0, 0.0]);
 
-        // Frame 1 opens while frame 0 drains: depth 2.
-        let g1 = p.open();
-        assert_eq!(p.in_flight_depth(), 2);
-        p.reap(); // frame 0's R*/entropy drain completes
-                  // Frame 1: phase-1 of device 0 (3 s) fits entirely inside its 6 s
-                  // stall; device 1 had no stall. τ1 = 5 is set by device 1, so the
-                  // barrier cannot move: saved = 0 but 3 s of stall were recovered.
-        let o1 = p.complete(g1, tracker(&[(3.0, 4.0), (5.0, 10.0)]));
+        // Frame 1: phase-1 of device 0 (3 s) fits entirely inside its 6 s
+        // stall; device 1 had no stall. τ1 = 5 is set by device 1, so the
+        // barrier cannot move: saved = 0 but 3 s of stall were recovered.
+        let t1 = tracker(&[(3.0, 4.0), (5.0, 10.0)]);
+        let o1 = overlap(Some(&t0.stalls()), &t1);
         assert_eq!(o1.depth_at_submit, 2);
         assert_eq!(o1.recovered_s, vec![3.0, 0.0]);
         assert_eq!(o1.saved_s, 0.0);
 
         // Frame 2: make the stalled device the τ1 critical path. Frame 1
-        // carried stalls [6, 0] (device 0 idled from 4 to the barrier at
-        // 10). Device 0's 5 s phase-1 now sets τ1 = 5 and fits entirely
-        // inside its 6 s stall; device 1 carried nothing, so its 2 s
-        // phase-1 cannot shift: shifted = max(5−5, 2−0) = 2, saved = 3.
-        let g2 = p.open();
-        p.reap();
-        let o2 = p.complete(g2, tracker(&[(5.0, 9.0), (2.0, 9.0)]));
+        // carried stalls [6, 0]. Device 0's 5 s phase-1 now sets τ1 = 5 and
+        // fits entirely inside its 6 s stall; device 1 carried nothing, so
+        // its 2 s phase-1 cannot shift: shifted = max(5−5, 2−0) = 2,
+        // saved = 3.
+        let o2 = overlap(Some(&t1.stalls()), &tracker(&[(5.0, 9.0), (2.0, 9.0)]));
         assert_eq!(o2.recovered_s, vec![5.0, 0.0]);
         assert!((o2.saved_s - 3.0).abs() < 1e-12);
-        // recovered_d ≤ carry ∧ recovered_d ≤ p1_d; saved ≤ τ1.
-        assert!(o2.saved_s <= 5.0);
-    }
-
-    #[test]
-    fn reap_order_equals_submit_order() {
-        let mut p = FramePipeline::new(true);
-        for _ in 0..5 {
-            let g = p.open();
-            p.complete(g, tracker(&[(1.0, 2.0)]));
-            if p.in_flight_depth() == MAX_IN_FLIGHT {
-                p.reap();
-            }
-        }
-        p.quiesce();
-        assert_eq!(p.submit_log(), p.reap_log());
-    }
-
-    #[test]
-    fn quiesce_reaches_frame_boundary_and_drops_carry() {
-        let mut p = FramePipeline::new(true);
-        let g0 = p.open();
-        p.complete(g0, tracker(&[(1.0, 3.0), (2.0, 2.0)]));
-        let _g1 = p.open();
-        assert!(!p.is_quiesced());
-        let reaped = p.quiesce();
-        assert_eq!(reaped, vec![0, 1]);
-        assert!(p.is_quiesced());
-        assert!(p.carry().is_none());
-        // The next generation starts cold — no stale stall crosses the
-        // boundary (checkpoint or reduced-platform re-solve).
-        let g2 = p.open();
-        let o = p.complete(g2, tracker(&[(1.0, 3.0), (2.0, 2.0)]));
-        assert_eq!(o.saved_s, 0.0);
-        assert_eq!(o.total_recovered_s(), 0.0);
-    }
-
-    #[test]
-    fn consecutive_generations_use_distinct_slots() {
-        let mut p = FramePipeline::new(true);
-        let a = p.open();
-        p.complete(a, tracker(&[(1.0, 1.0)]));
-        let b = p.open();
-        assert_ne!(FramePipeline::slot_of(a), FramePipeline::slot_of(b));
-        p.reap();
-        p.quiesce();
-    }
-
-    #[test]
-    #[should_panic(expected = "pipeline full")]
-    fn third_open_generation_panics() {
-        let mut p = FramePipeline::new(true);
-        let a = p.open();
-        p.complete(a, tracker(&[(1.0, 1.0)]));
-        p.open();
-        p.open();
     }
 }

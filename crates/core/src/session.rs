@@ -403,8 +403,8 @@ impl Session {
         }
         let started = Instant::now();
         self.secure(done)?;
-        // Checkpoints commit only at quiesced frame boundaries: drain any
-        // in-flight pipeline generation before snapshotting.
+        // Checkpoints commit only at quiesced frame boundaries: drop the
+        // pipeline's carried stall before snapshotting.
         self.enc.quiesce_pipeline();
         let state = self.enc.snapshot();
         let mgr = self.mgr.as_ref().expect("checked on entry");

@@ -59,37 +59,6 @@ impl DeadlinePolicy {
             tau_tot: predicted.2 * self.factor,
         }
     }
-
-    /// Deadlines for one *pipeline generation*. With inter-frame overlap
-    /// two frames can be in flight, so a miss must name which generation's
-    /// sync point blew — blaming "the current frame" is ambiguous while
-    /// frame N's entropy coding drains under frame N+1's ME.
-    pub fn for_generation(&self, gen: u64, predicted: (f64, f64, f64)) -> GenerationDeadlines {
-        GenerationDeadlines {
-            gen,
-            deadlines: self.deadlines(predicted),
-        }
-    }
-}
-
-/// [`Deadlines`] tagged with the pipeline generation they guard.
-#[derive(Clone, Copy, Debug)]
-pub struct GenerationDeadlines {
-    /// Frame generation (monotone submit counter) these deadlines apply to.
-    pub gen: u64,
-    /// The τ1/τ2/τtot deadlines for that generation.
-    pub deadlines: Deadlines,
-}
-
-impl GenerationDeadlines {
-    /// Checks one generation's measured sync points; a miss carries the
-    /// generation so fault recovery drains the pipeline to *that* frame's
-    /// boundary before re-solving on the reduced platform.
-    pub fn check(&self, tau1: f64, tau2: f64, tau_tot: f64) -> Option<(u64, SyncPoint, f64)> {
-        self.deadlines
-            .check(tau1, tau2, tau_tot)
-            .map(|(point, at)| (self.gen, point, at))
-    }
 }
 
 /// Absolute (virtual-time) deadlines for one frame's sync points.
@@ -125,17 +94,6 @@ mod tests {
     fn healthy_frame_passes() {
         let d = DeadlinePolicy::new(3.0).deadlines((1.0, 2.0, 3.0));
         assert!(d.check(1.2, 2.4, 3.6).is_none());
-    }
-
-    #[test]
-    fn generation_tag_rides_along() {
-        let policy = DeadlinePolicy::new(2.0);
-        let g = policy.for_generation(7, (1.0, 2.0, 3.0));
-        assert!(g.check(1.5, 3.0, 4.0).is_none());
-        let (gen, point, at) = g.check(5.0, 5.0, 5.0).unwrap();
-        assert_eq!(gen, 7);
-        assert_eq!(point, SyncPoint::Tau1);
-        assert!((at - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod io;
 pub mod retry;
 
 pub use ckpt::{ByteReader, ByteWriter, CheckpointBlob, CKPT_VERSION};
-pub use deadline::{DeadlinePolicy, Deadlines, GenerationDeadlines, SyncPoint};
+pub use deadline::{DeadlinePolicy, Deadlines, SyncPoint};
 pub use drift::{DriftConfig, DriftDetector, DriftSnapshot};
 pub use error::{DeviceFault, FaultCause, FevesError};
 pub use fault::{FaultKind, FaultSchedule, FaultSpec};

@@ -47,11 +47,11 @@ pub struct DeviceRecord {
     /// occupancy of this device for the frame.
     pub transfer_busy_ms: f64,
     /// Of `compute_busy_ms` + `transfer_busy_ms`, the span this device ran
-    /// *inside the previous frame generation's window* — its phase-1 prefix
-    /// pulled forward into the prior generation's τ-sync stall by the
-    /// inter-frame pipeline. 0 under `--pipeline off`. The audit layer
-    /// subtracts it so a device spanning two generations is not counted
-    /// busy twice in the same window.
+    /// *inside the previous frame's window* — its phase-1 prefix pulled
+    /// forward into the prior frame's τ-sync stall by the inter-frame
+    /// pipeline. 0 under `--pipeline off`. The audit layer subtracts it so
+    /// a device spanning two frames is not counted busy twice in the same
+    /// window.
     pub overlap_carried_ms: f64,
     /// Signed prediction residual,
     /// `(measured − predicted) / predicted · 100`; `None` without a
@@ -73,8 +73,8 @@ pub struct FlightRecord {
     pub predicted_tau: Option<TauTriple>,
     /// Measured sync points on the virtual clock.
     pub measured_tau: TauTriple,
-    /// Pipeline generations in flight when this frame was submitted (1 at
-    /// a boundary or under `--pipeline off`, 2 in pipelined steady state).
+    /// Frames in flight when this frame was submitted (1 at a boundary or
+    /// under `--pipeline off`, 2 in pipelined steady state).
     pub inflight_depth: usize,
     /// Per-device decision + measurement, platform enumeration order.
     pub devices: Vec<DeviceRecord>,

@@ -2,11 +2,11 @@
 //!
 //! The lockstep control loop only ever needed the *global* barrier time
 //! τtot — every device waits at the frame boundary for the slowest one.
-//! The submit/reap pipeline instead needs to know, per device, *when* it
+//! The inter-frame overlap instead needs to know, per device, *when* it
 //! went idle: a device that finished its frame-N stripes early has an idle
 //! tail (its τ-sync stall) that frame N+1's ME/INT phase can fill. This
-//! module owns that bookkeeping so the framework and the pipeline state
-//! machine agree on one definition of "finished".
+//! module owns that bookkeeping so the framework and the overlap
+//! accounting agree on one definition of "finished".
 //!
 //! All times are virtual-clock seconds on the frame-local timeline (0 =
 //! frame start, τtot = slowest device done).

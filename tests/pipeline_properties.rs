@@ -1,12 +1,10 @@
-//! Property tests of the pipeline state machine under randomized device
-//! speeds and fault schedules: reap order equals submit order, the two
-//! in-flight generations never share a DAM buffer slot, recovered stall
-//! time is bounded by both the carried stall and the consumer's phase-1
-//! work, and a quiesce always drains to a frame boundary — no matter how
-//! the submit/complete/reap/quiesce events interleave.
+//! Property tests of the inter-frame overlap under randomized device speeds,
+//! quiesce points and fault schedules: recovered stall time is bounded by
+//! both the carried stall and the frame's phase-1 work, a frame with no
+//! carry saves nothing and is submitted alone, and a quiesce always returns
+//! the encoder to a frame boundary a checkpoint can snapshot.
 
-use feves::core::dam::{DataManager, DAM_SLOTS};
-use feves::core::pipeline::{FramePipeline, MAX_IN_FLIGHT};
+use feves::core::pipeline::overlap;
 use feves::core::prelude::*;
 use feves::ft::{FaultKind, FaultSpec};
 use feves::sched::CompletionTracker;
@@ -31,134 +29,76 @@ fn arb_frame_times(devices: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Steady-state streaming: for any random per-frame device times, the
-    /// overlap accounting obeys its bounds frame after frame.
+    /// Streaming with random boundaries: for any random per-frame device
+    /// times, each frame's overlap against the carry it was handed obeys
+    /// its bounds, and a frame handed no carry saves nothing.
     #[test]
     fn overlap_is_bounded_by_carry_and_phase1(
-        frames in proptest::collection::vec(arb_frame_times(3), 2..12),
+        frames in proptest::collection::vec(
+            (arb_frame_times(3), 0u8..5), 2..12),
     ) {
-        let mut pipe = FramePipeline::new(true);
-        let mut prev_stalls: Option<Vec<f64>> = None;
-        for times in &frames {
-            let gen = pipe.open();
+        let mut carry: Option<Vec<f64>> = None;
+        for (times, boundary) in &frames {
+            if *boundary == 0 {
+                carry = None;
+            }
             let tracker = tracker_of(times);
-            let stalls_now = tracker.stalls();
             let tau1 = (0..3).map(|d| tracker.phase1_of(d)).fold(0.0, f64::max);
-            let overlap = pipe.complete(gen, tracker_of(times));
+            let o = overlap(carry.as_deref(), &tracker);
+            prop_assert_eq!(o.depth_at_submit, 1 + usize::from(carry.is_some()));
             // recovered_d <= carried stall_d and <= this frame's phase-1_d.
-            for (d, &r) in overlap.recovered_s.iter().enumerate() {
-                let carried = prev_stalls.as_ref().map_or(0.0, |s| s[d]);
+            for (d, &r) in o.recovered_s.iter().enumerate() {
+                let carried = carry.as_ref().map_or(0.0, |s| s[d]);
                 prop_assert!(r <= carried + 1e-12, "device {d}: recovered {r} > carried {carried}");
                 prop_assert!(r <= times[d].0 + 1e-12, "device {d}: recovered {r} > phase1 {}", times[d].0);
                 prop_assert!(r >= 0.0);
             }
             // The frame can never get faster than removing all of phase 1.
-            prop_assert!(overlap.saved_s >= 0.0);
-            prop_assert!(overlap.saved_s <= tau1 + 1e-12,
-                "saved {} > tau1 {tau1}", overlap.saved_s);
-            prev_stalls = Some(stalls_now);
-            // Lockstep drain down to one generation left in flight.
-            while pipe.in_flight_depth() > 1 {
-                pipe.reap();
+            prop_assert!(o.saved_s >= 0.0);
+            prop_assert!(o.saved_s <= tau1 + 1e-12, "saved {} > tau1 {tau1}", o.saved_s);
+            if carry.is_none() {
+                prop_assert_eq!(o.saved_s, 0.0, "a cold frame must save nothing");
+                prop_assert_eq!(o.total_recovered_s(), 0.0);
             }
+            carry = Some(tracker.stalls());
         }
     }
+}
 
-    /// Reap order equals submit order, whatever the completion pattern.
-    #[test]
-    fn reap_order_equals_submit_order(
-        frames in proptest::collection::vec(arb_frame_times(2), 1..20),
-        drain_each in proptest::bool::ANY,
-    ) {
-        let mut pipe = FramePipeline::new(true);
-        for times in &frames {
-            let gen = pipe.open();
-            pipe.complete(gen, tracker_of(times));
-            let keep = if drain_each { 0 } else { 1 };
-            while pipe.in_flight_depth() > keep {
-                pipe.reap();
-            }
-        }
-        pipe.quiesce();
-        prop_assert_eq!(pipe.submit_log(), pipe.reap_log(),
-            "reap order must equal submit order");
-        prop_assert!(pipe.is_quiesced());
-    }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The two in-flight generations always own distinct DAM slots, and a
-    /// third generation can never begin while both slots are held.
-    #[test]
-    fn double_buffer_slots_are_isolated(
-        n_frames in 1usize..16,
-    ) {
-        let mut pipe = FramePipeline::new(true);
-        let mut dam = DataManager::new(8, 2);
-        let mut held: Vec<u64> = Vec::new();
-        for _ in 0..n_frames {
-            let gen = pipe.open();
-            dam.begin_generation(gen).expect("pipeline depth bounds slot occupancy");
-            held.push(gen);
-            // Both live generations sit in different slots.
-            let active = dam.active_generations();
-            prop_assert_eq!(active.len(), held.len());
-            prop_assert!(active.len() <= DAM_SLOTS);
-            if active.len() == 2 {
-                prop_assert_ne!(
-                    FramePipeline::slot_of(active[0]),
-                    FramePipeline::slot_of(active[1]),
-                    "two live generations share a DAM slot"
-                );
-                // A third begin_generation must be refused.
-                prop_assert!(dam.begin_generation(gen + 1).is_err());
-            }
-            pipe.complete(gen, tracker_of(&[(1.0, 2.0), (1.5, 2.0)]));
-            while pipe.in_flight_depth() > 1 {
-                let g = pipe.reap();
-                dam.end_generation(g).expect("reaped generation owns its slot");
-                held.retain(|&h| h != g);
-            }
-        }
-        for g in pipe.quiesce() {
-            dam.end_generation(g).expect("quiesced generation owns its slot");
-            held.retain(|&h| h != g);
-        }
-        prop_assert!(held.is_empty());
-        prop_assert!(dam.active_generations().is_empty());
-    }
-
-    /// Quiesce always reaches a frame boundary: the pipeline is empty, the
-    /// carry is dropped (the next frame starts cold), and depth never
-    /// exceeded the double-buffer bound along the way.
+    /// Quiesce always reaches a frame boundary: the snapshot a checkpoint
+    /// takes succeeds, and the next frame is submitted alone, carries no
+    /// stall and reports exactly the lockstep time.
     #[test]
     fn quiesce_always_reaches_a_frame_boundary(
-        frames in proptest::collection::vec(arb_frame_times(2), 1..10),
-        quiesce_after in 0usize..10,
-        complete_last in proptest::bool::ANY,
+        quiesce_after in proptest::collection::vec(proptest::bool::ANY, 8..=8),
     ) {
-        let mut pipe = FramePipeline::new(true);
-        for (i, times) in frames.iter().enumerate() {
-            let gen = pipe.open();
-            prop_assert!(pipe.in_flight_depth() <= MAX_IN_FLIGHT);
-            // A quiesce may land before the newest generation measured —
-            // the fault path drains exactly like this.
-            if i + 1 < frames.len() || complete_last {
-                pipe.complete(gen, tracker_of(times));
+        fn cfg(pipeline: bool) -> EncoderConfig {
+            let mut cfg = EncoderConfig::full_hd(EncodeParams::default());
+            cfg.noise_amp = 0.0;
+            cfg.pipeline = pipeline;
+            cfg
+        }
+        let mut on = FevesEncoder::new(Platform::sys_hk(), cfg(true)).unwrap();
+        let mut off = FevesEncoder::new(Platform::sys_hk(), cfg(false)).unwrap();
+        on.enable_flight(16);
+        let mut cold = true;
+        for frame in 1..=8 {
+            let (a, b) = (on.encode_inter_timing(), off.encode_inter_timing());
+            let r = on.flight().unwrap().to_vec().pop().unwrap();
+            prop_assert_eq!(r.inflight_depth, if cold { 1 } else { 2 }, "frame {}", frame);
+            if cold {
+                prop_assert!(r.devices.iter().all(|d| d.overlap_carried_ms == 0.0));
+                prop_assert_eq!(a.tau_tot, b.tau_tot, "frame {}", frame);
             }
-            if i == quiesce_after {
-                break;
-            }
-            while pipe.in_flight_depth() > 1 {
-                pipe.reap();
+            cold = quiesce_after[frame - 1];
+            if cold {
+                on.quiesce_pipeline();
+                prop_assert_eq!(on.snapshot().inter_count, frame);
             }
         }
-        pipe.quiesce();
-        prop_assert!(pipe.is_quiesced());
-        prop_assert_eq!(pipe.in_flight_depth(), 0);
-        prop_assert!(pipe.carry().is_none(), "quiesce must drop the stall carry");
-        // Re-opening after a quiesce starts a fresh generation cleanly.
-        let g = pipe.open();
-        let overlap = pipe.complete(g, tracker_of(&[(1.0, 3.0), (2.0, 3.0)]));
-        prop_assert_eq!(overlap.saved_s, 0.0, "post-quiesce frame must start cold");
     }
 }
 
@@ -167,7 +107,7 @@ proptest! {
 
     /// End-to-end under random fault schedules: the framework must leave
     /// the pipeline quiesce-able at any frame boundary and keep the
-    /// flight-recorded depth within the double-buffer bound.
+    /// flight-recorded depth at one or two frames in flight.
     #[test]
     fn framework_under_random_faults_keeps_pipeline_invariants(
         fault_frame in 1usize..6,
@@ -191,8 +131,8 @@ proptest! {
         enc.run_timing(8);
         let records = enc.flight().unwrap().to_vec();
         for r in &records {
-            prop_assert!(r.inflight_depth <= MAX_IN_FLIGHT,
-                "frame {}: depth {} exceeds the double buffer", r.frame, r.inflight_depth);
+            prop_assert!((1..=2).contains(&r.inflight_depth),
+                "frame {}: depth {} outside 1..=2", r.frame, r.inflight_depth);
             for d in &r.devices {
                 prop_assert!(d.overlap_carried_ms >= 0.0);
             }
