@@ -8,6 +8,7 @@
 //! uninterrupted run by construction (the CLI just replays the same calls).
 
 use feves_core::prelude::*;
+use feves_ft::{ByteReader, ByteWriter, CheckpointBlob};
 use feves_video::synth::{SynthConfig, SynthSequence};
 
 fn make_frames(n: usize) -> Vec<feves_video::frame::Frame> {
@@ -152,5 +153,153 @@ fn restore_rejects_wrong_platform() {
     match FevesEncoder::restore(Platform::sys_nff(), functional_config(), snap) {
         Err(e) => assert!(matches!(e, FevesError::CheckpointStale(_)), "{e}"),
         Ok(_) => panic!("restore onto a different platform must fail"),
+    }
+}
+
+/// The synthetic QCIF job's resume context, `frames_done` of `n` frames in.
+fn job_ctx(frames_done: usize, n_frames: usize) -> ResumeContext {
+    ResumeContext {
+        input: "synthetic".into(),
+        output: "out.y4m".into(),
+        platform: "sys-hk".into(),
+        platform_json: None,
+        sa: 16,
+        refs: 2,
+        qp: 26,
+        balancer: "feves".into(),
+        kernels: None,
+        faults: Vec::new(),
+        deadline_factor: None,
+        flight_out: None,
+        metrics_out: None,
+        every: 1,
+        keep: 3,
+        frames_done,
+        n_frames,
+        out_bytes: 0,
+        input_fingerprint: 7,
+        pipeline: false,
+        out_crc: 0,
+    }
+}
+
+/// Section tags of a v3 checkpoint, in file order.
+const TAGS: [&[u8; 4]; 11] = [
+    b"META", b"PERF", b"HLTH", b"DRFT", b"NOIS", b"DAMS", b"CURS", b"RATE", b"DIST", b"REFS",
+    b"PEND",
+];
+
+/// `blob` with the newest entry of its REFS section cut to luma only: the
+/// presence byte that follows its Y plane set to 0 and its Cb and Cr planes
+/// dropped. Every other byte is kept; the CRCs are recomputed on write.
+fn newest_reference_without_chroma(blob: &CheckpointBlob) -> CheckpointBlob {
+    let refs = blob.require_section(*b"REFS").unwrap();
+    let mut r = ByteReader::new(refs);
+    let n = r.take_usize().unwrap();
+    assert!(n >= 1, "the window holds a reference");
+    let (w, h) = (r.take_usize().unwrap(), r.take_usize().unwrap());
+    let y = r.take_bytes().unwrap();
+    assert_eq!(r.take_u8().unwrap(), 1, "written with Cb and Cr");
+    for _ in 0..2 {
+        r.take_usize().unwrap();
+        r.take_usize().unwrap();
+        r.take_bytes().unwrap();
+    }
+    let mut head = ByteWriter::new();
+    head.put_usize(n);
+    head.put_usize(w);
+    head.put_usize(h);
+    head.put_bytes(&y);
+    head.put_u8(0);
+    let mut payload = head.into_bytes();
+    payload.extend_from_slice(&refs[refs.len() - r.remaining()..]);
+    let mut out = CheckpointBlob::new(blob.fingerprint);
+    for tag in TAGS {
+        if let Some(p) = blob.section(*tag) {
+            let p = if tag == b"REFS" { &payload[..] } else { p };
+            out.push_section(*tag, p.to_vec());
+        }
+    }
+    out
+}
+
+/// A checkpoint whose newest reference has no chroma cannot be resumed
+/// from: the next P-frame predicts Cb and Cr from every reference. It is
+/// rejected as corrupt when it is decoded, so `load_latest` skips it and
+/// resumes from the generation before, bit-exactly.
+#[test]
+fn a_reference_without_chroma_is_corrupt_and_the_previous_generation_resumes() {
+    let n = 6;
+    let frames = make_frames(n);
+    let dir = std::env::temp_dir().join(format!("feves-luma-only-ref-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mgr = CheckpointManager::new(&dir, 3);
+    let mut baseline = FevesEncoder::new(Platform::sys_hk(), functional_config()).unwrap();
+    let mut prints = Vec::new();
+    for (j, f) in frames.iter().enumerate() {
+        let rep = baseline.encode_frame(f);
+        prints.push(footprint(&baseline, &rep));
+        if j == 2 || j == 3 {
+            let snap = baseline.snapshot();
+            assert_eq!(snap.refs.len(), 2, "a full window at frame {j}");
+            mgr.write(&job_ctx(j + 1, n), &snap, &feves_obs::NoopRecorder)
+                .unwrap();
+        }
+    }
+    let newest = dir.join("ckpt-000004.ckpt");
+    let blob = CheckpointBlob::from_bytes(&std::fs::read(&newest).unwrap()).unwrap();
+    let mangled = newest_reference_without_chroma(&blob);
+    match feves_core::decode_checkpoint(&mangled) {
+        Err(FevesError::CheckpointCorrupt(_)) => {}
+        Err(e) => panic!("a luma-only reference must be corrupt, got {e}"),
+        Ok(_) => panic!("a luma-only reference decoded"),
+    }
+    std::fs::write(&newest, mangled.to_bytes()).unwrap();
+
+    let (path, ctx, state, warnings) = load_latest(&dir).unwrap();
+    assert!(path.ends_with("ckpt-000003.ckpt"), "{}", path.display());
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert!(warnings[0].contains("ckpt-000004"), "{}", warnings[0]);
+    let mut resumed =
+        FevesEncoder::restore(Platform::sys_hk(), functional_config(), state).unwrap();
+    for (j, f) in frames.iter().enumerate().skip(ctx.frames_done) {
+        let rep = resumed.encode_frame(f);
+        assert_eq!(
+            footprint(&resumed, &rep),
+            prints[j],
+            "frame {j} diverged after the fallback"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Algorithm 2 warm-starts from the previous frame's distribution, one
+/// entry per device: one taken on another platform is as stale as a
+/// characterization for another device count.
+#[test]
+fn a_warm_start_for_another_device_count_is_stale() {
+    let mut enc = FevesEncoder::new(Platform::sys_hk(), functional_config()).unwrap();
+    for f in &make_frames(3) {
+        enc.encode_frame(f);
+    }
+    let mut snap = enc.snapshot();
+    let devices = Platform::sys_hk().len();
+    assert_eq!(snap.prev_dist.as_ref().map(|d| d.me.len()), Some(devices));
+    // The QCIF frame's nine MB rows over two devices.
+    let rows = || vec![5, 4];
+    snap.prev_dist = Some(feves_sched::Distribution::from_rows(
+        rows(),
+        rows(),
+        rows(),
+        0,
+        &[usize::MAX; 2],
+        None,
+    ));
+    match FevesEncoder::restore(Platform::sys_hk(), functional_config(), snap) {
+        Err(FevesError::CheckpointStale(why)) => {
+            assert!(why.contains("distribution"), "{why}")
+        }
+        Err(e) => panic!("a {devices}-device platform with a 2-device warm start: {e}"),
+        Ok(_) => panic!("a {devices}-device platform restored a 2-device warm start"),
     }
 }
