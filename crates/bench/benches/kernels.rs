@@ -113,7 +113,7 @@ fn bench_dbl(c: &mut Criterion) {
 /// batches), SME's refinement of one CIF MB row, and the sub-pixel
 /// interpolation frame pass.
 fn bench_kernel_dispatch(c: &mut Criterion) {
-    use feves_codec::kernels::{interp_band, scalar};
+    use feves_codec::kernels::{fast, scalar};
     use feves_codec::me::motion_estimate_rows_reference;
     use feves_codec::sme::sme_rows_reference;
     use feves_video::plane::PlaneBandMut;
@@ -173,7 +173,7 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("interp_cif_dispatch");
     for (name, kernel, n) in [
         ("scalar", scalar::interp_band as BandKernel, 16),
-        ("fast", interp_band, 4),
+        ("fast", fast::interp_band, 4),
     ] {
         let mut phases = vec![Plane::new(352, 288); n];
         group.bench_function(name, |b| {

@@ -36,7 +36,7 @@
 use feves_codec::chroma::{encode_chroma_inter_into, ChromaField};
 use feves_codec::dbl::{deblock_frame, deblock_frame_reference};
 use feves_codec::interp::interpolate;
-use feves_codec::kernels::{interp_band, scalar};
+use feves_codec::kernels::{fast, scalar};
 use feves_codec::mc::{mc_rows, ModeField};
 use feves_codec::me::{
     motion_estimate_rows, motion_estimate_rows_reference, search_isa_name, MbMotion,
@@ -454,7 +454,7 @@ fn verify_differentials(sme_cases: &[SmeCase], tail_cases: &[TailCase]) -> usize
     for &(w, h) in &[(17usize, 13usize), (48, 32), (176, 144)] {
         let src = textured(w, h, 23);
         let want = phases_by(scalar::interp_band, 16, &src);
-        let got = phases_by(interp_band, 4, &src);
+        let got = phases_by(fast::interp_band, 4, &src);
         let stored = [0, 2, 8, 10].iter().zip(&got).all(|(&k, g)| want[k] == *g);
         check(&format!("interpolate {w}x{h} stored phases"), stored);
         let sf = interpolate(&src);
@@ -595,7 +595,7 @@ fn bench_kernels(quick: bool, sme_cases: &[SmeCase], tail_cases: &[TailCase]) ->
         let iters = (40u64 * (1280 * 720) as u64 / (w * h) as u64 / div as u64).max(1);
         let t = time_pair(iters, |product| {
             let (kernel, n): (BandKernel, usize) = if product {
-                (interp_band, 4)
+                (fast::interp_band, 4)
             } else {
                 (scalar::interp_band, 16)
             };

@@ -4,7 +4,8 @@
 //! re-run here from *decoded* syntax — modes, motion vectors and quantized
 //! levels — against the same reference store, through the encoder's own
 //! kernels: [`mc::predict_frame`], [`itq_recon_rows`], [`deblock_frame`]
-//! and [`chroma::reconstruct_inter_into`]. This module computes no sample
+//! and [`chroma::reconstruct_inter_into`]. Every reference holds Y, Cb and
+//! Cr, so every decoded frame is YUV. This module computes no sample
 //! itself; it reads, checks and calls. Decoding must reproduce the
 //! encoder's reconstruction **bit-exactly** (the closed-loop property
 //! every hybrid codec rests on); the round-trip tests assert it. This is
@@ -27,8 +28,10 @@ use feves_video::plane::Plane;
 pub struct DecodedFrame {
     /// Reconstructed luma (deblocked — identical to the encoder's RF).
     pub y: Plane<u8>,
-    /// Reconstructed chroma planes; `None` when the store holds no chroma
-    /// references to predict them from.
+    /// Reconstructed chroma planes `(Cb, Cr)`. Always `Some`: every
+    /// reference holds Cb and Cr. The `Option` stays only because the
+    /// wall-clock benchmark's codec replay (`wallbench/src/layers.rs`) calls
+    /// `.is_some_and` on it — the ROADMAP's signature lock; item B unwraps it.
     pub chroma: Option<(Plane<u8>, Plane<u8>)>,
     /// QP signalled in the stream.
     pub qp: u8,
@@ -68,13 +71,15 @@ fn reconstruct(
     let mut y = Plane::new(w, h);
     itq_recon_rows(&coeffs, &pred, qp, all, &mut y);
     deblock_frame(&mut y, &modes, &coeffs, qp);
-    let chroma = store.chroma_planes().map(|(refs_u, refs_v)| {
-        let (cw, ch) = (refs_u[0].width(), refs_u[0].height());
-        let (mut u, mut v) = (Plane::new(cw, ch), Plane::new(cw, ch));
-        chroma::reconstruct_inter_into(&refs_u, &refs_v, &modes, &chroma, qp, &mut u, &mut v);
-        (u, v)
-    });
-    Ok(DecodedFrame { y, chroma, qp })
+    let (refs_u, refs_v) = store.chroma_refs();
+    let (cw, ch) = (refs_u[0].width(), refs_u[0].height());
+    let (mut u, mut v) = (Plane::new(cw, ch), Plane::new(cw, ch));
+    chroma::reconstruct_inter_into(&refs_u, &refs_v, &modes, &chroma, qp, &mut u, &mut v);
+    Ok(DecodedFrame {
+        y,
+        chroma: Some((u, v)),
+        qp,
+    })
 }
 
 /// Decode a YUV stream written by `backend`'s
@@ -131,7 +136,7 @@ mod tests {
                 let decoded = decode_yuv(backend, &stream, &store).expect("own stream decodes");
                 assert_eq!(decoded.qp, params().qp);
                 assert_eq!(decoded.y, out.luma.recon, "{backend:?}: luma mismatch");
-                let (du, dv) = decoded.chroma.expect("the store holds chroma");
+                let (du, dv) = decoded.chroma.expect("every decoded frame is YUV");
                 assert_eq!(du, out.chroma.recon_u, "{backend:?}: Cb mismatch");
                 assert_eq!(dv, out.chroma.recon_v, "{backend:?}: Cr mismatch");
             }

@@ -1,5 +1,7 @@
 //! Single-device reference implementation of the complete inter-loop
-//! (Fig 1): ME → (INT) → SME → MC → TQ → TQ⁻¹ → DBL → chroma → entropy.
+//! (Fig 1): ME → (INT) → SME → MC → TQ → TQ⁻¹ → DBL → chroma → entropy,
+//! and the reference window it codes against: every reference is one YUV
+//! picture — its Y, Cb and Cr planes — plus the sub-pixel frame of its Y.
 //!
 //! This is the golden path: the FEVES framework distributes exactly these
 //! kernels across devices, and its output must be bit-identical to this
@@ -22,23 +24,25 @@ use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
 use std::collections::VecDeque;
 
-/// A reconstructed reference frame together with its sub-pixel
-/// interpolation.
+/// A reconstructed reference picture together with the sub-pixel
+/// interpolation of its luma.
 #[derive(Clone, Debug)]
 pub struct RefEntry {
     /// Reconstructed (deblocked) luma plane.
     pub plane: Plane<u8>,
     /// Its sub-pixel interpolated frame.
     pub sf: SubpelFrame,
-    /// Reconstructed chroma planes (Cb, Cr), when chroma coding is active.
-    pub chroma: Option<(Plane<u8>, Plane<u8>)>,
+    /// Reconstructed Cb plane.
+    pub u: Plane<u8>,
+    /// Reconstructed Cr plane.
+    pub v: Plane<u8>,
 }
 
-/// Sliding window of reference frames, most recent first.
+/// Sliding window of reference pictures, most recent first.
 ///
-/// Mirrors the paper's RF/SF buffers: pushing a newly reconstructed frame
-/// interpolates it (the INT module's output) and evicts the oldest entry
-/// beyond the configured depth.
+/// Mirrors the paper's RF/SF buffers (§III-B): each entry is a newly
+/// reconstructed YUV picture with the SF of its luma (the INT module's
+/// output), and a push evicts the oldest entry beyond the configured depth.
 #[derive(Clone, Debug)]
 pub struct ReferenceStore {
     entries: VecDeque<RefEntry>,
@@ -76,7 +80,8 @@ impl ReferenceStore {
         self.entries.push_front(RefEntry {
             plane: recon,
             sf,
-            chroma: Some((u, v)),
+            u,
+            v,
         });
         while self.entries.len() > self.max_refs {
             self.entries.pop_back();
@@ -104,18 +109,18 @@ impl ReferenceStore {
         self.retired.extend(self.entries.drain(..));
     }
 
-    /// Chroma reference planes, most recent first; `None` if any entry was
-    /// pushed without chroma.
+    /// Chroma reference planes `(Cb, Cr)`, most recent first.
+    pub fn chroma_refs(&self) -> (Vec<&Plane<u8>>, Vec<&Plane<u8>>) {
+        self.entries.iter().map(|e| (&e.u, &e.v)).unzip()
+    }
+
+    /// [`Self::chroma_refs`], always `Some`: every reference holds Cb and
+    /// Cr. The `Option` stays only because the wall-clock benchmark's codec
+    /// replay (`wallbench/src/layers.rs`) calls `.expect` on it — the
+    /// ROADMAP's signature lock; item B deletes this method.
     #[allow(clippy::type_complexity)] // (Cb refs, Cr refs) pair
     pub fn chroma_planes(&self) -> Option<(Vec<&Plane<u8>>, Vec<&Plane<u8>>)> {
-        let mut us = Vec::with_capacity(self.entries.len());
-        let mut vs = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            let (u, v) = e.chroma.as_ref()?;
-            us.push(u);
-            vs.push(v);
-        }
-        Some((us, vs))
+        Some(self.chroma_refs())
     }
 
     /// Reference planes, most recent first.
@@ -138,21 +143,17 @@ impl ReferenceStore {
         self.entries.iter()
     }
 
-    /// Rebuild a store from reconstructed planes (most recent first),
-    /// re-deriving each sub-pixel frame with [`interpolate`]. SFs are pure
-    /// functions of their RF — and bit-exact against their references and
-    /// work partitions (the partition-invariance tests prove it) — so a
-    /// checkpoint only needs the ~5× smaller reconstructed planes.
-    #[allow(clippy::type_complexity)] // (luma, optional (Cb, Cr)) per entry
-    pub fn rebuild(
-        max_refs: usize,
-        planes: Vec<(Plane<u8>, Option<(Plane<u8>, Plane<u8>)>)>,
-    ) -> Self {
-        assert!(max_refs >= 1 && planes.len() <= max_refs);
+    /// Rebuild a store from reconstructed `(Y, Cb, Cr)` pictures (most
+    /// recent first), re-deriving each sub-pixel frame with [`interpolate`].
+    /// SFs are pure functions of their RF — and bit-exact against their
+    /// references and work partitions (the partition-invariance tests prove
+    /// it) — so a checkpoint only needs the ~5× smaller reconstructed planes.
+    pub fn rebuild(max_refs: usize, pictures: Vec<(Plane<u8>, Plane<u8>, Plane<u8>)>) -> Self {
+        assert!(max_refs >= 1 && pictures.len() <= max_refs);
         let mut entries = VecDeque::with_capacity(max_refs + 1);
-        for (plane, chroma) in planes {
+        for (plane, u, v) in pictures {
             let sf = interpolate(&plane);
-            entries.push_back(RefEntry { plane, sf, chroma });
+            entries.push_back(RefEntry { plane, sf, u, v });
         }
         ReferenceStore {
             entries,
@@ -196,8 +197,6 @@ pub struct InterFrameOutputYuv {
 /// device (ME and SME over the host's cores, [`crate::par`]), following the
 /// module order of Fig 1, with chroma prediction and coding derived from
 /// the winning luma modes (the standard H.264 coupling).
-///
-/// The store's entries must hold chroma ([`ReferenceStore::push_yuv`]).
 pub fn encode_inter_frame_yuv(
     frame: &Frame,
     store: &ReferenceStore,
@@ -259,9 +258,7 @@ pub fn encode_inter_frame_yuv(
     deblock_frame(&mut recon, &modes, &coeffs, eff_params.qp);
 
     // Chroma, from the winning luma modes.
-    let (refs_u, refs_v) = store
-        .chroma_planes()
-        .expect("YUV encoding requires chroma references (push_yuv)");
+    let (refs_u, refs_v) = store.chroma_refs();
     let chroma = encode_chroma_inter(
         frame.u(),
         frame.v(),
@@ -381,11 +378,10 @@ pub(crate) mod tests {
         let params = test_params();
         let store = intra_store(&frames[0], 20, 1);
         let reference = store.entry(0);
-        let (u, v) = reference.chroma.as_ref().expect("pushed with chroma");
         let mut still = frames[0].clone();
         still.y_mut().copy_from(&reference.plane);
-        still.u_mut().copy_from(u);
-        still.v_mut().copy_from(v);
+        still.u_mut().copy_from(&reference.u);
+        still.v_mut().copy_from(&reference.v);
         let out = encode_inter_frame_yuv(&still, &store, &params);
         assert_eq!(
             out.luma.coeffs.nonzero_levels(),

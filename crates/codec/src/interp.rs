@@ -343,7 +343,7 @@ impl SubpelFrame {
             .planes
             .each_mut()
             .map(|p| p.split_rows_mut(&counts).swap_remove(1));
-        crate::kernels::interp_band(rf, self.width, y0, y1, &mut bands);
+        crate::kernels::fast::interp_band(rf, self.width, y0, y1, &mut bands);
     }
 
     /// The SF rows of each MB row of `rows` as an item of their own (the
@@ -482,7 +482,7 @@ impl SubpelRowMut<'_> {
         let y0 = (self.mby * MB_SIZE).min(rf.height());
         let y1 = ((self.mby + 1) * MB_SIZE).min(rf.height());
         if y0 < y1 {
-            crate::kernels::interp_band(rf, rf.width(), y0, y1, &mut self.bands);
+            crate::kernels::fast::interp_band(rf, rf.width(), y0, y1, &mut self.bands);
         }
     }
 }

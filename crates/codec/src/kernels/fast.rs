@@ -979,8 +979,11 @@ mod x86 {
 // Sub-pixel interpolation
 // ---------------------------------------------------------------------------
 
-/// Fast [`super::interp_band`]: the scalar band's filter maths on the four
-/// stored phases, restructured around contiguous rows.
+/// Interpolate pixel rows `[y0, y1)` of the four stored phases — G (0,0),
+/// b (2,0), h (0,2) and j (2,2) — into `bands`, in that order, reading `rf`
+/// with clamped halos. The reference [`super::scalar::interp_band`] writes
+/// all sixteen phases; its bands 0, 2, 8 and 10 are these four. It runs the
+/// scalar band's filter maths, restructured around contiguous rows.
 ///
 /// * Source rows are copied once into a `width + 5` padded buffer whose 2
 ///   left / 3 right columns replicate the border, so every later 6-tap is a

@@ -14,11 +14,14 @@
 //!   two 4×4 blocks per SSE2 register, and for interpolation padded-row
 //!   6-tap passes that write only the four stored phases (G, b, h, j).
 //!
-//! Kernels whose fast twin never beat the scalar loop (the dequantizer, the
-//! per-candidate SAD grid, `row_sad`) have one implementation, in
-//! [`scalar`], that the product runs too. The scalar quantizer
-//! ([`quantize_4x4`]) and [`crate::quant::tq_block`] stay as the forward
-//! TQ's reference, which the product no longer runs.
+//! Each kernel has one name, where it is defined: [`fast::interp_band`],
+//! [`tq_blocks`], [`scalar::row_sad`] and so on; nothing here forwards.
+//! Of the [`scalar`] loops the product runs only
+//! [`scalar::dequantize_4x4`], under TQ⁻¹, whose fast twin never beat it.
+//! The SAD loops ([`scalar::row_sad`], [`scalar::sad_grid_16x16`]) are the
+//! reference of the ME search and the SME refinement, and the scalar
+//! quantizer ([`scalar::quantize_4x4`]) with [`crate::quant::tq_block`] the
+//! reference of the forward TQ.
 //!
 //! The product always runs [`fast`]; within it the instruction set is
 //! whatever the CPU reports — there is no switch for it. [`scalar`] stays
@@ -39,9 +42,6 @@ use fast::Portable as TqFast;
 use fast::Sse2 as TqFast;
 use fast::{Quantizer, TqIsa};
 
-use crate::sad::SadGrid;
-use feves_video::plane::{Plane, PlaneBandMut};
-
 /// The one kernel family left. A no-op shim kept only because the
 /// wall-clock benchmark still names it; item B of the roadmap deletes it
 /// together with [`force_kind`].
@@ -59,47 +59,6 @@ pub fn force_kind(_: KernelKind) {}
 // ---------------------------------------------------------------------------
 // Entry points.
 // ---------------------------------------------------------------------------
-
-/// SAD of two equal-length rows.
-///
-/// Mismatched lengths are a **hard error** in every build profile (not just
-/// under `debug_assertions`): a silent zip-truncation here would corrupt
-/// motion search results without any visible failure.
-#[inline]
-pub fn row_sad(a: &[u8], b: &[u8]) -> u32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "row_sad length mismatch: {} vs {}",
-        a.len(),
-        b.len()
-    );
-    scalar::row_sad(a, b)
-}
-
-/// The sixteen 4×4 SADs of one macroblock against one reference position
-/// (border-clamped when the reference block leaves the plane) — the
-/// per-candidate form [`crate::me::motion_estimate_rows_reference`] runs;
-/// the product search ([`crate::me`]) computes the same grids sixteen
-/// candidates at a time.
-#[inline]
-pub fn sad_grid_16x16(
-    cur: &Plane<u8>,
-    cur_x: usize,
-    cur_y: usize,
-    reference: &Plane<u8>,
-    ref_x: isize,
-    ref_y: isize,
-) -> SadGrid {
-    scalar::sad_grid_16x16(cur, cur_x, cur_y, reference, ref_x, ref_y)
-}
-
-/// Quantize transformed coefficients in place (H.264 MF tables + dead-zone):
-/// the reference of [`tq_blocks`]' quantizer lanes.
-#[inline]
-pub fn quantize_4x4(w: &mut [i32; 16], qp: u8, intra: bool) {
-    scalar::quantize_4x4(w, qp, intra)
-}
 
 /// Forward TQ (core transform + quantization) of the 4×4 blocks of a
 /// region `4 · cols` samples wide, its rows `stride` apart in `src`: block
@@ -140,27 +99,6 @@ pub fn tq_blocks(
         mask |= u16::from(nonzero) << (2 * k);
     }
     mask
-}
-
-/// Dequantize levels in place (result is in the inverse-transform domain).
-#[inline]
-pub fn dequantize_4x4(z: &mut [i32; 16], qp: u8) {
-    scalar::dequantize_4x4(z, qp)
-}
-
-/// Interpolate pixel rows `[y0, y1)` of the four stored phases — G (0,0),
-/// b (2,0), h (0,2) and j (2,2) — into `bands`, in that order, reading `rf`
-/// with clamped halos. The reference [`scalar::interp_band`] writes all
-/// sixteen phases; its bands 0, 2, 8 and 10 are these four.
-#[inline]
-pub fn interp_band(
-    rf: &Plane<u8>,
-    width: usize,
-    y0: usize,
-    y1: usize,
-    bands: &mut [PlaneBandMut<'_, u8>],
-) {
-    fast::interp_band(rf, width, y0, y1, bands)
 }
 
 // ---------------------------------------------------------------------------
@@ -215,18 +153,4 @@ pub(crate) fn clip8(v: i32) -> u8 {
 #[inline]
 pub(crate) fn avg(a: u8, b: u8) -> u8 {
     ((a as u16 + b as u16 + 1) >> 1) as u8
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[should_panic(expected = "row_sad length mismatch")]
-    fn row_sad_length_mismatch_is_a_hard_error() {
-        // A hard assert (not debug_assert): this must panic identically in
-        // dev and release builds. The release-mode CI job re-runs this test
-        // with optimizations on.
-        let _ = row_sad(&[1, 2, 3], &[1, 2]);
-    }
 }

@@ -17,7 +17,7 @@
 //! | `syntax` (private) | The frame syntax both coders binarise: the one writer walk, the one reader walk and its range checks | [`cabac::EntropyBackend::encode_frame_yuv`] |
 //! | [`decoder`] | P-frame decoding: the range checks, the syntax reader, then the encoder's MC / TQ⁻¹ / DBL / chroma kernels | [`decoder::decode_yuv`] |
 //! | [`intra`] | I-slice coding | [`intra::encode_intra_frame`] |
-//! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD and averaging, padded-row 6-tap) and their scalar references | [`kernels::interp_band`] |
+//! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD and averaging, padded-row 6-tap, SSE2 TQ and line filter) and their scalar references, of which the product runs only the dequantizer | [`kernels::fast::interp_band`], [`kernels::tq_blocks`] |
 //! | [`par`] | Host execution: MB rows over the host's cores | [`par::for_each_row`] |
 //!
 //! The ME/INT/SME kernels are *partition-invariant*: their result for a
@@ -42,7 +42,6 @@ pub mod par;
 pub mod quant;
 pub mod rate;
 pub mod recon;
-pub mod sad;
 pub mod sme;
 mod syntax;
 pub mod transform;

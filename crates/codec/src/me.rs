@@ -2,7 +2,7 @@
 //! reference frames with all seven H.264/AVC partition modes.
 //!
 //! For every candidate displacement the sixteen 4×4 SADs of the macroblock
-//! are computed once ([`crate::sad::SadGrid`]) and hierarchically aggregated
+//! are computed once ([`crate::kernels::scalar::SadGrid`]) and hierarchically aggregated
 //! into the 41 partition blocks — the "fast full search" scheme used by the
 //! JM reference software, which is also how the paper's CPU/GPU kernels are
 //! structured. Results are *independent per macroblock*, which is what makes
@@ -27,8 +27,8 @@
 
 use crate::kernels;
 use crate::kernels::fast::{Portable, SearchIsa};
+use crate::kernels::scalar::SadGrid;
 use crate::par;
-use crate::sad::SadGrid;
 use crate::types::{EncodeParams, MbField, Mv, PartitionMode, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
@@ -605,7 +605,7 @@ mod tests {
             for i in 0..mode.count() {
                 let (ox, oy) = mode.offset(i);
                 let (w, h) = mode.dims();
-                let naive = crate::sad::grid_partition_sad(&grid, ox, oy, w, h);
+                let naive = crate::kernels::scalar::tests::grid_partition_sad(&grid, ox, oy, w, h);
                 assert_eq!(
                     parts[mode_base(mode) + i],
                     naive,

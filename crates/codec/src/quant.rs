@@ -8,28 +8,16 @@
 //! The forward TQ the encoder runs is [`crate::kernels::tq_blocks`], two
 //! blocks per SSE2 register; [`tq_block`] is its scalar reference, which
 //! tests and benches call by name. TQ⁻¹ ([`itq_block`]) has one
-//! implementation, the per-coefficient loops of [`crate::kernels`].
+//! implementation, [`crate::kernels::scalar::dequantize_4x4`]'s
+//! per-coefficient loop and the inverse transform.
 
+use crate::kernels::scalar::{dequantize_4x4, quantize_4x4};
 use crate::transform::{forward_4x4, inverse_4x4};
 
 /// Quantization step size for `qp` (doubles every 6 QP, QStep(4) = 1.0).
 pub fn qstep(qp: u8) -> f64 {
     const BASE: [f64; 6] = [0.625, 0.6875, 0.8125, 0.875, 1.0, 1.125];
     BASE[(qp % 6) as usize] * f64::powi(2.0, (qp / 6) as i32)
-}
-
-/// Quantize transformed coefficients in place.
-///
-/// `intra` selects the larger dead-zone offset (`2^qbits/3` vs `/6`).
-#[inline]
-pub fn quantize_4x4(w: &mut [i32; 16], qp: u8, intra: bool) {
-    crate::kernels::quantize_4x4(w, qp, intra)
-}
-
-/// Dequantize levels in place (result is in the inverse-transform domain).
-#[inline]
-pub fn dequantize_4x4(z: &mut [i32; 16], qp: u8) {
-    crate::kernels::dequantize_4x4(z, qp)
 }
 
 /// Forward transform + quantize a 4×4 residual block: the reference of

@@ -689,7 +689,12 @@ mod tests {
         let cf = Plane::from_fn(64, 64, |x, y| ((x * 5) ^ (y * 2)) as u8);
         let sf = interpolate(&rf);
         let direct: u32 = (0..16)
-            .map(|row| crate::sad::row_sad(&cf.row(16 + row)[16..32], &rf.row(18 + row)[20..36]))
+            .map(|row| {
+                crate::kernels::scalar::row_sad(
+                    &cf.row(16 + row)[16..32],
+                    &rf.row(18 + row)[20..36],
+                )
+            })
             .sum();
         let refiner = Refiner {
             isa: Portable,

@@ -259,6 +259,36 @@ fn take_filled<T: Wire>(r: &mut ByteReader) -> Result<Option<T>, FevesError> {
     Ok(some.then_some(v))
 }
 
+/// A reference picture: its Y, Cb and Cr planes.
+type Picture = (Plane<u8>, Plane<u8>, Plane<u8>);
+
+/// v3 quirk, the "flagged" pictures (a `wire!` field marked `flagged`): a
+/// count, then each picture as Y, a presence byte, Cb and Cr. The byte is
+/// always 1. It let a reference be luma only, which no reference is, so a 0
+/// is corrupt.
+fn put_flagged(pictures: &[Picture], w: &mut ByteWriter) {
+    pictures.len().put(w);
+    for (y, u, v) in pictures {
+        y.put(w);
+        true.put(w);
+        u.put(w);
+        v.put(w);
+    }
+}
+
+fn take_flagged(r: &mut ByteReader) -> Result<Vec<Picture>, FevesError> {
+    let n = usize::take(r)?;
+    let left = r.remaining();
+    ensure!(n <= left, "{n} pictures declared, {left} bytes left");
+    (0..n)
+        .map(|_| {
+            let y = Plane::take(r)?;
+            ensure!(bool::take(r)?, "a reference picture without Cb and Cr");
+            Ok((y, Plane::take(r)?, Plane::take(r)?))
+        })
+        .collect()
+}
+
 /// A plane is its width, its height and a length-prefixed payload of
 /// exactly w×h samples (stride padding is not written).
 impl Wire for Plane<u8> {
@@ -312,16 +342,19 @@ impl Wire for DeviceHealth {
 
 /// One statement of a struct's v3 layout: its fields in file order, each
 /// optionally marked `id` (hashed by [`ResumeContext::fingerprint`], in
-/// table order) and `filled` (see [`put_filled`]), and an optional `[check]`
-/// that vets the decoded value. Generates [`Wire`] for the struct.
+/// table order) and `filled` (see [`put_filled`]) or `flagged` (see
+/// [`put_flagged`]), and an optional `[check]` that vets the decoded
+/// value. Generates [`Wire`] for the struct.
 macro_rules! wire {
     (@put $w:ident $v:expr; id $($m:ident)*) => { wire!(@put $w $v; $($m)*) };
     (@put $w:ident $v:expr; filled) => { put_filled($v, $w) };
+    (@put $w:ident $v:expr; flagged) => { put_flagged($v, $w) };
     (@put $w:ident $v:expr;) => { Wire::put($v, $w) };
     (@id $w:ident $v:expr; id $($m:ident)*) => { wire!(@put $w $v; $($m)*) };
     (@id $w:ident $v:expr; $($m:ident)*) => {};
     (@take $r:ident; id $($m:ident)*) => { wire!(@take $r; $($m)*) };
     (@take $r:ident; filled) => { take_filled($r)? };
+    (@take $r:ident; flagged) => { take_flagged($r)? };
     (@take $r:ident;) => { Wire::take($r)? };
     ($($ty:ident $([$check:ident])? { $($field:ident $(: $($m:ident)+)?),* $(,)? })*) => {$(
         impl Wire for $ty {
@@ -429,55 +462,67 @@ fn from_payload<T: Wire>(bytes: &[u8], what: &str) -> Result<T, FevesError> {
 
 /// The v3 sections after META and PERF, in file order: a tag, `optional`
 /// when the section is written only for a `Some` field, and the
-/// [`FrameworkState`] fields its payload holds (marked as in `wire!`).
-/// Generates `put_sections` and `take_sections`.
+/// [`FrameworkState`] fields its payload holds (marked as in `wire!`). A
+/// v3 slot may follow a `;`: another field's value, of the type given,
+/// written again at the section's end and skipped on read. Generates
+/// `put_sections` and `take_sections`.
 macro_rules! sections {
-    (@put $blob:ident $s:ident $tag:ident [] $($field:ident [$($m:ident)*])*) => {{
+    (@put $blob:ident $s:ident $tag:ident [] [$($slot:ident: $ty:ty)?]
+        $($field:ident [$($m:ident)*])*) => {{
         let mut bytes = ByteWriter::new();
         let w = &mut bytes;
         $(wire!(@put w &$s.$field; $($m)*);)*
+        $(wire!(@put w &$s.$slot;);)?
         $blob.push_section(tag(stringify!($tag)), bytes.into_bytes());
     }};
-    (@put $blob:ident $s:ident $tag:ident [optional] $field:ident []) => {
+    (@put $blob:ident $s:ident $tag:ident [optional] [] $field:ident []) => {
         if let Some(v) = &$s.$field {
             $blob.push_section(tag(stringify!($tag)), to_payload(v));
         }
     };
-    (@take $blob:ident $tag:ident [] $($field:ident [$($m:ident)*])*) => {
+    (@take $blob:ident $tag:ident [] [$($slot:ident: $ty:ty)?]
+        $($field:ident [$($m:ident)*])*) => {
         let r = &mut ByteReader::new($blob.require_section(tag(stringify!($tag)))?);
         $(let $field = wire!(@take r; $($m)*);)*
+        $(<$ty as Wire>::take(r)?;)?
         r.expect_end(concat!(stringify!($tag), " section"))?;
     };
-    (@take $blob:ident $tag:ident [optional] $field:ident []) => {
+    (@take $blob:ident $tag:ident [optional] [] $field:ident []) => {
         let $field = match $blob.section(tag(stringify!($tag))) {
             Some(b) => Some(from_payload(b, concat!(stringify!($tag), " section"))?),
             None => None,
         };
     };
-    ($($tag:ident $($opt:ident)? { $($field:ident $(: $($m:ident)+)?),* })*) => {
+    ($($tag:ident $($opt:ident)? {
+        $($field:ident $(: $($m:ident)+)?),* $(; $slot:ident: $ty:ty)?
+    })*) => {
         fn put_sections(s: &FrameworkState, blob: &mut CheckpointBlob) {
-            $(sections!(@put blob s $tag [$($opt)?] $($field [$($($m)+)?])*);)*
+            $(sections!(@put blob s $tag [$($opt)?] [$($slot: $ty)?]
+                $($field [$($($m)+)?])*);)*
         }
 
         fn take_sections(
             blob: &CheckpointBlob,
             perf: PerfChar,
         ) -> Result<FrameworkState, FevesError> {
-            $(sections!(@take blob $tag [$($opt)?] $($field [$($($m)+)?])*);)*
+            $(sections!(@take blob $tag [$($opt)?] [$($slot: $ty)?]
+                $($field [$($($m)+)?])*);)*
             Ok(FrameworkState { perf, $($($field,)*)* })
         }
     };
 }
 
+// v3 quirk: DAMS ends in the DAM's committed-frame count, which is the
+// inter count (`close_frame` advances both) and which nothing reads.
 sections! {
     HLTH { health }
     DRFT { drift }
     NOIS { noise }
-    DAMS { dam_sigma_rem, dam_frames_committed }
+    DAMS { dam_sigma_rem; inter_count: usize }
     CURS { inter_count, frames_encoded, refs_available, expected_tau: filled, ft_stats }
     RATE optional { rate }
     DIST optional { prev_dist }
-    REFS { refs }
+    REFS { refs: flagged }
     PEND optional { recon_pending }
 }
 
@@ -734,8 +779,6 @@ mod tests {
         FrameworkState {
             perf,
             dam_sigma_rem: vec![0; n],
-            // As in every run: `close_frame` counts it with `inter_count`.
-            dam_frames_committed: 11,
             noise: NoiseState {
                 amp: 0.02,
                 key: [1, 2, 3, 4, 5, 6, 7, 8],
@@ -780,10 +823,7 @@ mod tests {
                 min_qp: 10,
                 max_qp: 48,
             }),
-            refs: vec![
-                (luma.clone(), Some((cb.clone(), cr.clone()))),
-                (luma, Some((cb, cr))),
-            ],
+            refs: vec![(luma.clone(), cb.clone(), cr.clone()), (luma, cb, cr)],
             recon_pending: Some((
                 Plane::from_vec(vec![1u8; 64 * 32], 64, 32),
                 Plane::from_vec(vec![2u8; 32 * 16], 32, 16),
@@ -816,7 +856,6 @@ mod tests {
 
     fn states_equal(a: &FrameworkState, b: &FrameworkState) {
         assert_eq!(a.dam_sigma_rem, b.dam_sigma_rem);
-        assert_eq!(a.dam_frames_committed, b.dam_frames_committed);
         assert_eq!(a.inter_count, b.inter_count);
         assert_eq!(a.frames_encoded, b.frames_encoded);
         assert_eq!(a.refs_available, b.refs_available);

@@ -74,7 +74,6 @@ pub struct DataManager {
     n_devices: usize,
     /// σʳ carried from the previous frame, per device.
     sigma_rem: Vec<usize>,
-    frames_committed: usize,
 }
 
 impl DataManager {
@@ -84,25 +83,20 @@ impl DataManager {
             n_rows,
             n_devices,
             sigma_rem: vec![0; n_devices],
-            frames_committed: 0,
         }
     }
 
-    /// Mutable buffer-residency state for checkpointing: `(σʳ per device,
-    /// frames committed)`. Geometry is rebuilt from the config on resume.
-    pub fn snapshot(&self) -> (Vec<usize>, usize) {
-        (self.sigma_rem.clone(), self.frames_committed)
+    /// Mutable buffer-residency state for checkpointing: σʳ per device.
+    /// Geometry is rebuilt from the config on resume.
+    pub fn snapshot(&self) -> Vec<usize> {
+        self.sigma_rem.clone()
     }
 
     /// Overwrite the mutable state from a [`snapshot`]. Fails when the σʳ
     /// vector disagrees with the device count or exceeds the frame height.
     ///
     /// [`snapshot`]: DataManager::snapshot
-    pub fn restore_state(
-        &mut self,
-        sigma_rem: Vec<usize>,
-        frames_committed: usize,
-    ) -> Result<(), FevesError> {
+    pub fn restore_state(&mut self, sigma_rem: Vec<usize>) -> Result<(), FevesError> {
         if sigma_rem.len() != self.n_devices {
             return Err(FevesError::CheckpointStale(format!(
                 "DAM snapshot is for {} devices, platform has {}",
@@ -116,7 +110,6 @@ impl DataManager {
             ));
         }
         self.sigma_rem = sigma_rem;
-        self.frames_committed = frames_committed;
         Ok(())
     }
 
@@ -268,7 +261,6 @@ impl DataManager {
                 0
             };
         }
-        self.frames_committed += 1;
         Ok(())
     }
 }
@@ -335,7 +327,7 @@ mod tests {
             feves_sched::Distribution::from_rows(me.clone(), me.clone(), me, 0, &budget, None);
         assert!(dist.sigma_rem[1] > 0, "test needs a real remainder");
         dam.commit(&dist, &accel_mask(6, 2), true).unwrap();
-        assert_eq!(dam.snapshot().0[1], dist.sigma_rem[1]);
+        assert_eq!(dam.snapshot()[1], dist.sigma_rem[1]);
         // Next frame's plan ships the deferred rows first.
         let plan = dam.plan(&dist, &accel_mask(6, 2), true);
         assert_eq!(plan[1].sigma_prev_up, dist.sigma_rem[1]);

@@ -349,8 +349,6 @@ pub struct FrameworkState {
     pub perf: PerfChar,
     /// DAM deferred-SF remainder per device.
     pub dam_sigma_rem: Vec<usize>,
-    /// DAM committed-frame count.
-    pub dam_frames_committed: usize,
     /// Measurement-noise RNG position.
     pub noise: NoiseState,
     /// Previous frame's distribution (Algorithm 2's warm start).
@@ -363,10 +361,9 @@ pub struct FrameworkState {
     pub refs_available: usize,
     /// Rate-controller state, when rate control is active.
     pub rate: Option<RateSnapshot>,
-    /// Reference window: reconstructed `(Y, Some((Cb, Cr)))` planes, most
-    /// recent first; SFs are rebuilt on restore.
-    #[allow(clippy::type_complexity)] // the ReferenceStore::rebuild input shape
-    pub refs: Vec<(Plane<u8>, Option<(Plane<u8>, Plane<u8>)>)>,
+    /// Reference window: reconstructed `(Y, Cb, Cr)` pictures, most recent
+    /// first; SFs are rebuilt on restore.
+    pub refs: Vec<(Plane<u8>, Plane<u8>, Plane<u8>)>,
     /// Reconstruction not yet interpolated into the reference window.
     pub recon_pending: Option<(Plane<u8>, Plane<u8>, Plane<u8>)>,
     /// Device health state machine (blacklists, backoffs, probation).
@@ -1309,13 +1306,17 @@ impl FevesEncoder {
                 v: chroma(),
             };
         };
-        let (y, mut sf, uv) = match self.store.recycle() {
-            Some(done) => (done.plane, done.sf, done.chroma),
-            None => (luma(), SubpelFrame::new(padded.width, padded.height), None),
+        let (y, mut sf, u, v) = match self.store.recycle() {
+            Some(done) => (done.plane, done.sf, done.u, done.v),
+            None => (
+                luma(),
+                SubpelFrame::new(padded.width, padded.height),
+                chroma(),
+                chroma(),
+            ),
         };
         sf.interpolate_rows_parallel(&pending.y, covered);
         self.store.push_yuv(pending.y, sf, pending.u, pending.v);
-        let (u, v) = uv.unwrap_or_else(|| (chroma(), chroma()));
         ReconPending { y, u, v }
     }
 
@@ -1378,10 +1379,7 @@ impl FevesEncoder {
 
         // Chroma rides with the R* group (single-device semantics), using
         // the winning luma modes.
-        let (refs_u, refs_v) = self
-            .store
-            .chroma_planes()
-            .expect("functional references are pushed with chroma");
+        let (refs_u, refs_v) = self.store.chroma_refs();
         let n_refs = refs_u.len().min(params.n_ref);
         feves_codec::chroma::encode_chroma_inter_into(
             frame.u(),
@@ -1458,11 +1456,9 @@ impl FevesEncoder {
             self.carry.is_none(),
             "snapshot requires a quiesced pipeline (call quiesce_pipeline first)"
         );
-        let (dam_sigma_rem, dam_frames_committed) = self.dam.snapshot();
         FrameworkState {
             perf: self.perf.clone(),
-            dam_sigma_rem,
-            dam_frames_committed,
+            dam_sigma_rem: self.dam.snapshot(),
             noise: self.noise.snapshot(),
             prev_dist: self.prev_dist.clone(),
             inter_count: self.inter_count,
@@ -1472,7 +1468,7 @@ impl FevesEncoder {
             refs: self
                 .store
                 .entries()
-                .map(|e| (e.plane.clone(), e.chroma.clone()))
+                .map(|e| (e.plane.clone(), e.u.clone(), e.v.clone()))
                 .collect(),
             recon_pending: self
                 .recon_pending
@@ -1516,6 +1512,13 @@ impl FevesEncoder {
                 n
             )));
         }
+        if let Some(k) = state.prev_dist.as_ref().map(|d| d.me.len()) {
+            if k != n {
+                return Err(FevesError::CheckpointStale(format!(
+                    "warm-start distribution is for {k} devices, platform has {n}"
+                )));
+            }
+        }
         if !(0.0..1.0).contains(&state.noise.amp) {
             return Err(FevesError::CheckpointCorrupt(format!(
                 "noise amplitude {} out of [0, 1)",
@@ -1530,34 +1533,18 @@ impl FevesEncoder {
             )));
         }
         let padded = enc.config.resolution.padded();
-        let dims_ok = |p: &Plane<u8>, w: usize, h: usize| p.width() == w && p.height() == h;
-        let yuv_ok = |y: &Plane<u8>, u: &Plane<u8>, v: &Plane<u8>| {
-            dims_ok(y, padded.width, padded.height)
-                && dims_ok(u, padded.width / 2, padded.height / 2)
-                && dims_ok(v, padded.width / 2, padded.height / 2)
+        let yuv_ok = |(y, u, v): &(Plane<u8>, Plane<u8>, Plane<u8>)| {
+            [(y, 1), (u, 2), (v, 2)]
+                .iter()
+                .all(|(p, k)| (p.width(), p.height()) == (padded.width / k, padded.height / k))
         };
-        for (y, chroma) in &state.refs {
-            let ok = match chroma {
-                Some((u, v)) => yuv_ok(y, u, v),
-                None => dims_ok(y, padded.width, padded.height),
-            };
-            if !ok {
-                return Err(FevesError::CheckpointStale(
-                    "reference plane dimensions do not match the configured resolution".into(),
-                ));
-            }
-        }
-        if let Some((y, u, v)) = &state.recon_pending {
-            if !yuv_ok(y, u, v) {
-                return Err(FevesError::CheckpointStale(
-                    "pending reconstruction dimensions do not match the configured resolution"
-                        .into(),
-                ));
-            }
+        if !state.refs.iter().chain(&state.recon_pending).all(yuv_ok) {
+            return Err(FevesError::CheckpointStale(
+                "picture dimensions do not match the configured resolution".into(),
+            ));
         }
         enc.perf = state.perf;
-        enc.dam
-            .restore_state(state.dam_sigma_rem, state.dam_frames_committed)?;
+        enc.dam.restore_state(state.dam_sigma_rem)?;
         enc.noise = MultiplicativeNoise::restore(&state.noise);
         enc.prev_dist = state.prev_dist;
         enc.inter_count = state.inter_count;

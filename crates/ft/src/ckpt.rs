@@ -191,14 +191,6 @@ impl ByteWriter {
             self.put_f64(x);
         }
     }
-
-    /// Append a length-prefixed vector of `usize`.
-    pub fn put_usize_slice(&mut self, xs: &[usize]) {
-        self.put_u64(xs.len() as u64);
-        for &x in xs {
-            self.put_usize(x);
-        }
-    }
 }
 
 /// Bounds-checked little-endian decoder; every `take_*` fails with a typed
@@ -295,15 +287,6 @@ impl<'a> ByteReader<'a> {
             return Err(corrupt("f64 vector"));
         }
         (0..n).map(|_| self.take_f64()).collect()
-    }
-
-    /// Read a length-prefixed vector of `usize`.
-    pub fn take_usize_vec(&mut self) -> Result<Vec<usize>, FevesError> {
-        let n = self.take_usize()?;
-        if self.remaining() < n.saturating_mul(8) {
-            return Err(corrupt("usize vector"));
-        }
-        (0..n).map(|_| self.take_usize()).collect()
     }
 
     /// Require the reader to be fully consumed (catches trailing garbage
@@ -513,7 +496,6 @@ mod tests {
         w.put_str("hello δ");
         w.put_bytes(&[1, 2, 3]);
         w.put_f64_slice(&[1.0, f64::INFINITY, f64::NAN]);
-        w.put_usize_slice(&[9, 8, 7]);
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
@@ -529,7 +511,6 @@ mod tests {
         let fs = r.take_f64_vec().unwrap();
         assert_eq!(fs[0], 1.0);
         assert!(fs[1].is_infinite() && fs[2].is_nan());
-        assert_eq!(r.take_usize_vec().unwrap(), vec![9, 8, 7]);
         r.expect_end("test payload").unwrap();
     }
 

@@ -51,7 +51,7 @@ use feves::video::plane::{Plane, PlaneBandMut};
 use feves::video::Frame;
 use proptest::prelude::*;
 
-/// A row kernel of the interpolation: `kernels::interp_band` (four stored
+/// A row kernel of the interpolation: `kernels::fast::interp_band` (four stored
 /// phases) or its reference `kernels::scalar::interp_band` (all sixteen).
 type BandKernel = fn(&Plane<u8>, usize, usize, usize, &mut [PlaneBandMut<'_, u8>]);
 
@@ -358,7 +358,7 @@ proptest! {
         }
         let want = reference_phases(&p);
         let stored = [0, 2, 8, 10].map(|k| want[k].clone());
-        prop_assert!(stored[..] == phases_by(&p, kernels::interp_band, 4)[..]);
+        prop_assert!(stored[..] == phases_by(&p, kernels::fast::interp_band, 4)[..]);
         let sf = feves::codec::interp::interpolate(&p);
         prop_assert_eq!(first_mismatch(&sf, &want), None);
     }
@@ -844,12 +844,13 @@ proptest! {
 }
 
 /// Mismatched `row_sad` slice lengths are a hard error in
-/// *release* builds too (the entry point carries a real `assert!`,
-/// not just a `debug_assert!`). CI runs this test with `--release`.
+/// *release* builds too (`kernels::scalar::row_sad` carries a real
+/// `assert!`, not just a `debug_assert!`). CI runs this test with
+/// `--release`.
 #[test]
 #[should_panic(expected = "row_sad length mismatch")]
 fn row_sad_length_mismatch_panics_in_release() {
     let a = [1u8; 16];
     let b = [2u8; 15];
-    feves::codec::sad::row_sad(&a, &b);
+    kernels::scalar::row_sad(&a, &b);
 }
