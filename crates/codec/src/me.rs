@@ -2,7 +2,7 @@
 //! reference frames with all seven H.264/AVC partition modes.
 //!
 //! For every candidate displacement the sixteen 4×4 SADs of the macroblock
-//! are computed once ([`crate::kernels::scalar::SadGrid`]) and hierarchically aggregated
+//! are computed once ([`SadGrid`]) and hierarchically aggregated
 //! into the 41 partition blocks — the "fast full search" scheme used by the
 //! JM reference software, which is also how the paper's CPU/GPU kernels are
 //! structured. Results are *independent per macroblock*, which is what makes
