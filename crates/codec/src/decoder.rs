@@ -3,8 +3,9 @@
 //! The encoder's reconstruction loop (MC → TQ⁻¹ → DBL, and chroma) is
 //! re-run here from *decoded* syntax — modes, motion vectors and quantized
 //! levels — against the same reference store, through the encoder's own
-//! kernels: [`mc::predict_frame`], [`itq_recon_rows`], [`deblock_frame`]
-//! and [`chroma::reconstruct_inter_into`]. Every reference holds Y, Cb and
+//! kernels: row by row [`mc::write_prediction`] into the row's sixteen
+//! lines of prediction and [`itq_recon_row`], then [`deblock_frame`] and
+//! [`chroma::reconstruct_inter_into`]. Every reference holds Y, Cb and
 //! Cr, so every decoded frame is YUV. This module computes no sample
 //! itself; it reads, checks and calls. Decoding must reproduce the
 //! encoder's reconstruction **bit-exactly** (the closed-loop property
@@ -18,7 +19,7 @@ use crate::dbl::deblock_frame;
 use crate::entropy::DecodeError;
 use crate::inter_loop::ReferenceStore;
 use crate::mc;
-use crate::recon::itq_recon_rows;
+use crate::recon::itq_recon_row;
 use crate::syntax::{EntropyBackend, FrameSyntax};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
@@ -66,10 +67,18 @@ fn reconstruct(
             store.len()
         )));
     }
-    let mut pred = Plane::new(w, h);
-    mc::predict_frame(&modes, &store.sfs(), &mut pred);
+    let sfs = store.sfs();
     let mut y = Plane::new(w, h);
-    itq_recon_rows(&coeffs, &pred, qp, all, &mut y);
+    let mut pred = vec![0; MB_SIZE * w];
+    let items = (modes.rows(all).chunks(cols))
+        .zip(coeffs.rows(all).chunks(cols))
+        .zip(y.split_mb_rows_mut(all));
+    for (mby, ((row_modes, row_coeffs), mut band)) in items.enumerate() {
+        for (mbx, mb_mode) in row_modes.iter().enumerate() {
+            mc::write_prediction(mb_mode, &sfs, (mbx, mby), &mut pred, |_, _| {});
+        }
+        itq_recon_row(row_coeffs, &pred, qp, mby, &mut band);
+    }
     deblock_frame(&mut y, &modes, &coeffs, qp);
     let (refs_u, refs_v) = store.chroma_refs();
     let (cw, ch) = (refs_u[0].width(), refs_u[0].height());

@@ -11,11 +11,11 @@
 //! | [`interp`] | Interpolation → SF (6-tap + bilinear) | [`interp::SubpelFrame`] |
 //! | [`sme`] | Sub-pixel Motion Estimation | [`sme::sme_rows`] |
 //! | [`mc`] | Motion Compensation + mode decision (R\*); the one prediction writer | [`mc::mc_rows`], [`mc::write_prediction`] |
-//! | [`transform`] / [`quant`] / [`recon`] | TQ and TQ⁻¹ (R\*) | [`recon::tq_rows`], [`recon::itq_recon_rows`] |
+//! | [`transform`] / [`quant`] / [`recon`] | TQ and TQ⁻¹ (R\*); the encoder's R\* row pass, MC → TQ → TQ⁻¹ of one MB row | [`recon::tq_rows`], [`recon::itq_recon_rows`], [`recon::code_inter_row`] |
 //! | [`dbl`] | Deblocking Filtering (R\*) | [`dbl::deblock_frame`] |
 //! | [`entropy`] / [`cabac`] | Entropy coding: the Exp-Golomb and the arithmetic symbol coders of the one (YUV) frame kind | [`entropy::encode_frame_yuv`], [`cabac::encode_frame_cabac`] |
 //! | `syntax` (private) | The frame syntax both coders binarise: the one writer walk, the one reader walk and its range checks | [`cabac::EntropyBackend::encode_frame_yuv`] |
-//! | [`decoder`] | P-frame decoding: the range checks, the syntax reader, then the encoder's MC / TQ⁻¹ / DBL / chroma kernels | [`decoder::decode_yuv`] |
+//! | [`decoder`] | P-frame decoding: the range checks, the syntax reader, then the encoder's MC / TQ⁻¹ kernels row by row and its DBL / chroma kernels | [`decoder::decode_yuv`] |
 //! | [`intra`] | I-slice coding | [`intra::encode_intra_frame`] |
 //! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD and averaging, padded-row 6-tap, SSE2 TQ and line filter) and their scalar references, of which the product runs only the dequantizer | [`kernels::fast::interp_band`], [`kernels::tq_blocks`] |
 //! | [`par`] | Host execution: MB rows over the host's cores | [`par::for_each_row`] |

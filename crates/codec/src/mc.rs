@@ -4,14 +4,15 @@
 //! Per macroblock: select the best of the 7 partition modes from the refined
 //! SME costs (distortion + λ·rate, the standard Lagrangian mode decision),
 //! sample the prediction from the sub-pixel frames at the refined vectors,
-//! and emit the prediction residual for TQ.
+//! and emit the prediction residual for TQ, into one MB row's sixteen
+//! lines: per-thread lines in the R\* row pass
+//! ([`crate::recon::code_inter_row`]), a frame plane's rows in [`mc_rows`].
 
 use crate::interp::{SubpelFrame, Tile};
-use crate::par;
 use crate::sme::{MbSubMotion, SmeBlockMv};
 use crate::types::{MbField, PartitionMode, ALL_PARTITION_MODES};
 use feves_video::geometry::{RowRange, MB_SIZE};
-use feves_video::plane::{Plane, PlaneBandMut};
+use feves_video::plane::Plane;
 
 /// Mode decision + motion data of one coded macroblock.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,44 +93,34 @@ fn predict_mb(mb_mode: &MbMode, sfs: &[&SubpelFrame], cx: usize, cy: usize, pred
 }
 
 /// Write the clamped prediction of macroblock `(mbx, mby)` under `mb_mode`
-/// into its sixteen rows of `pred`, handing each written row to
-/// `each_row(y, row)` while it is hot (MC computes its residual there).
-/// The one definition of a macroblock's prediction: the encoder's MC and
-/// the decoder ([`predict_frame`]) both write through it.
+/// into `pred`, its MB row's sixteen lines (each `pred.len() / 16` long),
+/// handing each written line to `each_line(i, line)` while it is hot (MC
+/// computes its residual there). The one definition of a macroblock's
+/// prediction: the encoder's MC and the decoder both write through it.
 pub fn write_prediction(
     mb_mode: &MbMode,
     sfs: &[&SubpelFrame],
     (mbx, mby): (usize, usize),
-    pred: &mut PlaneBandMut<'_, u8>,
-    mut each_row: impl FnMut(usize, &[u8]),
+    pred: &mut [u8],
+    mut each_line: impl FnMut(usize, &[u8]),
 ) {
     let (cx, cy) = (mbx * MB_SIZE, mby * MB_SIZE);
+    let stride = pred.len() / MB_SIZE;
     let mut pbuf = [0i16; 256];
     predict_mb(mb_mode, sfs, cx, cy, &mut pbuf);
-    for (row, p) in pbuf.chunks_exact(MB_SIZE).enumerate() {
-        let prow = &mut pred.row_mut(cy + row)[cx..cx + MB_SIZE];
-        for (out, &p) in prow.iter_mut().zip(p) {
+    for (i, p) in pbuf.chunks_exact(MB_SIZE).enumerate() {
+        let line = &mut pred[i * stride + cx..][..MB_SIZE];
+        for (out, &p) in line.iter_mut().zip(p) {
             *out = p.clamp(0, 255) as u8;
         }
-        each_row(cy + row, prow);
-    }
-}
-
-/// The prediction of every macroblock of `modes`, decided elsewhere (the
-/// decoder's), into `pred`.
-pub fn predict_frame(modes: &ModeField, sfs: &[&SubpelFrame], pred: &mut Plane<u8>) {
-    let rows = RowRange::new(0, modes.mb_rows());
-    let items = modes.rows(rows).chunks(modes.mb_cols());
-    for (mby, (row, mut band)) in items.zip(pred.split_mb_rows_mut(rows)).enumerate() {
-        for (mbx, mb_mode) in row.iter().enumerate() {
-            write_prediction(mb_mode, sfs, (mbx, mby), &mut band, |_, _| {});
-        }
+        each_line(i, line);
     }
 }
 
 /// Mode decision + motion compensation for MB row `mby`: the row's slice of
-/// the mode field and its bands of the prediction and residual planes are
-/// the only outputs, so rows can run concurrently ([`crate::par`]).
+/// the mode field and its prediction and residual — the row's sixteen
+/// lines of each, indexed row-locally (each line `pred.len() / 16` long) —
+/// are the only outputs, so rows can run concurrently ([`crate::par`]).
 #[allow(clippy::too_many_arguments)] // mirrors the MC module's natural inputs
 pub fn mc_row(
     cf: &Plane<u8>,
@@ -138,17 +129,18 @@ pub fn mc_row(
     qp: u8,
     mby: usize,
     modes: &mut [MbMode],
-    pred: &mut PlaneBandMut<'_, u8>,
-    residual: &mut PlaneBandMut<'_, i16>,
+    pred: &mut [u8],
+    residual: &mut [i16],
 ) {
     let rate_costs = mode_rate_costs(qp);
+    let stride = residual.len() / MB_SIZE;
     for (mbx, (sme, mode)) in sme_row.iter().zip(modes).enumerate() {
         *mode = decide_mode_at(sme, &rate_costs);
         let cx = mbx * MB_SIZE;
-        write_prediction(mode, sfs, (mbx, mby), pred, |y, prow| {
-            let crow = &cf.row(y)[cx..cx + MB_SIZE];
-            let rrow = &mut residual.row_mut(y)[cx..cx + MB_SIZE];
-            for ((r, &c), &p) in rrow.iter_mut().zip(crow).zip(prow) {
+        write_prediction(mode, sfs, (mbx, mby), pred, |i, line| {
+            let crow = &cf.row(mby * MB_SIZE + i)[cx..cx + MB_SIZE];
+            let rrow = &mut residual[i * stride + cx..][..MB_SIZE];
+            for ((r, &c), &p) in rrow.iter_mut().zip(crow).zip(line) {
                 *r = c as i16 - p as i16;
             }
         });
@@ -171,75 +163,21 @@ pub fn mc_rows(
     pred: &mut Plane<u8>,
     residual: &mut Plane<i16>,
 ) {
-    for (mby, (sme, modes, mut pred, mut residual)) in rows
-        .iter()
-        .zip(mc_row_items(cf, sme_rows, rows, modes, pred, residual))
-    {
-        mc_row(cf, sfs, sme, qp, mby, modes, &mut pred, &mut residual);
-    }
-}
-
-/// [`mc_rows`] with the MB rows spread over the host's cores
-/// ([`crate::par`]).
-#[allow(clippy::too_many_arguments)] // same inputs as `mc_rows`
-pub fn mc_rows_parallel(
-    cf: &Plane<u8>,
-    sfs: &[&SubpelFrame],
-    sme_rows: &[MbSubMotion],
-    qp: u8,
-    rows: RowRange,
-    modes: &mut ModeField,
-    pred: &mut Plane<u8>,
-    residual: &mut Plane<i16>,
-) {
-    let items = mc_row_items(cf, sme_rows, rows, modes, pred, residual);
-    par::for_each_row(items, |i, (sme, modes, mut pred, mut residual)| {
-        mc_row(
-            cf,
-            sfs,
-            sme,
-            qp,
-            rows.start + i,
-            modes,
-            &mut pred,
-            &mut residual,
-        );
-    });
-}
-
-/// One MB row's SME input and disjoint MC outputs.
-type McRowItem<'a> = (
-    &'a [MbSubMotion],
-    &'a mut [MbMode],
-    PlaneBandMut<'a, u8>,
-    PlaneBandMut<'a, i16>,
-);
-
-/// Cut the inputs and outputs of [`mc_rows`] into one item per MB row.
-fn mc_row_items<'a>(
-    cf: &Plane<u8>,
-    sme_rows: &'a [MbSubMotion],
-    rows: RowRange,
-    modes: &'a mut ModeField,
-    pred: &'a mut Plane<u8>,
-    residual: &'a mut Plane<i16>,
-) -> impl Iterator<Item = McRowItem<'a>> {
     let mb_cols = cf.width() / MB_SIZE;
     assert_eq!(
         sme_rows.len(),
         rows.len() * mb_cols,
         "SME input size mismatch"
     );
-    let modes = modes.rows_mut(rows).chunks_mut(mb_cols);
-    let planes = pred
-        .split_mb_rows_mut(rows)
-        .into_iter()
-        .zip(residual.split_mb_rows_mut(rows));
-    sme_rows
-        .chunks(mb_cols)
-        .zip(modes)
-        .zip(planes)
-        .map(|((sme, modes), (pred, residual))| (sme, modes, pred, residual))
+    let items = (sme_rows.chunks(mb_cols))
+        .zip(modes.rows_mut(rows).chunks_mut(mb_cols))
+        .zip(
+            pred.mb_row_lines_mut(rows)
+                .zip(residual.mb_row_lines_mut(rows)),
+        );
+    for (mby, ((sme, modes), (pred, residual))) in rows.iter().zip(items) {
+        mc_row(cf, sfs, sme, qp, mby, modes, pred, residual);
+    }
 }
 
 #[cfg(test)]

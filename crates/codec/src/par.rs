@@ -12,7 +12,9 @@
 //! Regions are plain [`std::thread::scope`] fan-outs: the caller is one of
 //! the workers, helpers borrow the caller's data and are joined before the
 //! region returns. There is no pool to configure and no state between
-//! regions. Regions must not be nested — a row kernel runs serially.
+//! regions. Regions must not be nested — a row kernel runs serially. An
+//! inter frame opens four: INT, ME, SME and the R\* row pass
+//! ([`crate::recon::code_inter_row`], whose working lines are per thread).
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

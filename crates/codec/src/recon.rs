@@ -4,12 +4,19 @@
 //! prediction residual macroblock by macroblock, then dequantizes, inverse
 //! transforms and adds back the prediction to produce the reconstructed
 //! reference frame the next inter-frame will search.
+//! [`code_inter_row`], the encoder's R\* row pass, runs MC, TQ and TQ⁻¹ of
+//! one MB row back to back through sixteen lines of its own thread; the
+//! `*_rows` forms run the same row kernels over the rows of frame planes.
 
+use crate::interp::SubpelFrame;
+use crate::kernels;
+use crate::mc::{self, MbMode};
 use crate::quant::{has_coefficients, itq_block, tq_block};
+use crate::sme::MbSubMotion;
 use crate::types::MbField;
-use crate::{kernels, par};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::{Plane, PlaneBandMut};
+use std::cell::RefCell;
 
 /// Quantized levels of one macroblock: sixteen 4×4 luma blocks in raster
 /// order, plus a bitmask of blocks containing non-zero coefficients.
@@ -36,15 +43,15 @@ impl MbField<MbCoeffs> {
     }
 }
 
-/// Forward TQ of MB row `mby` into `coeffs`, that row's slice of the
+/// Forward TQ of one MB row into `coeffs`, that row's slice of the
 /// coefficient field — its only output, so rows can run concurrently
-/// ([`crate::par`]). Each macroblock is one [`kernels::tq_blocks`] batch
-/// over the residual plane's rows.
-pub fn tq_row(residual: &Plane<i16>, qp: u8, intra: bool, mby: usize, coeffs: &mut [MbCoeffs]) {
-    let stride = residual.stride();
-    let row = &residual.as_slice()[mby * MB_SIZE * stride..];
+/// ([`crate::par`]). `residual` is the row's sixteen lines, indexed
+/// row-locally (each `residual.len() / 16` long); each macroblock is one
+/// [`kernels::tq_blocks`] batch over them.
+pub fn tq_row(residual: &[i16], qp: u8, intra: bool, coeffs: &mut [MbCoeffs]) {
+    let stride = residual.len() / MB_SIZE;
     for (mbx, mb) in coeffs.iter_mut().enumerate() {
-        let src = &row[mbx * MB_SIZE..];
+        let src = &residual[mbx * MB_SIZE..];
         mb.coded_mask = kernels::tq_blocks(src, stride, 4, qp, intra, &mut mb.blocks);
     }
 }
@@ -86,51 +93,40 @@ pub fn tq_rows(
     coeffs: &mut CoeffField,
 ) {
     let mb_cols = residual.width() / MB_SIZE;
-    for (mby, row) in rows.iter().zip(coeffs.rows_mut(rows).chunks_mut(mb_cols)) {
-        tq_row(residual, qp, intra, mby, row);
+    let items = coeffs.rows_mut(rows).chunks_mut(mb_cols);
+    for (lines, row) in residual.mb_row_lines(rows).zip(items) {
+        tq_row(lines, qp, intra, row);
     }
-}
-
-/// [`tq_rows`] with the MB rows spread over the host's cores
-/// ([`crate::par`]).
-pub fn tq_rows_parallel(
-    residual: &Plane<i16>,
-    qp: u8,
-    intra: bool,
-    rows: RowRange,
-    coeffs: &mut CoeffField,
-) {
-    let mb_cols = residual.width() / MB_SIZE;
-    par::for_each_row(coeffs.rows_mut(rows).chunks_mut(mb_cols), |i, row| {
-        tq_row(residual, qp, intra, rows.start + i, row);
-    });
 }
 
 /// Inverse TQ + reconstruction of MB row `mby` into `recon`, that row's
 /// band of the reconstructed plane: `recon = clip(pred + TQ⁻¹(coeffs))`.
+/// `pred` is the row's sixteen lines, indexed row-locally (each
+/// `pred.len() / 16` long).
 pub fn itq_recon_row(
     coeffs: &[MbCoeffs],
-    pred: &Plane<u8>,
+    pred: &[u8],
     qp: u8,
     mby: usize,
     recon: &mut PlaneBandMut<'_, u8>,
 ) {
+    let stride = pred.len() / MB_SIZE;
     for (mbx, mb) in coeffs.iter().enumerate() {
         for blk in 0..16 {
             let bx = mbx * MB_SIZE + (blk % 4) * 4;
-            let by = mby * MB_SIZE + (blk / 4) * 4;
+            let by = (blk / 4) * 4;
             if mb.coded_mask & (1 << blk) == 0 {
                 // No coefficients: reconstruction is the prediction.
-                for row in 0..4 {
-                    let p = &pred.row(by + row)[bx..bx + 4];
-                    recon.row_mut(by + row)[bx..bx + 4].copy_from_slice(p);
+                for row in by..by + 4 {
+                    let p = &pred[row * stride + bx..][..4];
+                    recon.row_mut(mby * MB_SIZE + row)[bx..bx + 4].copy_from_slice(p);
                 }
                 continue;
             }
             let r = itq_block(&mb.blocks[blk], qp);
             for row in 0..4 {
-                let p = &pred.row(by + row)[bx..bx + 4];
-                let out = &mut recon.row_mut(by + row)[bx..bx + 4];
+                let p = &pred[(by + row) * stride + bx..][..4];
+                let out = &mut recon.row_mut(mby * MB_SIZE + by + row)[bx..bx + 4];
                 for col in 0..4 {
                     out[col] = (p[col] as i16 + r[row * 4 + col]).clamp(0, 255) as u8;
                 }
@@ -149,31 +145,46 @@ pub fn itq_recon_rows(
     recon: &mut Plane<u8>,
 ) {
     let mb_cols = pred.width() / MB_SIZE;
-    let items = coeffs
-        .rows(rows)
-        .chunks(mb_cols)
+    let items = (coeffs.rows(rows).chunks(mb_cols))
+        .zip(pred.mb_row_lines(rows))
         .zip(recon.split_mb_rows_mut(rows));
-    for (mby, (row, mut band)) in rows.iter().zip(items) {
+    for (mby, ((row, pred), mut band)) in rows.iter().zip(items) {
         itq_recon_row(row, pred, qp, mby, &mut band);
     }
 }
 
-/// [`itq_recon_rows`] with the MB rows spread over the host's cores
-/// ([`crate::par`]).
-pub fn itq_recon_rows_parallel(
-    coeffs: &CoeffField,
-    pred: &Plane<u8>,
+thread_local! {
+    /// The prediction and residual lines of [`code_inter_row`]: one pair
+    /// per thread, reused by every row the thread codes.
+    static ROW_LINES: RefCell<(Vec<u8>, Vec<i16>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The R\* row pass of an inter frame: mode decision + MC
+/// ([`mc::mc_row`]), TQ ([`tq_row`]) and TQ⁻¹ ([`itq_recon_row`]) of MB row
+/// `mby`, back to back on the calling thread. The row's prediction and
+/// residual live in sixteen lines of this thread's own buffers; its modes,
+/// coefficients and reconstruction band are its only outputs, so rows can
+/// run concurrently ([`crate::par`]) and equal [`mc::mc_rows`] →
+/// [`tq_rows`] → [`itq_recon_rows`] field for field.
+#[allow(clippy::too_many_arguments)] // MC's inputs plus the three outputs
+pub fn code_inter_row(
+    cf: &Plane<u8>,
+    sfs: &[&SubpelFrame],
+    sme_row: &[MbSubMotion],
     qp: u8,
-    rows: RowRange,
-    recon: &mut Plane<u8>,
+    mby: usize,
+    modes: &mut [MbMode],
+    coeffs: &mut [MbCoeffs],
+    recon: &mut PlaneBandMut<'_, u8>,
 ) {
-    let mb_cols = pred.width() / MB_SIZE;
-    let items = coeffs
-        .rows(rows)
-        .chunks(mb_cols)
-        .zip(recon.split_mb_rows_mut(rows));
-    par::for_each_row(items, |i, (row, mut band)| {
-        itq_recon_row(row, pred, qp, rows.start + i, &mut band);
+    ROW_LINES.with_borrow_mut(|(pred, residual)| {
+        // Every sample is written before it is read: no zeroing per row.
+        let len = MB_SIZE * cf.width();
+        pred.resize(len, 0);
+        residual.resize(len, 0);
+        mc::mc_row(cf, sfs, sme_row, qp, mby, modes, pred, residual);
+        tq_row(residual, qp, false, coeffs);
+        itq_recon_row(coeffs, pred, qp, mby, recon);
     });
 }
 

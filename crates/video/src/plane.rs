@@ -189,6 +189,20 @@ impl<T: Copy + Default> Plane<T> {
         out
     }
 
+    /// The sixteen lines of each macroblock row of `rows`, back to back:
+    /// line `i` of a row starts at `i * stride` of its slice. The plane
+    /// must hold all sixteen lines of every row.
+    pub fn mb_row_lines(&self, rows: RowRange) -> std::slice::ChunksExact<'_, T> {
+        let lines = MB_SIZE * self.stride;
+        self.data[rows.start * lines..rows.end * lines].chunks_exact(lines)
+    }
+
+    /// [`Self::mb_row_lines`], mutably: each row's lines are its own.
+    pub fn mb_row_lines_mut(&mut self, rows: RowRange) -> std::slice::ChunksExactMut<'_, T> {
+        let lines = MB_SIZE * self.stride;
+        self.data[rows.start * lines..rows.end * lines].chunks_exact_mut(lines)
+    }
+
     /// One disjoint mutable band per macroblock row of `rows` (16 sample
     /// rows each, clipped to the plane height) — the output regions of a
     /// row-parallel kernel.

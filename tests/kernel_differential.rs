@@ -453,7 +453,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The forward TQ batches the encoder runs — luma's per macroblock
-    /// (`recon::tq_row` over the residual plane), chroma's per 8×8
+    /// (`recon::tq_row` over a row of the residual plane), chroma's per 8×8
     /// component and I16's per 16×16 macroblock (`kernels::tq_blocks` on
     /// the buffers those callers fill) — against one `quant::tq_block` per
     /// block, levels and coded masks, at every QP, intra and inter, over
@@ -472,7 +472,7 @@ proptest! {
         let residual = Plane::from_fn(w, h, |x, y| residual_sample(regime, &mut draw, (x, y), basis));
         for mby in 0..2 {
             let mut row = vec![MbCoeffs::default(); mb_cols];
-            tq_row(&residual, qp, intra, mby, &mut row);
+            tq_row(&residual.as_slice()[mby * 16 * w..][..16 * w], qp, intra, &mut row);
             for (mbx, mb) in row.iter().enumerate() {
                 let src = &residual.as_slice()[mby * 16 * w + mbx * 16..];
                 let (levels, mask) = tq_by_block(src, w, 4, 16, qp, intra);

@@ -2,11 +2,12 @@
 //! (INT, ME, SME, MC, TQ, TQ⁻¹) run through `codec::par` at forced widths
 //! 1, 2, 3 and 8 — fewer threads than rows, more threads than rows, and a
 //! row count none of them divides — must equal the serial `*_rows` output
-//! field for field, and so must the `*_rows_parallel` entry points at
-//! whatever width this host has. Nor may what the output buffers held
-//! before: the encoder reuses them frame after frame, so every module must
-//! overwrite all of its output — shown by running them over buffers filled
-//! with `0xAA`.
+//! field for field, and so must the INT, ME and SME `*_rows_parallel`
+//! entry points at whatever width this host has and the encoder's R\* row
+//! pass (`recon::code_inter_row`, MC → TQ → TQ⁻¹ of one row) at the forced
+//! widths. Nor may what the output buffers held before: the encoder reuses
+//! them frame after frame, so every module must overwrite all of its
+//! output — shown by running them over buffers filled with `0xAA`.
 
 use feves::codec::chroma::{self, ChromaField};
 use feves::codec::interp::SubpelFrame;
@@ -184,29 +185,28 @@ fn over_at_width(mut f: Fields, width: usize, cf: &Plane<u8>, rf: &Plane<u8>) ->
         f.sme.rows_mut(ROWS).chunks_mut(MB_COLS),
         |r, out| sme::sme_rows(cf, &sfs, f.me.rows(one(r)), one(r), out),
     ));
-    let mc_items = f
-        .modes
-        .rows_mut(ROWS)
-        .chunks_mut(MB_COLS)
-        .zip(f.pred.split_mb_rows_mut(ROWS))
-        .zip(f.residual.split_mb_rows_mut(ROWS));
+    let mc_items = (f.modes.rows_mut(ROWS).chunks_mut(MB_COLS))
+        .zip(f.pred.mb_row_lines_mut(ROWS))
+        .zip(f.residual.mb_row_lines_mut(ROWS));
     clean(par::for_each_row_with(
         width,
         mc_items,
-        |r, ((modes, mut pred), mut residual)| {
+        |r, ((modes, pred), residual)| {
             let sme = f.sme.rows(one(r));
-            mc::mc_row(cf, &sfs, sme, QP, r, modes, &mut pred, &mut residual);
+            mc::mc_row(cf, &sfs, sme, QP, r, modes, pred, residual);
         },
     ));
+    let tq_items = (f.coeffs.rows_mut(ROWS).chunks_mut(MB_COLS)).zip(f.residual.mb_row_lines(ROWS));
     clean(par::for_each_row_with(
         width,
-        f.coeffs.rows_mut(ROWS).chunks_mut(MB_COLS),
-        |r, out| recon::tq_row(&f.residual, QP, false, r, out),
+        tq_items,
+        |_, (out, lines)| recon::tq_row(lines, QP, false, out),
     ));
+    let itq_items = (f.recon.split_mb_rows_mut(ROWS).into_iter()).zip(f.pred.mb_row_lines(ROWS));
     clean(par::for_each_row_with(
         width,
-        f.recon.split_mb_rows_mut(ROWS),
-        |r, mut band| recon::itq_recon_row(f.coeffs.rows(one(r)), &f.pred, QP, r, &mut band),
+        itq_items,
+        |r, (mut band, pred)| recon::itq_recon_row(f.coeffs.rows(one(r)), pred, QP, r, &mut band),
     ));
     f
 }
@@ -300,20 +300,43 @@ fn parallel_entry_points_equal_serial() {
     for rows in [RowRange::new(0, 3), RowRange::new(3, 7)] {
         let me_rows = f.me.rows(rows);
         sme::sme_rows_parallel(&cf, &[&f.sf], me_rows, rows, f.sme.rows_mut(rows));
-        mc::mc_rows_parallel(
-            &cf,
-            &[&f.sf],
-            f.sme.rows(rows),
-            QP,
-            rows,
-            &mut f.modes,
-            &mut f.pred,
-            &mut f.residual,
-        );
-        recon::tq_rows_parallel(&f.residual, QP, false, rows, &mut f.coeffs);
-        recon::itq_recon_rows_parallel(&f.coeffs, &f.pred, QP, rows, &mut f.recon);
     }
-    assert_eq!(f, want);
+    assert!(f.sf == want.sf && f.me == want.me && f.sme == want.sme);
+}
+
+/// The R\* row pass (`recon::code_inter_row`: MC, TQ and TQ⁻¹ of a row
+/// back to back, through its own thread's prediction and residual lines)
+/// at forced widths, over poisoned modes, coefficients and reconstruction,
+/// equals serial `mc_rows` → `tq_rows` → `itq_recon_rows` field for field:
+/// in one region over all rows, and in two over a split.
+#[test]
+fn r_star_row_pass_equals_serial() {
+    let (cf, rf) = inputs();
+    let want = serial(&cf, &rf);
+    let sfs = [&want.sf];
+    let splits: [&[RowRange]; 2] = [&[ROWS], &[RowRange::new(0, 3), RowRange::new(3, 7)]];
+    for width in [1, 2, 3, 8] {
+        for split in splits {
+            let mut got = Fields::poisoned();
+            for &rows in split {
+                let items = (got.modes.rows_mut(rows).chunks_mut(MB_COLS))
+                    .zip(got.coeffs.rows_mut(rows).chunks_mut(MB_COLS))
+                    .zip(got.recon.split_mb_rows_mut(rows));
+                let panics =
+                    par::for_each_row_with(width, items, |i, ((modes, coeffs), mut band)| {
+                        let r = rows.start + i;
+                        let sme = want.sme.rows(one(r));
+                        recon::code_inter_row(&cf, &sfs, sme, QP, r, modes, coeffs, &mut band);
+                    });
+                assert!(panics.is_empty(), "a row panicked");
+            }
+            assert_eq!(
+                (&got.modes, &got.coeffs, &got.recon),
+                (&want.modes, &want.coeffs, &want.recon),
+                "width {width}, split {split:?}"
+            );
+        }
+    }
 }
 
 /// ME's `fast` search copies a border-extended reference window per call,
