@@ -339,16 +339,17 @@ fn rate_state(rate: bool) -> FrameworkState {
 }
 
 /// A RATE section no controller can run — a QP floor above the ceiling or
-/// past 51, a QP past 51, no bit budget — is corrupt, not a panic in the
-/// first P-frame's QP step.
+/// past 51, a QP past 51 or outside its rails, no bit budget — is corrupt,
+/// not a panic in the first P-frame's QP step.
 #[test]
 fn rate_rails_no_controller_can_run_are_corrupt() {
     type Mutation = fn(&mut feves_codec::rate::RateSnapshot);
-    let mutations: [(&str, Mutation); 5] = [
+    let mutations: [(&str, Mutation); 6] = [
         ("min above max", |r| (r.min_qp, r.max_qp) = (40, 30)),
         ("min 60", |r| r.min_qp = 60),
         ("max 60", |r| r.max_qp = 60),
         ("qp 52", |r| r.qp = 52),
+        ("qp below min", |r| r.qp = r.min_qp - 1),
         ("no budget", |r| r.target_bits_per_frame = 0.0),
     ];
     for (what, mutate) in mutations {
