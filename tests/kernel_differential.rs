@@ -6,8 +6,8 @@
 //! name — `me::motion_estimate_rows_reference`,
 //! `sme::sme_rows_reference`, `dbl::deblock_frame_reference`,
 //! `quant::tq_block` (and `recon::tq_rows_reference`, one `tq_block` per
-//! block) and `kernels::scalar::interp_band`. It checks that at three
-//! levels:
+//! block), `quant::itq_block` (under `kernels::itq_blocks`) and
+//! `kernels::scalar::interp_band`. It checks that at three levels:
 //!
 //! 1. property-based differentials over random planes/blocks, each
 //!    reference against the product entry point on the same inputs —
@@ -494,6 +494,67 @@ proptest! {
         let (levels, want) = tq_by_block(&mb, 16, 4, 16, qp, intra);
         prop_assert_eq!(&blocks[..], &levels[..]);
         prop_assert_eq!(mask, want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// TQ⁻¹ and reconstruction (`kernels::itq_blocks`, which luma, chroma,
+    /// intra and the decoder all run) against one `quant::itq_block` per
+    /// block added to the prediction in `i32` and clipped: regions 1, 2 and
+    /// 4 blocks wide, random masks (coded blocks of all-zero levels
+    /// included), prediction and output strides wider than the region, every
+    /// QP, levels anywhere in `i16` and at its rails, predictions over
+    /// 0..=255. Samples of the output past the region keep what they held.
+    #[test]
+    fn prop_itq_blocks_match_itq_block(
+        seed in any::<u64>(),
+        qp in 0u8..=51,
+        cols in prop_oneof![Just(1usize), Just(2), Just(4)],
+        rows in 1usize..=4,
+        mask in any::<u16>(),
+        pads in (0usize..9, 0usize..9),
+    ) {
+        let mut s = seed | 1;
+        let mut draw = |n: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % n
+        };
+        let blocks: Vec<[i16; 16]> = (0..cols * rows)
+            .map(|_| {
+                let regime = draw(4);
+                core::array::from_fn(|_| match regime {
+                    0 => 0,
+                    1 => [i16::MIN, i16::MAX, i16::MIN + 1, i16::MAX - 1, 0][draw(5) as usize],
+                    2 => draw(1 << 16) as u16 as i16,
+                    _ => draw(41) as i16 - 20,
+                })
+            })
+            .collect();
+        let (stride, out_stride) = (4 * cols + pads.0, 4 * cols + pads.1);
+        let pred: Vec<u8> = (0..4 * rows * stride)
+            .map(|_| match draw(4) {
+                0 => 0,
+                1 => 255,
+                _ => draw(256) as u8,
+            })
+            .collect();
+        let mut out = vec![0xAAu8; 4 * rows * out_stride];
+        kernels::itq_blocks(&blocks, cols, mask, qp, (&pred, stride), (&mut out, out_stride));
+
+        let mut want = vec![0xAAu8; out.len()];
+        for (k, levels) in blocks.iter().enumerate() {
+            let (bx, by) = (k % cols * 4, k / cols * 4);
+            let coded = mask & (1 << k) != 0;
+            let r = if coded { feves::codec::quant::itq_block(levels, qp) } else { [0; 16] };
+            for (i, &r) in r.iter().enumerate() {
+                let p = pred[(by + i / 4) * stride + bx + i % 4];
+                let v = (i32::from(p) + i32::from(r)).clamp(0, 255) as u8;
+                want[(by + i / 4) * out_stride + bx + i % 4] = v;
+            }
+        }
+        prop_assert_eq!(out, want);
     }
 }
 
