@@ -404,15 +404,6 @@ impl<'a> BlockRef<'a> {
     pub fn rows(self, w: usize, h: usize) -> impl Iterator<Item = &'a [u8]> {
         (0..h).map(move |r| &self.data[self.offset + r * self.stride..][..w])
     }
-
-    /// Copy the `w × h` block into the rows of `dst`, `dst_stride` apart.
-    pub fn widen_into(self, w: usize, h: usize, dst: &mut [i16], dst_stride: usize) {
-        for (dst, src) in dst.chunks_mut(dst_stride).zip(self.rows(w, h)) {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = s as i16;
-            }
-        }
-    }
 }
 
 /// The border path of [`SubpelFrame::block`] for a stored phase, out of

@@ -76,27 +76,12 @@ fn decide_mode_at(sme: &MbSubMotion, rate_costs: &[u64; 7]) -> MbMode {
     best
 }
 
-/// Build the prediction for one macroblock into `pred` (16×16 row-major).
-fn predict_mb(mb_mode: &MbMode, sfs: &[&SubpelFrame], cx: usize, cy: usize, pred: &mut [i16; 256]) {
-    let mode = mb_mode.mode;
-    let (w, h) = mode.dims();
-    let mut tile: Tile = [0; 256];
-    for i in 0..mode.count() {
-        let (ox, oy) = mode.offset(i);
-        let blk = &mb_mode.mvs[i];
-        let qx = (cx + ox) as i32 * 4 + blk.mv.x as i32;
-        let qy = (cy + oy) as i32 * 4 + blk.mv.y as i32;
-        sfs[blk.rf as usize]
-            .block(qx, qy, w, h, &mut tile)
-            .widen_into(w, h, &mut pred[oy * MB_SIZE + ox..], MB_SIZE);
-    }
-}
-
-/// Write the clamped prediction of macroblock `(mbx, mby)` under `mb_mode`
-/// into `pred`, its MB row's sixteen lines (each `pred.len() / 16` long),
-/// handing each written line to `each_line(i, line)` while it is hot (MC
-/// computes its residual there). The one definition of a macroblock's
-/// prediction: the encoder's MC and the decoder both write through it.
+/// Write the prediction of macroblock `(mbx, mby)` under `mb_mode` into
+/// `pred`, its MB row's sixteen lines (each `pred.len() / 16` long), each
+/// partition's `u8` samples straight from its sub-pel frame, then hand each
+/// line to `each_line(i, line)` while it is hot (MC computes its residual
+/// there). The one definition of a macroblock's prediction: the encoder's
+/// MC and the decoder both write through it.
 pub fn write_prediction(
     mb_mode: &MbMode,
     sfs: &[&SubpelFrame],
@@ -106,14 +91,20 @@ pub fn write_prediction(
 ) {
     let (cx, cy) = (mbx * MB_SIZE, mby * MB_SIZE);
     let stride = pred.len() / MB_SIZE;
-    let mut pbuf = [0i16; 256];
-    predict_mb(mb_mode, sfs, cx, cy, &mut pbuf);
-    for (i, p) in pbuf.chunks_exact(MB_SIZE).enumerate() {
-        let line = &mut pred[i * stride + cx..][..MB_SIZE];
-        for (out, &p) in line.iter_mut().zip(p) {
-            *out = p.clamp(0, 255) as u8;
+    let mode = mb_mode.mode;
+    let (w, h) = mode.dims();
+    let mut tile: Tile = [0; 256];
+    for (i, blk) in mb_mode.mvs[..mode.count()].iter().enumerate() {
+        let (ox, oy) = mode.offset(i);
+        let qx = (cx + ox) as i32 * 4 + blk.mv.x as i32;
+        let qy = (cy + oy) as i32 * 4 + blk.mv.y as i32;
+        let block = sfs[blk.rf as usize].block(qx, qy, w, h, &mut tile);
+        for (r, row) in block.rows(w, h).enumerate() {
+            pred[(oy + r) * stride + cx + ox..][..w].copy_from_slice(row);
         }
-        each_line(i, line);
+    }
+    for i in 0..MB_SIZE {
+        each_line(i, &pred[i * stride + cx..][..MB_SIZE]);
     }
 }
 
