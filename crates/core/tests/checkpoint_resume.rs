@@ -382,3 +382,31 @@ fn rate_state_for_the_other_configuration_is_stale() {
         }
     }
 }
+
+/// The deadline baseline is compared against every frame's measured sync
+/// points: a NaN there makes every comparison false, so fault detection
+/// would be silently off, and a negative or infinite one no run can hold.
+/// Any such component is corrupt.
+#[test]
+fn a_deadline_baseline_no_run_can_hold_is_corrupt() {
+    let mut enc = FevesEncoder::new(Platform::sys_hk(), functional_config()).unwrap();
+    for f in &make_frames(3) {
+        enc.encode_frame(f);
+    }
+    let base = enc.snapshot().expected_tau.unwrap_or((10.5, 14.5, 21.5));
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        for component in 0..3 {
+            let mut tau = [base.0, base.1, base.2];
+            tau[component] = bad;
+            let mut state = enc.snapshot();
+            state.expected_tau = Some((tau[0], tau[1], tau[2]));
+            match FevesEncoder::restore(Platform::sys_hk(), functional_config(), state) {
+                Err(FevesError::CheckpointCorrupt(why)) => {
+                    assert!(why.contains("deadline"), "{bad} at {component}: {why}")
+                }
+                Err(e) => panic!("{bad} at {component}: refused with {e}, not as corrupt"),
+                Ok(_) => panic!("{bad} at {component}: restored"),
+            }
+        }
+    }
+}
