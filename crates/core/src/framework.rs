@@ -1517,6 +1517,15 @@ impl FevesEncoder {
                 state.noise.amp
             )));
         }
+        // Every frame's sync points are compared against the baseline: a NaN
+        // would make each comparison false and turn fault detection off.
+        if let Some((t1, t2, tt)) = state.expected_tau {
+            if ![t1, t2, tt].iter().all(|t| t.is_finite() && *t >= 0.0) {
+                return Err(FevesError::CheckpointCorrupt(format!(
+                    "deadline baseline ({t1}, {t2}, {tt}) is not finite and non-negative"
+                )));
+            }
+        }
         if state.refs.len() > enc.config.params.n_ref {
             return Err(FevesError::CheckpointCorrupt(format!(
                 "{} reference frames checkpointed for an n_ref={} window",
