@@ -187,8 +187,8 @@ metrics! {
     /// Jobs waiting in the farm admission queue (sampled at every farm
     /// state change).
     FarmQueueDepth = "farm.queue_depth", "jobs", Gauge, wall;
-    /// Jobs rejected at admission because the queue crossed its
-    /// high-watermark (`QueueFull`).
+    /// Jobs rejected at admission because the queue was at its bound
+    /// (`QueueFull`).
     FarmAdmissionRejects = "farm.admission_rejects", "jobs", Counter, wall;
     /// Session retries launched by the farm supervisor (after a panic or
     /// device fault, resuming from the last durable checkpoint).

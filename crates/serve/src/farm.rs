@@ -1,15 +1,15 @@
 //! The encode-farm supervisor behind `feves serve`.
 //!
-//! One long-running loop owns the whole farm:
+//! One `Farm` owns the whole farm and runs one loop, a round per poll:
 //!
 //! 1. **Spool scan** — new `<spool>/*.json` job specs are admitted into the
-//!    bounded [`JobQueue`] or rejected at its high watermark with the typed
-//!    queue-full error (recorded in `done/`, counted in
-//!    `farm.admission_rejects`).
+//!    bounded [`JobQueue`], or rejected at its bound with the typed
+//!    queue-full error.
 //! 2. **Dispatch** — up to `max_inflight` sessions run concurrently, each
 //!    on its own worker thread behind `catch_unwind`, each holding a
 //!    [`SessionCtl`] for preemption and a lease mask from the fleet
-//!    partitioner ([`crate::partition`]).
+//!    partitioner ([`crate::partition`]). `Farm::start` is the one place an
+//!    attempt starts, first or retried.
 //! 3. **Supervision** — a worker's death (panic or typed failure) never
 //!    touches other sessions. An attributed culprit device is recorded in
 //!    the *fleet* [`HealthTracker`] (jittered exponential backoff, same
@@ -21,6 +21,10 @@
 //!    admission, preempts in-flight sessions into durable checkpoints, and
 //!    exits cleanly. Queued specs stay in the spool; nothing is lost.
 //!
+//! Every job ends in `Farm::settle`: it writes the job's done record, then
+//! books the status in the [`DrainReport`] and its `farm.*` counter, removes
+//! the spool file of a finished job and closes the job's trace.
+//!
 //! The farm itself is a telemetry session (label `farm`): queue depth,
 //! rejects, retries, completions, failures and the drain latency all land
 //! in the live snapshot `feves top` renders.
@@ -28,16 +32,17 @@
 use crate::job::{self, JobSpec, JobStatus};
 use crate::partition;
 use crate::queue::JobQueue;
-use crate::session::{fleet_platform, run_attempt, verify_artifact, SessionFailure, SessionReport};
+use crate::session::{fleet_platform, run_session, verify_artifact, SessionFailure, SessionReport};
 use crate::signal;
 use crate::ServeError;
 use feves_core::session::SessionError;
 use feves_core::SessionCtl;
 use feves_ft::io::backend_for;
 use feves_ft::{HealthTracker, RetryPolicy};
+use feves_hetsim::platform::Platform;
 use feves_obs::{
-    hub, sweep_orphans, write_atomic_recorded, EdgeKind, LiveConfig, LiveWriter, Metric, Recorder,
-    TraceCollector, TraceCtx, TraceSink,
+    hub, sweep_orphans, write_atomic_recorded, EdgeKind, LiveConfig, LiveWriter, MemoryRecorder,
+    Metric, Recorder, TraceCollector, TraceCtx, TraceSink,
 };
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,10 +52,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Checkpoint cadence for jobs that did not choose one: frequent enough
-/// that preemption and retry lose little work on short farm jobs.
-pub const DEFAULT_CHECKPOINT_EVERY: usize = 4;
-
 /// Everything `feves serve` configures.
 #[derive(Clone, Debug)]
 pub struct FarmConfig {
@@ -58,10 +59,9 @@ pub struct FarmConfig {
     pub spool: PathBuf,
     /// Named fleet platform the partitioner and fleet health size against.
     pub platform: String,
-    /// Hard bound on the admission queue.
+    /// The admission bound: a spec that arrives while this many jobs are
+    /// queued is rejected.
     pub queue_cap: usize,
-    /// Reject line (clamped into `[1, queue_cap]`).
-    pub high_watermark: usize,
     /// In-flight session credits — the second backpressure layer.
     pub max_inflight: usize,
     /// Retries per job after its first attempt.
@@ -70,8 +70,6 @@ pub struct FarmConfig {
     pub retry_base_ms: u64,
     /// Main-loop poll period (spool scan + event wait).
     pub poll_ms: u64,
-    /// Checkpoint cadence for jobs that did not set one.
-    pub checkpoint_every: usize,
     /// Exit once the spool, queue and workers are all empty (tests, CI).
     pub exit_when_idle: bool,
     /// Periodic atomic live snapshots for `feves top`.
@@ -94,12 +92,10 @@ impl Default for FarmConfig {
             spool: PathBuf::from("spool"),
             platform: "syshk".into(),
             queue_cap: 64,
-            high_watermark: 64,
             max_inflight: 2,
             retry_budget: 2,
             retry_base_ms: 100,
             poll_ms: 50,
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             exit_when_idle: false,
             live_out: None,
             live_every_ms: 250,
@@ -154,53 +150,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".into()
-    }
-}
-
-fn spawn_worker(
-    job: JobSpec,
-    attempt: u32,
-    tx: mpsc::Sender<Event>,
-    trace: Option<TraceSink>,
-) -> Worker {
-    let ctl = Arc::new(SessionCtl::new());
-    let scope = hub().session(&job.id);
-    let thread_job = job.clone();
-    let thread_ctl = ctl.clone();
-    let handle = std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(&thread_job, &thread_ctl, scope, attempt, trace.clone())
-        }));
-        let bad_job = matches!(outcome, Ok(Err(SessionError::BadJob(_))));
-        let result = match outcome {
-            Ok(r) => r.map_err(SessionFailure::from),
-            Err(payload) => {
-                // A panicking session may take a device's blame with it:
-                // the chaos hook attributes its kill explicitly.
-                let culprit = if attempt == 0 && thread_job.chaos_kill_at.is_some() {
-                    thread_job.chaos_device
-                } else {
-                    None
-                };
-                Err(SessionFailure {
-                    message: format!("session panicked: {}", panic_message(payload)),
-                    culprit,
-                })
-            }
-        };
-        // The supervisor owning the receiver may already be gone on a hard
-        // teardown; a dead letter is fine then.
-        let _ = tx.send(Event {
-            id: thread_job.id,
-            result,
-            bad_job,
-        });
-    });
-    Worker {
-        job,
-        attempt,
-        ctl,
-        handle,
     }
 }
 
@@ -387,288 +336,25 @@ impl FarmTracer {
 /// `exit_when_idle` — until there is nothing left to do.
 pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
     signal::install_handlers();
-    let spool = cfg.spool.clone();
-    std::fs::create_dir_all(&spool)?;
-    std::fs::create_dir_all(job::done_dir(&spool))?;
-    std::fs::create_dir_all(job::ctl_dir(&spool))?;
-    // A previous daemon that died mid-write leaves `.*.tmp` droppings from
-    // the atomic-write protocol; sweep them before the first scan so they
-    // never masquerade as control files.
-    for dir in [&spool, &job::done_dir(&spool), &job::ctl_dir(&spool)] {
-        let _ = sweep_orphans(dir);
+    let spool = &cfg.spool;
+    for dir in [spool.clone(), job::done_dir(spool), job::ctl_dir(spool)] {
+        std::fs::create_dir_all(&dir)?;
+        // A previous daemon that died mid-write leaves `.*.tmp` droppings
+        // from the atomic-write protocol; sweep them before the first scan
+        // so they never masquerade as control files.
+        let _ = sweep_orphans(&dir);
     }
-
     let platform = fleet_platform(&cfg.platform)?;
-    let accel: Vec<bool> = platform
-        .devices
-        .iter()
-        .map(|d| d.is_accelerator())
-        .collect();
-    // Fleet health runs in dispatch rounds (one per poll), with jitter so a
-    // farm restart does not re-probe a flaky device in lockstep with the
-    // per-session trackers.
-    let mut fleet_health = HealthTracker::new(platform.devices.len(), 4, 3);
-    fleet_health.set_jitter_seed(Some(0xFA23));
-
-    let farm_scope = hub().session("farm");
-    let farm = farm_scope.metrics();
+    let scope = hub().session("farm");
     let mut live = cfg.live_out.clone().map(|path| {
         LiveWriter::start(LiveConfig {
             path,
             period: Duration::from_millis(cfg.live_every_ms.max(1)),
         })
     });
-
-    let mut tracer = cfg.trace_out.clone().map(FarmTracer::new);
-    let mut queue = JobQueue::new(cfg.queue_cap, cfg.high_watermark);
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut spool_file: HashMap<String, PathBuf> = HashMap::new();
-    let mut workers: Vec<Worker> = Vec::new();
-    let mut retries: Vec<PendingRetry> = Vec::new();
-    let (tx, rx) = mpsc::channel::<Event>();
-    let mut report = DrainReport::default();
-    let mut draining = false;
-    let mut drain_started: Option<Instant> = None;
-    let mut disk_pressure = false;
-    let mut round: usize = 0;
-
-    let finish_spool_file = |spool_file: &mut HashMap<String, PathBuf>, id: &str| {
-        if let Some(path) = spool_file.remove(id) {
-            let _ = std::fs::remove_file(path);
-        }
-    };
-
-    loop {
-        round += 1;
-        fleet_health.tick(round);
-
-        if !draining && (signal::shutdown_requested() || job::drain_marker(&spool).exists()) {
-            draining = true;
-            drain_started = Some(Instant::now());
-            // Stop admitting; preempt every in-flight session at its next
-            // frame boundary. Queued specs stay on disk untouched.
-            for w in &workers {
-                w.ctl.request_stop();
-            }
-        }
-
-        // ENOSPC-aware degradation: below the low watermark, stop admitting
-        // new work and shed cadence checkpoints; in-flight jobs keep
-        // encoding (their final commit and preemption checkpoints still
-        // run). Pressure clears itself when free space recovers — queued
-        // specs wait in the spool, nothing is lost either way.
-        if cfg.disk_low_bytes > 0 {
-            let free = backend_for(&spool).free_space(&spool).unwrap_or(u64::MAX);
-            let pressured = free < cfg.disk_low_bytes;
-            if pressured != disk_pressure {
-                disk_pressure = pressured;
-                farm.gauge(Metric::FarmDiskPressure, if pressured { 1.0 } else { 0.0 });
-            }
-        }
-
-        if !draining && !disk_pressure {
-            scan_spool(
-                &spool,
-                &mut seen,
-                &mut spool_file,
-                &mut queue,
-                &mut report,
-                farm.as_ref(),
-                &mut tracer,
-            )?;
-            let now = Instant::now();
-            while workers.len() < cfg.max_inflight.max(1) {
-                if let Some(pos) = retries.iter().position(|r| r.at <= now) {
-                    let r = retries.remove(pos);
-                    report.retried += 1;
-                    farm.add(Metric::FarmRetries, 1);
-                    let sink = tracer.as_mut().and_then(|t| t.spawned(&r.job, r.attempt));
-                    workers.push(spawn_worker(r.job, r.attempt, tx.clone(), sink));
-                } else {
-                    break;
-                }
-            }
-            while workers.len() < cfg.max_inflight.max(1) {
-                match queue.pop() {
-                    Some(j) => {
-                        let sink = tracer.as_mut().and_then(|t| t.spawned(&j, 0));
-                        workers.push(spawn_worker(j, 0, tx.clone(), sink));
-                    }
-                    None => break,
-                }
-            }
-        }
-
-        // Re-lease on every round: arrivals, completions and fleet faults
-        // all change the fair share, and recomputation is cheap.
-        let leases = partition::fair_leases(&accel, &fleet_health.available(), workers.len());
-        for (w, lease) in workers.iter().zip(leases) {
-            w.ctl.set_lease(Some(lease));
-            w.ctl.set_ckpt_shed(disk_pressure);
-        }
-        farm.gauge(Metric::FarmQueueDepth, queue.len() as f64);
-
-        match rx.recv_timeout(Duration::from_millis(cfg.poll_ms.max(1))) {
-            Ok(event) => {
-                let Some(pos) = workers.iter().position(|w| w.job.id == event.id) else {
-                    continue;
-                };
-                let worker = workers.remove(pos);
-                let _ = worker.handle.join();
-                if let Some(t) = tracer.as_mut() {
-                    t.attempt_done(&worker.job.id);
-                }
-                // Verify-before-completed: a clean finish only counts once
-                // the on-disk artifact re-reads byte-exact against the CRC
-                // streamed on the write path. A mismatch (bit-rot, torn
-                // write) is demoted to a session failure — the retry path
-                // re-encodes rather than blessing a corrupt artifact.
-                let result = match event.result {
-                    Ok(rep) if !rep.interrupted => {
-                        match verify_artifact(&worker.job.output, rep.out_bytes, rep.artifact_crc) {
-                            Ok(()) => Ok(rep),
-                            Err(msg) => {
-                                farm.add(Metric::IoCorruptRejected, 1);
-                                Err(SessionFailure {
-                                    message: msg,
-                                    culprit: None,
-                                })
-                            }
-                        }
-                    }
-                    other => other,
-                };
-                match result {
-                    Ok(rep) if rep.interrupted => {
-                        job::write_done(
-                            &spool,
-                            &worker.job.id,
-                            &JobStatus::Checkpointed {
-                                frames_done: rep.frames_done,
-                            },
-                            worker.attempt + 1,
-                            farm.as_ref(),
-                        )?;
-                        report.checkpointed += 1;
-                        if let Some(t) = tracer.as_mut() {
-                            t.closed(&worker.job.id);
-                        }
-                    }
-                    Ok(rep) => {
-                        job::write_done(
-                            &spool,
-                            &worker.job.id,
-                            &JobStatus::Completed {
-                                frames: rep.frames_done,
-                                bytes: rep.out_bytes,
-                                crc32: rep.artifact_crc,
-                            },
-                            worker.attempt + 1,
-                            farm.as_ref(),
-                        )?;
-                        finish_spool_file(&mut spool_file, &worker.job.id);
-                        report.completed += 1;
-                        farm.add(Metric::FarmJobsCompleted, 1);
-                        if let Some(t) = tracer.as_mut() {
-                            t.closed(&worker.job.id);
-                        }
-                    }
-                    Err(failure) => {
-                        if let Some(device) = failure.culprit {
-                            if device < accel.len() {
-                                fleet_health.record_fault(device, round);
-                            }
-                        }
-                        let policy = RetryPolicy::new(
-                            Duration::from_millis(cfg.retry_base_ms),
-                            cfg.retry_budget,
-                            worker.job.seed(),
-                        );
-                        if policy.allows(worker.attempt) && !draining && !event.bad_job {
-                            retries.push(PendingRetry {
-                                job: worker.job,
-                                attempt: worker.attempt + 1,
-                                at: Instant::now() + policy.delay(worker.attempt),
-                            });
-                        } else {
-                            job::write_done(
-                                &spool,
-                                &worker.job.id,
-                                &JobStatus::Failed {
-                                    error: failure.message,
-                                    culprit: failure.culprit,
-                                },
-                                worker.attempt + 1,
-                                farm.as_ref(),
-                            )?;
-                            finish_spool_file(&mut spool_file, &worker.job.id);
-                            report.failed += 1;
-                            farm.add(Metric::FarmJobsFailed, 1);
-                            if let Some(t) = tracer.as_mut() {
-                                t.closed(&worker.job.id);
-                            }
-                        }
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("farm holds a sender"),
-        }
-
-        if draining && workers.is_empty() {
-            // Jobs waiting on a retry timer hold a durable checkpoint and
-            // their spool file: record them as checkpointed for the next
-            // daemon.
-            for r in retries.drain(..) {
-                job::write_done(
-                    &spool,
-                    &r.job.id,
-                    &JobStatus::Checkpointed {
-                        frames_done: checkpointed_frames(&r.job),
-                    },
-                    r.attempt,
-                    farm.as_ref(),
-                )?;
-                report.checkpointed += 1;
-                if let Some(t) = tracer.as_mut() {
-                    t.closed(&r.job.id);
-                }
-            }
-            report.drained = true;
-            break;
-        }
-        if cfg.exit_when_idle
-            && !draining
-            // Never idle-exit under disk pressure: unscanned specs are
-            // waiting in the spool for the pressure to clear.
-            && !disk_pressure
-            && workers.is_empty()
-            && retries.is_empty()
-            && queue.is_empty()
-        {
-            // One more scan so a submit racing the last completion wins.
-            scan_spool(
-                &spool,
-                &mut seen,
-                &mut spool_file,
-                &mut queue,
-                &mut report,
-                farm.as_ref(),
-                &mut tracer,
-            )?;
-            if queue.is_empty() {
-                break;
-            }
-        }
-    }
-
-    if let Some(t0) = drain_started {
-        farm.observe(Metric::FarmDrainMs, t0.elapsed().as_secs_f64() * 1e3);
-    }
-    if let Some(t) = tracer.as_mut() {
-        t.finish(farm.as_ref())?;
-    }
-    farm.gauge(Metric::FarmQueueDepth, queue.len() as f64);
+    let mut farm = Farm::new(cfg, &platform, scope.metrics());
+    farm.supervise()?;
+    let report = farm.finish()?;
     if let Some(writer) = live.as_mut() {
         // The final live snapshot, with the farm counters and every retired
         // session.
@@ -677,96 +363,398 @@ pub fn run(cfg: FarmConfig) -> Result<DrainReport, ServeError> {
     Ok(report)
 }
 
-/// Pull new job specs out of the spool: admit, or reject with the typed
-/// queue-full error. Scanning is name-sorted so admission order (and the
-/// acceptance tests) are deterministic.
-fn scan_spool(
-    spool: &std::path::Path,
-    seen: &mut HashSet<String>,
-    spool_file: &mut HashMap<String, PathBuf>,
-    queue: &mut JobQueue,
-    report: &mut DrainReport,
-    farm: &dyn Recorder,
-    tracer: &mut Option<FarmTracer>,
-) -> Result<(), ServeError> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(spool)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let name = match path.file_name().and_then(|n| n.to_str()) {
-            Some(n) => n.to_string(),
-            None => continue,
-        };
-        if seen.contains(&name) {
-            continue;
+/// The supervisor's state between rounds: the admission queue, the spool
+/// files of live jobs, the workers in flight and the retries waiting on a
+/// timer, plus what the farm reports, traces and knows of fleet health.
+struct Farm {
+    cfg: FarmConfig,
+    /// Which platform devices are accelerators (the partitioner's input).
+    accel: Vec<bool>,
+    /// Fleet health runs in dispatch rounds (one per poll).
+    fleet_health: HealthTracker,
+    round: usize,
+    /// The `farm` telemetry session's registry.
+    metrics: Arc<MemoryRecorder>,
+    tracer: Option<FarmTracer>,
+    queue: JobQueue,
+    /// Spool file names already read: each spec is admitted at most once
+    /// per daemon.
+    seen: HashSet<String>,
+    /// The spool file of every admitted job that has not settled yet.
+    spool_file: HashMap<String, PathBuf>,
+    workers: Vec<Worker>,
+    retries: Vec<PendingRetry>,
+    tx: mpsc::Sender<Event>,
+    rx: mpsc::Receiver<Event>,
+    report: DrainReport,
+    /// Set when a signal or the `ctl/drain` marker asked the farm to drain.
+    drain_started: Option<Instant>,
+    disk_pressure: bool,
+}
+
+impl Farm {
+    fn new(cfg: FarmConfig, platform: &Platform, metrics: Arc<MemoryRecorder>) -> Self {
+        // Jittered, so a farm restart does not re-probe a flaky device in
+        // lockstep with the per-session trackers.
+        let mut fleet_health = HealthTracker::new(platform.devices.len(), 4, 3);
+        fleet_health.set_jitter_seed(Some(0xFA23));
+        let (tx, rx) = mpsc::channel();
+        Farm {
+            accel: platform
+                .devices
+                .iter()
+                .map(|d| d.is_accelerator())
+                .collect(),
+            fleet_health,
+            round: 0,
+            metrics,
+            tracer: cfg.trace_out.clone().map(FarmTracer::new),
+            queue: JobQueue::new(cfg.queue_cap),
+            seen: HashSet::new(),
+            spool_file: HashMap::new(),
+            workers: Vec::new(),
+            retries: Vec::new(),
+            tx,
+            rx,
+            report: DrainReport::default(),
+            drain_started: None,
+            disk_pressure: false,
+            cfg,
         }
-        let spec = match job::read_spec(&path) {
-            // Vanished between listing and read, or a read the disk may
-            // yet serve: the name stays unseen and the next scan looks
-            // again — the spec is still queued, in the spool.
-            Err(ServeError::Io(_)) => continue,
-            other => other,
-        };
-        seen.insert(name.clone());
-        match spec {
-            Err(e) => {
-                // Reject, never crash: a corrupt spec (checksum mismatch)
-                // is quarantined for inspection; a merely invalid one is
-                // removed. Both get a typed `failed` done record.
-                let corrupt = matches!(e, ServeError::Corrupt(_));
-                let id = name.trim_end_matches(".json");
-                job::write_done(
-                    spool,
-                    id,
-                    &JobStatus::Failed {
-                        error: e.to_string(),
-                        culprit: None,
-                    },
-                    0,
-                    farm,
-                )?;
-                if corrupt {
-                    farm.add(Metric::IoCorruptRejected, 1);
-                    let _ = job::quarantine(spool, &path);
-                } else {
-                    let _ = std::fs::remove_file(&path);
+    }
+
+    fn draining(&self) -> bool {
+        self.drain_started.is_some()
+    }
+
+    /// The main loop: one round per poll, until drained or idle.
+    fn supervise(&mut self) -> Result<(), ServeError> {
+        loop {
+            self.round += 1;
+            self.fleet_health.tick(self.round);
+
+            if !self.draining()
+                && (signal::shutdown_requested() || job::drain_marker(&self.cfg.spool).exists())
+            {
+                self.drain_started = Some(Instant::now());
+                // Stop admitting; preempt every in-flight session at its
+                // next frame boundary. Queued specs stay on disk untouched.
+                for w in &self.workers {
+                    w.ctl.request_stop();
                 }
-                report.failed += 1;
-                farm.add(Metric::FarmJobsFailed, 1);
             }
-            Ok(spec) => {
-                let id = spec.id.clone();
-                spool_file.insert(id.clone(), path.clone());
-                let admitted = spec.clone();
-                match queue.admit(spec) {
-                    Ok(()) => {
-                        if let Some(t) = tracer.as_mut() {
-                            t.admitted(&admitted);
+
+            // ENOSPC-aware degradation: below the low watermark, stop
+            // admitting new work and shed cadence checkpoints; in-flight
+            // jobs keep encoding (their final commit and preemption
+            // checkpoints still run). Pressure clears itself when free space
+            // recovers — queued specs wait in the spool, nothing is lost
+            // either way.
+            if self.cfg.disk_low_bytes > 0 {
+                let spool = &self.cfg.spool;
+                let free = backend_for(spool).free_space(spool).unwrap_or(u64::MAX);
+                let pressured = free < self.cfg.disk_low_bytes;
+                if pressured != self.disk_pressure {
+                    self.disk_pressure = pressured;
+                    let gauge = if pressured { 1.0 } else { 0.0 };
+                    self.metrics.gauge(Metric::FarmDiskPressure, gauge);
+                }
+            }
+
+            if !self.draining() && !self.disk_pressure {
+                self.scan_spool()?;
+                // Fill the in-flight credits: due retries first, then the
+                // FIFO queue.
+                let now = Instant::now();
+                while self.workers.len() < self.cfg.max_inflight.max(1) {
+                    let next = match self.retries.iter().position(|r| r.at <= now) {
+                        Some(pos) => {
+                            let r = self.retries.remove(pos);
+                            Some((r.job, r.attempt))
                         }
-                    }
-                    Err(e) => {
-                        job::write_done(
-                            spool,
-                            &id,
-                            &JobStatus::Rejected {
-                                reason: e.to_string(),
-                            },
-                            0,
-                            farm,
-                        )?;
-                        spool_file.remove(&id);
-                        let _ = std::fs::remove_file(&path);
-                        report.rejected += 1;
-                        farm.add(Metric::FarmAdmissionRejects, 1);
-                    }
+                        None => self.queue.pop().map(|job| (job, 0)),
+                    };
+                    let Some((job, attempt)) = next else { break };
+                    self.start(job, attempt);
+                }
+            }
+
+            // Re-lease on every round: arrivals, completions and fleet
+            // faults all change the fair share, and recomputation is cheap.
+            let available = self.fleet_health.available();
+            let leases = partition::fair_leases(&self.accel, &available, self.workers.len());
+            for (w, lease) in self.workers.iter().zip(leases) {
+                w.ctl.set_lease(Some(lease));
+                w.ctl.set_ckpt_shed(self.disk_pressure);
+            }
+            self.metrics
+                .gauge(Metric::FarmQueueDepth, self.queue.len() as f64);
+
+            match self
+                .rx
+                .recv_timeout(Duration::from_millis(self.cfg.poll_ms.max(1)))
+            {
+                Ok(event) => self.reap(event)?,
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("farm holds a sender"),
+            }
+
+            if self.draining() && self.workers.is_empty() {
+                // Jobs waiting on a retry timer hold a durable checkpoint and
+                // their spool file: record them as checkpointed for the next
+                // daemon.
+                for r in std::mem::take(&mut self.retries) {
+                    let frames_done = checkpointed_frames(&r.job);
+                    let status = JobStatus::Checkpointed { frames_done };
+                    self.settle(&r.job.id, status, r.attempt)?;
+                }
+                self.report.drained = true;
+                return Ok(());
+            }
+            if self.cfg.exit_when_idle
+                && !self.draining()
+                // Never idle-exit under disk pressure: unscanned specs are
+                // waiting in the spool for the pressure to clear.
+                && !self.disk_pressure
+                && self.workers.is_empty()
+                && self.retries.is_empty()
+                && self.queue.is_empty()
+            {
+                // One more scan so a submit racing the last completion wins.
+                self.scan_spool()?;
+                if self.queue.is_empty() {
+                    return Ok(());
                 }
             }
         }
     }
-    Ok(())
+
+    /// The one place an attempt starts: book it as a retry when it is one,
+    /// open its trace span, and spawn its worker thread.
+    fn start(&mut self, job: JobSpec, attempt: u32) {
+        if attempt > 0 {
+            self.report.retried += 1;
+            self.metrics.add(Metric::FarmRetries, 1);
+        }
+        let trace = self.tracer.as_mut().and_then(|t| t.spawned(&job, attempt));
+        let ctl = Arc::new(SessionCtl::new());
+        let scope = hub().session(&job.id);
+        let (thread_job, thread_ctl, tx) = (job.clone(), ctl.clone(), self.tx.clone());
+        let handle = std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_session(&thread_job, &thread_ctl, scope, attempt, trace)
+            }));
+            let bad_job = matches!(outcome, Ok(Err(SessionError::BadJob(_))));
+            let result = match outcome {
+                Ok(r) => r.map_err(SessionFailure::from),
+                Err(payload) => {
+                    // A panicking session may take a device's blame with it:
+                    // the chaos hook attributes its kill explicitly.
+                    let culprit = if attempt == 0 && thread_job.chaos_kill_at.is_some() {
+                        thread_job.chaos_device
+                    } else {
+                        None
+                    };
+                    Err(SessionFailure {
+                        message: format!("session panicked: {}", panic_message(payload)),
+                        culprit,
+                    })
+                }
+            };
+            // The supervisor owning the receiver may already be gone on a
+            // hard teardown; a dead letter is fine then.
+            let _ = tx.send(Event {
+                id: thread_job.id,
+                result,
+                bad_job,
+            });
+        });
+        self.workers.push(Worker {
+            job,
+            attempt,
+            ctl,
+            handle,
+        });
+    }
+
+    /// An attempt ended: settle its job, or schedule the retry the policy
+    /// allows.
+    fn reap(&mut self, event: Event) -> Result<(), ServeError> {
+        let Some(pos) = self.workers.iter().position(|w| w.job.id == event.id) else {
+            return Ok(());
+        };
+        let Worker {
+            job,
+            attempt,
+            handle,
+            ..
+        } = self.workers.remove(pos);
+        let _ = handle.join();
+        if let Some(t) = self.tracer.as_mut() {
+            t.attempt_done(&job.id);
+        }
+        let attempts = attempt + 1;
+        let failure = match event.result {
+            Ok(rep) if rep.interrupted => {
+                let frames_done = rep.frames_done;
+                return self.settle(&job.id, JobStatus::Checkpointed { frames_done }, attempts);
+            }
+            // Verify-before-completed: a clean finish only counts once the
+            // on-disk artifact re-reads byte-exact against the CRC streamed
+            // on the write path. A mismatch (bit-rot, torn write) is demoted
+            // to a session failure — the retry path re-encodes rather than
+            // blessing a corrupt artifact.
+            Ok(rep) => match verify_artifact(&job.output, rep.out_bytes, rep.artifact_crc) {
+                Ok(()) => {
+                    let status = JobStatus::Completed {
+                        frames: rep.frames_done,
+                        bytes: rep.out_bytes,
+                        crc32: rep.artifact_crc,
+                    };
+                    return self.settle(&job.id, status, attempts);
+                }
+                Err(message) => {
+                    self.metrics.add(Metric::IoCorruptRejected, 1);
+                    SessionFailure {
+                        message,
+                        culprit: None,
+                    }
+                }
+            },
+            Err(failure) => failure,
+        };
+        if let Some(device) = failure.culprit.filter(|&d| d < self.accel.len()) {
+            self.fleet_health.record_fault(device, self.round);
+        }
+        let policy = RetryPolicy::new(
+            Duration::from_millis(self.cfg.retry_base_ms),
+            self.cfg.retry_budget,
+            job.seed(),
+        );
+        if policy.allows(attempt) && !self.draining() && !event.bad_job {
+            self.retries.push(PendingRetry {
+                job,
+                attempt: attempts,
+                at: Instant::now() + policy.delay(attempt),
+            });
+            return Ok(());
+        }
+        let status = JobStatus::Failed {
+            error: failure.message,
+            culprit: failure.culprit,
+        };
+        self.settle(&job.id, status, attempts)
+    }
+
+    /// The one terminal transition of a job: its durable done record first,
+    /// then the report and `farm.*` counter its status books, the spool
+    /// file (kept only by a checkpointed job, for the next daemon) and its
+    /// trace.
+    fn settle(&mut self, id: &str, status: JobStatus, attempts: u32) -> Result<(), ServeError> {
+        job::write_done(&self.cfg.spool, id, &status, attempts, &*self.metrics)?;
+        let r = &mut self.report;
+        let (count, metric) = match status {
+            JobStatus::Completed { .. } => (&mut r.completed, Some(Metric::FarmJobsCompleted)),
+            JobStatus::Failed { .. } => (&mut r.failed, Some(Metric::FarmJobsFailed)),
+            JobStatus::Rejected { .. } => (&mut r.rejected, Some(Metric::FarmAdmissionRejects)),
+            JobStatus::Checkpointed { .. } => (&mut r.checkpointed, None),
+        };
+        *count += 1;
+        if let Some(metric) = metric {
+            self.metrics.add(metric, 1);
+            if let Some(path) = self.spool_file.remove(id) {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+        if let Some(t) = self.tracer.as_mut() {
+            t.closed(id);
+        }
+        Ok(())
+    }
+
+    /// Pull new job specs out of the spool: admit, or reject with the typed
+    /// queue-full error. Scanning is name-sorted so admission order (and the
+    /// acceptance tests) are deterministic.
+    fn scan_spool(&mut self) -> Result<(), ServeError> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&self.cfg.spool)?
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        paths.sort();
+        for path in paths {
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            let name = name.to_string();
+            if self.seen.contains(&name) {
+                continue;
+            }
+            let spec = match job::read_spec(&path) {
+                // Vanished between listing and read, or a read the disk may
+                // yet serve: the name stays unseen and the next scan looks
+                // again — the spec is still queued, in the spool.
+                Err(ServeError::Io(_)) => continue,
+                other => other,
+            };
+            self.seen.insert(name.clone());
+            match spec {
+                Err(e) => {
+                    // Reject, never crash: a corrupt spec (checksum
+                    // mismatch) is quarantined for inspection; a merely
+                    // invalid one is removed. Both get a typed `failed` done
+                    // record.
+                    let id = name.trim_end_matches(".json");
+                    let corrupt = matches!(e, ServeError::Corrupt(_));
+                    if !corrupt {
+                        self.spool_file.insert(id.to_string(), path.clone());
+                    }
+                    let error = e.to_string();
+                    let status = JobStatus::Failed {
+                        error,
+                        culprit: None,
+                    };
+                    self.settle(id, status, 0)?;
+                    if corrupt {
+                        self.metrics.add(Metric::IoCorruptRejected, 1);
+                        let _ = job::quarantine(&self.cfg.spool, &path);
+                    }
+                }
+                Ok(spec) => {
+                    let id = spec.id.clone();
+                    self.spool_file.insert(id.clone(), path);
+                    let admitted = spec.clone();
+                    match self.queue.admit(spec) {
+                        Ok(()) => {
+                            if let Some(t) = self.tracer.as_mut() {
+                                t.admitted(&admitted);
+                            }
+                        }
+                        Err(e) => {
+                            let reason = e.to_string();
+                            self.settle(&id, JobStatus::Rejected { reason }, 0)?;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// After the last round: the drain latency, the trace log, the final
+    /// queue depth.
+    fn finish(mut self) -> Result<DrainReport, ServeError> {
+        if let Some(t0) = self.drain_started {
+            self.metrics
+                .observe(Metric::FarmDrainMs, t0.elapsed().as_secs_f64() * 1e3);
+        }
+        if let Some(t) = self.tracer.as_mut() {
+            t.finish(self.metrics.as_ref())?;
+        }
+        self.metrics
+            .gauge(Metric::FarmQueueDepth, self.queue.len() as f64);
+        Ok(self.report)
+    }
 }
 
 #[cfg(test)]
@@ -990,7 +978,6 @@ mod tests {
         }
         let cfg = FarmConfig {
             queue_cap: 2,
-            high_watermark: 2,
             max_inflight: 1,
             ..farm_cfg(&dir)
         };

@@ -298,7 +298,7 @@ pub enum JobStatus {
         /// Attributed device index, when the fault had one.
         culprit: Option<usize>,
     },
-    /// Refused at admission (queue at its high watermark).
+    /// Refused at admission (the queue at its bound).
     Rejected {
         /// The typed admission error, rendered.
         reason: String,

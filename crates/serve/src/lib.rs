@@ -8,8 +8,8 @@
 //! *above* the per-frame Algorithm-2 LP — see [`partition`]), and survives
 //! the failure modes a long-running daemon actually meets:
 //!
-//! - **Admission control** — a bounded queue with a high-watermark reject
-//!   line and a typed [`ServeError::QueueFull`] ([`queue`]).
+//! - **Admission control** — one bound on the queue, past which a submit
+//!   is rejected with a typed [`ServeError::QueueFull`] ([`queue`]).
 //! - **Backpressure** — in-flight session credits cap concurrency.
 //! - **Fault isolation** — each session runs on its own worker thread
 //!   behind `catch_unwind`; a dying session blacklists its attributed
@@ -32,7 +32,7 @@ pub mod queue;
 pub mod session;
 pub mod signal;
 
-pub use farm::{DrainReport, FarmConfig, DEFAULT_CHECKPOINT_EVERY};
+pub use farm::{DrainReport, FarmConfig};
 pub use job::{JobSpec, JobStatus};
 pub use queue::JobQueue;
 pub use session::{verify_artifact, SessionFailure, SessionReport};
@@ -42,12 +42,12 @@ use std::fmt;
 /// Typed errors of the service layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// Admission refused: the queue reached its high watermark.
+    /// Admission refused: the queue holds as many jobs as its bound.
     QueueFull {
         /// Jobs queued at the moment of refusal.
         depth: usize,
-        /// The reject line the queue enforces.
-        high_watermark: usize,
+        /// The queue's bound (`FarmConfig::queue_cap`).
+        capacity: usize,
     },
     /// A malformed or unusable job spec.
     BadJob(String),
@@ -61,13 +61,10 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::QueueFull {
-                depth,
-                high_watermark,
-            } => write!(
-                f,
-                "queue full: {depth} queued >= high watermark {high_watermark}"
-            ),
+            // Rejected done records carry this text: it keeps its words.
+            ServeError::QueueFull { depth, capacity } => {
+                write!(f, "queue full: {depth} queued >= high watermark {capacity}")
+            }
             ServeError::BadJob(m) => write!(f, "bad job: {m}"),
             ServeError::Io(m) => write!(f, "io: {m}"),
             ServeError::Corrupt(m) => write!(f, "corrupt: {m}"),

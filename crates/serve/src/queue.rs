@@ -1,9 +1,9 @@
-//! Bounded admission queue with a high-watermark reject line.
+//! Bounded admission queue.
 //!
 //! Admission control is the first of the daemon's two backpressure layers
 //! (the second is the in-flight credit cap in the supervisor): a submit
-//! that arrives while `len >= high_watermark` is refused with the typed
-//! [`ServeError::QueueFull`] rather than buffered without bound, so a
+//! that arrives while the queue holds `capacity` jobs is refused with the
+//! typed [`ServeError::QueueFull`] rather than buffered without bound, so a
 //! producer storm degrades into fast, attributable rejections instead of
 //! unbounded memory growth and silently growing latency.
 
@@ -16,28 +16,23 @@ use std::collections::VecDeque;
 pub struct JobQueue {
     items: VecDeque<JobSpec>,
     capacity: usize,
-    high_watermark: usize,
 }
 
 impl JobQueue {
-    /// A queue holding at most `capacity` jobs, refusing admissions once
-    /// `high_watermark` is reached. The watermark is clamped into
-    /// `[1, capacity]`, so the hard bound always holds.
-    pub fn new(capacity: usize, high_watermark: usize) -> Self {
-        let capacity = capacity.max(1);
+    /// A queue holding at most `capacity` jobs (at least one).
+    pub fn new(capacity: usize) -> Self {
         JobQueue {
             items: VecDeque::new(),
-            capacity,
-            high_watermark: high_watermark.clamp(1, capacity),
+            capacity: capacity.max(1),
         }
     }
 
     /// Admit a job, or refuse it with the typed queue-full error.
     pub fn admit(&mut self, job: JobSpec) -> Result<(), ServeError> {
-        if self.items.len() >= self.high_watermark {
+        if self.items.len() >= self.capacity {
             return Err(ServeError::QueueFull {
                 depth: self.items.len(),
-                high_watermark: self.high_watermark,
+                capacity: self.capacity,
             });
         }
         self.items.push_back(job);
@@ -58,16 +53,6 @@ impl JobQueue {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// The hard bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The admission reject line.
-    pub fn high_watermark(&self) -> usize {
-        self.high_watermark
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +70,7 @@ mod tests {
 
     #[test]
     fn admits_in_fifo_order() {
-        let mut q = JobQueue::new(4, 4);
+        let mut q = JobQueue::new(4);
         q.admit(job("a")).unwrap();
         q.admit(job("b")).unwrap();
         assert_eq!(q.pop().unwrap().id, "a");
@@ -95,7 +80,7 @@ mod tests {
 
     #[test]
     fn rejects_at_high_watermark_with_typed_error() {
-        let mut q = JobQueue::new(8, 2);
+        let mut q = JobQueue::new(2);
         q.admit(job("a")).unwrap();
         q.admit(job("b")).unwrap();
         let err = q.admit(job("c")).unwrap_err();
@@ -103,9 +88,11 @@ mod tests {
             err,
             ServeError::QueueFull {
                 depth: 2,
-                high_watermark: 2
+                capacity: 2
             }
         );
+        // Rejected done records carry the rendered error.
+        assert_eq!(err.to_string(), "queue full: 2 queued >= high watermark 2");
         assert_eq!(q.len(), 2, "rejected job must not be buffered");
         // Popping one re-opens admission.
         q.pop().unwrap();
@@ -113,21 +100,15 @@ mod tests {
     }
 
     #[test]
-    fn depth_never_exceeds_capacity_even_with_loose_watermark() {
-        // A watermark above the capacity is clamped to it.
-        let mut q = JobQueue::new(3, 100);
-        assert_eq!(q.high_watermark(), 3);
-        for i in 0..10 {
-            let _ = q.admit(job(&format!("j{i}")));
-            assert!(q.len() <= q.capacity(), "hard bound violated");
-        }
-        assert_eq!(q.len(), 3);
-    }
-
-    #[test]
     fn zero_sizes_are_clamped_sane() {
-        let q = JobQueue::new(0, 0);
-        assert_eq!(q.capacity(), 1);
-        assert_eq!(q.high_watermark(), 1);
+        let mut q = JobQueue::new(0);
+        q.admit(job("a")).unwrap();
+        assert_eq!(
+            q.admit(job("b")).unwrap_err(),
+            ServeError::QueueFull {
+                depth: 1,
+                capacity: 1
+            }
+        );
     }
 }

@@ -25,6 +25,10 @@ use feves_obs::{SessionScope, TraceSink};
 use std::path::Path;
 use std::sync::Arc;
 
+/// Checkpoint cadence for jobs that did not choose one: frequent enough
+/// that preemption and retry lose little work on short farm jobs.
+const DEFAULT_CHECKPOINT_EVERY: usize = 4;
+
 /// What a session that ran to a clean stop reports back.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionReport {
@@ -164,9 +168,14 @@ impl SessionHooks for FarmHooks<'_> {
     }
 }
 
-/// [`run_session`] with the driver's typed error, so the supervisor can
-/// tell a bad job description (never retried) from a fault (retried).
-pub(crate) fn run_attempt(
+/// Run one job to completion, a preemption checkpoint, or failure.
+///
+/// `attempt` is 0 on first dispatch and counts up across supervisor
+/// retries; the [`JobSpec::chaos_kill_at`] hook only fires on attempt 0,
+/// so a retried job proves the checkpointed-recovery path. The typed
+/// [`SessionError`] tells a bad job description (never retried) from a
+/// fault (retried); [`SessionFailure::from`] renders it.
+pub fn run_session(
     job: &JobSpec,
     ctl: &Arc<SessionCtl>,
     scope: SessionScope,
@@ -176,7 +185,7 @@ pub(crate) fn run_attempt(
     let every = if job.checkpoint_every > 0 {
         job.checkpoint_every
     } else {
-        crate::farm::DEFAULT_CHECKPOINT_EVERY
+        DEFAULT_CHECKPOINT_EVERY
     };
     // Continue from the newest checkpoint generation that loads and still
     // matches the input and output on disk; otherwise start fresh. The job
@@ -222,21 +231,6 @@ pub(crate) fn run_attempt(
         },
         interrupted: done.interrupted,
     })
-}
-
-/// Run one job to completion, a preemption checkpoint, or failure.
-///
-/// `attempt` is 0 on first dispatch and counts up across supervisor
-/// retries; the [`JobSpec::chaos_kill_at`] hook only fires on attempt 0,
-/// so a retried job proves the checkpointed-recovery path.
-pub fn run_session(
-    job: &JobSpec,
-    ctl: &Arc<SessionCtl>,
-    scope: SessionScope,
-    attempt: u32,
-    trace: Option<TraceSink>,
-) -> Result<SessionReport, SessionFailure> {
-    Ok(run_attempt(job, ctl, scope, attempt, trace)?)
 }
 
 #[cfg(test)]
@@ -362,6 +356,7 @@ mod tests {
         let j = job(&dir, "missing");
         let ctl = Arc::new(SessionCtl::new());
         let err = run_session(&j, &ctl, hub().session("missing"), 0, None).unwrap_err();
+        let err = SessionFailure::from(err);
         assert!(err.culprit.is_none());
         assert!(err.message.contains("in.y4m"));
     }

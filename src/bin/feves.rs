@@ -94,7 +94,6 @@ struct Options {
     once: bool,
     allow_stale: bool,
     queue_cap: usize,
-    high_watermark: Option<usize>,
     max_inflight: usize,
     retry_budget: u32,
     poll_ms: u64,
@@ -136,7 +135,6 @@ impl Default for Options {
             once: false,
             allow_stale: false,
             queue_cap: 64,
-            high_watermark: None,
             max_inflight: 2,
             retry_budget: 2,
             poll_ms: 50,
@@ -218,13 +216,6 @@ fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), String> {
             "--allow-stale" => opts.allow_stale = true,
             "--queue-cap" => {
                 opts.queue_cap = grab()?.parse().map_err(|e| format!("--queue-cap: {e}"))?
-            }
-            "--high-watermark" => {
-                opts.high_watermark = Some(
-                    grab()?
-                        .parse()
-                        .map_err(|e| format!("--high-watermark: {e}"))?,
-                )
             }
             "--max-inflight" => {
                 opts.max_inflight = grab()?
@@ -999,15 +990,9 @@ fn cmd_serve(opts: &Options, spool: &str) -> CliResult {
         spool: PathBuf::from(spool),
         platform: opts.platform.clone(),
         queue_cap: opts.queue_cap,
-        high_watermark: opts.high_watermark.unwrap_or(opts.queue_cap),
         max_inflight: opts.max_inflight,
         retry_budget: opts.retry_budget,
         poll_ms: opts.poll_ms,
-        checkpoint_every: if opts.checkpoint_every > 0 {
-            opts.checkpoint_every
-        } else {
-            feves::serve::DEFAULT_CHECKPOINT_EVERY
-        },
         exit_when_idle: opts.exit_when_idle,
         live_out: opts.live_out.clone().map(PathBuf::from),
         live_every_ms: opts.live_every_ms,
@@ -1016,8 +1001,8 @@ fn cmd_serve(opts: &Options, spool: &str) -> CliResult {
         ..feves::serve::FarmConfig::default()
     };
     eprintln!(
-        "serving {spool} — platform {}, queue {} (reject at {}), {} in flight, retry budget {}",
-        cfg.platform, cfg.queue_cap, cfg.high_watermark, cfg.max_inflight, cfg.retry_budget
+        "serving {spool} — platform {}, queue {}, {} in flight, retry budget {}",
+        cfg.platform, cfg.queue_cap, cfg.max_inflight, cfg.retry_budget
     );
     let report = feves::serve::farm::run(cfg).map_err(CliError::runtime)?;
     println!(
@@ -1176,7 +1161,8 @@ const USAGE: &str = "usage: feves <command> [options]\n\n\
          \u{20}        --deadline-factor <f>           fault-detection slack (>1, default 3)\n\
          \u{20}        --kernels fast                  accepted and ignored: one kernel family\n\
          \u{20}        --perfetto <out.json>           trace: write Perfetto-loadable JSON instead\n\
-         \u{20}        --checkpoint-every <k>          encode: durable checkpoint every k frames\n\
+         \u{20}        --checkpoint-every <k>          encode, submit: durable checkpoint every\n\
+         \u{20}                                        k frames (a farm job's default is 4)\n\
          \u{20}        --checkpoint-dir <dir>          checkpoint directory (default <out>.ckpt)\n\
          \u{20}        --checkpoint-keep <n>           generations to retain (default 2)\n\
          \u{20}        --live-out <path>               stream atomic live snapshots (feves top)\n\
@@ -1184,8 +1170,8 @@ const USAGE: &str = "usage: feves <command> [options]\n\n\
          \u{20}        --interval <ms>                 top: refresh period (default 1000)\n\
          \u{20}        --once                          top: render one frame and exit\n\
          \u{20}        --allow-stale                   top --once: render even a stale snapshot\n\
-         \u{20}        --queue-cap <n>                 serve: admission queue bound (default 64)\n\
-         \u{20}        --high-watermark <n>            serve: reject line (default queue cap)\n\
+         \u{20}        --queue-cap <n>                 serve: admission bound; a spec past it is\n\
+         \u{20}                                        rejected (default 64)\n\
          \u{20}        --max-inflight <n>              serve: concurrent sessions (default 2)\n\
          \u{20}        --retry-budget <n>              serve: retries per job (default 2)\n\
          \u{20}        --poll-ms <ms>                  serve: spool poll period (default 50)\n\

@@ -381,7 +381,7 @@ fn farm_session_restarts_from_frame_zero_on_a_rejected_checkpoint() {
         let ctl = Arc::new(feves::core::SessionCtl::new());
         let label = format!("reject-{tag}-retry");
         let rep = run_session(&spec, &ctl, feves::obs::hub().session(&label), 1, None)
-            .unwrap_or_else(|e| panic!("{tag}: retry must start over, got {}", e.message));
+            .unwrap_or_else(|e| panic!("{tag}: retry must start over, got {e}"));
         assert!(!rep.interrupted, "{tag}");
         verify_artifact(&spec.output, rep.out_bytes, rep.artifact_crc).unwrap();
 
