@@ -410,3 +410,36 @@ fn a_deadline_baseline_no_run_can_hold_is_corrupt() {
         }
     }
 }
+
+/// `encode_frame` ramps the reference window one picture per P-frame, so a
+/// functional encoder's checkpoint holds exactly `refs_available` pictures,
+/// and a pending reconstruction once it has any. A window emptied or cut
+/// short under a `refs_available` of 2 is corrupt, not a run that searches
+/// fewer references than the uninterrupted one did.
+#[test]
+fn a_reference_window_the_ramp_cannot_leave_is_corrupt() {
+    let mut enc = FevesEncoder::new(Platform::sys_hk(), functional_config()).unwrap();
+    for f in &make_frames(4) {
+        enc.encode_frame(f);
+    }
+    let full = enc.snapshot();
+    assert_eq!((full.refs.len(), full.refs_available), (2, 2));
+    type Mutation = fn(&mut FrameworkState);
+    let mutations: [(&str, Mutation); 3] = [
+        ("emptied", |s| s.refs.clear()),
+        ("cut to one picture", |s| s.refs.truncate(1)),
+        ("no pending reconstruction", |s| s.recon_pending = None),
+    ];
+    for (what, mutate) in mutations {
+        let mut state = full.clone();
+        mutate(&mut state);
+        match restore_and_encode(functional_config(), state) {
+            Ok(Err(FevesError::CheckpointCorrupt(why))) => {
+                assert!(why.contains("reference"), "{what}: {why}")
+            }
+            Ok(Err(e)) => panic!("{what}: restore refused with {e}, not as corrupt"),
+            Ok(Ok(())) => panic!("{what}: restored and encoded"),
+            Err(_) => panic!("{what}: restored, then panicked"),
+        }
+    }
+}

@@ -308,6 +308,63 @@ fn admission_rejects_above_high_watermark() {
     );
 }
 
+/// A spool file whose spec names another job (a copied `x.json`) is
+/// refused under its own file name, with a reason that names both; the
+/// job it copies runs once and leaves nothing in the spool.
+#[test]
+fn a_spec_whose_id_is_not_its_file_name_is_rejected() {
+    let dir = scratch("idname");
+    let spool = dir.join("spool");
+    fs::create_dir_all(&spool).unwrap();
+    let spool_s = spool.to_str().unwrap();
+    let input = dir.join("in.y4m");
+    write_input(&input, 0x1D01, 3);
+    let output = dir.join("x.y4m");
+    submit(
+        spool_s,
+        input.to_str().unwrap(),
+        output.to_str().unwrap(),
+        "x",
+        &[],
+    );
+    fs::copy(spool.join("x.json"), spool.join("y.json")).unwrap();
+    let live = dir.join("live.json");
+
+    let (ok, stdout, _) = run(&[
+        "serve",
+        spool_s,
+        "--platform",
+        "syshk",
+        "--exit-when-idle",
+        "--poll-ms",
+        "20",
+        "--max-inflight",
+        "1",
+        "--live-out",
+        live.to_str().unwrap(),
+    ]);
+    assert!(ok, "serve failed:\n{stdout}");
+    assert!(
+        stdout.contains("1 completed, 0 failed, 1 rejected"),
+        "summary:\n{stdout}"
+    );
+    assert_eq!(farm_counter(&live, "farm.admission_rejects"), 1, "{stdout}");
+    assert!(done_record(&spool, "x").contains("\"completed\""));
+    let refused = done_record(&spool, "y");
+    assert!(refused.contains("\"rejected\""), "{refused}");
+    assert!(
+        refused.contains("'x'") && refused.contains("'y'"),
+        "the reason names both ids:\n{refused}"
+    );
+    let left: Vec<_> = fs::read_dir(&spool)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+        .map(|e| e.file_name())
+        .collect();
+    assert!(left.is_empty(), "specs left in the spool: {left:?}");
+}
+
 #[test]
 fn sigterm_drain_exits_zero_and_loses_no_jobs() {
     // The chaos acceptance scenario: TERM a busy daemon. It must stop
