@@ -31,7 +31,7 @@
 //! loops they replace are kept as the test definitions.
 
 use crate::kernels::avg;
-use crate::par;
+use crate::par::Crew;
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::{Plane, PlaneBandMut};
 
@@ -364,12 +364,12 @@ impl SubpelFrame {
         out
     }
 
-    /// [`Self::interpolate_rows`] with the MB rows spread over the host's
-    /// cores ([`crate::par`]).
-    pub fn interpolate_rows_parallel(&mut self, rf: &Plane<u8>, rows: RowRange) {
+    /// [`Self::interpolate_rows`] with the MB rows spread over `crew`
+    /// ([`crate::par`]).
+    pub fn interpolate_rows_parallel(&mut self, crew: &mut Crew, rf: &Plane<u8>, rows: RowRange) {
         assert_eq!(rf.width(), self.width);
         assert_eq!(rf.height(), self.height);
-        par::for_each_row(self.mb_rows_mut(rows), |_, row| row.interpolate(rf));
+        crew.for_each_row(self.mb_rows_mut(rows), |_, row| row.interpolate(rf));
     }
 }
 
@@ -585,8 +585,9 @@ mod tests {
         let rf = Plane::from_fn(48, 72, |x, y| ((x * 11) ^ (y * 17)) as u8);
         let seq = interpolate(&rf);
         let mut par = SubpelFrame::new(48, 72);
-        par.interpolate_rows_parallel(&rf, RowRange::new(0, 2));
-        par.interpolate_rows_parallel(&rf, RowRange::new(2, 5));
+        let mut crew = Crew::host();
+        par.interpolate_rows_parallel(&mut crew, &rf, RowRange::new(0, 2));
+        par.interpolate_rows_parallel(&mut crew, &rf, RowRange::new(2, 5));
         assert_eq!(seq, par);
     }
 

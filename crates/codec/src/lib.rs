@@ -18,7 +18,7 @@
 //! | [`decoder`] | P-frame decoding: the range checks, the syntax reader, then the encoder's MC / TQ⁻¹ kernels row by row and its DBL / chroma kernels | [`decoder::decode_yuv`] |
 //! | [`intra`] | I-slice coding | [`intra::encode_intra_frame`] |
 //! | [`kernels`] | SSE/AVX-style hot-kernel fast paths (`std::arch` SAD and averaging, padded-row 6-tap, SSE2 TQ and line filter) and their scalar references, of which the product runs only the dequantizer | [`kernels::fast::interp_band`], [`kernels::tq_blocks`] |
-//! | [`par`] | Host execution: MB rows over the host's cores | [`par::for_each_row`] |
+//! | [`par`] | Host execution: MB rows over the host's cores, on a crew of parked threads | [`par::Crew`] |
 //!
 //! The ME/INT/SME kernels are *partition-invariant*: their result for a
 //! macroblock row depends only on the frame data, so distributing MB rows

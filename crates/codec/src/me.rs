@@ -28,7 +28,7 @@
 use crate::kernels;
 use crate::kernels::fast::{Portable, SearchIsa};
 use crate::kernels::scalar::SadGrid;
-use crate::par;
+use crate::par::Crew;
 use crate::types::{EncodeParams, MbField, Mv, PartitionMode, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
@@ -564,7 +564,7 @@ pub fn motion_estimate_rows_reference(
 
 /// [`motion_estimate_rows`] with the MB rows spread over the host's cores
 /// ([`crate::par`]) — the "OpenMP across cores" axis of the paper's CPU
-/// kernels.
+/// kernels — on a crew that lives for the one call.
 pub fn motion_estimate_rows_parallel(
     cf: &Plane<u8>,
     rfs: &[&Plane<u8>],
@@ -578,7 +578,7 @@ pub fn motion_estimate_rows_parallel(
         rows.len() * mb_cols,
         "output slice size mismatch"
     );
-    par::for_each_row(out.chunks_mut(mb_cols), |i, row_out| {
+    Crew::host().for_each_row(out.chunks_mut(mb_cols), |i, row_out| {
         let mby = rows.start + i;
         motion_estimate_rows(cf, rfs, params, RowRange::new(mby, mby + 1), row_out);
     });

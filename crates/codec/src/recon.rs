@@ -10,13 +10,20 @@
 //! [`code_inter_row`], the encoder's R\* row pass, runs MC, TQ and TQ⁻¹ of
 //! one MB row back to back through sixteen lines of its own thread; the
 //! `*_rows` forms run the same row kernels over the rows of frame planes.
+//! [`code_tail`] runs what follows the row pass — chroma, entropy, DBL and
+//! PSNR — as two lanes on the encoder's crew.
 
+use crate::cabac::EntropyBackend;
+use crate::chroma::{encode_chroma_inter_into, ChromaField};
+use crate::dbl::deblock_frame;
 use crate::interp::SubpelFrame;
 use crate::kernels;
-use crate::mc::{self, MbMode};
+use crate::mc::{self, MbMode, ModeField};
+use crate::par::Crew;
 use crate::quant::{has_coefficients, tq_block};
 use crate::sme::MbSubMotion;
 use crate::types::MbField;
+use feves_video::frame::Frame;
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::{Plane, PlaneBandMut};
 use std::cell::RefCell;
@@ -215,6 +222,80 @@ pub fn code_inter_row(
         tq_row(residual, qp, false, coeffs);
         itq_recon_row(coeffs, pred, qp, mby, recon);
     });
+}
+
+/// One lane of [`code_tail`] and the outputs it alone writes.
+enum Lane<'a> {
+    /// Chroma, then entropy coding: the chroma field and planes, and the
+    /// stream with its bit count.
+    ChromaEntropy {
+        chroma: &'a mut ChromaField,
+        recon_u: &'a mut Plane<u8>,
+        recon_v: &'a mut Plane<u8>,
+        coded: &'a mut (Vec<u8>, u64),
+    },
+    /// DBL, then the luma PSNR: the luma plane and the PSNR.
+    DblPsnr {
+        recon_y: &'a mut Plane<u8>,
+        psnr: &'a mut f64,
+    },
+}
+
+/// The tail of an inter frame after the R\* row pass, as the two lanes of
+/// one region on `crew`: chroma ([`chroma::encode_chroma_inter_into`]) then
+/// entropy coding, and DBL ([`dbl::deblock_frame`]) then the luma PSNR
+/// against `source`. Both lanes only read the row pass's modes and
+/// coefficients, and each writes outputs the other does not touch, so
+/// neither their order nor the crew's width can change a byte. The longer
+/// lane comes first, so the first thread to claim — the caller, in
+/// practice — takes it. Returns the stream, its bit count and the PSNR;
+/// `recon` is the frame's `(Y, Cb, Cr)`, deblocked and reconstructed.
+#[allow(clippy::too_many_arguments)] // the lanes' inputs, their outputs and the crew
+pub fn code_tail(
+    crew: &mut Crew,
+    entropy: EntropyBackend,
+    source: &Frame,
+    (refs_u, refs_v): (&[&Plane<u8>], &[&Plane<u8>]),
+    modes: &ModeField,
+    coeffs: &CoeffField,
+    qp: u8,
+    chroma: &mut ChromaField,
+    [recon_y, recon_u, recon_v]: [&mut Plane<u8>; 3],
+) -> (Vec<u8>, u64, f64) {
+    let mut coded = (Vec::new(), 0);
+    let mut psnr = 0.0;
+    let lanes = [
+        Lane::ChromaEntropy {
+            chroma,
+            recon_u,
+            recon_v,
+            coded: &mut coded,
+        },
+        Lane::DblPsnr {
+            recon_y,
+            psnr: &mut psnr,
+        },
+    ];
+    crew.for_each_row(lanes, |_, lane| match lane {
+        Lane::ChromaEntropy {
+            chroma,
+            recon_u,
+            recon_v,
+            coded,
+        } => {
+            let (cf_u, cf_v) = (source.u(), source.v());
+            encode_chroma_inter_into(
+                cf_u, cf_v, refs_u, refs_v, modes, qp, chroma, recon_u, recon_v,
+            );
+            *coded = entropy.encode_frame_yuv(modes, coeffs, chroma, qp);
+        }
+        Lane::DblPsnr { recon_y, psnr } => {
+            deblock_frame(recon_y, modes, coeffs, qp);
+            *psnr = feves_video::metrics::psnr(recon_y, source.y());
+        }
+    });
+    let (stream, bits) = coded;
+    (stream, bits, psnr)
 }
 
 #[cfg(test)]

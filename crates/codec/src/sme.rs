@@ -33,7 +33,7 @@ use crate::kernels::fast::Portable as FastIsa;
 use crate::kernels::fast::Sse2 as FastIsa;
 use crate::kernels::fast::{Portable, RefineIsa};
 use crate::me::{mode_base, BlockMv, MbMotion};
-use crate::par;
+use crate::par::Crew;
 use crate::types::{MbField, PartitionMode, QpelMv, TOTAL_PARTITION_BLOCKS};
 use feves_video::geometry::{RowRange, MB_SIZE};
 use feves_video::plane::Plane;
@@ -537,7 +537,7 @@ pub fn sme_rows_reference(
 }
 
 /// [`sme_rows`] with the MB rows spread over the host's cores
-/// ([`crate::par`]).
+/// ([`crate::par`]), on a crew that lives for the one call.
 pub fn sme_rows_parallel(
     cf: &Plane<u8>,
     sfs: &[&SubpelFrame],
@@ -553,7 +553,7 @@ pub fn sme_rows_parallel(
     );
     assert_eq!(me_rows.len(), out.len(), "ME input size mismatch");
     let items = out.chunks_mut(mb_cols).zip(me_rows.chunks(mb_cols));
-    par::for_each_row(items, |i, (row_out, row_me)| {
+    Crew::host().for_each_row(items, |i, (row_out, row_me)| {
         let mby = rows.start + i;
         sme_rows(cf, sfs, row_me, RowRange::new(mby, mby + 1), row_out);
     });

@@ -22,7 +22,7 @@ use feves_codec::inter_loop::ReferenceStore;
 use feves_codec::interp::SubpelFrame;
 use feves_codec::mc::ModeField;
 use feves_codec::me::MeField;
-use feves_codec::par;
+use feves_codec::par::Crew;
 use feves_codec::rate::{RateController, RateSnapshot};
 use feves_codec::recon::CoeffField;
 use feves_codec::sme::SmeField;
@@ -301,16 +301,21 @@ struct ReconPending {
 }
 
 /// What one functional inter frame computes on its way to a reconstruction
-/// and a bit count. Nothing in it outlives the frame — each module
-/// overwrites all of its output, every frame, before anything reads it — so
-/// it is working memory, not state: no snapshot carries it, and an encoder
-/// restored from a checkpoint starts with a new one.
+/// and a bit count, and the crew that computes it. Nothing in it outlives
+/// the frame — each module overwrites all of its output, every frame,
+/// before anything reads it — so it is working memory, not state: no
+/// snapshot carries it, and an encoder restored from a checkpoint starts
+/// with a new one. An encoder that only runs the timing model never makes
+/// one, so it starts no thread.
 struct FrameScratch {
     me: MeField,
     sme: SmeField,
     modes: ModeField,
     coeffs: CoeffField,
     chroma: ChromaField,
+    /// The host's threads for every region of the frame, parked between
+    /// them.
+    crew: Crew,
 }
 
 impl FrameScratch {
@@ -321,6 +326,7 @@ impl FrameScratch {
             modes: ModeField::new(g.mb_cols, g.n_rows),
             coeffs: CoeffField::new(g.mb_cols, g.n_rows),
             chroma: ChromaField::new(g.mb_cols, g.n_rows),
+            crew: Crew::host(),
         }
     }
 }
@@ -1225,7 +1231,8 @@ impl FevesEncoder {
         report
     }
 
-    /// Run `kernel` over every MB row of `field_rows` in one [`par`] region.
+    /// Run `kernel` over every MB row of `field_rows` in one region on
+    /// `crew` ([`feves_codec::par`]).
     /// The per-device bands of `counts` stay the logical partition — what
     /// the modelled platform is charged for and what a fault is attributed
     /// to — but the host's cores take rows from all bands alike, so they
@@ -1237,6 +1244,7 @@ impl FevesEncoder {
     /// fault per band is returned with the rows it cost.
     fn run_stripes<T: Send>(
         &self,
+        crew: &mut Crew,
         counts: &[usize],
         field_rows: &mut [T],
         kernel: impl Fn(RowRange, &mut [T]) + Sync,
@@ -1251,14 +1259,13 @@ impl FevesEncoder {
         let injected: Vec<bool> = (0..bands.len())
             .map(|d| !bands[d].is_empty() && self.injector.kernel_panic(inter_frame, d))
             .collect();
-        let panics =
-            par::for_each_row_with(par::width(), field_rows.chunks_mut(mb_cols), |row, out| {
-                let device = device_of_row[row];
-                if injected[device] && row == bands[device].start {
-                    panic!("injected kernel panic on device {device}");
-                }
-                kernel(RowRange::new(row, row + 1), out);
-            });
+        let panics = crew.try_for_each_row(field_rows.chunks_mut(mb_cols), |row, out| {
+            let device = device_of_row[row];
+            if injected[device] && row == bands[device].start {
+                panic!("injected kernel panic on device {device}");
+            }
+            kernel(RowRange::new(row, row + 1), out);
+        });
         let mut failed: Vec<usize> = panics.iter().map(|p| device_of_row[p.row]).collect();
         failed.dedup(); // panics come in row order, so a band's are adjacent
         failed
@@ -1289,7 +1296,7 @@ impl FevesEncoder {
     /// SF and no more than `n_ref` SFs exist at any time; its planes take
     /// the new reconstruction. Only a window still filling up for the first
     /// time has nothing to recycle and allocates.
-    fn advance_references(&mut self, covered: RowRange) -> ReconPending {
+    fn advance_references(&mut self, crew: &mut Crew, covered: RowRange) -> ReconPending {
         let padded = self.config.resolution.padded();
         let luma = || Plane::new(padded.width, padded.height);
         let chroma = || Plane::new(padded.width / 2, padded.height / 2);
@@ -1310,7 +1317,7 @@ impl FevesEncoder {
                 chroma(),
             ),
         };
-        sf.interpolate_rows_parallel(&pending.y, covered);
+        sf.interpolate_rows_parallel(crew, &pending.y, covered);
         self.store.push_yuv(pending.y, sf, pending.u, pending.v);
         ReconPending { y, u, v }
     }
@@ -1319,11 +1326,13 @@ impl FevesEncoder {
     ///
     /// The distribution's bands are the logical partition; the host runs
     /// INT, ME, SME and the R\* row pass (MC, TQ and TQ⁻¹ of a row back to
-    /// back, [`feves_codec::recon::code_inter_row`]) one [`par`] region each
-    /// over all MB rows: four per inter frame. Row results do not depend on
-    /// the split, so neither the host's width nor a band recomputed after a
-    /// panic can change the output. DBL, chroma, entropy and PSNR are
-    /// serial.
+    /// back, [`feves_codec::recon::code_inter_row`]) one region each over
+    /// all MB rows, on the scratch's crew ([`feves_codec::par`]). Row
+    /// results do not depend on the split, so neither the host's width nor
+    /// a band recomputed after a panic can change the output. The tail is
+    /// a fifth region of two lanes ([`feves_codec::recon::code_tail`]):
+    /// chroma → entropy beside DBL → PSNR. Bits, PSNR, the rate controller
+    /// and fault charging follow both lanes.
     /// A panicking band is reported like any other device fault: charged
     /// to the frame's counters and its device dropped.
     ///
@@ -1338,20 +1347,21 @@ impl FevesEncoder {
         let all = RowRange::new(0, self.geometry.n_rows);
         let mut s = (self.scratch.take()).unwrap_or_else(|| FrameScratch::new(self.geometry));
 
-        let mut recon = self.advance_references(RowRange::new(0, dist.interp.iter().sum()));
+        let crew = &mut s.crew;
+        let interp_rows = RowRange::new(0, dist.interp.iter().sum());
+        let mut recon = self.advance_references(crew, interp_rows);
         let rfs = self.store.rf_planes();
         let sfs = self.store.sfs();
 
         // ME then SME, attributed to one row band per device (`run_stripes`).
-        let mut kernel_faults = self.run_stripes(&dist.me, s.me.rows_mut(all), |range, out| {
+        let me_rows = s.me.rows_mut(all);
+        let mut kernel_faults = self.run_stripes(crew, &dist.me, me_rows, |range, out| {
             feves_codec::me::motion_estimate_rows(cf, &rfs, params, range, out);
         });
-        let me = &s.me;
-        kernel_faults.extend(
-            self.run_stripes(&dist.sme, s.sme.rows_mut(all), |range, out| {
-                feves_codec::sme::sme_rows(cf, &sfs, me.rows(range), range, out);
-            }),
-        );
+        let (me, sme_rows) = (&s.me, s.sme.rows_mut(all));
+        kernel_faults.extend(self.run_stripes(crew, &dist.sme, sme_rows, |range, out| {
+            feves_codec::sme::sme_rows(cf, &sfs, me.rows(range), range, out);
+        }));
 
         // R* on the selected device (single-device semantics): MC, TQ and
         // TQ⁻¹ of each MB row back to back, in one region.
@@ -1360,36 +1370,32 @@ impl FevesEncoder {
         let items = (s.modes.rows_mut(all).chunks_mut(mb_cols))
             .zip(s.coeffs.rows_mut(all).chunks_mut(mb_cols))
             .zip(recon.y.split_mb_rows_mut(all));
-        par::for_each_row(items, |mby, ((modes, coeffs), mut band)| {
+        crew.for_each_row(items, |mby, ((modes, coeffs), mut band)| {
             let sme_row = sme.rows(RowRange::new(mby, mby + 1));
             feves_codec::recon::code_inter_row(
                 cf, &sfs, sme_row, params.qp, mby, modes, coeffs, &mut band,
             );
         });
-        feves_codec::dbl::deblock_frame(&mut recon.y, &s.modes, &s.coeffs, params.qp);
 
-        // Chroma rides with the R* group (single-device semantics), using
-        // the winning luma modes.
+        // The tail rides with the R* group (single-device semantics):
+        // chroma from the winning luma modes, then entropy, beside DBL,
+        // then PSNR.
         let (refs_u, refs_v) = self.store.chroma_refs();
         let n_refs = refs_u.len().min(params.n_ref);
-        feves_codec::chroma::encode_chroma_inter_into(
-            frame.u(),
-            frame.v(),
-            &refs_u[..n_refs],
-            &refs_v[..n_refs],
+        let (_stream, bits, psnr) = feves_codec::recon::code_tail(
+            crew,
+            self.config.entropy,
+            frame,
+            (&refs_u[..n_refs], &refs_v[..n_refs]),
             &s.modes,
+            &s.coeffs,
             params.qp,
             &mut s.chroma,
-            &mut recon.u,
-            &mut recon.v,
+            [&mut recon.y, &mut recon.u, &mut recon.v],
         );
-        let (_stream, bits) = self
-            .config
-            .entropy
-            .encode_frame_yuv(&s.modes, &s.coeffs, &s.chroma, params.qp);
 
         out.bits = Some(bits);
-        out.psnr = Some(feves_video::metrics::psnr(&recon.y, cf));
+        out.psnr = Some(psnr);
         self.recon_pending = Some(recon);
         self.scratch = Some(s);
         if let Some(rc) = &mut self.rate {
@@ -1532,6 +1538,19 @@ impl FevesEncoder {
                 state.refs.len(),
                 enc.config.params.n_ref
             )));
+        }
+        // `encode_frame` leaves a functional window holding exactly
+        // `refs_available` pictures, and a pending reconstruction once any
+        // frame is coded; the timing model ramps `refs_available` alone.
+        if enc.config.mode == ExecutionMode::Functional {
+            let (held, ramp) = (state.refs.len(), state.refs_available);
+            if held != ramp || (ramp > 0 && state.recon_pending.is_none()) {
+                let pending = state.recon_pending.is_some();
+                return Err(FevesError::CheckpointCorrupt(format!(
+                    "reference window of {held} pictures (pending reconstruction: {pending}) \
+                     for refs_available={ramp}"
+                )));
+            }
         }
         let padded = enc.config.resolution.padded();
         let yuv_ok = |(y, u, v): &(Plane<u8>, Plane<u8>, Plane<u8>)| {

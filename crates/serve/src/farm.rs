@@ -698,23 +698,31 @@ impl Farm {
                 other => other,
             };
             self.seen.insert(name.clone());
+            let stem = name.trim_end_matches(".json");
             match spec {
+                // The job's done record, spool entry and trace are all keyed
+                // by its id: a copy under another name would share them.
+                Ok(spec) if spec.id != stem => {
+                    self.spool_file.insert(stem.to_string(), path);
+                    let (id, file) = (spec.id, stem.to_string());
+                    let reason = ServeError::IdNotFileName { id, stem: file }.to_string();
+                    self.settle(stem, JobStatus::Rejected { reason }, 0)?;
+                }
                 Err(e) => {
                     // Reject, never crash: a corrupt spec (checksum
                     // mismatch) is quarantined for inspection; a merely
                     // invalid one is removed. Both get a typed `failed` done
                     // record.
-                    let id = name.trim_end_matches(".json");
                     let corrupt = matches!(e, ServeError::Corrupt(_));
                     if !corrupt {
-                        self.spool_file.insert(id.to_string(), path.clone());
+                        self.spool_file.insert(stem.to_string(), path.clone());
                     }
                     let error = e.to_string();
                     let status = JobStatus::Failed {
                         error,
                         culprit: None,
                     };
-                    self.settle(id, status, 0)?;
+                    self.settle(stem, status, 0)?;
                     if corrupt {
                         self.metrics.add(Metric::IoCorruptRejected, 1);
                         let _ = job::quarantine(&self.cfg.spool, &path);

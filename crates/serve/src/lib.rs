@@ -49,6 +49,14 @@ pub enum ServeError {
         /// The queue's bound (`FarmConfig::queue_cap`).
         capacity: usize,
     },
+    /// A spool file whose spec names another job: every record of a job
+    /// is keyed by its id, so only `<id>.json` may carry it.
+    IdNotFileName {
+        /// The id the spec names.
+        id: String,
+        /// The spool file's stem.
+        stem: String,
+    },
     /// A malformed or unusable job spec.
     BadJob(String),
     /// Spool / output filesystem trouble.
@@ -64,6 +72,9 @@ impl fmt::Display for ServeError {
             // Rejected done records carry this text: it keeps its words.
             ServeError::QueueFull { depth, capacity } => {
                 write!(f, "queue full: {depth} queued >= high watermark {capacity}")
+            }
+            ServeError::IdNotFileName { id, stem } => {
+                write!(f, "spec id '{id}' is not its file name '{stem}'")
             }
             ServeError::BadJob(m) => write!(f, "bad job: {m}"),
             ServeError::Io(m) => write!(f, "io: {m}"),

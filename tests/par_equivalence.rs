@@ -1,23 +1,29 @@
 //! The host's width must not reach the output: every row-parallel module
-//! (INT, ME, SME, MC, TQ, TQ⁻¹) run through `codec::par` at forced widths
+//! (INT, ME, SME, MC, TQ, TQ⁻¹) run on a `codec::par::Crew` of forced width
 //! 1, 2, 3 and 8 — fewer threads than rows, more threads than rows, and a
 //! row count none of them divides — must equal the serial `*_rows` output
 //! field for field, and so must the INT, ME and SME `*_rows_parallel`
-//! entry points at whatever width this host has and the encoder's R\* row
-//! pass (`recon::code_inter_row`, MC → TQ → TQ⁻¹ of one row) at the forced
-//! widths. Nor may what the output buffers held before: the encoder reuses
-//! them frame after frame, so every module must overwrite all of its
-//! output — shown by running them over buffers filled with `0xAA`.
+//! entry points at whatever width this host has, the encoder's R\* row
+//! pass (`recon::code_inter_row`, MC → TQ → TQ⁻¹ of one row) and its tail's
+//! two lanes (`recon::code_tail`: chroma → entropy beside DBL → PSNR) at
+//! the forced widths. Nor may what the output buffers held before: the
+//! encoder reuses them frame after frame, so every module must overwrite
+//! all of its output — shown by running them over buffers filled with
+//! `0xAA`.
 
+use feves::codec::cabac::EntropyBackend;
 use feves::codec::chroma::{self, ChromaField};
+use feves::codec::dbl;
 use feves::codec::interp::SubpelFrame;
 use feves::codec::mc::{self, ModeField};
 use feves::codec::me::{self, MeField};
-use feves::codec::par;
+use feves::codec::par::Crew;
 use feves::codec::recon::{self, CoeffField};
 use feves::codec::sme::{self, SmeField};
 use feves::codec::types::{EncodeParams, Mv, PartitionMode, QpelMv, SearchArea};
-use feves::video::geometry::RowRange;
+use feves::video::frame::Frame;
+use feves::video::geometry::{Resolution, RowRange};
+use feves::video::metrics::psnr;
 use feves::video::plane::Plane;
 
 /// 4 × 7 macroblocks.
@@ -159,55 +165,33 @@ fn one(row: usize) -> RowRange {
     RowRange::new(row, row + 1)
 }
 
-/// The same frame with every module's rows claimed by `width` threads.
-fn at_width(width: usize, cf: &Plane<u8>, rf: &Plane<u8>) -> Fields {
-    over_at_width(Fields::empty(), width, cf, rf)
-}
-
-/// [`at_width`], writing over whatever `f` holds.
-fn over_at_width(mut f: Fields, width: usize, cf: &Plane<u8>, rf: &Plane<u8>) -> Fields {
+/// The same frame with every module's rows claimed by the threads of
+/// `crew`, writing over whatever `f` holds.
+fn on_crew(mut f: Fields, crew: &mut Crew, cf: &Plane<u8>, rf: &Plane<u8>) -> Fields {
     let p = params();
-    let clean = |panics: Vec<par::RowPanic>| assert!(panics.is_empty(), "a row panicked");
-
-    clean(par::for_each_row_with(
-        width,
-        f.sf.mb_rows_mut(ROWS),
-        |_, row| row.interpolate(rf),
-    ));
+    crew.for_each_row(f.sf.mb_rows_mut(ROWS), |_, row| row.interpolate(rf));
     let sfs = [&f.sf];
-    clean(par::for_each_row_with(
-        width,
-        f.me.rows_mut(ROWS).chunks_mut(MB_COLS),
-        |r, out| me::motion_estimate_rows(cf, &[rf], &p, one(r), out),
-    ));
-    clean(par::for_each_row_with(
-        width,
-        f.sme.rows_mut(ROWS).chunks_mut(MB_COLS),
-        |r, out| sme::sme_rows(cf, &sfs, f.me.rows(one(r)), one(r), out),
-    ));
+    crew.for_each_row(f.me.rows_mut(ROWS).chunks_mut(MB_COLS), |r, out| {
+        me::motion_estimate_rows(cf, &[rf], &p, one(r), out)
+    });
+    crew.for_each_row(f.sme.rows_mut(ROWS).chunks_mut(MB_COLS), |r, out| {
+        sme::sme_rows(cf, &sfs, f.me.rows(one(r)), one(r), out)
+    });
     let mc_items = (f.modes.rows_mut(ROWS).chunks_mut(MB_COLS))
         .zip(f.pred.mb_row_lines_mut(ROWS))
         .zip(f.residual.mb_row_lines_mut(ROWS));
-    clean(par::for_each_row_with(
-        width,
-        mc_items,
-        |r, ((modes, pred), residual)| {
-            let sme = f.sme.rows(one(r));
-            mc::mc_row(cf, &sfs, sme, QP, r, modes, pred, residual);
-        },
-    ));
+    crew.for_each_row(mc_items, |r, ((modes, pred), residual)| {
+        let sme = f.sme.rows(one(r));
+        mc::mc_row(cf, &sfs, sme, QP, r, modes, pred, residual);
+    });
     let tq_items = (f.coeffs.rows_mut(ROWS).chunks_mut(MB_COLS)).zip(f.residual.mb_row_lines(ROWS));
-    clean(par::for_each_row_with(
-        width,
-        tq_items,
-        |_, (out, lines)| recon::tq_row(lines, QP, false, out),
-    ));
+    crew.for_each_row(tq_items, |_, (out, lines)| {
+        recon::tq_row(lines, QP, false, out)
+    });
     let itq_items = (f.recon.split_mb_rows_mut(ROWS).into_iter()).zip(f.pred.mb_row_lines(ROWS));
-    clean(par::for_each_row_with(
-        width,
-        itq_items,
-        |r, (mut band, pred)| recon::itq_recon_row(f.coeffs.rows(one(r)), pred, QP, r, &mut band),
-    ));
+    crew.for_each_row(itq_items, |r, (mut band, pred)| {
+        recon::itq_recon_row(f.coeffs.rows(one(r)), pred, QP, r, &mut band)
+    });
     f
 }
 
@@ -220,7 +204,8 @@ fn every_module_is_width_independent() {
         "the scene must exercise TQ"
     );
     for width in [1, 2, 3, 8] {
-        assert_eq!(at_width(width, &cf, &rf), want, "width {width}");
+        let got = on_crew(Fields::empty(), &mut Crew::new(width), &cf, &rf);
+        assert_eq!(got, want, "width {width}");
     }
 }
 
@@ -229,13 +214,18 @@ fn every_module_overwrites_all_of_a_reused_buffer() {
     let (cf, rf) = inputs();
     let want = serial(&cf, &rf);
     assert_ne!(Fields::poisoned(), Fields::empty());
-    for width in [1, 2, 3] {
-        let got = over_at_width(Fields::poisoned(), width, &cf, &rf);
-        assert_eq!(got, want, "width {width}");
+    for width in [1, 2, 3, 8] {
+        // One crew for both frames, as the encoder keeps one.
+        let mut crew = Crew::new(width);
+        for frame in 0..2 {
+            let got = on_crew(Fields::poisoned(), &mut crew, &cf, &rf);
+            assert_eq!(got, want, "width {width}, frame {frame}");
+        }
     }
 
-    // Chroma is serial; its in-place form over a poisoned coefficient
-    // field and poisoned planes against the allocating one.
+    // The tail's two lanes over a poisoned chroma field and poisoned
+    // chroma planes, against chroma's allocating form, entropy, DBL and
+    // PSNR run one after another.
     // Textured below a flat top third (whatever the vectors, predicted
     // exactly: blocks with no coefficients), or one value throughout.
     let chroma_plane = |seed: usize, fill: Option<u8>| {
@@ -271,19 +261,38 @@ fn every_module_overwrites_all_of_a_reused_buffer() {
             (mb.cb, mb.cr, mb.coded_mask) = ([[-0x5556; 16]; 4], [[-0x5556; 16]; 4], 0xAA);
         }
     }
-    let (mut recon_u, mut recon_v) = (chroma_plane(0, Some(0xAA)), chroma_plane(0, Some(0xAA)));
-    chroma::encode_chroma_inter_into(
-        &cf_u,
-        &cf_v,
-        &[&rf_u],
-        &[&rf_v],
-        &want.modes,
-        QP,
-        &mut coeffs,
-        &mut recon_u,
-        &mut recon_v,
-    );
-    assert!(coeffs == fresh.coeffs && recon_u == fresh.recon_u && recon_v == fresh.recon_v);
+    let entropy = EntropyBackend::Cabac;
+    let (stream, bits) = entropy.encode_frame_yuv(&want.modes, &want.coeffs, &fresh.coeffs, QP);
+    let mut deblocked = want.recon.clone();
+    dbl::deblock_frame(&mut deblocked, &want.modes, &want.coeffs, QP);
+    assert_ne!(deblocked, want.recon, "the scene must exercise DBL");
+    let mut source = Frame::new(Resolution::new(W, H)).expect("a legal size");
+    (*source.y_mut(), *source.u_mut(), *source.v_mut()) = (cf.clone(), cf_u.clone(), cf_v.clone());
+    for width in [1, 2, 3, 8] {
+        let mut crew = Crew::new(width);
+        for frame in 0..2 {
+            let mut chroma = coeffs.clone();
+            let mut recon_y = want.recon.clone();
+            let (mut recon_u, mut recon_v) =
+                (chroma_plane(0, Some(0xAA)), chroma_plane(0, Some(0xAA)));
+            let got = recon::code_tail(
+                &mut crew,
+                entropy,
+                &source,
+                (&[&rf_u], &[&rf_v]),
+                &want.modes,
+                &want.coeffs,
+                QP,
+                &mut chroma,
+                [&mut recon_y, &mut recon_u, &mut recon_v],
+            );
+            let at = format!("width {width}, frame {frame}");
+            assert!(chroma == fresh.coeffs, "{at}");
+            assert!(recon_u == fresh.recon_u && recon_v == fresh.recon_v, "{at}");
+            assert!(recon_y == deblocked, "{at}");
+            assert_eq!(got, (stream.clone(), bits, psnr(&deblocked, &cf)), "{at}");
+        }
+    }
 }
 
 #[test]
@@ -293,8 +302,9 @@ fn parallel_entry_points_equal_serial() {
     let mut f = Fields::empty();
     let p = params();
     // Two calls over a split range: the entry points take any row range.
+    let mut crew = Crew::host();
     for rows in [RowRange::new(0, 3), RowRange::new(3, 7)] {
-        f.sf.interpolate_rows_parallel(&rf, rows);
+        f.sf.interpolate_rows_parallel(&mut crew, &rf, rows);
         me::motion_estimate_rows_parallel(&cf, &[&rf], &p, rows, f.me.rows_mut(rows));
     }
     for rows in [RowRange::new(0, 3), RowRange::new(3, 7)] {
@@ -316,19 +326,18 @@ fn r_star_row_pass_equals_serial() {
     let sfs = [&want.sf];
     let splits: [&[RowRange]; 2] = [&[ROWS], &[RowRange::new(0, 3), RowRange::new(3, 7)]];
     for width in [1, 2, 3, 8] {
+        let mut crew = Crew::new(width);
         for split in splits {
             let mut got = Fields::poisoned();
             for &rows in split {
                 let items = (got.modes.rows_mut(rows).chunks_mut(MB_COLS))
                     .zip(got.coeffs.rows_mut(rows).chunks_mut(MB_COLS))
                     .zip(got.recon.split_mb_rows_mut(rows));
-                let panics =
-                    par::for_each_row_with(width, items, |i, ((modes, coeffs), mut band)| {
-                        let r = rows.start + i;
-                        let sme = want.sme.rows(one(r));
-                        recon::code_inter_row(&cf, &sfs, sme, QP, r, modes, coeffs, &mut band);
-                    });
-                assert!(panics.is_empty(), "a row panicked");
+                crew.for_each_row(items, |i, ((modes, coeffs), mut band)| {
+                    let r = rows.start + i;
+                    let sme = want.sme.rows(one(r));
+                    recon::code_inter_row(&cf, &sfs, sme, QP, r, modes, coeffs, &mut band);
+                });
             }
             assert_eq!(
                 (&got.modes, &got.coeffs, &got.recon),
@@ -360,11 +369,9 @@ fn me_window_per_call_is_split_independent() {
 
     for width in [1, 2, 3] {
         let mut got = MeField::new(MB_COLS, ROWS.len());
-        let panics =
-            par::for_each_row_with(width, got.rows_mut(ROWS).chunks_mut(MB_COLS), |r, out| {
-                me::motion_estimate_rows(&cf, &rfs, &p, one(r), out)
-            });
-        assert!(panics.is_empty(), "a row panicked");
+        Crew::new(width).for_each_row(got.rows_mut(ROWS).chunks_mut(MB_COLS), |r, out| {
+            me::motion_estimate_rows(&cf, &rfs, &p, one(r), out)
+        });
         assert!(got == want, "width {width}");
     }
     let mut got = MeField::new(MB_COLS, ROWS.len());
