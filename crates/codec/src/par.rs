@@ -335,6 +335,8 @@ mod tests {
         struct OnExit;
         impl Drop for OnExit {
             fn drop(&mut self) {
+                // Late on purpose: only a join waits for it.
+                std::thread::sleep(std::time::Duration::from_millis(30));
                 EXITED.fetch_add(1, Ordering::SeqCst);
             }
         }
