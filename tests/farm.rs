@@ -365,6 +365,61 @@ fn a_spec_whose_id_is_not_its_file_name_is_rejected() {
     assert!(left.is_empty(), "specs left in the spool: {left:?}");
 }
 
+/// Two specs that name one output: the later one is refused under its own
+/// id, with a reason that names the job holding the path, and the first
+/// job's done record describes the file on disk — at one session in
+/// flight (the second would overwrite the first's artifact) and at two
+/// (both would share `<out>.ckpt`).
+#[test]
+fn a_spec_whose_output_is_held_by_another_job_is_rejected() {
+    for inflight in ["1", "2"] {
+        let dir = scratch(&format!("shared-out-{inflight}"));
+        let spool = dir.join("spool");
+        fs::create_dir_all(&spool).unwrap();
+        let spool_s = spool.to_str().unwrap();
+        let output = dir.join("shared.y4m");
+        let output = output.to_str().unwrap();
+        let mut inputs = Vec::new();
+        for (id, frames) in [("a", 4), ("b", 6)] {
+            let input = dir.join(format!("{id}.y4m"));
+            write_input(&input, 0x0A7 + frames as u64, frames);
+            let input = input.to_str().unwrap().to_string();
+            submit(spool_s, &input, output, id, &[]);
+            inputs.push(input);
+        }
+        let want = baseline(&dir, &inputs[0], "a", &[]);
+
+        let (ok, stdout, _) = run(&[
+            "serve",
+            spool_s,
+            "--platform",
+            "syshk",
+            "--exit-when-idle",
+            "--poll-ms",
+            "20",
+            "--max-inflight",
+            inflight,
+        ]);
+        assert!(ok, "serve failed:\n{stdout}");
+        assert!(
+            stdout.contains("1 completed, 0 failed, 1 rejected, 0 retried"),
+            "--max-inflight {inflight}, summary:\n{stdout}"
+        );
+        assert!(done_record(&spool, "a").contains("\"completed\""));
+        assert_eq!(
+            fs::read(output).unwrap(),
+            want,
+            "a's artifact was overwritten"
+        );
+        let refused = done_record(&spool, "b");
+        assert!(refused.contains("\"rejected\""), "{refused}");
+        assert!(
+            refused.contains("'a'") && refused.contains("shared.y4m"),
+            "the reason names the holder and the path:\n{refused}"
+        );
+    }
+}
+
 #[test]
 fn sigterm_drain_exits_zero_and_loses_no_jobs() {
     // The chaos acceptance scenario: TERM a busy daemon. It must stop
