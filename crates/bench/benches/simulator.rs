@@ -32,8 +32,8 @@ fn bench_lp_solver(c: &mut Criterion) {
     c.bench_function("simplex_makespan_12dev", |b| {
         b.iter(|| {
             let mut lp = Problem::new(Sense::Minimize);
-            let tau = lp.add_var("tau", 1.0);
-            let vars: Vec<_> = (0..12).map(|i| lp.add_var(format!("m{i}"), 0.0)).collect();
+            let tau = lp.add_var(1.0);
+            let vars: Vec<_> = (0..12).map(|_| lp.add_var(0.0)).collect();
             let all: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
             lp.add_constraint(&all, Relation::Eq, 68.0);
             for (i, &v) in vars.iter().enumerate() {

@@ -92,8 +92,8 @@ impl Solution {
 /// ```
 /// use feves_lp::{Problem, Relation, Sense};
 /// let mut lp = Problem::new(Sense::Maximize);
-/// let x = lp.add_var("x", 3.0);
-/// let y = lp.add_var("y", 5.0);
+/// let x = lp.add_var(3.0);
+/// let y = lp.add_var(5.0);
 /// lp.add_constraint(&[(x, 1.0)], Relation::Le, 4.0);
 /// lp.add_constraint(&[(y, 2.0)], Relation::Le, 12.0);
 /// lp.add_constraint(&[(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
@@ -105,7 +105,6 @@ impl Solution {
 pub struct Problem {
     sense: Sense,
     obj: Vec<f64>,
-    names: Vec<String>,
     constraints: Vec<Constraint>,
 }
 
@@ -115,15 +114,13 @@ impl Problem {
         Problem {
             sense,
             obj: Vec::new(),
-            names: Vec::new(),
             constraints: Vec::new(),
         }
     }
 
     /// Add a non-negative variable with objective coefficient `obj_coeff`.
-    pub fn add_var(&mut self, name: impl Into<String>, obj_coeff: f64) -> VarId {
+    pub fn add_var(&mut self, obj_coeff: f64) -> VarId {
         self.obj.push(obj_coeff);
-        self.names.push(name.into());
         VarId(self.obj.len() - 1)
     }
 
@@ -158,63 +155,78 @@ impl Problem {
         }
     }
 
+    /// One attempt under `rule`: phase 1 drives the artificials to zero
+    /// when the starting basis has any, phase 2 optimizes the objective
+    /// with them locked out.
     fn solve_attempt(&self, rule: PivotRule) -> Result<Solution, LpError> {
         let nv = self.obj.len();
         if nv == 0 {
             return Err(LpError::Malformed("no variables"));
         }
-        let m = self.constraints.len();
+        let StandardForm {
+            a,
+            b,
+            basis,
+            n_total,
+            first_artificial,
+        } = self.standard_form();
+        let mut c2 = vec![0.0; n_total];
+        for (c, &coeff) in c2.iter_mut().zip(&self.obj) {
+            *c = match self.sense {
+                Sense::Minimize => coeff,
+                Sense::Maximize => -coeff,
+            };
+        }
+        let (mut t, allowed) = if first_artificial < n_total {
+            // Phase 1: minimize the sum of artificials.
+            let mut c1 = vec![0.0; n_total];
+            c1[first_artificial..].fill(1.0);
+            let mut t = Tableau::new(a, b, c1, basis);
+            match run_phase(&mut t, n_total, rule) {
+                Err(LpError::Unbounded) => return Err(LpError::Infeasible),
+                other => other?,
+            }
+            if t.objective() > 1e-7 {
+                return Err(LpError::Infeasible);
+            }
+            t.drive_out_artificials(first_artificial);
+            t.set_objective(c2);
+            (t, first_artificial)
+        } else {
+            // All-slack basis is feasible; single phase.
+            (Tableau::new(a, b, c2, basis), n_total)
+        };
+        run_phase(&mut t, allowed, rule)?;
+        self.extract(&t, nv)
+    }
 
-        // Count auxiliary columns: one slack/surplus per inequality, one
-        // artificial per Ge/Eq row (and per Le row with negative rhs, which
-        // normalization turns into Ge).
-        #[derive(Clone, Copy)]
-        enum RowKind {
-            Slack,
-            SurplusArtificial,
-            ArtificialOnly,
-        }
-        let mut kinds = Vec::with_capacity(m);
-        for c in &self.constraints {
-            // Normalize to rhs ≥ 0 by flipping sign (and relation).
-            let (rel, rhs) = if c.rhs < 0.0 {
-                (flip(c.rel), -c.rhs)
-            } else {
-                (c.rel, c.rhs)
-            };
-            let kind = match rel {
-                Relation::Le => {
-                    if rhs >= 0.0 {
-                        RowKind::Slack
-                    } else {
-                        RowKind::SurplusArtificial
-                    }
+    /// `A x = b` with `b ≥ 0`: each row is normalized to a non-negative
+    /// right-hand side (flipping its relation), equilibrated, and given a
+    /// slack (≤), a surplus and an artificial (≥), or an artificial alone
+    /// (=). The starting basis is the slacks and the artificials.
+    fn standard_form(&self) -> StandardForm {
+        let nv = self.obj.len();
+        let m = self.constraints.len();
+        let rows: Vec<(f64, Relation, f64)> = (self.constraints.iter())
+            .map(|c| {
+                if c.rhs < 0.0 {
+                    (-1.0, flip(c.rel), -c.rhs)
+                } else {
+                    (1.0, c.rel, c.rhs)
                 }
-                Relation::Ge => RowKind::SurplusArtificial,
-                Relation::Eq => RowKind::ArtificialOnly,
-            };
-            kinds.push((kind, rel, rhs));
-        }
-        let n_slack = kinds
-            .iter()
-            .filter(|(k, _, _)| matches!(k, RowKind::Slack | RowKind::SurplusArtificial))
-            .count();
-        let n_art = kinds
-            .iter()
-            .filter(|(k, _, _)| matches!(k, RowKind::SurplusArtificial | RowKind::ArtificialOnly))
-            .count();
+            })
+            .collect();
+        let n_slack = rows.iter().filter(|r| r.1 != Relation::Eq).count();
+        let n_art = rows.iter().filter(|r| r.1 != Relation::Le).count();
         let n_total = nv + n_slack + n_art;
+        let first_artificial = nv + n_slack;
 
         let mut a = vec![0.0; m * n_total];
         let mut b = vec![0.0; m];
         let mut basis = vec![0usize; m];
-        let mut slack_at = nv;
-        let first_artificial = nv + n_slack;
-        let mut art_at = first_artificial;
-
-        for (row, c) in self.constraints.iter().enumerate() {
-            let (kind, _rel, rhs) = kinds[row];
-            let sign = if c.rhs < 0.0 { -1.0 } else { 1.0 };
+        let (mut slack_at, mut art_at) = (nv, first_artificial);
+        for (row, (c, &(sign, rel, rhs))) in self.constraints.iter().zip(&rows).enumerate() {
+            let a = &mut a[row * n_total..(row + 1) * n_total];
             // Row equilibration: divide the row by its largest coefficient
             // magnitude so wildly mixed scales (seconds-per-row rates vs
             // row counts) do not destabilize the pivoting.
@@ -225,75 +237,29 @@ impl Problem {
                 .fold(rhs.abs(), f64::max);
             let inv = if scale > 0.0 { 1.0 / scale } else { 1.0 };
             for &(v, coeff) in &c.terms {
-                a[row * n_total + v] = sign * coeff * inv;
+                a[v] = sign * coeff * inv;
             }
             b[row] = rhs * inv;
-            match kind {
-                RowKind::Slack => {
-                    a[row * n_total + slack_at] = 1.0;
-                    basis[row] = slack_at;
-                    slack_at += 1;
-                }
-                RowKind::SurplusArtificial => {
-                    a[row * n_total + slack_at] = -1.0;
-                    slack_at += 1;
-                    a[row * n_total + art_at] = 1.0;
-                    basis[row] = art_at;
-                    art_at += 1;
-                }
-                RowKind::ArtificialOnly => {
-                    a[row * n_total + art_at] = 1.0;
-                    basis[row] = art_at;
-                    art_at += 1;
-                }
+            if rel == Relation::Le {
+                a[slack_at] = 1.0;
+                basis[row] = slack_at;
+                slack_at += 1;
+                continue;
             }
+            if rel == Relation::Ge {
+                a[slack_at] = -1.0;
+                slack_at += 1;
+            }
+            a[art_at] = 1.0;
+            basis[row] = art_at;
+            art_at += 1;
         }
-
-        // Phase 1: minimize the sum of artificials.
-        if n_art > 0 {
-            let mut c1 = vec![0.0; n_total];
-            for c in c1.iter_mut().take(n_total).skip(first_artificial) {
-                *c = 1.0;
-            }
-            let mut t = Tableau::new(a, b, c1, basis);
-            match t.solve_with(n_total, rule) {
-                SimplexOutcome::Optimal => {}
-                SimplexOutcome::IterationLimit => return Err(LpError::Numerical),
-                SimplexOutcome::Unbounded => return Err(LpError::Infeasible),
-            }
-            if t.objective() > 1e-7 {
-                return Err(LpError::Infeasible);
-            }
-            t.drive_out_artificials(first_artificial);
-            // Phase 2 with the real objective, artificials locked out.
-            let mut c2 = vec![0.0; n_total];
-            for (j, &coeff) in self.obj.iter().enumerate() {
-                c2[j] = match self.sense {
-                    Sense::Minimize => coeff,
-                    Sense::Maximize => -coeff,
-                };
-            }
-            t.set_objective(c2);
-            match t.solve_with(first_artificial, rule) {
-                SimplexOutcome::Optimal => self.extract(&t, nv),
-                SimplexOutcome::IterationLimit => Err(LpError::Numerical),
-                SimplexOutcome::Unbounded => Err(LpError::Unbounded),
-            }
-        } else {
-            // All-slack basis is feasible; single phase.
-            let mut c2 = vec![0.0; n_total];
-            for (j, &coeff) in self.obj.iter().enumerate() {
-                c2[j] = match self.sense {
-                    Sense::Minimize => coeff,
-                    Sense::Maximize => -coeff,
-                };
-            }
-            let mut t = Tableau::new(a, b, c2, basis);
-            match t.solve_with(n_total, rule) {
-                SimplexOutcome::Optimal => self.extract(&t, nv),
-                SimplexOutcome::IterationLimit => Err(LpError::Numerical),
-                SimplexOutcome::Unbounded => Err(LpError::Unbounded),
-            }
+        StandardForm {
+            a,
+            b,
+            basis,
+            n_total,
+            first_artificial,
         }
     }
 
@@ -337,6 +303,25 @@ impl Problem {
     }
 }
 
+/// A problem in the form the simplex runs on: `a` is `b.len()` rows of
+/// `n_total` columns — structural, slack/surplus, then artificial.
+struct StandardForm {
+    a: Vec<f64>,
+    b: Vec<f64>,
+    basis: Vec<usize>,
+    n_total: usize,
+    first_artificial: usize,
+}
+
+/// Run one simplex phase to its optimum.
+fn run_phase(t: &mut Tableau, allowed: usize, rule: PivotRule) -> Result<(), LpError> {
+    match t.solve_with(allowed, rule) {
+        SimplexOutcome::Optimal => Ok(()),
+        SimplexOutcome::IterationLimit => Err(LpError::Numerical),
+        SimplexOutcome::Unbounded => Err(LpError::Unbounded),
+    }
+}
+
 fn flip(rel: Relation) -> Relation {
     match rel {
         Relation::Le => Relation::Ge,
@@ -352,8 +337,8 @@ mod tests {
     #[test]
     fn textbook_max() {
         let mut lp = Problem::new(Sense::Maximize);
-        let x = lp.add_var("x", 3.0);
-        let y = lp.add_var("y", 5.0);
+        let x = lp.add_var(3.0);
+        let y = lp.add_var(5.0);
         lp.add_constraint(&[(x, 1.0)], Relation::Le, 4.0);
         lp.add_constraint(&[(y, 2.0)], Relation::Le, 12.0);
         lp.add_constraint(&[(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
@@ -370,8 +355,8 @@ mod tests {
         // as possible? obj grows with y, so y = 0 … but x + y = 10 → x = 10.
         // With x ≥ 3 satisfied. Optimal (10, 0), obj 10.
         let mut lp = Problem::new(Sense::Minimize);
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 2.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(2.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 10.0);
         lp.add_constraint(&[(x, 1.0)], Relation::Ge, 3.0);
         let sol = lp.solve().unwrap();
@@ -383,7 +368,7 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut lp = Problem::new(Sense::Minimize);
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(&[(x, 1.0)], Relation::Le, 1.0);
         lp.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0);
         assert_eq!(lp.solve().unwrap_err(), LpError::Infeasible);
@@ -392,8 +377,8 @@ mod tests {
     #[test]
     fn unbounded_detected() {
         let mut lp = Problem::new(Sense::Maximize);
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 0.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(0.0);
         lp.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Le, 5.0);
         assert_eq!(lp.solve().unwrap_err(), LpError::Unbounded);
     }
@@ -402,8 +387,8 @@ mod tests {
     fn negative_rhs_normalized() {
         // x − y ≤ −2  ⇔  y − x ≥ 2. min x + y with x,y ≥ 0 → (0, 2).
         let mut lp = Problem::new(Sense::Minimize);
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Le, -2.0);
         let sol = lp.solve().unwrap();
         assert!(sol.value(x).abs() < 1e-9);
@@ -414,7 +399,7 @@ mod tests {
     fn duplicate_terms_are_summed() {
         // (x + x) ≤ 4 ⇒ x ≤ 2.
         let mut lp = Problem::new(Sense::Maximize);
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(&[(x, 1.0), (x, 1.0)], Relation::Le, 4.0);
         let sol = lp.solve().unwrap();
         assert!((sol.value(x) - 2.0).abs() < 1e-9);
@@ -424,8 +409,8 @@ mod tests {
     fn zero_rhs_equality() {
         // min y  s.t. x − y = 0, x ≥ 1 → (1, 1).
         let mut lp = Problem::new(Sense::Minimize);
-        let x = lp.add_var("x", 0.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(0.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Eq, 0.0);
         lp.add_constraint(&[(x, 1.0)], Relation::Ge, 1.0);
         let sol = lp.solve().unwrap();
@@ -436,8 +421,8 @@ mod tests {
     fn redundant_equalities_ok() {
         // Same equality twice (redundant row must not break phase 1).
         let mut lp = Problem::new(Sense::Minimize);
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
         let sol = lp.solve().unwrap();

@@ -109,15 +109,11 @@ impl Tableau {
         self.iters
     }
 
-    /// Run the primal simplex with Bland's rule until optimal or unbounded.
-    /// `allowed` limits the entering columns (used in phase 1→2 transition
-    /// to lock out artificial variables); pass `n` to allow all.
-    pub fn solve(&mut self, allowed: usize) -> SimplexOutcome {
-        self.solve_with(allowed, PivotRule::Bland)
-    }
-
-    /// Run the primal simplex with a selectable entering rule. Dantzig runs
-    /// under an iteration cap (it can cycle on degenerate problems).
+    /// Run the primal simplex with a selectable entering rule until optimal
+    /// or unbounded. `allowed` limits the entering columns (the phase 1→2
+    /// transition locks out the artificials); pass `n` to allow all.
+    /// Dantzig runs under an iteration cap (it can cycle on degenerate
+    /// problems).
     pub fn solve_with(&mut self, allowed: usize, rule: PivotRule) -> SimplexOutcome {
         let max_iters = 50 * (self.m + self.n) + 200;
         let mut iters = 0usize;
@@ -207,11 +203,6 @@ impl Tableau {
         self.basis[row] = col;
     }
 
-    /// Element accessor (row-major).
-    pub fn coeff(&self, row: usize, col: usize) -> f64 {
-        self.a[row * self.n + col]
-    }
-
     /// Replace the objective row (used for the phase-1 → phase-2 switch);
     /// re-prices the current basis.
     pub fn set_objective(&mut self, c: Vec<f64>) {
@@ -260,7 +251,7 @@ mod tests {
         let b = vec![4.0, 12.0, 18.0];
         let c = vec![-3.0, -5.0, 0.0, 0.0, 0.0];
         let mut t = Tableau::new(a, b, c, vec![2, 3, 4]);
-        assert_eq!(t.solve(5), SimplexOutcome::Optimal);
+        assert_eq!(t.solve_with(5, PivotRule::Bland), SimplexOutcome::Optimal);
         let x = t.solution();
         assert!((x[0] - 2.0).abs() < 1e-9, "x = {x:?}");
         assert!((x[1] - 6.0).abs() < 1e-9);
@@ -274,7 +265,7 @@ mod tests {
         let b = vec![1.0];
         let c = vec![-1.0, 0.0, 0.0];
         let mut t = Tableau::new(a, b, c, vec![2]);
-        assert_eq!(t.solve(3), SimplexOutcome::Unbounded);
+        assert_eq!(t.solve_with(3, PivotRule::Bland), SimplexOutcome::Unbounded);
     }
 
     #[test]
@@ -290,7 +281,7 @@ mod tests {
         let b = vec![1.0, 1.0, 1.0];
         let c = vec![-1.0, -1.0, 0.0, 0.0, 0.0];
         let mut t = Tableau::new(a, b, c, vec![2, 3, 4]);
-        assert_eq!(t.solve(5), SimplexOutcome::Optimal);
+        assert_eq!(t.solve_with(5, PivotRule::Bland), SimplexOutcome::Optimal);
         assert!((t.objective() + 1.0).abs() < 1e-9);
     }
 }

@@ -24,7 +24,7 @@ proptest! {
     ) {
         let nv = x0.len();
         let mut lp = Problem::new(Sense::Minimize);
-        let vars: Vec<_> = (0..nv).map(|i| lp.add_var(format!("x{i}"), c[i])).collect();
+        let vars: Vec<_> = (0..nv).map(|i| lp.add_var(c[i])).collect();
         for (a_row, slack) in &rows {
             let terms: Vec<_> = vars.iter().zip(a_row).map(|(&v, &a)| (v, a)).collect();
             let b: f64 = a_row.iter().zip(&x0).map(|(a, x)| a * x).sum::<f64>() + slack;
@@ -55,8 +55,8 @@ proptest! {
         cx in coeff(), cy in coeff(),
     ) {
         let mut lp = Problem::new(Sense::Minimize);
-        let x = lp.add_var("x", cx);
-        let y = lp.add_var("y", cy);
+        let x = lp.add_var(cx);
+        let y = lp.add_var(cy);
         for &(a, b, r) in &rows {
             lp.add_constraint(&[(x, a), (y, b)], Relation::Le, r);
         }
@@ -139,8 +139,8 @@ proptest! {
         weights in proptest::collection::vec(0.5f64..4.0, 6),
     ) {
         let mut lp = Problem::new(Sense::Minimize);
-        let vars: Vec<_> = (0..n).map(|i| lp.add_var(format!("m{i}"), 0.0)).collect();
-        let tau = lp.add_var("tau", 1.0);
+        let vars: Vec<_> = (0..n).map(|_| lp.add_var(0.0)).collect();
+        let tau = lp.add_var(1.0);
         let all: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         lp.add_constraint(&all, Relation::Eq, total);
         // Each device: weight_i · m_i ≤ tau  (the τ1-style constraint).

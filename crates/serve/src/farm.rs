@@ -699,15 +699,16 @@ impl Farm {
             };
             self.seen.insert(name.clone());
             let stem = name.trim_end_matches(".json");
+            let refusal = spec.as_ref().ok().and_then(|spec| self.refusal(stem, spec));
+            if let Some(refusal) = refusal {
+                // Keyed by the file stem: the refused spec's records never
+                // overwrite those of the job it collides with.
+                self.spool_file.insert(stem.to_string(), path);
+                let reason = refusal.to_string();
+                self.settle(stem, JobStatus::Rejected { reason }, 0)?;
+                continue;
+            }
             match spec {
-                // The job's done record, spool entry and trace are all keyed
-                // by its id: a copy under another name would share them.
-                Ok(spec) if spec.id != stem => {
-                    self.spool_file.insert(stem.to_string(), path);
-                    let (id, file) = (spec.id, stem.to_string());
-                    let reason = ServeError::IdNotFileName { id, stem: file }.to_string();
-                    self.settle(stem, JobStatus::Rejected { reason }, 0)?;
-                }
                 Err(e) => {
                     // Reject, never crash: a corrupt spec (checksum
                     // mismatch) is quarantined for inspection; a merely
@@ -747,6 +748,26 @@ impl Farm {
             }
         }
         Ok(())
+    }
+
+    /// Why a well-formed spec may not be admitted from `<stem>.json`. The
+    /// job's done record, spool entry and trace are keyed by its id, so a
+    /// copy under another name would share them. Its output, and the
+    /// `<output>.ckpt` directory named after it, have one owner: the job
+    /// that holds them while it is queued, in flight or waiting to retry.
+    fn refusal(&self, stem: &str, spec: &JobSpec) -> Option<ServeError> {
+        if spec.id != stem {
+            let (id, stem) = (spec.id.clone(), stem.to_string());
+            return Some(ServeError::IdNotFileName { id, stem });
+        }
+        let mut live = (self.queue.iter())
+            .chain(self.workers.iter().map(|w| &w.job))
+            .chain(self.retries.iter().map(|r| &r.job));
+        let holder = live.find(|job| job.output == spec.output)?;
+        Some(ServeError::OutputHeld {
+            output: spec.output.clone(),
+            holder: holder.id.clone(),
+        })
     }
 
     /// After the last round: the drain latency, the trace log, the final

@@ -57,6 +57,14 @@ pub enum ServeError {
         /// The spool file's stem.
         stem: String,
     },
+    /// Admission refused: another live job (queued, in flight or waiting
+    /// to retry) writes the same output and its `<output>.ckpt`.
+    OutputHeld {
+        /// The output path both specs name.
+        output: String,
+        /// The id of the job holding it.
+        holder: String,
+    },
     /// A malformed or unusable job spec.
     BadJob(String),
     /// Spool / output filesystem trouble.
@@ -75,6 +83,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::IdNotFileName { id, stem } => {
                 write!(f, "spec id '{id}' is not its file name '{stem}'")
+            }
+            ServeError::OutputHeld { output, holder } => {
+                write!(f, "output '{output}' is held by job '{holder}'")
             }
             ServeError::BadJob(m) => write!(f, "bad job: {m}"),
             ServeError::Io(m) => write!(f, "io: {m}"),

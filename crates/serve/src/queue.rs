@@ -44,6 +44,11 @@ impl JobQueue {
         self.items.pop_front()
     }
 
+    /// The queued jobs, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &JobSpec> {
+        self.items.iter()
+    }
+
     /// Queued-job count.
     pub fn len(&self) -> usize {
         self.items.len()

@@ -121,7 +121,7 @@ fn umbrella_reexports_compose() {
     let _plane: feves::video::Plane<u8> = feves::video::Plane::new(16, 16);
     let _mv = feves::codec::Mv::new(1, -1);
     let mut lp = feves::lp::Problem::new(feves::lp::Sense::Minimize);
-    let x = lp.add_var("x", 1.0);
+    let x = lp.add_var(1.0);
     lp.add_constraint(&[(x, 1.0)], feves::lp::Relation::Ge, 3.0);
     assert!((lp.solve().unwrap().value(x) - 3.0).abs() < 1e-9);
     let p = feves::hetsim::Platform::sys_hk();
